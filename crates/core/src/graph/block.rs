@@ -649,7 +649,7 @@ where
             {
                 pending = None;
                 // Publish-after-link: the seed entry lives in slot 0.
-                self.index_publish_slot(&key, node, 0);
+                self.index_publish_slot(&key, node, 0, ctx);
                 self.graph.link_upper(node, &mut res, ctx, || None);
                 break true;
             }
@@ -716,7 +716,7 @@ where
                             .compare_exchange(w, (w & !tomb_bit(i)) | present_bit(i))
                         {
                             Ok(_) => {
-                                self.index_publish_slot(&key, anchor, i);
+                                self.index_publish_slot(&key, anchor, i, ctx);
                                 return (true, Some(anchor));
                             }
                             Err(cur) => {
@@ -788,7 +788,7 @@ where
                 // CAS linearizes the insert.
                 match blk.control().compare_exchange(w, w | present_bit(slot)) {
                     Ok(_) => {
-                        self.index_publish_slot(&key, anchor, slot);
+                        self.index_publish_slot(&key, anchor, slot, ctx);
                         return (true, Some(anchor));
                     }
                     Err(cur) => w = cur,
@@ -833,7 +833,7 @@ where
                     Ok(_) => {
                         // The tombstone is published; drop the index entry
                         // so readers stop resolving to this slot.
-                        self.index_invalidate_slot(key, anchor);
+                        self.index_invalidate_slot(key, anchor, ctx);
                         let now = tombed;
                         let live = present_bits(now).count_ones() as usize;
                         let clogged = live <= self.policy.merge_threshold
@@ -981,18 +981,18 @@ where
     /// Publishes `key -> (anchor, slot)` in the shared hash index (if one
     /// is installed) under the anchor's current generation. Best-effort;
     /// caller must hold a pin.
-    fn index_publish_slot(&self, key: &K, anchor: NonNull<BNode<K>>, slot: usize) {
+    fn index_publish_slot(&self, key: &K, anchor: NonNull<BNode<K>>, slot: usize, ctx: &ThreadCtx) {
         if let Some(idx) = self.graph.index() {
             let gen = unsafe { Node::generation_of(anchor) };
-            idx.publish(key, anchor, gen, slot);
+            idx.publish(key, anchor, gen, slot, ctx.id() as usize);
         }
     }
 
     /// Drops `key`'s index entry if it still names `anchor` (a newer
     /// incarnation's entry is left alone).
-    fn index_invalidate_slot(&self, key: &K, anchor: NonNull<BNode<K>>) {
+    fn index_invalidate_slot(&self, key: &K, anchor: NonNull<BNode<K>>, ctx: &ThreadCtx) {
         if let Some(idx) = self.graph.index() {
-            idx.invalidate(key, Some(anchor));
+            idx.invalidate(key, Some(anchor), ctx.id() as usize);
         }
     }
 
@@ -1015,7 +1015,7 @@ where
         let anchor = entry.ptr;
         if unsafe { Node::generation_of(anchor) } != entry.gen {
             ctx.record_index_stale();
-            idx.invalidate(key, Some(anchor));
+            idx.invalidate(key, Some(anchor), ctx.id() as usize);
             return None;
         }
         let blk = unsafe { self.blk(anchor) };
@@ -1224,7 +1224,7 @@ where
                         let b = unsafe { self.blk(cur) };
                         for i in 0..self.cap {
                             if bw & present_bit(i) != 0 {
-                                self.index_publish_slot(&unsafe { b.key_at(i) }, cur, i);
+                                self.index_publish_slot(&unsafe { b.key_at(i) }, cur, i, ctx);
                             }
                         }
                     }

@@ -327,45 +327,97 @@ impl<K: Ord, V> SkipGraph<K, V> {
         self.index.as_ref()
     }
 
+    /// The index's hash of `key`, for the `_hashed` hooks below: a point
+    /// operation that probes the index and then publishes into it hashes
+    /// its key once. `0` on a plain graph, where those hooks do nothing.
+    #[inline]
+    pub(crate) fn index_hash(&self, key: &K) -> u64 {
+        self.index.as_ref().map_or(0, |idx| idx.hash(key))
+    }
+
     /// Publish-after-link: installs (or refreshes) `node`'s index entry
     /// under its *current* generation. Called after the level-0 link CAS
     /// (or a lazy resurrection) — never before, so a reader that wins the
     /// entry always finds a reachable incarnation. Best-effort: a full
     /// probe window simply leaves the key on the descent path.
-    pub(crate) fn index_publish(&self, node: NonNull<Node<K, V>>, aux: usize) {
+    pub(crate) fn index_publish(&self, node: NonNull<Node<K, V>>, aux: usize, ctx: &ThreadCtx) {
+        let hash = self.index_hash(unsafe { node.as_ref().key() });
+        self.index_publish_hashed(node, hash, aux, ctx);
+    }
+
+    /// [`SkipGraph::index_publish`] for a node whose key's
+    /// [`SkipGraph::index_hash`] the caller already holds.
+    pub(crate) fn index_publish_hashed(
+        &self,
+        node: NonNull<Node<K, V>>,
+        hash: u64,
+        aux: usize,
+        ctx: &ThreadCtx,
+    ) {
         if let Some(idx) = &self.index {
             let gen = unsafe { Node::generation_of(node) };
-            idx.publish(unsafe { node.as_ref().key() }, node, gen, aux);
+            idx.publish_hashed(hash, node, gen, aux, ctx.id() as usize);
+        }
+    }
+
+    /// Republishes a live node that a search found after the index had no
+    /// usable entry for its key (`hash` is the key's
+    /// [`SkipGraph::index_hash`]): publishes are best-effort, so an entry
+    /// can be lost to a busy slot, a grow or a colliding signature, and
+    /// the key would otherwise pay the search on every later operation.
+    /// Caller holds a pin and reached `node` through it.
+    pub(crate) fn index_heal(&self, node: &Node<K, V>, hash: u64, ctx: &ThreadCtx) {
+        let Some(idx) = &self.index else { return };
+        let ptr = NonNull::from(node);
+        // Generation before the mark probe, as in `capture_gen`: seeing
+        // the node unmarked after the load proves the generation is the
+        // linked incarnation's, so the entry dies with it.
+        let gen = unsafe { Node::generation_of(ptr) };
+        if !node.load_next_raw(0).marked() {
+            idx.publish_hashed(hash, ptr, gen, 0, ctx.id() as usize);
         }
     }
 
     /// Bulk publish-after-link for a combiner's sorted run: one pass over
-    /// the run's freshly linked nodes instead of a per-operation publish
-    /// inside [`SkipGraph::try_link_level0`]. Each entry is re-validated
+    /// the run's freshly linked nodes (each with its key's
+    /// [`SkipGraph::index_hash`], which the combiner's probe computed)
+    /// instead of a per-operation publish inside
+    /// [`SkipGraph::try_link_level0`]. Each entry is re-validated
     /// under the pin — a node that was marked (or lazily invalidated, or
     /// retired) since its link is skipped; the liveness ladder on the read
     /// side makes a lost race here merely a missed fast path, never a
     /// wrong answer.
-    pub(crate) fn index_publish_run(&self, run: &[NodeRef<K, V>], ctx: &ThreadCtx) {
+    pub(crate) fn index_publish_run(&self, run: &[(NodeRef<K, V>, u64)], ctx: &ThreadCtx) {
         if self.index.is_none() || run.is_empty() {
             return;
         }
         let _pin = self.pin(ctx);
-        for r in run {
+        for (r, hash) in run {
             let Some(node) = r.node() else { continue };
             let w0 = node.load_next(0, ctx);
             if w0.marked() || (self.config.lazy && !w0.valid()) {
                 continue;
             }
-            self.index_publish(NonNull::from(node), 0);
+            self.index_publish_hashed(NonNull::from(node), *hash, 0, ctx);
         }
     }
 
     /// Invalidate-before-retire: clears any index entry naming `node`
     /// (matched by pointer, so a newer incarnation's entry survives).
-    pub(crate) fn index_invalidate(&self, node: &Node<K, V>) {
+    pub(crate) fn index_invalidate(&self, node: &Node<K, V>, ctx: &ThreadCtx) {
         if let Some(idx) = &self.index {
-            idx.invalidate(unsafe { node.key() }, Some(NonNull::from(node)));
+            let tid = ctx.id() as usize;
+            idx.invalidate(unsafe { node.key() }, Some(NonNull::from(node)), tid);
+        }
+    }
+
+    /// Test hook: drops whatever index entry `key` has, the way a lost
+    /// publish or a colliding signature does. The index is an accelerator,
+    /// so no answer may change.
+    #[doc(hidden)]
+    pub fn index_evict(&self, key: &K, ctx: &ThreadCtx) {
+        if let Some(idx) = &self.index {
+            idx.invalidate(key, None, ctx.id() as usize);
         }
     }
 
@@ -395,8 +447,19 @@ impl<K: Ord, V> SkipGraph<K, V> {
         key: &K,
         ctx: &ThreadCtx,
     ) -> Option<IndexRead<'g, K, V>> {
+        self.index_read_hashed(key, self.index_hash(key), ctx)
+    }
+
+    /// [`SkipGraph::index_read`] for a key whose
+    /// [`SkipGraph::index_hash`] the caller already holds.
+    pub(crate) fn index_read_hashed<'g>(
+        &'g self,
+        key: &K,
+        hash: u64,
+        ctx: &ThreadCtx,
+    ) -> Option<IndexRead<'g, K, V>> {
         let idx = self.index.as_ref()?;
-        let read = idx.read_node(key, self.config.lazy, ctx);
+        let read = idx.read_node(key, hash, self.config.lazy, ctx);
         match &read {
             IndexRead::Hit(_) | IndexRead::Absent(_) => {
                 ctx.record_index_hit();
@@ -483,7 +546,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
                 // before the generation bump inside `retire`, so no
                 // window exists where a reader holds a gen-valid entry
                 // to a slot that is already in limbo.
-                self.index_invalidate(node);
+                self.index_invalidate(node, ctx);
                 // Safety: fully unlinked, reported exactly once (the
                 // completing fetch_or), and we are pinned.
                 unsafe {

@@ -87,7 +87,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
             if node.cas_next(0, w0, w0.with_valid(true), ctx).is_ok() {
                 // Resurrection is a successful insertion: refresh the
                 // index entry so point reads hit this incarnation.
-                self.index_publish(NonNull::from(node), 0);
+                self.index_publish(NonNull::from(node), 0, ctx);
                 return Some(true); // flipped invalid -> valid
             }
         }
@@ -148,7 +148,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
                 // with the removed key until the stress wall catches the
                 // contradiction. See the `bug-injection` feature docs.
                 #[cfg(not(feature = "bug-injection"))]
-                self.index_invalidate(node);
+                self.index_invalidate(node, ctx);
                 return true;
             }
         }
@@ -164,19 +164,22 @@ impl<K: Ord, V> SkipGraph<K, V> {
         res: &SearchResult<K, V>,
         ctx: &ThreadCtx,
     ) -> bool {
-        self.try_link_level0_publish(node, res, ctx, true)
+        let hash = self.index_hash(unsafe { node.as_ref().key() });
+        self.try_link_level0_publish(node, res, ctx, Some(hash))
     }
 
     /// [`SkipGraph::try_link_level0`] with the publish-after-link index
-    /// update made optional: combiner sorted runs pass `publish = false`,
-    /// collect the linked nodes, and publish the whole run in one pass via
+    /// update in the caller's hands: `Some(hash)` publishes under the
+    /// key's [`SkipGraph::index_hash`], which a caller that already probed
+    /// the index holds; combiner sorted runs pass `None`, collect the
+    /// linked nodes, and publish the whole run in one pass via
     /// [`SkipGraph::index_publish_run`].
     pub(crate) fn try_link_level0_publish(
         &self,
         node: NonNull<Node<K, V>>,
         res: &SearchResult<K, V>,
         ctx: &ThreadCtx,
-        publish: bool,
+        publish: Option<u64>,
     ) -> bool {
         let m0 = res.middles[0];
         if m0.marked() {
@@ -192,8 +195,8 @@ impl<K: Ord, V> SkipGraph<K, V> {
         if ok {
             // Publish-after-link: the node is reachable from level 0, so
             // the index may now name it.
-            if publish {
-                self.index_publish(node, 0);
+            if let Some(hash) = publish {
+                self.index_publish_hashed(node, hash, 0, ctx);
             }
             // The insert substituted the captured marked chain: those
             // nodes are now unlinked at level 0.
@@ -446,14 +449,17 @@ impl<K: Ord, V> SkipGraph<K, V> {
         chain: &mut HintChain<K, V>,
         ctx: &ThreadCtx,
     ) -> (bool, Option<NodeRef<K, V>>) {
-        self.insert_with_hint_sink(key, value, height, start, chain, ctx, None)
+        let hash = self.index_hash(&key);
+        self.insert_with_hint_sink(key, value, hash, height, start, chain, ctx, None)
     }
 
-    /// [`SkipGraph::insert_with_hint`] with an optional deferred-publish
-    /// sink: when `defer` is given, a freshly linked node is *not*
-    /// published to the hash index inline — its [`NodeRef`] is pushed into
-    /// the sink instead, and the caller publishes the whole sorted run in
-    /// one [`SkipGraph::index_publish_run`] pass after the run completes.
+    /// [`SkipGraph::insert_with_hint`] for a key whose
+    /// [`SkipGraph::index_hash`] the caller holds (`hash`), with an
+    /// optional deferred-publish sink: when `defer` is given, a freshly
+    /// linked node is *not* published to the hash index inline — its
+    /// [`NodeRef`] and hash are pushed into the sink instead, and the
+    /// caller publishes the whole sorted run in one
+    /// [`SkipGraph::index_publish_run`] pass after the run completes.
     /// Lazy resurrections of existing nodes still publish inline (the
     /// helper owns that transition either way).
     #[allow(clippy::too_many_arguments)]
@@ -461,11 +467,12 @@ impl<K: Ord, V> SkipGraph<K, V> {
         &self,
         key: K,
         value: V,
+        hash: u64,
         height: u8,
         start: Option<NodePtr<K, V>>,
         chain: &mut HintChain<K, V>,
         ctx: &ThreadCtx,
-        mut defer: Option<&mut Vec<NodeRef<K, V>>>,
+        mut defer: Option<&mut Vec<(NodeRef<K, V>, u64)>>,
     ) -> (bool, Option<NodeRef<K, V>>) {
         debug_assert!(height <= self.config().max_level);
         let _pin = self.pin(ctx);
@@ -506,12 +513,12 @@ impl<K: Ord, V> SkipGraph<K, V> {
                 let (k, v) = pending.take().expect("pending kv");
                 self.alloc_node(k, v, ctx, height)
             });
-            if !self.try_link_level0_publish(n, &res, ctx, defer.is_none()) {
+            if !self.try_link_level0_publish(n, &res, ctx, defer.is_none().then_some(hash)) {
                 continue;
             }
             let fresh = NodeRef::new(n);
             if let Some(sink) = defer.as_deref_mut() {
-                sink.push(fresh);
+                sink.push((fresh, hash));
             }
             let _ = self.link_upper(n, &mut res, ctx, || None);
             // `res` still holds strict predecessors of the key (link_upper
@@ -571,11 +578,11 @@ impl<K: Ord, V> SkipGraph<K, V> {
 
     /// Returns a clone of the value mapped to `key`, resuming the search
     /// from `chain`; see [`SkipGraph::insert_with_hint`] for the chaining
-    /// contract.
+    /// contract. `start` is only asked for when the index does not answer.
     pub(crate) fn get_with_hint(
         &self,
         key: &K,
-        start: Option<NodePtr<K, V>>,
+        start: impl FnOnce() -> Option<NodePtr<K, V>>,
         chain: &mut HintChain<K, V>,
         ctx: &ThreadCtx,
     ) -> Option<V>
@@ -587,20 +594,22 @@ impl<K: Ord, V> SkipGraph<K, V> {
         // frontier untouched — it still bounds this key from below, so
         // the run's next (non-descending) operation resumes from it
         // unchanged. Only an inconclusive read pays the hinted search.
-        match self.index_read(key, ctx) {
+        let hash = self.index_hash(key);
+        match self.index_read_hashed(key, hash, ctx) {
             Some(IndexRead::Hit(node)) => return Some(unsafe { node.value() }.clone()),
             Some(IndexRead::Absent(_)) => return None,
             _ => {}
         }
         let mvec = self.membership_of(ctx.id());
-        let res =
-            self.search_hinted(key, mvec, start, chain.res.as_ref(), !self.config().lazy, ctx);
+        let unlink = !self.config().lazy;
+        let res = self.search_hinted(key, mvec, start(), chain.res.as_ref(), unlink, ctx);
         let out = if res.found {
             let node = unsafe { &*res.succs[0] };
             let w0 = node.load_next(0, ctx);
             if w0.marked() || (self.config().lazy && !w0.valid()) {
                 None
             } else {
+                self.index_heal(node, hash, ctx);
                 Some(unsafe { node.value() }.clone())
             }
         } else {

@@ -50,6 +50,16 @@
 //! busy simply moves on (the index tolerates lost publishes), so no
 //! operation ever waits on a stalled peer.
 //!
+//! # Header layout
+//!
+//! Every probe — lookup, publish or invalidate, from any core — loads a
+//! segment's `current` word and its table's `mask` and `slots` pointer.
+//! Those words sit on 128-byte lines that no publish or invalidate ever
+//! writes (only a grow swaps `current`), so they stay shared in every
+//! core's cache. What a publish or invalidate does count — slots claimed,
+//! entries published, entries tombstoned — goes to the calling thread's own
+//! 128-byte-padded stripe; the totals are sums over the stripes.
+//!
 //! # NUMA-aware segments
 //!
 //! The table is split into one segment per NUMA node (detected topology,
@@ -67,6 +77,11 @@ use std::hash::{Hash, Hasher};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+/// Pads to two cache lines (the adjacent-line prefetcher's granule), so
+/// neighbouring values never false-share.
+#[repr(align(128))]
+struct Padded<T>(T);
 
 // Tag packing below folds a 32-bit generation and a 31-bit hash
 // signature into one word.
@@ -145,6 +160,12 @@ const DEFAULT_GROW_PCT: usize = 75;
 const MIN_SEGMENT_CAP: usize = 1 << 10;
 /// Largest per-segment table a grow will produce.
 const MAX_SEGMENT_CAP: usize = 1 << 24;
+/// Without an [`AdaptConfig`], a thread sums the `used` stripes against
+/// the occupancy threshold on every this-many-th slot it claims, not on
+/// every publish: the sum reads every other thread's stripe line. A grow
+/// is then late by at most this many claims per thread — a fraction of a
+/// percent of the smallest table, with probe exhaustion as the backstop.
+const GROW_CHECK_EVERY: usize = 64;
 
 /// Deterministic key hasher (`SipHash-1-3` with the zero key): stress
 /// replays and the deterministic scheduler need the same keys to land in
@@ -204,46 +225,52 @@ impl Slot {
 
 /// One power-of-two probe array. Tables are immutable in size; a segment
 /// grows by building a successor and swapping the current-table pointer.
+/// The header is immutable too and aligned to a line pair of its own:
+/// every probe reads `mask` and `slots`, and nothing ever writes near them.
+#[repr(align(128))]
 struct Table {
     mask: usize,
-    /// Slots ever claimed from `EMPTY` (tombstones included): the grow
-    /// trigger. Monotonic per table.
-    used: AtomicUsize,
     slots: Box<[Slot]>,
+    /// Slots ever claimed from `EMPTY` (tombstones included), one stripe
+    /// per thread: their sum is the grow trigger. Monotonic per table.
+    used: Box<[Padded<AtomicUsize>]>,
 }
 
 impl Table {
-    fn new(cap: usize) -> Box<Self> {
-        debug_assert!(cap.is_power_of_two());
+    fn new(cap: usize, stripes: usize) -> Box<Self> {
+        debug_assert!(cap.is_power_of_two() && stripes.is_power_of_two());
         Box::new(Self {
             mask: cap - 1,
-            used: AtomicUsize::new(0),
             slots: (0..cap).map(|_| Slot::empty()).collect(),
+            used: (0..stripes).map(|_| Padded(AtomicUsize::new(0))).collect(),
         })
     }
 
+    fn used(&self) -> usize {
+        self.used.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
+    }
+
     fn bytes(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<Slot>() + std::mem::size_of::<Self>()
+        std::mem::size_of_val(&*self.slots)
+            + std::mem::size_of_val(&*self.used)
+            + std::mem::size_of::<Self>()
     }
 }
 
-/// One NUMA segment: the current table plus every predecessor it grew
-/// out of (parked until drop — entries hold no owned memory, but the
-/// byte accounting and late readers of a just-swapped table need the
-/// storage to stay mapped).
-struct Segment {
-    /// `Box<Table>` leaked into an atomic word; readers snapshot it
-    /// lock-free. Retired predecessors keep raw reads safe: a table is
-    /// only ever freed in `Drop`.
-    current: AtomicUsize,
-    /// Single-grower lease; losers skip the grow entirely.
-    grow_lock: AtomicUsize,
-    retired_tables: Mutex<Vec<Box<Table>>>,
-    /// Entries tombstoned by invalidation (hygiene metric; monotonic).
-    retired_entries: AtomicUsize,
-    /// Entries published (monotonic; `published - retired_entries`
-    /// over-approximates the live entry count by lost/overwritten slots).
+/// One thread's share of a segment's monotonic entry counts.
+struct Counts {
+    /// Entries published (`published - retired` over-approximates the
+    /// live entry count by lost/overwritten slots).
     published: AtomicUsize,
+    /// Entries tombstoned by invalidation (hygiene metric).
+    retired: AtomicUsize,
+}
+
+/// What a grow or the adaptive sensor writes.
+struct GrowState {
+    /// Single-grower lease; losers skip the grow entirely.
+    lock: AtomicUsize,
+    retired_tables: Mutex<Vec<Box<Table>>>,
     /// Windowed mean probe displacement of publishes (adaptive early
     /// growth sensor; only fed when an [`AdaptConfig`] is attached).
     probe_window: MeanWindow,
@@ -256,17 +283,41 @@ struct Segment {
     probe_grows: AtomicUsize,
 }
 
+/// One NUMA segment: the current table plus every predecessor it grew
+/// out of (parked until drop — entries hold no owned memory, but the
+/// byte accounting and late readers of a just-swapped table need the
+/// storage to stay mapped). Aligned to a line pair, so segments stand
+/// apart, and laid out so that the first pair holds only what probes read.
+#[repr(C, align(128))]
+struct Segment {
+    /// `Box<Table>` leaked into an atomic word; readers snapshot it
+    /// lock-free. Retired predecessors keep raw reads safe: a table is
+    /// only ever freed in `Drop`. Written only by a grow's swap.
+    current: AtomicUsize,
+    /// Per-thread stripes of the entry counts (the pointer is immutable).
+    counts: Box<[Padded<Counts>]>,
+    grow: Padded<GrowState>,
+}
+
 impl Segment {
-    fn new(cap: usize) -> Self {
+    fn new(cap: usize, stripes: usize) -> Self {
         Self {
-            current: AtomicUsize::new(Box::into_raw(Table::new(cap)) as usize),
-            grow_lock: AtomicUsize::new(0),
-            retired_tables: Mutex::new(Vec::new()),
-            retired_entries: AtomicUsize::new(0),
-            published: AtomicUsize::new(0),
-            probe_window: MeanWindow::new(),
-            probe_streak: AtomicU32::new(0),
-            probe_grows: AtomicUsize::new(0),
+            current: AtomicUsize::new(Box::into_raw(Table::new(cap, stripes)) as usize),
+            counts: (0..stripes)
+                .map(|_| {
+                    Padded(Counts {
+                        published: AtomicUsize::new(0),
+                        retired: AtomicUsize::new(0),
+                    })
+                })
+                .collect(),
+            grow: Padded(GrowState {
+                lock: AtomicUsize::new(0),
+                retired_tables: Mutex::new(Vec::new()),
+                probe_window: MeanWindow::new(),
+                probe_streak: AtomicU32::new(0),
+                probe_grows: AtomicUsize::new(0),
+            }),
         }
     }
 
@@ -275,28 +326,39 @@ impl Segment {
         unsafe { &*(self.current.load(Ordering::Acquire) as *const Table) }
     }
 
+    /// Thread `tid`'s stripe of the entry counts. Ids past the stripe
+    /// count (a caller outside the registered set) fold onto one.
+    fn counts(&self, tid: usize) -> &Counts {
+        &self.counts[tid & (self.counts.len() - 1)].0
+    }
+
     fn bytes(&self) -> usize {
         let retired: usize = self
+            .grow
+            .0
             .retired_tables
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .iter()
             .map(|t| t.bytes())
             .sum();
-        self.table().bytes() + retired
+        self.table().bytes() + retired + std::mem::size_of_val(&*self.counts)
     }
 
     /// Doubles the table (single grower; losers and over-cap segments
     /// no-op). Live entries are re-published into the successor; a
-    /// publish racing the copy may be lost — a later miss republishes it.
+    /// publish racing the copy may be lost — the read that then misses
+    /// republishes it ([`crate::SkipGraph`]'s `index_heal`).
     fn grow(&self) {
-        if self.grow_lock.compare_exchange(0, 1, Ordering::AcqRel, Ordering::Acquire).is_err() {
+        let grow = &self.grow.0;
+        if grow.lock.compare_exchange(0, 1, Ordering::AcqRel, Ordering::Acquire).is_err() {
             return;
         }
         let old = self.table();
         let cap = old.mask + 1;
         if cap < MAX_SEGMENT_CAP {
-            let new = Table::new(cap * 2);
+            let new = Table::new(cap * 2, old.used.len());
+            let mut installed = 0;
             for slot in old.slots.iter() {
                 // Seqlock pair-read, as in `lookup_raw`.
                 let t1 = slot.tag.load();
@@ -308,42 +370,37 @@ impl Segment {
                 if slot.tag.load() != t1 || ptr == 0 {
                     continue; // racing writer; entry is lost, not corrupted
                 }
-                // Rebuild the slot position from the signature: the low
-                // index bits differ between tables, so re-derive them
-                // from the signature's avalanche (good enough — a
-                // misplaced entry is just a miss).
-                Self::install(&new, tag_sig(t1) as u64, t1, ptr, aux);
+                installed += Self::install(&new, t1, ptr, aux) as usize;
             }
+            // The successor is still private: one store stands for every
+            // slot the copy claimed.
+            new.used[0].0.store(installed, Ordering::Relaxed);
             let fresh = Box::into_raw(new) as usize;
             let prev = self.current.swap(fresh, Ordering::AcqRel);
-            self.retired_tables
+            grow.retired_tables
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .push(unsafe { Box::from_raw(prev as *mut Table) });
         }
-        self.grow_lock.store(0, Ordering::Release);
+        grow.lock.store(0, Ordering::Release);
     }
 
-    /// Claims a slot in `table` for a fully-formed entry (migration path:
-    /// the table is still private or contention is benign).
-    fn install(table: &Table, pos_seed: u64, tag: usize, ptr: usize, aux: usize) {
-        let mut i = pos_seed as usize & table.mask;
+    /// Claims a slot of the still-private successor `table` for a
+    /// fully-formed entry and says whether one was found. The position is
+    /// rebuilt from the tag's signature, which is what probes start from.
+    fn install(table: &Table, tag: usize, ptr: usize, aux: usize) -> bool {
+        let mut i = tag_sig(tag) & table.mask;
         for _ in 0..PROBE_LIMIT {
             let s = &table.slots[i];
-            let seen = s.tag.load();
-            if (seen == TAG_EMPTY || seen == TAG_TOMBSTONE)
-                && s.tag.compare_exchange(seen, TAG_BUSY).is_ok()
-            {
-                if seen == TAG_EMPTY {
-                    table.used.fetch_add(1, Ordering::Relaxed);
-                }
+            if s.tag.load() == TAG_EMPTY {
                 s.ptr.store(ptr);
                 s.aux.store(aux);
                 s.tag.store(tag);
-                return;
+                return true;
             }
             i = (i + 1) & table.mask;
         }
+        false
     }
 }
 
@@ -427,8 +484,9 @@ impl<K, V> HashIndex<K, V> {
             (capacity_hint / segments).next_power_of_two()
         }
         .clamp(MIN_SEGMENT_CAP, MAX_SEGMENT_CAP);
+        let stripes = threads.max(1).next_power_of_two();
         Self {
-            segments: (0..segments).map(|_| Segment::new(per_seg)).collect(),
+            segments: (0..segments).map(|_| Segment::new(per_seg, stripes)).collect(),
             seg_shift: 64 - segments.trailing_zeros(),
             adapt,
             hash_of: hash_key::<K>,
@@ -442,8 +500,15 @@ impl<K, V> HashIndex<K, V> {
     pub(crate) fn probe_grows(&self) -> usize {
         self.segments
             .iter()
-            .map(|s| s.probe_grows.load(Ordering::Relaxed))
+            .map(|s| s.grow.0.probe_grows.load(Ordering::Relaxed))
             .sum()
+    }
+
+    /// The index's hash of `key`: what the `_hashed` methods take, so an
+    /// operation that probes and then publishes hashes its key once.
+    #[inline]
+    pub(crate) fn hash(&self, key: &K) -> u64 {
+        (self.hash_of)(key)
     }
 
     #[inline]
@@ -466,7 +531,8 @@ impl<K, V> HashIndex<K, V> {
     pub(crate) fn retired_entries(&self) -> usize {
         self.segments
             .iter()
-            .map(|s| s.retired_entries.load(Ordering::Relaxed))
+            .flat_map(|s| s.counts.iter())
+            .map(|c| c.0.retired.load(Ordering::Relaxed))
             .sum()
     }
 
@@ -474,7 +540,8 @@ impl<K, V> HashIndex<K, V> {
     pub(crate) fn published_entries(&self) -> usize {
         self.segments
             .iter()
-            .map(|s| s.published.load(Ordering::Relaxed))
+            .flat_map(|s| s.counts.iter())
+            .map(|c| c.0.published.load(Ordering::Relaxed))
             .sum()
     }
 
@@ -502,7 +569,7 @@ impl<K, V> HashIndex<K, V> {
                 let table = seg.table();
                 let mut occ = SegmentOccupancy {
                     capacity: table.mask + 1,
-                    used: table.used.load(Ordering::Relaxed).min(table.mask + 1),
+                    used: table.used().min(table.mask + 1),
                     ..SegmentOccupancy::default()
                 };
                 for (i, slot) in table.slots.iter().enumerate() {
@@ -526,12 +593,23 @@ impl<K, V> HashIndex<K, V> {
             .collect()
     }
 
-    /// Publishes `key -> (ptr, gen, aux)`. Best effort: a busy or full
-    /// probe window drops the publish (and nudges the segment to grow).
-    /// Callers pass a generation captured from the incarnation they just
-    /// linked/observed live — publish-after-link.
-    pub(crate) fn publish(&self, key: &K, ptr: NonNull<Node<K, V>>, gen: u32, aux: usize) {
-        let hash = (self.hash_of)(key);
+    /// Publishes `key -> (ptr, gen, aux)` on behalf of thread `tid`. Best
+    /// effort: a busy or full probe window drops the publish (and nudges
+    /// the segment to grow). Callers pass a generation captured from the
+    /// incarnation they just linked/observed live — publish-after-link.
+    pub(crate) fn publish(&self, key: &K, ptr: NonNull<Node<K, V>>, gen: u32, aux: usize, tid: usize) {
+        self.publish_hashed(self.hash(key), ptr, gen, aux, tid);
+    }
+
+    /// [`Self::publish`] for a key whose [`Self::hash`] the caller holds.
+    pub(crate) fn publish_hashed(
+        &self,
+        hash: u64,
+        ptr: NonNull<Node<K, V>>,
+        gen: u32,
+        aux: usize,
+        tid: usize,
+    ) {
         let seg = self.segment(hash);
         let table = seg.table();
         let sig = sig_of(hash);
@@ -547,14 +625,23 @@ impl<K, V> HashIndex<K, V> {
                 || seen == TAG_TOMBSTONE
                 || (tag_is_present(seen) && tag_sig(seen) == sig);
             if takeable && s.tag.compare_exchange(seen, TAG_BUSY).is_ok() {
-                if seen == TAG_EMPTY {
-                    table.used.fetch_add(1, Ordering::Relaxed);
-                }
+                // This thread's claims of this table so far, when the
+                // slot was claimed from empty.
+                let claims = if seen == TAG_EMPTY {
+                    let stripe = &table.used[tid & (table.used.len() - 1)].0;
+                    stripe.fetch_add(1, Ordering::Relaxed) + 1
+                } else {
+                    0
+                };
                 s.ptr.store(ptr.as_ptr() as usize);
                 s.aux.store(aux);
                 s.tag.store(tag);
-                seg.published.fetch_add(1, Ordering::Relaxed);
-                self.after_publish(seg, table, i.wrapping_sub(sig) & table.mask);
+                seg.counts(tid).published.fetch_add(1, Ordering::Relaxed);
+                // The probe window needs every sample; the occupancy
+                // trip-wire alone is sampled.
+                if self.adapt.is_some() || (claims != 0 && claims % GROW_CHECK_EVERY == 0) {
+                    self.after_publish(seg, table, i.wrapping_sub(sig) & table.mask);
+                }
                 return;
             }
             i = (i + 1) & table.mask;
@@ -563,7 +650,9 @@ impl<K, V> HashIndex<K, V> {
         seg.grow();
     }
 
-    /// Post-publish growth policy. Two triggers:
+    /// Post-publish growth policy, run on every publish with an
+    /// [`AdaptConfig`] and on every [`GROW_CHECK_EVERY`]th claim of a
+    /// thread without. Two triggers:
     ///
     /// * **occupancy** — the share of ever-claimed slots crosses the
     ///   threshold (the configured [`AdaptConfig::occ_grow_pct`], or the
@@ -578,35 +667,38 @@ impl<K, V> HashIndex<K, V> {
     /// remains the correctness backstop either way.
     fn after_publish(&self, seg: &Segment, table: &Table, displacement: usize) {
         let pct = self.adapt.map_or(DEFAULT_GROW_PCT, |a| a.occ_grow_pct as usize);
-        let used = table.used.load(Ordering::Relaxed);
-        if used * 100 > (table.mask + 1) * pct {
+        if table.used() * 100 > (table.mask + 1) * pct {
             seg.grow();
             return;
         }
         let Some(a) = self.adapt else { return };
-        let Some(mean) = seg.probe_window.record(displacement as u32, a.window_ops) else {
+        let sensor = &seg.grow.0;
+        let Some(mean) = sensor.probe_window.record(displacement as u32, a.window_ops) else {
             return;
         };
         if mean < a.probe_grow {
-            seg.probe_streak.store(0, Ordering::Relaxed);
+            sensor.probe_streak.store(0, Ordering::Relaxed);
             return;
         }
-        let streak = seg.probe_streak.load(Ordering::Relaxed) + 1;
+        let streak = sensor.probe_streak.load(Ordering::Relaxed) + 1;
         if streak <= a.dwell_windows {
-            seg.probe_streak.store(streak, Ordering::Relaxed);
+            sensor.probe_streak.store(streak, Ordering::Relaxed);
             return;
         }
-        seg.probe_streak.store(0, Ordering::Relaxed);
-        seg.probe_grows.fetch_add(1, Ordering::Relaxed);
+        sensor.probe_streak.store(0, Ordering::Relaxed);
+        sensor.probe_grows.fetch_add(1, Ordering::Relaxed);
         seg.grow();
     }
 
-    /// Tombstones the entry for `key` if it still names `ptr`. Best
-    /// effort (see the module docs: the retire-side generation bump is
-    /// the backstop). `ptr == None` tombstones whatever entry the key
-    /// currently has.
-    pub(crate) fn invalidate(&self, key: &K, ptr: Option<NonNull<Node<K, V>>>) {
-        let hash = (self.hash_of)(key);
+    /// Tombstones the entry for `key` if it still names `ptr`, on behalf
+    /// of thread `tid`. Best effort (see the module docs: the retire-side
+    /// generation bump is the backstop). `ptr == None` tombstones whatever
+    /// entry the key currently has.
+    pub(crate) fn invalidate(&self, key: &K, ptr: Option<NonNull<Node<K, V>>>, tid: usize) {
+        self.invalidate_hashed(self.hash(key), ptr, tid);
+    }
+
+    fn invalidate_hashed(&self, hash: u64, ptr: Option<NonNull<Node<K, V>>>, tid: usize) {
         let seg = self.segment(hash);
         let table = seg.table();
         let sig = sig_of(hash);
@@ -628,7 +720,7 @@ impl<K, V> HashIndex<K, V> {
                 // entry of a different incarnation.
                 if matches && s.tag.load() == seen {
                     if s.tag.compare_exchange(seen, TAG_TOMBSTONE).is_ok() {
-                        seg.retired_entries.fetch_add(1, Ordering::Relaxed);
+                        seg.counts(tid).retired.fetch_add(1, Ordering::Relaxed);
                     }
                     return;
                 }
@@ -641,7 +733,10 @@ impl<K, V> HashIndex<K, V> {
     /// signature matches. No validation beyond pair consistency — see
     /// [`RawEntry`].
     pub(crate) fn lookup_raw(&self, key: &K) -> Option<RawEntry<K, V>> {
-        let hash = (self.hash_of)(key);
+        self.lookup_raw_hashed(self.hash(key))
+    }
+
+    fn lookup_raw_hashed(&self, hash: u64) -> Option<RawEntry<K, V>> {
         let table = self.segment(hash).table();
         let sig = sig_of(hash);
         let mut i = sig & table.mask;
@@ -673,8 +768,8 @@ impl<K, V> HashIndex<K, V> {
 }
 
 impl<K: Ord, V> HashIndex<K, V> {
-    /// The full validation ladder for a *plain* (one key per node) entry.
-    /// Caller must hold a reclamation pin on the owning graph: the
+    /// The full validation ladder for a *plain* (one key per node) entry
+    /// of `key`, whose [`Self::hash`] is `hash`. Caller must hold a reclamation pin on the owning graph: the
     /// generation check proves the incarnation is not retired, and the
     /// pin then blocks its recycling while the returned reference is
     /// used.
@@ -682,13 +777,19 @@ impl<K: Ord, V> HashIndex<K, V> {
     /// `lazy` selects the protocol: under it, an unmarked *invalid* node
     /// is the unique holder of its key, so the read is authoritative
     /// absence; eagerly-deleted nodes are marked and fall back instead.
-    pub(crate) fn read_node(&self, key: &K, lazy: bool, ctx: &ThreadCtx) -> IndexRead<'_, K, V> {
-        let Some(entry) = self.lookup_raw(key) else {
+    pub(crate) fn read_node(
+        &self,
+        key: &K,
+        hash: u64,
+        lazy: bool,
+        ctx: &ThreadCtx,
+    ) -> IndexRead<'_, K, V> {
+        let Some(entry) = self.lookup_raw_hashed(hash) else {
             return IndexRead::Miss;
         };
         // Generation re-check ordering: gen before any &Node deref.
         if unsafe { Node::generation_of(entry.ptr) } != entry.gen {
-            self.invalidate(key, Some(entry.ptr));
+            self.invalidate_hashed(hash, Some(entry.ptr), ctx.id() as usize);
             return IndexRead::Stale;
         }
         let node = unsafe { entry.ptr.as_ref() };
@@ -718,7 +819,7 @@ impl<K: Ord, V> HashIndex<K, V> {
             if w0.marked() {
                 // Dead incarnation awaiting retire: tombstone and descend
                 // (a fresh insert of the key may own a new node).
-                self.invalidate(key, Some(entry.ptr));
+                self.invalidate_hashed(hash, Some(entry.ptr), ctx.id() as usize);
                 return IndexRead::Stale;
             }
             if w0.valid() {
@@ -756,7 +857,7 @@ mod tests {
     fn publish_lookup_invalidate_roundtrip() {
         let idx: HashIndex<u64, u64> = HashIndex::new(2, 1 << 12, None);
         let p = dangling(1);
-        idx.publish(&7, p, 42, 3);
+        idx.publish(&7, p, 42, 3, 0);
         let e = idx.lookup_raw(&7).expect("published entry");
         assert_eq!(e.ptr, p);
         assert_eq!(e.gen, 42);
@@ -765,16 +866,16 @@ mod tests {
         assert_eq!(idx.published_entries(), 1);
 
         // Wrong-pointer invalidation leaves the entry standing.
-        idx.invalidate(&7, Some(dangling(2)));
+        idx.invalidate(&7, Some(dangling(2)), 0);
         assert!(idx.lookup_raw(&7).is_some());
         assert_eq!(idx.retired_entries(), 0);
 
-        idx.invalidate(&7, Some(p));
+        idx.invalidate(&7, Some(p), 0);
         assert!(idx.lookup_raw(&7).is_none());
         assert_eq!(idx.retired_entries(), 1);
 
         // Tombstoned slots are reusable.
-        idx.publish(&7, p, 43, 0);
+        idx.publish(&7, p, 43, 0, 0);
         assert_eq!(idx.lookup_raw(&7).unwrap().gen, 43);
     }
 
@@ -782,8 +883,8 @@ mod tests {
     fn republish_overwrites_generation() {
         let idx: HashIndex<u64, u64> = HashIndex::new(1, 1 << 10, None);
         let p = dangling(1);
-        idx.publish(&5, p, 1, 0);
-        idx.publish(&5, dangling(2), 9, 7);
+        idx.publish(&5, p, 1, 0, 0);
+        idx.publish(&5, dangling(2), 9, 7, 0);
         let e = idx.lookup_raw(&5).unwrap();
         assert_eq!(e.gen, 9);
         assert_eq!(e.aux, 7);
@@ -793,8 +894,8 @@ mod tests {
     #[test]
     fn untargeted_invalidate_clears_any_holder() {
         let idx: HashIndex<u64, u64> = HashIndex::new(1, 1 << 10, None);
-        idx.publish(&11, dangling(4), 5, 0);
-        idx.invalidate(&11, None);
+        idx.publish(&11, dangling(4), 5, 0, 0);
+        idx.invalidate(&11, None, 0);
         assert!(idx.lookup_raw(&11).is_none());
     }
 
@@ -803,7 +904,7 @@ mod tests {
         let keys = if cfg!(miri) { 300u64 } else { 4_000 };
         let idx: HashIndex<u64, u64> = HashIndex::new(1, 0, None);
         for k in 0..keys {
-            idx.publish(&k, dangling(1 + k as usize), k as u32, 0);
+            idx.publish(&k, dangling(1 + k as usize), k as u32, 0, 0);
         }
         // The minimum table holds 1024 slots per segment; without grows
         // most publishes would have been dropped. Require the vast
@@ -832,8 +933,8 @@ mod tests {
         let adaptive: HashIndex<u64, u64> =
             HashIndex::new(1, 0, Some(AdaptConfig::new().occ_grow_pct(10)));
         for k in 0..keys {
-            static_idx.publish(&k, dangling(1 + k as usize), 0, 0);
-            adaptive.publish(&k, dangling(1 + k as usize), 0, 0);
+            static_idx.publish(&k, dangling(1 + k as usize), 0, 0, 0);
+            adaptive.publish(&k, dangling(1 + k as usize), 0, 0, 0);
         }
         assert!(
             adaptive.capacity() > static_idx.capacity(),
@@ -873,11 +974,96 @@ mod tests {
         assert_eq!(seg.table().mask + 1, before * 2, "a reset streak must re-dwell");
     }
 
+    /// The 128-byte line (pair) an object starts on.
+    fn line_of<T>(x: &T) -> usize {
+        x as *const T as usize / 128
+    }
+
+    /// The lines an object covers.
+    fn lines_of<T>(x: &T) -> std::ops::RangeInclusive<usize> {
+        line_of(x)..=(x as *const T as usize + std::mem::size_of::<T>().max(1) - 1) / 128
+    }
+
+    #[test]
+    fn probe_read_words_share_no_line_with_a_counter() {
+        // A live index, grown once so that retired tables and a successor
+        // allocated mid-run are part of the picture.
+        let idx: HashIndex<u64, u64> = HashIndex::new(4, 0, None);
+        for k in 0..6_000u64 {
+            idx.publish(&k, dangling(1 + k as usize), 0, 0, (k % 4) as usize);
+        }
+        for k in 0..1_000u64 {
+            idx.invalidate(&k, None, (k % 4) as usize);
+        }
+        assert!(idx.capacity() > idx.segments.len() * MIN_SEGMENT_CAP * 4, "no grow happened");
+        for seg in idx.segments.iter() {
+            let table = seg.table();
+            // A header that starts a line pair and fits in it shares it
+            // with no neighbour on the heap, whatever the allocator does.
+            assert_eq!(table as *const Table as usize % 128, 0);
+            assert_eq!(lines_of(table).count(), 1);
+            // What every lookup, publish and invalidate loads on its way
+            // to a slot (of the boxed arrays, the pointer words).
+            let mut read: Vec<usize> = Vec::new();
+            read.extend(lines_of(&seg.current));
+            read.extend(lines_of(&seg.counts));
+            read.extend(lines_of(&table.mask));
+            read.extend(lines_of(&table.slots));
+            read.extend(lines_of(&table.used));
+            // What a publish, an invalidate, the sensor or a grow writes
+            // (slots aside).
+            let mut written: Vec<usize> = Vec::new();
+            let mut stripes: Vec<usize> = Vec::new();
+            for c in seg.counts.iter() {
+                assert_eq!(lines_of(c).count(), 1, "a stripe straddles lines");
+                stripes.push(line_of(c));
+            }
+            for u in table.used.iter() {
+                assert_eq!(lines_of(u).count(), 1, "a stripe straddles lines");
+                stripes.push(line_of(u));
+            }
+            written.extend(&stripes);
+            written.extend(lines_of(&seg.grow));
+            for line in &read {
+                assert!(!written.contains(line), "a probe-read word sits on a written line");
+            }
+            // No two threads' stripes on one line (nor a thread's two).
+            let mut distinct = stripes.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(distinct.len(), stripes.len(), "two stripes share a line");
+            assert_eq!(seg.counts.len(), 4);
+            assert_eq!(table.used.len(), 4);
+        }
+        // Segments stand apart from each other.
+        for pair in idx.segments.windows(2) {
+            assert!(lines_of(&pair[0]).end() < lines_of(&pair[1]).start());
+        }
+    }
+
+    #[test]
+    fn striped_counts_sum_to_the_totals() {
+        let idx: HashIndex<u64, u64> = HashIndex::new(4, 1 << 12, None);
+        for k in 0..100u64 {
+            // Thread ids past the stripe count fold onto a stripe.
+            idx.publish(&k, dangling(1 + k as usize), 0, 0, (k % 6) as usize);
+        }
+        for k in 0..40u64 {
+            idx.invalidate(&k, None, (k % 3) as usize);
+        }
+        assert_eq!(idx.published_entries(), 100);
+        assert_eq!(idx.retired_entries(), 40);
+        let occ = idx.occupancy();
+        assert_eq!(occ.iter().map(|s| s.used).sum::<usize>(), 100);
+        assert_eq!(occ.iter().map(|s| s.entries).sum::<usize>(), 60);
+        assert_eq!(occ.iter().map(|s| s.tombstones).sum::<usize>(), 40);
+    }
+
     #[test]
     fn byte_accounting_includes_retired_tables() {
         // Drive one grow directly (publish-count triggers depend on the
         // detected segment count, so they are not deterministic here).
-        let seg = Segment::new(MIN_SEGMENT_CAP);
+        let seg = Segment::new(MIN_SEGMENT_CAP, 1);
         let before = seg.bytes();
         seg.grow();
         let after = seg.bytes();

@@ -4,12 +4,16 @@
 //! [`LayeredMap`] owns the shared structure; each participating thread
 //! registers once and receives a [`LayeredHandle`], which owns the thread's
 //! *local structures* — an ordered [`LocalMap`] (default
-//! [`BTreeLocalMap`]) and a [`RobinHoodMap`] consulted first — plus the
-//! recording [`ThreadCtx`].
+//! [`BTreeLocalMap`]) behind one hash layer consulted first — plus the
+//! recording [`ThreadCtx`]. The hash layer is the paper's per-thread
+//! [`RobinHoodMap`] on a plain graph and the shared [`crate::index`] when
+//! the graph has one ([`GraphConfig::hash_index`]): the index names every
+//! thread's keys, so a table that can only name the handle's own would be
+//! a second probe and a second structure to maintain for no further hits.
 //!
 //! The handle implements the paper's algorithms:
 //!
-//! * insert — Alg. 1 (hashtable fast path + `insertHelper`) and Alg. 3
+//! * insert — Alg. 1 (hash-layer fast path + `insertHelper`) and Alg. 3
 //!   (`lazyInsert`) under the lazy configuration, or the eager all-levels
 //!   insertion otherwise;
 //! * remove — Alg. 11/12/13;
@@ -35,12 +39,14 @@ use crate::batch::{BatchConfig, BatchExecutor, BatchOp, BatchOutcome, CombinerTa
 use crate::graph::{HintChain, NodePtr, NodeRef, NodeRefHint, RangeIter, SkipGraph};
 use crate::index::IndexRead;
 use crate::local::{BTreeLocalMap, LocalMap, RobinHoodMap};
+use crate::node::Node;
 use crate::params::GraphConfig;
 use crate::sparse_height;
 use instrument::ThreadCtx;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::hash::Hash;
+use std::ops::ControlFlow::{self, Break, Continue};
 use std::ptr::NonNull;
 
 /// A concurrent ordered map built by layering thread-local maps over a
@@ -55,9 +61,9 @@ pub struct LayeredMap<K, V> {
 
 impl<K: Ord, V> LayeredMap<K, V> {
     /// Builds the map for a [`GraphConfig`]. Handle registration needs
-    /// `K: Hash` anyway (the speculative local hashtable), so the bound
-    /// here is free — and it lets `GraphConfig::hash_index` install the
-    /// shared point-read index.
+    /// `K: Hash` anyway (the handle's hash layer), so the bound here is
+    /// free — and it lets `GraphConfig::hash_index` install the shared
+    /// point-read index.
     pub fn new(config: GraphConfig) -> Self
     where
         K: Hash,
@@ -181,7 +187,8 @@ impl<K: Ord, V> LayeredMap<K, V> {
             map: self,
             mvec,
             local,
-            hash: RobinHoodMap::new(),
+            hash: self.shared.index().is_none().then(RobinHoodMap::new),
+            tombstones: Vec::new(),
             rng: SmallRng::seed_from_u64(seed),
             ctx,
         }
@@ -224,9 +231,19 @@ pub struct LayeredHandle<'m, K, V, L = BTreeLocalMap<K, NodeRef<K, V>>> {
     ctx: ThreadCtx,
     mvec: u32,
     local: L,
-    hash: RobinHoodMap<K, NodeRef<K, V>>,
+    /// The paper's table in front of `local`, kept only on a graph without
+    /// a shared hash index: an indexed handle's hash layer is the index.
+    hash: Option<RobinHoodMap<K, NodeRef<K, V>>>,
+    /// Keys whose `local` mapping is a tombstoned hint (see
+    /// [`LayeredHandle::tombstone_local`]).
+    tombstones: Vec<K>,
     rng: SmallRng,
 }
+
+/// What a point operation does with a node its local structures (or the
+/// index) hold for the key: the operation's outcome, or `None` when the
+/// node is marked — the caller erases its mapping and searches.
+type OnHolder<'m, H, K, V, T> = fn(&mut H, &K, &'m Node<K, V>) -> Option<T>;
 
 impl<'m, K, V, L> LayeredHandle<'m, K, V, L>
 where
@@ -247,6 +264,13 @@ where
     /// (diagnostics; the paper's sparse variant keeps this small).
     pub fn local_len(&self) -> usize {
         self.local.len()
+    }
+
+    /// Entries held by the thread-local hashtable, or `None` when the
+    /// handle has none because the graph's shared hash index stands in
+    /// (diagnostics).
+    pub fn local_hash_len(&self) -> Option<usize> {
+        self.hash.as_ref().map(|table| table.len())
     }
 
     fn lazy(&self) -> bool {
@@ -281,9 +305,29 @@ where
         self.lazy() || !self.sparse() || height == self.max_level()
     }
 
+    /// Maps `key` to its live shared node in the local structures.
+    fn index_local(&mut self, key: K, r: NodeRef<K, V>) {
+        self.forget_tombstone(&key);
+        if let Some(table) = &mut self.hash {
+            table.insert(key.clone(), r);
+        }
+        self.local.insert(key, r);
+    }
+
     fn erase_local(&mut self, key: &K) {
+        self.forget_tombstone(key);
         self.local.remove(key);
-        self.hash.remove(key);
+        if let Some(table) = &mut self.hash {
+            table.remove(key);
+        }
+    }
+
+    /// `key`'s mapping (if any) is no tombstone any more: it was erased
+    /// or is being replaced by a live one.
+    fn forget_tombstone(&mut self, key: &K) {
+        if let Some(i) = self.tombstones.iter().position(|k| k == key) {
+            self.tombstones.swap_remove(i);
+        }
     }
 
     /// Retains a *tombstoned* hint after a non-lazy removal: maps the
@@ -291,8 +335,8 @@ where
     /// later operations near the erased key still jump into the shared
     /// structure instead of degrading to head starts (the C3 artifact in
     /// EXPERIMENTS.md: removal-heavy non-lazy runs used to empty the local
-    /// maps). Only the ordered local map gets the tombstone — the
-    /// hashtable answers membership directly and must stay exact. The
+    /// maps). Only the ordered local map gets the tombstone — the hash
+    /// layer answers membership directly and must stay exact. The
     /// invariant `node.key <= mapped key` (equality for live entries,
     /// strict for tombstones) keeps `get_start`/`prev_start` sound: a
     /// start returned for a lookup of `k` always has key `<= k`, and
@@ -305,18 +349,17 @@ where
     /// would splice the tower into another thread's constituent lists.
     /// (The local structures previously only ever held self-inserted
     /// nodes, which guaranteed this implicitly.)
-    /// Tombstones are **budgeted**: live ordered-map entries mirror the
-    /// hashtable (both are written under the same `should_index` gate),
-    /// so the surplus `local.len() - hash.len()` counts the tombstones
-    /// currently held. Installation stops once the surplus reaches
-    /// `TOMBSTONE_BUDGET` — churn-heavy runs otherwise fill the ordered
-    /// map with hints whose targets are already dead (each backward walk
-    /// must test and skip them), which measurably outweighs the better
-    /// starts. A small bounded pool is enough to keep the map from
-    /// emptying out, which is all C3 needs.
+    /// Tombstones are **budgeted**: the handle keeps the keys currently
+    /// mapped to one (`index_local` and `erase_local` strike a key off),
+    /// and installation stops once `TOMBSTONE_BUDGET` are held —
+    /// churn-heavy runs otherwise fill the ordered map with hints whose
+    /// targets are already dead (each backward walk must test and skip
+    /// them), which measurably outweighs the better starts. A small
+    /// bounded pool is enough to keep the map from emptying out, which is
+    /// all C3 needs.
     fn tombstone_local(&mut self, key: &K, pred: NodeRef<K, V>) {
         const TOMBSTONE_BUDGET: usize = 64;
-        if self.local.len() >= self.hash.len() + TOMBSTONE_BUDGET {
+        if self.tombstones.len() >= TOMBSTONE_BUDGET {
             return;
         }
         // Generation-validated under the caller's pin: a predecessor that
@@ -325,6 +368,9 @@ where
         let Some(node) = pred.node() else { return };
         if !node.is_data() || node.mvec() != self.mvec || node.is_marked(0) {
             return;
+        }
+        if !self.tombstones.contains(key) {
+            self.tombstones.push(key.clone());
         }
         self.local.insert(key.clone(), pred);
     }
@@ -412,6 +458,126 @@ where
         None
     }
 
+    /// The node the local hashtable holds for `key` (none on an indexed
+    /// handle, which has no table). A stale mapping is erased here.
+    fn table_holder(&mut self, key: &K) -> Option<&'m Node<K, V>> {
+        let r = *self.hash.as_ref()?.get(key)?;
+        if r.node().is_none() {
+            self.erase_local(key);
+            return None;
+        }
+        // SAFETY: generation-validated just above under the caller's pin,
+        // and the slot lives in the map's arenas, which outlive the handle.
+        Some(unsafe { &*r.as_ptr() })
+    }
+
+    /// The hash layer's fast path (Alg. 1 / 6 / 11): offers the node the
+    /// layer holds for `key` to `on_holder`. On an indexed graph the layer
+    /// is one probe of the shared index under `hash`, the key's
+    /// [`SkipGraph::index_hash`] — the unique (lazy) holder whether valid
+    /// or logically deleted, exactly what a table hit hands the helpers;
+    /// otherwise it is the local table.
+    fn hash_layer<T>(
+        &mut self,
+        key: &K,
+        hash: u64,
+        on_holder: OnHolder<'m, Self, K, V, T>,
+    ) -> Option<T> {
+        let node = if self.hash.is_some() {
+            self.table_holder(key)?
+        } else {
+            match self.map.shared.index_read_hashed(key, hash, &self.ctx)? {
+                IndexRead::Hit(node) | IndexRead::Absent(node) => node,
+                IndexRead::Miss | IndexRead::Stale => return None,
+            }
+        };
+        let outcome = on_holder(self, key, node);
+        if outcome.is_none() {
+            self.erase_local(key); // marked: fall through to the search
+        }
+        outcome
+    }
+
+    /// `getStart` for a point operation on `key`: `Continue(start)` with a
+    /// start strictly before `key`, or `Break(outcome)`. The greatest
+    /// local mapping `<= key` can be the key's own node: a key this thread
+    /// inserted whose hash-layer entry is gone (an index publish dropped by
+    /// a busy slot or a grow, an entry overwritten by a colliding
+    /// signature). A search started *at* that node would step over it and
+    /// report the key absent, so the node is offered to `on_holder` as the
+    /// hit the hash layer would have been (and, still linked afterwards,
+    /// is published again under `hash`); if it turns out marked its
+    /// mapping is erased and the walk repeats.
+    fn start_for<T>(
+        &mut self,
+        key: &K,
+        hash: u64,
+        min_top: u8,
+        on_holder: OnHolder<'m, Self, K, V, T>,
+    ) -> ControlFlow<T, Option<NodePtr<K, V>>> {
+        loop {
+            let start = self.get_start(key, min_top);
+            let Some(p) = start else { return Continue(None) };
+            // SAFETY: `get_start` validated the reference under the
+            // caller's pin; local structures only map to data nodes.
+            let node: &'m Node<K, V> = unsafe { &*p };
+            if unsafe { node.key() } != key {
+                return Continue(start);
+            }
+            match on_holder(self, key, node) {
+                Some(outcome) => {
+                    self.map.shared.index_heal(node, hash, &self.ctx);
+                    return Break(outcome);
+                }
+                None => self.erase_local(key),
+            }
+        }
+    }
+
+    /// Alg. 2 against a node holding the key (non-lazy: an unmarked
+    /// holder is a duplicate).
+    fn insert_on(&mut self, _key: &K, node: &'m Node<K, V>) -> Option<bool> {
+        if self.lazy() {
+            self.map.shared.insert_helper(node, &self.ctx)
+        } else {
+            (!node.is_marked(0)).then_some(false)
+        }
+    }
+
+    /// Alg. 12 against a node holding the key; non-lazy, the eager
+    /// deletion plus its cleanup pass.
+    fn remove_on(&mut self, key: &K, node: &'m Node<K, V>) -> Option<bool> {
+        let shared = &self.map.shared;
+        if self.lazy() {
+            return shared.remove_helper(node, &self.ctx);
+        }
+        if node.load_next(0, &self.ctx).marked() {
+            return None;
+        }
+        let won = shared.logical_delete_eager(node, &self.ctx);
+        self.erase_local(key);
+        if won {
+            // Physical cleanup pass; its predecessor frontier seeds the
+            // tombstoned hint (C3 mitigation).
+            let start = self.get_start(key, 0);
+            let res = shared.search_from(key, self.mvec, start, true, &self.ctx);
+            if let Some(p) = Self::frontier_ref(res.preds[0], res.pred_gens[0]) {
+                self.tombstone_local(key, p);
+            }
+        }
+        Some(won)
+    }
+
+    /// Alg. 6 against a node holding the key: its value if the key is
+    /// present.
+    fn read_on(&mut self, _key: &K, node: &'m Node<K, V>) -> Option<Option<&'m V>> {
+        let w0 = node.load_next(0, &self.ctx);
+        if w0.marked() {
+            return None;
+        }
+        Some((!self.lazy() || w0.valid()).then(|| unsafe { node.value() }))
+    }
+
     /// Inserts `key -> value`. Returns `false` if the key was present.
     pub fn insert(&mut self, key: K, value: V) -> bool {
         self.ctx.record_op();
@@ -421,38 +587,28 @@ where
         // generation-validated under this pin, which is what keeps their
         // targets from being recycled while we dereference them.
         let _pin = shared.pin(&self.ctx);
-        // Fast path: the local hashtable (Alg. 1 / Alg. 2).
-        if let Some(r) = self.hash.get(&key).copied() {
-            match r.node() {
-                None => self.erase_local(&key), // stale: fall through
-                Some(node) => {
-                    if self.lazy() {
-                        match shared.insert_helper(node, &self.ctx) {
-                            Some(outcome) => return outcome,
-                            None => self.erase_local(&key), // marked: fall through
-                        }
-                    } else if !node.is_marked(0) {
-                        return false; // duplicate
-                    } else {
-                        self.erase_local(&key);
-                    }
-                }
-            }
+        // One hash serves the probe and, for a fresh key, the publish.
+        let hash = shared.index_hash(&key);
+        if let Some(outcome) = self.hash_layer(&key, hash, Self::insert_on) {
+            return outcome;
         }
         let height = self.new_height();
         if self.lazy() {
-            self.lazy_insert(key, value, height)
+            self.lazy_insert(key, value, hash, height)
         } else {
-            self.eager_insert(key, value, height)
+            self.eager_insert(key, value, hash, height)
         }
     }
 
     /// Alg. 3, `lazyInsert`: link at level 0 only; upper levels are
     /// completed on demand by `getStart`.
-    fn lazy_insert(&mut self, key: K, value: V, height: u8) -> bool {
+    fn lazy_insert(&mut self, key: K, value: V, hash: u64, height: u8) -> bool {
         let shared = &self.map.shared;
         let mut pending = Some(value);
-        let mut start = self.get_start(&key, 0);
+        let mut start = match self.start_for(&key, hash, 0, Self::insert_on) {
+            Break(outcome) => return outcome,
+            Continue(start) => start,
+        };
         let mut node = None;
         loop {
             let res = shared.search_from(&key, self.mvec, start, false, &self.ctx);
@@ -467,10 +623,8 @@ where
                 let v = pending.take().expect("value pending");
                 shared.alloc_node(key.clone(), v, &self.ctx, height)
             });
-            if shared.try_link_level0(n, &res, &self.ctx) {
-                let r = NodeRef::new(n);
-                self.local.insert(key.clone(), r);
-                self.hash.insert(key, r);
+            if shared.try_link_level0_publish(n, &res, &self.ctx, Some(hash)) {
+                self.index_local(key, NodeRef::new(n));
                 return true;
             }
             start = self.prev_start(&key, 0); // updateStart (Alg. 3 line 15)
@@ -478,10 +632,13 @@ where
     }
 
     /// Non-lazy insertion: level 0 plus an eager `finishInsert`.
-    fn eager_insert(&mut self, key: K, value: V, height: u8) -> bool {
+    fn eager_insert(&mut self, key: K, value: V, hash: u64, height: u8) -> bool {
         let shared = &self.map.shared;
         let mut pending = Some(value);
-        let mut start = self.get_start(&key, height);
+        let mut start = match self.start_for(&key, hash, height, Self::insert_on) {
+            Break(outcome) => return outcome,
+            Continue(start) => start,
+        };
         let mut node = None;
         let mut spins = 0u64;
         loop {
@@ -495,16 +652,14 @@ where
                 let v = pending.take().expect("value pending");
                 shared.alloc_node(key.clone(), v, &self.ctx, height)
             });
-            if !shared.try_link_level0(n, &res, &self.ctx) {
+            if !shared.try_link_level0_publish(n, &res, &self.ctx, Some(hash)) {
                 start = self.prev_start(&key, height);
                 continue;
             }
             let _ =
                 shared.link_upper(n, &mut res, &self.ctx, || self.prev_start(&key, height));
             if self.should_index(height) {
-                let r = NodeRef::new(n);
-                self.local.insert(key.clone(), r);
-                self.hash.insert(key, r);
+                self.index_local(key, NodeRef::new(n));
             }
             return true;
         }
@@ -516,42 +671,16 @@ where
         let map = self.map;
         let shared = &map.shared;
         let _pin = shared.pin(&self.ctx);
-        // Fast path (Alg. 11 / Alg. 12).
-        if let Some(r) = self.hash.get(key).copied() {
-            match r.node() {
-                None => self.erase_local(key), // stale: fall through
-                Some(node) => {
-                    if self.lazy() {
-                        match shared.remove_helper(node, &self.ctx) {
-                            Some(outcome) => return outcome,
-                            None => self.erase_local(key), // marked: fall through
-                        }
-                    } else {
-                        let w0 = node.load_next(0, &self.ctx);
-                        if !w0.marked() {
-                            let won = shared.logical_delete_eager(node, &self.ctx);
-                            self.erase_local(key);
-                            if won {
-                                // Physical cleanup pass; its predecessor frontier
-                                // seeds the tombstoned hint (C3 mitigation).
-                                let start = self.get_start(key, 0);
-                                let res =
-                                    shared.search_from(key, self.mvec, start, true, &self.ctx);
-                                if let Some(p) = Self::frontier_ref(res.preds[0], res.pred_gens[0])
-                                {
-                                    self.tombstone_local(key, p);
-                                }
-                            }
-                            return won;
-                        }
-                        self.erase_local(key);
-                    }
-                }
-            }
+        let hash = shared.index_hash(key);
+        if let Some(outcome) = self.hash_layer(key, hash, Self::remove_on) {
+            return outcome;
         }
         if self.lazy() {
             // Alg. 13, lazyRemove.
-            let mut start = self.get_start(key, 0);
+            let mut start = match self.start_for(key, hash, 0, Self::remove_on) {
+                Break(outcome) => return outcome,
+                Continue(start) => start,
+            };
             loop {
                 let res = shared.search_from(key, self.mvec, start, false, &self.ctx);
                 if !res.found {
@@ -567,7 +696,10 @@ where
             loop {
                 spins += 1;
                 debug_assert!(spins < 100_000_000, "eager_remove livelock");
-                let start = self.get_start(key, 0);
+                let start = match self.start_for(key, hash, 0, Self::remove_on) {
+                    Break(outcome) => return outcome,
+                    Continue(start) => start,
+                };
                 let res = shared.search_from(key, self.mvec, start, true, &self.ctx);
                 if !res.found {
                     return false;
@@ -584,41 +716,60 @@ where
         }
     }
 
+    /// Alg. 6: the local table's speculative hit (a marked holder's
+    /// mapping is erased and the caller searches).
+    fn table_read(&mut self, key: &K) -> Option<Option<&'m V>> {
+        let node = self.table_holder(key)?;
+        let value = self.read_on(key, node);
+        if value.is_none() {
+            self.erase_local(key);
+        }
+        value
+    }
+
+    /// The value of `key` when the hash layer answers: the local table's
+    /// speculative hit (Alg. 6), or — the Skip Hash fast path — the shared
+    /// index, whose validated read needs no second look at the node.
+    /// `None` means "search" (Alg. 7).
+    fn hashed_read(&mut self, key: &K, hash: u64) -> Option<Option<&'m V>> {
+        if let Some(value) = self.table_read(key) {
+            return Some(value);
+        }
+        match self.map.shared.index_read_hashed(key, hash, &self.ctx)? {
+            IndexRead::Hit(node) => Some(Some(unsafe { node.value() })),
+            IndexRead::Absent(_) => Some(None),
+            IndexRead::Miss | IndexRead::Stale => None,
+        }
+    }
+
     /// Whether `key` is present.
     pub fn contains(&mut self, key: &K) -> bool {
         self.ctx.record_op();
         let map = self.map;
         let shared = &map.shared;
         let _pin = shared.pin(&self.ctx);
-        // Alg. 6: speculative hashtable hit.
-        if let Some(r) = self.hash.get(key).copied() {
-            if let Some(node) = r.node() {
-                let w0 = node.load_next(0, &self.ctx);
-                if !w0.marked() {
-                    return !self.lazy() || w0.valid();
-                }
-            }
-            self.erase_local(key);
-        }
-        // Skip Hash fast path: on a local-hashtable miss, the shared
-        // index may still answer in O(1) before we pay a descent.
-        match shared.index_read(key, &self.ctx) {
-            Some(IndexRead::Hit(_)) => return true,
-            Some(IndexRead::Absent(_)) => return false,
-            _ => {}
+        let hash = shared.index_hash(key);
+        if let Some(value) = self.hashed_read(key, hash) {
+            return value.is_some();
         }
         // Alg. 7: search from the local start.
-        let start = self.get_start(key, 0);
+        let start = match self.start_for(key, hash, 0, Self::read_on) {
+            Break(value) => return value.is_some(),
+            Continue(start) => start,
+        };
         let res = shared.search_from(key, self.mvec, start, !self.lazy(), &self.ctx);
         if !res.found {
             return false;
         }
-        if self.lazy() {
-            let w0 = unsafe { &*res.succs[0] }.load_next(0, &self.ctx);
+        let node = unsafe { &*res.succs[0] };
+        let present = !self.lazy() || {
+            let w0 = node.load_next(0, &self.ctx);
             !w0.marked() && w0.valid()
-        } else {
-            true
+        };
+        if present {
+            shared.index_heal(node, hash, &self.ctx);
         }
+        present
     }
 
     /// Returns a clone of the value mapped to `key`, if present.
@@ -629,27 +780,17 @@ where
         self.ctx.record_op();
         let map = self.map;
         let shared = &map.shared;
+        // The pin keeps every node read below dereferenceable until the
+        // value is cloned.
         let _pin = shared.pin(&self.ctx);
-        if let Some(r) = self.hash.get(key).copied() {
-            if let Some(node) = r.node() {
-                let w0 = node.load_next(0, &self.ctx);
-                if !w0.marked() {
-                    if !self.lazy() || w0.valid() {
-                        return Some(unsafe { node.value() }.clone());
-                    }
-                    return None;
-                }
-            }
-            self.erase_local(key);
+        let hash = shared.index_hash(key);
+        if let Some(value) = self.hashed_read(key, hash) {
+            return value.cloned();
         }
-        // Skip Hash fast path (see `contains`); the pin taken above
-        // keeps the hit node dereferenceable.
-        match shared.index_read(key, &self.ctx) {
-            Some(IndexRead::Hit(node)) => return Some(unsafe { node.value() }.clone()),
-            Some(IndexRead::Absent(_)) => return None,
-            _ => {}
-        }
-        let start = self.get_start(key, 0);
+        let start = match self.start_for(key, hash, 0, Self::read_on) {
+            Break(value) => return value.cloned(),
+            Continue(start) => start,
+        };
         let res = shared.search_from(key, self.mvec, start, !self.lazy(), &self.ctx);
         if !res.found {
             return None;
@@ -659,6 +800,7 @@ where
         if w0.marked() || (self.lazy() && !w0.valid()) {
             return None;
         }
+        shared.index_heal(node, hash, &self.ctx);
         Some(unsafe { node.value() }.clone())
     }
 
@@ -698,7 +840,7 @@ where
         // Use the strictly-preceding local node as the jump-in hint: a
         // hint holding the bound key itself would make the positioning
         // search start *at* (and therefore skip) the first in-range node
-        // (point operations avoid this case via the hashtable fast path).
+        // (point operations meet that case in `start_for`).
         // The hint is validated under this pin; `range` itself pins before
         // the handle pin drops, so coverage is continuous.
         let map = self.map;
@@ -763,11 +905,8 @@ where
                 inserted += 1;
             }
             if let Some(r) = node {
-                if let Some(n) = r.node() {
-                    if self.should_index(n.top_level()) {
-                        self.local.insert(key.clone(), r);
-                        self.hash.insert(key, r);
-                    }
+                if r.node().is_some_and(|n| self.should_index(n.top_level())) {
+                    self.index_local(key, r);
                 }
             }
         }
@@ -809,6 +948,38 @@ where
         removed
     }
 
+    /// Indexes a combined-run node into this handle's local structures:
+    /// the table (a pure membership fast path) takes any node, the ordered
+    /// map only nodes carrying this thread's membership vector (see
+    /// `tombstone_local` for why a foreign-mvec start is unsound). Skips
+    /// the work when the table already maps the key to the same node (hot
+    /// keys re-execute constantly under combining; re-inserting into the
+    /// ordered map every time would dominate the combiner's per-operation
+    /// cost).
+    fn index_combined(&mut self, key: &K, r: NodeRef<K, V>) {
+        if self.hash.as_ref().is_some_and(|table| table.get(key) == Some(&r)) {
+            return;
+        }
+        // Generation check under the caller's pin: a node retired between
+        // execution and indexing is simply not indexed.
+        let Some(n) = r.node() else { return };
+        if !self.should_index(n.top_level()) {
+            return;
+        }
+        if n.mvec() == self.mvec {
+            self.index_local(key.clone(), r);
+        } else if let Some(table) = &mut self.hash {
+            table.insert(key.clone(), r);
+        }
+    }
+
+    /// Publishes a combined run's freshly linked nodes into the shared
+    /// hash index in one pass (the deferred half of
+    /// [`SkipGraph::index_publish_run`]'s contract).
+    pub(crate) fn publish_run(&self, run: &[(NodeRef<K, V>, u64)]) {
+        self.map.shared.index_publish_run(run, &self.ctx);
+    }
+
     /// Executes one operation of a combined sorted run on behalf of the
     /// flat-combining executor (this handle is the *combiner*). The search
     /// starts from the further of the run's chain frontier and this
@@ -822,39 +993,11 @@ where
     /// tombstone exactly like [`LayeredHandle::remove_batch`]. The
     /// submitting thread separately refreshes its structures from the
     /// returned outcome.
-    /// Indexes a combined-run node into this handle's local structures,
-    /// skipping work when the hashtable already maps the key to the same
-    /// node (hot keys re-execute constantly under combining; re-inserting
-    /// into the ordered map every time would dominate the combiner's
-    /// per-operation cost).
-    fn index_combined(&mut self, key: &K, r: NodeRef<K, V>) {
-        if self.hash.get(key) == Some(&r) {
-            return;
-        }
-        // Generation check under the combiner's pin: a node retired between
-        // execution and indexing is simply not indexed.
-        let Some(n) = r.node() else { return };
-        if self.should_index(n.top_level()) {
-            let mv = n.mvec();
-            self.hash.insert(key.clone(), r);
-            if mv == self.mvec {
-                self.local.insert(key.clone(), r);
-            }
-        }
-    }
-
-    /// Publishes a combined run's freshly linked nodes into the shared
-    /// hash index in one pass (the deferred half of
-    /// [`SkipGraph::index_publish_run`]'s contract).
-    pub(crate) fn publish_run(&self, run: &[NodeRef<K, V>]) {
-        self.map.shared.index_publish_run(run, &self.ctx);
-    }
-
     pub(crate) fn combined_op(
         &mut self,
         op: BatchOp<K, V>,
         chain: &mut HintChain<K, V>,
-        publishes: &mut Vec<NodeRef<K, V>>,
+        publishes: &mut Vec<(NodeRef<K, V>, u64)>,
     ) -> BatchOutcome<K, V>
     where
         V: Clone,
@@ -865,99 +1008,50 @@ where
         let _pin = shared.pin(&self.ctx);
         match op {
             BatchOp::Insert(k, v) => {
-                // Hashtable fast path, as in [`LayeredHandle::insert`]: a
+                // Hash-layer fast path, as in [`LayeredHandle::insert`]: a
                 // present key resolves with one helper CAS and no search
                 // (the chain frontier is untouched, which is fine — it
-                // still precedes every later key of the sorted run).
-                if let Some(r) = self.hash.get(&k).copied() {
-                    match r.node() {
-                        None => self.erase_local(&k), // stale: fall through
-                        Some(node) => {
-                            if lazy {
-                                match shared.insert_helper(node, &self.ctx) {
-                                    Some(fresh) => {
-                                        return BatchOutcome::Inserted { fresh, node: Some(r) }
-                                    }
-                                    None => self.erase_local(&k), // marked: fall through
-                                }
-                            } else if !node.is_marked(0) {
-                                return BatchOutcome::Inserted { fresh: false, node: Some(r) };
-                            } else {
-                                self.erase_local(&k);
-                            }
-                        }
-                    }
-                }
-                // Index-seeded fast path: under the lazy protocol a shared
-                // hash-index hit resolves the insert with one helper CAS,
-                // exactly like a local-hashtable hit — the run's first
-                // operations effectively "start at the indexed node"
-                // instead of searching from the local map. An `Absent`
-                // entry is the same node with its valid bit down (lazy
-                // removal keeps the tombstone entry), so the helper
-                // resurrects it in place — a remove/re-insert cycle never
-                // leaves the index.
-                if lazy {
-                    if let Some(IndexRead::Hit(node) | IndexRead::Absent(node)) =
-                        shared.index_read(&k, &self.ctx)
-                    {
-                        if let Some(fresh) = shared.insert_helper(node, &self.ctx) {
-                            let r = NodeRef::new(NonNull::from(node));
-                            self.index_combined(&k, r);
-                            return BatchOutcome::Inserted { fresh, node: Some(r) };
-                        }
-                        // Marked under the helper: pay the full search.
-                    }
+                // still precedes every later key of the sorted run). An
+                // index entry of a lazily removed key is the same node
+                // with its valid bit down, so the helper resurrects it in
+                // place — a remove/re-insert cycle never leaves the index.
+                let hash = shared.index_hash(&k);
+                let on_holder: OnHolder<'m, Self, K, V, _> = |h, k, node| {
+                    let fresh = h.insert_on(k, node)?;
+                    Some((fresh, NodeRef::new(NonNull::from(node))))
+                };
+                if let Some((fresh, r)) = self.hash_layer(&k, hash, on_holder) {
+                    // A node of this thread's own list that another handle
+                    // linked becomes a local start.
+                    self.index_combined(&k, r);
+                    return BatchOutcome::Inserted { fresh, node: Some(r) };
                 }
                 let start = self.prev_start(&k, 0);
                 let height = self.new_height();
                 let key = k.clone();
-                let (fresh, node) = shared
-                    .insert_with_hint_sink(k, v, height, start, chain, &self.ctx, Some(publishes));
+                let (fresh, node) = shared.insert_with_hint_sink(
+                    k,
+                    v,
+                    hash,
+                    height,
+                    start,
+                    chain,
+                    &self.ctx,
+                    Some(publishes),
+                );
                 if let Some(r) = node {
                     self.index_combined(&key, r);
                 }
                 BatchOutcome::Inserted { fresh, node }
             }
             BatchOp::Remove(k) => {
-                if let Some(r) = self.hash.get(&k).copied() {
-                    match r.node() {
-                        None => self.erase_local(&k), // stale: fall through
-                        Some(node) => {
-                            if lazy {
-                                match shared.remove_helper(node, &self.ctx) {
-                                    Some(removed) => {
-                                        return BatchOutcome::Removed { removed, pred: None }
-                                    }
-                                    None => self.erase_local(&k),
-                                }
-                            }
-                            // Non-lazy removals always need the cleanup search
-                            // for the tombstoned predecessor; no fast path.
-                        }
-                    }
-                }
-                // Index-seeded fast path (lazy only: `Absent` is
-                // authoritative solely under the lazy protocol, and the
-                // helper CAS is the whole removal there).
+                // Fast path, lazy only: the helper CAS is the whole
+                // removal there. Non-lazy removals always need the cleanup
+                // search for the tombstoned predecessor.
                 if lazy {
-                    match shared.index_read(&k, &self.ctx) {
-                        Some(IndexRead::Hit(node)) => {
-                            if let Some(removed) = shared.remove_helper(node, &self.ctx) {
-                                return BatchOutcome::Removed {
-                                    removed,
-                                    pred: None,
-                                };
-                            }
-                            // Marked mid-helper: fall through to the search.
-                        }
-                        Some(IndexRead::Absent(_)) => {
-                            return BatchOutcome::Removed {
-                                removed: false,
-                                pred: None,
-                            }
-                        }
-                        _ => {}
+                    let hash = shared.index_hash(&k);
+                    if let Some(removed) = self.hash_layer(&k, hash, Self::remove_on) {
+                        return BatchOutcome::Removed { removed, pred: None };
                     }
                 }
                 let start = self.prev_start(&k, 0);
@@ -972,21 +1066,12 @@ where
                 BatchOutcome::Removed { removed, pred }
             }
             BatchOp::Get(k) => {
-                if let Some(r) = self.hash.get(&k).copied() {
-                    if let Some(node) = r.node() {
-                        let w0 = node.load_next(0, &self.ctx);
-                        if !w0.marked() {
-                            if !lazy || w0.valid() {
-                                return BatchOutcome::Got(Some(
-                                    unsafe { node.value() }.clone(),
-                                ));
-                            }
-                            return BatchOutcome::Got(None);
-                        }
-                    }
-                    self.erase_local(&k);
+                if let Some(value) = self.table_read(&k) {
+                    return BatchOutcome::Got(value.cloned());
                 }
-                let start = self.prev_start(&k, 0);
+                // The index answers first; the local-map start is looked
+                // up only for the search.
+                let start = || self.prev_start(&k, 0);
                 BatchOutcome::Got(shared.get_with_hint(&k, start, chain, &self.ctx))
             }
         }
@@ -1077,13 +1162,12 @@ where
     /// Refreshes the local structures from one combined outcome.
     ///
     /// Combined inserts allocate from the **combiner's** arena under the
-    /// combiner's membership vector. The hashtable (a pure membership fast
-    /// path) indexes them regardless, but the ordered local map — whose
+    /// combiner's membership vector. The hashtable, where the handle has
+    /// one, indexes them regardless, but the ordered local map — whose
     /// entries are handed to `search_from` as start nodes and feed
     /// upper-level linking — only takes nodes carrying this thread's own
-    /// mvec (see `tombstone_local` for why a foreign-mvec start is
-    /// unsound). When the submitter combined its own batch (the common
-    /// case) the mvecs match and indexing is unchanged.
+    /// mvec (`index_combined`). When the submitter combined its own batch
+    /// (the common case) the mvecs match and indexing is unchanged.
     fn note(&mut self, key: &K, out: &BatchOutcome<K, V>) {
         let map = self.inner.map;
         // The outcome's references were captured under the combiner's pin;
@@ -1091,21 +1175,7 @@ where
         let _pin = map.shared.pin(&self.inner.ctx);
         let h = &mut self.inner;
         match out {
-            BatchOutcome::Inserted { node: Some(r), .. } => {
-                // Hot keys resolve to the same node on every batch; skip
-                // the (comparatively costly) ordered-map insert then.
-                if h.hash.get(key) == Some(r) {
-                    return;
-                }
-                let Some(node) = r.node() else { return };
-                if h.should_index(node.top_level()) {
-                    let mv = node.mvec();
-                    h.hash.insert(key.clone(), *r);
-                    if mv == h.mvec {
-                        h.local.insert(key.clone(), *r);
-                    }
-                }
-            }
+            BatchOutcome::Inserted { node: Some(r), .. } => h.index_combined(key, *r),
             BatchOutcome::Inserted { node: None, .. } => {}
             BatchOutcome::Removed { removed, pred } => {
                 if *removed && !h.lazy() {

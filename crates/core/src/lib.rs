@@ -10,9 +10,10 @@
 //!   membership vector (see [`mvec`]), increasing locality and reducing
 //!   contention;
 //! * per-thread **local structures** — a sequential navigable map (default
-//!   [`local::BTreeLocalMap`]) plus a [`local::RobinHoodMap`] hash table —
-//!   used to *jump* into the shared structure near where operations
-//!   complete, and to answer speculative lookups locally.
+//!   [`local::BTreeLocalMap`]) plus a [`local::RobinHoodMap`] hash table
+//!   (the shared hash [`index`] takes the table's place where the graph
+//!   has one) — used to *jump* into the shared structure near where
+//!   operations complete, and to answer speculative lookups locally.
 //!
 //! Variants (all selected through [`GraphConfig`]):
 //!

@@ -150,7 +150,11 @@ impl<K, V> Node<K, V> {
             alloc_ts,
             gen: AtomicU32::new(0),
             mvec: mvec as u8,
-            meta: AtomicU8::new(pack_meta(KIND_DATA, top_level, false)),
+            // A height-0 node has no upper level left to link once its
+            // level-0 CAS lands, so it is born `inserted`: `getStart` must
+            // not run a `finishInsert` (a descent and a search) that has
+            // nothing to finish. Nobody can see the flag before the link.
+            meta: AtomicU8::new(pack_meta(KIND_DATA, top_level, top_level == 0)),
             unlinked: AtomicU8::new(0),
             owner,
         }
@@ -584,6 +588,8 @@ mod tests {
         // Setting `inserted` must not clobber the packed immutable bits.
         assert!(n.is_data());
         assert_eq!(n.top_level(), 2);
+        // Nothing is left to finish on a node without upper levels.
+        assert!(Node::new_data(1u64, 1u64, 0, 0, 0, 0).is_inserted());
     }
 
     #[test]

@@ -94,7 +94,7 @@
 
 use crate::adapt::{AdaptConfig, Hysteresis};
 use crate::batch::{BatchOp, BatchOutcome};
-use crate::graph::{HintChain, NodeRef};
+use crate::graph::HintChain;
 use crate::layered::{LayeredHandle, LayeredMap};
 use crate::mvec::list_suffix;
 use crate::params::GraphConfig;
@@ -1178,7 +1178,7 @@ where
         let mut collapsed = 0u64;
         {
             let mut chain = HintChain::new();
-            let mut publishes: Vec<NodeRef<K, V>> = Vec::new();
+            let mut publishes = Vec::new();
             let handle = &mut self.handles[replica];
             let publish_result = |pos: usize, home: usize, ok: bool| {
                 if home != replica {

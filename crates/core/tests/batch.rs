@@ -191,6 +191,42 @@ fn nonlazy_removes_retain_tombstoned_hints() {
     map.shared().check_invariants().unwrap();
 }
 
+/// Tombstoned hints are budgeted (64 per handle): the budget caps what a
+/// removal-heavy run retains, and re-inserting or erasing a tombstoned key
+/// frees its share for later removals — with the per-thread hashtable and,
+/// on an indexed map, without it.
+#[test]
+fn tombstone_budget_caps_and_refills() {
+    const BUDGET: usize = 64;
+    for indexed in [false, true] {
+        let map: LayeredMap<u64, u64> =
+            LayeredMap::new(GraphConfig::new(2).hash_index(indexed).chunk_capacity(256));
+        let mut h = map.register(ThreadCtx::plain(0));
+        for k in 0..400u64 {
+            assert!(h.insert(k, k));
+        }
+        for k in 100..300u64 {
+            assert!(h.remove(&k));
+        }
+        assert_eq!(h.local_len(), 200 + BUDGET, "indexed={indexed}: cap");
+        // The first 64 removals hold the tombstones; bring 32 of them
+        // back to life, then remove 100 other keys.
+        for k in 100..132u64 {
+            assert!(h.insert(k, k + 1), "indexed={indexed}: reinsert over tombstone {k}");
+        }
+        assert_eq!(h.local_len(), 232 + BUDGET - 32, "indexed={indexed}: freed");
+        for k in 300..400u64 {
+            assert!(h.remove(&k));
+        }
+        assert_eq!(h.local_len(), 132 + BUDGET, "indexed={indexed}: refilled to the cap");
+        for k in 0..400u64 {
+            let live = k < 132;
+            assert_eq!(h.contains(&k), live, "indexed={indexed}: contains {k}");
+        }
+        map.shared().check_invariants().unwrap();
+    }
+}
+
 /// The combined execution path applies the same C3 tombstoning on
 /// non-lazy removals it drains from the publication slots.
 #[test]

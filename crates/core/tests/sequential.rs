@@ -340,3 +340,120 @@ fn rebuild_compacts_dead_weight() {
     }
     assert!(!h2.contains(&0));
 }
+
+/// `getStart` finishes pending insertions (Alg. 10), and a node without
+/// upper levels has nothing left to finish once it is linked: a fresh-key
+/// insert costs one search, plus one for every taller node it meets
+/// unfinished — never one for each node it meets.
+#[test]
+fn get_start_finishes_only_nodes_with_upper_levels() {
+    const N: u64 = 2000;
+    for (name, cfg) in [
+        // MaxLevel = 0: every node is height 0.
+        ("dense, 2 threads", GraphConfig::new(2).lazy(true)),
+        ("sparse, 8 threads", GraphConfig::new(8).lazy(true).sparse(true)),
+    ] {
+        let map: LayeredMap<u64, u64> = LayeredMap::new(cfg);
+        let stats = instrument::AccessStats::new(map.config().num_threads);
+        let mut h = map.register(ThreadCtx::recording(0, stats.clone()));
+        // Ascending keys: every node but the last is the next insert's
+        // start candidate exactly once while it may still be unfinished.
+        for k in 0..N {
+            assert!(h.insert(k, k), "{name}");
+        }
+        let heights = map.shared().memory_stats(&ThreadCtx::plain(0)).height_histogram;
+        let tall = N - heights[0] as u64;
+        let finishes = stats.thread(0).searches - N;
+        assert!(
+            finishes == tall || finishes + 1 == tall,
+            "{name}: {finishes} finishInsert searches for {tall} nodes with upper levels"
+        );
+        map.shared().check_invariants().unwrap();
+    }
+}
+
+/// One hash layer per handle: the shared index stands in for the
+/// per-thread table where the graph has one.
+#[test]
+fn indexed_handles_keep_no_local_hashtable() {
+    for lazy in [false, true] {
+        let plain: LayeredMap<u64, u64> = LayeredMap::new(GraphConfig::new(2).lazy(lazy));
+        let indexed: LayeredMap<u64, u64> =
+            LayeredMap::new(GraphConfig::new(2).lazy(lazy).hash_index(true));
+        let mut hp = plain.register(ThreadCtx::plain(0));
+        let mut hi = indexed.register(ThreadCtx::plain(0));
+        for k in 0..100u64 {
+            assert!(hp.insert(k, k) && hi.insert(k, k));
+        }
+        assert_eq!(hp.local_hash_len(), Some(100), "lazy={lazy}");
+        assert_eq!(hi.local_hash_len(), None, "lazy={lazy}");
+        assert_eq!(hi.local_len(), hp.local_len(), "lazy={lazy}");
+    }
+}
+
+/// The index is best-effort: an entry can be lost to a busy slot, a grow
+/// or a colliding signature. The handle's own keys then come back from
+/// `getStart` as the start node itself, and a search started at the node
+/// would step over it — every point operation has to take that start as
+/// the hit it is.
+#[test]
+fn own_keys_without_an_index_entry_are_still_found() {
+    for (name, cfg) in configs() {
+        let map: LayeredMap<u64, u64> = LayeredMap::new(cfg.hash_index(true));
+        let mut h = map.register(ThreadCtx::plain(0));
+        let evict = |k: u64| map.shared().index_evict(&k, &ThreadCtx::plain(0));
+        for k in 0..64u64 {
+            assert!(h.insert(k, k), "{name}");
+        }
+        for k in 0..64u64 {
+            evict(k);
+            match k % 4 {
+                0 => assert_eq!(h.get(&k), Some(k), "{name}: get {k}"),
+                1 => assert!(h.contains(&k), "{name}: contains {k}"),
+                2 => assert!(!h.insert(k, k + 1), "{name}: duplicate insert {k}"),
+                _ => assert!(h.remove(&k), "{name}: remove {k}"),
+            }
+        }
+        assert_eq!(map.shared().len(h.ctx()), 48, "{name}");
+        // Removed keys: absent whether or not their tombstone entry
+        // survives, and insertable again exactly once.
+        for k in (3..64u64).step_by(4) {
+            evict(k);
+            assert_eq!(h.get(&k), None, "{name}: get removed {k}");
+            assert!(!h.remove(&k), "{name}: double remove {k}");
+            evict(k);
+            assert!(h.insert(k, k + 2), "{name}: reinsert {k}");
+            evict(k);
+            assert!(!h.insert(k, k + 3), "{name}: duplicate reinsert {k}");
+            assert!(h.contains(&k), "{name}: contains reinserted {k}");
+        }
+        assert_eq!(map.shared().len(h.ctx()), 64, "{name}");
+        map.shared().check_invariants().unwrap_or_else(|e| panic!("{name}: {e}"));
+    }
+}
+
+/// A read that had to search for a key the index had lost publishes the
+/// node it found, so the key's next operation is a probe again — whether
+/// the reader's local structures hold the key or not.
+#[test]
+fn a_read_that_searched_republishes_the_entry() {
+    for lazy in [false, true] {
+        let map: LayeredMap<u64, u64> =
+            LayeredMap::new(GraphConfig::new(2).lazy(lazy).hash_index(true));
+        let stats = instrument::AccessStats::new(2);
+        let mut owner = map.register(ThreadCtx::recording(0, stats.clone()));
+        let mut other = map.register(ThreadCtx::recording(1, stats.clone()));
+        for k in 0..32u64 {
+            assert!(owner.insert(k, k));
+        }
+        for (t, h) in [&mut owner, &mut other].into_iter().enumerate() {
+            map.shared().index_evict(&7, h.ctx());
+            let before = stats.thread(t);
+            assert_eq!(h.get(&7), Some(7), "lazy={lazy} t{t}");
+            assert_eq!(h.get(&7), Some(7), "lazy={lazy} t{t}");
+            let after = stats.thread(t);
+            assert_eq!(after.index_misses - before.index_misses, 1, "lazy={lazy} t{t}");
+            assert_eq!(after.index_hits - before.index_hits, 1, "lazy={lazy} t{t}");
+        }
+    }
+}
