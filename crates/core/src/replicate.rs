@@ -60,9 +60,15 @@
 //! senses its write ratio over op-count windows and switches — CNR-style
 //! — between two regimes published through one facade-atomic **epoch
 //! word** (`generation << 2 | mode`) that every operation validates like
-//! a generation tag:
+//! a generation tag. There is one protocol, not two: a map built without
+//! an `AdaptConfig` is the adaptive map whose controller never fires. It
+//! stays in generation 0 of the replicated mode forever, so its epoch is
+//! a constant rather than a word (`ReplicatedLayeredMap::epoch` loads
+//! nothing, and under `deterministic` adds no yield point), every epoch
+//! check below is vacuously true, and the same `read_replica` / `update`
+//! / tail-wait code serves both.
 //!
-//! * **Replicated** (mode 0): the protocol above, verbatim.
+//! * **Replicated** (mode 0): the protocol above.
 //! * **Single** (mode 2): writes still append to their key's log (the
 //!   total order must survive the mode switch) but carry home replica 0,
 //!   and *only replica 0 drains* — one apply per write, no fan-out.
@@ -82,10 +88,10 @@
 //!   be revalidated (no ABA).
 //!
 //! Writers revalidate the epoch after winning their head claim; a claim
-//! that straddles a transition is **poisoned** (stamped with an
-//! out-of-band home so every drain skips it) and retried under the new
-//! epoch — each thread contributes at most one poison per transition, so
-//! the transition drains terminate. Readers in replicated-class modes
+//! that straddles a transition is **poisoned** (stamped without an op, so
+//! every drain skips it) and retried under the new epoch — each thread
+//! contributes at most one poison per transition, so the transition
+//! drains terminate. Readers in replicated-class modes
 //! re-check the epoch inside their tail-wait and restart the read on a
 //! change. A drain that finds a slot stamped by a *later* wrap aborts
 //! before applying anything: only retired replicas (whose tails no
@@ -139,16 +145,31 @@ fn mode_name(epoch: usize) -> &'static str {
     }
 }
 
-/// Out-of-band `Pending::home` marking a poisoned slot: a claim that
-/// straddled an epoch transition, stamped so drains skip it (no apply, no
-/// result) and retried by its writer under the new epoch.
-const POISON_HOME: usize = usize::MAX;
+/// The one wait step of every loop in this module: spin briefly for the
+/// fast handoff, then yield the OS thread (as the combiner's waiters do).
+/// Whoever is waited on — a lease holder mid-drain, a claimer between its
+/// claim and its stamp, a writer about to consume its result — may be
+/// descheduled, and on oversubscribed cores a busy-waiter steals the very
+/// quantum that thread needs.
+fn backoff(spins: &mut u32) {
+    *spins = spins.wrapping_add(1);
+    if *spins < 16 {
+        std::hint::spin_loop();
+    } else {
+        std::thread::yield_now();
+    }
+}
 
-/// Shared adaptive-replication state: the write-ratio sensor window, the
-/// hysteresis gate deciding the intent, and relaxed telemetry counters
-/// (sensors and telemetry are plain `std` atomics — statistics, not
-/// synchronization — so the non-facade words add no det yield points).
+/// Shared adaptive-replication state: the epoch word, the write-ratio
+/// sensor window, the hysteresis gate deciding the intent, and relaxed
+/// telemetry counters (sensors and telemetry are plain `std` atomics —
+/// statistics, not synchronization — so the non-facade words add no det
+/// yield points).
 struct AdaptState {
+    /// `generation << 2 | mode` (see the module docs). Only the controller
+    /// moves it, so it exists only where one is attached: see
+    /// [`ReplicatedLayeredMap::epoch`].
+    epoch: Padded<FacadeAtomicUsize>,
     cfg: AdaptConfig,
     window: CounterWindow,
     /// Engaged ⇔ the controller wants single-structure mode.
@@ -166,7 +187,9 @@ impl AdaptState {
         } else {
             Hysteresis::new(cfg.write_up_pct, cfg.write_down_pct, cfg.dwell_windows)
         };
+        let mode = if cfg.start_single { MODE_SINGLE } else { MODE_REPLICATED };
         Self {
+            epoch: Padded(FacadeAtomicUsize::new(mode)),
             cfg,
             window: CounterWindow::new(),
             gate,
@@ -275,11 +298,11 @@ impl ReplicaConfig {
         self
     }
 
-    /// Enables adaptive replication (see the module docs): the map
+    /// Attaches the adaptation controller (see the module docs): the map
     /// senses its write ratio and switches between the replicated and
-    /// single-structure regimes through the epoch protocol. `None` (the
-    /// default) keeps the static replicated protocol with zero added
-    /// coordination accesses.
+    /// single-structure regimes through the epoch protocol. Without one
+    /// (the default) the map runs the same protocol pinned in the
+    /// replicated mode, with no epoch word to load.
     pub fn adapt(mut self, cfg: AdaptConfig) -> Self {
         self.adapt = Some(cfg);
         self
@@ -392,10 +415,7 @@ pub struct ReplicatedLayeredMap<K, V> {
     /// `log2(logs)` — the membership-vector level whose list families key
     /// the log partition.
     log_level: u8,
-    /// Adaptive-replication epoch word, `generation << 2 | mode` (see
-    /// the module docs). Never touched when `adapt` is `None`, so the
-    /// static protocol keeps its exact facade-access sequence.
-    epoch: Padded<FacadeAtomicUsize>,
+    /// The controller and its epoch word; `None` on a static map.
     adapt: Option<AdaptState>,
 }
 
@@ -436,15 +456,10 @@ impl<K: Ord + Hash + Clone, V> ReplicatedLayeredMap<K, V> {
                 LayeredMap::new(cfg)
             })
             .collect();
-        let initial = match &rcfg.adapt {
-            Some(a) if a.start_single => MODE_SINGLE,
-            _ => MODE_REPLICATED,
-        };
         Self {
             replicas,
             logs: (0..rcfg.logs).map(|_| OpLog::new(rcfg.log_capacity, sockets)).collect(),
             log_level: rcfg.logs.trailing_zeros() as u8,
-            epoch: Padded(FacadeAtomicUsize::new(initial)),
             adapt: rcfg.adapt.map(AdaptState::new),
             rcfg,
         }
@@ -465,7 +480,7 @@ impl<K: Ord + Hash + Clone, V> ReplicatedLayeredMap<K, V> {
     /// this map was built without [`ReplicaConfig::adapt`].
     pub fn adapt_state(&self) -> Option<AdaptSnapshot> {
         let ad = self.adapt.as_ref()?;
-        let epoch = self.epoch.0.load();
+        let epoch = ad.epoch.0.load();
         Some(AdaptSnapshot {
             mode: mode_name(epoch),
             generation: epoch >> 2,
@@ -475,6 +490,19 @@ impl<K: Ord + Hash + Clone, V> ReplicatedLayeredMap<K, V> {
             last_write_pct: ad.last_write_pct.load(Relaxed),
             open_window_ops: ad.window.open_window().total,
         })
+    }
+
+    /// The epoch every operation validates against. Only a controller
+    /// moves the word, so a map without one answers with the constant it
+    /// would hold forever — generation 0 of the replicated mode — and
+    /// makes no shared load: its operations keep the exact facade-access
+    /// sequence (the `deterministic` yield points) of a protocol that has
+    /// no epoch at all.
+    fn epoch(&self) -> usize {
+        match &self.adapt {
+            Some(ad) => ad.epoch.0.load(),
+            None => MODE_REPLICATED,
+        }
     }
 
     /// The log a key's operations append to: the level-`log2(logs)`
@@ -518,7 +546,6 @@ impl<K: Ord + Hash + Clone, V> ReplicatedLayeredMap<K, V> {
             map: self,
             socket,
             tid: tid as usize,
-            adaptive: self.adapt.is_some(),
             handles,
         }
     }
@@ -540,10 +567,6 @@ pub struct ReplicatedHandle<'m, K, V> {
     map: &'m ReplicatedLayeredMap<K, V>,
     socket: usize,
     tid: usize,
-    /// Cached `map.adapt.is_some()`: a plain field, so the static
-    /// protocol's paths branch on it without any facade access and keep
-    /// their det-schedule yield alignment untouched.
-    adaptive: bool,
     handles: Vec<LayeredHandle<'m, K, V>>,
 }
 
@@ -574,33 +597,16 @@ where
         self.update(BatchOp::Remove(key.clone()))
     }
 
-    /// Membership test served entirely by the socket-local replica after
-    /// the NR read rule (catch the local tail up to the mapped log's
-    /// head). In an adaptive map's single-class epochs the read goes
-    /// straight to replica 0 instead — no log wait, because every
-    /// completed operation is already applied there (see the module
-    /// docs' transition argument).
+    /// Membership test served by the replica [`Self::read_replica`] names:
+    /// the socket-local one after the NR read rule, or — in an adaptive
+    /// map's single-class epochs — replica 0 with no log wait.
     pub fn contains(&mut self, key: &K) -> bool {
-        if self.adaptive {
-            self.sense(false);
-            loop {
-                let epoch = self.map.epoch.0.load();
-                if single_class(epoch) {
-                    return self.handles[0].contains(key);
-                }
-                let li = self.map.log_of(key);
-                if self.wait_local_valid(li, epoch) {
-                    return self.handles[self.socket].contains(key);
-                }
-            }
-        }
-        let li = self.map.log_of(key);
-        self.catch_up_for_read(li);
-        self.handles[self.socket].contains(key)
+        let r = self.read_replica(key);
+        self.handles[r].contains(key)
     }
 
-    /// Point lookup served by the socket-local replica (see
-    /// [`ReplicatedHandle::contains`]).
+    /// Point lookup served by the same replica as
+    /// [`ReplicatedHandle::contains`].
     ///
     /// Presence (`Some` vs `None`) is linearizable across sockets, but
     /// the value itself is only guaranteed to come from *some* successful
@@ -612,22 +618,30 @@ where
     /// need cross-socket value agreement should keep values immutable
     /// per key or key them by version.
     pub fn get(&mut self, key: &K) -> Option<V> {
-        if self.adaptive {
-            self.sense(false);
-            loop {
-                let epoch = self.map.epoch.0.load();
-                if single_class(epoch) {
-                    return self.handles[0].get(key);
-                }
-                let li = self.map.log_of(key);
-                if self.wait_local_valid(li, epoch) {
-                    return self.handles[self.socket].get(key);
-                }
+        let r = self.read_replica(key);
+        self.handles[r].get(key)
+    }
+
+    /// The read rule: which replica may answer a read of `key` right now.
+    /// In a replicated-class epoch that is the socket-local replica, once
+    /// its tail has passed the mapped log's head (NR's read rule — one
+    /// shared load per read, the traversal itself never leaves the
+    /// socket); if the epoch moves during the wait the local replica may
+    /// be retiring, so the read restarts. In a single-class epoch it is
+    /// replica 0 with no wait: every completed operation is already
+    /// applied there (see the module docs' transition argument).
+    fn read_replica(&mut self, key: &K) -> usize {
+        self.sense(false);
+        loop {
+            let epoch = self.map.epoch();
+            if single_class(epoch) {
+                return 0;
+            }
+            let li = self.map.log_of(key);
+            if self.wait_local_valid(li, epoch) {
+                return self.socket;
             }
         }
-        let li = self.map.log_of(key);
-        self.catch_up_for_read(li);
-        self.handles[self.socket].get(key)
     }
 
     /// Catches this thread's socket replica up to the head of *every*
@@ -636,81 +650,103 @@ where
     /// once after a bulk load so the replay debt is not paid inside a
     /// measured (or latency-sensitive) read path.
     pub fn sync(&mut self) {
-        if self.adaptive {
-            'epoch: loop {
-                let epoch = self.map.epoch.0.load();
-                if single_class(epoch) {
-                    // Replica 0 is synchronously maintained by every
-                    // completed single-mode write; nothing to replay.
-                    return;
-                }
-                for li in 0..self.map.logs.len() {
-                    if !self.wait_local_valid(li, epoch) {
-                        continue 'epoch;
-                    }
-                }
+        'epoch: loop {
+            let epoch = self.map.epoch();
+            if single_class(epoch) {
+                // Replica 0 is synchronously maintained by every
+                // completed single-mode write; nothing to replay.
                 return;
             }
-        }
-        for li in 0..self.map.logs.len() {
-            self.catch_up_for_read(li);
+            for li in 0..self.map.logs.len() {
+                if !self.wait_local_valid(li, epoch) {
+                    continue 'epoch;
+                }
+            }
+            return;
         }
     }
 
-    /// Appends `op` to its key's log and waits (helping) until the home
-    /// replica applied it; returns the operation's set-semantics outcome.
+    /// Appends `op` to its key's log under a validated epoch and waits
+    /// (helping) until its home replica applied it; returns the
+    /// operation's set-semantics outcome. The home is the writer's own
+    /// socket in a replicated epoch (read-your-writes) and replica 0 in a
+    /// single-class one.
     fn update(&mut self, op: BatchOp<K, V>) -> bool {
-        if self.adaptive {
-            return self.update_adaptive(op);
-        }
+        self.sense(true);
         let map = self.map;
         let li = map.log_of(op.key());
         let log = &map.logs[li];
         self.ctx().record_op();
-        // Claim a slot, lag-bounded: while the slowest replica trails by
-        // max_lag (<= capacity), help it drain instead of growing the
-        // backlog — this is also what makes slot reuse safe, since a
-        // claimed position implies every tail passed its previous
-        // occupant.
-        let mut spins = 0u32;
-        let pos = loop {
-            // `min` before `head`: tails never pass the head and the head
-            // only grows, so this order guarantees `min <= head` (the
-            // reverse order could observe a tail that advanced past a
-            // stale head). A stale-low `min` merely overestimates the lag.
-            let min = log.min_tail();
-            let head = log.head.0.load();
-            if head - min >= map.rcfg.max_lag {
-                let lagger = log.laggiest();
-                self.try_replay(li, lagger);
-                // The lagger's lease may be held by a descheduled thread:
-                // try_replay then returns immediately, so back off the
-                // same way the result-wait and catch-up loops do instead
-                // of starving the holder on oversubscribed cores.
-                spins = spins.wrapping_add(1);
-                if spins < 16 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
+        let (pos, home) = loop {
+            // Claim a slot, lag-bounded against the tails that still gate
+            // slot reuse in the current epoch: every tail when replicated
+            // (and down-draining), replica 0's alone once single-class —
+            // retired tails stop moving and would freeze the log. While
+            // the slowest of them trails by max_lag (<= capacity), help it
+            // drain instead of growing the backlog — this is also what
+            // makes slot reuse safe, since a claimed position implies
+            // every gating tail passed its previous occupant.
+            let mut spins = 0u32;
+            let (pos, epoch) = loop {
+                let epoch = map.epoch();
+                if transitional(epoch) {
+                    // A transition is redirecting the log; wait it out.
+                    backoff(&mut spins);
+                    continue;
                 }
+                // `min` before `head`: tails never pass the head and the
+                // head only grows, so this order guarantees `min <= head`
+                // (the reverse order could observe a tail that advanced
+                // past a stale head). A stale-low `min` merely
+                // overestimates the lag.
+                let min = if single_class(epoch) {
+                    log.tails[0].0.load()
+                } else {
+                    log.min_tail()
+                };
+                let head = log.head.0.load();
+                if head - min >= map.rcfg.max_lag {
+                    // The target's lease may be held by a descheduled
+                    // thread (try_replay then returns at once): back off.
+                    let target = if single_class(epoch) { 0 } else { log.laggiest() };
+                    self.try_replay(li, target);
+                    backoff(&mut spins);
+                    continue;
+                }
+                if log.head.0.compare_exchange(head, head + 1).is_ok() {
+                    self.ctx().record_log_append((head - min) as u64);
+                    break (head, epoch);
+                }
+            };
+            let slot = &log.slots[pos & log.mask];
+            // Revalidate the epoch the claim was made under. A mismatch
+            // means a transition CAS landed between the claim-loop load
+            // and here: the home decision below could disagree with who
+            // drains in the new epoch, so the slot is poisoned — stamped
+            // empty (seq must advance: drains spin on it), which every
+            // drain skips — and the claim retried under the new epoch.
+            // Generations make the comparison ABA-proof.
+            //
+            // The cell is exclusive either way: all appliers finished the
+            // previous occupant (the gating tails passed it) before `pos`
+            // could be claimed.
+            if map.epoch() != epoch {
+                unsafe { *slot.op.get() = None };
+                slot.seq.store(pos + 1);
                 continue;
             }
-            if log.head.0.compare_exchange(head, head + 1).is_ok() {
-                self.ctx().record_log_append((head - min) as u64);
-                break head;
-            }
+            let home = if single_class(epoch) { 0 } else { self.socket };
+            unsafe { *slot.op.get() = Some(Pending { home, op }) };
+            slot.seq.store(pos + 1);
+            break (pos, home);
         };
+        // Wait for the home replica's applier to publish this op's
+        // outcome, replaying the home replica ourselves whenever its lease
+        // is free. It is always the *captured* home's lease that is helped
+        // — in single mode every writer self-serves replica 0, and under
+        // the injected severed drain a stranded replicated-era writer
+        // still self-serves its own replica instead of hanging.
         let slot = &log.slots[pos & log.mask];
-        // Exclusive: all appliers finished the previous occupant (tails
-        // passed it) before `pos` could be claimed.
-        unsafe { *slot.op.get() = Some(Pending { home: self.socket, op }) };
-        slot.seq.store(pos + 1);
-        // Read-your-writes: wait for the home replica's applier to publish
-        // this op's outcome, replaying the home replica ourselves whenever
-        // its lease is free. Spin briefly for the fast handoff, then yield
-        // the OS thread (as the combiner's waiters do): on oversubscribed
-        // cores a busy-waiting writer steals the very quantum the lease
-        // holder needs to finish draining.
         let mut spins = 0u32;
         loop {
             let r = slot.result.load();
@@ -730,145 +766,45 @@ where
             // Consuming first makes that wait impossible for us, and while
             // we hold the home lease nobody else can publish our result,
             // so the pre-drain check cannot go stale.
-            if log.leases[self.socket].0.compare_exchange(0, self.tid + 1).is_ok() {
+            if log.leases[home].0.compare_exchange(0, self.tid + 1).is_ok() {
                 let r = slot.result.load();
                 if r >> 1 == pos + 1 {
                     slot.result.store(0);
-                    log.leases[self.socket].0.store(0);
-                    return r & 1 == 1;
-                }
-                self.drain(li, self.socket);
-                log.leases[self.socket].0.store(0);
-            }
-            spins = spins.wrapping_add(1);
-            if spins < 16 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-    }
-
-    /// The adaptive append path: claims a slot under a validated epoch,
-    /// homing the op at replica 0 in single-class epochs; a claim that
-    /// straddles a transition is poisoned and retried. The result wait
-    /// always helps the *captured* home's lease — in single mode every
-    /// writer self-serves replica 0, and under the injected severed
-    /// drain a stranded replicated-era writer still self-serves its own
-    /// replica instead of hanging.
-    fn update_adaptive(&mut self, op: BatchOp<K, V>) -> bool {
-        self.sense(true);
-        let map = self.map;
-        let li = map.log_of(op.key());
-        let log = &map.logs[li];
-        self.ctx().record_op();
-        loop {
-            // Claim, lag-bounded against the tails that still gate slot
-            // reuse in the current epoch: every tail when replicated
-            // (and down-draining), replica 0's alone once single-class —
-            // retired tails stop moving and would freeze the log.
-            let mut spins = 0u32;
-            let (pos, epoch) = loop {
-                let epoch = map.epoch.0.load();
-                if transitional(epoch) {
-                    // A transition is redirecting the log; wait it out.
-                    spins = spins.wrapping_add(1);
-                    if spins < 16 {
-                        std::hint::spin_loop();
-                    } else {
-                        std::thread::yield_now();
-                    }
-                    continue;
-                }
-                let min = if single_class(epoch) {
-                    log.tails[0].0.load()
-                } else {
-                    log.min_tail()
-                };
-                let head = log.head.0.load();
-                if head - min >= map.rcfg.max_lag {
-                    let target = if single_class(epoch) { 0 } else { log.laggiest() };
-                    self.try_replay(li, target);
-                    spins = spins.wrapping_add(1);
-                    if spins < 16 {
-                        std::hint::spin_loop();
-                    } else {
-                        std::thread::yield_now();
-                    }
-                    continue;
-                }
-                if log.head.0.compare_exchange(head, head + 1).is_ok() {
-                    self.ctx().record_log_append((head - min) as u64);
-                    break (head, epoch);
-                }
-            };
-            let slot = &log.slots[pos & log.mask];
-            // Revalidate the epoch the claim was made under. A mismatch
-            // means a transition CAS landed between the claim-loop load
-            // and here: the home decision below could disagree with who
-            // drains in the new epoch, so stamp the slot poisoned (seq
-            // must advance — drains spin on it) and retry under the new
-            // epoch. Generations make the comparison ABA-proof.
-            if map.epoch.0.load() != epoch {
-                unsafe {
-                    *slot.op.get() = Some(Pending { home: POISON_HOME, op: op.clone() })
-                };
-                slot.seq.store(pos + 1);
-                continue;
-            }
-            let home = if single_class(epoch) { 0 } else { self.socket };
-            unsafe { *slot.op.get() = Some(Pending { home, op: op.clone() }) };
-            slot.seq.store(pos + 1);
-            // Result wait with the same inline-lease self-consume as the
-            // static path (see `update` for the self-deadlock argument).
-            let mut spins = 0u32;
-            loop {
-                let r = slot.result.load();
-                if r >> 1 == pos + 1 {
-                    slot.result.store(0);
-                    return r & 1 == 1;
-                }
-                if log.leases[home].0.compare_exchange(0, self.tid + 1).is_ok() {
-                    let r = slot.result.load();
-                    if r >> 1 == pos + 1 {
-                        slot.result.store(0);
-                        log.leases[home].0.store(0);
-                        return r & 1 == 1;
-                    }
-                    self.drain(li, home);
                     log.leases[home].0.store(0);
+                    return r & 1 == 1;
                 }
-                spins = spins.wrapping_add(1);
-                if spins < 16 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
+                self.drain(li, home);
+                log.leases[home].0.store(0);
             }
+            backoff(&mut spins);
         }
     }
 
-    /// The replicated-class read wait, epoch-validated: waits for the
-    /// local tail to pass the mapped log's head as `catch_up_for_read`
-    /// does, but re-checks the epoch word on every wait iteration and
-    /// returns `false` (restart the read) the moment it moves — the
-    /// local replica may be retiring, and the single-class path must
-    /// take over.
+    /// The tail-wait of the read rule: loads the log's head once, then
+    /// replays the local replica (or waits on whoever holds its lease)
+    /// until its tail passes that head. Re-checks the epoch on every wait
+    /// iteration and returns `false` (restart) the moment it moves.
     fn wait_local_valid(&mut self, li: usize, epoch: usize) -> bool {
         let log = &self.map.logs[li];
         let head = log.head.0.load();
+        // Injected bug (`--features bug-injection`): sever the tail-wait,
+        // serving the read from whatever prefix the local replica happens
+        // to have applied. A completed remote write (or a fresher read on
+        // another socket) is then invisible here — a stale read the
+        // deterministic stress wall catches and shrinks. Static maps
+        // only: a map with a controller carries the severed downshift
+        // drain instead (one live fault per stress lane).
+        #[cfg(feature = "bug-injection")]
+        if self.map.adapt.is_none() {
+            return true;
+        }
         let mut spins = 0u32;
         while log.tails[self.socket].0.load() < head {
-            if self.map.epoch.0.load() != epoch {
+            if self.map.epoch() != epoch {
                 return false;
             }
             self.try_replay(li, self.socket);
-            spins = spins.wrapping_add(1);
-            if spins < 16 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
+            backoff(&mut spins);
         }
         true
     }
@@ -884,23 +820,22 @@ where
         ad.last_write_pct.store(pct, Relaxed);
         ad.windows.fetch_add(1, Relaxed);
         ad.gate.observe(pct);
-        self.reconcile();
+        self.reconcile(ad);
     }
 
     /// Drives the epoch toward the gate's intent. Called at window close;
     /// also self-heals a switch whose transition CAS was lost to a race
     /// (the next window re-attempts it).
-    fn reconcile(&mut self) {
-        let ad = self.map.adapt.as_ref().expect("reconcile is adaptive-only");
+    fn reconcile(&mut self, ad: &AdaptState) {
         let want_single = ad.gate.engaged();
-        let epoch = self.map.epoch.0.load();
+        let epoch = ad.epoch.0.load();
         if transitional(epoch) || single_class(epoch) == want_single {
             return;
         }
         if want_single {
-            self.downshift(epoch);
+            self.downshift(ad, epoch);
         } else {
-            self.upshift(epoch);
+            self.upshift(ad, epoch);
         }
     }
 
@@ -909,14 +844,8 @@ where
     /// write may be stranded in a suffix replica 0 never applied, since
     /// single-class reads serve replica 0 directly — then publishes the
     /// single epoch with a bumped generation.
-    fn downshift(&mut self, epoch: usize) {
-        let map = self.map;
-        if map
-            .epoch
-            .0
-            .compare_exchange(epoch, epoch | MODE_DOWN_DRAIN)
-            .is_err()
-        {
+    fn downshift(&mut self, ad: &AdaptState, epoch: usize) {
+        if ad.epoch.0.compare_exchange(epoch, epoch | MODE_DOWN_DRAIN).is_err() {
             return;
         }
         // Injected bug (`--features bug-injection`): sever the
@@ -928,8 +857,7 @@ where
         // det stress lane catches and shrinks.
         #[cfg(not(feature = "bug-injection"))]
         self.drain_all_until_stable();
-        map.epoch.0.store((epoch & !MODE_MASK) + 4 + MODE_SINGLE);
-        let ad = map.adapt.as_ref().expect("downshift is adaptive-only");
+        ad.epoch.0.store((epoch & !MODE_MASK) + 4 + MODE_SINGLE);
         ad.downshifts.fetch_add(1, Relaxed);
     }
 
@@ -945,14 +873,10 @@ where
     /// the snapshot already covered without divergence; shared keys keep
     /// the replica's own value (the documented value-consistency
     /// caveat).
-    fn upshift(&mut self, epoch: usize) {
+    fn upshift(&mut self, ad: &AdaptState, epoch: usize) {
         let map = self.map;
-        if map
-            .epoch
-            .0
-            .compare_exchange(epoch, epoch | 1) // MODE_SINGLE -> MODE_UP_REBUILD
-            .is_err()
-        {
+        // MODE_SINGLE -> MODE_UP_REBUILD
+        if ad.epoch.0.compare_exchange(epoch, epoch | 1).is_err() {
             return;
         }
         let mut spins = 0u32;
@@ -968,12 +892,7 @@ where
             if stable {
                 break;
             }
-            spins = spins.wrapping_add(1);
-            if spins < 16 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
+            backoff(&mut spins);
         }
         // Snap the retired tails *before* the snapshots: every op past
         // replica 0's applied prefix replays into the rebuilt replicas
@@ -1034,8 +953,7 @@ where
                 handle.insert(k, v);
             }
         }
-        map.epoch.0.store((epoch & !MODE_MASK) + 4); // gen+1, MODE_REPLICATED
-        let ad = map.adapt.as_ref().expect("upshift is adaptive-only");
+        ad.epoch.0.store((epoch & !MODE_MASK) + 4); // gen+1, MODE_REPLICATED
         ad.upshifts.fetch_add(1, Relaxed);
     }
 
@@ -1062,46 +980,7 @@ where
             if stable {
                 return;
             }
-            spins = spins.wrapping_add(1);
-            if spins < 16 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-    }
-
-    /// NR read rule: load the mapped log's head once, and if the local
-    /// replica's tail trails it, replay (or wait on whoever holds the
-    /// lease) until the tail passes it. One shared load per read — the
-    /// traversal itself never leaves the socket.
-    fn catch_up_for_read(&mut self, li: usize) {
-        let log = &self.map.logs[li];
-        let head = log.head.0.load();
-        // Injected bug (`--features bug-injection`): sever the tail-wait,
-        // serving the read from whatever prefix the local replica happens
-        // to have applied. A completed remote write (or a fresher read on
-        // another socket) is then invisible here — a stale read the
-        // deterministic stress wall catches and shrinks.
-        #[cfg(feature = "bug-injection")]
-        {
-            let _ = head;
-            return;
-        }
-        #[cfg_attr(feature = "bug-injection", allow(unreachable_code))]
-        {
-            let mut spins = 0u32;
-            while log.tails[self.socket].0.load() < head {
-                self.try_replay(li, self.socket);
-                spins = spins.wrapping_add(1);
-                if spins < 16 {
-                    std::hint::spin_loop();
-                } else {
-                    // The lease holder may be descheduled mid-drain; hand
-                    // it our quantum instead of burning it.
-                    std::thread::yield_now();
-                }
-            }
+            backoff(&mut spins);
         }
     }
 
@@ -1155,18 +1034,12 @@ where
                 if seq > pos + 1 {
                     return;
                 }
-                spins = spins.wrapping_add(1);
-                if spins < 16 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
+                backoff(&mut spins);
             }
-            let p = unsafe { (*slot.op.get()).as_ref() }.expect("stamped slot holds an op");
-            // Poisoned slots (a claim that straddled an epoch transition)
-            // advance the tail but are never applied; their writer
-            // retried under the new epoch.
-            if p.home != POISON_HOME {
+            // A poisoned slot (a claim that straddled an epoch transition)
+            // holds no op: it advances the tail but is never applied; its
+            // writer retried under the new epoch.
+            if let Some(p) = unsafe { (*slot.op.get()).as_ref() } {
                 batch.push((pos, p.home, p.op.clone()));
             }
         }
@@ -1195,12 +1068,7 @@ where
                 // descheduled, so yield to it.
                 let mut spins = 0u32;
                 while slot.result.load() != 0 {
-                    spins = spins.wrapping_add(1);
-                    if spins < 16 {
-                        std::hint::spin_loop();
-                    } else {
-                        std::thread::yield_now();
-                    }
+                    backoff(&mut spins);
                 }
                 slot.result.store(((pos + 1) << 1) | ok as usize);
             };
