@@ -2,7 +2,13 @@
 //! graph with one key per node versus the same graph blocked at
 //! `BLOCK_CAP` keys per anchor (`skipgraph::BlockedSkipMap`).
 //!
-//! Both lanes carry the identical population and workload. Three
+//! Both lanes carry the identical population and workload. The preload
+//! is parallel: each measurement thread inserts its interleaved share of
+//! the keys through its own handle (as `benchmark/` does). Loading all
+//! keys through thread 0 would leave every other thread's upper-level
+//! lists on the unblocked lane empty — with no local structures, each of
+//! its operations then walks level 0 from the head (~600 ops/s at 60 000
+//! keys: `--check` would not finish on two hardware threads). Three
 //! measurements per lane:
 //!
 //! * **ops/s** — a mixed read-mostly phase (90% lookups, 10%
@@ -147,11 +153,17 @@ impl Handle<'_> {
     }
 }
 
-fn preload(map: &Map) {
-    let mut h = map.pin(ThreadCtx::plain(0));
-    for i in 0..KEYS {
-        assert!(h.insert(key(i), i));
-    }
+fn preload(map: &Map, threads: u64) {
+    std::thread::scope(|s| {
+        for t in 0..threads {
+            s.spawn(move || {
+                let mut h = map.pin(ThreadCtx::plain(t as u16));
+                for i in (t..KEYS).step_by(threads as usize) {
+                    assert!(h.insert(key(i), i));
+                }
+            });
+        }
+    });
 }
 
 /// The timed mixed phase: thread-disjoint op streams, 90% lookups and a
@@ -220,11 +232,12 @@ fn median(mut samples: Vec<f64>) -> f64 {
 }
 
 fn run_lanes(threads: u64, cap: usize) -> (Lane, Lane) {
-    // Structure metrics are deterministic per lane (same preload every
-    // trial): measure them once on fresh maps.
+    // Structure metrics vary little between preloads (same keys every
+    // trial; only split points move with the interleaving): measure them
+    // once on fresh maps.
     let (un, bl) = (Map::build(threads, None), Map::build(threads, Some(cap)));
-    preload(&un);
-    preload(&bl);
+    preload(&un, threads);
+    preload(&bl, threads);
     let ctx = ThreadCtx::plain(0);
     let (un_nps, bl_nps) = (nodes_per_search(&un), nodes_per_search(&bl));
     let (un_bpk, bl_bpk) = (un.bytes_per_key(&ctx), bl.bytes_per_key(&ctx));
@@ -235,7 +248,7 @@ fn run_lanes(threads: u64, cap: usize) -> (Lane, Lane) {
     for trial in 0..TRIALS {
         let run = |blocked: Option<usize>| {
             let map = Map::build(threads, blocked);
-            preload(&map);
+            preload(&map, threads);
             mixed_phase(&map, threads)
         };
         let (u, b) = if trial % 2 == 0 {

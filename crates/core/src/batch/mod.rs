@@ -1,4 +1,4 @@
-//! NUMA-local flat-combining batch executor (`skipgraph::combine`).
+//! NUMA-local flat-combining batch executor (`skipgraph::batch`).
 //!
 //! An opt-in batching subsystem layered over the shared [`crate::graph::SkipGraph`]:
 //! each registered thread owns one cache-line-padded *publication slot* in
@@ -6,7 +6,7 @@
 //! there, and then either spin-waits for results or — by winning the
 //! bank's *combiner lease* CAS — drains every pending slot of its socket,
 //! sorts the union of operations by key, and executes the sorted run with
-//! the hint-chained operations of [`crate::graph`] (each search resumes
+//! the hint-chained operations of `crate::graph` (each search resumes
 //! from the previous operation's predecessor frontier). One traversal plus
 //! short hops replaces `b` independent traversals, and all resulting
 //! coherence traffic stays on the combiner's socket.
@@ -25,7 +25,7 @@
 use crate::graph::NodeRef;
 use crate::layered::{CombiningHandle, LayeredMap};
 use crate::params::GraphConfig;
-use crate::sync::FacadeAtomicUsize;
+use crate::sync::{FacadeAtomicUsize, Padded};
 use instrument::ThreadCtx;
 use std::cell::UnsafeCell;
 use std::hash::Hash;
@@ -127,11 +127,6 @@ impl BatchConfig {
         self.socket_of[t as usize]
     }
 }
-
-/// Pads to two cache lines (the common prefetcher granule), so slot states
-/// and the lease never false-share.
-#[repr(align(128))]
-struct Padded<T>(T);
 
 /// A structure the flat-combining executor can drive: anything that owns a
 /// thread context and can execute one key-sorted run of batch operations.

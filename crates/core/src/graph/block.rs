@@ -919,10 +919,9 @@ where
     /// Position of the greatest sorted-prefix key `<= key` (the only slot
     /// that can hold `key`), or `None` when every prefix key exceeds it.
     ///
-    /// Default: branch-free binary search — the halving loop has no
+    /// Branch-free binary search — the halving loop has no
     /// data-dependent branch (the select compiles to a cmov), so the
     /// branch predictor never trains on key order.
-    #[cfg(not(feature = "swar-probe"))]
     #[inline]
     fn prefix_probe(blk: &Blk<K, V>, n: usize, key: &K) -> Option<usize> {
         let (mut base, mut size) = (0usize, n);
@@ -937,24 +936,6 @@ where
             size -= half;
         }
         (unsafe { blk.key_at(0) } <= *key).then_some(base)
-    }
-
-    /// SWAR-style rank probe (`--features swar-probe`): one data-
-    /// independent pass that *counts* prefix keys `<= key` instead of
-    /// halving. Every comparison result is consumed as an integer, so the
-    /// whole loop is branchless and, for machine-word keys, amenable to
-    /// SIMD auto-vectorization (the comparisons of a short prefix become
-    /// one packed-compare + popcount-style reduction). Wins over binary
-    /// search on small prefixes where the halving loop's serial
-    /// dependency chain dominates.
-    #[cfg(feature = "swar-probe")]
-    #[inline]
-    fn prefix_probe(blk: &Blk<K, V>, n: usize, key: &K) -> Option<usize> {
-        let mut rank = 0usize;
-        for i in 0..n {
-            rank += (unsafe { blk.key_at(i) } <= *key) as usize;
-        }
-        rank.checked_sub(1)
     }
 
     /// Index of the tombstoned slot holding exactly `(key, value)` under
@@ -1385,8 +1366,7 @@ where
     fn link_replacement(&self, node: NonNull<BNode<K>>, ctx: &ThreadCtx) {
         let n = unsafe { node.as_ref() };
         if n.top_level() == 0 {
-            n.set_inserted();
-            return;
+            return; // height 0 is born `inserted` (`Node::new_data`)
         }
         let key = unsafe { n.key() };
         let mut res = self.graph.search_from(key, n.mvec(), None, false, ctx);
@@ -1785,7 +1765,7 @@ where
     /// the granularity win), the resolved anchor is carried forward as a
     /// chain hint between groups, and maximal strictly-ascending insert
     /// runs at least [`BlockPolicy::fill_target`] long go through
-    /// [`BlockedSkipMap::bulk_apply`] — fresh blocks packed to the fill
+    /// `BlockedSkipMap::bulk_apply` — fresh blocks packed to the fill
     /// target in one publish. Outcomes are delivered through `out` with
     /// each triple's first two components.
     ///

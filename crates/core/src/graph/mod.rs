@@ -90,7 +90,7 @@ fn capture_gen<K, V>(p: NodePtr<K, V>) -> u32 {
 /// [`SkipGraph`] is alive (arena chunks are never unmapped mid-run), but
 /// with reclamation enabled its *contents* may belong to a later
 /// incarnation: every dereference goes through the generation check of
-/// [`NodeRef::node`].
+/// `NodeRef::node`.
 pub struct NodeRef<K, V> {
     pub(crate) ptr: NonNull<Node<K, V>>,
     /// Generation of the node when the reference was captured; retirement

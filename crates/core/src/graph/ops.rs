@@ -16,7 +16,7 @@ use std::ptr::NonNull;
 /// A resumable search frontier for executing a *sorted run* of operations:
 /// each `*_with_hint` operation stores the predecessor vector of its final
 /// search here, and the next operation of the run resumes from it instead
-/// of the head array (see [`SkipGraph::search_hinted`]).
+/// of the head array (see `SkipGraph::search_hinted`).
 ///
 /// The chain is only valid for the graph it was produced on and for
 /// non-descending keys; start a fresh chain per sorted run. Holds raw node

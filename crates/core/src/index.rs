@@ -5,7 +5,7 @@
 //! over live shared nodes (plain maps) or blocked-anchor slots
 //! ([`crate::BlockedSkipMap`]). It is an *accelerator, never an
 //! authority*: every entry is re-validated on read against the node it
-//! names — generation first (the [`crate::reclaim`] retire protocol bumps
+//! names — generation first (the `crate::reclaim` retire protocol bumps
 //! it, so entries to retired incarnations can never validate), then the
 //! key, then the node's own level-0 state word — and any failure falls
 //! back to the ordered descent. Publishing and invalidation are therefore
@@ -70,18 +70,13 @@
 
 use crate::adapt::AdaptConfig;
 use crate::node::Node;
-use crate::sync::FacadeAtomicUsize;
+use crate::sync::{FacadeAtomicUsize, Padded};
 use instrument::{MeanWindow, ThreadCtx};
 use numa::{Placement, Topology};
 use std::hash::{Hash, Hasher};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// Pads to two cache lines (the adjacent-line prefetcher's granule), so
-/// neighbouring values never false-share.
-#[repr(align(128))]
-struct Padded<T>(T);
 
 // Tag packing below folds a 32-bit generation and a 31-bit hash
 // signature into one word.

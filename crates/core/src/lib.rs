@@ -68,8 +68,6 @@ pub mod sync;
 
 pub mod local;
 
-/// The NUMA-local flat-combining batch executor (see [`batch`](combine)).
-pub use self::batch as combine;
 pub use adapt::{AdaptConfig, Hysteresis};
 pub use batch::{
     BatchConfig, BatchExecutor, BatchOp, BatchOutcome, BatchedLayeredMap, CombinerTarget,

@@ -104,17 +104,12 @@ use crate::graph::HintChain;
 use crate::layered::{LayeredHandle, LayeredMap};
 use crate::mvec::list_suffix;
 use crate::params::GraphConfig;
-use crate::sync::FacadeAtomicUsize;
+use crate::sync::{FacadeAtomicUsize, Padded};
 use instrument::{CounterWindow, ThreadCtx};
 use std::cell::UnsafeCell;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
-
-/// Pads to two cache lines so the log head, the per-replica tails, and the
-/// replay leases never false-share.
-#[repr(align(128))]
-struct Padded<T>(T);
 
 /// Epoch-word modes (low two bits; the rest is the generation). The bit
 /// layout is load-bearing: bit 1 set ⇔ reads go straight to replica 0
@@ -187,7 +182,11 @@ impl AdaptState {
         } else {
             Hysteresis::new(cfg.write_up_pct, cfg.write_down_pct, cfg.dwell_windows)
         };
-        let mode = if cfg.start_single { MODE_SINGLE } else { MODE_REPLICATED };
+        let mode = if cfg.start_single {
+            MODE_SINGLE
+        } else {
+            MODE_REPLICATED
+        };
         Self {
             epoch: Padded(FacadeAtomicUsize::new(mode)),
             cfg,
@@ -597,9 +596,10 @@ where
         self.update(BatchOp::Remove(key.clone()))
     }
 
-    /// Membership test served by the replica [`Self::read_replica`] names:
-    /// the socket-local one after the NR read rule, or — in an adaptive
-    /// map's single-class epochs — replica 0 with no log wait.
+    /// Membership test served by the replica the read rule names: the
+    /// socket-local one once its tail passed the mapped log's head (NR's
+    /// read rule), or — in an adaptive map's single-class epochs —
+    /// replica 0 with no log wait.
     pub fn contains(&mut self, key: &K) -> bool {
         let r = self.read_replica(key);
         self.handles[r].contains(key)
@@ -809,24 +809,27 @@ where
         true
     }
 
-    /// Feeds the write-ratio sensor; the op that closes a window runs
-    /// the hysteresis gate and reconciles the epoch with its intent.
+    /// Feeds the write-ratio sensor; the op that closes a window
+    /// reconciles the epoch with the controller's intent. Inlined, with
+    /// the window close kept out of line, so that a map without a
+    /// controller pays one branch per operation and not a call.
+    #[inline]
     fn sense(&mut self, is_write: bool) {
         let Some(ad) = &self.map.adapt else { return };
-        let Some(sample) = ad.window.record(is_write, ad.cfg.window_ops) else {
-            return;
-        };
-        let pct = sample.flagged_pct();
-        ad.last_write_pct.store(pct, Relaxed);
-        ad.windows.fetch_add(1, Relaxed);
-        ad.gate.observe(pct);
-        self.reconcile(ad);
+        if let Some(sample) = ad.window.record(is_write, ad.cfg.window_ops) {
+            self.reconcile(ad, sample.flagged_pct());
+        }
     }
 
-    /// Drives the epoch toward the gate's intent. Called at window close;
-    /// also self-heals a switch whose transition CAS was lost to a race
+    /// Window close: runs the hysteresis gate on the closed window's
+    /// write percentage and drives the epoch toward the gate's intent.
+    /// Also self-heals a switch whose transition CAS was lost to a race
     /// (the next window re-attempts it).
-    fn reconcile(&mut self, ad: &AdaptState) {
+    #[cold]
+    fn reconcile(&mut self, ad: &AdaptState, write_pct: u32) {
+        ad.last_write_pct.store(write_pct, Relaxed);
+        ad.windows.fetch_add(1, Relaxed);
+        ad.gate.observe(write_pct);
         let want_single = ad.gate.engaged();
         let epoch = ad.epoch.0.load();
         if transitional(epoch) || single_class(epoch) == want_single {
@@ -845,7 +848,8 @@ where
     /// single-class reads serve replica 0 directly — then publishes the
     /// single epoch with a bumped generation.
     fn downshift(&mut self, ad: &AdaptState, epoch: usize) {
-        if ad.epoch.0.compare_exchange(epoch, epoch | MODE_DOWN_DRAIN).is_err() {
+        let draining = epoch | MODE_DOWN_DRAIN;
+        if ad.epoch.0.compare_exchange(epoch, draining).is_err() {
             return;
         }
         // Injected bug (`--features bug-injection`): sever the
@@ -1364,7 +1368,8 @@ mod tests {
                 .max_lag(4)
                 .adapt(AdaptConfig::new().window_ops(4).dwell_windows(0)),
         );
-        let mut h = map.register(ThreadCtx::plain(0));
+        let stats = AccessStats::new(1);
+        let mut h = map.register(ThreadCtx::recording(0, stats.clone()));
         let mut model = std::collections::BTreeMap::new();
         let mut x = 9u64;
         for step in 0..600u64 {
@@ -1381,6 +1386,46 @@ mod tests {
         for k in 0..12u64 {
             assert_eq!(h.contains(&k), model.contains_key(&k), "final key {k}");
         }
+
+        // A poisoned claim, made by hand (one thread cannot straddle its
+        // own transition): win the head CAS and stamp the slot empty, as
+        // `update` does when its post-claim epoch check fails. Start from
+        // the replicated mode with every replica drained, so the counters
+        // below see only the poison and the retry.
+        for _ in 0..8 {
+            h.contains(&0); // read-only windows upshift
+        }
+        assert_eq!(map.adapt_state().unwrap().mode, "replicated");
+        let key = 99u64;
+        let li = map.log_of(&key);
+        let log = &map.logs[li];
+        for r in 0..2 {
+            h.try_replay(li, r);
+        }
+        let pos = log.head.0.load();
+        assert!((0..2).all(|r| log.tails[r].0.load() == pos));
+        assert!(log.head.0.compare_exchange(pos, pos + 1).is_ok());
+        let slot = &log.slots[pos & log.mask];
+        unsafe { *slot.op.get() = None };
+        slot.seq.store(pos + 1);
+        let before = stats.totals();
+        // The writer's retry lands exactly once...
+        assert!(h.insert(key, 1), "retry after the poisoned claim");
+        assert!(!h.insert(key, 2), "the retried insert landed twice");
+        for r in 0..2 {
+            h.try_replay(li, r);
+        }
+        // ...and every replica's drain stepped over the poisoned slot:
+        // tails passed it, nothing was applied or published for it.
+        let after = stats.totals();
+        assert_eq!(log.head.0.load(), pos + 3);
+        assert!((0..2).all(|r| log.tails[r].0.load() == pos + 3));
+        assert_eq!(slot.result.load(), 0, "a poisoned slot got an outcome");
+        assert_eq!(after.log_appends - before.log_appends, 2);
+        let replayed = after.replayed_ops - before.replayed_ops;
+        assert_eq!(replayed, 4, "2 inserts x 2 replicas");
+        assert!((0..2).all(|r| h.handles[r].get(&key) == Some(1)));
+        assert_eq!(map.adapt_state().unwrap().mode, "replicated");
     }
 
     #[test]

@@ -33,6 +33,12 @@ fn facade_yield() {
     crate::det::yield_point();
 }
 
+/// Pads a value to two cache lines (the adjacent-line prefetcher's
+/// granule), so neighbouring values — slot states, leases, log heads and
+/// tails, counter stripes — never false-share.
+#[repr(align(128))]
+pub(crate) struct Padded<T>(pub(crate) T);
+
 const MARK_BIT: usize = 0b01;
 const INVALID_BIT: usize = 0b10;
 const TAG_MASK: usize = 0b11;

@@ -5,8 +5,50 @@
 #![cfg(all(feature = "deterministic", feature = "bug-injection"))]
 
 use linearize::Op;
-use skipgraph::det::{DetConfig, Policy};
-use synchro::stress::{records_named_det, stress_named_det, StressConfig};
+use skipgraph::det::{round_robin_family, DetConfig, Policy};
+use synchro::stress::{records_named_det, stress_named_det, FailureReport, StressConfig};
+
+/// Runs `name` under each schedule in turn and returns the first failure
+/// report. Every arm sweeps a bounded family (at least 32 schedules) and
+/// never pins a seed: which schedule exposes a fault shifts whenever the
+/// product code's number of facade accesses does, and a hand-picked seed
+/// list would then dictate product structure.
+fn first_catch(
+    name: &str,
+    cfg: &StressConfig,
+    schedules: impl Iterator<Item = DetConfig>,
+) -> Box<FailureReport> {
+    let mut tried = 0;
+    for det in schedules {
+        tried += 1;
+        if let Err(report) = stress_named_det(name, cfg, &det) {
+            eprintln!("{name}: caught by schedule {tried}: {det:?}");
+            return report;
+        }
+    }
+    panic!("{name}: injected bug went undetected on all {tried} schedules");
+}
+
+/// PCT schedules for seeds `1..=32`.
+fn pct(change_points: u32, expected_steps: u64) -> impl Iterator<Item = DetConfig> {
+    (1..=32).map(move |seed| {
+        DetConfig::new(
+            seed,
+            Policy::Pct {
+                change_points,
+                expected_steps,
+            },
+        )
+    })
+}
+
+/// Every round-robin schedule with a quantum up to `max_quantum`, from
+/// every starting thread.
+fn round_robin(threads: u16, max_quantum: u32) -> impl Iterator<Item = DetConfig> {
+    round_robin_family(threads, max_quantum)
+        .into_iter()
+        .map(|(seed, policy)| DetConfig::new(seed, policy))
+}
 
 fn bug_workload() -> StressConfig {
     StressConfig {
@@ -22,15 +64,7 @@ fn bug_workload() -> StressConfig {
 #[test]
 fn injected_lazy_remove_bug_is_caught_and_shrunk() {
     let cfg = bug_workload();
-    let det = DetConfig::new(
-        1,
-        Policy::Pct {
-            change_points: 8,
-            expected_steps: 40_000,
-        },
-    );
-    let report = stress_named_det("lazy_layered_sg", &cfg, &det)
-        .expect_err("injected bug went undetected");
+    let report = first_catch("lazy_layered_sg", &cfg, pct(8, 40_000));
 
     // The report must carry a replayable schedule and a concrete history.
     let (shrunk_det, _trace) = report.schedule.clone().expect("det report without schedule");
@@ -100,15 +134,7 @@ fn injected_stale_index_read_is_caught_and_shrunk() {
         preload: true,
         seed: 5,
     };
-    let mut caught = None;
-    for det_seed in [1u64, 2, 3] {
-        let det = DetConfig::new(det_seed, Policy::RoundRobin { quantum: 2 });
-        if let Err(report) = stress_named_det("hashed_sg", &cfg, &det) {
-            caught = Some(report);
-            break;
-        }
-    }
-    let report = caught.expect("stale index read injection went undetected on every schedule");
+    let report = first_catch("hashed_sg", &cfg, round_robin(3, 11));
 
     let (shrunk_det, _trace) = report.schedule.clone().expect("det report without schedule");
     assert!(matches!(shrunk_det.policy, Policy::Replay { .. }));
@@ -145,8 +171,9 @@ fn injected_stale_index_read_is_caught_and_shrunk() {
 
 #[test]
 fn injected_stale_replica_read_is_caught_and_shrunk() {
-    // The replication layer's injected fault: `catch_up_for_read` loads
-    // the mapped log's head and then returns without waiting for the
+    // The replication layer's injected fault, live on maps without an
+    // adaptation controller: the read rule's tail-wait (`wait_local_valid`)
+    // loads the mapped log's head and then returns without waiting for the
     // local replica's tail to pass it — the NR read rule severed. Writes
     // still linearize (every result is computed in log order on the home
     // replica), so only reads can lie: a thread whose socket has no
@@ -166,21 +193,7 @@ fn injected_stale_replica_read_is_caught_and_shrunk() {
         preload: true,
         seed: 5,
     };
-    let mut caught = None;
-    for det_seed in [1u64, 2, 3] {
-        let det = DetConfig::new(
-            det_seed,
-            Policy::Pct {
-                change_points: 10,
-                expected_steps: 60_000,
-            },
-        );
-        if let Err(report) = stress_named_det("replicated_sg", &cfg, &det) {
-            caught = Some(report);
-            break;
-        }
-    }
-    let report = caught.expect("stale replica read injection went undetected on every schedule");
+    let report = first_catch("replicated_sg", &cfg, pct(10, 60_000));
 
     let (shrunk_det, _trace) = report.schedule.clone().expect("det report without schedule");
     assert!(matches!(shrunk_det.policy, Policy::Replay { .. }));
@@ -223,9 +236,10 @@ fn injected_severed_downshift_drain_is_caught_and_shrunk() {
     // the 70% mix make the gate oscillate mid-run, and PCT schedules land
     // reads in the gap between a premature epoch flip and the log replay
     // that would have covered it. The gap closes the moment any single-
-    // mode write drains the stranded log, so probe a handful of seeds
-    // rather than pinning one alignment. (replicated_sg keeps the severed
-    // read-side tail-wait; each lane carries exactly one live fault.)
+    // mode write drains the stranded log, so sweep seeds rather than
+    // pinning one alignment. (The severed read-side tail-wait fires only
+    // on a map without a controller, i.e. on replicated_sg; each lane
+    // carries exactly one live fault.)
     let cfg = StressConfig {
         threads: 3,
         key_space: 8,
@@ -234,21 +248,7 @@ fn injected_severed_downshift_drain_is_caught_and_shrunk() {
         preload: true,
         seed: 5,
     };
-    let mut caught = None;
-    for det_seed in 1u64..=10 {
-        let det = DetConfig::new(
-            det_seed,
-            Policy::Pct {
-                change_points: 10,
-                expected_steps: 60_000,
-            },
-        );
-        if let Err(report) = stress_named_det("adaptive_sg", &cfg, &det) {
-            caught = Some(report);
-            break;
-        }
-    }
-    let report = caught.expect("severed downshift drain went undetected on every schedule");
+    let report = first_catch("adaptive_sg", &cfg, pct(10, 60_000));
 
     let (shrunk_det, _trace) = report.schedule.clone().expect("det report without schedule");
     assert!(matches!(shrunk_det.policy, Policy::Replay { .. }));
@@ -293,9 +293,9 @@ fn injected_blocked_lost_insert_is_caught_and_shrunk() {
     // the lost-insert window a skipped post-split recheck would open.
     // The fault needs a freeze to land between a claim and its publish:
     // a tiny key space keeps one block churning through splits and
-    // merges, and probing a few short round-robin quanta per seed parks
-    // threads inside that window (the exact alignment shifts whenever
-    // the handles' yield-point count changes, so probe, don't pin).
+    // merges, and sweeping short round-robin quanta parks threads inside
+    // that window (the exact alignment shifts whenever the handles'
+    // yield-point count changes, so sweep, don't pin).
     let cfg = StressConfig {
         threads: 2,
         key_space: 4,
@@ -304,17 +304,7 @@ fn injected_blocked_lost_insert_is_caught_and_shrunk() {
         preload: true,
         seed: 7,
     };
-    let mut caught = None;
-    'probe: for quantum in [2u32, 3, 5, 7] {
-        for det_seed in 1u64..=8 {
-            let det = DetConfig::new(det_seed, Policy::RoundRobin { quantum });
-            if let Err(report) = stress_named_det("blocked_sg", &cfg, &det) {
-                caught = Some(report);
-                break 'probe;
-            }
-        }
-    }
-    let report = caught.expect("blocked lost-insert injection went undetected on every schedule");
+    let report = first_catch("blocked_sg", &cfg, round_robin(2, 16));
 
     let (shrunk_det, _trace) = report.schedule.clone().expect("det report without schedule");
     assert!(matches!(shrunk_det.policy, Policy::Replay { .. }));
@@ -369,16 +359,7 @@ fn injected_anchor_stale_covering_is_caught_and_shrunk() {
         preload: true,
         seed: 19,
     };
-    let mut caught = None;
-    for det_seed in [1u64, 2, 3, 4] {
-        let det = DetConfig::new(det_seed, Policy::RoundRobin { quantum: 2 });
-        if let Err(report) = stress_named_det("anchor_blocked_sg", &cfg, &det) {
-            caught = Some(report);
-            break;
-        }
-    }
-    let report =
-        caught.expect("anchor stale-covering injection went undetected on every schedule");
+    let report = first_catch("anchor_blocked_sg", &cfg, round_robin(3, 11));
 
     let (shrunk_det, _trace) = report.schedule.clone().expect("det report without schedule");
     assert!(matches!(shrunk_det.policy, Policy::Replay { .. }));
