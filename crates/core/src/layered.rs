@@ -976,7 +976,7 @@ where
     /// Publishes a combined run's freshly linked nodes into the shared
     /// hash index in one pass (the deferred half of
     /// [`SkipGraph::index_publish_run`]'s contract).
-    pub(crate) fn publish_run(&self, run: &[(NodeRef<K, V>, u64)]) {
+    fn publish_run(&self, run: &[(NodeRef<K, V>, u64)]) {
         self.map.shared.index_publish_run(run, &self.ctx);
     }
 
@@ -993,7 +993,7 @@ where
     /// tombstone exactly like [`LayeredHandle::remove_batch`]. The
     /// submitting thread separately refreshes its structures from the
     /// returned outcome.
-    pub(crate) fn combined_op(
+    fn combined_op(
         &mut self,
         op: BatchOp<K, V>,
         chain: &mut HintChain<K, V>,

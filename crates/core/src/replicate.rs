@@ -19,13 +19,14 @@
 //!   the writer's home replica has applied the op (read-your-writes). Any
 //!   thread may *replay* any replica: it wins the per-(replica, log)
 //!   replay lease, drains the pending suffix `[tail, head)`, sorts it into
-//!   an ascending run, and executes it through the layered map's
-//!   hint-chained combined path — the same sorted-run machinery the flat
-//!   combiner uses, including the one-pass bulk index publish. The sort is
-//!   stable, so same-key operations keep log order and every replica
-//!   applies an identical per-key history; set-semantics *outcomes*
-//!   depend only on that history, so replicas always agree on the key
-//!   set and every writer gets the same answer everywhere. Stored
+//!   an ascending run, and executes it as one `combined_run` of the
+//!   replica's layered handle per drain — the flat combiner's sorted-run
+//!   path behind its own interface, one-pass bulk index publish included.
+//!   Every logged operation executes. The sort is stable, so same-key
+//!   operations keep log order and every replica applies an identical
+//!   per-key history; set-semantics *outcomes* depend only on that
+//!   history, so replicas always agree on the key set and every writer
+//!   gets the same answer everywhere. Stored
 //!   values can still differ between replicas after a remove+re-insert
 //!   cycle: whether the re-insert resurrects the lazily-removed node
 //!   (keeping its old value — `insert_helper` never rewrites it) or
@@ -99,8 +100,7 @@
 //! right behavior for their stale helpers.
 
 use crate::adapt::{AdaptConfig, Hysteresis};
-use crate::batch::{BatchOp, BatchOutcome};
-use crate::graph::HintChain;
+use crate::batch::{BatchOp, BatchOutcome, CombinerTarget};
 use crate::layered::{LayeredHandle, LayeredMap};
 use crate::mvec::list_suffix;
 use crate::params::GraphConfig;
@@ -1002,13 +1002,11 @@ where
     }
 
     /// Drains `[tail, head)` of log `li` into `replica` as one stable-
-    /// sorted hint-chained run (the combiner's sorted-run path, bulk index
-    /// publish included), publishing outcomes for ops homed here. Same-key
-    /// runs are compacted last-write-wins: one real op plus at most two
-    /// reconciling writes replace the whole run, with the intermediate
-    /// outcomes synthesized from the simulated per-key history (see the
-    /// `collapsed_ops` counter). The caller holds the (replica, log)
-    /// replay lease.
+    /// sorted run — one `combined_run` of the replica's handle, the
+    /// combiner's hint-chained path with its one-pass bulk index publish —
+    /// publishing outcomes for ops homed here. Every logged op executes,
+    /// in log order per key. The caller holds the (replica, log) replay
+    /// lease.
     fn drain(&mut self, li: usize, replica: usize) {
         let map = self.map;
         let log = &map.logs[li];
@@ -1052,170 +1050,32 @@ where
         // depend on nothing else).
         batch.sort_by(|a, b| a.2.key().cmp(b.2.key()));
         let count = batch.len() as u64;
-        let mut collapsed = 0u64;
-        {
-            let mut chain = HintChain::new();
-            let mut publishes = Vec::new();
-            let handle = &mut self.handles[replica];
-            let publish_result = |pos: usize, home: usize, ok: bool| {
-                if home != replica {
-                    return;
-                }
-                let slot = &log.slots[pos & log.mask];
-                // The previous occupant's outcome (one wrap back) must
-                // be consumed before this one lands. That writer is
-                // never *us*: a writer helping from its result-wait
-                // consumes its own published result right after taking
-                // this lease, before draining (see `update`), so the
-                // pending consumer is a different, live thread in its
-                // own result-wait and this terminates — but it may be
-                // descheduled, so yield to it.
-                let mut spins = 0u32;
-                while slot.result.load() != 0 {
-                    backoff(&mut spins);
-                }
-                slot.result.store(((pos + 1) << 1) | ok as usize);
-            };
-            let ok_of = |out: &BatchOutcome<K, V>| match out {
-                BatchOutcome::Inserted { fresh, .. } => *fresh,
-                BatchOutcome::Removed { removed, .. } => *removed,
+        let mut publish_result = |pos: usize, home: usize, out: BatchOutcome<K, V>| {
+            if home != replica {
+                return;
+            }
+            let ok = match out {
+                BatchOutcome::Inserted { fresh, .. } => fresh,
+                BatchOutcome::Removed { removed, .. } => removed,
                 BatchOutcome::Got(v) => v.is_some(),
             };
-            let mut it = batch.into_iter().peekable();
-            let mut group: Vec<(usize, usize, BatchOp<K, V>)> = Vec::new();
-            while let Some(first) = it.next() {
-                if !it
-                    .peek()
-                    .is_some_and(|next| next.2.key() == first.2.key())
-                {
-                    // Lone key in this batch: apply directly, as before.
-                    let (pos, home, op) = first;
-                    let out = handle.combined_op(op, &mut chain, &mut publishes);
-                    publish_result(pos, home, ok_of(&out));
-                    continue;
-                }
-                group.clear();
-                group.push(first);
-                while it
-                    .peek()
-                    .is_some_and(|next| next.2.key() == group[0].2.key())
-                {
-                    group.push(it.next().expect("peeked element exists"));
-                }
-                // Last-write-wins compaction: the group's first operation
-                // runs for real and reveals the key's pre-state; the rest
-                // fold into a simulated per-key set-semantics history.
-                // Intermediate states are invisible outside the replay
-                // lease (every replica serializes the same sorted batch),
-                // so synthesized outcomes are indistinguishable from real
-                // ones, and at most two reconciling writes bring the
-                // replica to the group's final state.
-                let n = group.len() as u64;
-                let mut executed = 1u64;
-                let mut group_it = group.drain(..);
-                let (pos, home, op) = group_it.next().expect("group is non-empty");
-                let key = op.key().clone();
-                let first_val = match &op {
-                    BatchOp::Insert(_, v) => Some(v.clone()),
-                    _ => None,
-                };
-                let out = handle.combined_op(op, &mut chain, &mut publishes);
-                let real_present = match &out {
-                    BatchOutcome::Inserted { .. } => true,
-                    BatchOutcome::Removed { .. } => false,
-                    BatchOutcome::Got(v) => v.is_some(),
-                };
-                // `sim_val == None` while present means the key holds a
-                // pre-existing value the group never observed — the
-                // replica still has it, since no reconciling write runs
-                // before the group ends. `from_sim` marks a value written
-                // only in simulation (the replica does not hold it yet).
-                let mut sim_present = real_present;
-                let mut sim_val = match &out {
-                    BatchOutcome::Inserted { fresh: true, .. } => first_val,
-                    BatchOutcome::Got(v) => v.clone(),
-                    _ => None,
-                };
-                let mut from_sim = false;
-                publish_result(pos, home, ok_of(&out));
-                for (pos, home, op) in group_it {
-                    let out = match op {
-                        BatchOp::Insert(_, v) => {
-                            let fresh = !sim_present;
-                            if fresh {
-                                sim_present = true;
-                                sim_val = Some(v);
-                                from_sim = true;
-                            }
-                            BatchOutcome::Inserted { fresh, node: None }
-                        }
-                        BatchOp::Remove(_) => {
-                            let removed = sim_present;
-                            sim_present = false;
-                            BatchOutcome::Removed { removed, pred: None }
-                        }
-                        BatchOp::Get(k) => {
-                            if !sim_present {
-                                BatchOutcome::Got(None)
-                            } else if let Some(v) = &sim_val {
-                                BatchOutcome::Got(Some(v.clone()))
-                            } else {
-                                // Present with an unobserved pre-existing
-                                // value: one real lookup recovers it for
-                                // the whole group.
-                                let out = handle.combined_op(
-                                    BatchOp::Get(k),
-                                    &mut chain,
-                                    &mut publishes,
-                                );
-                                executed += 1;
-                                if let BatchOutcome::Got(v) = &out {
-                                    sim_val = v.clone();
-                                }
-                                out
-                            }
-                        }
-                    };
-                    publish_result(pos, home, ok_of(&out));
-                }
-                // Reconcile: the replica still sits in its post-first-op
-                // state (lookups do not mutate), so at most a remove and
-                // an insert land it in the simulated final state.
-                match (sim_present, real_present) {
-                    (false, true) => {
-                        handle.combined_op(BatchOp::Remove(key), &mut chain, &mut publishes);
-                        executed += 1;
-                    }
-                    (true, real) if from_sim => {
-                        if real {
-                            handle.combined_op(
-                                BatchOp::Remove(key.clone()),
-                                &mut chain,
-                                &mut publishes,
-                            );
-                            executed += 1;
-                        }
-                        let v = sim_val.clone().expect("simulated writes record their value");
-                        handle.combined_op(BatchOp::Insert(key, v), &mut chain, &mut publishes);
-                        executed += 1;
-                    }
-                    (true, false) => {
-                        // Unreachable: a present simulated state over an
-                        // absent replica requires a simulated insert,
-                        // which sets `from_sim`.
-                        debug_assert!(from_sim);
-                    }
-                    _ => {}
-                }
-                collapsed += n.saturating_sub(executed);
+            let slot = &log.slots[pos & log.mask];
+            // The previous occupant's outcome (one wrap back) must be
+            // consumed before this one lands. That writer is never *us*: a
+            // writer helping from its result-wait consumes its own
+            // published result right after taking this lease, before
+            // draining (see `update`), so the pending consumer is a
+            // different, live thread in its own result-wait and this
+            // terminates — but it may be descheduled, so yield to it.
+            let mut spins = 0u32;
+            while slot.result.load() != 0 {
+                backoff(&mut spins);
             }
-            handle.publish_run(&publishes);
-        }
+            slot.result.store(((pos + 1) << 1) | ok as usize);
+        };
+        self.handles[replica].combined_run(batch, &mut publish_result);
         log.tails[replica].0.store(head);
         self.ctx().record_replay_batch(count);
-        if collapsed > 0 {
-            self.ctx().record_replay_collapsed(collapsed);
-        }
     }
 }
 

@@ -35,7 +35,6 @@ struct ThreadCounters {
     grouped_ops: AtomicU64,
     bulk_blocks: AtomicU64,
     bulk_entries: AtomicU64,
-    collapsed_ops: AtomicU64,
 }
 
 /// A read-only snapshot of one thread's scalar counters.
@@ -102,8 +101,8 @@ pub struct ThreadCounterSnapshot {
     pub bulk_blocks: u64,
     /// Entries that entered the map through those bulk-filled blocks.
     pub bulk_entries: u64,
-    /// Replay operations elided by per-key batch compaction (last write
-    /// wins inside one drained replay batch).
+    /// Always 0: replay compaction was removed and nothing records this
+    /// any more. The field is kept because `benchmark/` still names it.
     pub collapsed_ops: u64,
 }
 
@@ -171,7 +170,7 @@ impl AccessStats {
             grouped_ops: c.grouped_ops.load(Ordering::Relaxed),
             bulk_blocks: c.bulk_blocks.load(Ordering::Relaxed),
             bulk_entries: c.bulk_entries.load(Ordering::Relaxed),
-            collapsed_ops: c.collapsed_ops.load(Ordering::Relaxed),
+            collapsed_ops: 0,
         }
     }
 
@@ -213,7 +212,6 @@ impl AccessStats {
             t.grouped_ops += s.grouped_ops;
             t.bulk_blocks += s.bulk_blocks;
             t.bulk_entries += s.bulk_entries;
-            t.collapsed_ops += s.collapsed_ops;
         }
         t
     }
@@ -530,17 +528,6 @@ impl ThreadCtx {
         }
     }
 
-    /// Records `ops` replay operations elided by per-key compaction of
-    /// one drained replay batch.
-    #[inline]
-    pub fn record_replay_collapsed(&self, ops: u64) {
-        if let Some(s) = &self.stats {
-            s.counters[self.id as usize]
-                .collapsed_ops
-                .fetch_add(ops, Ordering::Relaxed);
-        }
-    }
-
     /// True when any recording sink is attached (used by structures to skip
     /// assembling record arguments on the fast path).
     #[inline]
@@ -579,7 +566,6 @@ mod tests {
         ctx.record_anchor_hit();
         ctx.record_anchor_group(4);
         ctx.record_bulk_fill(2, 12);
-        ctx.record_replay_collapsed(3);
         assert_eq!(ctx.id(), 3);
         assert!(!ctx.is_recording());
         assert!(ctx.cache_counts().is_none());
@@ -684,7 +670,7 @@ mod tests {
     }
 
     #[test]
-    fn anchor_and_compaction_counters_accumulate() {
+    fn anchor_counters_accumulate() {
         let stats = AccessStats::new(2);
         let ctx = ThreadCtx::recording(1, stats.clone());
         ctx.record_anchor_hit();
@@ -692,19 +678,16 @@ mod tests {
         ctx.record_anchor_group(3);
         ctx.record_anchor_group(5);
         ctx.record_bulk_fill(2, 12);
-        ctx.record_replay_collapsed(7);
         let t = stats.thread(1);
         assert_eq!(t.anchor_hits, 2);
         assert_eq!(t.anchor_groups, 2);
         assert_eq!(t.grouped_ops, 8);
         assert_eq!(t.bulk_blocks, 2);
         assert_eq!(t.bulk_entries, 12);
-        assert_eq!(t.collapsed_ops, 7);
         let totals = stats.totals();
         assert_eq!(totals.anchor_hits, 2);
         assert_eq!(totals.grouped_ops, 8);
         assert_eq!(totals.bulk_entries, 12);
-        assert_eq!(totals.collapsed_ops, 7);
     }
 
     #[test]
