@@ -28,16 +28,36 @@
 //!   segments from the occupancy/probe signal; `graph/block.rs` switches
 //!   to leave-behind splits while the stream reads ascending.
 //!
-//! [`AdaptConfig`] carries every threshold. The config is plain data
-//! (`Copy + Eq`), so it rides inside [`crate::GraphConfig`] and
-//! [`crate::ReplicaConfig`] without disturbing their builder idioms;
+//! [`AdaptConfig`] carries the window shape and the replication band —
+//! the values callers set differently; the index and ascending-stream
+//! thresholds nobody ever tuned are constants of this module. The config
+//! is plain data (`Copy + Eq`), so it rides inside [`crate::GraphConfig`]
+//! and [`crate::ReplicaConfig`] without disturbing their builder idioms;
 //! adaptation is opt-in per structure (`None` keeps the static seed
 //! behavior bit-for-bit).
 
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering::Relaxed};
 
-/// Thresholds and window shape for every adaptive knob. All percentages
-/// are integer `0..=100`; all comparisons are inclusive.
+/// Hash-index segment growth occupancy threshold, in percent of the
+/// table's slots ever claimed — with or without an [`AdaptConfig`].
+pub(crate) const OCC_GROW_PCT: usize = 75;
+/// Hash-index early-growth probe signal: a windowed mean probe
+/// displacement at or above this many slots grows the segment even below
+/// [`OCC_GROW_PCT`] (collision clustering from an adversarial key mix).
+pub(crate) const PROBE_GROW: u32 = 4;
+/// Block split-policy engage threshold: this percentage of a window's
+/// insert arrivals ascending flips the map to leave-behind splits.
+pub(crate) const ASC_UP_PCT: u32 = 80;
+/// Block split-policy disengage threshold.
+pub(crate) const ASC_DOWN_PCT: u32 = 50;
+/// Split point while the ascending mode is engaged: the left (surviving
+/// low-key) block keeps this percentage of the survivors, leaving a
+/// nearly empty right block in the insertion path — the classic
+/// leave-behind split for append-style streams.
+pub(crate) const ASC_SPLIT_LEFT_PCT: usize = 90;
+
+/// Window shape for every adaptive knob, plus the replication band. All
+/// percentages are integer `0..=100`; all comparisons are inclusive.
 ///
 /// ```
 /// use skipgraph::AdaptConfig;
@@ -50,8 +70,8 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering::Relaxed};
 pub struct AdaptConfig {
     /// Operations per sensor window (default 1024). The window is closed
     /// by the operation that fills it; tiny windows make the det/stress
-    /// lanes switch modes mid-schedule, `u32::MAX` pins the initial mode
-    /// forever (the static bench lanes).
+    /// lanes switch modes mid-schedule, `u32::MAX` never closes one, so
+    /// the controller never fires.
     pub window_ops: u32,
     /// Extra consecutive confirming windows a controller demands before
     /// switching (default 2). `0` switches on the first qualifying
@@ -64,30 +84,6 @@ pub struct AdaptConfig {
     /// above this drops to the single structure, ending per-socket write
     /// amplification.
     pub write_down_pct: u32,
-    /// Hash-index segment growth occupancy threshold (default 75,
-    /// matching the previous hardwired 3/4 trip-wire).
-    pub occ_grow_pct: u32,
-    /// Hash-index early-growth probe signal (default 4): a windowed mean
-    /// probe length at or above this many slots grows the segment even
-    /// below the occupancy threshold (collision clustering from an
-    /// adversarial key mix).
-    pub probe_grow: u32,
-    /// Block split-policy engage threshold (default 80): this percentage
-    /// of a window's insert arrivals ascending flips the map to
-    /// leave-behind splits.
-    pub asc_up_pct: u32,
-    /// Block split-policy disengage threshold (default 50).
-    pub asc_down_pct: u32,
-    /// Split point while the ascending mode is engaged (default 90):
-    /// the left (surviving low-key) block keeps this percentage of the
-    /// survivors, leaving a nearly empty right block in the insertion
-    /// path — the classic leave-behind split for append-style streams.
-    pub asc_split_left_pct: u32,
-    /// Start the replication layer in single-structure mode (default
-    /// `false`). With `window_ops == u32::MAX` this pins a permanently
-    /// single lane — the "static worst/best" comparison arms of the
-    /// adaptation bench.
-    pub start_single: bool,
 }
 
 impl AdaptConfig {
@@ -98,12 +94,6 @@ impl AdaptConfig {
             dwell_windows: 2,
             write_up_pct: 40,
             write_down_pct: 60,
-            occ_grow_pct: 75,
-            probe_grow: 4,
-            asc_up_pct: 80,
-            asc_down_pct: 50,
-            asc_split_left_pct: 90,
-            start_single: false,
         }
     }
 
@@ -134,53 +124,6 @@ impl AdaptConfig {
         assert!(up_pct < down_pct && down_pct <= 100, "need up < down <= 100");
         self.write_up_pct = up_pct;
         self.write_down_pct = down_pct;
-        self
-    }
-
-    /// Overrides the index growth occupancy threshold.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= pct <= 100`.
-    pub fn occ_grow_pct(mut self, pct: u32) -> Self {
-        assert!((1..=100).contains(&pct), "occupancy pct must be 1..=100");
-        self.occ_grow_pct = pct;
-        self
-    }
-
-    /// Overrides the index early-growth probe threshold.
-    pub fn probe_grow(mut self, mean_probe: u32) -> Self {
-        assert!(mean_probe >= 1, "probe threshold must be positive");
-        self.probe_grow = mean_probe;
-        self
-    }
-
-    /// Overrides both ascending-stream thresholds.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `down < up <= 100`.
-    pub fn asc_band(mut self, down_pct: u32, up_pct: u32) -> Self {
-        assert!(down_pct < up_pct && up_pct <= 100, "need down < up <= 100");
-        self.asc_down_pct = down_pct;
-        self.asc_up_pct = up_pct;
-        self
-    }
-
-    /// Overrides the leave-behind split point.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= pct <= 99` (both sides must survive).
-    pub fn asc_split_left_pct(mut self, pct: u32) -> Self {
-        assert!((1..=99).contains(&pct), "split point must leave both sides non-empty");
-        self.asc_split_left_pct = pct;
-        self
-    }
-
-    /// Starts the replication layer in single-structure mode.
-    pub fn start_single(mut self, single: bool) -> Self {
-        self.start_single = single;
         self
     }
 }
@@ -235,13 +178,6 @@ impl Hysteresis {
         }
     }
 
-    /// Same gate, starting engaged.
-    pub fn engaged_at_start(low: u32, high: u32, dwell: u32) -> Self {
-        let h = Self::new(low, high, dwell);
-        h.engaged.store(true, Relaxed);
-        h
-    }
-
     /// Whether the gate is currently engaged.
     pub fn engaged(&self) -> bool {
         self.engaged.load(Relaxed)
@@ -275,9 +211,7 @@ mod tests {
     fn defaults_form_open_bands() {
         let c = AdaptConfig::new();
         assert!(c.write_up_pct < c.write_down_pct);
-        assert!(c.asc_down_pct < c.asc_up_pct);
-        assert_eq!(c.occ_grow_pct, 75, "default matches the old trip-wire");
-        assert!(!c.start_single);
+        assert!(ASC_DOWN_PCT < ASC_UP_PCT);
     }
 
     #[test]
@@ -285,20 +219,10 @@ mod tests {
         let c = AdaptConfig::new()
             .window_ops(16)
             .dwell_windows(0)
-            .write_band(30, 70)
-            .occ_grow_pct(60)
-            .probe_grow(3)
-            .asc_band(40, 90)
-            .asc_split_left_pct(85)
-            .start_single(true);
+            .write_band(30, 70);
         assert_eq!(c.window_ops, 16);
         assert_eq!(c.dwell_windows, 0);
         assert_eq!((c.write_up_pct, c.write_down_pct), (30, 70));
-        assert_eq!(c.occ_grow_pct, 60);
-        assert_eq!(c.probe_grow, 3);
-        assert_eq!((c.asc_down_pct, c.asc_up_pct), (40, 90));
-        assert_eq!(c.asc_split_left_pct, 85);
-        assert!(c.start_single);
     }
 
     #[test]
@@ -327,6 +251,7 @@ mod tests {
     fn zero_dwell_switches_immediately() {
         let h = Hysteresis::new(40, 60, 0);
         assert_eq!(h.observe(60), Some(true), "inclusive threshold");
+        assert_eq!(h.observe(90), None, "already engaged");
         assert_eq!(h.observe(41), None, "in-band holds the mode");
         assert_eq!(h.observe(40), Some(false));
     }
@@ -338,13 +263,5 @@ mod tests {
         assert_eq!(h.observe(10), None, "off-streak observation resets");
         assert_eq!(h.observe(90), None);
         assert_eq!(h.observe(90), Some(true));
-    }
-
-    #[test]
-    fn engaged_start_disengages_symmetrically() {
-        let h = Hysteresis::engaged_at_start(40, 60, 0);
-        assert!(h.engaged());
-        assert_eq!(h.observe(90), None, "already engaged");
-        assert_eq!(h.observe(20), Some(false));
     }
 }

@@ -97,7 +97,7 @@
 //!   tombstone-clog merge threshold, and the bulk fill target.
 
 use super::{NodePtr, NodeRef, PinGuard, SkipGraph};
-use crate::adapt::{AdaptConfig, Hysteresis};
+use crate::adapt::{AdaptConfig, Hysteresis, ASC_DOWN_PCT, ASC_SPLIT_LEFT_PCT, ASC_UP_PCT};
 use crate::batch::BatchOp;
 use crate::local::{BTreeLocalMap, LocalMap};
 use crate::node::Node;
@@ -194,10 +194,10 @@ pub struct BlockPolicy {
     /// is frozen and compacted into a fresh block with free slots. 0
     /// compacts only fully-emptied blocks (they unlink instead).
     pub merge_threshold: usize,
-    /// Entries per block a combiner bulk fill packs, in
-    /// `1..=block_capacity`. Full blocks maximize load density but split
-    /// on the very next insert; leaving headroom trades bytes/key for
-    /// write absorption.
+    /// Entries per block a combiner bulk fill packs, in `1..=cap` (the
+    /// map's block capacity). Full blocks maximize load density but
+    /// split on the very next insert; leaving headroom trades bytes/key
+    /// for write absorption.
     pub fill_target: usize,
 }
 
@@ -326,8 +326,8 @@ pub struct BlockedSkipMap<K, V> {
     policy: BlockPolicy,
     /// Ascending-stream controller (see [`crate::adapt`]); present when
     /// the map was built with [`GraphConfig::adapt`]. While engaged,
-    /// splits cut at [`AdaptConfig::asc_split_left_pct`] (leave-behind)
-    /// instead of the static policy point.
+    /// splits cut at `adapt::ASC_SPLIT_LEFT_PCT` (leave-behind) instead
+    /// of the static policy point.
     asc: Option<AscState>,
     /// Drives deterministic anchor tower heights in sparse mode: the
     /// `n`-th anchor gets height `trailing_zeros(n)` (capped), i.e. the
@@ -414,7 +414,7 @@ where
         let asc = config.adapt.map(|cfg| AscState {
             cfg,
             window: CounterWindow::new(),
-            gate: Hysteresis::new(cfg.asc_down_pct, cfg.asc_up_pct, cfg.dwell_windows),
+            gate: Hysteresis::new(ASC_DOWN_PCT, ASC_UP_PCT, cfg.dwell_windows),
             switches: AtomicU64::new(0),
             last_asc_pct: AtomicU32::new(0),
         });
@@ -466,22 +466,10 @@ where
     fn split_point_now(&self, len: usize) -> usize {
         if let Some(a) = &self.asc {
             if a.gate.engaged() {
-                return (len * a.cfg.asc_split_left_pct as usize)
-                    .div_ceil(100)
-                    .clamp(1, len - 1);
+                return (len * ASC_SPLIT_LEFT_PCT).div_ceil(100).clamp(1, len - 1);
             }
         }
         self.policy.split_point(len)
-    }
-
-    /// The blocking factor the map was built with.
-    pub fn block_capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// The block-lifecycle policy the map was built with.
-    pub fn policy(&self) -> BlockPolicy {
-        self.policy
     }
 
     /// The inner skip graph (anchors only; entries live in the blocks).

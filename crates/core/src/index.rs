@@ -68,7 +68,7 @@
 //! chains stay within one segment's storage (first-touched by the
 //! building thread) instead of striding a single machine-wide array.
 
-use crate::adapt::AdaptConfig;
+use crate::adapt::{AdaptConfig, OCC_GROW_PCT, PROBE_GROW};
 use crate::node::Node;
 use crate::sync::{FacadeAtomicUsize, Padded};
 use instrument::{MeanWindow, ThreadCtx};
@@ -95,19 +95,18 @@ const TAG_PRESENT: usize = 1 << 63;
 pub const PROBE_LIMIT: usize = 16;
 
 /// Occupancy snapshot of one NUMA segment's current table — the tuning
-/// signal for [`crate::GraphConfig::index_capacity`]: `entries` near
-/// `capacity * occ_grow_pct / 100` (75% by default) means the segment is
-/// about to grow, and mass in the histogram's upper buckets means probe
-/// chains (and thus point-read line costs) are long even though space
-/// remains — the condition the windowed probe sensor turns into an early
-/// grow when [`crate::GraphConfig::adapt`] is set.
+/// signal for [`crate::GraphConfig::index_capacity`]: `entries` near 75%
+/// of `capacity` means the segment is about to grow, and mass in the
+/// histogram's upper buckets means probe chains (and thus point-read
+/// line costs) are long even though space remains — the condition the
+/// windowed probe sensor turns into an early grow when
+/// [`crate::GraphConfig::adapt`] is set.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SegmentOccupancy {
     /// Slots in the current table (power of two).
     pub capacity: usize,
     /// Slots ever claimed from empty in this table, tombstones included
-    /// (the grow trigger compares this against `capacity` scaled by the
-    /// occupancy threshold — 75% by default).
+    /// (the grow trigger compares this against 75% of `capacity`).
     pub used: usize,
     /// Present entries observed by the snapshot walk.
     pub entries: usize,
@@ -143,13 +142,7 @@ impl SegmentOccupancy {
         weighted as f64 / self.entries as f64
     }
 }
-/// Occupancy growth threshold when no [`AdaptConfig`] is attached: grow
-/// when a table is 75% full (counting tombstones, which occupy
-/// probe-chain positions until a grow drops them). With adaptation the
-/// threshold comes from [`AdaptConfig::occ_grow_pct`], and a windowed
-/// mean-probe sensor can grow the segment early (see
-/// [`HashIndex::publish`]).
-const DEFAULT_GROW_PCT: usize = 75;
+
 /// Smallest per-segment table; also the default when the configured
 /// capacity hint is `0` (auto).
 const MIN_SEGMENT_CAP: usize = 1 << 10;
@@ -649,11 +642,11 @@ impl<K, V> HashIndex<K, V> {
     /// [`AdaptConfig`] and on every [`GROW_CHECK_EVERY`]th claim of a
     /// thread without. Two triggers:
     ///
-    /// * **occupancy** — the share of ever-claimed slots crosses the
-    ///   threshold (the configured [`AdaptConfig::occ_grow_pct`], or the
-    ///   static 75% without adaptation);
+    /// * **occupancy** — the share of ever-claimed slots (tombstones
+    ///   included: they occupy probe-chain positions until a grow drops
+    ///   them) crosses [`OCC_GROW_PCT`];
     /// * **probe signal** (adaptive only) — the windowed mean probe
-    ///   displacement of publishes meets [`AdaptConfig::probe_grow`] for
+    ///   displacement of publishes meets [`PROBE_GROW`] for
     ///   `dwell_windows + 1` consecutive windows, growing early when an
     ///   adversarial key mix clusters collisions below the occupancy
     ///   threshold.
@@ -661,8 +654,7 @@ impl<K, V> HashIndex<K, V> {
     /// The probe-exhaustion `grow()` at the end of [`Self::publish`]
     /// remains the correctness backstop either way.
     fn after_publish(&self, seg: &Segment, table: &Table, displacement: usize) {
-        let pct = self.adapt.map_or(DEFAULT_GROW_PCT, |a| a.occ_grow_pct as usize);
-        if table.used() * 100 > (table.mask + 1) * pct {
+        if table.used() * 100 > (table.mask + 1) * OCC_GROW_PCT {
             seg.grow();
             return;
         }
@@ -671,7 +663,7 @@ impl<K, V> HashIndex<K, V> {
         let Some(mean) = sensor.probe_window.record(displacement as u32, a.window_ops) else {
             return;
         };
-        if mean < a.probe_grow {
+        if mean < PROBE_GROW {
             sensor.probe_streak.store(0, Ordering::Relaxed);
             return;
         }
@@ -919,33 +911,12 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_occupancy_threshold_grows_earlier() {
-        // A 10% threshold must trigger growth far below the static 75%
-        // trip-wire: fill every (auto-sized, 4096-slot) segment to
-        // roughly a quarter and compare end capacities.
-        let keys = 2_000u64;
-        let static_idx: HashIndex<u64, u64> = HashIndex::new(1, 0, None);
-        let adaptive: HashIndex<u64, u64> =
-            HashIndex::new(1, 0, Some(AdaptConfig::new().occ_grow_pct(10)));
-        for k in 0..keys {
-            static_idx.publish(&k, dangling(1 + k as usize), 0, 0, 0);
-            adaptive.publish(&k, dangling(1 + k as usize), 0, 0, 0);
-        }
-        assert!(
-            adaptive.capacity() > static_idx.capacity(),
-            "10% threshold should have grown: {} vs {}",
-            adaptive.capacity(),
-            static_idx.capacity()
-        );
-    }
-
-    #[test]
     fn probe_signal_grows_below_the_occupancy_threshold() {
         // Drive the sensor directly with long displacements: the table
         // stays empty (occupancy can never trigger), so the windowed
         // mean-probe signal alone must grow the segment — and only after
         // the dwell guard's `dwell + 1` consecutive qualifying windows.
-        let cfg = AdaptConfig::new().probe_grow(2).window_ops(16).dwell_windows(1);
+        let cfg = AdaptConfig::new().window_ops(16).dwell_windows(1);
         let idx: HashIndex<u64, u64> = HashIndex::new(1, 0, Some(cfg));
         let seg = &idx.segments[0];
         let before = seg.table().mask + 1;

@@ -914,40 +914,6 @@ where
         inserted
     }
 
-    /// Bulk remove: sorts `keys` ascending and executes the removals as a
-    /// single hint-chained run (see [`LayeredHandle::extend`]). Non-lazy
-    /// removals erase the exact hashtable mapping and leave a tombstoned
-    /// local-map hint to the surviving predecessor; lazy removals keep the
-    /// mappings (the node can be resurrected in place). Returns the number
-    /// of keys that were present.
-    pub fn remove_batch(&mut self, keys: &[K]) -> usize {
-        if keys.is_empty() {
-            return 0;
-        }
-        let mut sorted: Vec<&K> = keys.iter().collect();
-        sorted.sort();
-        let map = self.map;
-        let shared = &map.shared;
-        let lazy = self.lazy();
-        let mut chain = HintChain::new();
-        let mut removed = 0usize;
-        for key in sorted {
-            self.ctx.record_op();
-            let _pin = shared.pin(&self.ctx);
-            if shared.remove_with_hint(key, None, &mut chain, &self.ctx) {
-                removed += 1;
-                if !lazy {
-                    self.erase_local(key);
-                    if let Some(p) = chain.last_pred() {
-                        self.tombstone_local(key, p);
-                    }
-                }
-            }
-        }
-        self.ctx.record_batch(keys.len() as u64);
-        removed
-    }
-
     /// Indexes a combined-run node into this handle's local structures:
     /// the table (a pure membership fast path) takes any node, the ordered
     /// map only nodes carrying this thread's membership vector (see
@@ -989,10 +955,10 @@ where
     ///
     /// The combiner also maintains *its own* local structures: fresh nodes
     /// it allocates carry its membership vector and are indexed under the
-    /// usual policy (warming future combined runs), and removals erase/
-    /// tombstone exactly like [`LayeredHandle::remove_batch`]. The
-    /// submitting thread separately refreshes its structures from the
-    /// returned outcome.
+    /// usual policy (warming future combined runs), and non-lazy removals
+    /// erase the exact hashtable mapping and leave a tombstoned local-map
+    /// hint to the surviving predecessor. The submitting thread
+    /// separately refreshes its structures from the returned outcome.
     fn combined_op(
         &mut self,
         op: BatchOp<K, V>,

@@ -177,21 +177,11 @@ struct AdaptState {
 
 impl AdaptState {
     fn new(cfg: AdaptConfig) -> Self {
-        let gate = if cfg.start_single {
-            Hysteresis::engaged_at_start(cfg.write_up_pct, cfg.write_down_pct, cfg.dwell_windows)
-        } else {
-            Hysteresis::new(cfg.write_up_pct, cfg.write_down_pct, cfg.dwell_windows)
-        };
-        let mode = if cfg.start_single {
-            MODE_SINGLE
-        } else {
-            MODE_REPLICATED
-        };
         Self {
-            epoch: Padded(FacadeAtomicUsize::new(mode)),
+            epoch: Padded(FacadeAtomicUsize::new(MODE_REPLICATED)),
             cfg,
             window: CounterWindow::new(),
-            gate,
+            gate: Hysteresis::new(cfg.write_up_pct, cfg.write_down_pct, cfg.dwell_windows),
             downshifts: AtomicU64::new(0),
             upshifts: AtomicU64::new(0),
             windows: AtomicU64::new(0),
@@ -201,7 +191,7 @@ impl AdaptState {
 }
 
 /// A point-in-time view of the adaptive replication state (telemetry for
-/// `examples/numa_heatmap` and the adaptation bench).
+/// `examples/numa_heatmap`, `benchmark/` and `tests/layer_counts.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdaptSnapshot {
     /// Current epoch mode: `"replicated"`, `"down-drain"`, `"single"`,
@@ -237,8 +227,7 @@ impl ReplicaConfig {
     /// `threads` split into `sockets` contiguous blocks (synthetic
     /// topology, same shape as [`crate::batch::BatchConfig::uniform`] but *without* the
     /// socket clamp: a replica may own no threads at all — backpressure
-    /// help keeps it within `max_lag` of the log head anyway, which is
-    /// what the ≥4-synthetic-socket bench lanes rely on).
+    /// help keeps it within `max_lag` of the log head anyway).
     pub fn uniform(threads: usize, sockets: usize) -> Self {
         assert!(threads > 0 && sockets > 0);
         let socket_of = (0..threads).map(|t| t * sockets / threads).collect();
@@ -305,11 +294,6 @@ impl ReplicaConfig {
     pub fn adapt(mut self, cfg: AdaptConfig) -> Self {
         self.adapt = Some(cfg);
         self
-    }
-
-    /// The adaptive-replication thresholds, if enabled.
-    pub fn adapt_config(&self) -> Option<&AdaptConfig> {
-        self.adapt.as_ref()
     }
 
     /// Number of registered threads.
@@ -1286,26 +1270,6 @@ mod tests {
         assert_eq!(replayed, 4, "2 inserts x 2 replicas");
         assert!((0..2).all(|r| h.handles[r].get(&key) == Some(1)));
         assert_eq!(map.adapt_state().unwrap().mode, "replicated");
-    }
-
-    #[test]
-    fn start_single_pins_the_mode_with_an_unclosable_window() {
-        let map: ReplicatedLayeredMap<u64, u64> = ReplicatedLayeredMap::new(
-            config(1),
-            ReplicaConfig::uniform(1, 2)
-                .logs(1)
-                .adapt(AdaptConfig::new().window_ops(u32::MAX).start_single(true)),
-        );
-        let mut h = map.register(ThreadCtx::plain(0));
-        for i in 0..100u64 {
-            assert!(h.insert(i, i));
-        }
-        for i in 0..100u64 {
-            assert_eq!(h.get(&i), Some(i));
-        }
-        let s = map.adapt_state().unwrap();
-        assert_eq!(s.mode, "single");
-        assert_eq!((s.downshifts, s.upshifts, s.windows), (0, 0, 0));
     }
 
     #[test]

@@ -73,9 +73,8 @@ fn main() {
 
     // Hash-index occupancy heatmap: load an indexed map and show how the
     // keys landed across the per-NUMA-segment tables — the tuning signal
-    // for `GraphConfig::index_capacity` (entries crowding the occupancy
-    // threshold — `AdaptConfig::occ_grow_pct`, default 75% — mean an
-    // imminent grow; mass in the histogram's upper buckets means long
+    // for `GraphConfig::index_capacity` (entries crowding the 75%
+    // occupancy threshold mean an imminent grow; mass in the histogram's upper buckets means long
     // probe chains despite free space, the displacement signal the
     // adaptive probe sensor grows on). Adaptation is configured here so
     // the probe-signal grow counter below is live.

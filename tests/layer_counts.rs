@@ -1,0 +1,423 @@
+//! What each optional layer is *for*, asserted as raw counts.
+//!
+//! The other root tests check that blocks, the hash index, the replicas
+//! and the adaptation controller are linearizable; these check that they
+//! do their job — shorter searches, fewer bytes, socket-local reads, one
+//! replay per socket, one replay in all when writes dominate. Every number
+//! is a count the instrumentation takes (nodes visited, lines touched,
+//! bytes allocated, operations replayed): no clock, no cost model, so two
+//! runs print the same counts on any host.
+//!
+//! To keep them exact each test is one driver thread holding one handle
+//! per modelled slot and giving them turns round-robin. Free-running
+//! threads on a small host funnel everyone's combining and replay through
+//! whichever thread holds the CPU, which makes the attribution a property
+//! of the scheduler; a fair interleave is what one pinned thread per
+//! socket provides. Preloads are spread over every slot because a node
+//! joins only its inserter's upper-level lists, RNGs are seeded, and the
+//! commission period (TSC-based) is off wherever removes run.
+//!
+//! These are the successors of the counts the retired `bench_*` gate bins
+//! took (EXPERIMENTS.md, "One measurement system", lists which gate went
+//! where and the mutation under which each test here fails).
+#![cfg(not(feature = "bug-injection"))]
+
+use instrument::{AccessStats, ThreadCtx};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use skipgraph::{
+    AdaptConfig, BlockedSkipMap, ConcurrentMap, GraphConfig, LayeredMap, MapHandle, ReplicaConfig,
+    ReplicatedHandle, ReplicatedLayeredMap, SkipGraph,
+};
+use std::sync::Arc;
+use synchro::Zipf;
+
+const CHUNK: usize = 1 << 12;
+/// YCSB-style skew of every Zipf read below.
+const ZIPF_ALPHA: f64 = 0.99;
+
+/// Key `i`, scattered uniformly (odd multiplier: a bijection on `u64`).
+fn key(i: u64) -> u64 {
+    i.wrapping_mul(0x9E37_79B1_85EB_CA87)
+}
+
+/// One handle per thread id in `tids`, recording into `stats` if given.
+fn pin_all<'m, M: ConcurrentMap<u64, u64>>(
+    map: &'m M,
+    tids: std::ops::Range<u16>,
+    stats: Option<&Arc<AccessStats>>,
+) -> Vec<M::Handle<'m>> {
+    tids.map(|t| {
+        map.pin(match stats {
+            Some(s) => ThreadCtx::recording(t, Arc::clone(s)),
+            None => ThreadCtx::plain(t),
+        })
+    })
+    .collect()
+}
+
+/// Inserts keys `0..keys`, the handles taking turns.
+fn preload<H: MapHandle<u64, u64>>(handles: &mut [H], keys: u64) {
+    let n = handles.len();
+    for i in 0..keys {
+        assert!(handles[i as usize % n].insert(key(i), i));
+    }
+}
+
+/// `rounds` rounds of one `op(handle, rng, round)` per handle, in handle
+/// order. Handle `t` draws from RNG stream `(seed, t)`: two calls with
+/// different seeds share no stream.
+fn interleave<H>(
+    handles: &mut [H],
+    seed: u64,
+    rounds: u64,
+    mut op: impl FnMut(&mut H, &mut SmallRng, u64),
+) {
+    let mut rngs: Vec<SmallRng> = (0..handles.len() as u64)
+        .map(|t| SmallRng::seed_from_u64(seed << 8 | t))
+        .collect();
+    for i in 0..rounds {
+        for (h, rng) in handles.iter_mut().zip(&mut rngs) {
+            op(h, rng, i);
+        }
+    }
+}
+
+/// Shared-node lines touched (instrumented reads plus CAS), split by
+/// whether the toucher's socket owns the node: `(local, remote)`.
+fn lines(stats: &AccessStats, socket_of: &[usize]) -> (u64, u64) {
+    let (lr, rr) = stats.reads().split_by_locality(socket_of);
+    let (lc, rc) = stats.cas().split_by_locality(socket_of);
+    (lr + lc, rr + rc)
+}
+
+#[test]
+fn blocks_shorten_searches_and_shrink_bytes_per_key() {
+    const KEYS: u64 = 60_000;
+    const PROBES: u64 = 20_000;
+    const SLOTS: u16 = 2;
+    const BLOCK_CAP: usize = 8;
+    // Full-height sparse lazy towers on both lanes, so they differ only in
+    // blocking; reclamation on, so a split's frozen victim goes back to
+    // the free lists instead of counting against bytes/key forever.
+    let config = || {
+        GraphConfig::new(SLOTS as usize)
+            .max_level(7)
+            .sparse(true)
+            .lazy(true)
+            .reclaim(true)
+            .chunk_capacity(CHUNK)
+    };
+    // Nodes visited per search over uniform lookups of the preload.
+    fn nodes_per_search<M: ConcurrentMap<u64, u64>>(map: &M) -> f64 {
+        preload(&mut pin_all(map, 0..SLOTS, None), KEYS);
+        let stats = AccessStats::new(SLOTS as usize);
+        let mut readers = pin_all(map, 0..SLOTS, Some(&stats));
+        interleave(&mut readers, 1, PROBES / SLOTS as u64, |h, rng, _| {
+            assert!(h.contains(&key(rng.gen::<u64>() % KEYS)));
+        });
+        let t = stats.totals();
+        t.traversed as f64 / t.searches as f64
+    }
+    let ctx = ThreadCtx::plain(0);
+
+    let unblocked: SkipGraph<u64, u64> = SkipGraph::new(config());
+    let un_nodes = nodes_per_search(&unblocked);
+    unblocked.reclaim_flush(&ctx);
+    let un_bytes = unblocked.memory_stats(&ctx).allocated_bytes as f64 / KEYS as f64;
+
+    let blocked: BlockedSkipMap<u64, u64> = BlockedSkipMap::new(config(), BLOCK_CAP);
+    let bl_nodes = nodes_per_search(&blocked);
+    blocked.shared().reclaim_flush(&ctx);
+    let bl_stats = blocked.stats(&ctx);
+    assert_eq!(bl_stats.entries as u64, KEYS);
+
+    println!(
+        "blocks: {bl_nodes:.2} vs {un_nodes:.2} nodes/search ({:.2}x), {:.2} vs {un_bytes:.2} \
+         bytes/key ({:.3}x), {} anchors",
+        un_nodes / bl_nodes,
+        bl_stats.bytes_per_key,
+        bl_stats.bytes_per_key / un_bytes,
+        bl_stats.anchors,
+    );
+    assert!(
+        un_nodes >= 2.0 * bl_nodes,
+        "blocks must at least halve nodes/search: {bl_nodes:.2} vs {un_nodes:.2}"
+    );
+    assert!(
+        bl_stats.bytes_per_key < un_bytes,
+        "blocks must spend fewer bytes/key: {:.2} vs {un_bytes:.2}",
+        bl_stats.bytes_per_key
+    );
+}
+
+#[test]
+fn cross_thread_indexed_reads_visit_one_node() {
+    const KEYS: u64 = 60_000;
+    const READERS: u16 = 2;
+    // One slot more than the readers, and every handle that preloads is
+    // dropped before the reads: the reading handles' local structures are
+    // cold, so each read takes the cross-thread path the index exists for.
+    let map: LayeredMap<u64, u64> = LayeredMap::new(
+        GraphConfig::new(READERS as usize + 1)
+            .max_level(7)
+            .sparse(true)
+            .chunk_capacity(CHUNK)
+            .hash_index(true),
+    );
+    preload(&mut pin_all(&map, 0..READERS + 1, None), KEYS);
+    let stats = AccessStats::new(READERS as usize + 1);
+    let mut readers = pin_all(&map, 0..READERS, Some(&stats));
+    let zipf = Zipf::new(KEYS, ZIPF_ALPHA);
+    interleave(&mut readers, 2, KEYS / READERS as u64, |h, rng, _| {
+        assert!(h.contains(&key(zipf.sample(rng))), "preloaded key lost");
+    });
+    let t = stats.totals();
+    let nodes = t.traversed as f64 / t.searches as f64;
+    println!(
+        "index: {nodes:.3} nodes/search over {} searches, {} index hits",
+        t.searches, t.index_hits
+    );
+    assert_eq!(t.searches, KEYS);
+    assert!(nodes <= 2.0, "an indexed read visited {nodes:.2} nodes");
+}
+
+#[test]
+fn sparse_towers_spend_half_the_fixed_layout_bytes_per_node() {
+    const KEYS: u64 = 1 << 14;
+    const SLOTS: u16 = 8;
+    let map: LayeredMap<u64, u64> = LayeredMap::new(
+        GraphConfig::new(SLOTS as usize)
+            .sparse(true)
+            .chunk_capacity(CHUNK),
+    );
+    preload(&mut pin_all(&map, 0..SLOTS, None), KEYS);
+    let mem = map.shared().memory_stats(&ThreadCtx::plain(0));
+    let fixed = SkipGraph::<u64, u64>::fixed_tower_node_bytes();
+    println!(
+        "towers: {:.2} of the fixed layout's {fixed} B/node over {} nodes",
+        mem.bytes_per_node(),
+        mem.allocated
+    );
+    assert_eq!(mem.allocated as u64, KEYS);
+    // Not "at most half": the header PR 4 grew put the ratio at 1.93x.
+    assert!(
+        mem.bytes_per_node() <= 0.55 * fixed as f64,
+        "sparse towers spend {:.2} of {fixed} B/node",
+        mem.bytes_per_node()
+    );
+}
+
+/// The replicated geometry of the three tests below: thread 0 only
+/// preloads (it shares socket 0), threads `1..=sockets` sit one per
+/// socket and do the counted work.
+struct Replicated {
+    map: ReplicatedLayeredMap<u64, u64>,
+    sockets: u16,
+    socket_of: Vec<usize>,
+}
+
+const REPLICA_KEYS: u64 = 20_000;
+
+impl Replicated {
+    /// Built, preloaded through every slot, every replica caught up.
+    fn preloaded(sockets: u16, adapt: Option<AdaptConfig>) -> Self {
+        let slots = sockets as usize + 1;
+        // A roomy log with a high lag bound: a socket is never made to
+        // help replay another socket's replica, so whatever remote lines
+        // are counted are the design's and not back-pressure's.
+        let mut rcfg = ReplicaConfig::uniform(slots, sockets as usize)
+            .logs(4)
+            .log_capacity(1 << 10)
+            .max_lag(3 << 8);
+        let socket_of = (0..slots).map(|t| rcfg.socket_of(t as u16)).collect();
+        if let Some(a) = adapt {
+            rcfg = rcfg.adapt(a);
+        }
+        let map = ReplicatedLayeredMap::new(
+            GraphConfig::new(slots)
+                .lazy(true)
+                .hash_index(true)
+                .chunk_capacity(CHUNK)
+                .commission_cycles(u64::MAX),
+            rcfg,
+        );
+        let this = Self {
+            map,
+            sockets,
+            socket_of,
+        };
+        preload(&mut pin_all(&this.map, 0..slots as u16, None), REPLICA_KEYS);
+        this.sync(&mut this.workers(None));
+        this
+    }
+
+    /// One handle per socket.
+    fn workers(&self, stats: Option<&Arc<AccessStats>>) -> Vec<ReplicatedHandle<'_, u64, u64>> {
+        pin_all(&self.map, 1..self.sockets + 1, stats)
+    }
+
+    fn sync(&self, workers: &mut [ReplicatedHandle<'_, u64, u64>]) {
+        for h in workers {
+            h.sync();
+        }
+    }
+
+    fn stats(&self) -> Arc<AccessStats> {
+        AccessStats::new(self.socket_of.len())
+    }
+
+    /// 90% Zipf membership reads of the preload, 10% updates of the same
+    /// population (alternately remove and re-insert).
+    fn read_heavy(&self, workers: &mut [ReplicatedHandle<'_, u64, u64>], seed: u64, rounds: u64) {
+        let zipf = Zipf::new(REPLICA_KEYS, ZIPF_ALPHA);
+        interleave(workers, seed, rounds, |h, rng, i| {
+            let k = key(zipf.sample(rng));
+            if i % 10 != 9 {
+                h.contains(&k);
+            } else if (i / 10) % 2 == 0 {
+                h.remove(&k);
+            } else {
+                h.insert(k, i);
+            }
+        });
+    }
+
+    /// 100% updates of the Zipf population, alternately remove and
+    /// re-insert.
+    fn write_only(&self, workers: &mut [ReplicatedHandle<'_, u64, u64>], seed: u64, rounds: u64) {
+        let zipf = Zipf::new(REPLICA_KEYS, ZIPF_ALPHA);
+        interleave(workers, seed, rounds, |h, rng, i| {
+            let k = key(zipf.sample(rng));
+            if i % 2 == 0 {
+                h.remove(&k);
+            } else {
+                h.insert(k, i);
+            }
+        });
+    }
+}
+
+#[test]
+fn a_synced_replica_serves_reads_without_remote_lines() {
+    const SOCKETS: u16 = 4;
+    const ROUNDS: u64 = 4_000;
+    let r = Replicated::preloaded(SOCKETS, None);
+    let stats = r.stats();
+    r.read_heavy(&mut r.workers(Some(&stats)), 3, ROUNDS);
+    let (local, remote) = lines(&stats, &r.socket_of);
+    let ops = stats.totals().ops;
+    let per_op = (local + remote) as f64 / ops as f64;
+    println!(
+        "replica reads: {local} local + {remote} remote lines over {ops} ops ({per_op:.3}/op)"
+    );
+    assert_eq!(ops, SOCKETS as u64 * ROUNDS);
+    assert_eq!(
+        remote, 0,
+        "a replica-local read-heavy mix touched another socket's nodes"
+    );
+    assert!(per_op <= 2.5, "{per_op:.2} lines/op");
+}
+
+#[test]
+fn a_replicated_write_is_replayed_once_per_socket() {
+    const SOCKETS: u16 = 4;
+    const ROUNDS: u64 = 2_000;
+    let r = Replicated::preloaded(SOCKETS, None);
+    let stats = r.stats();
+    let mut workers = r.workers(Some(&stats));
+    r.write_only(&mut workers, 4, ROUNDS);
+    // Writers replay only their home replica; the recording handles pay
+    // the other sockets' replays here, so that every one is counted.
+    r.sync(&mut workers);
+    let t = stats.totals();
+    let (local, remote) = lines(&stats, &r.socket_of);
+    let per_replay = (local + remote) as f64 / t.replayed_ops as f64;
+    println!(
+        "replica writes: {} appends, {} replayed in {} batches, {local} local + {remote} remote \
+         lines ({per_replay:.3}/replayed op)",
+        t.log_appends, t.replayed_ops, t.replay_batches
+    );
+    assert_eq!(t.log_appends, SOCKETS as u64 * ROUNDS);
+    assert_eq!(t.replayed_ops, SOCKETS as u64 * t.log_appends);
+    assert_eq!(remote, 0);
+    assert!(per_replay <= 3.0, "{per_replay:.2} lines per replayed op");
+}
+
+#[test]
+fn the_controller_reads_like_replicas_and_writes_like_one_structure() {
+    const SOCKETS: u16 = 8;
+    /// Uncounted rounds opening each phase: enough 512-op windows for the
+    /// controller to sense the mix, pass its dwell guard and finish the
+    /// transition (the upshift rebuilds every replica).
+    const SETTLE: u64 = 750;
+    const READ_ROUNDS: u64 = 2_000;
+    const WRITE_ROUNDS: u64 = 1_000;
+
+    struct Counts {
+        read_lines: u64,
+        read_remote: u64,
+        write_lines: u64,
+        write_appends: u64,
+        write_replayed: u64,
+    }
+    // The same phase sequence on a map with and without the controller:
+    // the all-write preload, a read-heavy phase, a write-only phase.
+    let run = |adapt: Option<AdaptConfig>| {
+        let r = Replicated::preloaded(SOCKETS, adapt);
+        r.read_heavy(&mut r.workers(None), 5, SETTLE);
+        let stats = r.stats();
+        r.read_heavy(&mut r.workers(Some(&stats)), 6, READ_ROUNDS);
+        let (local, read_remote) = lines(&stats, &r.socket_of);
+
+        // Every replica caught up before and after the counted writes, so
+        // the replays counted are exactly those of the counted appends.
+        let mut settle = r.workers(None);
+        r.write_only(&mut settle, 7, SETTLE);
+        r.sync(&mut settle);
+        drop(settle);
+        let stats = r.stats();
+        let mut workers = r.workers(Some(&stats));
+        r.write_only(&mut workers, 8, WRITE_ROUNDS);
+        r.sync(&mut workers);
+        let (wl, wr) = lines(&stats, &r.socket_of);
+        let t = stats.totals();
+        let counts = Counts {
+            read_lines: local + read_remote,
+            read_remote,
+            write_lines: wl + wr,
+            write_appends: t.log_appends,
+            write_replayed: t.replayed_ops,
+        };
+        (counts, r.map.adapt_state())
+    };
+    let (adaptive, state) = run(Some(AdaptConfig::new().window_ops(512).dwell_windows(1)));
+    let (plain, _) = run(None);
+    let state = state.expect("a controller was attached");
+    println!(
+        "controller: read-heavy {} lines ({} remote) vs {} without; write-only {} appends \
+         replayed {} times in {} lines vs {} times in {} lines without; {} downshifts, {} upshifts",
+        adaptive.read_lines,
+        adaptive.read_remote,
+        plain.read_lines,
+        adaptive.write_appends,
+        adaptive.write_replayed,
+        adaptive.write_lines,
+        plain.write_replayed,
+        plain.write_lines,
+        state.downshifts,
+        state.upshifts,
+    );
+    // Read-heavy: back on socket-local replicas, within a tenth of the
+    // lines of a map that never left them.
+    assert_eq!(adaptive.read_remote, 0);
+    assert!(adaptive.read_lines * 10 <= plain.read_lines * 11);
+    // Write-only: one replay per write where the replicas pay one each.
+    assert_eq!(adaptive.write_appends, SOCKETS as u64 * WRITE_ROUNDS);
+    assert_eq!(adaptive.write_replayed, adaptive.write_appends);
+    assert_eq!(plain.write_replayed, SOCKETS as u64 * plain.write_appends);
+    assert!(adaptive.write_lines * 4 <= plain.write_lines);
+    // The preload downshifted, the reads upshifted, the writes downshifted.
+    assert!(state.downshifts >= 1 && state.upshifts >= 1, "{state:?}");
+    assert_eq!(state.mode, "single");
+}
