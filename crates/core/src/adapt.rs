@@ -211,7 +211,6 @@ mod tests {
     fn defaults_form_open_bands() {
         let c = AdaptConfig::new();
         assert!(c.write_up_pct < c.write_down_pct);
-        assert!(ASC_DOWN_PCT < ASC_UP_PCT);
     }
 
     #[test]

@@ -26,9 +26,9 @@
 //!   operations keep log order and every replica applies an identical
 //!   per-key history; set-semantics *outcomes* depend only on that
 //!   history, so replicas always agree on the key set and every writer
-//!   gets the same answer everywhere. Stored
-//!   values can still differ between replicas after a remove+re-insert
-//!   cycle: whether the re-insert resurrects the lazily-removed node
+//!   gets the same answer everywhere. Stored values can still differ
+//!   between replicas after a remove+re-insert cycle: whether the
+//!   re-insert resurrects the lazily-removed node
 //!   (keeping its old value — `insert_helper` never rewrites it) or
 //!   links a fresh one depends on replica-local retirement timing, so
 //!   [`ReplicatedHandle::get`] only promises a value that *some*

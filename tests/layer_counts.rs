@@ -22,6 +22,7 @@
 //! where and the mutation under which each test here fails).
 #![cfg(not(feature = "bug-injection"))]
 
+use instrument::report::nodes_per_search;
 use instrument::{AccessStats, ThreadCtx};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -83,14 +84,6 @@ fn interleave<H>(
     }
 }
 
-/// Shared-node lines touched (instrumented reads plus CAS), split by
-/// whether the toucher's socket owns the node: `(local, remote)`.
-fn lines(stats: &AccessStats, socket_of: &[usize]) -> (u64, u64) {
-    let (lr, rr) = stats.reads().split_by_locality(socket_of);
-    let (lc, rc) = stats.cas().split_by_locality(socket_of);
-    (lr + lc, rr + rc)
-}
-
 #[test]
 fn blocks_shorten_searches_and_shrink_bytes_per_key() {
     const KEYS: u64 = 60_000;
@@ -108,26 +101,26 @@ fn blocks_shorten_searches_and_shrink_bytes_per_key() {
             .reclaim(true)
             .chunk_capacity(CHUNK)
     };
-    // Nodes visited per search over uniform lookups of the preload.
-    fn nodes_per_search<M: ConcurrentMap<u64, u64>>(map: &M) -> f64 {
+    // Loads the keys, then counts nodes visited per search over uniform
+    // lookups of them.
+    fn load_and_probe<M: ConcurrentMap<u64, u64>>(map: &M) -> f64 {
         preload(&mut pin_all(map, 0..SLOTS, None), KEYS);
         let stats = AccessStats::new(SLOTS as usize);
         let mut readers = pin_all(map, 0..SLOTS, Some(&stats));
         interleave(&mut readers, 1, PROBES / SLOTS as u64, |h, rng, _| {
             assert!(h.contains(&key(rng.gen::<u64>() % KEYS)));
         });
-        let t = stats.totals();
-        t.traversed as f64 / t.searches as f64
+        nodes_per_search(&stats)
     }
     let ctx = ThreadCtx::plain(0);
 
     let unblocked: SkipGraph<u64, u64> = SkipGraph::new(config());
-    let un_nodes = nodes_per_search(&unblocked);
+    let un_nodes = load_and_probe(&unblocked);
     unblocked.reclaim_flush(&ctx);
     let un_bytes = unblocked.memory_stats(&ctx).allocated_bytes as f64 / KEYS as f64;
 
     let blocked: BlockedSkipMap<u64, u64> = BlockedSkipMap::new(config(), BLOCK_CAP);
-    let bl_nodes = nodes_per_search(&blocked);
+    let bl_nodes = load_and_probe(&blocked);
     blocked.shared().reclaim_flush(&ctx);
     let bl_stats = blocked.stats(&ctx);
     assert_eq!(bl_stats.entries as u64, KEYS);
@@ -173,7 +166,7 @@ fn cross_thread_indexed_reads_visit_one_node() {
         assert!(h.contains(&key(zipf.sample(rng))), "preloaded key lost");
     });
     let t = stats.totals();
-    let nodes = t.traversed as f64 / t.searches as f64;
+    let nodes = nodes_per_search(&stats);
     println!(
         "index: {nodes:.3} nodes/search over {} searches, {} index hits",
         t.searches, t.index_hits
@@ -208,104 +201,106 @@ fn sparse_towers_spend_half_the_fixed_layout_bytes_per_node() {
     );
 }
 
-/// The replicated geometry of the three tests below: thread 0 only
-/// preloads (it shares socket 0), threads `1..=sockets` sit one per
-/// socket and do the counted work.
-struct Replicated {
-    map: ReplicatedLayeredMap<u64, u64>,
-    sockets: u16,
-    socket_of: Vec<usize>,
-}
-
 const REPLICA_KEYS: u64 = 20_000;
 
-impl Replicated {
-    /// Built, preloaded through every slot, every replica caught up.
-    fn preloaded(sockets: u16, adapt: Option<AdaptConfig>) -> Self {
-        let slots = sockets as usize + 1;
-        // A roomy log with a high lag bound: a socket is never made to
-        // help replay another socket's replica, so whatever remote lines
-        // are counted are the design's and not back-pressure's.
-        let mut rcfg = ReplicaConfig::uniform(slots, sockets as usize)
-            .logs(4)
-            .log_capacity(1 << 10)
-            .max_lag(3 << 8);
-        let socket_of = (0..slots).map(|t| rcfg.socket_of(t as u16)).collect();
-        if let Some(a) = adapt {
-            rcfg = rcfg.adapt(a);
+type Replicated = ReplicatedLayeredMap<u64, u64>;
+type Worker<'m> = ReplicatedHandle<'m, u64, u64>;
+
+/// The replicated map of the three tests below, preloaded through every
+/// slot with every replica caught up: `sockets` replicas over
+/// `sockets + 1` thread slots. Thread 0 only preloads (it shares socket
+/// 0); threads `1..=sockets` sit one per socket and do the counted work.
+fn replicated(sockets: usize, adapt: Option<AdaptConfig>) -> Replicated {
+    let slots = sockets + 1;
+    // A roomy log with a high lag bound: a socket is never made to help
+    // replay another socket's replica, so whatever remote lines are
+    // counted are the design's and not back-pressure's.
+    let mut rcfg = ReplicaConfig::uniform(slots, sockets)
+        .logs(4)
+        .log_capacity(1 << 10)
+        .max_lag(3 << 8);
+    if let Some(a) = adapt {
+        rcfg = rcfg.adapt(a);
+    }
+    let map = ReplicatedLayeredMap::new(
+        GraphConfig::new(slots)
+            .lazy(true)
+            .hash_index(true)
+            .chunk_capacity(CHUNK)
+            .commission_cycles(u64::MAX),
+        rcfg,
+    );
+    preload(&mut pin_all(&map, 0..slots as u16, None), REPLICA_KEYS);
+    sync_all(&mut workers(&map, None));
+    map
+}
+
+/// One handle per socket.
+fn workers<'m>(map: &'m Replicated, stats: Option<&Arc<AccessStats>>) -> Vec<Worker<'m>> {
+    pin_all(map, 1..map.replica_config().threads() as u16, stats)
+}
+
+/// A sink with a row for each of the map's thread slots.
+fn sink(map: &Replicated) -> Arc<AccessStats> {
+    AccessStats::new(map.replica_config().threads())
+}
+
+/// Shared-node lines touched (instrumented reads plus CAS), split by
+/// whether the toucher's socket owns the node: `(local, remote)`.
+fn lines(stats: &AccessStats, map: &Replicated) -> (u64, u64) {
+    let rcfg = map.replica_config();
+    let socket_of: Vec<usize> = (0..rcfg.threads())
+        .map(|t| rcfg.socket_of(t as u16))
+        .collect();
+    let (lr, rr) = stats.reads().split_by_locality(&socket_of);
+    let (lc, rc) = stats.cas().split_by_locality(&socket_of);
+    (lr + lc, rr + rc)
+}
+
+/// Catches every worker's replica up to every log head.
+fn sync_all(workers: &mut [Worker<'_>]) {
+    for h in workers {
+        h.sync();
+    }
+}
+
+/// 90% Zipf membership reads of the preload, 10% updates of the same
+/// population (alternately remove and re-insert).
+fn read_heavy(workers: &mut [Worker<'_>], seed: u64, rounds: u64) {
+    let zipf = Zipf::new(REPLICA_KEYS, ZIPF_ALPHA);
+    interleave(workers, seed, rounds, |h, rng, i| {
+        let k = key(zipf.sample(rng));
+        if i % 10 != 9 {
+            h.contains(&k);
+        } else if (i / 10) % 2 == 0 {
+            h.remove(&k);
+        } else {
+            h.insert(k, i);
         }
-        let map = ReplicatedLayeredMap::new(
-            GraphConfig::new(slots)
-                .lazy(true)
-                .hash_index(true)
-                .chunk_capacity(CHUNK)
-                .commission_cycles(u64::MAX),
-            rcfg,
-        );
-        let this = Self {
-            map,
-            sockets,
-            socket_of,
-        };
-        preload(&mut pin_all(&this.map, 0..slots as u16, None), REPLICA_KEYS);
-        this.sync(&mut this.workers(None));
-        this
-    }
+    });
+}
 
-    /// One handle per socket.
-    fn workers(&self, stats: Option<&Arc<AccessStats>>) -> Vec<ReplicatedHandle<'_, u64, u64>> {
-        pin_all(&self.map, 1..self.sockets + 1, stats)
-    }
-
-    fn sync(&self, workers: &mut [ReplicatedHandle<'_, u64, u64>]) {
-        for h in workers {
-            h.sync();
+/// 100% updates of the Zipf population, alternately remove and re-insert.
+fn write_only(workers: &mut [Worker<'_>], seed: u64, rounds: u64) {
+    let zipf = Zipf::new(REPLICA_KEYS, ZIPF_ALPHA);
+    interleave(workers, seed, rounds, |h, rng, i| {
+        let k = key(zipf.sample(rng));
+        if i % 2 == 0 {
+            h.remove(&k);
+        } else {
+            h.insert(k, i);
         }
-    }
-
-    fn stats(&self) -> Arc<AccessStats> {
-        AccessStats::new(self.socket_of.len())
-    }
-
-    /// 90% Zipf membership reads of the preload, 10% updates of the same
-    /// population (alternately remove and re-insert).
-    fn read_heavy(&self, workers: &mut [ReplicatedHandle<'_, u64, u64>], seed: u64, rounds: u64) {
-        let zipf = Zipf::new(REPLICA_KEYS, ZIPF_ALPHA);
-        interleave(workers, seed, rounds, |h, rng, i| {
-            let k = key(zipf.sample(rng));
-            if i % 10 != 9 {
-                h.contains(&k);
-            } else if (i / 10) % 2 == 0 {
-                h.remove(&k);
-            } else {
-                h.insert(k, i);
-            }
-        });
-    }
-
-    /// 100% updates of the Zipf population, alternately remove and
-    /// re-insert.
-    fn write_only(&self, workers: &mut [ReplicatedHandle<'_, u64, u64>], seed: u64, rounds: u64) {
-        let zipf = Zipf::new(REPLICA_KEYS, ZIPF_ALPHA);
-        interleave(workers, seed, rounds, |h, rng, i| {
-            let k = key(zipf.sample(rng));
-            if i % 2 == 0 {
-                h.remove(&k);
-            } else {
-                h.insert(k, i);
-            }
-        });
-    }
+    });
 }
 
 #[test]
 fn a_synced_replica_serves_reads_without_remote_lines() {
-    const SOCKETS: u16 = 4;
+    const SOCKETS: usize = 4;
     const ROUNDS: u64 = 4_000;
-    let r = Replicated::preloaded(SOCKETS, None);
-    let stats = r.stats();
-    r.read_heavy(&mut r.workers(Some(&stats)), 3, ROUNDS);
-    let (local, remote) = lines(&stats, &r.socket_of);
+    let map = replicated(SOCKETS, None);
+    let stats = sink(&map);
+    read_heavy(&mut workers(&map, Some(&stats)), 3, ROUNDS);
+    let (local, remote) = lines(&stats, &map);
     let ops = stats.totals().ops;
     let per_op = (local + remote) as f64 / ops as f64;
     println!(
@@ -321,17 +316,17 @@ fn a_synced_replica_serves_reads_without_remote_lines() {
 
 #[test]
 fn a_replicated_write_is_replayed_once_per_socket() {
-    const SOCKETS: u16 = 4;
+    const SOCKETS: usize = 4;
     const ROUNDS: u64 = 2_000;
-    let r = Replicated::preloaded(SOCKETS, None);
-    let stats = r.stats();
-    let mut workers = r.workers(Some(&stats));
-    r.write_only(&mut workers, 4, ROUNDS);
+    let map = replicated(SOCKETS, None);
+    let stats = sink(&map);
+    let mut writers = workers(&map, Some(&stats));
+    write_only(&mut writers, 4, ROUNDS);
     // Writers replay only their home replica; the recording handles pay
     // the other sockets' replays here, so that every one is counted.
-    r.sync(&mut workers);
+    sync_all(&mut writers);
     let t = stats.totals();
-    let (local, remote) = lines(&stats, &r.socket_of);
+    let (local, remote) = lines(&stats, &map);
     let per_replay = (local + remote) as f64 / t.replayed_ops as f64;
     println!(
         "replica writes: {} appends, {} replayed in {} batches, {local} local + {remote} remote \
@@ -346,7 +341,7 @@ fn a_replicated_write_is_replayed_once_per_socket() {
 
 #[test]
 fn the_controller_reads_like_replicas_and_writes_like_one_structure() {
-    const SOCKETS: u16 = 8;
+    const SOCKETS: usize = 8;
     /// Uncounted rounds opening each phase: enough 512-op windows for the
     /// controller to sense the mix, pass its dwell guard and finish the
     /// transition (the upshift rebuilds every replica).
@@ -364,23 +359,23 @@ fn the_controller_reads_like_replicas_and_writes_like_one_structure() {
     // The same phase sequence on a map with and without the controller:
     // the all-write preload, a read-heavy phase, a write-only phase.
     let run = |adapt: Option<AdaptConfig>| {
-        let r = Replicated::preloaded(SOCKETS, adapt);
-        r.read_heavy(&mut r.workers(None), 5, SETTLE);
-        let stats = r.stats();
-        r.read_heavy(&mut r.workers(Some(&stats)), 6, READ_ROUNDS);
-        let (local, read_remote) = lines(&stats, &r.socket_of);
+        let map = replicated(SOCKETS, adapt);
+        read_heavy(&mut workers(&map, None), 5, SETTLE);
+        let stats = sink(&map);
+        read_heavy(&mut workers(&map, Some(&stats)), 6, READ_ROUNDS);
+        let (local, read_remote) = lines(&stats, &map);
 
         // Every replica caught up before and after the counted writes, so
         // the replays counted are exactly those of the counted appends.
-        let mut settle = r.workers(None);
-        r.write_only(&mut settle, 7, SETTLE);
-        r.sync(&mut settle);
+        let mut settle = workers(&map, None);
+        write_only(&mut settle, 7, SETTLE);
+        sync_all(&mut settle);
         drop(settle);
-        let stats = r.stats();
-        let mut workers = r.workers(Some(&stats));
-        r.write_only(&mut workers, 8, WRITE_ROUNDS);
-        r.sync(&mut workers);
-        let (wl, wr) = lines(&stats, &r.socket_of);
+        let stats = sink(&map);
+        let mut writers = workers(&map, Some(&stats));
+        write_only(&mut writers, 8, WRITE_ROUNDS);
+        sync_all(&mut writers);
+        let (wl, wr) = lines(&stats, &map);
         let t = stats.totals();
         let counts = Counts {
             read_lines: local + read_remote,
@@ -389,7 +384,7 @@ fn the_controller_reads_like_replicas_and_writes_like_one_structure() {
             write_appends: t.log_appends,
             write_replayed: t.replayed_ops,
         };
-        (counts, r.map.adapt_state())
+        (counts, map.adapt_state())
     };
     let (adaptive, state) = run(Some(AdaptConfig::new().window_ops(512).dwell_windows(1)));
     let (plain, _) = run(None);
