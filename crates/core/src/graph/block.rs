@@ -96,7 +96,7 @@
 //! * [`BlockPolicy`] sweeps the split point (half vs leave-behind), the
 //!   tombstone-clog merge threshold, and the bulk fill target.
 
-use super::{NodePtr, NodeRef, PinGuard, SkipGraph};
+use super::{NodePtr, NodeRef, PinGuard, SearchResult, SkipGraph};
 use crate::adapt::{AdaptConfig, Hysteresis, ASC_DOWN_PCT, ASC_SPLIT_LEFT_PCT, ASC_UP_PCT};
 use crate::batch::BatchOp;
 use crate::local::{BTreeLocalMap, LocalMap};
@@ -107,6 +107,7 @@ use instrument::{CounterWindow, ThreadCtx};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
 use std::cmp::Ordering as CmpOrdering;
 use std::marker::PhantomData;
+use std::mem::MaybeUninit;
 use std::ops::Bound;
 use std::ptr::NonNull;
 
@@ -177,6 +178,7 @@ pub(crate) fn block_layout_bytes<K, V>(cap: usize) -> usize {
 
 type BNode<K> = Node<K, ()>;
 type BPtr<K> = NodePtr<K, ()>;
+type BSearch<K> = SearchResult<K, ()>;
 
 /// Tunable block-lifecycle policy: where a split cuts, when a clogged
 /// block compacts, and how full bulk-filled fresh blocks are born. The
@@ -1030,22 +1032,43 @@ where
         node
     }
 
+    /// A frozen block's survivors, sorted, in the caller's stack buffer:
+    /// present bits are immutable once frozen, so all helpers agree on it.
+    fn survivors<'b>(
+        &self,
+        blk: &Blk<K, V>,
+        frozen_w: usize,
+        buf: &'b mut [MaybeUninit<(K, V)>; MAX_BLOCK_CAP],
+    ) -> &'b [(K, V)] {
+        let mut n = 0;
+        for i in (0..self.cap).filter(|&i| frozen_w & present_bit(i) != 0) {
+            buf[n].write(unsafe { blk.read(i) });
+            n += 1;
+        }
+        // SAFETY: present slots are published for good; `buf[..n]` was just written.
+        let live = unsafe { &mut *(&mut buf[..n] as *mut [MaybeUninit<(K, V)>] as *mut [(K, V)]) };
+        live.sort_unstable_by_key(|e| e.0);
+        live
+    }
+
     /// Replaces (or, with no survivors, unlinks) a frozen block.
     /// Idempotent: every thread that observes the frozen bit runs this to
     /// completion; CAS losers simply observe the winner's progress.
+    ///
+    /// One descent is the record of a split: after the marks, a search
+    /// for the dead anchor's own key over its own membership vector yields
+    /// the frontier around it, where the install, [`Self::unlink_upper`]
+    /// and [`Self::link_replacement`] start — never at a list head. A stale
+    /// entry (predecessor retired, reference marked, CAS lost) re-descends.
     fn help_split(&self, anchor: NonNull<BNode<K>>, ctx: &ThreadCtx) {
         let f = unsafe { anchor.as_ref() };
         let blk = unsafe { self.blk(anchor) };
         let frozen_w = blk.control().load();
         debug_assert!(is_frozen(frozen_w), "help_split on a live block");
 
-        // (a) The survivor set: present bits are immutable once frozen, so
-        // every helper computes the same (sorted) migration payload.
-        let mut survivors: Vec<(K, V)> = (0..self.cap)
-            .filter(|&i| frozen_w & present_bit(i) != 0)
-            .map(|i| unsafe { blk.read(i) })
-            .collect();
-        survivors.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        // (a) The survivor set, identical in every helper.
+        let mut buf = [MaybeUninit::uninit(); MAX_BLOCK_CAP];
+        let survivors = self.survivors(&blk, frozen_w, &mut buf);
 
         // (b) Mark the tower top-down, then level 0; after the level-0
         // mark the anchor's successor is stable.
@@ -1087,7 +1110,7 @@ where
                     );
                     (first, Some(second))
                 } else {
-                    (self.build_block(&survivors, tail, ctx), None)
+                    (self.build_block(survivors, tail, ctx), None)
                 };
                 match blk.forward().compare_exchange(0, n1.as_ptr() as usize) {
                     Ok(_) => Some(n1),
@@ -1103,12 +1126,19 @@ where
         };
         let target = replacement.map_or(succ0, NonNull::as_ptr);
 
-        // (d) Install: swing the predecessor's level-0 reference from the
-        // frozen anchor to the replacement chain (or straight to the
-        // successor for a merge). Exactly one CAS succeeds; that winner
+        // (d) Descend once, then install: swing the level-0 reference
+        // naming the frozen anchor (`preds[0]`'s, or a dying anchor's on
+        // the chain behind it) to the replacement chain, or straight to
+        // the successor for a merge. Exactly one CAS succeeds; that winner
         // owns the post-install duties.
+        let key = unsafe { f.key() };
+        let descend = || self.graph.search_from(key, f.mvec(), None, false, ctx);
+        let mut res = descend();
         let won_install = 'install: loop {
-            let mut p = self.graph.head(0, f.mvec());
+            let Some(mut p) = self.graph.carried_pred(&res, 0) else {
+                res = descend();
+                continue;
+            };
             loop {
                 let pred = unsafe { &*p };
                 let w0 = pred.load_next(0, ctx);
@@ -1116,21 +1146,17 @@ where
                     if w0.marked() {
                         // The predecessor is itself a dying frozen anchor;
                         // its replacement will take over the reference to
-                        // us, so help it first and rescan.
+                        // us, so help it first and descend again.
                         debug_assert!(pred.is_data());
                         self.help_split(unsafe { NonNull::new_unchecked(p) }, ctx);
-                        continue 'install;
+                    } else if pred.cas_next(0, w0, w0.with_ptr(target), ctx).is_ok() {
+                        break 'install true;
                     }
-                    match pred.cas_next(0, w0, w0.with_ptr(target), ctx) {
-                        Ok(()) => break 'install true,
-                        Err(_) => continue 'install,
-                    }
+                    res = descend();
+                    continue 'install;
                 }
-                if w0.ptr().is_null() {
-                    break 'install false;
-                }
-                let nref = unsafe { &*w0.ptr() };
-                if nref.is_tail() || nref.cmp_key(unsafe { f.key() }) == CmpOrdering::Greater {
+                // SAFETY: non-null, reached under our pin. The tail is greater than any key.
+                if w0.ptr().is_null() || unsafe { &*w0.ptr() }.cmp_key(key).is_gt() {
                     break 'install false; // already installed by another helper
                 }
                 p = w0.ptr();
@@ -1144,7 +1170,7 @@ where
             // live: a frozen anchor left on upper levels keeps covering
             // searches landing on it, since its own `next0` bypasses the
             // replacement chain.
-            self.unlink_upper(anchor, ctx);
+            self.unlink_upper(anchor, &mut res, ctx);
             return;
         }
 
@@ -1155,7 +1181,7 @@ where
             f.bump_generation();
         }
         self.graph.note_unlinked_chain(anchor.as_ptr(), succ0, 0, ctx);
-        self.unlink_upper(anchor, ctx);
+        self.unlink_upper(anchor, &mut res, ctx);
 
         // The install winner links the replacement *chain* upward and
         // republishes its entries in the index. The chain is recovered by
@@ -1163,15 +1189,12 @@ where
         // normal split contributes one or two blocks, a bulk fill an
         // arbitrary run (see `Self::bulk_apply`). By the time we walk, a
         // reference may already name a chain block's *own* replacement
-        // (it can fill and split the moment the install lands) — whose
-        // installer is linking it concurrently. That duplicate
-        // `link_upper` is tolerated: its self-successor hazard is
-        // neutralized by the already-reachable guard in `link_upper`, and
-        // upper links are a search accelerator, not a correctness
-        // requirement. The walk ends at the frozen block's old successor
-        // (or its stand-in: any non-data node, marked reference, or key
-        // at/above the old successor's). A marked reference means the
-        // chain block itself is already dying; its replacement's
+        // (it can fill and split the moment the install lands), whose
+        // installer is linking it concurrently; `link_replacement`
+        // tolerates the duplicate. The walk ends at the frozen block's old
+        // successor (or its stand-in: any non-data node, marked reference,
+        // or key at/above the old successor's). A marked reference means
+        // the chain block itself is already dying; its replacement's
         // installer owns everything past it, so the walk stops —
         // best-effort, the descent still finds unlinked/unindexed blocks.
         if let Some(n1) = replacement {
@@ -1182,7 +1205,7 @@ where
             let mut cur = n1;
             loop {
                 let w = unsafe { cur.as_ref() }.load_next_raw(0);
-                self.link_replacement(cur, ctx);
+                self.link_replacement(cur, f.mvec(), &mut res, ctx);
                 // Republish the block's live entries under their new
                 // (anchor, slot) homes; the dead anchor's entries went
                 // stale with its generation bump above. Skip a block that
@@ -1261,11 +1284,8 @@ where
         }
         let frozen_w = w | FROZEN;
 
-        let mut survivors: Vec<(K, V)> = (0..self.cap)
-            .filter(|&i| frozen_w & present_bit(i) != 0)
-            .map(|i| unsafe { blk.read(i) })
-            .collect();
-        survivors.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let mut buf = [MaybeUninit::uninit(); MAX_BLOCK_CAP];
+        let survivors = self.survivors(&blk, frozen_w, &mut buf);
 
         let top = f.top_level() as usize;
         for level in (1..=top).rev() {
@@ -1350,39 +1370,75 @@ where
 
     /// Links a freshly installed replacement block at its upper tower
     /// levels (best effort: if the block died or was superseded already,
-    /// skip it).
-    fn link_replacement(&self, node: NonNull<BNode<K>>, ctx: &ThreadCtx) {
+    /// skip it) through the split's frontier `res`, then moves the frontier
+    /// past it: the chain's next block follows its left neighbour without
+    /// a search. An entry is only *tried* — the link CAS fails unless the
+    /// list still reads as `res` says, and `link_upper` then descends
+    /// afresh. What no CAS checks is checked here, else the block pays its
+    /// own descent: it joins the frontier's lists (`alloc_node` stamps the
+    /// *builder's* vector), nobody began linking it (a chain block that
+    /// already split hands the walk its own replacement), and `res`
+    /// brackets its key (a first block's replacement may undercut the dead
+    /// anchor's; a descent after the install may stop at a younger block).
+    fn link_replacement(
+        &self,
+        node: NonNull<BNode<K>>,
+        dead_mvec: u32,
+        res: &mut BSearch<K>,
+        ctx: &ThreadCtx,
+    ) {
         let n = unsafe { node.as_ref() };
-        if n.top_level() == 0 {
+        let top = n.top_level() as usize;
+        if top == 0 {
             return; // height 0 is born `inserted` (`Node::new_data`)
         }
         let key = unsafe { n.key() };
-        let mut res = self.graph.search_from(key, n.mvec(), None, false, ctx);
-        if res.found && res.succs[0] == node.as_ptr() {
-            self.graph.link_upper(node, &mut res, ctx, || None);
+        // SAFETY: a full descent leaves no entry null, and the caller's pin covers them.
+        let carried = n.mvec() == dead_mvec
+            && n.load_next_raw(1).ptr().is_null()
+            && (1..=top).all(|l| unsafe {
+                (*res.preds[l]).cmp_key(key).is_lt() && (*res.succs[l]).cmp_key(key).is_ge()
+            });
+        if !carried {
+            // An empty result makes `link_upper` search for the block itself.
+            self.graph.link_upper(node, &mut SearchResult::empty(), ctx, || None);
+        } else if self.graph.link_upper(node, res, ctx, || None) {
+            // (Where `link_upper` searched again, `succs[l]` names the block.)
+            for l in (1..=top).filter(|&l| res.succs[l] != node.as_ptr()) {
+                res.preds[l] = node.as_ptr();
+                res.middles[l] = TagPtr::clean(res.succs[l]); // as `link_upper` wrote it
+            }
         }
     }
 
     /// Physically unlinks a dead anchor from levels `1..=top` of its
-    /// associated list. Per level: walk from the head, excising *every*
-    /// dying anchor encountered on the way (their marked references are
-    /// frozen, so the splice target is stable); if the anchor is not
-    /// found the level was never linked or already unlinked — give up
-    /// (the safe leak mirrors `link_upper`'s abort path). Excising dead
-    /// predecessors ourselves instead of helping their own splits is what
-    /// keeps this loop live: two dying anchors that are each other's
-    /// upper-level predecessors would otherwise spin forever, since a
-    /// helper whose install CAS is already decided never reaches the
-    /// other's unlink duties. Only a thread's own successful CAS reports
-    /// the unlink, so retirement accounting never double-counts.
-    fn unlink_upper(&self, anchor: NonNull<BNode<K>>, ctx: &ThreadCtx) {
+    /// associated list. Per level: walk from the predecessor the split's
+    /// frontier `res` carries, excising *every* dying anchor encountered
+    /// on the way (their marked references are frozen, so the splice
+    /// target is stable); if the anchor is not found the level was never
+    /// linked or already unlinked — give up (the safe leak mirrors
+    /// `link_upper`'s abort path). Excising dead predecessors ourselves
+    /// instead of helping their own splits is what keeps this loop live:
+    /// two dying anchors that are each other's upper-level predecessors
+    /// would otherwise spin forever, since a helper whose install CAS is
+    /// already decided never reaches the other's unlink duties. Only a
+    /// thread's own successful CAS reports the unlink, so retirement
+    /// accounting never double-counts. A carried predecessor that was
+    /// retired or died, or a lost splice, re-descends; a splice of the
+    /// carried reference is written back, so `res` stays a true search
+    /// result for `link_replacement`.
+    fn unlink_upper(&self, anchor: NonNull<BNode<K>>, res: &mut BSearch<K>, ctx: &ThreadCtx) {
         let f = unsafe { anchor.as_ref() };
         let key = unsafe { f.key() };
+        let descend = || self.graph.search_from(key, f.mvec(), None, false, ctx);
         for level in 1..=f.top_level() as usize {
             // The anchor is fully marked, so its level reference is frozen.
             debug_assert!(f.load_next_raw(level).marked());
             'level: loop {
-                let mut p = self.graph.head(level as u8, f.mvec());
+                let Some(mut p) = self.graph.carried_pred(res, level) else {
+                    *res = descend();
+                    continue;
+                };
                 loop {
                     let pred = unsafe { &*p };
                     let w = pred.load_next(level, ctx);
@@ -1390,8 +1446,9 @@ where
                         break 'level;
                     }
                     if w.marked() {
-                        // `pred` died under our feet mid-walk; restart so
-                        // the next pass from the head excises it first.
+                        // `pred` died under our feet; a fresh descent stops
+                        // before it, so the next pass excises it first.
+                        *res = descend();
                         continue 'level;
                     }
                     let nref = unsafe { &*w.ptr() };
@@ -1402,16 +1459,19 @@ where
                     if nref.is_data() && nw.marked() {
                         // A dying anchor (ours or another's): its marked
                         // reference is frozen, so splice it out here.
-                        match pred.cas_next(level, w, w.with_ptr(nw.ptr()), ctx) {
-                            Ok(()) => {
-                                self.graph.note_unlinked_chain(w.ptr(), nw.ptr(), level, ctx);
-                                if w.ptr() == anchor.as_ptr() {
-                                    break 'level;
-                                }
-                                continue; // keep walking from `pred`
-                            }
-                            Err(_) => continue 'level,
+                        if pred.cas_next(level, w, w.with_ptr(nw.ptr()), ctx).is_err() {
+                            *res = descend();
+                            continue 'level;
                         }
+                        self.graph.note_unlinked_chain(w.ptr(), nw.ptr(), level, ctx);
+                        if p == res.preds[level] && w == res.middles[level] {
+                            // The rest of that frozen chain still ends at `succs[level]`.
+                            res.middles[level] = w.with_ptr(nw.ptr());
+                        }
+                        if w.ptr() == anchor.as_ptr() {
+                            break 'level;
+                        }
+                        continue; // keep walking from `pred`
                     }
                     p = w.ptr();
                 }
@@ -2044,7 +2104,7 @@ where
             },
             end,
             last: None,
-            buf: Vec::new(),
+            buf: Vec::with_capacity(self.cap),
             visited: 0,
             _pin: pin,
         }
@@ -2464,6 +2524,50 @@ mod tests {
             assert_eq!(map.get(&k, &c), Some(k * 11));
         }
         assert!(map.stats(&c).anchors >= 2, "cap-2 blocks must have split");
+        map.check_invariants(&c).unwrap();
+    }
+
+    /// An uncontended split searches once: the install, the upper-level
+    /// unlink and the linking of both halves all run on that descent's
+    /// frontier (the head-walking protocol paid up to two more descents
+    /// inside `link_replacement`).
+    #[test]
+    fn a_split_descends_once() {
+        const TOP: usize = 3;
+        let sink = AccessStats::new(1);
+        let c = ThreadCtx::recording(0, sink.clone());
+        let map = BlockedSkipMap::<u64, u64>::new(cfg(1).max_level(TOP as u8), 4);
+        for k in 0..40 {
+            assert!(map.insert(k * 10, k, &c));
+        }
+        // An ascending load leaves two entries per block; a third puts a
+        // mid-list block over cap/2, so its split builds two halves.
+        assert!(map.insert(205, 0, &c));
+        let _pin = map.graph.pin(&c);
+        let anchor = map.covering_anchor(&205, &c).unwrap();
+        assert_eq!(unsafe { anchor.as_ref() }.top_level() as usize, TOP);
+        let blk = unsafe { map.blk(anchor) };
+        let w = blk.control().load();
+        assert_eq!(present_bits(w).count_ones(), 3);
+        blk.control().store(w | FROZEN);
+
+        let before = sink.totals().searches;
+        map.help_split(anchor, &c);
+        assert_eq!(sink.totals().searches - before, 1);
+
+        let first = blk.forward().load() as BPtr<u64>;
+        let second = unsafe { &*first }.load_next_raw(0).ptr();
+        let mut top_list = Vec::new();
+        let mut cur = unsafe { &*map.graph.head(TOP as u8, 0) }.load_next_raw(TOP);
+        while !unsafe { &*cur.ptr() }.is_tail() {
+            assert!(!cur.marked());
+            top_list.push(cur.ptr());
+            cur = unsafe { &*cur.ptr() }.load_next_raw(TOP);
+        }
+        assert!(!top_list.contains(&anchor.as_ptr()), "dead anchor still linked");
+        let at = top_list.iter().position(|&p| p == first).expect("first half linked");
+        assert_eq!(top_list.get(at + 1), Some(&second), "second half follows the first");
+        drop(_pin);
         map.check_invariants(&c).unwrap();
     }
 

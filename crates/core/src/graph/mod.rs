@@ -751,6 +751,18 @@ impl<K: Ord, V> SkipGraph<K, V> {
     /// * `unlink`: physically remove chains of marked references as they
     ///   are traversed (non-lazy mode; the lazy variant leaves chains to be
     ///   replaced by inserting nodes).
+    ///
+    /// When `key` names a node that is marked at every level (a frozen
+    /// block's anchor searching for itself, `unlink = false`), that node is
+    /// skipped like any other dead one and the result is the frontier
+    /// *around* it: at each level `preds[l]` is the last node below `key`
+    /// that was alive when the walk stood on it, `middles[l]` the reference
+    /// it held then, and `succs[l]` the first live node at or above `key` —
+    /// so if the dead node is still linked at level `l` it lies on the
+    /// frozen chain of marked references from `middles[l]` to `succs[l]`,
+    /// and the reference naming it belongs to `preds[l]` or to a dead node
+    /// on that chain. [`SkipGraph::carried_pred`] is how a caller that
+    /// walks on from such a frontier later takes `preds[l]` back out.
     pub(crate) fn search_from(
         &self,
         key: &K,
@@ -961,6 +973,24 @@ impl<K: Ord, V> SkipGraph<K, V> {
             ctx.record_hinted_search(visited);
         }
         res
+    }
+
+    /// The predecessor `res` carries for `level`, for a caller that walks
+    /// on from the search's frontier under the pin the search ran under —
+    /// or `None` if that node was retired since (or was already dying when
+    /// the search captured it): it is off every list, so only a fresh
+    /// search will do. A predecessor that merely *died* since is returned;
+    /// its frozen references still lead forward into the live list.
+    pub(crate) fn carried_pred(
+        &self,
+        res: &SearchResult<K, V>,
+        level: usize,
+    ) -> Option<NodePtr<K, V>> {
+        let p = NonNull::new(res.preds[level])?;
+        // SAFETY: a search of this graph put `p` there, so it is an arena slot.
+        let live =
+            !self.reclaim.enabled() || unsafe { Node::generation_of(p) } == res.pred_gens[level];
+        live.then_some(p.as_ptr())
     }
 
     /// Number of data nodes currently linked (unmarked, and valid under the

@@ -364,6 +364,43 @@ fn split_storm_on_shared_keys_stays_live() {
     }
 }
 
+/// A scattered preload at the size the scan workloads of the literature
+/// use. Nothing here is timed: with a split that walks level 0 from its
+/// head this load is quadratic and does not finish inside a test timeout
+/// (143 s in a release build against about a second), which is also why
+/// the test is left out of debug runs, where it needs some 20 s.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn scattered_preload_of_2_19_keys_through_two_handles() {
+    const KEYS: u64 = 1 << 19;
+    const THREADS: u64 = 2;
+    let scatter = |i: u64| i.wrapping_mul(0x9E37_79B1_85EB_CA87);
+    let map: BlockedSkipMap<u64, u64> = BlockedSkipMap::new(
+        GraphConfig::new(THREADS as usize)
+            .max_level(7)
+            .sparse(true)
+            .reclaim(true),
+        8,
+    );
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let map = &map;
+            s.spawn(move || {
+                let mut h = map.register(ThreadCtx::plain(t as u16));
+                for i in (t..KEYS).step_by(THREADS as usize) {
+                    assert!(h.insert(scatter(i), i), "insert {i}");
+                }
+            });
+        }
+    });
+    let ctx = ThreadCtx::plain(0);
+    assert_eq!(map.len(&ctx) as u64, KEYS);
+    map.check_invariants(&ctx).unwrap();
+    for i in 0..KEYS {
+        assert_eq!(map.get(&scatter(i), &ctx), Some(i), "key {i}");
+    }
+}
+
 /// The same disjoint-class exactness under the deterministic scheduler:
 /// every facade access is sequenced by the policy, so failures here come
 /// with a replayable schedule.
@@ -373,26 +410,39 @@ mod deterministic {
     use skipgraph::det::{self, DetConfig, Policy};
     use std::sync::Mutex;
 
+    /// Runs `plan(t)` on thread `t` of `map` (which holds `preloaded`)
+    /// under `det` and checks every outcome and the final state; returns
+    /// the steps the schedule took.
+    fn det_run(
+        map: &BlockedSkipMap<u64, u64>,
+        threads: u64,
+        plan: impl Fn(u64) -> Vec<(u8, u64)> + Sync,
+        preloaded: BTreeMap<u64, u64>,
+        det: &DetConfig,
+    ) -> usize {
+        let models = Mutex::new(vec![preloaded]);
+        let workers: Vec<Box<dyn FnOnce() + Send + '_>> = (0..threads)
+            .map(|t| {
+                let (models, plan) = (&models, &plan);
+                Box::new(move || {
+                    let model = run_plan(map, t as u16, &plan(t));
+                    models.lock().unwrap().push(model);
+                }) as Box<dyn FnOnce() + Send + '_>
+            })
+            .collect();
+        let steps = det::run_threads(det, workers).decisions.len();
+        check_final_state(map, models.into_inner().unwrap());
+        steps
+    }
+
     fn det_round(cap: usize, seed: u64, det: DetConfig) {
         const THREADS: u64 = 3;
         let map: BlockedSkipMap<u64, u64> = BlockedSkipMap::new(
             GraphConfig::new(THREADS as usize).chunk_capacity(512),
             cap,
         );
-        let models = Mutex::new(Vec::new());
-        let workers: Vec<Box<dyn FnOnce() + Send>> = (0..THREADS)
-            .map(|t| {
-                let map = &map;
-                let models = &models;
-                Box::new(move || {
-                    let plan = class_plan(seed, t, THREADS, 60, 24);
-                    let model = run_plan(map, t as u16, &plan);
-                    models.lock().unwrap().push(model);
-                }) as Box<dyn FnOnce() + Send>
-            })
-            .collect();
-        det::run_threads(&det, workers);
-        check_final_state(&map, models.into_inner().unwrap());
+        let plan = |t| class_plan(seed, t, THREADS, 60, 24);
+        det_run(&map, THREADS, plan, BTreeMap::new(), &det);
     }
 
     #[test]
@@ -417,5 +467,76 @@ mod deterministic {
                 ),
             );
         }
+    }
+
+    /// A split whose carried predecessor dies. The key space is cut into
+    /// zones of `ZONE` keys dealt to the threads in turn; a zone's first
+    /// key is preloaded and never removed, so every zone always has an
+    /// anchor of its own and no block ever takes inserts from two threads
+    /// (at capacity 2 those would race for one free slot, a contest of the
+    /// *insert* protocol that lock-step schedules can prolong at will and
+    /// that is not this lane's subject). The threads work adjacent zones
+    /// at the same time — fill one, empty it, move `THREADS` zones on — so
+    /// the block before a zone's first one, which is what a split there
+    /// carries as its predecessor at level 0 and often above, belongs to
+    /// the neighbouring thread and is freezing, splitting, merging or
+    /// being retired in the same window. Threads 0/1 and 2/3 share a
+    /// membership vector, so a replacement is linked both ways: through
+    /// the carried frontier (nine in ten here) and, when a helper of the
+    /// other pair built it, through its own descent. Every outcome and the
+    /// final state are exact, and the step budget is the liveness half: a
+    /// stale frontier entry descends again, it does not spin. The sweep is
+    /// wide, not pinned to seeds: the yield points of a split move with
+    /// its code.
+    #[test]
+    fn adjacent_splits_outlive_their_carried_predecessors() {
+        const THREADS: u64 = 4;
+        const ZONE: u64 = 6;
+        const ZONES_EACH: u64 = 4;
+        const MAX_STEPS: u64 = 200_000;
+        let plan = |t: u64| {
+            let mut ops = Vec::new();
+            for round in 0..ZONES_EACH {
+                let first = (round * THREADS + t) * ZONE;
+                ops.extend((1..ZONE).map(|i| (0u8, first + i)));
+                // Emptied blocks merge, which retires their anchors.
+                ops.extend((1..ZONE - 1).map(|i| (4u8, first + i)));
+                ops.push((6, first + ZONE - 1));
+            }
+            ops
+        };
+        let pct = (0..32u64).map(|seed| {
+            let policy = Policy::Pct {
+                change_points: 12,
+                expected_steps: 30_000,
+            };
+            (100 + seed, policy)
+        });
+        let round_robin =
+            (1..=16u32).map(|quantum| (quantum as u64, Policy::RoundRobin { quantum }));
+        let (mut schedules, mut longest) = (0, 0);
+        for (seed, policy) in pct.chain(round_robin) {
+            for (sparse, reclaim) in [(false, false), (false, true), (true, false), (true, true)] {
+                let map: BlockedSkipMap<u64, u64> = BlockedSkipMap::new(
+                    GraphConfig::new(THREADS as usize)
+                        .sparse(sparse)
+                        .reclaim(reclaim)
+                        .chunk_capacity(512),
+                    2,
+                );
+                let ctx = ThreadCtx::plain(0);
+                let anchored: BTreeMap<u64, u64> = (0..THREADS * ZONES_EACH)
+                    .map(|zone| (zone * ZONE, zone))
+                    .collect();
+                for (&k, &v) in &anchored {
+                    assert!(map.insert(k, v, &ctx));
+                }
+                let mut det = DetConfig::new(seed, policy.clone());
+                det.max_steps = MAX_STEPS;
+                longest = longest.max(det_run(&map, THREADS, plan, anchored, &det));
+                schedules += 1;
+            }
+        }
+        println!("adjacent splits: {schedules} schedules, longest {longest} of {MAX_STEPS} steps");
     }
 }

@@ -84,23 +84,26 @@ fn interleave<H>(
     }
 }
 
+/// Thread slots and block capacity of the two blocked-map tests.
+const SLOTS: u16 = 2;
+const BLOCK_CAP: usize = 8;
+
+/// Full-height sparse lazy towers — the blocked and the unblocked lane
+/// differ only in blocking; reclamation on, so a split's frozen victim goes
+/// back to the free lists instead of counting against bytes/key forever.
+fn block_config() -> GraphConfig {
+    GraphConfig::new(SLOTS as usize)
+        .max_level(7)
+        .sparse(true)
+        .lazy(true)
+        .reclaim(true)
+        .chunk_capacity(CHUNK)
+}
+
 #[test]
 fn blocks_shorten_searches_and_shrink_bytes_per_key() {
     const KEYS: u64 = 60_000;
     const PROBES: u64 = 20_000;
-    const SLOTS: u16 = 2;
-    const BLOCK_CAP: usize = 8;
-    // Full-height sparse lazy towers on both lanes, so they differ only in
-    // blocking; reclamation on, so a split's frozen victim goes back to
-    // the free lists instead of counting against bytes/key forever.
-    let config = || {
-        GraphConfig::new(SLOTS as usize)
-            .max_level(7)
-            .sparse(true)
-            .lazy(true)
-            .reclaim(true)
-            .chunk_capacity(CHUNK)
-    };
     // Loads the keys, then counts nodes visited per search over uniform
     // lookups of them.
     fn load_and_probe<M: ConcurrentMap<u64, u64>>(map: &M) -> f64 {
@@ -114,12 +117,12 @@ fn blocks_shorten_searches_and_shrink_bytes_per_key() {
     }
     let ctx = ThreadCtx::plain(0);
 
-    let unblocked: SkipGraph<u64, u64> = SkipGraph::new(config());
+    let unblocked: SkipGraph<u64, u64> = SkipGraph::new(block_config());
     let un_nodes = load_and_probe(&unblocked);
     unblocked.reclaim_flush(&ctx);
     let un_bytes = unblocked.memory_stats(&ctx).allocated_bytes as f64 / KEYS as f64;
 
-    let blocked: BlockedSkipMap<u64, u64> = BlockedSkipMap::new(config(), BLOCK_CAP);
+    let blocked: BlockedSkipMap<u64, u64> = BlockedSkipMap::new(block_config(), BLOCK_CAP);
     let bl_nodes = load_and_probe(&blocked);
     blocked.shared().reclaim_flush(&ctx);
     let bl_stats = blocked.stats(&ctx);
@@ -141,6 +144,32 @@ fn blocks_shorten_searches_and_shrink_bytes_per_key() {
         bl_stats.bytes_per_key < un_bytes,
         "blocks must spend fewer bytes/key: {:.2} vs {un_bytes:.2}",
         bl_stats.bytes_per_key
+    );
+}
+
+#[test]
+fn a_block_split_costs_a_descent_not_a_list() {
+    // Shared-node reads per insert of a scattered preload, splits
+    // included. A split that walked a list from its head would make this
+    // grow with the anchor count (eight times the keys, eight times the
+    // anchors); one that starts from a search frontier grows it by the
+    // descent's few extra hops.
+    fn reads_per_insert(keys: u64) -> f64 {
+        let map: BlockedSkipMap<u64, u64> = BlockedSkipMap::new(block_config(), BLOCK_CAP);
+        let stats = AccessStats::new(SLOTS as usize);
+        preload(&mut pin_all(&map, 0..SLOTS, Some(&stats)), keys);
+        assert_eq!(map.len(&ThreadCtx::plain(0)) as u64, keys);
+        stats.reads().total() as f64 / keys as f64
+    }
+    let small = reads_per_insert(1 << 13);
+    let large = reads_per_insert(1 << 16);
+    println!(
+        "split cost: {small:.1} reads/insert over 2^13 keys, {large:.1} over 2^16 ({:.2}x)",
+        large / small
+    );
+    assert!(
+        large <= 2.5 * small && large <= 200.0,
+        "reads per insert grew with the list: {small:.1} -> {large:.1}"
     );
 }
 
