@@ -76,14 +76,67 @@
 //! adopt the winner's decision, which is what lets a bulk fill publish an
 //! arbitrary-length chain through the same protocol.
 //!
-//! # Anchor-granular layering (PR 9)
+//! # The local anchor maps
 //!
-//! The *anchor* — not the key — is the unit of locality:
+//! The paper caps tower height and gets away with it because each
+//! thread's local map (`getStart`) lands a search next to its target. The
+//! blocked map does the same with the *anchor* — not the key — as the unit
+//! of locality: it holds one ordered map of anchors per configured thread
+//! slot (a [`BTreeLocalMap`] from anchor key to generation-checked
+//! [`NodeRef`], found by `ctx.id()`), and every entry point — the map's
+//! and the handle's point operations, sorted runs and
+//! [`BlockedSkipMap::range`] — finds its block through one function,
+//! `resolve`:
 //!
-//! * [`BlockedHandle`] keeps a per-thread **anchor cache** (a
-//!   [`BTreeLocalMap`] keyed by anchor key): one generation-validated
-//!   entry serves point ops for every key its block covers, validated
-//!   gen → unmarked → covering on use, evicted on observed split/merge.
+//! 1. take the slot's greatest anchor `<= key` and validate it under the
+//!    operation's pin — generation unchanged (splits and merges retire the
+//!    old anchor, which moves it), a data node, level-0 word unmarked and
+//!    non-null; an entry that fails is evicted on sight and the next lower
+//!    one tried;
+//! 2. if its level-0 successor's key is `> key` it *covers* the key: one
+//!    node inspected, no search;
+//! 3. else jump in: `search_from(key, mvec, Some(anchor), ..)` descends
+//!    from the anchor's own tower, the paper's use of its local map;
+//! 4. only a thread that knows no anchor at or below the key descends from
+//!    a list head.
+//!
+//! **What a slot holds.** Only anchors whose tower reaches
+//! `min(2, max_level)` are sampled — the paper's sparse variant at anchor
+//! granularity: with geometric heights that is a quarter of the anchors,
+//! each a useful place to jump in from, for a few per cent of the node
+//! bytes. A thread records such an anchor when it links it upward (the
+//! map's first anchor; the install winner's walk over a split's
+//! replacement chain), and when a search shows it one it did not start
+//! from: the search's predecessor at the sampling level — the closest
+//! sampled anchor below the key on the lists it walked — and, after a
+//! descent from a list head, the anchor it landed on. A slot therefore
+//! holds, in the main, the anchors of its own thread's lists, as the
+//! paper's local maps hold their thread's own nodes: the sum over the
+//! slots stays near the number of sampled anchors however many threads
+//! read every key. The predecessor rule is what lets a slot that built
+//! nothing converge: `search_from` enters at the start anchor's *top*
+//! level only, so from a low or distant anchor the walk is long, and it
+//! should be paid once. Staleness is bounded as well as size: when a
+//! slot's length reaches twice its length after the last sweep (floor
+//! `SWEEP_FLOOR`), every entry whose generation moved is dropped.
+//!
+//! **Why the maps sit in the map.** A scan is `map.range(.., ctx)`: it
+//! holds a context, not a handle, so a map in the handle is one scans
+//! never see; and a slot outlives its handle, so a re-registered thread
+//! starts warm. Two `ThreadCtx` with one id are constructible in safe
+//! code, so a slot is a `Mutex` taken with `try_lock` only: a busy or
+//! poisoned slot is a miss (the operation descends and records nothing),
+//! never a wait — lock-freedom and the deterministic scheduler's yield
+//! points are as without it. Slots are 128-byte aligned so two threads'
+//! lock words share no line.
+//!
+//! The maps are accelerators with the index's contract: never an
+//! authority. A resolved block is re-checked by the operation itself (a
+//! frozen control word sends it to help and resolve again; a publish CAS
+//! against an unfrozen word proves coverage).
+//!
+//! # Anchor-granular batching (PR 9)
+//!
 //! * [`BlockedHandle::run_sorted`] executes a key-sorted combiner run
 //!   **grouped by target anchor**: each group resolves its block once
 //!   (directly or by a short level-0 walk from the previous group's
@@ -110,6 +163,7 @@ use std::marker::PhantomData;
 use std::mem::MaybeUninit;
 use std::ops::Bound;
 use std::ptr::NonNull;
+use std::sync::{Mutex, MutexGuard};
 
 /// Smallest supported blocking factor. A 1-slot block would re-freeze
 /// immediately after every split (the replacement is born full), so the
@@ -179,6 +233,73 @@ pub(crate) fn block_layout_bytes<K, V>(cap: usize) -> usize {
 type BNode<K> = Node<K, ()>;
 type BPtr<K> = NodePtr<K, ()>;
 type BSearch<K> = SearchResult<K, ()>;
+
+/// A slot's local map is not swept for stale entries below this length.
+const SWEEP_FLOOR: usize = 1024;
+
+/// The liveness rungs of the validation ladder, under the caller's pin:
+/// `hint` still names the incarnation it captured (generation), that is a
+/// data node, and its level-0 word is unmarked and non-null. Returns the
+/// node with that word's successor.
+fn live_anchor<K>(hint: &NodeRef<K, ()>) -> Option<(&BNode<K>, BPtr<K>)> {
+    let node = hint.node().filter(|n| n.is_data())?;
+    let w0 = node.load_next_raw(0);
+    (!w0.marked() && !w0.ptr().is_null()).then_some((node, w0.ptr()))
+}
+
+/// One thread slot's local structure: the sampled anchors its thread
+/// linked or was shown by a search, by anchor key (see the module docs).
+struct LocalAnchors<K> {
+    map: BTreeLocalMap<K, NodeRef<K, ()>>,
+    /// Length at which the next staleness sweep runs.
+    sweep_at: usize,
+}
+
+/// A slot on cache lines of its own: taking one thread's lock must not
+/// move the line another thread's lock word sits on.
+#[repr(align(128))]
+struct LocalSlot<K>(Mutex<LocalAnchors<K>>);
+
+impl<K> Default for LocalSlot<K> {
+    fn default() -> Self {
+        Self(Mutex::new(LocalAnchors {
+            map: BTreeLocalMap::default(),
+            sweep_at: SWEEP_FLOOR,
+        }))
+    }
+}
+
+impl<K: Ord + Copy> LocalAnchors<K> {
+    /// The greatest recorded anchor `<= key` that passes [`live_anchor`],
+    /// with its level-0 successor. Dead entries met on the way are
+    /// evicted; a live anchor that does not cover `key` stays, for its own
+    /// range.
+    fn floor(&mut self, key: &K) -> Option<(NonNull<BNode<K>>, BPtr<K>)> {
+        loop {
+            let (akey, hint) = self.map.max_lower_equal(key)?;
+            let akey = *akey;
+            if let Some((_, succ)) = live_anchor(&hint) {
+                return Some((hint.ptr, succ));
+            }
+            self.map.remove(&akey);
+        }
+    }
+
+    /// Records `anchor`, a node the caller's pinned traversal reached, and
+    /// sweeps out every entry whose generation moved once the map has
+    /// doubled since the last sweep.
+    fn record(&mut self, anchor: NonNull<BNode<K>>) {
+        let akey = *unsafe { anchor.as_ref().key() };
+        self.map.insert(akey, NodeRef::new(anchor));
+        if self.map.len() >= self.sweep_at {
+            // The generation word is an atomic projection of an arena
+            // slot: readable whatever became of the node.
+            self.map
+                .retain(|_, r| unsafe { Node::generation_of(r.ptr) } == r.gen);
+            self.sweep_at = (2 * self.map.len()).max(SWEEP_FLOOR);
+        }
+    }
+}
 
 /// Tunable block-lifecycle policy: where a split cuts, when a clogged
 /// block compacts, and how full bulk-filled fresh blocks are born. The
@@ -311,9 +432,16 @@ pub struct BlockedStats {
     /// Live entries summed over those anchors' present bitmaps.
     pub entries: usize,
     /// Bytes consumed by allocated node slots, towers and blocks included.
+    /// The local anchor maps are not in it; see `local_bytes`.
     pub allocated_bytes: usize,
     /// `allocated_bytes / entries` (0 when empty).
     pub bytes_per_key: f64,
+    /// Anchors recorded in the thread slots' local maps, summed over the
+    /// slots (a slot busy at the time reads as empty).
+    pub local_entries: usize,
+    /// What those entries cost at a B-tree's worst-case occupancy (half
+    /// full): `local_entries` × the entry size × 2.
+    pub local_bytes: usize,
 }
 
 /// A lock-free ordered map with fat level-0 blocks over a [`SkipGraph`].
@@ -335,6 +463,9 @@ pub struct BlockedSkipMap<K, V> {
     /// `n`-th anchor gets height `trailing_zeros(n)` (capped), i.e. the
     /// geometric distribution without per-thread RNG state.
     anchor_seq: FacadeAtomicUsize,
+    /// One local anchor map per configured thread slot, indexed by
+    /// `ctx.id()` (see the module docs).
+    local: Box<[LocalSlot<K>]>,
     _values: PhantomData<V>,
 }
 
@@ -421,6 +552,9 @@ where
             last_asc_pct: AtomicU32::new(0),
         });
         Self {
+            local: (0..config.num_threads)
+                .map(|_| LocalSlot::default())
+                .collect(),
             graph: SkipGraph::new_hashed(config),
             cap,
             policy,
@@ -493,15 +627,131 @@ where
         unsafe { Blk::of(anchor, self.cap) }
     }
 
-    /// The block responsible for `key` right now: the last data anchor
-    /// with key `<= key` on the raw level-0 chain (marked anchors
-    /// included — a frozen block still owns its keys until replaced), or
-    /// the first data anchor when every anchor key exceeds `key` (the
-    /// first block covers `-inf`). `None` only when the map holds no data
-    /// nodes at all.
-    fn covering_anchor(&self, key: &K, ctx: &ThreadCtx) -> Option<NonNull<BNode<K>>> {
+    /// The tower height from which an anchor is sampled into the local
+    /// maps: 2, or the configured maximum where towers stop lower (a
+    /// `MaxLevel`-1 map would otherwise sample nothing).
+    fn sample_level(&self) -> usize {
+        2.min(self.graph.config().max_level as usize)
+    }
+
+    /// The calling thread's local anchor map, unless the slot is busy (a
+    /// second context with this id is inside it) or poisoned. Never waits.
+    fn local(&self, ctx: &ThreadCtx) -> Option<MutexGuard<'_, LocalAnchors<K>>> {
+        self.local[ctx.id() as usize].0.try_lock().ok()
+    }
+
+    /// Records an anchor the calling thread has just linked upward, if it
+    /// is sampled. Caller must hold a pin.
+    fn record_linked(&self, anchor: NonNull<BNode<K>>, ctx: &ThreadCtx) {
+        if unsafe { anchor.as_ref() }.top_level() as usize >= self.sample_level() {
+            if let Some(mut local) = self.local(ctx) {
+                local.record(anchor);
+            }
+        }
+    }
+
+    /// The block responsible for `key` right now — every entry point's way
+    /// to its block (see "The local anchor maps" in the module docs): the
+    /// thread's greatest live local anchor `<= key` if it covers the key,
+    /// else a search that jumps in from that anchor's tower; a head descent
+    /// only when the thread knows nothing at or below the key (or its slot
+    /// is busy). A search teaches the slot the sampled anchors it shows.
+    /// `None` only when the map holds no data nodes at all. Caller must
+    /// hold a pin.
+    ///
+    /// Keys below a local anchor's own key never resolve to it (the map
+    /// order guarantees `anchor.key <= key`), and a closer anchor can only
+    /// appear above a covering one by a split of that very block — splits
+    /// freeze first, so the operation's own frozen check closes the window
+    /// between this resolution and its use.
+    fn resolve(&self, key: &K, ctx: &ThreadCtx) -> Option<NonNull<BNode<K>>> {
+        let mut local = self.local(ctx);
+        let start = match local.as_mut().and_then(|l| l.floor(key)) {
+            // SAFETY: `succ` was read from a live anchor under the caller's pin.
+            Some((anchor, succ)) if unsafe { &*succ }.cmp_key(key) == CmpOrdering::Greater => {
+                // One node inspected instead of a search (counted as a
+                // one-node search, like an index fast-path hit).
+                ctx.record_anchor_hit();
+                ctx.record_search(1);
+                ctx.record_hinted_search(1);
+                return Some(anchor);
+            }
+            start => start.map(|(anchor, _)| anchor),
+        };
+        let (found, sampled_pred) = self.covering_anchor(key, start, ctx);
+        if let Some(local) = local.as_mut() {
+            // What the search shows that the thread did not start from: its
+            // predecessor at the sampling level — the closest sampled
+            // anchor below `key` on the lists it walked — and, where it
+            // had to come down from a head, the anchor it landed on.
+            let passed = NonNull::new(sampled_pred)
+                .filter(|p| Some(*p) != start && unsafe { p.as_ref() }.is_data());
+            let landed = found.filter(|a| {
+                start.is_none() && unsafe { a.as_ref() }.top_level() as usize >= self.sample_level()
+            });
+            for shown in [passed, landed].into_iter().flatten() {
+                local.record(shown);
+            }
+        }
+        found
+    }
+
+    /// [`Self::resolve`] for the paths that only read the block — point
+    /// lookups and scan starts. The two differ in the bug-injection build
+    /// alone.
+    ///
+    /// Injected bug (`--features bug-injection`, `anchor_blocked_sg` lane:
+    /// non-default merge threshold, so each stress lane carries exactly
+    /// one live fault): trust the local anchor *without* the covering
+    /// check. A read through a live anchor whose key range moved to a
+    /// split-off sibling the thread has never seen then scans the wrong
+    /// block and reports a present key absent: the stale miss the
+    /// deterministic wall must catch. Reads only — a severed write would
+    /// publish outside the coverage invariant and corrupt the level-0
+    /// order itself, turning the detectable lie into a structural
+    /// livelock.
+    #[inline]
+    fn resolve_read(&self, key: &K, ctx: &ThreadCtx) -> Option<NonNull<BNode<K>>> {
+        #[cfg(feature = "bug-injection")]
+        if self.policy.merge_threshold > 0 {
+            if let Some((anchor, _)) = self.local(ctx).and_then(|mut l| l.floor(key)) {
+                return Some(anchor);
+            }
+        }
+        self.resolve(key, ctx)
+    }
+
+    /// The search behind [`Self::resolve`]: jumps in from `start`, a live
+    /// anchor with key `<= key`, or descends from the head. Returns the
+    /// block responsible for `key` and the search's predecessor at the
+    /// sampling level (null where the search entered below that level).
+    fn covering_anchor(
+        &self,
+        key: &K,
+        start: Option<NonNull<BNode<K>>>,
+        ctx: &ThreadCtx,
+    ) -> (Option<NonNull<BNode<K>>>, BPtr<K>) {
         let mvec = self.graph.membership_of(ctx.id());
-        let res = self.graph.search_from(key, mvec, None, false, ctx);
+        let res = self
+            .graph
+            .search_from(key, mvec, start.map(NonNull::as_ptr), false, ctx);
+        let sampled_pred = res.preds[self.sample_level()];
+        (self.covering_of(&res, key, mvec, ctx), sampled_pred)
+    }
+
+    /// The block responsible for `key` right now, given a search for it:
+    /// the last data anchor with key `<= key` on the raw level-0 chain
+    /// (marked anchors included — a frozen block still owns its keys until
+    /// replaced), or the first data anchor when every anchor key exceeds
+    /// `key` (the first block covers `-inf`). `None` only when the map
+    /// holds no data nodes at all.
+    fn covering_of(
+        &self,
+        res: &BSearch<K>,
+        key: &K,
+        mvec: u32,
+        ctx: &ThreadCtx,
+    ) -> Option<NonNull<BNode<K>>> {
         if res.found {
             return NonNull::new(res.succs[0]);
         }
@@ -641,6 +891,7 @@ where
                 // Publish-after-link: the seed entry lives in slot 0.
                 self.index_publish_slot(&key, node, 0, ctx);
                 self.graph.link_upper(node, &mut res, ctx, || None);
+                self.record_linked(node, ctx);
                 break true;
             }
         };
@@ -670,7 +921,7 @@ where
         V: PartialEq,
     {
         loop {
-            let anchor = match start.take().or_else(|| self.covering_anchor(&key, ctx)) {
+            let anchor = match start.take().or_else(|| self.resolve(&key, ctx)) {
                 Some(a) => a,
                 None => {
                     if self.link_anchor(key, value, ctx) {
@@ -800,7 +1051,7 @@ where
         ctx: &ThreadCtx,
     ) -> (bool, Option<NonNull<BNode<K>>>) {
         loop {
-            let anchor = match start.take().or_else(|| self.covering_anchor(key, ctx)) {
+            let anchor = match start.take().or_else(|| self.resolve(key, ctx)) {
                 Some(a) => a,
                 None => return (false, None),
             };
@@ -871,7 +1122,7 @@ where
             return (Some(v), Some(anchor));
         }
         loop {
-            let anchor = match start.take().or_else(|| self.covering_anchor(key, ctx)) {
+            let anchor = match start.take().or_else(|| self.resolve_read(key, ctx)) {
                 Some(a) => a,
                 None => return (None, None),
             };
@@ -1206,6 +1457,7 @@ where
             loop {
                 let w = unsafe { cur.as_ref() }.load_next_raw(0);
                 self.link_replacement(cur, f.mvec(), &mut res, ctx);
+                self.record_linked(cur, ctx);
                 // Republish the block's live entries under their new
                 // (anchor, slot) homes; the dead anchor's entries went
                 // stale with its generation bump above. Skip a block that
@@ -1509,6 +1761,11 @@ where
             cur = w0.ptr();
         }
         let allocated_bytes = self.graph.memory_stats(ctx).allocated_bytes;
+        let local_entries: usize = self
+            .local
+            .iter()
+            .map(|slot| slot.0.try_lock().map_or(0, |l| l.map.len()))
+            .sum();
         BlockedStats {
             anchors,
             entries,
@@ -1518,6 +1775,8 @@ where
             } else {
                 allocated_bytes as f64 / entries as f64
             },
+            local_entries,
+            local_bytes: local_entries * std::mem::size_of::<(K, NodeRef<K, ()>)>() * 2,
         }
     }
 
@@ -1596,26 +1855,17 @@ where
     }
 }
 
-/// Every handle caps its anchor cache here; overflowing clears it
-/// wholesale (entries are hints, not state — rebuilding is one descent
-/// per block, and a bounded map keeps `max_lower_equal` cheap).
-const ANCHOR_CACHE_CAP: usize = 128;
-
 /// Per-thread handle for a [`BlockedSkipMap`]: carries the thread's
-/// recording context and an *anchor cache* — a local ordered map from
-/// block anchor keys to generation-checked [`NodeRef`]s, the blocked
-/// analogue of the layered design's per-thread local structures. One
-/// cached anchor serves point operations for **every** key its block
-/// covers (anchor-granular locality): a lookup takes the cache's
-/// greatest anchor `<= key` and validates it in place — generation,
-/// unmarked, still covering — falling back to the tower descent on a
-/// miss. Entries that fail the liveness checks are evicted on sight
-/// (splits and merges retire the old anchor, so its generation moves —
-/// that is the invalidate-on-observed-split rule).
+/// recording context, its feed of the ascending-stream sensor, and the
+/// sorted-run engine ([`Self::run_sorted`]). The thread's *local anchor
+/// map* — the blocked analogue of the layered design's per-thread local
+/// structures — is kept by the map under the context's id (see the module
+/// docs), so point operations and scans through a handle and through the
+/// map with the same context resolve alike, and a handle registered again
+/// for the same id finds the slot as its predecessor left it.
 pub struct BlockedHandle<'g, K, V> {
     map: &'g BlockedSkipMap<K, V>,
     ctx: ThreadCtx,
-    anchors: BTreeLocalMap<K, NodeRef<K, ()>>,
     /// This handle's previous inserted key — the per-thread feed of the
     /// map's ascending-stream sensor (see [`BlockedSkipMap::asc_state`]).
     last_insert_key: Option<K>,
@@ -1631,106 +1881,6 @@ where
         &self.ctx
     }
 
-    /// Resolves `key` through the anchor cache under the current pin:
-    /// take the greatest cached anchor `<= key`, validate it is still its
-    /// live incarnation (generation check), a data node, unmarked, and
-    /// covering — the direct successor past `key`. Dead entries (gen
-    /// moved, marked, or unlinked) are evicted and the next-lower cached
-    /// anchor tried; a live block that simply no longer covers `key`
-    /// (e.g. it split and the upper half absorbed the key's range) stays
-    /// cached for its own narrower range, and the op pays the descent.
-    /// Keys below the anchor key never resolve here (the map order
-    /// guarantees `anchor.key <= key`); only a split of the cached block
-    /// can create a closer anchor above it, and splits freeze first, so
-    /// the operation's own frozen check closes the remaining window.
-    fn validated_cached(&mut self, key: &K) -> Option<NonNull<BNode<K>>> {
-        loop {
-            let (akey, hint) = self.anchors.max_lower_equal(key)?;
-            let akey = *akey;
-            let live = hint.node().filter(|node| {
-                node.is_data() && {
-                    let w0 = node.load_next_raw(0);
-                    !w0.marked() && !w0.ptr().is_null()
-                }
-            });
-            let Some(node) = live else {
-                self.anchors.remove(&akey);
-                continue;
-            };
-            debug_assert!(node.cmp_key(key) != CmpOrdering::Greater);
-            let w0 = node.load_next_raw(0);
-            if unsafe { &*w0.ptr() }.cmp_key(key) != CmpOrdering::Greater {
-                return None;
-            }
-            return Some(hint.ptr);
-        }
-    }
-
-    /// Injected bug (`--features bug-injection`, `anchor_blocked_sg`
-    /// lane: non-default merge threshold, so each stress lane carries
-    /// exactly one live fault): resolve the cached anchor *without* the
-    /// covering check — i.e. sever anchor invalidation on an observed
-    /// split. A read through a stale anchor whose block's range moved to
-    /// a split-off sibling then scans the wrong block and reports a
-    /// present key absent: the stale-miss the deterministic wall must
-    /// catch. Reads only — a severed write would publish outside the
-    /// coverage invariant and corrupt the level-0 order itself, turning
-    /// the detectable lie into a structural livelock.
-    #[cfg(feature = "bug-injection")]
-    fn severed_cached(&mut self, key: &K) -> Option<NonNull<BNode<K>>> {
-        loop {
-            let (akey, hint) = self.anchors.max_lower_equal(key)?;
-            let akey = *akey;
-            let live = hint.node().filter(|node| {
-                node.is_data() && {
-                    let w0 = node.load_next_raw(0);
-                    !w0.marked() && !w0.ptr().is_null()
-                }
-            });
-            let Some(_node) = live else {
-                self.anchors.remove(&akey);
-                continue;
-            };
-            return Some(hint.ptr);
-        }
-    }
-
-    fn start_for(&mut self, key: &K) -> Option<NonNull<BNode<K>>> {
-        let start = self.validated_cached(key);
-        if start.is_some() {
-            // One node inspected instead of a full descent (counted as a
-            // one-node search, same accounting as an index fast-path hit).
-            self.ctx.record_anchor_hit();
-            self.ctx.record_search(1);
-            self.ctx.record_hinted_search(1);
-        }
-        start
-    }
-
-    /// The read path's anchor resolution: identical to [`start_for`]
-    /// except that the bug-injection build of the compacting-policy lane
-    /// trusts stale anchors (see [`severed_cached`]).
-    fn read_start_for(&mut self, key: &K) -> Option<NonNull<BNode<K>>> {
-        #[cfg(feature = "bug-injection")]
-        if self.map.policy.merge_threshold > 0 {
-            return self.severed_cached(key);
-        }
-        self.start_for(key)
-    }
-
-    fn cache(&mut self, anchor: Option<NonNull<BNode<K>>>) {
-        // Captured under the operation's pin (the caller holds it), so
-        // the generation read and the key read are safe; validation
-        // happens under the *next* operation's pin.
-        if let Some(a) = anchor {
-            if self.anchors.len() >= ANCHOR_CACHE_CAP {
-                self.anchors.clear();
-            }
-            let akey = *unsafe { a.as_ref().key() };
-            self.anchors.insert(akey, NodeRef::new(a));
-        }
-    }
-
     /// Inserts `key -> value`; `false` if the key was present.
     pub fn insert(&mut self, key: K, value: V) -> bool
     where
@@ -1739,31 +1889,19 @@ where
         self.ctx.record_op();
         self.map.note_asc(self.last_insert_key.is_some_and(|p| key > p));
         self.last_insert_key = Some(key);
-        let _pin = self.map.graph.pin(&self.ctx);
-        let start = self.start_for(&key);
-        let (ok, anchor) = self.map.insert_pinned(key, value, start, &self.ctx);
-        self.cache(anchor);
-        ok
+        self.map.insert(key, value, &self.ctx)
     }
 
     /// Removes `key`; `false` if it was absent.
     pub fn remove(&mut self, key: &K) -> bool {
         self.ctx.record_op();
-        let _pin = self.map.graph.pin(&self.ctx);
-        let start = self.start_for(key);
-        let (ok, anchor) = self.map.remove_pinned(key, start, &self.ctx);
-        self.cache(anchor);
-        ok
+        self.map.remove(key, &self.ctx)
     }
 
     /// Looks up `key`, returning its value.
     pub fn get(&mut self, key: &K) -> Option<V> {
         self.ctx.record_op();
-        let _pin = self.map.graph.pin(&self.ctx);
-        let start = self.read_start_for(key);
-        let (v, anchor) = self.map.get_pinned(key, start, &self.ctx);
-        self.cache(anchor);
-        v
+        self.map.get(key, &self.ctx)
     }
 
     /// Whether `key` is present.
@@ -1771,40 +1909,41 @@ where
         self.get(key).is_some()
     }
 
+    /// Scans live entries with keys in the range given by the bounds,
+    /// ascending: [`BlockedSkipMap::range`] with this handle's context.
+    pub fn range(&self, start: Bound<&K>, end: Bound<K>) -> BlockedRangeIter<'_, K, V> {
+        self.map.range(start, end, &self.ctx)
+    }
+
     /// Resolves the target anchor for `key` from the carried chain hint:
     /// a validated covering hint answers directly; a live hint whose key
     /// is still `<= key` walks the level-0 chain forward (consecutive
     /// sorted-run groups pay only the hops between their blocks, never a
-    /// fresh descent); anything else falls back to the anchor cache.
+    /// fresh descent); anything else resolves like a single operation.
     fn resolve_for_run(
         &mut self,
         chain: &Option<NodeRef<K, ()>>,
         key: &K,
     ) -> Option<NonNull<BNode<K>>> {
-        if let Some(hint) = chain {
-            if let Some(node) = hint.node() {
-                if node.is_data() && node.cmp_key(key) != CmpOrdering::Greater {
-                    let w0 = node.load_next_raw(0);
-                    if !w0.marked() && !w0.ptr().is_null() {
-                        if unsafe { &*w0.ptr() }.cmp_key(key) == CmpOrdering::Greater {
-                            self.ctx.record_anchor_hit();
-                            self.ctx.record_search(1);
-                            self.ctx.record_hinted_search(1);
-                            return Some(hint.ptr);
-                        }
-                        let (found, hops) =
-                            self.map.covering_anchor_from(hint.ptr, key, &self.ctx);
-                        if let Some(a) = found {
-                            self.ctx.record_anchor_hit();
-                            self.ctx.record_search(hops + 1);
-                            self.ctx.record_hinted_search(hops + 1);
-                            return Some(a);
-                        }
-                    }
+        let live = chain
+            .as_ref()
+            .and_then(|hint| Some((hint.ptr, live_anchor(hint)?)));
+        if let Some((anchor, (node, succ))) = live {
+            if node.cmp_key(key) != CmpOrdering::Greater {
+                let (found, hops) = if unsafe { &*succ }.cmp_key(key) == CmpOrdering::Greater {
+                    (Some(anchor), 0)
+                } else {
+                    self.map.covering_anchor_from(anchor, key, &self.ctx)
+                };
+                if found.is_some() {
+                    self.ctx.record_anchor_hit();
+                    self.ctx.record_search(hops + 1);
+                    self.ctx.record_hinted_search(hops + 1);
+                    return found;
                 }
             }
         }
-        self.start_for(key)
+        self.map.resolve(key, &self.ctx)
     }
 
     /// Executes a key-sorted run of `(slot, op_index, op)` triples —
@@ -1880,7 +2019,6 @@ where
                                     self.ctx.record_anchor_group(applied as u64);
                                     group_anchor = None;
                                     group_ops = 0;
-                                    self.cache(hint);
                                     chain = hint.map(NodeRef::new);
                                     i += applied;
                                     drop(pin);
@@ -1913,7 +2051,6 @@ where
                     BlockedOutcome::Got(v)
                 }
             };
-            self.cache(landed);
             chain = landed.map(NodeRef::new);
             match landed.map(NonNull::as_ptr) {
                 p if p == group_anchor && p.is_some() => group_ops += 1,
@@ -2011,7 +2148,7 @@ where
     K: Ord + Copy,
     V: Copy,
 {
-    /// Registers a thread, returning its hint-caching handle.
+    /// Registers a thread, returning its handle.
     ///
     /// # Panics
     ///
@@ -2025,7 +2162,6 @@ where
             map: self,
             ctx,
             last_insert_key: None,
-            anchors: BTreeLocalMap::default(),
         }
     }
 }
@@ -2079,7 +2215,8 @@ where
     V: Copy,
 {
     /// Scans live entries with keys in the range given by the bounds,
-    /// ascending.
+    /// ascending. A bounded scan finds its first block the way a point
+    /// operation does: from the calling thread's local anchor map.
     pub fn range<'g>(
         &'g self,
         start: Bound<&K>,
@@ -2090,7 +2227,7 @@ where
         let cur = match start {
             Bound::Unbounded => self.graph.head(0, self.graph.membership_of(ctx.id())),
             Bound::Included(k) | Bound::Excluded(k) => self
-                .covering_anchor(k, ctx)
+                .resolve_read(k, ctx)
                 .map_or(std::ptr::null_mut(), NonNull::as_ptr),
         };
         BlockedRangeIter {
@@ -2544,7 +2681,7 @@ mod tests {
         // mid-list block over cap/2, so its split builds two halves.
         assert!(map.insert(205, 0, &c));
         let _pin = map.graph.pin(&c);
-        let anchor = map.covering_anchor(&205, &c).unwrap();
+        let anchor = map.resolve(&205, &c).unwrap();
         assert_eq!(unsafe { anchor.as_ref() }.top_level() as usize, TOP);
         let blk = unsafe { map.blk(anchor) };
         let w = blk.control().load();
@@ -2583,7 +2720,7 @@ mod tests {
             assert!(map.insert(2, 2, &c));
             let stale = {
                 let _pin = map.graph.pin(&c);
-                NodeRef::new(map.covering_anchor(&1, &c).unwrap())
+                NodeRef::new(map.resolve(&1, &c).unwrap())
             };
             {
                 let _pin = map.graph.pin(&c);
@@ -2668,7 +2805,7 @@ mod tests {
         // Claimed slots of the block covering key 0 (white-box probe).
         let claimed = |map: &BlockedSkipMap<u64, u64>, c: &ThreadCtx| -> u32 {
             let _pin = map.graph.pin(c);
-            let a = map.covering_anchor(&0, c).expect("block exists");
+            let a = map.resolve(&0, c).expect("block exists");
             claimed_bits(unsafe { map.blk(a) }.control().load()).count_ones()
         };
         let run = |policy: BlockPolicy| -> u32 {
@@ -2839,12 +2976,13 @@ mod tests {
         }
     }
 
-    /// The per-thread anchor cache serves point ops for whole block
-    /// ranges: a warmed handle answers out-of-order lookups without
-    /// fresh descents (anchor hits recorded), and stays correct across
-    /// the splits the inserts force.
+    /// A slot's local anchors serve point ops for whole block ranges: a
+    /// warmed slot answers out-of-order lookups without fresh descents
+    /// (anchor hits recorded), stays correct across the splits the inserts
+    /// force, and serves the map's own entry points and a handle
+    /// registered later under the same id alike.
     #[test]
-    fn anchor_cache_hits_across_block_ranges() {
+    fn local_anchors_serve_whole_block_ranges() {
         const N: u64 = if cfg!(miri) { 24 } else { 100 };
         let sink = AccessStats::new(1);
         let map = BlockedSkipMap::<u64, u64>::new(cfg(1), 8);
@@ -2853,31 +2991,62 @@ mod tests {
             assert!(h.insert(k, k));
         }
         let warm = sink.totals().anchor_hits;
-        assert!(warm > 0, "sorted inserts must hit the cached anchor");
+        assert!(warm > 0, "sorted inserts must start at a local anchor");
+        drop(h);
+        let mut h = map.register(ThreadCtx::recording(0, sink.clone()));
         for k in (0..N).rev() {
             assert_eq!(h.get(&k), Some(k), "reverse lookup {k}");
         }
-        assert!(
-            sink.totals().anchor_hits > warm,
-            "reverse scan must reuse cached anchors"
-        );
-        map.check_invariants(h.ctx()).unwrap();
+        let reread = sink.totals().anchor_hits;
+        assert!(reread >= warm + N, "a new handle must find the slot warm");
+        let c = ThreadCtx::recording(0, sink.clone());
+        assert_eq!(map.get(&(N / 2), &c), Some(N / 2));
+        let from = map.range(Bound::Included(&(N / 2)), Bound::Unbounded, &c);
+        assert_eq!(from.count() as u64, N - N / 2);
+        assert_eq!(sink.totals().anchor_hits, reread + 2);
+        assert!(map.stats(&c).local_entries > 0);
+        map.check_invariants(&c).unwrap();
     }
 
-    /// Overflowing the anchor cache clears it without harming
-    /// correctness (entries are hints only).
+    /// Dead entries a slot never looks at again do not pile up: once the
+    /// slot has doubled since its last sweep, every entry whose generation
+    /// moved goes.
     #[test]
-    fn anchor_cache_overflow_stays_correct() {
-        let map = BlockedSkipMap::<u64, u64>::new(cfg(1), 2);
-        let mut h = map.register(ctx());
-        // cap 2 makes one block per ~1-2 keys: > ANCHOR_CACHE_CAP blocks.
-        let n = (ANCHOR_CACHE_CAP as u64 + 8) * 2;
+    fn a_sweep_drops_entries_whose_generation_moved() {
+        let n = if cfg!(miri) {
+            64
+        } else {
+            2 * SWEEP_FLOOR as u64
+        };
+        // `MaxLevel` 0: every anchor is sampled.
+        let map = BlockedSkipMap::<u64, u64>::new(cfg(2), 2);
+        let (a, b) = (ThreadCtx::plain(0), ThreadCtx::plain(1));
+        let held = || map.local[0].0.lock().unwrap().map.len();
+        for k in n..2 * n {
+            assert!(map.insert(k, k, &a));
+        }
+        let first = held();
+        assert!(first >= map.stats(&a).anchors / 2, "{first} entries");
+        // Another thread empties the map, so all of those anchors die, and
+        // slot 0 then works below them: eviction on sight never meets one.
+        for k in n..2 * n {
+            assert!(map.remove(&k, &b));
+        }
         for k in 0..n {
-            assert!(h.insert(k, k));
+            assert!(map.insert(k, k, &a));
         }
-        for k in (0..n).step_by(7) {
-            assert_eq!(h.get(&k), Some(k));
+        let live = map.stats(&a).anchors;
+        if !cfg!(miri) {
+            println!("{first} entries, then {} for {live} live anchors", held());
+            assert!(
+                2 * held() <= 3 * live,
+                "{} entries for {live} anchors",
+                held()
+            );
         }
-        map.check_invariants(h.ctx()).unwrap();
+        for k in 0..n {
+            assert_eq!(map.get(&k, &a), Some(k));
+        }
+        map.check_invariants(&a).unwrap();
     }
 }

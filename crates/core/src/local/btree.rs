@@ -19,6 +19,14 @@ impl<K, R> Default for BTreeLocalMap<K, R> {
     }
 }
 
+impl<K: Ord, R> BTreeLocalMap<K, R> {
+    /// Keeps only the mappings `keep` accepts (a staleness sweep: the
+    /// blocked map drops every anchor reference whose generation moved).
+    pub fn retain(&mut self, mut keep: impl FnMut(&K, &R) -> bool) {
+        self.inner.retain(|k, r| keep(k, r));
+    }
+}
+
 impl<K: Ord, R: Copy> LocalMap<K, R> for BTreeLocalMap<K, R> {
     fn insert(&mut self, key: K, node: R) {
         self.inner.insert(key, node);
@@ -107,6 +115,19 @@ mod tests {
         }
         assert_eq!(seen, vec![7, 6, 5, 4, 3, 2, 1, 0]);
         assert_eq!(m.len(), 2); // 8 and 9 untouched
+    }
+
+    #[test]
+    fn retain_keeps_what_the_predicate_accepts() {
+        let mut m: BTreeLocalMap<u64, u32> = BTreeLocalMap::default();
+        for k in 0..10u64 {
+            m.insert(k, k as u32 % 3);
+        }
+        m.retain(|k, r| *r != 0 && *k != 7);
+        assert_eq!(m.len(), 5);
+        assert_eq!(m.get(&3), None);
+        assert_eq!(m.get(&7), None);
+        assert_eq!(m.max_lower_equal(&7), Some((&5, 2)));
     }
 
     #[test]

@@ -86,9 +86,13 @@ pub struct ThreadCounterSnapshot {
     pub replay_batches: u64,
     /// Operations applied inside those replay batches.
     pub replayed_ops: u64,
-    /// Point operations served by a validated anchor-cache entry (one
-    /// cached block reference answered for a key in its range, no
-    /// descent).
+    /// Block resolutions of the blocked map — point operations, scan
+    /// starts, sorted-run groups — that no search ran for: the thread's
+    /// local anchor map named a live block that covers the key (or a
+    /// sorted run's carried hint did, or a level-0 walk from that hint
+    /// reached it). A resolution that jumps in from a local anchor's tower
+    /// is a search and not counted here, and neither is a descent from a
+    /// list head.
     pub anchor_hits: u64,
     /// Anchor groups formed by batched blocked runs (consecutive sorted
     /// ops resolved to one covering anchor).
@@ -495,8 +499,8 @@ impl ThreadCtx {
         }
     }
 
-    /// Records a point operation served by a validated anchor-cache entry
-    /// (a cached block reference covered the key; no descent was paid).
+    /// Records a block resolution a local anchor answered alone (it named
+    /// a live block covering the key; no search was paid).
     #[inline]
     pub fn record_anchor_hit(&self) {
         if let Some(s) = &self.stats {

@@ -154,8 +154,9 @@ pub fn run_named(name: &str, workload: &Workload, instr: &InstrMode) -> TrialRes
         ),
         // The blocked map under the anchor-granular policy: compacting
         // merges (threshold 1) and leave-behind splits. This is also the
-        // configuration whose bug-injection arm severs the anchor cache's
-        // covering check (`blocked_sg` keeps the lost-insert arm instead).
+        // configuration whose bug-injection arm trusts a local anchor
+        // without the covering check (`blocked_sg` keeps the lost-insert
+        // arm instead).
         "anchor_blocked_sg" => run_trial(
             &BlockedSkipMap::<u64, u64>::with_policy(
                 GraphConfig::new(t).chunk_capacity(cap),

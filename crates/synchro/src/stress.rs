@@ -18,6 +18,8 @@
 //!   eligible (see [`DET_STRUCTURES`]).
 
 use instrument::ThreadCtx;
+#[cfg(feature = "deterministic")]
+use instrument::{AccessStats, ThreadCounterSnapshot};
 use linearize::{check_history_from, Event, Op, MAX_EVENTS};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -25,6 +27,8 @@ use skipgraph::{ConcurrentMap, MapHandle};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+#[cfg(feature = "deterministic")]
+use std::sync::Arc;
 use std::sync::Mutex;
 
 #[cfg(feature = "deterministic")]
@@ -253,12 +257,14 @@ pub fn execute<M: ConcurrentMap<u64, u64>>(map: &M, plans: &[Vec<PlannedOp>]) ->
 
 /// Runs `plans` under the deterministic scheduler; returns the records and
 /// the schedule trace. Same seed + config + structure → byte-for-byte
-/// identical records and trace.
+/// identical records and trace. The workers' counters go to `stats` if
+/// given (counting is no facade access: the schedule is the same).
 #[cfg(feature = "deterministic")]
 pub fn execute_det<M: ConcurrentMap<u64, u64>>(
     map: &M,
     plans: &[Vec<PlannedOp>],
     det_cfg: &DetConfig,
+    stats: Option<&Arc<AccessStats>>,
 ) -> (Vec<OpRecord>, Trace) {
     let clock = AtomicU64::new(1);
     let slots: Vec<Mutex<Vec<OpRecord>>> = plans.iter().map(|_| Mutex::new(Vec::new())).collect();
@@ -270,8 +276,11 @@ pub fn execute_det<M: ConcurrentMap<u64, u64>>(
             .enumerate()
             .map(|(t, plan)| {
                 let b: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                    let handle = map.pin(ThreadCtx::plain(t as u16));
-                    worker_body(handle, t as u16, plan, clock, &slots[t]);
+                    let ctx = match stats {
+                        Some(s) => ThreadCtx::recording(t as u16, Arc::clone(s)),
+                        None => ThreadCtx::plain(t as u16),
+                    };
+                    worker_body(map.pin(ctx), t as u16, plan, clock, &slots[t]);
                 });
                 b
             })
@@ -447,8 +456,11 @@ macro_rules! with_structure {
                 // The anchor-granular policy over the same small blocking
                 // factor: compacting merges (threshold 1) and left-biased
                 // splits keep the freeze/rebuild paths hot, and a nonzero
-                // threshold selects the anchor-cache bug-injection arm
+                // threshold selects the local-anchor bug-injection arm
                 // (severed covering check) instead of the lost-insert one.
+                // `GraphConfig::new(3)` stops towers at level 1, and every
+                // anchor reaches it: all of them are sampled into the
+                // local anchor maps, so the arm has entries to trust.
                 let $map = skipgraph::BlockedSkipMap::<u64, u64>::with_policy(
                     GraphConfig::new(t).chunk_capacity(cap),
                     4,
@@ -628,8 +640,29 @@ pub fn records_named_det(
     );
     with_structure!(name, cfg, |map| {
         preload_map(&map, cfg);
-        execute_det(&map, plans, det_cfg)
+        execute_det(&map, plans, det_cfg, None)
     })
+}
+
+/// The counters the workers of one deterministic stress run record,
+/// summed: what a lane's schedules actually exercised (a lane whose
+/// subject is a fast path is vacuous if the path is never taken).
+#[cfg(feature = "deterministic")]
+pub fn counters_named_det(
+    name: &str,
+    cfg: &StressConfig,
+    det_cfg: &DetConfig,
+) -> ThreadCounterSnapshot {
+    assert!(
+        DET_STRUCTURES.contains(&name),
+        "{name} is not deterministically schedulable"
+    );
+    let stats = AccessStats::new(cfg.threads as usize);
+    with_structure!(name, cfg, |map| {
+        preload_map(&map, cfg);
+        execute_det(&map, &plan_workload(cfg), det_cfg, Some(&stats))
+    });
+    stats.totals()
 }
 
 /// Deterministic-schedule stress: plan the workload, run it under the

@@ -341,16 +341,16 @@ fn injected_blocked_lost_insert_is_caught_and_shrunk() {
 
 #[test]
 fn injected_anchor_stale_covering_is_caught_and_shrunk() {
-    // The anchor cache's injected fault (compacting policies only, so
-    // each stress lane still carries exactly one live fault): a cached
-    // anchor that passes the liveness ladder is returned *without* the
-    // covering check. After splits mint anchors the cache has never
-    // seen, an op on a key past a cached block's range then lands inside
-    // the wrong block — an insert publishes where no descent will ever
-    // look, a lookup reports a present key absent. The key space spans
-    // several cap-4 blocks so evictions of split-killed anchors leave
+    // The local anchor maps' injected fault (compacting policies only, so
+    // each stress lane still carries exactly one live fault): on the read
+    // paths — point lookups and scan starts — a local anchor that passes
+    // the liveness ladder is returned *without* the covering check. After
+    // splits mint anchors a thread's slot has never been shown, a lookup
+    // of a key past a recorded block's range then reads the wrong block
+    // and reports a present key absent. The key space spans several cap-4
+    // blocks so evictions of split-killed anchors leave
     // live-but-non-covering ones behind, and short round-robin quanta
-    // interleave the splits with the stale-cache ops.
+    // interleave the splits with the stale lookups.
     let cfg = StressConfig {
         threads: 3,
         key_space: 12,

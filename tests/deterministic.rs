@@ -13,7 +13,8 @@
 
 use skipgraph::det::{round_robin_family, DetConfig, Policy};
 use synchro::stress::{
-    plan_workload, records_named_det, stress_named_det, StressConfig, DET_STRUCTURES,
+    counters_named_det, plan_workload, records_named_det, stress_named_det, StressConfig,
+    DET_STRUCTURES,
 };
 
 fn env_seed(default: u64) -> u64 {
@@ -243,10 +244,13 @@ fn hashed_index_pct_and_round_robin_linearize() {
 /// `anchor_blocked_sg` runs the blocked map under a compacting merge
 /// threshold and left-biased splits, so schedules interleave freezes,
 /// chain rebuilds, and merge unlinks against point ops that route
-/// through the per-thread anchor cache. A cached anchor surviving its
-/// covering check past a split (the exact fault the bug-injection arm
-/// plants) would surface as a lost or misplaced operation in the per-key
-/// histories.
+/// through the thread slots' local anchor maps. A local anchor trusted
+/// past a split without its covering check (the exact fault the
+/// bug-injection arm plants) would surface as a lost or misplaced
+/// operation in the per-key histories. `GraphConfig::new(3)` stops towers
+/// at level 1, which is also where the sampling rule stops, so every
+/// anchor is recorded; the last assertion keeps the lane from going
+/// vacuous should that change.
 #[test]
 fn anchor_blocked_pct_and_round_robin_linearize() {
     let cfg = StressConfig {
@@ -273,6 +277,11 @@ fn anchor_blocked_pct_and_round_robin_linearize() {
         let det = DetConfig::new(base, Policy::RoundRobin { quantum });
         stress_named_det("anchor_blocked_sg", &cfg, &det)
             .unwrap_or_else(|e| panic!("anchor_blocked_sg round-robin quantum {quantum}: {e}"));
+        let counted = counters_named_det("anchor_blocked_sg", &cfg, &det);
+        assert!(
+            counted.anchor_hits > 0,
+            "quantum {quantum}: no operation was answered by a local anchor: {counted:?}"
+        );
     }
 }
 

@@ -30,6 +30,7 @@ use skipgraph::{
     AdaptConfig, BlockedSkipMap, ConcurrentMap, GraphConfig, LayeredMap, MapHandle, ReplicaConfig,
     ReplicatedHandle, ReplicatedLayeredMap, SkipGraph,
 };
+use std::ops::Bound;
 use std::sync::Arc;
 use synchro::Zipf;
 
@@ -84,15 +85,17 @@ fn interleave<H>(
     }
 }
 
-/// Thread slots and block capacity of the two blocked-map tests.
+/// Thread slots and block capacity of the blocked-map tests.
 const SLOTS: u16 = 2;
 const BLOCK_CAP: usize = 8;
+/// Keys of their preload (scattered, the slots taking turns).
+const BLOCK_KEYS: u64 = 60_000;
 
 /// Full-height sparse lazy towers — the blocked and the unblocked lane
 /// differ only in blocking; reclamation on, so a split's frozen victim goes
 /// back to the free lists instead of counting against bytes/key forever.
-fn block_config() -> GraphConfig {
-    GraphConfig::new(SLOTS as usize)
+fn block_config(slots: u16) -> GraphConfig {
+    GraphConfig::new(slots as usize)
         .max_level(7)
         .sparse(true)
         .lazy(true)
@@ -100,50 +103,156 @@ fn block_config() -> GraphConfig {
         .chunk_capacity(CHUNK)
 }
 
+/// A blocked map holding `BLOCK_KEYS` keys, loaded through slots
+/// `0..SLOTS` by handles that are gone again: what a later context with
+/// one of those ids finds is what the map kept for its slot.
+fn preloaded_blocks(slots: u16) -> BlockedSkipMap<u64, u64> {
+    let map = BlockedSkipMap::new(block_config(slots), BLOCK_CAP);
+    preload(&mut pin_all(&map, 0..SLOTS, None), BLOCK_KEYS);
+    map
+}
+
 #[test]
 fn blocks_shorten_searches_and_shrink_bytes_per_key() {
-    const KEYS: u64 = 60_000;
     const PROBES: u64 = 20_000;
-    // Loads the keys, then counts nodes visited per search over uniform
-    // lookups of them.
-    fn load_and_probe<M: ConcurrentMap<u64, u64>>(map: &M) -> f64 {
-        preload(&mut pin_all(map, 0..SLOTS, None), KEYS);
+    // Counts nodes visited per search over uniform lookups of the keys
+    // (every lookup is one search, or one local anchor inspected).
+    fn probe<M: ConcurrentMap<u64, u64>>(map: &M) -> f64 {
         let stats = AccessStats::new(SLOTS as usize);
         let mut readers = pin_all(map, 0..SLOTS, Some(&stats));
         interleave(&mut readers, 1, PROBES / SLOTS as u64, |h, rng, _| {
-            assert!(h.contains(&key(rng.gen::<u64>() % KEYS)));
+            assert!(h.contains(&key(rng.gen::<u64>() % BLOCK_KEYS)));
         });
         nodes_per_search(&stats)
     }
     let ctx = ThreadCtx::plain(0);
 
-    let unblocked: SkipGraph<u64, u64> = SkipGraph::new(block_config());
-    let un_nodes = load_and_probe(&unblocked);
+    let unblocked: SkipGraph<u64, u64> = SkipGraph::new(block_config(SLOTS));
+    preload(&mut pin_all(&unblocked, 0..SLOTS, None), BLOCK_KEYS);
+    let un_nodes = probe(&unblocked);
     unblocked.reclaim_flush(&ctx);
-    let un_bytes = unblocked.memory_stats(&ctx).allocated_bytes as f64 / KEYS as f64;
+    let un_bytes = unblocked.memory_stats(&ctx).allocated_bytes as f64 / BLOCK_KEYS as f64;
 
-    let blocked: BlockedSkipMap<u64, u64> = BlockedSkipMap::new(block_config(), BLOCK_CAP);
-    let bl_nodes = load_and_probe(&blocked);
+    let blocked = preloaded_blocks(SLOTS);
+    // What the local anchor maps cost, read before the lookups teach the
+    // slots anything more.
+    let loaded = blocked.stats(&ctx);
+    let bl_nodes = probe(&blocked);
     blocked.shared().reclaim_flush(&ctx);
     let bl_stats = blocked.stats(&ctx);
-    assert_eq!(bl_stats.entries as u64, KEYS);
+    assert_eq!(bl_stats.entries as u64, BLOCK_KEYS);
 
     println!(
         "blocks: {bl_nodes:.2} vs {un_nodes:.2} nodes/search ({:.2}x), {:.2} vs {un_bytes:.2} \
-         bytes/key ({:.3}x), {} anchors",
+         bytes/key ({:.3}x), {} anchors; local maps {} entries, {} B ({:.3} of node bytes) \
+         after the preload, {} entries after the lookups",
         un_nodes / bl_nodes,
         bl_stats.bytes_per_key,
         bl_stats.bytes_per_key / un_bytes,
         bl_stats.anchors,
+        loaded.local_entries,
+        loaded.local_bytes,
+        loaded.local_bytes as f64 / loaded.allocated_bytes as f64,
+        bl_stats.local_entries,
     );
     assert!(
         un_nodes >= 2.0 * bl_nodes,
         "blocks must at least halve nodes/search: {bl_nodes:.2} vs {un_nodes:.2}"
     );
     assert!(
+        bl_nodes <= 8.0,
+        "a blocked lookup must start next to its block: {bl_nodes:.2} nodes"
+    );
+    assert!(
         bl_stats.bytes_per_key < un_bytes,
         "blocks must spend fewer bytes/key: {:.2} vs {un_bytes:.2}",
         bl_stats.bytes_per_key
+    );
+    assert!(loaded.local_entries > 0);
+    assert!(
+        10 * loaded.local_bytes <= loaded.allocated_bytes,
+        "local anchor maps cost {} B beside {} B of nodes",
+        loaded.local_bytes,
+        loaded.allocated_bytes
+    );
+}
+
+#[test]
+fn a_scan_starts_at_a_local_anchor() {
+    const SCANS: u64 = 10_000;
+    const SCAN_LEN: usize = 32;
+    let map = preloaded_blocks(SLOTS);
+    let stats = AccessStats::new(SLOTS as usize);
+    // Bare contexts, no handles: the scan is the map's own function.
+    let mut ctxs: Vec<ThreadCtx> = (0..SLOTS)
+        .map(|t| ThreadCtx::recording(t, Arc::clone(&stats)))
+        .collect();
+    let zipf = Zipf::new(BLOCK_KEYS, ZIPF_ALPHA);
+    interleave(&mut ctxs, 9, SCANS, |ctx, rng, _| {
+        let i = zipf.sample(rng);
+        let mut scan = map.range(Bound::Included(&key(i)), Bound::Unbounded, ctx);
+        assert_eq!(scan.next(), Some((key(i), i)));
+        scan.take(SCAN_LEN - 1).for_each(drop);
+    });
+    let (nodes, t) = (nodes_per_search(&stats), stats.totals());
+    println!(
+        "scan starts: {nodes:.2} nodes/search, {} of {} scans without a search",
+        t.anchor_hits, t.searches
+    );
+    // The walk along the blocks is no search: one per scan, for its start.
+    assert_eq!(t.searches, SLOTS as u64 * SCANS);
+    assert!(nodes <= 9.0, "a scan start visited {nodes:.2} nodes");
+}
+
+#[test]
+fn a_slot_that_built_nothing_still_converges() {
+    const READS: u64 = 20_000;
+    // Slot 2 inserted nothing: no list above level 0 holds a node of its
+    // own, and its local map starts empty.
+    let map = preloaded_blocks(SLOTS + 1);
+    let pass = |seed: u64| {
+        let stats = AccessStats::new(SLOTS as usize + 1);
+        let mut reader = pin_all(&map, SLOTS..SLOTS + 1, Some(&stats));
+        interleave(&mut reader, seed, READS, |h, rng, _| {
+            assert!(h.contains(&key(rng.gen::<u64>() % BLOCK_KEYS)));
+        });
+        nodes_per_search(&stats)
+    };
+    let (first, second) = (pass(10), pass(11));
+    println!("a slot that built nothing: {first:.2} nodes/search, then {second:.2}");
+    assert!(
+        second <= 8.0,
+        "second pass visited {second:.2} nodes/search"
+    );
+}
+
+#[test]
+fn local_anchor_maps_shed_dead_anchors() {
+    const TURNS: u64 = 4;
+    let map = preloaded_blocks(SLOTS);
+    let mut handles = pin_all(&map, 0..SLOTS, None);
+    // Every turn replaces each live key by a fresh one, the slots taking
+    // turns: the live size holds while the anchors turn over.
+    for i in 0..TURNS * BLOCK_KEYS {
+        let h = &mut handles[i as usize % SLOTS as usize];
+        assert!(h.remove(&key(i)));
+        assert!(h.insert(key(i + BLOCK_KEYS), i + BLOCK_KEYS));
+    }
+    drop(handles);
+    let ctx = ThreadCtx::plain(0);
+    map.shared().reclaim_flush(&ctx);
+    let stats = map.stats(&ctx);
+    assert_eq!(stats.entries as u64, BLOCK_KEYS);
+    // Linked at the sampling level = live with a tower that reaches it.
+    let sampled = map.shared().structure_stats(&ctx).per_level[2];
+    println!(
+        "turnover: {} local entries for {sampled} live sampled anchors of {} after {TURNS} turns",
+        stats.local_entries, stats.anchors
+    );
+    assert!(
+        stats.local_entries <= 2 * sampled,
+        "{} local entries for {sampled} live sampled anchors",
+        stats.local_entries
     );
 }
 
@@ -153,9 +262,10 @@ fn a_block_split_costs_a_descent_not_a_list() {
     // included. A split that walked a list from its head would make this
     // grow with the anchor count (eight times the keys, eight times the
     // anchors); one that starts from a search frontier grows it by the
-    // descent's few extra hops.
+    // descent's few extra hops, and an insert that starts at a local
+    // anchor pays no descent of its own at all.
     fn reads_per_insert(keys: u64) -> f64 {
-        let map: BlockedSkipMap<u64, u64> = BlockedSkipMap::new(block_config(), BLOCK_CAP);
+        let map: BlockedSkipMap<u64, u64> = BlockedSkipMap::new(block_config(SLOTS), BLOCK_CAP);
         let stats = AccessStats::new(SLOTS as usize);
         preload(&mut pin_all(&map, 0..SLOTS, Some(&stats)), keys);
         assert_eq!(map.len(&ThreadCtx::plain(0)) as u64, keys);
@@ -168,7 +278,7 @@ fn a_block_split_costs_a_descent_not_a_list() {
         large / small
     );
     assert!(
-        large <= 2.5 * small && large <= 200.0,
+        large <= 1.6 * small && large <= 70.0,
         "reads per insert grew with the list: {small:.1} -> {large:.1}"
     );
 }
