@@ -1,21 +1,17 @@
 //! Workload-adaptive control plane (`skipgraph::adapt`).
 //!
-//! Three layers previously owned a private, inconsistent version of
+//! Two layers previously owned a private, inconsistent version of
 //! "decide from measurement": replication amplified every write into one
-//! apply per socket no matter the mix, the hash index grew segments on a
-//! hardwired 75% trip-wire, and the block split point was a static
-//! [`crate::BlockPolicy`] sweep even when the insert stream was plainly
-//! ascending. This module centralizes the *decision machinery* they now
-//! share:
+//! apply per socket no matter the mix, and the hash index grew segments on
+//! a hardwired 75% trip-wire. This module centralizes the *decision
+//! machinery* they now share:
 //!
 //! * **Sensors** are windowed counters fed inline from the hot paths
 //!   (see [`instrument::CounterWindow`]): write ratio per epoch window in
 //!   the replication layer, mean probe length per segment window in the
-//!   hash index, ascending-arrival ratio on combiner runs and per-handle
-//!   insert streams in the blocked map. Sensor words are plain relaxed
-//!   `std` atomics — they are *statistics*, never synchronization, so
-//!   they add no facade yield points and leave deterministic schedules
-//!   untouched.
+//!   hash index. Sensor words are plain relaxed `std` atomics — they are
+//!   *statistics*, never synchronization, so they add no facade yield
+//!   points and leave deterministic schedules untouched.
 //! * **Controllers** are two-threshold hysteresis gates with a dwell
 //!   guard ([`Hysteresis`]): a knob engages only after the engage
 //!   threshold holds for `dwell + 1` consecutive windows and disengages
@@ -25,14 +21,13 @@
 //!   transitions: `replicate.rs` drains the membership-partitioned logs
 //!   before retiring replicas and publishes the switch through an epoch
 //!   word every handle validates like a generation tag; `index.rs` grows
-//!   segments from the occupancy/probe signal; `graph/block.rs` switches
-//!   to leave-behind splits while the stream reads ascending.
+//!   segments from the occupancy/probe signal.
 //!
 //! [`AdaptConfig`] carries the window shape and the replication band —
-//! the values callers set differently; the index and ascending-stream
-//! thresholds nobody ever tuned are constants of this module. The config
-//! is plain data (`Copy + Eq`), so it rides inside [`crate::GraphConfig`]
-//! and [`crate::ReplicaConfig`] without disturbing their builder idioms;
+//! the values callers set differently; the index thresholds nobody ever
+//! tuned are constants of this module. The config is plain data
+//! (`Copy + Eq`), so it rides inside [`crate::GraphConfig`] and
+//! [`crate::ReplicaConfig`] without disturbing their builder idioms;
 //! adaptation is opt-in per structure (`None` keeps the static seed
 //! behavior bit-for-bit).
 
@@ -45,16 +40,6 @@ pub(crate) const OCC_GROW_PCT: usize = 75;
 /// displacement at or above this many slots grows the segment even below
 /// [`OCC_GROW_PCT`] (collision clustering from an adversarial key mix).
 pub(crate) const PROBE_GROW: u32 = 4;
-/// Block split-policy engage threshold: this percentage of a window's
-/// insert arrivals ascending flips the map to leave-behind splits.
-pub(crate) const ASC_UP_PCT: u32 = 80;
-/// Block split-policy disengage threshold.
-pub(crate) const ASC_DOWN_PCT: u32 = 50;
-/// Split point while the ascending mode is engaged: the left (surviving
-/// low-key) block keeps this percentage of the survivors, leaving a
-/// nearly empty right block in the insertion path — the classic
-/// leave-behind split for append-style streams.
-pub(crate) const ASC_SPLIT_LEFT_PCT: usize = 90;
 
 /// Window shape for every adaptive knob, plus the replication band. All
 /// percentages are integer `0..=100`; all comparisons are inclusive.
@@ -142,8 +127,7 @@ impl Default for AdaptConfig {
 /// at or below `low` for the same streak; anything in the open band
 /// `(low, high)` (or a single off-streak observation) resets the streak.
 /// What "engaged" actuates is the caller's business: single-structure
-/// mode for replication (signal = write ratio), leave-behind splits for
-/// the blocked map (signal = ascending ratio).
+/// mode for replication (signal = write ratio).
 ///
 /// Observations are relaxed-atomic so the gate can sit in shared state
 /// and be driven by whichever thread closes a sensor window; windows are

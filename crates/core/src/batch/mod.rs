@@ -131,22 +131,10 @@ impl BatchConfig {
 /// A structure the flat-combining executor can drive: anything that owns a
 /// thread context and can execute one key-sorted run of batch operations.
 /// [`crate::layered::LayeredHandle`] implements it with the per-key
-/// hint-chained ops; [`crate::graph::BlockedHandle`] with the
-/// anchor-granular grouped/bulk-fill path.
+/// hint-chained ops.
 pub trait CombinerTarget<K, V> {
-    /// The per-operation result type written back through the slots.
-    type Outcome;
-
     /// The recording context of the combining thread.
     fn ctx(&self) -> &ThreadCtx;
-
-    /// Workload-shape hint delivered before [`Self::combined_run`]: of
-    /// the batch's `inserts` insert operations, `ascending` arrived with
-    /// a key above the previous insert of the same publication slot —
-    /// measured *before* the combiner sorts, so it reflects the callers'
-    /// actual stream order. Default no-op; the blocked map feeds its
-    /// ascending-stream sensor from it (see `skipgraph::adapt`).
-    fn note_run(&mut self, _ascending: usize, _inserts: usize) {}
 
     /// Executes `work` — `(slot, op_index, op)` triples sorted by key
     /// (stable, so same-key ops keep per-slot submission order) — and
@@ -155,7 +143,7 @@ pub trait CombinerTarget<K, V> {
     fn combined_run(
         &mut self,
         work: Vec<(usize, usize, BatchOp<K, V>)>,
-        out: &mut dyn FnMut(usize, usize, Self::Outcome),
+        out: &mut dyn FnMut(usize, usize, BatchOutcome<K, V>),
     );
 }
 
@@ -164,13 +152,13 @@ pub trait CombinerTarget<K, V> {
 /// exclusive access between observing `PENDING` (Acquire) and storing
 /// `DONE` (Release). A classic SPSC handoff: every transfer of access
 /// rides a Release store observed by an Acquire load.
-struct Slot<K, V, O> {
+struct Slot<K, V> {
     state: FacadeAtomicUsize,
     req: UnsafeCell<Vec<BatchOp<K, V>>>,
-    resp: UnsafeCell<Vec<O>>,
+    resp: UnsafeCell<Vec<BatchOutcome<K, V>>>,
 }
 
-impl<K, V, O> Slot<K, V, O> {
+impl<K, V> Slot<K, V> {
     fn new() -> Self {
         Self {
             state: FacadeAtomicUsize::new(EMPTY),
@@ -181,20 +169,18 @@ impl<K, V, O> Slot<K, V, O> {
 }
 
 /// One socket's publication array plus its combiner lease.
-struct Bank<K, V, O> {
+struct Bank<K, V> {
     /// `0` = free; `tid + 1` = held by thread `tid`.
     lease: Padded<FacadeAtomicUsize>,
-    slots: Vec<Padded<Slot<K, V, O>>>,
+    slots: Vec<Padded<Slot<K, V>>>,
     /// Owning thread of each slot (diagnostics).
     members: Vec<u16>,
 }
 
 /// The flat-combining executor: per-socket publication banks over a
 /// [`crate::graph::SkipGraph`]. See the module docs for the protocol.
-/// Generic over the outcome type `O` of the [`CombinerTarget`] driving it
-/// (defaults to the layered map's [`BatchOutcome`]).
-pub struct BatchExecutor<K, V, O = BatchOutcome<K, V>> {
-    banks: Vec<Bank<K, V, O>>,
+pub struct BatchExecutor<K, V> {
+    banks: Vec<Bank<K, V>>,
     /// Thread id → (bank, slot-within-bank).
     addr: Vec<(u16, u16)>,
 }
@@ -202,17 +188,14 @@ pub struct BatchExecutor<K, V, O = BatchOutcome<K, V>> {
 // The UnsafeCell payloads are handed off between owner and combiner under
 // the slot-state protocol documented on `Slot`; K/V (and the raw node
 // pointers in outcomes, which are arena-backed for the graph's lifetime)
-// cross threads, hence the Send + Sync bounds. `O` is deliberately
-// unbounded: the crate's outcome types carry shared-node pointers that are
-// not `Send` on their own but stay dereferenceable for the graph's
-// lifetime, which is exactly the handoff the slot protocol brokers.
-unsafe impl<K: Send + Sync, V: Send + Sync, O> Send for BatchExecutor<K, V, O> {}
-unsafe impl<K: Send + Sync, V: Send + Sync, O> Sync for BatchExecutor<K, V, O> {}
+// cross threads, hence the Send + Sync bounds.
+unsafe impl<K: Send + Sync, V: Send + Sync> Send for BatchExecutor<K, V> {}
+unsafe impl<K: Send + Sync, V: Send + Sync> Sync for BatchExecutor<K, V> {}
 
-impl<K, V, O> BatchExecutor<K, V, O> {
+impl<K, V> BatchExecutor<K, V> {
     /// Builds the slot banks for `config`.
     pub fn new(config: &BatchConfig) -> Self {
-        let mut banks: Vec<Bank<K, V, O>> = (0..config.sockets())
+        let mut banks: Vec<Bank<K, V>> = (0..config.sockets())
             .map(|_| Bank {
                 lease: Padded(FacadeAtomicUsize::new(0)),
                 slots: Vec::new(),
@@ -236,7 +219,7 @@ impl<K, V, O> BatchExecutor<K, V, O> {
     }
 }
 
-impl<K: Ord, V, O> BatchExecutor<K, V, O> {
+impl<K: Ord, V> BatchExecutor<K, V> {
     /// Publishes `ops` to the calling thread's slot and returns their
     /// outcomes in submission order. The calling thread spin-waits on its
     /// slot and, whenever its socket's lease is free, takes it and combines
@@ -248,14 +231,13 @@ impl<K: Ord, V, O> BatchExecutor<K, V, O> {
     /// the caller becomes the combiner, the whole drained union executes
     /// as one sorted run through [`CombinerTarget::combined_run`] — for a
     /// layered handle, per-op hint chains seeded by the further of the
-    /// chain frontier and the combiner's local-map predecessor; for a
-    /// blocked handle, anchor-granular groups with bulk block-fill — and
+    /// chain frontier and the combiner's local-map predecessor — and
     /// fresh nodes are allocated from the *combiner's* arena (same socket
     /// as the submitter by construction, which is the point) under the
     /// combiner's membership vector.
-    pub fn submit<T>(&self, handle: &mut T, ops: Vec<BatchOp<K, V>>) -> Vec<O>
+    pub fn submit<T>(&self, handle: &mut T, ops: Vec<BatchOp<K, V>>) -> Vec<BatchOutcome<K, V>>
     where
-        T: CombinerTarget<K, V, Outcome = O>,
+        T: CombinerTarget<K, V>,
     {
         self.submit_tracked(handle, ops).0
     }
@@ -269,9 +251,9 @@ impl<K: Ord, V, O> BatchExecutor<K, V, O> {
         &self,
         handle: &mut T,
         ops: Vec<BatchOp<K, V>>,
-    ) -> (Vec<O>, bool)
+    ) -> (Vec<BatchOutcome<K, V>>, bool)
     where
-        T: CombinerTarget<K, V, Outcome = O>,
+        T: CombinerTarget<K, V>,
     {
         if ops.is_empty() {
             return (Vec::new(), true);
@@ -332,12 +314,12 @@ impl<K: Ord, V, O> BatchExecutor<K, V, O> {
     /// called while holding `bank`'s lease.
     fn combine<T>(
         &self,
-        bank: &Bank<K, V, O>,
+        bank: &Bank<K, V>,
         handle: &mut T,
         own: Option<Vec<BatchOp<K, V>>>,
-    ) -> Option<Vec<O>>
+    ) -> Option<Vec<BatchOutcome<K, V>>>
     where
-        T: CombinerTarget<K, V, Outcome = O>,
+        T: CombinerTarget<K, V>,
     {
         /// Pseudo slot index for the combiner's own unpublished run.
         const OWN: usize = usize::MAX;
@@ -367,42 +349,19 @@ impl<K: Ord, V, O> BatchExecutor<K, V, O> {
         if work.is_empty() {
             return had_own.then(Vec::new);
         }
-        // Pre-sort stream shape: count insert arrivals that ascend within
-        // their slot's submission order (the sort below erases it), and
-        // hand the ratio to the target's workload sensor.
-        {
-            let mut ascending = 0usize;
-            let mut inserts = 0usize;
-            let mut prev: Option<(usize, &K)> = None;
-            for (si, _, op) in &work {
-                if let BatchOp::Insert(k, _) = op {
-                    inserts += 1;
-                    if let Some((psi, pk)) = prev {
-                        if psi == *si && k > pk {
-                            ascending += 1;
-                        }
-                    }
-                    prev = Some((*si, k));
-                }
-            }
-            if inserts > 0 {
-                handle.note_run(ascending, inserts);
-            }
-        }
         // Sorted run: ascending keys let every operation resume the
-        // previous one's frontier (per-key hint chain or block anchor,
-        // per the target). The sort is stable, so same-key operations
-        // keep their per-slot submission order.
+        // previous one's frontier. The sort is stable, so same-key
+        // operations keep their per-slot submission order.
         work.sort_by(|a, b| a.2.key().cmp(b.2.key()));
         let total = work.len() as u64;
         // Per-slot outcome buffers, indexed back into submission order.
         let mut buf_of = vec![usize::MAX; bank.slots.len()];
-        let mut bufs: Vec<Vec<Option<O>>> = Vec::with_capacity(drained.len());
+        let mut bufs: Vec<Vec<Option<BatchOutcome<K, V>>>> = Vec::with_capacity(drained.len());
         for (di, &(si, count)) in drained.iter().enumerate() {
             buf_of[si] = di;
             bufs.push((0..count).map(|_| None).collect());
         }
-        let mut own_out: Vec<Option<O>> = (0..own_len).map(|_| None).collect();
+        let mut own_out: Vec<Option<BatchOutcome<K, V>>> = (0..own_len).map(|_| None).collect();
         handle.combined_run(work, &mut |si, oi, out| {
             if si == OWN {
                 own_out[oi] = Some(out);

@@ -73,8 +73,7 @@
 //! Every outcome of a frozen block is canonicalized through its *forward
 //! word*: a replacement chain head (any pointer `> 1`), or the [`MERGED`]
 //! sentinel claiming the no-survivor unlink. Helpers that lose the CAS
-//! adopt the winner's decision, which is what lets a bulk fill publish an
-//! arbitrary-length chain through the same protocol.
+//! adopt the winner's decision.
 //!
 //! # The local anchor maps
 //!
@@ -84,9 +83,8 @@
 //! of locality: it holds one ordered map of anchors per configured thread
 //! slot (a [`BTreeLocalMap`] from anchor key to generation-checked
 //! [`NodeRef`], found by `ctx.id()`), and every entry point — the map's
-//! and the handle's point operations, sorted runs and
-//! [`BlockedSkipMap::range`] — finds its block through one function,
-//! `resolve`:
+//! and the handle's point operations and [`BlockedSkipMap::range`] — finds
+//! its block through one function, `resolve`:
 //!
 //! 1. take the slot's greatest anchor `<= key` and validate it under the
 //!    operation's pin — generation unchanged (splits and merges retire the
@@ -134,30 +132,13 @@
 //! authority. A resolved block is re-checked by the operation itself (a
 //! frozen control word sends it to help and resolve again; a publish CAS
 //! against an unfrozen word proves coverage).
-//!
-//! # Anchor-granular batching (PR 9)
-//!
-//! * [`BlockedHandle::run_sorted`] executes a key-sorted combiner run
-//!   **grouped by target anchor**: each group resolves its block once
-//!   (directly or by a short level-0 walk from the previous group's
-//!   anchor — the anchor-granular hint chain) and applies its ops
-//!   in-block.
-//! * [`BlockedSkipMap::bulk_apply`] turns long fresh ascending insert
-//!   runs into whole pre-filled blocks, published as one chain through
-//!   the forward word ([`BlockPolicy::fill_target`] entries each) instead
-//!   of insert-then-split churn.
-//! * [`BlockPolicy`] sweeps the split point (half vs leave-behind), the
-//!   tombstone-clog merge threshold, and the bulk fill target.
 
 use super::{NodePtr, NodeRef, PinGuard, SearchResult, SkipGraph};
-use crate::adapt::{AdaptConfig, Hysteresis, ASC_DOWN_PCT, ASC_SPLIT_LEFT_PCT, ASC_UP_PCT};
-use crate::batch::BatchOp;
 use crate::local::{BTreeLocalMap, LocalMap};
 use crate::node::Node;
 use crate::params::GraphConfig;
 use crate::sync::{FacadeAtomicUsize, TagPtr};
-use instrument::{CounterWindow, ThreadCtx};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
+use instrument::ThreadCtx;
 use std::cmp::Ordering as CmpOrdering;
 use std::marker::PhantomData;
 use std::mem::MaybeUninit;
@@ -301,10 +282,9 @@ impl<K: Ord + Copy> LocalAnchors<K> {
     }
 }
 
-/// Tunable block-lifecycle policy: where a split cuts, when a clogged
-/// block compacts, and how full bulk-filled fresh blocks are born. The
-/// default reproduces the pre-policy behaviour exactly (half split,
-/// compaction only on empty, bulk fills at capacity).
+/// Tunable block-lifecycle policy: where a split cuts and when a clogged
+/// block compacts. The default is a half split and compaction only on
+/// empty.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockPolicy {
     /// Percentage of a split's survivors kept in the *left* (lower)
@@ -317,23 +297,18 @@ pub struct BlockPolicy {
     /// is frozen and compacted into a fresh block with free slots. 0
     /// compacts only fully-emptied blocks (they unlink instead).
     pub merge_threshold: usize,
-    /// Entries per block a combiner bulk fill packs, in `1..=cap` (the
-    /// map's block capacity). Full blocks maximize load density but
-    /// split on the very next insert; leaving headroom trades bytes/key
-    /// for write absorption.
-    pub fill_target: usize,
 }
 
-impl BlockPolicy {
-    /// The default policy for a map with `cap` slots per block.
-    pub fn default_for(cap: usize) -> Self {
+impl Default for BlockPolicy {
+    fn default() -> Self {
         Self {
             split_left_pct: 50,
             merge_threshold: 0,
-            fill_target: cap,
         }
     }
+}
 
+impl BlockPolicy {
     /// The index a split of `len` sorted survivors cuts at (size of the
     /// left block), always leaving both sides nonempty.
     fn split_point(&self, len: usize) -> usize {
@@ -350,10 +325,6 @@ impl BlockPolicy {
         assert!(
             self.merge_threshold < cap,
             "merge_threshold must be below the block capacity"
-        );
-        assert!(
-            (1..=cap).contains(&self.fill_target),
-            "fill_target must be in 1..=block capacity"
         );
     }
 }
@@ -454,11 +425,6 @@ pub struct BlockedSkipMap<K, V> {
     graph: SkipGraph<K, ()>,
     cap: usize,
     policy: BlockPolicy,
-    /// Ascending-stream controller (see [`crate::adapt`]); present when
-    /// the map was built with [`GraphConfig::adapt`]. While engaged,
-    /// splits cut at `adapt::ASC_SPLIT_LEFT_PCT` (leave-behind) instead
-    /// of the static policy point.
-    asc: Option<AscState>,
     /// Drives deterministic anchor tower heights in sparse mode: the
     /// `n`-th anchor gets height `trailing_zeros(n)` (capped), i.e. the
     /// geometric distribution without per-thread RNG state.
@@ -467,35 +433,6 @@ pub struct BlockedSkipMap<K, V> {
     /// `ctx.id()` (see the module docs).
     local: Box<[LocalSlot<K>]>,
     _values: PhantomData<V>,
-}
-
-/// Sensor + controller for the ascending-stream split knob: a windowed
-/// ascending-arrival ratio (fed from per-handle insert streams and the
-/// combiner's pre-sort run shape) driving a dwell-guarded hysteresis
-/// gate. All words are relaxed `std` atomics — statistics, never
-/// synchronization — so deterministic schedules see no new yield points.
-struct AscState {
-    cfg: AdaptConfig,
-    window: CounterWindow,
-    gate: Hysteresis,
-    /// Completed gate switches (telemetry).
-    switches: AtomicU64,
-    /// Ascending percentage of the last closed window (telemetry).
-    last_asc_pct: AtomicU32,
-}
-
-/// Telemetry snapshot of the ascending-stream controller (see
-/// [`BlockedSkipMap::asc_state`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AscSnapshot {
-    /// Whether leave-behind splits are currently engaged.
-    pub engaged: bool,
-    /// Completed mode switches since construction.
-    pub switches: u64,
-    /// Ascending share of the last closed sensor window (percent).
-    pub last_asc_pct: u32,
-    /// Inserts recorded in the currently open window.
-    pub open_window_ops: u32,
 }
 
 unsafe impl<K: Send + Sync, V: Send + Sync> Send for BlockedSkipMap<K, V> {}
@@ -512,25 +449,26 @@ where
     ///
     /// # Panics
     ///
-    /// Panics if `cap` is outside [`MIN_BLOCK_CAP`]`..=`[`MAX_BLOCK_CAP`]
-    /// or the entry type is over-aligned (block slots are 8-aligned).
-    pub fn new(config: GraphConfig, cap: usize) -> Self
-    where
-        K: std::hash::Hash,
-    {
-        Self::with_policy(config, cap, BlockPolicy::default_for(cap))
+    /// Panics if `cap` is outside [`MIN_BLOCK_CAP`]`..=`[`MAX_BLOCK_CAP`],
+    /// the entry type is over-aligned (block slots are 8-aligned), or
+    /// `config` asks for [`GraphConfig::hash_index`] (the index names one
+    /// key per node; no blocked operation publishes to it or probes it).
+    pub fn new(config: GraphConfig, cap: usize) -> Self {
+        Self::with_policy(config, cap, BlockPolicy::default())
     }
 
     /// [`Self::new`] with an explicit block-lifecycle [`BlockPolicy`]
-    /// (split point, compaction threshold, bulk-fill occupancy).
+    /// (split point, compaction threshold).
     ///
     /// # Panics
     ///
-    /// Panics on an out-of-range `cap` or policy (see [`BlockPolicy`]).
-    pub fn with_policy(config: GraphConfig, cap: usize, policy: BlockPolicy) -> Self
-    where
-        K: std::hash::Hash,
-    {
+    /// As [`Self::new`], and on an out-of-range policy (see
+    /// [`BlockPolicy`]).
+    pub fn with_policy(config: GraphConfig, cap: usize, policy: BlockPolicy) -> Self {
+        assert!(
+            !config.hash_index,
+            "BlockedSkipMap with GraphConfig::hash_index(true): a blocked map keeps no hash index"
+        );
         assert!(
             (MIN_BLOCK_CAP..=MAX_BLOCK_CAP).contains(&cap),
             "block capacity must be in {MIN_BLOCK_CAP}..={MAX_BLOCK_CAP}"
@@ -544,68 +482,16 @@ where
         let config = config
             .lazy(true)
             .block_bytes(block_layout_bytes::<K, V>(cap));
-        let asc = config.adapt.map(|cfg| AscState {
-            cfg,
-            window: CounterWindow::new(),
-            gate: Hysteresis::new(ASC_DOWN_PCT, ASC_UP_PCT, cfg.dwell_windows),
-            switches: AtomicU64::new(0),
-            last_asc_pct: AtomicU32::new(0),
-        });
         Self {
             local: (0..config.num_threads)
                 .map(|_| LocalSlot::default())
                 .collect(),
-            graph: SkipGraph::new_hashed(config),
+            graph: SkipGraph::new(config),
             cap,
             policy,
-            asc,
             anchor_seq: FacadeAtomicUsize::new(1),
             _values: PhantomData,
         }
-    }
-
-    /// Feeds one insert arrival into the ascending-stream sensor
-    /// (`ascending` = the key exceeded the feeder's previous insert).
-    /// No-op without an [`GraphConfig::adapt`] configuration.
-    fn note_asc(&self, ascending: bool) {
-        let Some(a) = &self.asc else { return };
-        if let Some(sample) = a.window.record(ascending, a.cfg.window_ops) {
-            let pct = sample.flagged_pct();
-            a.last_asc_pct.store(pct, Relaxed);
-            if a.gate.observe(pct).is_some() {
-                a.switches.fetch_add(1, Relaxed);
-            }
-        }
-    }
-
-    /// Whether the ascending-stream controller currently selects
-    /// leave-behind splits.
-    pub fn asc_mode(&self) -> bool {
-        self.asc.as_ref().is_some_and(|a| a.gate.engaged())
-    }
-
-    /// Telemetry snapshot of the ascending-stream controller; `None`
-    /// without an [`GraphConfig::adapt`] configuration.
-    pub fn asc_state(&self) -> Option<AscSnapshot> {
-        self.asc.as_ref().map(|a| AscSnapshot {
-            engaged: a.gate.engaged(),
-            switches: a.switches.load(Relaxed),
-            last_asc_pct: a.last_asc_pct.load(Relaxed),
-            open_window_ops: a.window.open_window().total,
-        })
-    }
-
-    /// The split point in force right now: the adaptive leave-behind
-    /// point while the ascending gate is engaged, the static policy point
-    /// otherwise. Helpers racing a gate flip may compute different points
-    /// — harmless, the forward-word winner's replacement is canonical.
-    fn split_point_now(&self, len: usize) -> usize {
-        if let Some(a) = &self.asc {
-            if a.gate.engaged() {
-                return (len * ASC_SPLIT_LEFT_PCT).div_ceil(100).clamp(1, len - 1);
-            }
-        }
-        self.policy.split_point(len)
     }
 
     /// The inner skip graph (anchors only; entries live in the blocks).
@@ -794,43 +680,6 @@ where
         }
     }
 
-    /// The block responsible for `key`, found by walking the raw level-0
-    /// chain *forward* from `start` — a known anchor with key `<= key` —
-    /// instead of descending from the head. This is the anchor-granular
-    /// hint chain: a sorted run resolves its first anchor once and each
-    /// later group pays only the hops between consecutive blocks. Marked
-    /// anchors are candidates like in [`Self::covering_anchor`] (a frozen
-    /// block still owns its keys until replaced). Returns the number of
-    /// anchors hopped alongside the result; `None` only if `start` no
-    /// longer reaches a covering anchor (caller falls back to a descent).
-    fn covering_anchor_from(
-        &self,
-        start: NonNull<BNode<K>>,
-        key: &K,
-        ctx: &ThreadCtx,
-    ) -> (Option<NonNull<BNode<K>>>, u64) {
-        debug_assert!(unsafe { start.as_ref() }.cmp_key(key) != CmpOrdering::Greater);
-        let mut best: Option<NonNull<BNode<K>>> = None;
-        let mut hops = 0u64;
-        let mut cur = start.as_ptr();
-        loop {
-            let node = unsafe { &*cur };
-            if node.is_tail() || node.cmp_key(key) == CmpOrdering::Greater {
-                break;
-            }
-            if node.is_data() {
-                best = Some(unsafe { NonNull::new_unchecked(cur) });
-            }
-            let next = node.load_next(0, ctx).ptr();
-            if next.is_null() {
-                break;
-            }
-            hops += 1;
-            cur = next;
-        }
-        (best, hops)
-    }
-
     /// Helps every dying data anchor on a marked level-0 chain
     /// (exclusive of `end`). In the blocked map a marked data node is
     /// always frozen — marking only ever happens inside [`Self::help_split`].
@@ -888,8 +737,6 @@ where
                 .is_ok()
             {
                 pending = None;
-                // Publish-after-link: the seed entry lives in slot 0.
-                self.index_publish_slot(&key, node, 0, ctx);
                 self.graph.link_upper(node, &mut res, ctx, || None);
                 self.record_linked(node, ctx);
                 break true;
@@ -907,28 +754,12 @@ where
         V: PartialEq,
     {
         let _pin = self.graph.pin(ctx);
-        self.insert_pinned(key, value, None, ctx).0
-    }
-
-    fn insert_pinned(
-        &self,
-        key: K,
-        value: V,
-        mut start: Option<NonNull<BNode<K>>>,
-        ctx: &ThreadCtx,
-    ) -> (bool, Option<NonNull<BNode<K>>>)
-    where
-        V: PartialEq,
-    {
         loop {
-            let anchor = match start.take().or_else(|| self.resolve(&key, ctx)) {
-                Some(a) => a,
-                None => {
-                    if self.link_anchor(key, value, ctx) {
-                        return (true, None);
-                    }
-                    continue;
+            let Some(anchor) = self.resolve(&key, ctx) else {
+                if self.link_anchor(key, value, ctx) {
+                    return true;
                 }
+                continue;
             };
             let blk = unsafe { self.blk(anchor) };
             // Claim phase: reserve an unclaimed slot, or freeze a full
@@ -950,16 +781,13 @@ where
                     if let Some(i) = self.scan_tomb(&blk, w, &key, &value) {
                         if self.scan_present(&blk, w, &key).is_some() {
                             // Duplicate (linearized at the load of `w`).
-                            return (false, Some(anchor));
+                            return false;
                         }
                         match blk
                             .control()
                             .compare_exchange(w, (w & !tomb_bit(i)) | present_bit(i))
                         {
-                            Ok(_) => {
-                                self.index_publish_slot(&key, anchor, i, ctx);
-                                return (true, Some(anchor));
-                            }
+                            Ok(_) => return true,
                             Err(cur) => {
                                 w = cur;
                                 continue;
@@ -1004,7 +832,7 @@ where
                     // the differential test wall must catch.
                     #[cfg(feature = "bug-injection")]
                     if self.policy.merge_threshold == 0 {
-                        return (true, None);
+                        return true;
                     }
                     self.help_split(anchor, ctx);
                     break;
@@ -1022,16 +850,13 @@ where
                             Err(cur) => w = cur,
                         }
                     }
-                    return (false, Some(anchor));
+                    return false;
                 }
                 // Publish: succeeding against an unfrozen word proves the
                 // block still covers `key` (coverage invariant), so this
                 // CAS linearizes the insert.
                 match blk.control().compare_exchange(w, w | present_bit(slot)) {
-                    Ok(_) => {
-                        self.index_publish_slot(&key, anchor, slot, ctx);
-                        return (true, Some(anchor));
-                    }
+                    Ok(_) => return true,
                     Err(cur) => w = cur,
                 }
             }
@@ -1041,19 +866,9 @@ where
     /// Removes `key`; `false` if it was absent.
     pub fn remove(&self, key: &K, ctx: &ThreadCtx) -> bool {
         let _pin = self.graph.pin(ctx);
-        self.remove_pinned(key, None, ctx).0
-    }
-
-    fn remove_pinned(
-        &self,
-        key: &K,
-        mut start: Option<NonNull<BNode<K>>>,
-        ctx: &ThreadCtx,
-    ) -> (bool, Option<NonNull<BNode<K>>>) {
         loop {
-            let anchor = match start.take().or_else(|| self.resolve(key, ctx)) {
-                Some(a) => a,
-                None => return (false, None),
+            let Some(anchor) = self.resolve(key, ctx) else {
+                return false;
             };
             let blk = unsafe { self.blk(anchor) };
             let mut w = blk.control().load();
@@ -1063,7 +878,7 @@ where
                     break; // retry from a fresh covering anchor
                 }
                 let Some(i) = self.scan_present(&blk, w, key) else {
-                    return (false, Some(anchor)); // linearized at the load of `w`
+                    return false; // linearized at the load of `w`
                 };
                 // Tombstone: clear the present bit, set the tombstone bit,
                 // keep the claim (slots are write-once; the key stays
@@ -1072,9 +887,6 @@ where
                 let tombed = (w & !present_bit(i)) | tomb_bit(i);
                 match blk.control().compare_exchange(w, tombed) {
                     Ok(_) => {
-                        // The tombstone is published; drop the index entry
-                        // so readers stop resolving to this slot.
-                        self.index_invalidate_slot(key, anchor, ctx);
                         let now = tombed;
                         let live = present_bits(now).count_ones() as usize;
                         let clogged = live <= self.policy.merge_threshold
@@ -1091,7 +903,7 @@ where
                                 self.help_split(anchor, ctx);
                             }
                         }
-                        return (true, Some(anchor));
+                        return true;
                     }
                     Err(cur) => w = cur,
                 }
@@ -1102,30 +914,8 @@ where
     /// Looks up `key`, returning its value.
     pub fn get(&self, key: &K, ctx: &ThreadCtx) -> Option<V> {
         let _pin = self.graph.pin(ctx);
-        self.get_pinned(key, None, ctx).0
-    }
-
-    /// Whether `key` is present.
-    pub fn contains(&self, key: &K, ctx: &ThreadCtx) -> bool {
-        self.get(key, ctx).is_some()
-    }
-
-    fn get_pinned(
-        &self,
-        key: &K,
-        mut start: Option<NonNull<BNode<K>>>,
-        ctx: &ThreadCtx,
-    ) -> (Option<V>, Option<NonNull<BNode<K>>>) {
-        // Skip Hash fast path: a validated index hit answers in O(1) and
-        // still primes the caller's block hint with the resolved anchor.
-        if let Some((v, anchor)) = self.index_probe(key, ctx) {
-            return (Some(v), Some(anchor));
-        }
         loop {
-            let anchor = match start.take().or_else(|| self.resolve_read(key, ctx)) {
-                Some(a) => a,
-                None => return (None, None),
-            };
+            let anchor = self.resolve_read(key, ctx)?;
             let blk = unsafe { self.blk(anchor) };
             let w = blk.control().load();
             if is_frozen(w) {
@@ -1141,7 +931,7 @@ where
             if n > 0 {
                 if let Some(base) = Self::prefix_probe(&blk, n, key) {
                     if unsafe { blk.key_at(base) } == *key && w & present_bit(base) != 0 {
-                        return (Some(unsafe { blk.read(base) }.1), Some(anchor));
+                        return Some(unsafe { blk.read(base) }.1);
                     }
                 }
                 // Absent from the prefix, or tombstoned there; a
@@ -1150,11 +940,16 @@ where
             // Slow path: linear scan of the append region.
             for i in n..self.cap {
                 if w & present_bit(i) != 0 && unsafe { blk.key_at(i) } == *key {
-                    return (Some(unsafe { blk.read(i) }.1), Some(anchor));
+                    return Some(unsafe { blk.read(i) }.1);
                 }
             }
-            return (None, Some(anchor));
+            return None;
         }
+    }
+
+    /// Whether `key` is present.
+    pub fn contains(&self, key: &K, ctx: &ThreadCtx) -> bool {
+        self.get(key, ctx).is_some()
     }
 
     /// Position of the greatest sorted-prefix key `<= key` (the only slot
@@ -1198,64 +993,6 @@ where
     fn scan_present(&self, blk: &Blk<K, V>, w: usize, key: &K) -> Option<usize> {
         (0..self.cap)
             .find(|&i| w & present_bit(i) != 0 && unsafe { blk.key_at(i) } == *key)
-    }
-
-    /// Publishes `key -> (anchor, slot)` in the shared hash index (if one
-    /// is installed) under the anchor's current generation. Best-effort;
-    /// caller must hold a pin.
-    fn index_publish_slot(&self, key: &K, anchor: NonNull<BNode<K>>, slot: usize, ctx: &ThreadCtx) {
-        if let Some(idx) = self.graph.index() {
-            let gen = unsafe { Node::generation_of(anchor) };
-            idx.publish(key, anchor, gen, slot, ctx.id() as usize);
-        }
-    }
-
-    /// Drops `key`'s index entry if it still names `anchor` (a newer
-    /// incarnation's entry is left alone).
-    fn index_invalidate_slot(&self, key: &K, anchor: NonNull<BNode<K>>, ctx: &ThreadCtx) {
-        if let Some(idx) = self.graph.index() {
-            idx.invalidate(key, Some(anchor), ctx.id() as usize);
-        }
-    }
-
-    /// Skip Hash fast path for the blocked map: resolve `key` through the
-    /// shared index to an `(anchor, slot)` pair and validate it in place —
-    /// generation re-check first (only then may the anchor be
-    /// dereferenced; the caller's pin keeps the gen-valid slot mapped),
-    /// then the control word: a frozen block is mid-migration and a
-    /// cleared present bit or foreign key means the entry is stale or a
-    /// signature collision. Anything but a validated hit returns `None`
-    /// and the caller pays the descent — the index is never authoritative
-    /// for absence here, because a removed key may have been re-inserted
-    /// into a different slot or block.
-    fn index_probe(&self, key: &K, ctx: &ThreadCtx) -> Option<(V, NonNull<BNode<K>>)> {
-        let idx = self.graph.index()?;
-        let Some(entry) = idx.lookup_raw(key) else {
-            ctx.record_index_miss();
-            return None;
-        };
-        let anchor = entry.ptr;
-        if unsafe { Node::generation_of(anchor) } != entry.gen {
-            ctx.record_index_stale();
-            idx.invalidate(key, Some(anchor), ctx.id() as usize);
-            return None;
-        }
-        let blk = unsafe { self.blk(anchor) };
-        let w = blk.control().load();
-        if is_frozen(w) {
-            // Mid-split: the replacement may already hold newer entries,
-            // so a frozen snapshot is not linearizable for point reads.
-            ctx.record_index_stale();
-            return None;
-        }
-        let slot = entry.aux;
-        if slot < self.cap && w & present_bit(slot) != 0 && unsafe { blk.key_at(slot) } == *key {
-            ctx.record_index_hit();
-            ctx.record_search(1);
-            return Some((unsafe { blk.read(slot) }.1, anchor));
-        }
-        ctx.record_index_miss();
-        None
     }
 
     /// Builds a replacement block holding `entries` (sorted, nonempty),
@@ -1333,9 +1070,7 @@ where
         // (c) Resolve the canonical replacement through the forward word:
         // first publisher wins, losers free their never-published builds.
         // *Every* outcome goes through the word — a merge (no survivors)
-        // claims it with [`MERGED`] — so a bulk fill that wins the word
-        // with a replacement chain (see [`Self::bulk_apply`]) is canonical
-        // even when the frozen block was empty.
+        // claims it with [`MERGED`].
         let replacement: Option<NonNull<BNode<K>>> = {
             let fwd = blk.forward().load();
             if fwd > MERGED {
@@ -1352,7 +1087,7 @@ where
             } else {
                 let tail = TagPtr::clean(succ0);
                 let (n1, n2) = if survivors.len() > self.cap / 2 {
-                    let mid = self.split_point_now(survivors.len());
+                    let mid = self.policy.split_point(survivors.len());
                     let second = self.build_block(&survivors[mid..], tail, ctx);
                     let first = self.build_block(
                         &survivors[..mid],
@@ -1434,11 +1169,9 @@ where
         self.graph.note_unlinked_chain(anchor.as_ptr(), succ0, 0, ctx);
         self.unlink_upper(anchor, &mut res, ctx);
 
-        // The install winner links the replacement *chain* upward and
-        // republishes its entries in the index. The chain is recovered by
-        // walking level-0 references from the canonical first block: a
-        // normal split contributes one or two blocks, a bulk fill an
-        // arbitrary run (see `Self::bulk_apply`). By the time we walk, a
+        // The install winner links the replacement *chain* — one or two
+        // blocks — upward. The chain is recovered by walking level-0
+        // references from the canonical first block. By the time we walk, a
         // reference may already name a chain block's *own* replacement
         // (it can fill and split the moment the install lands), whose
         // installer is linking it concurrently; `link_replacement`
@@ -1447,7 +1180,7 @@ where
         // or key at/above the old successor's). A marked reference means
         // the chain block itself is already dying; its replacement's
         // installer owns everything past it, so the walk stops —
-        // best-effort, the descent still finds unlinked/unindexed blocks.
+        // best-effort, the descent still finds unlinked blocks.
         if let Some(n1) = replacement {
             let succ_key: Option<K> = {
                 let s = unsafe { &*succ0 };
@@ -1458,21 +1191,6 @@ where
                 let w = unsafe { cur.as_ref() }.load_next_raw(0);
                 self.link_replacement(cur, f.mvec(), &mut res, ctx);
                 self.record_linked(cur, ctx);
-                // Republish the block's live entries under their new
-                // (anchor, slot) homes; the dead anchor's entries went
-                // stale with its generation bump above. Skip a block that
-                // already froze again — its own installer republishes.
-                if self.graph.index().is_some() {
-                    let bw = unsafe { self.blk(cur) }.control().load();
-                    if !is_frozen(bw) {
-                        let b = unsafe { self.blk(cur) };
-                        for i in 0..self.cap {
-                            if bw & present_bit(i) != 0 {
-                                self.index_publish_slot(&unsafe { b.key_at(i) }, cur, i, ctx);
-                            }
-                        }
-                    }
-                }
                 if w.marked() || w.ptr().is_null() || w.ptr() == succ0 {
                     break;
                 }
@@ -1485,139 +1203,6 @@ where
                 cur = unsafe { NonNull::new_unchecked(w.ptr()) };
             }
         }
-    }
-
-    /// Bulk block-fill: applies a sorted run of distinct insert `entries`
-    /// to the block at `anchor` in **one publish**, replacing the block
-    /// with a chain of fresh blocks packed to [`BlockPolicy::fill_target`]
-    /// — the combiner's alternative to insert-then-split churn for long
-    /// fresh runs. Caller must hold a pin and have resolved `anchor` as
-    /// covering `entries[0]`.
-    ///
-    /// Protocol: freeze the block ourselves (the CAS loss means someone
-    /// else froze it — help and bail), snapshot survivors, mark the tower,
-    /// then cut the run at the post-mark successor key (entries at or past
-    /// it belong to later blocks — the coverage invariant). Survivors and
-    /// fresh entries merge into one sorted payload, chunked into
-    /// `fill_target`-sized blocks built right-to-left, and the whole chain
-    /// is published through the *same* forward word every [`help_split`]
-    /// helper resolves — winning that CAS makes the chain the canonical
-    /// replacement, and the ordinary help path installs and links it.
-    /// Losing it (a racing helper already published a plain survivor
-    /// split) discards the chain and bails; the caller re-applies per-op.
-    ///
-    /// Returns `None` when nothing was decided, else the applied prefix
-    /// length, per-entry freshness (false = key already present; the
-    /// existing value wins, as in [`Self::insert_pinned`]), and the last
-    /// chain block — the natural hint for the run's continuation.
-    #[allow(clippy::type_complexity)]
-    fn bulk_apply(
-        &self,
-        anchor: NonNull<BNode<K>>,
-        entries: &[(K, V)],
-        ctx: &ThreadCtx,
-    ) -> Option<(usize, Vec<bool>, Option<NonNull<BNode<K>>>)> {
-        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
-        let f = unsafe { anchor.as_ref() };
-        let blk = unsafe { self.blk(anchor) };
-
-        // Freeze the block ourselves so the forward-word race below is the
-        // only one we can lose.
-        let mut w = blk.control().load();
-        loop {
-            if is_frozen(w) {
-                self.help_split(anchor, ctx);
-                return None;
-            }
-            match blk.control().compare_exchange(w, w | FROZEN) {
-                Ok(_) => break,
-                Err(cur) => w = cur,
-            }
-        }
-        let frozen_w = w | FROZEN;
-
-        let mut buf = [MaybeUninit::uninit(); MAX_BLOCK_CAP];
-        let survivors = self.survivors(&blk, frozen_w, &mut buf);
-
-        let top = f.top_level() as usize;
-        for level in (1..=top).rev() {
-            self.graph.help_mark(f, level, ctx);
-        }
-        self.graph.help_mark(f, 0, ctx);
-        let succ0 = f.load_next_raw(0).ptr();
-
-        // Coverage cut: only the prefix below the (now stable) successor
-        // key is ours to apply. The prefix can only have *grown* since the
-        // caller resolved the anchor — new anchors in-range would need this
-        // very block to split, and we hold its freeze.
-        let succ_key: Option<K> = {
-            let s = unsafe { &*succ0 };
-            s.is_data().then(|| *unsafe { s.key() })
-        };
-        let applied = succ_key.map_or(entries.len(), |s| {
-            entries.partition_point(|e| e.0 < s)
-        });
-        // `applied` is normally >= 1 (the caller resolved a covering
-        // anchor) but a 0 is tolerated: the freeze still completes below
-        // and the caller falls back to per-op application.
-
-        // Merge survivors with the fresh prefix (both sorted): a key
-        // already present keeps its surviving value and reports stale.
-        let mut fresh = Vec::with_capacity(applied);
-        let mut merged: Vec<(K, V)> = Vec::with_capacity(survivors.len() + applied);
-        let (mut si, mut ei) = (0usize, 0usize);
-        while si < survivors.len() || ei < applied {
-            if si < survivors.len()
-                && (ei >= applied || survivors[si].0 <= entries[ei].0)
-            {
-                if ei < applied && survivors[si].0 == entries[ei].0 {
-                    fresh.push(false);
-                    ei += 1;
-                }
-                merged.push(survivors[si]);
-                si += 1;
-            } else {
-                fresh.push(true);
-                merged.push(entries[ei]);
-                ei += 1;
-            }
-        }
-
-        // Build the replacement chain right-to-left, then publish it with
-        // one forward-word CAS.
-        let tail = TagPtr::clean(succ0);
-        let chunks: Vec<&[(K, V)]> = merged.chunks(self.policy.fill_target).collect();
-        let publish = if chunks.is_empty() {
-            match blk.forward().compare_exchange(0, MERGED) {
-                Ok(_) => Some(None),
-                Err(_) => None,
-            }
-        } else {
-            let mut built: Vec<NonNull<BNode<K>>> = Vec::with_capacity(chunks.len());
-            let mut next = tail;
-            for chunk in chunks.iter().rev() {
-                let b = self.build_block(chunk, next, ctx);
-                next = TagPtr::clean(b.as_ptr());
-                built.push(b);
-            }
-            let first = *built.last().expect("nonempty chain");
-            match blk.forward().compare_exchange(0, first.as_ptr() as usize) {
-                Ok(_) => {
-                    ctx.record_bulk_fill(built.len() as u64, merged.len() as u64);
-                    Some(Some(built[0])) // last chunk block: the run's hint
-                }
-                Err(_) => {
-                    for b in built {
-                        self.graph.discard_unpublished(b, ctx);
-                    }
-                    None
-                }
-            }
-        };
-        // Win or lose, the block is frozen and the forward word decided:
-        // run the ordinary help path to install (ours or the winner's).
-        self.help_split(anchor, ctx);
-        publish.map(|hint| (applied, fresh, hint))
     }
 
     /// Links a freshly installed replacement block at its upper tower
@@ -1856,19 +1441,15 @@ where
 }
 
 /// Per-thread handle for a [`BlockedSkipMap`]: carries the thread's
-/// recording context, its feed of the ascending-stream sensor, and the
-/// sorted-run engine ([`Self::run_sorted`]). The thread's *local anchor
-/// map* — the blocked analogue of the layered design's per-thread local
-/// structures — is kept by the map under the context's id (see the module
-/// docs), so point operations and scans through a handle and through the
-/// map with the same context resolve alike, and a handle registered again
-/// for the same id finds the slot as its predecessor left it.
+/// recording context. The thread's *local anchor map* — the blocked
+/// analogue of the layered design's per-thread local structures — is kept
+/// by the map under the context's id (see the module docs), so point
+/// operations and scans through a handle and through the map with the same
+/// context resolve alike, and a handle registered again for the same id
+/// finds the slot as its predecessor left it.
 pub struct BlockedHandle<'g, K, V> {
     map: &'g BlockedSkipMap<K, V>,
     ctx: ThreadCtx,
-    /// This handle's previous inserted key — the per-thread feed of the
-    /// map's ascending-stream sensor (see [`BlockedSkipMap::asc_state`]).
-    last_insert_key: Option<K>,
 }
 
 impl<'g, K, V> BlockedHandle<'g, K, V>
@@ -1887,8 +1468,6 @@ where
         V: PartialEq,
     {
         self.ctx.record_op();
-        self.map.note_asc(self.last_insert_key.is_some_and(|p| key > p));
-        self.last_insert_key = Some(key);
         self.map.insert(key, value, &self.ctx)
     }
 
@@ -1914,233 +1493,6 @@ where
     pub fn range(&self, start: Bound<&K>, end: Bound<K>) -> BlockedRangeIter<'_, K, V> {
         self.map.range(start, end, &self.ctx)
     }
-
-    /// Resolves the target anchor for `key` from the carried chain hint:
-    /// a validated covering hint answers directly; a live hint whose key
-    /// is still `<= key` walks the level-0 chain forward (consecutive
-    /// sorted-run groups pay only the hops between their blocks, never a
-    /// fresh descent); anything else resolves like a single operation.
-    fn resolve_for_run(
-        &mut self,
-        chain: &Option<NodeRef<K, ()>>,
-        key: &K,
-    ) -> Option<NonNull<BNode<K>>> {
-        let live = chain
-            .as_ref()
-            .and_then(|hint| Some((hint.ptr, live_anchor(hint)?)));
-        if let Some((anchor, (node, succ))) = live {
-            if node.cmp_key(key) != CmpOrdering::Greater {
-                let (found, hops) = if unsafe { &*succ }.cmp_key(key) == CmpOrdering::Greater {
-                    (Some(anchor), 0)
-                } else {
-                    self.map.covering_anchor_from(anchor, key, &self.ctx)
-                };
-                if found.is_some() {
-                    self.ctx.record_anchor_hit();
-                    self.ctx.record_search(hops + 1);
-                    self.ctx.record_hinted_search(hops + 1);
-                    return found;
-                }
-            }
-        }
-        self.map.resolve(key, &self.ctx)
-    }
-
-    /// Executes a key-sorted run of `(slot, op_index, op)` triples —
-    /// the anchor-granular combiner path. Consecutive ops that resolve to
-    /// the same block share one resolution (grouped-op counters expose
-    /// the granularity win), the resolved anchor is carried forward as a
-    /// chain hint between groups, and maximal strictly-ascending insert
-    /// runs at least [`BlockPolicy::fill_target`] long go through
-    /// `BlockedSkipMap::bulk_apply` — fresh blocks packed to the fill
-    /// target in one publish. Outcomes are delivered through `out` with
-    /// each triple's first two components.
-    ///
-    /// Requires `work` sorted by key (stable: same-key ops in submission
-    /// order), as the batch combiner produces.
-    pub fn run_sorted(
-        &mut self,
-        work: Vec<(usize, usize, BatchOp<K, V>)>,
-        out: &mut dyn FnMut(usize, usize, BlockedOutcome<V>),
-    ) where
-        V: PartialEq,
-    {
-        debug_assert!(work.windows(2).all(|w| w[0].2.key() <= w[1].2.key()));
-        let bulk_min = self.map.policy.fill_target.max(2);
-        let mut chain: Option<NodeRef<K, ()>> = None;
-        let mut group_anchor: Option<BPtr<K>> = None;
-        let mut group_ops: u64 = 0;
-        // Past the first failed bulk attempt of a run, the rest of that
-        // run stays per-op (a failure means a racing split/fill owns the
-        // block's future; retrying per remaining op would freeze-storm).
-        let mut no_bulk_before = 0usize;
-        let mut i = 0usize;
-        while i < work.len() {
-            let key = *work[i].2.key();
-            self.ctx.record_op();
-            let pin = self.map.graph.pin(&self.ctx);
-            let start = self.resolve_for_run(&chain, &key);
-
-            // Bulk path: maximal strictly-ascending insert run from `i`.
-            if i >= no_bulk_before {
-                if let BatchOp::Insert(_, _) = work[i].2 {
-                    let mut j = i + 1;
-                    while j < work.len() {
-                        match (&work[j - 1].2, &work[j].2) {
-                            (BatchOp::Insert(pk, _), BatchOp::Insert(nk, _)) if nk > pk => {
-                                j += 1
-                            }
-                            _ => break,
-                        }
-                    }
-                    if j - i >= bulk_min {
-                        if let Some(anchor) = start {
-                            let entries: Vec<(K, V)> = work[i..j]
-                                .iter()
-                                .map(|(_, _, op)| match op {
-                                    BatchOp::Insert(k, v) => (*k, *v),
-                                    _ => unreachable!("run holds inserts only"),
-                                })
-                                .collect();
-                            match self.map.bulk_apply(anchor, &entries, &self.ctx) {
-                                Some((applied, freshes, hint)) if applied > 0 => {
-                                    for (t, fresh) in freshes.iter().enumerate() {
-                                        let (si, oi, _) = work[i + t];
-                                        out(si, oi, BlockedOutcome::Inserted(*fresh));
-                                    }
-                                    // The bulk counts extra ops on top of
-                                    // the one record_op above.
-                                    for _ in 1..applied {
-                                        self.ctx.record_op();
-                                    }
-                                    if group_ops > 0 {
-                                        self.ctx.record_anchor_group(group_ops);
-                                    }
-                                    self.ctx.record_anchor_group(applied as u64);
-                                    group_anchor = None;
-                                    group_ops = 0;
-                                    chain = hint.map(NodeRef::new);
-                                    i += applied;
-                                    drop(pin);
-                                    continue;
-                                }
-                                _ => no_bulk_before = j,
-                            }
-                        }
-                    }
-                }
-            }
-
-            // Per-op path, seeded with the resolved anchor.
-            let (si, oi) = (work[i].0, work[i].1);
-            let landed: Option<NonNull<BNode<K>>>;
-            let outcome = match &work[i].2 {
-                BatchOp::Insert(k, v) => {
-                    let (ok, a) = self.map.insert_pinned(*k, *v, start, &self.ctx);
-                    landed = a;
-                    BlockedOutcome::Inserted(ok)
-                }
-                BatchOp::Remove(k) => {
-                    let (ok, a) = self.map.remove_pinned(k, start, &self.ctx);
-                    landed = a;
-                    BlockedOutcome::Removed(ok)
-                }
-                BatchOp::Get(k) => {
-                    let (v, a) = self.map.get_pinned(k, start, &self.ctx);
-                    landed = a;
-                    BlockedOutcome::Got(v)
-                }
-            };
-            chain = landed.map(NodeRef::new);
-            match landed.map(NonNull::as_ptr) {
-                p if p == group_anchor && p.is_some() => group_ops += 1,
-                p => {
-                    if group_ops > 0 {
-                        self.ctx.record_anchor_group(group_ops);
-                    }
-                    group_anchor = p;
-                    group_ops = u64::from(p.is_some());
-                }
-            }
-            out(si, oi, outcome);
-            i += 1;
-            drop(pin);
-        }
-        if group_ops > 0 {
-            self.ctx.record_anchor_group(group_ops);
-        }
-    }
-
-    /// Applies a batch of operations as one combiner-style sorted run,
-    /// returning outcomes in submission order. The single-thread
-    /// entry point to the anchor-granular path (the multi-thread one is
-    /// the flat-combining executor's `CombinerTarget` plumbing).
-    pub fn execute_batch(&mut self, ops: Vec<BatchOp<K, V>>) -> Vec<BlockedOutcome<V>>
-    where
-        V: PartialEq,
-    {
-        let n = ops.len();
-        let mut work: Vec<(usize, usize, BatchOp<K, V>)> = ops
-            .into_iter()
-            .enumerate()
-            .map(|(i, op)| (0, i, op))
-            .collect();
-        // Stable: same-key ops keep submission order.
-        work.sort_by(|a, b| a.2.key().cmp(b.2.key()));
-        let mut results: Vec<Option<BlockedOutcome<V>>> = (0..n).map(|_| None).collect();
-        self.run_sorted(work, &mut |_, oi, o| results[oi] = Some(o));
-        results
-            .into_iter()
-            .map(|o| o.expect("every submitted op is answered"))
-            .collect()
-    }
-}
-
-impl<K, V> crate::batch::CombinerTarget<K, V> for BlockedHandle<'_, K, V>
-where
-    K: Ord + Copy,
-    V: Copy + PartialEq,
-{
-    type Outcome = BlockedOutcome<V>;
-
-    fn ctx(&self) -> &ThreadCtx {
-        &self.ctx
-    }
-
-    /// Feeds the combiner's pre-sort run shape into the map's
-    /// ascending-stream sensor: each of the batch's inserts counts as one
-    /// arrival, `ascending` of them in arrival order.
-    fn note_run(&mut self, ascending: usize, inserts: usize) {
-        if self.map.asc.is_none() {
-            return;
-        }
-        for i in 0..inserts {
-            self.map.note_asc(i < ascending);
-        }
-    }
-
-    /// The anchor-granular run: see [`BlockedHandle::run_sorted`].
-    fn combined_run(
-        &mut self,
-        work: Vec<(usize, usize, BatchOp<K, V>)>,
-        out: &mut dyn FnMut(usize, usize, BlockedOutcome<V>),
-    ) {
-        self.run_sorted(work, out);
-    }
-}
-
-/// The result of one [`BatchOp`] applied to a [`BlockedSkipMap`] through
-/// the anchor-granular combiner path (the blocked analogue of
-/// [`crate::batch::BatchOutcome`], which carries layered-map node
-/// references the blocked map has no use for).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlockedOutcome<V> {
-    /// Insert outcome: `true` when the key was absent.
-    Inserted(bool),
-    /// Remove outcome: `true` when the key was present.
-    Removed(bool),
-    /// Lookup outcome.
-    Got(Option<V>),
 }
 
 impl<K, V> BlockedSkipMap<K, V>
@@ -2158,11 +1510,7 @@ where
             (ctx.id() as usize) < self.graph.config().num_threads,
             "thread id out of range"
         );
-        BlockedHandle {
-            map: self,
-            ctx,
-            last_insert_key: None,
-        }
+        BlockedHandle { map: self, ctx }
     }
 }
 
@@ -2411,43 +1759,6 @@ mod tests {
     }
 
     #[test]
-    fn ascending_gate_switches_to_leave_behind_splits() {
-        let adapt = AdaptConfig::new().window_ops(8).dwell_windows(0);
-        let plain: BlockedSkipMap<u64, u64> = BlockedSkipMap::new(cfg(1), 4);
-        let adaptive: BlockedSkipMap<u64, u64> = BlockedSkipMap::new(cfg(1).adapt(adapt), 4);
-        assert!(!adaptive.asc_mode());
-        let mut hp = plain.register(ThreadCtx::plain(0));
-        let mut ha = adaptive.register(ThreadCtx::plain(0));
-        for k in 0..60u64 {
-            assert!(hp.insert(k, k));
-            assert!(ha.insert(k, k));
-        }
-        let st = adaptive.asc_state().expect("adapt configured");
-        assert!(st.engaged, "an all-ascending stream must engage the gate");
-        assert!(st.switches >= 1);
-        assert!(st.last_asc_pct >= 80, "got {}", st.last_asc_pct);
-        // Leave-behind splits (90/10) advance three keys per split where
-        // the static half split advances two — strictly fewer blocks for
-        // the same ascending load.
-        let ctx = ctx();
-        assert!(
-            adaptive.stats(&ctx).anchors < plain.stats(&ctx).anchors,
-            "leave-behind must produce fewer blocks: {} vs {}",
-            adaptive.stats(&ctx).anchors,
-            plain.stats(&ctx).anchors
-        );
-        for k in 0..60u64 {
-            assert_eq!(adaptive.get(&k, &ctx), Some(k));
-        }
-        adaptive.check_invariants(&ctx).unwrap();
-        // A descending stream disengages symmetrically.
-        for k in (100..160u64).rev() {
-            assert!(ha.insert(k, k));
-        }
-        assert!(!adaptive.asc_mode(), "descending stream must disengage");
-    }
-
-    #[test]
     fn layout_bytes_stay_pointer_aligned() {
         for cap in MIN_BLOCK_CAP..=MAX_BLOCK_CAP {
             assert_eq!(block_layout_bytes::<u64, u64>(cap) % 8, 0);
@@ -2610,24 +1921,6 @@ mod tests {
         map.check_invariants(&c).unwrap();
     }
 
-    #[test]
-    fn handle_hint_accelerates_sorted_runs() {
-        const N: u64 = if cfg!(miri) { 24 } else { 120 };
-        let map = BlockedSkipMap::<u64, u64>::new(cfg(2), 8);
-        let mut h = map.register(ThreadCtx::plain(0));
-        for k in 0..N {
-            assert!(h.insert(k, k));
-        }
-        for k in 0..N {
-            assert_eq!(h.get(&k), Some(k));
-        }
-        assert!(!h.insert(0, 0));
-        assert!(h.remove(&0));
-        assert!(!h.contains(&0));
-        let c = ctx();
-        map.check_invariants(&c).unwrap();
-    }
-
     /// Miri regression: the raw in-block slot projection must stay inside
     /// the node allocation's provenance and never alias the control word.
     #[test]
@@ -2764,7 +2057,7 @@ mod tests {
     #[test]
     fn policy_split_point_math() {
         // Defaults reproduce the historical half split (div_ceil(2)).
-        let half = BlockPolicy::default_for(8);
+        let half = BlockPolicy::default();
         for len in 2..=16 {
             assert_eq!(half.split_point(len), len.div_ceil(2), "len {len}");
         }
@@ -2772,19 +2065,19 @@ mod tests {
         // both sides nonempty at every length.
         let left = BlockPolicy {
             split_left_pct: 75,
-            ..BlockPolicy::default_for(8)
+            ..BlockPolicy::default()
         };
         assert_eq!(left.split_point(8), 6);
         assert_eq!(left.split_point(2), 1);
         let extreme = BlockPolicy {
             split_left_pct: 99,
-            ..BlockPolicy::default_for(8)
+            ..BlockPolicy::default()
         };
         for len in 2..=16 {
             let cut = extreme.split_point(len);
             assert!(cut >= 1 && cut < len, "len {len} cut {cut}");
         }
-        BlockPolicy::default_for(4).validate(4);
+        BlockPolicy::default().validate(4);
     }
 
     #[test]
@@ -2792,9 +2085,15 @@ mod tests {
     fn policy_rejects_threshold_at_capacity() {
         let bad = BlockPolicy {
             merge_threshold: 4,
-            ..BlockPolicy::default_for(4)
+            ..BlockPolicy::default()
         };
         let _ = BlockedSkipMap::<u64, u64>::with_policy(cfg(1), 4, bad);
+    }
+
+    #[test]
+    #[should_panic(expected = "BlockedSkipMap with GraphConfig::hash_index(true)")]
+    fn a_hash_index_under_blocks_is_rejected() {
+        let _ = BlockedSkipMap::<u64, u64>::new(cfg(1).hash_index(true), 4);
     }
 
     /// A nonzero merge threshold compacts a tombstone-clogged block into a
@@ -2833,11 +2132,11 @@ mod tests {
         // covering block has free slots before any insert arrives.
         let compacting = BlockPolicy {
             merge_threshold: 2,
-            ..BlockPolicy::default_for(4)
+            ..BlockPolicy::default()
         };
         assert_eq!(run(compacting), 2);
         // Default policy: the tombstones keep every slot claimed.
-        assert_eq!(run(BlockPolicy::default_for(4)), 4);
+        assert_eq!(run(BlockPolicy::default()), 4);
     }
 
     #[test]
@@ -2859,120 +2158,6 @@ mod tests {
                     "n {n} probe {probe}"
                 );
             }
-        }
-    }
-
-    /// The combiner path bulk-fills fresh blocks to the fill target in
-    /// one publish, and the counters price it.
-    #[test]
-    fn bulk_fill_reaches_target_occupancy() {
-        const N: u64 = if cfg!(miri) { 32 } else { 64 };
-        let sink = AccessStats::new(1);
-        let map = BlockedSkipMap::<u64, u64>::new(cfg(1), 8);
-        let mut h = map.register(ThreadCtx::recording(0, sink.clone()));
-        let outs =
-            h.execute_batch((0..N).map(|k| BatchOp::Insert(k, k * 2)).collect());
-        assert!(outs.iter().all(|o| *o == BlockedOutcome::Inserted(true)));
-        let t = sink.totals();
-        assert!(t.bulk_blocks > 0, "ascending fresh run must bulk-fill");
-        assert!(
-            t.bulk_entries * 4 >= t.bulk_blocks * 8 * 3,
-            "bulk occupancy below 75% of target: {} entries / {} blocks",
-            t.bulk_entries,
-            t.bulk_blocks
-        );
-        assert!(t.anchor_groups > 0 && t.grouped_ops >= t.anchor_groups);
-        let c = ctx();
-        for k in 0..N {
-            assert_eq!(map.get(&k, &c), Some(k * 2), "lookup {k}");
-        }
-        map.check_invariants(&c).unwrap();
-    }
-
-    /// Bulk fills merge with surviving entries: present keys keep their
-    /// value and report stale, exactly like per-op inserts.
-    #[test]
-    fn bulk_fill_preserves_present_keys() {
-        const N: u64 = if cfg!(miri) { 16 } else { 32 };
-        let map = BlockedSkipMap::<u64, u64>::new(cfg(1), 8);
-        let c = ctx();
-        for k in (1..N).step_by(2) {
-            assert!(map.insert(k, k * 100, &c));
-        }
-        let mut h = map.register(ctx());
-        let outs = h.execute_batch((0..N).map(|k| BatchOp::Insert(k, k + 1)).collect());
-        for (k, o) in (0..N).zip(&outs) {
-            assert_eq!(*o, BlockedOutcome::Inserted(k % 2 == 0), "key {k}");
-        }
-        for k in 0..N {
-            let want = if k % 2 == 1 { k * 100 } else { k + 1 };
-            assert_eq!(map.get(&k, &c), Some(want), "key {k}");
-        }
-        assert_eq!(map.len(&c), N as usize);
-        map.check_invariants(&c).unwrap();
-    }
-
-    /// Differential: `execute_batch` against a sequential model applying
-    /// the same ops in sorted-stable order (the combiner's documented
-    /// semantics), across the policy sweep.
-    #[test]
-    fn execute_batch_matches_sequential_model() {
-        const N: usize = if cfg!(miri) { 60 } else { 240 };
-        const KEYSPACE: u64 = 40;
-        let policies = [
-            BlockPolicy::default_for(4),
-            BlockPolicy {
-                split_left_pct: 70,
-                merge_threshold: 1,
-                fill_target: 3,
-            },
-        ];
-        for policy in policies {
-            let map = BlockedSkipMap::<u64, u64>::with_policy(cfg(1), 4, policy);
-            let mut h = map.register(ctx());
-            let mut model: BTreeMap<u64, u64> = BTreeMap::new();
-            for batch in 0..4 {
-                let ops: Vec<BatchOp<u64, u64>> = (0..N / 4)
-                    .map(|i| {
-                        let x = batch * (N / 4) + i;
-                        let key = (x as u64).wrapping_mul(37) % KEYSPACE;
-                        match x % 4 {
-                            0 | 1 => BatchOp::Insert(key, x as u64),
-                            2 => BatchOp::Remove(key),
-                            _ => BatchOp::Get(key),
-                        }
-                    })
-                    .collect();
-                // Model: sorted-stable application order.
-                let mut idx: Vec<usize> = (0..ops.len()).collect();
-                idx.sort_by_key(|&i| *ops[i].key());
-                let mut want: Vec<Option<BlockedOutcome<u64>>> = vec![None; ops.len()];
-                for &i in &idx {
-                    want[i] = Some(match &ops[i] {
-                        BatchOp::Insert(k, v) => {
-                            if model.contains_key(k) {
-                                BlockedOutcome::Inserted(false)
-                            } else {
-                                model.insert(*k, *v);
-                                BlockedOutcome::Inserted(true)
-                            }
-                        }
-                        BatchOp::Remove(k) => {
-                            BlockedOutcome::Removed(model.remove(k).is_some())
-                        }
-                        BatchOp::Get(k) => BlockedOutcome::Got(model.get(k).copied()),
-                    });
-                }
-                let got = h.execute_batch(ops);
-                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                    assert_eq!(Some(g), w.as_ref(), "policy {policy:?} op {i}");
-                }
-            }
-            let c = ctx();
-            for k in 0..KEYSPACE {
-                assert_eq!(map.get(&k, &c), model.get(&k).copied(), "key {k}");
-            }
-            map.check_invariants(&c).unwrap();
         }
     }
 

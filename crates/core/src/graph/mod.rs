@@ -24,8 +24,8 @@ mod stats;
 mod tests;
 
 pub use block::{
-    AscSnapshot, BlockPolicy, BlockedHandle, BlockedOutcome, BlockedRangeIter, BlockedSkipMap,
-    BlockedStats, MAX_BLOCK_CAP, MIN_BLOCK_CAP,
+    BlockPolicy, BlockedHandle, BlockedRangeIter, BlockedSkipMap, BlockedStats, MAX_BLOCK_CAP,
+    MIN_BLOCK_CAP,
 };
 pub use iter::SnapshotIter;
 pub use ops::HintChain;
@@ -340,23 +340,17 @@ impl<K: Ord, V> SkipGraph<K, V> {
     /// (or a lazy resurrection) — never before, so a reader that wins the
     /// entry always finds a reachable incarnation. Best-effort: a full
     /// probe window simply leaves the key on the descent path.
-    pub(crate) fn index_publish(&self, node: NonNull<Node<K, V>>, aux: usize, ctx: &ThreadCtx) {
+    pub(crate) fn index_publish(&self, node: NonNull<Node<K, V>>, ctx: &ThreadCtx) {
         let hash = self.index_hash(unsafe { node.as_ref().key() });
-        self.index_publish_hashed(node, hash, aux, ctx);
+        self.index_publish_hashed(node, hash, ctx);
     }
 
     /// [`SkipGraph::index_publish`] for a node whose key's
     /// [`SkipGraph::index_hash`] the caller already holds.
-    pub(crate) fn index_publish_hashed(
-        &self,
-        node: NonNull<Node<K, V>>,
-        hash: u64,
-        aux: usize,
-        ctx: &ThreadCtx,
-    ) {
+    pub(crate) fn index_publish_hashed(&self, node: NonNull<Node<K, V>>, hash: u64, ctx: &ThreadCtx) {
         if let Some(idx) = &self.index {
             let gen = unsafe { Node::generation_of(node) };
-            idx.publish_hashed(hash, node, gen, aux, ctx.id() as usize);
+            idx.publish_hashed(hash, node, gen, ctx.id() as usize);
         }
     }
 
@@ -374,7 +368,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
         // linked incarnation's, so the entry dies with it.
         let gen = unsafe { Node::generation_of(ptr) };
         if !node.load_next_raw(0).marked() {
-            idx.publish_hashed(hash, ptr, gen, 0, ctx.id() as usize);
+            idx.publish_hashed(hash, ptr, gen, ctx.id() as usize);
         }
     }
 
@@ -398,7 +392,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
             if w0.marked() || (self.config.lazy && !w0.valid()) {
                 continue;
             }
-            self.index_publish_hashed(NonNull::from(node), *hash, 0, ctx);
+            self.index_publish_hashed(NonNull::from(node), *hash, ctx);
         }
     }
 

@@ -87,7 +87,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
             if node.cas_next(0, w0, w0.with_valid(true), ctx).is_ok() {
                 // Resurrection is a successful insertion: refresh the
                 // index entry so point reads hit this incarnation.
-                self.index_publish(NonNull::from(node), 0, ctx);
+                self.index_publish(NonNull::from(node), ctx);
                 return Some(true); // flipped invalid -> valid
             }
         }
@@ -196,7 +196,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
             // Publish-after-link: the node is reachable from level 0, so
             // the index may now name it.
             if let Some(hash) = publish {
-                self.index_publish_hashed(node, hash, 0, ctx);
+                self.index_publish_hashed(node, hash, ctx);
             }
             // The insert substituted the captured marked chain: those
             // nodes are now unlinked at level 0.

@@ -1,9 +1,8 @@
 //! Shared lock-free hash index for O(1) point reads (the Skip Hash fast
 //! path).
 //!
-//! The index maps key hashes to generation-tagged `(node, slot)` entries
-//! over live shared nodes (plain maps) or blocked-anchor slots
-//! ([`crate::BlockedSkipMap`]). It is an *accelerator, never an
+//! The index maps key hashes to generation-tagged node entries over live
+//! shared nodes, one key per node. It is an *accelerator, never an
 //! authority*: every entry is re-validated on read against the node it
 //! names — generation first (the `crate::reclaim` retire protocol bumps
 //! it, so entries to retired incarnations can never validate), then the
@@ -15,9 +14,9 @@
 //! # Coherence protocol (see ARCHITECTURE §7)
 //!
 //! * **publish-after-link** — an entry is published only after its node is
-//!   reachable in the shared structure (level-0 link CAS, lazy
-//!   resurrection, or a blocked publish CAS), so a hit can always be
-//!   re-verified against live shared state.
+//!   reachable in the shared structure (level-0 link CAS or lazy
+//!   resurrection), so a hit can always be re-verified against live shared
+//!   state.
 //! * **invalidate-before-retire** — removal paths tombstone the entry
 //!   before the node is retired onto a limbo list; the retire-side
 //!   generation bump is the hard backstop that makes the tombstone pure
@@ -31,22 +30,23 @@
 //!
 //! # Slot layout
 //!
-//! Each bucket is three facade-atomic words (every access is a
+//! Each bucket is two facade-atomic words (every access is a
 //! deterministic-scheduler yield point, so stress schedules interleave
-//! index and structure steps at the same granularity):
+//! index and structure steps at the same granularity), 16 bytes aligned
+//! to 16 — a quarter of a 64-byte line by type, so no slot straddles two
+//! lines whatever the allocator returns:
 //!
 //! ```text
 //! tag:  [63] present | [62:32] key-hash signature | [31:0] generation
-//! ptr:  the shared node (anchor, for blocked entries)
-//! aux:  layer-private word (in-block slot for blocked anchors)
+//! ptr:  the shared node
 //! ```
 //!
 //! `tag` values 0 (`EMPTY`), 1 (`TOMBSTONE`) and 2 (`BUSY`) are reserved;
 //! a present tag always has bit 63 set. Writers claim a slot by CAS-ing
-//! the tag to `BUSY`, write `ptr`/`aux`, then release-store the final tag;
-//! readers load the tag, the payload, then the tag again and reject the
-//! entry unless both tag loads agree — so a reader can never pair one
-//! entry's pointer with another's generation. A writer that finds a slot
+//! the tag to `BUSY`, store `ptr`, then release-store the final tag;
+//! readers load the tag, `ptr`, then the tag again and reject the entry
+//! unless both tag loads agree — so a reader can never pair one entry's
+//! pointer with another's generation. A writer that finds a slot
 //! busy simply moves on (the index tolerates lost publishes), so no
 //! operation ever waits on a stalled peer.
 //!
@@ -194,19 +194,21 @@ fn tag_sig(tag: usize) -> usize {
 }
 
 /// One bucket. See the module docs for the seqlock protocol tying the
-/// three words together.
+/// two words together.
+#[repr(C, align(16))]
 struct Slot {
     tag: FacadeAtomicUsize,
     ptr: FacadeAtomicUsize,
-    aux: FacadeAtomicUsize,
 }
+
+// A quarter line: four slots to a 64-byte line, none across two.
+const _: () = assert!(std::mem::size_of::<Slot>() == 16 && 64 % std::mem::size_of::<Slot>() == 0);
 
 impl Slot {
     const fn empty() -> Self {
         Self {
             tag: FacadeAtomicUsize::new(TAG_EMPTY),
             ptr: FacadeAtomicUsize::new(0),
-            aux: FacadeAtomicUsize::new(0),
         }
     }
 }
@@ -348,17 +350,16 @@ impl Segment {
             let new = Table::new(cap * 2, old.used.len());
             let mut installed = 0;
             for slot in old.slots.iter() {
-                // Seqlock pair-read, as in `lookup_raw`.
+                // Seqlock pair-read, as in `lookup_raw_hashed`.
                 let t1 = slot.tag.load();
                 if !tag_is_present(t1) {
                     continue;
                 }
                 let ptr = slot.ptr.load();
-                let aux = slot.aux.load();
                 if slot.tag.load() != t1 || ptr == 0 {
                     continue; // racing writer; entry is lost, not corrupted
                 }
-                installed += Self::install(&new, t1, ptr, aux) as usize;
+                installed += Self::install(&new, t1, ptr) as usize;
             }
             // The successor is still private: one store stands for every
             // slot the copy claimed.
@@ -376,13 +377,12 @@ impl Segment {
     /// Claims a slot of the still-private successor `table` for a
     /// fully-formed entry and says whether one was found. The position is
     /// rebuilt from the tag's signature, which is what probes start from.
-    fn install(table: &Table, tag: usize, ptr: usize, aux: usize) -> bool {
+    fn install(table: &Table, tag: usize, ptr: usize) -> bool {
         let mut i = tag_sig(tag) & table.mask;
         for _ in 0..PROBE_LIMIT {
             let s = &table.slots[i];
             if s.tag.load() == TAG_EMPTY {
                 s.ptr.store(ptr);
-                s.aux.store(aux);
                 s.tag.store(tag);
                 return true;
             }
@@ -401,15 +401,11 @@ impl Drop for Segment {
 
 /// A raw, seqlock-consistent index entry: the `(ptr, gen)` pair was
 /// published together (never torn), but nothing about the node has been
-/// validated yet. Consumers apply their own validation ladder —
-/// [`HashIndex::read_node`] for plain nodes, the blocked map for anchor
-/// slots.
+/// validated yet; [`HashIndex::read_node`] applies the validation ladder.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct RawEntry<K, V> {
-    pub ptr: NonNull<Node<K, V>>,
-    pub gen: u32,
-    /// Layer-private word (in-block slot index for blocked anchors).
-    pub aux: usize,
+struct RawEntry<K, V> {
+    ptr: NonNull<Node<K, V>>,
+    gen: u32,
 }
 
 /// Outcome of a fully validated plain-node index read. `Absent` is
@@ -581,23 +577,12 @@ impl<K, V> HashIndex<K, V> {
             .collect()
     }
 
-    /// Publishes `key -> (ptr, gen, aux)` on behalf of thread `tid`. Best
-    /// effort: a busy or full probe window drops the publish (and nudges
-    /// the segment to grow). Callers pass a generation captured from the
-    /// incarnation they just linked/observed live — publish-after-link.
-    pub(crate) fn publish(&self, key: &K, ptr: NonNull<Node<K, V>>, gen: u32, aux: usize, tid: usize) {
-        self.publish_hashed(self.hash(key), ptr, gen, aux, tid);
-    }
-
-    /// [`Self::publish`] for a key whose [`Self::hash`] the caller holds.
-    pub(crate) fn publish_hashed(
-        &self,
-        hash: u64,
-        ptr: NonNull<Node<K, V>>,
-        gen: u32,
-        aux: usize,
-        tid: usize,
-    ) {
+    /// Publishes `(ptr, gen)` under `hash`, the [`Self::hash`] of the
+    /// node's key, on behalf of thread `tid`. Best effort: a busy or full
+    /// probe window drops the publish (and nudges the segment to grow).
+    /// Callers pass a generation captured from the incarnation they just
+    /// linked/observed live — publish-after-link.
+    pub(crate) fn publish_hashed(&self, hash: u64, ptr: NonNull<Node<K, V>>, gen: u32, tid: usize) {
         let seg = self.segment(hash);
         let table = seg.table();
         let sig = sig_of(hash);
@@ -622,7 +607,6 @@ impl<K, V> HashIndex<K, V> {
                     0
                 };
                 s.ptr.store(ptr.as_ptr() as usize);
-                s.aux.store(aux);
                 s.tag.store(tag);
                 seg.counts(tid).published.fetch_add(1, Ordering::Relaxed);
                 // The probe window needs every sample; the occupancy
@@ -651,7 +635,7 @@ impl<K, V> HashIndex<K, V> {
     ///   adversarial key mix clusters collisions below the occupancy
     ///   threshold.
     ///
-    /// The probe-exhaustion `grow()` at the end of [`Self::publish`]
+    /// The probe-exhaustion `grow()` at the end of [`Self::publish_hashed`]
     /// remains the correctness backstop either way.
     fn after_publish(&self, seg: &Segment, table: &Table, displacement: usize) {
         if table.used() * 100 > (table.mask + 1) * OCC_GROW_PCT {
@@ -719,10 +703,6 @@ impl<K, V> HashIndex<K, V> {
     /// Seqlock-consistent raw lookup: the first present entry whose
     /// signature matches. No validation beyond pair consistency — see
     /// [`RawEntry`].
-    pub(crate) fn lookup_raw(&self, key: &K) -> Option<RawEntry<K, V>> {
-        self.lookup_raw_hashed(self.hash(key))
-    }
-
     fn lookup_raw_hashed(&self, hash: u64) -> Option<RawEntry<K, V>> {
         let table = self.segment(hash).table();
         let sig = sig_of(hash);
@@ -735,13 +715,11 @@ impl<K, V> HashIndex<K, V> {
             }
             if tag_is_present(t1) && tag_sig(t1) == sig {
                 let ptr = s.ptr.load();
-                let aux = s.aux.load();
                 if s.tag.load() == t1 {
                     if let Some(nn) = NonNull::new(ptr as *mut Node<K, V>) {
                         return Some(RawEntry {
                             ptr: nn,
                             gen: tag_gen(t1),
-                            aux,
                         });
                     }
                 }
@@ -840,50 +818,58 @@ mod tests {
         NonNull::new((64 + 64 * align_off) as *mut Node<u64, u64>).unwrap()
     }
 
+    type Idx = HashIndex<u64, u64>;
+
+    fn publish(idx: &Idx, key: u64, ptr: NonNull<Node<u64, u64>>, gen: u32, tid: usize) {
+        idx.publish_hashed(idx.hash(&key), ptr, gen, tid);
+    }
+
+    fn lookup(idx: &Idx, key: u64) -> Option<RawEntry<u64, u64>> {
+        idx.lookup_raw_hashed(idx.hash(&key))
+    }
+
     #[test]
     fn publish_lookup_invalidate_roundtrip() {
         let idx: HashIndex<u64, u64> = HashIndex::new(2, 1 << 12, None);
         let p = dangling(1);
-        idx.publish(&7, p, 42, 3, 0);
-        let e = idx.lookup_raw(&7).expect("published entry");
+        publish(&idx, 7, p, 42, 0);
+        let e = lookup(&idx, 7).expect("published entry");
         assert_eq!(e.ptr, p);
         assert_eq!(e.gen, 42);
-        assert_eq!(e.aux, 3);
-        assert!(idx.lookup_raw(&8).is_none());
+        assert!(lookup(&idx, 8).is_none());
         assert_eq!(idx.published_entries(), 1);
 
         // Wrong-pointer invalidation leaves the entry standing.
         idx.invalidate(&7, Some(dangling(2)), 0);
-        assert!(idx.lookup_raw(&7).is_some());
+        assert!(lookup(&idx, 7).is_some());
         assert_eq!(idx.retired_entries(), 0);
 
         idx.invalidate(&7, Some(p), 0);
-        assert!(idx.lookup_raw(&7).is_none());
+        assert!(lookup(&idx, 7).is_none());
         assert_eq!(idx.retired_entries(), 1);
 
         // Tombstoned slots are reusable.
-        idx.publish(&7, p, 43, 0, 0);
-        assert_eq!(idx.lookup_raw(&7).unwrap().gen, 43);
+        publish(&idx, 7, p, 43, 0);
+        assert_eq!(lookup(&idx, 7).unwrap().gen, 43);
     }
 
     #[test]
     fn republish_overwrites_generation() {
         let idx: HashIndex<u64, u64> = HashIndex::new(1, 1 << 10, None);
         let p = dangling(1);
-        idx.publish(&5, p, 1, 0, 0);
-        idx.publish(&5, dangling(2), 9, 7, 0);
-        let e = idx.lookup_raw(&5).unwrap();
+        publish(&idx, 5, p, 1, 0);
+        publish(&idx, 5, dangling(2), 9, 0);
+        let e = lookup(&idx, 5).unwrap();
         assert_eq!(e.gen, 9);
-        assert_eq!(e.aux, 7);
         assert_eq!(e.ptr, dangling(2));
     }
 
     #[test]
     fn untargeted_invalidate_clears_any_holder() {
         let idx: HashIndex<u64, u64> = HashIndex::new(1, 1 << 10, None);
-        idx.publish(&11, dangling(4), 5, 0, 0);
+        publish(&idx, 11, dangling(4), 5, 0);
         idx.invalidate(&11, None, 0);
-        assert!(idx.lookup_raw(&11).is_none());
+        assert!(lookup(&idx, 11).is_none());
     }
 
     #[test]
@@ -891,14 +877,14 @@ mod tests {
         let keys = if cfg!(miri) { 300u64 } else { 4_000 };
         let idx: HashIndex<u64, u64> = HashIndex::new(1, 0, None);
         for k in 0..keys {
-            idx.publish(&k, dangling(1 + k as usize), k as u32, 0, 0);
+            publish(&idx, k, dangling(1 + k as usize), k as u32, 0);
         }
         // The minimum table holds 1024 slots per segment; without grows
         // most publishes would have been dropped. Require the vast
         // majority to survive (growth migration may shed a few).
         let mut hits = 0;
         for k in 0..keys {
-            if let Some(e) = idx.lookup_raw(&k) {
+            if let Some(e) = lookup(&idx, k) {
                 assert_eq!(e.gen, k as u32, "entry for {k} mixed up");
                 hits += 1;
             }
@@ -956,7 +942,7 @@ mod tests {
         // allocated mid-run are part of the picture.
         let idx: HashIndex<u64, u64> = HashIndex::new(4, 0, None);
         for k in 0..6_000u64 {
-            idx.publish(&k, dangling(1 + k as usize), 0, 0, (k % 4) as usize);
+            publish(&idx, k, dangling(1 + k as usize), 0, (k % 4) as usize);
         }
         for k in 0..1_000u64 {
             idx.invalidate(&k, None, (k % 4) as usize);
@@ -1012,7 +998,7 @@ mod tests {
         let idx: HashIndex<u64, u64> = HashIndex::new(4, 1 << 12, None);
         for k in 0..100u64 {
             // Thread ids past the stripe count fold onto a stripe.
-            idx.publish(&k, dangling(1 + k as usize), 0, 0, (k % 6) as usize);
+            publish(&idx, k, dangling(1 + k as usize), 0, (k % 6) as usize);
         }
         for k in 0..40u64 {
             idx.invalidate(&k, None, (k % 3) as usize);

@@ -1049,8 +1049,6 @@ where
     K: Ord + Hash + Clone,
     V: Clone,
 {
-    type Outcome = BatchOutcome<K, V>;
-
     fn ctx(&self) -> &ThreadCtx {
         &self.ctx
     }

@@ -73,9 +73,9 @@ pub use batch::{
     BatchConfig, BatchExecutor, BatchOp, BatchOutcome, BatchedLayeredMap, CombinerTarget,
 };
 pub use graph::{
-    AscSnapshot, BlockPolicy, BlockedHandle, BlockedOutcome, BlockedRangeIter, BlockedSkipMap,
-    BlockedStats, HintChain, MemoryStats, NodeRef, NodeRefHint, RangeIter, SkipGraph,
-    SnapshotIter, StructureStats, MAX_BLOCK_CAP, MIN_BLOCK_CAP,
+    BlockPolicy, BlockedHandle, BlockedRangeIter, BlockedSkipMap, BlockedStats, HintChain,
+    MemoryStats, NodeRef, NodeRefHint, RangeIter, SkipGraph, SnapshotIter, StructureStats,
+    MAX_BLOCK_CAP, MIN_BLOCK_CAP,
 };
 pub use layered::{CombiningHandle, LayeredHandle, LayeredMap, ReadOnlyView};
 pub use map_api::{ConcurrentMap, MapHandle, SkipGraphHandle};

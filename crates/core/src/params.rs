@@ -53,11 +53,11 @@ pub struct GraphConfig {
     pub block_bytes: usize,
     /// Shared lock-free hash index for O(1) point reads (the Skip Hash
     /// fast path; see `skipgraph::index`). Maintained inline by
-    /// insert/remove/split/merge and consulted first by point
-    /// `get`/`contains`; entries are generation-validated, so reclamation
-    /// stays safe. Off by default. Honored by the layered and blocked
-    /// builders (which know the key hashes); `SkipGraph::new` alone
-    /// leaves it off — use `SkipGraph::new_hashed`.
+    /// insert/remove and consulted first by point `get`/`contains`;
+    /// entries are generation-validated, so reclamation stays safe. Off
+    /// by default. Honored by the layered builders (which know the key
+    /// hashes); `SkipGraph::new` alone leaves it off — use
+    /// `SkipGraph::new_hashed` — and the blocked map rejects it.
     pub hash_index: bool,
     /// Total entry-capacity hint for the hash index (`0` = auto).
     /// Segments start at `index_capacity / segments` slots and grow
@@ -65,11 +65,8 @@ pub struct GraphConfig {
     pub index_capacity: usize,
     /// Workload-adaptive control plane (see [`crate::adapt`]): when set,
     /// the hash index grows segments from the windowed occupancy/probe
-    /// signal using these thresholds, and the blocked map switches to
-    /// leave-behind splits while its insert stream reads ascending.
-    /// `None` (the default) keeps the static behavior: the index's fixed
-    /// 75% trip-wire and the construction-time [`crate::BlockPolicy`]
-    /// split point.
+    /// signal using these thresholds. `None` (the default) keeps the
+    /// static behavior: the index's fixed 75% trip-wire.
     pub adapt: Option<AdaptConfig>,
     /// NUMA-ownership override: when set, every node allocated in this
     /// structure is tagged as owned by this thread (and recycled into its

@@ -132,9 +132,9 @@ proptest! {
         reclaim: bool,
     ) {
         let (cap, policy) = match policy_sel {
-            0 => (2, BlockPolicy { split_left_pct: 50, merge_threshold: 1, fill_target: 2 }),
-            1 => (4, BlockPolicy { split_left_pct: 25, merge_threshold: 2, fill_target: 3 }),
-            _ => (4, BlockPolicy { split_left_pct: 75, merge_threshold: 1, fill_target: 4 }),
+            0 => (2, BlockPolicy { split_left_pct: 50, merge_threshold: 1 }),
+            1 => (4, BlockPolicy { split_left_pct: 25, merge_threshold: 2 }),
+            _ => (4, BlockPolicy { split_left_pct: 75, merge_threshold: 1 }),
         };
         let map: BlockedSkipMap<u64, u64> = BlockedSkipMap::with_policy(
             GraphConfig::new(2).reclaim(reclaim).chunk_capacity(256),
@@ -541,7 +541,10 @@ mod deterministic {
     /// At capacity 2 the quanta start at 2: quantum 1 puts two inserters
     /// of one block in lock step, and whether a given seed then finishes is
     /// a lottery every change to a split's yield points re-rolls (see
-    /// `cap2_quantum1_lockstep_insert_contest`).
+    /// `cap2_quantum1_lockstep_insert_contest`). This is a dev-profile
+    /// lane, as CI runs it: `--release` drops the `debug_assert!`s' facade
+    /// loads, a different set of yield points, and the same livelock then
+    /// exceeds `max_steps` here.
     #[test]
     fn round_robin_schedules_are_exact() {
         for (cap, seed, quantum) in [(2usize, 1u64, 2u32), (2, 2, 3), (4, 3, 2), (4, 4, 7)] {

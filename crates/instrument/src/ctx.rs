@@ -31,10 +31,6 @@ struct ThreadCounters {
     replay_batches: AtomicU64,
     replayed_ops: AtomicU64,
     anchor_hits: AtomicU64,
-    anchor_groups: AtomicU64,
-    grouped_ops: AtomicU64,
-    bulk_blocks: AtomicU64,
-    bulk_entries: AtomicU64,
 }
 
 /// A read-only snapshot of one thread's scalar counters.
@@ -86,25 +82,12 @@ pub struct ThreadCounterSnapshot {
     pub replay_batches: u64,
     /// Operations applied inside those replay batches.
     pub replayed_ops: u64,
-    /// Block resolutions of the blocked map — point operations, scan
-    /// starts, sorted-run groups — that no search ran for: the thread's
-    /// local anchor map named a live block that covers the key (or a
-    /// sorted run's carried hint did, or a level-0 walk from that hint
-    /// reached it). A resolution that jumps in from a local anchor's tower
-    /// is a search and not counted here, and neither is a descent from a
-    /// list head.
+    /// Block resolutions of the blocked map — point operations and scan
+    /// starts — that no search ran for: the thread's local anchor map
+    /// named a live block that covers the key. A resolution that jumps in
+    /// from a local anchor's tower is a search and not counted here, and
+    /// neither is a descent from a list head.
     pub anchor_hits: u64,
-    /// Anchor groups formed by batched blocked runs (consecutive sorted
-    /// ops resolved to one covering anchor).
-    pub anchor_groups: u64,
-    /// Operations executed inside those groups;
-    /// `grouped_ops / anchor_groups` is the mean in-block apply width.
-    pub grouped_ops: u64,
-    /// Fresh blocks published by combiner bulk fills (one install CAS per
-    /// chain, `bulk_blocks` blocks total).
-    pub bulk_blocks: u64,
-    /// Entries that entered the map through those bulk-filled blocks.
-    pub bulk_entries: u64,
     /// Always 0: replay compaction was removed and nothing records this
     /// any more. The field is kept because `benchmark/` still names it.
     pub collapsed_ops: u64,
@@ -170,10 +153,6 @@ impl AccessStats {
             replay_batches: c.replay_batches.load(Ordering::Relaxed),
             replayed_ops: c.replayed_ops.load(Ordering::Relaxed),
             anchor_hits: c.anchor_hits.load(Ordering::Relaxed),
-            anchor_groups: c.anchor_groups.load(Ordering::Relaxed),
-            grouped_ops: c.grouped_ops.load(Ordering::Relaxed),
-            bulk_blocks: c.bulk_blocks.load(Ordering::Relaxed),
-            bulk_entries: c.bulk_entries.load(Ordering::Relaxed),
             collapsed_ops: 0,
         }
     }
@@ -212,10 +191,6 @@ impl AccessStats {
             t.replay_batches += s.replay_batches;
             t.replayed_ops += s.replayed_ops;
             t.anchor_hits += s.anchor_hits;
-            t.anchor_groups += s.anchor_groups;
-            t.grouped_ops += s.grouped_ops;
-            t.bulk_blocks += s.bulk_blocks;
-            t.bulk_entries += s.bulk_entries;
         }
         t
     }
@@ -510,28 +485,6 @@ impl ThreadCtx {
         }
     }
 
-    /// Records one anchor group of `ops` consecutive sorted operations a
-    /// batched blocked run resolved to a single covering anchor.
-    #[inline]
-    pub fn record_anchor_group(&self, ops: u64) {
-        if let Some(s) = &self.stats {
-            let c = &s.counters[self.id as usize];
-            c.anchor_groups.fetch_add(1, Ordering::Relaxed);
-            c.grouped_ops.fetch_add(ops, Ordering::Relaxed);
-        }
-    }
-
-    /// Records one bulk block fill: `blocks` fresh blocks published in a
-    /// single install holding `entries` entries.
-    #[inline]
-    pub fn record_bulk_fill(&self, blocks: u64, entries: u64) {
-        if let Some(s) = &self.stats {
-            let c = &s.counters[self.id as usize];
-            c.bulk_blocks.fetch_add(blocks, Ordering::Relaxed);
-            c.bulk_entries.fetch_add(entries, Ordering::Relaxed);
-        }
-    }
-
     /// True when any recording sink is attached (used by structures to skip
     /// assembling record arguments on the fast path).
     #[inline]
@@ -568,8 +521,6 @@ mod tests {
         ctx.record_log_append(7);
         ctx.record_replay_batch(5);
         ctx.record_anchor_hit();
-        ctx.record_anchor_group(4);
-        ctx.record_bulk_fill(2, 12);
         assert_eq!(ctx.id(), 3);
         assert!(!ctx.is_recording());
         assert!(ctx.cache_counts().is_none());
@@ -679,19 +630,8 @@ mod tests {
         let ctx = ThreadCtx::recording(1, stats.clone());
         ctx.record_anchor_hit();
         ctx.record_anchor_hit();
-        ctx.record_anchor_group(3);
-        ctx.record_anchor_group(5);
-        ctx.record_bulk_fill(2, 12);
-        let t = stats.thread(1);
-        assert_eq!(t.anchor_hits, 2);
-        assert_eq!(t.anchor_groups, 2);
-        assert_eq!(t.grouped_ops, 8);
-        assert_eq!(t.bulk_blocks, 2);
-        assert_eq!(t.bulk_entries, 12);
-        let totals = stats.totals();
-        assert_eq!(totals.anchor_hits, 2);
-        assert_eq!(totals.grouped_ops, 8);
-        assert_eq!(totals.bulk_entries, 12);
+        assert_eq!(stats.thread(1).anchor_hits, 2);
+        assert_eq!(stats.totals().anchor_hits, 2);
     }
 
     #[test]

@@ -161,7 +161,7 @@ pub fn run_named(name: &str, workload: &Workload, instr: &InstrMode) -> TrialRes
             &BlockedSkipMap::<u64, u64>::with_policy(
                 GraphConfig::new(t).chunk_capacity(cap),
                 8,
-                BlockPolicy { split_left_pct: 65, merge_threshold: 1, fill_target: 6 },
+                BlockPolicy { split_left_pct: 65, merge_threshold: 1 },
             ),
             workload,
             instr,

@@ -467,7 +467,6 @@ macro_rules! with_structure {
                     skipgraph::BlockPolicy {
                         split_left_pct: 65,
                         merge_threshold: 1,
-                        fill_target: 3,
                     },
                 );
                 $body

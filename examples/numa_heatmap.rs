@@ -151,29 +151,4 @@ fn main() {
         }
         print_snap("2000 reads  (read-heavy)");
     }
-
-    // The block layer's ascending-run gate: a sorted insert stream
-    // engages leave-behind splits (split point pushed right, so the
-    // left block stays full instead of half-empty).
-    println!("\n== adaptation state (ascending-split knob) ==");
-    let bmap: skipgraph::BlockedSkipMap<u64, u64> = skipgraph::BlockedSkipMap::new(
-        skipgraph::GraphConfig::new(1).adapt(skipgraph::AdaptConfig::new().window_ops(64)),
-        8,
-    );
-    {
-        let mut h = bmap.register(instrument::ThreadCtx::plain(0));
-        for k in 0..2_000u64 {
-            h.insert(k, k);
-        }
-    }
-    let asc = bmap.asc_state().expect("adaptation is configured");
-    let anchors = bmap.stats(&instrument::ThreadCtx::plain(0)).anchors;
-    println!(
-        "  after 2000 ascending inserts: gate {} ({} switches, last window {}% ascending), \
-         {} anchors at block cap 8",
-        if asc.engaged { "engaged" } else { "disengaged" },
-        asc.switches,
-        asc.last_asc_pct,
-        anchors
-    );
 }

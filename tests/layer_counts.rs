@@ -283,25 +283,34 @@ fn a_block_split_costs_a_descent_not_a_list() {
     );
 }
 
-#[test]
-fn cross_thread_indexed_reads_visit_one_node() {
-    const KEYS: u64 = 60_000;
-    const READERS: u16 = 2;
-    // One slot more than the readers, and every handle that preloads is
-    // dropped before the reads: the reading handles' local structures are
-    // cold, so each read takes the cross-thread path the index exists for.
-    let map: LayeredMap<u64, u64> = LayeredMap::new(
-        GraphConfig::new(READERS as usize + 1)
+/// Keys of the indexed-map tests' preload.
+const INDEX_KEYS: u64 = 60_000;
+
+/// A layered map under the shared hash index holding `INDEX_KEYS` keys,
+/// loaded through every slot by handles that are gone again.
+fn preloaded_index(slots: u16) -> LayeredMap<u64, u64> {
+    let map = LayeredMap::new(
+        GraphConfig::new(slots as usize)
             .max_level(7)
             .sparse(true)
             .chunk_capacity(CHUNK)
             .hash_index(true),
     );
-    preload(&mut pin_all(&map, 0..READERS + 1, None), KEYS);
+    preload(&mut pin_all(&map, 0..slots, None), INDEX_KEYS);
+    map
+}
+
+#[test]
+fn cross_thread_indexed_reads_visit_one_node() {
+    const READERS: u16 = 2;
+    // One slot more than the readers, and every handle that preloads is
+    // dropped before the reads: the reading handles' local structures are
+    // cold, so each read takes the cross-thread path the index exists for.
+    let map = preloaded_index(READERS + 1);
     let stats = AccessStats::new(READERS as usize + 1);
     let mut readers = pin_all(&map, 0..READERS, Some(&stats));
-    let zipf = Zipf::new(KEYS, ZIPF_ALPHA);
-    interleave(&mut readers, 2, KEYS / READERS as u64, |h, rng, _| {
+    let zipf = Zipf::new(INDEX_KEYS, ZIPF_ALPHA);
+    interleave(&mut readers, 2, INDEX_KEYS / READERS as u64, |h, rng, _| {
         assert!(h.contains(&key(zipf.sample(rng))), "preloaded key lost");
     });
     let t = stats.totals();
@@ -310,8 +319,29 @@ fn cross_thread_indexed_reads_visit_one_node() {
         "index: {nodes:.3} nodes/search over {} searches, {} index hits",
         t.searches, t.index_hits
     );
-    assert_eq!(t.searches, KEYS);
+    assert_eq!(t.searches, INDEX_KEYS);
     assert!(nodes <= 2.0, "an indexed read visited {nodes:.2} nodes");
+}
+
+#[test]
+fn an_index_slot_is_two_words() {
+    let map = preloaded_index(SLOTS);
+    let mem = map.shared().memory_stats(&ThreadCtx::plain(0));
+    // The preload doubles the tables from their initial size, and every
+    // superseded table stays allocated: index bytes are those of just under
+    // two slots per slot of the current tables (plus the counter stripes).
+    println!(
+        "index: {:.1} B per slot of capacity, {:.1} B per live key",
+        mem.index_bytes as f64 / mem.index_capacity as f64,
+        mem.index_bytes as f64 / INDEX_KEYS as f64
+    );
+    assert!(mem.index_capacity as u64 > INDEX_KEYS, "the tables never grew");
+    assert!(
+        mem.index_bytes < 33 * mem.index_capacity,
+        "{} index bytes for {} slots: a slot is wider than two words",
+        mem.index_bytes,
+        mem.index_capacity
+    );
 }
 
 #[test]
