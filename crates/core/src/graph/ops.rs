@@ -244,6 +244,21 @@ impl<K: Ord, V> SkipGraph<K, V> {
                     // traversal of the level. Treat the level as done.
                     break;
                 }
+                let succ = unsafe { &*res.succs[level] };
+                if succ.is_data() && succ.is_marked(0) {
+                    // A search walks the upper levels before level 0, so it
+                    // can hand out a successor that was alive when passed
+                    // and has died since — possibly an older incarnation of
+                    // this very key, which cannot be alive beside the node
+                    // (linked at level 0 already). Linked in front of it,
+                    // the node would leave two nodes with one key in this
+                    // list; search again instead, skipping the dead one.
+                    *res = self.search_from(key, mvec, refresh_start(), unlink, ctx);
+                    if !res.found || res.succs[0] != node_nn.as_ptr() {
+                        return false;
+                    }
+                    continue;
+                }
                 // Point the node's own level reference at the successor.
                 // Unrecorded: initialization of the thread's in-flight node.
                 loop {

@@ -142,7 +142,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
             free_bytes += bank.free_bytes();
             recycled_slots += bank.recycled();
         }
-        // The index's segment tables are part of the structure's memory
+        // The index's slot arrays are part of the structure's memory
         // footprint: count them in both totals (they are eagerly
         // allocated, hence resident).
         let index_bytes = self.index().map_or(0, |i| i.bytes());
@@ -191,9 +191,9 @@ pub struct MemoryStats {
     pub allocated_bytes: usize,
     /// Bytes of arena chunk storage mapped (first-touch resident bound).
     pub resident_bytes: usize,
-    /// Bytes held by the shared hash index's segment tables, current and
-    /// retired-but-parked (zero when no index is installed). Already
-    /// included in `allocated_bytes` and `resident_bytes`.
+    /// Bytes held by the shared hash index: 16 per slot of capacity plus
+    /// the per-thread counter stripes (zero when no index is installed).
+    /// Already included in `allocated_bytes` and `resident_bytes`.
     pub index_bytes: usize,
     /// Index entries ever published (monotonic; republishing an existing
     /// key counts again).
@@ -202,8 +202,8 @@ pub struct MemoryStats {
     /// tombstoned by removals and retire-path invalidation — stale
     /// entries dropped by readers count here too).
     pub index_retired_entries: usize,
-    /// Total slots across the index's current segment tables (zero when
-    /// no index is installed). `index_entries - index_retired_entries`
+    /// Total slots across the index's segments (zero when no index is
+    /// installed). `index_entries - index_retired_entries`
     /// over this capacity approximates the global load factor; the exact
     /// per-segment composition — entries, tombstones, probe-length
     /// histogram — comes from [`SkipGraph::index_occupancy`].

@@ -46,27 +46,53 @@
 //! the tag to `BUSY`, store `ptr`, then release-store the final tag;
 //! readers load the tag, `ptr`, then the tag again and reject the entry
 //! unless both tag loads agree — so a reader can never pair one entry's
-//! pointer with another's generation. A writer that finds a slot
+//! pointer with another's generation, unless a grow's plain stores raced a
+//! publish into the slot (see below). A writer that finds a slot
 //! busy simply moves on (the index tolerates lost publishes), so no
 //! operation ever waits on a stalled peer.
 //!
 //! # Header layout
 //!
 //! Every probe — lookup, publish or invalidate, from any core — loads a
-//! segment's `current` word and its table's `mask` and `slots` pointer.
-//! Those words sit on 128-byte lines that no publish or invalidate ever
-//! writes (only a grow swaps `current`), so they stay shared in every
-//! core's cache. What a publish or invalidate does count — slots claimed,
-//! entries published, entries tombstoned — goes to the calling thread's own
-//! 128-byte-padded stripe; the totals are sums over the stripes.
+//! segment's `mask` and the chunk-directory entry its slot lives in. Those
+//! words sit on 128-byte lines that no publish or invalidate ever writes
+//! (only a grow stores `mask` and installs a chunk), so they stay shared in
+//! every core's cache. What a publish or invalidate does count — slots
+//! claimed, entries published, entries tombstoned — goes to the calling
+//! thread's own 128-byte-padded stripe; the totals are sums over the
+//! stripes.
+//!
+//! # Growing in place
+//!
+//! A segment is one power-of-two slot array held in a fixed chunk
+//! directory: chunk 0 has the initial capacity and chunk `j ≥ 1` is the
+//! upper half the `j`-th doubling added. A grow (one grower at a time,
+//! everyone else keeps probing) allocates only that upper half, copies
+//! into it — with plain stores, the chunk is still private — every entry
+//! whose home the doubled mask moves there, installs the chunk and
+//! publishes the mask. One fused pass over the old half then frees the
+//! originals it stranded, publishes again those it has no copy of, shifts
+//! displaced entries back toward home and clears every tombstone no probe
+//! chain needs (see `Segment::repack`). When the occupancy trip-wire
+//! fires while live entries fill under 3/8 of the array, the same pass runs
+//! without the doubling: key turnover at a constant live size does not
+//! grow the index.
+//!
+//! The safety argument rests on two facts: slot storage is freed only when
+//! the segment drops, and every `ptr` word ever stored is `0` or a node of
+//! this graph. The pass moves and frees with plain stores, so a publish
+//! racing it into one slot may be lost, or leave one write's tag beside
+//! another's pointer; whatever `(tag, ptr)` pair a reader assembles goes
+//! through the generation → key → level-0 ladder like any other stale
+//! entry, and the race costs a descent, never a wrong answer.
 //!
 //! # NUMA-aware segments
 //!
-//! The table is split into one segment per NUMA node (detected topology,
+//! The index is split into one segment per NUMA node (detected topology,
 //! or the paper's machine as a fallback), selected by the top hash bits;
-//! each segment owns an independently grown power-of-two table, so probe
-//! chains stay within one segment's storage (first-touched by the
-//! building thread) instead of striding a single machine-wide array.
+//! each segment owns an independently grown slot array, so probe chains
+//! stay within one segment's storage (first-touched by the building
+//! thread) instead of striding a single machine-wide array.
 
 use crate::adapt::{AdaptConfig, OCC_GROW_PCT, PROBE_GROW};
 use crate::node::Node;
@@ -74,9 +100,10 @@ use crate::sync::{FacadeAtomicUsize, Padded};
 use instrument::{MeanWindow, ThreadCtx};
 use numa::{Placement, Topology};
 use std::hash::{Hash, Hasher};
+use std::ops::ControlFlow::{self, Break, Continue};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::OnceLock;
 
 // Tag packing below folds a 32-bit generation and a 31-bit hash
 // signature into one word.
@@ -87,35 +114,38 @@ const TAG_TOMBSTONE: usize = 1;
 const TAG_BUSY: usize = 2;
 const TAG_PRESENT: usize = 1 << 63;
 
-/// Linear-probe bound: past this, a publish gives up (after nudging the
-/// segment to grow) and a lookup reports a miss. Bounds both the read
-/// cost and the damage a pathological hash cluster can do.
-/// Maximum linear-probe chain length before a lookup gives up (also the
-/// width of [`SegmentOccupancy::probe_histogram`]).
-pub const PROBE_LIMIT: usize = 16;
+/// Linear-probe bound: past this many slots from home, a publish gives up
+/// (after growing the segment and retrying once) and a lookup reports a
+/// miss. Lookups of absent keys stop at the first empty slot long before;
+/// the bound only caps the worst case (16 lines) and the damage a
+/// pathological hash cluster can do.
+pub const PROBE_LIMIT: usize = 64;
 
-/// Occupancy snapshot of one NUMA segment's current table — the tuning
-/// signal for [`crate::GraphConfig::index_capacity`]: `entries` near 75%
-/// of `capacity` means the segment is about to grow, and mass in the
-/// histogram's upper buckets means probe chains (and thus point-read
-/// line costs) are long even though space remains — the condition the
-/// windowed probe sensor turns into an early grow when
-/// [`crate::GraphConfig::adapt`] is set.
+/// Width of [`SegmentOccupancy::probe_histogram`].
+const HISTOGRAM_BUCKETS: usize = 16;
+
+/// Occupancy snapshot of one NUMA segment's slot array — the tuning
+/// signal for [`crate::GraphConfig::index_capacity`]: `used` near 75% of
+/// `capacity` means the segment is about to grow (or, with few live
+/// entries, to compact), and mass in the histogram's upper buckets means
+/// probe chains (and thus point-read line costs) are long even though
+/// space remains — the condition the windowed probe sensor turns into an
+/// early grow when [`crate::GraphConfig::adapt`] is set.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SegmentOccupancy {
-    /// Slots in the current table (power of two).
+    /// Slots in the segment's array (power of two).
     pub capacity: usize,
-    /// Slots ever claimed from empty in this table, tombstones included
-    /// (the grow trigger compares this against 75% of `capacity`).
+    /// Slots not empty, tombstones included (the grow trigger compares
+    /// this against 75% of `capacity`).
     pub used: usize,
     /// Present entries observed by the snapshot walk.
     pub entries: usize,
     /// Tombstoned slots (retired entries still occupying probe chains
-    /// until the next grow drops them).
+    /// until the next grow or compaction clears them).
     pub tombstones: usize,
     /// Present entries binned by displacement from their home slot
     /// (`[0]` = direct hits; the last bucket absorbs the tail).
-    pub probe_histogram: [u64; PROBE_LIMIT],
+    pub probe_histogram: [u64; HISTOGRAM_BUCKETS],
 }
 
 impl SegmentOccupancy {
@@ -143,17 +173,26 @@ impl SegmentOccupancy {
     }
 }
 
-/// Smallest per-segment table; also the default when the configured
-/// capacity hint is `0` (auto).
-const MIN_SEGMENT_CAP: usize = 1 << 10;
-/// Largest per-segment table a grow will produce.
+/// Smallest per-segment array an explicit capacity hint can ask for.
+const MIN_SEGMENT_CAP: usize = 1 << 2;
+/// Per-segment start size when the capacity hint is `0` (auto).
+const AUTO_SEGMENT_CAP: usize = 1 << 12;
+/// Largest per-segment array a grow will produce.
 const MAX_SEGMENT_CAP: usize = 1 << 24;
+/// Chunk-directory length: chunk 0 plus one chunk per possible doubling.
+const CHUNKS: usize = (MAX_SEGMENT_CAP / MIN_SEGMENT_CAP).trailing_zeros() as usize + 1;
 /// Without an [`AdaptConfig`], a thread sums the `used` stripes against
-/// the occupancy threshold on every this-many-th slot it claims, not on
-/// every publish: the sum reads every other thread's stripe line. A grow
-/// is then late by at most this many claims per thread — a fraction of a
-/// percent of the smallest table, with probe exhaustion as the backstop.
+/// the occupancy threshold on every this-many-th slot it claims (every
+/// `capacity / 16`-th in smaller arrays), not on every publish: the sum
+/// reads every other thread's stripe line. A grow is then late by at most
+/// this many claims per thread — a fraction of a percent of a 4 096-slot
+/// array, with probe exhaustion as the backstop.
 const GROW_CHECK_EVERY: usize = 64;
+/// Live entries (present slots, not tombstones) under this many eighths
+/// of the array when the occupancy trip-wire fires: compact in place
+/// instead of doubling. Three eighths, so a compacted array has room for
+/// as many claims again before it trips.
+const COMPACT_BELOW_EIGHTHS: usize = 3;
 
 /// Deterministic key hasher (`SipHash-1-3` with the zero key): stress
 /// replays and the deterministic scheduler need the same keys to land in
@@ -211,44 +250,26 @@ impl Slot {
             ptr: FacadeAtomicUsize::new(0),
         }
     }
-}
 
-/// One power-of-two probe array. Tables are immutable in size; a segment
-/// grows by building a successor and swapping the current-table pointer.
-/// The header is immutable too and aligned to a line pair of its own:
-/// every probe reads `mask` and `slots`, and nothing ever writes near them.
-#[repr(align(128))]
-struct Table {
-    mask: usize,
-    slots: Box<[Slot]>,
-    /// Slots ever claimed from `EMPTY` (tombstones included), one stripe
-    /// per thread: their sum is the grow trigger. Monotonic per table.
-    used: Box<[Padded<AtomicUsize>]>,
-}
-
-impl Table {
-    fn new(cap: usize, stripes: usize) -> Box<Self> {
-        debug_assert!(cap.is_power_of_two() && stripes.is_power_of_two());
-        Box::new(Self {
-            mask: cap - 1,
-            slots: (0..cap).map(|_| Slot::empty()).collect(),
-            used: (0..stripes).map(|_| Padded(AtomicUsize::new(0))).collect(),
-        })
-    }
-
-    fn used(&self) -> usize {
-        self.used.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
-    }
-
-    fn bytes(&self) -> usize {
-        std::mem::size_of_val(&*self.slots)
-            + std::mem::size_of_val(&*self.used)
-            + std::mem::size_of::<Self>()
+    /// The rest of the seqlock pair-read whose first tag load saw `tag`:
+    /// the pointer, if the tag still reads the same around it.
+    fn pair(&self, tag: usize) -> Option<usize> {
+        let ptr = self.ptr.load();
+        (self.tag.load() == tag && ptr != 0).then_some(ptr)
     }
 }
 
-/// One thread's share of a segment's monotonic entry counts.
+fn empty_slots(n: usize) -> Box<[Slot]> {
+    (0..n).map(|_| Slot::empty()).collect()
+}
+
+/// One thread's share of a segment's counts.
 struct Counts {
+    /// Slots this thread's publishes claimed from `EMPTY`. A grow or
+    /// compaction books its own net change on stripe 0, so only the
+    /// (wrapping) sum over the stripes means anything: the slots not
+    /// empty, which the occupancy trip-wire compares against capacity.
+    used: AtomicUsize,
     /// Entries published (`published - retired` over-approximates the
     /// live entry count by lost/overwritten slots).
     published: AtomicUsize,
@@ -260,7 +281,6 @@ struct Counts {
 struct GrowState {
     /// Single-grower lease; losers skip the grow entirely.
     lock: AtomicUsize,
-    retired_tables: Mutex<Vec<Box<Table>>>,
     /// Windowed mean probe displacement of publishes (adaptive early
     /// growth sensor; only fed when an [`AdaptConfig`] is attached).
     probe_window: MeanWindow,
@@ -273,29 +293,42 @@ struct GrowState {
     probe_grows: AtomicUsize,
 }
 
-/// One NUMA segment: the current table plus every predecessor it grew
-/// out of (parked until drop — entries hold no owned memory, but the
-/// byte accounting and late readers of a just-swapped table need the
-/// storage to stay mapped). Aligned to a line pair, so segments stand
-/// apart, and laid out so that the first pair holds only what probes read.
+/// One NUMA segment: a power-of-two slot array that grows in place (see
+/// the module docs). Aligned to a line pair, so segments stand apart, and
+/// laid out so that the lines up to the `counts` pointer hold only what
+/// probes read.
 #[repr(C, align(128))]
 struct Segment {
-    /// `Box<Table>` leaked into an atomic word; readers snapshot it
-    /// lock-free. Retired predecessors keep raw reads safe: a table is
-    /// only ever freed in `Drop`. Written only by a grow's swap.
-    current: AtomicUsize,
-    /// Per-thread stripes of the entry counts (the pointer is immutable).
+    /// Slots minus one. Written only by a grow, after the chunk it newly
+    /// covers is installed and filled.
+    mask: AtomicUsize,
+    /// log2 of chunk 0's length (immutable).
+    base_bits: u32,
+    /// The slot array: chunk 0 holds slots `[0, 2^base_bits)` and chunk
+    /// `j ≥ 1` slots `[2^(base_bits + j - 1), 2^(base_bits + j))`. Each is
+    /// installed once, by the grow that first covers it, and freed only
+    /// when the segment drops.
+    chunks: [OnceLock<Box<[Slot]>>; CHUNKS],
+    /// Per-thread stripes of the counts (the pointer is immutable).
     counts: Box<[Padded<Counts>]>,
     grow: Padded<GrowState>,
 }
 
 impl Segment {
     fn new(cap: usize, stripes: usize) -> Self {
+        debug_assert!(cap.is_power_of_two() && stripes.is_power_of_two());
+        let chunks: [OnceLock<Box<[Slot]>>; CHUNKS] = std::array::from_fn(|_| OnceLock::new());
+        if chunks[0].set(empty_slots(cap)).is_err() {
+            unreachable!("a fresh directory is empty");
+        }
         Self {
-            current: AtomicUsize::new(Box::into_raw(Table::new(cap, stripes)) as usize),
+            mask: AtomicUsize::new(cap - 1),
+            base_bits: cap.trailing_zeros(),
+            chunks,
             counts: (0..stripes)
                 .map(|_| {
                     Padded(Counts {
+                        used: AtomicUsize::new(0),
                         published: AtomicUsize::new(0),
                         retired: AtomicUsize::new(0),
                     })
@@ -303,7 +336,6 @@ impl Segment {
                 .collect(),
             grow: Padded(GrowState {
                 lock: AtomicUsize::new(0),
-                retired_tables: Mutex::new(Vec::new()),
                 probe_window: MeanWindow::new(),
                 probe_streak: AtomicU32::new(0),
                 probe_grows: AtomicUsize::new(0),
@@ -311,97 +343,403 @@ impl Segment {
         }
     }
 
-    fn table(&self) -> &Table {
-        // Tables live until the segment drops; see `current`'s docs.
-        unsafe { &*(self.current.load(Ordering::Acquire) as *const Table) }
+    /// Slots in the array.
+    fn capacity(&self) -> usize {
+        self.mask.load(Ordering::Acquire) + 1
     }
 
-    /// Thread `tid`'s stripe of the entry counts. Ids past the stripe
-    /// count (a caller outside the registered set) fold onto one.
+    /// The slots from `i` to the end of its chunk, which ends at a power
+    /// of two: at the end of the array under any mask covering `i`.
+    #[inline]
+    fn run(&self, i: usize) -> &[Slot] {
+        let (chunk, at) = if i >> self.base_bits == 0 {
+            (0, i)
+        } else {
+            let top = usize::BITS - 1 - i.leading_zeros();
+            ((top + 1 - self.base_bits) as usize, i ^ (1 << top))
+        };
+        &self.chunks[chunk]
+            .get()
+            .expect("a published mask covers installed chunks only")[at..]
+    }
+
+    /// Slot `i`, which a mask this segment published covers.
+    fn slot(&self, i: usize) -> &Slot {
+        &self.run(i)[0]
+    }
+
+    /// Offers `f` the probe window from `home` under `mask`, slot number
+    /// and slot, until it breaks; `None` if it never does. The chunk is
+    /// resolved once per run of slots, not once per slot.
+    #[inline]
+    fn probe<T>(
+        &self,
+        mask: usize,
+        home: usize,
+        mut f: impl FnMut(usize, &Slot) -> ControlFlow<T>,
+    ) -> Option<T> {
+        let (mut i, mut left) = (home, PROBE_LIMIT.min(mask + 1));
+        while left > 0 {
+            let run = self.run(i);
+            let n = run.len().min(left);
+            for (k, s) in run[..n].iter().enumerate() {
+                if let Break(t) = f(i + k, s) {
+                    return Some(t);
+                }
+            }
+            left -= n;
+            i = (i + n) & mask;
+        }
+        None
+    }
+
+    /// Calls `f(i, slot)` for the slots `i` of `[from, to)`, in order.
+    fn walk<'s>(&'s self, from: usize, to: usize, mut f: impl FnMut(usize, &'s Slot)) {
+        let mut i = from;
+        while i < to {
+            let run = self.run(i);
+            for s in &run[..run.len().min(to - i)] {
+                f(i, s);
+                i += 1;
+            }
+        }
+    }
+
+    /// Thread `tid`'s stripe of the counts. Ids past the stripe count (a
+    /// caller outside the registered set) fold onto one.
     fn counts(&self, tid: usize) -> &Counts {
         &self.counts[tid & (self.counts.len() - 1)].0
     }
 
-    fn bytes(&self) -> usize {
-        let retired: usize = self
-            .grow
-            .0
-            .retired_tables
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+    /// Slots not empty, tombstones included: the sum of the `used` stripes.
+    fn used(&self) -> usize {
+        let sum = self
+            .counts
             .iter()
-            .map(|t| t.bytes())
-            .sum();
-        self.table().bytes() + retired + std::mem::size_of_val(&*self.counts)
+            .fold(0usize, |sum, c| sum.wrapping_add(c.0.used.load(Ordering::Relaxed)));
+        (sum as isize).max(0) as usize
     }
 
-    /// Doubles the table (single grower; losers and over-cap segments
-    /// no-op). Live entries are re-published into the successor; a
-    /// publish racing the copy may be lost — the read that then misses
-    /// republishes it ([`crate::SkipGraph`]'s `index_heal`).
-    fn grow(&self) {
-        let grow = &self.grow.0;
-        if grow.lock.compare_exchange(0, 1, Ordering::AcqRel, Ordering::Acquire).is_err() {
+    /// Slot storage plus the counter stripes.
+    fn bytes(&self) -> usize {
+        let slots: usize = self
+            .chunks
+            .iter()
+            .filter_map(OnceLock::get)
+            .map(|c| std::mem::size_of_val(&**c))
+            .sum();
+        slots + std::mem::size_of_val(&*self.counts)
+    }
+
+    /// Relieves the segment (single grower; losers no-op). Doubles the
+    /// array — unless the occupancy trip-wire asked (`tripped`, rather than
+    /// a full probe window or the probe signal) while live entries fill
+    /// under [`COMPACT_BELOW_EIGHTHS`] of it, or it is as large as it gets:
+    /// then it compacts in place. Entries a racing publish, invalidate or
+    /// grow pass moves may be lost; the read that then misses republishes
+    /// them ([`crate::SkipGraph`]'s `index_heal`).
+    fn grow(&self, tripped: bool) {
+        let lease = &self.grow.0.lock;
+        if lease.compare_exchange(0, 1, Ordering::AcqRel, Ordering::Acquire).is_err() {
             return;
         }
-        let old = self.table();
-        let cap = old.mask + 1;
-        if cap < MAX_SEGMENT_CAP {
-            let new = Table::new(cap * 2, old.used.len());
-            let mut installed = 0;
-            for slot in old.slots.iter() {
-                // Seqlock pair-read, as in `lookup_raw_hashed`.
-                let t1 = slot.tag.load();
-                if !tag_is_present(t1) {
+        // Only the lease holder stores the mask.
+        let cap = self.mask.load(Ordering::Relaxed) + 1;
+        let scan = Scan::of(self, cap);
+        let delta = if cap < MAX_SEGMENT_CAP
+            && (!tripped || scan.live * 8 >= cap * COMPACT_BELOW_EIGHTHS)
+        {
+            self.double(cap, scan)
+        } else {
+            // Start the walk where a probe chain starts, after an empty
+            // slot (any slot if there is none).
+            let start = (0..cap)
+                .find(|&i| self.slot(i).tag.load() == TAG_EMPTY)
+                .map_or(0, |i| (i + 1) % cap);
+            let walk = Walk {
+                holes: &scan.tomb,
+                movers: &scan.shifted,
+                rehome: &[],
+            };
+            self.repack(start, cap, &walk)
+        };
+        self.counts[0].0.used.fetch_add(delta as usize, Ordering::Relaxed);
+        lease.store(0, Ordering::Release);
+    }
+
+    /// Doubles a `cap`-slot array in place and returns the net change in
+    /// slots not empty. Every entry the doubled mask homes in the new
+    /// upper half is copied into it first, with plain stores (the chunk is
+    /// still private); then the chunk is installed, the mask published, and
+    /// the old half repacked.
+    fn double(&self, cap: usize, scan: Scan) -> isize {
+        let upper = empty_slots(cap);
+        // An old wrap-around's entries, and (below) those with no copy.
+        let mut rehome = vec![0; scan.upper.len()];
+        rehome[0] = scan.wrapped & !scan.upper[0];
+        let mut delta = 0;
+        for (w, word) in scan.upper.iter().enumerate() {
+            let mut m = *word;
+            let run = if m == 0 { &[][..] } else { self.run(w * 64) };
+            while m != 0 {
+                let i = w * 64 + m.trailing_zeros() as usize;
+                m &= m - 1;
+                let s = run.get(i % 64).unwrap_or_else(|| self.slot(i));
+                let t = s.tag.load();
+                let free = upper[tag_sig(t) & (cap - 1)..]
+                    .iter()
+                    .take(PROBE_LIMIT)
+                    .find(|u| u.tag.load() == TAG_EMPTY);
+                // A racing writer's entry, or one whose window runs off the
+                // end, gets no copy: the repack publishes it again.
+                match (s.pair(t), free) {
+                    (Some(ptr), Some(u)) if tag_is_present(t) && tag_sig(t) & cap != 0 => {
+                        u.ptr.store(ptr);
+                        u.tag.store(t);
+                        delta += 1;
+                    }
+                    _ => rehome[w] |= 1 << (i % 64),
+                }
+            }
+        }
+        let chunk = (cap.trailing_zeros() + 1 - self.base_bits) as usize;
+        if self.chunks[chunk].set(upper).is_err() {
+            unreachable!("only a doubling to {} slots installs chunk {chunk}", 2 * cap);
+        }
+        self.mask.store(2 * cap - 1, Ordering::Release);
+        // Stranded entries are holes: those with a copy, those without
+        // (published again), and an old wrap-around's; only entries homed
+        // where they sit in the old half stay to be shifted.
+        let mut holes: Vec<u64> = (0..scan.tomb.len())
+            .map(|w| scan.tomb[w] | scan.upper[w])
+            .collect();
+        let mut movers: Vec<u64> = (0..scan.shifted.len())
+            .map(|w| scan.shifted[w] & !scan.upper[w])
+            .collect();
+        holes[0] |= scan.wrapped;
+        movers[0] &= !scan.wrapped;
+        let walk = Walk {
+            holes: &holes,
+            movers: &movers,
+            rehome: &rehome,
+        };
+        delta + self.repack(0, cap, &walk)
+    }
+
+    /// The fused pass over `span` slots from `start` (wrapping under the
+    /// published mask; `start` begins a probe chain), a window of
+    /// [`PROBE_LIMIT`] steps at a time, acting on what a [`Scan`] found
+    /// (see [`Walk`]). Each mover shifts into the oldest hole between its
+    /// home and itself, the slot it leaves becoming a hole. A hole a full
+    /// window behind the walk lies on no chain any more (the entries that
+    /// could reach it have moved into it or an older hole) and is emptied,
+    /// a window's worth at a time. Stranded entries are published again
+    /// once the walk is done: one published into a hole ahead of it would
+    /// be freed with the hole. Moves and frees are plain stores of what the
+    /// slot holds now, so a publish racing one may be lost. Returns the net
+    /// change in slots not empty.
+    fn repack<'s>(&'s self, start: usize, span: usize, scan: &Walk<'_>) -> isize {
+        // Two windows of steps, one bit each.
+        const RING: usize = 2 * PROBE_LIMIT;
+        const _: () = assert!(RING == u128::BITS as usize);
+        let mask = self.mask.load(Ordering::Relaxed);
+        let slot_at = |step: usize| (start + step) & mask;
+        // The holes of the last two windows, by step modulo `RING`, and each
+        // window's first step with the chunk run it starts in.
+        let mut ring: u128 = 0;
+        let mut runs: [(usize, &'s [Slot]); 2] = [(0, &[]); 2];
+        let slot = |runs: &[(usize, &'s [Slot]); 2], step: usize| -> &'s Slot {
+            let (base, run) = runs[step % RING / PROBE_LIMIT];
+            run.get(step - base).unwrap_or_else(|| self.slot(slot_at(step)))
+        };
+        let mut delta = 0;
+        let mut stranded = Vec::new();
+        for base in (0..span).step_by(PROBE_LIMIT) {
+            let n = PROBE_LIMIT.min(span - base);
+            let half = base % RING;
+            if base >= RING {
+                // This window's half of the ring holds the window before
+                // last: a full window behind every step from here on.
+                let mut m = (ring >> half) as u64;
+                ring &= !((u64::MAX as u128) << half);
+                while m != 0 {
+                    let step = base - RING + m.trailing_zeros() as usize;
+                    m &= m - 1;
+                    slot(&runs, step).tag.store(TAG_EMPTY);
+                    delta -= 1;
+                }
+            }
+            let at = slot_at(base);
+            runs[half / PROBE_LIMIT] = (base, self.run(at));
+            let bits = |set: &[u64]| window_bits(set, span, at, n);
+            ring |= (bits(scan.holes) as u128) << half;
+            let mut m = bits(scan.rehome);
+            while m != 0 {
+                let step = base + m.trailing_zeros() as usize;
+                m &= m - 1;
+                let (p, s) = (slot_at(step), slot(&runs, step));
+                let t = s.tag.load();
+                if let Some(ptr) = s.pair(t).filter(|_| tag_is_present(t) && tag_sig(t) & mask > p) {
+                    stranded.push((t, ptr));
+                }
+            }
+            let mut m = bits(scan.movers);
+            while m != 0 {
+                let step = base + m.trailing_zeros() as usize;
+                m &= m - 1;
+                let s = slot(&runs, step);
+                let t = s.tag.load();
+                let dist = slot_at(step).wrapping_sub(tag_sig(t) & mask) & mask;
+                if !tag_is_present(t) || dist == 0 || dist >= PROBE_LIMIT || dist > step {
                     continue;
                 }
-                let ptr = slot.ptr.load();
-                if slot.tag.load() != t1 || ptr == 0 {
-                    continue; // racing writer; entry is lost, not corrupted
-                }
-                installed += Self::install(&new, t1, ptr) as usize;
+                let from = step - dist;
+                let ahead = ring.rotate_right((from % RING) as u32) & ((1 << dist) - 1);
+                let Some(ptr) = s.pair(t).filter(|_| ahead != 0) else { continue };
+                let q = from + ahead.trailing_zeros() as usize;
+                ring &= !(1 << (q % RING));
+                let dst = slot(&runs, q);
+                dst.tag.store(TAG_BUSY);
+                dst.ptr.store(ptr);
+                dst.tag.store(t);
+                ring |= 1 << (step % RING);
             }
-            // The successor is still private: one store stands for every
-            // slot the copy claimed.
-            new.used[0].0.store(installed, Ordering::Relaxed);
-            let fresh = Box::into_raw(new) as usize;
-            let prev = self.current.swap(fresh, Ordering::AcqRel);
-            grow.retired_tables
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push(unsafe { Box::from_raw(prev as *mut Table) });
         }
-        grow.lock.store(0, Ordering::Release);
+        // What the walk left: a hole behind its last empty slot lies on no
+        // chain; one after it only if the chain ends with the walk.
+        let end = if self.slot(slot_at(span)).tag.load() == TAG_EMPTY {
+            TAG_EMPTY
+        } else {
+            TAG_TOMBSTONE
+        };
+        // The ring holds the last two windows' steps, from `first` on.
+        let first = (span.div_ceil(PROBE_LIMIT) * PROBE_LIMIT).saturating_sub(RING);
+        let last_empty = (first..span)
+            .rev()
+            .find(|&step| self.slot(slot_at(step)).tag.load() == TAG_EMPTY)
+            .unwrap_or(0);
+        while ring != 0 {
+            let r = ring.trailing_zeros() as usize;
+            ring &= ring - 1;
+            let step = first + (r + RING - first % RING) % RING;
+            let to = if step < last_empty { TAG_EMPTY } else { end };
+            self.slot(slot_at(step)).tag.store(to);
+            delta -= (to == TAG_EMPTY) as isize;
+        }
+        for (t, ptr) in stranded {
+            delta += self.rehome(t, ptr);
+        }
+        delta
     }
 
-    /// Claims a slot of the still-private successor `table` for a
-    /// fully-formed entry and says whether one was found. The position is
-    /// rebuilt from the tag's signature, which is what probes start from.
-    fn install(table: &Table, tag: usize, ptr: usize) -> bool {
-        let mut i = tag_sig(tag) & table.mask;
-        for _ in 0..PROBE_LIMIT {
-            let s = &table.slots[i];
-            if s.tag.load() == TAG_EMPTY {
+    /// Publishes `(tag, ptr)` again from its home under the published mask,
+    /// on the grower's behalf: claims the first free slot of its window,
+    /// unless the window already holds its signature (its copy, or a
+    /// fresher publish). `1` when the claimed slot was empty.
+    fn rehome(&self, tag: usize, ptr: usize) -> isize {
+        let mask = self.mask.load(Ordering::Relaxed);
+        self.probe(mask, tag_sig(tag) & mask, |_, s| {
+            let seen = s.tag.load();
+            if tag_is_present(seen) && tag_sig(seen) == tag_sig(tag) {
+                return Break(0);
+            }
+            if (seen == TAG_EMPTY || seen == TAG_TOMBSTONE)
+                && s.tag.compare_exchange(seen, TAG_BUSY).is_ok()
+            {
                 s.ptr.store(ptr);
                 s.tag.store(tag);
-                return true;
+                return Break((seen == TAG_EMPTY) as isize);
             }
-            i = (i + 1) & table.mask;
-        }
-        false
+            Continue(())
+        })
+        .unwrap_or(0)
     }
 }
 
-impl Drop for Segment {
-    fn drop(&mut self) {
-        let cur = *self.current.get_mut();
-        drop(unsafe { Box::from_raw(cur as *mut Table) });
+/// One branch-free pass over a segment's first `cap` slots (which test
+/// comes out which way is a coin toss a branch would mispredict), as
+/// bitsets by slot number, 64 to a word.
+struct Scan {
+    /// Present entries.
+    live: usize,
+    tomb: Vec<u64>,
+    /// Present entries a doubled mask homes in the new upper half.
+    upper: Vec<u64>,
+    /// Present entries 1 to `PROBE_LIMIT - 1` slots past their home.
+    shifted: Vec<u64>,
+    /// Present entries homed past their slot, left at the start by a
+    /// window that wrapped around the end: only the first word has any.
+    wrapped: u64,
+}
+
+impl Scan {
+    fn of(seg: &Segment, cap: usize) -> Self {
+        let words = vec![0; cap.div_ceil(64)];
+        let mut scan = Scan {
+            live: 0,
+            tomb: words.clone(),
+            upper: words.clone(),
+            shifted: words,
+            wrapped: 0,
+        };
+        // A word's bits gather in registers and are stored once it is full.
+        let mut word = [0u64; 3];
+        seg.walk(0, cap, |i, s| {
+            let t = s.tag.load();
+            let b = i % 64;
+            let present = tag_is_present(t);
+            let dist = i.wrapping_sub(tag_sig(t)) & (cap - 1);
+            scan.live += present as usize;
+            word[0] |= ((t == TAG_TOMBSTONE) as u64) << b;
+            word[1] |= ((present & (tag_sig(t) & cap != 0)) as u64) << b;
+            word[2] |= ((present & (dist.wrapping_sub(1) < PROBE_LIMIT - 1)) as u64) << b;
+            if b == 63 || i == cap - 1 {
+                let w = i / 64;
+                [scan.tomb[w], scan.upper[w], scan.shifted[w]] = std::mem::take(&mut word);
+            }
+        });
+        // A window that wraps around the end reaches at most PROBE_LIMIT - 1
+        // slots into the array.
+        seg.walk(0, cap.min(PROBE_LIMIT), |i, s| {
+            let t = s.tag.load();
+            let wrapped = tag_is_present(t) & (tag_sig(t) & (cap - 1) > i);
+            scan.wrapped |= (wrapped as u64) << i;
+        });
+        scan
     }
 }
 
-/// A raw, seqlock-consistent index entry: the `(ptr, gen)` pair was
-/// published together (never torn), but nothing about the node has been
-/// validated yet; [`HashIndex::read_node`] applies the validation ladder.
+/// What a repack acts on, as bitsets by slot of the walked span: the holes
+/// (tombstones, and after a doubling the stranded entries), the entries
+/// that may shift toward home, and the stranded entries to publish again.
+struct Walk<'a> {
+    holes: &'a [u64],
+    movers: &'a [u64],
+    rehome: &'a [u64],
+}
+
+/// `n <= 64` bits of the slot bitset `set` (over `len` slots, or empty: no
+/// slot) from slot `at` on, wrapping at `len`.
+fn window_bits(set: &[u64], len: usize, at: usize, n: usize) -> u64 {
+    if set.is_empty() {
+        return 0;
+    }
+    let (mut bits, mut got, mut i) = (0, 0, at);
+    while got < n {
+        let (w, b) = (i / 64, i % 64);
+        let take = (64 - b).min(n - got).min(len - i);
+        bits |= ((set[w] >> b) & (u64::MAX >> (64 - take))) << got;
+        got += take;
+        i = (i + take) % len;
+    }
+    bits
+}
+
+/// A raw, seqlock-consistent index entry: the tag read the same around
+/// the pointer load, but nothing about the node has been validated yet
+/// (a grow's plain stores racing a publish can even leave one write's tag
+/// beside another's pointer); [`HashIndex::read_node`] applies the
+/// validation ladder.
 #[derive(Debug, Clone, Copy)]
 struct RawEntry<K, V> {
     ptr: NonNull<Node<K, V>>,
@@ -463,7 +801,7 @@ impl<K, V> HashIndex<K, V> {
         let nodes = Placement::new(&Topology::detect_or_paper(), threads.max(1)).num_nodes();
         let segments = nodes.max(1).next_power_of_two();
         let per_seg = if capacity_hint == 0 {
-            MIN_SEGMENT_CAP * 4
+            AUTO_SEGMENT_CAP
         } else {
             (capacity_hint / segments).next_power_of_two()
         }
@@ -505,8 +843,8 @@ impl<K, V> HashIndex<K, V> {
         &self.segments[i]
     }
 
-    /// Total bytes of segment storage (current tables plus retired
-    /// predecessors) — the `memory_stats` contribution.
+    /// Total bytes of segment storage (slot arrays plus counter stripes)
+    /// — the `memory_stats` contribution.
     pub(crate) fn bytes(&self) -> usize {
         self.segments.iter().map(|s| s.bytes()).sum()
     }
@@ -529,10 +867,10 @@ impl<K, V> HashIndex<K, V> {
             .sum()
     }
 
-    /// Total slots across every segment's current table (retired tables
-    /// excluded): the denominator of the index's global load factor.
+    /// Total slots across every segment: the denominator of the index's
+    /// global load factor.
     pub(crate) fn capacity(&self) -> usize {
-        self.segments.iter().map(|s| s.table().mask + 1).sum()
+        self.segments.iter().map(Segment::capacity).sum()
     }
 
     /// Installed NUMA segments (fixed at construction).
@@ -541,7 +879,7 @@ impl<K, V> HashIndex<K, V> {
     }
 
     /// Weak per-segment occupancy snapshot (see [`SegmentOccupancy`]):
-    /// walks each segment's *current* table once, classifying slots and
+    /// walks each segment's slot array once, classifying slots and
     /// binning present entries by probe displacement from their home
     /// position. Concurrent publishes/invalidations may be half-observed —
     /// the numbers are telemetry for sizing `index_capacity`, not an
@@ -550,96 +888,107 @@ impl<K, V> HashIndex<K, V> {
         self.segments
             .iter()
             .map(|seg| {
-                let table = seg.table();
+                let mask = seg.capacity() - 1;
                 let mut occ = SegmentOccupancy {
-                    capacity: table.mask + 1,
-                    used: table.used().min(table.mask + 1),
+                    capacity: mask + 1,
+                    used: seg.used().min(mask + 1),
                     ..SegmentOccupancy::default()
                 };
-                for (i, slot) in table.slots.iter().enumerate() {
+                seg.walk(0, mask + 1, |i, slot| {
                     let tag = slot.tag.load();
                     if tag == TAG_TOMBSTONE {
                         occ.tombstones += 1;
-                        continue;
+                    } else if tag_is_present(tag) {
+                        occ.entries += 1;
+                        // The probe walks forward from `sig & mask`, so the
+                        // wrapped distance from home is the entry's cost.
+                        let dist = i.wrapping_sub(tag_sig(tag) & mask) & mask;
+                        occ.probe_histogram[dist.min(HISTOGRAM_BUCKETS - 1)] += 1;
                     }
-                    if !tag_is_present(tag) {
-                        continue;
-                    }
-                    occ.entries += 1;
-                    // The probe walks forward from `sig & mask`, so the
-                    // wrapped distance from home is the entry's cost.
-                    let home = tag_sig(tag) & table.mask;
-                    let dist = i.wrapping_sub(home) & table.mask;
-                    occ.probe_histogram[dist.min(PROBE_LIMIT - 1)] += 1;
-                }
+                });
                 occ
             })
             .collect()
     }
 
     /// Publishes `(ptr, gen)` under `hash`, the [`Self::hash`] of the
-    /// node's key, on behalf of thread `tid`. Best effort: a busy or full
-    /// probe window drops the publish (and nudges the segment to grow).
+    /// node's key, on behalf of thread `tid`. Best effort: busy slots are
+    /// skipped, and a full probe window grows the segment and retries once.
     /// Callers pass a generation captured from the incarnation they just
     /// linked/observed live — publish-after-link.
     pub(crate) fn publish_hashed(&self, hash: u64, ptr: NonNull<Node<K, V>>, gen: u32, tid: usize) {
         let seg = self.segment(hash);
-        let table = seg.table();
+        if !self.try_publish(seg, hash, ptr, gen, tid) {
+            seg.grow(false);
+            self.try_publish(seg, hash, ptr, gen, tid);
+        }
+    }
+
+    /// One pass over `hash`'s probe window; `false` when it held no slot
+    /// to take.
+    fn try_publish(
+        &self,
+        seg: &Segment,
+        hash: u64,
+        ptr: NonNull<Node<K, V>>,
+        gen: u32,
+        tid: usize,
+    ) -> bool {
+        let mask = seg.mask.load(Ordering::Acquire);
         let sig = sig_of(hash);
         let tag = tag_of(hash, gen);
         // Probe from the signature (not the raw hash): the position is
         // then recoverable from the tag alone, which is what lets a grow
-        // re-install entries it can only see through their tags.
-        let mut i = sig & table.mask;
-        for _ in 0..PROBE_LIMIT {
-            let s = &table.slots[i];
+        // move entries it can only see through their tags.
+        seg.probe(mask, sig & mask, |i, s| {
             let seen = s.tag.load();
             let takeable = seen == TAG_EMPTY
                 || seen == TAG_TOMBSTONE
                 || (tag_is_present(seen) && tag_sig(seen) == sig);
             if takeable && s.tag.compare_exchange(seen, TAG_BUSY).is_ok() {
-                // This thread's claims of this table so far, when the
-                // slot was claimed from empty.
+                let counts = seg.counts(tid);
+                // This thread's stripe of the slots claimed from empty,
+                // when this one was.
                 let claims = if seen == TAG_EMPTY {
-                    let stripe = &table.used[tid & (table.used.len() - 1)].0;
-                    stripe.fetch_add(1, Ordering::Relaxed) + 1
+                    counts.used.fetch_add(1, Ordering::Relaxed).wrapping_add(1)
                 } else {
                     0
                 };
                 s.ptr.store(ptr.as_ptr() as usize);
                 s.tag.store(tag);
-                seg.counts(tid).published.fetch_add(1, Ordering::Relaxed);
+                counts.published.fetch_add(1, Ordering::Relaxed);
                 // The probe window needs every sample; the occupancy
-                // trip-wire alone is sampled.
-                if self.adapt.is_some() || (claims != 0 && claims % GROW_CHECK_EVERY == 0) {
-                    self.after_publish(seg, table, i.wrapping_sub(sig) & table.mask);
+                // trip-wire alone is sampled (both powers of two).
+                let every = ((mask + 1) >> 4).clamp(1, GROW_CHECK_EVERY);
+                if self.adapt.is_some() || (claims != 0 && claims & (every - 1) == 0) {
+                    self.after_publish(seg, i.wrapping_sub(sig) & mask);
                 }
-                return;
+                return Break(());
             }
-            i = (i + 1) & table.mask;
-        }
-        // Probe window exhausted: grow (if allowed) and drop the publish.
-        seg.grow();
+            Continue(())
+        })
+        .is_some()
     }
 
     /// Post-publish growth policy, run on every publish with an
     /// [`AdaptConfig`] and on every [`GROW_CHECK_EVERY`]th claim of a
-    /// thread without. Two triggers:
+    /// thread (more often in small arrays) without. Two triggers:
     ///
-    /// * **occupancy** — the share of ever-claimed slots (tombstones
-    ///   included: they occupy probe-chain positions until a grow drops
-    ///   them) crosses [`OCC_GROW_PCT`];
+    /// * **occupancy** — the share of slots not empty (tombstones
+    ///   included: they occupy probe-chain positions until a grow or
+    ///   compaction clears them) crosses [`OCC_GROW_PCT`]; the segment
+    ///   doubles, or compacts when few of those slots are live;
     /// * **probe signal** (adaptive only) — the windowed mean probe
     ///   displacement of publishes meets [`PROBE_GROW`] for
     ///   `dwell_windows + 1` consecutive windows, growing early when an
     ///   adversarial key mix clusters collisions below the occupancy
     ///   threshold.
     ///
-    /// The probe-exhaustion `grow()` at the end of [`Self::publish_hashed`]
-    /// remains the correctness backstop either way.
-    fn after_publish(&self, seg: &Segment, table: &Table, displacement: usize) {
-        if table.used() * 100 > (table.mask + 1) * OCC_GROW_PCT {
-            seg.grow();
+    /// The grow a full probe window triggers in [`Self::publish_hashed`]
+    /// remains the backstop either way.
+    fn after_publish(&self, seg: &Segment, displacement: usize) {
+        if seg.used() * 100 > seg.capacity() * OCC_GROW_PCT {
+            seg.grow(true);
             return;
         }
         let Some(a) = self.adapt else { return };
@@ -658,7 +1007,7 @@ impl<K, V> HashIndex<K, V> {
         }
         sensor.probe_streak.store(0, Ordering::Relaxed);
         sensor.probe_grows.fetch_add(1, Ordering::Relaxed);
-        seg.grow();
+        seg.grow(false);
     }
 
     /// Tombstones the entry for `key` if it still names `ptr`, on behalf
@@ -671,14 +1020,12 @@ impl<K, V> HashIndex<K, V> {
 
     fn invalidate_hashed(&self, hash: u64, ptr: Option<NonNull<Node<K, V>>>, tid: usize) {
         let seg = self.segment(hash);
-        let table = seg.table();
+        let mask = seg.mask.load(Ordering::Acquire);
         let sig = sig_of(hash);
-        let mut i = sig & table.mask;
-        for _ in 0..PROBE_LIMIT {
-            let s = &table.slots[i];
+        seg.probe(mask, sig & mask, |_, s| {
             let seen = s.tag.load();
             if seen == TAG_EMPTY {
-                return;
+                return Break(());
             }
             if tag_is_present(seen) && tag_sig(seen) == sig {
                 let cur = s.ptr.load();
@@ -693,42 +1040,41 @@ impl<K, V> HashIndex<K, V> {
                     if s.tag.compare_exchange(seen, TAG_TOMBSTONE).is_ok() {
                         seg.counts(tid).retired.fetch_add(1, Ordering::Relaxed);
                     }
-                    return;
+                    return Break(());
                 }
             }
-            i = (i + 1) & table.mask;
-        }
+            Continue(())
+        });
     }
 
     /// Seqlock-consistent raw lookup: the first present entry whose
     /// signature matches. No validation beyond pair consistency — see
     /// [`RawEntry`].
     fn lookup_raw_hashed(&self, hash: u64) -> Option<RawEntry<K, V>> {
-        let table = self.segment(hash).table();
+        let seg = self.segment(hash);
+        let mask = seg.mask.load(Ordering::Acquire);
         let sig = sig_of(hash);
-        let mut i = sig & table.mask;
-        for _ in 0..PROBE_LIMIT {
-            let s = &table.slots[i];
+        seg.probe(mask, sig & mask, |_, s| {
             let t1 = s.tag.load();
             if t1 == TAG_EMPTY {
-                return None;
+                return Break(None);
             }
             if tag_is_present(t1) && tag_sig(t1) == sig {
                 let ptr = s.ptr.load();
                 if s.tag.load() == t1 {
                     if let Some(nn) = NonNull::new(ptr as *mut Node<K, V>) {
-                        return Some(RawEntry {
+                        return Break(Some(RawEntry {
                             ptr: nn,
                             gen: tag_gen(t1),
-                        });
+                        }));
                     }
                 }
                 // Torn or republishing: fall through and keep probing —
-                // duplicate-signature entries are possible after a grow.
+                // a grow's moves leave duplicate signatures for a moment.
             }
-            i = (i + 1) & table.mask;
-        }
-        None
+            Continue(())
+        })
+        .flatten()
     }
 }
 
@@ -872,58 +1218,112 @@ mod tests {
         assert!(lookup(&idx, 11).is_none());
     }
 
+    /// Keys `keys` whose entries `idx` has lost or mixed up.
+    fn missing(idx: &Idx, keys: std::ops::Range<u64>) -> Vec<u64> {
+        keys.filter(|&k| match lookup(idx, k) {
+            Some(e) => {
+                assert_eq!(e.gen, k as u32, "entry for {k} mixed up");
+                false
+            }
+            None => true,
+        })
+        .collect()
+    }
+
     #[test]
     fn grows_past_the_initial_capacity() {
-        let keys = if cfg!(miri) { 300u64 } else { 4_000 };
-        let idx: HashIndex<u64, u64> = HashIndex::new(1, 0, None);
+        // From the auto size and from the smallest array a hint can ask
+        // for: the smaller one crosses every window overflow there is, and
+        // each overflowing publish must survive its retry.
+        let hints: &[usize] = if cfg!(miri) { &[1] } else { &[0, 1] };
+        for &hint in hints {
+            let idx: HashIndex<u64, u64> = HashIndex::new(1, hint, None);
+            let start = idx.capacity();
+            let keys = start.max(if cfg!(miri) { 300 } else { 4_000 }) as u64;
+            for k in 0..keys {
+                publish(&idx, k, dangling(1 + k as usize), k as u32, 0);
+            }
+            assert!(idx.capacity() > start, "hint {hint}: no grow happened");
+            assert_eq!(missing(&idx, 0..keys), Vec::<u64>::new(), "hint {hint}");
+        }
+    }
+
+    #[test]
+    fn grows_keep_every_entry_among_tombstones() {
+        // Invalidations leave tombstones on the chains the grows repack:
+        // every live key must stay findable, every dead one absent.
+        let idx: HashIndex<u64, u64> = HashIndex::new(1, 1, None);
+        let keys = if cfg!(miri) { 200u64 } else { 3_000 };
+        let mut dead = Vec::new();
         for k in 0..keys {
             publish(&idx, k, dangling(1 + k as usize), k as u32, 0);
-        }
-        // The minimum table holds 1024 slots per segment; without grows
-        // most publishes would have been dropped. Require the vast
-        // majority to survive (growth migration may shed a few).
-        let mut hits = 0;
-        for k in 0..keys {
-            if let Some(e) = lookup(&idx, k) {
-                assert_eq!(e.gen, k as u32, "entry for {k} mixed up");
-                hits += 1;
+            if k % 3 == 0 {
+                idx.invalidate(&(k / 2), None, 0);
+                dead.push(k / 2);
             }
         }
-        assert!(
-            hits as f64 >= keys as f64 * 0.9,
-            "only {hits}/{keys} entries survived growth"
-        );
-        assert!(idx.bytes() > 0);
+        let lost: Vec<u64> = missing(&idx, 0..keys)
+            .into_iter()
+            .filter(|k| !dead.contains(k))
+            .collect();
+        assert_eq!(lost, Vec::<u64>::new());
+        assert!(dead.iter().all(|&k| lookup(&idx, k).is_none()));
+    }
+
+    #[test]
+    fn turnover_at_a_constant_live_size_compacts() {
+        // Each round replaces every live key by a fresh one: tombstones
+        // trip the wire again and again with few live entries, and each
+        // trip must purge them in place instead of doubling.
+        let idx: HashIndex<u64, u64> = HashIndex::new(1, 1 << 12, None);
+        let (live, rounds) = if cfg!(miri) { (40u64, 2) } else { (1_000, 4) };
+        let start = idx.capacity();
+        for k in 0..live {
+            publish(&idx, k, dangling(1 + k as usize), k as u32, 0);
+        }
+        for k in 0..rounds * live {
+            idx.invalidate(&k, None, 0);
+            publish(&idx, k + live, dangling(1 + k as usize), (k + live) as u32, 0);
+        }
+        assert_eq!(idx.capacity(), start, "turnover doubled the index");
+        let end = rounds * live;
+        assert_eq!(missing(&idx, end..end + live), Vec::<u64>::new());
+        assert!((0..end).all(|k| lookup(&idx, k).is_none()));
+        let occ = idx.occupancy();
+        let used: usize = occ.iter().map(|s| s.used).sum();
+        let tombstones: usize = occ.iter().map(|s| s.tombstones).sum();
+        let entries: usize = occ.iter().map(|s| s.entries).sum();
+        assert_eq!(used, entries + tombstones, "used stripes drifted from the slots");
     }
 
     #[test]
     fn probe_signal_grows_below_the_occupancy_threshold() {
-        // Drive the sensor directly with long displacements: the table
+        // Drive the sensor directly with long displacements: the array
         // stays empty (occupancy can never trigger), so the windowed
         // mean-probe signal alone must grow the segment — and only after
         // the dwell guard's `dwell + 1` consecutive qualifying windows.
         let cfg = AdaptConfig::new().window_ops(16).dwell_windows(1);
         let idx: HashIndex<u64, u64> = HashIndex::new(1, 0, Some(cfg));
         let seg = &idx.segments[0];
-        let before = seg.table().mask + 1;
+        let before = seg.capacity();
         for _ in 0..16 {
-            idx.after_publish(seg, seg.table(), 5);
+            idx.after_publish(seg, 5);
         }
-        assert_eq!(seg.table().mask + 1, before, "dwell guard must hold the first window");
+        assert_eq!(seg.capacity(), before, "dwell guard must hold the first window");
         for _ in 0..16 {
-            idx.after_publish(seg, seg.table(), 5);
+            idx.after_publish(seg, 5);
         }
-        assert_eq!(seg.table().mask + 1, before * 2, "second qualifying window grows");
+        assert_eq!(seg.capacity(), before * 2, "second qualifying window grows");
         assert_eq!(idx.probe_grows(), 1, "growth must be attributed to the probe signal");
         // A short-probe window resets the streak: one more qualifying
         // window alone must not grow again.
         for _ in 0..16 {
-            idx.after_publish(seg, seg.table(), 0);
+            idx.after_publish(seg, 0);
         }
         for _ in 0..16 {
-            idx.after_publish(seg, seg.table(), 5);
+            idx.after_publish(seg, 5);
         }
-        assert_eq!(seg.table().mask + 1, before * 2, "a reset streak must re-dwell");
+        assert_eq!(seg.capacity(), before * 2, "a reset streak must re-dwell");
     }
 
     /// The 128-byte line (pair) an object starts on.
@@ -938,8 +1338,8 @@ mod tests {
 
     #[test]
     fn probe_read_words_share_no_line_with_a_counter() {
-        // A live index, grown once so that retired tables and a successor
-        // allocated mid-run are part of the picture.
+        // A live index, grown so that chunks installed mid-run are part of
+        // the picture.
         let idx: HashIndex<u64, u64> = HashIndex::new(4, 0, None);
         for k in 0..6_000u64 {
             publish(&idx, k, dangling(1 + k as usize), 0, (k % 4) as usize);
@@ -947,45 +1347,36 @@ mod tests {
         for k in 0..1_000u64 {
             idx.invalidate(&k, None, (k % 4) as usize);
         }
-        assert!(idx.capacity() > idx.segments.len() * MIN_SEGMENT_CAP * 4, "no grow happened");
+        assert!(idx.capacity() > idx.segments.len() * AUTO_SEGMENT_CAP, "no grow happened");
         for seg in idx.segments.iter() {
-            let table = seg.table();
-            // A header that starts a line pair and fits in it shares it
-            // with no neighbour on the heap, whatever the allocator does.
-            assert_eq!(table as *const Table as usize % 128, 0);
-            assert_eq!(lines_of(table).count(), 1);
+            assert_eq!(seg as *const Segment as usize % 128, 0);
             // What every lookup, publish and invalidate loads on its way
-            // to a slot (of the boxed arrays, the pointer words).
+            // to a slot: the mask and the chunk directory (written only by
+            // a grow) and the stripe array's pointer.
             let mut read: Vec<usize> = Vec::new();
-            read.extend(lines_of(&seg.current));
+            read.extend(lines_of(&seg.mask));
+            read.extend(lines_of(&seg.base_bits));
+            read.extend(lines_of(&seg.chunks));
             read.extend(lines_of(&seg.counts));
-            read.extend(lines_of(&table.mask));
-            read.extend(lines_of(&table.slots));
-            read.extend(lines_of(&table.used));
-            // What a publish, an invalidate, the sensor or a grow writes
-            // (slots aside).
+            // What a publish, an invalidate, the sensor or a grow's lease
+            // writes (slots aside).
             let mut written: Vec<usize> = Vec::new();
             let mut stripes: Vec<usize> = Vec::new();
             for c in seg.counts.iter() {
                 assert_eq!(lines_of(c).count(), 1, "a stripe straddles lines");
                 stripes.push(line_of(c));
             }
-            for u in table.used.iter() {
-                assert_eq!(lines_of(u).count(), 1, "a stripe straddles lines");
-                stripes.push(line_of(u));
-            }
             written.extend(&stripes);
             written.extend(lines_of(&seg.grow));
             for line in &read {
                 assert!(!written.contains(line), "a probe-read word sits on a written line");
             }
-            // No two threads' stripes on one line (nor a thread's two).
+            // No two threads' stripes on one line.
             let mut distinct = stripes.clone();
             distinct.sort_unstable();
             distinct.dedup();
             assert_eq!(distinct.len(), stripes.len(), "two stripes share a line");
             assert_eq!(seg.counts.len(), 4);
-            assert_eq!(table.used.len(), 4);
         }
         // Segments stand apart from each other.
         for pair in idx.segments.windows(2) {
@@ -1012,20 +1403,22 @@ mod tests {
     }
 
     #[test]
-    fn byte_accounting_includes_retired_tables() {
-        // Drive one grow directly (publish-count triggers depend on the
+    fn a_grow_adds_exactly_its_upper_half() {
+        // Drive grows directly (publish-count triggers depend on the
         // detected segment count, so they are not deterministic here).
-        let seg = Segment::new(MIN_SEGMENT_CAP, 1);
-        let before = seg.bytes();
-        seg.grow();
-        let after = seg.bytes();
-        // The successor table is twice the size and the predecessor is
-        // parked, so the footprint at least doubles — both allocations
-        // must show up in the byte accounting.
-        assert!(
-            after >= before * 2,
-            "grow footprint not accounted: {before} -> {after}"
-        );
-        assert_eq!(seg.table().mask + 1, MIN_SEGMENT_CAP * 2);
+        let seg = Segment::new(AUTO_SEGMENT_CAP, 1);
+        let stripes = std::mem::size_of::<Padded<Counts>>();
+        assert_eq!(seg.bytes(), 16 * AUTO_SEGMENT_CAP + stripes);
+        for doubled in 1..=3 {
+            let before = (seg.capacity(), seg.bytes());
+            seg.grow(false);
+            assert_eq!(seg.capacity(), 2 * before.0);
+            // Nothing of the predecessor is kept: the array gains its new
+            // upper half, and that is all.
+            assert_eq!(seg.bytes(), before.1 + 16 * before.0, "grow {doubled}");
+        }
+        assert_eq!(seg.bytes(), 16 * seg.capacity() + stripes);
     }
 }
+
+

@@ -59,9 +59,10 @@ pub struct GraphConfig {
     /// hashes); `SkipGraph::new` alone leaves it off — use
     /// `SkipGraph::new_hashed` — and the blocked map rejects it.
     pub hash_index: bool,
-    /// Total entry-capacity hint for the hash index (`0` = auto).
-    /// Segments start at `index_capacity / segments` slots and grow
-    /// lock-free past the hint under load.
+    /// Total entry-capacity hint for the hash index (`0` = auto: 4 096
+    /// slots per segment). Segments start at `index_capacity / segments`
+    /// slots (rounded up to a power of two, at least 4) and grow in place,
+    /// lock-free, past the hint under load.
     pub index_capacity: usize,
     /// Workload-adaptive control plane (see [`crate::adapt`]): when set,
     /// the hash index grows segments from the windowed occupancy/probe
@@ -179,8 +180,9 @@ impl GraphConfig {
     }
 
     /// Overrides the hash-index capacity hint (`0` = auto). The index
-    /// grows past the hint on demand; a hint near the expected key count
-    /// avoids the early growth steps.
+    /// grows past the hint on demand, doubling a segment's slot array in
+    /// place; a hint near twice the expected key count avoids the early
+    /// growth steps.
     pub fn index_capacity(mut self, entries: usize) -> Self {
         self.index_capacity = entries;
         self

@@ -97,9 +97,19 @@ proptest! {
 /// recycled slot would break.
 #[test]
 fn concurrent_churn_with_reclaim_never_serves_stale_reads() {
+    // At the auto size, and from the smallest index there is, whose
+    // grows and compactions then run under the churn.
+    for cap in [0, 1] {
+        concurrent_churn(cap);
+    }
+}
+
+fn concurrent_churn(index_capacity: usize) {
     const THREADS: u64 = 3;
     const PER_CLASS: u64 = 16;
-    let map: LayeredMap<u64, u64> = LayeredMap::new(indexed_reclaiming(THREADS as usize + 1));
+    let map: LayeredMap<u64, u64> = LayeredMap::new(
+        indexed_reclaiming(THREADS as usize + 1).index_capacity(index_capacity),
+    );
     let stop = std::sync::atomic::AtomicBool::new(false);
     std::thread::scope(|s| {
         let workers: Vec<_> = (0..THREADS)
@@ -195,6 +205,81 @@ fn occupancy_snapshot_accounts_for_published_keys() {
                 "segment {i} mean probe beyond the limit"
             );
             assert!(seg.load_factor() > 0.0 && seg.load_factor() <= 1.0);
+        }
+    }
+}
+
+/// Key turnover at a constant live size under the deterministic
+/// scheduler, from the smallest index there is: each thread replaces its
+/// own keys by fresh ones, so slots turn into tombstones faster than keys
+/// reuse them, and schedules interleave the index's in-place grows and
+/// compactions with the reads, removes and inserts of the other threads.
+/// Every outcome is exact (a thread's keys are its own), and the index
+/// must end up far smaller than the entries it ever held: at most a third
+/// of them (64–128 slots for ≈ 560 entries here; 256–384 with compaction
+/// disabled).
+#[cfg(feature = "deterministic")]
+mod deterministic {
+    use super::*;
+    use skipgraph::det::{self, round_robin_family, DetConfig, Policy};
+
+    const THREADS: u64 = 3;
+    const LIVE: u64 = 6;
+    const TURNS: u64 = 30;
+
+    fn turnover(det: &DetConfig) {
+        let map: LayeredMap<u64, u64> = LayeredMap::new(
+            GraphConfig::new(THREADS as usize)
+                .hash_index(true)
+                .index_capacity(1),
+        );
+        let workers: Vec<Box<dyn FnOnce() + Send + '_>> = (0..THREADS)
+            .map(|t| {
+                let map = &map;
+                Box::new(move || {
+                    let mut h = map.register(ThreadCtx::plain(t as u16));
+                    let key = |i: u64| i * THREADS + t;
+                    for i in 0..LIVE {
+                        assert!(h.insert(key(i), i));
+                    }
+                    for i in 0..TURNS * LIVE {
+                        assert_eq!(h.get(&key(i)), Some(i), "t{t} lost {}", key(i));
+                        assert!(h.remove(&key(i)), "t{t} remove {}", key(i));
+                        assert!(h.insert(key(i + LIVE), i + LIVE), "t{t} insert {}", key(i + LIVE));
+                        assert!(!h.contains(&key(i)), "t{t} read {} back", key(i));
+                    }
+                }) as Box<dyn FnOnce() + Send + '_>
+            })
+            .collect();
+        det::run_threads(det, workers);
+        let mut h = map.register(ThreadCtx::plain(0));
+        for t in 0..THREADS {
+            for i in TURNS * LIVE..(TURNS + 1) * LIVE {
+                assert_eq!(h.get(&(i * THREADS + t)), Some(i));
+            }
+        }
+        let mem = map.shared().memory_stats(h.ctx());
+        assert!(
+            mem.index_entries >= 3 * mem.index_capacity,
+            "{} slots for {} entries ever published: the index kept its tombstones",
+            mem.index_capacity,
+            mem.index_entries
+        );
+    }
+
+    #[test]
+    fn turnover_under_pct_and_round_robin() {
+        for seed in 1..=8 {
+            turnover(&DetConfig::new(
+                seed,
+                Policy::Pct {
+                    change_points: 10,
+                    expected_steps: 60_000,
+                },
+            ));
+        }
+        for (seed, policy) in round_robin_family(THREADS as u16, 3) {
+            turnover(&DetConfig::new(seed, policy));
         }
     }
 }

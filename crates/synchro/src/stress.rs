@@ -475,9 +475,14 @@ macro_rules! with_structure {
                 // Shared point-read hash index on, no reclamation: eager
                 // removes must invalidate their entries themselves (the
                 // generation backstop never fires), which is precisely
-                // the coherence duty the bug-injection lane deletes.
+                // the coherence duty the bug-injection lane deletes. The
+                // smallest index there is (a capacity hint of one slot), so
+                // schedules cross in-place grows and compactions mid-read.
                 let $map = LayeredMap::<u64, u64>::new(
-                    GraphConfig::new(t).hash_index(true).chunk_capacity(cap),
+                    GraphConfig::new(t)
+                        .hash_index(true)
+                        .index_capacity(1)
+                        .chunk_capacity(cap),
                 );
                 $body
             }

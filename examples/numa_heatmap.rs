@@ -72,9 +72,10 @@ fn main() {
     );
 
     // Hash-index occupancy heatmap: load an indexed map and show how the
-    // keys landed across the per-NUMA-segment tables — the tuning signal
-    // for `GraphConfig::index_capacity` (entries crowding the 75%
-    // occupancy threshold mean an imminent grow; mass in the histogram's upper buckets means long
+    // keys landed across the per-NUMA-segment slot arrays — the tuning
+    // signal for `GraphConfig::index_capacity` (slots in use crowding the
+    // 75% occupancy threshold mean an imminent grow or compaction; mass in
+    // the histogram's upper buckets means long
     // probe chains despite free space, the displacement signal the
     // adaptive probe sensor grows on). Adaptation is configured here so
     // the probe-signal grow counter below is live.

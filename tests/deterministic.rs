@@ -11,10 +11,12 @@
 // Not meaningful with the broken-on-purpose lazy remove compiled in.
 #![cfg(all(feature = "deterministic", not(feature = "bug-injection")))]
 
+use instrument::ThreadCtx;
 use skipgraph::det::{round_robin_family, DetConfig, Policy};
+use skipgraph::{GraphConfig, LayeredMap};
 use synchro::stress::{
-    counters_named_det, plan_workload, records_named_det, stress_named_det, StressConfig,
-    DET_STRUCTURES,
+    counters_named_det, execute_det, initially_present, plan_workload, records_named_det,
+    stress_named_det, StressConfig, DET_STRUCTURES,
 };
 
 fn env_seed(default: u64) -> u64 {
@@ -208,9 +210,14 @@ fn batched_executor_pct_and_round_robin_linearize() {
 /// an update-heavy mix over a tiny key space so inserts/removes churn
 /// index entries (publish-after-link vs invalidate racing reads through
 /// the index fast path), with the scheduler interleaving the entry CAS
-/// protocol against the node-state re-checks. A stale index read
-/// surviving validation would surface as a non-linearizable per-key
-/// history.
+/// protocol against the node-state re-checks. `hashed_sg` starts at the
+/// smallest index there is, so the schedules also interleave in-place
+/// grows and compactions with reads. A stale index read surviving
+/// validation would surface as a non-linearizable per-key history.
+///
+/// The lane fails if no schedule grows the index: each schedule is run a
+/// second time on a map built as `hashed_sg` is, whose index is read
+/// afterwards (the registry hands out no map to inspect).
 #[test]
 fn hashed_index_pct_and_round_robin_linearize() {
     let cfg = StressConfig {
@@ -222,22 +229,42 @@ fn hashed_index_pct_and_round_robin_linearize() {
         seed: 13,
     };
     let base = env_seed(700);
-    for s in 0..4u64 {
-        let det = DetConfig::new(
+    let pct = (0..4u64).map(|s| {
+        DetConfig::new(
             base + s,
             Policy::Pct {
                 change_points: 10,
                 expected_steps: 60_000,
             },
-        );
+        )
+    });
+    let round_robin =
+        [1u32, 3, 7].map(|quantum| DetConfig::new(base, Policy::RoundRobin { quantum }));
+    let mut grew = 0;
+    for det in pct.chain(round_robin) {
         stress_named_det("hashed_sg", &cfg, &det)
-            .unwrap_or_else(|e| panic!("hashed_sg pct seed {}: {e}", base + s));
+            .unwrap_or_else(|e| panic!("hashed_sg {det:?}: {e}"));
+        grew += index_grows_under(&cfg, &det) as usize;
     }
-    for quantum in [1u32, 3, 7] {
-        let det = DetConfig::new(base, Policy::RoundRobin { quantum });
-        stress_named_det("hashed_sg", &cfg, &det)
-            .unwrap_or_else(|e| panic!("hashed_sg round-robin quantum {quantum}: {e}"));
+    assert!(grew > 0, "no schedule grew the index");
+}
+
+/// Whether `det` grows the index of a map built as `hashed_sg` is.
+fn index_grows_under(cfg: &StressConfig, det: &DetConfig) -> bool {
+    let map = LayeredMap::<u64, u64>::new(
+        GraphConfig::new(cfg.threads as usize)
+            .hash_index(true)
+            .index_capacity(1),
+    );
+    let capacity = || map.shared().memory_stats(&ThreadCtx::plain(0)).index_capacity;
+    let before = capacity();
+    let mut h = map.register(ThreadCtx::plain(0));
+    for key in (0..cfg.key_space).filter(|&k| initially_present(cfg, k)) {
+        assert!(h.insert(key, key));
     }
+    drop(h);
+    execute_det(&map, &plan_workload(cfg), det, None);
+    capacity() > before
 }
 
 /// Deterministic-schedule stress of the anchor-granular blocked map:

@@ -324,24 +324,75 @@ fn cross_thread_indexed_reads_visit_one_node() {
 }
 
 #[test]
-fn an_index_slot_is_two_words() {
+fn the_index_is_one_table_at_half_load() {
     let map = preloaded_index(SLOTS);
     let mem = map.shared().memory_stats(&ThreadCtx::plain(0));
-    // The preload doubles the tables from their initial size, and every
-    // superseded table stays allocated: index bytes are those of just under
-    // two slots per slot of the current tables (plus the counter stripes).
+    // One 128-byte counter stripe per thread slot (rounded up to a power
+    // of two) in each segment, and 16 B for every slot of the one array a
+    // segment has: a grow keeps nothing of what it outgrew.
+    let stripes = 128 * mem.index_segments * (SLOTS as usize).next_power_of_two();
+    let occ = map.shared().index_occupancy();
+    let loads: Vec<String> = occ.iter().map(|s| format!("{:.3}", s.load_factor())).collect();
+    // Every key once, through handles that loaded none of them.
+    let stats = AccessStats::new(SLOTS as usize);
+    let mut readers = pin_all(&map, 0..SLOTS, Some(&stats));
+    for i in 0..INDEX_KEYS {
+        assert!(readers[i as usize % SLOTS as usize].contains(&key(i)), "preloaded key lost");
+    }
+    let hits = stats.totals().index_hits;
     println!(
-        "index: {:.1} B per slot of capacity, {:.1} B per live key",
+        "index: {:.1} B per slot of capacity, {:.1} B per live key, load {} over {} slots, \
+         {hits} of {INDEX_KEYS} reads index hits",
         mem.index_bytes as f64 / mem.index_capacity as f64,
-        mem.index_bytes as f64 / INDEX_KEYS as f64
-    );
-    assert!(mem.index_capacity as u64 > INDEX_KEYS, "the tables never grew");
-    assert!(
-        mem.index_bytes < 33 * mem.index_capacity,
-        "{} index bytes for {} slots: a slot is wider than two words",
-        mem.index_bytes,
+        mem.index_bytes as f64 / INDEX_KEYS as f64,
+        loads.join(" / "),
         mem.index_capacity
     );
+    assert_eq!(
+        mem.index_bytes,
+        16 * mem.index_capacity + stripes,
+        "index bytes beyond one two-word slot per slot of capacity"
+    );
+    for s in &occ {
+        assert!(s.load_factor() >= 0.375, "a segment grew early: load {:.3}", s.load_factor());
+    }
+    assert_eq!(hits, INDEX_KEYS, "preloaded keys missing from the index");
+}
+
+#[test]
+fn key_turnover_at_a_constant_live_size_keeps_the_index_size() {
+    const LIVE: u64 = 5_000;
+    const TURNS: u64 = 4;
+    // Sized for twice the live keys, so the live load stays under the 3/8
+    // at which a tripped segment doubles: every trip of the occupancy
+    // wire during the turnover finds the segment mostly tombstones.
+    let map = LayeredMap::new(
+        GraphConfig::new(SLOTS as usize)
+            .max_level(7)
+            .sparse(true)
+            .chunk_capacity(CHUNK)
+            .hash_index(true)
+            .index_capacity(2 * LIVE as usize),
+    );
+    let mut handles = pin_all(&map, 0..SLOTS, None);
+    preload(&mut handles, LIVE);
+    let ctx = ThreadCtx::plain(0);
+    let before = map.shared().memory_stats(&ctx);
+    // Every turn replaces each live key by a fresh one.
+    for i in 0..TURNS * LIVE {
+        let h = &mut handles[i as usize % SLOTS as usize];
+        assert!(h.remove(&key(i)));
+        assert!(h.insert(key(i + LIVE), i + LIVE));
+    }
+    let after = map.shared().memory_stats(&ctx);
+    let tombstones: usize = map.shared().index_occupancy().iter().map(|s| s.tombstones).sum();
+    println!(
+        "index turnover: {} -> {} slots, {} -> {} B over {TURNS}x{LIVE} replaced keys, \
+         {tombstones} tombstones left",
+        before.index_capacity, after.index_capacity, before.index_bytes, after.index_bytes
+    );
+    assert_eq!(after.index_capacity, before.index_capacity, "turnover grew the index");
+    assert_eq!(after.index_bytes, before.index_bytes);
 }
 
 #[test]
