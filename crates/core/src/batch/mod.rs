@@ -23,6 +23,7 @@
 //! write-back at the same replayable granularity as the structure itself.
 
 use crate::graph::NodeRef;
+use crate::index::hash_key;
 use crate::layered::{CombiningHandle, LayeredMap};
 use crate::params::GraphConfig;
 use crate::sync::{FacadeAtomicUsize, Padded};
@@ -136,13 +137,15 @@ pub trait CombinerTarget<K, V> {
     /// The recording context of the combining thread.
     fn ctx(&self) -> &ThreadCtx;
 
-    /// Executes `work` — `(slot, op_index, op)` triples sorted by key
-    /// (stable, so same-key ops keep per-slot submission order) — and
-    /// delivers each outcome through `out` with the triple's identifiers.
-    /// Every triple must be answered exactly once.
+    /// Executes `work` — `(slot, op_index, hash, op)` items sorted by key
+    /// (stable, so same-key ops keep per-slot submission order), `hash`
+    /// being the key's hash as its submitter computed it, so that the
+    /// executing thread does not hash again — and delivers each outcome
+    /// through `out` with the item's identifiers. Every item must be
+    /// answered exactly once.
     fn combined_run(
         &mut self,
-        work: Vec<(usize, usize, BatchOp<K, V>)>,
+        work: Vec<(usize, usize, u64, BatchOp<K, V>)>,
         out: &mut dyn FnMut(usize, usize, BatchOutcome<K, V>),
     );
 }
@@ -154,7 +157,8 @@ pub trait CombinerTarget<K, V> {
 /// rides a Release store observed by an Acquire load.
 struct Slot<K, V> {
     state: FacadeAtomicUsize,
-    req: UnsafeCell<Vec<BatchOp<K, V>>>,
+    /// The owner's operations, each beside its key's hash.
+    req: UnsafeCell<Vec<(u64, BatchOp<K, V>)>>,
     resp: UnsafeCell<Vec<BatchOutcome<K, V>>>,
 }
 
@@ -219,10 +223,11 @@ impl<K, V> BatchExecutor<K, V> {
     }
 }
 
-impl<K: Ord, V> BatchExecutor<K, V> {
+impl<K: Ord + Hash, V> BatchExecutor<K, V> {
     /// Publishes `ops` to the calling thread's slot and returns their
-    /// outcomes in submission order. The calling thread spin-waits on its
-    /// slot and, whenever its socket's lease is free, takes it and combines
+    /// outcomes in submission order, their keys hashed by the calling
+    /// thread. The calling thread spin-waits on its slot and, whenever its
+    /// socket's lease is free, takes it and combines
     /// (its own operations included) — so the call always terminates as
     /// long as scheduled threads run: a published slot is either drained by
     /// the current lease holder's successor scan or self-combined.
@@ -239,6 +244,7 @@ impl<K: Ord, V> BatchExecutor<K, V> {
     where
         T: CombinerTarget<K, V>,
     {
+        let ops = ops.into_iter().map(|op| (hash_key(op.key()), op)).collect();
         self.submit_tracked(handle, ops).0
     }
 
@@ -247,10 +253,11 @@ impl<K: Ord, V> BatchExecutor<K, V> {
     /// results through the slot write-back of another thread's combining
     /// pass (`false`). Self-combined operations already went through the
     /// caller's own layered handle, so the caller must not re-index them.
+    /// Each operation comes with its key's hash.
     pub(crate) fn submit_tracked<T>(
         &self,
         handle: &mut T,
-        ops: Vec<BatchOp<K, V>>,
+        ops: Vec<(u64, BatchOp<K, V>)>,
     ) -> (Vec<BatchOutcome<K, V>>, bool)
     where
         T: CombinerTarget<K, V>,
@@ -316,7 +323,7 @@ impl<K: Ord, V> BatchExecutor<K, V> {
         &self,
         bank: &Bank<K, V>,
         handle: &mut T,
-        own: Option<Vec<BatchOp<K, V>>>,
+        own: Option<Vec<(u64, BatchOp<K, V>)>>,
     ) -> Option<Vec<BatchOutcome<K, V>>>
     where
         T: CombinerTarget<K, V>,
@@ -326,7 +333,7 @@ impl<K: Ord, V> BatchExecutor<K, V> {
         let had_own = own.is_some();
         // Drain phase: take the request vectors of every slot that was
         // PENDING at scan time (later publishers catch the next lease).
-        let mut work: Vec<(usize, usize, BatchOp<K, V>)> = Vec::new();
+        let mut work: Vec<(usize, usize, u64, BatchOp<K, V>)> = Vec::new();
         let mut drained: Vec<(usize, usize)> = Vec::new(); // (slot, op count)
         for (si, slot) in bank.slots.iter().enumerate() {
             let slot = &slot.0;
@@ -335,15 +342,15 @@ impl<K: Ord, V> BatchExecutor<K, V> {
             }
             let ops = unsafe { std::mem::take(&mut *slot.req.get()) };
             drained.push((si, ops.len()));
-            for (oi, op) in ops.into_iter().enumerate() {
-                work.push((si, oi, op));
+            for (oi, (hash, op)) in ops.into_iter().enumerate() {
+                work.push((si, oi, hash, op));
             }
         }
         let mut own_len = 0;
         if let Some(own_ops) = own {
             own_len = own_ops.len();
-            for (oi, op) in own_ops.into_iter().enumerate() {
-                work.push((OWN, oi, op));
+            for (oi, (hash, op)) in own_ops.into_iter().enumerate() {
+                work.push((OWN, oi, hash, op));
             }
         }
         if work.is_empty() {
@@ -352,7 +359,7 @@ impl<K: Ord, V> BatchExecutor<K, V> {
         // Sorted run: ascending keys let every operation resume the
         // previous one's frontier. The sort is stable, so same-key
         // operations keep their per-slot submission order.
-        work.sort_by(|a, b| a.2.key().cmp(b.2.key()));
+        work.sort_by(|a, b| a.3.key().cmp(b.3.key()));
         let total = work.len() as u64;
         // Per-slot outcome buffers, indexed back into submission order.
         let mut buf_of = vec![usize::MAX; bank.slots.len()];

@@ -336,17 +336,11 @@ impl<K: Ord, V> SkipGraph<K, V> {
     }
 
     /// Publish-after-link: installs (or refreshes) `node`'s index entry
-    /// under its *current* generation. Called after the level-0 link CAS
-    /// (or a lazy resurrection) — never before, so a reader that wins the
-    /// entry always finds a reachable incarnation. Best-effort: a full
+    /// under its *current* generation and its key's
+    /// [`SkipGraph::index_hash`], `hash`. Called after the level-0 link
+    /// CAS (or a lazy resurrection) — never before, so a reader that wins
+    /// the entry always finds a reachable incarnation. Best-effort: a full
     /// probe window simply leaves the key on the descent path.
-    pub(crate) fn index_publish(&self, node: NonNull<Node<K, V>>, ctx: &ThreadCtx) {
-        let hash = self.index_hash(unsafe { node.as_ref().key() });
-        self.index_publish_hashed(node, hash, ctx);
-    }
-
-    /// [`SkipGraph::index_publish`] for a node whose key's
-    /// [`SkipGraph::index_hash`] the caller already holds.
     pub(crate) fn index_publish_hashed(&self, node: NonNull<Node<K, V>>, hash: u64, ctx: &ThreadCtx) {
         if let Some(idx) = &self.index {
             let gen = unsafe { Node::generation_of(node) };

@@ -74,8 +74,9 @@ impl<K: Ord, V> SkipGraph<K, V> {
     /// unmarked valid duplicate, `Some(true)` when the valid bit was flipped
     /// (the node is resurrected — a successful insertion with no new node),
     /// or `None` when the node is marked (caller must clean its local
-    /// structures and fall back to a full insert).
-    pub(crate) fn insert_helper(&self, node: &Node<K, V>, ctx: &ThreadCtx) -> Option<bool> {
+    /// structures and fall back to a full insert). `hash` is the key's
+    /// [`SkipGraph::index_hash`].
+    pub(crate) fn insert_helper(&self, node: &Node<K, V>, hash: u64, ctx: &ThreadCtx) -> Option<bool> {
         loop {
             let w0 = node.load_next(0, ctx);
             if w0.marked() {
@@ -87,7 +88,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
             if node.cas_next(0, w0, w0.with_valid(true), ctx).is_ok() {
                 // Resurrection is a successful insertion: refresh the
                 // index entry so point reads hit this incarnation.
-                self.index_publish(NonNull::from(node), ctx);
+                self.index_publish_hashed(NonNull::from(node), hash, ctx);
                 return Some(true); // flipped invalid -> valid
             }
         }
@@ -322,7 +323,8 @@ impl<K: Ord, V> SkipGraph<K, V> {
             if res.found {
                 let existing = unsafe { &*res.succs[0] };
                 if self.config().lazy {
-                    match self.insert_helper(existing, ctx) {
+                    let hash = self.index_hash(unsafe { existing.key() });
+                    match self.insert_helper(existing, hash, ctx) {
                         Some(outcome) => {
                             if let Some(n) = node.take() {
                                 self.discard_unpublished(n, ctx);
@@ -507,7 +509,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
                 let existing = res.succs[0];
                 let existing_ref = NodeRef::new(unsafe { NonNull::new_unchecked(existing) });
                 if lazy {
-                    match self.insert_helper(unsafe { &*existing }, ctx) {
+                    match self.insert_helper(unsafe { &*existing }, hash, ctx) {
                         Some(outcome) => {
                             if let Some(n) = node.take() {
                                 self.discard_unpublished(n, ctx);
@@ -593,10 +595,12 @@ impl<K: Ord, V> SkipGraph<K, V> {
 
     /// Returns a clone of the value mapped to `key`, resuming the search
     /// from `chain`; see [`SkipGraph::insert_with_hint`] for the chaining
-    /// contract. `start` is only asked for when the index does not answer.
+    /// contract. `start` is only asked for when the index does not answer;
+    /// `hash` is the key's [`SkipGraph::index_hash`].
     pub(crate) fn get_with_hint(
         &self,
         key: &K,
+        hash: u64,
         start: impl FnOnce() -> Option<NodePtr<K, V>>,
         chain: &mut HintChain<K, V>,
         ctx: &ThreadCtx,
@@ -609,7 +613,6 @@ impl<K: Ord, V> SkipGraph<K, V> {
         // frontier untouched — it still bounds this key from below, so
         // the run's next (non-descending) operation resumes from it
         // unchanged. Only an inconclusive read pays the hinted search.
-        let hash = self.index_hash(key);
         match self.index_read_hashed(key, hash, ctx) {
             Some(IndexRead::Hit(node)) => return Some(unsafe { node.value() }.clone()),
             Some(IndexRead::Absent(_)) => return None,

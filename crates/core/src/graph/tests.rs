@@ -159,14 +159,14 @@ fn insert_helper_state_machine() {
     let res = g.search_from(&7, g.membership_of(0), None, false, &c);
     let node = unsafe { &*res.succs[0] };
     // Valid duplicate -> Some(false).
-    assert_eq!(g.insert_helper(node, &c), Some(false));
+    assert_eq!(g.insert_helper(node, g.index_hash(&7), &c), Some(false));
     // Invalid (logically deleted) -> resurrected, Some(true).
     assert_eq!(g.remove_helper(node, &c), Some(true));
-    assert_eq!(g.insert_helper(node, &c), Some(true));
+    assert_eq!(g.insert_helper(node, g.index_hash(&7), &c), Some(true));
     // Marked -> None.
     assert_eq!(g.remove_helper(node, &c), Some(true));
     g.help_mark(node, 0, &c);
-    assert_eq!(g.insert_helper(node, &c), None);
+    assert_eq!(g.insert_helper(node, g.index_hash(&7), &c), None);
     assert_eq!(g.remove_helper(node, &c), None);
 }
 

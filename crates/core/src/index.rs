@@ -93,9 +93,27 @@
 //! each segment owns an independently grown slot array, so probe chains
 //! stay within one segment's storage (first-touched by the building
 //! thread) instead of striding a single machine-wide array.
+//!
+//! # The key hash
+//!
+//! `hash_key` is the crate's one key hash: a multiply per 8-byte word and
+//! MurmurHash3's 64-bit finalizer, unkeyed, so a key hashes alike in every
+//! process and every run. The finalizer mixes every input bit into every
+//! output bit, and callers read three ranges of it: the top bits pick the
+//! segment, bits 33–63 are the slot signature (its low bits the home
+//! slot), and the low bits pick a replicated map's log. A point operation
+//! computes it once, where `K: Hash` is in scope, and hands it to every
+//! `_hashed` method — the probe, the publish after a link or a
+//! resurrection, the heal after a search, and for a replicated write its
+//! log slot, so no replica's replay hashes again. The index's type-erased
+//! copy serves only the graph core's `K: Ord` paths (invalidation, and the
+//! graph's own operations). `HashIndex::prefetch` lets an insert start the
+//! transfer of the line its probe will read before its local descent, and
+//! probe after it.
 
 use crate::adapt::{AdaptConfig, OCC_GROW_PCT, PROBE_GROW};
 use crate::node::Node;
+use crate::prefetch::prefetch_read;
 use crate::sync::{FacadeAtomicUsize, Padded};
 use instrument::{MeanWindow, ThreadCtx};
 use numa::{Placement, Topology};
@@ -194,17 +212,93 @@ const GROW_CHECK_EVERY: usize = 64;
 /// as many claims again before it trips.
 const COMPACT_BELOW_EIGHTHS: usize = 3;
 
-/// Deterministic key hasher (`SipHash-1-3` with the zero key): stress
-/// replays and the deterministic scheduler need the same keys to land in
-/// the same slots on every run, so no per-process `RandomState`.
-fn hash_key<K: Hash>(key: &K) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
+/// The crate's key hash: one multiply per 8-byte word the key's `Hash`
+/// writes, then MurmurHash3's 64-bit finalizer (`fmix64`), the
+/// multiply-and-shift mix the paper's hash layer
+/// (martinus/robin-hood-hashing) applies to integer keys. The index, the
+/// replica log mapper and [`crate::local::RobinHoodMap`] all use it, and
+/// every point operation computes it once.
+///
+/// Unkeyed and deterministic: one key hashes to one value in every process
+/// and every run, which stress replays, the deterministic scheduler and
+/// its catching schedules need. (SipHash with the zero key, used before,
+/// was no less predictable.) Which bits each caller reads: the module
+/// docs, "The key hash".
+#[inline]
+pub(crate) fn hash_key<K: Hash + ?Sized>(key: &K) -> u64 {
+    let mut h = KeyHasher(SEED);
     key.hash(&mut h);
-    // One avalanche round on top: DefaultHasher's low bits are already
-    // good, but the segment selector uses the *top* bits.
-    let x = h.finish();
-    let x = (x ^ (x >> 33)).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-    x ^ (x >> 33)
+    h.finish()
+}
+
+/// Starting state of [`KeyHasher`] (any constant: it only keeps key `0`
+/// off hash `0`).
+const SEED: u64 = 0x243F_6A88_85A3_08D3;
+/// The per-word multiplier: odd, so one word's step is a bijection.
+const WORD_MUL: u64 = 0x9FB2_1C65_1E98_DF25;
+
+/// The state of [`hash_key`].
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    /// Folds one word in. The rotation brings the previous words' high
+    /// bits, which a multiply only carries upward, down to where this
+    /// word's multiply spreads them again.
+    #[inline]
+    fn word(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(32) ^ w).wrapping_mul(WORD_MUL);
+    }
+}
+
+impl Hasher for KeyHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.word(u64::from_le_bytes(w.try_into().expect("an 8-byte chunk")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut w = [0; 8];
+            w[..tail.len()].copy_from_slice(tail);
+            self.word(u64::from_le_bytes(w));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, x: u8) {
+        self.word(x as u64);
+    }
+
+    #[inline]
+    fn write_u16(&mut self, x: u16) {
+        self.word(x as u64);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, x: u32) {
+        self.word(x as u64);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.word(x);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, x: usize) {
+        self.word(x as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        let mut x = self.0;
+        x ^= x >> 33;
+        x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        x ^= x >> 33;
+        x = x.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+        x ^ (x >> 33)
+    }
 }
 
 #[inline]
@@ -776,9 +870,10 @@ pub struct HashIndex<K, V> {
     /// Adaptive growth thresholds; `None` keeps the static 75% trip-wire
     /// and no probe sensing.
     adapt: Option<AdaptConfig>,
-    /// Type-erased deterministic hasher, captured where `K: Hash` was in
-    /// scope so the graph core can publish and invalidate from `K: Ord`
-    /// contexts (hooks in `ops.rs` / `graph/mod.rs`).
+    /// [`hash_key`], type-erased where `K: Hash` was in scope so the graph
+    /// core can publish and invalidate from `K: Ord` contexts (hooks in
+    /// `ops.rs` / `graph/mod.rs`). Code with `K: Hash` in scope calls
+    /// [`hash_key`] itself, where it can be inlined.
     hash_of: fn(&K) -> u64,
     _marker: std::marker::PhantomData<fn() -> (K, V)>,
 }
@@ -826,11 +921,26 @@ impl<K, V> HashIndex<K, V> {
             .sum()
     }
 
-    /// The index's hash of `key`: what the `_hashed` methods take, so an
-    /// operation that probes and then publishes hashes its key once.
+    /// [`hash_key`] of `key` through the type-erased pointer: what the
+    /// `_hashed` methods take, for callers without `K: Hash` in scope.
     #[inline]
     pub(crate) fn hash(&self, key: &K) -> u64 {
         (self.hash_of)(key)
+    }
+
+    /// Starts the transfer of the line a probe under `hash` begins on and
+    /// of the next one, so that a probe issued after other work (an
+    /// insert's local descent) finds them in cache. A hint: it loads only
+    /// the segment's mask and chunk directory, which no publish writes,
+    /// and no slot.
+    #[inline]
+    pub(crate) fn prefetch(&self, hash: u64) {
+        let seg = self.segment(hash);
+        let home = sig_of(hash) & seg.mask.load(Ordering::Acquire);
+        let first = seg.run(home).as_ptr();
+        prefetch_read(first);
+        // Four slots to a line; past the chunk's end the hint is ignored.
+        prefetch_read(first.wrapping_add(4));
     }
 
     #[inline]
@@ -1339,9 +1449,9 @@ mod tests {
     #[test]
     fn probe_read_words_share_no_line_with_a_counter() {
         // A live index, grown so that chunks installed mid-run are part of
-        // the picture.
+        // the picture: as many keys as the index has slots cannot fit.
         let idx: HashIndex<u64, u64> = HashIndex::new(4, 0, None);
-        for k in 0..6_000u64 {
+        for k in 0..idx.capacity() as u64 {
             publish(&idx, k, dangling(1 + k as usize), 0, (k % 4) as usize);
         }
         for k in 0..1_000u64 {
@@ -1400,6 +1510,84 @@ mod tests {
         assert_eq!(occ.iter().map(|s| s.used).sum::<usize>(), 100);
         assert_eq!(occ.iter().map(|s| s.entries).sum::<usize>(), 60);
         assert_eq!(occ.iter().map(|s| s.tombstones).sum::<usize>(), 40);
+    }
+
+    #[test]
+    fn the_key_hash_is_pinned() {
+        // Deterministic schedules, the catching schedules of
+        // tests/bug_catch.rs and the counts of tests/layer_counts.rs depend
+        // on which slot and which log a key hashes to: a change to the
+        // function has to change these on purpose.
+        let ints: Vec<u64> = [0u64, 1, 2, 1 << 32, u64::MAX].iter().map(hash_key).collect();
+        assert_eq!(
+            ints,
+            [
+                0x21a5_8700_45a6_51ad,
+                0xbf01_fefb_c70f_9c19,
+                0x2e88_acdb_05fc_4ed1,
+                0xce17_d277_cb5a_e3c7,
+                0x2a55_6cb1_c83a_212e,
+            ]
+        );
+        let strs: Vec<u64> = ["", "a", "skip graph", "layered over a skip graph"]
+            .iter()
+            .map(|s| hash_key(*s))
+            .collect();
+        assert_eq!(
+            strs,
+            [
+                0xb64f_c752_bd39_d89b,
+                0x367d_3a7c_0837_ad44,
+                0xb533_d1de_9d04_1036,
+                0xb936_2aa2_3d47_03e1,
+            ]
+        );
+    }
+
+    #[test]
+    fn the_key_hash_spreads_every_bit_range_a_caller_reads() {
+        for (name, keys) in key_sets() {
+            let n = keys.len();
+            let hashes: Vec<u64> = keys.iter().map(hash_key).collect();
+            // Two segments split on the top bit, two logs on the low one:
+            // each half within 2 % of n / 2.
+            let segment = hashes.iter().filter(|h| **h >> 63 == 1).count();
+            let log = hashes.iter().filter(|h| crate::mvec::list_suffix(**h as u32, 1) == 1).count();
+            for (what, ones) in [("segment", segment), ("log family", log)] {
+                let share = ones as f64 / n as f64;
+                assert!((share - 0.5).abs() <= 0.01, "{name}: {what} split {share:.4}");
+            }
+            // One slot array filled to load 0.5 by the index's linear probe
+            // from `sig & mask`: about 1.5 slots per key for a random hash.
+            let mask = 2 * n - 1;
+            let mut taken = vec![false; mask + 1];
+            let mut probes = 0;
+            for &h in &hashes {
+                let mut i = sig_of(h) & mask;
+                probes += 1;
+                while taken[i] {
+                    i = (i + 1) & mask;
+                    probes += 1;
+                }
+                taken[i] = true;
+            }
+            let mean = probes as f64 / n as f64;
+            assert!(mean <= 1.7, "{name}: mean probe {mean:.3} at load 0.5");
+        }
+    }
+
+    /// The key sets of the hash-quality test, 2^16 keys each: sequential
+    /// keys, multiples of 2^32, and the benchmark's scattered preload keys.
+    fn key_sets() -> [(&'static str, Vec<u64>); 3] {
+        const N: u64 = 1 << 16;
+        [
+            ("sequential", (0..N).collect()),
+            ("multiples of 2^32", (0..N).map(|k| k << 32).collect()),
+            (
+                "scattered",
+                (0..N).map(|r| (2 * r).wrapping_mul(0x9E37_79B1_85EB_CA87)).collect(),
+            ),
+        ]
     }
 
     #[test]

@@ -37,7 +37,7 @@
 
 use crate::batch::{BatchConfig, BatchExecutor, BatchOp, BatchOutcome, CombinerTarget};
 use crate::graph::{HintChain, NodePtr, NodeRef, NodeRefHint, RangeIter, SkipGraph};
-use crate::index::IndexRead;
+use crate::index::{hash_key, IndexRead};
 use crate::local::{BTreeLocalMap, LocalMap, RobinHoodMap};
 use crate::node::Node;
 use crate::params::GraphConfig;
@@ -241,9 +241,10 @@ pub struct LayeredHandle<'m, K, V, L = BTreeLocalMap<K, NodeRef<K, V>>> {
 }
 
 /// What a point operation does with a node its local structures (or the
-/// index) hold for the key: the operation's outcome, or `None` when the
-/// node is marked — the caller erases its mapping and searches.
-type OnHolder<'m, H, K, V, T> = fn(&mut H, &K, &'m Node<K, V>) -> Option<T>;
+/// index) hold for the key, given the key's hash: the operation's outcome,
+/// or `None` when the node is marked — the caller erases its mapping and
+/// searches.
+type OnHolder<'m, H, K, V, T> = fn(&mut H, &K, u64, &'m Node<K, V>) -> Option<T>;
 
 impl<'m, K, V, L> LayeredHandle<'m, K, V, L>
 where
@@ -275,6 +276,20 @@ where
 
     fn lazy(&self) -> bool {
         self.map.config().lazy
+    }
+
+    /// The one hash of a point operation on `key`: [`hash_key`], called
+    /// here where it can be inlined, on an indexed graph; `0` on a plain
+    /// one, whose `_hashed` index hooks do nothing (its per-thread table
+    /// hashes for itself). A handle has a table exactly when the graph has
+    /// no index.
+    #[inline]
+    fn key_hash(&self, key: &K) -> u64 {
+        if self.hash.is_none() {
+            hash_key(key)
+        } else {
+            0
+        }
     }
 
     fn sparse(&self) -> bool {
@@ -474,7 +489,7 @@ where
     /// The hash layer's fast path (Alg. 1 / 6 / 11): offers the node the
     /// layer holds for `key` to `on_holder`. On an indexed graph the layer
     /// is one probe of the shared index under `hash`, the key's
-    /// [`SkipGraph::index_hash`] — the unique (lazy) holder whether valid
+    /// [`LayeredHandle::key_hash`] — the unique (lazy) holder whether valid
     /// or logically deleted, exactly what a table hit hands the helpers;
     /// otherwise it is the local table.
     fn hash_layer<T>(
@@ -491,7 +506,7 @@ where
                 IndexRead::Miss | IndexRead::Stale => return None,
             }
         };
-        let outcome = on_holder(self, key, node);
+        let outcome = on_holder(self, key, hash, node);
         if outcome.is_none() {
             self.erase_local(key); // marked: fall through to the search
         }
@@ -524,7 +539,7 @@ where
             if unsafe { node.key() } != key {
                 return Continue(start);
             }
-            match on_holder(self, key, node) {
+            match on_holder(self, key, hash, node) {
                 Some(outcome) => {
                     self.map.shared.index_heal(node, hash, &self.ctx);
                     return Break(outcome);
@@ -536,9 +551,9 @@ where
 
     /// Alg. 2 against a node holding the key (non-lazy: an unmarked
     /// holder is a duplicate).
-    fn insert_on(&mut self, _key: &K, node: &'m Node<K, V>) -> Option<bool> {
+    fn insert_on(&mut self, _key: &K, hash: u64, node: &'m Node<K, V>) -> Option<bool> {
         if self.lazy() {
-            self.map.shared.insert_helper(node, &self.ctx)
+            self.map.shared.insert_helper(node, hash, &self.ctx)
         } else {
             (!node.is_marked(0)).then_some(false)
         }
@@ -546,7 +561,7 @@ where
 
     /// Alg. 12 against a node holding the key; non-lazy, the eager
     /// deletion plus its cleanup pass.
-    fn remove_on(&mut self, key: &K, node: &'m Node<K, V>) -> Option<bool> {
+    fn remove_on(&mut self, key: &K, _hash: u64, node: &'m Node<K, V>) -> Option<bool> {
         let shared = &self.map.shared;
         if self.lazy() {
             return shared.remove_helper(node, &self.ctx);
@@ -570,7 +585,7 @@ where
 
     /// Alg. 6 against a node holding the key: its value if the key is
     /// present.
-    fn read_on(&mut self, _key: &K, node: &'m Node<K, V>) -> Option<Option<&'m V>> {
+    fn read_on(&mut self, _key: &K, _hash: u64, node: &'m Node<K, V>) -> Option<Option<&'m V>> {
         let w0 = node.load_next(0, &self.ctx);
         if w0.marked() {
             return None;
@@ -579,42 +594,71 @@ where
     }
 
     /// Inserts `key -> value`. Returns `false` if the key was present.
+    ///
+    /// On an indexed graph the insert hashes its key, starts the transfer
+    /// of the index line its probe will read, finds its local start
+    /// (`getStart`) while that line arrives, and only then probes the index
+    /// and searches. A fresh key — the common insert — thus probes a line
+    /// that is already in cache. A key that is present, or lazily removed,
+    /// pays the local descent before the index answers, where probing
+    /// first would have answered without one. On a plain graph the
+    /// per-thread table, a local structure, still answers first (Alg. 1).
     pub fn insert(&mut self, key: K, value: V) -> bool {
         self.ctx.record_op();
-        let map = self.map;
-        let shared = &map.shared;
         // Pin for the whole operation: local-structure references are
         // generation-validated under this pin, which is what keeps their
         // targets from being recycled while we dereference them.
-        let _pin = shared.pin(&self.ctx);
+        let _pin = self.map.shared.pin(&self.ctx);
         // One hash serves the probe and, for a fresh key, the publish.
-        let hash = shared.index_hash(&key);
-        if let Some(outcome) = self.hash_layer(&key, hash, Self::insert_on) {
-            return outcome;
-        }
-        let height = self.new_height();
+        let hash = self.key_hash(&key);
         if self.lazy() {
-            self.lazy_insert(key, value, hash, height)
+            self.lazy_insert(key, value, hash)
         } else {
-            self.eager_insert(key, value, hash, height)
+            self.eager_insert(key, value, hash)
         }
+    }
+
+    /// The hash layer and `getStart` (with `min_top`) of an insert, in the
+    /// order [`Self::insert`] describes: `Break(outcome)` when a holder of
+    /// `key` answers, else the start of the search.
+    fn insert_start(
+        &mut self,
+        key: &K,
+        hash: u64,
+        min_top: u8,
+    ) -> ControlFlow<bool, Option<NodePtr<K, V>>> {
+        let Some(index) = self.map.shared.index() else {
+            if let Some(outcome) = self.hash_layer(key, hash, Self::insert_on) {
+                return Break(outcome);
+            }
+            return self.start_for(key, hash, min_top, Self::insert_on);
+        };
+        index.prefetch(hash);
+        let start = self.start_for(key, hash, min_top, Self::insert_on);
+        if start.is_continue() {
+            if let Some(outcome) = self.hash_layer(key, hash, Self::insert_on) {
+                return Break(outcome);
+            }
+        }
+        start
     }
 
     /// Alg. 3, `lazyInsert`: link at level 0 only; upper levels are
     /// completed on demand by `getStart`.
-    fn lazy_insert(&mut self, key: K, value: V, hash: u64, height: u8) -> bool {
+    fn lazy_insert(&mut self, key: K, value: V, hash: u64) -> bool {
         let shared = &self.map.shared;
         let mut pending = Some(value);
-        let mut start = match self.start_for(&key, hash, 0, Self::insert_on) {
+        let mut start = match self.insert_start(&key, hash, 0) {
             Break(outcome) => return outcome,
             Continue(start) => start,
         };
+        let height = self.new_height();
         let mut node = None;
         loop {
             let res = shared.search_from(&key, self.mvec, start, false, &self.ctx);
             if res.found {
                 let existing = unsafe { &*res.succs[0] };
-                match shared.insert_helper(existing, &self.ctx) {
+                match shared.insert_helper(existing, hash, &self.ctx) {
                     Some(outcome) => return outcome,
                     None => continue, // became marked; retry the search
                 }
@@ -631,11 +675,13 @@ where
         }
     }
 
-    /// Non-lazy insertion: level 0 plus an eager `finishInsert`.
-    fn eager_insert(&mut self, key: K, value: V, hash: u64, height: u8) -> bool {
+    /// Non-lazy insertion: level 0 plus an eager `finishInsert`. The
+    /// height comes first: the start must be at least as tall.
+    fn eager_insert(&mut self, key: K, value: V, hash: u64) -> bool {
         let shared = &self.map.shared;
         let mut pending = Some(value);
-        let mut start = match self.start_for(&key, hash, height, Self::insert_on) {
+        let height = self.new_height();
+        let mut start = match self.insert_start(&key, hash, height) {
             Break(outcome) => return outcome,
             Continue(start) => start,
         };
@@ -671,7 +717,7 @@ where
         let map = self.map;
         let shared = &map.shared;
         let _pin = shared.pin(&self.ctx);
-        let hash = shared.index_hash(key);
+        let hash = self.key_hash(key);
         if let Some(outcome) = self.hash_layer(key, hash, Self::remove_on) {
             return outcome;
         }
@@ -718,9 +764,9 @@ where
 
     /// Alg. 6: the local table's speculative hit (a marked holder's
     /// mapping is erased and the caller searches).
-    fn table_read(&mut self, key: &K) -> Option<Option<&'m V>> {
+    fn table_read(&mut self, key: &K, hash: u64) -> Option<Option<&'m V>> {
         let node = self.table_holder(key)?;
-        let value = self.read_on(key, node);
+        let value = self.read_on(key, hash, node);
         if value.is_none() {
             self.erase_local(key);
         }
@@ -732,7 +778,7 @@ where
     /// index, whose validated read needs no second look at the node.
     /// `None` means "search" (Alg. 7).
     fn hashed_read(&mut self, key: &K, hash: u64) -> Option<Option<&'m V>> {
-        if let Some(value) = self.table_read(key) {
+        if let Some(value) = self.table_read(key, hash) {
             return Some(value);
         }
         match self.map.shared.index_read_hashed(key, hash, &self.ctx)? {
@@ -744,11 +790,16 @@ where
 
     /// Whether `key` is present.
     pub fn contains(&mut self, key: &K) -> bool {
+        self.contains_hashed(key, self.key_hash(key))
+    }
+
+    /// [`Self::contains`] for a key whose [`Self::key_hash`] (or, on a
+    /// replica, [`hash_key`]) the caller already holds.
+    pub(crate) fn contains_hashed(&mut self, key: &K, hash: u64) -> bool {
         self.ctx.record_op();
         let map = self.map;
         let shared = &map.shared;
         let _pin = shared.pin(&self.ctx);
-        let hash = shared.index_hash(key);
         if let Some(value) = self.hashed_read(key, hash) {
             return value.is_some();
         }
@@ -777,13 +828,21 @@ where
     where
         V: Clone,
     {
+        self.get_hashed(key, self.key_hash(key))
+    }
+
+    /// [`Self::get`] for a key whose hash the caller already holds, as
+    /// [`Self::contains_hashed`].
+    pub(crate) fn get_hashed(&mut self, key: &K, hash: u64) -> Option<V>
+    where
+        V: Clone,
+    {
         self.ctx.record_op();
         let map = self.map;
         let shared = &map.shared;
         // The pin keeps every node read below dereferenceable until the
         // value is cloned.
         let _pin = shared.pin(&self.ctx);
-        let hash = shared.index_hash(key);
         if let Some(value) = self.hashed_read(key, hash) {
             return value.cloned();
         }
@@ -959,8 +1018,13 @@ where
     /// erase the exact hashtable mapping and leave a tombstoned local-map
     /// hint to the surviving predecessor. The submitting thread
     /// separately refreshes its structures from the returned outcome.
+    ///
+    /// `hash` is the key's hash as the submitter computed it
+    /// ([`Self::key_hash`], or [`hash_key`] for a replicated write): the
+    /// combiner and a replica's replay do not hash again.
     fn combined_op(
         &mut self,
+        hash: u64,
         op: BatchOp<K, V>,
         chain: &mut HintChain<K, V>,
         publishes: &mut Vec<(NodeRef<K, V>, u64)>,
@@ -981,18 +1045,23 @@ where
                 // index entry of a lazily removed key is the same node
                 // with its valid bit down, so the helper resurrects it in
                 // place — a remove/re-insert cycle never leaves the index.
-                let hash = shared.index_hash(&k);
-                let on_holder: OnHolder<'m, Self, K, V, _> = |h, k, node| {
-                    let fresh = h.insert_on(k, node)?;
+                // In [`LayeredHandle::insert`]'s order too: the index line
+                // arrives while the local start is found.
+                let on_holder: OnHolder<'m, Self, K, V, _> = |h, k, hash, node| {
+                    let fresh = h.insert_on(k, hash, node)?;
                     Some((fresh, NodeRef::new(NonNull::from(node))))
                 };
+                let start = shared.index().map(|index| {
+                    index.prefetch(hash);
+                    self.prev_start(&k, 0)
+                });
                 if let Some((fresh, r)) = self.hash_layer(&k, hash, on_holder) {
                     // A node of this thread's own list that another handle
                     // linked becomes a local start.
                     self.index_combined(&k, r);
                     return BatchOutcome::Inserted { fresh, node: Some(r) };
                 }
-                let start = self.prev_start(&k, 0);
+                let start = start.unwrap_or_else(|| self.prev_start(&k, 0));
                 let height = self.new_height();
                 let key = k.clone();
                 let (fresh, node) = shared.insert_with_hint_sink(
@@ -1015,7 +1084,6 @@ where
                 // removal there. Non-lazy removals always need the cleanup
                 // search for the tombstoned predecessor.
                 if lazy {
-                    let hash = shared.index_hash(&k);
                     if let Some(removed) = self.hash_layer(&k, hash, Self::remove_on) {
                         return BatchOutcome::Removed { removed, pred: None };
                     }
@@ -1032,13 +1100,13 @@ where
                 BatchOutcome::Removed { removed, pred }
             }
             BatchOp::Get(k) => {
-                if let Some(value) = self.table_read(&k) {
+                if let Some(value) = self.table_read(&k, hash) {
                     return BatchOutcome::Got(value.cloned());
                 }
                 // The index answers first; the local-map start is looked
                 // up only for the search.
                 let start = || self.prev_start(&k, 0);
-                BatchOutcome::Got(shared.get_with_hint(&k, start, chain, &self.ctx))
+                BatchOutcome::Got(shared.get_with_hint(&k, hash, start, chain, &self.ctx))
             }
         }
     }
@@ -1058,13 +1126,13 @@ where
     /// shared-index publish until the whole run is executed.
     fn combined_run(
         &mut self,
-        work: Vec<(usize, usize, BatchOp<K, V>)>,
+        work: Vec<(usize, usize, u64, BatchOp<K, V>)>,
         out: &mut dyn FnMut(usize, usize, BatchOutcome<K, V>),
     ) {
         let mut chain = HintChain::new();
         let mut publishes = Vec::new();
-        for (si, oi, op) in work {
-            let o = self.combined_op(op, &mut chain, &mut publishes);
+        for (si, oi, hash, op) in work {
+            let o = self.combined_op(hash, op, &mut chain, &mut publishes);
             out(si, oi, o);
         }
         self.publish_run(&publishes);
@@ -1105,13 +1173,20 @@ where
     /// Publishes `ops` to this thread's slot, waits for (or performs) the
     /// combined execution, refreshes the local structures from the
     /// outcomes, and returns the outcomes in submission order.
+    ///
+    /// Each key is hashed here, once: the combiner executes the operation
+    /// under the hash it finds beside it in the slot.
     pub fn execute_batch(&mut self, ops: Vec<BatchOp<K, V>>) -> Vec<BatchOutcome<K, V>> {
         let keys: Vec<K> = ops.iter().map(|op| op.key().clone()).collect();
-        for _ in &keys {
-            self.inner.ctx.record_op();
-        }
+        let hashed = ops
+            .into_iter()
+            .map(|op| {
+                self.inner.ctx.record_op();
+                (self.inner.key_hash(op.key()), op)
+            })
+            .collect();
         let exec = self.exec;
-        let (outs, self_combined) = exec.submit_tracked(&mut self.inner, ops);
+        let (outs, self_combined) = exec.submit_tracked(&mut self.inner, hashed);
         // Self-combined operations ran through `combined_op` on this very
         // handle and are already indexed; only a foreign combiner's
         // write-back needs the local refresh.

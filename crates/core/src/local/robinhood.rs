@@ -11,9 +11,16 @@
 //!   distance), bounding the variance of probe sequences,
 //! * *backward-shift* deletion (no tombstones): on removal, subsequent
 //!   entries with non-zero probe distance shift back one slot.
+//!
+//! Keys hash with the crate's one key hash (see [`crate::index`]), the
+//! same multiply-and-shift mix the paper's library applies to integer
+//! keys: unkeyed, so a table lays out its keys the same way in every
+//! process and every run, and the no-index layered map and the figure
+//! runs repeat exactly. It offers no protection against keys chosen to
+//! collide; the tables hold the program's own keys.
 
-use std::collections::hash_map::RandomState;
-use std::hash::{BuildHasher, Hash};
+use crate::index::hash_key;
+use std::hash::Hash;
 
 #[derive(Debug, Clone)]
 struct Slot<K, V> {
@@ -37,11 +44,10 @@ struct Slot<K, V> {
 /// assert!(m.is_empty());
 /// ```
 #[derive(Debug, Clone)]
-pub struct RobinHoodMap<K, V, S = RandomState> {
+pub struct RobinHoodMap<K, V> {
     slots: Vec<Option<Slot<K, V>>>,
     len: usize,
     mask: usize,
-    hasher: S,
 }
 
 const INITIAL_CAPACITY: usize = 16;
@@ -49,27 +55,19 @@ const INITIAL_CAPACITY: usize = 16;
 const LOAD_NUM: usize = 7;
 const LOAD_DEN: usize = 8;
 
-impl<K: Hash + Eq, V> RobinHoodMap<K, V, RandomState> {
-    /// Creates an empty map.
-    pub fn new() -> Self {
-        Self::with_hasher(RandomState::new())
-    }
-}
-
-impl<K: Hash + Eq, V> Default for RobinHoodMap<K, V, RandomState> {
+impl<K: Hash + Eq, V> Default for RobinHoodMap<K, V> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: Hash + Eq, V, S: BuildHasher> RobinHoodMap<K, V, S> {
-    /// Creates an empty map with a specific hasher.
-    pub fn with_hasher(hasher: S) -> Self {
+impl<K: Hash + Eq, V> RobinHoodMap<K, V> {
+    /// Creates an empty map.
+    pub fn new() -> Self {
         Self {
             slots: (0..INITIAL_CAPACITY).map(|_| None).collect(),
             len: 0,
             mask: INITIAL_CAPACITY - 1,
-            hasher,
         }
     }
 
@@ -90,7 +88,7 @@ impl<K: Hash + Eq, V, S: BuildHasher> RobinHoodMap<K, V, S> {
 
     #[inline]
     fn home(&self, key: &K) -> usize {
-        (self.hasher.hash_one(key) as usize) & self.mask
+        (hash_key(key) as usize) & self.mask
     }
 
     /// Inserts `key -> value`, returning the previous value if the key was

@@ -40,6 +40,11 @@
 //!   lists. All operations on one key share a log (conflicting ops stay
 //!   totally ordered); different families replay in parallel under
 //!   independent leases.
+//! * **One hash per operation**: the key hash is the crate's one
+//!   ([`crate::index`], "The key hash"), computed once by the calling
+//!   thread. A read hands it to the replica's lookup; a write stores it in
+//!   its log slot beside the operation, and every replica's replay
+//!   executes the operation under it, so no replay hashes again.
 //! * **Backpressure**: an appender observing `head - min_tail >= max_lag`
 //!   helps replay the laggiest replica instead of growing the backlog, so
 //!   a slot is never reclaimed while an applier might still read it
@@ -101,14 +106,14 @@
 
 use crate::adapt::{AdaptConfig, Hysteresis};
 use crate::batch::{BatchOp, BatchOutcome, CombinerTarget};
+use crate::index::hash_key;
 use crate::layered::{LayeredHandle, LayeredMap};
 use crate::mvec::list_suffix;
 use crate::params::GraphConfig;
 use crate::sync::{FacadeAtomicUsize, Padded};
 use instrument::{CounterWindow, ThreadCtx};
 use std::cell::UnsafeCell;
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
 
 /// Epoch-word modes (low two bits; the rest is the generation). The bit
@@ -317,6 +322,9 @@ struct Pending<K, V> {
     /// The appender's socket: the applier replaying *that* replica
     /// publishes the operation's outcome back through the slot.
     home: usize,
+    /// The key's [`hash_key`], computed once by the appender: it chose
+    /// the log, and every replica's replay executes the operation under it.
+    hash: u64,
     op: BatchOp<K, V>,
 }
 
@@ -489,16 +497,12 @@ impl<K: Ord + Hash + Clone, V> ReplicatedLayeredMap<K, V> {
     }
 
     /// The log a key's operations append to: the level-`log2(logs)`
-    /// membership-vector list family of the key's hash. All operations on
-    /// one key conflict, so they share a log and stay totally ordered;
-    /// distinct families commute and replay in parallel.
-    fn log_of(&self, key: &K) -> usize {
-        if self.logs.len() == 1 {
-            return 0;
-        }
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        list_suffix(h.finish() as u32, self.log_level) as usize
+    /// membership-vector list family of the key's [`hash_key`], `hash` —
+    /// its low bits. All operations on one key conflict, so they share a
+    /// log and stay totally ordered; distinct families commute and replay
+    /// in parallel.
+    fn log_of(&self, hash: u64) -> usize {
+        list_suffix(hash as u32, self.log_level) as usize
     }
 
     /// Registers the calling thread on every replica; reads pin to the
@@ -585,8 +589,9 @@ where
     /// read rule), or — in an adaptive map's single-class epochs —
     /// replica 0 with no log wait.
     pub fn contains(&mut self, key: &K) -> bool {
-        let r = self.read_replica(key);
-        self.handles[r].contains(key)
+        let hash = hash_key(key);
+        let r = self.read_replica(hash);
+        self.handles[r].contains_hashed(key, hash)
     }
 
     /// Point lookup served by the same replica as
@@ -602,11 +607,13 @@ where
     /// need cross-socket value agreement should keep values immutable
     /// per key or key them by version.
     pub fn get(&mut self, key: &K) -> Option<V> {
-        let r = self.read_replica(key);
-        self.handles[r].get(key)
+        let hash = hash_key(key);
+        let r = self.read_replica(hash);
+        self.handles[r].get_hashed(key, hash)
     }
 
-    /// The read rule: which replica may answer a read of `key` right now.
+    /// The read rule: which replica may answer a read of the key whose
+    /// [`hash_key`] is `hash` right now.
     /// In a replicated-class epoch that is the socket-local replica, once
     /// its tail has passed the mapped log's head (NR's read rule — one
     /// shared load per read, the traversal itself never leaves the
@@ -614,14 +621,14 @@ where
     /// be retiring, so the read restarts. In a single-class epoch it is
     /// replica 0 with no wait: every completed operation is already
     /// applied there (see the module docs' transition argument).
-    fn read_replica(&mut self, key: &K) -> usize {
+    fn read_replica(&mut self, hash: u64) -> usize {
         self.sense(false);
         loop {
             let epoch = self.map.epoch();
             if single_class(epoch) {
                 return 0;
             }
-            let li = self.map.log_of(key);
+            let li = self.map.log_of(hash);
             if self.wait_local_valid(li, epoch) {
                 return self.socket;
             }
@@ -654,11 +661,12 @@ where
     /// (helping) until its home replica applied it; returns the
     /// operation's set-semantics outcome. The home is the writer's own
     /// socket in a replicated epoch (read-your-writes) and replica 0 in a
-    /// single-class one.
+    /// single-class one. The key is hashed here, once for every replica.
     fn update(&mut self, op: BatchOp<K, V>) -> bool {
         self.sense(true);
         let map = self.map;
-        let li = map.log_of(op.key());
+        let hash = hash_key(op.key());
+        let li = map.log_of(hash);
         let log = &map.logs[li];
         self.ctx().record_op();
         let (pos, home) = loop {
@@ -720,7 +728,7 @@ where
                 continue;
             }
             let home = if single_class(epoch) { 0 } else { self.socket };
-            unsafe { *slot.op.get() = Some(Pending { home, op }) };
+            unsafe { *slot.op.get() = Some(Pending { home, hash, op }) };
             slot.seq.store(pos + 1);
             break (pos, home);
         };
@@ -999,7 +1007,7 @@ where
         if head == tail {
             return;
         }
-        let mut batch: Vec<(usize, usize, BatchOp<K, V>)> = Vec::with_capacity(head - tail);
+        let mut batch: Vec<(usize, usize, u64, BatchOp<K, V>)> = Vec::with_capacity(head - tail);
         for pos in tail..head {
             let slot = &log.slots[pos & log.mask];
             // The claimer stamps seq right after writing the op; between
@@ -1026,13 +1034,13 @@ where
             // holds no op: it advances the tail but is never applied; its
             // writer retried under the new epoch.
             if let Some(p) = unsafe { (*slot.op.get()).as_ref() } {
-                batch.push((pos, p.home, p.op.clone()));
+                batch.push((pos, p.home, p.hash, p.op.clone()));
             }
         }
         // Stable sort: same-key operations keep log order, so every
         // replica applies the same per-key history (set-semantics outcomes
         // depend on nothing else).
-        batch.sort_by(|a, b| a.2.key().cmp(b.2.key()));
+        batch.sort_by(|a, b| a.3.key().cmp(b.3.key()));
         let count = batch.len() as u64;
         let mut publish_result = |pos: usize, home: usize, out: BatchOutcome<K, V>| {
             if home != replica {
@@ -1155,9 +1163,9 @@ mod tests {
         let map: ReplicatedLayeredMap<u64, u64> =
             ReplicatedLayeredMap::new(config(1), ReplicaConfig::uniform(1, 1).logs(4));
         for k in 0..256u64 {
-            let l = map.log_of(&k);
+            let l = map.log_of(hash_key(&k));
             assert!(l < 4);
-            assert_eq!(l, map.log_of(&k), "same key, same log");
+            assert_eq!(l, map.log_of(hash_key(&k)), "same key, same log");
         }
     }
 
@@ -1241,7 +1249,7 @@ mod tests {
         }
         assert_eq!(map.adapt_state().unwrap().mode, "replicated");
         let key = 99u64;
-        let li = map.log_of(&key);
+        let li = map.log_of(hash_key(&key));
         let log = &map.logs[li];
         for r in 0..2 {
             h.try_replay(li, r);

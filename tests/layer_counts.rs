@@ -27,9 +27,11 @@ use instrument::{AccessStats, ThreadCtx};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use skipgraph::{
-    AdaptConfig, BlockedSkipMap, ConcurrentMap, GraphConfig, LayeredMap, MapHandle, ReplicaConfig,
-    ReplicatedHandle, ReplicatedLayeredMap, SkipGraph,
+    AdaptConfig, BatchConfig, BatchOp, BlockedSkipMap, ConcurrentMap, GraphConfig, LayeredMap,
+    MapHandle, ReplicaConfig, ReplicatedHandle, ReplicatedLayeredMap, SkipGraph,
 };
+use std::cell::Cell;
+use std::hash::{Hash, Hasher};
 use std::ops::Bound;
 use std::sync::Arc;
 use synchro::Zipf;
@@ -393,6 +395,100 @@ fn key_turnover_at_a_constant_live_size_keeps_the_index_size() {
     );
     assert_eq!(after.index_capacity, before.index_capacity, "turnover grew the index");
     assert_eq!(after.index_bytes, before.index_bytes);
+}
+
+/// A key whose `Hash` impl counts its calls on the calling thread.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Counted(u64);
+
+thread_local! {
+    static HASHES: Cell<u64> = const { Cell::new(0) };
+}
+
+impl Hash for Counted {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        HASHES.with(|n| n.set(n.get() + 1));
+        self.0.hash(state);
+    }
+}
+
+/// Key hashes `op` computes on this thread.
+fn hashes_of(op: impl FnOnce()) -> u64 {
+    let before = HASHES.with(Cell::get);
+    op();
+    HASHES.with(Cell::get) - before
+}
+
+#[test]
+fn a_point_operation_hashes_its_key_once() {
+    // Lazy, indexed, and no commission: a removed node is never retired,
+    // so no retirement's invalidation hashes inside a counted operation.
+    let config = || {
+        GraphConfig::new(SLOTS as usize)
+            .lazy(true)
+            .hash_index(true)
+            .chunk_capacity(CHUNK)
+            .commission_cycles(u64::MAX)
+    };
+    let k = Counted;
+    // (operation, how many ran, key hashes they computed)
+    let mut counts: Vec<(&str, u64, u64)> = Vec::new();
+    let mut count = |op, f: &mut dyn FnMut()| counts.push((op, 1, hashes_of(f)));
+
+    let map = LayeredMap::new(config());
+    let stats = AccessStats::new(SLOTS as usize);
+    let mut h = map.register(ThreadCtx::recording(0, Arc::clone(&stats)));
+    for i in 0..64 {
+        h.insert(k(2 * i), i);
+    }
+    let before = stats.totals();
+    count("fresh insert", &mut || assert!(h.insert(k(1), 1)));
+    let fresh = stats.totals();
+    count("duplicate insert", &mut || assert!(!h.insert(k(1), 1)));
+    count("get", &mut || assert_eq!(h.get(&k(2)), Some(1)));
+    count("contains", &mut || assert!(h.contains(&k(4))));
+    count("absent contains", &mut || assert!(!h.contains(&k(3))));
+    count("remove", &mut || assert!(h.remove(&k(1))));
+    count("absent remove", &mut || assert!(!h.remove(&k(1))));
+    count("resurrecting insert", &mut || assert!(h.insert(k(1), 1)));
+
+    // One worker per replica; a write's replays on both count with it.
+    let map: ReplicatedLayeredMap<Counted, u64> =
+        ReplicatedLayeredMap::new(config(), ReplicaConfig::uniform(SLOTS as usize, 2));
+    let mut w: Vec<_> = (0..SLOTS).map(|t| map.register(ThreadCtx::plain(t))).collect();
+    count("replicated insert", &mut || {
+        assert!(w[0].insert(k(7), 7));
+        w[1].sync();
+    });
+    count("replicated get", &mut || assert_eq!(w[1].get(&k(7)), Some(7)));
+    count("replicated contains", &mut || assert!(w[0].contains(&k(7))));
+    count("replicated remove", &mut || {
+        assert!(w[0].remove(&k(7)));
+        w[1].sync();
+    });
+
+    let map = LayeredMap::with_batching(config(), BatchConfig::uniform(SLOTS as usize, 1));
+    let mut h = map.register_combining(ThreadCtx::plain(0));
+    let batch = vec![
+        BatchOp::Insert(k(1), 1),
+        BatchOp::Insert(k(2), 2),
+        BatchOp::Get(k(1)),
+        BatchOp::Remove(k(1)),
+        BatchOp::Insert(k(1), 1),
+        BatchOp::Get(k(3)),
+    ];
+    let ops = batch.len() as u64;
+    counts.push(("combined batch", ops, hashes_of(|| drop(h.execute_batch(batch)))));
+
+    println!("key hashes (operation, operations, hashes): {counts:?}");
+    for (op, ops, hashes) in &counts {
+        assert_eq!(hashes, ops, "{ops} {op} hashed {hashes} keys");
+    }
+    // A fresh key: one index probe, which misses, and one descent from
+    // the local start.
+    assert_eq!(fresh.index_misses - before.index_misses, 1);
+    assert_eq!(fresh.index_hits - before.index_hits, 0);
+    assert_eq!(fresh.searches - before.searches, 1);
 }
 
 #[test]
