@@ -45,6 +45,7 @@ use crate::sparse_height;
 use instrument::ThreadCtx;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::cmp::Ordering;
 use std::hash::Hash;
 use std::ops::ControlFlow::{self, Break, Continue};
 use std::ptr::NonNull;
@@ -403,22 +404,72 @@ where
     /// caller (a search started from a node only fills levels up to its top,
     /// so linking a height-`h` node needs a start of at least that height).
     fn prev_start(&self, key: &K, min_top: u8) -> Option<NodePtr<K, V>> {
+        self.prev_start_ref(key, min_top).map(|r| r.as_ptr())
+    }
+
+    /// [`Self::prev_start`] as the reference the local map holds.
+    fn prev_start_ref(&self, key: &K, min_top: u8) -> Option<NodeRef<K, V>> {
         let mut cursor = key.clone();
         loop {
             let (k, r) = self.local.pred(&cursor)?;
             // Generation check under the caller's pin: a stale reference
             // (slot retired or recycled since capture) is stepped over —
             // `get_start` erases such entries on its next walk.
-            let usable = r.node().map_or(false, |node| {
-                node.is_inserted()
-                    && node.top_level() >= min_top
-                    && (!node.is_marked(0) || !node.is_marked(node.top_level() as usize))
-            });
-            if usable {
-                return Some(r.as_ptr());
+            if r.node().is_some_and(|node| Self::usable_start(node, min_top)) {
+                return Some(r);
             }
             cursor = k.clone();
         }
+    }
+
+    /// `updateStart`'s test of a start candidate: fully inserted, tall
+    /// enough, and not marked at both level 0 and its top.
+    fn usable_start(node: &Node<K, V>, min_top: u8) -> bool {
+        node.is_inserted()
+            && node.top_level() >= min_top
+            && (!node.is_marked(0) || !node.is_marked(node.top_level() as usize))
+    }
+
+    /// The greatest key below `key` this handle's ordered local map holds.
+    /// Only the key is read — its mapping is not validated — so the caller
+    /// needs no pin on this handle's graph.
+    pub(crate) fn local_pred_key(&self, key: &K) -> Option<K> {
+        self.local.pred(key).map(|(k, _)| k.clone())
+    }
+
+    /// The warm start of a replay into this replica from another socket:
+    /// `warm` is a key below the operation's (the replaying thread's home
+    /// local predecessor) with its [`hash_key`], and this replica's index
+    /// names that key's node here. The node replaces `start` (a
+    /// [`Self::prev_start_ref`]) when the key lies further along than
+    /// `start`, the index finds its node (live, or lazily removed and still
+    /// linked), the node passes [`Self::usable_start`] and it carries this
+    /// handle's membership vector (as `index_combined` requires of a local
+    /// start). Anything else keeps `start`. The read is unrecorded as a hit
+    /// or a search: the search it seeds records itself. Caller holds a pin
+    /// on this handle's graph.
+    fn warm_start(
+        &self,
+        warm: Option<(K, u64)>,
+        start: Option<NodeRef<K, V>>,
+    ) -> Option<NodePtr<K, V>> {
+        let local = start.map(|r| r.as_ptr());
+        let (Some((key, hash)), Some(index)) = (warm, self.map.shared.index()) else {
+            return local;
+        };
+        let at_or_past =
+            |r: NodeRef<K, V>| r.node().is_some_and(|s| s.cmp_key(&key) != Ordering::Less);
+        if start.is_some_and(at_or_past) {
+            return local;
+        }
+        let node = match index.read_node(&key, hash, self.lazy(), &self.ctx) {
+            IndexRead::Hit(node) | IndexRead::Absent(node) => node,
+            IndexRead::Miss | IndexRead::Stale => return local,
+        };
+        if node.mvec() != self.mvec || !Self::usable_start(node, 0) {
+            return local;
+        }
+        Some(NonNull::from(node).as_ptr())
     }
 
     /// Alg. 4, `getStart`: the closest preceding usable start node. Walks
@@ -1021,11 +1072,15 @@ where
     ///
     /// `hash` is the key's hash as the submitter computed it
     /// ([`Self::key_hash`], or [`hash_key`] for a replicated write): the
-    /// combiner and a replica's replay do not hash again.
+    /// combiner and a replica's replay do not hash again. `warm` is the
+    /// hashed warm key of a replay from another socket
+    /// ([`Self::warm_start`]); an insert or remove that searches starts
+    /// from the further of it and `prev_start`.
     fn combined_op(
         &mut self,
         hash: u64,
         op: BatchOp<K, V>,
+        warm: Option<(K, u64)>,
         chain: &mut HintChain<K, V>,
         publishes: &mut Vec<(NodeRef<K, V>, u64)>,
     ) -> BatchOutcome<K, V>
@@ -1053,7 +1108,10 @@ where
                 };
                 let start = shared.index().map(|index| {
                     index.prefetch(hash);
-                    self.prev_start(&k, 0)
+                    if let Some((_, warm_hash)) = &warm {
+                        index.prefetch(*warm_hash);
+                    }
+                    self.prev_start_ref(&k, 0)
                 });
                 if let Some((fresh, r)) = self.hash_layer(&k, hash, on_holder) {
                     // A node of this thread's own list that another handle
@@ -1061,7 +1119,8 @@ where
                     self.index_combined(&k, r);
                     return BatchOutcome::Inserted { fresh, node: Some(r) };
                 }
-                let start = start.unwrap_or_else(|| self.prev_start(&k, 0));
+                let start = start.unwrap_or_else(|| self.prev_start_ref(&k, 0));
+                let start = self.warm_start(warm, start);
                 let height = self.new_height();
                 let key = k.clone();
                 let (fresh, node) = shared.insert_with_hint_sink(
@@ -1088,7 +1147,7 @@ where
                         return BatchOutcome::Removed { removed, pred: None };
                     }
                 }
-                let start = self.prev_start(&k, 0);
+                let start = self.warm_start(warm, self.prev_start_ref(&k, 0));
                 let removed = shared.remove_with_hint(&k, start, chain, &self.ctx);
                 let pred = chain.last_pred();
                 if removed && !lazy {
@@ -1110,6 +1169,26 @@ where
             }
         }
     }
+
+    /// [`CombinerTarget::combined_run`] with one optional warm key per work
+    /// item — a replay into another socket's replica passes each
+    /// operation's home local predecessor and its hash
+    /// ([`Self::warm_start`]).
+    pub(crate) fn combined_run_warm(
+        &mut self,
+        work: impl IntoIterator<Item = ((usize, usize, u64, BatchOp<K, V>), Option<(K, u64)>)>,
+        out: &mut dyn FnMut(usize, usize, BatchOutcome<K, V>),
+    ) where
+        V: Clone,
+    {
+        let mut chain = HintChain::new();
+        let mut publishes = Vec::new();
+        for ((si, oi, hash, op), warm) in work {
+            let o = self.combined_op(hash, op, warm, &mut chain, &mut publishes);
+            out(si, oi, o);
+        }
+        self.publish_run(&publishes);
+    }
 }
 
 impl<K, V> CombinerTarget<K, V> for LayeredHandle<'_, K, V>
@@ -1129,13 +1208,7 @@ where
         work: Vec<(usize, usize, u64, BatchOp<K, V>)>,
         out: &mut dyn FnMut(usize, usize, BatchOutcome<K, V>),
     ) {
-        let mut chain = HintChain::new();
-        let mut publishes = Vec::new();
-        for (si, oi, hash, op) in work {
-            let o = self.combined_op(hash, op, &mut chain, &mut publishes);
-            out(si, oi, o);
-        }
-        self.publish_run(&publishes);
+        self.combined_run_warm(work.into_iter().map(|item| (item, None)), out);
     }
 }
 

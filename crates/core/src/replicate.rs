@@ -22,6 +22,9 @@
 //!   an ascending run, and executes it as one `combined_run` of the
 //!   replica's layered handle per drain — the flat combiner's sorted-run
 //!   path behind its own interface, one-pass bulk index publish included.
+//!   Each search of the run starts from the furthest of the previous
+//!   key's frontier and the handle's local-map predecessor; the run's
+//!   first has only the latter.
 //!   Every logged operation executes. The sort is stable, so same-key
 //!   operations keep log order and every replica applies an identical
 //!   per-key history; set-semantics *outcomes* depend only on that
@@ -33,13 +36,26 @@
 //!   links a fresh one depends on replica-local retirement timing, so
 //!   [`ReplicatedHandle::get`] only promises a value that *some*
 //!   successful insert of that key supplied.
+//! * **Warm starts in another socket's replica**: there the replaying
+//!   handle's local map holds only what it replayed there before, so a
+//!   drain into a replica other than the caller's hands
+//!   `combined_run_warm` each operation's *warm key* — the greatest key
+//!   below it in the caller's home handle's local map, hashed once. An
+//!   insert or remove that searches starts at that key's node when the
+//!   target replica's index finds it, it is a usable start further along
+//!   than the local one, and it carries the searcher's membership vector
+//!   (every node does at `MaxLevel` 0; above it another thread's node is
+//!   rejected, as a local start would be). The same drain into the
+//!   caller's own replica passes no warm keys.
 //! * **Multi-log partitioning**: keys are hashed onto `logs` independent
 //!   logs by their membership-vector list family
 //!   ([`crate::mvec::list_suffix`] of the key hash at level `log2 logs`) —
 //!   CNR's `LogMapper` rule specialized to the skip graph's constituent
 //!   lists. All operations on one key share a log (conflicting ops stay
 //!   totally ordered); different families replay in parallel under
-//!   independent leases.
+//!   independent leases. The key hash mixes every key bit into those low
+//!   bits, so a log is a hash partition, not a key region: its keys, and
+//!   a drain's sorted run, spread over the whole key range.
 //! * **One hash per operation**: the key hash is the crate's one
 //!   ([`crate::index`], "The key hash"), computed once by the calling
 //!   thread. A read hands it to the replica's lookup; a write stores it in
@@ -1065,7 +1081,26 @@ where
             }
             slot.result.store(((pos + 1) << 1) | ok as usize);
         };
-        self.handles[replica].combined_run(batch, &mut publish_result);
+        if replica == self.socket {
+            self.handles[replica].combined_run(batch, &mut publish_result);
+        } else {
+            // Another socket's replica: this handle's local map there
+            // holds only what it replayed there before, so each operation
+            // starts warm from its home local predecessor's node, which
+            // the target replica's index finds (`warm_start`).
+            let home = &self.handles[self.socket];
+            let work: Vec<_> = batch
+                .into_iter()
+                .map(|item| {
+                    let warm = home.local_pred_key(item.3.key()).map(|k| {
+                        let hash = hash_key(&k);
+                        (k, hash)
+                    });
+                    (item, warm)
+                })
+                .collect();
+            self.handles[replica].combined_run_warm(work, &mut publish_result);
+        }
         log.tails[replica].0.store(head);
         self.ctx().record_replay_batch(count);
     }

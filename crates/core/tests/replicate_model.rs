@@ -43,8 +43,125 @@ fn replicated_reclaiming() -> ReplicatedLayeredMap<u64, u64> {
     )
 }
 
+/// Four thread slots over two sockets: `MaxLevel` 1, so threads 0 and 1
+/// (socket 0) carry one membership vector and threads 2 and 3 (socket 1)
+/// the other. A replay into the other socket's replica then meets warm
+/// nodes of both vectors, and only its own may start its search.
+fn replicated_four_slots() -> ReplicatedLayeredMap<u64, u64> {
+    ReplicatedLayeredMap::new(
+        GraphConfig::new(4)
+            .lazy(true)
+            .hash_index(true)
+            .reclaim(true)
+            .chunk_capacity(256),
+        ReplicaConfig::uniform(4, 2).logs(2).log_capacity(16).max_lag(12),
+    )
+}
+
+/// Runs `ops` — `(op, key, value, handle)` — through one handle per thread
+/// slot of `map` against a `BTreeSet` model, sequentially interleaved, with
+/// op 7 flushing reclamation on every replica through `flush_ctx` (a
+/// context that is never pinned between operations). Ends with every key
+/// read back through every handle.
+fn run_against_model(
+    map: &ReplicatedLayeredMap<u64, u64>,
+    flush_ctx: ThreadCtx,
+    ops: Vec<(u8, u64, u64, usize)>,
+) -> Result<(), TestCaseError> {
+    let threads = map.replica_config().threads();
+    let mut handles: Vec<_> = (0..threads as u16)
+        .map(|t| map.register(ThreadCtx::plain(t)))
+        .collect();
+    prop_assert!(
+        handles.iter().any(|h| h.socket() != handles[0].socket()),
+        "every handle on one socket"
+    );
+    let mut model: BTreeSet<u64> = BTreeSet::new();
+    // Every value a successful insert ever supplied for a key: the only
+    // values any replica may legally serve for it.
+    let mut legal: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
+    let mut max_key = 0;
+    for (op, k, v, t) in ops {
+        max_key = max_key.max(k);
+        // Sequential interleaving keeps the model exact while still routing
+        // every op through the full append/replay protocol.
+        let h = &mut handles[t % threads];
+        match op {
+            0 | 1 => {
+                let expect = !model.contains(&k);
+                prop_assert_eq!(h.insert(k, v), expect, "insert {}", k);
+                if expect {
+                    model.insert(k);
+                    legal.entry(k).or_default().insert(v);
+                }
+            }
+            2 | 3 => prop_assert_eq!(h.remove(&k), model.remove(&k), "remove {}", k),
+            4 | 5 => {
+                let got = h.get(&k);
+                prop_assert_eq!(got.is_some(), model.contains(&k), "get {}", k);
+                if let Some(v) = got {
+                    prop_assert!(
+                        legal.get(&k).is_some_and(|s| s.contains(&v)),
+                        "get {} served value {} no insert supplied",
+                        k,
+                        v
+                    );
+                }
+            }
+            6 => prop_assert_eq!(h.contains(&k), model.contains(&k), "contains {}", k),
+            _ => {
+                for replica in map.replicas() {
+                    replica.shared().reclaim_flush(&flush_ctx);
+                }
+            }
+        }
+    }
+    // Each replica must agree with the model key for key (divergence would
+    // surface on whichever socket applied the losing history).
+    for h in &mut handles {
+        for k in 0..=max_key {
+            prop_assert_eq!(
+                h.contains(&k),
+                model.contains(&k),
+                "final contains {} via socket {}",
+                k,
+                h.socket()
+            );
+        }
+    }
+    // Every upper-level list holds only its own membership vector's nodes:
+    // a replay that started from another vector's node would have linked
+    // its insert into that node's lists.
+    for replica in map.replicas() {
+        if let Err(e) = replica.shared().check_invariants() {
+            return Err(TestCaseError::fail(e));
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Differential churn with two thread slots per socket, in bursts of
+    /// operations through one handle: a burst's writes pile up in the
+    /// other socket's replica until back-pressure makes the writer replay
+    /// them there, starting warm from nodes of either membership vector,
+    /// while reclamation flushes recycle replayed nodes.
+    #[test]
+    fn four_slots_over_two_sockets_behave_like_btreemap(
+        bursts in proptest::collection::vec(
+            (0usize..4, proptest::collection::vec((0u8..8, 0u64..48, 0u64..1000), 1..64)),
+            1..10,
+        ),
+    ) {
+        let map = replicated_four_slots();
+        let ops = bursts
+            .into_iter()
+            .flat_map(|(t, ops)| ops.into_iter().map(move |(op, k, v)| (op, k, v, t)))
+            .collect();
+        run_against_model(&map, ThreadCtx::plain(0), ops)?;
+    }
 
     /// Differential churn across sockets: arbitrary op sequences where
     /// each op executes through the handle the generator picked, so
@@ -58,63 +175,121 @@ proptest! {
             1..300,
         ),
     ) {
+        // Reclamation flushes retire and recycle replayed nodes on both
+        // replicas while the other may still hold unapplied log entries
+        // for the same keys; the flusher is the third slot.
         let map = replicated_reclaiming();
-        let mut h0 = map.register(ThreadCtx::plain(0));
-        let mut h1 = map.register(ThreadCtx::plain(1));
-        prop_assert!(h0.socket() != h1.socket(), "handles share a socket");
-        let mut model: BTreeSet<u64> = BTreeSet::new();
-        // Every value a successful insert ever supplied for a key: the
-        // only values any replica may legally serve for it.
-        let mut legal: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
-        let flush_ctx = ThreadCtx::plain(2);
-        for (op, k, v, second) in ops {
-            // Sequential interleaving keeps the model exact while still
-            // routing every op through the full append/replay protocol.
-            let h = if second { &mut h1 } else { &mut h0 };
-            match op {
-                0 | 1 => {
-                    let expect = !model.contains(&k);
-                    prop_assert_eq!(h.insert(k, v), expect, "insert {}", k);
-                    if expect {
-                        model.insert(k);
-                        legal.entry(k).or_default().insert(v);
-                    }
-                }
-                2 | 3 => prop_assert_eq!(h.remove(&k), model.remove(&k), "remove {}", k),
-                4 | 5 => {
-                    let got = h.get(&k);
-                    prop_assert_eq!(got.is_some(), model.contains(&k), "get {}", k);
-                    if let Some(v) = got {
-                        prop_assert!(
-                            legal.get(&k).is_some_and(|s| s.contains(&v)),
-                            "get {} served value {} no insert supplied", k, v
-                        );
-                    }
-                }
-                6 => prop_assert_eq!(h.contains(&k), model.contains(&k), "contains {}", k),
-                _ => {
-                    // Retire-and-recycle on both replicas: replayed
-                    // removals are flushed through the grace-period
-                    // protocol while the other replica may still hold
-                    // unapplied log entries for the same keys.
-                    for replica in map.replicas() {
-                        replica.shared().reclaim_flush(&flush_ctx);
-                    }
-                }
-            }
+        let ops = ops.into_iter().map(|(op, k, v, second)| (op, k, v, second as usize)).collect();
+        run_against_model(&map, ThreadCtx::plain(2), ops)?;
+    }
+}
+
+/// A replay into the other socket's replica starts at the node that
+/// replica's index holds for the replaying thread's home local predecessor
+/// of each key. Here that predecessor is already gone from the lagging
+/// replica when the help runs: removed (its node lazily invalidated, still
+/// linked), and in the `recycle` arm also retired by a substituting insert,
+/// flushed and its slot reused for a fresh key. The replay must fall back
+/// or start from the dead node without changing any outcome.
+fn a_warm_key_gone_from_the_lagging_replica(recycle: bool) {
+    const MAX_LAG: usize = 12;
+    // Commission off, so a search that meets a removed node retires it.
+    let map: ReplicatedLayeredMap<u64, u64> = ReplicatedLayeredMap::new(
+        GraphConfig::new(3)
+            .lazy(true)
+            .hash_index(true)
+            .reclaim(true)
+            .commission_cycles(0)
+            .chunk_capacity(256),
+        ReplicaConfig::uniform(2, 2)
+            .logs(1)
+            .log_capacity(16)
+            .max_lag(MAX_LAG),
+    );
+    let stats = instrument::AccessStats::new(3);
+    let mut h0 = map.register(ThreadCtx::plain(0));
+    let mut h1 = map.register(ThreadCtx::recording(1, stats.clone()));
+    assert_ne!(h0.socket(), h1.socket());
+    let mut model: BTreeSet<u64> = (0..40).map(|i| 10 * i).collect();
+    for &k in &model {
+        assert!(h0.insert(k, k));
+        // Thread 1 replays every insert into its own replica, which maps
+        // each key in its home local map.
+        h1.sync();
+    }
+    // The warm keys of 205 and 310 as thread 1 will see them: removed on
+    // socket 0, still mapped in thread 1's home local map.
+    for k in [200, 300] {
+        assert!(h0.remove(&k));
+        model.remove(&k);
+    }
+    if recycle {
+        // Inserts just below them pass the dead nodes, retire them and
+        // unlink them; the flush frees their slots; fresh inserts take the
+        // slots back.
+        for k in [195, 295] {
+            assert!(h0.insert(k, k));
+            model.insert(k);
         }
-        // Final sweep through both sockets: each replica must agree with
-        // the model key for key (divergence would surface on whichever
-        // socket applied the losing history).
-        for k in 0..32u64 {
-            prop_assert_eq!(
-                h0.contains(&k), model.contains(&k), "final contains {} via socket 0", k
-            );
-            prop_assert_eq!(
-                h1.contains(&k), model.contains(&k), "final contains {} via socket 1", k
-            );
+        let flush = ThreadCtx::plain(2);
+        let freed = map.replicas()[h0.socket()].shared().reclaim_flush(&flush);
+        assert!(
+            freed >= 2,
+            "the removed nodes were not recycled: {freed} freed"
+        );
+        for k in 1000..1004 {
+            assert!(h0.insert(k, k));
+            model.insert(k);
         }
     }
+    // Fewer than MAX_LAG appends since the sync: nobody helped yet.
+    // Thread 1's writes now pile up in socket 0's replica until the lag
+    // bound makes thread 1 replay them there.
+    let before = stats.thread(1);
+    let writes: Vec<(u64, bool)> = [(205, true), (310, false)]
+        .into_iter()
+        .chain((0..MAX_LAG as u64).map(|i| (2000 + 10 * i, true)))
+        .collect();
+    for &(k, insert) in &writes {
+        if insert {
+            assert!(h1.insert(k, k), "insert {k}");
+            model.insert(k);
+        } else {
+            assert!(h1.remove(&k), "remove {k}");
+            model.remove(&k);
+        }
+    }
+    let replayed = stats.thread(1).replayed_ops - before.replayed_ops;
+    assert!(
+        replayed > writes.len() as u64,
+        "thread 1 never replayed into socket 0's replica ({replayed} replays)"
+    );
+    h0.sync();
+    h1.sync();
+    let ctx = ThreadCtx::plain(2);
+    for (r, replica) in map.replicas().iter().enumerate() {
+        let keys: BTreeSet<u64> = replica
+            .shared()
+            .iter_snapshot(&ctx)
+            .map(|(k, _)| *k)
+            .collect();
+        assert_eq!(keys, model, "replica {r} disagrees with the model");
+        replica.shared().check_invariants().unwrap();
+    }
+    for k in 0..2200u64 {
+        assert_eq!(h0.contains(&k), model.contains(&k), "key {k} via socket 0");
+        assert_eq!(h1.contains(&k), model.contains(&k), "key {k} via socket 1");
+    }
+}
+
+#[test]
+fn a_removed_warm_key_changes_no_outcome() {
+    a_warm_key_gone_from_the_lagging_replica(false);
+}
+
+#[test]
+fn a_recycled_warm_key_changes_no_outcome() {
+    a_warm_key_gone_from_the_lagging_replica(true);
 }
 
 /// Same-key bursts in one replay batch: socket 0 drains per-op as it

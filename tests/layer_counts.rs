@@ -656,6 +656,54 @@ fn a_replicated_write_is_replayed_once_per_socket() {
 }
 
 #[test]
+fn a_foreign_replay_starts_warm() {
+    const FRESH: u64 = 2_000;
+    const LOGS: usize = 2;
+    const MAX_LAG: usize = 12;
+    // Two slots, one per socket: `MaxLevel` 0, the benchmark's graph. A
+    // small lag bound, so the lone writer below keeps helping the idle
+    // socket's replica, where its handle has replayed nothing before.
+    let map: Replicated = ReplicatedLayeredMap::new(
+        GraphConfig::new(2)
+            .lazy(true)
+            .hash_index(true)
+            .chunk_capacity(CHUNK)
+            .commission_cycles(u64::MAX),
+        ReplicaConfig::uniform(2, 2)
+            .logs(LOGS)
+            .log_capacity(16)
+            .max_lag(MAX_LAG),
+    );
+    let stats = sink(&map);
+    let mut w = pin_all(&map, 0..2, Some(&stats));
+    preload(&mut w, REPLICA_KEYS);
+    sync_all(&mut w);
+    // Only thread 1 writes: fresh keys spread over the whole key range.
+    let before = stats.thread(1);
+    for i in REPLICA_KEYS..REPLICA_KEYS + FRESH {
+        assert!(w[1].insert(key(i), i));
+    }
+    let after = stats.thread(1);
+    let replayed = after.replayed_ops - before.replayed_ops;
+    let searches = after.searches - before.searches;
+    let nodes = (after.traversed - before.traversed) as f64 / searches as f64;
+    println!(
+        "foreign replays: thread 1 replayed {replayed} ops for {FRESH} inserts, \
+         {nodes:.2} nodes/search over {searches} searches"
+    );
+    // Its own replica applies every insert, the other one all but what the
+    // lag bound leaves pending in each log.
+    assert!(
+        replayed >= 2 * FRESH - (LOGS * MAX_LAG) as u64,
+        "{replayed} replays"
+    );
+    assert!(
+        nodes <= 3.0,
+        "a replay into the other replica visited {nodes:.2} nodes/search"
+    );
+}
+
+#[test]
 fn the_controller_reads_like_replicas_and_writes_like_one_structure() {
     const SOCKETS: usize = 8;
     /// Uncounted rounds opening each phase: enough 512-op windows for the
