@@ -5,9 +5,11 @@
 use crate::{run_instrumented, scenario_workload, write_result, Scale};
 use instrument::report::{self, locality_summary, LocalitySummary};
 use instrument::AccessStats;
-use skipgraph::{GraphConfig, LayeredMap, MembershipStrategy};
+use skipgraph::{ConcurrentMap, GraphConfig, LayeredMap, MembershipStrategy};
 use std::sync::Arc;
-use synchro::registry::{run_named, summarize_named, FIGURE_STRUCTURES};
+use synchro::registry::{
+    chunk_capacity, run_named, summarize_named, with_named, Visit, FIGURE_STRUCTURES,
+};
 use synchro::{run_trials, InstrMode};
 
 /// Figs. 2–4 (write-heavy) or Figs. 11–13 (read-heavy): the throughput
@@ -203,7 +205,7 @@ pub fn commission_sweep(scale: &Scale) {
     for scenario in ["hc-wh", "lc-wh"] {
         for &factor in FACTORS {
             let w = scenario_workload(scenario, threads, scale);
-            let cap = ((w.key_space as usize / threads.max(1)) * 2).clamp(1 << 10, 1 << 16);
+            let cap = chunk_capacity(threads, w.key_space);
             let s = run_trials(
                 || {
                     LayeredMap::<u64, u64>::new(
@@ -251,7 +253,7 @@ pub fn relink_membership_ablation(scale: &Scale) {
             ("single_list", MembershipStrategy::Single),
         ] {
             let w = scenario_workload(scenario, threads, scale);
-            let cap = ((w.key_space as usize / threads.max(1)) * 2).clamp(1 << 10, 1 << 16);
+            let cap = chunk_capacity(threads, w.key_space);
             let s = run_trials(
                 || {
                     LayeredMap::<u64, u64>::new(
@@ -279,7 +281,6 @@ pub fn relink_membership_ablation(scale: &Scale) {
 pub fn local_structures(scale: &Scale) {
     use instrument::ThreadCtx;
     use skipgraph::local::SortedVecLocalMap;
-    use skipgraph::ConcurrentMap;
 
     // (a) local sizes after identical insertions. 8 registered threads so
     // MaxLevel = 2 and the sparse variant indexes ~1/4 of the towers.
@@ -305,7 +306,7 @@ pub fn local_structures(scale: &Scale) {
     println!("local_structure,ops_per_ms");
     for (label, use_vec) in [("btree", false), ("sorted_vec", true)] {
         let w = scenario_workload("mc-wh", threads, scale);
-        let cap = ((w.key_space as usize / threads.max(1)) * 2).clamp(1 << 10, 1 << 16);
+        let cap = chunk_capacity(threads, w.key_space);
         let map: LayeredMap<u64, u64> =
             LayeredMap::new(GraphConfig::new(threads).lazy(true).chunk_capacity(cap));
         // run_trial pins the structure behind ConcurrentMap (BTree locals);
@@ -359,7 +360,7 @@ pub fn latency(scale: &Scale) {
     let mut csv = String::from("structure,op,p50,p90,p99,p999,max,count\n");
     for &structure in STRUCTURES {
         let w = scenario_workload("mc-wh", threads, scale);
-        let s = run_latency_named(structure, &w);
+        let s = with_named(structure, threads, w.key_space, Latency(&w));
         for (op, h) in [
             ("insert", &s.insert),
             ("remove", &s.remove),
@@ -383,30 +384,13 @@ pub fn latency(scale: &Scale) {
     write_result("latency.csv", &csv);
 }
 
-fn run_latency_named(name: &str, w: &synchro::Workload) -> synchro::LatencySummary {
-    use baselines::{LockFreeSkipList, NoHotspotSkipList, SkipListConfig};
-    let t = w.threads;
-    let cap = ((w.key_space as usize / t.max(1)) * 2).clamp(1 << 10, 1 << 16);
-    match name {
-        "lazy_layered_sg" => synchro::run_latency_trial(
-            &LayeredMap::<u64, u64>::new(GraphConfig::new(t).lazy(true).chunk_capacity(cap)),
-            w,
-        ),
-        "layered_map_sg" => synchro::run_latency_trial(
-            &LayeredMap::<u64, u64>::new(GraphConfig::new(t).chunk_capacity(cap)),
-            w,
-        ),
-        "skiplist" => synchro::run_latency_trial(
-            &LockFreeSkipList::<u64, u64>::new(
-                SkipListConfig::new(t, w.key_space).chunk_capacity(cap),
-            ),
-            w,
-        ),
-        "nohotspot" => synchro::run_latency_trial(
-            &NoHotspotSkipList::<u64, u64>::new(t, cap, std::time::Duration::from_millis(2)),
-            w,
-        ),
-        other => panic!("unknown latency structure {other:?}"),
+/// Runs one latency trial on the structure it is given.
+struct Latency<'a>(&'a synchro::Workload);
+
+impl Visit for Latency<'_> {
+    type Out = synchro::LatencySummary;
+    fn visit<M: ConcurrentMap<u64, u64>>(self, map: &M) -> synchro::LatencySummary {
+        synchro::run_latency_trial(map, self.0)
     }
 }
 

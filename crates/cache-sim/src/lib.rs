@@ -30,8 +30,6 @@
 
 mod cache;
 mod hierarchy;
-mod layout;
 
 pub use cache::{Cache, CacheGeometry};
 pub use hierarchy::{Hierarchy, MissCounts};
-pub use layout::{BlockedLayout, NodeLayout, BLOCK_HEADER_BYTES, LINE_BYTES};

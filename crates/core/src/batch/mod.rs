@@ -84,8 +84,7 @@ pub enum BatchOutcome<K, V> {
 
 /// Maps registered threads onto per-socket slot banks.
 ///
-/// Build one from the real topology via [`BatchConfig::from_placement`] or
-/// synthetically via [`BatchConfig::uniform`].
+/// Build one with [`BatchConfig::uniform`].
 #[derive(Clone, Debug)]
 pub struct BatchConfig {
     /// `socket_of[t]` = slot-bank index of thread `t`.
@@ -100,16 +99,6 @@ impl BatchConfig {
         assert!(threads > 0 && sockets > 0);
         let sockets = sockets.min(threads);
         let socket_of = (0..threads).map(|t| t * sockets / threads).collect();
-        Self { socket_of, sockets }
-    }
-
-    /// Derives the thread→socket map from a [`numa::Placement`] (the same
-    /// placement that pins benchmark threads), so slots are grouped exactly
-    /// by the NUMA node the thread runs on.
-    pub fn from_placement(placement: &numa::Placement) -> Self {
-        let socket_of = placement.numa_nodes();
-        assert!(!socket_of.is_empty());
-        let sockets = socket_of.iter().copied().max().unwrap_or(0) + 1;
         Self { socket_of, sockets }
     }
 
@@ -453,7 +442,7 @@ mod tests {
     }
 
     #[test]
-    fn config_uniform_blocks_and_placement_shapes() {
+    fn config_uniform_blocks() {
         let c = BatchConfig::uniform(4, 2);
         assert_eq!(c.sockets(), 2);
         assert_eq!(c.threads(), 4);
@@ -464,13 +453,6 @@ mod tests {
         // More sockets than threads degrades gracefully.
         let c1 = BatchConfig::uniform(1, 4);
         assert_eq!(c1.sockets(), 1);
-        let p = numa::Placement::new(&numa::Topology::synthetic(2, 2, 1, 10, 21), 4);
-        let cp = BatchConfig::from_placement(&p);
-        assert_eq!(cp.threads(), 4);
-        assert!(cp.sockets() >= 1);
-        for t in 0..4 {
-            assert!(cp.socket_of(t) < cp.sockets());
-        }
     }
 
     /// Single thread: the submitter always becomes its own combiner.

@@ -251,26 +251,8 @@ impl ReplicaConfig {
     /// help keeps it within `max_lag` of the log head anyway).
     pub fn uniform(threads: usize, sockets: usize) -> Self {
         assert!(threads > 0 && sockets > 0);
-        let socket_of = (0..threads).map(|t| t * sockets / threads).collect();
-        Self::with_placement(socket_of, sockets)
-    }
-
-    /// Derives the thread→replica map from a [`numa::Placement`] (the
-    /// placement that pins benchmark threads), one replica per *populated*
-    /// NUMA node.
-    pub fn from_placement(placement: &numa::Placement) -> Self {
-        let socket_of = placement.numa_nodes();
-        assert!(!socket_of.is_empty());
-        let sockets = socket_of.iter().copied().max().unwrap_or(0) + 1;
-        // Placement fills sockets in rank order, so the populated nodes
-        // are exactly 0..distinct_nodes() and the replica count matches.
-        debug_assert_eq!(sockets, placement.distinct_nodes());
-        Self::with_placement(socket_of, sockets)
-    }
-
-    fn with_placement(socket_of: Vec<usize>, sockets: usize) -> Self {
         Self {
-            socket_of,
+            socket_of: (0..threads).map(|t| t * sockets / threads).collect(),
             sockets,
             logs: 2,
             log_capacity: 256,

@@ -18,8 +18,8 @@
 //!   structure,
 //! * [`registry`] — every structure of the paper's evaluation by its
 //!   figure-legend name (`layered_map_sg`, `lazy_layered_sg`, ...,
-//!   `rotating`, `nohotspot`, `numask`), so benches and examples can sweep
-//!   them uniformly.
+//!   `rotating`, `nohotspot`, `numask`), built from one table that trials,
+//!   figures and stress runs share.
 
 //! * [`stress`] — a history-recording stress runner that checks every
 //!   per-key history for linearizability, with a deterministic-schedule

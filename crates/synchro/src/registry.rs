@@ -1,16 +1,18 @@
 //! The structure registry: every map of the paper's evaluation, by its
-//! figure-legend name.
+//! figure-legend name, built from one table ([`with_named`]) that trials,
+//! figures, latency runs and the stress runner all go through.
 //!
 //! | Name | Structure |
 //! |---|---|
 //! | `layered_map_sg` | local maps over a (non-lazy) skip graph |
 //! | `lazy_layered_sg` | the lazy variant |
+//! | `reclaim_layered_sg` | the non-lazy variant with epoch-based reclamation (slots recycled NUMA-locally) |
 //! | `layered_map_ssg` | local maps over a *sparse* skip graph |
 //! | `layered_map_ll` | local maps over a linked list (MaxLevel 0) |
 //! | `layered_map_sl` | local maps over a single skip list (no partitioning) |
 //! | `batched_layered_sg` | lazy layered map behind the NUMA-local flat-combining executor |
 //! | `skipgraph` | the skip graph without layering |
-//! | `blocked_sg` | fat level-0 blocks (B-skiplist blocking) over the lazy skip graph |
+//! | `blocked_sg` | fat level-0 blocks (B-skiplist blocking) over the skip graph |
 //! | `anchor_blocked_sg` | blocked map under the anchor-granular policy (compacting merges, left-biased splits) |
 //! | `hashed_sg` | layered map with the shared lock-free hash index (Skip Hash fast path) |
 //! | `replicated_sg` | per-socket replicas of the lazy hash-indexed map over partitioned operation logs |
@@ -23,16 +25,23 @@
 //! | `rotating` | Rotating-style skip list |
 //! | `numask` | NUMASK-style NUMA-aware skip list |
 //! | `coarse_btreemap` | one `RwLock` around a `BTreeMap` (naive reference; not in the paper) |
+//!
+//! The rows the paper's figures plot ([`FIGURE_STRUCTURES`]) take the
+//! paper's parameters. The extension rows take small ones — blocks of
+//! four, a one-slot index hint, 16-slot replica logs, 8-operation sensor
+//! windows, two synthetic sockets — because the deterministic stress
+//! lanes must reach their split, grow, wraparound and mode-switch paths
+//! within a few hundred scheduled operations.
 
-use crate::workload::{run_trial, InstrMode, TrialResult, TrialSummary, Workload};
+use crate::workload::{run_trial, summarize, InstrMode, TrialResult, TrialSummary, Workload};
 use baselines::{
     CoarseLockMap, HarrisList, LockFreeSkipList, LockedSkipList, NoHotspotSkipList,
     NumaskSkipList, RotatingSkipList, SkipListConfig,
 };
 use numa::{Placement, Topology};
 use skipgraph::{
-    AdaptConfig, BatchConfig, BatchedLayeredMap, BlockPolicy, BlockedSkipMap, GraphConfig,
-    LayeredMap, ReplicaConfig, ReplicatedLayeredMap, SkipGraph,
+    AdaptConfig, BatchConfig, BatchedLayeredMap, BlockPolicy, BlockedSkipMap, ConcurrentMap,
+    GraphConfig, LayeredMap, ReplicaConfig, ReplicatedLayeredMap, SkipGraph,
 };
 use std::time::Duration;
 
@@ -76,235 +85,150 @@ pub const FIGURE_STRUCTURES: &[&str] = &[
     "numask",
 ];
 
-fn maintenance_period() -> Duration {
-    Duration::from_millis(2)
+/// Arena chunk capacity for `threads` threads over `key_space` keys:
+/// enough for the preload plus churn without mapping the paper's 2^20
+/// objects per thread on a small machine.
+pub fn chunk_capacity(threads: usize, key_space: u64) -> usize {
+    ((key_space as usize / threads.max(1)) * 2).clamp(1 << 10, 1 << 16)
 }
 
-fn chunk_capacity(workload: &Workload) -> usize {
-    // Enough for the preload plus churn without mapping the paper's 2^20
-    // objects per thread on a small machine.
-    ((workload.key_space as usize / workload.threads.max(1)) * 2).clamp(1 << 10, 1 << 16)
+/// What to do with a freshly built structure. A trait rather than a
+/// closure because the method is generic over the structure's type.
+pub trait Visit {
+    /// What the visit returns.
+    type Out;
+    /// Runs on `map`, which is dropped when the visit returns.
+    fn visit<M: ConcurrentMap<u64, u64>>(self, map: &M) -> Self::Out;
 }
 
-/// Builds the named structure and runs one trial. Panics on an unknown
-/// name (see [`STRUCTURES`]).
-pub fn run_named(name: &str, workload: &Workload, instr: &InstrMode) -> TrialResult {
-    let t = workload.threads;
-    let cap = chunk_capacity(workload);
+/// Builds the named structure for `threads` threads over the keys
+/// `0..key_space` and hands it to `visit`. Panics on an unknown name (see
+/// [`STRUCTURES`]).
+pub fn with_named<V: Visit>(name: &str, threads: usize, key_space: u64, visit: V) -> V::Out {
+    let t = threads;
+    let cap = chunk_capacity(t, key_space);
+    let maintenance = Duration::from_millis(2);
     match name {
-        "layered_map_sg" => run_trial(
-            &LayeredMap::<u64, u64>::new(GraphConfig::new(t).chunk_capacity(cap)),
-            workload,
-            instr,
-        ),
-        "lazy_layered_sg" => run_trial(
-            &LayeredMap::<u64, u64>::new(GraphConfig::new(t).lazy(true).chunk_capacity(cap)),
-            workload,
-            instr,
-        ),
-        // Non-lazy layered map with epoch-based reclamation: removals
-        // retire their nodes through the grace-period protocol and slots
-        // are recycled NUMA-locally, exercising the generation-checked
-        // hint paths under churn.
-        "reclaim_layered_sg" => run_trial(
-            &LayeredMap::<u64, u64>::new(GraphConfig::new(t).reclaim(true).chunk_capacity(cap)),
-            workload,
-            instr,
-        ),
-        "layered_map_ssg" => run_trial(
-            &LayeredMap::<u64, u64>::new(GraphConfig::new(t).sparse(true).chunk_capacity(cap)),
-            workload,
-            instr,
-        ),
-        "layered_map_ll" => run_trial(
-            &LayeredMap::<u64, u64>::new(GraphConfig::linked_list(t).chunk_capacity(cap)),
-            workload,
-            instr,
-        ),
-        "layered_map_sl" => run_trial(
-            &LayeredMap::<u64, u64>::new(GraphConfig::single_skip_list(t).chunk_capacity(cap)),
-            workload,
-            instr,
-        ),
-        "batched_layered_sg" => {
-            // Slot banks follow the same placement the trial pins threads
-            // with, so each bank is genuinely per-NUMA-node.
-            let topology = Topology::detect_or_paper();
-            let batch = BatchConfig::from_placement(&Placement::new(&topology, t));
-            run_trial(
-                &BatchedLayeredMap::<u64, u64>::new(
-                    GraphConfig::new(t).lazy(true).chunk_capacity(cap),
-                    batch,
-                ),
-                workload,
-                instr,
-            )
+        "layered_map_sg" | "lazy_layered_sg" | "reclaim_layered_sg" | "layered_map_ssg"
+        | "layered_map_ll" | "layered_map_sl" | "hashed_sg" => {
+            let graph = match name {
+                "layered_map_sg" => GraphConfig::new(t),
+                "lazy_layered_sg" => GraphConfig::new(t).lazy(true),
+                "reclaim_layered_sg" => GraphConfig::new(t).reclaim(true),
+                "layered_map_ssg" => GraphConfig::new(t).sparse(true),
+                "layered_map_ll" => GraphConfig::linked_list(t),
+                "layered_map_sl" => GraphConfig::single_skip_list(t),
+                // Non-lazy and unreclaimed, so eager removes must
+                // invalidate their own entries (the duty the bug-injection
+                // lane skips); a one-slot capacity hint makes the stress
+                // schedules cross in-place grows and compactions.
+                _ => GraphConfig::new(t).hash_index(true).index_capacity(1),
+            };
+            visit.visit(&LayeredMap::<u64, u64>::new(graph.chunk_capacity(cap)))
         }
-        "skipgraph" => run_trial(
-            &SkipGraph::<u64, u64>::new(GraphConfig::new(t).chunk_capacity(cap)),
-            workload,
-            instr,
-        ),
-        // Fat level-0 blocks: several keys per anchor node, split/merge
-        // under the marked-pointer protocol (see `skipgraph::BlockedSkipMap`).
-        "blocked_sg" => run_trial(
-            &BlockedSkipMap::<u64, u64>::new(GraphConfig::new(t).chunk_capacity(cap), 8),
-            workload,
-            instr,
-        ),
-        // The blocked map under the anchor-granular policy: compacting
-        // merges (threshold 1) and leave-behind splits. This is also the
-        // configuration whose bug-injection arm trusts a local anchor
-        // without the covering check (`blocked_sg` keeps the lost-insert
-        // arm instead).
-        "anchor_blocked_sg" => run_trial(
-            &BlockedSkipMap::<u64, u64>::with_policy(
-                GraphConfig::new(t).chunk_capacity(cap),
-                8,
-                BlockPolicy { split_left_pct: 65, merge_threshold: 1 },
-            ),
-            workload,
-            instr,
-        ),
-        // Layered map with the shared point-read hash index installed
-        // (non-lazy, no reclamation: eager removes must invalidate their
-        // index entries — the exact duty the bug-injection lane skips).
-        "hashed_sg" => run_trial(
-            &LayeredMap::<u64, u64>::new(
-                GraphConfig::new(t).hash_index(true).chunk_capacity(cap),
-            ),
-            workload,
-            instr,
-        ),
-        // Per-socket node replication: one lazy hash-indexed replica per
-        // populated NUMA node, reads served replica-locally under the NR
-        // read rule, writes through membership-vector-partitioned
-        // operation logs (see `skipgraph::replicate`). Small logs + a
-        // tight lag bound keep the backpressure/helping paths hot even in
-        // short trials.
-        "replicated_sg" => {
-            let topology = Topology::detect_or_paper();
-            let placement = Placement::new(&topology, t);
-            let mut replicas = ReplicaConfig::from_placement(&placement);
-            if replicas.sockets() < 2 {
-                // Single-node hosts still exercise cross-replica staleness
-                // with a synthetic two-socket split.
-                replicas = ReplicaConfig::uniform(t, 2);
-            }
-            let replicas = replicas.logs(2).log_capacity(64).max_lag(48);
-            run_trial(
-                &ReplicatedLayeredMap::<u64, u64>::new(
-                    GraphConfig::new(t)
-                        .lazy(true)
-                        .hash_index(true)
-                        .chunk_capacity(cap),
-                    replicas,
-                ),
-                workload,
-                instr,
-            )
-        }
-        // The replicated map with the adaptation subsystem engaged: tiny
-        // sensor windows and no dwell so the replication gate, index
-        // growth signal, and ascending-split gate all switch within a
-        // short trial rather than after thousands of operations.
-        "adaptive_sg" => {
-            let topology = Topology::detect_or_paper();
-            let placement = Placement::new(&topology, t);
-            let mut replicas = ReplicaConfig::from_placement(&placement);
-            if replicas.sockets() < 2 {
-                replicas = ReplicaConfig::uniform(t, 2);
-            }
-            let replicas = replicas
+        // Two synthetic sockets so the stress schedules reach the combiner
+        // lease and cross-bank draining.
+        "batched_layered_sg" => visit.visit(&BatchedLayeredMap::<u64, u64>::new(
+            GraphConfig::new(t).lazy(true).chunk_capacity(cap),
+            BatchConfig::uniform(t, 2),
+        )),
+        "skipgraph" => visit.visit(&SkipGraph::<u64, u64>::new(
+            GraphConfig::new(t).chunk_capacity(cap),
+        )),
+        // Blocks of four so the stress schedules reach splits and merges,
+        // not just in-block CASes.
+        "blocked_sg" => visit.visit(&BlockedSkipMap::<u64, u64>::new(
+            GraphConfig::new(t).chunk_capacity(cap),
+            4,
+        )),
+        // The same blocks under compacting merges and left-biased splits,
+        // which keep the freeze/rebuild paths hot. A nonzero merge threshold
+        // selects the severed-covering-check injection (`blocked_sg` keeps
+        // the lost-insert one); with three threads towers stop at level 1
+        // and every anchor reaches it, so the local anchor maps fill.
+        "anchor_blocked_sg" => visit.visit(&BlockedSkipMap::<u64, u64>::with_policy(
+            GraphConfig::new(t).chunk_capacity(cap),
+            4,
+            BlockPolicy {
+                split_left_pct: 65,
+                merge_threshold: 1,
+            },
+        )),
+        // Per-socket replicas over two synthetic sockets, so reads on one
+        // replica race replays of the other, with logs of 16 and a lag
+        // bound of 12 so the stress schedules reach wraparound and
+        // backpressure helping. `adaptive_sg` adds a controller whose
+        // 8-operation windows, zero dwell and 60–75 % write band (straddling
+        // the stress mixes' ~70 % writes) switch modes repeatedly within a
+        // schedule. The bug-injection build replicates the plain eager
+        // graph, so the replication fault is the only live one in the lane.
+        "replicated_sg" | "adaptive_sg" => {
+            let adapt = (name == "adaptive_sg").then(|| {
+                AdaptConfig::new()
+                    .window_ops(8)
+                    .dwell_windows(0)
+                    .write_band(60, 75)
+            });
+            let graph = GraphConfig::new(t).chunk_capacity(cap);
+            #[cfg(not(feature = "bug-injection"))]
+            let graph = match adapt {
+                Some(a) => graph.lazy(true).hash_index(true).adapt(a),
+                None => graph.lazy(true).hash_index(true),
+            };
+            let mut replicas = ReplicaConfig::uniform(t, t.min(2))
                 .logs(2)
-                .log_capacity(64)
-                .max_lag(48)
-                .adapt(AdaptConfig::new().window_ops(64).dwell_windows(1));
-            run_trial(
-                &ReplicatedLayeredMap::<u64, u64>::new(
-                    GraphConfig::new(t)
-                        .lazy(true)
-                        .hash_index(true)
-                        .chunk_capacity(cap)
-                        .adapt(AdaptConfig::new().window_ops(64).dwell_windows(1)),
-                    replicas,
-                ),
-                workload,
-                instr,
-            )
+                .log_capacity(16)
+                .max_lag(12);
+            if let Some(a) = adapt {
+                replicas = replicas.adapt(a);
+            }
+            visit.visit(&ReplicatedLayeredMap::<u64, u64>::new(graph, replicas))
         }
-        "skiplist" => run_trial(
-            &LockFreeSkipList::<u64, u64>::new(
-                SkipListConfig::new(t, workload.key_space).chunk_capacity(cap),
-            ),
-            workload,
-            instr,
-        ),
-        "skiplist_norelink" => run_trial(
-            &LockFreeSkipList::<u64, u64>::new(
-                SkipListConfig::new(t, workload.key_space)
-                    .relink(false)
-                    .chunk_capacity(cap),
-            ),
-            workload,
-            instr,
-        ),
+        "skiplist" => visit.visit(&LockFreeSkipList::<u64, u64>::new(
+            SkipListConfig::new(t, key_space).chunk_capacity(cap),
+        )),
+        "skiplist_norelink" => visit.visit(&LockFreeSkipList::<u64, u64>::new(
+            SkipListConfig::new(t, key_space)
+                .relink(false)
+                .chunk_capacity(cap),
+        )),
         "locked_skiplist" => {
-            let levels = SkipListConfig::new(t, workload.key_space).levels;
-            run_trial(
-                &LockedSkipList::<u64, u64>::new(t, levels, cap),
-                workload,
-                instr,
-            )
+            let levels = SkipListConfig::new(t, key_space).levels;
+            visit.visit(&LockedSkipList::<u64, u64>::new(t, levels, cap))
         }
-        "harris_ll" => run_trial(&HarrisList::<u64, u64>::new(t, cap), workload, instr),
-        "coarse_btreemap" => run_trial(&CoarseLockMap::<u64, u64>::new(), workload, instr),
-        "nohotspot" => run_trial(
-            &NoHotspotSkipList::<u64, u64>::new(t, cap, maintenance_period()),
-            workload,
-            instr,
-        ),
-        "rotating" => run_trial(
-            &RotatingSkipList::<u64, u64>::new(t, cap, maintenance_period()),
-            workload,
-            instr,
-        ),
+        "harris_ll" => visit.visit(&HarrisList::<u64, u64>::new(t, cap)),
+        "coarse_btreemap" => visit.visit(&CoarseLockMap::<u64, u64>::new()),
+        "nohotspot" => visit.visit(&NoHotspotSkipList::<u64, u64>::new(t, cap, maintenance)),
+        "rotating" => visit.visit(&RotatingSkipList::<u64, u64>::new(t, cap, maintenance)),
         "numask" => {
-            let topology = Topology::detect_or_paper();
-            let zones = Placement::new(&topology, t).numa_nodes();
-            run_trial(
-                &NumaskSkipList::<u64, u64>::new(zones, cap, maintenance_period()),
-                workload,
-                instr,
-            )
+            let zones = Placement::new(&Topology::detect_or_paper(), t).numa_nodes();
+            visit.visit(&NumaskSkipList::<u64, u64>::new(zones, cap, maintenance))
         }
         other => panic!("unknown structure {other:?}; see synchro::registry::STRUCTURES"),
     }
 }
 
+/// Builds the named structure and runs one trial. Panics on an unknown
+/// name (see [`STRUCTURES`]).
+pub fn run_named(name: &str, workload: &Workload, instr: &InstrMode) -> TrialResult {
+    struct Trial<'a>(&'a Workload, &'a InstrMode);
+    impl Visit for Trial<'_> {
+        type Out = TrialResult;
+        fn visit<M: ConcurrentMap<u64, u64>>(self, map: &M) -> TrialResult {
+            run_trial(map, self.0, self.1)
+        }
+    }
+    with_named(
+        name,
+        workload.threads,
+        workload.key_space,
+        Trial(workload, instr),
+    )
+}
+
 /// Runs `runs` trials of the named structure and summarizes (mean/std).
 pub fn summarize_named(name: &str, workload: &Workload, runs: usize) -> TrialSummary {
-    assert!(runs > 0);
-    let mut throughputs = Vec::with_capacity(runs);
-    let mut effective = Vec::with_capacity(runs);
-    for r in 0..runs {
-        let w = workload.clone().seed(workload.seed.wrapping_add(r as u64));
-        let res = run_named(name, &w, &InstrMode::Off);
-        throughputs.push(res.ops_per_ms());
-        effective.push(res.effective_update_pct());
-    }
-    let mean = throughputs.iter().sum::<f64>() / runs as f64;
-    let var = if runs > 1 {
-        throughputs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (runs - 1) as f64
-    } else {
-        0.0
-    };
-    TrialSummary {
-        mean_ops_per_ms: mean,
-        stddev: var.sqrt(),
-        mean_effective_update_pct: effective.iter().sum::<f64>() / runs as f64,
-        runs: throughputs,
-    }
+    summarize(workload, runs, |w| run_named(name, w, &InstrMode::Off))
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! * **normal mode** ([`stress_named`]) — real threads under the OS
 //!   scheduler; works for every structure in the registry and doubles as a
 //!   tier-1 smoke test;
-//! * **deterministic mode** ([`stress_named_det`], `--features
+//! * **deterministic mode** (`stress_named_det`, `--features
 //!   deterministic`) — the workload runs under the seeded cooperative
 //!   scheduler of `skipgraph::det`, so a failing seed replays exactly; on a
 //!   violation the runner *shrinks* the failure (drops operations, then
@@ -17,6 +17,7 @@
 //!   trace. Only the lock-free, maintenance-thread-free structures are
 //!   eligible (see [`DET_STRUCTURES`]).
 
+use crate::registry::{with_named, Visit};
 use instrument::ThreadCtx;
 #[cfg(feature = "deterministic")]
 use instrument::{AccessStats, ThreadCounterSnapshot};
@@ -238,7 +239,7 @@ fn worker_body<H: MapHandle<u64, u64>>(
 
 /// Runs `plans` against `map` with real threads (OS scheduling) and
 /// returns every operation record. The map must be freshly built (and
-/// preloaded via [`preload_map`] semantics by the caller).
+/// preloaded via `preload_map` semantics by the caller).
 pub fn execute<M: ConcurrentMap<u64, u64>>(map: &M, plans: &[Vec<PlannedOp>]) -> Vec<OpRecord> {
     let clock = AtomicU64::new(1);
     let slots: Vec<Mutex<Vec<OpRecord>>> = plans.iter().map(|_| Mutex::new(Vec::new())).collect();
@@ -380,221 +381,35 @@ impl fmt::Display for FailureReport {
     }
 }
 
-/// Builds the named structure fresh and evaluates `$body` with `$map`
-/// bound to it. Only the det-eligible subset plus the remaining registry
-/// structures that are safe under OS scheduling.
-macro_rules! with_structure {
-    ($name:expr, $cfg:expr, |$map:ident| $body:expr) => {{
-        use baselines::{
-            CoarseLockMap, HarrisList, LockFreeSkipList, LockedSkipList, NoHotspotSkipList,
-            NumaskSkipList, RotatingSkipList, SkipListConfig,
-        };
-        use skipgraph::{BatchConfig, BatchedLayeredMap, GraphConfig, LayeredMap, SkipGraph};
-        let t = $cfg.threads as usize;
-        let cap = (($cfg.key_space as usize / t.max(1)) * 2).clamp(1 << 10, 1 << 16);
-        let maint = std::time::Duration::from_millis(2);
-        match $name {
-            "layered_map_sg" => {
-                let $map = LayeredMap::<u64, u64>::new(GraphConfig::new(t).chunk_capacity(cap));
-                $body
-            }
-            "lazy_layered_sg" => {
-                let $map =
-                    LayeredMap::<u64, u64>::new(GraphConfig::new(t).lazy(true).chunk_capacity(cap));
-                $body
-            }
-            "reclaim_layered_sg" => {
-                // Epoch-based reclamation on: retired slots are recycled
-                // under the scheduler, hitting the generation-checked
-                // stale-hint fallbacks.
-                let $map = LayeredMap::<u64, u64>::new(
-                    GraphConfig::new(t).reclaim(true).chunk_capacity(cap),
-                );
-                $body
-            }
-            "layered_map_ssg" => {
-                let $map = LayeredMap::<u64, u64>::new(
-                    GraphConfig::new(t).sparse(true).chunk_capacity(cap),
-                );
-                $body
-            }
-            "layered_map_ll" => {
-                let $map =
-                    LayeredMap::<u64, u64>::new(GraphConfig::linked_list(t).chunk_capacity(cap));
-                $body
-            }
-            "layered_map_sl" => {
-                let $map = LayeredMap::<u64, u64>::new(
-                    GraphConfig::single_skip_list(t).chunk_capacity(cap),
-                );
-                $body
-            }
-            "batched_layered_sg" => {
-                // Two synthetic sockets (when threads allow) so the
-                // combiner lease and cross-slot draining are exercised.
-                let sockets = if t >= 2 { 2 } else { 1 };
-                let $map = BatchedLayeredMap::<u64, u64>::new(
-                    GraphConfig::new(t).lazy(true).chunk_capacity(cap),
-                    BatchConfig::uniform(t, sockets),
-                );
-                $body
-            }
-            "skipgraph" => {
-                let $map = SkipGraph::<u64, u64>::new(GraphConfig::new(t).chunk_capacity(cap));
-                $body
-            }
-            "blocked_sg" => {
-                // A small blocking factor so stress schedules actually
-                // reach the split/merge paths, not just in-block CASes.
-                let $map = skipgraph::BlockedSkipMap::<u64, u64>::new(
-                    GraphConfig::new(t).chunk_capacity(cap),
-                    4,
-                );
-                $body
-            }
-            "anchor_blocked_sg" => {
-                // The anchor-granular policy over the same small blocking
-                // factor: compacting merges (threshold 1) and left-biased
-                // splits keep the freeze/rebuild paths hot, and a nonzero
-                // threshold selects the local-anchor bug-injection arm
-                // (severed covering check) instead of the lost-insert one.
-                // `GraphConfig::new(3)` stops towers at level 1, and every
-                // anchor reaches it: all of them are sampled into the
-                // local anchor maps, so the arm has entries to trust.
-                let $map = skipgraph::BlockedSkipMap::<u64, u64>::with_policy(
-                    GraphConfig::new(t).chunk_capacity(cap),
-                    4,
-                    skipgraph::BlockPolicy {
-                        split_left_pct: 65,
-                        merge_threshold: 1,
-                    },
-                );
-                $body
-            }
-            "hashed_sg" => {
-                // Shared point-read hash index on, no reclamation: eager
-                // removes must invalidate their entries themselves (the
-                // generation backstop never fires), which is precisely
-                // the coherence duty the bug-injection lane deletes. The
-                // smallest index there is (a capacity hint of one slot), so
-                // schedules cross in-place grows and compactions mid-read.
-                let $map = LayeredMap::<u64, u64>::new(
-                    GraphConfig::new(t)
-                        .hash_index(true)
-                        .index_capacity(1)
-                        .chunk_capacity(cap),
-                );
-                $body
-            }
-            "replicated_sg" => {
-                // Per-socket replicas over partitioned operation logs
-                // (`skipgraph::replicate`): two synthetic sockets so reads
-                // on one replica race replays of the other, with a tiny
-                // log and lag bound so schedules reach the wraparound and
-                // backpressure/helping paths.
-                let sockets = if t >= 2 { 2 } else { 1 };
-                // The bug-injection build also compiles the lazy-remove
-                // and index-coherence faults into lazy/indexed configs;
-                // build the replicas over the plain eager graph there so
-                // the severed read-side tail-wait is the only live fault
-                // in this lane (each injected fault has its own lane).
-                #[cfg(feature = "bug-injection")]
-                let gcfg = GraphConfig::new(t).chunk_capacity(cap);
-                #[cfg(not(feature = "bug-injection"))]
-                let gcfg = GraphConfig::new(t)
-                    .lazy(true)
-                    .hash_index(true)
-                    .chunk_capacity(cap);
-                let $map = skipgraph::ReplicatedLayeredMap::<u64, u64>::new(
-                    gcfg,
-                    skipgraph::ReplicaConfig::uniform(t, sockets)
-                        .logs(2)
-                        .log_capacity(16)
-                        .max_lag(12),
-                );
-                $body
-            }
-            "adaptive_sg" => {
-                // The replicated map with the adaptation subsystem live: a
-                // tiny sensor window and zero dwell so the replication gate
-                // downshifts/upshifts *within* a stress schedule, putting
-                // the drain-then-redirect transitions directly under the
-                // deterministic scheduler and the linearizability checker.
-                // The bug-injection build severs the downshift drain (the
-                // only live fault in this lane — replicated_sg keeps the
-                // read-side tail-wait fault).
-                let sockets = if t >= 2 { 2 } else { 1 };
-                // The band straddles the stress mixes' ~70% write ratio:
-                // 8-op windows fluctuate across both edges, so the gate
-                // oscillates and schedules see *repeated* downshifts with
-                // cross-socket writes in flight, not one quiet downshift
-                // during the preload.
-                let acfg = skipgraph::AdaptConfig::new()
-                    .window_ops(8)
-                    .dwell_windows(0)
-                    .write_band(60, 75);
-                #[cfg(feature = "bug-injection")]
-                let gcfg = GraphConfig::new(t).chunk_capacity(cap);
-                #[cfg(not(feature = "bug-injection"))]
-                let gcfg = GraphConfig::new(t)
-                    .lazy(true)
-                    .hash_index(true)
-                    .chunk_capacity(cap)
-                    .adapt(acfg);
-                let $map = skipgraph::ReplicatedLayeredMap::<u64, u64>::new(
-                    gcfg,
-                    skipgraph::ReplicaConfig::uniform(t, sockets)
-                        .logs(2)
-                        .log_capacity(16)
-                        .max_lag(12)
-                        .adapt(acfg),
-                );
-                $body
-            }
-            "skiplist" => {
-                let $map = LockFreeSkipList::<u64, u64>::new(
-                    SkipListConfig::new(t, $cfg.key_space).chunk_capacity(cap),
-                );
-                $body
-            }
-            "skiplist_norelink" => {
-                let $map = LockFreeSkipList::<u64, u64>::new(
-                    SkipListConfig::new(t, $cfg.key_space)
-                        .relink(false)
-                        .chunk_capacity(cap),
-                );
-                $body
-            }
-            "harris_ll" => {
-                let $map = HarrisList::<u64, u64>::new(t, cap);
-                $body
-            }
-            "locked_skiplist" => {
-                let levels = SkipListConfig::new(t, $cfg.key_space).levels;
-                let $map = LockedSkipList::<u64, u64>::new(t, levels, cap);
-                $body
-            }
-            "coarse_btreemap" => {
-                let $map = CoarseLockMap::<u64, u64>::new();
-                $body
-            }
-            "nohotspot" => {
-                let $map = NoHotspotSkipList::<u64, u64>::new(t, cap, maint);
-                $body
-            }
-            "rotating" => {
-                let $map = RotatingSkipList::<u64, u64>::new(t, cap, maint);
-                $body
-            }
-            "numask" => {
-                let topology = numa::Topology::detect_or_paper();
-                let zones = numa::Placement::new(&topology, t).numa_nodes();
-                let $map = NumaskSkipList::<u64, u64>::new(zones, cap, maint);
-                $body
-            }
-            other => panic!("unknown structure {other:?}; see synchro::registry::STRUCTURES"),
-        }
-    }};
+/// Preloads a freshly built structure and runs the plans on it with real
+/// threads.
+struct Threads<'a>(&'a StressConfig, &'a [Vec<PlannedOp>]);
+
+impl Visit for Threads<'_> {
+    type Out = Vec<OpRecord>;
+    fn visit<M: ConcurrentMap<u64, u64>>(self, map: &M) -> Vec<OpRecord> {
+        preload_map(map, self.0);
+        execute(map, self.1)
+    }
+}
+
+/// Preloads a freshly built structure and runs the plans on it under the
+/// deterministic scheduler, the workers' counters going to `stats`.
+#[cfg(feature = "deterministic")]
+struct Scheduled<'a> {
+    cfg: &'a StressConfig,
+    plans: &'a [Vec<PlannedOp>],
+    det_cfg: &'a DetConfig,
+    stats: Option<&'a Arc<AccessStats>>,
+}
+
+#[cfg(feature = "deterministic")]
+impl Visit for Scheduled<'_> {
+    type Out = (Vec<OpRecord>, Trace);
+    fn visit<M: ConcurrentMap<u64, u64>>(self, map: &M) -> (Vec<OpRecord>, Trace) {
+        preload_map(map, self.cfg);
+        execute_det(map, self.plans, self.det_cfg, self.stats)
+    }
 }
 
 /// Runs the stress workload against the named structure under normal OS
@@ -607,10 +422,12 @@ macro_rules! with_structure {
 /// linearizable.
 pub fn stress_named(name: &str, cfg: &StressConfig) -> Result<usize, Box<FailureReport>> {
     let plans = plan_workload(cfg);
-    let records = with_structure!(name, cfg, |map| {
-        preload_map(&map, cfg);
-        execute(&map, &plans)
-    });
+    let records = with_named(
+        name,
+        cfg.threads as usize,
+        cfg.key_space,
+        Threads(cfg, &plans),
+    );
     match check_records(&records, cfg) {
         Ok(()) => Ok(records.len()),
         Err(failure) => Err(Box::new(FailureReport {
@@ -624,15 +441,8 @@ pub fn stress_named(name: &str, cfg: &StressConfig) -> Result<usize, Box<Failure
     }
 }
 
-/// Runs `plans` deterministically against a fresh instance of the named
-/// structure. Exposed so tests can assert byte-for-byte replay.
 #[cfg(feature = "deterministic")]
-pub fn records_named_det(
-    name: &str,
-    cfg: &StressConfig,
-    plans: &[Vec<PlannedOp>],
-    det_cfg: &DetConfig,
-) -> (Vec<OpRecord>, Trace) {
+fn scheduled_named(name: &str, run: Scheduled<'_>) -> (Vec<OpRecord>, Trace) {
     assert!(
         crate::registry::STRUCTURES.contains(&name),
         "unknown structure {name:?}; see synchro::registry::STRUCTURES"
@@ -642,10 +452,27 @@ pub fn records_named_det(
         "{name} is not deterministically schedulable (locks or maintenance threads); \
          see synchro::stress::DET_STRUCTURES"
     );
-    with_structure!(name, cfg, |map| {
-        preload_map(&map, cfg);
-        execute_det(&map, plans, det_cfg, None)
-    })
+    with_named(name, run.cfg.threads as usize, run.cfg.key_space, run)
+}
+
+/// Runs `plans` deterministically against a fresh instance of the named
+/// structure. Exposed so tests can assert byte-for-byte replay.
+#[cfg(feature = "deterministic")]
+pub fn records_named_det(
+    name: &str,
+    cfg: &StressConfig,
+    plans: &[Vec<PlannedOp>],
+    det_cfg: &DetConfig,
+) -> (Vec<OpRecord>, Trace) {
+    scheduled_named(
+        name,
+        Scheduled {
+            cfg,
+            plans,
+            det_cfg,
+            stats: None,
+        },
+    )
 }
 
 /// The counters the workers of one deterministic stress run record,
@@ -657,15 +484,17 @@ pub fn counters_named_det(
     cfg: &StressConfig,
     det_cfg: &DetConfig,
 ) -> ThreadCounterSnapshot {
-    assert!(
-        DET_STRUCTURES.contains(&name),
-        "{name} is not deterministically schedulable"
-    );
     let stats = AccessStats::new(cfg.threads as usize);
-    with_structure!(name, cfg, |map| {
-        preload_map(&map, cfg);
-        execute_det(&map, &plan_workload(cfg), det_cfg, Some(&stats))
-    });
+    let plans = plan_workload(cfg);
+    scheduled_named(
+        name,
+        Scheduled {
+            cfg,
+            plans: &plans,
+            det_cfg,
+            stats: Some(&stats),
+        },
+    );
     stats.totals()
 }
 
@@ -866,6 +695,19 @@ mod tests {
             .collect();
         assert!(check_records(&bad_even, &cfg_pre).is_ok());
         assert!(check_records(&bad_even, &cfg).is_err());
+    }
+
+    #[test]
+    fn det_structures_are_registered() {
+        for name in DET_STRUCTURES {
+            assert!(crate::registry::STRUCTURES.contains(name), "{name}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown structure")]
+    fn unknown_name_panics() {
+        let _ = stress_named("nope", &StressConfig::smoke(0));
     }
 
     #[test]

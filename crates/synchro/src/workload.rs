@@ -341,16 +341,23 @@ where
     M: ConcurrentMap<u64, u64>,
     F: Fn() -> M,
 {
+    summarize(workload, runs, |w| run_trial(&factory(), w, &InstrMode::Off))
+}
+
+/// Runs `trial` `runs` times, the `r`-th with the workload's seed plus
+/// `r`, and summarizes the throughputs and effective-update percentages.
+pub(crate) fn summarize(
+    workload: &Workload,
+    runs: usize,
+    mut trial: impl FnMut(&Workload) -> TrialResult,
+) -> TrialSummary {
     assert!(runs > 0);
-    let mut throughputs = Vec::with_capacity(runs);
-    let mut effective = Vec::with_capacity(runs);
-    for r in 0..runs {
-        let map = factory();
-        let w = workload.clone().seed(workload.seed.wrapping_add(r as u64));
-        let res = run_trial(&map, &w, &InstrMode::Off);
-        throughputs.push(res.ops_per_ms());
-        effective.push(res.effective_update_pct());
-    }
+    let (throughputs, effective): (Vec<f64>, Vec<f64>) = (0..runs)
+        .map(|r| {
+            let res = trial(&workload.clone().seed(workload.seed.wrapping_add(r as u64)));
+            (res.ops_per_ms(), res.effective_update_pct())
+        })
+        .unzip();
     let mean = throughputs.iter().sum::<f64>() / runs as f64;
     let var = if runs > 1 {
         throughputs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (runs - 1) as f64
