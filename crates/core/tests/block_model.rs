@@ -13,7 +13,7 @@
 
 use instrument::{AccessStats, ThreadCtx};
 use proptest::prelude::*;
-use skipgraph::{BlockPolicy, BlockedSkipMap, GraphConfig};
+use skipgraph::{BlockPolicy, BlockedSkipMap, GraphConfig, MAX_BLOCK_CAP, MIN_BLOCK_CAP};
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::Arc;
@@ -75,17 +75,21 @@ proptest! {
     }
 
     /// Differential range scans: arbitrary bounds against the model,
-    /// after a mixed load that leaves tombstones in most blocks.
+    /// after a mixed load that leaves tombstones in most blocks, then
+    /// re-inserts a share of the removed keys — resurrected slots and
+    /// unsorted tails — at the smallest, a middle and the largest block
+    /// capacity (the bounds of the scan's per-block buffer).
     #[test]
     fn ranges_match_btreemap(
         keys in proptest::collection::vec(0u64..64, 1..120),
-        removes in proptest::collection::vec(0u64..64, 0..60),
+        removes in proptest::collection::vec((0u64..64, any::<bool>()), 0..60),
         start in (0u8..3, 0u64..64),
         end in (0u8..3, 0u64..64),
+        cap in prop_oneof![Just(MIN_BLOCK_CAP), Just(8), Just(MAX_BLOCK_CAP)],
     ) {
         let map: BlockedSkipMap<u64, u64> = BlockedSkipMap::new(
             GraphConfig::new(2).chunk_capacity(256),
-            4,
+            cap,
         );
         let ctx = ThreadCtx::plain(0);
         let mut model: BTreeMap<u64, u64> = BTreeMap::new();
@@ -93,9 +97,14 @@ proptest! {
             map.insert(k, k * 3, &ctx);
             model.entry(k).or_insert(k * 3);
         }
-        for k in removes {
+        for &(k, _) in &removes {
             map.remove(&k, &ctx);
             model.remove(&k);
+        }
+        // The same pair again: a tombstoned slot comes back to life.
+        for &(k, _) in removes.iter().filter(|(_, again)| *again) {
+            map.insert(k, k * 3, &ctx);
+            model.insert(k, k * 3);
         }
         let (sb, eb) = (bound_from(start.0, start.1), bound_from(end.0, end.1));
         // An inverted range is a caller error for BTreeMap::range; give

@@ -179,10 +179,12 @@ fn blocks_shorten_searches_and_shrink_bytes_per_key() {
     );
 }
 
+/// Keys a scan of the blocked-map tests reads (`scan_short`'s length).
+const SCAN_LEN: usize = 32;
+
 #[test]
 fn a_scan_starts_at_a_local_anchor() {
     const SCANS: u64 = 10_000;
-    const SCAN_LEN: usize = 32;
     let map = preloaded_blocks(SLOTS);
     let stats = AccessStats::new(SLOTS as usize);
     // Bare contexts, no handles: the scan is the map's own function.
@@ -198,12 +200,42 @@ fn a_scan_starts_at_a_local_anchor() {
     });
     let (nodes, t) = (nodes_per_search(&stats), stats.totals());
     println!(
-        "scan starts: {nodes:.2} nodes/search, {} of {} scans without a search",
+        "scan starts: {nodes:.2} nodes/search, {} of {} answered by a local anchor",
         t.anchor_hits, t.searches
     );
     // The walk along the blocks is no search: one per scan, for its start.
     assert_eq!(t.searches, SLOTS as u64 * SCANS);
     assert!(nodes <= 9.0, "a scan start visited {nodes:.2} nodes");
+}
+
+#[test]
+fn a_scan_from_the_smallest_key_inspects_the_first_block() {
+    const SCANS: u64 = 1_000;
+    // A slot holds no anchor at or below the map's smallest key unless the
+    // first anchor happens to be sampled, so scans from it (Zipf rank 0 in
+    // the test above, 8.7 % of its scans) find nothing in their local
+    // maps: the first block covers them, and without that try each would
+    // come down from a list head.
+    let map = preloaded_blocks(SLOTS);
+    let (smallest, _) = map.iter(&ThreadCtx::plain(0)).next().unwrap();
+    let stats = AccessStats::new(SLOTS as usize);
+    let mut ctxs: Vec<ThreadCtx> = (0..SLOTS)
+        .map(|t| ThreadCtx::recording(t, Arc::clone(&stats)))
+        .collect();
+    interleave(&mut ctxs, 12, SCANS, |ctx, _, _| {
+        let mut scan = map.range(Bound::Included(&smallest), Bound::Unbounded, ctx);
+        assert_eq!(scan.next().map(|(k, _)| k), Some(smallest));
+        scan.take(SCAN_LEN - 1).for_each(drop);
+    });
+    let (nodes, t) = (nodes_per_search(&stats), stats.totals());
+    println!(
+        "smallest-key scans: {nodes:.2} nodes/search (8.00 at 4e37704: a head descent each), \
+         {} of {} answered by a local anchor",
+        t.anchor_hits, t.searches
+    );
+    assert_eq!(t.searches, SLOTS as u64 * SCANS);
+    // One node inspected per scan start: the first block, no search.
+    assert_eq!(t.traversed, t.searches, "a smallest-key scan searched");
 }
 
 #[test]
