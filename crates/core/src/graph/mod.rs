@@ -316,7 +316,6 @@ impl<K: Ord, V> SkipGraph<K, V> {
             graph.index = Some(HashIndex::new(
                 graph.config.num_threads,
                 graph.config.index_capacity,
-                graph.config.adapt,
             ));
         }
         graph
@@ -416,14 +415,6 @@ impl<K: Ord, V> SkipGraph<K, V> {
     /// see [`crate::index::SegmentOccupancy`] for how to read it.
     pub fn index_occupancy(&self) -> Vec<crate::index::SegmentOccupancy> {
         self.index().map_or_else(Vec::new, |i| i.occupancy())
-    }
-
-    /// Hash-index segment grows triggered by the windowed probe signal
-    /// alone — the adaptive early-growth actuator (see
-    /// [`GraphConfig::adapt`](crate::GraphConfig)). Always `0` without an
-    /// index or without adaptation.
-    pub fn index_probe_grows(&self) -> usize {
-        self.index().map_or(0, |i| i.probe_grows())
     }
 
     /// Consults the hash index for `key`, recording hit/miss/stale

@@ -76,7 +76,9 @@
 //! chain needs (see `Segment::repack`). When the occupancy trip-wire
 //! fires while live entries fill under 3/8 of the array, the same pass runs
 //! without the doubling: key turnover at a constant live size does not
-//! grow the index.
+//! grow the index. That trip-wire — 75 % of the slots not empty, sampled
+//! every few claims — is the one growth rule; a publish that finds its
+//! whole probe window taken grows the segment itself as the backstop.
 //!
 //! The safety argument rests on two facts: slot storage is freed only when
 //! the segment drops, and every `ptr` word ever stored is `0` or a node of
@@ -111,16 +113,15 @@
 //! transfer of the line its probe will read before its local descent, and
 //! probe after it.
 
-use crate::adapt::{AdaptConfig, OCC_GROW_PCT, PROBE_GROW};
 use crate::node::Node;
 use crate::prefetch::prefetch_read;
 use crate::sync::{FacadeAtomicUsize, Padded};
-use instrument::{MeanWindow, ThreadCtx};
+use instrument::ThreadCtx;
 use numa::{Placement, Topology};
 use std::hash::{Hash, Hasher};
 use std::ops::ControlFlow::{self, Break, Continue};
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 // Tag packing below folds a 32-bit generation and a 31-bit hash
@@ -147,8 +148,7 @@ const HISTOGRAM_BUCKETS: usize = 16;
 /// `capacity` means the segment is about to grow (or, with few live
 /// entries, to compact), and mass in the histogram's upper buckets means
 /// probe chains (and thus point-read line costs) are long even though
-/// space remains — the condition the windowed probe sensor turns into an
-/// early grow when [`crate::GraphConfig::adapt`] is set.
+/// space remains.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SegmentOccupancy {
     /// Slots in the segment's array (power of two).
@@ -199,7 +199,10 @@ const AUTO_SEGMENT_CAP: usize = 1 << 12;
 const MAX_SEGMENT_CAP: usize = 1 << 24;
 /// Chunk-directory length: chunk 0 plus one chunk per possible doubling.
 const CHUNKS: usize = (MAX_SEGMENT_CAP / MIN_SEGMENT_CAP).trailing_zeros() as usize + 1;
-/// Without an [`AdaptConfig`], a thread sums the `used` stripes against
+/// Share of a segment's slots, in percent, that may be not empty (present
+/// or tombstoned) before the occupancy trip-wire grows or compacts it.
+const OCC_GROW_PCT: usize = 75;
+/// A thread sums the `used` stripes against
 /// the occupancy threshold on every this-many-th slot it claims (every
 /// `capacity / 16`-th in smaller arrays), not on every publish: the sum
 /// reads every other thread's stripe line. A grow is then late by at most
@@ -371,22 +374,6 @@ struct Counts {
     retired: AtomicUsize,
 }
 
-/// What a grow or the adaptive sensor writes.
-struct GrowState {
-    /// Single-grower lease; losers skip the grow entirely.
-    lock: AtomicUsize,
-    /// Windowed mean probe displacement of publishes (adaptive early
-    /// growth sensor; only fed when an [`AdaptConfig`] is attached).
-    probe_window: MeanWindow,
-    /// Consecutive closed windows whose mean probe met the growth
-    /// threshold — the dwell guard for probe-signal growth. Growth is a
-    /// one-way ratchet, so the degenerate one-sided form of the
-    /// [`crate::Hysteresis`] streak suffices.
-    probe_streak: AtomicU32,
-    /// Segment grows triggered by the probe signal alone (telemetry).
-    probe_grows: AtomicUsize,
-}
-
 /// One NUMA segment: a power-of-two slot array that grows in place (see
 /// the module docs). Aligned to a line pair, so segments stand apart, and
 /// laid out so that the lines up to the `counts` pointer hold only what
@@ -405,7 +392,8 @@ struct Segment {
     chunks: [OnceLock<Box<[Slot]>>; CHUNKS],
     /// Per-thread stripes of the counts (the pointer is immutable).
     counts: Box<[Padded<Counts>]>,
-    grow: Padded<GrowState>,
+    /// Single-grower lease; losers skip the grow entirely.
+    grow: Padded<AtomicUsize>,
 }
 
 impl Segment {
@@ -428,12 +416,7 @@ impl Segment {
                     })
                 })
                 .collect(),
-            grow: Padded(GrowState {
-                lock: AtomicUsize::new(0),
-                probe_window: MeanWindow::new(),
-                probe_streak: AtomicU32::new(0),
-                probe_grows: AtomicUsize::new(0),
-            }),
+            grow: Padded(AtomicUsize::new(0)),
         }
     }
 
@@ -527,13 +510,13 @@ impl Segment {
 
     /// Relieves the segment (single grower; losers no-op). Doubles the
     /// array — unless the occupancy trip-wire asked (`tripped`, rather than
-    /// a full probe window or the probe signal) while live entries fill
-    /// under [`COMPACT_BELOW_EIGHTHS`] of it, or it is as large as it gets:
+    /// a full probe window) while live entries fill under
+    /// [`COMPACT_BELOW_EIGHTHS`] of it, or it is as large as it gets:
     /// then it compacts in place. Entries a racing publish, invalidate or
     /// grow pass moves may be lost; the read that then misses republishes
     /// them ([`crate::SkipGraph`]'s `index_heal`).
     fn grow(&self, tripped: bool) {
-        let lease = &self.grow.0.lock;
+        let lease = &self.grow.0;
         if lease.compare_exchange(0, 1, Ordering::AcqRel, Ordering::Acquire).is_err() {
             return;
         }
@@ -867,9 +850,6 @@ pub struct HashIndex<K, V> {
     segments: Box<[Segment]>,
     /// Shift applied to a key hash to select a segment.
     seg_shift: u32,
-    /// Adaptive growth thresholds; `None` keeps the static 75% trip-wire
-    /// and no probe sensing.
-    adapt: Option<AdaptConfig>,
     /// [`hash_key`], type-erased where `K: Hash` was in scope so the graph
     /// core can publish and invalidate from `K: Ord` contexts (hooks in
     /// `ops.rs` / `graph/mod.rs`). Code with `K: Hash` in scope calls
@@ -887,9 +867,8 @@ impl<K, V> HashIndex<K, V> {
     /// Builds an index with one segment per NUMA node of the detected
     /// topology (paper machine fallback), sized for `capacity_hint` total
     /// entries (`0` = auto). Requires `K: Hash` only here — every other
-    /// method runs through the captured hasher. `adapt` configures the
-    /// growth policy; `None` keeps the static threshold.
-    pub(crate) fn new(threads: usize, capacity_hint: usize, adapt: Option<AdaptConfig>) -> Self
+    /// method runs through the captured hasher.
+    pub(crate) fn new(threads: usize, capacity_hint: usize) -> Self
     where
         K: Hash,
     {
@@ -905,20 +884,9 @@ impl<K, V> HashIndex<K, V> {
         Self {
             segments: (0..segments).map(|_| Segment::new(per_seg, stripes)).collect(),
             seg_shift: 64 - segments.trailing_zeros(),
-            adapt,
             hash_of: hash_key::<K>,
             _marker: std::marker::PhantomData,
         }
-    }
-
-    /// Segment grows triggered by the windowed probe signal alone, i.e.
-    /// below the occupancy threshold (telemetry; always `0` without an
-    /// [`AdaptConfig`]).
-    pub(crate) fn probe_grows(&self) -> usize {
-        self.segments
-            .iter()
-            .map(|s| s.grow.0.probe_grows.load(Ordering::Relaxed))
-            .sum()
     }
 
     /// [`hash_key`] of `key` through the type-erased pointer: what the
@@ -1050,7 +1018,7 @@ impl<K, V> HashIndex<K, V> {
         // Probe from the signature (not the raw hash): the position is
         // then recoverable from the tag alone, which is what lets a grow
         // move entries it can only see through their tags.
-        seg.probe(mask, sig & mask, |i, s| {
+        seg.probe(mask, sig & mask, |_, s| {
             let seen = s.tag.load();
             let takeable = seen == TAG_EMPTY
                 || seen == TAG_TOMBSTONE
@@ -1067,11 +1035,10 @@ impl<K, V> HashIndex<K, V> {
                 s.ptr.store(ptr.as_ptr() as usize);
                 s.tag.store(tag);
                 counts.published.fetch_add(1, Ordering::Relaxed);
-                // The probe window needs every sample; the occupancy
-                // trip-wire alone is sampled (both powers of two).
+                // The occupancy trip-wire is sampled (both powers of two).
                 let every = ((mask + 1) >> 4).clamp(1, GROW_CHECK_EVERY);
-                if self.adapt.is_some() || (claims != 0 && claims & (every - 1) == 0) {
-                    self.after_publish(seg, i.wrapping_sub(sig) & mask);
+                if claims != 0 && claims & (every - 1) == 0 {
+                    self.after_publish(seg);
                 }
                 return Break(());
             }
@@ -1080,44 +1047,17 @@ impl<K, V> HashIndex<K, V> {
         .is_some()
     }
 
-    /// Post-publish growth policy, run on every publish with an
-    /// [`AdaptConfig`] and on every [`GROW_CHECK_EVERY`]th claim of a
-    /// thread (more often in small arrays) without. Two triggers:
-    ///
-    /// * **occupancy** — the share of slots not empty (tombstones
-    ///   included: they occupy probe-chain positions until a grow or
-    ///   compaction clears them) crosses [`OCC_GROW_PCT`]; the segment
-    ///   doubles, or compacts when few of those slots are live;
-    /// * **probe signal** (adaptive only) — the windowed mean probe
-    ///   displacement of publishes meets [`PROBE_GROW`] for
-    ///   `dwell_windows + 1` consecutive windows, growing early when an
-    ///   adversarial key mix clusters collisions below the occupancy
-    ///   threshold.
-    ///
-    /// The grow a full probe window triggers in [`Self::publish_hashed`]
-    /// remains the backstop either way.
-    fn after_publish(&self, seg: &Segment, displacement: usize) {
+    /// The index's one growth rule, run on every [`GROW_CHECK_EVERY`]th
+    /// claim of a thread (more often in small arrays): once the share of
+    /// slots not empty (tombstones included: they occupy probe-chain
+    /// positions until a grow or compaction clears them) crosses
+    /// [`OCC_GROW_PCT`], the segment doubles, or compacts when few of those
+    /// slots are live. The grow a full probe window triggers in
+    /// [`Self::publish_hashed`] is the backstop.
+    fn after_publish(&self, seg: &Segment) {
         if seg.used() * 100 > seg.capacity() * OCC_GROW_PCT {
             seg.grow(true);
-            return;
         }
-        let Some(a) = self.adapt else { return };
-        let sensor = &seg.grow.0;
-        let Some(mean) = sensor.probe_window.record(displacement as u32, a.window_ops) else {
-            return;
-        };
-        if mean < PROBE_GROW {
-            sensor.probe_streak.store(0, Ordering::Relaxed);
-            return;
-        }
-        let streak = sensor.probe_streak.load(Ordering::Relaxed) + 1;
-        if streak <= a.dwell_windows {
-            sensor.probe_streak.store(streak, Ordering::Relaxed);
-            return;
-        }
-        sensor.probe_streak.store(0, Ordering::Relaxed);
-        sensor.probe_grows.fetch_add(1, Ordering::Relaxed);
-        seg.grow(false);
     }
 
     /// Tombstones the entry for `key` if it still names `ptr`, on behalf
@@ -1286,7 +1226,7 @@ mod tests {
 
     #[test]
     fn publish_lookup_invalidate_roundtrip() {
-        let idx: HashIndex<u64, u64> = HashIndex::new(2, 1 << 12, None);
+        let idx: HashIndex<u64, u64> = HashIndex::new(2, 1 << 12);
         let p = dangling(1);
         publish(&idx, 7, p, 42, 0);
         let e = lookup(&idx, 7).expect("published entry");
@@ -1311,7 +1251,7 @@ mod tests {
 
     #[test]
     fn republish_overwrites_generation() {
-        let idx: HashIndex<u64, u64> = HashIndex::new(1, 1 << 10, None);
+        let idx: HashIndex<u64, u64> = HashIndex::new(1, 1 << 10);
         let p = dangling(1);
         publish(&idx, 5, p, 1, 0);
         publish(&idx, 5, dangling(2), 9, 0);
@@ -1322,7 +1262,7 @@ mod tests {
 
     #[test]
     fn untargeted_invalidate_clears_any_holder() {
-        let idx: HashIndex<u64, u64> = HashIndex::new(1, 1 << 10, None);
+        let idx: HashIndex<u64, u64> = HashIndex::new(1, 1 << 10);
         publish(&idx, 11, dangling(4), 5, 0);
         idx.invalidate(&11, None, 0);
         assert!(lookup(&idx, 11).is_none());
@@ -1347,7 +1287,7 @@ mod tests {
         // each overflowing publish must survive its retry.
         let hints: &[usize] = if cfg!(miri) { &[1] } else { &[0, 1] };
         for &hint in hints {
-            let idx: HashIndex<u64, u64> = HashIndex::new(1, hint, None);
+            let idx: HashIndex<u64, u64> = HashIndex::new(1, hint);
             let start = idx.capacity();
             let keys = start.max(if cfg!(miri) { 300 } else { 4_000 }) as u64;
             for k in 0..keys {
@@ -1362,7 +1302,7 @@ mod tests {
     fn grows_keep_every_entry_among_tombstones() {
         // Invalidations leave tombstones on the chains the grows repack:
         // every live key must stay findable, every dead one absent.
-        let idx: HashIndex<u64, u64> = HashIndex::new(1, 1, None);
+        let idx: HashIndex<u64, u64> = HashIndex::new(1, 1);
         let keys = if cfg!(miri) { 200u64 } else { 3_000 };
         let mut dead = Vec::new();
         for k in 0..keys {
@@ -1385,7 +1325,7 @@ mod tests {
         // Each round replaces every live key by a fresh one: tombstones
         // trip the wire again and again with few live entries, and each
         // trip must purge them in place instead of doubling.
-        let idx: HashIndex<u64, u64> = HashIndex::new(1, 1 << 12, None);
+        let idx: HashIndex<u64, u64> = HashIndex::new(1, 1 << 12);
         let (live, rounds) = if cfg!(miri) { (40u64, 2) } else { (1_000, 4) };
         let start = idx.capacity();
         for k in 0..live {
@@ -1406,36 +1346,6 @@ mod tests {
         assert_eq!(used, entries + tombstones, "used stripes drifted from the slots");
     }
 
-    #[test]
-    fn probe_signal_grows_below_the_occupancy_threshold() {
-        // Drive the sensor directly with long displacements: the array
-        // stays empty (occupancy can never trigger), so the windowed
-        // mean-probe signal alone must grow the segment — and only after
-        // the dwell guard's `dwell + 1` consecutive qualifying windows.
-        let cfg = AdaptConfig::new().window_ops(16).dwell_windows(1);
-        let idx: HashIndex<u64, u64> = HashIndex::new(1, 0, Some(cfg));
-        let seg = &idx.segments[0];
-        let before = seg.capacity();
-        for _ in 0..16 {
-            idx.after_publish(seg, 5);
-        }
-        assert_eq!(seg.capacity(), before, "dwell guard must hold the first window");
-        for _ in 0..16 {
-            idx.after_publish(seg, 5);
-        }
-        assert_eq!(seg.capacity(), before * 2, "second qualifying window grows");
-        assert_eq!(idx.probe_grows(), 1, "growth must be attributed to the probe signal");
-        // A short-probe window resets the streak: one more qualifying
-        // window alone must not grow again.
-        for _ in 0..16 {
-            idx.after_publish(seg, 0);
-        }
-        for _ in 0..16 {
-            idx.after_publish(seg, 5);
-        }
-        assert_eq!(seg.capacity(), before * 2, "a reset streak must re-dwell");
-    }
-
     /// The 128-byte line (pair) an object starts on.
     fn line_of<T>(x: &T) -> usize {
         x as *const T as usize / 128
@@ -1450,7 +1360,7 @@ mod tests {
     fn probe_read_words_share_no_line_with_a_counter() {
         // A live index, grown so that chunks installed mid-run are part of
         // the picture: as many keys as the index has slots cannot fit.
-        let idx: HashIndex<u64, u64> = HashIndex::new(4, 0, None);
+        let idx: HashIndex<u64, u64> = HashIndex::new(4, 0);
         for k in 0..idx.capacity() as u64 {
             publish(&idx, k, dangling(1 + k as usize), 0, (k % 4) as usize);
         }
@@ -1468,8 +1378,8 @@ mod tests {
             read.extend(lines_of(&seg.base_bits));
             read.extend(lines_of(&seg.chunks));
             read.extend(lines_of(&seg.counts));
-            // What a publish, an invalidate, the sensor or a grow's lease
-            // writes (slots aside).
+            // What a publish, an invalidate or a grow's lease writes
+            // (slots aside).
             let mut written: Vec<usize> = Vec::new();
             let mut stripes: Vec<usize> = Vec::new();
             for c in seg.counts.iter() {
@@ -1496,7 +1406,7 @@ mod tests {
 
     #[test]
     fn striped_counts_sum_to_the_totals() {
-        let idx: HashIndex<u64, u64> = HashIndex::new(4, 1 << 12, None);
+        let idx: HashIndex<u64, u64> = HashIndex::new(4, 1 << 12);
         for k in 0..100u64 {
             // Thread ids past the stripe count fold onto a stripe.
             publish(&idx, k, dangling(1 + k as usize), 0, (k % 6) as usize);

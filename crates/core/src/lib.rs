@@ -50,7 +50,6 @@
 //! });
 //! ```
 
-pub mod adapt;
 pub mod batch;
 #[cfg(feature = "deterministic")]
 pub mod det;
@@ -64,11 +63,11 @@ mod params;
 mod prefetch;
 mod reclaim;
 pub mod replicate;
+mod shims;
 pub mod sync;
 
 pub mod local;
 
-pub use adapt::{AdaptConfig, Hysteresis};
 pub use batch::{
     BatchConfig, BatchExecutor, BatchOp, BatchOutcome, BatchedLayeredMap, CombinerTarget,
 };
@@ -81,7 +80,8 @@ pub use layered::{CombiningHandle, LayeredHandle, LayeredMap, ReadOnlyView};
 pub use map_api::{ConcurrentMap, MapHandle, SkipGraphHandle};
 pub use mvec::{default_max_level, MembershipStrategy};
 pub use params::{GraphConfig, DEFAULT_COMMISSION_FACTOR};
-pub use replicate::{AdaptSnapshot, ReplicaConfig, ReplicatedHandle, ReplicatedLayeredMap};
+pub use replicate::{ReplicaConfig, ReplicatedHandle, ReplicatedLayeredMap};
+pub use shims::*;
 
 /// Maximum supported tower height (levels `0..MAX_HEIGHT`).
 pub const MAX_HEIGHT: usize = node::MAX_HEIGHT;

@@ -1,6 +1,5 @@
 //! Configuration of the shared structure.
 
-use crate::adapt::AdaptConfig;
 use crate::mvec::{default_max_level, MembershipStrategy};
 use crate::node::MAX_HEIGHT;
 
@@ -64,11 +63,6 @@ pub struct GraphConfig {
     /// slots (rounded up to a power of two, at least 4) and grow in place,
     /// lock-free, past the hint under load.
     pub index_capacity: usize,
-    /// Workload-adaptive control plane (see [`crate::adapt`]): when set,
-    /// the hash index grows segments from the windowed occupancy/probe
-    /// signal using these thresholds. `None` (the default) keeps the
-    /// static behavior: the index's fixed 75% trip-wire.
-    pub adapt: Option<AdaptConfig>,
     /// NUMA-ownership override: when set, every node allocated in this
     /// structure is tagged as owned by this thread (and recycled into its
     /// arena bank) instead of the allocating thread. Used by per-socket
@@ -103,7 +97,6 @@ impl GraphConfig {
             block_bytes: 0,
             hash_index: false,
             index_capacity: 0,
-            adapt: None,
             owner_tag: None,
         }
     }
@@ -188,13 +181,6 @@ impl GraphConfig {
         self
     }
 
-    /// Enables the workload-adaptive control plane with the given
-    /// thresholds (see [`GraphConfig::adapt`]).
-    pub fn adapt(mut self, cfg: AdaptConfig) -> Self {
-        self.adapt = Some(cfg);
-        self
-    }
-
     /// Tags every node allocated in this structure as owned by `thread`
     /// (see [`GraphConfig::owner_tag`]).
     ///
@@ -250,8 +236,7 @@ mod tests {
             .reclaim(true)
             .block_bytes(144)
             .hash_index(true)
-            .index_capacity(1 << 12)
-            .adapt(AdaptConfig::new().window_ops(16));
+            .index_capacity(1 << 12);
         assert!(c.lazy && c.sparse);
         assert_eq!(c.max_level, 3);
         assert_eq!(c.commission_cycles, 10);
@@ -260,8 +245,6 @@ mod tests {
         assert_eq!(c.block_bytes, 144);
         assert!(c.hash_index);
         assert_eq!(c.index_capacity, 1 << 12);
-        assert_eq!(c.adapt, Some(AdaptConfig::new().window_ops(16)));
-        assert_eq!(GraphConfig::new(4).adapt, None, "adaptation is opt-in");
     }
 
     #[test]

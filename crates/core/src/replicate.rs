@@ -65,7 +65,13 @@
 //!   helps replay the laggiest replica instead of growing the backlog, so
 //!   a slot is never reclaimed while an applier might still read it
 //!   (`max_lag <= capacity` makes the bounded buffer safe by
-//!   construction).
+//!   construction). Every replica's tail gates slot reuse, so a drain can
+//!   never find its slot stamped by a later wrap; it asserts as much.
+//!
+//! Replication is chosen when the map is built: a `ReplicatedLayeredMap`
+//! keeps one replica per socket for its whole life. Whether that pays
+//! against one [`LayeredMap`] is a property of the machine and the
+//! workload, so it is measured, not switched at run time.
 //!
 //! Every coordination word (`head`, per-replica tails, replay leases, slot
 //! sequence/result stamps) is a [`crate::sync::FacadeAtomicUsize`], so
@@ -73,93 +79,16 @@
 //! append, replay, and catch-up at the same replayable granularity as the
 //! structure itself; the `replicated_sg` stress lanes run PCT and
 //! round-robin schedules over exactly this protocol.
-//!
-//! # Adaptive replication (`ReplicaConfig::adapt`)
-//!
-//! Per-socket replication amplifies every write into one apply per
-//! replica, so a write-heavy mix pays `sockets` applies for structures
-//! nobody is reading locally. With an [`AdaptConfig`] attached, the map
-//! senses its write ratio over op-count windows and switches — CNR-style
-//! — between two regimes published through one facade-atomic **epoch
-//! word** (`generation << 2 | mode`) that every operation validates like
-//! a generation tag. There is one protocol, not two: a map built without
-//! an `AdaptConfig` is the adaptive map whose controller never fires. It
-//! stays in generation 0 of the replicated mode forever, so its epoch is
-//! a constant rather than a word (`ReplicatedLayeredMap::epoch` loads
-//! nothing, and under `deterministic` adds no yield point), every epoch
-//! check below is vacuously true, and the same `read_replica` / `update`
-//! / tail-wait code serves both.
-//!
-//! * **Replicated** (mode 0): the protocol above.
-//! * **Single** (mode 2): writes still append to their key's log (the
-//!   total order must survive the mode switch) but carry home replica 0,
-//!   and *only replica 0 drains* — one apply per write, no fan-out.
-//!   Reads on every socket go straight to replica 0 with **no log wait**:
-//!   single-mode writes are synchronous to replica 0 before they return,
-//!   and the downshift drains every log to stability before publishing
-//!   the flip, so replica 0 already holds every completed operation.
-//! * Transitional modes guard the switches. **Down-drain** (mode 1,
-//!   replicated → single) drains every `(log, replica)` pair to
-//!   stability, so no completed write is stranded in a log replica 0
-//!   never saw. **Up-rebuild** (mode 3, single → replicated) drains
-//!   replica 0 to stability, snaps the retired tails to replica 0's
-//!   applied prefix, and rebuilds each replica by diffing bottom-list
-//!   snapshots (presence outcomes are replay-idempotent, so the suffix
-//!   the snapshot already covers may replay again without divergence).
-//!   Both transitions bump the generation, so a stale epoch can never
-//!   be revalidated (no ABA).
-//!
-//! Writers revalidate the epoch after winning their head claim; a claim
-//! that straddles a transition is **poisoned** (stamped without an op, so
-//! every drain skips it) and retried under the new epoch — each thread
-//! contributes at most one poison per transition, so the transition
-//! drains terminate. Readers in replicated-class modes
-//! re-check the epoch inside their tail-wait and restart the read on a
-//! change. A drain that finds a slot stamped by a *later* wrap aborts
-//! before applying anything: only retired replicas (whose tails no
-//! longer gate slot reuse) can observe that, and aborting is exactly the
-//! right behavior for their stale helpers.
 
-use crate::adapt::{AdaptConfig, Hysteresis};
 use crate::batch::{BatchOp, BatchOutcome, CombinerTarget};
 use crate::index::hash_key;
 use crate::layered::{LayeredHandle, LayeredMap};
 use crate::mvec::list_suffix;
 use crate::params::GraphConfig;
 use crate::sync::{FacadeAtomicUsize, Padded};
-use instrument::{CounterWindow, ThreadCtx};
+use instrument::ThreadCtx;
 use std::cell::UnsafeCell;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
-
-/// Epoch-word modes (low two bits; the rest is the generation). The bit
-/// layout is load-bearing: bit 1 set ⇔ reads go straight to replica 0
-/// (single-class), bit 0 set ⇔ a transition is in flight (writers wait).
-const MODE_REPLICATED: usize = 0;
-const MODE_DOWN_DRAIN: usize = 1;
-const MODE_SINGLE: usize = 2;
-const MODE_UP_REBUILD: usize = 3;
-const MODE_MASK: usize = 3;
-
-/// Reads in this epoch go straight to replica 0 (single or up-rebuild).
-fn single_class(epoch: usize) -> bool {
-    epoch & 2 != 0
-}
-
-/// A transition is in flight (down-drain or up-rebuild); writers wait.
-fn transitional(epoch: usize) -> bool {
-    epoch & 1 != 0
-}
-
-fn mode_name(epoch: usize) -> &'static str {
-    match epoch & MODE_MASK {
-        MODE_REPLICATED => "replicated",
-        MODE_DOWN_DRAIN => "down-drain",
-        MODE_SINGLE => "single",
-        MODE_UP_REBUILD => "up-rebuild",
-        _ => unreachable!("mode is two bits"),
-    }
-}
 
 /// The one wait step of every loop in this module: spin briefly for the
 /// fast handoff, then yield the OS thread (as the combiner's waiters do).
@@ -176,62 +105,6 @@ fn backoff(spins: &mut u32) {
     }
 }
 
-/// Shared adaptive-replication state: the epoch word, the write-ratio
-/// sensor window, the hysteresis gate deciding the intent, and relaxed
-/// telemetry counters (sensors and telemetry are plain `std` atomics —
-/// statistics, not synchronization — so the non-facade words add no det
-/// yield points).
-struct AdaptState {
-    /// `generation << 2 | mode` (see the module docs). Only the controller
-    /// moves it, so it exists only where one is attached: see
-    /// [`ReplicatedLayeredMap::epoch`].
-    epoch: Padded<FacadeAtomicUsize>,
-    cfg: AdaptConfig,
-    window: CounterWindow,
-    /// Engaged ⇔ the controller wants single-structure mode.
-    gate: Hysteresis,
-    downshifts: AtomicU64,
-    upshifts: AtomicU64,
-    windows: AtomicU64,
-    last_write_pct: AtomicU32,
-}
-
-impl AdaptState {
-    fn new(cfg: AdaptConfig) -> Self {
-        Self {
-            epoch: Padded(FacadeAtomicUsize::new(MODE_REPLICATED)),
-            cfg,
-            window: CounterWindow::new(),
-            gate: Hysteresis::new(cfg.write_up_pct, cfg.write_down_pct, cfg.dwell_windows),
-            downshifts: AtomicU64::new(0),
-            upshifts: AtomicU64::new(0),
-            windows: AtomicU64::new(0),
-            last_write_pct: AtomicU32::new(0),
-        }
-    }
-}
-
-/// A point-in-time view of the adaptive replication state (telemetry for
-/// `examples/numa_heatmap`, `benchmark/` and `tests/layer_counts.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdaptSnapshot {
-    /// Current epoch mode: `"replicated"`, `"down-drain"`, `"single"`,
-    /// or `"up-rebuild"`.
-    pub mode: &'static str,
-    /// Epoch generation (bumps once per completed transition).
-    pub generation: usize,
-    /// Completed replicated → single switches.
-    pub downshifts: u64,
-    /// Completed single → replicated switches.
-    pub upshifts: u64,
-    /// Closed sensor windows.
-    pub windows: u64,
-    /// Write percentage of the most recently closed window.
-    pub last_write_pct: u32,
-    /// Operations recorded in the currently open window.
-    pub open_window_ops: u32,
-}
-
 /// Replication geometry: thread→socket placement plus log shape.
 #[derive(Clone, Debug)]
 pub struct ReplicaConfig {
@@ -241,7 +114,6 @@ pub struct ReplicaConfig {
     logs: usize,
     log_capacity: usize,
     max_lag: usize,
-    adapt: Option<AdaptConfig>,
 }
 
 impl ReplicaConfig {
@@ -257,7 +129,6 @@ impl ReplicaConfig {
             logs: 2,
             log_capacity: 256,
             max_lag: 192,
-            adapt: None,
         }
     }
 
@@ -286,16 +157,6 @@ impl ReplicaConfig {
     pub fn max_lag(mut self, max_lag: usize) -> Self {
         assert!(max_lag >= 1, "max_lag must be positive");
         self.max_lag = max_lag;
-        self
-    }
-
-    /// Attaches the adaptation controller (see the module docs): the map
-    /// senses its write ratio and switches between the replicated and
-    /// single-structure regimes through the epoch protocol. Without one
-    /// (the default) the map runs the same protocol pinned in the
-    /// replicated mode, with no epoch word to load.
-    pub fn adapt(mut self, cfg: AdaptConfig) -> Self {
-        self.adapt = Some(cfg);
         self
     }
 
@@ -404,8 +265,6 @@ pub struct ReplicatedLayeredMap<K, V> {
     /// `log2(logs)` — the membership-vector level whose list families key
     /// the log partition.
     log_level: u8,
-    /// The controller and its epoch word; `None` on a static map.
-    adapt: Option<AdaptState>,
 }
 
 impl<K: Ord + Hash + Clone, V> ReplicatedLayeredMap<K, V> {
@@ -449,7 +308,6 @@ impl<K: Ord + Hash + Clone, V> ReplicatedLayeredMap<K, V> {
             replicas,
             logs: (0..rcfg.logs).map(|_| OpLog::new(rcfg.log_capacity, sockets)).collect(),
             log_level: rcfg.logs.trailing_zeros() as u8,
-            adapt: rcfg.adapt.map(AdaptState::new),
             rcfg,
         }
     }
@@ -463,35 +321,6 @@ impl<K: Ord + Hash + Clone, V> ReplicatedLayeredMap<K, V> {
     /// flushes through this; production code never needs it).
     pub fn replicas(&self) -> &[LayeredMap<K, V>] {
         &self.replicas
-    }
-
-    /// Telemetry snapshot of the adaptive control loop, or `None` when
-    /// this map was built without [`ReplicaConfig::adapt`].
-    pub fn adapt_state(&self) -> Option<AdaptSnapshot> {
-        let ad = self.adapt.as_ref()?;
-        let epoch = ad.epoch.0.load();
-        Some(AdaptSnapshot {
-            mode: mode_name(epoch),
-            generation: epoch >> 2,
-            downshifts: ad.downshifts.load(Relaxed),
-            upshifts: ad.upshifts.load(Relaxed),
-            windows: ad.windows.load(Relaxed),
-            last_write_pct: ad.last_write_pct.load(Relaxed),
-            open_window_ops: ad.window.open_window().total,
-        })
-    }
-
-    /// The epoch every operation validates against. Only a controller
-    /// moves the word, so a map without one answers with the constant it
-    /// would hold forever — generation 0 of the replicated mode — and
-    /// makes no shared load: its operations keep the exact facade-access
-    /// sequence (the `deterministic` yield points) of a protocol that has
-    /// no epoch at all.
-    fn epoch(&self) -> usize {
-        match &self.adapt {
-            Some(ad) => ad.epoch.0.load(),
-            None => MODE_REPLICATED,
-        }
     }
 
     /// The log a key's operations append to: the level-`log2(logs)`
@@ -582,14 +411,12 @@ where
         self.update(BatchOp::Remove(key.clone()))
     }
 
-    /// Membership test served by the replica the read rule names: the
-    /// socket-local one once its tail passed the mapped log's head (NR's
-    /// read rule), or — in an adaptive map's single-class epochs —
-    /// replica 0 with no log wait.
+    /// Membership test served by the socket-local replica once its tail
+    /// has passed the mapped log's head (NR's read rule).
     pub fn contains(&mut self, key: &K) -> bool {
         let hash = hash_key(key);
-        let r = self.read_replica(hash);
-        self.handles[r].contains_hashed(key, hash)
+        self.wait_local_valid(self.map.log_of(hash));
+        self.handles[self.socket].contains_hashed(key, hash)
     }
 
     /// Point lookup served by the same replica as
@@ -606,31 +433,8 @@ where
     /// per key or key them by version.
     pub fn get(&mut self, key: &K) -> Option<V> {
         let hash = hash_key(key);
-        let r = self.read_replica(hash);
-        self.handles[r].get_hashed(key, hash)
-    }
-
-    /// The read rule: which replica may answer a read of the key whose
-    /// [`hash_key`] is `hash` right now.
-    /// In a replicated-class epoch that is the socket-local replica, once
-    /// its tail has passed the mapped log's head (NR's read rule — one
-    /// shared load per read, the traversal itself never leaves the
-    /// socket); if the epoch moves during the wait the local replica may
-    /// be retiring, so the read restarts. In a single-class epoch it is
-    /// replica 0 with no wait: every completed operation is already
-    /// applied there (see the module docs' transition argument).
-    fn read_replica(&mut self, hash: u64) -> usize {
-        self.sense(false);
-        loop {
-            let epoch = self.map.epoch();
-            if single_class(epoch) {
-                return 0;
-            }
-            let li = self.map.log_of(hash);
-            if self.wait_local_valid(li, epoch) {
-                return self.socket;
-            }
-        }
+        self.wait_local_valid(self.map.log_of(hash));
+        self.handles[self.socket].get_hashed(key, hash)
     }
 
     /// Catches this thread's socket replica up to the head of *every*
@@ -639,104 +443,54 @@ where
     /// once after a bulk load so the replay debt is not paid inside a
     /// measured (or latency-sensitive) read path.
     pub fn sync(&mut self) {
-        'epoch: loop {
-            let epoch = self.map.epoch();
-            if single_class(epoch) {
-                // Replica 0 is synchronously maintained by every
-                // completed single-mode write; nothing to replay.
-                return;
-            }
-            for li in 0..self.map.logs.len() {
-                if !self.wait_local_valid(li, epoch) {
-                    continue 'epoch;
-                }
-            }
-            return;
+        for li in 0..self.map.logs.len() {
+            self.wait_local_valid(li);
         }
     }
 
-    /// Appends `op` to its key's log under a validated epoch and waits
-    /// (helping) until its home replica applied it; returns the
-    /// operation's set-semantics outcome. The home is the writer's own
-    /// socket in a replicated epoch (read-your-writes) and replica 0 in a
-    /// single-class one. The key is hashed here, once for every replica.
+    /// Appends `op` to its key's log and waits (helping) until this
+    /// thread's socket replica applied it (read-your-writes); returns the
+    /// operation's set-semantics outcome. The key is hashed here, once for
+    /// every replica.
     fn update(&mut self, op: BatchOp<K, V>) -> bool {
-        self.sense(true);
         let map = self.map;
         let hash = hash_key(op.key());
         let li = map.log_of(hash);
         let log = &map.logs[li];
+        let home = self.socket;
         self.ctx().record_op();
-        let (pos, home) = loop {
-            // Claim a slot, lag-bounded against the tails that still gate
-            // slot reuse in the current epoch: every tail when replicated
-            // (and down-draining), replica 0's alone once single-class —
-            // retired tails stop moving and would freeze the log. While
-            // the slowest of them trails by max_lag (<= capacity), help it
-            // drain instead of growing the backlog — this is also what
-            // makes slot reuse safe, since a claimed position implies
-            // every gating tail passed its previous occupant.
-            let mut spins = 0u32;
-            let (pos, epoch) = loop {
-                let epoch = map.epoch();
-                if transitional(epoch) {
-                    // A transition is redirecting the log; wait it out.
-                    backoff(&mut spins);
-                    continue;
-                }
-                // `min` before `head`: tails never pass the head and the
-                // head only grows, so this order guarantees `min <= head`
-                // (the reverse order could observe a tail that advanced
-                // past a stale head). A stale-low `min` merely
-                // overestimates the lag.
-                let min = if single_class(epoch) {
-                    log.tails[0].0.load()
-                } else {
-                    log.min_tail()
-                };
-                let head = log.head.0.load();
-                if head - min >= map.rcfg.max_lag {
-                    // The target's lease may be held by a descheduled
-                    // thread (try_replay then returns at once): back off.
-                    let target = if single_class(epoch) { 0 } else { log.laggiest() };
-                    self.try_replay(li, target);
-                    backoff(&mut spins);
-                    continue;
-                }
-                if log.head.0.compare_exchange(head, head + 1).is_ok() {
-                    self.ctx().record_log_append((head - min) as u64);
-                    break (head, epoch);
-                }
-            };
-            let slot = &log.slots[pos & log.mask];
-            // Revalidate the epoch the claim was made under. A mismatch
-            // means a transition CAS landed between the claim-loop load
-            // and here: the home decision below could disagree with who
-            // drains in the new epoch, so the slot is poisoned — stamped
-            // empty (seq must advance: drains spin on it), which every
-            // drain skips — and the claim retried under the new epoch.
-            // Generations make the comparison ABA-proof.
-            //
-            // The cell is exclusive either way: all appliers finished the
-            // previous occupant (the gating tails passed it) before `pos`
-            // could be claimed.
-            if map.epoch() != epoch {
-                unsafe { *slot.op.get() = None };
-                slot.seq.store(pos + 1);
+        // Claim a slot, lag-bounded: while the slowest replica trails by
+        // max_lag (<= capacity), help it drain instead of growing the
+        // backlog — this is also what makes slot reuse safe, since a
+        // claimed position implies every tail passed its previous occupant.
+        let mut spins = 0u32;
+        let pos = loop {
+            // `min` before `head`: tails never pass the head and the head
+            // only grows, so this order guarantees `min <= head` (the
+            // reverse order could observe a tail that advanced past a
+            // stale head). A stale-low `min` merely overestimates the lag.
+            let min = log.min_tail();
+            let head = log.head.0.load();
+            if head - min >= map.rcfg.max_lag {
+                // The target's lease may be held by a descheduled thread
+                // (try_replay then returns at once): back off.
+                self.try_replay(li, log.laggiest());
+                backoff(&mut spins);
                 continue;
             }
-            let home = if single_class(epoch) { 0 } else { self.socket };
-            unsafe { *slot.op.get() = Some(Pending { home, hash, op }) };
-            slot.seq.store(pos + 1);
-            break (pos, home);
+            if log.head.0.compare_exchange(head, head + 1).is_ok() {
+                self.ctx().record_log_append((head - min) as u64);
+                break head;
+            }
         };
+        // The cell is exclusive: every applier finished the previous
+        // occupant (every tail passed it) before `pos` could be claimed.
+        let slot = &log.slots[pos & log.mask];
+        unsafe { *slot.op.get() = Some(Pending { home, hash, op }) };
+        slot.seq.store(pos + 1);
         // Wait for the home replica's applier to publish this op's
         // outcome, replaying the home replica ourselves whenever its lease
-        // is free. It is always the *captured* home's lease that is helped
-        // — in single mode every writer self-serves replica 0, and under
-        // the injected severed drain a stranded replicated-era writer
-        // still self-serves its own replica instead of hanging.
-        let slot = &log.slots[pos & log.mask];
+        // is free.
         let mut spins = 0u32;
         loop {
             let r = slot.result.load();
@@ -772,208 +526,21 @@ where
 
     /// The tail-wait of the read rule: loads the log's head once, then
     /// replays the local replica (or waits on whoever holds its lease)
-    /// until its tail passes that head. Re-checks the epoch on every wait
-    /// iteration and returns `false` (restart) the moment it moves.
-    fn wait_local_valid(&mut self, li: usize, epoch: usize) -> bool {
+    /// until its tail passes that head.
+    fn wait_local_valid(&mut self, li: usize) {
         let log = &self.map.logs[li];
         let head = log.head.0.load();
         // Injected bug (`--features bug-injection`): sever the tail-wait,
         // serving the read from whatever prefix the local replica happens
         // to have applied. A completed remote write (or a fresher read on
         // another socket) is then invisible here — a stale read the
-        // deterministic stress wall catches and shrinks. Static maps
-        // only: a map with a controller carries the severed downshift
-        // drain instead (one live fault per stress lane).
-        #[cfg(feature = "bug-injection")]
-        if self.map.adapt.is_none() {
-            return true;
+        // deterministic stress wall catches and shrinks.
+        if cfg!(feature = "bug-injection") {
+            return;
         }
         let mut spins = 0u32;
         while log.tails[self.socket].0.load() < head {
-            if self.map.epoch() != epoch {
-                return false;
-            }
             self.try_replay(li, self.socket);
-            backoff(&mut spins);
-        }
-        true
-    }
-
-    /// Feeds the write-ratio sensor; the op that closes a window
-    /// reconciles the epoch with the controller's intent. Inlined, with
-    /// the window close kept out of line, so that a map without a
-    /// controller pays one branch per operation and not a call.
-    #[inline]
-    fn sense(&mut self, is_write: bool) {
-        let Some(ad) = &self.map.adapt else { return };
-        if let Some(sample) = ad.window.record(is_write, ad.cfg.window_ops) {
-            self.reconcile(ad, sample.flagged_pct());
-        }
-    }
-
-    /// Window close: runs the hysteresis gate on the closed window's
-    /// write percentage and drives the epoch toward the gate's intent.
-    /// Also self-heals a switch whose transition CAS was lost to a race
-    /// (the next window re-attempts it).
-    #[cold]
-    fn reconcile(&mut self, ad: &AdaptState, write_pct: u32) {
-        ad.last_write_pct.store(write_pct, Relaxed);
-        ad.windows.fetch_add(1, Relaxed);
-        ad.gate.observe(write_pct);
-        let want_single = ad.gate.engaged();
-        let epoch = ad.epoch.0.load();
-        if transitional(epoch) || single_class(epoch) == want_single {
-            return;
-        }
-        if want_single {
-            self.downshift(ad, epoch);
-        } else {
-            self.upshift(ad, epoch);
-        }
-    }
-
-    /// Replicated → single. Publishes the down-drain mode (one winner),
-    /// drains every `(log, replica)` pair to stability — no completed
-    /// write may be stranded in a suffix replica 0 never applied, since
-    /// single-class reads serve replica 0 directly — then publishes the
-    /// single epoch with a bumped generation.
-    fn downshift(&mut self, ad: &AdaptState, epoch: usize) {
-        let draining = epoch | MODE_DOWN_DRAIN;
-        if ad.epoch.0.compare_exchange(epoch, draining).is_err() {
-            return;
-        }
-        // Injected bug (`--features bug-injection`): sever the
-        // drain-before-switch, flipping straight to single mode. A write
-        // homed on another socket that completed before the flip (its
-        // own replica applied it) is then invisible to the direct
-        // replica-0 reads until some later single-mode write happens to
-        // drain that log — a non-linearizable read window the adaptive
-        // det stress lane catches and shrinks.
-        #[cfg(not(feature = "bug-injection"))]
-        self.drain_all_until_stable();
-        ad.epoch.0.store((epoch & !MODE_MASK) + 4 + MODE_SINGLE);
-        ad.downshifts.fetch_add(1, Relaxed);
-    }
-
-    /// Single → replicated. Publishes up-rebuild (one winner), drains
-    /// every log into replica 0 to stability, snaps the retired tails to
-    /// replica 0's applied prefix, rebuilds each replica to replica 0's
-    /// key set by a two-snapshot diff, then publishes the replicated
-    /// epoch with a bumped generation. Writers sit out the transitional
-    /// mode, so the rebuild races only stale readers — which the layered
-    /// map tolerates structurally, and which linearize because the diff
-    /// only applies completed operations' effects. Presence outcomes are
-    /// replay-idempotent, so the post-flip drains may replay a suffix
-    /// the snapshot already covered without divergence; shared keys keep
-    /// the replica's own value (the documented value-consistency
-    /// caveat).
-    fn upshift(&mut self, ad: &AdaptState, epoch: usize) {
-        let map = self.map;
-        // MODE_SINGLE -> MODE_UP_REBUILD
-        if ad.epoch.0.compare_exchange(epoch, epoch | 1).is_err() {
-            return;
-        }
-        let mut spins = 0u32;
-        loop {
-            let mut stable = true;
-            for li in 0..map.logs.len() {
-                let log = &map.logs[li];
-                if log.tails[0].0.load() < log.head.0.load() {
-                    stable = false;
-                    self.try_replay(li, 0);
-                }
-            }
-            if stable {
-                break;
-            }
-            backoff(&mut spins);
-        }
-        // Snap the retired tails *before* the snapshots: every op past
-        // replica 0's applied prefix replays into the rebuilt replicas
-        // through the normal post-flip drains, and replaying ops the
-        // snapshot already includes cannot change presence outcomes.
-        for log in &map.logs {
-            let applied = log.tails[0].0.load();
-            for tail in log.tails.iter().skip(1) {
-                tail.0.store(applied);
-            }
-        }
-        for r in 1..map.replicas.len() {
-            let (to_insert, to_remove) = {
-                let mut want = map.replicas[0]
-                    .shared()
-                    .iter_snapshot(self.handles[0].ctx())
-                    .peekable();
-                let mut have = map.replicas[r]
-                    .shared()
-                    .iter_snapshot(self.handles[r].ctx())
-                    .peekable();
-                let mut ins: Vec<(K, V)> = Vec::new();
-                let mut del: Vec<K> = Vec::new();
-                loop {
-                    match (want.peek(), have.peek()) {
-                        (Some((kw, _)), Some((kh, _))) => match kw.cmp(kh) {
-                            std::cmp::Ordering::Less => {
-                                let (k, v) = want.next().expect("peeked");
-                                ins.push((k.clone(), v.clone()));
-                            }
-                            std::cmp::Ordering::Greater => {
-                                let (k, _) = have.next().expect("peeked");
-                                del.push(k.clone());
-                            }
-                            std::cmp::Ordering::Equal => {
-                                want.next();
-                                have.next();
-                            }
-                        },
-                        (Some(_), None) => {
-                            let (k, v) = want.next().expect("peeked");
-                            ins.push((k.clone(), v.clone()));
-                        }
-                        (None, Some(_)) => {
-                            let (k, _) = have.next().expect("peeked");
-                            del.push(k.clone());
-                        }
-                        (None, None) => break,
-                    }
-                }
-                (ins, del)
-            };
-            let handle = &mut self.handles[r];
-            for k in to_remove {
-                handle.remove(&k);
-            }
-            for (k, v) in to_insert {
-                handle.insert(k, v);
-            }
-        }
-        ad.epoch.0.store((epoch & !MODE_MASK) + 4); // gen+1, MODE_REPLICATED
-        ad.upshifts.fetch_add(1, Relaxed);
-    }
-
-    /// Drains every `(log, replica)` pair until all tails meet their
-    /// heads. Terminates under the down-drain epoch: claims straddling
-    /// the transition poison themselves and retry into the transitional
-    /// wait, so each thread adds at most one slot after the mode
-    /// publish.
-    #[cfg_attr(feature = "bug-injection", allow(dead_code))]
-    fn drain_all_until_stable(&mut self) {
-        let map = self.map;
-        let mut spins = 0u32;
-        loop {
-            let mut stable = true;
-            for li in 0..map.logs.len() {
-                let log = &map.logs[li];
-                for r in 0..map.replicas.len() {
-                    if log.tails[r].0.load() < log.head.0.load() {
-                        stable = false;
-                        self.try_replay(li, r);
-                    }
-                }
-            }
-            if stable {
-                return;
-            }
             backoff(&mut spins);
         }
     }
@@ -1017,23 +584,14 @@ where
                 if seq == pos + 1 {
                     break;
                 }
-                // A stamp from a later wrap: the log lapped this drain.
-                // Only a replica retired by a single-class epoch can
-                // observe this (its tail no longer gates slot reuse), so
-                // the drainer is a stale helper — abort before applying
-                // or publishing anything; the tail stays put and the
-                // caller revalidates its epoch.
-                if seq > pos + 1 {
-                    return;
-                }
+                // A stamp from a later wrap would mean the log lapped this
+                // drain: this replica's tail, at or before `pos`, stopped
+                // gating slot reuse — a protocol bug.
+                assert!(seq < pos + 1, "slot of log position {pos} restamped {seq} by a later wrap");
                 backoff(&mut spins);
             }
-            // A poisoned slot (a claim that straddled an epoch transition)
-            // holds no op: it advances the tail but is never applied; its
-            // writer retried under the new epoch.
-            if let Some(p) = unsafe { (*slot.op.get()).as_ref() } {
-                batch.push((pos, p.home, p.hash, p.op.clone()));
-            }
+            let p = unsafe { (*slot.op.get()).as_ref() }.expect("a stamped slot holds its op");
+            batch.push((pos, p.home, p.hash, p.op.clone()));
         }
         // Stable sort: same-key operations keep log order, so every
         // replica applies the same per-key history (set-semantics outcomes
@@ -1184,155 +742,6 @@ mod tests {
             assert!(l < 4);
             assert_eq!(l, map.log_of(hash_key(&k)), "same key, same log");
         }
-    }
-
-    #[test]
-    fn adaptive_downshifts_on_writes_and_upshifts_on_reads() {
-        let map: ReplicatedLayeredMap<u64, u64> = ReplicatedLayeredMap::new(
-            config(1),
-            ReplicaConfig::uniform(1, 2)
-                .logs(1)
-                .adapt(AdaptConfig::new().window_ops(8).dwell_windows(0)),
-        );
-        let mut h = map.register(ThreadCtx::plain(0));
-        assert_eq!(map.adapt_state().unwrap().mode, "replicated");
-        // Pure-write windows: 100% >= the 60% downshift threshold.
-        for i in 0..64u64 {
-            assert!(h.insert(i, i * 2));
-        }
-        let s = map.adapt_state().unwrap();
-        assert_eq!(s.mode, "single");
-        assert_eq!(s.downshifts, 1);
-        assert!(s.windows >= 8);
-        assert_eq!(s.last_write_pct, 100);
-        // Single-mode reads serve replica 0 directly and see every write.
-        for i in 0..8u64 {
-            assert_eq!(h.get(&i), Some(i * 2));
-        }
-        // Pure-read windows: 0% <= the 40% upshift threshold.
-        for i in 0..64u64 {
-            assert!(h.contains(&i), "key {i} lost across a transition");
-        }
-        let s = map.adapt_state().unwrap();
-        assert_eq!(s.mode, "replicated");
-        assert_eq!(s.upshifts, 1);
-        assert_eq!(s.generation, 2, "each completed switch bumps the generation");
-        // The rebuilt replicas answer replicated-class reads correctly.
-        for i in 0..64u64 {
-            assert_eq!(h.get(&i), Some(i * 2));
-        }
-        assert!(!h.contains(&999));
-    }
-
-    #[test]
-    fn adaptive_churn_across_transitions_matches_a_model() {
-        // Mode flaps every few windows while inserts and removes churn a
-        // small key space over a tiny wrapping log; set semantics must
-        // track the sequential model exactly.
-        let map: ReplicatedLayeredMap<u64, u64> = ReplicatedLayeredMap::new(
-            config(1),
-            ReplicaConfig::uniform(1, 2)
-                .logs(2)
-                .log_capacity(8)
-                .max_lag(4)
-                .adapt(AdaptConfig::new().window_ops(4).dwell_windows(0)),
-        );
-        let stats = AccessStats::new(1);
-        let mut h = map.register(ThreadCtx::recording(0, stats.clone()));
-        let mut model = std::collections::BTreeMap::new();
-        let mut x = 9u64;
-        for step in 0..600u64 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let k = (x >> 33) % 12;
-            match (x >> 7) % 3 {
-                0 => assert_eq!(h.insert(k, step), model.insert(k, step).is_none(), "step {step}"),
-                1 => assert_eq!(h.remove(&k), model.remove(&k).is_some(), "step {step}"),
-                _ => assert_eq!(h.contains(&k), model.contains_key(&k), "step {step}"),
-            }
-        }
-        let s = map.adapt_state().unwrap();
-        assert!(s.downshifts >= 1 && s.upshifts >= 1, "workload must flap modes: {s:?}");
-        for k in 0..12u64 {
-            assert_eq!(h.contains(&k), model.contains_key(&k), "final key {k}");
-        }
-
-        // A poisoned claim, made by hand (one thread cannot straddle its
-        // own transition): win the head CAS and stamp the slot empty, as
-        // `update` does when its post-claim epoch check fails. Start from
-        // the replicated mode with every replica drained, so the counters
-        // below see only the poison and the retry.
-        for _ in 0..8 {
-            h.contains(&0); // read-only windows upshift
-        }
-        assert_eq!(map.adapt_state().unwrap().mode, "replicated");
-        let key = 99u64;
-        let li = map.log_of(hash_key(&key));
-        let log = &map.logs[li];
-        for r in 0..2 {
-            h.try_replay(li, r);
-        }
-        let pos = log.head.0.load();
-        assert!((0..2).all(|r| log.tails[r].0.load() == pos));
-        assert!(log.head.0.compare_exchange(pos, pos + 1).is_ok());
-        let slot = &log.slots[pos & log.mask];
-        unsafe { *slot.op.get() = None };
-        slot.seq.store(pos + 1);
-        let before = stats.totals();
-        // The writer's retry lands exactly once...
-        assert!(h.insert(key, 1), "retry after the poisoned claim");
-        assert!(!h.insert(key, 2), "the retried insert landed twice");
-        for r in 0..2 {
-            h.try_replay(li, r);
-        }
-        // ...and every replica's drain stepped over the poisoned slot:
-        // tails passed it, nothing was applied or published for it.
-        let after = stats.totals();
-        assert_eq!(log.head.0.load(), pos + 3);
-        assert!((0..2).all(|r| log.tails[r].0.load() == pos + 3));
-        assert_eq!(slot.result.load(), 0, "a poisoned slot got an outcome");
-        assert_eq!(after.log_appends - before.log_appends, 2);
-        let replayed = after.replayed_ops - before.replayed_ops;
-        assert_eq!(replayed, 4, "2 inserts x 2 replicas");
-        assert!((0..2).all(|r| h.handles[r].get(&key) == Some(1)));
-        assert_eq!(map.adapt_state().unwrap().mode, "replicated");
-    }
-
-    #[test]
-    fn adaptive_read_your_writes_across_threads_and_sockets() {
-        // The writer's burst downshifts to single mode mid-stream; the
-        // reader on the other socket must still see every write.
-        let map: ReplicatedLayeredMap<u64, u64> = ReplicatedLayeredMap::new(
-            config(2),
-            ReplicaConfig::uniform(2, 2)
-                .logs(2)
-                .adapt(AdaptConfig::new().window_ops(8).dwell_windows(0)),
-        );
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let mut w = map.register(ThreadCtx::plain(0));
-                for i in 0..48u64 {
-                    assert!(w.insert(i, i * 3));
-                }
-            })
-            .join()
-            .unwrap();
-            assert_eq!(map.adapt_state().unwrap().mode, "single");
-            s.spawn(|| {
-                let mut r = map.register(ThreadCtx::plain(1));
-                assert_ne!(r.socket(), 0, "thread 1 pins to the second socket");
-                for i in 0..48u64 {
-                    assert_eq!(r.get(&i), Some(i * 3), "key {i}");
-                }
-                // The read burst upshifts; re-read through the rebuilt
-                // local replica.
-                assert_eq!(map.adapt_state().unwrap().mode, "replicated");
-                for i in 0..48u64 {
-                    assert!(r.contains(&i), "key {i} after upshift");
-                }
-            })
-            .join()
-            .unwrap();
-        });
     }
 
     #[test]

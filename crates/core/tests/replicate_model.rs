@@ -26,7 +26,7 @@
 
 use instrument::ThreadCtx;
 use proptest::prelude::*;
-use skipgraph::{AdaptConfig, GraphConfig, ReplicaConfig, ReplicatedLayeredMap};
+use skipgraph::{GraphConfig, ReplicaConfig, ReplicatedLayeredMap};
 use std::collections::{BTreeMap, BTreeSet};
 
 fn replicated_reclaiming() -> ReplicatedLayeredMap<u64, u64> {
@@ -353,68 +353,6 @@ fn a_lagging_replica_draining_same_key_bursts_agrees_with_the_model() {
             );
         }
     }
-}
-
-/// One protocol, not two: a map built without an `AdaptConfig` and a map
-/// whose controller can never close a window (so it sits in generation 0
-/// of the replicated mode forever) must be the same machine. One seeded
-/// sequence — bursts through socket 0 that leave socket 1 lagging, reads
-/// and writes through socket 1 that catch it up, one `sync` — over a log
-/// tiny enough to wrap and to force back-pressure helping: every outcome,
-/// every replica's final key set (unsynced, so equal lag too), and the
-/// append / replay counters of both threads must be identical.
-#[test]
-fn a_controller_less_map_equals_one_whose_controller_never_fires() {
-    type Run = (Vec<Option<u64>>, Vec<Vec<u64>>, [u64; 3]);
-    fn run(rcfg: ReplicaConfig) -> Run {
-        let map: ReplicatedLayeredMap<u64, u64> = ReplicatedLayeredMap::new(
-            GraphConfig::new(2).lazy(true).hash_index(true),
-            rcfg.logs(2).log_capacity(8).max_lag(4),
-        );
-        let stats = instrument::AccessStats::new(2);
-        let mut h0 = map.register(ThreadCtx::recording(0, stats.clone()));
-        let mut h1 = map.register(ThreadCtx::recording(1, stats.clone()));
-        assert_ne!(h0.socket(), h1.socket());
-        let mut outcomes = Vec::new();
-        let mut x = 0x5EED_0F15u64 | 1;
-        for step in 0..900u64 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let k = x % 10;
-            // Socket 1 acts on every eighth step only, so it drains the
-            // bursts in between as multi-op batches.
-            let h = if step % 8 == 7 { &mut h1 } else { &mut h0 };
-            outcomes.push(match x / 16 % 4 {
-                0 | 1 => Some(h.insert(k, step) as u64),
-                2 => Some(h.remove(&k) as u64),
-                _ => h.get(&k),
-            });
-            if step == 450 {
-                h1.sync();
-            }
-        }
-        let ctx = ThreadCtx::plain(0);
-        let key_sets = map
-            .replicas()
-            .iter()
-            .map(|r| r.shared().iter_snapshot(&ctx).map(|(k, _)| *k).collect())
-            .collect();
-        let t = stats.totals();
-        let counters = [t.log_appends, t.replay_batches, t.replayed_ops];
-        (outcomes, key_sets, counters)
-    }
-    let plain = run(ReplicaConfig::uniform(2, 2));
-    let pinned = run(ReplicaConfig::uniform(2, 2).adapt(AdaptConfig::new().window_ops(u32::MAX)));
-    assert_eq!(plain.0, pinned.0, "outcomes differ");
-    assert_eq!(plain.1, pinned.1, "replica key sets differ");
-    assert_eq!(plain.2, pinned.2, "append / replay counters differ");
-    // The sequence did what it is for: the 8-slot logs wrapped many times
-    // (so the 4-slot lag bound forced helping), and the lagging replica
-    // drained multi-op batches.
-    assert!(plain.2[0] > 400, "only {} appends", plain.2[0]);
-    assert!(plain.2[2] > plain.2[1], "every replay batch was a singleton");
-    assert_eq!(plain.1.len(), 2);
 }
 
 /// `sync` catches a replica up to *every* log head in one call. The

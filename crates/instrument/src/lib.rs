@@ -31,9 +31,7 @@ mod histogram;
 mod matrix;
 pub mod report;
 pub mod time;
-mod window;
 
 pub use ctx::{AccessStats, ThreadCtx, ThreadCounterSnapshot};
 pub use histogram::LogHistogram;
 pub use matrix::AccessMatrix;
-pub use window::{CounterWindow, MeanWindow, WindowSample};

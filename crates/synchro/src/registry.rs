@@ -16,7 +16,6 @@
 //! | `anchor_blocked_sg` | blocked map under the anchor-granular policy (compacting merges, left-biased splits) |
 //! | `hashed_sg` | layered map with the shared lock-free hash index (Skip Hash fast path) |
 //! | `replicated_sg` | per-socket replicas of the lazy hash-indexed map over partitioned operation logs |
-//! | `adaptive_sg` | the replicated map with the adaptation subsystem engaged (small sensor windows) |
 //! | `skiplist` | lock-free skip list with the relink optimization |
 //! | `skiplist_norelink` | the same without relink (ablation) |
 //! | `locked_skiplist` | optimistic lazy lock-based skip list |
@@ -28,10 +27,10 @@
 //!
 //! The rows the paper's figures plot ([`FIGURE_STRUCTURES`]) take the
 //! paper's parameters. The extension rows take small ones — blocks of
-//! four, a one-slot index hint, 16-slot replica logs, 8-operation sensor
-//! windows, two synthetic sockets — because the deterministic stress
-//! lanes must reach their split, grow, wraparound and mode-switch paths
-//! within a few hundred scheduled operations.
+//! four, a one-slot index hint, 16-slot replica logs, two synthetic
+//! sockets — because the deterministic stress lanes must reach their
+//! split, grow and wraparound paths within a few hundred scheduled
+//! operations.
 
 use crate::workload::{run_trial, summarize, InstrMode, TrialResult, TrialSummary, Workload};
 use baselines::{
@@ -40,7 +39,7 @@ use baselines::{
 };
 use numa::{Placement, Topology};
 use skipgraph::{
-    AdaptConfig, BatchConfig, BatchedLayeredMap, BlockPolicy, BlockedSkipMap, ConcurrentMap,
+    BatchConfig, BatchedLayeredMap, BlockPolicy, BlockedSkipMap, ConcurrentMap,
     GraphConfig, LayeredMap, ReplicaConfig, ReplicatedLayeredMap, SkipGraph,
 };
 use std::time::Duration;
@@ -59,7 +58,6 @@ pub const STRUCTURES: &[&str] = &[
     "anchor_blocked_sg",
     "hashed_sg",
     "replicated_sg",
-    "adaptive_sg",
     "skiplist",
     "skiplist_norelink",
     "locked_skiplist",
@@ -157,31 +155,17 @@ pub fn with_named<V: Visit>(name: &str, threads: usize, key_space: u64, visit: V
         // Per-socket replicas over two synthetic sockets, so reads on one
         // replica race replays of the other, with logs of 16 and a lag
         // bound of 12 so the stress schedules reach wraparound and
-        // backpressure helping. `adaptive_sg` adds a controller whose
-        // 8-operation windows, zero dwell and 60–75 % write band (straddling
-        // the stress mixes' ~70 % writes) switch modes repeatedly within a
-        // schedule. The bug-injection build replicates the plain eager
-        // graph, so the replication fault is the only live one in the lane.
-        "replicated_sg" | "adaptive_sg" => {
-            let adapt = (name == "adaptive_sg").then(|| {
-                AdaptConfig::new()
-                    .window_ops(8)
-                    .dwell_windows(0)
-                    .write_band(60, 75)
-            });
+        // backpressure helping. The bug-injection build replicates the
+        // plain eager graph, so the replication fault is the only live one
+        // in the lane.
+        "replicated_sg" => {
             let graph = GraphConfig::new(t).chunk_capacity(cap);
             #[cfg(not(feature = "bug-injection"))]
-            let graph = match adapt {
-                Some(a) => graph.lazy(true).hash_index(true).adapt(a),
-                None => graph.lazy(true).hash_index(true),
-            };
-            let mut replicas = ReplicaConfig::uniform(t, t.min(2))
+            let graph = graph.lazy(true).hash_index(true);
+            let replicas = ReplicaConfig::uniform(t, t.min(2))
                 .logs(2)
                 .log_capacity(16)
                 .max_lag(12);
-            if let Some(a) = adapt {
-                replicas = replicas.adapt(a);
-            }
             visit.visit(&ReplicatedLayeredMap::<u64, u64>::new(graph, replicas))
         }
         "skiplist" => visit.visit(&LockFreeSkipList::<u64, u64>::new(

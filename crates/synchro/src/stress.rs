@@ -54,7 +54,6 @@ pub const DET_STRUCTURES: &[&str] = &[
     "anchor_blocked_sg",
     "hashed_sg",
     "replicated_sg",
-    "adaptive_sg",
     "skiplist",
     "skiplist_norelink",
     "harris_ll",

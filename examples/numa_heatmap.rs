@@ -75,15 +75,10 @@ fn main() {
     // keys landed across the per-NUMA-segment slot arrays — the tuning
     // signal for `GraphConfig::index_capacity` (slots in use crowding the
     // 75% occupancy threshold mean an imminent grow or compaction; mass in
-    // the histogram's upper buckets means long
-    // probe chains despite free space, the displacement signal the
-    // adaptive probe sensor grows on). Adaptation is configured here so
-    // the probe-signal grow counter below is live.
+    // the histogram's upper buckets means long probe chains despite free
+    // space).
     let map: skipgraph::LayeredMap<u64, u64> = skipgraph::LayeredMap::new(
-        skipgraph::GraphConfig::new(THREADS)
-            .lazy(true)
-            .hash_index(true)
-            .adapt(skipgraph::AdaptConfig::new()),
+        skipgraph::GraphConfig::new(THREADS).lazy(true).hash_index(true),
     );
     {
         let mut h = map.register(instrument::ThreadCtx::plain(0));
@@ -111,45 +106,5 @@ fn main() {
             seg.mean_probe(),
             hist
         );
-    }
-    println!(
-        "probe-signal grows: {} (occupancy-threshold grows are not counted)",
-        map.shared().index_probe_grows()
-    );
-
-    // Adaptation state: drive the adaptive replicated map through a
-    // write burst and a read sweep, printing the controller's view after
-    // each — the mode the replication knob is in, how often it switched,
-    // and what the sensor's last window saw. The tiny window makes the
-    // demo switch in a few hundred ops; production defaults are larger.
-    println!("\n== adaptation state (replication knob) ==");
-    let tiny = skipgraph::AdaptConfig::new().window_ops(256).dwell_windows(0);
-    let amap: skipgraph::ReplicatedLayeredMap<u64, u64> =
-        skipgraph::ReplicatedLayeredMap::new(
-            skipgraph::GraphConfig::new(2)
-                .lazy(true)
-                .hash_index(true)
-                .adapt(tiny),
-            skipgraph::ReplicaConfig::uniform(2, 2).adapt(tiny),
-        );
-    let print_snap = |label: &str| {
-        let s = amap.adapt_state().expect("adaptation is configured");
-        println!(
-            "  after {label}: mode {} (gen {}), {} downshifts / {} upshifts over {} windows, \
-             last window {}% writes ({} ops in the open one)",
-            s.mode, s.generation, s.downshifts, s.upshifts, s.windows, s.last_write_pct,
-            s.open_window_ops
-        );
-    };
-    {
-        let mut h = amap.register(instrument::ThreadCtx::plain(0));
-        for k in 0..2_000u64 {
-            h.insert(k, k);
-        }
-        print_snap("2000 inserts (write-heavy)");
-        for k in 0..2_000u64 {
-            h.contains(&k);
-        }
-        print_snap("2000 reads  (read-heavy)");
     }
 }

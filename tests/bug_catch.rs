@@ -171,8 +171,8 @@ fn injected_stale_index_read_is_caught_and_shrunk() {
 
 #[test]
 fn injected_stale_replica_read_is_caught_and_shrunk() {
-    // The replication layer's injected fault, live on maps without an
-    // adaptation controller: the read rule's tail-wait (`wait_local_valid`)
+    // The replication layer's injected fault: the read rule's tail-wait
+    // (`wait_local_valid`)
     // loads the mapped log's head and then returns without waiting for the
     // local replica's tail to pass it — the NR read rule severed. Writes
     // still linearize (every result is computed in log order on the home
@@ -221,67 +221,6 @@ fn injected_stale_replica_read_is_caught_and_shrunk() {
 
     let text = format!("{report}");
     assert!(text.contains("replicated_sg"));
-    assert!(text.contains("replay:"));
-}
-
-#[test]
-fn injected_severed_downshift_drain_is_caught_and_shrunk() {
-    // The adaptation subsystem's injected fault: the replication gate's
-    // downshift publishes the single-structure epoch *without* draining
-    // the operation logs first. Writes that completed through logs homed
-    // on other sockets are still waiting in those logs when reads start
-    // going directly to replica 0 — so a read can miss an update (or the
-    // preload) whose writer already returned success. The `adaptive_sg`
-    // lane's tiny 8-op window, zero dwell, and a write band straddling
-    // the 70% mix make the gate oscillate mid-run, and PCT schedules land
-    // reads in the gap between a premature epoch flip and the log replay
-    // that would have covered it. The gap closes the moment any single-
-    // mode write drains the stranded log, so sweep seeds rather than
-    // pinning one alignment. (The severed read-side tail-wait fires only
-    // on a map without a controller, i.e. on replicated_sg; each lane
-    // carries exactly one live fault.)
-    let cfg = StressConfig {
-        threads: 3,
-        key_space: 8,
-        ops_per_thread: 30,
-        update_pct: 70,
-        preload: true,
-        seed: 5,
-    };
-    let report = first_catch("adaptive_sg", &cfg, pct(10, 60_000));
-
-    let (shrunk_det, _trace) = report.schedule.clone().expect("det report without schedule");
-    assert!(matches!(shrunk_det.policy, Policy::Replay { .. }));
-    assert!(!report.failure.history.is_empty());
-    // The skipped drain only corrupts what reads observe (writes still
-    // compute their results in log order before the flip), so the
-    // violating history must contain the stale read itself.
-    assert!(
-        report.failure.history.iter().any(|r| r.op == Op::Contains),
-        "shrunk history has no contains: {report}"
-    );
-
-    // Shrinking must make progress, but this fault resists deep shrinks
-    // by construction: the sensor windows are op-count-based, so dropping
-    // operations shifts every later window boundary and moves the very
-    // downshift under test — most candidate reductions dissolve the
-    // violation rather than isolate it.
-    let total: usize = report.plans.iter().map(Vec::len).sum();
-    let original = cfg.threads as usize * cfg.ops_per_thread;
-    assert!(
-        total < original,
-        "shrinker left {total} of {original} ops: {report}"
-    );
-
-    let (records, _) =
-        records_named_det("adaptive_sg", &report.config, &report.plans, &shrunk_det);
-    assert!(
-        synchro::stress::check_records(&records, &report.config).is_err(),
-        "shrunk report does not reproduce the violation:\n{report}"
-    );
-
-    let text = format!("{report}");
-    assert!(text.contains("adaptive_sg"));
     assert!(text.contains("replay:"));
 }
 

@@ -349,49 +349,6 @@ fn replicated_pct_and_round_robin_linearize() {
     }
 }
 
-/// Deterministic-schedule stress of the adaptation subsystem: the
-/// `adaptive_sg` lane runs the replicated map with an 8-op sensor window
-/// and zero dwell, so the write-ratio gate downshifts to the single
-/// structure and upshifts back *mid-schedule*. The scheduler interleaves
-/// the drain-then-redirect downshift (and the rebuild-replicas upshift)
-/// against concurrent reads and log appends — a read served from replica
-/// 0 before the drain completed, or a write lost across the generation
-/// bump, would surface as a non-linearizable per-key history. Two mixes:
-/// one update-heavy (holds the gate mostly single), one near the band
-/// edges so the gate oscillates.
-#[test]
-fn adaptive_transitions_pct_and_round_robin_linearize() {
-    let base = env_seed(1300);
-    for (seed, update_pct) in [(19u64, 70u32), (29, 45)] {
-        let cfg = StressConfig {
-            threads: 4,
-            key_space: 10,
-            ops_per_thread: 25,
-            update_pct,
-            preload: true,
-            seed,
-        };
-        for s in 0..4u64 {
-            let det = DetConfig::new(
-                base + s,
-                Policy::Pct {
-                    change_points: 10,
-                    expected_steps: 60_000,
-                },
-            );
-            stress_named_det("adaptive_sg", &cfg, &det).unwrap_or_else(|e| {
-                panic!("adaptive_sg update_pct {update_pct} pct seed {}: {e}", base + s)
-            });
-        }
-        for quantum in [1u32, 3, 7] {
-            let det = DetConfig::new(base, Policy::RoundRobin { quantum });
-            stress_named_det("adaptive_sg", &cfg, &det).unwrap_or_else(|e| {
-                panic!("adaptive_sg update_pct {update_pct} round-robin quantum {quantum}: {e}")
-            });
-        }
-    }
-}
-
 /// Long-running sweep; run explicitly with
 /// `cargo test --features deterministic -- --ignored long_det_sweep`.
 #[test]

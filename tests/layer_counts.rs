@@ -1,9 +1,8 @@
 //! What each optional layer is *for*, asserted as raw counts.
 //!
-//! The other root tests check that blocks, the hash index, the replicas
-//! and the adaptation controller are linearizable; these check that they
-//! do their job — shorter searches, fewer bytes, socket-local reads, one
-//! replay per socket, one replay in all when writes dominate. Every number
+//! The other root tests check that blocks, the hash index and the replicas
+//! are linearizable; these check that they do their job — shorter
+//! searches, fewer bytes, socket-local reads, one replay per socket. Every number
 //! is a count the instrumentation takes (nodes visited, lines touched,
 //! bytes allocated, operations replayed): no clock, no cost model, so two
 //! runs print the same counts on any host.
@@ -27,7 +26,7 @@ use instrument::{AccessStats, ThreadCtx};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use skipgraph::{
-    AdaptConfig, BatchConfig, BatchOp, BlockedSkipMap, ConcurrentMap, GraphConfig, LayeredMap,
+    BatchConfig, BatchOp, BlockedSkipMap, ConcurrentMap, GraphConfig, LayeredMap,
     MapHandle, ReplicaConfig, ReplicatedHandle, ReplicatedLayeredMap, SkipGraph,
 };
 use std::cell::Cell;
@@ -554,22 +553,19 @@ const REPLICA_KEYS: u64 = 20_000;
 type Replicated = ReplicatedLayeredMap<u64, u64>;
 type Worker<'m> = ReplicatedHandle<'m, u64, u64>;
 
-/// The replicated map of the three tests below, preloaded through every
+/// The replicated map of the two tests below, preloaded through every
 /// slot with every replica caught up: `sockets` replicas over
 /// `sockets + 1` thread slots. Thread 0 only preloads (it shares socket
 /// 0); threads `1..=sockets` sit one per socket and do the counted work.
-fn replicated(sockets: usize, adapt: Option<AdaptConfig>) -> Replicated {
+fn replicated(sockets: usize) -> Replicated {
     let slots = sockets + 1;
     // A roomy log with a high lag bound: a socket is never made to help
     // replay another socket's replica, so whatever remote lines are
     // counted are the design's and not back-pressure's.
-    let mut rcfg = ReplicaConfig::uniform(slots, sockets)
+    let rcfg = ReplicaConfig::uniform(slots, sockets)
         .logs(4)
         .log_capacity(1 << 10)
         .max_lag(3 << 8);
-    if let Some(a) = adapt {
-        rcfg = rcfg.adapt(a);
-    }
     let map = ReplicatedLayeredMap::new(
         GraphConfig::new(slots)
             .lazy(true)
@@ -645,7 +641,7 @@ fn write_only(workers: &mut [Worker<'_>], seed: u64, rounds: u64) {
 fn a_synced_replica_serves_reads_without_remote_lines() {
     const SOCKETS: usize = 4;
     const ROUNDS: u64 = 4_000;
-    let map = replicated(SOCKETS, None);
+    let map = replicated(SOCKETS);
     let stats = sink(&map);
     read_heavy(&mut workers(&map, Some(&stats)), 3, ROUNDS);
     let (local, remote) = lines(&stats, &map);
@@ -666,7 +662,7 @@ fn a_synced_replica_serves_reads_without_remote_lines() {
 fn a_replicated_write_is_replayed_once_per_socket() {
     const SOCKETS: usize = 4;
     const ROUNDS: u64 = 2_000;
-    let map = replicated(SOCKETS, None);
+    let map = replicated(SOCKETS);
     let stats = sink(&map);
     let mut writers = workers(&map, Some(&stats));
     write_only(&mut writers, 4, ROUNDS);
@@ -733,82 +729,4 @@ fn a_foreign_replay_starts_warm() {
         nodes <= 3.0,
         "a replay into the other replica visited {nodes:.2} nodes/search"
     );
-}
-
-#[test]
-fn the_controller_reads_like_replicas_and_writes_like_one_structure() {
-    const SOCKETS: usize = 8;
-    /// Uncounted rounds opening each phase: enough 512-op windows for the
-    /// controller to sense the mix, pass its dwell guard and finish the
-    /// transition (the upshift rebuilds every replica).
-    const SETTLE: u64 = 750;
-    const READ_ROUNDS: u64 = 2_000;
-    const WRITE_ROUNDS: u64 = 1_000;
-
-    struct Counts {
-        read_lines: u64,
-        read_remote: u64,
-        write_lines: u64,
-        write_appends: u64,
-        write_replayed: u64,
-    }
-    // The same phase sequence on a map with and without the controller:
-    // the all-write preload, a read-heavy phase, a write-only phase.
-    let run = |adapt: Option<AdaptConfig>| {
-        let map = replicated(SOCKETS, adapt);
-        read_heavy(&mut workers(&map, None), 5, SETTLE);
-        let stats = sink(&map);
-        read_heavy(&mut workers(&map, Some(&stats)), 6, READ_ROUNDS);
-        let (local, read_remote) = lines(&stats, &map);
-
-        // Every replica caught up before and after the counted writes, so
-        // the replays counted are exactly those of the counted appends.
-        let mut settle = workers(&map, None);
-        write_only(&mut settle, 7, SETTLE);
-        sync_all(&mut settle);
-        drop(settle);
-        let stats = sink(&map);
-        let mut writers = workers(&map, Some(&stats));
-        write_only(&mut writers, 8, WRITE_ROUNDS);
-        sync_all(&mut writers);
-        let (wl, wr) = lines(&stats, &map);
-        let t = stats.totals();
-        let counts = Counts {
-            read_lines: local + read_remote,
-            read_remote,
-            write_lines: wl + wr,
-            write_appends: t.log_appends,
-            write_replayed: t.replayed_ops,
-        };
-        (counts, map.adapt_state())
-    };
-    let (adaptive, state) = run(Some(AdaptConfig::new().window_ops(512).dwell_windows(1)));
-    let (plain, _) = run(None);
-    let state = state.expect("a controller was attached");
-    println!(
-        "controller: read-heavy {} lines ({} remote) vs {} without; write-only {} appends \
-         replayed {} times in {} lines vs {} times in {} lines without; {} downshifts, {} upshifts",
-        adaptive.read_lines,
-        adaptive.read_remote,
-        plain.read_lines,
-        adaptive.write_appends,
-        adaptive.write_replayed,
-        adaptive.write_lines,
-        plain.write_replayed,
-        plain.write_lines,
-        state.downshifts,
-        state.upshifts,
-    );
-    // Read-heavy: back on socket-local replicas, within a tenth of the
-    // lines of a map that never left them.
-    assert_eq!(adaptive.read_remote, 0);
-    assert!(adaptive.read_lines * 10 <= plain.read_lines * 11);
-    // Write-only: one replay per write where the replicas pay one each.
-    assert_eq!(adaptive.write_appends, SOCKETS as u64 * WRITE_ROUNDS);
-    assert_eq!(adaptive.write_replayed, adaptive.write_appends);
-    assert_eq!(plain.write_replayed, SOCKETS as u64 * plain.write_appends);
-    assert!(adaptive.write_lines * 4 <= plain.write_lines);
-    // The preload downshifted, the reads upshifted, the writes downshifted.
-    assert!(state.downshifts >= 1 && state.upshifts >= 1, "{state:?}");
-    assert_eq!(state.mode, "single");
 }
