@@ -28,7 +28,7 @@ pub use block::{
     MIN_BLOCK_CAP,
 };
 pub use iter::SnapshotIter;
-pub use ops::HintChain;
+pub(crate) use ops::HintChain;
 pub use range::{NodeRefHint, RangeIter};
 pub use stats::{MemoryStats, StructureStats};
 
@@ -417,21 +417,12 @@ impl<K: Ord, V> SkipGraph<K, V> {
         self.index().map_or_else(Vec::new, |i| i.occupancy())
     }
 
-    /// Consults the hash index for `key`, recording hit/miss/stale
-    /// counters. An index hit is a complete one-node "search", so it also
-    /// records a search of length 1 (keeping nodes/search honest in the
-    /// instrument totals). Returns `None` when no index is installed.
+    /// Consults the hash index for `key`, whose [`SkipGraph::index_hash`]
+    /// is `hash`, recording hit/miss/stale counters. An index hit is a
+    /// complete one-node "search", so it also records a search of length 1
+    /// (keeping nodes/search honest in the instrument totals). Returns
+    /// `None` when no index is installed.
     pub(crate) fn index_read<'g>(
-        &'g self,
-        key: &K,
-        ctx: &ThreadCtx,
-    ) -> Option<IndexRead<'g, K, V>> {
-        self.index_read_hashed(key, self.index_hash(key), ctx)
-    }
-
-    /// [`SkipGraph::index_read`] for a key whose
-    /// [`SkipGraph::index_hash`] the caller already holds.
-    pub(crate) fn index_read_hashed<'g>(
         &'g self,
         key: &K,
         hash: u64,

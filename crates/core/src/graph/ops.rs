@@ -1,10 +1,16 @@
-//! Insert/remove/contains primitives and the composite operations used when
-//! the skip graph is operated without the thread-local layer.
+//! Insert/remove/contains primitives and the skip graph's point operations.
 //!
 //! The primitives are the building blocks of the paper's algorithms:
 //! `insertHelper` (Alg. 2), `removeHelper` (Alg. 12), level-0 linking with
 //! the relink optimization (Alg. 3 line 14), upper-level linking
 //! (`finishInsert`, Alg. 10), and the eager (non-lazy) logical deletion.
+//!
+//! Each point operation has one implementation, the hinted one
+//! (`insert_with_hint`, `remove_with_hint`, `get_with_hint`): a layered
+//! bulk insert or a combiner's sorted run passes a local-map start and a
+//! [`HintChain`], and the public operations used when the graph runs
+//! without the thread-local layer pass neither, so they search from the
+//! head array.
 
 use super::{NodePtr, NodeRef, SearchResult, SkipGraph};
 use crate::index::IndexRead;
@@ -14,7 +20,7 @@ use instrument::ThreadCtx;
 use std::ptr::NonNull;
 
 /// A resumable search frontier for executing a *sorted run* of operations:
-/// each `*_with_hint` operation stores the predecessor vector of its final
+/// each hinted operation stores the predecessor vector of its final
 /// search here, and the next operation of the run resumes from it instead
 /// of the head array (see `SkipGraph::search_hinted`).
 ///
@@ -22,13 +28,13 @@ use std::ptr::NonNull;
 /// non-descending keys; start a fresh chain per sorted run. Holds raw node
 /// pointers, so it is deliberately neither `Send` nor `Sync` and must not
 /// outlive the graph.
-pub struct HintChain<K, V> {
+pub(crate) struct HintChain<K, V> {
     res: Option<SearchResult<K, V>>,
 }
 
 impl<K, V> HintChain<K, V> {
     /// An empty chain: the first operation searches from the head array.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self { res: None }
     }
 
@@ -37,7 +43,7 @@ impl<K, V> HintChain<K, V> {
     /// removed key to so later jump starts stay near the erased position.
     /// The reference carries the generation captured by the search, so a
     /// predecessor retired since then fails its validation downstream.
-    pub fn last_pred(&self) -> Option<NodeRef<K, V>> {
+    pub(crate) fn last_pred(&self) -> Option<NodeRef<K, V>> {
         let res = self.res.as_ref()?;
         let p = res.preds[0];
         // `is_data` only reads the atomic meta word, so probing a slot
@@ -52,19 +58,19 @@ impl<K, V> HintChain<K, V> {
             None
         }
     }
-}
 
-impl<K, V> Default for HintChain<K, V> {
-    fn default() -> Self {
-        Self::new()
+    /// The frontier an operation of `chain`'s run resumes from; a one-off
+    /// operation (`None`) has none.
+    fn frontier<'c>(chain: &'c Option<&mut Self>) -> Option<&'c SearchResult<K, V>> {
+        chain.as_ref()?.res.as_ref()
     }
-}
 
-impl<K, V> std::fmt::Debug for HintChain<K, V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HintChain")
-            .field("primed", &self.res.is_some())
-            .finish()
+    /// Leaves `res` as the frontier for the run's next operation; a one-off
+    /// operation keeps nothing.
+    fn keep(chain: &mut Option<&mut Self>, res: SearchResult<K, V>) {
+        if let Some(chain) = chain {
+            chain.res = Some(res);
+        }
     }
 }
 
@@ -159,23 +165,13 @@ impl<K: Ord, V> SkipGraph<K, V> {
     /// `res.succs[0]` with a single CAS, replacing the (possibly non-empty)
     /// chain of marked references captured in `res.middles[0]` — the relink
     /// optimization. Returns whether the CAS succeeded.
-    pub(crate) fn try_link_level0(
-        &self,
-        node: NonNull<Node<K, V>>,
-        res: &SearchResult<K, V>,
-        ctx: &ThreadCtx,
-    ) -> bool {
-        let hash = self.index_hash(unsafe { node.as_ref().key() });
-        self.try_link_level0_publish(node, res, ctx, Some(hash))
-    }
-
-    /// [`SkipGraph::try_link_level0`] with the publish-after-link index
-    /// update in the caller's hands: `Some(hash)` publishes under the
-    /// key's [`SkipGraph::index_hash`], which a caller that already probed
-    /// the index holds; combiner sorted runs pass `None`, collect the
-    /// linked nodes, and publish the whole run in one pass via
+    ///
+    /// The publish-after-link index update is in the caller's hands:
+    /// `Some(hash)` publishes under the key's [`SkipGraph::index_hash`];
+    /// combiner sorted runs pass `None`, collect the linked nodes, and
+    /// publish the whole run in one pass via
     /// [`SkipGraph::index_publish_run`].
-    pub(crate) fn try_link_level0_publish(
+    pub(crate) fn try_link_level0(
         &self,
         node: NonNull<Node<K, V>>,
         res: &SearchResult<K, V>,
@@ -299,122 +295,30 @@ impl<K: Ord, V> SkipGraph<K, V> {
         true
     }
 
-    /// Inserts `key -> value` searching from the head array, giving the new
-    /// node an explicit tower height (levels `0..=height`).
+    /// Inserts `key -> value` from the head array, giving the new node an
+    /// explicit tower height (levels `0..=height`): the one-off form of the
+    /// crate's hinted insert, with no local-map start and no run.
     ///
     /// Under the lazy configuration a logically deleted duplicate is
     /// resurrected in place (Alg. 2); under the non-lazy configuration any
-    /// unmarked duplicate fails the insertion.
-    pub fn insert_with_height(&self, key: K, value: V, height: u8, ctx: &ThreadCtx) -> bool {
-        debug_assert!(height <= self.config().max_level);
-        let _pin = self.pin(ctx);
-        let mvec = self.membership_of(ctx.id());
-        let unlink = !self.config().lazy;
-        let mut pending = Some((key, value));
-        let mut node: Option<NonNull<Node<K, V>>> = None;
-        loop {
-            let mut res = {
-                let kref: &K = match node {
-                    Some(n) => unsafe { (*n.as_ptr()).key() },
-                    None => &pending.as_ref().expect("key pending").0,
-                };
-                self.search_from(kref, mvec, None, unlink, ctx)
-            };
-            if res.found {
-                let existing = unsafe { &*res.succs[0] };
-                if self.config().lazy {
-                    let hash = self.index_hash(unsafe { existing.key() });
-                    match self.insert_helper(existing, hash, ctx) {
-                        Some(outcome) => {
-                            if let Some(n) = node.take() {
-                                self.discard_unpublished(n, ctx);
-                            }
-                            return outcome;
-                        }
-                        None => continue, // became marked; retry
-                    }
-                }
-                if let Some(n) = node.take() {
-                    self.discard_unpublished(n, ctx);
-                }
-                return false;
-            }
-            let n = *node.get_or_insert_with(|| {
-                let (k, v) = pending.take().expect("pending kv");
-                self.alloc_node(k, v, ctx, height)
-            });
-            if !self.try_link_level0(n, &res, ctx) {
-                continue;
-            }
-            self.link_upper(n, &mut res, ctx, || None);
-            return true;
-        }
-    }
-
-    /// Inserts `key -> value` with the configured full tower height
-    /// (`MaxLevel`), or a geometric height under the sparse configuration
-    /// using `height_source` (see [`crate::sparse_height`]).
-    pub fn insert(&self, key: K, value: V, ctx: &ThreadCtx, height: u8) -> bool {
-        self.insert_with_height(key, value, height, ctx)
+    /// unmarked duplicate fails the insertion. A sparse caller draws
+    /// `height` with [`crate::sparse_height`].
+    pub fn insert(&self, key: K, value: V, height: u8, ctx: &ThreadCtx) -> bool {
+        let hash = self.index_hash(&key);
+        self.insert_with_hint(key, value, hash, height, None, None, ctx, None).0
     }
 
     /// Removes `key`, searching from the head array. Returns whether the
     /// key was present (a successful removal was linearized here).
     pub fn remove(&self, key: &K, ctx: &ThreadCtx) -> bool {
-        let _pin = self.pin(ctx);
-        let mvec = self.membership_of(ctx.id());
-        if self.config().lazy {
-            loop {
-                let res = self.search_from(key, mvec, None, false, ctx);
-                if !res.found {
-                    return false;
-                }
-                match self.remove_helper(unsafe { &*res.succs[0] }, ctx) {
-                    Some(outcome) => return outcome,
-                    None => continue,
-                }
-            }
-        } else {
-            loop {
-                let res = self.search_from(key, mvec, None, true, ctx);
-                if !res.found {
-                    return false;
-                }
-                if self.logical_delete_eager(unsafe { &*res.succs[0] }, ctx) {
-                    // Physical cleanup: one relink pass over the key's
-                    // position ("searches performed on behalf of removals
-                    // physically remove marked nodes").
-                    let _ = self.search_from(key, mvec, None, true, ctx);
-                    return true;
-                }
-                // Lost the level-0 marking race; retry in case another
-                // unmarked holder of the key exists.
-            }
-        }
+        self.remove_with_hint(key, None, None, ctx)
     }
 
     /// Whether `key` is present (unmarked, and valid under the lazy
     /// configuration).
     pub fn contains(&self, key: &K, ctx: &ThreadCtx) -> bool {
-        let _pin = self.pin(ctx);
-        // Skip Hash fast path: a generation-valid index entry answers
-        // without a descent; anything questionable falls through.
-        match self.index_read(key, ctx) {
-            Some(IndexRead::Hit(_)) => return true,
-            Some(IndexRead::Absent(_)) => return false,
-            _ => {}
-        }
-        let mvec = self.membership_of(ctx.id());
-        let res = self.search_from(key, mvec, None, !self.config().lazy, ctx);
-        if !res.found {
-            return false;
-        }
-        if self.config().lazy {
-            let w0 = unsafe { &*res.succs[0] }.load_next(0, ctx);
-            !w0.marked() && w0.valid()
-        } else {
-            true
-        }
+        self.get_with_hint(key, self.index_hash(key), || None, None, ctx, |_| ())
+            .is_some()
     }
 
     /// Returns a clone of the value mapped to `key`, if present.
@@ -422,72 +326,48 @@ impl<K: Ord, V> SkipGraph<K, V> {
     where
         V: Clone,
     {
-        let _pin = self.pin(ctx);
-        // Skip Hash fast path (see `contains`). The pin keeps the hit
-        // node dereferenceable; `read_node` re-checked its generation
-        // and state after the pin, so the value read is of a live
-        // incarnation.
-        match self.index_read(key, ctx) {
-            Some(IndexRead::Hit(node)) => return Some(unsafe { node.value() }.clone()),
-            Some(IndexRead::Absent(_)) => return None,
-            _ => {}
-        }
-        let mvec = self.membership_of(ctx.id());
-        let res = self.search_from(key, mvec, None, !self.config().lazy, ctx);
-        if !res.found {
-            return None;
-        }
-        let node = unsafe { &*res.succs[0] };
-        let w0 = node.load_next(0, ctx);
-        if w0.marked() || (self.config().lazy && !w0.valid()) {
-            return None;
-        }
-        Some(unsafe { node.value() }.clone())
+        // SAFETY: `get_with_hint` hands `read` a present data node under
+        // its pin, so its value is initialized and stays alive for the clone.
+        self.get_with_hint(key, self.index_hash(key), || None, None, ctx, |node| {
+            unsafe { node.value() }.clone()
+        })
     }
 
-    /// Inserts `key -> value` resuming the search from `chain` (sorted-run
-    /// hint chaining), and leaves the final predecessor frontier in `chain`
-    /// for the run's next operation. Keys fed to one chain must be
+    /// Inserts `key -> value` (`hash` is the key's
+    /// [`SkipGraph::index_hash`]): the body behind the graph's `insert`, a
+    /// layered bulk insert and a combiner's sorted run.
+    ///
+    /// `chain` is the sorted run the operation belongs to (hint chaining):
+    /// the search resumes from the run's frontier and leaves its own there
+    /// for the next operation. Keys fed to one chain must be
     /// non-descending. `start`, when given, must be a fully inserted node
     /// with key strictly below `key` carrying the caller's own membership
     /// vector (a layered local-map jump-in, e.g. `prev_start`); each level
     /// descends from whichever of chain frontier and start is furthest.
+    /// With neither, the search starts at the head array.
     ///
     /// Returns `(inserted, node)`: `node` is the graph node holding the key
     /// after the call — the freshly linked (or lazily resurrected) node, or
     /// the surviving duplicate on a failed non-lazy insert — so layered
-    /// callers can refresh their local structures in bulk.
-    pub(crate) fn insert_with_hint(
-        &self,
-        key: K,
-        value: V,
-        height: u8,
-        start: Option<NodePtr<K, V>>,
-        chain: &mut HintChain<K, V>,
-        ctx: &ThreadCtx,
-    ) -> (bool, Option<NodeRef<K, V>>) {
-        let hash = self.index_hash(&key);
-        self.insert_with_hint_sink(key, value, hash, height, start, chain, ctx, None)
-    }
-
-    /// [`SkipGraph::insert_with_hint`] for a key whose
-    /// [`SkipGraph::index_hash`] the caller holds (`hash`), with an
-    /// optional deferred-publish sink: when `defer` is given, a freshly
-    /// linked node is *not* published to the hash index inline — its
-    /// [`NodeRef`] and hash are pushed into the sink instead, and the
-    /// caller publishes the whole sorted run in one
-    /// [`SkipGraph::index_publish_run`] pass after the run completes.
-    /// Lazy resurrections of existing nodes still publish inline (the
-    /// helper owns that transition either way).
+    /// callers can refresh their local structures in bulk. A one-off
+    /// operation (`chain` is `None`) has no such caller: it captures no
+    /// reference and returns `None`.
+    ///
+    /// With `defer` given, a freshly linked node is *not* published to the
+    /// hash index inline — its [`NodeRef`] and hash are pushed into the sink
+    /// instead, and the caller publishes the whole sorted run in one
+    /// [`SkipGraph::index_publish_run`] pass after the run completes. Lazy
+    /// resurrections of existing nodes still publish inline (the helper owns
+    /// that transition either way).
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn insert_with_hint_sink(
+    pub(crate) fn insert_with_hint(
         &self,
         key: K,
         value: V,
         hash: u64,
         height: u8,
         start: Option<NodePtr<K, V>>,
-        chain: &mut HintChain<K, V>,
+        mut chain: Option<&mut HintChain<K, V>>,
         ctx: &ThreadCtx,
         mut defer: Option<&mut Vec<(NodeRef<K, V>, u64)>>,
     ) -> (bool, Option<NodeRef<K, V>>) {
@@ -495,6 +375,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
         let _pin = self.pin(ctx);
         let mvec = self.membership_of(ctx.id());
         let lazy = self.config().lazy;
+        let run = chain.is_some();
         let mut pending = Some((key, value));
         let mut node: Option<NonNull<Node<K, V>>> = None;
         loop {
@@ -503,137 +384,135 @@ impl<K: Ord, V> SkipGraph<K, V> {
                     Some(n) => unsafe { (*n.as_ptr()).key() },
                     None => &pending.as_ref().expect("key pending").0,
                 };
-                self.search_hinted(kref, mvec, start, chain.res.as_ref(), !lazy, ctx)
+                self.search_hinted(kref, mvec, start, HintChain::frontier(&chain), !lazy, ctx)
             };
             if res.found {
                 let existing = res.succs[0];
-                let existing_ref = NodeRef::new(unsafe { NonNull::new_unchecked(existing) });
-                if lazy {
+                let existing_ref =
+                    run.then(|| NodeRef::new(unsafe { NonNull::new_unchecked(existing) }));
+                let outcome = if lazy {
                     match self.insert_helper(unsafe { &*existing }, hash, ctx) {
-                        Some(outcome) => {
-                            if let Some(n) = node.take() {
-                                self.discard_unpublished(n, ctx);
-                            }
-                            chain.res = Some(res);
-                            return (outcome, Some(existing_ref));
-                        }
+                        Some(outcome) => outcome,
                         None => continue, // became marked; retry the search
                     }
-                }
+                } else {
+                    false // an unmarked duplicate
+                };
                 if let Some(n) = node.take() {
                     self.discard_unpublished(n, ctx);
                 }
-                chain.res = Some(res);
-                return (false, Some(existing_ref));
+                HintChain::keep(&mut chain, res);
+                return (outcome, existing_ref);
             }
             let n = *node.get_or_insert_with(|| {
                 let (k, v) = pending.take().expect("pending kv");
                 self.alloc_node(k, v, ctx, height)
             });
-            if !self.try_link_level0_publish(n, &res, ctx, defer.is_none().then_some(hash)) {
+            if !self.try_link_level0(n, &res, ctx, defer.is_none().then_some(hash)) {
                 continue;
             }
-            let fresh = NodeRef::new(n);
+            let fresh = run.then(|| NodeRef::new(n));
             if let Some(sink) = defer.as_deref_mut() {
-                sink.push((fresh, hash));
+                sink.push((fresh.expect("a deferred publish belongs to a run"), hash));
             }
             let _ = self.link_upper(n, &mut res, ctx, || None);
             // `res` still holds strict predecessors of the key (link_upper
             // refreshes keep that invariant), so it is a valid frontier for
             // the run's next, larger-or-equal key.
-            chain.res = Some(res);
-            return (true, Some(fresh));
+            HintChain::keep(&mut chain, res);
+            return (true, fresh);
         }
     }
 
-    /// Removes `key` resuming the search from `chain`; see
-    /// [`SkipGraph::insert_with_hint`] for the chaining contract. Returns
-    /// whether a removal was linearized here. After a successful non-lazy
-    /// removal the chain's frontier reflects the post-cleanup position, so
+    /// Removes `key`: the body behind the graph's `remove` and a
+    /// combiner's sorted run; `start` and `chain` as for
+    /// [`SkipGraph::insert_with_hint`]. Returns whether a
+    /// removal was linearized here. After a successful non-lazy removal
+    /// the chain's frontier reflects the post-cleanup position, so
     /// [`HintChain::last_pred`] gives the surviving predecessor.
     pub(crate) fn remove_with_hint(
         &self,
         key: &K,
         start: Option<NodePtr<K, V>>,
-        chain: &mut HintChain<K, V>,
+        mut chain: Option<&mut HintChain<K, V>>,
         ctx: &ThreadCtx,
     ) -> bool {
         let _pin = self.pin(ctx);
         let mvec = self.membership_of(ctx.id());
-        if self.config().lazy {
-            loop {
-                let res = self.search_hinted(key, mvec, start, chain.res.as_ref(), false, ctx);
-                if !res.found {
-                    chain.res = Some(res);
-                    return false;
-                }
-                match self.remove_helper(unsafe { &*res.succs[0] }, ctx) {
-                    Some(outcome) => {
-                        chain.res = Some(res);
-                        return outcome;
-                    }
-                    None => continue,
-                }
+        let lazy = self.config().lazy;
+        loop {
+            let hint = HintChain::frontier(&chain);
+            let res = self.search_hinted(key, mvec, start, hint, !lazy, ctx);
+            if !res.found {
+                HintChain::keep(&mut chain, res);
+                return false;
             }
-        } else {
-            loop {
-                let res = self.search_hinted(key, mvec, start, chain.res.as_ref(), true, ctx);
-                if !res.found {
-                    chain.res = Some(res);
-                    return false;
+            let node = unsafe { &*res.succs[0] };
+            if lazy {
+                if let Some(outcome) = self.remove_helper(node, ctx) {
+                    HintChain::keep(&mut chain, res);
+                    return outcome;
                 }
-                if self.logical_delete_eager(unsafe { &*res.succs[0] }, ctx) {
-                    // Physical cleanup pass; it also refreshes the frontier
-                    // past the chain we just marked.
-                    let res2 = self.search_hinted(key, mvec, start, Some(&res), true, ctx);
-                    chain.res = Some(res2);
-                    return true;
-                }
+                // Became marked; retry the search.
+            } else if self.logical_delete_eager(node, ctx) {
+                // Physical cleanup: one relink pass over the key's position,
+                // entered where the first search was ("searches performed
+                // on behalf of removals physically remove marked nodes").
+                let res = self.search_hinted(key, mvec, start, hint, true, ctx);
+                HintChain::keep(&mut chain, res);
+                return true;
             }
+            // Non-lazy, lost the level-0 marking race: retry in case
+            // another unmarked holder of the key exists.
         }
     }
 
-    /// Returns a clone of the value mapped to `key`, resuming the search
-    /// from `chain`; see [`SkipGraph::insert_with_hint`] for the chaining
-    /// contract. `start` is only asked for when the index does not answer;
-    /// `hash` is the key's [`SkipGraph::index_hash`].
-    pub(crate) fn get_with_hint(
+    /// Reads `key`: the body behind the graph's `get` and `contains` and a
+    /// combiner's sorted run. `read` maps the present node to the answer
+    /// (a clone of its value for a get, `()` for a membership test).
+    /// `hash` is the key's [`SkipGraph::index_hash`]; `chain` is as for
+    /// [`SkipGraph::insert_with_hint`], and `start` is only asked for when
+    /// the index does not answer.
+    pub(crate) fn get_with_hint<T>(
         &self,
         key: &K,
         hash: u64,
         start: impl FnOnce() -> Option<NodePtr<K, V>>,
-        chain: &mut HintChain<K, V>,
+        mut chain: Option<&mut HintChain<K, V>>,
         ctx: &ThreadCtx,
-    ) -> Option<V>
-    where
-        V: Clone,
-    {
+        read: impl FnOnce(&Node<K, V>) -> T,
+    ) -> Option<T> {
         let _pin = self.pin(ctx);
-        // Skip Hash fast path: an index answer leaves the chain's
-        // frontier untouched — it still bounds this key from below, so
-        // the run's next (non-descending) operation resumes from it
-        // unchanged. Only an inconclusive read pays the hinted search.
-        match self.index_read_hashed(key, hash, ctx) {
-            Some(IndexRead::Hit(node)) => return Some(unsafe { node.value() }.clone()),
+        // Skip Hash fast path: a generation-valid index entry answers
+        // without a descent, and leaves the chain's frontier untouched — it
+        // still bounds this key from below, so the run's next
+        // (non-descending) operation resumes from it unchanged. The pin
+        // keeps a hit node dereferenceable; `read_node` re-checked its
+        // generation and state after the pin. Only an inconclusive read
+        // pays the search.
+        match self.index_read(key, hash, ctx) {
+            Some(IndexRead::Hit(node)) => return Some(read(node)),
             Some(IndexRead::Absent(_)) => return None,
             _ => {}
         }
         let mvec = self.membership_of(ctx.id());
-        let unlink = !self.config().lazy;
-        let res = self.search_hinted(key, mvec, start(), chain.res.as_ref(), unlink, ctx);
-        let out = if res.found {
-            let node = unsafe { &*res.succs[0] };
-            let w0 = node.load_next(0, ctx);
-            if w0.marked() || (self.config().lazy && !w0.valid()) {
-                None
-            } else {
-                self.index_heal(node, hash, ctx);
-                Some(unsafe { node.value() }.clone())
+        let lazy = self.config().lazy;
+        let res = self.search_hinted(key, mvec, start(), HintChain::frontier(&chain), !lazy, ctx);
+        // SAFETY: a found search's `succs[0]` is a data node it reached
+        // under this pin.
+        let node = res.found.then(|| unsafe { &*res.succs[0] });
+        // `found` saw the node unmarked; lazily, its valid bit decides.
+        let present = node.filter(|node| {
+            !lazy || {
+                let w0 = node.load_next(0, ctx);
+                !w0.marked() && w0.valid()
             }
-        } else {
-            None
-        };
-        chain.res = Some(res);
+        });
+        let out = present.map(|node| {
+            self.index_heal(node, hash, ctx);
+            read(node)
+        });
+        HintChain::keep(&mut chain, res);
         out
     }
 

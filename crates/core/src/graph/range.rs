@@ -49,10 +49,12 @@ impl<K: Ord + Clone, V> SkipGraph<K, V> {
         let mvec = self.membership_of(ctx.id());
         let hint = start_hint.map(|h| h.0);
         let indexed = match &start {
-            Bound::Included(k) | Bound::Excluded(k) => match self.index_read(k, ctx) {
-                Some(IndexRead::Hit(node)) => Some(node as *const _ as NodePtr<K, V>),
-                _ => None,
-            },
+            Bound::Included(k) | Bound::Excluded(k) => {
+                match self.index_read(k, self.index_hash(k), ctx) {
+                    Some(IndexRead::Hit(node)) => Some(node as *const _ as NodePtr<K, V>),
+                    _ => None,
+                }
+            }
             Bound::Unbounded => None,
         };
         // Position `cur` at the last node *before* the range so the
@@ -159,7 +161,7 @@ mod tests {
         let g = SkipGraph::new(GraphConfig::new(2).lazy(lazy).chunk_capacity(512));
         let c = ThreadCtx::plain(0);
         for k in (0..100u64).step_by(2) {
-            assert!(g.insert_with_height(k, k * 10, g.config().max_level, &c));
+            assert!(g.insert(k, k * 10, g.config().max_level, &c));
         }
         g
     }

@@ -269,7 +269,7 @@ mod tests {
         );
         let c = ThreadCtx::plain(0);
         for k in 0..30u64 {
-            assert!(g.insert_with_height(k, k, 0, &c));
+            assert!(g.insert(k, k, 0, &c));
         }
         for k in 0..10u64 {
             assert!(g.remove(&k, &c));
@@ -289,7 +289,7 @@ mod tests {
         let g: SkipGraph<u64, u64> = SkipGraph::new(GraphConfig::new(2).chunk_capacity(256));
         let c = ThreadCtx::plain(0);
         for k in 0..30u64 {
-            assert!(g.insert_with_height(k, k, 0, &c));
+            assert!(g.insert(k, k, 0, &c));
         }
         for k in 0..10u64 {
             assert!(g.remove(&k, &c));
@@ -307,7 +307,7 @@ mod tests {
         let c = ThreadCtx::plain(0);
         let max = g.config().max_level;
         for k in 0..100u64 {
-            assert!(g.insert_with_height(k, k, max, &c));
+            assert!(g.insert(k, k, max, &c));
         }
         let s = g.structure_stats(&c);
         assert_eq!(s.per_level.len(), max as usize + 1);
@@ -328,13 +328,13 @@ mod tests {
         let c = ThreadCtx::plain(0);
         // Deterministic heights: 60 at height 0, 30 at height 1, 10 at 2.
         for k in 0..60u64 {
-            assert!(g.insert_with_height(k, k, 0, &c));
+            assert!(g.insert(k, k, 0, &c));
         }
         for k in 60..90u64 {
-            assert!(g.insert_with_height(k, k, 1, &c));
+            assert!(g.insert(k, k, 1, &c));
         }
         for k in 90..100u64 {
-            assert!(g.insert_with_height(k, k, 2, &c));
+            assert!(g.insert(k, k, 2, &c));
         }
         for k in 0..20u64 {
             assert!(g.remove(&k, &c));
@@ -375,7 +375,7 @@ mod tests {
         );
         let c = ThreadCtx::plain(0);
         for k in 0..40u64 {
-            assert!(g.insert_with_height(k, k, 1, &c));
+            assert!(g.insert(k, k, 1, &c));
         }
         for k in 0..20u64 {
             assert!(g.remove(&k, &c));
@@ -400,7 +400,7 @@ mod tests {
         // New inserts of the same height are served from the free list:
         // the arena footprint does not grow.
         for k in 100..120u64 {
-            assert!(g.insert_with_height(k, k, 1, &c));
+            assert!(g.insert(k, k, 1, &c));
         }
         let m = g.memory_stats(&c);
         assert_eq!(m.recycled_slots, 20);
@@ -422,7 +422,7 @@ mod tests {
         );
         let c = ThreadCtx::plain(0);
         for k in 0..20u64 {
-            assert!(g.insert_with_height(k, k, 0, &c));
+            assert!(g.insert(k, k, 0, &c));
         }
         for k in 0..20u64 {
             assert!(g.remove(&k, &c));

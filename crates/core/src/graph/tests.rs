@@ -58,7 +58,7 @@ fn search_finds_and_reports_levels() {
     let g = eager(4); // max_level = 1
     let c = ctx(0);
     for k in [10u64, 20, 30] {
-        assert!(g.insert_with_height(k, k, g.config().max_level, &c));
+        assert!(g.insert(k, k, g.config().max_level, &c));
     }
     let mvec = g.membership_of(0);
     let res = g.search_from(&20, mvec, None, true, &c);
@@ -84,7 +84,7 @@ fn eager_search_physically_unlinks_marked_chains() {
     let g = eager(2); // max_level = 0: pure list, easiest to inspect
     let c = ctx(0);
     for k in 0..10u64 {
-        assert!(g.insert_with_height(k, k, 0, &c));
+        assert!(g.insert(k, k, 0, &c));
     }
     // Logically delete 3..7 without the composite remove (no cleanup pass).
     let mvec = g.membership_of(0);
@@ -110,7 +110,7 @@ fn insert_relinks_over_marked_chain() {
     let g = lazy(2, 0); // zero commission: retire immediately on sight
     let c = ctx(0);
     for k in [1u64, 2, 3, 4, 8] {
-        assert!(g.insert_with_height(k, k, 0, &c));
+        assert!(g.insert(k, k, 0, &c));
     }
     for k in [2u64, 3, 4] {
         assert!(g.remove(&k, &c));
@@ -118,7 +118,7 @@ fn insert_relinks_over_marked_chain() {
     // A search retires the invalid nodes (marks them)...
     assert!(!g.contains(&3, &c));
     // ...and the next insert replaces the whole marked chain with one CAS.
-    assert!(g.insert_with_height(5, 5, 0, &c));
+    assert!(g.insert(5, 5, 0, &c));
     let mvec = g.membership_of(0);
     let res = g.search_from(&5, mvec, None, false, &c);
     unsafe {
@@ -135,7 +135,7 @@ fn lazy_insert_then_finish_links_upper_levels() {
     let res = g.search_from(&50, g.membership_of(0), None, false, &c);
     assert!(!res.found);
     let node = g.alloc_node(50, 500, &c, g.config().max_level);
-    assert!(g.try_link_level0(node, &res, &c));
+    assert!(g.try_link_level0(node, &res, &c, None));
     // Only level 0 is linked so far.
     let n = unsafe { node.as_ref() };
     assert!(!n.is_inserted());
@@ -155,7 +155,7 @@ fn lazy_insert_then_finish_links_upper_levels() {
 fn insert_helper_state_machine() {
     let g = lazy(2, u64::MAX);
     let c = ctx(0);
-    assert!(g.insert_with_height(7, 70, 0, &c));
+    assert!(g.insert(7, 70, 0, &c));
     let res = g.search_from(&7, g.membership_of(0), None, false, &c);
     let node = unsafe { &*res.succs[0] };
     // Valid duplicate -> Some(false).
@@ -174,7 +174,7 @@ fn insert_helper_state_machine() {
 fn remove_helper_double_remove_fails() {
     let g = lazy(2, u64::MAX);
     let c = ctx(0);
-    assert!(g.insert_with_height(7, 70, 0, &c));
+    assert!(g.insert(7, 70, 0, &c));
     let res = g.search_from(&7, g.membership_of(0), None, false, &c);
     let node = unsafe { &*res.succs[0] };
     assert_eq!(g.remove_helper(node, &c), Some(true));
@@ -186,7 +186,7 @@ fn check_retire_respects_commission_period() {
     // Huge commission: invalid nodes are never retired.
     let g = lazy(2, u64::MAX);
     let c = ctx(0);
-    assert!(g.insert_with_height(9, 9, 0, &c));
+    assert!(g.insert(9, 9, 0, &c));
     assert!(g.remove(&9, &c));
     assert!(!g.contains(&9, &c)); // search passes the invalid node
     let res = g.search_from(&9, g.membership_of(0), None, false, &c);
@@ -200,7 +200,7 @@ fn check_retire_respects_commission_period() {
     // Zero commission: the same sequence marks the node on first contact.
     let g = lazy(2, 0);
     let c = ctx(0);
-    assert!(g.insert_with_height(9, 9, 0, &c));
+    assert!(g.insert(9, 9, 0, &c));
     assert!(g.remove(&9, &c));
     assert!(!g.contains(&9, &c)); // this search retires it
     let res = g.search_from(&9, g.membership_of(0), None, false, &c);
@@ -211,8 +211,8 @@ fn check_retire_respects_commission_period() {
 fn help_mark_is_idempotent_and_freezes_pointer() {
     let g = eager(2);
     let c = ctx(0);
-    assert!(g.insert_with_height(1, 1, 0, &c));
-    assert!(g.insert_with_height(2, 2, 0, &c));
+    assert!(g.insert(1, 1, 0, &c));
+    assert!(g.insert(2, 2, 0, &c));
     let res = g.search_from(&1, g.membership_of(0), None, false, &c);
     let node = unsafe { &*res.succs[0] };
     let before = node.load_next(0, &c).ptr();
@@ -235,8 +235,8 @@ fn partitioned_upper_levels_respect_membership() {
     let c0 = ctx(0); // mvec 00
     let c1 = ctx(1); // mvec 01
     for k in 0..20u64 {
-        assert!(g.insert_with_height(k * 2, k, g.config().max_level, &c0));
-        assert!(g.insert_with_height(k * 2 + 1, k, g.config().max_level, &c1));
+        assert!(g.insert(k * 2, k, g.config().max_level, &c0));
+        assert!(g.insert(k * 2 + 1, k, g.config().max_level, &c1));
     }
     // Walk level-1 list "1" (suffix 1): only odd keys (thread 1, mvec 01).
     let head = g.head(1, 1);
@@ -261,7 +261,7 @@ fn sparse_heights_bound_tower_population() {
     let max = g.config().max_level;
     for k in 0..2000u64 {
         let h = sparse_height(&mut rng, max);
-        assert!(g.insert_with_height(k, k, h, &c));
+        assert!(g.insert(k, k, h, &c));
     }
     // Count nodes in the thread's top-level list: expectation is
     // 2000 / 4^max (partitioning x sparse refinement would be for the
@@ -296,7 +296,7 @@ fn sparse_invariants_hold_across_all_heights_and_mutations() {
     assert!(max >= 2, "need several height classes");
     for k in 0..600u64 {
         let h = sparse_height(&mut rng, max);
-        assert!(g.insert_with_height(k, k, h, &c));
+        assert!(g.insert(k, k, h, &c));
     }
     // Every height class must actually be populated.
     let m = g.memory_stats(&c);
@@ -311,7 +311,7 @@ fn sparse_invariants_hold_across_all_heights_and_mutations() {
     }
     for k in (0..600u64).step_by(6) {
         let h = sparse_height(&mut rng, max);
-        assert!(g.insert_with_height(k, k, h, &c));
+        assert!(g.insert(k, k, h, &c));
     }
     g.check_invariants().unwrap();
     // Byte accounting stays consistent with the histogram.
@@ -331,7 +331,7 @@ fn snapshot_iter_skips_dead_nodes() {
     let g = lazy(2, u64::MAX);
     let c = ctx(0);
     for k in 0..10u64 {
-        assert!(g.insert_with_height(k, k * 10, 0, &c));
+        assert!(g.insert(k, k * 10, 0, &c));
     }
     for k in (0..10u64).step_by(2) {
         assert!(g.remove(&k, &c));
@@ -348,7 +348,7 @@ fn traversal_lengths_are_recorded() {
     let g = eager(2);
     let c = ThreadCtx::recording(0, Arc::clone(&stats));
     for k in 0..50u64 {
-        assert!(g.insert_with_height(k, k, g.config().max_level, &c));
+        assert!(g.insert(k, k, g.config().max_level, &c));
     }
     let before = stats.totals();
     assert!(g.contains(&25, &c));
@@ -362,7 +362,7 @@ fn search_from_start_node_matches_head_search() {
     let g = eager(4);
     let c = ctx(0);
     for k in 0..100u64 {
-        assert!(g.insert_with_height(k, k, g.config().max_level, &c));
+        assert!(g.insert(k, k, g.config().max_level, &c));
     }
     let mvec = g.membership_of(0);
     // Use the node holding 40 as a jump-in point for key 70.
@@ -387,7 +387,7 @@ fn pop_min_under_concurrent_inserts() {
                     let mut got = Vec::new();
                     for i in 0..300u64 {
                         let k = i * 4 + t as u64;
-                        assert!(g.insert_with_height(k, k, 0, &c));
+                        assert!(g.insert(k, k, 0, &c));
                         if i % 3 == 2 {
                             if let Some((k, _)) = g.pop_min(&c) {
                                 got.push(k);
@@ -428,7 +428,7 @@ fn reclaiming(threads: usize) -> SkipGraph<u64, u64> {
 fn generation_checks_catch_stale_references() {
     let g = reclaiming(2);
     let c = ctx(0);
-    assert!(g.insert_with_height(10, 10, 1, &c));
+    assert!(g.insert(10, 10, 1, &c));
     let res = g.search_from(&10, g.membership_of(0), None, false, &c);
     assert!(res.found);
     let live = NodeRef::new(NonNull::new(res.succs[0]).unwrap());
@@ -440,7 +440,7 @@ fn generation_checks_catch_stale_references() {
     assert_eq!(g.reclaim_flush(&c), 1);
     // Recycle the slot under a different key; the impostor must not
     // satisfy the stale reference either.
-    assert!(g.insert_with_height(11, 11, 1, &c));
+    assert!(g.insert(11, 11, 1, &c));
     let m = g.memory_stats(&c);
     assert_eq!(m.recycled_slots, 1, "the freed slot was reused");
     assert!(live.node().is_none(), "recycled impostor must not validate");
@@ -450,7 +450,7 @@ fn generation_checks_catch_stale_references() {
 fn references_captured_from_marked_nodes_are_poisoned() {
     let g = reclaiming(2);
     let c = ctx(0);
-    assert!(g.insert_with_height(10, 10, 1, &c));
+    assert!(g.insert(10, 10, 1, &c));
     let res = g.search_from(&10, g.membership_of(0), None, false, &c);
     let node = unsafe { &*res.succs[0] };
     // Mark the node without unlinking it (the first half of an eager
@@ -467,7 +467,7 @@ fn stale_hint_chain_falls_back_after_recycling() {
     let c = ctx(0);
     let mut chain = HintChain::new();
     for k in [10u64, 20, 30] {
-        let (fresh, _) = g.insert_with_hint(k, k, 1, None, &mut chain, &c);
+        let (fresh, _) = g.insert_with_hint(k, k, 0, 1, None, Some(&mut chain), &c, None);
         assert!(fresh);
     }
     // The chain's level-0 frontier references node 20 (the predecessor of
@@ -475,15 +475,39 @@ fn stale_hint_chain_falls_back_after_recycling() {
     // recycle its slot under a different key.
     assert!(g.remove(&20, &c));
     assert_eq!(g.reclaim_flush(&c), 1);
-    assert!(g.insert_with_height(15, 15, 1, &c));
+    assert!(g.insert(15, 15, 1, &c));
     assert_eq!(g.memory_stats(&c).recycled_slots, 1);
     // Resuming the run must reject the stale frontier (generation check)
     // and fall back to a fresh search instead of jumping in at the
     // impostor.
-    let (fresh, _) = g.insert_with_hint(40, 40, 1, None, &mut chain, &c);
+    let (fresh, _) = g.insert_with_hint(40, 40, 0, 1, None, Some(&mut chain), &c, None);
     assert!(fresh);
     assert_eq!(g.keys(&c), vec![10, 15, 30, 40]);
     assert!(g.check_invariants().is_ok());
+}
+
+#[test]
+fn head_start_reads_heal_a_lost_index_entry() {
+    // `get` and `contains` run the hinted read: a key the search finds
+    // after its index entry was lost is published again, so the next read
+    // of either kind is an index hit.
+    let stats = AccessStats::new(1);
+    let c = ThreadCtx::recording(0, stats.clone());
+    let g = SkipGraph::<u64, u64>::new_hashed(
+        GraphConfig::new(1).hash_index(true).chunk_capacity(256),
+    );
+    let hits = || stats.thread(0).index_hits;
+    assert!(g.insert(7, 70, 0, &c));
+    g.index_evict(&7, &c);
+    assert!(g.contains(&7, &c));
+    let before = hits();
+    assert_eq!(g.get(&7, &c), Some(70));
+    assert_eq!(hits(), before + 1, "contains republished the entry");
+    g.index_evict(&7, &c);
+    assert_eq!(g.get(&7, &c), Some(70));
+    let before = hits();
+    assert!(g.contains(&7, &c));
+    assert_eq!(hits(), before + 1, "get republished the entry");
 }
 
 #[test]
@@ -494,7 +518,7 @@ fn churn_with_recycling_keeps_the_footprint_flat() {
     const TOTAL: u64 = 400;
     for i in 0..TOTAL {
         let height = (i % 3) as u8; // rotate through every size class
-        assert!(g.insert_with_height(i, i, height, &c));
+        assert!(g.insert(i, i, height, &c));
         if i >= WINDOW {
             assert!(g.remove(&(i - WINDOW), &c));
         }

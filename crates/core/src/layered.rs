@@ -552,7 +552,7 @@ where
         let node = if self.hash.is_some() {
             self.table_holder(key)?
         } else {
-            match self.map.shared.index_read_hashed(key, hash, &self.ctx)? {
+            match self.map.shared.index_read(key, hash, &self.ctx)? {
                 IndexRead::Hit(node) | IndexRead::Absent(node) => node,
                 IndexRead::Miss | IndexRead::Stale => return None,
             }
@@ -718,7 +718,7 @@ where
                 let v = pending.take().expect("value pending");
                 shared.alloc_node(key.clone(), v, &self.ctx, height)
             });
-            if shared.try_link_level0_publish(n, &res, &self.ctx, Some(hash)) {
+            if shared.try_link_level0(n, &res, &self.ctx, Some(hash)) {
                 self.index_local(key, NodeRef::new(n));
                 return true;
             }
@@ -749,7 +749,7 @@ where
                 let v = pending.take().expect("value pending");
                 shared.alloc_node(key.clone(), v, &self.ctx, height)
             });
-            if !shared.try_link_level0_publish(n, &res, &self.ctx, Some(hash)) {
+            if !shared.try_link_level0(n, &res, &self.ctx, Some(hash)) {
                 start = self.prev_start(&key, height);
                 continue;
             }
@@ -832,7 +832,7 @@ where
         if let Some(value) = self.table_read(key, hash) {
             return Some(value);
         }
-        match self.map.shared.index_read_hashed(key, hash, &self.ctx)? {
+        match self.map.shared.index_read(key, hash, &self.ctx)? {
             IndexRead::Hit(node) => Some(Some(unsafe { node.value() })),
             IndexRead::Absent(_) => Some(None),
             IndexRead::Miss | IndexRead::Stale => None,
@@ -847,31 +847,7 @@ where
     /// [`Self::contains`] for a key whose [`Self::key_hash`] (or, on a
     /// replica, [`hash_key`]) the caller already holds.
     pub(crate) fn contains_hashed(&mut self, key: &K, hash: u64) -> bool {
-        self.ctx.record_op();
-        let map = self.map;
-        let shared = &map.shared;
-        let _pin = shared.pin(&self.ctx);
-        if let Some(value) = self.hashed_read(key, hash) {
-            return value.is_some();
-        }
-        // Alg. 7: search from the local start.
-        let start = match self.start_for(key, hash, 0, Self::read_on) {
-            Break(value) => return value.is_some(),
-            Continue(start) => start,
-        };
-        let res = shared.search_from(key, self.mvec, start, !self.lazy(), &self.ctx);
-        if !res.found {
-            return false;
-        }
-        let node = unsafe { &*res.succs[0] };
-        let present = !self.lazy() || {
-            let w0 = node.load_next(0, &self.ctx);
-            !w0.marked() && w0.valid()
-        };
-        if present {
-            shared.index_heal(node, hash, &self.ctx);
-        }
-        present
+        self.read_hashed(key, hash, |value| value.is_some())
     }
 
     /// Returns a clone of the value mapped to `key`, if present.
@@ -888,30 +864,48 @@ where
     where
         V: Clone,
     {
+        self.read_hashed(key, hash, |value| value.cloned())
+    }
+
+    /// The one point read behind [`Self::get`] and [`Self::contains`]: the
+    /// hash layer (Alg. 6), else a search from the local start (Alg. 7).
+    /// `answer` maps the key's value, or `None` when the key is absent, to
+    /// the result; it runs under the operation's pin, which keeps every
+    /// node read here dereferenceable.
+    fn read_hashed<T>(
+        &mut self,
+        key: &K,
+        hash: u64,
+        answer: impl FnOnce(Option<&'m V>) -> T,
+    ) -> T {
         self.ctx.record_op();
         let map = self.map;
         let shared = &map.shared;
-        // The pin keeps every node read below dereferenceable until the
-        // value is cloned.
         let _pin = shared.pin(&self.ctx);
         if let Some(value) = self.hashed_read(key, hash) {
-            return value.cloned();
+            return answer(value);
         }
         let start = match self.start_for(key, hash, 0, Self::read_on) {
-            Break(value) => return value.cloned(),
+            Break(value) => return answer(value),
             Continue(start) => start,
         };
         let res = shared.search_from(key, self.mvec, start, !self.lazy(), &self.ctx);
         if !res.found {
-            return None;
+            return answer(None);
         }
-        let node = unsafe { &*res.succs[0] };
-        let w0 = node.load_next(0, &self.ctx);
-        if w0.marked() || (self.lazy() && !w0.valid()) {
-            return None;
+        // SAFETY: a found search's `succs[0]` is a data node it reached
+        // under this pin, in the map's arenas, which outlive the handle.
+        let node: &'m Node<K, V> = unsafe { &*res.succs[0] };
+        // `found` saw the node unmarked; lazily, its valid bit decides.
+        let present = !self.lazy() || {
+            let w0 = node.load_next(0, &self.ctx);
+            !w0.marked() && w0.valid()
+        };
+        if !present {
+            return answer(None);
         }
         shared.index_heal(node, hash, &self.ctx);
-        Some(unsafe { node.value() }.clone())
+        answer(Some(unsafe { node.value() }))
     }
 
     /// Returns the value mapped to `key`, inserting `value` first if the
@@ -1010,7 +1004,9 @@ where
             let _pin = shared.pin(&self.ctx);
             let height = self.new_height();
             let key = k.clone();
-            let (fresh, node) = shared.insert_with_hint(k, v, height, None, &mut chain, &self.ctx);
+            let hash = shared.index_hash(&key);
+            let (fresh, node) =
+                shared.insert_with_hint(k, v, hash, height, None, Some(&mut chain), &self.ctx, None);
             if fresh {
                 inserted += 1;
             }
@@ -1123,13 +1119,13 @@ where
                 let start = self.warm_start(warm, start);
                 let height = self.new_height();
                 let key = k.clone();
-                let (fresh, node) = shared.insert_with_hint_sink(
+                let (fresh, node) = shared.insert_with_hint(
                     k,
                     v,
                     hash,
                     height,
                     start,
-                    chain,
+                    Some(chain),
                     &self.ctx,
                     Some(publishes),
                 );
@@ -1148,7 +1144,7 @@ where
                     }
                 }
                 let start = self.warm_start(warm, self.prev_start_ref(&k, 0));
-                let removed = shared.remove_with_hint(&k, start, chain, &self.ctx);
+                let removed = shared.remove_with_hint(&k, start, Some(&mut *chain), &self.ctx);
                 let pred = chain.last_pred();
                 if removed && !lazy {
                     self.erase_local(&k);
@@ -1165,7 +1161,11 @@ where
                 // The index answers first; the local-map start is looked
                 // up only for the search.
                 let start = || self.prev_start(&k, 0);
-                BatchOutcome::Got(shared.get_with_hint(&k, hash, start, chain, &self.ctx))
+                // SAFETY: as in `SkipGraph::get`: a present data node,
+                // read under the combiner's pin.
+                let value = |node: &Node<K, V>| unsafe { node.value() }.clone();
+                let got = shared.get_with_hint(&k, hash, start, Some(chain), &self.ctx, value);
+                BatchOutcome::Got(got)
             }
         }
     }

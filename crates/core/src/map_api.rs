@@ -188,7 +188,7 @@ impl<'g, K: Ord, V> MapHandle<K, V> for SkipGraphHandle<'g, K, V> {
         } else {
             self.graph.config().max_level
         };
-        self.graph.insert_with_height(key, value, height, &self.ctx)
+        self.graph.insert(key, value, height, &self.ctx)
     }
 
     fn remove(&mut self, key: &K) -> bool {

@@ -23,7 +23,7 @@ fn lazy_graph() -> SkipGraph<u64, u64> {
 fn remove_invalidates_in_place_and_insert_resurrects() {
     let g = lazy_graph();
     let c = ThreadCtx::plain(0);
-    assert!(g.insert_with_height(5, 50, 0, &c));
+    assert!(g.insert(5, 50, 0, &c));
     assert!(g.contains(&5, &c));
 
     // Remove = casValid(false): the node stays physically linked.
@@ -35,7 +35,7 @@ fn remove_invalidates_in_place_and_insert_resurrects() {
 
     // Insert = casValid(true) on the existing node: no new allocation.
     let allocated_before = s.allocated();
-    assert!(g.insert_with_height(5, 50, 0, &c));
+    assert!(g.insert(5, 50, 0, &c));
     assert!(g.contains(&5, &c));
     let s = g.structure_stats(&c);
     assert_eq!((s.live, s.invalid, s.marked), (1, 0, 0));
@@ -50,14 +50,14 @@ fn remove_invalidates_in_place_and_insert_resurrects() {
 fn resurrection_cycles_are_stable() {
     let g = lazy_graph();
     let c = ThreadCtx::plain(0);
-    assert!(g.insert_with_height(9, 1, 0, &c));
+    assert!(g.insert(9, 1, 0, &c));
     for _ in 0..50 {
         assert!(g.remove(&9, &c));
         assert!(!g.contains(&9, &c));
         assert!(!g.remove(&9, &c), "double remove must fail");
-        assert!(g.insert_with_height(9, 1, 0, &c));
+        assert!(g.insert(9, 1, 0, &c));
         assert!(g.contains(&9, &c));
-        assert!(!g.insert_with_height(9, 1, 0, &c), "double insert must fail");
+        assert!(!g.insert(9, 1, 0, &c), "double insert must fail");
     }
     let s = g.structure_stats(&ThreadCtx::plain(0));
     assert_eq!(s.allocated(), 1, "one node serves every cycle");
@@ -102,10 +102,10 @@ fn recorded_resurrection_history_linearizes() {
             end,
         });
     };
-    record(Op::Insert, g.insert_with_height(7, 7, 0, &c), &mut clock);
+    record(Op::Insert, g.insert(7, 7, 0, &c), &mut clock);
     record(Op::Remove, g.remove(&7, &c), &mut clock);
     record(Op::Contains, g.contains(&7, &c), &mut clock);
-    record(Op::Insert, g.insert_with_height(7, 7, 0, &c), &mut clock);
+    record(Op::Insert, g.insert(7, 7, 0, &c), &mut clock);
     record(Op::Contains, g.contains(&7, &c), &mut clock);
     record(Op::Remove, g.remove(&7, &c), &mut clock);
     check_history_from(&events, false).expect("resurrection history must linearize");
