@@ -34,7 +34,10 @@
 //! deterministic-scheduler yield point, so stress schedules interleave
 //! index and structure steps at the same granularity), 16 bytes aligned
 //! to 16 — a quarter of a 64-byte line by type, so no slot straddles two
-//! lines whatever the allocator returns:
+//! lines whatever the allocator returns. A slot chunk of 2 MiB or more is
+//! allocated 2 MiB-aligned and advised onto huge pages
+//! ([`numa::arena::ChunkStorage`]), so a probe into a large index does not
+//! also pay for a 4 KiB translation:
 //!
 //! ```text
 //! tag:  [63] present | [62:32] key-hash signature | [31:0] generation
@@ -117,6 +120,7 @@ use crate::node::Node;
 use crate::prefetch::prefetch_read;
 use crate::sync::{FacadeAtomicUsize, Padded};
 use instrument::ThreadCtx;
+use numa::arena::ChunkStorage;
 use numa::{Placement, Topology};
 use std::hash::{Hash, Hasher};
 use std::ops::ControlFlow::{self, Break, Continue};
@@ -356,8 +360,37 @@ impl Slot {
     }
 }
 
-fn empty_slots(n: usize) -> Box<[Slot]> {
-    (0..n).map(|_| Slot::empty()).collect()
+/// One chunk of a segment's slot array, on [`ChunkStorage`]: a chunk of
+/// 2 MiB or more (131 072 slots) sits on huge pages, a smaller one on base
+/// pages. Every slot is written empty by the allocating thread, so that
+/// thread first-touches the chunk.
+struct Slots(ChunkStorage);
+
+impl Slots {
+    fn empty(n: usize) -> Self {
+        let storage = ChunkStorage::new(
+            n * std::mem::size_of::<Slot>(),
+            std::mem::align_of::<Slot>(),
+        );
+        let base = storage.as_ptr().cast::<Slot>();
+        for i in 0..n {
+            // SAFETY: slot `i` lies inside the fresh chunk, whose storage
+            // is aligned for `Slot`.
+            unsafe { base.add(i).write(Slot::empty()) };
+        }
+        Self(storage)
+    }
+}
+
+impl std::ops::Deref for Slots {
+    type Target = [Slot];
+
+    fn deref(&self) -> &[Slot] {
+        let n = self.0.size() / std::mem::size_of::<Slot>();
+        // SAFETY: `empty` initialized all `n` slots, which live (slots need
+        // no drop) until the storage does.
+        unsafe { std::slice::from_raw_parts(self.0.as_ptr().cast::<Slot>(), n) }
+    }
 }
 
 /// One thread's share of a segment's counts.
@@ -389,7 +422,7 @@ struct Segment {
     /// `j ≥ 1` slots `[2^(base_bits + j - 1), 2^(base_bits + j))`. Each is
     /// installed once, by the grow that first covers it, and freed only
     /// when the segment drops.
-    chunks: [OnceLock<Box<[Slot]>>; CHUNKS],
+    chunks: [OnceLock<Slots>; CHUNKS],
     /// Per-thread stripes of the counts (the pointer is immutable).
     counts: Box<[Padded<Counts>]>,
     /// Single-grower lease; losers skip the grow entirely.
@@ -399,8 +432,8 @@ struct Segment {
 impl Segment {
     fn new(cap: usize, stripes: usize) -> Self {
         debug_assert!(cap.is_power_of_two() && stripes.is_power_of_two());
-        let chunks: [OnceLock<Box<[Slot]>>; CHUNKS] = std::array::from_fn(|_| OnceLock::new());
-        if chunks[0].set(empty_slots(cap)).is_err() {
+        let chunks: [OnceLock<Slots>; CHUNKS] = std::array::from_fn(|_| OnceLock::new());
+        if chunks[0].set(Slots::empty(cap)).is_err() {
             unreachable!("a fresh directory is empty");
         }
         Self {
@@ -550,7 +583,7 @@ impl Segment {
     /// still private); then the chunk is installed, the mask published, and
     /// the old half repacked.
     fn double(&self, cap: usize, scan: Scan) -> isize {
-        let upper = empty_slots(cap);
+        let upper = Slots::empty(cap);
         // An old wrap-around's entries, and (below) those with no copy.
         let mut rehome = vec![0; scan.upper.len()];
         rehome[0] = scan.wrapped & !scan.upper[0];
@@ -1402,6 +1435,32 @@ mod tests {
         for pair in idx.segments.windows(2) {
             assert!(lines_of(&pair[0]).end() < lines_of(&pair[1]).start());
         }
+    }
+
+    /// A slot chunk of 2 MiB or more — chunk 0 of a large segment, and the
+    /// upper half a doubling adds — starts on a 2 MiB boundary, where the
+    /// kernel can back it with huge pages (see `numa::arena`).
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn a_grown_slot_chunk_of_a_huge_page_is_huge_page_aligned() {
+        use numa::arena::HUGE_PAGE;
+        let cap = HUGE_PAGE / std::mem::size_of::<Slot>();
+        let seg = Segment::new(cap, 1);
+        seg.grow(false);
+        assert_eq!(seg.capacity(), 2 * cap, "an untripped grow doubles");
+        for (j, chunk) in seg.chunks.iter().take(2).enumerate() {
+            let chunk = chunk.get().expect("the grow installed chunks 0 and 1");
+            assert_eq!(std::mem::size_of_val(&**chunk), HUGE_PAGE);
+            assert_eq!(
+                chunk.as_ptr() as usize % HUGE_PAGE,
+                0,
+                "chunk {j} is not 2 MiB-aligned"
+            );
+        }
+        assert_eq!(
+            seg.bytes(),
+            2 * HUGE_PAGE + std::mem::size_of_val(&*seg.counts)
+        );
     }
 
     #[test]

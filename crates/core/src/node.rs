@@ -9,12 +9,16 @@
 //! configuration the expected tower length is < 1 slot, which more than
 //! halves bytes-per-node versus the old inline layout.
 //!
-//! The header is `#[repr(C)]` with the hot fields first: the level-0
-//! next-reference, the tower pointer, then the key (the discriminant every
-//! traversal compares). For `Node<u64, u64>` the header is 48 bytes, so a
-//! level-0 traversal step — load `next[0]`, compare the key, inspect the
-//! packed metadata — touches a single cache line per node (chunk storage is
-//! 64-byte aligned; see `numa::arena`).
+//! The header is `#[repr(C)]` with what an index-served read touches
+//! first: the level-0 next-reference, the key, the value, the generation
+//! and the packed metadata — bytes 0–28 of a `Node<u64, u64>`. The
+//! membership vector, the unlink mask, the tower pointer (read only above
+//! level 0), the commission timestamp and the owner tag follow. The header
+//! is 48 bytes, so a height-0 node (header only) has a 48-byte stride in a
+//! 64-byte-aligned chunk (see `numa::arena`) and starts at line offsets 0,
+//! 48, 32 and 16 in turn: its hot bytes cross a line boundary at offset 48
+//! only, one slot in four. A level-0 step is therefore one line for most
+//! nodes, not for all.
 //!
 //! The cold/rare metadata (`kind`, `top_level`, `inserted`) is packed into
 //! one atomic byte, and the commission timestamp is truncated to 32 bits
@@ -78,8 +82,8 @@ const KIND_FREE: u8 = 3;
 /// arena and reached through `self.tower`, which is set once by
 /// [`Node::attach_tower`] right after allocation.
 ///
-/// Field order is fixed (`repr(C)`) so the hot path — `next0`, `tower`,
-/// `key` — occupies the first bytes of the (cache-line-aligned) slot.
+/// Field order is fixed (`repr(C)`) so the hot path — `next0`, `key`,
+/// `value`, `gen`, `meta` — occupies the first 29 bytes of the slot.
 #[repr(C)]
 pub(crate) struct Node<K, V> {
     /// This node's successor in the level-0 list, tagged with
@@ -87,17 +91,8 @@ pub(crate) struct Node<K, V> {
     /// traversal ends there and the lazy protocol's logical state (valid /
     /// marked) lives in this word.
     next0: TaggedAtomic<Node<K, V>>,
-    /// First slot of the trailing tower (levels `1..=top_level`), or null
-    /// for height-0 nodes and nodes whose tower is not attached yet. Set
-    /// once from the arena slot pointer — deriving it from `&self` would
-    /// leave the reference's provenance (which covers only the header).
-    tower: *mut TaggedAtomic<Node<K, V>>,
     key: MaybeUninit<K>,
     value: MaybeUninit<V>,
-    /// Truncated cycle timestamp at allocation (commission period, Alg.
-    /// 14). 32 bits: `check_retire` compares the wrapped *delta*, so the
-    /// truncation can only postpone retirement, never cause it early.
-    alloc_ts: u32,
     /// Slot generation: bumped when the node is retired. Cached raw
     /// pointers (hint maps, tombstones, hint chains) carry the generation
     /// they were captured at and re-check it before dereferencing; a bumped
@@ -105,15 +100,24 @@ pub(crate) struct Node<K, V> {
     /// different key. Survives recycling — [`Node::reinit_recycled`] leaves
     /// it untouched, so stale readers never observe a rollback.
     gen: AtomicU32,
+    /// Packed `top_level` / `kind` / `inserted` (see the `META_*` masks).
+    meta: AtomicU8,
     /// Membership vector of the inserting thread (suffixes select lists).
     /// `max_level < MAX_HEIGHT = 8`, so vectors always fit in 7 bits.
     mvec: u8,
-    /// Packed `top_level` / `kind` / `inserted` (see the `META_*` masks).
-    meta: AtomicU8,
     /// One bit per level `0..=top_level`, set by the thread whose CAS
     /// physically snipped this node out of that level's list. The thread
     /// that fills the mask retires the node (exactly once).
     unlinked: AtomicU8,
+    /// First slot of the trailing tower (levels `1..=top_level`), or null
+    /// for height-0 nodes and nodes whose tower is not attached yet. Set
+    /// once from the arena slot pointer — deriving it from `&self` would
+    /// leave the reference's provenance (which covers only the header).
+    tower: *mut TaggedAtomic<Node<K, V>>,
+    /// Truncated cycle timestamp at allocation (commission period, Alg.
+    /// 14). 32 bits: `check_retire` compares the wrapped *delta*, so the
+    /// truncation can only postpone retirement, never cause it early.
+    alloc_ts: u32,
     /// Benchmark thread that allocated this node (NUMA-ownership tag).
     owner: u16,
 }
@@ -611,22 +615,39 @@ mod tests {
     }
 
     #[test]
-    fn header_is_packed_into_one_cache_line() {
-        // The whole point of the layout: header (next0 + tower ptr + key +
-        // value + packed metadata + generation/unlinked words) of a u64
-        // map node is 48 bytes, and a height-0 node is exactly the header
-        // — both under one 64-byte line. The old inline-tower layout was
-        // 96 bytes; the pre-reclamation header was 40.
-        assert_eq!(std::mem::size_of::<Node<u64, u64>>(), 48);
-        assert_eq!(std::mem::align_of::<Node<u64, u64>>(), 8);
+    fn hot_header_bytes_cross_a_line_at_one_slot_in_four() {
+        type N = Node<u64, u64>;
+        // The whole point of the layout: the header of a u64 map node is 48
+        // bytes, and a height-0 node is exactly the header. The old
+        // inline-tower layout was 96 bytes; the pre-reclamation header 40.
+        assert_eq!(std::mem::size_of::<N>(), 48);
+        assert_eq!(std::mem::align_of::<N>(), 8);
+        // What an index-served read touches: generation, metadata, key,
+        // level-0 word and value, bytes 0..29.
+        let hot = [
+            (std::mem::offset_of!(N, next0), 8),
+            (std::mem::offset_of!(N, key), 8),
+            (std::mem::offset_of!(N, value), 8),
+            (std::mem::offset_of!(N, gen), 4),
+            (std::mem::offset_of!(N, meta), 1),
+        ];
+        let start = hot.iter().map(|&(at, _)| at).min().unwrap();
+        let end = hot.iter().map(|&(at, len)| at + len).max().unwrap();
+        assert_eq!((start, end), (0, 29));
+        // Height-0 slots start at line offsets 0, 48, 32, 16 of a 64-byte
+        // aligned chunk; the hot bytes cross a line at one of the four.
+        let crossing = (0..4)
+            .map(|i| i * std::mem::size_of::<N>() % 64)
+            .filter(|&at| at / 64 != (at + end - 1) / 64)
+            .count();
+        assert_eq!(crossing, 1);
         // Tower slots can be appended without padding.
         assert_eq!(
-            std::mem::size_of::<Node<u64, u64>>()
-                % std::mem::align_of::<TaggedAtomic<Node<u64, u64>>>(),
+            std::mem::size_of::<N>() % std::mem::align_of::<TaggedAtomic<N>>(),
             0
         );
-        assert_eq!(Node::<u64, u64>::tower_bytes(0), 0);
-        assert_eq!(Node::<u64, u64>::tower_bytes(7), 56);
+        assert_eq!(N::tower_bytes(0), 0);
+        assert_eq!(N::tower_bytes(7), 56);
     }
 
     fn tower_arena(top_level: usize) -> Arena<Node<u64, u64>> {

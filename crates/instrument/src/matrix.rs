@@ -3,27 +3,39 @@
 use crossbeam_utils::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// Cells on one 128-byte line pair.
+const CELLS_PER_LINE: usize = 128 / std::mem::size_of::<AtomicU64>();
+
 /// An `n x n` matrix of counters where cell `(i, j)` is the number of
 /// accesses performed by thread `i` on nodes allocated by thread `j`.
 ///
-/// Each row is cache-padded and written only by its own thread, so
-/// recording is contention-free (relaxed increments on exclusively-owned
-/// cache lines).
+/// Each row's cells sit on 128-byte line pairs of their own and are
+/// written only by the row's thread, so recording is contention-free
+/// (relaxed increments on exclusively-owned cache lines).
 #[derive(Debug)]
 pub struct AccessMatrix {
     n: usize,
-    rows: Vec<CachePadded<Vec<AtomicU64>>>,
+    /// Line pairs per row: `n` cells rounded up to whole line pairs.
+    row_lines: usize,
+    /// Row `i` is line pairs `[i * row_lines, (i + 1) * row_lines)`.
+    lines: Vec<CachePadded<[AtomicU64; CELLS_PER_LINE]>>,
 }
 
 impl AccessMatrix {
     /// Creates an `n x n` zero matrix.
     pub fn new(n: usize) -> Self {
+        let row_lines = n.div_ceil(CELLS_PER_LINE);
         Self {
             n,
-            rows: (0..n)
-                .map(|_| CachePadded::new((0..n).map(|_| AtomicU64::new(0)).collect()))
+            row_lines,
+            lines: (0..n * row_lines)
+                .map(|_| CachePadded::new(std::array::from_fn(|_| AtomicU64::new(0))))
                 .collect(),
         }
+    }
+
+    fn cell(&self, i: usize, j: usize) -> &AtomicU64 {
+        &self.lines[i * self.row_lines + j / CELLS_PER_LINE][j % CELLS_PER_LINE]
     }
 
     /// Matrix dimension (number of threads).
@@ -38,12 +50,12 @@ impl AccessMatrix {
     pub fn record(&self, current: u16, owner: u16) {
         let i = (current as usize).min(self.n - 1);
         let j = (owner as usize).min(self.n - 1);
-        self.rows[i][j].fetch_add(1, Ordering::Relaxed);
+        self.cell(i, j).fetch_add(1, Ordering::Relaxed);
     }
 
     /// Reads cell `(i, j)`.
     pub fn get(&self, i: usize, j: usize) -> u64 {
-        self.rows[i][j].load(Ordering::Relaxed)
+        self.cell(i, j).load(Ordering::Relaxed)
     }
 
     /// Sum over a full row (all accesses performed by thread `i`).
@@ -137,6 +149,27 @@ mod tests {
         m.record(0, 1);
         let csv = m.to_csv();
         assert_eq!(csv, "0,1\n0,0\n");
+    }
+
+    #[test]
+    fn no_two_rows_share_a_line() {
+        for n in [1usize, 2, 3, 16, 17, 40] {
+            let m = AccessMatrix::new(n);
+            let lines_of_row = |i: usize| -> Vec<usize> {
+                (0..n)
+                    .map(|j| m.cell(i, j) as *const AtomicU64 as usize / 128)
+                    .collect()
+            };
+            for i in 0..n {
+                let mine = lines_of_row(i);
+                for other in (0..n).filter(|&o| o != i) {
+                    assert!(
+                        lines_of_row(other).iter().all(|l| !mine.contains(l)),
+                        "rows {i} and {other} of a {n}x{n} matrix share a line"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

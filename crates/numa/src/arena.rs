@@ -16,11 +16,33 @@
 //! * chunk storage is cache-line aligned (64 bytes), so the first slot of
 //!   every chunk starts on a line boundary and slot offsets translate
 //!   directly into line offsets for the cache model,
+//! * a chunk of [`HUGE_PAGE`] bytes or more sits on 2 MiB pages (see
+//!   below),
 //! * objects live until the arena is dropped. This mirrors the paper's C++
 //!   implementation, which never frees shared nodes mid-run, and is what
 //!   makes the stale node pointers held by the thread-local structures safe
 //!   to dereference (they are validated through mark/valid bits instead of
 //!   being reclaimed).
+//!
+//! # Page size
+//!
+//! [`ChunkStorage`] is the one allocation primitive for large chunks: the
+//! arena's chunks and the hash index's slot arrays both come from it. On
+//! Linux a chunk of at least [`HUGE_PAGE`] bytes is a fresh anonymous
+//! mapping, 2 MiB-aligned, whose whole 2 MiB pages are advised
+//! `MADV_HUGEPAGE` before anything touches them, so a kernel whose
+//! transparent huge pages run in `madvise` mode backs them with huge pages
+//! at first touch. (Memory from the heap may have been touched before, on
+//! base pages, and advice does not move pages already there.) A uniform
+//! point read over a large map then takes its dependent misses without a
+//! 4 KiB translation for each. Smaller chunks come from the global
+//! allocator with 64-byte alignment, on base pages: a 2 MiB page would
+//! commit far more than they hold. A kernel with transparent huge pages
+//! `never` ignores the advice; under Miri and off Linux a large chunk is
+//! a 2 MiB-aligned allocation from the global allocator, with no advice.
+//! Two consequences: a touched large chunk commits 2 MiB at a time, and
+//! first-touch placement works at 2 MiB granularity — the owner's first
+//! allocation places the chunk's first 2 MiB, not its first 4 KiB.
 //!
 //! # Size-class support
 //!
@@ -38,13 +60,186 @@ use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 /// Default number of objects per chunk. The paper uses 2^20; we default to
 /// 2^16 so that test/bench processes with hundreds of arenas stay within a
 /// container's memory budget (configurable via [`Arena::with_chunk_capacity`]).
+/// Memory is committed as it is touched, so what a process with many arenas
+/// pays is its touched pages: one 2 MiB page for an arena whose chunk
+/// reaches [`HUGE_PAGE`] (a 2^16-slot chunk of 32-byte or larger objects),
+/// 4 KiB pages below that.
 pub const DEFAULT_CHUNK_CAPACITY: usize = 1 << 16;
 
 /// Cache-line size chunk storage is aligned to.
 pub const CACHE_LINE: usize = 64;
 
+/// Size and alignment of a transparent huge page on x86-64: a chunk of at
+/// least this many bytes is aligned to it and advised onto huge pages.
+pub const HUGE_PAGE: usize = 2 << 20;
+
+/// Owned chunk storage: `size` bytes at (at least) `align`, uninitialized,
+/// freed on drop with the layout it was allocated with.
+///
+/// A chunk of [`HUGE_PAGE`] bytes or more is 2 MiB-aligned and, on Linux,
+/// a fresh mapping whose whole 2 MiB pages are advised onto huge pages
+/// before its first touch (see the module docs); a smaller one comes from
+/// the global allocator at `align`, on base pages.
+pub struct ChunkStorage {
+    ptr: NonNull<u8>,
+    layout: Layout,
+}
+
+// SAFETY: `ptr` names memory this value owns alone and frees once, in
+// `Drop`, with `layout`, which never changes; neither field is shared
+// state. What the bytes hold, and which threads touch them, is up to
+// whoever writes through `as_ptr`.
+unsafe impl Send for ChunkStorage {}
+// SAFETY: `&ChunkStorage` reads only the two immutable fields.
+unsafe impl Sync for ChunkStorage {}
+
+impl ChunkStorage {
+    /// Allocates `size` bytes aligned to `align` (a power of two), or to
+    /// [`HUGE_PAGE`] if `size` is at least that.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `align` is not a power of two or the size overflows.
+    pub fn new(size: usize, align: usize) -> Self {
+        let align = if size >= HUGE_PAGE {
+            align.max(HUGE_PAGE)
+        } else {
+            align
+        };
+        let layout = Layout::from_size_align(size, align).expect("chunk layout");
+        let ptr = if size == 0 {
+            // Zero-size chunks: any aligned non-null pointer is valid for
+            // zero-size reads/writes.
+            NonNull::new(align as *mut u8).expect("nonzero align")
+        } else if align >= HUGE_PAGE {
+            huge::map(layout)
+        } else {
+            // SAFETY: `layout` has a nonzero size.
+            NonNull::new(unsafe { alloc(layout) }).unwrap_or_else(|| handle_alloc_error(layout))
+        };
+        Self { ptr, layout }
+    }
+
+    /// The first byte.
+    pub fn as_ptr(&self) -> *mut u8 {
+        self.ptr.as_ptr()
+    }
+
+    /// Bytes in the chunk (as asked, not rounded to a page).
+    pub fn size(&self) -> usize {
+        self.layout.size()
+    }
+}
+
+impl Drop for ChunkStorage {
+    fn drop(&mut self) {
+        if self.layout.align() >= HUGE_PAGE {
+            // SAFETY: `new` mapped `ptr` with this very `layout`, and only
+            // this drop unmaps it.
+            unsafe { huge::unmap(self.ptr, self.layout) };
+        } else if self.layout.size() != 0 {
+            // SAFETY: `new` allocated `ptr` with this very `layout`, and
+            // only this drop frees it.
+            unsafe { dealloc(self.ptr.as_ptr(), self.layout) };
+        }
+    }
+}
+
+/// Chunks of [`HUGE_PAGE`] bytes or more on Linux: fresh anonymous
+/// mappings, advised onto huge pages before their first touch.
+#[cfg(all(target_os = "linux", not(miri)))]
+mod huge {
+    use super::HUGE_PAGE;
+    use std::alloc::{handle_alloc_error, Layout};
+    use std::ptr::NonNull;
+
+    extern "C" {
+        fn mmap(addr: *mut u8, len: usize, prot: i32, flags: i32, fd: i32, off: isize) -> *mut u8;
+        fn munmap(addr: *mut u8, len: usize) -> i32;
+        fn madvise(addr: *mut u8, len: usize, advice: i32) -> i32;
+    }
+    const PROT_READ: i32 = 1;
+    const PROT_WRITE: i32 = 2;
+    const MAP_PRIVATE: i32 = 2;
+    const MAP_ANONYMOUS: i32 = 0x20;
+    const MADV_HUGEPAGE: i32 = 14;
+
+    /// Bytes mapped for `layout`: whole 2 MiB units, so every boundary
+    /// the mapping has is a page boundary whatever the base page size.
+    /// The tail past `layout.size()` is never touched, so never committed.
+    fn mapped(layout: Layout) -> usize {
+        layout.size().next_multiple_of(HUGE_PAGE)
+    }
+
+    /// Maps `layout.size()` bytes at a 2 MiB boundary and advises the
+    /// whole 2 MiB pages among them onto huge pages. The advice is best
+    /// effort: a kernel that refuses it (no THP, or THP `never`) leaves
+    /// base pages, so its result is ignored.
+    pub(super) fn map(layout: Layout) -> NonNull<u8> {
+        let len = mapped(layout);
+        // Map one huge page more than needed, then unmap the slack on
+        // either side of the first 2 MiB boundary in it.
+        // SAFETY: a fresh private anonymous mapping aliases nothing.
+        let raw = unsafe {
+            mmap(
+                std::ptr::null_mut(),
+                len + HUGE_PAGE,
+                PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS,
+                -1,
+                0,
+            )
+        };
+        if raw as usize == usize::MAX {
+            handle_alloc_error(layout);
+        }
+        let head = (HUGE_PAGE - raw as usize % HUGE_PAGE) % HUGE_PAGE;
+        // SAFETY: both ranges lie inside the mapping just made, start on
+        // page boundaries, and nothing has seen them; the advice changes
+        // no byte, over whole 2 MiB pages inside the chunk.
+        unsafe {
+            if head > 0 {
+                munmap(raw, head);
+            }
+            let start = raw.add(head);
+            munmap(start.add(len), HUGE_PAGE - head);
+            madvise(start, layout.size() / HUGE_PAGE * HUGE_PAGE, MADV_HUGEPAGE);
+            NonNull::new_unchecked(start)
+        }
+    }
+
+    /// # Safety
+    ///
+    /// `ptr` must come from [`map`] with this `layout`, and nothing may use
+    /// the chunk afterwards.
+    pub(super) unsafe fn unmap(ptr: NonNull<u8>, layout: Layout) {
+        munmap(ptr.as_ptr(), mapped(layout));
+    }
+}
+
+/// Chunks of [`HUGE_PAGE`] bytes or more under Miri and off Linux:
+/// 2 MiB-aligned allocations from the global allocator, with no advice.
+#[cfg(not(all(target_os = "linux", not(miri))))]
+mod huge {
+    use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
+    use std::ptr::NonNull;
+
+    pub(super) fn map(layout: Layout) -> NonNull<u8> {
+        // SAFETY: a large chunk's layout has a nonzero size.
+        NonNull::new(unsafe { alloc(layout) }).unwrap_or_else(|| handle_alloc_error(layout))
+    }
+
+    /// # Safety
+    ///
+    /// `ptr` must come from [`map`] with this `layout`, and nothing may use
+    /// the chunk afterwards.
+    pub(super) unsafe fn unmap(ptr: NonNull<u8>, layout: Layout) {
+        dealloc(ptr.as_ptr(), layout);
+    }
+}
+
 struct Chunk<T> {
-    storage: NonNull<u8>,
+    storage: ChunkStorage,
     capacity: usize,
     /// Number of initialized slots. Slots are claimed by CAS so the arena is
     /// safe even if multiple threads allocate (normally only the owner does).
@@ -53,20 +248,11 @@ struct Chunk<T> {
 }
 
 impl<T> Chunk<T> {
-    fn new(capacity: usize, layout: Layout) -> NonNull<Chunk<T>> {
-        let storage = if layout.size() == 0 {
-            // Zero-size slots: any aligned non-null pointer is valid for
-            // zero-size reads/writes.
-            NonNull::new(layout.align() as *mut u8).expect("nonzero align")
-        } else {
-            let raw = unsafe { alloc(layout) };
-            match NonNull::new(raw) {
-                Some(p) => p,
-                None => handle_alloc_error(layout),
-            }
-        };
+    fn new(capacity: usize, stride: usize) -> NonNull<Chunk<T>> {
+        let align = std::mem::align_of::<T>().max(CACHE_LINE);
+        let bytes = stride.checked_mul(capacity).expect("chunk size overflows");
         let chunk = Box::new(Chunk {
-            storage,
+            storage: ChunkStorage::new(bytes, align),
             capacity,
             len: AtomicUsize::new(0),
             next: AtomicPtr::new(std::ptr::null_mut()),
@@ -192,10 +378,8 @@ impl<T> Arena<T> {
         self.extra
     }
 
-    fn chunk_layout(&self) -> Layout {
-        let align = std::mem::align_of::<T>().max(CACHE_LINE);
-        Layout::from_size_align(self.stride * self.chunk_capacity, align)
-            .expect("chunk layout")
+    fn new_chunk(&self) -> *mut Chunk<T> {
+        Chunk::<T>::new(self.chunk_capacity, self.stride).as_ptr()
     }
 
     /// Allocates `value` in the arena and returns a stable pointer to it.
@@ -232,7 +416,7 @@ impl<T> Arena<T> {
     /// Maps the first chunk (first allocation = first touch by the owner;
     /// racing installers: one wins, losers free theirs).
     fn install_first(&self) {
-        let fresh = Chunk::<T>::new(self.chunk_capacity, self.chunk_layout()).as_ptr();
+        let fresh = self.new_chunk();
         match self.head.compare_exchange(
             std::ptr::null_mut(),
             fresh,
@@ -248,7 +432,7 @@ impl<T> Arena<T> {
                 );
             }
             Err(existing) => {
-                unsafe { drop_chunk_struct(fresh, self.chunk_layout()) };
+                unsafe { drop_chunk_struct(fresh) };
                 let _ = self.current.compare_exchange(
                     std::ptr::null_mut(),
                     existing,
@@ -262,7 +446,7 @@ impl<T> Arena<T> {
     /// Appends a fresh chunk after `full` (racing growers: one wins, the
     /// loser frees its chunk) and advances `current`.
     fn grow(&self, full: &Chunk<T>) {
-        let fresh = Chunk::<T>::new(self.chunk_capacity, self.chunk_layout()).as_ptr();
+        let fresh = self.new_chunk();
         match full.next.compare_exchange(
             std::ptr::null_mut(),
             fresh,
@@ -279,7 +463,7 @@ impl<T> Arena<T> {
             }
             Err(existing) => {
                 // Someone else grew; free ours and follow theirs.
-                unsafe { drop_chunk_struct(fresh, self.chunk_layout()) };
+                unsafe { drop_chunk_struct(fresh) };
                 let _ = self.current.compare_exchange(
                     full as *const _ as *mut _,
                     existing,
@@ -335,19 +519,15 @@ impl<T> Arena<T> {
 /// # Safety
 ///
 /// `p` must be a pointer obtained from [`Chunk::new`] (a leaked `Box`)
-/// that has not been freed yet, `layout` must be the layout its storage
-/// was allocated with, and no reference into the chunk or its storage may
-/// be live: `Box::from_raw` reasserts unique ownership of the leaked box.
-unsafe fn drop_chunk_struct<T>(p: *mut Chunk<T>, layout: Layout) {
-    let chunk = Box::from_raw(p);
-    if layout.size() != 0 {
-        dealloc(chunk.storage.as_ptr(), layout);
-    }
+/// that has not been freed yet, and no reference into the chunk or its
+/// storage may be live: `Box::from_raw` reasserts unique ownership of the
+/// leaked box.
+unsafe fn drop_chunk_struct<T>(p: *mut Chunk<T>) {
+    drop(Box::from_raw(p));
 }
 
 impl<T> Drop for Arena<T> {
     fn drop(&mut self) {
-        let layout = self.chunk_layout();
         // `&mut self` proves no concurrent access: read the list head
         // non-atomically and copy each chunk's fields out *before*
         // reclaiming its box, so no `&Chunk` is alive when `Box::from_raw`
@@ -358,16 +538,16 @@ impl<T> Drop for Arena<T> {
             let (storage, next, len) = {
                 let chunk = unsafe { &mut *p };
                 (
-                    chunk.storage,
+                    chunk.storage.as_ptr(),
                     *chunk.next.get_mut(),
                     (*chunk.len.get_mut()).min(chunk.capacity),
                 )
             };
             unsafe {
                 for i in 0..len {
-                    std::ptr::drop_in_place(storage.as_ptr().add(i * self.stride) as *mut T);
+                    std::ptr::drop_in_place(storage.add(i * self.stride) as *mut T);
                 }
-                drop_chunk_struct(p, layout);
+                drop_chunk_struct(p);
             }
             p = next;
         }
@@ -551,6 +731,33 @@ mod tests {
             assert_eq!(p % std::mem::align_of::<NodeLike>(), 0);
         }
         assert_eq!(a.chunk_count(), 4);
+    }
+
+    /// A chunk of 2 MiB or more starts on a 2 MiB boundary (so the kernel
+    /// can back it with huge pages); a smaller one stays on a line
+    /// boundary. Alignment only, no page query: this one runs under Miri.
+    #[test]
+    fn a_chunk_of_a_huge_page_or_more_is_huge_page_aligned() {
+        let big: Arena<[u8; 64]> = Arena::with_chunk_capacity(0, HUGE_PAGE / 64);
+        let p = big.alloc([1; 64]).as_ptr() as usize;
+        assert_eq!(p % HUGE_PAGE, 0, "a 2 MiB chunk is not 2 MiB-aligned");
+        assert_eq!(
+            big.mapped_bytes(),
+            HUGE_PAGE,
+            "capacity and byte counts stay as asked"
+        );
+
+        let small: Arena<[u8; 64]> = Arena::with_chunk_capacity(0, HUGE_PAGE / 64 - 1);
+        let p = small.alloc([1; 64]).as_ptr() as usize;
+        assert_eq!(p % CACHE_LINE, 0, "a smaller chunk is not line-aligned");
+
+        let raw = ChunkStorage::new(HUGE_PAGE + 1, 16);
+        assert_eq!(raw.as_ptr() as usize % HUGE_PAGE, 0);
+        assert_eq!(
+            ChunkStorage::new(0, 16).as_ptr() as usize,
+            16,
+            "no allocation for zero bytes"
+        );
     }
 
     #[test]

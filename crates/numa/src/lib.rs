@@ -15,7 +15,9 @@
 //!   property the paper's membership vectors rely on),
 //! * pins threads with `sched_setaffinity` ([`pin_to_cpu`]),
 //! * provides a chunked, owner-tagged [`arena::Arena`] that mirrors the
-//!   paper's `numa_alloc_local` chunks of 2^20 objects.
+//!   paper's `numa_alloc_local` chunks of 2^20 objects, and the chunk
+//!   storage ([`arena::ChunkStorage`]) that puts chunks of 2 MiB or more
+//!   on huge pages.
 //!
 //! # Example
 //!
