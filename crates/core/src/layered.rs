@@ -4,12 +4,13 @@
 //! [`LayeredMap`] owns the shared structure; each participating thread
 //! registers once and receives a [`LayeredHandle`], which owns the thread's
 //! *local structures* — an ordered [`LocalMap`] (default
-//! [`BTreeLocalMap`]) behind one hash layer consulted first — plus the
-//! recording [`ThreadCtx`]. The hash layer is the paper's per-thread
-//! [`RobinHoodMap`] on a plain graph and the shared [`crate::index`] when
-//! the graph has one ([`GraphConfig::hash_index`]): the index names every
-//! thread's keys, so a table that can only name the handle's own would be
-//! a second probe and a second structure to maintain for no further hits.
+//! [`BTreeLocalMap`], an in-crate B+tree) behind one hash layer consulted
+//! first — plus the recording [`ThreadCtx`]. The hash layer is the
+//! paper's per-thread [`RobinHoodMap`] on a plain graph and the shared
+//! [`crate::index`] when the graph has one ([`GraphConfig::hash_index`]):
+//! the index names every thread's keys, so a table that can only name the
+//! handle's own would be a second probe and a second structure to
+//! maintain for no further hits.
 //!
 //! The handle implements the paper's algorithms:
 //!

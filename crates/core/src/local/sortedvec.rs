@@ -80,8 +80,6 @@ impl<K: Ord, R: Copy> LocalMap<K, R> for SortedVecLocalMap<K, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::local::BTreeLocalMap;
-    use proptest::prelude::*;
 
     #[test]
     fn navigation_matches_btree_flavour() {
@@ -110,35 +108,5 @@ mod tests {
         m.insert(1, 1);
         m.clear();
         assert!(m.is_empty());
-    }
-
-    proptest! {
-        /// Differential: identical observable behaviour to BTreeLocalMap.
-        #[test]
-        fn equivalent_to_btree_local_map(
-            ops in proptest::collection::vec((0u8..5, 0u16..48, 0u32..100), 0..300)
-        ) {
-            let mut a: SortedVecLocalMap<u16, u32> = SortedVecLocalMap::default();
-            let mut b: BTreeLocalMap<u16, u32> = BTreeLocalMap::default();
-            for (op, k, v) in ops {
-                match op {
-                    0 => {
-                        a.insert(k, v);
-                        b.insert(k, v);
-                    }
-                    1 => prop_assert_eq!(a.remove(&k), b.remove(&k)),
-                    2 => prop_assert_eq!(a.get(&k), b.get(&k)),
-                    3 => prop_assert_eq!(
-                        a.max_lower_equal(&k).map(|(k, r)| (*k, r)),
-                        b.max_lower_equal(&k).map(|(k, r)| (*k, r))
-                    ),
-                    _ => prop_assert_eq!(
-                        a.pred(&k).map(|(k, r)| (*k, r)),
-                        b.pred(&k).map(|(k, r)| (*k, r))
-                    ),
-                }
-                prop_assert_eq!(a.len(), b.len());
-            }
-        }
     }
 }
