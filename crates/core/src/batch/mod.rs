@@ -4,12 +4,11 @@
 //! each registered thread owns one cache-line-padded *publication slot* in
 //! its NUMA node's slot bank, deposits a vector of pending operations
 //! there, and then either spin-waits for results or — by winning the
-//! bank's *combiner lease* CAS — drains every pending slot of its socket,
-//! sorts the union of operations by key, and executes the sorted run with
-//! the hint-chained operations of `crate::graph` (each search resumes
-//! from the previous operation's predecessor frontier). One traversal plus
-//! short hops replaces `b` independent traversals, and all resulting
-//! coherence traffic stays on the combiner's socket.
+//! bank's *combiner lease* CAS — drains every pending slot of its socket
+//! and executes the union, in slot order, through its own layered handle:
+//! each operation runs the handle's one insert, remove or read body, the
+//! same code a direct call runs. Allocations and the resulting coherence
+//! traffic stay on the combiner's socket.
 //!
 //! Why this preserves linearizability: a submitted operation executes
 //! (and linearizes, inside the skip graph) strictly between the owner's
@@ -22,14 +21,15 @@
 //! the cooperative scheduler interleaves publication, combining, and
 //! write-back at the same replayable granularity as the structure itself.
 
-use crate::graph::NodeRef;
 use crate::index::hash_key;
 use crate::layered::{CombiningHandle, LayeredMap};
 use crate::params::GraphConfig;
 use crate::sync::{FacadeAtomicUsize, Padded};
 use instrument::ThreadCtx;
 use std::cell::UnsafeCell;
+use std::convert::Infallible;
 use std::hash::Hash;
+use std::marker::PhantomData;
 
 /// Slot states: the owner publishes `EMPTY -> PENDING`; the combiner
 /// answers `PENDING -> DONE`; the owner consumes `DONE -> EMPTY`.
@@ -49,7 +49,7 @@ pub enum BatchOp<K, V> {
 }
 
 impl<K, V> BatchOp<K, V> {
-    /// The operation's target key (the combiner's sort key).
+    /// The operation's target key.
     pub fn key(&self) -> &K {
         match self {
             BatchOp::Insert(k, _) | BatchOp::Remove(k) | BatchOp::Get(k) => k,
@@ -65,21 +65,18 @@ pub enum BatchOutcome<K, V> {
         /// Whether the insertion succeeded (key was absent, or was
         /// resurrected under the lazy protocol).
         fresh: bool,
-        /// The shared node holding the key after the operation (the new
-        /// node, or the surviving duplicate) — submitters use it to
-        /// refresh their local structures.
-        node: Option<NodeRef<K, V>>,
     },
     /// Outcome of a [`BatchOp::Remove`].
     Removed {
         /// Whether the key was present (a removal linearized here).
         removed: bool,
-        /// The removed position's surviving predecessor, for tombstoned
-        /// local-map hints (see `LayeredHandle` / EXPERIMENTS C3).
-        pred: Option<NodeRef<K, V>>,
     },
     /// Outcome of a [`BatchOp::Get`].
     Got(Option<V>),
+    /// Never built: keeps the key type a parameter of the outcome, as it
+    /// is of the operation.
+    #[doc(hidden)]
+    Never(Infallible, PhantomData<K>),
 }
 
 /// Maps registered threads onto per-socket slot banks.
@@ -119,19 +116,19 @@ impl BatchConfig {
 }
 
 /// A structure the flat-combining executor can drive: anything that owns a
-/// thread context and can execute one key-sorted run of batch operations.
-/// [`crate::layered::LayeredHandle`] implements it with the per-key
-/// hint-chained ops.
+/// thread context and can execute a run of batch operations.
+/// [`crate::layered::LayeredHandle`] implements it with its own insert,
+/// remove and read bodies.
 pub trait CombinerTarget<K, V> {
     /// The recording context of the combining thread.
     fn ctx(&self) -> &ThreadCtx;
 
-    /// Executes `work` — `(slot, op_index, hash, op)` items sorted by key
-    /// (stable, so same-key ops keep per-slot submission order), `hash`
-    /// being the key's hash as its submitter computed it, so that the
-    /// executing thread does not hash again — and delivers each outcome
-    /// through `out` with the item's identifiers. Every item must be
-    /// answered exactly once.
+    /// Executes `work` — `(slot, op_index, hash, op)` items in the order
+    /// given (slot by slot, each slot's in submission order), `hash` being
+    /// the key's hash as its submitter computed it, so that the executing
+    /// thread does not hash again — and delivers each outcome through
+    /// `out` with the item's identifiers. Every item must be answered
+    /// exactly once.
     fn combined_run(
         &mut self,
         work: Vec<(usize, usize, u64, BatchOp<K, V>)>,
@@ -179,9 +176,8 @@ pub struct BatchExecutor<K, V> {
 }
 
 // The UnsafeCell payloads are handed off between owner and combiner under
-// the slot-state protocol documented on `Slot`; K/V (and the raw node
-// pointers in outcomes, which are arena-backed for the graph's lifetime)
-// cross threads, hence the Send + Sync bounds.
+// the slot-state protocol documented on `Slot`; K/V cross threads, hence
+// the Send + Sync bounds.
 unsafe impl<K: Send + Sync, V: Send + Sync> Send for BatchExecutor<K, V> {}
 unsafe impl<K: Send + Sync, V: Send + Sync> Sync for BatchExecutor<K, V> {}
 
@@ -212,7 +208,7 @@ impl<K, V> BatchExecutor<K, V> {
     }
 }
 
-impl<K: Ord + Hash, V> BatchExecutor<K, V> {
+impl<K: Hash, V> BatchExecutor<K, V> {
     /// Publishes `ops` to the calling thread's slot and returns their
     /// outcomes in submission order, their keys hashed by the calling
     /// thread. The calling thread spin-waits on its slot and, whenever its
@@ -223,36 +219,31 @@ impl<K: Ord + Hash, V> BatchExecutor<K, V> {
     ///
     /// `handle` is the caller's direct handle to the target structure: if
     /// the caller becomes the combiner, the whole drained union executes
-    /// as one sorted run through [`CombinerTarget::combined_run`] — for a
-    /// layered handle, per-op hint chains seeded by the further of the
-    /// chain frontier and the combiner's local-map predecessor — and
-    /// fresh nodes are allocated from the *combiner's* arena (same socket
-    /// as the submitter by construction, which is the point) under the
+    /// as one run through [`CombinerTarget::combined_run`] — for a layered
+    /// handle, each operation through the handle's own body — and fresh
+    /// nodes are allocated from the *combiner's* arena (same socket as the
+    /// submitter by construction, which is the point) under the
     /// combiner's membership vector.
     pub fn submit<T>(&self, handle: &mut T, ops: Vec<BatchOp<K, V>>) -> Vec<BatchOutcome<K, V>>
     where
         T: CombinerTarget<K, V>,
     {
         let ops = ops.into_iter().map(|op| (hash_key(op.key()), op)).collect();
-        self.submit_tracked(handle, ops).0
+        self.submit_hashed(handle, ops)
     }
 
-    /// [`submit`](Self::submit), additionally reporting whether the caller
-    /// executed its own batch as the combiner (`true`) or received the
-    /// results through the slot write-back of another thread's combining
-    /// pass (`false`). Self-combined operations already went through the
-    /// caller's own layered handle, so the caller must not re-index them.
-    /// Each operation comes with its key's hash.
-    pub(crate) fn submit_tracked<T>(
+    /// [`submit`](Self::submit) for operations that come with their keys'
+    /// hashes.
+    pub(crate) fn submit_hashed<T>(
         &self,
         handle: &mut T,
         ops: Vec<(u64, BatchOp<K, V>)>,
-    ) -> (Vec<BatchOutcome<K, V>>, bool)
+    ) -> Vec<BatchOutcome<K, V>>
     where
         T: CombinerTarget<K, V>,
     {
         if ops.is_empty() {
-            return (Vec::new(), true);
+            return Vec::new();
         }
         let tid = handle.ctx().id();
         let (b, s) = self.addr[tid as usize];
@@ -261,12 +252,11 @@ impl<K: Ord + Hash, V> BatchExecutor<K, V> {
         debug_assert_eq!(bank.members[s as usize], tid);
         // Combiner-first: an uncontended lease (the common case on a quiet
         // socket) lets the caller run its own batch directly — no slot
-        // round-trip, no write-back allocation, and the outcomes come out
-        // of `combined_op` already indexed in the caller's structures.
+        // round-trip and no write-back allocation.
         if bank.lease.0.compare_exchange(0, tid as usize + 1).is_ok() {
             let outs = self.combine(bank, handle, Some(ops));
             bank.lease.0.store(0);
-            return (outs.expect("own operations answered"), true);
+            return outs.expect("own operations answered");
         }
         // Publish. The slot is ours while EMPTY.
         unsafe { *slot.req.get() = ops };
@@ -276,7 +266,7 @@ impl<K: Ord + Hash, V> BatchExecutor<K, V> {
             if slot.state.load() == DONE {
                 let resp = unsafe { std::mem::take(&mut *slot.resp.get()) };
                 slot.state.store(EMPTY);
-                return (resp, false);
+                return resp;
             }
             if bank.lease.0.compare_exchange(0, tid as usize + 1).is_ok() {
                 // The prior lease holder may have answered us between our
@@ -304,8 +294,8 @@ impl<K: Ord + Hash, V> BatchExecutor<K, V> {
     }
 
     /// Drains every pending slot of `bank`, executes the union (plus the
-    /// combiner's unpublished `own` operations, if any) as one key-sorted
-    /// run through the combiner's handle, and writes the outcomes back.
+    /// combiner's unpublished `own` operations, if any) as one run through
+    /// the combiner's handle, and writes the outcomes back.
     /// Returns the outcomes of `own` in submission order. Must only be
     /// called while holding `bank`'s lease.
     fn combine<T>(
@@ -345,10 +335,8 @@ impl<K: Ord + Hash, V> BatchExecutor<K, V> {
         if work.is_empty() {
             return had_own.then(Vec::new);
         }
-        // Sorted run: ascending keys let every operation resume the
-        // previous one's frontier. The sort is stable, so same-key
-        // operations keep their per-slot submission order.
-        work.sort_by(|a, b| a.3.key().cmp(b.3.key()));
+        // Slot order: every slot's operations, and so each key's, run in
+        // submission order.
         let total = work.len() as u64;
         // Per-slot outcome buffers, indexed back into submission order.
         let mut buf_of = vec![usize::MAX; bank.slots.len()];

@@ -28,7 +28,6 @@ pub use block::{
     MIN_BLOCK_CAP,
 };
 pub use iter::SnapshotIter;
-pub(crate) use ops::HintChain;
 pub use range::{NodeRefHint, RangeIter};
 pub use stats::{MemoryStats, StructureStats};
 
@@ -362,30 +361,6 @@ impl<K: Ord, V> SkipGraph<K, V> {
         let gen = unsafe { Node::generation_of(ptr) };
         if !node.load_next_raw(0).marked() {
             idx.publish_hashed(hash, ptr, gen, ctx.id() as usize);
-        }
-    }
-
-    /// Bulk publish-after-link for a combiner's sorted run: one pass over
-    /// the run's freshly linked nodes (each with its key's
-    /// [`SkipGraph::index_hash`], which the combiner's probe computed)
-    /// instead of a per-operation publish inside
-    /// [`SkipGraph::try_link_level0`]. Each entry is re-validated
-    /// under the pin — a node that was marked (or lazily invalidated, or
-    /// retired) since its link is skipped; the liveness ladder on the read
-    /// side makes a lost race here merely a missed fast path, never a
-    /// wrong answer.
-    pub(crate) fn index_publish_run(&self, run: &[(NodeRef<K, V>, u64)], ctx: &ThreadCtx) {
-        if self.index.is_none() || run.is_empty() {
-            return;
-        }
-        let _pin = self.pin(ctx);
-        for (r, hash) in run {
-            let Some(node) = r.node() else { continue };
-            let w0 = node.load_next(0, ctx);
-            if w0.marked() || (self.config.lazy && !w0.valid()) {
-                continue;
-            }
-            self.index_publish_hashed(NonNull::from(node), *hash, ctx);
         }
     }
 
@@ -804,144 +779,6 @@ impl<K: Ord, V> SkipGraph<K, V> {
         let s0 = unsafe { &*res.succs[0] };
         res.found = s0.is_data() && s0.cmp_key(key) == CmpOrdering::Equal && !s0.is_marked(0);
         ctx.record_search(visited);
-        res
-    }
-
-    /// Like [`SkipGraph::search_from`], but resumes from the predecessor
-    /// frontier of a *previous* search (sorted-run hint chaining): at every
-    /// level the walk starts from whichever is furthest along — the
-    /// carried-down predecessor, the hint's predecessor for that level, or
-    /// `start` (a local-map jump-in node, key strictly below `key`) — so a
-    /// run of ascending keys costs one full traversal plus short hops, and
-    /// an op whose key is far past the frontier jumps via its local-map
-    /// start instead of walking the gap. (The skip graph is only
-    /// `MaxLevel ≈ log2(threads)` levels deep — the layered local maps, not
-    /// the levels, provide the logarithmic jump; a hinted run without
-    /// starts degrades to walking the whole key gap at the top level.)
-    ///
-    /// Correctness relies on three properties:
-    ///
-    /// * the hint must come from a search *on this graph* for a key `<=
-    ///   key`; its predecessors are strictly below that key, hence strictly
-    ///   below `key`, so adopting one can never overshoot (this also covers
-    ///   duplicate keys in a batch — the frontier stops strictly before the
-    ///   key, at the cost of one extra hop);
-    /// * a stale hint predecessor stays dereferenceable: without
-    ///   reclamation nodes are never freed mid-run; with it, the per-level
-    ///   generation gate rejects retired predecessors and the caller's pin
-    ///   keeps every accepted one from being recycled. If the pred was
-    ///   merely removed meanwhile, its frozen next pointers still lead to
-    ///   the live region and [`Self::skip_chain`] walks over the marked
-    ///   chain as usual;
-    /// * a search may start from *any* node's top level (the skip-graph
-    ///   property), so hint predecessors allocated under a different
-    ///   membership vector than `mvec` are still valid entry points.
-    pub(crate) fn search_hinted(
-        &self,
-        key: &K,
-        mvec: u32,
-        start: Option<NodePtr<K, V>>,
-        hint: Option<&SearchResult<K, V>>,
-        unlink: bool,
-        ctx: &ThreadCtx,
-    ) -> SearchResult<K, V> {
-        let mut visited = 0u64;
-        let top = self.config.max_level as usize;
-        let mut prev = self.head(self.config.max_level, mvec);
-        let mut res = SearchResult::empty();
-        for level in (0..=top).rev() {
-            if unsafe { &*prev }.is_head() {
-                prev = self.head(level as u8, mvec);
-            }
-            // Local-map jump: adopt the start node at its topmost level
-            // when it is further along than the carried-down predecessor
-            // (once adopted, the carried prev stays at or past it). Same
-            // marked-reference gate as hint adoption below.
-            if let Some(sp) = start {
-                let s_ref = unsafe { &*sp };
-                if level <= s_ref.top_level() as usize
-                    && s_ref.is_data()
-                    && !s_ref.load_next(level, ctx).marked()
-                {
-                    let prev_ref = unsafe { &*prev };
-                    if prev_ref.is_head() || unsafe { s_ref.key() > prev_ref.key() } {
-                        prev = sp;
-                    }
-                }
-            }
-            // Hint jump: adopt the previous search's predecessor for this
-            // level when it is further along than the carried-down one.
-            // A predecessor whose level reference is already marked is
-            // NOT adopted: marked references are immutable, so a linking
-            // caller could never CAS through it, and (lazy mode never
-            // unlinking it) retrying with the same hint would re-adopt it
-            // forever — the fresh-descent path skips it instead. With
-            // reclamation on, a generation gate comes first: a pred
-            // retired since the hint's search (its slot possibly recycled
-            // under a different key) fails the check and the fresh-descent
-            // frontier stands in.
-            if let Some(h) = hint {
-                let hp = h.preds[level];
-                if !hp.is_null()
-                    && (!self.reclaim.enabled()
-                        || unsafe { Node::generation_of(NonNull::new_unchecked(hp)) }
-                            == h.pred_gens[level])
-                {
-                    let hp_ref = unsafe { &*hp };
-                    if hp_ref.is_data() && !hp_ref.load_next(level, ctx).marked() {
-                        let prev_ref = unsafe { &*prev };
-                        if prev_ref.is_head()
-                            || unsafe { hp_ref.key() > prev_ref.key() }
-                        {
-                            prev = hp;
-                        }
-                    }
-                }
-            }
-            let mut spins = 0u64;
-            loop {
-                spins += 1;
-                debug_assert!(spins < 500_000_000, "search_hinted livelock at level {level}");
-                let prev_ref = unsafe { &*prev };
-                let mut middle = prev_ref.load_next(level, ctx);
-                prefetch_read(middle.ptr());
-                if middle.ptr().is_null() {
-                    // Same transient as in `search_from`: a hint node whose
-                    // upper levels were never linked. Re-enter from the head.
-                    prev = self.head(level as u8, mvec);
-                    continue;
-                }
-                let (succ, skipped) = self.skip_chain(middle.ptr(), level, ctx, &mut visited);
-                if skipped && unlink && !middle.marked() {
-                    match prev_ref.cas_next(level, middle, middle.with_ptr(succ), ctx) {
-                        Ok(()) => {
-                            self.note_unlinked_chain(middle.ptr(), succ, level, ctx);
-                            middle = middle.with_ptr(succ)
-                        }
-                        Err(_) => continue,
-                    }
-                }
-                let succ_ref = unsafe { &*succ };
-                visited += 1;
-                if succ_ref.cmp_key(key) == CmpOrdering::Less {
-                    prev = succ;
-                    continue;
-                }
-                res.preds[level] = prev;
-                res.middles[level] = middle;
-                res.succs[level] = succ;
-                if self.reclaim.enabled() {
-                    res.pred_gens[level] = capture_gen(prev);
-                }
-                break;
-            }
-        }
-        let s0 = unsafe { &*res.succs[0] };
-        res.found = s0.is_data() && s0.cmp_key(key) == CmpOrdering::Equal && !s0.is_marked(0);
-        ctx.record_search(visited);
-        if hint.is_some() {
-            ctx.record_hinted_search(visited);
-        }
         res
     }
 

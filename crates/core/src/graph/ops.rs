@@ -5,74 +5,18 @@
 //! the relink optimization (Alg. 3 line 14), upper-level linking
 //! (`finishInsert`, Alg. 10), and the eager (non-lazy) logical deletion.
 //!
-//! Each point operation has one implementation, the hinted one
-//! (`insert_with_hint`, `remove_with_hint`, `get_with_hint`): a layered
-//! bulk insert or a combiner's sorted run passes a local-map start and a
-//! [`HintChain`], and the public operations used when the graph runs
-//! without the thread-local layer pass neither, so they search from the
-//! head array.
+//! Each point operation of the graph has one body: `insert`, `remove`,
+//! and `lookup` behind both `get` and `contains`. They run the graph
+//! without the thread-local layer, so every search starts at the head
+//! array (`search_from` with no start); `LayeredHandle` runs its own loops
+//! over the same primitives from local-map starts.
 
-use super::{NodePtr, NodeRef, SearchResult, SkipGraph};
+use super::{NodePtr, SearchResult, SkipGraph};
 use crate::index::IndexRead;
 use crate::node::Node;
 use crate::sync::TagPtr;
 use instrument::ThreadCtx;
 use std::ptr::NonNull;
-
-/// A resumable search frontier for executing a *sorted run* of operations:
-/// each hinted operation stores the predecessor vector of its final
-/// search here, and the next operation of the run resumes from it instead
-/// of the head array (see `SkipGraph::search_hinted`).
-///
-/// The chain is only valid for the graph it was produced on and for
-/// non-descending keys; start a fresh chain per sorted run. Holds raw node
-/// pointers, so it is deliberately neither `Send` nor `Sync` and must not
-/// outlive the graph.
-pub(crate) struct HintChain<K, V> {
-    res: Option<SearchResult<K, V>>,
-}
-
-impl<K, V> HintChain<K, V> {
-    /// An empty chain: the first operation searches from the head array.
-    pub(crate) fn new() -> Self {
-        Self { res: None }
-    }
-
-    /// The level-0 predecessor of the most recent search, when it is a
-    /// data node — the "last predecessor" a layered handle tombstones a
-    /// removed key to so later jump starts stay near the erased position.
-    /// The reference carries the generation captured by the search, so a
-    /// predecessor retired since then fails its validation downstream.
-    pub(crate) fn last_pred(&self) -> Option<NodeRef<K, V>> {
-        let res = self.res.as_ref()?;
-        let p = res.preds[0];
-        // `is_data` only reads the atomic meta word, so probing a slot
-        // that was recycled since the search is race-free; the generation
-        // below then keeps a recycled slot from validating.
-        if !p.is_null() && unsafe { &*p }.is_data() {
-            Some(NodeRef {
-                ptr: unsafe { NonNull::new_unchecked(p) },
-                gen: res.pred_gens[0],
-            })
-        } else {
-            None
-        }
-    }
-
-    /// The frontier an operation of `chain`'s run resumes from; a one-off
-    /// operation (`None`) has none.
-    fn frontier<'c>(chain: &'c Option<&mut Self>) -> Option<&'c SearchResult<K, V>> {
-        chain.as_ref()?.res.as_ref()
-    }
-
-    /// Leaves `res` as the frontier for the run's next operation; a one-off
-    /// operation keeps nothing.
-    fn keep(chain: &mut Option<&mut Self>, res: SearchResult<K, V>) {
-        if let Some(chain) = chain {
-            chain.res = Some(res);
-        }
-    }
-}
 
 impl<K: Ord, V> SkipGraph<K, V> {
     /// Alg. 2, `insertHelper`: linearizes an insertion against an existing
@@ -166,17 +110,14 @@ impl<K: Ord, V> SkipGraph<K, V> {
     /// chain of marked references captured in `res.middles[0]` — the relink
     /// optimization. Returns whether the CAS succeeded.
     ///
-    /// The publish-after-link index update is in the caller's hands:
-    /// `Some(hash)` publishes under the key's [`SkipGraph::index_hash`];
-    /// combiner sorted runs pass `None`, collect the linked nodes, and
-    /// publish the whole run in one pass via
-    /// [`SkipGraph::index_publish_run`].
+    /// A linked node is published to the index under `hash`, its key's
+    /// [`SkipGraph::index_hash`].
     pub(crate) fn try_link_level0(
         &self,
         node: NonNull<Node<K, V>>,
         res: &SearchResult<K, V>,
         ctx: &ThreadCtx,
-        publish: Option<u64>,
+        hash: u64,
     ) -> bool {
         let m0 = res.middles[0];
         if m0.marked() {
@@ -192,9 +133,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
         if ok {
             // Publish-after-link: the node is reachable from level 0, so
             // the index may now name it.
-            if let Some(hash) = publish {
-                self.index_publish_hashed(node, hash, ctx);
-            }
+            self.index_publish_hashed(node, hash, ctx);
             // The insert substituted the captured marked chain: those
             // nodes are now unlinked at level 0.
             self.note_unlinked_chain(m0.ptr(), res.succs[0], 0, ctx);
@@ -296,86 +235,18 @@ impl<K: Ord, V> SkipGraph<K, V> {
     }
 
     /// Inserts `key -> value` from the head array, giving the new node an
-    /// explicit tower height (levels `0..=height`): the one-off form of the
-    /// crate's hinted insert, with no local-map start and no run.
+    /// explicit tower height (levels `0..=height`).
     ///
     /// Under the lazy configuration a logically deleted duplicate is
     /// resurrected in place (Alg. 2); under the non-lazy configuration any
     /// unmarked duplicate fails the insertion. A sparse caller draws
     /// `height` with [`crate::sparse_height`].
     pub fn insert(&self, key: K, value: V, height: u8, ctx: &ThreadCtx) -> bool {
-        let hash = self.index_hash(&key);
-        self.insert_with_hint(key, value, hash, height, None, None, ctx, None).0
-    }
-
-    /// Removes `key`, searching from the head array. Returns whether the
-    /// key was present (a successful removal was linearized here).
-    pub fn remove(&self, key: &K, ctx: &ThreadCtx) -> bool {
-        self.remove_with_hint(key, None, None, ctx)
-    }
-
-    /// Whether `key` is present (unmarked, and valid under the lazy
-    /// configuration).
-    pub fn contains(&self, key: &K, ctx: &ThreadCtx) -> bool {
-        self.get_with_hint(key, self.index_hash(key), || None, None, ctx, |_| ())
-            .is_some()
-    }
-
-    /// Returns a clone of the value mapped to `key`, if present.
-    pub fn get(&self, key: &K, ctx: &ThreadCtx) -> Option<V>
-    where
-        V: Clone,
-    {
-        // SAFETY: `get_with_hint` hands `read` a present data node under
-        // its pin, so its value is initialized and stays alive for the clone.
-        self.get_with_hint(key, self.index_hash(key), || None, None, ctx, |node| {
-            unsafe { node.value() }.clone()
-        })
-    }
-
-    /// Inserts `key -> value` (`hash` is the key's
-    /// [`SkipGraph::index_hash`]): the body behind the graph's `insert`, a
-    /// layered bulk insert and a combiner's sorted run.
-    ///
-    /// `chain` is the sorted run the operation belongs to (hint chaining):
-    /// the search resumes from the run's frontier and leaves its own there
-    /// for the next operation. Keys fed to one chain must be
-    /// non-descending. `start`, when given, must be a fully inserted node
-    /// with key strictly below `key` carrying the caller's own membership
-    /// vector (a layered local-map jump-in, e.g. `prev_start`); each level
-    /// descends from whichever of chain frontier and start is furthest.
-    /// With neither, the search starts at the head array.
-    ///
-    /// Returns `(inserted, node)`: `node` is the graph node holding the key
-    /// after the call — the freshly linked (or lazily resurrected) node, or
-    /// the surviving duplicate on a failed non-lazy insert — so layered
-    /// callers can refresh their local structures in bulk. A one-off
-    /// operation (`chain` is `None`) has no such caller: it captures no
-    /// reference and returns `None`.
-    ///
-    /// With `defer` given, a freshly linked node is *not* published to the
-    /// hash index inline — its [`NodeRef`] and hash are pushed into the sink
-    /// instead, and the caller publishes the whole sorted run in one
-    /// [`SkipGraph::index_publish_run`] pass after the run completes. Lazy
-    /// resurrections of existing nodes still publish inline (the helper owns
-    /// that transition either way).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn insert_with_hint(
-        &self,
-        key: K,
-        value: V,
-        hash: u64,
-        height: u8,
-        start: Option<NodePtr<K, V>>,
-        mut chain: Option<&mut HintChain<K, V>>,
-        ctx: &ThreadCtx,
-        mut defer: Option<&mut Vec<(NodeRef<K, V>, u64)>>,
-    ) -> (bool, Option<NodeRef<K, V>>) {
         debug_assert!(height <= self.config().max_level);
+        let hash = self.index_hash(&key);
         let _pin = self.pin(ctx);
         let mvec = self.membership_of(ctx.id());
         let lazy = self.config().lazy;
-        let run = chain.is_some();
         let mut pending = Some((key, value));
         let mut node: Option<NonNull<Node<K, V>>> = None;
         loop {
@@ -384,14 +255,11 @@ impl<K: Ord, V> SkipGraph<K, V> {
                     Some(n) => unsafe { (*n.as_ptr()).key() },
                     None => &pending.as_ref().expect("key pending").0,
                 };
-                self.search_hinted(kref, mvec, start, HintChain::frontier(&chain), !lazy, ctx)
+                self.search_from(kref, mvec, None, !lazy, ctx)
             };
             if res.found {
-                let existing = res.succs[0];
-                let existing_ref =
-                    run.then(|| NodeRef::new(unsafe { NonNull::new_unchecked(existing) }));
                 let outcome = if lazy {
-                    match self.insert_helper(unsafe { &*existing }, hash, ctx) {
+                    match self.insert_helper(unsafe { &*res.succs[0] }, hash, ctx) {
                         Some(outcome) => outcome,
                         None => continue, // became marked; retry the search
                     }
@@ -401,65 +269,42 @@ impl<K: Ord, V> SkipGraph<K, V> {
                 if let Some(n) = node.take() {
                     self.discard_unpublished(n, ctx);
                 }
-                HintChain::keep(&mut chain, res);
-                return (outcome, existing_ref);
+                return outcome;
             }
             let n = *node.get_or_insert_with(|| {
                 let (k, v) = pending.take().expect("pending kv");
                 self.alloc_node(k, v, ctx, height)
             });
-            if !self.try_link_level0(n, &res, ctx, defer.is_none().then_some(hash)) {
+            if !self.try_link_level0(n, &res, ctx, hash) {
                 continue;
             }
-            let fresh = run.then(|| NodeRef::new(n));
-            if let Some(sink) = defer.as_deref_mut() {
-                sink.push((fresh.expect("a deferred publish belongs to a run"), hash));
-            }
             let _ = self.link_upper(n, &mut res, ctx, || None);
-            // `res` still holds strict predecessors of the key (link_upper
-            // refreshes keep that invariant), so it is a valid frontier for
-            // the run's next, larger-or-equal key.
-            HintChain::keep(&mut chain, res);
-            return (true, fresh);
+            return true;
         }
     }
 
-    /// Removes `key`: the body behind the graph's `remove` and a
-    /// combiner's sorted run; `start` and `chain` as for
-    /// [`SkipGraph::insert_with_hint`]. Returns whether a
-    /// removal was linearized here. After a successful non-lazy removal
-    /// the chain's frontier reflects the post-cleanup position, so
-    /// [`HintChain::last_pred`] gives the surviving predecessor.
-    pub(crate) fn remove_with_hint(
-        &self,
-        key: &K,
-        start: Option<NodePtr<K, V>>,
-        mut chain: Option<&mut HintChain<K, V>>,
-        ctx: &ThreadCtx,
-    ) -> bool {
+    /// Removes `key`, searching from the head array. Returns whether the
+    /// key was present (a successful removal was linearized here).
+    pub fn remove(&self, key: &K, ctx: &ThreadCtx) -> bool {
         let _pin = self.pin(ctx);
         let mvec = self.membership_of(ctx.id());
         let lazy = self.config().lazy;
         loop {
-            let hint = HintChain::frontier(&chain);
-            let res = self.search_hinted(key, mvec, start, hint, !lazy, ctx);
+            let res = self.search_from(key, mvec, None, !lazy, ctx);
             if !res.found {
-                HintChain::keep(&mut chain, res);
                 return false;
             }
             let node = unsafe { &*res.succs[0] };
             if lazy {
                 if let Some(outcome) = self.remove_helper(node, ctx) {
-                    HintChain::keep(&mut chain, res);
                     return outcome;
                 }
                 // Became marked; retry the search.
             } else if self.logical_delete_eager(node, ctx) {
-                // Physical cleanup: one relink pass over the key's position,
-                // entered where the first search was ("searches performed
-                // on behalf of removals physically remove marked nodes").
-                let res = self.search_hinted(key, mvec, start, hint, true, ctx);
-                HintChain::keep(&mut chain, res);
+                // Physical cleanup: one relink pass over the key's position
+                // ("searches performed on behalf of removals physically
+                // remove marked nodes").
+                let _ = self.search_from(key, mvec, None, true, ctx);
                 return true;
             }
             // Non-lazy, lost the level-0 marking race: retry in case
@@ -467,29 +312,37 @@ impl<K: Ord, V> SkipGraph<K, V> {
         }
     }
 
-    /// Reads `key`: the body behind the graph's `get` and `contains` and a
-    /// combiner's sorted run. `read` maps the present node to the answer
-    /// (a clone of its value for a get, `()` for a membership test).
-    /// `hash` is the key's [`SkipGraph::index_hash`]; `chain` is as for
-    /// [`SkipGraph::insert_with_hint`], and `start` is only asked for when
-    /// the index does not answer.
-    pub(crate) fn get_with_hint<T>(
+    /// Whether `key` is present (unmarked, and valid under the lazy
+    /// configuration).
+    pub fn contains(&self, key: &K, ctx: &ThreadCtx) -> bool {
+        self.lookup(key, ctx, |_| ()).is_some()
+    }
+
+    /// Returns a clone of the value mapped to `key`, if present.
+    pub fn get(&self, key: &K, ctx: &ThreadCtx) -> Option<V>
+    where
+        V: Clone,
+    {
+        // SAFETY: `lookup` hands `read` a present data node under its pin,
+        // so its value is initialized and stays alive for the clone.
+        self.lookup(key, ctx, |node| unsafe { node.value() }.clone())
+    }
+
+    /// The one read behind `get` and `contains`: `read` maps the present
+    /// node to the answer (a clone of its value for a get, `()` for a
+    /// membership test).
+    fn lookup<T>(
         &self,
         key: &K,
-        hash: u64,
-        start: impl FnOnce() -> Option<NodePtr<K, V>>,
-        mut chain: Option<&mut HintChain<K, V>>,
         ctx: &ThreadCtx,
         read: impl FnOnce(&Node<K, V>) -> T,
     ) -> Option<T> {
+        let hash = self.index_hash(key);
         let _pin = self.pin(ctx);
         // Skip Hash fast path: a generation-valid index entry answers
-        // without a descent, and leaves the chain's frontier untouched — it
-        // still bounds this key from below, so the run's next
-        // (non-descending) operation resumes from it unchanged. The pin
-        // keeps a hit node dereferenceable; `read_node` re-checked its
-        // generation and state after the pin. Only an inconclusive read
-        // pays the search.
+        // without a descent. The pin keeps a hit node dereferenceable;
+        // `read_node` re-checked its generation and state after the pin.
+        // Only an inconclusive read pays the search.
         match self.index_read(key, hash, ctx) {
             Some(IndexRead::Hit(node)) => return Some(read(node)),
             Some(IndexRead::Absent(_)) => return None,
@@ -497,7 +350,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
         }
         let mvec = self.membership_of(ctx.id());
         let lazy = self.config().lazy;
-        let res = self.search_hinted(key, mvec, start(), HintChain::frontier(&chain), !lazy, ctx);
+        let res = self.search_from(key, mvec, None, !lazy, ctx);
         // SAFETY: a found search's `succs[0]` is a data node it reached
         // under this pin.
         let node = res.found.then(|| unsafe { &*res.succs[0] });
@@ -508,12 +361,10 @@ impl<K: Ord, V> SkipGraph<K, V> {
                 !w0.marked() && w0.valid()
             }
         });
-        let out = present.map(|node| {
+        present.map(|node| {
             self.index_heal(node, hash, ctx);
             read(node)
-        });
-        HintChain::keep(&mut chain, res);
-        out
+        })
     }
 
     /// Removes and returns the smallest present key (priority-queue

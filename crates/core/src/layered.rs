@@ -37,7 +37,7 @@
 //! ```
 
 use crate::batch::{BatchConfig, BatchExecutor, BatchOp, BatchOutcome, CombinerTarget};
-use crate::graph::{HintChain, NodePtr, NodeRef, NodeRefHint, RangeIter, SkipGraph};
+use crate::graph::{NodePtr, NodeRef, NodeRefHint, RangeIter, SkipGraph};
 use crate::index::{hash_key, IndexRead};
 use crate::local::{BTreeLocalMap, LocalMap, RobinHoodMap};
 use crate::node::Node;
@@ -110,10 +110,9 @@ impl<K: Ord, V> LayeredMap<K, V> {
     /// whichever socket runs the load, remote for readers elsewhere until
     /// their own updates migrate hot keys.
     ///
-    /// The load runs as one sorted hint-chained run
-    /// ([`LayeredHandle::extend`]): each insertion resumes from its
-    /// predecessor's frontier, so loading `n` pairs costs one full
-    /// traversal plus O(n) short hops instead of `n` independent searches.
+    /// The load is [`LayeredHandle::extend`]: one insert per pair, each
+    /// starting from the handle's local map, so ascending pairs start at
+    /// the node the previous insert linked.
     pub fn bulk_load<I>(config: GraphConfig, pairs: I) -> Self
     where
         K: Hash + Clone,
@@ -142,7 +141,7 @@ impl<K: Ord, V> LayeredMap<K, V> {
     /// owned it before — rebuilding trades the old map's accumulated NUMA
     /// placement for compactness, and threads re-warm locality through
     /// their own subsequent updates. The snapshot iterates in key order, so
-    /// the reload is a single sorted hint-chained run (O(n) short hops).
+    /// each reloaded insert starts at its predecessor's node.
     pub fn rebuild(&self) -> Self
     where
         K: Hash + Clone,
@@ -405,11 +404,6 @@ where
     /// caller (a search started from a node only fills levels up to its top,
     /// so linking a height-`h` node needs a start of at least that height).
     fn prev_start(&self, key: &K, min_top: u8) -> Option<NodePtr<K, V>> {
-        self.prev_start_ref(key, min_top).map(|r| r.as_ptr())
-    }
-
-    /// [`Self::prev_start`] as the reference the local map holds.
-    fn prev_start_ref(&self, key: &K, min_top: u8) -> Option<NodeRef<K, V>> {
         let mut cursor = key.clone();
         loop {
             let (k, r) = self.local.pred(&cursor)?;
@@ -417,7 +411,7 @@ where
             // (slot retired or recycled since capture) is stepped over —
             // `get_start` erases such entries on its next walk.
             if r.node().is_some_and(|node| Self::usable_start(node, min_top)) {
-                return Some(r);
+                return Some(r.as_ptr());
             }
             cursor = k.clone();
         }
@@ -441,34 +435,34 @@ where
     /// The warm start of a replay into this replica from another socket:
     /// `warm` is a key below the operation's (the replaying thread's home
     /// local predecessor) with its [`hash_key`], and this replica's index
-    /// names that key's node here. The node replaces `start` (a
-    /// [`Self::prev_start_ref`]) when the key lies further along than
-    /// `start`, the index finds its node (live, or lazily removed and still
-    /// linked), the node passes [`Self::usable_start`] and it carries this
-    /// handle's membership vector (as `index_combined` requires of a local
-    /// start). Anything else keeps `start`. The read is unrecorded as a hit
-    /// or a search: the search it seeds records itself. Caller holds a pin
-    /// on this handle's graph.
+    /// names that key's node here. The node replaces `start` (what
+    /// `getStart` found, strictly before the operation's key) when the key
+    /// lies further along than `start`, the index finds its node (live, or
+    /// lazily removed and still linked), the node passes
+    /// [`Self::usable_start`] for `min_top`, and it carries this handle's
+    /// membership vector (a start of another thread's lists would link an
+    /// insert into them; see `tombstone_local`). Anything else keeps
+    /// `start`. The read is unrecorded as a hit or a search: the search it
+    /// seeds records itself. Caller holds a pin on this handle's graph.
     fn warm_start(
         &self,
-        warm: Option<(K, u64)>,
-        start: Option<NodeRef<K, V>>,
+        warm: Option<&(K, u64)>,
+        start: Option<NodePtr<K, V>>,
+        min_top: u8,
     ) -> Option<NodePtr<K, V>> {
-        let local = start.map(|r| r.as_ptr());
         let (Some((key, hash)), Some(index)) = (warm, self.map.shared.index()) else {
-            return local;
+            return start;
         };
-        let at_or_past =
-            |r: NodeRef<K, V>| r.node().is_some_and(|s| s.cmp_key(&key) != Ordering::Less);
-        if start.is_some_and(at_or_past) {
-            return local;
+        // SAFETY: `get_start` validated `start` under the caller's pin.
+        if start.is_some_and(|p| unsafe { &*p }.cmp_key(key) != Ordering::Less) {
+            return start;
         }
-        let node = match index.read_node(&key, hash, self.lazy(), &self.ctx) {
+        let node = match index.read_node(key, *hash, self.lazy(), &self.ctx) {
             IndexRead::Hit(node) | IndexRead::Absent(node) => node,
-            IndexRead::Miss | IndexRead::Stale => return local,
+            IndexRead::Miss | IndexRead::Stale => return start,
         };
-        if node.mvec() != self.mvec || !Self::usable_start(node, 0) {
-            return local;
+        if node.mvec() != self.mvec || !Self::usable_start(node, min_top) {
+            return start;
         }
         Some(NonNull::from(node).as_ptr())
     }
@@ -574,22 +568,31 @@ where
     /// report the key absent, so the node is offered to `on_holder` as the
     /// hit the hash layer would have been (and, still linked afterwards,
     /// is published again under `hash`); if it turns out marked its
-    /// mapping is erased and the walk repeats.
+    /// mapping is erased and the walk repeats. A start strictly before
+    /// `key` then yields to the `warm` start when that is further along
+    /// ([`Self::warm_start`]), whose index line is fetched while the local
+    /// map is walked.
     fn start_for<T>(
         &mut self,
         key: &K,
         hash: u64,
         min_top: u8,
+        warm: Option<&(K, u64)>,
         on_holder: OnHolder<'m, Self, K, V, T>,
     ) -> ControlFlow<T, Option<NodePtr<K, V>>> {
+        if let (Some((_, warm_hash)), Some(index)) = (warm, self.map.shared.index()) {
+            index.prefetch(*warm_hash);
+        }
         loop {
             let start = self.get_start(key, min_top);
-            let Some(p) = start else { return Continue(None) };
+            let Some(p) = start else {
+                return Continue(self.warm_start(warm, None, min_top));
+            };
             // SAFETY: `get_start` validated the reference under the
             // caller's pin; local structures only map to data nodes.
             let node: &'m Node<K, V> = unsafe { &*p };
             if unsafe { node.key() } != key {
-                return Continue(start);
+                return Continue(self.warm_start(warm, start, min_top));
             }
             match on_holder(self, key, hash, node) {
                 Some(outcome) => {
@@ -663,10 +666,19 @@ where
         let _pin = self.map.shared.pin(&self.ctx);
         // One hash serves the probe and, for a fresh key, the publish.
         let hash = self.key_hash(&key);
+        self.insert_hashed(key, value, hash, None)
+    }
+
+    /// The one insert body, behind [`Self::insert`], [`Self::extend`], a
+    /// combined run and a replica's replay: `hash` is the key's
+    /// [`Self::key_hash`] (a replay's [`hash_key`]) and `warm` an optional
+    /// warm start ([`Self::start_for`]). The caller has recorded the
+    /// operation and holds a pin.
+    fn insert_hashed(&mut self, key: K, value: V, hash: u64, warm: Option<&(K, u64)>) -> bool {
         if self.lazy() {
-            self.lazy_insert(key, value, hash)
+            self.lazy_insert(key, value, hash, warm)
         } else {
-            self.eager_insert(key, value, hash)
+            self.eager_insert(key, value, hash, warm)
         }
     }
 
@@ -678,15 +690,16 @@ where
         key: &K,
         hash: u64,
         min_top: u8,
+        warm: Option<&(K, u64)>,
     ) -> ControlFlow<bool, Option<NodePtr<K, V>>> {
         let Some(index) = self.map.shared.index() else {
             if let Some(outcome) = self.hash_layer(key, hash, Self::insert_on) {
                 return Break(outcome);
             }
-            return self.start_for(key, hash, min_top, Self::insert_on);
+            return self.start_for(key, hash, min_top, warm, Self::insert_on);
         };
         index.prefetch(hash);
-        let start = self.start_for(key, hash, min_top, Self::insert_on);
+        let start = self.start_for(key, hash, min_top, warm, Self::insert_on);
         if start.is_continue() {
             if let Some(outcome) = self.hash_layer(key, hash, Self::insert_on) {
                 return Break(outcome);
@@ -697,10 +710,10 @@ where
 
     /// Alg. 3, `lazyInsert`: link at level 0 only; upper levels are
     /// completed on demand by `getStart`.
-    fn lazy_insert(&mut self, key: K, value: V, hash: u64) -> bool {
+    fn lazy_insert(&mut self, key: K, value: V, hash: u64, warm: Option<&(K, u64)>) -> bool {
         let shared = &self.map.shared;
         let mut pending = Some(value);
-        let mut start = match self.insert_start(&key, hash, 0) {
+        let mut start = match self.insert_start(&key, hash, 0, warm) {
             Break(outcome) => return outcome,
             Continue(start) => start,
         };
@@ -719,7 +732,7 @@ where
                 let v = pending.take().expect("value pending");
                 shared.alloc_node(key.clone(), v, &self.ctx, height)
             });
-            if shared.try_link_level0(n, &res, &self.ctx, Some(hash)) {
+            if shared.try_link_level0(n, &res, &self.ctx, hash) {
                 self.index_local(key, NodeRef::new(n));
                 return true;
             }
@@ -729,11 +742,11 @@ where
 
     /// Non-lazy insertion: level 0 plus an eager `finishInsert`. The
     /// height comes first: the start must be at least as tall.
-    fn eager_insert(&mut self, key: K, value: V, hash: u64) -> bool {
+    fn eager_insert(&mut self, key: K, value: V, hash: u64, warm: Option<&(K, u64)>) -> bool {
         let shared = &self.map.shared;
         let mut pending = Some(value);
         let height = self.new_height();
-        let mut start = match self.insert_start(&key, hash, height) {
+        let mut start = match self.insert_start(&key, hash, height, warm) {
             Break(outcome) => return outcome,
             Continue(start) => start,
         };
@@ -750,7 +763,7 @@ where
                 let v = pending.take().expect("value pending");
                 shared.alloc_node(key.clone(), v, &self.ctx, height)
             });
-            if !shared.try_link_level0(n, &res, &self.ctx, Some(hash)) {
+            if !shared.try_link_level0(n, &res, &self.ctx, hash) {
                 start = self.prev_start(&key, height);
                 continue;
             }
@@ -766,16 +779,22 @@ where
     /// Removes `key`. Returns whether it was present.
     pub fn remove(&mut self, key: &K) -> bool {
         self.ctx.record_op();
-        let map = self.map;
-        let shared = &map.shared;
-        let _pin = shared.pin(&self.ctx);
+        let _pin = self.map.shared.pin(&self.ctx);
         let hash = self.key_hash(key);
+        self.remove_hashed(key, hash, None)
+    }
+
+    /// The one remove body (Alg. 11–13), behind [`Self::remove`], a
+    /// combined run and a replica's replay; `hash` and `warm` as for
+    /// [`Self::insert_hashed`].
+    fn remove_hashed(&mut self, key: &K, hash: u64, warm: Option<&(K, u64)>) -> bool {
         if let Some(outcome) = self.hash_layer(key, hash, Self::remove_on) {
             return outcome;
         }
+        let shared = &self.map.shared;
         if self.lazy() {
             // Alg. 13, lazyRemove.
-            let mut start = match self.start_for(key, hash, 0, Self::remove_on) {
+            let mut start = match self.start_for(key, hash, 0, warm, Self::remove_on) {
                 Break(outcome) => return outcome,
                 Continue(start) => start,
             };
@@ -794,7 +813,7 @@ where
             loop {
                 spins += 1;
                 debug_assert!(spins < 100_000_000, "eager_remove livelock");
-                let start = match self.start_for(key, hash, 0, Self::remove_on) {
+                let start = match self.start_for(key, hash, 0, warm, Self::remove_on) {
                     Break(outcome) => return outcome,
                     Continue(start) => start,
                 };
@@ -848,7 +867,9 @@ where
     /// [`Self::contains`] for a key whose [`Self::key_hash`] (or, on a
     /// replica, [`hash_key`]) the caller already holds.
     pub(crate) fn contains_hashed(&mut self, key: &K, hash: u64) -> bool {
-        self.read_hashed(key, hash, |value| value.is_some())
+        self.ctx.record_op();
+        let _pin = self.map.shared.pin(&self.ctx);
+        self.read_hashed(key, hash, None, |value| value.is_some())
     }
 
     /// Returns a clone of the value mapped to `key`, if present.
@@ -865,31 +886,32 @@ where
     where
         V: Clone,
     {
-        self.read_hashed(key, hash, |value| value.cloned())
+        self.ctx.record_op();
+        let _pin = self.map.shared.pin(&self.ctx);
+        self.read_hashed(key, hash, None, |value| value.cloned())
     }
 
-    /// The one point read behind [`Self::get`] and [`Self::contains`]: the
-    /// hash layer (Alg. 6), else a search from the local start (Alg. 7).
-    /// `answer` maps the key's value, or `None` when the key is absent, to
-    /// the result; it runs under the operation's pin, which keeps every
+    /// The one point read (Alg. 6/7), behind [`Self::get`],
+    /// [`Self::contains`], a combined run and a replica's reads: the hash
+    /// layer, else a search from the local start. `answer` maps the key's
+    /// value, or `None` when the key is absent, to the result; `hash` and
+    /// `warm` as for [`Self::insert_hashed`]. The caller's pin keeps every
     /// node read here dereferenceable.
     fn read_hashed<T>(
         &mut self,
         key: &K,
         hash: u64,
+        warm: Option<&(K, u64)>,
         answer: impl FnOnce(Option<&'m V>) -> T,
     ) -> T {
-        self.ctx.record_op();
-        let map = self.map;
-        let shared = &map.shared;
-        let _pin = shared.pin(&self.ctx);
         if let Some(value) = self.hashed_read(key, hash) {
             return answer(value);
         }
-        let start = match self.start_for(key, hash, 0, Self::read_on) {
+        let start = match self.start_for(key, hash, 0, warm, Self::read_on) {
             Break(value) => return answer(value),
             Continue(start) => start,
         };
+        let shared = &self.map.shared;
         let res = shared.search_from(key, self.mvec, start, !self.lazy(), &self.ctx);
         if !res.found {
             return answer(None);
@@ -973,208 +995,26 @@ where
             .collect()
     }
 
-    /// Bulk insert: sorts `pairs` ascending and executes them as a single
-    /// hint-chained run — each insertion's search resumes from the previous
-    /// one's predecessor frontier, so `n` pairs cost one full descent plus
-    /// O(n) short hops instead of `n` independent searches. Freshly linked
-    /// (and, lazily, resurrected) nodes are indexed into the local
-    /// structures under the usual `should_index` policy. Returns the number
-    /// of pairs actually inserted (duplicates are skipped, set semantics).
-    ///
-    /// The sort is stable, so duplicate keys within `pairs` keep their
-    /// order and only the first lands.
+    /// Bulk insert: [`Self::insert`] of each pair in turn. Returns the
+    /// number of pairs actually inserted (set semantics: of duplicate keys
+    /// within `pairs`, only the first lands).
     pub fn extend<I>(&mut self, pairs: I) -> usize
     where
         I: IntoIterator<Item = (K, V)>,
     {
-        let mut pairs: Vec<(K, V)> = pairs.into_iter().collect();
-        if pairs.is_empty() {
-            return 0;
-        }
-        pairs.sort_by(|a, b| a.0.cmp(&b.0));
-        let total = pairs.len() as u64;
-        let map = self.map;
-        let shared = &map.shared;
-        let mut chain = HintChain::new();
-        let mut inserted = 0usize;
+        let mut inserted = 0;
         for (k, v) in pairs {
-            self.ctx.record_op();
-            // Per-iteration pin: the chain's frontier is generation-checked
-            // at adoption, so quiescing between operations is safe and lets
-            // reclamation progress during long runs.
-            let _pin = shared.pin(&self.ctx);
-            let height = self.new_height();
-            let key = k.clone();
-            let hash = shared.index_hash(&key);
-            let (fresh, node) =
-                shared.insert_with_hint(k, v, hash, height, None, Some(&mut chain), &self.ctx, None);
-            if fresh {
-                inserted += 1;
-            }
-            if let Some(r) = node {
-                if r.node().is_some_and(|n| self.should_index(n.top_level())) {
-                    self.index_local(key, r);
-                }
-            }
+            inserted += self.insert(k, v) as usize;
         }
-        self.ctx.record_batch(total);
         inserted
-    }
-
-    /// Indexes a combined-run node into this handle's local structures:
-    /// the table (a pure membership fast path) takes any node, the ordered
-    /// map only nodes carrying this thread's membership vector (see
-    /// `tombstone_local` for why a foreign-mvec start is unsound). Skips
-    /// the work when the table already maps the key to the same node (hot
-    /// keys re-execute constantly under combining; re-inserting into the
-    /// ordered map every time would dominate the combiner's per-operation
-    /// cost).
-    fn index_combined(&mut self, key: &K, r: NodeRef<K, V>) {
-        if self.hash.as_ref().is_some_and(|table| table.get(key) == Some(&r)) {
-            return;
-        }
-        // Generation check under the caller's pin: a node retired between
-        // execution and indexing is simply not indexed.
-        let Some(n) = r.node() else { return };
-        if !self.should_index(n.top_level()) {
-            return;
-        }
-        if n.mvec() == self.mvec {
-            self.index_local(key.clone(), r);
-        } else if let Some(table) = &mut self.hash {
-            table.insert(key.clone(), r);
-        }
-    }
-
-    /// Publishes a combined run's freshly linked nodes into the shared
-    /// hash index in one pass (the deferred half of
-    /// [`SkipGraph::index_publish_run`]'s contract).
-    fn publish_run(&self, run: &[(NodeRef<K, V>, u64)]) {
-        self.map.shared.index_publish_run(run, &self.ctx);
-    }
-
-    /// Executes one operation of a combined sorted run on behalf of the
-    /// flat-combining executor (this handle is the *combiner*). The search
-    /// starts from the further of the run's chain frontier and this
-    /// thread's local-map predecessor (`prev_start`) — the local maps, not
-    /// the graph's `≈ log2(threads)` levels, provide the long jump, so a
-    /// combined run without them would walk every key gap at the top level.
-    ///
-    /// The combiner also maintains *its own* local structures: fresh nodes
-    /// it allocates carry its membership vector and are indexed under the
-    /// usual policy (warming future combined runs), and non-lazy removals
-    /// erase the exact hashtable mapping and leave a tombstoned local-map
-    /// hint to the surviving predecessor. The submitting thread
-    /// separately refreshes its structures from the returned outcome.
-    ///
-    /// `hash` is the key's hash as the submitter computed it
-    /// ([`Self::key_hash`], or [`hash_key`] for a replicated write): the
-    /// combiner and a replica's replay do not hash again. `warm` is the
-    /// hashed warm key of a replay from another socket
-    /// ([`Self::warm_start`]); an insert or remove that searches starts
-    /// from the further of it and `prev_start`.
-    fn combined_op(
-        &mut self,
-        hash: u64,
-        op: BatchOp<K, V>,
-        warm: Option<(K, u64)>,
-        chain: &mut HintChain<K, V>,
-        publishes: &mut Vec<(NodeRef<K, V>, u64)>,
-    ) -> BatchOutcome<K, V>
-    where
-        V: Clone,
-    {
-        let map = self.map;
-        let shared = &map.shared;
-        let lazy = self.lazy();
-        let _pin = shared.pin(&self.ctx);
-        match op {
-            BatchOp::Insert(k, v) => {
-                // Hash-layer fast path, as in [`LayeredHandle::insert`]: a
-                // present key resolves with one helper CAS and no search
-                // (the chain frontier is untouched, which is fine — it
-                // still precedes every later key of the sorted run). An
-                // index entry of a lazily removed key is the same node
-                // with its valid bit down, so the helper resurrects it in
-                // place — a remove/re-insert cycle never leaves the index.
-                // In [`LayeredHandle::insert`]'s order too: the index line
-                // arrives while the local start is found.
-                let on_holder: OnHolder<'m, Self, K, V, _> = |h, k, hash, node| {
-                    let fresh = h.insert_on(k, hash, node)?;
-                    Some((fresh, NodeRef::new(NonNull::from(node))))
-                };
-                let start = shared.index().map(|index| {
-                    index.prefetch(hash);
-                    if let Some((_, warm_hash)) = &warm {
-                        index.prefetch(*warm_hash);
-                    }
-                    self.prev_start_ref(&k, 0)
-                });
-                if let Some((fresh, r)) = self.hash_layer(&k, hash, on_holder) {
-                    // A node of this thread's own list that another handle
-                    // linked becomes a local start.
-                    self.index_combined(&k, r);
-                    return BatchOutcome::Inserted { fresh, node: Some(r) };
-                }
-                let start = start.unwrap_or_else(|| self.prev_start_ref(&k, 0));
-                let start = self.warm_start(warm, start);
-                let height = self.new_height();
-                let key = k.clone();
-                let (fresh, node) = shared.insert_with_hint(
-                    k,
-                    v,
-                    hash,
-                    height,
-                    start,
-                    Some(chain),
-                    &self.ctx,
-                    Some(publishes),
-                );
-                if let Some(r) = node {
-                    self.index_combined(&key, r);
-                }
-                BatchOutcome::Inserted { fresh, node }
-            }
-            BatchOp::Remove(k) => {
-                // Fast path, lazy only: the helper CAS is the whole
-                // removal there. Non-lazy removals always need the cleanup
-                // search for the tombstoned predecessor.
-                if lazy {
-                    if let Some(removed) = self.hash_layer(&k, hash, Self::remove_on) {
-                        return BatchOutcome::Removed { removed, pred: None };
-                    }
-                }
-                let start = self.warm_start(warm, self.prev_start_ref(&k, 0));
-                let removed = shared.remove_with_hint(&k, start, Some(&mut *chain), &self.ctx);
-                let pred = chain.last_pred();
-                if removed && !lazy {
-                    self.erase_local(&k);
-                    if let Some(p) = pred {
-                        self.tombstone_local(&k, p);
-                    }
-                }
-                BatchOutcome::Removed { removed, pred }
-            }
-            BatchOp::Get(k) => {
-                if let Some(value) = self.table_read(&k, hash) {
-                    return BatchOutcome::Got(value.cloned());
-                }
-                // The index answers first; the local-map start is looked
-                // up only for the search.
-                let start = || self.prev_start(&k, 0);
-                // SAFETY: as in `SkipGraph::get`: a present data node,
-                // read under the combiner's pin.
-                let value = |node: &Node<K, V>| unsafe { node.value() }.clone();
-                let got = shared.get_with_hint(&k, hash, start, Some(chain), &self.ctx, value);
-                BatchOutcome::Got(got)
-            }
-        }
     }
 
     /// [`CombinerTarget::combined_run`] with one optional warm key per work
     /// item — a replay into another socket's replica passes each
     /// operation's home local predecessor and its hash
-    /// ([`Self::warm_start`]).
+    /// ([`Self::warm_start`]). Each operation runs the handle's own body
+    /// under its own pin, with the hash stored beside it: the submitter or
+    /// the appender recorded it as an operation and hashed its key.
     pub(crate) fn combined_run_warm(
         &mut self,
         work: impl IntoIterator<Item = ((usize, usize, u64, BatchOp<K, V>), Option<(K, u64)>)>,
@@ -1182,13 +1022,24 @@ where
     ) where
         V: Clone,
     {
-        let mut chain = HintChain::new();
-        let mut publishes = Vec::new();
+        let map = self.map;
         for ((si, oi, hash, op), warm) in work {
-            let o = self.combined_op(hash, op, warm, &mut chain, &mut publishes);
-            out(si, oi, o);
+            let warm = warm.as_ref();
+            let pin = map.shared.pin(&self.ctx);
+            let outcome = match op {
+                BatchOp::Insert(k, v) => BatchOutcome::Inserted {
+                    fresh: self.insert_hashed(k, v, hash, warm),
+                },
+                BatchOp::Remove(k) => BatchOutcome::Removed {
+                    removed: self.remove_hashed(&k, hash, warm),
+                },
+                BatchOp::Get(k) => {
+                    BatchOutcome::Got(self.read_hashed(&k, hash, warm, |v| v.cloned()))
+                }
+            };
+            drop(pin);
+            out(si, oi, outcome);
         }
-        self.publish_run(&publishes);
     }
 }
 
@@ -1201,9 +1052,7 @@ where
         &self.ctx
     }
 
-    /// The per-key hint-chained run: every operation resumes the previous
-    /// one's predecessor frontier, and freshly linked nodes defer their
-    /// shared-index publish until the whole run is executed.
+    /// Each operation through the handle's own body, with no warm start.
     fn combined_run(
         &mut self,
         work: Vec<(usize, usize, u64, BatchOp<K, V>)>,
@@ -1219,10 +1068,12 @@ where
 /// batches; [`CombiningHandle::execute_batch`] publishes many operations
 /// at once, which is where combining pays off.
 ///
-/// Local-structure upkeep happens on the *submitting* thread after the
-/// combiner hands results back: fresh nodes are indexed under the same
-/// `should_index` policy as direct handles, and non-lazy removals leave
-/// the tombstoned predecessor hint (C3 mitigation).
+/// The combiner runs each operation through its own handle's insert,
+/// remove or read body, so it keeps its own local structures exactly as a
+/// direct call does (indexing what it links, tombstoning what it removes
+/// non-lazily). A batch another thread combined leaves the submitter's
+/// local structures untouched: they are hints, and one that went stale
+/// cleans itself on the submitter's next walk past it.
 pub struct CombiningHandle<'m, K, V> {
     inner: LayeredHandle<'m, K, V>,
     exec: &'m BatchExecutor<K, V>,
@@ -1245,13 +1096,11 @@ where
     }
 
     /// Publishes `ops` to this thread's slot, waits for (or performs) the
-    /// combined execution, refreshes the local structures from the
-    /// outcomes, and returns the outcomes in submission order.
+    /// combined execution, and returns the outcomes in submission order.
     ///
     /// Each key is hashed here, once: the combiner executes the operation
     /// under the hash it finds beside it in the slot.
     pub fn execute_batch(&mut self, ops: Vec<BatchOp<K, V>>) -> Vec<BatchOutcome<K, V>> {
-        let keys: Vec<K> = ops.iter().map(|op| op.key().clone()).collect();
         let hashed = ops
             .into_iter()
             .map(|op| {
@@ -1259,49 +1108,7 @@ where
                 (self.inner.key_hash(op.key()), op)
             })
             .collect();
-        let exec = self.exec;
-        let (outs, self_combined) = exec.submit_tracked(&mut self.inner, hashed);
-        // Self-combined operations ran through `combined_op` on this very
-        // handle and are already indexed; only a foreign combiner's
-        // write-back needs the local refresh.
-        if !self_combined {
-            for (key, out) in keys.iter().zip(outs.iter()) {
-                self.note(key, out);
-            }
-        }
-        outs
-    }
-
-    /// Refreshes the local structures from one combined outcome.
-    ///
-    /// Combined inserts allocate from the **combiner's** arena under the
-    /// combiner's membership vector. The hashtable, where the handle has
-    /// one, indexes them regardless, but the ordered local map — whose
-    /// entries are handed to `search_from` as start nodes and feed
-    /// upper-level linking — only takes nodes carrying this thread's own
-    /// mvec (`index_combined`). When the submitter combined its own batch
-    /// (the common case) the mvecs match and indexing is unchanged.
-    fn note(&mut self, key: &K, out: &BatchOutcome<K, V>) {
-        let map = self.inner.map;
-        // The outcome's references were captured under the combiner's pin;
-        // validate them under our own before touching the local structures.
-        let _pin = map.shared.pin(&self.inner.ctx);
-        let h = &mut self.inner;
-        match out {
-            BatchOutcome::Inserted { node: Some(r), .. } => h.index_combined(key, *r),
-            BatchOutcome::Inserted { node: None, .. } => {}
-            BatchOutcome::Removed { removed, pred } => {
-                if *removed && !h.lazy() {
-                    h.erase_local(key);
-                    if let Some(p) = pred {
-                        h.tombstone_local(key, *p);
-                    }
-                }
-                // Lazy removals keep the mappings: the node is only
-                // invalidated and can be resurrected in place.
-            }
-            BatchOutcome::Got(_) => {}
-        }
+        self.exec.submit_hashed(&mut self.inner, hashed)
     }
 
     /// Inserts `key -> value` through the combiner. Returns `false` if the
@@ -1350,30 +1157,43 @@ impl<'m, K, V> std::fmt::Debug for CombiningHandle<'m, K, V> {
 /// the registered set (the paper's heterogeneous-workload accommodation:
 /// "searching (read-only) from another thread's local structure" — here,
 /// simpler and contention-free, searching from the head array without any
-/// local structure).
+/// local structure). It reads under a thread slot that no live handle
+/// uses ([`LayeredMap::read_only`]).
 pub struct ReadOnlyView<'m, K, V> {
     map: &'m LayeredMap<K, V>,
     ctx: ThreadCtx,
 }
 
 impl<K: Ord, V> LayeredMap<K, V> {
-    /// A read-only view usable from any thread. `reader_slot` selects the
-    /// membership vector used for traversal (any registered slot works;
-    /// reads are correct regardless of the slot, it only affects which
-    /// upper-level lists the search descends through).
+    /// A read-only view usable from any thread, under thread slot
+    /// `reader_slot` (below `config.num_threads`). The slot selects the
+    /// membership vector used for traversal (reads are correct under any
+    /// slot; it only affects which upper-level lists the search descends
+    /// through) and the reclamation pin the view's reads take.
+    ///
+    /// A slot has one live user at a time, as for
+    /// [`register`](Self::register): the pin's nesting depth is the slot
+    /// owner's word, so a view sharing a slot with a live handle (or
+    /// another live view) on a map built with `reclaim(true)` can drop that
+    /// handle's pin.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `reader_slot` is out of range.
     pub fn read_only(&self, reader_slot: u16) -> ReadOnlyView<'_, K, V> {
-        let slot = (reader_slot as usize % self.config().num_threads) as u16;
-        ReadOnlyView {
-            map: self,
-            ctx: ThreadCtx::plain(slot),
-        }
+        self.read_only_with(ThreadCtx::plain(reader_slot))
     }
 
     /// Like [`read_only`](Self::read_only), but traversing under the
     /// caller's context — pass a recording [`ThreadCtx`] to attribute the
     /// view's searches, index probes, and range-start accelerations to an
     /// [`instrument::AccessStats`] sink. The context's id selects the
-    /// membership vector and must name a registered slot.
+    /// membership vector and must name a slot below `config.num_threads`
+    /// that no live handle or view uses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the context's id is out of range.
     pub fn read_only_with(&self, ctx: ThreadCtx) -> ReadOnlyView<'_, K, V> {
         assert!(
             (ctx.id() as usize) < self.config().num_threads,

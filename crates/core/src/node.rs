@@ -32,9 +32,10 @@
 //!
 //! * a **generation counter** (`gen`), bumped when the node is retired:
 //!   every raw pointer cached outside the structure (local hint maps, C3
-//!   tombstones, `HintChain` frontiers) snapshots the generation at capture
-//!   time and re-checks it before dereferencing — a recycled slot fails the
-//!   check and the caller falls back to a head search;
+//!   tombstones, search frontiers carried past their search) snapshots the
+//!   generation at capture time and re-checks it before dereferencing — a
+//!   recycled slot fails the check and the caller falls back to a head
+//!   search;
 //! * an **unlinked bitmask** (`unlinked`), one bit per level, set by
 //!   whichever thread physically snips the node out of that level's list.
 //!   The thread that completes the mask (observes the last missing bit) is
@@ -94,8 +95,9 @@ pub(crate) struct Node<K, V> {
     key: MaybeUninit<K>,
     value: MaybeUninit<V>,
     /// Slot generation: bumped when the node is retired. Cached raw
-    /// pointers (hint maps, tombstones, hint chains) carry the generation
-    /// they were captured at and re-check it before dereferencing; a bumped
+    /// pointers (hint maps, tombstones, carried search frontiers) carry the
+    /// generation they were captured at and re-check it before
+    /// dereferencing; a bumped
     /// counter means the slot was (or is about to be) recycled for a
     /// different key. Survives recycling — [`Node::reinit_recycled`] leaves
     /// it untouched, so stale readers never observe a rollback.

@@ -18,22 +18,20 @@
 //! * **Writes** append to a bounded MPSC *operation log* and return once
 //!   the writer's home replica has applied the op (read-your-writes). Any
 //!   thread may *replay* any replica: it wins the per-(replica, log)
-//!   replay lease, drains the pending suffix `[tail, head)`, sorts it into
-//!   an ascending run, and executes it as one `combined_run` of the
-//!   replica's layered handle per drain — the flat combiner's sorted-run
-//!   path behind its own interface, one-pass bulk index publish included.
-//!   Each search of the run starts from the furthest of the previous
-//!   key's frontier and the handle's local-map predecessor; the run's
-//!   first has only the latter.
-//!   Every logged operation executes. The sort is stable, so same-key
-//!   operations keep log order and every replica applies an identical
-//!   per-key history; set-semantics *outcomes* depend only on that
-//!   history, so replicas always agree on the key set and every writer
-//!   gets the same answer everywhere. Stored values can still differ
-//!   between replicas after a remove+re-insert cycle: whether the
-//!   re-insert resurrects the lazily-removed node
-//!   (keeping its old value — `insert_helper` never rewrites it) or
-//!   links a fresh one depends on replica-local retirement timing, so
+//!   replay lease, drains the pending suffix `[tail, head)`, and executes
+//!   it in log order as one `combined_run_warm` of the replica's layered
+//!   handle per drain — the call behind the flat combiner's
+//!   `combined_run`, which runs each operation through the handle's own
+//!   insert or remove body, as node-replication replays a logged
+//!   operation through the dispatch a local call uses.
+//!   Every logged operation executes, in log order, so every replica
+//!   applies an identical per-key history; set-semantics *outcomes*
+//!   depend only on that history, so replicas always agree on the key set
+//!   and every writer gets the same answer everywhere. Stored values can
+//!   still differ between replicas after a remove+re-insert cycle: whether
+//!   the re-insert resurrects the lazily-removed node (keeping its old
+//!   value — `insert_helper` never rewrites it) or links a fresh one
+//!   depends on replica-local retirement timing, so
 //!   [`ReplicatedHandle::get`] only promises a value that *some*
 //!   successful insert of that key supplied.
 //! * **Warm starts in another socket's replica**: there the replaying
@@ -43,10 +41,10 @@
 //!   below it in the caller's home handle's local map, hashed once. An
 //!   insert or remove that searches starts at that key's node when the
 //!   target replica's index finds it, it is a usable start further along
-//!   than the local one, and it carries the searcher's membership vector
-//!   (every node does at `MaxLevel` 0; above it another thread's node is
-//!   rejected, as a local start would be). The same drain into the
-//!   caller's own replica passes no warm keys.
+//!   than the one `getStart` found, and it carries the searcher's
+//!   membership vector (every node does at `MaxLevel` 0; above it another
+//!   thread's node is rejected, as a local start would be). The same
+//!   drain into the caller's own replica passes no warm keys.
 //! * **Multi-log partitioning**: keys are hashed onto `logs` independent
 //!   logs by their membership-vector list family
 //!   ([`crate::mvec::list_suffix`] of the key hash at level `log2 logs`) —
@@ -55,7 +53,7 @@
 //!   totally ordered); different families replay in parallel under
 //!   independent leases. The key hash mixes every key bit into those low
 //!   bits, so a log is a hash partition, not a key region: its keys, and
-//!   a drain's sorted run, spread over the whole key range.
+//!   a drain's, spread over the whole key range.
 //! * **One hash per operation**: the key hash is the crate's one
 //!   ([`crate::index`], "The key hash"), computed once by the calling
 //!   thread. A read hands it to the replica's lookup; a write stores it in
@@ -80,7 +78,7 @@
 //! structure itself; the `replicated_sg` stress lanes run PCT and
 //! round-robin schedules over exactly this protocol.
 
-use crate::batch::{BatchOp, BatchOutcome, CombinerTarget};
+use crate::batch::{BatchOp, BatchOutcome};
 use crate::index::hash_key;
 use crate::layered::{LayeredHandle, LayeredMap};
 use crate::mvec::list_suffix;
@@ -558,12 +556,15 @@ where
         log.leases[replica].0.store(0);
     }
 
-    /// Drains `[tail, head)` of log `li` into `replica` as one stable-
-    /// sorted run — one `combined_run` of the replica's handle, the
-    /// combiner's hint-chained path with its one-pass bulk index publish —
-    /// publishing outcomes for ops homed here. Every logged op executes,
-    /// in log order per key. The caller holds the (replica, log) replay
-    /// lease.
+    /// Drains `[tail, head)` of log `li` into `replica` in log order — one
+    /// `combined_run_warm` of the replica's handle, each operation through
+    /// the handle's own body — publishing outcomes for ops homed here. The
+    /// caller holds the (replica, log) replay lease.
+    ///
+    /// A drain into another socket's replica finds this handle's local map
+    /// there holding only what it replayed there before, so each operation
+    /// carries its warm key: its home local predecessor, whose node the
+    /// target replica's index finds (`warm_start`).
     fn drain(&mut self, li: usize, replica: usize) {
         let map = self.map;
         let log = &map.logs[li];
@@ -572,7 +573,9 @@ where
         if head == tail {
             return;
         }
-        let mut batch: Vec<(usize, usize, u64, BatchOp<K, V>)> = Vec::with_capacity(head - tail);
+        let home = &self.handles[self.socket];
+        let foreign = replica != self.socket;
+        let mut batch = Vec::with_capacity(head - tail);
         for pos in tail..head {
             let slot = &log.slots[pos & log.mask];
             // The claimer stamps seq right after writing the op; between
@@ -591,21 +594,25 @@ where
                 backoff(&mut spins);
             }
             let p = unsafe { (*slot.op.get()).as_ref() }.expect("a stamped slot holds its op");
-            batch.push((pos, p.home, p.hash, p.op.clone()));
+            let warm = foreign
+                .then(|| home.local_pred_key(p.op.key()))
+                .flatten()
+                .map(|k| {
+                    let hash = hash_key(&k);
+                    (k, hash)
+                });
+            batch.push(((pos, p.home, p.hash, p.op.clone()), warm));
         }
-        // Stable sort: same-key operations keep log order, so every
-        // replica applies the same per-key history (set-semantics outcomes
-        // depend on nothing else).
-        batch.sort_by(|a, b| a.3.key().cmp(b.3.key()));
         let count = batch.len() as u64;
         let mut publish_result = |pos: usize, home: usize, out: BatchOutcome<K, V>| {
             if home != replica {
                 return;
             }
             let ok = match out {
-                BatchOutcome::Inserted { fresh, .. } => fresh,
-                BatchOutcome::Removed { removed, .. } => removed,
+                BatchOutcome::Inserted { fresh } => fresh,
+                BatchOutcome::Removed { removed } => removed,
                 BatchOutcome::Got(v) => v.is_some(),
+                BatchOutcome::Never(never, _) => match never {},
             };
             let slot = &log.slots[pos & log.mask];
             // The previous occupant's outcome (one wrap back) must be
@@ -621,26 +628,7 @@ where
             }
             slot.result.store(((pos + 1) << 1) | ok as usize);
         };
-        if replica == self.socket {
-            self.handles[replica].combined_run(batch, &mut publish_result);
-        } else {
-            // Another socket's replica: this handle's local map there
-            // holds only what it replayed there before, so each operation
-            // starts warm from its home local predecessor's node, which
-            // the target replica's index finds (`warm_start`).
-            let home = &self.handles[self.socket];
-            let work: Vec<_> = batch
-                .into_iter()
-                .map(|item| {
-                    let warm = home.local_pred_key(item.3.key()).map(|k| {
-                        let hash = hash_key(&k);
-                        (k, hash)
-                    });
-                    (item, warm)
-                })
-                .collect();
-            self.handles[replica].combined_run_warm(work, &mut publish_result);
-        }
+        self.handles[replica].combined_run_warm(batch, &mut publish_result);
         log.tails[replica].0.store(head);
         self.ctx().record_replay_batch(count);
     }

@@ -73,8 +73,9 @@ fn read_only_view_from_foreign_thread() {
     let map = filled(false);
     std::thread::scope(|s| {
         s.spawn(|| {
-            // A thread that never registered can still read.
-            let view = map.read_only(7); // slot wraps modulo num_threads
+            // A thread that never registered can still read, under a slot
+            // no live handle uses.
+            let view = map.read_only(3);
             assert!(view.contains(&100));
             assert!(!view.contains(&101));
             assert_eq!(view.get(&100), Some(101));
@@ -82,6 +83,16 @@ fn read_only_view_from_foreign_thread() {
             assert!(!view.is_empty());
         });
     });
+}
+
+/// A view's slot is a thread slot like a handle's (its reads pin under
+/// it), so a slot past the registered set is refused, not wrapped onto
+/// one a live handle may own.
+#[test]
+#[should_panic(expected = "outside the registered set")]
+fn read_only_rejects_an_out_of_range_slot() {
+    let map = filled(false);
+    let _ = map.read_only(4);
 }
 
 #[test]

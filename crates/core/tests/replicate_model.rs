@@ -47,10 +47,10 @@ fn replicated_reclaiming() -> ReplicatedLayeredMap<u64, u64> {
 /// (socket 0) carry one membership vector and threads 2 and 3 (socket 1)
 /// the other. A replay into the other socket's replica then meets warm
 /// nodes of both vectors, and only its own may start its search.
-fn replicated_four_slots() -> ReplicatedLayeredMap<u64, u64> {
+fn replicated_four_slots(lazy: bool) -> ReplicatedLayeredMap<u64, u64> {
     ReplicatedLayeredMap::new(
         GraphConfig::new(4)
-            .lazy(true)
+            .lazy(lazy)
             .hash_index(true)
             .reclaim(true)
             .chunk_capacity(256),
@@ -155,7 +155,7 @@ proptest! {
             1..10,
         ),
     ) {
-        let map = replicated_four_slots();
+        let map = replicated_four_slots(true);
         let ops = bursts
             .into_iter()
             .flat_map(|(t, ops)| ops.into_iter().map(move |(op, k, v)| (op, k, v, t)))
@@ -181,6 +181,34 @@ proptest! {
         let map = replicated_reclaiming();
         let ops = ops.into_iter().map(|(op, k, v, second)| (op, k, v, second as usize)).collect();
         run_against_model(&map, ThreadCtx::plain(2), ops)?;
+    }
+}
+
+/// Under the eager protocol a replay links every level from its search.
+/// Thread 2 (socket 1, the other membership vector) inserts keys that
+/// thread 0 then replays into its own replica, so thread 0's home local
+/// map names them; thread 0's later writes (three lag bounds' worth, over
+/// two logs) pile up in socket 1's replica until it must replay them
+/// there. Each one's warm key names a node of
+/// thread 2's vector in that replica: started from it, an insert would be
+/// linked into thread 2's upper-level list ("foreign mvec").
+#[test]
+fn a_warm_node_of_another_vector_starts_no_eager_replay() {
+    const MAX_LAG: usize = 12;
+    let map = replicated_four_slots(false);
+    let mut h0 = map.register(ThreadCtx::plain(0));
+    let mut h2 = map.register(ThreadCtx::plain(2));
+    assert_ne!(h0.socket(), h2.socket());
+    for k in (0..40).map(|i| 10 * i) {
+        assert!(h2.insert(k, k));
+        h0.sync();
+    }
+    for k in (0..3 * MAX_LAG as u64).map(|i| 10 * i + 5) {
+        assert!(h0.insert(k, k), "insert {k}");
+    }
+    h2.sync();
+    for replica in map.replicas() {
+        replica.shared().check_invariants().unwrap();
     }
 }
 
@@ -225,9 +253,11 @@ fn a_warm_key_gone_from_the_lagging_replica(recycle: bool) {
     }
     if recycle {
         // Inserts just below them pass the dead nodes, retire them and
-        // unlink them; the flush frees their slots; fresh inserts take the
-        // slots back.
-        for k in [195, 295] {
+        // unlink them at level 0; the next inserts start at those lazily
+        // linked nodes and so finish their towers (Alg. 10), unlinking the
+        // dead nodes at every upper level. The flush frees their slots;
+        // fresh inserts take the slots back.
+        for k in [195, 196, 295, 296] {
             assert!(h0.insert(k, k));
             model.insert(k);
         }
@@ -296,8 +326,8 @@ fn a_recycled_warm_key_changes_no_outcome() {
 /// appends (its batches are singletons); socket 1 is only ever drained
 /// in bulk — by the writer's back-pressure help at the 12-op lag bound
 /// and by the final `sync` — so its batches hold several operations per
-/// key, executed in log order inside one sorted run, and it must agree
-/// with the model key for key.
+/// key, executed in log order inside one run, and it must agree with the
+/// model key for key.
 #[test]
 fn a_lagging_replica_draining_same_key_bursts_agrees_with_the_model() {
     let map = replicated_reclaiming();

@@ -51,7 +51,9 @@ pub struct ThreadCounterSnapshot {
     pub batches: u64,
     /// Operations executed inside those batches (own + other threads').
     pub batched_ops: u64,
-    /// Searches that resumed from a sorted-run hint (subset of `searches`).
+    /// Searches that started from a hint instead of the head or a
+    /// local-map jump — a blocked map's first-block try (subset of
+    /// `searches`).
     pub hinted_searches: u64,
     /// Shared nodes visited by hinted searches (subset of `traversed`);
     /// `hinted_traversed / hinted_searches` is the mean hint-hit distance.
@@ -360,8 +362,8 @@ impl ThreadCtx {
         }
     }
 
-    /// Records a finished *hinted* search (one that resumed from a
-    /// sorted-run predecessor frontier instead of the head or a local-map
+    /// Records a finished *hinted* search (one that started from a hint —
+    /// a blocked map's first block — instead of the head or a local-map
     /// jump). Callers record the search itself via
     /// [`ThreadCtx::record_search`] as usual; this adds the hint-distance
     /// attribution on top.

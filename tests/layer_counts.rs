@@ -522,6 +522,84 @@ fn a_point_operation_hashes_its_key_once() {
     assert_eq!(fresh.searches - before.searches, 1);
 }
 
+/// What a run of point operations costs in counts: (operations,
+/// searches, nodes traversed, index hits, index misses, key hashes).
+type OpCounts = (u64, u64, u64, u64, u64, u64);
+
+/// The counts `run` adds to thread 0 of `stats`.
+fn op_counts(stats: &AccessStats, run: impl FnOnce()) -> OpCounts {
+    let before = stats.thread(0);
+    let hashes = hashes_of(run);
+    let after = stats.thread(0);
+    (
+        after.ops - before.ops,
+        after.searches - before.searches,
+        after.traversed - before.traversed,
+        after.index_hits - before.index_hits,
+        after.index_misses - before.index_misses,
+        hashes,
+    )
+}
+
+#[test]
+fn a_combined_batch_runs_the_direct_operations() {
+    const SLOTS: usize = 8;
+    const PRELOAD: u64 = 1 << 10;
+    // Lazy and indexed, on a graph with upper levels; no commission, so
+    // no search retires a removed node.
+    let config = || {
+        GraphConfig::new(SLOTS)
+            .lazy(true)
+            .hash_index(true)
+            .chunk_capacity(CHUNK)
+            .commission_cycles(u64::MAX)
+    };
+    let k = |i| Counted(key(i));
+    // Fresh inserts, reads of preloaded keys, removes of preloaded and of
+    // just-inserted keys, re-inserts of the latter, and absent reads.
+    let mut ops = Vec::new();
+    for i in 0..64 {
+        let fresh = k(PRELOAD + i);
+        ops.push(BatchOp::Insert(fresh, i));
+        ops.push(BatchOp::Get(k(i * 13 % PRELOAD)));
+        ops.push(BatchOp::Remove(k(i * 17 % PRELOAD)));
+        ops.push(BatchOp::Remove(fresh));
+        ops.push(BatchOp::Insert(fresh, i));
+        ops.push(BatchOp::Get(k(PRELOAD + 64 + i)));
+    }
+
+    let stats = AccessStats::new(SLOTS);
+    let map = LayeredMap::with_batching(config(), BatchConfig::uniform(SLOTS, 1));
+    let mut h = map.register_combining(ThreadCtx::recording(0, Arc::clone(&stats)));
+    for i in 0..PRELOAD {
+        h.direct().insert(k(i), i);
+    }
+    let batch = ops.clone();
+    let combined = op_counts(&stats, || drop(h.execute_batch(batch)));
+
+    let stats = AccessStats::new(SLOTS);
+    let map = LayeredMap::new(config());
+    let mut h = map.register(ThreadCtx::recording(0, Arc::clone(&stats)));
+    for i in 0..PRELOAD {
+        h.insert(k(i), i);
+    }
+    let direct = op_counts(&stats, || {
+        for op in ops {
+            match op {
+                BatchOp::Insert(key, value) => drop(h.insert(key, value)),
+                BatchOp::Remove(key) => drop(h.remove(&key)),
+                BatchOp::Get(key) => drop(h.get(&key)),
+            }
+        }
+    });
+
+    println!(
+        "one combined batch against direct calls (ops, searches, traversed, index hits, \
+         index misses, key hashes): {combined:?} against {direct:?}"
+    );
+    assert_eq!(combined, direct);
+}
+
 #[test]
 fn sparse_towers_spend_half_the_fixed_layout_bytes_per_node() {
     const KEYS: u64 = 1 << 14;
