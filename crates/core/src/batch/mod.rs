@@ -1,6 +1,9 @@
 //! NUMA-local flat-combining batch executor (`skipgraph::batch`).
 //!
-//! An opt-in batching subsystem layered over the shared [`crate::graph::SkipGraph`]:
+//! An opt-in batching subsystem layered over the shared [`crate::SkipGraph`]:
+//! a map built with [`crate::LayeredMap::with_batching`] hands out
+//! [`crate::CombiningHandle`]s through
+//! [`crate::LayeredMap::register_combining`], the one way in. Under it,
 //! each registered thread owns one cache-line-padded *publication slot* in
 //! its NUMA node's slot bank, deposits a vector of pending operations
 //! there, and then either spin-waits for results or — by winning the
@@ -16,19 +19,15 @@
 //! operation linearizes within its caller's real-time interval — the
 //! per-key histories the stress runner checks are unchanged in kind.
 //!
-//! Every slot-state and lease access goes through
-//! [`crate::sync::FacadeAtomicUsize`], so under `--features deterministic`
+//! Every slot-state and lease access goes through the crate's facade
+//! atomic word, so under `--features deterministic`
 //! the cooperative scheduler interleaves publication, combining, and
 //! write-back at the same replayable granularity as the structure itself.
 
-use crate::index::hash_key;
-use crate::layered::{CombiningHandle, LayeredMap};
-use crate::params::GraphConfig;
 use crate::sync::{FacadeAtomicUsize, Padded};
 use instrument::ThreadCtx;
 use std::cell::UnsafeCell;
 use std::convert::Infallible;
-use std::hash::Hash;
 use std::marker::PhantomData;
 
 /// Slot states: the owner publishes `EMPTY -> PENDING`; the combiner
@@ -118,8 +117,8 @@ impl BatchConfig {
 /// A structure the flat-combining executor can drive: anything that owns a
 /// thread context and can execute a run of batch operations.
 /// [`crate::layered::LayeredHandle`] implements it with its own insert,
-/// remove and read bodies.
-pub trait CombinerTarget<K, V> {
+/// remove and read bodies; a second implementor would make it public.
+pub(crate) trait CombinerTarget<K, V> {
     /// The recording context of the combining thread.
     fn ctx(&self) -> &ThreadCtx;
 
@@ -169,7 +168,7 @@ struct Bank<K, V> {
 
 /// The flat-combining executor: per-socket publication banks over a
 /// [`crate::graph::SkipGraph`]. See the module docs for the protocol.
-pub struct BatchExecutor<K, V> {
+pub(crate) struct BatchExecutor<K, V> {
     banks: Vec<Bank<K, V>>,
     /// Thread id → (bank, slot-within-bank).
     addr: Vec<(u16, u16)>,
@@ -183,7 +182,7 @@ unsafe impl<K: Send + Sync, V: Send + Sync> Sync for BatchExecutor<K, V> {}
 
 impl<K, V> BatchExecutor<K, V> {
     /// Builds the slot banks for `config`.
-    pub fn new(config: &BatchConfig) -> Self {
+    pub(crate) fn new(config: &BatchConfig) -> Self {
         let mut banks: Vec<Bank<K, V>> = (0..config.sockets())
             .map(|_| Bank {
                 lease: Padded(FacadeAtomicUsize::new(0)),
@@ -202,20 +201,14 @@ impl<K, V> BatchExecutor<K, V> {
         Self { banks, addr }
     }
 
-    /// Number of slot banks.
-    pub fn sockets(&self) -> usize {
-        self.banks.len()
-    }
-}
-
-impl<K: Hash, V> BatchExecutor<K, V> {
-    /// Publishes `ops` to the calling thread's slot and returns their
-    /// outcomes in submission order, their keys hashed by the calling
-    /// thread. The calling thread spin-waits on its slot and, whenever its
-    /// socket's lease is free, takes it and combines
-    /// (its own operations included) — so the call always terminates as
-    /// long as scheduled threads run: a published slot is either drained by
-    /// the current lease holder's successor scan or self-combined.
+    /// Publishes `ops` — each beside its key's hash, computed once by the
+    /// submitting handle — to the calling thread's slot and returns their
+    /// outcomes in submission order. The calling thread spin-waits on its
+    /// slot and, whenever its socket's lease is free, takes it and
+    /// combines (its own operations included) — so the call always
+    /// terminates as long as scheduled threads run: a published slot is
+    /// either drained by the current lease holder's successor scan or
+    /// self-combined.
     ///
     /// `handle` is the caller's direct handle to the target structure: if
     /// the caller becomes the combiner, the whole drained union executes
@@ -224,16 +217,6 @@ impl<K: Hash, V> BatchExecutor<K, V> {
     /// nodes are allocated from the *combiner's* arena (same socket as the
     /// submitter by construction, which is the point) under the
     /// combiner's membership vector.
-    pub fn submit<T>(&self, handle: &mut T, ops: Vec<BatchOp<K, V>>) -> Vec<BatchOutcome<K, V>>
-    where
-        T: CombinerTarget<K, V>,
-    {
-        let ops = ops.into_iter().map(|op| (hash_key(op.key()), op)).collect();
-        self.submit_hashed(handle, ops)
-    }
-
-    /// [`submit`](Self::submit) for operations that come with their keys'
-    /// hashes.
     pub(crate) fn submit_hashed<T>(
         &self,
         handle: &mut T,
@@ -375,58 +358,17 @@ impl<K: Hash, V> BatchExecutor<K, V> {
     }
 }
 
-impl<K, V> std::fmt::Debug for BatchExecutor<K, V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BatchExecutor")
-            .field("sockets", &self.banks.len())
-            .field("threads", &self.addr.len())
-            .finish()
-    }
-}
-
-/// A [`LayeredMap`] whose per-thread handles route every shared-structure
-/// operation through the flat-combining executor (the fully-combined
-/// configuration the batch stress lanes exercise). Registering yields a
-/// [`CombiningHandle`].
-pub struct BatchedLayeredMap<K, V> {
-    map: LayeredMap<K, V>,
-}
-
-impl<K: Ord + Hash + Clone, V> BatchedLayeredMap<K, V> {
-    /// Builds the layered map with a batch executor attached.
-    pub fn new(config: GraphConfig, batch: BatchConfig) -> Self {
-        Self {
-            map: LayeredMap::with_batching(config, batch),
-        }
-    }
-
-    /// The underlying layered map (its plain `register` handles bypass the
-    /// combiner; useful for preloading).
-    pub fn inner(&self) -> &LayeredMap<K, V> {
-        &self.map
-    }
-
-    /// Registers the calling thread for combined execution.
-    pub fn register(&self, ctx: ThreadCtx) -> CombiningHandle<'_, K, V>
-    where
-        V: Clone,
-    {
-        self.map.register_combining(ctx)
-    }
-}
-
-impl<K, V> std::fmt::Debug for BatchedLayeredMap<K, V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BatchedLayeredMap").finish_non_exhaustive()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{GraphConfig, LayeredMap};
 
+    /// A combining map whose threads all share one socket's slot bank.
     fn map(threads: usize, lazy: bool) -> LayeredMap<u64, u64> {
-        LayeredMap::new(GraphConfig::new(threads).lazy(lazy).chunk_capacity(1 << 10))
+        LayeredMap::with_batching(
+            GraphConfig::new(threads).lazy(lazy).chunk_capacity(1 << 10),
+            BatchConfig::uniform(threads, 1),
+        )
     }
 
     #[test]
@@ -443,24 +385,34 @@ mod tests {
         assert_eq!(c1.sockets(), 1);
     }
 
+    #[test]
+    #[should_panic(expected = "register_combining requires LayeredMap::with_batching")]
+    fn combining_needs_a_map_built_with_batching() {
+        let m: LayeredMap<u64, u64> = LayeredMap::new(GraphConfig::new(2));
+        let _ = m.register_combining(ThreadCtx::plain(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "batch config must cover exactly the registered threads")]
+    fn a_batch_config_for_another_thread_count_is_rejected() {
+        let _: LayeredMap<u64, u64> =
+            LayeredMap::with_batching(GraphConfig::new(4), BatchConfig::uniform(2, 1));
+    }
+
     /// Single thread: the submitter always becomes its own combiner.
     #[test]
     fn self_combining_executes_mixed_batch() {
         let m = map(1, true);
-        let exec = BatchExecutor::new(&BatchConfig::uniform(1, 1));
-        let mut h = m.register(ThreadCtx::plain(0));
-        let outs = exec.submit(
-            &mut h,
-            vec![
-                BatchOp::Insert(5, 50),
-                BatchOp::Insert(1, 10),
-                BatchOp::Insert(5, 99), // duplicate within the batch
-                BatchOp::Get(1),
-                BatchOp::Remove(3), // absent
-                BatchOp::Remove(1),
-                BatchOp::Get(1),
-            ],
-        );
+        let mut h = m.register_combining(ThreadCtx::plain(0));
+        let outs = h.execute_batch(vec![
+            BatchOp::Insert(5, 50),
+            BatchOp::Insert(1, 10),
+            BatchOp::Insert(5, 99), // duplicate within the batch
+            BatchOp::Get(1),
+            BatchOp::Remove(3), // absent
+            BatchOp::Remove(1),
+            BatchOp::Get(1),
+        ]);
         assert_eq!(outs.len(), 7);
         assert!(matches!(outs[0], BatchOutcome::Inserted { fresh: true, .. }));
         assert!(matches!(outs[1], BatchOutcome::Inserted { fresh: true, .. }));
@@ -489,19 +441,15 @@ mod tests {
     #[test]
     fn two_thread_handoff_is_exact() {
         let m = map(2, false);
-        let exec = BatchExecutor::new(&BatchConfig::uniform(2, 1));
         std::thread::scope(|s| {
             for t in 0..2u16 {
                 let m = &m;
-                let exec = &exec;
                 s.spawn(move || {
-                    let mut h = m.register(ThreadCtx::plain(t));
+                    let mut h = m.register_combining(ThreadCtx::plain(t));
                     for round in 0..3u64 {
                         let base = (t as u64) * 100 + round * 10;
-                        let outs = exec.submit(
-                            &mut h,
-                            vec![BatchOp::Insert(base, base), BatchOp::Get(base)],
-                        );
+                        let outs =
+                            h.execute_batch(vec![BatchOp::Insert(base, base), BatchOp::Get(base)]);
                         assert!(
                             matches!(outs[0], BatchOutcome::Inserted { fresh: true, .. }),
                             "t{t} round {round}"
@@ -521,10 +469,8 @@ mod tests {
     #[test]
     fn single_combiner_owns_all_combined_nodes() {
         let m = map(2, false);
-        let exec = BatchExecutor::new(&BatchConfig::uniform(2, 1));
-        let mut h = m.register(ThreadCtx::plain(1));
-        let ops = (0..16u64).map(|k| BatchOp::Insert(k, k)).collect();
-        let _ = exec.submit(&mut h, ops);
+        let mut h = m.register_combining(ThreadCtx::plain(1));
+        let _ = h.execute_batch((0..16u64).map(|k| BatchOp::Insert(k, k)).collect());
         let sizes = m.shared().arena_sizes();
         assert_eq!(sizes[0], 0);
         assert_eq!(sizes[1], 16);

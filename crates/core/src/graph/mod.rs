@@ -16,7 +16,6 @@
 
 mod arenas;
 mod block;
-mod iter;
 mod ops;
 mod range;
 mod stats;
@@ -27,9 +26,8 @@ pub use block::{
     BlockPolicy, BlockedHandle, BlockedRangeIter, BlockedSkipMap, BlockedStats, MAX_BLOCK_CAP,
     MIN_BLOCK_CAP,
 };
-pub use iter::SnapshotIter;
-pub use range::{NodeRefHint, RangeIter};
-pub use stats::{MemoryStats, StructureStats};
+pub use range::RangeIter;
+pub use stats::MemoryStats;
 
 use crate::index::{HashIndex, IndexRead};
 use crate::mvec::{list_suffix, membership_vectors};
@@ -260,7 +258,21 @@ impl<K, V> SkipGraph<K, V> {
 
 impl<K: Ord, V> SkipGraph<K, V> {
     /// Builds an empty skip graph for the given configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` asks for [`GraphConfig::hash_index`]: the index
+    /// needs the key hash, which [`SkipGraph::new_hashed`] captures.
     pub fn new(config: GraphConfig) -> Self {
+        assert!(
+            !config.hash_index,
+            "SkipGraph::new with GraphConfig::hash_index(true) builds no index: use SkipGraph::new_hashed"
+        );
+        Self::build(config)
+    }
+
+    /// The graph for `config` with no index installed.
+    fn build(config: GraphConfig) -> Self {
         let membership = membership_vectors(
             config.membership,
             config.num_threads,
@@ -305,12 +317,12 @@ impl<K: Ord, V> SkipGraph<K, V> {
     /// Builds an empty skip graph and, when `config.hash_index` is set,
     /// installs the shared point-read hash index (`K: Hash` is needed to
     /// capture the type-erased hasher; plain [`SkipGraph::new`] has no
-    /// such bound and always leaves the index off).
+    /// such bound and rejects the flag).
     pub fn new_hashed(config: GraphConfig) -> Self
     where
         K: std::hash::Hash,
     {
-        let mut graph = Self::new(config);
+        let mut graph = Self::build(config);
         if graph.config.hash_index {
             graph.index = Some(HashIndex::new(
                 graph.config.num_threads,

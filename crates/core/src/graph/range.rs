@@ -1,9 +1,10 @@
-//! Ordered range scans over the bottom list.
+//! Ordered scans over the bottom list.
 //!
 //! Skip graph searches can start from arbitrary positions, which makes
-//! range scans natural: locate the lower bound (optionally jumping in from
-//! a thread-local start node), then walk the level-0 list until the upper
-//! bound. Like [`super::SnapshotIter`], the scan is a weak snapshot: each
+//! range scans natural: locate the lower bound (a layered handle jumps in
+//! from a thread-local start node), then walk the level-0 list until the
+//! upper bound. A whole-list iteration ([`SkipGraph::iter_snapshot`]) is
+//! the scan with both bounds open. The scan is a weak snapshot: each
 //! node's liveness is observed as it is passed.
 
 use super::{NodePtr, PinGuard, SkipGraph};
@@ -12,7 +13,8 @@ use instrument::ThreadCtx;
 use std::ops::Bound;
 
 /// Iterator over live `(key, value)` pairs within a key range, in
-/// ascending order. Created by [`SkipGraph::range`].
+/// ascending order. Created by [`SkipGraph::range`] and
+/// [`SkipGraph::iter_snapshot`].
 ///
 /// The iterator holds a reclamation pin for its whole lifetime, so every
 /// node it passes stays allocated. With reclamation enabled, yielded
@@ -28,26 +30,49 @@ pub struct RangeIter<'g, K, V> {
     _pin: PinGuard<'g, K, V>,
 }
 
-impl<K: Ord + Clone, V> SkipGraph<K, V> {
+impl<K: Ord, V> SkipGraph<K, V> {
     /// Scans live pairs in `[start_bound, end_bound)` semantics given by
-    /// the two bounds, ascending. `start_hint` is an optional jump-in node
-    /// (same contract as search starts: key ≤ the scan's lower bound).
+    /// the two bounds, ascending.
     ///
     /// When the shared hash index is installed and holds a validated live
     /// entry for the bound key itself, the scan starts *at* that node with
     /// no descent at all — the positioning step costs one index probe.
-    /// Any other index answer (absent, stale, miss) falls back to the
-    /// hinted search.
+    /// Any other index answer (absent, stale, miss) falls back to a
+    /// search from the head array.
     pub fn range<'g>(
         &'g self,
         start: Bound<&K>,
         end: Bound<K>,
-        start_hint: Option<NodeRefHint<K, V>>,
+        ctx: &'g ThreadCtx,
+    ) -> RangeIter<'g, K, V> {
+        self.range_from(start, end, None, ctx)
+    }
+
+    /// Iterates over live pairs in ascending key order: the scan with
+    /// both bounds open.
+    pub fn iter_snapshot<'g>(&'g self, ctx: &'g ThreadCtx) -> RangeIter<'g, K, V> {
+        self.range(Bound::Unbounded, Bound::Unbounded, ctx)
+    }
+
+    /// Collects the live keys in ascending order (diagnostic/test helper).
+    pub fn keys(&self, ctx: &ThreadCtx) -> Vec<K>
+    where
+        K: Clone,
+    {
+        self.iter_snapshot(ctx).map(|(k, _)| k.clone()).collect()
+    }
+
+    /// [`Self::range`] whose positioning search, if it needs one, starts
+    /// at `hint` (same contract as search starts: key ≤ the scan's lower
+    /// bound).
+    pub(crate) fn range_from<'g>(
+        &'g self,
+        start: Bound<&K>,
+        end: Bound<K>,
+        hint: Option<NodePtr<K, V>>,
         ctx: &'g ThreadCtx,
     ) -> RangeIter<'g, K, V> {
         let pin = self.pin(ctx);
-        let mvec = self.membership_of(ctx.id());
-        let hint = start_hint.map(|h| h.0);
         let indexed = match &start {
             Bound::Included(k) | Bound::Excluded(k) => {
                 match self.index_read(k, self.index_hash(k), ctx) {
@@ -61,25 +86,16 @@ impl<K: Ord + Clone, V> SkipGraph<K, V> {
         // iterator's first step lands on the first in-range node — or, on
         // an index hit, directly on the bound key's live holder (included
         // in the scan iff the bound is inclusive).
-        let (cur, at_cur) = match &start {
-            Bound::Unbounded => (self.head(0, 0), false),
-            Bound::Included(k) => {
-                if let Some(node) = indexed {
-                    (node, true)
-                } else {
-                    let res = self.search_from(k, mvec, hint, false, ctx);
-                    (res.preds[0], false)
-                }
-            }
-            Bound::Excluded(k) => {
-                // First node with key > k: start after the holder if the
-                // key is present, else after the predecessor.
-                if let Some(node) = indexed {
-                    (node, false)
-                } else {
-                    let res = self.search_from(k, mvec, hint, false, ctx);
-                    (if res.found { res.succs[0] } else { res.preds[0] }, false)
-                }
+        let (cur, at_cur) = match (&start, indexed) {
+            (Bound::Unbounded, _) => (self.head(0, 0), false),
+            (Bound::Included(_), Some(node)) => (node, true),
+            (Bound::Excluded(_), Some(node)) => (node, false),
+            (Bound::Included(k) | Bound::Excluded(k), None) => {
+                let res = self.search_from(k, self.membership_of(ctx.id()), hint, false, ctx);
+                // Past an excluded bound key that is present, start after
+                // its holder; otherwise after the predecessor.
+                let past_holder = res.found && matches!(start, Bound::Excluded(_));
+                (if past_holder { res.succs[0] } else { res.preds[0] }, false)
             }
         };
         RangeIter {
@@ -100,19 +116,16 @@ impl<K: Ord + Clone, V> SkipGraph<K, V> {
         ctx: &ThreadCtx,
     ) -> Vec<(K, V)>
     where
+        K: Clone,
         V: Clone,
     {
-        self.range(start, end, None, ctx)
+        self.range(start, end, ctx)
             .map(|(k, v)| (k.clone(), v.clone()))
             .collect()
     }
 }
 
-/// An opaque jump-in hint for [`SkipGraph::range`] (produced by the
-/// layered handle from its local structure).
-pub struct NodeRefHint<K, V>(pub(crate) NodePtr<K, V>);
-
-impl<'g, K: Ord + Clone, V> Iterator for RangeIter<'g, K, V> {
+impl<'g, K: Ord, V> Iterator for RangeIter<'g, K, V> {
     type Item = (&'g K, &'g V);
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -214,7 +227,7 @@ mod tests {
     fn values_ride_along() {
         let g = graph(false);
         let c = ThreadCtx::plain(0);
-        for (k, v) in g.range(Bound::Unbounded, Bound::Unbounded, None, &c) {
+        for (k, v) in g.range(Bound::Unbounded, Bound::Unbounded, &c) {
             assert_eq!(*v, *k * 10);
         }
     }

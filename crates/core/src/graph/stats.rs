@@ -1,86 +1,27 @@
 //! Structural introspection.
 //!
-//! [`SkipGraph::structure_stats`] walks the whole structure and reports
-//! its physical composition — live/invalid/marked node counts, per-level
-//! list lengths, arena usage. Used by diagnostics, tests of the lazy
-//! protocol (e.g. "a long commission period leaves invalid nodes
-//! physically present"; the paper discusses exactly this LC-WH overhead),
-//! and the examples.
+//! [`SkipGraph::memory_stats`] walks the bottom list once and reports its
+//! physical composition — live/invalid/marked node counts — beside the
+//! arena and index counters, with no allocation: diagnostics, tests of
+//! the lazy protocol (e.g. "a long commission period leaves invalid nodes
+//! physically present"; the paper discusses exactly this LC-WH overhead)
+//! and sampling loops all use it. [`SkipGraph::level_lengths`] walks every
+//! list of every level; [`SkipGraph::arena_sizes`] counts allocations per
+//! thread.
 
 use super::SkipGraph;
 use crate::mvec::list_suffix;
 use crate::node::MAX_HEIGHT;
 use instrument::ThreadCtx;
 
-/// A snapshot of the structure's physical composition. Counts are
-/// approximate under concurrency (a single walk, not an atomic snapshot).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StructureStats {
-    /// Unmarked, valid data nodes in the bottom list (the abstract set).
-    pub live: usize,
-    /// Unmarked but invalid nodes (logically deleted, commission pending —
-    /// lazy variant only).
-    pub invalid: usize,
-    /// Marked nodes still physically linked in the bottom list.
-    pub marked: usize,
-    /// Physically linked nodes per level (including marked ones), summed
-    /// over all lists of that level.
-    pub per_level: Vec<usize>,
-    /// Nodes allocated per thread arena (never shrinks; includes
-    /// physically unlinked and never-published nodes).
-    pub allocated_per_thread: Vec<usize>,
-}
-
-impl StructureStats {
-    /// Total nodes physically present in the bottom list.
-    pub fn physical(&self) -> usize {
-        self.live + self.invalid + self.marked
-    }
-
-    /// Fraction of physically linked bottom-level nodes that are dead
-    /// weight (invalid or marked) — the "bigger structure at times" cost
-    /// of the lazy commission policy.
-    pub fn dead_fraction(&self) -> f64 {
-        let p = self.physical();
-        if p == 0 {
-            0.0
-        } else {
-            (self.invalid + self.marked) as f64 / p as f64
-        }
-    }
-
-    /// Total allocated nodes across all arenas.
-    pub fn allocated(&self) -> usize {
-        self.allocated_per_thread.iter().sum()
-    }
-}
-
 impl<K: Ord, V> SkipGraph<K, V> {
-    /// Walks the structure and reports its physical composition.
-    pub fn structure_stats(&self, ctx: &ThreadCtx) -> StructureStats {
-        let max = self.config().max_level;
-        // Bottom list: classify every physically linked node.
-        let (mut live, mut invalid, mut marked) = (0, 0, 0);
-        let mut cur = unsafe { &*self.head(0, 0) }.load_next(0, ctx).ptr();
-        loop {
-            let node = unsafe { &*cur };
-            if !node.is_data() {
-                break;
-            }
-            let w = node.load_next(0, ctx);
-            if w.marked() {
-                marked += 1;
-            } else if !w.valid() {
-                invalid += 1;
-            } else {
-                live += 1;
-            }
-            cur = w.ptr();
-        }
-        // Upper levels: physical lengths of every list.
-        let mut per_level = vec![live + invalid + marked];
-        for level in 1..=max {
-            let mut count = 0;
+    /// Physically linked nodes per level (marked ones included), summed
+    /// over all lists of that level; levels above `max_level` read zero.
+    /// Level 0 equals [`MemoryStats::physical`]. One walk of every list,
+    /// so counts are approximate under concurrency.
+    pub fn level_lengths(&self, ctx: &ThreadCtx) -> [usize; MAX_HEIGHT] {
+        let mut lengths = [0; MAX_HEIGHT];
+        for level in 0..=self.config().max_level {
             for suffix in 0..(1u32 << level) {
                 // head(level, mvec) keys on the mvec's suffix, so the
                 // suffix itself addresses the list.
@@ -92,24 +33,18 @@ impl<K: Ord, V> SkipGraph<K, V> {
                         break;
                     }
                     debug_assert_eq!(list_suffix(node.mvec(), level), suffix);
-                    count += 1;
+                    lengths[level as usize] += 1;
                     p = node.load_next(level as usize, ctx).ptr();
                 }
             }
-            per_level.push(count);
         }
-        StructureStats {
-            live,
-            invalid,
-            marked,
-            per_level,
-            allocated_per_thread: self.arena_sizes(),
-        }
+        lengths
     }
 
     /// Zero-allocation memory snapshot: one bottom-list walk plus fixed-size
-    /// arena counters. Unlike [`SkipGraph::structure_stats`] (which builds
-    /// `Vec`s per call), this is safe to call from a sampling loop.
+    /// arena counters, safe to call from a sampling loop. Counts are
+    /// approximate under concurrency (a single walk, not an atomic
+    /// snapshot).
     pub fn memory_stats(&self, ctx: &ThreadCtx) -> MemoryStats {
         let (mut live, mut invalid, mut marked) = (0, 0, 0);
         let mut cur = unsafe { &*self.head(0, 0) }.load_next(0, ctx).ptr();
@@ -172,9 +107,9 @@ impl<K: Ord, V> SkipGraph<K, V> {
     }
 }
 
-/// Zero-alloc counterpart of [`StructureStats`] for the size-class arenas:
-/// live/dead composition of the bottom list plus per-height allocation
-/// counts and byte usage. `Copy`, fixed size, no heap traffic — built for
+/// The structure's physical composition: live/dead composition of the
+/// bottom list plus per-height allocation counts and byte usage of the
+/// size-class arenas. `Copy`, fixed size, no heap traffic — built for
 /// per-sample observability of the truncated-tower layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryStats {
@@ -274,14 +209,14 @@ mod tests {
         for k in 0..10u64 {
             assert!(g.remove(&k, &c));
         }
-        let s = g.structure_stats(&c);
+        let s = g.memory_stats(&c);
         assert_eq!(s.live, 20);
         // Commission never expires: removed nodes stay invalid, unmarked.
         assert_eq!(s.invalid, 10);
         assert_eq!(s.marked, 0);
         assert_eq!(s.physical(), 30);
-        assert!((s.dead_fraction() - 10.0 / 30.0).abs() < 1e-9);
-        assert_eq!(s.allocated(), 30);
+        assert_eq!(g.level_lengths(&c)[0], 30);
+        assert_eq!(s.allocated, 30);
     }
 
     #[test]
@@ -294,11 +229,11 @@ mod tests {
         for k in 0..10u64 {
             assert!(g.remove(&k, &c));
         }
-        let s = g.structure_stats(&c);
+        let s = g.memory_stats(&c);
         assert_eq!(s.live, 20);
         assert_eq!(s.invalid, 0);
         assert_eq!(s.marked, 0, "eager cleanup unlinked the removed nodes");
-        assert_eq!(s.allocated(), 30, "arena never shrinks");
+        assert_eq!(g.arena_sizes(), [30, 0], "arena never shrinks");
     }
 
     #[test]
@@ -309,11 +244,12 @@ mod tests {
         for k in 0..100u64 {
             assert!(g.insert(k, k, max, &c));
         }
-        let s = g.structure_stats(&c);
-        assert_eq!(s.per_level.len(), max as usize + 1);
-        // Full-height towers: every level holds every node.
-        for (level, &n) in s.per_level.iter().enumerate() {
-            assert_eq!(n, 100, "level {level}");
+        let lengths = g.level_lengths(&c);
+        // Full-height towers: every level holds every node; no list
+        // exists above `max_level`.
+        for (level, &n) in lengths.iter().enumerate() {
+            let want = if level <= max as usize { 100 } else { 0 };
+            assert_eq!(n, want, "level {level}");
         }
     }
 
@@ -357,11 +293,9 @@ mod tests {
         assert_eq!(m.allocated_bytes, expected);
         assert!(m.resident_bytes >= m.allocated_bytes);
         assert!(m.bytes_per_node() < SkipGraph::<u64, u64>::fixed_tower_node_bytes() as f64);
-        // Agreement with the allocating walk.
-        let s = g.structure_stats(&c);
-        assert_eq!(s.live, m.live);
-        assert_eq!(s.invalid, m.invalid);
-        assert_eq!(s.allocated(), m.allocated);
+        // Agreement with the per-level walk and the arena counters.
+        assert_eq!(g.level_lengths(&c)[0], m.physical());
+        assert_eq!(g.arena_sizes().iter().sum::<usize>(), m.allocated);
         assert_eq!(g.allocated_nodes(), m.allocated);
     }
 
@@ -429,11 +363,11 @@ mod tests {
         }
         // A pass over the list retires everything...
         assert!(!g.contains(&0, &c));
-        let s = g.structure_stats(&c);
+        let s = g.memory_stats(&c);
         assert_eq!(s.live, 0);
         // ...but (lazy variant) physical unlinking awaits substituting
         // inserts, so marked nodes remain linked.
         assert!(s.marked > 0);
-        assert_eq!(s.dead_fraction(), 1.0);
+        assert_eq!(s.invalid + s.marked, s.physical());
     }
 }

@@ -27,6 +27,14 @@ fn ctx(id: u16) -> ThreadCtx {
     ThreadCtx::plain(id)
 }
 
+/// A plain graph cannot install the index it is asked for, so it refuses
+/// the flag rather than reading `hash_index: true` with no index behind it.
+#[test]
+#[should_panic(expected = "use SkipGraph::new_hashed")]
+fn a_hash_index_without_the_key_hash_is_rejected() {
+    let _ = SkipGraph::<u64, u64>::new(GraphConfig::new(1).hash_index(true));
+}
+
 #[test]
 fn head_index_geometry() {
     assert_eq!(head_index(0, 0), 0);

@@ -879,7 +879,7 @@ pub(crate) enum IndexRead<'g, K, V> {
 
 /// The shared, lock-free, resizable hash index. One per indexed
 /// structure, owned by its [`crate::SkipGraph`]; see the module docs.
-pub struct HashIndex<K, V> {
+pub(crate) struct HashIndex<K, V> {
     segments: Box<[Segment]>,
     /// Shift applied to a key hash to select a segment.
     seg_shift: u32,

@@ -37,7 +37,7 @@
 //! ```
 
 use crate::batch::{BatchConfig, BatchExecutor, BatchOp, BatchOutcome, CombinerTarget};
-use crate::graph::{NodePtr, NodeRef, NodeRefHint, RangeIter, SkipGraph};
+use crate::graph::{NodePtr, NodeRef, RangeIter, SkipGraph};
 use crate::index::{hash_key, IndexRead};
 use crate::local::{BTreeLocalMap, LocalMap, RobinHoodMap};
 use crate::node::Node;
@@ -974,11 +974,11 @@ where
         let _pin = map.shared.pin(&self.ctx);
         let hint = match &start {
             std::ops::Bound::Included(k) | std::ops::Bound::Excluded(k) => {
-                self.prev_start(k, 0).map(NodeRefHint)
+                self.prev_start(k, 0)
             }
             std::ops::Bound::Unbounded => None,
         };
-        map.shared.range(start, end, hint, &self.ctx)
+        map.shared.range_from(start, end, hint, &self.ctx)
     }
 
     /// Collects the live pairs within the range.
@@ -1223,11 +1223,8 @@ impl<'m, K: Ord, V> ReadOnlyView<'m, K, V> {
         &self,
         start: std::ops::Bound<&K>,
         end: std::ops::Bound<K>,
-    ) -> RangeIter<'_, K, V>
-    where
-        K: Clone,
-    {
-        self.map.shared.range(start, end, None, &self.ctx)
+    ) -> RangeIter<'_, K, V> {
+        self.map.shared.range(start, end, &self.ctx)
     }
 
     /// Number of live entries (O(n) snapshot walk).

@@ -30,6 +30,15 @@
 //!   an element with expectation `1/4^i` and the local structures index
 //!   only top-reaching nodes.
 //!
+//! Four map types, each operated through one per-thread handle: the bare
+//! [`SkipGraph`] (its [`SkipGraphHandle`]), the paper's [`LayeredMap`]
+//! ([`LayeredHandle`]; a map built by [`LayeredMap::with_batching`] also
+//! hands out [`CombiningHandle`]s, which route operations through the
+//! NUMA-local flat-combining [`batch`] executor), the blocked
+//! [`BlockedSkipMap`] ([`BlockedHandle`]) and the per-socket
+//! [`ReplicatedLayeredMap`] ([`ReplicatedHandle`]). Each implements
+//! [`ConcurrentMap`].
+//!
 //! # Quick start
 //!
 //! ```
@@ -69,13 +78,10 @@ pub mod sync;
 
 pub mod local;
 
-pub use batch::{
-    BatchConfig, BatchExecutor, BatchOp, BatchOutcome, BatchedLayeredMap, CombinerTarget,
-};
+pub use batch::{BatchConfig, BatchOp, BatchOutcome};
 pub use graph::{
     BlockPolicy, BlockedHandle, BlockedRangeIter, BlockedSkipMap, BlockedStats, MemoryStats,
-    NodeRef, NodeRefHint, RangeIter, SkipGraph, SnapshotIter, StructureStats, MAX_BLOCK_CAP,
-    MIN_BLOCK_CAP,
+    NodeRef, RangeIter, SkipGraph, MAX_BLOCK_CAP, MIN_BLOCK_CAP,
 };
 pub use layered::{CombiningHandle, LayeredHandle, LayeredMap, ReadOnlyView};
 pub use map_api::{ConcurrentMap, MapHandle, SkipGraphHandle};

@@ -1,7 +1,12 @@
 //! The concurrent-map interface shared by the layered structures, the
 //! baselines, and the benchmark harness.
+//!
+//! Each map type implements [`ConcurrentMap`] once, with its one handle.
+//! A combining [`LayeredMap`] has no map type of its own: it is built by
+//! [`LayeredMap::with_batching`] and operated through the
+//! [`CombiningHandle`]s of [`LayeredMap::register_combining`], which
+//! implement [`MapHandle`].
 
-use crate::batch::BatchedLayeredMap;
 use crate::graph::SkipGraph;
 use crate::layered::{CombiningHandle, LayeredHandle, LayeredMap};
 use crate::sparse_height;
@@ -70,21 +75,6 @@ where
     }
     fn ctx(&self) -> &ThreadCtx {
         LayeredHandle::ctx(self)
-    }
-}
-
-impl<K, V> ConcurrentMap<K, V> for BatchedLayeredMap<K, V>
-where
-    K: Ord + Hash + Clone + Send + Sync,
-    V: Clone + Send + Sync,
-{
-    type Handle<'a>
-        = CombiningHandle<'a, K, V>
-    where
-        Self: 'a;
-
-    fn pin(&self, ctx: ThreadCtx) -> Self::Handle<'_> {
-        self.inner().register_combining(ctx)
     }
 }
 

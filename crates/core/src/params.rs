@@ -45,18 +45,17 @@ pub struct GraphConfig {
     /// default (the paper's fixed-length-run memory model).
     pub reclaim: bool,
     /// Extra bytes reserved after every node's tower for a fat level-0
-    /// block (B-skiplist blocking; see `skipgraph::BlockedSkipMap`). Zero
-    /// for plain single-key nodes. The byte size is computed by the block
-    /// layer from its capacity and entry stride, keeping `GraphConfig`
-    /// independent of the key/value types.
-    pub block_bytes: usize,
+    /// block (B-skiplist blocking). Zero for plain single-key nodes; set
+    /// by `BlockedSkipMap::new` alone, from its capacity and entry stride,
+    /// keeping `GraphConfig` independent of the key/value types.
+    pub(crate) block_bytes: usize,
     /// Shared lock-free hash index for O(1) point reads (the Skip Hash
     /// fast path; see `skipgraph::index`). Maintained inline by
     /// insert/remove and consulted first by point `get`/`contains`;
     /// entries are generation-validated, so reclamation stays safe. Off
-    /// by default. Honored by the layered builders (which know the key
-    /// hashes); `SkipGraph::new` alone leaves it off — use
-    /// `SkipGraph::new_hashed` — and the blocked map rejects it.
+    /// by default. Honored by the layered builders and
+    /// `SkipGraph::new_hashed` (which know the key hashes); `SkipGraph::new`
+    /// and the blocked map reject it.
     pub hash_index: bool,
     /// Total entry-capacity hint for the hash index (`0` = auto: 4 096
     /// slots per segment). Segments start at `index_capacity / segments`
@@ -65,11 +64,11 @@ pub struct GraphConfig {
     pub index_capacity: usize,
     /// NUMA-ownership override: when set, every node allocated in this
     /// structure is tagged as owned by this thread (and recycled into its
-    /// arena bank) instead of the allocating thread. Used by per-socket
-    /// replicas, whose memory belongs to the replica's socket no matter
-    /// which thread happens to replay an operation into it. `None` (the
-    /// default) keeps allocating-thread ownership.
-    pub owner_tag: Option<u16>,
+    /// arena bank) instead of the allocating thread. Set by
+    /// `ReplicatedLayeredMap::new` alone: a replica's memory belongs to
+    /// the replica's socket no matter which thread happens to replay an
+    /// operation into it. `None` keeps allocating-thread ownership.
+    pub(crate) owner_tag: Option<u16>,
 }
 
 impl GraphConfig {
@@ -158,7 +157,7 @@ impl GraphConfig {
     /// Reserves `bytes` of trailing block storage on every allocated node
     /// (multiple of 8 so the region stays pointer-aligned). Used by the
     /// blocked map; plain maps leave this at zero.
-    pub fn block_bytes(mut self, bytes: usize) -> Self {
+    pub(crate) fn block_bytes(mut self, bytes: usize) -> Self {
         assert!(bytes % 8 == 0, "block bytes must preserve 8-byte alignment");
         self.block_bytes = bytes;
         self
@@ -182,12 +181,12 @@ impl GraphConfig {
     }
 
     /// Tags every node allocated in this structure as owned by `thread`
-    /// (see [`GraphConfig::owner_tag`]).
+    /// (see the `owner_tag` field).
     ///
     /// # Panics
     ///
     /// Panics if `thread` is not a registered thread id.
-    pub fn owner_tag(mut self, thread: u16) -> Self {
+    pub(crate) fn owner_tag(mut self, thread: u16) -> Self {
         assert!(
             (thread as usize) < self.num_threads,
             "owner tag must be a registered thread id"

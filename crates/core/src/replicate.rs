@@ -72,7 +72,7 @@
 //! workload, so it is measured, not switched at run time.
 //!
 //! Every coordination word (`head`, per-replica tails, replay leases, slot
-//! sequence/result stamps) is a [`crate::sync::FacadeAtomicUsize`], so
+//! sequence/result stamps) is one of the crate's facade atomic words, so
 //! under `--features deterministic` the cooperative scheduler drives
 //! append, replay, and catch-up at the same replayable granularity as the
 //! structure itself; the `replicated_sg` stress lanes run PCT and

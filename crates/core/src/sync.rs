@@ -248,7 +248,7 @@ impl<T> fmt::Debug for TaggedAtomic<T> {
 /// (and replay) combined executions at the same granularity as the data
 /// structure itself.
 #[derive(Debug)]
-pub struct FacadeAtomicUsize {
+pub(crate) struct FacadeAtomicUsize {
     cell: AtomicUsize,
 }
 

@@ -4,9 +4,7 @@
 //! hints (EXPERIMENTS C3).
 
 use instrument::{AccessStats, ThreadCtx};
-use skipgraph::{
-    BatchConfig, BatchOp, BatchOutcome, BatchedLayeredMap, GraphConfig, LayeredMap,
-};
+use skipgraph::{BatchConfig, BatchOp, BatchOutcome, GraphConfig, LayeredMap};
 use std::collections::BTreeMap;
 
 /// A self-combined 64-key batch visits exactly the shared nodes the same
@@ -32,10 +30,10 @@ fn a_combined_batch_visits_what_direct_inserts_visit() {
     let independent = ind_stats.totals().traversed;
 
     let bat_stats = AccessStats::new(8);
-    let combined: BatchedLayeredMap<u64, u64> =
-        BatchedLayeredMap::new(config(), BatchConfig::uniform(8, 1));
+    let combined: LayeredMap<u64, u64> =
+        LayeredMap::with_batching(config(), BatchConfig::uniform(8, 1));
     {
-        let mut h = combined.register(ThreadCtx::recording(0, bat_stats.clone()));
+        let mut h = combined.register_combining(ThreadCtx::recording(0, bat_stats.clone()));
         let outs = h.execute_batch(keys.iter().map(|&k| BatchOp::Insert(k, k)).collect());
         assert_eq!(outs.len(), keys.len());
         for out in &outs {
@@ -61,11 +59,11 @@ fn a_combined_batch_visits_what_direct_inserts_visit() {
 /// operations interleave between rounds.
 #[test]
 fn mixed_batches_match_sequential_model() {
-    let combined: BatchedLayeredMap<u64, u64> = BatchedLayeredMap::new(
+    let combined: LayeredMap<u64, u64> = LayeredMap::with_batching(
         GraphConfig::new(4).lazy(true).chunk_capacity(256),
         BatchConfig::uniform(4, 1),
     );
-    let mut h = combined.register(ThreadCtx::plain(0));
+    let mut h = combined.register_combining(ThreadCtx::plain(0));
     let mut model: BTreeMap<u64, u64> = BTreeMap::new();
 
     // Deterministic splitmix-style generator (no external RNG needed).
@@ -113,7 +111,7 @@ fn mixed_batches_match_sequential_model() {
             assert_eq!(h.contains(&k), model.contains_key(&k), "direct contains({k})");
         }
     }
-    combined.inner().shared().check_invariants().unwrap();
+    combined.shared().check_invariants().unwrap();
 }
 
 /// `bulk_load` inserts through thread slot 0, so every loaded node lands
@@ -231,11 +229,11 @@ fn tombstone_budget_caps_and_refills() {
 /// non-lazy removals it drains from the publication slots.
 #[test]
 fn combined_nonlazy_removes_retain_tombstoned_hints() {
-    let combined: BatchedLayeredMap<u64, u64> = BatchedLayeredMap::new(
+    let combined: LayeredMap<u64, u64> = LayeredMap::with_batching(
         GraphConfig::new(2).chunk_capacity(256),
         BatchConfig::uniform(2, 1),
     );
-    let mut h = combined.register(ThreadCtx::plain(0));
+    let mut h = combined.register_combining(ThreadCtx::plain(0));
     let outs = h.execute_batch((0..64u64).map(|k| BatchOp::Insert(k, k)).collect());
     assert!(outs
         .iter()
@@ -255,5 +253,5 @@ fn combined_nonlazy_removes_retain_tombstoned_hints() {
     for k in 32..64u64 {
         assert!(!h.contains(&k));
     }
-    combined.inner().shared().check_invariants().unwrap();
+    combined.shared().check_invariants().unwrap();
 }

@@ -325,14 +325,14 @@ fn rebuild_compacts_dead_weight() {
         assert!(h.remove(&k));
     }
     let ctx = ThreadCtx::plain(0);
-    let before = map.shared().structure_stats(&ctx);
+    let before = map.shared().memory_stats(&ctx);
     assert_eq!(before.live, 100);
     assert_eq!(before.invalid, 900, "commission never expires: all retained");
     let fresh = map.rebuild();
-    let after = fresh.shared().structure_stats(&ctx);
+    let after = fresh.shared().memory_stats(&ctx);
     assert_eq!(after.live, 100);
     assert_eq!(after.invalid + after.marked, 0, "no dead weight");
-    assert_eq!(after.allocated(), 100);
+    assert_eq!(after.allocated, 100);
     // Contents preserved.
     let mut h2 = fresh.register(ThreadCtx::plain(1));
     for k in 900..1000u64 {

@@ -88,7 +88,7 @@ fn main() {
     });
 
     let ctx = ThreadCtx::plain(0);
-    let stats = map.shared().structure_stats(&ctx);
+    let stats = map.shared().memory_stats(&ctx);
     println!(
         "churned {} accounts, ran {} stripe scans",
         churn.load(Ordering::Relaxed),
@@ -114,8 +114,8 @@ fn main() {
         stats.live,
         stats.invalid,
         stats.marked,
-        100.0 * stats.dead_fraction(),
-        stats.allocated()
+        100.0 * (stats.invalid + stats.marked) as f64 / stats.physical().max(1) as f64,
+        stats.allocated
     );
     assert_eq!(stats.live as u64, WRITERS as u64 * ACCOUNTS_PER_WRITER);
     map.shared().check_invariants().expect("invariants");

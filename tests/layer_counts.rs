@@ -277,7 +277,7 @@ fn local_anchor_maps_shed_dead_anchors() {
     let stats = map.stats(&ctx);
     assert_eq!(stats.entries as u64, BLOCK_KEYS);
     // Linked at the sampling level = live with a tower that reaches it.
-    let sampled = map.shared().structure_stats(&ctx).per_level[2];
+    let sampled = map.shared().level_lengths(&ctx)[2];
     println!(
         "turnover: {} local entries for {sampled} live sampled anchors of {} after {TURNS} turns",
         stats.local_entries, stats.anchors

@@ -2,13 +2,14 @@
 //! the node's valid bit off without unlinking it, and a subsequent insert
 //! of the same key resurrects the *same node* in place instead of
 //! allocating a new one. Verified both through map semantics (with
-//! `structure_stats` witnessing the physical node) and by checking the
+//! `memory_stats` witnessing the physical node) and by checking the
 //! resulting histories with the linearizability checker.
 #![cfg(not(feature = "bug-injection"))]
 
 use instrument::ThreadCtx;
 use linearize::{check_history_from, Event, Op};
 use skipgraph::{ConcurrentMap, GraphConfig, LayeredMap, SkipGraph};
+use std::ops::Bound::Unbounded;
 
 fn lazy_graph() -> SkipGraph<u64, u64> {
     SkipGraph::new(
@@ -30,17 +31,17 @@ fn remove_invalidates_in_place_and_insert_resurrects() {
     assert!(g.remove(&5, &c));
     assert!(!g.contains(&5, &c));
     assert_eq!(g.get(&5, &c), None);
-    let s = g.structure_stats(&c);
+    let s = g.memory_stats(&c);
     assert_eq!((s.live, s.invalid, s.marked), (0, 1, 0));
 
     // Insert = casValid(true) on the existing node: no new allocation.
-    let allocated_before = s.allocated();
+    let allocated_before = s.allocated;
     assert!(g.insert(5, 50, 0, &c));
     assert!(g.contains(&5, &c));
-    let s = g.structure_stats(&c);
+    let s = g.memory_stats(&c);
     assert_eq!((s.live, s.invalid, s.marked), (1, 0, 0));
     assert_eq!(
-        s.allocated(),
+        s.allocated,
         allocated_before,
         "resurrection must reuse the invalid node, not allocate"
     );
@@ -59,8 +60,8 @@ fn resurrection_cycles_are_stable() {
         assert!(g.contains(&9, &c));
         assert!(!g.insert(9, 1, 0, &c), "double insert must fail");
     }
-    let s = g.structure_stats(&ThreadCtx::plain(0));
-    assert_eq!(s.allocated(), 1, "one node serves every cycle");
+    let s = g.memory_stats(&ThreadCtx::plain(0));
+    assert_eq!(s.allocated, 1, "one node serves every cycle");
 }
 
 #[test]
@@ -116,4 +117,37 @@ fn recorded_resurrection_history_linearizes() {
     broken[2].result = true;
     check_history_from(&broken, false)
         .expect_err("visible-after-remove history must be rejected");
+}
+
+/// A whole-list scan skips exactly the dead nodes the census counts:
+/// on a quiescent lazy graph holding live, lazily removed (invalid) and
+/// marked nodes, `iter_snapshot` is the scan with both bounds open, it
+/// yields the `memory_stats` live count, and the level-0 list length is
+/// the census's physical count.
+#[test]
+fn a_snapshot_is_the_open_range_and_matches_the_census() {
+    // Commission 0: a removed node is retired (marked) by the next search
+    // that passes it, and stays linked until an insert substitutes it.
+    let g: SkipGraph<u64, u64> = SkipGraph::new(
+        GraphConfig::new(2).lazy(true).commission_cycles(0).chunk_capacity(256),
+    );
+    let c = ThreadCtx::plain(0);
+    for k in 0..100u64 {
+        assert!(g.insert(k, k * 10, 0, &c));
+    }
+    // Each removal's search passes the keys removed before it; the last
+    // removed key is passed by none and stays invalid.
+    let removed = |k: u64| (20..60).contains(&k) && (k - 20) % 3 == 0;
+    for k in (0..100u64).filter(|&k| removed(k)) {
+        assert!(g.remove(&k, &c));
+    }
+    let m = g.memory_stats(&c);
+    assert!(m.live > 0 && m.invalid > 0 && m.marked > 0, "{m:?}");
+    let snapshot: Vec<(&u64, &u64)> = g.iter_snapshot(&c).collect();
+    let open: Vec<(&u64, &u64)> = g.range(Unbounded, Unbounded, &c).collect();
+    assert_eq!(snapshot, open);
+    assert_eq!(snapshot.len(), m.live);
+    assert!(snapshot.iter().all(|&(&k, &v)| v == k * 10 && !removed(k)));
+    assert_eq!(g.level_lengths(&c)[0], m.physical());
+    assert_eq!(g.memory_stats(&c), m, "the scans changed nothing");
 }
