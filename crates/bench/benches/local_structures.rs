@@ -1,9 +1,8 @@
-//! Local-structure experiments: sparse-vs-dense local sizes (the paper's
-//! "local structures become more sparse" claim) and the pluggable local
-//! map ablation (BTree vs sorted vector).
+//! Local-structure sizes: sparse-vs-dense local entries (the paper's
+//! "local structures become more sparse" claim).
 
-use bench::{figures, Scale};
+use bench::figures;
 
 fn main() {
-    figures::local_structures(&Scale::from_env());
+    figures::local_structures();
 }

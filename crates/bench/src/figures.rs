@@ -273,16 +273,13 @@ pub fn relink_membership_ablation(scale: &Scale) {
     write_result("ablation_relink_membership.csv", &csv);
 }
 
-/// Local-structure experiments: (a) the sparse skip graph's local
-/// structures hold only top-reaching nodes (paper Sec. 2: "sparse skip
-/// graphs also cause the local structures to become more sparse"), and
-/// (b) throughput with the default BTree local map vs the sorted-vector
-/// alternative (the layer is user-pluggable).
-pub fn local_structures(scale: &Scale) {
+/// Local-structure sizes: the sparse skip graph's local structures hold
+/// only top-reaching nodes (paper Sec. 2: "sparse skip graphs also cause
+/// the local structures to become more sparse").
+pub fn local_structures() {
     use instrument::ThreadCtx;
-    use skipgraph::local::SortedVecLocalMap;
 
-    // (a) local sizes after identical insertions. 8 registered threads so
+    // Local sizes after identical insertions. 8 registered threads so
     // MaxLevel = 2 and the sparse variant indexes ~1/4 of the towers.
     println!("# Local-structure sizes after 4096 insertions per thread");
     println!("variant,local_entries");
@@ -298,53 +295,6 @@ pub fn local_structures(scale: &Scale) {
         let len = h.local_len();
         println!("{label},{len}");
         csv.push_str(&format!("local_size,{label},{len}\n"));
-    }
-
-    // (b) throughput with each local-structure implementation.
-    let threads = *scale.threads.last().expect("thread list");
-    println!("\n# Throughput by local structure (MC-WH, {threads} threads)");
-    println!("local_structure,ops_per_ms");
-    for (label, use_vec) in [("btree", false), ("sorted_vec", true)] {
-        let w = scenario_workload("mc-wh", threads, scale);
-        let cap = chunk_capacity(threads, w.key_space);
-        let map: LayeredMap<u64, u64> =
-            LayeredMap::new(GraphConfig::new(threads).lazy(true).chunk_capacity(cap));
-        // run_trial pins the structure behind ConcurrentMap (BTree locals);
-        // for the sorted-vec variant, drive the workload directly.
-        let res = if use_vec {
-            struct VecLocal<'m>(&'m LayeredMap<u64, u64>);
-            struct VecHandle<'m>(
-                skipgraph::LayeredHandle<'m, u64, u64, SortedVecLocalMap<u64, skipgraph::NodeRef<u64, u64>>>,
-            );
-            impl<'m> ConcurrentMap<u64, u64> for VecLocal<'m> {
-                type Handle<'a>
-                    = VecHandle<'a>
-                where
-                    Self: 'a;
-                fn pin(&self, ctx: ThreadCtx) -> VecHandle<'_> {
-                    VecHandle(self.0.register_with_local(ctx, SortedVecLocalMap::default()))
-                }
-            }
-            impl<'m> skipgraph::MapHandle<u64, u64> for VecHandle<'m> {
-                fn insert(&mut self, k: u64, v: u64) -> bool {
-                    self.0.insert(k, v)
-                }
-                fn remove(&mut self, k: &u64) -> bool {
-                    self.0.remove(k)
-                }
-                fn contains(&mut self, k: &u64) -> bool {
-                    self.0.contains(k)
-                }
-                fn ctx(&self) -> &ThreadCtx {
-                    self.0.ctx()
-                }
-            }
-            synchro::run_trial(&VecLocal(&map), &w, &synchro::InstrMode::Off)
-        } else {
-            synchro::run_trial(&map, &w, &synchro::InstrMode::Off)
-        };
-        println!("{label},{:.1}", res.ops_per_ms());
-        csv.push_str(&format!("local_throughput,{label},{:.1}\n", res.ops_per_ms()));
     }
     write_result("local_structures.csv", &csv);
 }

@@ -3,9 +3,9 @@
 //!
 //! [`LayeredMap`] owns the shared structure; each participating thread
 //! registers once and receives a [`LayeredHandle`], which owns the thread's
-//! *local structures* — an ordered [`LocalMap`] (default
-//! [`BTreeLocalMap`], an in-crate B+tree) behind one hash layer consulted
-//! first — plus the recording [`ThreadCtx`]. The hash layer is the
+//! *local structures* — one ordered [`BTreeLocalMap`] (an in-crate
+//! B+tree, the paper's `std::map`) behind one hash layer consulted first —
+//! plus the recording [`ThreadCtx`]. The hash layer is the
 //! paper's per-thread [`RobinHoodMap`] on a plain graph and the shared
 //! [`crate::index`] when the graph has one ([`GraphConfig::hash_index`]):
 //! the index names every thread's keys, so a table that can only name the
@@ -129,12 +129,16 @@ impl<K: Ord, V> LayeredMap<K, V> {
     /// Rebuilds the map into a fresh structure containing a snapshot of
     /// the live entries, releasing all arena memory held by dead nodes.
     ///
-    /// Shared nodes are arena-allocated and never freed mid-run (the
-    /// paper's memory model), so long removal-heavy runs grow memory
-    /// monotonically; periodic quiescent-point compaction is the
-    /// operational counterpart. The caller must guarantee quiescence: the
-    /// snapshot is a weak one, and handles to the *old* map keep operating
-    /// on the old structure.
+    /// Shared nodes are arena-allocated, and arena memory is never
+    /// returned mid-run. Without [`GraphConfig::reclaim`] an unlinked node
+    /// is never reused either (the paper's memory model), so long
+    /// removal-heavy runs grow memory monotonically. With it, retired
+    /// nodes are recycled within their owner's arena, but the arenas keep
+    /// their high-water size, and logically removed nodes stay linked
+    /// until a search unlinks them. Periodic quiescent-point compaction
+    /// releases both. The caller must guarantee quiescence: the snapshot
+    /// is a weak one, and handles to the *old* map keep operating on the
+    /// old structure.
     ///
     /// Like [`LayeredMap::bulk_load`] (which implements the rebuild), every
     /// rebuilt node lands in **slot 0's arena** regardless of which arena
@@ -156,25 +160,13 @@ impl<K: Ord, V> LayeredMap<K, V> {
         )
     }
 
-    /// Registers the calling thread, using the default
-    /// ([`BTreeLocalMap`]) ordered local structure.
+    /// Registers the calling thread.
     ///
     /// `ctx.id()` must be a dense id below `config.num_threads`, unique per
     /// live handle.
     pub fn register(&self, ctx: ThreadCtx) -> LayeredHandle<'_, K, V>
     where
         K: Hash + Clone,
-    {
-        self.register_with_local(ctx, BTreeLocalMap::default())
-    }
-
-    /// Registers the calling thread with a user-provided ordered local
-    /// structure (the layer is generic in the paper's sense: any sequential
-    /// navigable map works).
-    pub fn register_with_local<L>(&self, ctx: ThreadCtx, local: L) -> LayeredHandle<'_, K, V, L>
-    where
-        K: Hash + Clone,
-        L: LocalMap<K, NodeRef<K, V>>,
     {
         assert!(
             (ctx.id() as usize) < self.config().num_threads,
@@ -187,7 +179,7 @@ impl<K: Ord, V> LayeredMap<K, V> {
         LayeredHandle {
             map: self,
             mvec,
-            local,
+            local: BTreeLocalMap::default(),
             hash: self.shared.index().is_none().then(RobinHoodMap::new),
             tombstones: Vec::new(),
             rng: SmallRng::seed_from_u64(seed),
@@ -227,11 +219,11 @@ impl<K, V> std::fmt::Debug for LayeredMap<K, V> {
 
 /// A per-thread handle to a [`LayeredMap`]. Not `Send`: it owns the
 /// thread's local structures.
-pub struct LayeredHandle<'m, K, V, L = BTreeLocalMap<K, NodeRef<K, V>>> {
+pub struct LayeredHandle<'m, K, V> {
     map: &'m LayeredMap<K, V>,
     ctx: ThreadCtx,
     mvec: u32,
-    local: L,
+    local: BTreeLocalMap<K, NodeRef<K, V>>,
     /// The paper's table in front of `local`, kept only on a graph without
     /// a shared hash index: an indexed handle's hash layer is the index.
     hash: Option<RobinHoodMap<K, NodeRef<K, V>>>,
@@ -247,10 +239,9 @@ pub struct LayeredHandle<'m, K, V, L = BTreeLocalMap<K, NodeRef<K, V>>> {
 /// searches.
 type OnHolder<'m, H, K, V, T> = fn(&mut H, &K, u64, &'m Node<K, V>) -> Option<T>;
 
-impl<'m, K, V, L> LayeredHandle<'m, K, V, L>
+impl<'m, K, V> LayeredHandle<'m, K, V>
 where
     K: Ord + Hash + Clone,
-    L: LocalMap<K, NodeRef<K, V>>,
 {
     /// The recording context of this thread.
     pub fn ctx(&self) -> &ThreadCtx {
@@ -1244,7 +1235,7 @@ impl<'m, K, V> std::fmt::Debug for ReadOnlyView<'m, K, V> {
     }
 }
 
-impl<'m, K, V, L> std::fmt::Debug for LayeredHandle<'m, K, V, L> {
+impl<'m, K, V> std::fmt::Debug for LayeredHandle<'m, K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LayeredHandle")
             .field("thread", &self.ctx.id())

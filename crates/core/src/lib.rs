@@ -9,7 +9,7 @@
 //!   assigns each thread one constituent skip list via a NUMA-aware
 //!   membership vector (see [`mvec`]), increasing locality and reducing
 //!   contention;
-//! * per-thread **local structures** — a sequential navigable map (default
+//! * per-thread **local structures** — a sequential navigable map (a
 //!   [`local::BTreeLocalMap`], an in-crate B+tree) plus a
 //!   [`local::RobinHoodMap`] hash table (the shared hash [`index`] takes
 //!   the table's place where the graph has one) — used to *jump* into the

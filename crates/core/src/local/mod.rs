@@ -6,40 +6,38 @@
 //! structures, in practice, are implemented with two complementary,
 //! sequential data structures"). Here:
 //!
-//! * [`LocalMap`] is the user-pluggable trait the ordered structure must
-//!   satisfy: predecessor queries (`getMaxLowerEqual`) and backward
-//!   traversal, as required by `getStart` (Alg. 4) and `updateStart`
-//!   (Alg. 9);
-//! * [`BTreeLocalMap`] is the default implementation: an in-crate B+tree
-//!   whose leaves hold 16 keys in one array and their references in
-//!   another, 64-byte aligned and linked both ways, under inner nodes of 32
-//!   separators with `u32` child indices; nodes live in two slabs of
-//!   chunks that never move. A leaf is freed when it empties and merges
-//!   into its left sibling when under a quarter full and the two fit in
-//!   three quarters of a leaf. With `u64` keys and 16-byte references it
-//!   takes 42–44 B per entry at 2^18–2^20 entries, about 10 % more than
-//!   `std::collections::BTreeMap` (38.9 B);
-//! * [`SortedVecLocalMap`] keeps one sorted vector, for maps that stay
-//!   small;
+//! * [`LocalMap`] is the interface of the ordered structure: predecessor
+//!   queries (`getMaxLowerEqual`) and backward traversal, as required by
+//!   `getStart` (Alg. 4) and `updateStart` (Alg. 9). It is
+//!   [`BTreeLocalMap`]'s interface, not an extension point: every handle
+//!   holds a [`BTreeLocalMap`];
+//! * [`BTreeLocalMap`] is the ordered structure, in place of the paper's
+//!   `std::map`: an in-crate B+tree whose leaves hold 16 keys in one array
+//!   and their references in another, 64-byte aligned and linked both ways,
+//!   under inner nodes of 32 separators with `u32` child indices; nodes
+//!   live in two slabs of chunks that never move. A leaf is freed when it
+//!   empties and merges into its left sibling when under a quarter full and
+//!   the two fit in three quarters of a leaf. With `u64` keys and 16-byte
+//!   references it takes 42–44 B per entry at 2^18–2^20 entries, about
+//!   10 % more than `std::collections::BTreeMap` (38.9 B);
 //! * [`RobinHoodMap`] is the hash table consulted before the slower ordered
 //!   map (a reimplementation of the robin-hood open-addressing scheme the
 //!   paper takes from `martinus/robin-hood-hashing`).
 //!
-//! The module forbids `unsafe` code. Both ordered maps pass one conformance
-//! test against `std::collections::BTreeMap`.
+//! The module forbids `unsafe` code. The B+tree passes a conformance test
+//! against `std::collections::BTreeMap`.
 
 #![forbid(unsafe_code)]
 
 mod btree;
 mod robinhood;
-mod sortedvec;
 
 pub use btree::BTreeLocalMap;
 pub use robinhood::RobinHoodMap;
-pub use sortedvec::SortedVecLocalMap;
 
 /// A sequential ordered map from keys to opaque shared-node references,
-/// supporting the backward navigation the layered algorithms need.
+/// supporting the backward navigation the layered algorithms need: the
+/// interface of [`BTreeLocalMap`], its one implementation.
 ///
 /// `R` is the reference type stored ([`crate::NodeRef`] in practice); it is
 /// `Copy` so implementations never hand out interior mutability.
@@ -92,19 +90,12 @@ mod tests {
         }
     }
 
-    /// `L`'s `retain` ([`BTreeLocalMap::retain`]), for a map that has one.
-    type Retain<K, L> = Option<fn(&mut L, &dyn Fn(&K, &u32) -> bool)>;
-
-    /// Drives a fresh `L` and a `std::collections::BTreeMap` through the
-    /// same operations on keys drawn from `0..space` (mapped by `key`): a
-    /// fill, a drain to empty, a refill and a `clear`, with `retain` in
-    /// both fills when `L` has it. Every answer and every length must
-    /// agree. Returns the most entries the map held.
-    fn conformance<K, L>(key: fn(u64) -> K, space: u64, retain: Retain<K, L>) -> usize
-    where
-        K: Ord + Clone + Debug,
-        L: LocalMap<K, u32>,
-    {
+    /// Drives a fresh [`BTreeLocalMap`] and a `std::collections::BTreeMap`
+    /// through the same operations on keys drawn from `0..space` (mapped by
+    /// `key`): a fill, a drain to empty, a refill and a `clear`, with
+    /// `retain` in both fills. Every answer and every length must agree.
+    /// Returns the most entries the map held.
+    fn conformance<K: Ord + Clone + Debug>(key: fn(u64) -> K, space: u64) -> usize {
         let mut state = space ^ 0x2545_f491_4f6c_dd1d;
         let mut next = move || {
             state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -113,9 +104,9 @@ mod tests {
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
             z ^ (z >> 31)
         };
-        let mut map = L::default();
+        let mut map = BTreeLocalMap::<K, u32>::default();
         let mut model: BTreeMap<K, u32> = BTreeMap::new();
-        let check = |map: &L, model: &BTreeMap<K, u32>, k: &K| {
+        let check = |map: &BTreeLocalMap<K, u32>, model: &BTreeMap<K, u32>, k: &K| {
             let below = |incl: bool| {
                 model
                     .range(..=k)
@@ -151,11 +142,9 @@ mod tests {
                 check(&map, &model, &k);
                 check(&map, &model, &key(next() % (space + 2)));
                 if op == ops / 2 {
-                    if let Some(retain) = retain {
-                        let keep = move |_: &K, r: &u32| r % 3 != phase;
-                        retain(&mut map, &keep);
-                        model.retain(|k, r| keep(k, r));
-                    }
+                    let keep = move |_: &K, r: &u32| r % 3 != phase;
+                    map.retain(keep);
+                    model.retain(|k, r| keep(k, r));
                 }
                 peak = peak.max(map.len());
             }
@@ -179,38 +168,14 @@ mod tests {
         peak
     }
 
-    fn btree_retain<K: Ord + Clone>(
-        map: &mut BTreeLocalMap<K, u32>,
-        keep: &dyn Fn(&K, &u32) -> bool,
-    ) {
-        map.retain(|k, r| keep(k, r));
-    }
-
     #[test]
     fn btree_local_map_conforms_to_std() {
         for space in [64, 4096, 1 << 40] {
-            let peak =
-                conformance::<u64, BTreeLocalMap<u64, u32>>(|k| k, space, Some(btree_retain));
+            let peak = conformance(|k| k, space);
             if space > 64 && !cfg!(miri) {
                 assert!(peak > THREE_LEVELS, "{peak} entries at most");
             }
-            conformance::<String, BTreeLocalMap<String, u32>>(
-                |k| format!("{k:x}"),
-                space,
-                Some(btree_retain),
-            );
-        }
-    }
-
-    #[test]
-    fn sorted_vec_local_map_conforms_to_std() {
-        for space in [64, 4096, 1 << 40] {
-            conformance::<u64, SortedVecLocalMap<u64, u32>>(|k| k, space, None);
-            conformance::<String, SortedVecLocalMap<String, u32>>(
-                |k| format!("{k:x}"),
-                space,
-                None,
-            );
+            conformance(|k| format!("{k:x}"), space);
         }
     }
 }

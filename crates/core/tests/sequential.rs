@@ -217,34 +217,6 @@ proptest! {
 }
 
 #[test]
-fn pluggable_sorted_vec_local_structure() {
-    use skipgraph::local::SortedVecLocalMap;
-    // The layer is generic over the ordered local structure: run the same
-    // model check with the sorted-vector implementation plugged in.
-    for lazy in [false, true] {
-        let map: LayeredMap<u64, u64> =
-            LayeredMap::new(GraphConfig::new(2).lazy(lazy).chunk_capacity(512));
-        let mut h =
-            map.register_with_local(ThreadCtx::plain(0), SortedVecLocalMap::default());
-        let mut model = BTreeSet::new();
-        let mut state = 7u64;
-        for _ in 0..2000 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(99);
-            let k = (state >> 34) % 128;
-            match state % 3 {
-                0 => assert_eq!(h.insert(k, k), model.insert(k), "lazy={lazy} insert {k}"),
-                1 => assert_eq!(h.remove(&k), model.remove(&k), "lazy={lazy} remove {k}"),
-                _ => assert_eq!(h.contains(&k), model.contains(&k), "lazy={lazy} contains {k}"),
-            }
-        }
-        let ctx = ThreadCtx::plain(1);
-        let want: Vec<u64> = model.into_iter().collect();
-        assert_eq!(map.shared().keys(&ctx), want, "lazy={lazy}");
-        map.shared().check_invariants().unwrap();
-    }
-}
-
-#[test]
 fn sparse_local_structures_are_smaller() {
     // The paper's claim for sparse skip graphs: "only elements that reach
     // the top level are added to the local structures. Therefore, sparse

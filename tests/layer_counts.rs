@@ -626,6 +626,32 @@ fn sparse_towers_spend_half_the_fixed_layout_bytes_per_node() {
     );
 }
 
+#[test]
+fn sparse_towers_quarter_the_local_entries() {
+    // The paper: "only elements that reach the top level are added to the
+    // local structures. Therefore, sparse skip graphs also cause the local
+    // structures to become more sparse." Eight slots give MaxLevel 2, so a
+    // sparse tower reaches the top with probability 1/4.
+    const KEYS: u64 = 4096;
+    let local_len = |sparse: bool| {
+        let map: LayeredMap<u64, u64> =
+            LayeredMap::new(GraphConfig::new(8).sparse(sparse).chunk_capacity(CHUNK));
+        let mut h = map.register(ThreadCtx::plain(0));
+        for k in 0..KEYS {
+            assert!(h.insert(k, k));
+        }
+        h.local_len()
+    };
+    let (dense, sparse) = (local_len(false), local_len(true));
+    println!("local entries after {KEYS} ascending inserts: dense {dense}, sparse {sparse}");
+    assert_eq!(dense, KEYS as usize, "a dense handle maps every key it inserted");
+    // Slot 0's seeded height RNG gives exactly this count (the older run
+    // in `results/local_structures.csv` reads 1 005).
+    assert_eq!(sparse, 1068);
+    let quarter = KEYS as f64 / 4.0;
+    assert!((sparse as f64 - quarter).abs() <= 0.1 * quarter);
+}
+
 const REPLICA_KEYS: u64 = 20_000;
 
 type Replicated = ReplicatedLayeredMap<u64, u64>;
