@@ -136,7 +136,7 @@
 //! against an unfrozen word proves coverage).
 
 use super::{NodePtr, NodeRef, PinGuard, SearchResult, SkipGraph};
-use crate::local::{BTreeLocalMap, LocalMap};
+use crate::local::BTreeLocalMap;
 use crate::node::Node;
 use crate::params::GraphConfig;
 use crate::prefetch::prefetch_read;

@@ -36,12 +36,12 @@
 //! assert!(!h.contains(&7));
 //! ```
 
-use crate::batch::{BatchConfig, BatchExecutor, BatchOp, BatchOutcome, CombinerTarget};
 use crate::graph::{NodePtr, NodeRef, RangeIter, SkipGraph};
 use crate::index::{hash_key, IndexRead};
-use crate::local::{BTreeLocalMap, LocalMap, RobinHoodMap};
+use crate::local::{BTreeLocalMap, RobinHoodMap};
 use crate::node::Node;
 use crate::params::GraphConfig;
+use crate::replicate::Update;
 use crate::sparse_height;
 use instrument::ThreadCtx;
 use rand::rngs::SmallRng;
@@ -55,10 +55,6 @@ use std::ptr::NonNull;
 /// NUMA-partitioned skip graph.
 pub struct LayeredMap<K, V> {
     shared: SkipGraph<K, V>,
-    /// Present when the map was built with [`LayeredMap::with_batching`]:
-    /// the per-socket flat-combining executor that [`CombiningHandle`]s
-    /// publish to.
-    batch: Option<BatchExecutor<K, V>>,
 }
 
 impl<K: Ord, V> LayeredMap<K, V> {
@@ -72,26 +68,7 @@ impl<K: Ord, V> LayeredMap<K, V> {
     {
         Self {
             shared: SkipGraph::new_hashed(config),
-            batch: None,
         }
-    }
-
-    /// Builds the map with the NUMA-local flat-combining executor attached
-    /// (`batch.threads()` must equal `config.num_threads`). Threads opt
-    /// into combining per handle via [`LayeredMap::register_combining`];
-    /// plain [`LayeredMap::register`] handles keep operating directly.
-    pub fn with_batching(config: GraphConfig, batch: BatchConfig) -> Self
-    where
-        K: Hash,
-    {
-        assert_eq!(
-            batch.threads(),
-            config.num_threads,
-            "batch config must cover exactly the registered threads"
-        );
-        let mut map = Self::new(config);
-        map.batch = Some(BatchExecutor::new(&batch));
-        map
     }
 
     /// The underlying shared structure.
@@ -184,27 +161,6 @@ impl<K: Ord, V> LayeredMap<K, V> {
             tombstones: Vec::new(),
             rng: SmallRng::seed_from_u64(seed),
             ctx,
-        }
-    }
-
-    /// Registers the calling thread for *combined* execution: the returned
-    /// handle publishes every shared-structure operation to its socket's
-    /// flat-combining slot bank instead of executing it directly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the map was built without [`LayeredMap::with_batching`].
-    pub fn register_combining(&self, ctx: ThreadCtx) -> CombiningHandle<'_, K, V>
-    where
-        K: Hash + Clone,
-    {
-        let exec = self
-            .batch
-            .as_ref()
-            .expect("register_combining requires LayeredMap::with_batching");
-        CombiningHandle {
-            inner: self.register(ctx),
-            exec,
         }
     }
 }
@@ -660,8 +616,8 @@ where
         self.insert_hashed(key, value, hash, None)
     }
 
-    /// The one insert body, behind [`Self::insert`], [`Self::extend`], a
-    /// combined run and a replica's replay: `hash` is the key's
+    /// The one insert body, behind [`Self::insert`], [`Self::extend`] and
+    /// a replica's replay ([`Self::apply`]): `hash` is the key's
     /// [`Self::key_hash`] (a replay's [`hash_key`]) and `warm` an optional
     /// warm start ([`Self::start_for`]). The caller has recorded the
     /// operation and holds a pin.
@@ -775,8 +731,8 @@ where
         self.remove_hashed(key, hash, None)
     }
 
-    /// The one remove body (Alg. 11–13), behind [`Self::remove`], a
-    /// combined run and a replica's replay; `hash` and `warm` as for
+    /// The one remove body (Alg. 11–13), behind [`Self::remove`] and a
+    /// replica's replay ([`Self::apply`]); `hash` and `warm` as for
     /// [`Self::insert_hashed`].
     fn remove_hashed(&mut self, key: &K, hash: u64, warm: Option<&(K, u64)>) -> bool {
         if let Some(outcome) = self.hash_layer(key, hash, Self::remove_on) {
@@ -860,7 +816,7 @@ where
     pub(crate) fn contains_hashed(&mut self, key: &K, hash: u64) -> bool {
         self.ctx.record_op();
         let _pin = self.map.shared.pin(&self.ctx);
-        self.read_hashed(key, hash, None, |value| value.is_some())
+        self.read_hashed(key, hash, |value| value.is_some())
     }
 
     /// Returns a clone of the value mapped to `key`, if present.
@@ -879,26 +835,20 @@ where
     {
         self.ctx.record_op();
         let _pin = self.map.shared.pin(&self.ctx);
-        self.read_hashed(key, hash, None, |value| value.cloned())
+        self.read_hashed(key, hash, |value| value.cloned())
     }
 
     /// The one point read (Alg. 6/7), behind [`Self::get`],
-    /// [`Self::contains`], a combined run and a replica's reads: the hash
-    /// layer, else a search from the local start. `answer` maps the key's
-    /// value, or `None` when the key is absent, to the result; `hash` and
-    /// `warm` as for [`Self::insert_hashed`]. The caller's pin keeps every
-    /// node read here dereferenceable.
-    fn read_hashed<T>(
-        &mut self,
-        key: &K,
-        hash: u64,
-        warm: Option<&(K, u64)>,
-        answer: impl FnOnce(Option<&'m V>) -> T,
-    ) -> T {
+    /// [`Self::contains`] and a replica's reads: the hash layer, else a
+    /// search from the local start. `answer` maps the key's value, or
+    /// `None` when the key is absent, to the result; `hash` as for
+    /// [`Self::insert_hashed`]. The caller's pin keeps every node read here
+    /// dereferenceable.
+    fn read_hashed<T>(&mut self, key: &K, hash: u64, answer: impl FnOnce(Option<&'m V>) -> T) -> T {
         if let Some(value) = self.hashed_read(key, hash) {
             return answer(value);
         }
-        let start = match self.start_for(key, hash, 0, warm, Self::read_on) {
+        let start = match self.start_for(key, hash, 0, None, Self::read_on) {
             Break(value) => return answer(value),
             Continue(start) => start,
         };
@@ -1000,147 +950,19 @@ where
         inserted
     }
 
-    /// [`CombinerTarget::combined_run`] with one optional warm key per work
-    /// item — a replay into another socket's replica passes each
-    /// operation's home local predecessor and its hash
-    /// ([`Self::warm_start`]). Each operation runs the handle's own body
-    /// under its own pin, with the hash stored beside it: the submitter or
-    /// the appender recorded it as an operation and hashed its key.
-    pub(crate) fn combined_run_warm(
-        &mut self,
-        work: impl IntoIterator<Item = ((usize, usize, u64, BatchOp<K, V>), Option<(K, u64)>)>,
-        out: &mut dyn FnMut(usize, usize, BatchOutcome<K, V>),
-    ) where
-        V: Clone,
-    {
-        let map = self.map;
-        for ((si, oi, hash, op), warm) in work {
-            let warm = warm.as_ref();
-            let pin = map.shared.pin(&self.ctx);
-            let outcome = match op {
-                BatchOp::Insert(k, v) => BatchOutcome::Inserted {
-                    fresh: self.insert_hashed(k, v, hash, warm),
-                },
-                BatchOp::Remove(k) => BatchOutcome::Removed {
-                    removed: self.remove_hashed(&k, hash, warm),
-                },
-                BatchOp::Get(k) => {
-                    BatchOutcome::Got(self.read_hashed(&k, hash, warm, |v| v.cloned()))
-                }
-            };
-            drop(pin);
-            out(si, oi, outcome);
+    /// Applies one logged update to this replica's handle — a replica
+    /// drain's one call per operation — and returns its set-semantics
+    /// outcome. The update runs the handle's own insert or remove body
+    /// under its own pin, with the hash stored beside it in the log (the
+    /// appender recorded the operation and hashed its key) and, for a
+    /// replay into another socket's replica, the operation's warm key
+    /// ([`Self::warm_start`]).
+    pub(crate) fn apply(&mut self, op: Update<K, V>, hash: u64, warm: Option<&(K, u64)>) -> bool {
+        let _pin = self.map.shared.pin(&self.ctx);
+        match op {
+            Update::Insert(k, v) => self.insert_hashed(k, v, hash, warm),
+            Update::Remove(k) => self.remove_hashed(&k, hash, warm),
         }
-    }
-}
-
-impl<K, V> CombinerTarget<K, V> for LayeredHandle<'_, K, V>
-where
-    K: Ord + Hash + Clone,
-    V: Clone,
-{
-    fn ctx(&self) -> &ThreadCtx {
-        &self.ctx
-    }
-
-    /// Each operation through the handle's own body, with no warm start.
-    fn combined_run(
-        &mut self,
-        work: Vec<(usize, usize, u64, BatchOp<K, V>)>,
-        out: &mut dyn FnMut(usize, usize, BatchOutcome<K, V>),
-    ) {
-        self.combined_run_warm(work.into_iter().map(|item| (item, None)), out);
-    }
-}
-
-/// A per-thread handle that routes every shared-structure operation
-/// through the map's NUMA-local flat-combining executor (built with
-/// [`LayeredMap::with_batching`]). Single-key calls are one-element
-/// batches; [`CombiningHandle::execute_batch`] publishes many operations
-/// at once, which is where combining pays off.
-///
-/// The combiner runs each operation through its own handle's insert,
-/// remove or read body, so it keeps its own local structures exactly as a
-/// direct call does (indexing what it links, tombstoning what it removes
-/// non-lazily). A batch another thread combined leaves the submitter's
-/// local structures untouched: they are hints, and one that went stale
-/// cleans itself on the submitter's next walk past it.
-pub struct CombiningHandle<'m, K, V> {
-    inner: LayeredHandle<'m, K, V>,
-    exec: &'m BatchExecutor<K, V>,
-}
-
-impl<'m, K, V> CombiningHandle<'m, K, V>
-where
-    K: Ord + Hash + Clone,
-    V: Clone,
-{
-    /// The recording context of this thread.
-    pub fn ctx(&self) -> &ThreadCtx {
-        &self.inner.ctx
-    }
-
-    /// The wrapped direct handle (operations through it bypass the
-    /// combiner; local structures are shared with combined execution).
-    pub fn direct(&mut self) -> &mut LayeredHandle<'m, K, V> {
-        &mut self.inner
-    }
-
-    /// Publishes `ops` to this thread's slot, waits for (or performs) the
-    /// combined execution, and returns the outcomes in submission order.
-    ///
-    /// Each key is hashed here, once: the combiner executes the operation
-    /// under the hash it finds beside it in the slot.
-    pub fn execute_batch(&mut self, ops: Vec<BatchOp<K, V>>) -> Vec<BatchOutcome<K, V>> {
-        let hashed = ops
-            .into_iter()
-            .map(|op| {
-                self.inner.ctx.record_op();
-                (self.inner.key_hash(op.key()), op)
-            })
-            .collect();
-        self.exec.submit_hashed(&mut self.inner, hashed)
-    }
-
-    /// Inserts `key -> value` through the combiner. Returns `false` if the
-    /// key was present.
-    pub fn insert(&mut self, key: K, value: V) -> bool {
-        match self.execute_batch(vec![BatchOp::Insert(key, value)]).pop() {
-            Some(BatchOutcome::Inserted { fresh, .. }) => fresh,
-            _ => unreachable!("insert answered with a non-insert outcome"),
-        }
-    }
-
-    /// Removes `key` through the combiner. Returns whether it was present.
-    pub fn remove(&mut self, key: &K) -> bool {
-        match self
-            .execute_batch(vec![BatchOp::Remove(key.clone())])
-            .pop()
-        {
-            Some(BatchOutcome::Removed { removed, .. }) => removed,
-            _ => unreachable!("remove answered with a non-remove outcome"),
-        }
-    }
-
-    /// Whether `key` is present (combined lookup).
-    pub fn contains(&mut self, key: &K) -> bool {
-        self.get(key).is_some()
-    }
-
-    /// A clone of the value mapped to `key`, if present (combined lookup).
-    pub fn get(&mut self, key: &K) -> Option<V> {
-        match self.execute_batch(vec![BatchOp::Get(key.clone())]).pop() {
-            Some(BatchOutcome::Got(v)) => v,
-            _ => unreachable!("get answered with a non-get outcome"),
-        }
-    }
-}
-
-impl<'m, K, V> std::fmt::Debug for CombiningHandle<'m, K, V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CombiningHandle")
-            .field("thread", &self.inner.ctx.id())
-            .finish()
     }
 }
 

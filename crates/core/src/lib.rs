@@ -32,12 +32,10 @@
 //!
 //! Four map types, each operated through one per-thread handle: the bare
 //! [`SkipGraph`] (its [`SkipGraphHandle`]), the paper's [`LayeredMap`]
-//! ([`LayeredHandle`]; a map built by [`LayeredMap::with_batching`] also
-//! hands out [`CombiningHandle`]s, which route operations through the
-//! NUMA-local flat-combining [`batch`] executor), the blocked
-//! [`BlockedSkipMap`] ([`BlockedHandle`]) and the per-socket
-//! [`ReplicatedLayeredMap`] ([`ReplicatedHandle`]). Each implements
-//! [`ConcurrentMap`].
+//! ([`LayeredHandle`]), the blocked [`BlockedSkipMap`] ([`BlockedHandle`])
+//! and the per-socket [`ReplicatedLayeredMap`] ([`ReplicatedHandle`],
+//! whose replicas replay a log of updates through their layered handles).
+//! Each implements [`ConcurrentMap`].
 //!
 //! # Quick start
 //!
@@ -60,7 +58,6 @@
 //! });
 //! ```
 
-pub mod batch;
 #[cfg(feature = "deterministic")]
 pub mod det;
 mod graph;
@@ -78,12 +75,11 @@ pub mod sync;
 
 pub mod local;
 
-pub use batch::{BatchConfig, BatchOp, BatchOutcome};
 pub use graph::{
     BlockPolicy, BlockedHandle, BlockedRangeIter, BlockedSkipMap, BlockedStats, MemoryStats,
     NodeRef, RangeIter, SkipGraph, MAX_BLOCK_CAP, MIN_BLOCK_CAP,
 };
-pub use layered::{CombiningHandle, LayeredHandle, LayeredMap, ReadOnlyView};
+pub use layered::{LayeredHandle, LayeredMap, ReadOnlyView};
 pub use map_api::{ConcurrentMap, MapHandle, SkipGraphHandle};
 pub use mvec::{default_max_level, MembershipStrategy};
 pub use params::{GraphConfig, DEFAULT_COMMISSION_FACTOR};

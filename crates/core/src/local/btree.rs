@@ -46,7 +46,6 @@
 //! `std::collections::BTreeMap` takes 38.9 B for the same entries. A
 //! one-entry map reserves 544 B (std: 280 B).
 
-use super::LocalMap;
 use crate::prefetch::prefetch_read;
 use std::fmt;
 
@@ -314,12 +313,14 @@ impl<T> Slab<T> {
 /// root, the node and the child taken.
 type Path = [(u32, usize); MAX_INNER_LEVELS];
 
-/// A [`LocalMap`] over an in-crate B+tree (see the module docs).
+/// The ordered local map: keys to opaque shared-node references `R`
+/// ([`crate::NodeRef`] in practice; `Copy`, so the map never hands out
+/// interior mutability), over an in-crate B+tree (see the module docs).
 ///
 /// # Example
 ///
 /// ```
-/// use skipgraph::local::{BTreeLocalMap, LocalMap};
+/// use skipgraph::local::BTreeLocalMap;
 ///
 /// let mut m: BTreeLocalMap<u64, u32> = BTreeLocalMap::default();
 /// m.insert(10, 1);
@@ -534,8 +535,9 @@ impl<K: Ord + Clone, R: Copy> BTreeLocalMap<K, R> {
     }
 }
 
-impl<K: Ord + Clone, R: Copy> LocalMap<K, R> for BTreeLocalMap<K, R> {
-    fn insert(&mut self, key: K, node: R) {
+impl<K: Ord + Clone, R: Copy> BTreeLocalMap<K, R> {
+    /// Inserts or replaces the mapping for `key`.
+    pub fn insert(&mut self, key: K, node: R) {
         if self.root == NIL {
             self.root = self.leaves.alloc(Leaf::single(key, node));
             self.len = 1;
@@ -572,7 +574,8 @@ impl<K: Ord + Clone, R: Copy> LocalMap<K, R> for BTreeLocalMap<K, R> {
         self.insert_up(&path, sep, right);
     }
 
-    fn remove(&mut self, key: &K) -> bool {
+    /// Removes the mapping for `key`; returns whether it was present.
+    pub fn remove(&mut self, key: &K) -> bool {
         if self.root == NIL {
             return false;
         }
@@ -602,7 +605,8 @@ impl<K: Ord + Clone, R: Copy> LocalMap<K, R> for BTreeLocalMap<K, R> {
         true
     }
 
-    fn get(&self, key: &K) -> Option<R> {
+    /// The mapping for `key`, if any.
+    pub fn get(&self, key: &K) -> Option<R> {
         if self.root == NIL {
             return None;
         }
@@ -611,7 +615,9 @@ impl<K: Ord + Clone, R: Copy> LocalMap<K, R> for BTreeLocalMap<K, R> {
         (i < leaf.len() && leaf.keys[i] == *key).then(|| leaf.refs[i])
     }
 
-    fn max_lower_equal(&self, key: &K) -> Option<(&K, R)> {
+    /// The mapping with the greatest key `<= key` (the paper's
+    /// `getMaxLowerEqual`).
+    pub fn max_lower_equal(&self, key: &K) -> Option<(&K, R)> {
         if self.root == NIL {
             return None;
         }
@@ -619,7 +625,8 @@ impl<K: Ord + Clone, R: Copy> LocalMap<K, R> for BTreeLocalMap<K, R> {
         self.entry_before(leaf, leaf.upper_bound(key))
     }
 
-    fn pred(&self, key: &K) -> Option<(&K, R)> {
+    /// The mapping with the greatest key `< key` (one backward step).
+    pub fn pred(&self, key: &K) -> Option<(&K, R)> {
         if self.root == NIL {
             return None;
         }
@@ -627,11 +634,18 @@ impl<K: Ord + Clone, R: Copy> LocalMap<K, R> for BTreeLocalMap<K, R> {
         self.entry_before(leaf, leaf.lower_bound(key))
     }
 
-    fn len(&self) -> usize {
+    /// Number of mappings.
+    pub fn len(&self) -> usize {
         self.len
     }
 
-    fn clear(&mut self) {
+    /// Whether the map is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Removes every mapping.
+    pub fn clear(&mut self) {
         *self = Self::default();
     }
 }

@@ -6,20 +6,17 @@
 //! structures, in practice, are implemented with two complementary,
 //! sequential data structures"). Here:
 //!
-//! * [`LocalMap`] is the interface of the ordered structure: predecessor
-//!   queries (`getMaxLowerEqual`) and backward traversal, as required by
-//!   `getStart` (Alg. 4) and `updateStart` (Alg. 9). It is
-//!   [`BTreeLocalMap`]'s interface, not an extension point: every handle
-//!   holds a [`BTreeLocalMap`];
 //! * [`BTreeLocalMap`] is the ordered structure, in place of the paper's
 //!   `std::map`: an in-crate B+tree whose leaves hold 16 keys in one array
 //!   and their references in another, 64-byte aligned and linked both ways,
 //!   under inner nodes of 32 separators with `u32` child indices; nodes
 //!   live in two slabs of chunks that never move. A leaf is freed when it
 //!   empties and merges into its left sibling when under a quarter full and
-//!   the two fit in three quarters of a leaf. With `u64` keys and 16-byte
-//!   references it takes 42–44 B per entry at 2^18–2^20 entries, about
-//!   10 % more than `std::collections::BTreeMap` (38.9 B);
+//!   the two fit in three quarters of a leaf. It answers predecessor
+//!   queries (`getMaxLowerEqual`) and steps backward, as `getStart`
+//!   (Alg. 4) and `updateStart` (Alg. 9) require. With `u64` keys and
+//!   16-byte references it takes 42–44 B per entry at 2^18–2^20 entries,
+//!   about 10 % more than `std::collections::BTreeMap` (38.9 B);
 //! * [`RobinHoodMap`] is the hash table consulted before the slower ordered
 //!   map (a reimplementation of the robin-hood open-addressing scheme the
 //!   paper takes from `martinus/robin-hood-hashing`).
@@ -32,43 +29,9 @@
 mod btree;
 mod robinhood;
 
+pub use crate::shims::LocalMap;
 pub use btree::BTreeLocalMap;
 pub use robinhood::RobinHoodMap;
-
-/// A sequential ordered map from keys to opaque shared-node references,
-/// supporting the backward navigation the layered algorithms need: the
-/// interface of [`BTreeLocalMap`], its one implementation.
-///
-/// `R` is the reference type stored ([`crate::NodeRef`] in practice); it is
-/// `Copy` so implementations never hand out interior mutability.
-pub trait LocalMap<K: Ord, R: Copy>: Default {
-    /// Inserts or replaces the mapping for `key`.
-    fn insert(&mut self, key: K, node: R);
-
-    /// Removes the mapping for `key`; returns whether it was present.
-    fn remove(&mut self, key: &K) -> bool;
-
-    /// The mapping for `key`, if any.
-    fn get(&self, key: &K) -> Option<R>;
-
-    /// The mapping with the greatest key `<= key` (the paper's
-    /// `getMaxLowerEqual`).
-    fn max_lower_equal(&self, key: &K) -> Option<(&K, R)>;
-
-    /// The mapping with the greatest key `< key` (one backward step).
-    fn pred(&self, key: &K) -> Option<(&K, R)>;
-
-    /// Number of mappings.
-    fn len(&self) -> usize;
-
-    /// Whether the map is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Removes every mapping.
-    fn clear(&mut self);
-}
 
 #[cfg(test)]
 mod tests {

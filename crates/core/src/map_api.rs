@@ -2,13 +2,9 @@
 //! baselines, and the benchmark harness.
 //!
 //! Each map type implements [`ConcurrentMap`] once, with its one handle.
-//! A combining [`LayeredMap`] has no map type of its own: it is built by
-//! [`LayeredMap::with_batching`] and operated through the
-//! [`CombiningHandle`]s of [`LayeredMap::register_combining`], which
-//! implement [`MapHandle`].
 
 use crate::graph::SkipGraph;
-use crate::layered::{CombiningHandle, LayeredHandle, LayeredMap};
+use crate::layered::{LayeredHandle, LayeredMap};
 use crate::sparse_height;
 use instrument::ThreadCtx;
 use rand::rngs::SmallRng;
@@ -75,25 +71,6 @@ where
     }
     fn ctx(&self) -> &ThreadCtx {
         LayeredHandle::ctx(self)
-    }
-}
-
-impl<'m, K, V> MapHandle<K, V> for CombiningHandle<'m, K, V>
-where
-    K: Ord + Hash + Clone,
-    V: Clone,
-{
-    fn insert(&mut self, key: K, value: V) -> bool {
-        CombiningHandle::insert(self, key, value)
-    }
-    fn remove(&mut self, key: &K) -> bool {
-        CombiningHandle::remove(self, key)
-    }
-    fn contains(&mut self, key: &K) -> bool {
-        CombiningHandle::contains(self, key)
-    }
-    fn ctx(&self) -> &ThreadCtx {
-        CombiningHandle::ctx(self)
     }
 }
 

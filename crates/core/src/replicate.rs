@@ -18,12 +18,11 @@
 //! * **Writes** append to a bounded MPSC *operation log* and return once
 //!   the writer's home replica has applied the op (read-your-writes). Any
 //!   thread may *replay* any replica: it wins the per-(replica, log)
-//!   replay lease, drains the pending suffix `[tail, head)`, and executes
-//!   it in log order as one `combined_run_warm` of the replica's layered
-//!   handle per drain — the call behind the flat combiner's
-//!   `combined_run`, which runs each operation through the handle's own
-//!   insert or remove body, as node-replication replays a logged
-//!   operation through the dispatch a local call uses.
+//!   replay lease, drains the pending suffix `[tail, head)`, and applies
+//!   it in log order, one call of the replica's layered handle per
+//!   operation, which runs the handle's own insert or remove body — as
+//!   node-replication replays a logged write operation through the
+//!   dispatch a local call uses. The log carries updates only.
 //!   Every logged operation executes, in log order, so every replica
 //!   applies an identical per-key history; set-semantics *outcomes*
 //!   depend only on that history, so replicas always agree on the key set
@@ -36,15 +35,15 @@
 //!   successful insert of that key supplied.
 //! * **Warm starts in another socket's replica**: there the replaying
 //!   handle's local map holds only what it replayed there before, so a
-//!   drain into a replica other than the caller's hands
-//!   `combined_run_warm` each operation's *warm key* — the greatest key
-//!   below it in the caller's home handle's local map, hashed once. An
-//!   insert or remove that searches starts at that key's node when the
-//!   target replica's index finds it, it is a usable start further along
-//!   than the one `getStart` found, and it carries the searcher's
-//!   membership vector (every node does at `MaxLevel` 0; above it another
-//!   thread's node is rejected, as a local start would be). The same
-//!   drain into the caller's own replica passes no warm keys.
+//!   drain into a replica other than the caller's hands each operation
+//!   its *warm key* — the greatest key below it in the caller's home
+//!   handle's local map, hashed once. An insert or remove that searches
+//!   starts at that key's node when the target replica's index finds it,
+//!   it is a usable start further along than the one `getStart` found,
+//!   and it carries the searcher's membership vector (every node does at
+//!   `MaxLevel` 0; above it another thread's node is rejected, as a local
+//!   start would be). The same drain into the caller's own replica passes
+//!   no warm keys.
 //! * **Multi-log partitioning**: keys are hashed onto `logs` independent
 //!   logs by their membership-vector list family
 //!   ([`crate::mvec::list_suffix`] of the key hash at level `log2 logs`) —
@@ -78,7 +77,6 @@
 //! structure itself; the `replicated_sg` stress lanes run PCT and
 //! round-robin schedules over exactly this protocol.
 
-use crate::batch::{BatchOp, BatchOutcome};
 use crate::index::hash_key;
 use crate::layered::{LayeredHandle, LayeredMap};
 use crate::mvec::list_suffix;
@@ -89,7 +87,7 @@ use std::cell::UnsafeCell;
 use std::hash::Hash;
 
 /// The one wait step of every loop in this module: spin briefly for the
-/// fast handoff, then yield the OS thread (as the combiner's waiters do).
+/// fast handoff, then yield the OS thread.
 /// Whoever is waited on — a lease holder mid-drain, a claimer between its
 /// claim and its stamp, a writer about to consume its result — may be
 /// descheduled, and on oversubscribed cores a busy-waiter steals the very
@@ -115,10 +113,10 @@ pub struct ReplicaConfig {
 }
 
 impl ReplicaConfig {
-    /// `threads` split into `sockets` contiguous blocks (synthetic
-    /// topology, same shape as [`crate::batch::BatchConfig::uniform`] but *without* the
-    /// socket clamp: a replica may own no threads at all — backpressure
-    /// help keeps it within `max_lag` of the log head anyway).
+    /// `threads` split into `sockets` contiguous blocks (a synthetic
+    /// topology). There is no clamp to the thread count: a replica may own
+    /// no threads at all — backpressure help keeps it within `max_lag` of
+    /// the log head anyway.
     pub fn uniform(threads: usize, sockets: usize) -> Self {
         assert!(threads > 0 && sockets > 0);
         Self {
@@ -174,6 +172,25 @@ impl ReplicaConfig {
     }
 }
 
+/// A logged write operation (node-replication's `WriteOperation`): reads
+/// never enter the log.
+#[derive(Clone)]
+pub(crate) enum Update<K, V> {
+    /// Set-semantics insert: fails on a present key.
+    Insert(K, V),
+    /// Set-semantics remove: fails on an absent key.
+    Remove(K),
+}
+
+impl<K, V> Update<K, V> {
+    /// The operation's target key.
+    fn key(&self) -> &K {
+        match self {
+            Update::Insert(k, _) | Update::Remove(k) => k,
+        }
+    }
+}
+
 /// What an appender deposits in a log slot.
 struct Pending<K, V> {
     /// The appender's socket: the applier replaying *that* replica
@@ -182,7 +199,7 @@ struct Pending<K, V> {
     /// The key's [`hash_key`], computed once by the appender: it chose
     /// the log, and every replica's replay executes the operation under it.
     hash: u64,
-    op: BatchOp<K, V>,
+    op: Update<K, V>,
 }
 
 /// One bounded-log slot. Three phases, each handed off through a facade
@@ -400,13 +417,13 @@ where
     /// Set-semantics insert through the operation log; returns once the
     /// home replica has applied it (read-your-writes).
     pub fn insert(&mut self, key: K, value: V) -> bool {
-        self.update(BatchOp::Insert(key, value))
+        self.update(Update::Insert(key, value))
     }
 
     /// Set-semantics remove through the operation log; returns once the
     /// home replica has applied it.
     pub fn remove(&mut self, key: &K) -> bool {
-        self.update(BatchOp::Remove(key.clone()))
+        self.update(Update::Remove(key.clone()))
     }
 
     /// Membership test served by the socket-local replica once its tail
@@ -450,7 +467,7 @@ where
     /// thread's socket replica applied it (read-your-writes); returns the
     /// operation's set-semantics outcome. The key is hashed here, once for
     /// every replica.
-    fn update(&mut self, op: BatchOp<K, V>) -> bool {
+    fn update(&mut self, op: Update<K, V>) -> bool {
         let map = self.map;
         let hash = hash_key(op.key());
         let li = map.log_of(hash);
@@ -556,10 +573,12 @@ where
         log.leases[replica].0.store(0);
     }
 
-    /// Drains `[tail, head)` of log `li` into `replica` in log order — one
-    /// `combined_run_warm` of the replica's handle, each operation through
-    /// the handle's own body — publishing outcomes for ops homed here. The
-    /// caller holds the (replica, log) replay lease.
+    /// Drains `[tail, head)` of log `li` into `replica` in log order — each
+    /// operation through the replica handle's own body
+    /// ([`LayeredHandle::apply`]) — publishing the outcome of each op homed
+    /// here right after it runs. The whole suffix is collected before the
+    /// first operation runs. The caller holds the (replica, log) replay
+    /// lease.
     ///
     /// A drain into another socket's replica finds this handle's local map
     /// there holding only what it replayed there before, so each operation
@@ -575,7 +594,7 @@ where
         }
         let home = &self.handles[self.socket];
         let foreign = replica != self.socket;
-        let mut batch = Vec::with_capacity(head - tail);
+        let mut suffix = Vec::with_capacity(head - tail);
         for pos in tail..head {
             let slot = &log.slots[pos & log.mask];
             // The claimer stamps seq right after writing the op; between
@@ -601,19 +620,15 @@ where
                     let hash = hash_key(&k);
                     (k, hash)
                 });
-            batch.push(((pos, p.home, p.hash, p.op.clone()), warm));
+            suffix.push((pos, p.home, p.hash, p.op.clone(), warm));
         }
-        let count = batch.len() as u64;
-        let mut publish_result = |pos: usize, home: usize, out: BatchOutcome<K, V>| {
+        let count = suffix.len() as u64;
+        let handle = &mut self.handles[replica];
+        for (pos, home, hash, op, warm) in suffix {
+            let ok = handle.apply(op, hash, warm.as_ref());
             if home != replica {
-                return;
+                continue;
             }
-            let ok = match out {
-                BatchOutcome::Inserted { fresh } => fresh,
-                BatchOutcome::Removed { removed } => removed,
-                BatchOutcome::Got(v) => v.is_some(),
-                BatchOutcome::Never(never, _) => match never {},
-            };
             let slot = &log.slots[pos & log.mask];
             // The previous occupant's outcome (one wrap back) must be
             // consumed before this one lands. That writer is never *us*: a
@@ -627,8 +642,7 @@ where
                 backoff(&mut spins);
             }
             slot.result.store(((pos + 1) << 1) | ok as usize);
-        };
-        self.handles[replica].combined_run_warm(batch, &mut publish_result);
+        }
         log.tails[replica].0.store(head);
         self.ctx().record_replay_batch(count);
     }

@@ -243,10 +243,10 @@ impl<T> fmt::Debug for TaggedAtomic<T> {
 /// A plain atomic word routed through the execution facade: every access
 /// is a yield point of the deterministic scheduler, exactly like
 /// [`TaggedAtomic`]. Used for coordination words that are not tagged node
-/// pointers — the batch executor's publication-slot states and per-socket
-/// combiner leases — so the `deterministic` stress runner can interleave
-/// (and replay) combined executions at the same granularity as the data
-/// structure itself.
+/// pointers — epoch words, hash-index slots, the replica logs' heads,
+/// tails, replay leases and slot stamps — so the `deterministic` stress
+/// runner interleaves (and replays) them at the same granularity as the
+/// data structure itself.
 #[derive(Debug)]
 pub(crate) struct FacadeAtomicUsize {
     cell: AtomicUsize,

@@ -429,3 +429,114 @@ fn a_read_that_searched_republishes_the_entry() {
         }
     }
 }
+
+/// `bulk_load` inserts through thread slot 0, so every loaded node lands
+/// in slot 0's arena; `rebuild` goes through
+/// the same path and re-compacts mutations from other slots back into
+/// slot 0 (documented on both constructors).
+#[test]
+fn bulk_load_and_rebuild_land_in_slot_zero_arena() {
+    let n = 200u64;
+    let map: LayeredMap<u64, u64> =
+        LayeredMap::bulk_load(GraphConfig::new(4).chunk_capacity(64), (0..n).map(|k| (k, k + 1)));
+    let sizes = map.shared().arena_sizes();
+    assert_eq!(sizes[0] as u64, n, "bulk-loaded nodes must come from slot 0's arena");
+    assert!(sizes[1..].iter().all(|&s| s == 0), "non-zero foreign arena: {sizes:?}");
+    map.shared().check_invariants().unwrap();
+
+    // Mutate from a different thread slot: removals plus fresh keys that
+    // allocate from slot 1's arena.
+    {
+        let mut h = map.register(ThreadCtx::plain(1));
+        for k in 0..50u64 {
+            assert!(h.remove(&k));
+        }
+        for k in n..n + 25 {
+            assert!(h.insert(k, k + 1));
+        }
+    }
+    assert!(map.shared().arena_sizes()[1] > 0, "slot 1 inserts must use slot 1's arena");
+
+    let live = (n - 50 + 25) as usize;
+    let rebuilt = map.rebuild();
+    let sizes = rebuilt.shared().arena_sizes();
+    assert_eq!(sizes[0], live, "rebuild must compact every live node into slot 0");
+    assert!(sizes[1..].iter().all(|&s| s == 0), "rebuild left foreign arenas: {sizes:?}");
+    rebuilt.shared().check_invariants().unwrap();
+
+    let mut h = rebuilt.register(ThreadCtx::plain(0));
+    for k in 0..50u64 {
+        assert!(!h.contains(&k), "removed key {k} survived rebuild");
+    }
+    for k in 50..n + 25 {
+        assert_eq!(h.get(&k), Some(k + 1), "live key {k} lost by rebuild");
+    }
+}
+
+/// EXPERIMENTS C3: non-lazy removals must *tombstone* the removed key's
+/// local-map entry (remapping it to the surviving predecessor) instead of
+/// dropping it, so removal-heavy runs keep their shared-structure entry
+/// points. Subsequent operations must still be exact.
+#[test]
+fn nonlazy_removes_retain_tombstoned_hints() {
+    let map: LayeredMap<u64, u64> = LayeredMap::new(GraphConfig::new(2).chunk_capacity(256));
+    let mut h = map.register(ThreadCtx::plain(0));
+    for k in 0..100u64 {
+        assert!(h.insert(k, k));
+    }
+    for k in 50..100u64 {
+        assert!(h.remove(&k));
+    }
+    assert!(
+        h.local_len() > 50,
+        "tombstoned hints were dropped: local_len = {} (50 live keys)",
+        h.local_len()
+    );
+    for k in 0..50u64 {
+        assert!(h.contains(&k));
+    }
+    for k in 50..100u64 {
+        assert!(!h.contains(&k), "tombstone for {k} must not answer membership");
+    }
+    for k in 50..100u64 {
+        assert!(h.insert(k, k + 1), "reinsert over tombstone failed for {k}");
+    }
+    assert_eq!(h.get(&60), Some(61));
+    map.shared().check_invariants().unwrap();
+}
+
+/// Tombstoned hints are budgeted (64 per handle): the budget caps what a
+/// removal-heavy run retains, and re-inserting or erasing a tombstoned key
+/// frees its share for later removals — with the per-thread hashtable and,
+/// on an indexed map, without it.
+#[test]
+fn tombstone_budget_caps_and_refills() {
+    const BUDGET: usize = 64;
+    for indexed in [false, true] {
+        let map: LayeredMap<u64, u64> =
+            LayeredMap::new(GraphConfig::new(2).hash_index(indexed).chunk_capacity(256));
+        let mut h = map.register(ThreadCtx::plain(0));
+        for k in 0..400u64 {
+            assert!(h.insert(k, k));
+        }
+        for k in 100..300u64 {
+            assert!(h.remove(&k));
+        }
+        assert_eq!(h.local_len(), 200 + BUDGET, "indexed={indexed}: cap");
+        // The first 64 removals hold the tombstones; bring 32 of them
+        // back to life, then remove 100 other keys.
+        for k in 100..132u64 {
+            assert!(h.insert(k, k + 1), "indexed={indexed}: reinsert over tombstone {k}");
+        }
+        assert_eq!(h.local_len(), 232 + BUDGET - 32, "indexed={indexed}: freed");
+        for k in 300..400u64 {
+            assert!(h.remove(&k));
+        }
+        assert_eq!(h.local_len(), 132 + BUDGET, "indexed={indexed}: refilled to the cap");
+        for k in 0..400u64 {
+            let live = k < 132;
+            assert_eq!(h.contains(&k), live, "indexed={indexed}: contains {k}");
+        }
+        map.shared().check_invariants().unwrap();
+    }
+}

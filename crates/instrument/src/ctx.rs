@@ -1,12 +1,11 @@
 //! Per-thread recording context and the shared statistics sink.
 
-use crate::histogram::LogHistogram;
 use crate::matrix::AccessMatrix;
 use cache_sim::{Hierarchy, MissCounts};
 use crossbeam_utils::CachePadded;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Per-thread scalar counters (single-writer; relaxed).
 #[derive(Debug, Default)]
@@ -16,8 +15,6 @@ struct ThreadCounters {
     cas_failures: AtomicU64,
     traversed: AtomicU64,
     searches: AtomicU64,
-    batches: AtomicU64,
-    batched_ops: AtomicU64,
     hinted_searches: AtomicU64,
     hinted_traversed: AtomicU64,
     retired: AtomicU64,
@@ -47,9 +44,11 @@ pub struct ThreadCounterSnapshot {
     pub traversed: u64,
     /// Number of shared-structure searches performed.
     pub searches: u64,
-    /// Combined batches this thread drained as the combiner.
+    /// Always 0: the flat-combining executor was removed and nothing
+    /// records this any more. The field is kept because `benchmark/` still
+    /// names it.
     pub batches: u64,
-    /// Operations executed inside those batches (own + other threads').
+    /// Always 0, as `batches`.
     pub batched_ops: u64,
     /// Searches that started from a hint instead of the head or a
     /// local-map jump — a blocked map's first-block try (subset of
@@ -104,9 +103,6 @@ pub struct AccessStats {
     reads: AccessMatrix,
     cas: AccessMatrix,
     counters: Vec<CachePadded<ThreadCounters>>,
-    /// Batch-size distribution across all combiners (one sample per
-    /// drained batch; updated once per batch, so the lock is cold).
-    batch_sizes: Mutex<LogHistogram>,
 }
 
 impl AccessStats {
@@ -117,7 +113,6 @@ impl AccessStats {
             reads: AccessMatrix::new(threads),
             cas: AccessMatrix::new(threads),
             counters: (0..threads).map(|_| CachePadded::default()).collect(),
-            batch_sizes: Mutex::new(LogHistogram::new()),
         })
     }
 
@@ -140,8 +135,8 @@ impl AccessStats {
             cas_failures: c.cas_failures.load(Ordering::Relaxed),
             traversed: c.traversed.load(Ordering::Relaxed),
             searches: c.searches.load(Ordering::Relaxed),
-            batches: c.batches.load(Ordering::Relaxed),
-            batched_ops: c.batched_ops.load(Ordering::Relaxed),
+            batches: 0,
+            batched_ops: 0,
             hinted_searches: c.hinted_searches.load(Ordering::Relaxed),
             hinted_traversed: c.hinted_traversed.load(Ordering::Relaxed),
             retired: c.retired.load(Ordering::Relaxed),
@@ -159,15 +154,6 @@ impl AccessStats {
         }
     }
 
-    /// A copy of the combined batch-size histogram (one sample per batch a
-    /// combiner drained).
-    pub fn batch_size_histogram(&self) -> LogHistogram {
-        self.batch_sizes
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
-    }
-
     /// Sum of all thread snapshots.
     pub fn totals(&self) -> ThreadCounterSnapshot {
         let mut t = ThreadCounterSnapshot::default();
@@ -178,8 +164,6 @@ impl AccessStats {
             t.cas_failures += s.cas_failures;
             t.traversed += s.traversed;
             t.searches += s.searches;
-            t.batches += s.batches;
-            t.batched_ops += s.batched_ops;
             t.hinted_searches += s.hinted_searches;
             t.hinted_traversed += s.hinted_traversed;
             t.retired += s.retired;
@@ -376,21 +360,6 @@ impl ThreadCtx {
         }
     }
 
-    /// Records one combined batch of `ops` operations drained and executed
-    /// by this thread acting as a socket's combiner.
-    #[inline]
-    pub fn record_batch(&self, ops: u64) {
-        if let Some(s) = &self.stats {
-            let c = &s.counters[self.id as usize];
-            c.batches.fetch_add(1, Ordering::Relaxed);
-            c.batched_ops.fetch_add(ops, Ordering::Relaxed);
-            s.batch_sizes
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .record(ops);
-        }
-    }
-
     /// Records the retirement of one fully-unlinked node onto this
     /// thread's limbo list.
     #[inline]
@@ -513,7 +482,6 @@ mod tests {
         ctx.record_op();
         ctx.record_search(5);
         ctx.record_hinted_search(2);
-        ctx.record_batch(8);
         ctx.record_retire();
         ctx.record_recycle(4);
         ctx.record_epoch_advance();
@@ -549,23 +517,16 @@ mod tests {
     }
 
     #[test]
-    fn combiner_counters_and_batch_histogram() {
+    fn hinted_search_counters() {
         let stats = AccessStats::new(2);
         let ctx = ThreadCtx::recording(0, stats.clone());
-        ctx.record_batch(8);
-        ctx.record_batch(64);
         ctx.record_hinted_search(3);
         ctx.record_hinted_search(5);
         let t = stats.thread(0);
-        assert_eq!(t.batches, 2);
-        assert_eq!(t.batched_ops, 72);
         assert_eq!(t.hinted_searches, 2);
         assert_eq!(t.hinted_traversed, 8);
-        assert_eq!(stats.totals().batched_ops, 72);
-        let h = stats.batch_size_histogram();
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.max(), 64);
-        assert_eq!(h.min(), 8);
+        assert_eq!((t.batches, t.batched_ops), (0, 0));
+        assert_eq!(stats.totals().hinted_traversed, 8);
     }
 
     #[test]

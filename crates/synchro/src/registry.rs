@@ -10,7 +10,6 @@
 //! | `layered_map_ssg` | local maps over a *sparse* skip graph |
 //! | `layered_map_ll` | local maps over a linked list (MaxLevel 0) |
 //! | `layered_map_sl` | local maps over a single skip list (no partitioning) |
-//! | `batched_layered_sg` | lazy layered map behind the NUMA-local flat-combining executor (every handle from `register_combining`) |
 //! | `skipgraph` | the skip graph without layering |
 //! | `blocked_sg` | fat level-0 blocks (B-skiplist blocking) over the skip graph |
 //! | `anchor_blocked_sg` | blocked map under the anchor-granular policy (compacting merges, left-biased splits) |
@@ -39,8 +38,8 @@ use baselines::{
 };
 use numa::{Placement, Topology};
 use skipgraph::{
-    BatchConfig, BlockPolicy, BlockedSkipMap, CombiningHandle, ConcurrentMap, GraphConfig,
-    LayeredMap, ReplicaConfig, ReplicatedLayeredMap, SkipGraph,
+    BlockPolicy, BlockedSkipMap, ConcurrentMap, GraphConfig, LayeredMap, ReplicaConfig,
+    ReplicatedLayeredMap, SkipGraph,
 };
 use std::time::Duration;
 
@@ -52,7 +51,6 @@ pub const STRUCTURES: &[&str] = &[
     "layered_map_ssg",
     "layered_map_ll",
     "layered_map_sl",
-    "batched_layered_sg",
     "skipgraph",
     "blocked_sg",
     "anchor_blocked_sg",
@@ -99,18 +97,6 @@ pub trait Visit {
     fn visit<M: ConcurrentMap<u64, u64>>(self, map: &M) -> Self::Out;
 }
 
-/// A layered map built with batching, whose threads all register for
-/// combined execution.
-struct Combining(LayeredMap<u64, u64>);
-
-impl ConcurrentMap<u64, u64> for Combining {
-    type Handle<'a> = CombiningHandle<'a, u64, u64>;
-
-    fn pin(&self, ctx: instrument::ThreadCtx) -> Self::Handle<'_> {
-        self.0.register_combining(ctx)
-    }
-}
-
 /// Builds the named structure for `threads` threads over the keys
 /// `0..key_space` and hands it to `visit`. Panics on an unknown name (see
 /// [`STRUCTURES`]).
@@ -136,12 +122,6 @@ pub fn with_named<V: Visit>(name: &str, threads: usize, key_space: u64, visit: V
             };
             visit.visit(&LayeredMap::<u64, u64>::new(graph.chunk_capacity(cap)))
         }
-        // Two synthetic sockets so the stress schedules reach the combiner
-        // lease and cross-bank draining.
-        "batched_layered_sg" => visit.visit(&Combining(LayeredMap::with_batching(
-            GraphConfig::new(t).lazy(true).chunk_capacity(cap),
-            BatchConfig::uniform(t, 2),
-        ))),
         "skipgraph" => visit.visit(&SkipGraph::<u64, u64>::new(
             GraphConfig::new(t).chunk_capacity(cap),
         )),

@@ -48,7 +48,6 @@ pub const DET_STRUCTURES: &[&str] = &[
     "layered_map_ssg",
     "layered_map_ll",
     "layered_map_sl",
-    "batched_layered_sg",
     "skipgraph",
     "blocked_sg",
     "anchor_blocked_sg",

@@ -171,41 +171,6 @@ fn trace_replay_reproduces_the_run() {
     assert_eq!(r1, r2, "replay produced different operation results");
 }
 
-/// Deterministic-schedule stress of the flat-combining batch executor:
-/// 4 threads mapped 2 sockets × 2 threads (`batched_layered_sg` builds
-/// `BatchConfig::uniform(4, 2)` in the registry), under both PCT and
-/// round-robin policies. Every per-key history of the combined batches
-/// must linearize — the combiner answering a foreign slot's operation is
-/// just another linearization point for that submitter's op.
-#[test]
-fn batched_executor_pct_and_round_robin_linearize() {
-    let cfg = StressConfig {
-        threads: 4,
-        key_space: 10,
-        ops_per_thread: 25,
-        update_pct: 70,
-        preload: true,
-        seed: 11,
-    };
-    let base = env_seed(500);
-    for s in 0..4u64 {
-        let det = DetConfig::new(
-            base + s,
-            Policy::Pct {
-                change_points: 10,
-                expected_steps: 60_000,
-            },
-        );
-        stress_named_det("batched_layered_sg", &cfg, &det)
-            .unwrap_or_else(|e| panic!("pct seed {}: {e}", base + s));
-    }
-    for quantum in [1u32, 3, 7] {
-        let det = DetConfig::new(base, Policy::RoundRobin { quantum });
-        stress_named_det("batched_layered_sg", &cfg, &det)
-            .unwrap_or_else(|e| panic!("round-robin quantum {quantum}: {e}"));
-    }
-}
-
 /// Deterministic-schedule stress of the shared point-read hash index:
 /// an update-heavy mix over a tiny key space so inserts/removes churn
 /// index entries (publish-after-link vs invalidate racing reads through

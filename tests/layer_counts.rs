@@ -9,8 +9,8 @@
 //!
 //! To keep them exact each test is one driver thread holding one handle
 //! per modelled slot and giving them turns round-robin. Free-running
-//! threads on a small host funnel everyone's combining and replay through
-//! whichever thread holds the CPU, which makes the attribution a property
+//! threads on a small host funnel everyone's replay through whichever
+//! thread holds the CPU, which makes the attribution a property
 //! of the scheduler; a fair interleave is what one pinned thread per
 //! socket provides. Preloads are spread over every slot because a node
 //! joins only its inserter's upper-level lists, RNGs are seeded, and the
@@ -26,8 +26,8 @@ use instrument::{AccessStats, ThreadCtx};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use skipgraph::{
-    BatchConfig, BatchOp, BlockedSkipMap, ConcurrentMap, GraphConfig, LayeredMap,
-    MapHandle, ReplicaConfig, ReplicatedHandle, ReplicatedLayeredMap, SkipGraph,
+    BlockedSkipMap, ConcurrentMap, GraphConfig, LayeredMap, MapHandle, ReplicaConfig,
+    ReplicatedHandle, ReplicatedLayeredMap, SkipGraph,
 };
 use std::cell::Cell;
 use std::hash::{Hash, Hasher};
@@ -498,19 +498,6 @@ fn a_point_operation_hashes_its_key_once() {
         w[1].sync();
     });
 
-    let map = LayeredMap::with_batching(config(), BatchConfig::uniform(SLOTS as usize, 1));
-    let mut h = map.register_combining(ThreadCtx::plain(0));
-    let batch = vec![
-        BatchOp::Insert(k(1), 1),
-        BatchOp::Insert(k(2), 2),
-        BatchOp::Get(k(1)),
-        BatchOp::Remove(k(1)),
-        BatchOp::Insert(k(1), 1),
-        BatchOp::Get(k(3)),
-    ];
-    let ops = batch.len() as u64;
-    counts.push(("combined batch", ops, hashes_of(|| drop(h.execute_batch(batch)))));
-
     println!("key hashes (operation, operations, hashes): {counts:?}");
     for (op, ops, hashes) in &counts {
         assert_eq!(hashes, ops, "{ops} {op} hashed {hashes} keys");
@@ -541,8 +528,11 @@ fn op_counts(stats: &AccessStats, run: impl FnOnce()) -> OpCounts {
     )
 }
 
+/// A replica's drain runs each logged update through its layered handle's
+/// own insert or remove body, under the hash the appender stored: a
+/// one-replica map costs what direct calls on a lone layered map cost.
 #[test]
-fn a_combined_batch_runs_the_direct_operations() {
+fn a_replica_drain_runs_the_direct_operations() {
     const SLOTS: usize = 8;
     const PRELOAD: u64 = 1 << 10;
     // Lazy and indexed, on a graph with upper levels; no commission, so
@@ -555,27 +545,29 @@ fn a_combined_batch_runs_the_direct_operations() {
             .commission_cycles(u64::MAX)
     };
     let k = |i| Counted(key(i));
-    // Fresh inserts, reads of preloaded keys, removes of preloaded and of
-    // just-inserted keys, re-inserts of the latter, and absent reads.
+    // Fresh inserts, removes of preloaded and of just-inserted keys,
+    // re-inserts of the latter, and absent removes: (insert?, key).
     let mut ops = Vec::new();
     for i in 0..64 {
         let fresh = k(PRELOAD + i);
-        ops.push(BatchOp::Insert(fresh, i));
-        ops.push(BatchOp::Get(k(i * 13 % PRELOAD)));
-        ops.push(BatchOp::Remove(k(i * 17 % PRELOAD)));
-        ops.push(BatchOp::Remove(fresh));
-        ops.push(BatchOp::Insert(fresh, i));
-        ops.push(BatchOp::Get(k(PRELOAD + 64 + i)));
+        ops.push((true, fresh));
+        ops.push((false, k(i * 17 % PRELOAD)));
+        ops.push((false, fresh));
+        ops.push((true, fresh));
+        ops.push((false, k(PRELOAD + 64 + i)));
     }
 
     let stats = AccessStats::new(SLOTS);
-    let map = LayeredMap::with_batching(config(), BatchConfig::uniform(SLOTS, 1));
-    let mut h = map.register_combining(ThreadCtx::recording(0, Arc::clone(&stats)));
+    let map = ReplicatedLayeredMap::new(config(), ReplicaConfig::uniform(SLOTS, 1));
+    let mut h = map.register(ThreadCtx::recording(0, Arc::clone(&stats)));
     for i in 0..PRELOAD {
-        h.direct().insert(k(i), i);
+        h.insert(k(i), i);
     }
-    let batch = ops.clone();
-    let combined = op_counts(&stats, || drop(h.execute_batch(batch)));
+    let replayed = op_counts(&stats, || {
+        for &(insert, key) in &ops {
+            let _ = if insert { h.insert(key, 0) } else { h.remove(&key) };
+        }
+    });
 
     let stats = AccessStats::new(SLOTS);
     let map = LayeredMap::new(config());
@@ -584,20 +576,16 @@ fn a_combined_batch_runs_the_direct_operations() {
         h.insert(k(i), i);
     }
     let direct = op_counts(&stats, || {
-        for op in ops {
-            match op {
-                BatchOp::Insert(key, value) => drop(h.insert(key, value)),
-                BatchOp::Remove(key) => drop(h.remove(&key)),
-                BatchOp::Get(key) => drop(h.get(&key)),
-            }
+        for &(insert, key) in &ops {
+            let _ = if insert { h.insert(key, 0) } else { h.remove(&key) };
         }
     });
 
     println!(
-        "one combined batch against direct calls (ops, searches, traversed, index hits, \
-         index misses, key hashes): {combined:?} against {direct:?}"
+        "one-replica drain against direct calls (ops, searches, traversed, index hits, \
+         index misses, key hashes): {replayed:?} against {direct:?}"
     );
-    assert_eq!(combined, direct);
+    assert_eq!(replayed, direct);
 }
 
 #[test]

@@ -7,7 +7,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use skipgraph::local::{BTreeLocalMap, LocalMap};
+use skipgraph::local::BTreeLocalMap;
 use skipgraph::NodeRef;
 use std::collections::BTreeMap;
 
