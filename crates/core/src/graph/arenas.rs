@@ -21,6 +21,9 @@
 //! pops (allocation goes through the owner's bank), which makes the pop
 //! single-consumer and therefore ABA-free without counted pointers: a
 //! popped head cannot be pushed back concurrently with another pop.
+//!
+//! Its unchecked code rests on the arena's invariant: a slot stays mapped while
+//! the graph lives, and it is recycled only after its grace period.
 
 use crate::node::{Node, MAX_HEIGHT};
 use numa::arena::Arena;

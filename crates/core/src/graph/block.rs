@@ -44,6 +44,10 @@
 //! the present bitmap immutable, which is what lets any helper compute
 //! the same survivor set.
 //!
+//! Its unchecked code rests on the graph core's invariant plus its own:
+//! a slot's entry is read only once its claim is published, and slot
+//! bytes never change after that.
+//!
 //! # Coverage invariant
 //!
 //! An entry `e` always lives in the block of the greatest anchor key
@@ -135,7 +139,7 @@
 //! frozen control word sends it to help and resolve again; a publish CAS
 //! against an unfrozen word proves coverage).
 
-use super::{NodePtr, NodeRef, PinGuard, SearchResult, SkipGraph};
+use super::{DataRef, NodePtr, NodeRef, PinGuard, SearchResult, SkipGraph};
 use crate::local::BTreeLocalMap;
 use crate::node::Node;
 use crate::params::GraphConfig;
@@ -222,13 +226,6 @@ type BSearch<K> = SearchResult<K, ()>;
 /// A slot's local map is not swept for stale entries below this length.
 const SWEEP_FLOOR: usize = 1024;
 
-/// The liveness rungs of the validation ladder, under the caller's pin:
-/// `hint` still names the incarnation it captured (generation), and
-/// [`linked_anchor`] passes. Returns the node with its level-0 successor.
-fn live_anchor<K>(hint: &NodeRef<K, ()>) -> Option<(&BNode<K>, BPtr<K>)> {
-    hint.node().and_then(linked_anchor)
-}
-
 /// `node` is a data node whose level-0 word is unmarked and non-null;
 /// returns it with that word's successor.
 fn linked_anchor<K>(node: &BNode<K>) -> Option<(&BNode<K>, BPtr<K>)> {
@@ -262,16 +259,23 @@ impl<K> Default for LocalSlot<K> {
 }
 
 impl<K: Ord + Copy> LocalAnchors<K> {
-    /// The greatest recorded anchor `<= key` that passes [`live_anchor`],
-    /// with its level-0 successor. Dead entries met on the way are
-    /// evicted; a live anchor that does not cover `key` stays, for its own
-    /// range.
-    fn floor(&mut self, key: &K) -> Option<(NonNull<BNode<K>>, BPtr<K>)> {
+    /// The greatest recorded anchor `<= key` that passes the liveness
+    /// rungs of the validation ladder under the caller's `pin` — its
+    /// generation still matches and [`linked_anchor`] passes — with its
+    /// level-0 successor. Dead entries met on the way are evicted; a live
+    /// anchor that does not cover `key` stays, for its own range.
+    fn floor<'p>(
+        &mut self,
+        key: &K,
+        pin: &'p PinGuard<'_, K, ()>,
+    ) -> Option<(DataRef<'p, K, ()>, BPtr<K>)> {
         loop {
             let (akey, hint) = self.map.max_lower_equal(key)?;
             let akey = *akey;
-            if let Some((_, succ)) = live_anchor(&hint) {
-                return Some((hint.ptr, succ));
+            if let Some(node) = hint.node(pin) {
+                if let Some((_, succ)) = linked_anchor(&node) {
+                    return Some((node, succ));
+                }
             }
             self.map.remove(&akey);
         }
@@ -286,8 +290,7 @@ impl<K: Ord + Copy> LocalAnchors<K> {
         if self.map.len() >= self.sweep_at {
             // The generation word is an atomic projection of an arena
             // slot: readable whatever became of the node.
-            self.map
-                .retain(|_, r| unsafe { Node::generation_of(r.ptr) } == r.gen);
+            self.map.retain(|_, r| r.is_current());
             self.sweep_at = (2 * self.map.len()).max(SWEEP_FLOOR);
         }
     }
@@ -592,8 +595,8 @@ where
     /// first block if it covers the key, and descends from the head only
     /// if it does not. A search teaches the slot the sampled anchors it
     /// shows.
-    /// `None` only when the map holds no data nodes at all. Caller must
-    /// hold a pin.
+    /// `None` only when the map holds no data nodes at all. `pin` is the
+    /// caller's.
     ///
     /// Keys below a local anchor's own key never resolve to it (the map
     /// order guarantees `anchor.key <= key`) unless it is the first anchor,
@@ -601,23 +604,29 @@ where
     /// a covering one by a split of that very block — splits freeze first,
     /// so the operation's own frozen check closes the window between this
     /// resolution and its use.
-    fn resolve(&self, key: &K, ctx: &ThreadCtx) -> Option<NonNull<BNode<K>>> {
+    fn resolve(
+        &self,
+        key: &K,
+        pin: &PinGuard<'_, K, ()>,
+        ctx: &ThreadCtx,
+    ) -> Option<NonNull<BNode<K>>> {
         let mut local = self.local(ctx);
-        let floor = local.as_mut().and_then(|l| l.floor(key));
+        let floor = local.as_mut().and_then(|l| l.floor(key, pin));
         // SAFETY: `succ` was read from a live anchor under the caller's pin.
-        let covers = |(_, succ): &(NonNull<BNode<K>>, BPtr<K>)| {
-            unsafe { &**succ }.cmp_key(key) == CmpOrdering::Greater
-        };
+        let covers = |succ: BPtr<K>| unsafe { &*succ }.cmp_key(key) == CmpOrdering::Greater;
         let hit = match floor {
             // Only an anchor the local map named is an anchor hit.
-            Some(f) => covers(&f).then(|| {
+            Some((anchor, succ)) => covers(succ).then(|| {
                 ctx.record_anchor_hit();
-                f.0
+                NonNull::from(&*anchor)
             }),
             // A thread that knows nothing at or below `key` tries the
             // first block before a head descent: it covers every key
             // below its successor's.
-            None => self.first_anchor(ctx).filter(covers).map(|(a, _)| a),
+            None => self
+                .first_anchor(ctx)
+                .filter(|&(_, succ)| covers(succ))
+                .map(|(a, _)| a),
         };
         if let Some(anchor) = hit {
             // One node inspected instead of a search (counted as a
@@ -633,6 +642,7 @@ where
             // predecessor at the sampling level — the closest sampled
             // anchor below `key` on the lists it walked — and, where it
             // had to come down from a head, the anchor it landed on.
+            let start = start.map(|anchor| NonNull::from(&*anchor));
             let passed = NonNull::new(sampled_pred)
                 .filter(|p| Some(*p) != start && unsafe { p.as_ref() }.is_data());
             let landed = found.filter(|a| {
@@ -671,14 +681,19 @@ where
     /// order itself, turning the detectable lie into a structural
     /// livelock.
     #[inline]
-    fn resolve_read(&self, key: &K, ctx: &ThreadCtx) -> Option<NonNull<BNode<K>>> {
+    fn resolve_read(
+        &self,
+        key: &K,
+        pin: &PinGuard<'_, K, ()>,
+        ctx: &ThreadCtx,
+    ) -> Option<NonNull<BNode<K>>> {
         #[cfg(feature = "bug-injection")]
         if self.policy.merge_threshold > 0 {
-            if let Some((anchor, _)) = self.local(ctx).and_then(|mut l| l.floor(key)) {
-                return Some(anchor);
+            if let Some((anchor, _)) = self.local(ctx).and_then(|mut l| l.floor(key, pin)) {
+                return Some(NonNull::from(&*anchor));
             }
         }
-        self.resolve(key, ctx)
+        self.resolve(key, pin, ctx)
     }
 
     /// The search behind [`Self::resolve`]: jumps in from `start`, a live
@@ -688,13 +703,11 @@ where
     fn covering_anchor(
         &self,
         key: &K,
-        start: Option<NonNull<BNode<K>>>,
+        start: Option<DataRef<'_, K, ()>>,
         ctx: &ThreadCtx,
     ) -> (Option<NonNull<BNode<K>>>, BPtr<K>) {
         let mvec = self.graph.membership_of(ctx.id());
-        let res = self
-            .graph
-            .search_from(key, mvec, start.map(NonNull::as_ptr), false, ctx);
+        let res = self.graph.search_from(key, mvec, start, false, ctx);
         let sampled_pred = res.preds[self.sample_level()];
         (self.covering_of(&res, key, mvec, ctx), sampled_pred)
     }
@@ -827,9 +840,9 @@ where
     where
         V: PartialEq,
     {
-        let _pin = self.graph.pin(ctx);
+        let pin = self.graph.pin(ctx);
         loop {
-            let Some(anchor) = self.resolve(&key, ctx) else {
+            let Some(anchor) = self.resolve(&key, &pin, ctx) else {
                 if self.link_anchor(key, value, ctx) {
                     return true;
                 }
@@ -939,9 +952,9 @@ where
 
     /// Removes `key`; `false` if it was absent.
     pub fn remove(&self, key: &K, ctx: &ThreadCtx) -> bool {
-        let _pin = self.graph.pin(ctx);
+        let pin = self.graph.pin(ctx);
         loop {
-            let Some(anchor) = self.resolve(key, ctx) else {
+            let Some(anchor) = self.resolve(key, &pin, ctx) else {
                 return false;
             };
             let blk = unsafe { self.blk(anchor) };
@@ -987,9 +1000,9 @@ where
 
     /// Looks up `key`, returning its value.
     pub fn get(&self, key: &K, ctx: &ThreadCtx) -> Option<V> {
-        let _pin = self.graph.pin(ctx);
+        let pin = self.graph.pin(ctx);
         loop {
-            let anchor = self.resolve_read(key, ctx)?;
+            let anchor = self.resolve_read(key, &pin, ctx)?;
             let blk = unsafe { self.blk(anchor) };
             let w = blk.control().load();
             if is_frozen(w) {
@@ -1384,22 +1397,14 @@ where
 
     /// Footprint snapshot: anchors, entries, and bytes per live key.
     pub fn stats(&self, ctx: &ThreadCtx) -> BlockedStats {
-        let _pin = self.graph.pin(ctx);
         let mut anchors = 0usize;
         let mut entries = 0usize;
-        let mut cur = self.graph.head(0, 0);
-        loop {
-            let node = unsafe { &*cur };
-            if node.is_tail() {
-                break;
-            }
-            let w0 = node.load_next(0, ctx);
-            if node.is_data() && !w0.marked() {
+        for node in self.graph.walk((0, 0), ctx, |_| None) {
+            if !node.load_next(0, ctx).marked() {
                 anchors += 1;
-                let blk = unsafe { self.blk(NonNull::new_unchecked(cur)) };
+                let blk = unsafe { self.blk(NonNull::from(&*node)) };
                 entries += present_bits(blk.control().load()).count_ones() as usize;
             }
-            cur = w0.ptr();
         }
         let allocated_bytes = self.graph.memory_stats(ctx).allocated_bytes;
         let local_entries: usize = self
@@ -1431,68 +1436,58 @@ where
         K: std::fmt::Debug,
     {
         self.graph.check_invariants()?;
-        let _pin = self.graph.pin(ctx);
         let mut last_anchor: Option<K> = None;
         let mut last_key: Option<K> = None;
         let mut first_block = true;
-        let mut cur = self.graph.head(0, 0);
-        loop {
-            let node = unsafe { &*cur };
-            if node.is_tail() {
-                return Ok(());
-            }
+        for node in self.graph.walk((0, 0), ctx, |_| None) {
             let w0 = node.load_next(0, ctx);
-            if node.is_data() {
-                if w0.marked() {
-                    return Err(format!(
-                        "marked anchor {:?} still linked at quiescence",
-                        unsafe { node.key() }
-                    ));
-                }
-                let anchor_key = *unsafe { node.key() };
-                if last_anchor.is_some_and(|a| a >= anchor_key) {
-                    return Err(format!("anchor keys not ascending at {anchor_key:?}"));
-                }
-                last_anchor = Some(anchor_key);
-                let blk = unsafe { self.blk(NonNull::new_unchecked(cur)) };
-                let w = blk.control().load();
-                if is_frozen(w) {
-                    return Err(format!("frozen block {anchor_key:?} at quiescence"));
-                }
-                if present_bits(w) & !claimed_bits(w) != 0 {
-                    return Err(format!("present-but-unclaimed slot in {anchor_key:?}"));
-                }
-                if tomb_bits(w) & !claimed_bits(w) != 0 {
-                    return Err(format!("tombstone on unclaimed slot in {anchor_key:?}"));
-                }
-                if tomb_bits(w) & present_bits(w) != 0 {
-                    return Err(format!("slot both present and tombstoned in {anchor_key:?}"));
-                }
-                let succ_key: Option<K> = {
-                    let s = unsafe { &*w0.ptr() };
-                    s.is_data().then(|| *unsafe { s.key() })
-                };
-                let mut keys: Vec<K> = (0..self.cap)
-                    .filter(|&i| w & present_bit(i) != 0)
-                    .map(|i| unsafe { blk.key_at(i) })
-                    .collect();
-                keys.sort_unstable();
-                for k in keys {
-                    if !first_block && k < anchor_key {
-                        return Err(format!("{k:?} below its anchor {anchor_key:?}"));
-                    }
-                    if succ_key.is_some_and(|s| k >= s) {
-                        return Err(format!("{k:?} not below successor anchor"));
-                    }
-                    if last_key.is_some_and(|p| p >= k) {
-                        return Err(format!("duplicate or unordered key {k:?}"));
-                    }
-                    last_key = Some(k);
-                }
-                first_block = false;
+            if w0.marked() {
+                let key = node.key();
+                return Err(format!("marked anchor {key:?} still linked at quiescence"));
             }
-            cur = w0.ptr();
+            let anchor_key = *node.key();
+            if last_anchor.is_some_and(|a| a >= anchor_key) {
+                return Err(format!("anchor keys not ascending at {anchor_key:?}"));
+            }
+            last_anchor = Some(anchor_key);
+            let blk = unsafe { self.blk(NonNull::from(&*node)) };
+            let w = blk.control().load();
+            if is_frozen(w) {
+                return Err(format!("frozen block {anchor_key:?} at quiescence"));
+            }
+            if present_bits(w) & !claimed_bits(w) != 0 {
+                return Err(format!("present-but-unclaimed slot in {anchor_key:?}"));
+            }
+            if tomb_bits(w) & !claimed_bits(w) != 0 {
+                return Err(format!("tombstone on unclaimed slot in {anchor_key:?}"));
+            }
+            if tomb_bits(w) & present_bits(w) != 0 {
+                return Err(format!("slot both present and tombstoned in {anchor_key:?}"));
+            }
+            let succ_key: Option<K> = {
+                let s = unsafe { &*w0.ptr() };
+                s.is_data().then(|| *unsafe { s.key() })
+            };
+            let mut keys: Vec<K> = (0..self.cap)
+                .filter(|&i| w & present_bit(i) != 0)
+                .map(|i| unsafe { blk.key_at(i) })
+                .collect();
+            keys.sort_unstable();
+            for k in keys {
+                if !first_block && k < anchor_key {
+                    return Err(format!("{k:?} below its anchor {anchor_key:?}"));
+                }
+                if succ_key.is_some_and(|s| k >= s) {
+                    return Err(format!("{k:?} not below successor anchor"));
+                }
+                if last_key.is_some_and(|p| p >= k) {
+                    return Err(format!("duplicate or unordered key {k:?}"));
+                }
+                last_key = Some(k);
+            }
+            first_block = false;
         }
+        Ok(())
     }
 }
 
@@ -1667,7 +1662,7 @@ where
         let cur = match start {
             Bound::Unbounded => self.graph.head(0, self.graph.membership_of(ctx.id())),
             Bound::Included(k) | Bound::Excluded(k) => self
-                .resolve_read(k, ctx)
+                .resolve_read(k, &pin, ctx)
                 .map_or(std::ptr::null_mut(), NonNull::as_ptr),
         };
         BlockedRangeIter {
@@ -1992,8 +1987,8 @@ mod tests {
         }
         assert_eq!(map.stats(&c).anchors, 1, "one full block");
         {
-            let _pin = map.graph.pin(&c);
-            let w = unsafe { map.blk(map.resolve(&100, &c).unwrap()) }
+            let pin = map.graph.pin(&c);
+            let w = unsafe { map.blk(map.resolve(&100, &pin, &c).unwrap()) }
                 .control()
                 .load();
             assert_eq!(present_bits(w), slot_mask(MAX_BLOCK_CAP));
@@ -2111,8 +2106,8 @@ mod tests {
         // An ascending load leaves two entries per block; a third puts a
         // mid-list block over cap/2, so its split builds two halves.
         assert!(map.insert(205, 0, &c));
-        let _pin = map.graph.pin(&c);
-        let anchor = map.resolve(&205, &c).unwrap();
+        let pin = map.graph.pin(&c);
+        let anchor = map.resolve(&205, &pin, &c).unwrap();
         assert_eq!(unsafe { anchor.as_ref() }.top_level() as usize, TOP);
         let blk = unsafe { map.blk(anchor) };
         let w = blk.control().load();
@@ -2135,7 +2130,7 @@ mod tests {
         assert!(!top_list.contains(&anchor.as_ptr()), "dead anchor still linked");
         let at = top_list.iter().position(|&p| p == first).expect("first half linked");
         assert_eq!(top_list.get(at + 1), Some(&second), "second half follows the first");
-        drop(_pin);
+        drop(pin);
         map.check_invariants(&c).unwrap();
     }
 
@@ -2150,20 +2145,20 @@ mod tests {
             assert!(map.insert(1, 1, &c));
             assert!(map.insert(2, 2, &c));
             let stale = {
-                let _pin = map.graph.pin(&c);
-                NodeRef::new(map.resolve(&1, &c).unwrap())
+                let pin = map.graph.pin(&c);
+                NodeRef::new(map.resolve(&1, &pin, &c).unwrap())
             };
             {
-                let _pin = map.graph.pin(&c);
-                assert!(stale.node().is_some(), "live anchor must validate");
+                let pin = map.graph.pin(&c);
+                assert!(stale.node(&pin).is_some(), "live anchor must validate");
             }
             // Filling the block freezes and replaces it.
             assert!(map.insert(3, 3, &c));
-            let _pin = map.graph.pin(&c);
-            let dead = stale.node().is_none()
-                || stale.node().is_some_and(|n| n.load_next_raw(0).marked());
+            let pin = map.graph.pin(&c);
+            let dead = stale.node(&pin).is_none()
+                || stale.node(&pin).is_some_and(|n| n.load_next_raw(0).marked());
             assert!(dead, "stale hint validated against a replaced block (reclaim={reclaim})");
-            drop(_pin);
+            drop(pin);
             for k in 1..=3 {
                 assert_eq!(map.get(&k, &c), Some(k));
             }
@@ -2241,8 +2236,8 @@ mod tests {
     fn merge_threshold_compacts_clogged_blocks() {
         // Claimed slots of the block covering key 0 (white-box probe).
         let claimed = |map: &BlockedSkipMap<u64, u64>, c: &ThreadCtx| -> u32 {
-            let _pin = map.graph.pin(c);
-            let a = map.resolve(&0, c).expect("block exists");
+            let pin = map.graph.pin(c);
+            let a = map.resolve(&0, &pin, c).expect("block exists");
             claimed_bits(unsafe { map.blk(a) }.control().load()).count_ones()
         };
         let run = |policy: BlockPolicy| -> u32 {

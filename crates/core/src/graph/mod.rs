@@ -13,6 +13,13 @@
 //! relink optimization (a single CAS replaces a whole chain of marked
 //! references), and composite insert/remove/contains operations used when
 //! the graph is operated without the thread-local layer.
+//!
+//! Unchecked code in the graph core (this module, `ops`, `arenas`) rests on
+//! one invariant: a node reached under a reclamation pin, whose generation
+//! has not moved, stays readable while the pin lasts. The layers above
+//! read nodes only through the references the core hands out bounded by a
+//! pin: `NodeRef::node`, `SearchResult::hit` / `pred`, `DataRef::of_entry`
+//! and the pinned `LevelWalk` (ARCHITECTURE §13).
 
 mod arenas;
 mod block;
@@ -82,12 +89,12 @@ fn capture_gen<K, V>(p: NodePtr<K, V>) -> u32 {
     }
 }
 
-/// An opaque reference to a shared node, as stored by the thread-local
-/// structures. The slot stays dereferenceable for as long as the owning
-/// [`SkipGraph`] is alive (arena chunks are never unmapped mid-run), but
-/// with reclamation enabled its *contents* may belong to a later
-/// incarnation: every dereference goes through the generation check of
-/// `NodeRef::node`.
+/// An opaque reference to a shared data node, as stored by the
+/// thread-local structures. The slot stays dereferenceable for as long as
+/// the owning [`SkipGraph`] is alive (arena chunks are never unmapped
+/// mid-run), but with reclamation enabled its *contents* may belong to a
+/// later incarnation: every dereference goes through the generation check
+/// of `NodeRef::node`.
 pub struct NodeRef<K, V> {
     pub(crate) ptr: NonNull<Node<K, V>>,
     /// Generation of the node when the reference was captured; retirement
@@ -98,8 +105,9 @@ pub struct NodeRef<K, V> {
 impl<K, V> NodeRef<K, V> {
     /// Captures a reference to `ptr`, recording the generation of its
     /// current incarnation (see [`capture_gen`] for the load-order
-    /// protocol). Must be called under a reclamation pin, on a node the
-    /// pinned traversal legitimately reached.
+    /// protocol). Must be called under a reclamation pin, on a *data* node
+    /// the pinned traversal legitimately reached: [`Self::node`] hands it
+    /// back as data.
     pub(crate) fn new(ptr: NonNull<Node<K, V>>) -> Self {
         Self {
             ptr,
@@ -107,27 +115,22 @@ impl<K, V> NodeRef<K, V> {
         }
     }
 
-    /// The raw pointer, with no generation check. Only for identity
-    /// comparisons and for passing to searches *after* [`Self::node`]
-    /// validated the reference under the current pin.
-    pub(crate) fn as_ptr(&self) -> NodePtr<K, V> {
-        self.ptr.as_ptr()
-    }
-
-    /// Generation-checked dereference: `Some` while the node has not been
-    /// retired since capture. Callers must hold a reclamation pin on the
-    /// owning graph: validation proves the incarnation is not yet retired,
-    /// and the pin is what then blocks its recycling for as long as the
-    /// returned reference is used.
-    pub(crate) fn node(&self) -> Option<&Node<K, V>> {
+    /// Whether the slot still holds the captured incarnation.
+    pub(crate) fn is_current(&self) -> bool {
         // The generation word is read through an atomic projection (never
         // through a `&Node`), so probing a slot that is concurrently being
         // reinitialized for a new incarnation is race-free.
-        if unsafe { Node::generation_of(self.ptr) } == self.gen {
-            Some(unsafe { self.ptr.as_ref() })
-        } else {
-            None
-        }
+        unsafe { Node::generation_of(self.ptr) == self.gen }
+    }
+
+    /// Generation-checked dereference under `pin`, a pin on the graph the
+    /// reference was captured in: `Some` while the node has not been
+    /// retired since capture, and the pin then blocks its recycling for
+    /// the returned reference's life.
+    #[allow(clippy::unnecessary_lazy_evaluations)] // no reference to a stale slot
+    pub(crate) fn node<'p>(&self, _pin: &'p PinGuard<'_, K, V>) -> Option<DataRef<'p, K, V>> {
+        // SAFETY: the captured data node is not retired, and pinned.
+        self.is_current().then(|| DataRef(unsafe { self.ptr.as_ref() }))
     }
 }
 
@@ -149,8 +152,59 @@ impl<K, V> std::fmt::Debug for NodeRef<K, V> {
     }
 }
 
+/// A data node reached under a reclamation pin, readable for the pin's
+/// borrow `'p`. Only code that knows the node is data builds one: a found
+/// search ([`SearchResult::hit`]), a local-map entry ([`NodeRef::node`])
+/// and a validated index entry ([`DataRef::of_entry`]).
+pub(crate) struct DataRef<'p, K, V>(&'p Node<K, V>);
+
+impl<'p, K, V> DataRef<'p, K, V> {
+    #[inline]
+    pub(crate) fn key(self) -> &'p K {
+        // SAFETY: a data node's key is initialized.
+        unsafe { self.0.key() }
+    }
+
+    #[inline]
+    pub(crate) fn value(self) -> &'p V {
+        // SAFETY: a data node's value is initialized (and never rewritten).
+        unsafe { self.0.value() }
+    }
+
+    /// The node a hash-index entry `(ptr, gen)` names: `None` when the
+    /// slot's generation moved since `gen`, `Some(None)` when it holds no
+    /// data node — a grow can pair one publish's generation with another's
+    /// pointer, so the pair proves nothing about the slot's kind.
+    pub(crate) fn of_entry(
+        ptr: NonNull<Node<K, V>>,
+        gen: u32,
+        pin: &'p PinGuard<'_, K, V>,
+    ) -> Option<Option<Self>> {
+        let node = NodeRef { ptr, gen }.node(pin)?;
+        Some(node.is_data().then_some(node))
+    }
+}
+
+impl<K, V> Clone for DataRef<'_, K, V> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+impl<K, V> Copy for DataRef<'_, K, V> {}
+
+impl<K, V> std::ops::Deref for DataRef<'_, K, V> {
+    type Target = Node<K, V>;
+
+    #[inline]
+    fn deref(&self) -> &Node<K, V> {
+        self.0
+    }
+}
+
 /// Result of a search: per-level predecessors, the captured predecessor
-/// references (`middle`), and successors, as in Alg. 5.
+/// references (`middle`), and successors, as in Alg. 5, valid under the
+/// pin the search ran under ([`SearchResult::hit`] and `pred` hand them
+/// out bounded by it).
 pub(crate) struct SearchResult<K, V> {
     pub preds: [NodePtr<K, V>; MAX_HEIGHT],
     pub middles: [TagPtr<Node<K, V>>; MAX_HEIGHT],
@@ -174,6 +228,31 @@ impl<K, V> SearchResult<K, V> {
             found: false,
         }
     }
+
+    /// The node holding the goal key, if the search found one.
+    #[inline]
+    pub(crate) fn hit<'p>(&self, _pin: &'p PinGuard<'_, K, V>) -> Option<DataRef<'p, K, V>> {
+        // SAFETY: a found `succs[0]` is a data node reached under `pin`.
+        self.found.then(|| DataRef(unsafe { &*self.succs[0] }))
+    }
+
+    /// The level-`level` predecessor (a head or a data node) of a search
+    /// that filled that level.
+    pub(crate) fn pred<'p>(&self, level: usize, _pin: &'p PinGuard<'_, K, V>) -> &'p Node<K, V> {
+        debug_assert!(!self.preds[level].is_null(), "the search did not fill level {level}");
+        // SAFETY: a search reached its non-null predecessors under `pin`.
+        unsafe { &*self.preds[level] }
+    }
+
+    /// The level-`level` data predecessor with the generation the search
+    /// captured, for a later operation to revalidate as a hint.
+    pub(crate) fn pred_ref(&self, level: usize, pin: &PinGuard<'_, K, V>) -> Option<NodeRef<K, V>> {
+        let ptr = NonNull::new(self.preds[level])?;
+        self.pred(level, pin).is_data().then_some(NodeRef {
+            ptr,
+            gen: self.pred_gens[level],
+        })
+    }
 }
 
 /// An RAII reclamation pin (see [`SkipGraph::pin`]). While any guard for a
@@ -188,6 +267,45 @@ impl<K, V> Drop for PinGuard<'_, K, V> {
         if let Some((domain, tid)) = self.domain {
             domain.unpin(tid);
         }
+    }
+}
+
+/// A pinned walk along one list ([`SkipGraph::walk`]): yields the data
+/// nodes after its start in list order, one recorded load of a level
+/// reference per step, and stops at the tail. A weak snapshot.
+///
+/// The walk holds its own reclamation pin, so every node it reaches stays
+/// allocated while the walk lives, but it hands its items out for the
+/// graph's lifetime `'g`. This is where the core relies on its caller:
+/// with reclamation enabled, a yielded node — and every key and value read
+/// through it — must not outlive the walk. [`RangeIter`]'s items carry
+/// the same contract.
+pub(crate) struct LevelWalk<'g, K, V> {
+    cur: NodePtr<K, V>,
+    /// `cur` itself is the next node to yield, not the node before it.
+    at_cur: bool,
+    level: usize,
+    ctx: &'g ThreadCtx,
+    _pin: PinGuard<'g, K, V>,
+}
+
+impl<'g, K, V> Iterator for LevelWalk<'g, K, V> {
+    type Item = DataRef<'g, K, V>;
+
+    fn next(&mut self) -> Option<DataRef<'g, K, V>> {
+        // SAFETY: the start node and every node a level reference names
+        // were reached under the pin the walk holds.
+        let node = unsafe {
+            if !std::mem::take(&mut self.at_cur) {
+                let next = (*self.cur).load_next(self.level, self.ctx).ptr();
+                if !(*next).is_data() {
+                    return None;
+                }
+                self.cur = next;
+            }
+            &*self.cur
+        };
+        Some(DataRef(node))
     }
 }
 
@@ -405,18 +523,19 @@ impl<K: Ord, V> SkipGraph<K, V> {
     }
 
     /// Consults the hash index for `key`, whose [`SkipGraph::index_hash`]
-    /// is `hash`, recording hit/miss/stale counters. An index hit is a
+    /// is `hash`, under `pin`, recording hit/miss/stale counters. An index hit is a
     /// complete one-node "search", so it also records a search of length 1
     /// (keeping nodes/search honest in the instrument totals). Returns
     /// `None` when no index is installed.
-    pub(crate) fn index_read<'g>(
-        &'g self,
+    pub(crate) fn index_read<'p>(
+        &self,
         key: &K,
         hash: u64,
+        pin: &'p PinGuard<'_, K, V>,
         ctx: &ThreadCtx,
-    ) -> Option<IndexRead<'g, K, V>> {
+    ) -> Option<IndexRead<'p, K, V>> {
         let idx = self.index.as_ref()?;
-        let read = idx.read_node(key, hash, self.config.lazy, ctx);
+        let read = idx.read_node(key, hash, self.config.lazy, pin, ctx);
         match &read {
             IndexRead::Hit(_) | IndexRead::Absent(_) => {
                 ctx.record_index_hit();
@@ -454,6 +573,29 @@ impl<K: Ord, V> SkipGraph<K, V> {
         self.reclaim.pin(tid);
         PinGuard {
             domain: Some((&self.reclaim, tid)),
+        }
+    }
+
+    /// A [`LevelWalk`] of the list (`level`, `suffix`), from the node
+    /// `start` picks under the walk's pin (taken first) or else from the
+    /// list's head. The walk's first node is the picked node itself when
+    /// `start` also answers `true`, else its successor.
+    pub(crate) fn walk<'g>(
+        &'g self,
+        (level, suffix): (u8, u32),
+        ctx: &'g ThreadCtx,
+        start: impl for<'p> FnOnce(&'p PinGuard<'g, K, V>) -> Option<(&'p Node<K, V>, bool)>,
+    ) -> LevelWalk<'g, K, V> {
+        let pin = self.pin(ctx);
+        let (cur, at_cur) = start(&pin).map_or((self.head(level, suffix), false), |(node, at)| {
+            (node as *const _ as NodePtr<K, V>, at)
+        });
+        LevelWalk {
+            cur,
+            at_cur,
+            level: level as usize,
+            ctx,
+            _pin: pin,
         }
     }
 
@@ -703,8 +845,9 @@ impl<K: Ord, V> SkipGraph<K, V> {
     /// The search procedure (Alg. 5 / Alg. 8 unified).
     ///
     /// * `mvec` selects which lists to traverse at levels above 0.
-    /// * `start`: a node to jump in from (its key must be `<= key`); `None`
-    ///   starts from the head of the level-`MaxLevel` list of `mvec`.
+    /// * `start`: a data node to jump in from, reached under the caller's
+    ///   pin (its key must be `<= key`); `None` starts from the head of the
+    ///   level-`MaxLevel` list of `mvec`.
     /// * `unlink`: physically remove chains of marked references as they
     ///   are traversed (non-lazy mode; the lazy variant leaves chains to be
     ///   replaced by inserting nodes).
@@ -724,13 +867,13 @@ impl<K: Ord, V> SkipGraph<K, V> {
         &self,
         key: &K,
         mvec: u32,
-        start: Option<NodePtr<K, V>>,
+        start: Option<DataRef<'_, K, V>>,
         unlink: bool,
         ctx: &ThreadCtx,
     ) -> SearchResult<K, V> {
         let mut visited = 0u64;
         let (mut prev, top) = match start {
-            Some(p) => (p, unsafe { &*p }.top_level() as usize),
+            Some(p) => (p.0 as *const _ as NodePtr<K, V>, p.top_level() as usize),
             None => (
                 self.head(self.config.max_level, mvec),
                 self.config.max_level as usize,
@@ -805,11 +948,10 @@ impl<K: Ord, V> SkipGraph<K, V> {
         res: &SearchResult<K, V>,
         level: usize,
     ) -> Option<NodePtr<K, V>> {
-        let p = NonNull::new(res.preds[level])?;
-        // SAFETY: a search of this graph put `p` there, so it is an arena slot.
-        let live =
-            !self.reclaim.enabled() || unsafe { Node::generation_of(p) } == res.pred_gens[level];
-        live.then_some(p.as_ptr())
+        let ptr = NonNull::new(res.preds[level])?;
+        let gen = res.pred_gens[level];
+        let live = !self.reclaim.enabled() || NodeRef { ptr, gen }.is_current();
+        live.then_some(ptr.as_ptr())
     }
 
     /// Number of data nodes currently linked (unmarked, and valid under the

@@ -10,8 +10,11 @@
 //! without the thread-local layer, so every search starts at the head
 //! array (`search_from` with no start); `LayeredHandle` runs its own loops
 //! over the same primitives from local-map starts.
+//!
+//! The primitives dereference the node pointers their caller's search
+//! reached under the pin it holds (see the graph module's invariant).
 
-use super::{NodePtr, SearchResult, SkipGraph};
+use super::{DataRef, SearchResult, SkipGraph};
 use crate::index::IndexRead;
 use crate::node::Node;
 use crate::sync::TagPtr;
@@ -146,13 +149,17 @@ impl<K: Ord, V> SkipGraph<K, V> {
     /// (it is refreshed in place on CAS failures; `refresh_start` supplies
     /// an updated jump-in point, mirroring `updateStart`). Returns `false`
     /// if the node got marked (or superseded) before all levels were linked.
-    pub(crate) fn link_upper(
+    pub(crate) fn link_upper<'a>(
         &self,
         node_nn: NonNull<Node<K, V>>,
         res: &mut SearchResult<K, V>,
         ctx: &ThreadCtx,
-        mut refresh_start: impl FnMut() -> Option<NodePtr<K, V>>,
-    ) -> bool {
+        mut refresh_start: impl FnMut() -> Option<DataRef<'a, K, V>>,
+    ) -> bool
+    where
+        K: 'a,
+        V: 'a,
+    {
         let node = unsafe { node_nn.as_ref() };
         let key = unsafe { node.key() };
         let mvec = node.mvec();
@@ -244,7 +251,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
     pub fn insert(&self, key: K, value: V, height: u8, ctx: &ThreadCtx) -> bool {
         debug_assert!(height <= self.config().max_level);
         let hash = self.index_hash(&key);
-        let _pin = self.pin(ctx);
+        let pin = self.pin(ctx);
         let mvec = self.membership_of(ctx.id());
         let lazy = self.config().lazy;
         let mut pending = Some((key, value));
@@ -257,9 +264,9 @@ impl<K: Ord, V> SkipGraph<K, V> {
                 };
                 self.search_from(kref, mvec, None, !lazy, ctx)
             };
-            if res.found {
+            if let Some(existing) = res.hit(&pin) {
                 let outcome = if lazy {
-                    match self.insert_helper(unsafe { &*res.succs[0] }, hash, ctx) {
+                    match self.insert_helper(&existing, hash, ctx) {
                         Some(outcome) => outcome,
                         None => continue, // became marked; retry the search
                     }
@@ -286,21 +293,20 @@ impl<K: Ord, V> SkipGraph<K, V> {
     /// Removes `key`, searching from the head array. Returns whether the
     /// key was present (a successful removal was linearized here).
     pub fn remove(&self, key: &K, ctx: &ThreadCtx) -> bool {
-        let _pin = self.pin(ctx);
+        let pin = self.pin(ctx);
         let mvec = self.membership_of(ctx.id());
         let lazy = self.config().lazy;
         loop {
             let res = self.search_from(key, mvec, None, !lazy, ctx);
-            if !res.found {
+            let Some(node) = res.hit(&pin) else {
                 return false;
-            }
-            let node = unsafe { &*res.succs[0] };
+            };
             if lazy {
-                if let Some(outcome) = self.remove_helper(node, ctx) {
+                if let Some(outcome) = self.remove_helper(&node, ctx) {
                     return outcome;
                 }
                 // Became marked; retry the search.
-            } else if self.logical_delete_eager(node, ctx) {
+            } else if self.logical_delete_eager(&node, ctx) {
                 // Physical cleanup: one relink pass over the key's position
                 // ("searches performed on behalf of removals physically
                 // remove marked nodes").
@@ -323,9 +329,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
     where
         V: Clone,
     {
-        // SAFETY: `lookup` hands `read` a present data node under its pin,
-        // so its value is initialized and stays alive for the clone.
-        self.lookup(key, ctx, |node| unsafe { node.value() }.clone())
+        self.lookup(key, ctx, |node| node.value().clone())
     }
 
     /// The one read behind `get` and `contains`: `read` maps the present
@@ -335,15 +339,15 @@ impl<K: Ord, V> SkipGraph<K, V> {
         &self,
         key: &K,
         ctx: &ThreadCtx,
-        read: impl FnOnce(&Node<K, V>) -> T,
+        read: impl FnOnce(DataRef<'_, K, V>) -> T,
     ) -> Option<T> {
         let hash = self.index_hash(key);
-        let _pin = self.pin(ctx);
+        let pin = self.pin(ctx);
         // Skip Hash fast path: a generation-valid index entry answers
         // without a descent. The pin keeps a hit node dereferenceable;
         // `read_node` re-checked its generation and state after the pin.
         // Only an inconclusive read pays the search.
-        match self.index_read(key, hash, ctx) {
+        match self.index_read(key, hash, &pin, ctx) {
             Some(IndexRead::Hit(node)) => return Some(read(node)),
             Some(IndexRead::Absent(_)) => return None,
             _ => {}
@@ -351,18 +355,15 @@ impl<K: Ord, V> SkipGraph<K, V> {
         let mvec = self.membership_of(ctx.id());
         let lazy = self.config().lazy;
         let res = self.search_from(key, mvec, None, !lazy, ctx);
-        // SAFETY: a found search's `succs[0]` is a data node it reached
-        // under this pin.
-        let node = res.found.then(|| unsafe { &*res.succs[0] });
         // `found` saw the node unmarked; lazily, its valid bit decides.
-        let present = node.filter(|node| {
+        let present = res.hit(&pin).filter(|node| {
             !lazy || {
                 let w0 = node.load_next(0, ctx);
                 !w0.marked() && w0.valid()
             }
         });
         present.map(|node| {
-            self.index_heal(node, hash, ctx);
+            self.index_heal(&node, hash, ctx);
             read(node)
         })
     }

@@ -5,9 +5,13 @@
 //! from a thread-local start node), then walk the level-0 list until the
 //! upper bound. A whole-list iteration ([`SkipGraph::iter_snapshot`]) is
 //! the scan with both bounds open. The scan is a weak snapshot: each
-//! node's liveness is observed as it is passed.
+//! node's liveness is observed as it is passed. The scan steps through
+//! the core's pinned list walk (`LevelWalk`), so this module forbids
+//! `unsafe_code`.
 
-use super::{NodePtr, PinGuard, SkipGraph};
+#![forbid(unsafe_code)]
+
+use super::{DataRef, LevelWalk, SkipGraph};
 use crate::index::IndexRead;
 use instrument::ThreadCtx;
 use std::ops::Bound;
@@ -22,12 +26,8 @@ use std::ops::Bound;
 pub struct RangeIter<'g, K, V> {
     graph: &'g SkipGraph<K, V>,
     ctx: &'g ThreadCtx,
-    cur: NodePtr<K, V>,
-    /// `cur` is itself the first candidate (an index-accelerated start
-    /// landed *on* the range's first key) rather than the node before it.
-    at_cur: bool,
+    walk: LevelWalk<'g, K, V>,
     end: Bound<K>,
-    _pin: PinGuard<'g, K, V>,
 }
 
 impl<K: Ord, V> SkipGraph<K, V> {
@@ -69,42 +69,34 @@ impl<K: Ord, V> SkipGraph<K, V> {
         &'g self,
         start: Bound<&K>,
         end: Bound<K>,
-        hint: Option<NodePtr<K, V>>,
+        hint: Option<DataRef<'_, K, V>>,
         ctx: &'g ThreadCtx,
     ) -> RangeIter<'g, K, V> {
-        let pin = self.pin(ctx);
-        let indexed = match &start {
-            Bound::Included(k) | Bound::Excluded(k) => {
-                match self.index_read(k, self.index_hash(k), ctx) {
-                    Some(IndexRead::Hit(node)) => Some(node as *const _ as NodePtr<K, V>),
-                    _ => None,
-                }
+        // Start the walk at the last node *before* the range so its first
+        // step lands on the first in-range node — or, on an index hit,
+        // directly on the bound key's live holder (included in the scan iff
+        // the bound is inclusive).
+        let walk = self.walk((0, 0), ctx, |pin| {
+            let (Bound::Included(k) | Bound::Excluded(k)) = start else {
+                return None;
+            };
+            let included = matches!(start, Bound::Included(_));
+            if let Some(IndexRead::Hit(node)) = self.index_read(k, self.index_hash(k), pin, ctx) {
+                return Some((node.0, included));
             }
-            Bound::Unbounded => None,
-        };
-        // Position `cur` at the last node *before* the range so the
-        // iterator's first step lands on the first in-range node — or, on
-        // an index hit, directly on the bound key's live holder (included
-        // in the scan iff the bound is inclusive).
-        let (cur, at_cur) = match (&start, indexed) {
-            (Bound::Unbounded, _) => (self.head(0, 0), false),
-            (Bound::Included(_), Some(node)) => (node, true),
-            (Bound::Excluded(_), Some(node)) => (node, false),
-            (Bound::Included(k) | Bound::Excluded(k), None) => {
-                let res = self.search_from(k, self.membership_of(ctx.id()), hint, false, ctx);
-                // Past an excluded bound key that is present, start after
-                // its holder; otherwise after the predecessor.
-                let past_holder = res.found && matches!(start, Bound::Excluded(_));
-                (if past_holder { res.succs[0] } else { res.preds[0] }, false)
+            let res = self.search_from(k, self.membership_of(ctx.id()), hint, false, ctx);
+            // Past an excluded bound key that is present, start after its
+            // holder; otherwise after the predecessor.
+            match res.hit(pin).filter(|_| !included) {
+                Some(holder) => Some((holder.0, false)),
+                None => Some((res.pred(0, pin), false)),
             }
-        };
+        });
         RangeIter {
             graph: self,
             ctx,
-            cur,
-            at_cur,
+            walk,
             end,
-            _pin: pin,
         }
     }
 
@@ -131,23 +123,10 @@ impl<'g, K: Ord, V> Iterator for RangeIter<'g, K, V> {
     fn next(&mut self) -> Option<Self::Item> {
         let lazy = self.graph.config().lazy;
         loop {
-            let node = if self.at_cur {
-                // Index-accelerated start: `cur` is the bound key's own
-                // holder — consider it before stepping (its liveness is
-                // re-checked below like any other node's).
-                self.at_cur = false;
-                unsafe { &*self.cur }
-            } else {
-                let w = unsafe { &*self.cur }.load_next(0, self.ctx);
-                let next = w.ptr();
-                let node = unsafe { &*next };
-                if node.is_tail() {
-                    return None;
-                }
-                self.cur = next;
-                node
-            };
-            let key = unsafe { node.key() };
+            // An index-accelerated start yields the bound key's own holder
+            // first; its liveness is re-checked below like any other node's.
+            let node = self.walk.next()?;
+            let key = node.key();
             let in_range = match &self.end {
                 Bound::Unbounded => true,
                 Bound::Included(e) => key <= e,
@@ -158,7 +137,7 @@ impl<'g, K: Ord, V> Iterator for RangeIter<'g, K, V> {
             }
             let w0 = node.load_next(0, self.ctx);
             if !w0.marked() && (!lazy || w0.valid()) {
-                return Some((key, unsafe { node.value() }));
+                return Some((key, node.value()));
             }
         }
     }

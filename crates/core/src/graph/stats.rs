@@ -7,7 +7,11 @@
 //! physically present"; the paper discusses exactly this LC-WH overhead)
 //! and sampling loops all use it. [`SkipGraph::level_lengths`] walks every
 //! list of every level; [`SkipGraph::arena_sizes`] counts allocations per
-//! thread.
+//! thread. Both walks step through the core's pinned list walk
+//! (`LevelWalk`), so a sampler never follows the link of a slot recycled
+//! under it, and this module forbids `unsafe_code`.
+
+#![forbid(unsafe_code)]
 
 use super::SkipGraph;
 use crate::mvec::list_suffix;
@@ -17,24 +21,17 @@ use instrument::ThreadCtx;
 impl<K: Ord, V> SkipGraph<K, V> {
     /// Physically linked nodes per level (marked ones included), summed
     /// over all lists of that level; levels above `max_level` read zero.
-    /// Level 0 equals [`MemoryStats::physical`]. One walk of every list,
-    /// so counts are approximate under concurrency.
+    /// Level 0 equals [`MemoryStats::physical`]. One walk of every list
+    /// under one pin of `ctx`'s thread slot (which no other thread may be
+    /// using), so counts are approximate under concurrency.
     pub fn level_lengths(&self, ctx: &ThreadCtx) -> [usize; MAX_HEIGHT] {
+        let _pin = self.pin(ctx);
         let mut lengths = [0; MAX_HEIGHT];
         for level in 0..=self.config().max_level {
             for suffix in 0..(1u32 << level) {
-                // head(level, mvec) keys on the mvec's suffix, so the
-                // suffix itself addresses the list.
-                let head = unsafe { &*self.head(level, suffix) };
-                let mut p = head.load_next(level as usize, ctx).ptr();
-                loop {
-                    let node = unsafe { &*p };
-                    if !node.is_data() {
-                        break;
-                    }
+                for node in self.walk((level, suffix), ctx, |_| None) {
                     debug_assert_eq!(list_suffix(node.mvec(), level), suffix);
                     lengths[level as usize] += 1;
-                    p = node.load_next(level as usize, ctx).ptr();
                 }
             }
         }
@@ -42,17 +39,13 @@ impl<K: Ord, V> SkipGraph<K, V> {
     }
 
     /// Zero-allocation memory snapshot: one bottom-list walk plus fixed-size
-    /// arena counters, safe to call from a sampling loop. Counts are
+    /// arena counters, safe to call from a sampling loop that runs under a
+    /// thread slot of its own (the walk pins `ctx`'s slot). Counts are
     /// approximate under concurrency (a single walk, not an atomic
     /// snapshot).
     pub fn memory_stats(&self, ctx: &ThreadCtx) -> MemoryStats {
         let (mut live, mut invalid, mut marked) = (0, 0, 0);
-        let mut cur = unsafe { &*self.head(0, 0) }.load_next(0, ctx).ptr();
-        loop {
-            let node = unsafe { &*cur };
-            if !node.is_data() {
-                break;
-            }
+        for node in self.walk((0, 0), ctx, |_| None) {
             let w = node.load_next(0, ctx);
             if w.marked() {
                 marked += 1;
@@ -61,7 +54,6 @@ impl<K: Ord, V> SkipGraph<K, V> {
             } else {
                 live += 1;
             }
-            cur = w.ptr();
         }
         let mut height_histogram = [0usize; MAX_HEIGHT];
         let mut allocated_bytes = 0;

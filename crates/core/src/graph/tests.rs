@@ -377,7 +377,8 @@ fn search_from_start_node_matches_head_search() {
     let r40 = g.search_from(&40, mvec, None, false, &c);
     assert!(r40.found);
     let from_head = g.search_from(&70, mvec, None, false, &c);
-    let from_node = g.search_from(&70, mvec, Some(r40.succs[0]), false, &c);
+    let pin = g.pin(&c);
+    let from_node = g.search_from(&70, mvec, r40.hit(&pin), false, &c);
     assert!(from_head.found && from_node.found);
     assert_eq!(from_head.succs[0], from_node.succs[0]);
     assert_eq!(from_head.preds[0], from_node.preds[0]);
@@ -440,18 +441,18 @@ fn generation_checks_catch_stale_references() {
     let res = g.search_from(&10, g.membership_of(0), None, false, &c);
     assert!(res.found);
     let live = NodeRef::new(NonNull::new(res.succs[0]).unwrap());
-    assert!(live.node().is_some(), "freshly captured reference validates");
+    assert!(live.is_current(), "freshly captured reference validates");
     assert!(g.remove(&10, &c));
     // Retirement bumps the generation: the reference is invalid even
     // before the slot is recycled.
-    assert!(live.node().is_none(), "retired node must fail validation");
+    assert!(!live.is_current(), "retired node must fail validation");
     assert_eq!(g.reclaim_flush(&c), 1);
     // Recycle the slot under a different key; the impostor must not
     // satisfy the stale reference either.
     assert!(g.insert(11, 11, 1, &c));
     let m = g.memory_stats(&c);
     assert_eq!(m.recycled_slots, 1, "the freed slot was reused");
-    assert!(live.node().is_none(), "recycled impostor must not validate");
+    assert!(!live.is_current(), "recycled impostor must not validate");
 }
 
 #[test]
@@ -466,7 +467,7 @@ fn references_captured_from_marked_nodes_are_poisoned() {
     // incarnation, so it must never validate.
     assert!(g.logical_delete_eager(node, &c));
     let poisoned = NodeRef::new(NonNull::new(res.succs[0]).unwrap());
-    assert!(poisoned.node().is_none(), "capture on a marked node is poisoned");
+    assert!(!poisoned.is_current(), "capture on a marked node is poisoned");
 }
 
 #[test]

@@ -23,10 +23,13 @@
 //!   hygiene.
 //! * **generation re-check ordering** — a reader first proves the pair
 //!   `(ptr, gen)` consistent (the slot's tag word doubles as a seqlock),
-//!   then checks `Node::generation_of(ptr) == gen` under its reclamation
-//!   pin. Equality proves the incarnation has not been retired since
-//!   publish, which (with the pin blocking recycling) makes the
-//!   dereference safe — exactly the [`crate::graph::NodeRef`] argument.
+//!   then has the graph core check `Node::generation_of(ptr) == gen` under
+//!   its reclamation pin. Equality proves the incarnation has not been
+//!   retired since publish, which (with the pin blocking recycling) makes
+//!   the dereference safe — exactly the [`crate::graph::NodeRef`] argument.
+//!   The core makes that dereference (`DataRef::of_entry`), and the slot
+//!   chunks are typed [`ChunkStorage`] slices, so this module forbids
+//!   `unsafe_code`.
 //!
 //! # Slot layout
 //!
@@ -116,6 +119,9 @@
 //! transfer of the line its probe will read before its local descent, and
 //! probe after it.
 
+#![forbid(unsafe_code)]
+
+use crate::graph::{DataRef, PinGuard};
 use crate::node::Node;
 use crate::prefetch::prefetch_read;
 use crate::sync::{FacadeAtomicUsize, Padded};
@@ -360,37 +366,14 @@ impl Slot {
     }
 }
 
-/// One chunk of a segment's slot array, on [`ChunkStorage`]: a chunk of
-/// 2 MiB or more (131 072 slots) sits on huge pages, a smaller one on base
-/// pages. Every slot is written empty by the allocating thread, so that
-/// thread first-touches the chunk.
-struct Slots(ChunkStorage);
+/// One chunk of a segment's slot array: a chunk of 2 MiB or more (131 072
+/// slots) sits on huge pages, a smaller one on base pages.
+type Slots = ChunkStorage<Slot>;
 
-impl Slots {
-    fn empty(n: usize) -> Self {
-        let storage = ChunkStorage::new(
-            n * std::mem::size_of::<Slot>(),
-            std::mem::align_of::<Slot>(),
-        );
-        let base = storage.as_ptr().cast::<Slot>();
-        for i in 0..n {
-            // SAFETY: slot `i` lies inside the fresh chunk, whose storage
-            // is aligned for `Slot`.
-            unsafe { base.add(i).write(Slot::empty()) };
-        }
-        Self(storage)
-    }
-}
-
-impl std::ops::Deref for Slots {
-    type Target = [Slot];
-
-    fn deref(&self) -> &[Slot] {
-        let n = self.0.size() / std::mem::size_of::<Slot>();
-        // SAFETY: `empty` initialized all `n` slots, which live (slots need
-        // no drop) until the storage does.
-        unsafe { std::slice::from_raw_parts(self.0.as_ptr().cast::<Slot>(), n) }
-    }
+/// `n` empty slots, each written by the allocating thread, so that thread
+/// first-touches the chunk.
+fn empty_slots(n: usize) -> Slots {
+    ChunkStorage::from_fn(n, |_| Slot::empty())
 }
 
 /// One thread's share of a segment's counts.
@@ -433,7 +416,7 @@ impl Segment {
     fn new(cap: usize, stripes: usize) -> Self {
         debug_assert!(cap.is_power_of_two() && stripes.is_power_of_two());
         let chunks: [OnceLock<Slots>; CHUNKS] = std::array::from_fn(|_| OnceLock::new());
-        if chunks[0].set(Slots::empty(cap)).is_err() {
+        if chunks[0].set(empty_slots(cap)).is_err() {
             unreachable!("a fresh directory is empty");
         }
         Self {
@@ -583,7 +566,7 @@ impl Segment {
     /// still private); then the chunk is installed, the mask published, and
     /// the old half repacked.
     fn double(&self, cap: usize, scan: Scan) -> isize {
-        let upper = Slots::empty(cap);
+        let upper = empty_slots(cap);
         // An old wrap-around's entries, and (below) those with no copy.
         let mut rehome = vec![0; scan.upper.len()];
         rehome[0] = scan.wrapped & !scan.upper[0];
@@ -856,25 +839,25 @@ struct RawEntry<K, V> {
     gen: u32,
 }
 
-/// Outcome of a fully validated plain-node index read. `Absent` is
-/// authoritative only under the lazy protocol, where an unmarked invalid
-/// node is the unique holder of its key.
-#[derive(Debug)]
-pub(crate) enum IndexRead<'g, K, V> {
+/// Outcome of a fully validated plain-node index read, its nodes readable
+/// under the reader's pin `'p`. `Absent` is authoritative only under the
+/// lazy protocol, where an unmarked invalid node is the unique holder of
+/// its key.
+pub(crate) enum IndexRead<'p, K, V> {
     /// No entry (or an unusable one): descend.
     Miss,
     /// An entry failed generation / key / liveness validation: descend.
     /// (The reader tombstoned it when it was provably dead.)
     Stale,
     /// The validated live holder of the key, unmarked and valid.
-    Hit(&'g Node<K, V>),
+    Hit(DataRef<'p, K, V>),
     /// Authoritative absence: the unique (lazy) holder is logically
     /// deleted. Carries that holder so an insert can resurrect it in
     /// place — the entry doubles as a tombstone and as the re-insertion
     /// fast path. (Never produced with the injected coherence bug
     /// compiled in — that build answers Hit before the liveness ladder.)
     #[cfg_attr(feature = "bug-injection", allow(dead_code))]
-    Absent(&'g Node<K, V>),
+    Absent(DataRef<'p, K, V>),
 }
 
 /// The shared, lock-free, resizable hash index. One per indexed
@@ -888,13 +871,12 @@ pub(crate) struct HashIndex<K, V> {
     /// `ops.rs` / `graph/mod.rs`). Code with `K: Hash` in scope calls
     /// [`hash_key`] itself, where it can be inlined.
     hash_of: fn(&K) -> u64,
-    _marker: std::marker::PhantomData<fn() -> (K, V)>,
+    /// The index stores node pointers as words and never owns a node, but
+    /// it lends every thread that holds it the keys and values of nodes
+    /// other threads linked — as an `Arc` lends its value, so it is `Send`
+    /// and `Sync` exactly when `K` and `V` are both.
+    _nodes: std::marker::PhantomData<std::sync::Arc<(K, V)>>,
 }
-
-// The index stores raw node pointers but never owns nodes; sharing it
-// follows the graph's own bounds.
-unsafe impl<K: Send + Sync, V: Send + Sync> Send for HashIndex<K, V> {}
-unsafe impl<K: Send + Sync, V: Send + Sync> Sync for HashIndex<K, V> {}
 
 impl<K, V> HashIndex<K, V> {
     /// Builds an index with one segment per NUMA node of the detected
@@ -918,7 +900,7 @@ impl<K, V> HashIndex<K, V> {
             segments: (0..segments).map(|_| Segment::new(per_seg, stripes)).collect(),
             seg_shift: 64 - segments.trailing_zeros(),
             hash_of: hash_key::<K>,
-            _marker: std::marker::PhantomData,
+            _nodes: std::marker::PhantomData,
         }
     }
 
@@ -1163,35 +1145,35 @@ impl<K, V> HashIndex<K, V> {
 
 impl<K: Ord, V> HashIndex<K, V> {
     /// The full validation ladder for a *plain* (one key per node) entry
-    /// of `key`, whose [`Self::hash`] is `hash`. Caller must hold a reclamation pin on the owning graph: the
-    /// generation check proves the incarnation is not retired, and the
-    /// pin then blocks its recycling while the returned reference is
-    /// used.
+    /// of `key`, whose [`Self::hash`] is `hash`, under `pin`, a pin on the
+    /// owning graph: the generation check proves the incarnation is not
+    /// retired, and the pin then blocks its recycling while the returned
+    /// reference, bounded by the pin's borrow, is used.
     ///
     /// `lazy` selects the protocol: under it, an unmarked *invalid* node
     /// is the unique holder of its key, so the read is authoritative
     /// absence; eagerly-deleted nodes are marked and fall back instead.
-    pub(crate) fn read_node(
+    pub(crate) fn read_node<'p>(
         &self,
         key: &K,
         hash: u64,
         lazy: bool,
+        pin: &'p PinGuard<'_, K, V>,
         ctx: &ThreadCtx,
-    ) -> IndexRead<'_, K, V> {
+    ) -> IndexRead<'p, K, V> {
         let Some(entry) = self.lookup_raw_hashed(hash) else {
             return IndexRead::Miss;
         };
         // Generation re-check ordering: gen before any &Node deref.
-        if unsafe { Node::generation_of(entry.ptr) } != entry.gen {
+        let Some(node) = DataRef::of_entry(entry.ptr, entry.gen, pin) else {
             self.invalidate_hashed(hash, Some(entry.ptr), ctx.id() as usize);
             return IndexRead::Stale;
-        }
-        let node = unsafe { entry.ptr.as_ref() };
-        if !node.is_data() || unsafe { node.key() } != key {
+        };
+        let Some(node) = node.filter(|node| node.key() == key) else {
             // A signature collision (someone else's live entry): miss,
             // and leave the entry alone.
             return IndexRead::Miss;
-        }
+        };
         // Injected coherence bug (harness validation only): trust the
         // published entry as if invalidate-before-retire had swept every
         // dead node out of the index, skipping the authoritative level-0

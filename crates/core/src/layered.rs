@@ -22,6 +22,11 @@
 //! * `getStart` — Alg. 4 (backward traversal, finishing pending insertions
 //!   via `finishInsert`, Alg. 10) and `updateStart` — Alg. 9.
 //!
+//! Every operation takes one reclamation pin and reads shared nodes only
+//! through references bounded by it: a local-map entry, an index read and
+//! a search each hand their node out as the graph core's pin-scoped
+//! `DataRef`. The module forbids `unsafe_code`.
+//!
 //! # Example
 //!
 //! ```
@@ -36,7 +41,9 @@
 //! assert!(!h.contains(&7));
 //! ```
 
-use crate::graph::{NodePtr, NodeRef, RangeIter, SkipGraph};
+#![forbid(unsafe_code)]
+
+use crate::graph::{DataRef, NodeRef, PinGuard, RangeIter, SkipGraph};
 use crate::index::{hash_key, IndexRead};
 use crate::local::{BTreeLocalMap, RobinHoodMap};
 use crate::node::Node;
@@ -49,7 +56,6 @@ use rand::SeedableRng;
 use std::cmp::Ordering;
 use std::hash::Hash;
 use std::ops::ControlFlow::{self, Break, Continue};
-use std::ptr::NonNull;
 
 /// A concurrent ordered map built by layering thread-local maps over a
 /// NUMA-partitioned skip graph.
@@ -190,10 +196,11 @@ pub struct LayeredHandle<'m, K, V> {
 }
 
 /// What a point operation does with a node its local structures (or the
-/// index) hold for the key, given the key's hash: the operation's outcome,
-/// or `None` when the node is marked — the caller erases its mapping and
-/// searches.
-type OnHolder<'m, H, K, V, T> = fn(&mut H, &K, u64, &'m Node<K, V>) -> Option<T>;
+/// index) hold for the key, given the key's hash and the operation's pin:
+/// the operation's outcome, or `None` when the node is marked — the caller
+/// erases its mapping and searches.
+type OnHolder<'m, 'p, H, K, V, T> =
+    fn(&mut H, &K, u64, DataRef<'p, K, V>, &'p PinGuard<'m, K, V>) -> Option<T>;
 
 impl<'m, K, V> LayeredHandle<'m, K, V>
 where
@@ -320,7 +327,7 @@ where
     /// them), which measurably outweighs the better starts. A small
     /// bounded pool is enough to keep the map from emptying out, which is
     /// all C3 needs.
-    fn tombstone_local(&mut self, key: &K, pred: NodeRef<K, V>) {
+    fn tombstone_local(&mut self, key: &K, pred: NodeRef<K, V>, pin: &PinGuard<'m, K, V>) {
         const TOMBSTONE_BUDGET: usize = 64;
         if self.tombstones.len() >= TOMBSTONE_BUDGET {
             return;
@@ -328,8 +335,8 @@ where
         // Generation-validated under the caller's pin: a predecessor that
         // was retired (or whose slot was recycled) since its generation was
         // captured is silently dropped rather than installed as a hint.
-        let Some(node) = pred.node() else { return };
-        if !node.is_data() || node.mvec() != self.mvec || node.is_marked(0) {
+        let Some(node) = pred.node(pin) else { return };
+        if node.mvec() != self.mvec || node.is_marked(0) {
             return;
         }
         if !self.tombstones.contains(key) {
@@ -338,27 +345,25 @@ where
         self.local.insert(key.clone(), pred);
     }
 
-    /// Wraps a search's level-0 predecessor frontier (pointer + captured
-    /// generation) for [`LayeredHandle::tombstone_local`]. Returns `None`
-    /// for the null pointer of an empty [`SearchResult`].
-    fn frontier_ref(pred: NodePtr<K, V>, gen: u32) -> Option<NodeRef<K, V>> {
-        NonNull::new(pred).map(|ptr| NodeRef { ptr, gen })
-    }
-
     /// Alg. 9, `updateStart`: the closest preceding *fully inserted* start
     /// candidate strictly before `key`, without finishing insertions or
     /// erasing stale entries. `min_top` filters to nodes tall enough for the
     /// caller (a search started from a node only fills levels up to its top,
     /// so linking a height-`h` node needs a start of at least that height).
-    fn prev_start(&self, key: &K, min_top: u8) -> Option<NodePtr<K, V>> {
+    fn prev_start<'p>(
+        &self,
+        key: &K,
+        min_top: u8,
+        pin: &'p PinGuard<'m, K, V>,
+    ) -> Option<DataRef<'p, K, V>> {
         let mut cursor = key.clone();
         loop {
             let (k, r) = self.local.pred(&cursor)?;
             // Generation check under the caller's pin: a stale reference
             // (slot retired or recycled since capture) is stepped over —
             // `get_start` erases such entries on its next walk.
-            if r.node().is_some_and(|node| Self::usable_start(node, min_top)) {
-                return Some(r.as_ptr());
+            if let Some(node) = r.node(pin).filter(|node| Self::usable_start(node, min_top)) {
+                return Some(node);
             }
             cursor = k.clone();
         }
@@ -390,40 +395,45 @@ where
     /// membership vector (a start of another thread's lists would link an
     /// insert into them; see `tombstone_local`). Anything else keeps
     /// `start`. The read is unrecorded as a hit or a search: the search it
-    /// seeds records itself. Caller holds a pin on this handle's graph.
-    fn warm_start(
+    /// seeds records itself.
+    fn warm_start<'p>(
         &self,
         warm: Option<&(K, u64)>,
-        start: Option<NodePtr<K, V>>,
+        start: Option<DataRef<'p, K, V>>,
         min_top: u8,
-    ) -> Option<NodePtr<K, V>> {
+        pin: &'p PinGuard<'m, K, V>,
+    ) -> Option<DataRef<'p, K, V>> {
         let (Some((key, hash)), Some(index)) = (warm, self.map.shared.index()) else {
             return start;
         };
-        // SAFETY: `get_start` validated `start` under the caller's pin.
-        if start.is_some_and(|p| unsafe { &*p }.cmp_key(key) != Ordering::Less) {
+        if start.is_some_and(|p| p.cmp_key(key) != Ordering::Less) {
             return start;
         }
-        let node = match index.read_node(key, *hash, self.lazy(), &self.ctx) {
+        let node = match index.read_node(key, *hash, self.lazy(), pin, &self.ctx) {
             IndexRead::Hit(node) | IndexRead::Absent(node) => node,
             IndexRead::Miss | IndexRead::Stale => return start,
         };
-        if node.mvec() != self.mvec || !Self::usable_start(node, min_top) {
+        if node.mvec() != self.mvec || !Self::usable_start(&node, min_top) {
             return start;
         }
-        Some(NonNull::from(node).as_ptr())
+        Some(node)
     }
 
     /// Alg. 4, `getStart`: the closest preceding usable start node. Walks
     /// the local structure backwards, erasing mappings to marked nodes and
     /// finishing pending insertions (Alg. 10) along the way.
-    fn get_start(&mut self, key: &K, min_top: u8) -> Option<NodePtr<K, V>> {
+    fn get_start<'p>(
+        &mut self,
+        key: &K,
+        min_top: u8,
+        pin: &'p PinGuard<'m, K, V>,
+    ) -> Option<DataRef<'p, K, V>> {
         let mut probe = self
             .local
             .max_lower_equal(key)
             .map(|(k, r)| (k.clone(), r));
         while let Some((k, r)) = probe {
-            let Some(node) = r.node() else {
+            let Some(node) = r.node(pin) else {
                 // The slot was retired (possibly recycled for a different
                 // key) since the reference was captured: erase the stale
                 // mapping and keep walking backwards.
@@ -436,23 +446,23 @@ where
             if !mark0 || !mark_top {
                 if node.is_inserted() {
                     if node.top_level() >= min_top {
-                        return Some(r.as_ptr()); // found fully inserted
+                        return Some(node); // found fully inserted
                     }
                     // Alive but too short to start from: step back.
                 } else {
                     // Try to complete the pending insertion.
                     let shared = &self.map.shared;
                     let top = node.top_level();
-                    let start2 = self.prev_start(&k, top);
+                    let start2 = self.prev_start(&k, top, pin);
                     let mut res = shared.search_from(&k, self.mvec, start2, false, &self.ctx);
                     let finished = res.found
-                        && res.succs[0] == r.as_ptr()
+                        && res.succs[0] == r.ptr.as_ptr()
                         && shared.link_upper(r.ptr, &mut res, &self.ctx, || {
-                            self.prev_start(&k, top)
+                            self.prev_start(&k, top, pin)
                         });
                     if finished {
                         if node.top_level() >= min_top {
-                            return Some(r.as_ptr()); // just fully inserted
+                            return Some(node); // just fully inserted
                         }
                     } else {
                         self.erase_local(&k); // insertion could not complete
@@ -466,40 +476,32 @@ where
         None
     }
 
-    /// The node the local hashtable holds for `key` (none on an indexed
-    /// handle, which has no table). A stale mapping is erased here.
-    fn table_holder(&mut self, key: &K) -> Option<&'m Node<K, V>> {
-        let r = *self.hash.as_ref()?.get(key)?;
-        if r.node().is_none() {
-            self.erase_local(key);
-            return None;
-        }
-        // SAFETY: generation-validated just above under the caller's pin,
-        // and the slot lives in the map's arenas, which outlive the handle.
-        Some(unsafe { &*r.as_ptr() })
-    }
-
     /// The hash layer's fast path (Alg. 1 / 6 / 11): offers the node the
     /// layer holds for `key` to `on_holder`. On an indexed graph the layer
     /// is one probe of the shared index under `hash`, the key's
     /// [`LayeredHandle::key_hash`] — the unique (lazy) holder whether valid
     /// or logically deleted, exactly what a table hit hands the helpers;
-    /// otherwise it is the local table.
-    fn hash_layer<T>(
+    /// otherwise it is the local table, whose stale mapping is erased here.
+    fn hash_layer<'p, T>(
         &mut self,
         key: &K,
         hash: u64,
-        on_holder: OnHolder<'m, Self, K, V, T>,
+        pin: &'p PinGuard<'m, K, V>,
+        on_holder: OnHolder<'m, 'p, Self, K, V, T>,
     ) -> Option<T> {
-        let node = if self.hash.is_some() {
-            self.table_holder(key)?
+        let node = if let Some(table) = &self.hash {
+            let Some(node) = table.get(key)?.node(pin) else {
+                self.erase_local(key);
+                return None;
+            };
+            node
         } else {
-            match self.map.shared.index_read(key, hash, &self.ctx)? {
+            match self.map.shared.index_read(key, hash, pin, &self.ctx)? {
                 IndexRead::Hit(node) | IndexRead::Absent(node) => node,
                 IndexRead::Miss | IndexRead::Stale => return None,
             }
         };
-        let outcome = on_holder(self, key, hash, node);
+        let outcome = on_holder(self, key, hash, node, pin);
         if outcome.is_none() {
             self.erase_local(key); // marked: fall through to the search
         }
@@ -519,31 +521,29 @@ where
     /// `key` then yields to the `warm` start when that is further along
     /// ([`Self::warm_start`]), whose index line is fetched while the local
     /// map is walked.
-    fn start_for<T>(
+    fn start_for<'p, T>(
         &mut self,
         key: &K,
         hash: u64,
         min_top: u8,
         warm: Option<&(K, u64)>,
-        on_holder: OnHolder<'m, Self, K, V, T>,
-    ) -> ControlFlow<T, Option<NodePtr<K, V>>> {
+        pin: &'p PinGuard<'m, K, V>,
+        on_holder: OnHolder<'m, 'p, Self, K, V, T>,
+    ) -> ControlFlow<T, Option<DataRef<'p, K, V>>> {
         if let (Some((_, warm_hash)), Some(index)) = (warm, self.map.shared.index()) {
             index.prefetch(*warm_hash);
         }
         loop {
-            let start = self.get_start(key, min_top);
-            let Some(p) = start else {
-                return Continue(self.warm_start(warm, None, min_top));
+            let start = self.get_start(key, min_top, pin);
+            let Some(node) = start else {
+                return Continue(self.warm_start(warm, None, min_top, pin));
             };
-            // SAFETY: `get_start` validated the reference under the
-            // caller's pin; local structures only map to data nodes.
-            let node: &'m Node<K, V> = unsafe { &*p };
-            if unsafe { node.key() } != key {
-                return Continue(self.warm_start(warm, start, min_top));
+            if node.key() != key {
+                return Continue(self.warm_start(warm, start, min_top, pin));
             }
-            match on_holder(self, key, hash, node) {
+            match on_holder(self, key, hash, node, pin) {
                 Some(outcome) => {
-                    self.map.shared.index_heal(node, hash, &self.ctx);
+                    self.map.shared.index_heal(&node, hash, &self.ctx);
                     return Break(outcome);
                 }
                 None => self.erase_local(key),
@@ -553,9 +553,15 @@ where
 
     /// Alg. 2 against a node holding the key (non-lazy: an unmarked
     /// holder is a duplicate).
-    fn insert_on(&mut self, _key: &K, hash: u64, node: &'m Node<K, V>) -> Option<bool> {
+    fn insert_on(
+        &mut self,
+        _key: &K,
+        hash: u64,
+        node: DataRef<'_, K, V>,
+        _pin: &PinGuard<'m, K, V>,
+    ) -> Option<bool> {
         if self.lazy() {
-            self.map.shared.insert_helper(node, hash, &self.ctx)
+            self.map.shared.insert_helper(&node, hash, &self.ctx)
         } else {
             (!node.is_marked(0)).then_some(false)
         }
@@ -563,23 +569,29 @@ where
 
     /// Alg. 12 against a node holding the key; non-lazy, the eager
     /// deletion plus its cleanup pass.
-    fn remove_on(&mut self, key: &K, _hash: u64, node: &'m Node<K, V>) -> Option<bool> {
+    fn remove_on(
+        &mut self,
+        key: &K,
+        _hash: u64,
+        node: DataRef<'_, K, V>,
+        pin: &PinGuard<'m, K, V>,
+    ) -> Option<bool> {
         let shared = &self.map.shared;
         if self.lazy() {
-            return shared.remove_helper(node, &self.ctx);
+            return shared.remove_helper(&node, &self.ctx);
         }
         if node.load_next(0, &self.ctx).marked() {
             return None;
         }
-        let won = shared.logical_delete_eager(node, &self.ctx);
+        let won = shared.logical_delete_eager(&node, &self.ctx);
         self.erase_local(key);
         if won {
             // Physical cleanup pass; its predecessor frontier seeds the
             // tombstoned hint (C3 mitigation).
-            let start = self.get_start(key, 0);
+            let start = self.get_start(key, 0, pin);
             let res = shared.search_from(key, self.mvec, start, true, &self.ctx);
-            if let Some(p) = Self::frontier_ref(res.preds[0], res.pred_gens[0]) {
-                self.tombstone_local(key, p);
+            if let Some(p) = res.pred_ref(0, pin) {
+                self.tombstone_local(key, p, pin);
             }
         }
         Some(won)
@@ -587,12 +599,18 @@ where
 
     /// Alg. 6 against a node holding the key: its value if the key is
     /// present.
-    fn read_on(&mut self, _key: &K, _hash: u64, node: &'m Node<K, V>) -> Option<Option<&'m V>> {
+    fn read_on<'p>(
+        &mut self,
+        _key: &K,
+        _hash: u64,
+        node: DataRef<'p, K, V>,
+        _pin: &'p PinGuard<'m, K, V>,
+    ) -> Option<Option<&'p V>> {
         let w0 = node.load_next(0, &self.ctx);
         if w0.marked() {
             return None;
         }
-        Some((!self.lazy() || w0.valid()).then(|| unsafe { node.value() }))
+        Some((!self.lazy() || w0.valid()).then(|| node.value()))
     }
 
     /// Inserts `key -> value`. Returns `false` if the key was present.
@@ -610,45 +628,53 @@ where
         // Pin for the whole operation: local-structure references are
         // generation-validated under this pin, which is what keeps their
         // targets from being recycled while we dereference them.
-        let _pin = self.map.shared.pin(&self.ctx);
+        let pin = self.map.shared.pin(&self.ctx);
         // One hash serves the probe and, for a fresh key, the publish.
         let hash = self.key_hash(&key);
-        self.insert_hashed(key, value, hash, None)
+        self.insert_hashed(key, value, hash, None, &pin)
     }
 
     /// The one insert body, behind [`Self::insert`], [`Self::extend`] and
     /// a replica's replay ([`Self::apply`]): `hash` is the key's
     /// [`Self::key_hash`] (a replay's [`hash_key`]) and `warm` an optional
     /// warm start ([`Self::start_for`]). The caller has recorded the
-    /// operation and holds a pin.
-    fn insert_hashed(&mut self, key: K, value: V, hash: u64, warm: Option<&(K, u64)>) -> bool {
+    /// operation and holds `pin`.
+    fn insert_hashed(
+        &mut self,
+        key: K,
+        value: V,
+        hash: u64,
+        warm: Option<&(K, u64)>,
+        pin: &PinGuard<'m, K, V>,
+    ) -> bool {
         if self.lazy() {
-            self.lazy_insert(key, value, hash, warm)
+            self.lazy_insert(key, value, hash, warm, pin)
         } else {
-            self.eager_insert(key, value, hash, warm)
+            self.eager_insert(key, value, hash, warm, pin)
         }
     }
 
     /// The hash layer and `getStart` (with `min_top`) of an insert, in the
     /// order [`Self::insert`] describes: `Break(outcome)` when a holder of
     /// `key` answers, else the start of the search.
-    fn insert_start(
+    fn insert_start<'p>(
         &mut self,
         key: &K,
         hash: u64,
         min_top: u8,
         warm: Option<&(K, u64)>,
-    ) -> ControlFlow<bool, Option<NodePtr<K, V>>> {
+        pin: &'p PinGuard<'m, K, V>,
+    ) -> ControlFlow<bool, Option<DataRef<'p, K, V>>> {
         let Some(index) = self.map.shared.index() else {
-            if let Some(outcome) = self.hash_layer(key, hash, Self::insert_on) {
+            if let Some(outcome) = self.hash_layer(key, hash, pin, Self::insert_on) {
                 return Break(outcome);
             }
-            return self.start_for(key, hash, min_top, warm, Self::insert_on);
+            return self.start_for(key, hash, min_top, warm, pin, Self::insert_on);
         };
         index.prefetch(hash);
-        let start = self.start_for(key, hash, min_top, warm, Self::insert_on);
+        let start = self.start_for(key, hash, min_top, warm, pin, Self::insert_on);
         if start.is_continue() {
-            if let Some(outcome) = self.hash_layer(key, hash, Self::insert_on) {
+            if let Some(outcome) = self.hash_layer(key, hash, pin, Self::insert_on) {
                 return Break(outcome);
             }
         }
@@ -656,11 +682,19 @@ where
     }
 
     /// Alg. 3, `lazyInsert`: link at level 0 only; upper levels are
-    /// completed on demand by `getStart`.
-    fn lazy_insert(&mut self, key: K, value: V, hash: u64, warm: Option<&(K, u64)>) -> bool {
+    /// completed on demand by `getStart`. A node allocated for a link CAS
+    /// that lost is recycled if a retry then finds the key.
+    fn lazy_insert(
+        &mut self,
+        key: K,
+        value: V,
+        hash: u64,
+        warm: Option<&(K, u64)>,
+        pin: &PinGuard<'m, K, V>,
+    ) -> bool {
         let shared = &self.map.shared;
         let mut pending = Some(value);
-        let mut start = match self.insert_start(&key, hash, 0, warm) {
+        let mut start = match self.insert_start(&key, hash, 0, warm, pin) {
             Break(outcome) => return outcome,
             Continue(start) => start,
         };
@@ -668,10 +702,14 @@ where
         let mut node = None;
         loop {
             let res = shared.search_from(&key, self.mvec, start, false, &self.ctx);
-            if res.found {
-                let existing = unsafe { &*res.succs[0] };
-                match shared.insert_helper(existing, hash, &self.ctx) {
-                    Some(outcome) => return outcome,
+            if let Some(existing) = res.hit(pin) {
+                match shared.insert_helper(&existing, hash, &self.ctx) {
+                    Some(outcome) => {
+                        if let Some(n) = node {
+                            shared.discard_unpublished(n, &self.ctx);
+                        }
+                        return outcome;
+                    }
                     None => continue, // became marked; retry the search
                 }
             }
@@ -683,17 +721,26 @@ where
                 self.index_local(key, NodeRef::new(n));
                 return true;
             }
-            start = self.prev_start(&key, 0); // updateStart (Alg. 3 line 15)
+            start = self.prev_start(&key, 0, pin); // updateStart (Alg. 3 line 15)
         }
     }
 
     /// Non-lazy insertion: level 0 plus an eager `finishInsert`. The
-    /// height comes first: the start must be at least as tall.
-    fn eager_insert(&mut self, key: K, value: V, hash: u64, warm: Option<&(K, u64)>) -> bool {
+    /// height comes first: the start must be at least as tall. A node
+    /// allocated for a link CAS that lost is recycled if a retry then
+    /// finds the key.
+    fn eager_insert(
+        &mut self,
+        key: K,
+        value: V,
+        hash: u64,
+        warm: Option<&(K, u64)>,
+        pin: &PinGuard<'m, K, V>,
+    ) -> bool {
         let shared = &self.map.shared;
         let mut pending = Some(value);
         let height = self.new_height();
-        let mut start = match self.insert_start(&key, hash, height, warm) {
+        let mut start = match self.insert_start(&key, hash, height, warm, pin) {
             Break(outcome) => return outcome,
             Continue(start) => start,
         };
@@ -704,6 +751,9 @@ where
             debug_assert!(spins < 100_000_000, "eager_insert livelock");
             let mut res = shared.search_from(&key, self.mvec, start, true, &self.ctx);
             if res.found {
+                if let Some(n) = node {
+                    shared.discard_unpublished(n, &self.ctx);
+                }
                 return false; // unmarked duplicate
             }
             let n = *node.get_or_insert_with(|| {
@@ -711,11 +761,12 @@ where
                 shared.alloc_node(key.clone(), v, &self.ctx, height)
             });
             if !shared.try_link_level0(n, &res, &self.ctx, hash) {
-                start = self.prev_start(&key, height);
+                start = self.prev_start(&key, height, pin);
                 continue;
             }
-            let _ =
-                shared.link_upper(n, &mut res, &self.ctx, || self.prev_start(&key, height));
+            let _ = shared.link_upper(n, &mut res, &self.ctx, || {
+                self.prev_start(&key, height, pin)
+            });
             if self.should_index(height) {
                 self.index_local(key, NodeRef::new(n));
             }
@@ -726,33 +777,39 @@ where
     /// Removes `key`. Returns whether it was present.
     pub fn remove(&mut self, key: &K) -> bool {
         self.ctx.record_op();
-        let _pin = self.map.shared.pin(&self.ctx);
+        let pin = self.map.shared.pin(&self.ctx);
         let hash = self.key_hash(key);
-        self.remove_hashed(key, hash, None)
+        self.remove_hashed(key, hash, None, &pin)
     }
 
     /// The one remove body (Alg. 11–13), behind [`Self::remove`] and a
     /// replica's replay ([`Self::apply`]); `hash` and `warm` as for
     /// [`Self::insert_hashed`].
-    fn remove_hashed(&mut self, key: &K, hash: u64, warm: Option<&(K, u64)>) -> bool {
-        if let Some(outcome) = self.hash_layer(key, hash, Self::remove_on) {
+    fn remove_hashed(
+        &mut self,
+        key: &K,
+        hash: u64,
+        warm: Option<&(K, u64)>,
+        pin: &PinGuard<'m, K, V>,
+    ) -> bool {
+        if let Some(outcome) = self.hash_layer(key, hash, pin, Self::remove_on) {
             return outcome;
         }
         let shared = &self.map.shared;
         if self.lazy() {
             // Alg. 13, lazyRemove.
-            let mut start = match self.start_for(key, hash, 0, warm, Self::remove_on) {
+            let mut start = match self.start_for(key, hash, 0, warm, pin, Self::remove_on) {
                 Break(outcome) => return outcome,
                 Continue(start) => start,
             };
             loop {
                 let res = shared.search_from(key, self.mvec, start, false, &self.ctx);
-                if !res.found {
+                let Some(node) = res.hit(pin) else {
                     return false;
-                }
-                match shared.remove_helper(unsafe { &*res.succs[0] }, &self.ctx) {
+                };
+                match shared.remove_helper(&node, &self.ctx) {
                     Some(outcome) => return outcome,
-                    None => start = self.prev_start(key, 0),
+                    None => start = self.prev_start(key, 0, pin),
                 }
             }
         } else {
@@ -760,19 +817,19 @@ where
             loop {
                 spins += 1;
                 debug_assert!(spins < 100_000_000, "eager_remove livelock");
-                let start = match self.start_for(key, hash, 0, warm, Self::remove_on) {
+                let start = match self.start_for(key, hash, 0, warm, pin, Self::remove_on) {
                     Break(outcome) => return outcome,
                     Continue(start) => start,
                 };
                 let res = shared.search_from(key, self.mvec, start, true, &self.ctx);
-                if !res.found {
+                let Some(node) = res.hit(pin) else {
                     return false;
-                }
-                if shared.logical_delete_eager(unsafe { &*res.succs[0] }, &self.ctx) {
+                };
+                if shared.logical_delete_eager(&node, &self.ctx) {
                     let res2 = shared.search_from(key, self.mvec, start, true, &self.ctx);
                     self.erase_local(key);
-                    if let Some(p) = Self::frontier_ref(res2.preds[0], res2.pred_gens[0]) {
-                        self.tombstone_local(key, p);
+                    if let Some(p) = res2.pred_ref(0, pin) {
+                        self.tombstone_local(key, p, pin);
                     }
                     return true;
                 }
@@ -780,27 +837,21 @@ where
         }
     }
 
-    /// Alg. 6: the local table's speculative hit (a marked holder's
-    /// mapping is erased and the caller searches).
-    fn table_read(&mut self, key: &K, hash: u64) -> Option<Option<&'m V>> {
-        let node = self.table_holder(key)?;
-        let value = self.read_on(key, hash, node);
-        if value.is_none() {
-            self.erase_local(key);
-        }
-        value
-    }
-
     /// The value of `key` when the hash layer answers: the local table's
-    /// speculative hit (Alg. 6), or — the Skip Hash fast path — the shared
-    /// index, whose validated read needs no second look at the node.
-    /// `None` means "search" (Alg. 7).
-    fn hashed_read(&mut self, key: &K, hash: u64) -> Option<Option<&'m V>> {
-        if let Some(value) = self.table_read(key, hash) {
-            return Some(value);
+    /// speculative hit (Alg. 6; a marked holder's mapping is erased), or —
+    /// the Skip Hash fast path — the shared index, whose validated read
+    /// needs no second look at the node. `None` means "search" (Alg. 7).
+    fn hashed_read<'p>(
+        &mut self,
+        key: &K,
+        hash: u64,
+        pin: &'p PinGuard<'m, K, V>,
+    ) -> Option<Option<&'p V>> {
+        if self.hash.is_some() {
+            return self.hash_layer(key, hash, pin, Self::read_on);
         }
-        match self.map.shared.index_read(key, hash, &self.ctx)? {
-            IndexRead::Hit(node) => Some(Some(unsafe { node.value() })),
+        match self.map.shared.index_read(key, hash, pin, &self.ctx)? {
+            IndexRead::Hit(node) => Some(Some(node.value())),
             IndexRead::Absent(_) => Some(None),
             IndexRead::Miss | IndexRead::Stale => None,
         }
@@ -815,8 +866,8 @@ where
     /// replica, [`hash_key`]) the caller already holds.
     pub(crate) fn contains_hashed(&mut self, key: &K, hash: u64) -> bool {
         self.ctx.record_op();
-        let _pin = self.map.shared.pin(&self.ctx);
-        self.read_hashed(key, hash, |value| value.is_some())
+        let pin = self.map.shared.pin(&self.ctx);
+        self.read_hashed(key, hash, &pin, |value| value.is_some())
     }
 
     /// Returns a clone of the value mapped to `key`, if present.
@@ -834,32 +885,34 @@ where
         V: Clone,
     {
         self.ctx.record_op();
-        let _pin = self.map.shared.pin(&self.ctx);
-        self.read_hashed(key, hash, |value| value.cloned())
+        let pin = self.map.shared.pin(&self.ctx);
+        self.read_hashed(key, hash, &pin, |value| value.cloned())
     }
 
     /// The one point read (Alg. 6/7), behind [`Self::get`],
     /// [`Self::contains`] and a replica's reads: the hash layer, else a
     /// search from the local start. `answer` maps the key's value, or
     /// `None` when the key is absent, to the result; `hash` as for
-    /// [`Self::insert_hashed`]. The caller's pin keeps every node read here
-    /// dereferenceable.
-    fn read_hashed<T>(&mut self, key: &K, hash: u64, answer: impl FnOnce(Option<&'m V>) -> T) -> T {
-        if let Some(value) = self.hashed_read(key, hash) {
+    /// [`Self::insert_hashed`]. Every node read here is read under `pin`.
+    fn read_hashed<'p, T>(
+        &mut self,
+        key: &K,
+        hash: u64,
+        pin: &'p PinGuard<'m, K, V>,
+        answer: impl FnOnce(Option<&'p V>) -> T,
+    ) -> T {
+        if let Some(value) = self.hashed_read(key, hash, pin) {
             return answer(value);
         }
-        let start = match self.start_for(key, hash, 0, None, Self::read_on) {
+        let start = match self.start_for(key, hash, 0, None, pin, Self::read_on) {
             Break(value) => return answer(value),
             Continue(start) => start,
         };
         let shared = &self.map.shared;
         let res = shared.search_from(key, self.mvec, start, !self.lazy(), &self.ctx);
-        if !res.found {
+        let Some(node) = res.hit(pin) else {
             return answer(None);
-        }
-        // SAFETY: a found search's `succs[0]` is a data node it reached
-        // under this pin, in the map's arenas, which outlive the handle.
-        let node: &'m Node<K, V> = unsafe { &*res.succs[0] };
+        };
         // `found` saw the node unmarked; lazily, its valid bit decides.
         let present = !self.lazy() || {
             let w0 = node.load_next(0, &self.ctx);
@@ -868,8 +921,8 @@ where
         if !present {
             return answer(None);
         }
-        shared.index_heal(node, hash, &self.ctx);
-        answer(Some(unsafe { node.value() }))
+        shared.index_heal(&node, hash, &self.ctx);
+        answer(Some(node.value()))
     }
 
     /// Returns the value mapped to `key`, inserting `value` first if the
@@ -912,10 +965,10 @@ where
         // The hint is validated under this pin; `range` itself pins before
         // the handle pin drops, so coverage is continuous.
         let map = self.map;
-        let _pin = map.shared.pin(&self.ctx);
+        let pin = map.shared.pin(&self.ctx);
         let hint = match &start {
             std::ops::Bound::Included(k) | std::ops::Bound::Excluded(k) => {
-                self.prev_start(k, 0)
+                self.prev_start(k, 0, &pin)
             }
             std::ops::Bound::Unbounded => None,
         };
@@ -958,10 +1011,10 @@ where
     /// replay into another socket's replica, the operation's warm key
     /// ([`Self::warm_start`]).
     pub(crate) fn apply(&mut self, op: Update<K, V>, hash: u64, warm: Option<&(K, u64)>) -> bool {
-        let _pin = self.map.shared.pin(&self.ctx);
+        let pin = self.map.shared.pin(&self.ctx);
         match op {
-            Update::Insert(k, v) => self.insert_hashed(k, v, hash, warm),
-            Update::Remove(k) => self.remove_hashed(&k, hash, warm),
+            Update::Insert(k, v) => self.insert_hashed(k, v, hash, warm, &pin),
+            Update::Remove(k) => self.remove_hashed(&k, hash, warm, &pin),
         }
     }
 }

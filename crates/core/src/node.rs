@@ -40,6 +40,11 @@
 //!   whichever thread physically snips the node out of that level's list.
 //!   The thread that completes the mask (observes the last missing bit) is
 //!   the unique retirer, so a node enters a limbo list exactly once.
+//!
+//! Its unchecked code rests on one invariant: a node's key and value are
+//! initialized exactly while its kind is `Data`, and a slot that may be
+//! reinitialized is read only through raw field projections, never
+//! through a `&Node` over the whole header.
 
 use crate::sync::{TagPtr, TaggedAtomic};
 use instrument::ThreadCtx;

@@ -64,6 +64,9 @@
 //! steps under `deterministic`, TSC cycles otherwise. Sharing one source
 //! is what lets a shrunken deterministic trace reproduce commission *and*
 //! reclamation decisions byte-for-byte on replay.
+//!
+//! Its unchecked code rests on the grace-period argument above: a retired node
+//! is freed only once no pin that could have reached it remains.
 
 use crate::node::Node;
 use crate::sync::FacadeAtomicUsize;

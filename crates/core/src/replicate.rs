@@ -76,14 +76,19 @@
 //! append, replay, and catch-up at the same replayable granularity as the
 //! structure itself; the `replicated_sg` stress lanes run PCT and
 //! round-robin schedules over exactly this protocol.
+//!
+//! The module forbids `unsafe_code`: a slot's operation is handed from
+//! its appender to every replica's drain through the crate's
+//! `HandoffCell`, which states the one rule the log keeps for it.
+
+#![forbid(unsafe_code)]
 
 use crate::index::hash_key;
 use crate::layered::{LayeredHandle, LayeredMap};
 use crate::mvec::list_suffix;
 use crate::params::GraphConfig;
-use crate::sync::{FacadeAtomicUsize, Padded};
+use crate::sync::{FacadeAtomicUsize, HandoffCell, Padded};
 use instrument::ThreadCtx;
-use std::cell::UnsafeCell;
 use std::hash::Hash;
 
 /// The one wait step of every loop in this module: spin briefly for the
@@ -205,17 +210,16 @@ struct Pending<K, V> {
 /// One bounded-log slot. Three phases, each handed off through a facade
 /// atomic:
 ///
-/// 1. the appender (exclusive by slot-reuse invariant) writes `op`, then
-///    stamps `seq = pos + 1`;
+/// 1. the appender (exclusive by slot-reuse invariant) publishes `op`
+///    stamped `pos + 1`;
 /// 2. appliers of every replica wait for the stamp and read `op` (shared);
 /// 3. the applier on the appender's home replica publishes
 ///    `result = ((pos + 1) << 1) | ok`, and the appender consumes it back
 ///    to `0` — the consume-ack that lets the slot's next occupant (a full
 ///    wrap later) publish its own outcome unambiguously.
 struct LogSlot<K, V> {
-    seq: FacadeAtomicUsize,
+    op: HandoffCell<Pending<K, V>>,
     result: FacadeAtomicUsize,
-    op: UnsafeCell<Option<Pending<K, V>>>,
 }
 
 /// A bounded MPSC operation log with one completion tail (and one replay
@@ -228,12 +232,6 @@ struct OpLog<K, V> {
     mask: usize,
 }
 
-// Slot cells are handed off through the seq/result stamps (see `LogSlot`);
-// shared reads of a stamped op happen through `&Pending`, hence `Sync` on
-// the key/value types.
-unsafe impl<K: Send + Sync, V: Send + Sync> Sync for OpLog<K, V> {}
-unsafe impl<K: Send, V: Send> Send for OpLog<K, V> {}
-
 impl<K, V> OpLog<K, V> {
     fn new(capacity: usize, replicas: usize) -> Self {
         Self {
@@ -242,9 +240,8 @@ impl<K, V> OpLog<K, V> {
             leases: (0..replicas).map(|_| Padded(FacadeAtomicUsize::new(0))).collect(),
             slots: (0..capacity)
                 .map(|_| LogSlot {
-                    seq: FacadeAtomicUsize::new(0),
+                    op: HandoffCell::new(),
                     result: FacadeAtomicUsize::new(0),
-                    op: UnsafeCell::new(None),
                 })
                 .collect(),
             mask: capacity - 1,
@@ -501,8 +498,7 @@ where
         // The cell is exclusive: every applier finished the previous
         // occupant (every tail passed it) before `pos` could be claimed.
         let slot = &log.slots[pos & log.mask];
-        unsafe { *slot.op.get() = Some(Pending { home, hash, op }) };
-        slot.seq.store(pos + 1);
+        slot.op.publish(pos + 1, Pending { home, hash, op });
         // Wait for the home replica's applier to publish this op's
         // outcome, replaying the home replica ourselves whenever its lease
         // is free.
@@ -597,22 +593,18 @@ where
         let mut suffix = Vec::with_capacity(head - tail);
         for pos in tail..head {
             let slot = &log.slots[pos & log.mask];
-            // The claimer stamps seq right after writing the op; between
-            // claim and stamp we spin (each facade load is a det yield),
-            // yielding the OS thread once the claimer looks descheduled.
+            // The claimer stamps the slot right after writing the op;
+            // between claim and stamp we spin (each facade load is a det
+            // yield), yielding the OS thread once the claimer looks
+            // descheduled.
             let mut spins = 0u32;
-            loop {
-                let seq = slot.seq.load();
-                if seq == pos + 1 {
-                    break;
-                }
+            let p = slot.op.await_stamp(pos + 1, |seq| {
                 // A stamp from a later wrap would mean the log lapped this
                 // drain: this replica's tail, at or before `pos`, stopped
                 // gating slot reuse — a protocol bug.
                 assert!(seq < pos + 1, "slot of log position {pos} restamped {seq} by a later wrap");
                 backoff(&mut spins);
-            }
-            let p = unsafe { (*slot.op.get()).as_ref() }.expect("a stamped slot holds its op");
+            });
             let warm = foreign
                 .then(|| home.local_pred_key(p.op.key()))
                 .flatten()

@@ -17,7 +17,12 @@
 //! atomic cell. All compare-and-swap operations work on full words, so the
 //! paper's `casMark` / `casValid` / `casMarkValid` / `casNext` are expressed
 //! as loads plus full-word CAS.
+//!
+//! Its unchecked code rests on two invariants: a tagged word names a node of
+//! its graph or nothing, and a `HandoffCell` is published again only
+//! once every reader of its previous stamp is done with it.
 
+use std::cell::UnsafeCell;
 use std::fmt;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -299,6 +304,53 @@ impl FacadeAtomicUsize {
     pub fn swap_seq_cst(&self, v: usize) -> usize {
         facade_yield();
         self.cell.swap(v, Ordering::SeqCst)
+    }
+}
+
+/// A value handed from one writer to many readers through a stamp word
+/// (a replica log slot): `publish` stores the value, then the stamp, and a
+/// reader that sees the stamp reads the value in place. The cell relies on
+/// one rule it cannot check, which the log keeps by construction (a
+/// position is claimable only once every replica's tail has passed its
+/// previous occupant): a writer publishes again only once every reader of
+/// the previous stamp is done with it.
+pub(crate) struct HandoffCell<T> {
+    stamp: FacadeAtomicUsize,
+    value: UnsafeCell<Option<T>>,
+}
+
+// SAFETY: the cell owns its value, and readers share it (the rule above).
+unsafe impl<T: Send> Send for HandoffCell<T> {}
+unsafe impl<T: Send + Sync> Sync for HandoffCell<T> {}
+
+impl<T> HandoffCell<T> {
+    pub(crate) fn new() -> Self {
+        Self {
+            stamp: FacadeAtomicUsize::new(0),
+            value: UnsafeCell::new(None),
+        }
+    }
+
+    /// Stores `value` and stamps the cell `stamp`; the caller owns the
+    /// cell under the type's rule.
+    pub(crate) fn publish(&self, stamp: usize, value: T) {
+        // SAFETY: no reader is left (the rule); new ones wait for the stamp.
+        unsafe { *self.value.get() = Some(value) };
+        self.stamp.store(stamp);
+    }
+
+    /// The value stamped `stamp`, once the stamp reads so; `wait` gets
+    /// every other stamp read meanwhile.
+    pub(crate) fn await_stamp(&self, stamp: usize, mut wait: impl FnMut(usize)) -> &T {
+        loop {
+            match self.stamp.load() {
+                seen if seen == stamp => break,
+                seen => wait(seen),
+            }
+        }
+        // SAFETY: the stamp's Acquire load saw the store that followed the
+        // value's write, and the value stays until every reader is done.
+        unsafe { (*self.value.get()).as_ref() }.expect("a stamped cell holds its value")
     }
 }
 

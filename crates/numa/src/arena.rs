@@ -52,8 +52,13 @@
 //! node header plus exactly `height` trailing next-slots). The trailing
 //! bytes are zero-initialized at allocation time; only the `T` prefix is
 //! dropped when the arena is dropped.
+//!
+//! Its unchecked code rests on ownership: chunk storage is owned alone and
+//! freed once, with the layout it was allocated with, and a typed
+//! [`ChunkStorage`] lends only the values it initialized.
 
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
+use std::marker::PhantomData;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 
@@ -73,27 +78,32 @@ pub const CACHE_LINE: usize = 64;
 /// least this many bytes is aligned to it and advised onto huge pages.
 pub const HUGE_PAGE: usize = 2 << 20;
 
-/// Owned chunk storage: `size` bytes at (at least) `align`, uninitialized,
-/// freed on drop with the layout it was allocated with.
+/// Owned chunk storage: `size` bytes at (at least) `align`, freed on drop
+/// with the layout it was allocated with, and a slice of the values of `T`
+/// written into it ([`ChunkStorage::from_fn`]; empty from
+/// [`ChunkStorage::new`], whose bytes stay uninitialized).
 ///
 /// A chunk of [`HUGE_PAGE`] bytes or more is 2 MiB-aligned and, on Linux,
 /// a fresh mapping whose whole 2 MiB pages are advised onto huge pages
 /// before its first touch (see the module docs); a smaller one comes from
 /// the global allocator at `align`, on base pages.
-pub struct ChunkStorage {
+pub struct ChunkStorage<T = u8> {
     ptr: NonNull<u8>,
     layout: Layout,
+    /// Initialized values of `T` at `ptr`.
+    len: usize,
+    _values: PhantomData<T>,
 }
 
 // SAFETY: `ptr` names memory this value owns alone and frees once, in
-// `Drop`, with `layout`, which never changes; neither field is shared
-// state. What the bytes hold, and which threads touch them, is up to
-// whoever writes through `as_ptr`.
-unsafe impl Send for ChunkStorage {}
-// SAFETY: `&ChunkStorage` reads only the two immutable fields.
-unsafe impl Sync for ChunkStorage {}
+// `Drop`, with `layout`, which never changes; no field is shared state.
+// Its values move with it and are lent as `&T`. What untyped bytes hold,
+// and which threads touch them, is up to whoever writes through `as_ptr`.
+unsafe impl<T: Send> Send for ChunkStorage<T> {}
+// SAFETY: `&ChunkStorage` reads only immutable fields and lends `&T`.
+unsafe impl<T: Sync> Sync for ChunkStorage<T> {}
 
-impl ChunkStorage {
+impl<T> ChunkStorage<T> {
     /// Allocates `size` bytes aligned to `align` (a power of two), or to
     /// [`HUGE_PAGE`] if `size` is at least that.
     ///
@@ -117,7 +127,31 @@ impl ChunkStorage {
             // SAFETY: `layout` has a nonzero size.
             NonNull::new(unsafe { alloc(layout) }).unwrap_or_else(|| handle_alloc_error(layout))
         };
-        Self { ptr, layout }
+        Self {
+            ptr,
+            layout,
+            len: 0,
+            _values: PhantomData,
+        }
+    }
+
+    /// Storage for `len` values of `T`, value `i` being `f(i)`, written in
+    /// order by the calling thread (which so first-touches the chunk).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `T` needs dropping (the storage frees bytes, not values).
+    pub fn from_fn(len: usize, mut f: impl FnMut(usize) -> T) -> Self {
+        assert!(!std::mem::needs_drop::<T>(), "chunk values are never dropped");
+        let size = len.checked_mul(std::mem::size_of::<T>()).expect("chunk size overflows");
+        let mut storage = Self::new(size, std::mem::align_of::<T>());
+        let base = storage.ptr.as_ptr().cast::<T>();
+        for i in 0..len {
+            // SAFETY: value `i` lies inside the fresh storage, aligned for `T`.
+            unsafe { base.add(i).write(f(i)) };
+        }
+        storage.len = len;
+        storage
     }
 
     /// The first byte.
@@ -131,7 +165,16 @@ impl ChunkStorage {
     }
 }
 
-impl Drop for ChunkStorage {
+impl<T> std::ops::Deref for ChunkStorage<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        // SAFETY: `from_fn` initialized `len` values at `ptr`.
+        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr().cast::<T>(), self.len) }
+    }
+}
+
+impl<T> Drop for ChunkStorage<T> {
     fn drop(&mut self) {
         if self.layout.align() >= HUGE_PAGE {
             // SAFETY: `new` mapped `ptr` with this very `layout`, and only
@@ -751,10 +794,10 @@ mod tests {
         let p = small.alloc([1; 64]).as_ptr() as usize;
         assert_eq!(p % CACHE_LINE, 0, "a smaller chunk is not line-aligned");
 
-        let raw = ChunkStorage::new(HUGE_PAGE + 1, 16);
+        let raw: ChunkStorage = ChunkStorage::new(HUGE_PAGE + 1, 16);
         assert_eq!(raw.as_ptr() as usize % HUGE_PAGE, 0);
         assert_eq!(
-            ChunkStorage::new(0, 16).as_ptr() as usize,
+            ChunkStorage::<u8>::new(0, 16).as_ptr() as usize,
             16,
             "no allocation for zero bytes"
         );

@@ -14,6 +14,7 @@
 //! | `blocked_sg` | fat level-0 blocks (B-skiplist blocking) over the skip graph |
 //! | `anchor_blocked_sg` | blocked map under the anchor-granular policy (compacting merges, left-biased splits) |
 //! | `hashed_sg` | layered map with the shared lock-free hash index (Skip Hash fast path) |
+//! | `lazy_hashed_sg` | the lazy hash-indexed layered map, the geometry of the benchmark's point workloads |
 //! | `replicated_sg` | per-socket replicas of the lazy hash-indexed map over partitioned operation logs |
 //! | `skiplist` | lock-free skip list with the relink optimization |
 //! | `skiplist_norelink` | the same without relink (ablation) |
@@ -55,6 +56,7 @@ pub const STRUCTURES: &[&str] = &[
     "blocked_sg",
     "anchor_blocked_sg",
     "hashed_sg",
+    "lazy_hashed_sg",
     "replicated_sg",
     "skiplist",
     "skiplist_norelink",
@@ -106,7 +108,7 @@ pub fn with_named<V: Visit>(name: &str, threads: usize, key_space: u64, visit: V
     let maintenance = Duration::from_millis(2);
     match name {
         "layered_map_sg" | "lazy_layered_sg" | "reclaim_layered_sg" | "layered_map_ssg"
-        | "layered_map_ll" | "layered_map_sl" | "hashed_sg" => {
+        | "layered_map_ll" | "layered_map_sl" | "hashed_sg" | "lazy_hashed_sg" => {
             let graph = match name {
                 "layered_map_sg" => GraphConfig::new(t),
                 "lazy_layered_sg" => GraphConfig::new(t).lazy(true),
@@ -114,6 +116,10 @@ pub fn with_named<V: Visit>(name: &str, threads: usize, key_space: u64, visit: V
                 "layered_map_ssg" => GraphConfig::new(t).sparse(true),
                 "layered_map_ll" => GraphConfig::linked_list(t),
                 "layered_map_sl" => GraphConfig::single_skip_list(t),
+                "lazy_hashed_sg" => GraphConfig::new(t)
+                    .lazy(true)
+                    .hash_index(true)
+                    .index_capacity(1),
                 // Non-lazy and unreclaimed, so eager removes must
                 // invalidate their own entries (the duty the bug-injection
                 // lane skips); a one-slot capacity hint makes the stress

@@ -52,6 +52,7 @@ pub const DET_STRUCTURES: &[&str] = &[
     "blocked_sg",
     "anchor_blocked_sg",
     "hashed_sg",
+    "lazy_hashed_sg",
     "replicated_sg",
     "skiplist",
     "skiplist_norelink",

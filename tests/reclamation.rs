@@ -110,3 +110,93 @@ fn churn_through_the_layered_handle_recycles_memory() {
     );
     assert!(map.shared().check_invariants().is_ok());
 }
+
+/// A stats sampler and a churning thread at once: `memory_stats` walks the
+/// bottom list under a pin of its own thread slot, so a slot the churn
+/// retires and recycles while the sampler stands on it cannot hand the walk
+/// a link into another incarnation. Every sample finishes, and no more
+/// nodes are linked than were ever allocated.
+#[test]
+fn stats_sampled_during_churn_finish_and_stay_within_the_allocation() {
+    let map: LayeredMap<u64, u64> = LayeredMap::new(
+        GraphConfig::new(2)
+            .lazy(true)
+            .commission_cycles(0)
+            .reclaim(true)
+            .chunk_capacity(1 << 10),
+    );
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let samples = std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut h = map.register(ThreadCtx::plain(0));
+            let mut x = 0x9e37_79b9_7f4a_7c15u64;
+            for _ in 0..20_000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let k = x % 256;
+                if x & (1 << 40) == 0 {
+                    h.insert(k, k);
+                } else {
+                    h.remove(&k);
+                }
+            }
+            done.store(true, std::sync::atomic::Ordering::Release);
+        });
+        let sampler = s.spawn(|| {
+            let ctx = ThreadCtx::plain(1);
+            let mut samples = 0;
+            while !done.load(std::sync::atomic::Ordering::Acquire) {
+                let m = map.shared().memory_stats(&ctx);
+                assert!(m.physical() <= m.allocated, "sample {samples}: {m:?}");
+                samples += 1;
+            }
+            samples
+        });
+        sampler.join().unwrap()
+    });
+    assert!(samples > 0);
+    let m = map.shared().memory_stats(&ThreadCtx::plain(0));
+    assert!(m.recycled_slots > 0, "the churn recycled slots: {m:?}");
+}
+
+/// Two threads insert the same keys and nothing is ever removed, so every
+/// slot in use holds a live key. A thread whose level-0 link loses to the
+/// other's and whose retry then finds the key must hand its never-published
+/// node back (`discard_unpublished`); otherwise the slot is neither live nor
+/// free. Round-robin schedules interleave the two inserts of each key.
+#[cfg(all(feature = "deterministic", not(feature = "bug-injection")))]
+#[test]
+fn an_insert_that_loses_its_link_to_the_same_key_frees_its_node() {
+    use skipgraph::det::{self, round_robin_family, DetConfig};
+    const KEYS: u64 = 24;
+    let mut discarded = 0;
+    for lazy in [true, false] {
+        for (seed, policy) in round_robin_family(2, 6) {
+            let map: LayeredMap<u64, u64> = LayeredMap::new(
+                GraphConfig::new(2).lazy(lazy).reclaim(true).chunk_capacity(1 << 8),
+            );
+            let workers: Vec<Box<dyn FnOnce() + Send + '_>> = (0..2u16)
+                .map(|t| {
+                    let map = &map;
+                    Box::new(move || {
+                        let mut h = map.register(ThreadCtx::plain(t));
+                        for k in 0..KEYS {
+                            h.insert(k, k);
+                        }
+                    }) as Box<dyn FnOnce() + Send + '_>
+                })
+                .collect();
+            det::run_threads(&DetConfig::new(seed, policy.clone()), workers);
+            let m = map.shared().memory_stats(&ThreadCtx::plain(0));
+            assert_eq!(m.live, KEYS as usize);
+            assert_eq!(
+                m.allocated - m.free_slots,
+                m.live,
+                "lazy={lazy} seed={seed} {policy:?}: a lost insert kept its node"
+            );
+            discarded += m.free_slots + m.recycled_slots;
+        }
+    }
+    assert!(discarded > 0, "no schedule made an insert lose its link");
+}
