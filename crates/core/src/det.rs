@@ -419,11 +419,6 @@ pub fn yield_point() {
     }
 }
 
-/// Whether the calling thread is running under a deterministic scheduler.
-pub fn is_active() -> bool {
-    ACTIVE.with(|a| a.borrow().is_some())
-}
-
 /// The current global step count, when running under a scheduler. Because
 /// execution is sequentialized, this is a deterministic logical clock
 /// suitable for linearizability timestamps.

@@ -11,8 +11,8 @@
 //! This module implements the structure, the two search procedures of the
 //! paper (`lazyRelinkSearch`, Alg. 5, and `retireSearch`, Alg. 8), the
 //! relink optimization (a single CAS replaces a whole chain of marked
-//! references), and composite insert/remove/contains operations used when
-//! the graph is operated without the thread-local layer.
+//! references), and the one insert/remove/read loop per point operation
+//! that every unblocked handle runs (`ops`).
 //!
 //! Unchecked code in the graph core (this module, `ops`, `arenas`) rests on
 //! one invariant: a node reached under a reclamation pin, whose generation
@@ -355,15 +355,9 @@ impl<K, V> SkipGraph<K, V> {
     /// Nodes allocated per thread arena (monotonic; arenas never shrink).
     ///
     /// Allocates its result; sampling loops should prefer
-    /// [`SkipGraph::allocated_nodes`] / [`SkipGraph::memory_stats`].
+    /// [`SkipGraph::memory_stats`].
     pub fn arena_sizes(&self) -> Vec<usize> {
         self.arenas.iter().map(|a| a.allocated()).collect()
-    }
-
-    /// Total data nodes ever allocated, across all threads and size
-    /// classes. Zero-alloc; safe to call per sample.
-    pub fn allocated_nodes(&self) -> usize {
-        self.arenas.iter().map(|a| a.allocated()).sum()
     }
 
     /// Bytes per node the *old* fixed-tower inline layout would spend

@@ -5,17 +5,16 @@
 //! the relink optimization (Alg. 3 line 14), upper-level linking
 //! (`finishInsert`, Alg. 10), and the eager (non-lazy) logical deletion.
 //!
-//! Each point operation of the graph has one body: `insert`, `remove`,
-//! and `lookup` behind both `get` and `contains`. They run the graph
-//! without the thread-local layer, so every search starts at the head
-//! array (`search_from` with no start); `LayeredHandle` runs its own loops
-//! over the same primitives from local-map starts.
+//! Each point operation has one loop over them: `insert_from`,
+//! `remove_from` and `read_from`. Every unblocked handle runs them — a
+//! layered handle from its local-map starts, a bare graph's handle and a
+//! read-only view from the head array (no start) — and the blocked map
+//! keeps its own loops over blocks.
 //!
 //! The primitives dereference the node pointers their caller's search
 //! reached under the pin it holds (see the graph module's invariant).
 
-use super::{DataRef, SearchResult, SkipGraph};
-use crate::index::IndexRead;
+use super::{DataRef, PinGuard, SearchResult, SkipGraph};
 use crate::node::Node;
 use crate::sync::TagPtr;
 use instrument::ThreadCtx;
@@ -241,30 +240,46 @@ impl<K: Ord, V> SkipGraph<K, V> {
         true
     }
 
-    /// Inserts `key -> value` from the head array, giving the new node an
-    /// explicit tower height (levels `0..=height`).
-    ///
-    /// Under the lazy configuration a logically deleted duplicate is
-    /// resurrected in place (Alg. 2); under the non-lazy configuration any
-    /// unmarked duplicate fails the insertion. A sparse caller draws
-    /// `height` with [`crate::sparse_height`].
-    pub fn insert(&self, key: K, value: V, height: u8, ctx: &ThreadCtx) -> bool {
-        debug_assert!(height <= self.config().max_level);
-        let hash = self.index_hash(&key);
-        let pin = self.pin(ctx);
+    /// The one insert loop (Alg. 3's `lazyInsert`, or the eager
+    /// all-levels insertion), behind every unblocked handle: searches from
+    /// `start`, then from `update_start()` (Alg. 9, `updateStart`) after a
+    /// lost level-0 link. A holder of the key answers instead: lazily
+    /// through Alg. 2 (a resurrection is a successful insert), eagerly as
+    /// an unmarked duplicate. A fresh node gets levels `0..=height`
+    /// (`hash` is the key's [`SkipGraph::index_hash`]). The loop finishes
+    /// the node's upper levels (Alg. 10) unless `local` — the caller maps
+    /// the node in a local structure — and the graph is lazy: then the
+    /// caller's `getStart` finishes them on demand. Returns the outcome
+    /// and the node this call linked; a node allocated for a link that
+    /// lost is recycled when a retry finds the key.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    pub(crate) fn insert_from<'p>(
+        &self,
+        key: &K,
+        value: V,
+        hash: u64,
+        height: u8,
+        local: bool,
+        mut start: Option<DataRef<'p, K, V>>,
+        mut update_start: impl FnMut() -> Option<DataRef<'p, K, V>>,
+        pin: &'p PinGuard<'_, K, V>,
+        ctx: &ThreadCtx,
+    ) -> (bool, Option<NonNull<Node<K, V>>>)
+    where
+        K: Clone,
+    {
+        debug_assert!(height <= self.config.max_level);
         let mvec = self.membership_of(ctx.id());
-        let lazy = self.config().lazy;
-        let mut pending = Some((key, value));
-        let mut node: Option<NonNull<Node<K, V>>> = None;
+        let lazy = self.config.lazy;
+        let mut pending = Some(value);
+        let mut node = None;
+        let mut spins = 0u64;
         loop {
-            let mut res = {
-                let kref: &K = match node {
-                    Some(n) => unsafe { (*n.as_ptr()).key() },
-                    None => &pending.as_ref().expect("key pending").0,
-                };
-                self.search_from(kref, mvec, None, !lazy, ctx)
-            };
-            if let Some(existing) = res.hit(&pin) {
+            spins += 1;
+            debug_assert!(spins < 100_000_000, "insert livelock");
+            let mut res = self.search_from(key, mvec, start, !lazy, ctx);
+            if let Some(existing) = res.hit(pin) {
                 let outcome = if lazy {
                     match self.insert_helper(&existing, hash, ctx) {
                         Some(outcome) => outcome,
@@ -273,99 +288,90 @@ impl<K: Ord, V> SkipGraph<K, V> {
                 } else {
                     false // an unmarked duplicate
                 };
-                if let Some(n) = node.take() {
+                if let Some(n) = node {
                     self.discard_unpublished(n, ctx);
                 }
-                return outcome;
+                return (outcome, None);
             }
             let n = *node.get_or_insert_with(|| {
-                let (k, v) = pending.take().expect("pending kv");
-                self.alloc_node(k, v, ctx, height)
+                let v = pending.take().expect("value pending");
+                self.alloc_node(key.clone(), v, ctx, height)
             });
             if !self.try_link_level0(n, &res, ctx, hash) {
+                start = update_start(); // Alg. 3 line 15
                 continue;
             }
-            let _ = self.link_upper(n, &mut res, ctx, || None);
-            return true;
+            if !(lazy && local) {
+                let _ = self.link_upper(n, &mut res, ctx, &mut update_start);
+            }
+            return (true, Some(n));
         }
     }
 
-    /// Removes `key`, searching from the head array. Returns whether the
-    /// key was present (a successful removal was linearized here).
-    pub fn remove(&self, key: &K, ctx: &ThreadCtx) -> bool {
-        let pin = self.pin(ctx);
+    /// The one remove loop (Alg. 13's `lazyRemove`, or the eager marking
+    /// removal), behind every unblocked handle: searches from `start`, and
+    /// from `update_start()` after the holder turned out marked (lazy) or
+    /// another remover won its level-0 mark (eager). Returns the outcome
+    /// and, when an eager removal won here, its cleanup search: one relink
+    /// pass over the key's position ("searches performed on behalf of
+    /// removals physically remove marked nodes"), whose level-0
+    /// predecessor a caller may keep as a hint.
+    #[inline]
+    pub(crate) fn remove_from<'p>(
+        &self,
+        key: &K,
+        mut start: Option<DataRef<'p, K, V>>,
+        mut update_start: impl FnMut() -> Option<DataRef<'p, K, V>>,
+        pin: &'p PinGuard<'_, K, V>,
+        ctx: &ThreadCtx,
+    ) -> (bool, Option<SearchResult<K, V>>) {
         let mvec = self.membership_of(ctx.id());
-        let lazy = self.config().lazy;
+        let lazy = self.config.lazy;
+        let mut spins = 0u64;
         loop {
-            let res = self.search_from(key, mvec, None, !lazy, ctx);
-            let Some(node) = res.hit(&pin) else {
-                return false;
+            spins += 1;
+            debug_assert!(spins < 100_000_000, "remove livelock");
+            let res = self.search_from(key, mvec, start, !lazy, ctx);
+            let Some(node) = res.hit(pin) else {
+                return (false, None);
             };
             if lazy {
                 if let Some(outcome) = self.remove_helper(&node, ctx) {
-                    return outcome;
+                    return (outcome, None);
                 }
-                // Became marked; retry the search.
             } else if self.logical_delete_eager(&node, ctx) {
-                // Physical cleanup: one relink pass over the key's position
-                // ("searches performed on behalf of removals physically
-                // remove marked nodes").
-                let _ = self.search_from(key, mvec, None, true, ctx);
-                return true;
+                let cleanup = self.search_from(key, mvec, start, true, ctx);
+                return (true, Some(cleanup));
             }
-            // Non-lazy, lost the level-0 marking race: retry in case
-            // another unmarked holder of the key exists.
+            start = update_start();
         }
     }
 
-    /// Whether `key` is present (unmarked, and valid under the lazy
-    /// configuration).
-    pub fn contains(&self, key: &K, ctx: &ThreadCtx) -> bool {
-        self.lookup(key, ctx, |_| ()).is_some()
-    }
-
-    /// Returns a clone of the value mapped to `key`, if present.
-    pub fn get(&self, key: &K, ctx: &ThreadCtx) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.lookup(key, ctx, |node| node.value().clone())
-    }
-
-    /// The one read behind `get` and `contains`: `read` maps the present
-    /// node to the answer (a clone of its value for a get, `()` for a
-    /// membership test).
-    fn lookup<T>(
+    /// The one point read below the hash layer (Alg. 7), behind every
+    /// unblocked handle and [`crate::ReadOnlyView`]: one search from
+    /// `start`; the node holding `key` if the key is present, republished
+    /// to the index under `hash` (its [`SkipGraph::index_hash`]) when a
+    /// lost entry made the search necessary.
+    #[inline]
+    pub(crate) fn read_from<'p>(
         &self,
         key: &K,
+        hash: u64,
+        start: Option<DataRef<'p, K, V>>,
+        pin: &'p PinGuard<'_, K, V>,
         ctx: &ThreadCtx,
-        read: impl FnOnce(DataRef<'_, K, V>) -> T,
-    ) -> Option<T> {
-        let hash = self.index_hash(key);
-        let pin = self.pin(ctx);
-        // Skip Hash fast path: a generation-valid index entry answers
-        // without a descent. The pin keeps a hit node dereferenceable;
-        // `read_node` re-checked its generation and state after the pin.
-        // Only an inconclusive read pays the search.
-        match self.index_read(key, hash, &pin, ctx) {
-            Some(IndexRead::Hit(node)) => return Some(read(node)),
-            Some(IndexRead::Absent(_)) => return None,
-            _ => {}
-        }
-        let mvec = self.membership_of(ctx.id());
-        let lazy = self.config().lazy;
-        let res = self.search_from(key, mvec, None, !lazy, ctx);
+    ) -> Option<DataRef<'p, K, V>> {
+        let lazy = self.config.lazy;
+        let res = self.search_from(key, self.membership_of(ctx.id()), start, !lazy, ctx);
         // `found` saw the node unmarked; lazily, its valid bit decides.
-        let present = res.hit(&pin).filter(|node| {
+        let node = res.hit(pin).filter(|node| {
             !lazy || {
                 let w0 = node.load_next(0, ctx);
                 !w0.marked() && w0.valid()
             }
-        });
-        present.map(|node| {
-            self.index_heal(&node, hash, ctx);
-            read(node)
-        })
+        })?;
+        self.index_heal(&node, hash, ctx);
+        Some(node)
     }
 
     /// Removes and returns the smallest present key (priority-queue

@@ -147,13 +147,15 @@ impl<'g, K: Ord, V> Iterator for RangeIter<'g, K, V> {
 mod tests {
     use super::*;
     use crate::params::GraphConfig;
+    use crate::graph::tests::insert;
+    use crate::ConcurrentMap;
     use instrument::ThreadCtx;
 
     fn graph(lazy: bool) -> SkipGraph<u64, u64> {
         let g = SkipGraph::new(GraphConfig::new(2).lazy(lazy).chunk_capacity(512));
         let c = ThreadCtx::plain(0);
         for k in (0..100u64).step_by(2) {
-            assert!(g.insert(k, k * 10, g.config().max_level, &c));
+            assert!(insert(&g, k, k * 10, g.config().max_level, &c));
         }
         g
     }
@@ -186,8 +188,9 @@ mod tests {
     fn removed_keys_are_skipped() {
         let g = graph(true);
         let c = ThreadCtx::plain(0);
-        assert!(g.remove(&12, &c));
-        assert!(g.remove(&14, &c));
+        let mut h = ConcurrentMap::pin(&g, ThreadCtx::plain(0));
+        assert!(h.remove(&12));
+        assert!(h.remove(&14));
         let got = g.range_to_vec(Bound::Included(&10), Bound::Included(16), &c);
         assert_eq!(got.iter().map(|(k, _)| *k).collect::<Vec<_>>(), vec![10, 16]);
     }

@@ -185,6 +185,8 @@ impl MemoryStats {
 mod tests {
     use super::*;
     use crate::params::GraphConfig;
+    use crate::graph::tests::insert;
+    use crate::ConcurrentMap;
 
     #[test]
     fn counts_classify_lazy_states() {
@@ -195,11 +197,12 @@ mod tests {
                 .chunk_capacity(256),
         );
         let c = ThreadCtx::plain(0);
+        let mut h = ConcurrentMap::pin(&g, ThreadCtx::plain(0));
         for k in 0..30u64 {
-            assert!(g.insert(k, k, 0, &c));
+            assert!(insert(&g, k, k, 0, &c));
         }
         for k in 0..10u64 {
-            assert!(g.remove(&k, &c));
+            assert!(h.remove(&k));
         }
         let s = g.memory_stats(&c);
         assert_eq!(s.live, 20);
@@ -215,11 +218,12 @@ mod tests {
     fn eager_removal_physically_shrinks() {
         let g: SkipGraph<u64, u64> = SkipGraph::new(GraphConfig::new(2).chunk_capacity(256));
         let c = ThreadCtx::plain(0);
+        let mut h = ConcurrentMap::pin(&g, ThreadCtx::plain(0));
         for k in 0..30u64 {
-            assert!(g.insert(k, k, 0, &c));
+            assert!(insert(&g, k, k, 0, &c));
         }
         for k in 0..10u64 {
-            assert!(g.remove(&k, &c));
+            assert!(h.remove(&k));
         }
         let s = g.memory_stats(&c);
         assert_eq!(s.live, 20);
@@ -234,7 +238,7 @@ mod tests {
         let c = ThreadCtx::plain(0);
         let max = g.config().max_level;
         for k in 0..100u64 {
-            assert!(g.insert(k, k, max, &c));
+            assert!(insert(&g, k, k, max, &c));
         }
         let lengths = g.level_lengths(&c);
         // Full-height towers: every level holds every node; no list
@@ -254,18 +258,19 @@ mod tests {
                 .chunk_capacity(256),
         );
         let c = ThreadCtx::plain(0);
+        let mut h = ConcurrentMap::pin(&g, ThreadCtx::plain(0));
         // Deterministic heights: 60 at height 0, 30 at height 1, 10 at 2.
         for k in 0..60u64 {
-            assert!(g.insert(k, k, 0, &c));
+            assert!(insert(&g, k, k, 0, &c));
         }
         for k in 60..90u64 {
-            assert!(g.insert(k, k, 1, &c));
+            assert!(insert(&g, k, k, 1, &c));
         }
         for k in 90..100u64 {
-            assert!(g.insert(k, k, 2, &c));
+            assert!(insert(&g, k, k, 2, &c));
         }
         for k in 0..20u64 {
-            assert!(g.remove(&k, &c));
+            assert!(h.remove(&k));
         }
         let m = g.memory_stats(&c);
         assert_eq!(m.live, 80);
@@ -288,7 +293,6 @@ mod tests {
         // Agreement with the per-level walk and the arena counters.
         assert_eq!(g.level_lengths(&c)[0], m.physical());
         assert_eq!(g.arena_sizes().iter().sum::<usize>(), m.allocated);
-        assert_eq!(g.allocated_nodes(), m.allocated);
     }
 
     #[test]
@@ -300,11 +304,12 @@ mod tests {
                 .chunk_capacity(256),
         );
         let c = ThreadCtx::plain(0);
+        let mut h = ConcurrentMap::pin(&g, ThreadCtx::plain(0));
         for k in 0..40u64 {
-            assert!(g.insert(k, k, 1, &c));
+            assert!(insert(&g, k, k, 1, &c));
         }
         for k in 0..20u64 {
-            assert!(g.remove(&k, &c));
+            assert!(h.remove(&k));
         }
         // Eager removal relinks every level, so each removed node is fully
         // unlinked and retired; the grace period has not passed yet.
@@ -326,7 +331,7 @@ mod tests {
         // New inserts of the same height are served from the free list:
         // the arena footprint does not grow.
         for k in 100..120u64 {
-            assert!(g.insert(k, k, 1, &c));
+            assert!(insert(&g, k, k, 1, &c));
         }
         let m = g.memory_stats(&c);
         assert_eq!(m.recycled_slots, 20);
@@ -347,14 +352,15 @@ mod tests {
                 .chunk_capacity(256),
         );
         let c = ThreadCtx::plain(0);
+        let mut h = ConcurrentMap::pin(&g, ThreadCtx::plain(0));
         for k in 0..20u64 {
-            assert!(g.insert(k, k, 0, &c));
+            assert!(insert(&g, k, k, 0, &c));
         }
         for k in 0..20u64 {
-            assert!(g.remove(&k, &c));
+            assert!(h.remove(&k));
         }
         // A pass over the list retires everything...
-        assert!(!g.contains(&0, &c));
+        assert!(!h.contains(&0));
         let s = g.memory_stats(&c);
         assert_eq!(s.live, 0);
         // ...but (lazy variant) physical unlinking awaits substituting

@@ -4,7 +4,7 @@
 
 use super::*;
 use crate::params::GraphConfig;
-use crate::sparse_height;
+use crate::{sparse_height, ConcurrentMap};
 use instrument::{AccessStats, ThreadCtx};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -25,6 +25,13 @@ fn lazy(threads: usize, commission: u64) -> SkipGraph<u64, u64> {
 
 fn ctx(id: u16) -> ThreadCtx {
     ThreadCtx::plain(id)
+}
+
+/// Inserts through the one insert loop from the head array, giving the node
+/// levels `0..=height` (a bare graph's handle draws its own heights).
+pub(super) fn insert(g: &SkipGraph<u64, u64>, k: u64, v: u64, height: u8, c: &ThreadCtx) -> bool {
+    let pin = g.pin(c);
+    g.insert_from(&k, v, g.index_hash(&k), height, false, None, || None, &pin, c).0
 }
 
 /// A plain graph cannot install the index it is asked for, so it refuses
@@ -66,7 +73,7 @@ fn search_finds_and_reports_levels() {
     let g = eager(4); // max_level = 1
     let c = ctx(0);
     for k in [10u64, 20, 30] {
-        assert!(g.insert(k, k, g.config().max_level, &c));
+        assert!(insert(&g, k, k, g.config().max_level, &c));
     }
     let mvec = g.membership_of(0);
     let res = g.search_from(&20, mvec, None, true, &c);
@@ -92,7 +99,7 @@ fn eager_search_physically_unlinks_marked_chains() {
     let g = eager(2); // max_level = 0: pure list, easiest to inspect
     let c = ctx(0);
     for k in 0..10u64 {
-        assert!(g.insert(k, k, 0, &c));
+        assert!(insert(&g, k, k, 0, &c));
     }
     // Logically delete 3..7 without the composite remove (no cleanup pass).
     let mvec = g.membership_of(0);
@@ -117,16 +124,17 @@ fn eager_search_physically_unlinks_marked_chains() {
 fn insert_relinks_over_marked_chain() {
     let g = lazy(2, 0); // zero commission: retire immediately on sight
     let c = ctx(0);
+    let mut h = ConcurrentMap::pin(&g, ctx(0));
     for k in [1u64, 2, 3, 4, 8] {
-        assert!(g.insert(k, k, 0, &c));
+        assert!(insert(&g, k, k, 0, &c));
     }
     for k in [2u64, 3, 4] {
-        assert!(g.remove(&k, &c));
+        assert!(h.remove(&k));
     }
     // A search retires the invalid nodes (marks them)...
-    assert!(!g.contains(&3, &c));
+    assert!(!h.contains(&3));
     // ...and the next insert replaces the whole marked chain with one CAS.
-    assert!(g.insert(5, 5, 0, &c));
+    assert!(insert(&g, 5, 5, 0, &c));
     let mvec = g.membership_of(0);
     let res = g.search_from(&5, mvec, None, false, &c);
     unsafe {
@@ -163,7 +171,7 @@ fn lazy_insert_then_finish_links_upper_levels() {
 fn insert_helper_state_machine() {
     let g = lazy(2, u64::MAX);
     let c = ctx(0);
-    assert!(g.insert(7, 70, 0, &c));
+    assert!(insert(&g, 7, 70, 0, &c));
     let res = g.search_from(&7, g.membership_of(0), None, false, &c);
     let node = unsafe { &*res.succs[0] };
     // Valid duplicate -> Some(false).
@@ -182,7 +190,7 @@ fn insert_helper_state_machine() {
 fn remove_helper_double_remove_fails() {
     let g = lazy(2, u64::MAX);
     let c = ctx(0);
-    assert!(g.insert(7, 70, 0, &c));
+    assert!(insert(&g, 7, 70, 0, &c));
     let res = g.search_from(&7, g.membership_of(0), None, false, &c);
     let node = unsafe { &*res.succs[0] };
     assert_eq!(g.remove_helper(node, &c), Some(true));
@@ -194,9 +202,10 @@ fn check_retire_respects_commission_period() {
     // Huge commission: invalid nodes are never retired.
     let g = lazy(2, u64::MAX);
     let c = ctx(0);
-    assert!(g.insert(9, 9, 0, &c));
-    assert!(g.remove(&9, &c));
-    assert!(!g.contains(&9, &c)); // search passes the invalid node
+    let mut h = ConcurrentMap::pin(&g, ctx(0));
+    assert!(insert(&g, 9, 9, 0, &c));
+    assert!(h.remove(&9));
+    assert!(!h.contains(&9)); // search passes the invalid node
     let res = g.search_from(&9, g.membership_of(0), None, false, &c);
     // Node still physically linked and unmarked (invalid only).
     assert!(res.found || {
@@ -208,9 +217,10 @@ fn check_retire_respects_commission_period() {
     // Zero commission: the same sequence marks the node on first contact.
     let g = lazy(2, 0);
     let c = ctx(0);
-    assert!(g.insert(9, 9, 0, &c));
-    assert!(g.remove(&9, &c));
-    assert!(!g.contains(&9, &c)); // this search retires it
+    let mut h = ConcurrentMap::pin(&g, ctx(0));
+    assert!(insert(&g, 9, 9, 0, &c));
+    assert!(h.remove(&9));
+    assert!(!h.contains(&9)); // this search retires it
     let res = g.search_from(&9, g.membership_of(0), None, false, &c);
     assert!(!res.found, "retired node is skipped");
 }
@@ -219,8 +229,8 @@ fn check_retire_respects_commission_period() {
 fn help_mark_is_idempotent_and_freezes_pointer() {
     let g = eager(2);
     let c = ctx(0);
-    assert!(g.insert(1, 1, 0, &c));
-    assert!(g.insert(2, 2, 0, &c));
+    assert!(insert(&g, 1, 1, 0, &c));
+    assert!(insert(&g, 2, 2, 0, &c));
     let res = g.search_from(&1, g.membership_of(0), None, false, &c);
     let node = unsafe { &*res.succs[0] };
     let before = node.load_next(0, &c).ptr();
@@ -243,8 +253,8 @@ fn partitioned_upper_levels_respect_membership() {
     let c0 = ctx(0); // mvec 00
     let c1 = ctx(1); // mvec 01
     for k in 0..20u64 {
-        assert!(g.insert(k * 2, k, g.config().max_level, &c0));
-        assert!(g.insert(k * 2 + 1, k, g.config().max_level, &c1));
+        assert!(insert(&g, k * 2, k, g.config().max_level, &c0));
+        assert!(insert(&g, k * 2 + 1, k, g.config().max_level, &c1));
     }
     // Walk level-1 list "1" (suffix 1): only odd keys (thread 1, mvec 01).
     let head = g.head(1, 1);
@@ -269,7 +279,7 @@ fn sparse_heights_bound_tower_population() {
     let max = g.config().max_level;
     for k in 0..2000u64 {
         let h = sparse_height(&mut rng, max);
-        assert!(g.insert(k, k, h, &c));
+        assert!(insert(&g, k, k, h, &c));
     }
     // Count nodes in the thread's top-level list: expectation is
     // 2000 / 4^max (partitioning x sparse refinement would be for the
@@ -299,12 +309,13 @@ fn sparse_invariants_hold_across_all_heights_and_mutations() {
     let g: SkipGraph<u64, u64> =
         SkipGraph::new(GraphConfig::new(16).sparse(true).lazy(true).chunk_capacity(512));
     let c = ctx(0);
+    let mut h = ConcurrentMap::pin(&g, ctx(0));
     let mut rng = SmallRng::seed_from_u64(7);
     let max = g.config().max_level;
     assert!(max >= 2, "need several height classes");
     for k in 0..600u64 {
         let h = sparse_height(&mut rng, max);
-        assert!(g.insert(k, k, h, &c));
+        assert!(insert(&g, k, k, h, &c));
     }
     // Every height class must actually be populated.
     let m = g.memory_stats(&c);
@@ -315,11 +326,11 @@ fn sparse_invariants_hold_across_all_heights_and_mutations() {
     g.check_invariants().unwrap();
     // Mutate: remove a third, reinsert some, then re-check.
     for k in (0..600u64).step_by(3) {
-        assert!(g.remove(&k, &c));
+        assert!(h.remove(&k));
     }
     for k in (0..600u64).step_by(6) {
         let h = sparse_height(&mut rng, max);
-        assert!(g.insert(k, k, h, &c));
+        assert!(insert(&g, k, k, h, &c));
     }
     g.check_invariants().unwrap();
     // Byte accounting stays consistent with the histogram.
@@ -338,11 +349,12 @@ fn sparse_invariants_hold_across_all_heights_and_mutations() {
 fn snapshot_iter_skips_dead_nodes() {
     let g = lazy(2, u64::MAX);
     let c = ctx(0);
+    let mut h = ConcurrentMap::pin(&g, ctx(0));
     for k in 0..10u64 {
-        assert!(g.insert(k, k * 10, 0, &c));
+        assert!(insert(&g, k, k * 10, 0, &c));
     }
     for k in (0..10u64).step_by(2) {
-        assert!(g.remove(&k, &c));
+        assert!(h.remove(&k));
     }
     let pairs: Vec<(u64, u64)> = g.iter_snapshot(&c).map(|(k, v)| (*k, *v)).collect();
     assert_eq!(pairs, vec![(1, 10), (3, 30), (5, 50), (7, 70), (9, 90)]);
@@ -354,12 +366,12 @@ fn snapshot_iter_skips_dead_nodes() {
 fn traversal_lengths_are_recorded() {
     let stats = AccessStats::new(1);
     let g = eager(2);
-    let c = ThreadCtx::recording(0, Arc::clone(&stats));
+    let mut h = ConcurrentMap::pin(&g, ThreadCtx::recording(0, Arc::clone(&stats)));
     for k in 0..50u64 {
-        assert!(g.insert(k, k, g.config().max_level, &c));
+        assert!(insert(&g, k, k, g.config().max_level, h.ctx()));
     }
     let before = stats.totals();
-    assert!(g.contains(&25, &c));
+    assert!(h.contains(&25));
     let after = stats.totals();
     assert_eq!(after.searches, before.searches + 1);
     assert!(after.traversed > before.traversed);
@@ -370,7 +382,7 @@ fn search_from_start_node_matches_head_search() {
     let g = eager(4);
     let c = ctx(0);
     for k in 0..100u64 {
-        assert!(g.insert(k, k, g.config().max_level, &c));
+        assert!(insert(&g, k, k, g.config().max_level, &c));
     }
     let mvec = g.membership_of(0);
     // Use the node holding 40 as a jump-in point for key 70.
@@ -396,7 +408,7 @@ fn pop_min_under_concurrent_inserts() {
                     let mut got = Vec::new();
                     for i in 0..300u64 {
                         let k = i * 4 + t as u64;
-                        assert!(g.insert(k, k, 0, &c));
+                        assert!(insert(&g, k, k, 0, &c));
                         if i % 3 == 2 {
                             if let Some((k, _)) = g.pop_min(&c) {
                                 got.push(k);
@@ -437,19 +449,20 @@ fn reclaiming(threads: usize) -> SkipGraph<u64, u64> {
 fn generation_checks_catch_stale_references() {
     let g = reclaiming(2);
     let c = ctx(0);
-    assert!(g.insert(10, 10, 1, &c));
+    let mut h = ConcurrentMap::pin(&g, ctx(0));
+    assert!(insert(&g, 10, 10, 1, &c));
     let res = g.search_from(&10, g.membership_of(0), None, false, &c);
     assert!(res.found);
     let live = NodeRef::new(NonNull::new(res.succs[0]).unwrap());
     assert!(live.is_current(), "freshly captured reference validates");
-    assert!(g.remove(&10, &c));
+    assert!(h.remove(&10));
     // Retirement bumps the generation: the reference is invalid even
     // before the slot is recycled.
     assert!(!live.is_current(), "retired node must fail validation");
     assert_eq!(g.reclaim_flush(&c), 1);
     // Recycle the slot under a different key; the impostor must not
     // satisfy the stale reference either.
-    assert!(g.insert(11, 11, 1, &c));
+    assert!(insert(&g, 11, 11, 1, &c));
     let m = g.memory_stats(&c);
     assert_eq!(m.recycled_slots, 1, "the freed slot was reused");
     assert!(!live.is_current(), "recycled impostor must not validate");
@@ -459,7 +472,7 @@ fn generation_checks_catch_stale_references() {
 fn references_captured_from_marked_nodes_are_poisoned() {
     let g = reclaiming(2);
     let c = ctx(0);
-    assert!(g.insert(10, 10, 1, &c));
+    assert!(insert(&g, 10, 10, 1, &c));
     let res = g.search_from(&10, g.membership_of(0), None, false, &c);
     let node = unsafe { &*res.succs[0] };
     // Mark the node without unlinking it (the first half of an eager
@@ -476,21 +489,21 @@ fn head_start_reads_heal_a_lost_index_entry() {
     // index entry was lost is published again, so the next read of either
     // kind is an index hit.
     let stats = AccessStats::new(1);
-    let c = ThreadCtx::recording(0, stats.clone());
     let g = SkipGraph::<u64, u64>::new_hashed(
         GraphConfig::new(1).hash_index(true).chunk_capacity(256),
     );
+    let mut h = ConcurrentMap::pin(&g, ThreadCtx::recording(0, stats.clone()));
     let hits = || stats.thread(0).index_hits;
-    assert!(g.insert(7, 70, 0, &c));
-    g.index_evict(&7, &c);
-    assert!(g.contains(&7, &c));
+    assert!(insert(&g, 7, 70, 0, h.ctx()));
+    g.index_evict(&7, h.ctx());
+    assert!(h.contains(&7));
     let before = hits();
-    assert_eq!(g.get(&7, &c), Some(70));
+    assert_eq!(h.get(&7), Some(70));
     assert_eq!(hits(), before + 1, "contains republished the entry");
-    g.index_evict(&7, &c);
-    assert_eq!(g.get(&7, &c), Some(70));
+    g.index_evict(&7, h.ctx());
+    assert_eq!(h.get(&7), Some(70));
     let before = hits();
-    assert!(g.contains(&7, &c));
+    assert!(h.contains(&7));
     assert_eq!(hits(), before + 1, "get republished the entry");
 }
 
@@ -498,13 +511,14 @@ fn head_start_reads_heal_a_lost_index_entry() {
 fn churn_with_recycling_keeps_the_footprint_flat() {
     let g = reclaiming(2);
     let c = ctx(0);
+    let mut h = ConcurrentMap::pin(&g, ctx(0));
     const WINDOW: u64 = 16;
     const TOTAL: u64 = 400;
     for i in 0..TOTAL {
         let height = (i % 3) as u8; // rotate through every size class
-        assert!(g.insert(i, i, height, &c));
+        assert!(insert(&g, i, i, height, &c));
         if i >= WINDOW {
-            assert!(g.remove(&(i - WINDOW), &c));
+            assert!(h.remove(&(i - WINDOW)));
         }
         if i % 50 == 49 {
             g.reclaim_flush(&c);

@@ -22,6 +22,14 @@
 //! * `getStart` — Alg. 4 (backward traversal, finishing pending insertions
 //!   via `finishInsert`, Alg. 10) and `updateStart` — Alg. 9.
 //!
+//! The searches and links themselves are the graph's one loop per point
+//! operation (`graph/ops.rs`); the handle supplies the hash layer, the
+//! start, the `updateStart` refresh and the local bookkeeping. With its
+//! private layered bit off the handle is the bare [`SkipGraph`]'s
+//! [`ConcurrentMap`](crate::ConcurrentMap) handle: no table, no local
+//! mappings, no tombstones, so every start is the head array.
+//! [`ReadOnlyView`] runs the same read loop.
+//!
 //! Every operation takes one reclamation pin and reads shared nodes only
 //! through references bounded by it: a local-map entry, an index read and
 //! a search each hand their node out as the graph core's pin-scoped
@@ -151,23 +159,7 @@ impl<K: Ord, V> LayeredMap<K, V> {
     where
         K: Hash + Clone,
     {
-        assert!(
-            (ctx.id() as usize) < self.config().num_threads,
-            "thread id {} out of range (num_threads = {})",
-            ctx.id(),
-            self.config().num_threads
-        );
-        let mvec = self.shared.membership_of(ctx.id());
-        let seed = 0x5ee0_dead_beef_u64 ^ (ctx.id() as u64) << 32;
-        LayeredHandle {
-            map: self,
-            mvec,
-            local: BTreeLocalMap::default(),
-            hash: self.shared.index().is_none().then(RobinHoodMap::new),
-            tombstones: Vec::new(),
-            rng: SmallRng::seed_from_u64(seed),
-            ctx,
-        }
+        LayeredHandle::new(&self.shared, ctx, true)
     }
 }
 
@@ -179,10 +171,16 @@ impl<K, V> std::fmt::Debug for LayeredMap<K, V> {
     }
 }
 
-/// A per-thread handle to a [`LayeredMap`]. Not `Send`: it owns the
-/// thread's local structures.
+/// A per-thread handle to a [`LayeredMap`] — or, with no local
+/// structures, to a bare [`SkipGraph`] (its
+/// [`ConcurrentMap`](crate::ConcurrentMap) handle: the paper's
+/// non-layered ablation, whose every `getStart` falls back to the head
+/// array). Not `Send`: it owns the thread's local structures.
 pub struct LayeredHandle<'m, K, V> {
-    map: &'m LayeredMap<K, V>,
+    graph: &'m SkipGraph<K, V>,
+    /// Whether the handle keeps local structures: off for a bare graph's
+    /// handle, which then maps, tables and tombstones nothing.
+    layered: bool,
     ctx: ThreadCtx,
     mvec: u32,
     local: BTreeLocalMap<K, NodeRef<K, V>>,
@@ -206,6 +204,34 @@ impl<'m, K, V> LayeredHandle<'m, K, V>
 where
     K: Ord + Hash + Clone,
 {
+    /// The handle of thread `ctx.id()` (a dense id below
+    /// `config.num_threads`, unique per live handle) on `graph`: with
+    /// local structures when `layered`, else the bare graph's handle.
+    pub(crate) fn new(graph: &'m SkipGraph<K, V>, ctx: ThreadCtx, layered: bool) -> Self {
+        assert!(
+            (ctx.id() as usize) < graph.config().num_threads,
+            "thread id {} out of range (num_threads = {})",
+            ctx.id(),
+            graph.config().num_threads
+        );
+        let id = ctx.id() as u64;
+        let seed = if layered {
+            0x5ee0_dead_beef_u64 ^ (id << 32)
+        } else {
+            0xBADD_CAFE_u64 ^ (id << 24)
+        };
+        Self {
+            graph,
+            layered,
+            mvec: graph.membership_of(ctx.id()),
+            local: BTreeLocalMap::default(),
+            hash: (layered && graph.index().is_none()).then(RobinHoodMap::new),
+            tombstones: Vec::new(),
+            rng: SmallRng::seed_from_u64(seed),
+            ctx,
+        }
+    }
+
     /// The recording context of this thread.
     pub fn ctx(&self) -> &ThreadCtx {
         &self.ctx
@@ -223,24 +249,23 @@ where
     }
 
     /// Entries held by the thread-local hashtable, or `None` when the
-    /// handle has none because the graph's shared hash index stands in
-    /// (diagnostics).
+    /// handle has none: the graph's shared hash index stands in, or the
+    /// handle is a bare graph's (diagnostics).
     pub fn local_hash_len(&self) -> Option<usize> {
         self.hash.as_ref().map(|table| table.len())
     }
 
     fn lazy(&self) -> bool {
-        self.map.config().lazy
+        self.graph.config().lazy
     }
 
     /// The one hash of a point operation on `key`: [`hash_key`], called
     /// here where it can be inlined, on an indexed graph; `0` on a plain
-    /// one, whose `_hashed` index hooks do nothing (its per-thread table
-    /// hashes for itself). A handle has a table exactly when the graph has
-    /// no index.
+    /// one, whose `_hashed` index hooks do nothing (a layered handle's
+    /// per-thread table hashes for itself).
     #[inline]
     fn key_hash(&self, key: &K) -> u64 {
-        if self.hash.is_none() {
+        if self.graph.index().is_some() {
             hash_key(key)
         } else {
             0
@@ -248,11 +273,11 @@ where
     }
 
     fn sparse(&self) -> bool {
-        self.map.config().sparse
+        self.graph.config().sparse
     }
 
     fn max_level(&self) -> u8 {
-        self.map.config().max_level
+        self.graph.config().max_level
     }
 
     /// Tower height for a new node: `MaxLevel` normally; geometric with
@@ -270,9 +295,11 @@ where
     /// structures. Non-lazy sparse graphs index only nodes that reached the
     /// top level (the paper: "only elements that reach the top level are
     /// added to the local structures"); the lazy protocol needs every node
-    /// locally indexed so pending insertions can be finished.
+    /// locally indexed so pending insertions can be finished. A bare
+    /// graph's handle indexes nothing, so its lazy inserts finish their own
+    /// upper levels.
     fn should_index(&self, height: u8) -> bool {
-        self.lazy() || !self.sparse() || height == self.max_level()
+        self.layered && (self.lazy() || !self.sparse() || height == self.max_level())
     }
 
     /// Maps `key` to its live shared node in the local structures.
@@ -326,10 +353,10 @@ where
     /// targets are already dead (each backward walk must test and skip
     /// them), which measurably outweighs the better starts. A small
     /// bounded pool is enough to keep the map from emptying out, which is
-    /// all C3 needs.
+    /// all C3 needs. A bare graph's handle keeps none.
     fn tombstone_local(&mut self, key: &K, pred: NodeRef<K, V>, pin: &PinGuard<'m, K, V>) {
         const TOMBSTONE_BUDGET: usize = 64;
-        if self.tombstones.len() >= TOMBSTONE_BUDGET {
+        if !self.layered || self.tombstones.len() >= TOMBSTONE_BUDGET {
             return;
         }
         // Generation-validated under the caller's pin: a predecessor that
@@ -403,7 +430,7 @@ where
         min_top: u8,
         pin: &'p PinGuard<'m, K, V>,
     ) -> Option<DataRef<'p, K, V>> {
-        let (Some((key, hash)), Some(index)) = (warm, self.map.shared.index()) else {
+        let (Some((key, hash)), Some(index)) = (warm, self.graph.index()) else {
             return start;
         };
         if start.is_some_and(|p| p.cmp_key(key) != Ordering::Less) {
@@ -451,13 +478,12 @@ where
                     // Alive but too short to start from: step back.
                 } else {
                     // Try to complete the pending insertion.
-                    let shared = &self.map.shared;
                     let top = node.top_level();
                     let start2 = self.prev_start(&k, top, pin);
-                    let mut res = shared.search_from(&k, self.mvec, start2, false, &self.ctx);
+                    let mut res = self.graph.search_from(&k, self.mvec, start2, false, &self.ctx);
                     let finished = res.found
                         && res.succs[0] == r.ptr.as_ptr()
-                        && shared.link_upper(r.ptr, &mut res, &self.ctx, || {
+                        && self.graph.link_upper(r.ptr, &mut res, &self.ctx, || {
                             self.prev_start(&k, top, pin)
                         });
                     if finished {
@@ -496,7 +522,7 @@ where
             };
             node
         } else {
-            match self.map.shared.index_read(key, hash, pin, &self.ctx)? {
+            match self.graph.index_read(key, hash, pin, &self.ctx)? {
                 IndexRead::Hit(node) | IndexRead::Absent(node) => node,
                 IndexRead::Miss | IndexRead::Stale => return None,
             }
@@ -530,7 +556,7 @@ where
         pin: &'p PinGuard<'m, K, V>,
         on_holder: OnHolder<'m, 'p, Self, K, V, T>,
     ) -> ControlFlow<T, Option<DataRef<'p, K, V>>> {
-        if let (Some((_, warm_hash)), Some(index)) = (warm, self.map.shared.index()) {
+        if let (Some((_, warm_hash)), Some(index)) = (warm, self.graph.index()) {
             index.prefetch(*warm_hash);
         }
         loop {
@@ -543,7 +569,7 @@ where
             }
             match on_holder(self, key, hash, node, pin) {
                 Some(outcome) => {
-                    self.map.shared.index_heal(&node, hash, &self.ctx);
+                    self.graph.index_heal(&node, hash, &self.ctx);
                     return Break(outcome);
                 }
                 None => self.erase_local(key),
@@ -561,7 +587,7 @@ where
         _pin: &PinGuard<'m, K, V>,
     ) -> Option<bool> {
         if self.lazy() {
-            self.map.shared.insert_helper(&node, hash, &self.ctx)
+            self.graph.insert_helper(&node, hash, &self.ctx)
         } else {
             (!node.is_marked(0)).then_some(false)
         }
@@ -576,20 +602,19 @@ where
         node: DataRef<'_, K, V>,
         pin: &PinGuard<'m, K, V>,
     ) -> Option<bool> {
-        let shared = &self.map.shared;
         if self.lazy() {
-            return shared.remove_helper(&node, &self.ctx);
+            return self.graph.remove_helper(&node, &self.ctx);
         }
         if node.load_next(0, &self.ctx).marked() {
             return None;
         }
-        let won = shared.logical_delete_eager(&node, &self.ctx);
+        let won = self.graph.logical_delete_eager(&node, &self.ctx);
         self.erase_local(key);
         if won {
             // Physical cleanup pass; its predecessor frontier seeds the
             // tombstoned hint (C3 mitigation).
             let start = self.get_start(key, 0, pin);
-            let res = shared.search_from(key, self.mvec, start, true, &self.ctx);
+            let res = self.graph.search_from(key, self.mvec, start, true, &self.ctx);
             if let Some(p) = res.pred_ref(0, pin) {
                 self.tombstone_local(key, p, pin);
             }
@@ -628,7 +653,7 @@ where
         // Pin for the whole operation: local-structure references are
         // generation-validated under this pin, which is what keeps their
         // targets from being recycled while we dereference them.
-        let pin = self.map.shared.pin(&self.ctx);
+        let pin = self.graph.pin(&self.ctx);
         // One hash serves the probe and, for a fresh key, the publish.
         let hash = self.key_hash(&key);
         self.insert_hashed(key, value, hash, None, &pin)
@@ -647,11 +672,33 @@ where
         warm: Option<&(K, u64)>,
         pin: &PinGuard<'m, K, V>,
     ) -> bool {
-        if self.lazy() {
-            self.lazy_insert(key, value, hash, warm, pin)
-        } else {
-            self.eager_insert(key, value, hash, warm, pin)
+        // An eager insert draws its height first: its start must be at
+        // least as tall. A lazy one starts anywhere and draws only when no
+        // holder of the key answered.
+        let eager_height = (!self.lazy()).then(|| self.new_height());
+        let min_top = eager_height.unwrap_or(0);
+        let start = match self.insert_start(&key, hash, min_top, warm, pin) {
+            Break(outcome) => return outcome,
+            Continue(start) => start,
+        };
+        let height = eager_height.unwrap_or_else(|| self.new_height());
+        let local = self.should_index(height);
+        let graph = self.graph;
+        let (inserted, node) = graph.insert_from(
+            &key,
+            value,
+            hash,
+            height,
+            local,
+            start,
+            || self.prev_start(&key, min_top, pin),
+            pin,
+            &self.ctx,
+        );
+        if let Some(n) = node.filter(|_| local) {
+            self.index_local(key, NodeRef::new(n));
         }
+        inserted
     }
 
     /// The hash layer and `getStart` (with `min_top`) of an insert, in the
@@ -665,7 +712,7 @@ where
         warm: Option<&(K, u64)>,
         pin: &'p PinGuard<'m, K, V>,
     ) -> ControlFlow<bool, Option<DataRef<'p, K, V>>> {
-        let Some(index) = self.map.shared.index() else {
+        let Some(index) = self.graph.index() else {
             if let Some(outcome) = self.hash_layer(key, hash, pin, Self::insert_on) {
                 return Break(outcome);
             }
@@ -681,103 +728,10 @@ where
         start
     }
 
-    /// Alg. 3, `lazyInsert`: link at level 0 only; upper levels are
-    /// completed on demand by `getStart`. A node allocated for a link CAS
-    /// that lost is recycled if a retry then finds the key.
-    fn lazy_insert(
-        &mut self,
-        key: K,
-        value: V,
-        hash: u64,
-        warm: Option<&(K, u64)>,
-        pin: &PinGuard<'m, K, V>,
-    ) -> bool {
-        let shared = &self.map.shared;
-        let mut pending = Some(value);
-        let mut start = match self.insert_start(&key, hash, 0, warm, pin) {
-            Break(outcome) => return outcome,
-            Continue(start) => start,
-        };
-        let height = self.new_height();
-        let mut node = None;
-        loop {
-            let res = shared.search_from(&key, self.mvec, start, false, &self.ctx);
-            if let Some(existing) = res.hit(pin) {
-                match shared.insert_helper(&existing, hash, &self.ctx) {
-                    Some(outcome) => {
-                        if let Some(n) = node {
-                            shared.discard_unpublished(n, &self.ctx);
-                        }
-                        return outcome;
-                    }
-                    None => continue, // became marked; retry the search
-                }
-            }
-            let n = *node.get_or_insert_with(|| {
-                let v = pending.take().expect("value pending");
-                shared.alloc_node(key.clone(), v, &self.ctx, height)
-            });
-            if shared.try_link_level0(n, &res, &self.ctx, hash) {
-                self.index_local(key, NodeRef::new(n));
-                return true;
-            }
-            start = self.prev_start(&key, 0, pin); // updateStart (Alg. 3 line 15)
-        }
-    }
-
-    /// Non-lazy insertion: level 0 plus an eager `finishInsert`. The
-    /// height comes first: the start must be at least as tall. A node
-    /// allocated for a link CAS that lost is recycled if a retry then
-    /// finds the key.
-    fn eager_insert(
-        &mut self,
-        key: K,
-        value: V,
-        hash: u64,
-        warm: Option<&(K, u64)>,
-        pin: &PinGuard<'m, K, V>,
-    ) -> bool {
-        let shared = &self.map.shared;
-        let mut pending = Some(value);
-        let height = self.new_height();
-        let mut start = match self.insert_start(&key, hash, height, warm, pin) {
-            Break(outcome) => return outcome,
-            Continue(start) => start,
-        };
-        let mut node = None;
-        let mut spins = 0u64;
-        loop {
-            spins += 1;
-            debug_assert!(spins < 100_000_000, "eager_insert livelock");
-            let mut res = shared.search_from(&key, self.mvec, start, true, &self.ctx);
-            if res.found {
-                if let Some(n) = node {
-                    shared.discard_unpublished(n, &self.ctx);
-                }
-                return false; // unmarked duplicate
-            }
-            let n = *node.get_or_insert_with(|| {
-                let v = pending.take().expect("value pending");
-                shared.alloc_node(key.clone(), v, &self.ctx, height)
-            });
-            if !shared.try_link_level0(n, &res, &self.ctx, hash) {
-                start = self.prev_start(&key, height, pin);
-                continue;
-            }
-            let _ = shared.link_upper(n, &mut res, &self.ctx, || {
-                self.prev_start(&key, height, pin)
-            });
-            if self.should_index(height) {
-                self.index_local(key, NodeRef::new(n));
-            }
-            return true;
-        }
-    }
-
     /// Removes `key`. Returns whether it was present.
     pub fn remove(&mut self, key: &K) -> bool {
         self.ctx.record_op();
-        let pin = self.map.shared.pin(&self.ctx);
+        let pin = self.graph.pin(&self.ctx);
         let hash = self.key_hash(key);
         self.remove_hashed(key, hash, None, &pin)
     }
@@ -795,66 +749,22 @@ where
         if let Some(outcome) = self.hash_layer(key, hash, pin, Self::remove_on) {
             return outcome;
         }
-        let shared = &self.map.shared;
-        if self.lazy() {
-            // Alg. 13, lazyRemove.
-            let mut start = match self.start_for(key, hash, 0, warm, pin, Self::remove_on) {
-                Break(outcome) => return outcome,
-                Continue(start) => start,
-            };
-            loop {
-                let res = shared.search_from(key, self.mvec, start, false, &self.ctx);
-                let Some(node) = res.hit(pin) else {
-                    return false;
-                };
-                match shared.remove_helper(&node, &self.ctx) {
-                    Some(outcome) => return outcome,
-                    None => start = self.prev_start(key, 0, pin),
-                }
-            }
-        } else {
-            let mut spins = 0u64;
-            loop {
-                spins += 1;
-                debug_assert!(spins < 100_000_000, "eager_remove livelock");
-                let start = match self.start_for(key, hash, 0, warm, pin, Self::remove_on) {
-                    Break(outcome) => return outcome,
-                    Continue(start) => start,
-                };
-                let res = shared.search_from(key, self.mvec, start, true, &self.ctx);
-                let Some(node) = res.hit(pin) else {
-                    return false;
-                };
-                if shared.logical_delete_eager(&node, &self.ctx) {
-                    let res2 = shared.search_from(key, self.mvec, start, true, &self.ctx);
-                    self.erase_local(key);
-                    if let Some(p) = res2.pred_ref(0, pin) {
-                        self.tombstone_local(key, p, pin);
-                    }
-                    return true;
-                }
+        let start = match self.start_for(key, hash, 0, warm, pin, Self::remove_on) {
+            Break(outcome) => return outcome,
+            Continue(start) => start,
+        };
+        let graph = self.graph;
+        let (removed, cleanup) =
+            graph.remove_from(key, start, || self.prev_start(key, 0, pin), pin, &self.ctx);
+        if let Some(res) = cleanup {
+            // An eager removal won here: its cleanup pass's predecessor
+            // seeds the tombstoned hint (C3 mitigation).
+            self.erase_local(key);
+            if let Some(p) = res.pred_ref(0, pin) {
+                self.tombstone_local(key, p, pin);
             }
         }
-    }
-
-    /// The value of `key` when the hash layer answers: the local table's
-    /// speculative hit (Alg. 6; a marked holder's mapping is erased), or —
-    /// the Skip Hash fast path — the shared index, whose validated read
-    /// needs no second look at the node. `None` means "search" (Alg. 7).
-    fn hashed_read<'p>(
-        &mut self,
-        key: &K,
-        hash: u64,
-        pin: &'p PinGuard<'m, K, V>,
-    ) -> Option<Option<&'p V>> {
-        if self.hash.is_some() {
-            return self.hash_layer(key, hash, pin, Self::read_on);
-        }
-        match self.map.shared.index_read(key, hash, pin, &self.ctx)? {
-            IndexRead::Hit(node) => Some(Some(node.value())),
-            IndexRead::Absent(_) => Some(None),
-            IndexRead::Miss | IndexRead::Stale => None,
-        }
+        removed
     }
 
     /// Whether `key` is present.
@@ -866,7 +776,7 @@ where
     /// replica, [`hash_key`]) the caller already holds.
     pub(crate) fn contains_hashed(&mut self, key: &K, hash: u64) -> bool {
         self.ctx.record_op();
-        let pin = self.map.shared.pin(&self.ctx);
+        let pin = self.graph.pin(&self.ctx);
         self.read_hashed(key, hash, &pin, |value| value.is_some())
     }
 
@@ -885,14 +795,17 @@ where
         V: Clone,
     {
         self.ctx.record_op();
-        let pin = self.map.shared.pin(&self.ctx);
+        let pin = self.graph.pin(&self.ctx);
         self.read_hashed(key, hash, &pin, |value| value.cloned())
     }
 
     /// The one point read (Alg. 6/7), behind [`Self::get`],
-    /// [`Self::contains`] and a replica's reads: the hash layer, else a
-    /// search from the local start. `answer` maps the key's value, or
-    /// `None` when the key is absent, to the result; `hash` as for
+    /// [`Self::contains`] and a replica's reads: the hash layer — the local
+    /// table's speculative hit (Alg. 6; a marked holder's mapping is
+    /// erased), or the Skip Hash fast path, the shared index, whose
+    /// validated read needs no second look at the node — else the read
+    /// loop from the local start. `answer` maps the key's value, or `None`
+    /// when the key is absent, to the result; `hash` as for
     /// [`Self::insert_hashed`]. Every node read here is read under `pin`.
     fn read_hashed<'p, T>(
         &mut self,
@@ -901,28 +814,26 @@ where
         pin: &'p PinGuard<'m, K, V>,
         answer: impl FnOnce(Option<&'p V>) -> T,
     ) -> T {
-        if let Some(value) = self.hashed_read(key, hash, pin) {
+        let hashed = match self.hash {
+            Some(_) => self.hash_layer(key, hash, pin, Self::read_on),
+            None => match self.graph.index_read(key, hash, pin, &self.ctx) {
+                Some(IndexRead::Hit(node)) => Some(Some(node.value())),
+                Some(IndexRead::Absent(_)) => Some(None),
+                _ => None,
+            },
+        };
+        if let Some(value) = hashed {
             return answer(value);
         }
         let start = match self.start_for(key, hash, 0, None, pin, Self::read_on) {
             Break(value) => return answer(value),
             Continue(start) => start,
         };
-        let shared = &self.map.shared;
-        let res = shared.search_from(key, self.mvec, start, !self.lazy(), &self.ctx);
-        let Some(node) = res.hit(pin) else {
-            return answer(None);
-        };
-        // `found` saw the node unmarked; lazily, its valid bit decides.
-        let present = !self.lazy() || {
-            let w0 = node.load_next(0, &self.ctx);
-            !w0.marked() && w0.valid()
-        };
-        if !present {
-            return answer(None);
-        }
-        shared.index_heal(&node, hash, &self.ctx);
-        answer(Some(node.value()))
+        answer(
+            self.graph
+                .read_from(key, hash, start, pin, &self.ctx)
+                .map(DataRef::value),
+        )
     }
 
     /// Returns the value mapped to `key`, inserting `value` first if the
@@ -964,15 +875,15 @@ where
         // (point operations meet that case in `start_for`).
         // The hint is validated under this pin; `range` itself pins before
         // the handle pin drops, so coverage is continuous.
-        let map = self.map;
-        let pin = map.shared.pin(&self.ctx);
+        let graph = self.graph;
+        let pin = graph.pin(&self.ctx);
         let hint = match &start {
             std::ops::Bound::Included(k) | std::ops::Bound::Excluded(k) => {
                 self.prev_start(k, 0, &pin)
             }
             std::ops::Bound::Unbounded => None,
         };
-        map.shared.range_from(start, end, hint, &self.ctx)
+        graph.range_from(start, end, hint, &self.ctx)
     }
 
     /// Collects the live pairs within the range.
@@ -1011,7 +922,7 @@ where
     /// replay into another socket's replica, the operation's warm key
     /// ([`Self::warm_start`]).
     pub(crate) fn apply(&mut self, op: Update<K, V>, hash: u64, warm: Option<&(K, u64)>) -> bool {
-        let pin = self.map.shared.pin(&self.ctx);
+        let pin = self.graph.pin(&self.ctx);
         match op {
             Update::Insert(k, v) => self.insert_hashed(k, v, hash, warm, &pin),
             Update::Remove(k) => self.remove_hashed(&k, hash, warm, &pin),
@@ -1022,9 +933,10 @@ where
 /// A read-only, `Send`-able view of a [`LayeredMap`], for threads outside
 /// the registered set (the paper's heterogeneous-workload accommodation:
 /// "searching (read-only) from another thread's local structure" — here,
-/// simpler and contention-free, searching from the head array without any
-/// local structure). It reads under a thread slot that no live handle
-/// uses ([`LayeredMap::read_only`]).
+/// simpler and contention-free, the handles' read loop from the head array
+/// without any local structure, after the index when the map has one). It
+/// reads under a thread slot that no live handle uses
+/// ([`LayeredMap::read_only`]).
 pub struct ReadOnlyView<'m, K, V> {
     map: &'m LayeredMap<K, V>,
     ctx: ThreadCtx,
@@ -1073,7 +985,7 @@ impl<K: Ord, V> LayeredMap<K, V> {
 impl<'m, K: Ord, V> ReadOnlyView<'m, K, V> {
     /// Whether `key` is present.
     pub fn contains(&self, key: &K) -> bool {
-        self.map.shared.contains(key, &self.ctx)
+        self.read(key, |value| value.is_some())
     }
 
     /// A clone of the value mapped to `key`, if present.
@@ -1081,7 +993,22 @@ impl<'m, K: Ord, V> ReadOnlyView<'m, K, V> {
     where
         V: Clone,
     {
-        self.map.shared.get(key, &self.ctx)
+        self.read(key, |value| value.cloned())
+    }
+
+    /// The handles' point read with no local structure: the index (a hit
+    /// is a one-node search), else one search from the head array.
+    /// `answer` maps the key's value, or `None` when it is absent.
+    fn read<T>(&self, key: &K, answer: impl FnOnce(Option<&V>) -> T) -> T {
+        let graph = &self.map.shared;
+        let hash = graph.index_hash(key);
+        let pin = graph.pin(&self.ctx);
+        let node = match graph.index_read(key, hash, &pin, &self.ctx) {
+            Some(IndexRead::Hit(node)) => Some(node),
+            Some(IndexRead::Absent(_)) => None,
+            _ => graph.read_from(key, hash, None, &pin, &self.ctx),
+        };
+        answer(node.map(DataRef::value))
     }
 
     /// Ordered scan of the live pairs within the range.

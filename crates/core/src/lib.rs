@@ -30,12 +30,14 @@
 //!   an element with expectation `1/4^i` and the local structures index
 //!   only top-reaching nodes.
 //!
-//! Four map types, each operated through one per-thread handle: the bare
-//! [`SkipGraph`] (its [`SkipGraphHandle`]), the paper's [`LayeredMap`]
-//! ([`LayeredHandle`]), the blocked [`BlockedSkipMap`] ([`BlockedHandle`])
-//! and the per-socket [`ReplicatedLayeredMap`] ([`ReplicatedHandle`],
-//! whose replicas replay a log of updates through their layered handles).
-//! Each implements [`ConcurrentMap`].
+//! Four map types, operated through three per-thread handles: the paper's
+//! [`LayeredMap`] and the bare [`SkipGraph`] (the non-layered ablation)
+//! share the [`LayeredHandle`] — the bare graph's keeps no local
+//! structures, so every search starts at the head array — the blocked
+//! [`BlockedSkipMap`] has its [`BlockedHandle`], and the per-socket
+//! [`ReplicatedLayeredMap`] its [`ReplicatedHandle`] (whose replicas replay
+//! a log of updates through their layered handles). Each implements
+//! [`ConcurrentMap`].
 //!
 //! # Quick start
 //!
@@ -80,7 +82,7 @@ pub use graph::{
     NodeRef, RangeIter, SkipGraph, MAX_BLOCK_CAP, MIN_BLOCK_CAP,
 };
 pub use layered::{LayeredHandle, LayeredMap, ReadOnlyView};
-pub use map_api::{ConcurrentMap, MapHandle, SkipGraphHandle};
+pub use map_api::{ConcurrentMap, MapHandle};
 pub use mvec::{default_max_level, MembershipStrategy};
 pub use params::{GraphConfig, DEFAULT_COMMISSION_FACTOR};
 pub use replicate::{ReplicaConfig, ReplicatedHandle, ReplicatedLayeredMap};

@@ -1,14 +1,13 @@
 //! The concurrent-map interface shared by the layered structures, the
 //! baselines, and the benchmark harness.
 //!
-//! Each map type implements [`ConcurrentMap`] once, with its one handle.
+//! Each map type implements [`ConcurrentMap`] once, with its one handle;
+//! the bare [`SkipGraph`] and the [`LayeredMap`] share theirs, the
+//! [`LayeredHandle`] (a bare graph's keeps no local structures).
 
 use crate::graph::SkipGraph;
 use crate::layered::{LayeredHandle, LayeredMap};
-use crate::sparse_height;
 use instrument::ThreadCtx;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use std::hash::Hash;
 
 /// A concurrent ordered set/map operated through per-thread handles.
@@ -108,68 +107,21 @@ where
     }
 }
 
-/// Per-thread handle for operating a [`SkipGraph`] *without* the
-/// thread-local layer (the paper's non-layered skip graph ablation).
-pub struct SkipGraphHandle<'g, K, V> {
-    graph: &'g SkipGraph<K, V>,
-    ctx: ThreadCtx,
-    rng: SmallRng,
-}
-
-impl<'g, K: Ord, V> SkipGraphHandle<'g, K, V> {
-    /// The recording context of this thread.
-    pub fn ctx(&self) -> &ThreadCtx {
-        &self.ctx
-    }
-}
-
+/// The bare graph's handle is a [`LayeredHandle`] without local
+/// structures (the paper's non-layered skip graph ablation): the same
+/// point-operation bodies, every `getStart` falling back to the head array.
 impl<K, V> ConcurrentMap<K, V> for SkipGraph<K, V>
 where
-    K: Ord + Send + Sync,
+    K: Ord + Hash + Clone + Send + Sync,
     V: Send + Sync,
 {
     type Handle<'a>
-        = SkipGraphHandle<'a, K, V>
+        = LayeredHandle<'a, K, V>
     where
         Self: 'a;
 
     fn pin(&self, ctx: ThreadCtx) -> Self::Handle<'_> {
-        assert!(
-            (ctx.id() as usize) < self.config().num_threads,
-            "thread id out of range"
-        );
-        let seed = 0xBADD_CAFE_u64 ^ ((ctx.id() as u64) << 24);
-        SkipGraphHandle {
-            graph: self,
-            ctx,
-            rng: SmallRng::seed_from_u64(seed),
-        }
-    }
-}
-
-impl<'g, K: Ord, V> MapHandle<K, V> for SkipGraphHandle<'g, K, V> {
-    fn insert(&mut self, key: K, value: V) -> bool {
-        self.ctx.record_op();
-        let height = if self.graph.config().sparse {
-            sparse_height(&mut self.rng, self.graph.config().max_level)
-        } else {
-            self.graph.config().max_level
-        };
-        self.graph.insert(key, value, height, &self.ctx)
-    }
-
-    fn remove(&mut self, key: &K) -> bool {
-        self.ctx.record_op();
-        self.graph.remove(key, &self.ctx)
-    }
-
-    fn contains(&mut self, key: &K) -> bool {
-        self.ctx.record_op();
-        self.graph.contains(key, &self.ctx)
-    }
-
-    fn ctx(&self) -> &ThreadCtx {
-        &self.ctx
+        LayeredHandle::new(self, ctx, false)
     }
 }
 

@@ -3,7 +3,7 @@
 
 use instrument::ThreadCtx;
 use proptest::prelude::*;
-use skipgraph::{ConcurrentMap, GraphConfig, LayeredMap, MapHandle, MembershipStrategy, SkipGraph};
+use skipgraph::{ConcurrentMap, GraphConfig, LayeredMap, MembershipStrategy, SkipGraph};
 use std::collections::BTreeSet;
 
 fn configs() -> Vec<(&'static str, GraphConfig)> {

@@ -588,6 +588,40 @@ fn a_replica_drain_runs_the_direct_operations() {
     assert_eq!(replayed, direct);
 }
 
+/// A bare graph's handle runs the layered handle's insert loop with no
+/// local structure, so a lazy insert finishes its own upper levels: no
+/// `getStart` of its would ever finish them.
+#[test]
+fn a_bare_lazy_insert_links_every_level() {
+    const KEYS: usize = 256;
+    let graph: SkipGraph<u64, u64> = SkipGraph::new(GraphConfig::new(8).lazy(true));
+    assert_eq!(graph.config().max_level, 2);
+    let mut h = graph.pin(ThreadCtx::plain(0));
+    for k in 0..KEYS as u64 {
+        assert!(h.insert(k, k));
+    }
+    let lengths = graph.level_lengths(h.ctx());
+    println!("bare lazy graph: levels 0..=2 hold {:?} of {KEYS} keys", &lengths[..3]);
+    assert_eq!(lengths[..3], [KEYS; 3]);
+}
+
+/// A read-only view runs the handles' read: on an indexed map a present
+/// key is one index hit, counted as a one-node search.
+#[test]
+fn a_read_only_view_reads_through_the_index() {
+    let map = LayeredMap::new(GraphConfig::new(2).hash_index(true).chunk_capacity(CHUNK));
+    assert!(map.register(ThreadCtx::plain(0)).insert(7, 70));
+    let stats = AccessStats::new(2);
+    let view = map.read_only_with(ThreadCtx::recording(1, Arc::clone(&stats)));
+    assert_eq!(view.get(&7), Some(70));
+    let t = stats.thread(1);
+    println!(
+        "read-only view: {} index hits, {} searches over {} nodes",
+        t.index_hits, t.searches, t.traversed
+    );
+    assert_eq!((t.index_hits, t.searches, t.traversed), (1, 1, 1));
+}
+
 #[test]
 fn sparse_towers_spend_half_the_fixed_layout_bytes_per_node() {
     const KEYS: u64 = 1 << 14;

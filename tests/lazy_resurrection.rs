@@ -24,20 +24,21 @@ fn lazy_graph() -> SkipGraph<u64, u64> {
 fn remove_invalidates_in_place_and_insert_resurrects() {
     let g = lazy_graph();
     let c = ThreadCtx::plain(0);
-    assert!(g.insert(5, 50, 0, &c));
-    assert!(g.contains(&5, &c));
+    let mut h = g.pin(ThreadCtx::plain(0));
+    assert!(h.insert(5, 50));
+    assert!(h.contains(&5));
 
     // Remove = casValid(false): the node stays physically linked.
-    assert!(g.remove(&5, &c));
-    assert!(!g.contains(&5, &c));
-    assert_eq!(g.get(&5, &c), None);
+    assert!(h.remove(&5));
+    assert!(!h.contains(&5));
+    assert_eq!(h.get(&5), None);
     let s = g.memory_stats(&c);
     assert_eq!((s.live, s.invalid, s.marked), (0, 1, 0));
 
     // Insert = casValid(true) on the existing node: no new allocation.
     let allocated_before = s.allocated;
-    assert!(g.insert(5, 50, 0, &c));
-    assert!(g.contains(&5, &c));
+    assert!(h.insert(5, 50));
+    assert!(h.contains(&5));
     let s = g.memory_stats(&c);
     assert_eq!((s.live, s.invalid, s.marked), (1, 0, 0));
     assert_eq!(
@@ -50,15 +51,15 @@ fn remove_invalidates_in_place_and_insert_resurrects() {
 #[test]
 fn resurrection_cycles_are_stable() {
     let g = lazy_graph();
-    let c = ThreadCtx::plain(0);
-    assert!(g.insert(9, 1, 0, &c));
+    let mut h = g.pin(ThreadCtx::plain(0));
+    assert!(h.insert(9, 1));
     for _ in 0..50 {
-        assert!(g.remove(&9, &c));
-        assert!(!g.contains(&9, &c));
-        assert!(!g.remove(&9, &c), "double remove must fail");
-        assert!(g.insert(9, 1, 0, &c));
-        assert!(g.contains(&9, &c));
-        assert!(!g.insert(9, 1, 0, &c), "double insert must fail");
+        assert!(h.remove(&9));
+        assert!(!h.contains(&9));
+        assert!(!h.remove(&9), "double remove must fail");
+        assert!(h.insert(9, 1));
+        assert!(h.contains(&9));
+        assert!(!h.insert(9, 1), "double insert must fail");
     }
     let s = g.memory_stats(&ThreadCtx::plain(0));
     assert_eq!(s.allocated, 1, "one node serves every cycle");
@@ -89,7 +90,7 @@ fn recorded_resurrection_history_linearizes() {
     // reject the "broken casValid" counterfactual where the remove
     // succeeds but the key remains visible.
     let g = lazy_graph();
-    let c = ThreadCtx::plain(0);
+    let mut h = g.pin(ThreadCtx::plain(0));
     let mut events = Vec::new();
     let mut clock = 0u64;
     let mut record = |op: Op, result: bool, clock: &mut u64| {
@@ -103,12 +104,12 @@ fn recorded_resurrection_history_linearizes() {
             end,
         });
     };
-    record(Op::Insert, g.insert(7, 7, 0, &c), &mut clock);
-    record(Op::Remove, g.remove(&7, &c), &mut clock);
-    record(Op::Contains, g.contains(&7, &c), &mut clock);
-    record(Op::Insert, g.insert(7, 7, 0, &c), &mut clock);
-    record(Op::Contains, g.contains(&7, &c), &mut clock);
-    record(Op::Remove, g.remove(&7, &c), &mut clock);
+    record(Op::Insert, h.insert(7, 7), &mut clock);
+    record(Op::Remove, h.remove(&7), &mut clock);
+    record(Op::Contains, h.contains(&7), &mut clock);
+    record(Op::Insert, h.insert(7, 7), &mut clock);
+    record(Op::Contains, h.contains(&7), &mut clock);
+    record(Op::Remove, h.remove(&7), &mut clock);
     check_history_from(&events, false).expect("resurrection history must linearize");
 
     // Counterfactual: contains(7) = true right after the successful
@@ -132,14 +133,15 @@ fn a_snapshot_is_the_open_range_and_matches_the_census() {
         GraphConfig::new(2).lazy(true).commission_cycles(0).chunk_capacity(256),
     );
     let c = ThreadCtx::plain(0);
+    let mut h = g.pin(ThreadCtx::plain(0));
     for k in 0..100u64 {
-        assert!(g.insert(k, k * 10, 0, &c));
+        assert!(h.insert(k, k * 10));
     }
     // Each removal's search passes the keys removed before it; the last
     // removed key is passed by none and stays invalid.
     let removed = |k: u64| (20..60).contains(&k) && (k - 20) % 3 == 0;
     for k in (0..100u64).filter(|&k| removed(k)) {
-        assert!(g.remove(&k, &c));
+        assert!(h.remove(&k));
     }
     let m = g.memory_stats(&c);
     assert!(m.live > 0 && m.invalid > 0 && m.marked > 0, "{m:?}");
