@@ -139,7 +139,7 @@ fn bench_range_and_pqueue(c: &mut Criterion) {
 
 /// In-block point reads on the fat-level-0 blocked map: the hit path
 /// runs the branch-free binary search over the block's sorted prefix
-/// (`graph/block.rs::get_pinned`), so this group tracks regressions in
+/// (`graph/block/mod.rs::get`), so this group tracks regressions in
 /// that search (see the microbench note in EXPERIMENTS.md). Ascending
 /// preload keeps every block's sorted prefix full — the search covers
 /// the whole block, not the unsorted tail scan.
