@@ -117,7 +117,8 @@ fn bench_range_and_pqueue(c: &mut Criterion) {
         });
     });
     group.bench_function("read_only_view_get", |b| {
-        let view = map.read_only(1);
+        // A reader outside the registered set: the bare graph's handle.
+        let mut view = map.shared().pin(ThreadCtx::plain(1));
         let mut k = 0u64;
         b.iter(|| {
             k = (k + 2) % (PRELOAD * 2);

@@ -17,6 +17,18 @@
 //! control word proves the block still covered the key, and the publish
 //! linearizes the insert.
 //!
+//! # One way per job
+//!
+//! Point operations live on [`BlockedHandle`]; a scan is
+//! [`BlockedSkipMap::range`] under the caller's context. A block's
+//! lifecycle has one rule. An insert that finds every slot claimed
+//! freezes the block, and a remove that empties it freezes it too; a
+//! frozen block with more than `cap / 2` survivors is replaced by two
+//! blocks cut at `len.div_ceil(2)` (the half split), one with fewer by a
+//! single block, and one with none is unlinked (the merge). A block whose
+//! slots are all claimed but partly tombstoned keeps its claims until an
+//! insert freezes it.
+//!
 //! # Module map
 //!
 //! * `storage` — the block layout, the control word and its bit fields;
@@ -43,7 +55,6 @@ use crate::sync::FacadeAtomicUsize;
 use instrument::ThreadCtx;
 use resolve::LocalSlot;
 use std::marker::PhantomData;
-use std::ops::Bound;
 use std::ptr::NonNull;
 use storage::{
     block_layout_bytes, claimed_bit, claimed_bits, is_frozen, prefix_len, present_bit,
@@ -53,53 +64,6 @@ use storage::{
 type BNode<K> = Node<K, ()>;
 type BPtr<K> = NodePtr<K, ()>;
 type BSearch<K> = SearchResult<K, ()>;
-
-/// Tunable block-lifecycle policy: where a split cuts and when a clogged
-/// block compacts. The default is a half split and compaction only on
-/// empty.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockPolicy {
-    /// Percentage of a split's survivors kept in the *left* (lower)
-    /// replacement block, in `1..=99`. 50 is the classic half split;
-    /// higher values leave the left block fuller ("leave-behind"), which
-    /// suits ascending loads where the right block keeps absorbing.
-    pub split_left_pct: u8,
-    /// A block whose live count drops to this threshold *and* whose
-    /// slots are all claimed (so it cannot absorb another insert anyway)
-    /// is frozen and compacted into a fresh block with free slots. 0
-    /// compacts only fully-emptied blocks (they unlink instead).
-    pub merge_threshold: usize,
-}
-
-impl Default for BlockPolicy {
-    fn default() -> Self {
-        Self {
-            split_left_pct: 50,
-            merge_threshold: 0,
-        }
-    }
-}
-
-impl BlockPolicy {
-    /// The index a split of `len` sorted survivors cuts at (size of the
-    /// left block), always leaving both sides nonempty.
-    fn split_point(&self, len: usize) -> usize {
-        (len * self.split_left_pct as usize)
-            .div_ceil(100)
-            .clamp(1, len - 1)
-    }
-
-    fn validate(&self, cap: usize) {
-        assert!(
-            (1..=99).contains(&self.split_left_pct),
-            "split_left_pct must be in 1..=99"
-        );
-        assert!(
-            self.merge_threshold < cap,
-            "merge_threshold must be below the block capacity"
-        );
-    }
-}
 
 /// Aggregate footprint of a [`BlockedSkipMap`], for the blocking-ablation
 /// benchmarks: how many anchors carry how many live entries, and what the
@@ -132,7 +96,6 @@ pub struct BlockedStats {
 pub struct BlockedSkipMap<K, V> {
     graph: SkipGraph<K, ()>,
     cap: usize,
-    policy: BlockPolicy,
     /// Drives deterministic anchor tower heights in sparse mode: the
     /// `n`-th anchor gets height `trailing_zeros(n)` (capped), i.e. the
     /// geometric distribution without per-thread RNG state.
@@ -162,17 +125,6 @@ where
     /// `config` asks for [`GraphConfig::hash_index`] (the index names one
     /// key per node; no blocked operation publishes to it or probes it).
     pub fn new(config: GraphConfig, cap: usize) -> Self {
-        Self::with_policy(config, cap, BlockPolicy::default())
-    }
-
-    /// [`Self::new`] with an explicit block-lifecycle [`BlockPolicy`]
-    /// (split point, compaction threshold).
-    ///
-    /// # Panics
-    ///
-    /// As [`Self::new`], and on an out-of-range policy (see
-    /// [`BlockPolicy`]).
-    pub fn with_policy(config: GraphConfig, cap: usize, policy: BlockPolicy) -> Self {
         assert!(
             !config.hash_index,
             "BlockedSkipMap with GraphConfig::hash_index(true): a blocked map keeps no hash index"
@@ -186,7 +138,6 @@ where
             "block entries must be at most 8-aligned"
         );
         debug_assert_eq!(std::mem::size_of::<usize>(), 8);
-        policy.validate(cap);
         let config = config
             .lazy(true)
             .block_bytes(block_layout_bytes::<K, V>(cap));
@@ -196,7 +147,6 @@ where
                 .collect(),
             graph: SkipGraph::new(config),
             cap,
-            policy,
             anchor_seq: FacadeAtomicUsize::new(1),
             _values: PhantomData,
         }
@@ -221,8 +171,8 @@ where
         unsafe { Blk::of(anchor, self.cap) }
     }
 
-    /// Inserts `key -> value`; `false` if the key was present.
-    pub fn insert(&self, key: K, value: V, ctx: &ThreadCtx) -> bool
+    /// [`BlockedHandle::insert`] under `ctx`.
+    fn insert(&self, key: K, value: V, ctx: &ThreadCtx) -> bool
     where
         V: PartialEq,
     {
@@ -298,13 +248,15 @@ where
                     // The block froze between claim and publish; the claim
                     // dies with it (survivor sets read present bits only).
                     //
-                    // Injected bug (default policy only, so each stress
-                    // lane carries exactly one live fault): skip the
+                    // Injected bug (maps built without reclamation: the
+                    // `blocked_sg` lane; the reclaiming `anchor_blocked_sg`
+                    // carries `resolve_read`'s instead, so each stress lane
+                    // carries exactly one live fault): skip the
                     // post-split recheck and report success for an entry
                     // that never became present — the lost-insert window
                     // the differential test wall must catch.
                     #[cfg(feature = "bug-injection")]
-                    if self.policy.merge_threshold == 0 {
+                    if !self.graph.reclaim.enabled() {
                         return true;
                     }
                     self.help_split(anchor, ctx);
@@ -336,8 +288,8 @@ where
         }
     }
 
-    /// Removes `key`; `false` if it was absent.
-    pub fn remove(&self, key: &K, ctx: &ThreadCtx) -> bool {
+    /// [`BlockedHandle::remove`] under `ctx`.
+    fn remove(&self, key: &K, ctx: &ThreadCtx) -> bool {
         let pin = self.graph.pin(ctx);
         loop {
             let Some(anchor) = self.resolve(key, &pin, ctx) else {
@@ -360,21 +312,14 @@ where
                 let tombed = (w & !present_bit(i)) | tomb_bit(i);
                 match blk.control().compare_exchange(w, tombed) {
                     Ok(_) => {
-                        let now = tombed;
-                        let live = present_bits(now).count_ones() as usize;
-                        let clogged = live <= self.policy.merge_threshold
-                            && !claimed_bits(now) & slot_mask(self.cap) == 0;
-                        if live == 0 || clogged {
-                            // Emptied the block (unlink it via the merge
-                            // path), or tombstones clogged every slot with
-                            // few survivors left (freeze so help_split
-                            // compacts them into a fresh block with free
-                            // slots — the policy's merge threshold).
-                            // Losing this CAS means a writer claimed a slot
-                            // (or froze it first) — either way, not ours.
-                            if blk.control().compare_exchange(now, now | FROZEN).is_ok() {
-                                self.help_split(anchor, ctx);
-                            }
+                        // Emptied the block: freeze it so help_split
+                        // unlinks it (the merge path). Losing this CAS
+                        // means a writer claimed a slot (or froze it
+                        // first) — either way, not ours.
+                        if present_bits(tombed) == 0
+                            && blk.control().compare_exchange(tombed, tombed | FROZEN).is_ok()
+                        {
+                            self.help_split(anchor, ctx);
                         }
                         return true;
                     }
@@ -384,8 +329,8 @@ where
         }
     }
 
-    /// Looks up `key`, returning its value.
-    pub fn get(&self, key: &K, ctx: &ThreadCtx) -> Option<V> {
+    /// [`BlockedHandle::get`] under `ctx`.
+    fn get(&self, key: &K, ctx: &ThreadCtx) -> Option<V> {
         let pin = self.graph.pin(ctx);
         loop {
             let anchor = self.resolve_read(key, &pin, ctx)?;
@@ -418,11 +363,6 @@ where
             }
             return None;
         }
-    }
-
-    /// Whether `key` is present.
-    pub fn contains(&self, key: &K, ctx: &ThreadCtx) -> bool {
-        self.get(key, ctx).is_some()
     }
 
     /// Position of the greatest sorted-prefix key `<= key` (the only slot
@@ -577,10 +517,11 @@ where
 /// Per-thread handle for a [`BlockedSkipMap`]: carries the thread's
 /// recording context. The thread's *local anchor map* — the blocked
 /// analogue of the layered design's per-thread local structures — is kept
-/// by the map under the context's id (see the module docs), so point
-/// operations and scans through a handle and through the map with the same
-/// context resolve alike, and a handle registered again for the same id
-/// finds the slot as its predecessor left it.
+/// by the map under the context's id (see the module docs), so a handle's
+/// point operations and a [`BlockedSkipMap::range`] under its context
+/// ([`Self::ctx`]) resolve alike, and a handle registered again for the
+/// same id finds the slot as its predecessor left it. The handle is the
+/// map's one way to insert, remove and look up.
 pub struct BlockedHandle<'g, K, V> {
     map: &'g BlockedSkipMap<K, V>,
     ctx: ThreadCtx,
@@ -620,12 +561,6 @@ where
     /// Whether `key` is present.
     pub fn contains(&mut self, key: &K) -> bool {
         self.get(key).is_some()
-    }
-
-    /// Scans live entries with keys in the range given by the bounds,
-    /// ascending: [`BlockedSkipMap::range`] with this handle's context.
-    pub fn range(&self, start: Bound<&K>, end: Bound<K>) -> BlockedRangeIter<'_, K, V> {
-        self.map.range(start, end, &self.ctx)
     }
 }
 

@@ -177,7 +177,7 @@ where
             } else {
                 let tail = TagPtr::clean(succ0);
                 let (n1, n2) = if survivors.len() > self.cap / 2 {
-                    let mid = self.policy.split_point(survivors.len());
+                    let mid = survivors.len().div_ceil(2);
                     let second = self.build_block(&survivors[mid..], tail, ctx);
                     let first = self.build_block(
                         &survivors[..mid],

@@ -130,16 +130,6 @@ where
             _pin: pin,
         }
     }
-
-    /// An unbounded ascending scan.
-    pub fn iter<'g>(&'g self, ctx: &'g ThreadCtx) -> BlockedRangeIter<'g, K, V> {
-        self.range(Bound::Unbounded, Bound::Unbounded, ctx)
-    }
-
-    /// Collects a range scan (convenience for tests and benchmarks).
-    pub fn range_to_vec(&self, start: Bound<&K>, end: Bound<K>, ctx: &ThreadCtx) -> Vec<(K, V)> {
-        self.range(start, end, ctx).collect()
-    }
 }
 
 impl<K, V> Iterator for BlockedRangeIter<'_, K, V>

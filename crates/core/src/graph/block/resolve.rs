@@ -5,9 +5,9 @@
 //! blocked map does the same with the *anchor* — not the key — as the unit
 //! of locality: it holds one ordered map of anchors per configured thread
 //! slot (a [`BTreeLocalMap`] from anchor key to generation-checked
-//! [`NodeRef`], found by `ctx.id()`), and every entry point — the map's
-//! and the handle's point operations and [`BlockedSkipMap::range`] — finds
-//! its block through one function, `resolve`:
+//! [`NodeRef`], found by `ctx.id()`), and every entry point — the
+//! handle's point operations and [`BlockedSkipMap::range`] — finds its
+//! block through one function, `resolve`:
 //!
 //! 1. take the slot's greatest anchor `<= key` and validate it under the
 //!    operation's pin — generation unchanged (splits and merges retire the
@@ -250,8 +250,10 @@ where
     /// lookups and scan starts. The two differ in the bug-injection build
     /// alone.
     ///
-    /// Injected bug (`--features bug-injection`, `anchor_blocked_sg` lane:
-    /// non-default merge threshold, so each stress lane carries exactly
+    /// Injected bug (`--features bug-injection`, maps built with
+    /// reclamation: the `anchor_blocked_sg` lane, which runs the scan
+    /// workload's `reclaim(true)`; `blocked_sg` reclaims nothing and
+    /// carries the lost insert instead, so each stress lane carries exactly
     /// one live fault): trust the local anchor *without* the covering
     /// check. A read through a live anchor whose key range moved to a
     /// split-off sibling the thread has never seen then scans the wrong
@@ -268,7 +270,7 @@ where
         ctx: &ThreadCtx,
     ) -> Option<NonNull<BNode<K>>> {
         #[cfg(feature = "bug-injection")]
-        if self.policy.merge_threshold > 0 {
+        if self.graph.reclaim.enabled() {
             if let Some((anchor, _)) = self.local(ctx).and_then(|mut l| l.floor(key, pin)) {
                 return Some(NonNull::from(&*anchor));
             }

@@ -5,6 +5,7 @@ use super::*;
 use crate::sync::TagPtr;
 use instrument::AccessStats;
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 fn cfg(threads: usize) -> GraphConfig {
     GraphConfig::new(threads).chunk_capacity(256)
@@ -53,7 +54,7 @@ fn tombstone_reuse_absorbs_same_pair_churn() {
     // re-insert because every slot was claimed).
     for _ in 0..64 {
         assert!(map.remove(&2, &ctx));
-        assert!(!map.contains(&2, &ctx));
+        assert_eq!(map.get(&2, &ctx), None);
         assert!(map.insert(2, 20, &ctx));
         assert_eq!(map.get(&2, &ctx), Some(20));
     }
@@ -99,7 +100,7 @@ fn single_block_insert_get_remove() {
     assert!(map.remove(&10, &c));
     assert!(!map.remove(&10, &c), "double remove must fail");
     assert_eq!(map.get(&10, &c), None);
-    assert!(map.contains(&5, &c));
+    assert_eq!(map.get(&5, &c), Some(50));
     assert_eq!(map.len(&c), 1);
     map.check_invariants(&c).unwrap();
 }
@@ -156,7 +157,10 @@ fn first_block_covers_keys_below_its_anchor() {
     assert_eq!(map.get(&50, &c), Some(2));
     assert_eq!(map.get(&1, &c), Some(3));
     assert_eq!(map.stats(&c).anchors, 1);
-    let keys: Vec<u64> = map.iter(&c).map(|(k, _)| k).collect();
+    let keys: Vec<u64> = map
+        .range(Bound::Unbounded, Bound::Unbounded, &c)
+        .map(|(k, _)| k)
+        .collect();
     assert_eq!(keys, vec![1, 50, 100]);
     map.check_invariants(&c).unwrap();
 }
@@ -185,7 +189,7 @@ fn range_bounds_match_btreemap() {
         (Bound::Excluded(N), Bound::Unbounded),
     ];
     for (start, end) in cases {
-        let got = map.range_to_vec(start.as_ref(), end, &c);
+        let got: Vec<_> = map.range(start.as_ref(), end, &c).collect();
         let want: Vec<(u64, u64)> = model
             .range((start, end))
             .map(|(k, v)| (*k, *v))
@@ -224,7 +228,7 @@ fn a_descending_tail_scans_in_order() {
             (Bound::Unbounded, Bound::Excluded(lo)),
         ];
         for (start, end) in cases {
-            let got = map.range_to_vec(start.as_ref(), end, &c);
+            let got: Vec<_> = map.range(start.as_ref(), end, &c).collect();
             let want: Vec<(u64, u64)> =
                 model.range((start, end)).map(|(k, v)| (*k, *v)).collect();
             assert_eq!(got, want, "range {start:?}..{end:?}");
@@ -241,7 +245,7 @@ fn iterator_survives_split_mid_scan() {
         map.insert(k, k, &c);
     }
     let c2 = ThreadCtx::plain(0);
-    let mut iter = map.iter(&c2);
+    let mut iter = map.range(Bound::Unbounded, Bound::Unbounded, &c2);
     let mut seen = vec![iter.next().unwrap().0, iter.next().unwrap().0];
     // Split blocks ahead of the scan position while the iterator is
     // live: the stale successor chain must still reach every
@@ -411,88 +415,43 @@ fn stats_report_blocking_gains() {
 }
 
 #[test]
-fn policy_split_point_math() {
-    // Defaults reproduce the historical half split (div_ceil(2)).
-    let half = BlockPolicy::default();
-    for len in 2..=16 {
-        assert_eq!(half.split_point(len), len.div_ceil(2), "len {len}");
-    }
-    // Left-biased cuts leave the left block fuller; clamping keeps
-    // both sides nonempty at every length.
-    let left = BlockPolicy {
-        split_left_pct: 75,
-        ..BlockPolicy::default()
-    };
-    assert_eq!(left.split_point(8), 6);
-    assert_eq!(left.split_point(2), 1);
-    let extreme = BlockPolicy {
-        split_left_pct: 99,
-        ..BlockPolicy::default()
-    };
-    for len in 2..=16 {
-        let cut = extreme.split_point(len);
-        assert!(cut >= 1 && cut < len, "len {len} cut {cut}");
-    }
-    BlockPolicy::default().validate(4);
-}
-
-#[test]
-#[should_panic(expected = "merge_threshold")]
-fn policy_rejects_threshold_at_capacity() {
-    let bad = BlockPolicy {
-        merge_threshold: 4,
-        ..BlockPolicy::default()
-    };
-    let _ = BlockedSkipMap::<u64, u64>::with_policy(cfg(1), 4, bad);
-}
-
-#[test]
 #[should_panic(expected = "BlockedSkipMap with GraphConfig::hash_index(true)")]
 fn a_hash_index_under_blocks_is_rejected() {
     let _ = BlockedSkipMap::<u64, u64>::new(cfg(1).hash_index(true), 4);
 }
 
-/// A nonzero merge threshold compacts a tombstone-clogged block into a
-/// fresh one with free slots at remove time; the default policy
-/// leaves the clog in place until an insert forces the freeze.
+/// A block whose slots are all claimed but partly tombstoned keeps its
+/// claims: no remove freezes it while it holds an entry. The next insert
+/// that finds no free slot freezes it, and the rebuilt block takes the
+/// refill.
 #[test]
-fn merge_threshold_compacts_clogged_blocks() {
+fn a_clogged_block_keeps_its_claims_until_an_insert_freezes_it() {
     // Claimed slots of the block covering key 0 (white-box probe).
     let claimed = |map: &BlockedSkipMap<u64, u64>, c: &ThreadCtx| -> u32 {
         let pin = map.graph.pin(c);
         let a = map.resolve(&0, &pin, c).expect("block exists");
         claimed_bits(unsafe { map.blk(a) }.control().load()).count_ones()
     };
-    let run = |policy: BlockPolicy| -> u32 {
-        let map = BlockedSkipMap::<u64, u64>::with_policy(cfg(1), 4, policy);
-        let c = ctx();
-        for k in 0..4 {
-            assert!(map.insert(k, k, &c));
-        }
-        assert_eq!(map.stats(&c).anchors, 1);
-        // All four slots claimed; tombstone down to two survivors.
-        assert!(map.remove(&3, &c));
-        assert!(map.remove(&2, &c));
-        let clog = claimed(&map, &c);
-        // Either way the map stays correct through a refill.
-        assert!(map.insert(10, 10, &c));
-        assert!(map.insert(11, 11, &c));
-        for (k, v) in [(0, 0), (1, 1), (10, 10), (11, 11)] {
-            assert_eq!(map.get(&k, &c), Some(v), "policy {policy:?} key {k}");
-        }
-        map.check_invariants(&c).unwrap();
-        clog
-    };
-    // Compacting policy: the second remove crosses the threshold on a
-    // fully-claimed block, so it is rebuilt immediately — the
-    // covering block has free slots before any insert arrives.
-    let compacting = BlockPolicy {
-        merge_threshold: 2,
-        ..BlockPolicy::default()
-    };
-    assert_eq!(run(compacting), 2);
-    // Default policy: the tombstones keep every slot claimed.
-    assert_eq!(run(BlockPolicy::default()), 4);
+    let map = BlockedSkipMap::<u64, u64>::new(cfg(1), 4);
+    let c = ctx();
+    for k in 0..4 {
+        assert!(map.insert(k, k, &c));
+    }
+    assert_eq!(map.stats(&c).anchors, 1);
+    // All four slots claimed; tombstone down to two survivors.
+    assert!(map.remove(&3, &c));
+    assert!(map.remove(&2, &c));
+    assert_eq!(claimed(&map, &c), 4, "the tombstones keep every slot claimed");
+    // The insert freezes the clogged block; the two survivors move into
+    // one fresh block, which takes the new entry in a third slot.
+    assert!(map.insert(10, 10, &c));
+    assert_eq!(claimed(&map, &c), 3);
+    assert!(map.insert(11, 11, &c));
+    for (k, v) in [(0, 0), (1, 1), (10, 10), (11, 11)] {
+        assert_eq!(map.get(&k, &c), Some(v), "key {k}");
+    }
+    assert_eq!(map.stats(&c).anchors, 1);
+    map.check_invariants(&c).unwrap();
 }
 
 #[test]

@@ -30,7 +30,7 @@ mod stats;
 mod tests;
 
 pub use block::{
-    BlockPolicy, BlockedHandle, BlockedRangeIter, BlockedSkipMap, BlockedStats, MAX_BLOCK_CAP,
+    BlockedHandle, BlockedRangeIter, BlockedSkipMap, BlockedStats, MAX_BLOCK_CAP,
     MIN_BLOCK_CAP,
 };
 pub use range::RangeIter;

@@ -7,9 +7,9 @@
 //!
 //! Each point operation has one loop over them: `insert_from`,
 //! `remove_from` and `read_from`. Every unblocked handle runs them — a
-//! layered handle from its local-map starts, a bare graph's handle and a
-//! read-only view from the head array (no start) — and the blocked map
-//! keeps its own loops over blocks.
+//! layered handle from its local-map starts, a bare graph's handle from
+//! the head array (no start) — and the blocked map keeps its own loops
+//! over blocks.
 //!
 //! The primitives dereference the node pointers their caller's search
 //! reached under the pin it holds (see the graph module's invariant).
@@ -348,7 +348,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
     }
 
     /// The one point read below the hash layer (Alg. 7), behind every
-    /// unblocked handle and [`crate::ReadOnlyView`]: one search from
+    /// unblocked handle: one search from
     /// `start`; the node holding `key` if the key is present, republished
     /// to the index under `hash` (its [`SkipGraph::index_hash`]) when a
     /// lost entry made the search necessary.

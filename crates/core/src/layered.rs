@@ -27,8 +27,9 @@
 //! start, the `updateStart` refresh and the local bookkeeping. With its
 //! private layered bit off the handle is the bare [`SkipGraph`]'s
 //! [`ConcurrentMap`](crate::ConcurrentMap) handle: no table, no local
-//! mappings, no tombstones, so every start is the head array.
-//! [`ReadOnlyView`] runs the same read loop.
+//! mappings, no tombstones, so every start is the head array. A reader
+//! outside the registered set takes that bare handle under a slot no live
+//! handle uses (`map.shared().pin(ctx)`).
 //!
 //! Every operation takes one reclamation pin and reads shared nodes only
 //! through references bounded by it: a local-map entry, an index read and
@@ -927,113 +928,6 @@ where
             Update::Insert(k, v) => self.insert_hashed(k, v, hash, warm, &pin),
             Update::Remove(k) => self.remove_hashed(&k, hash, warm, &pin),
         }
-    }
-}
-
-/// A read-only, `Send`-able view of a [`LayeredMap`], for threads outside
-/// the registered set (the paper's heterogeneous-workload accommodation:
-/// "searching (read-only) from another thread's local structure" — here,
-/// simpler and contention-free, the handles' read loop from the head array
-/// without any local structure, after the index when the map has one). It
-/// reads under a thread slot that no live handle uses
-/// ([`LayeredMap::read_only`]).
-pub struct ReadOnlyView<'m, K, V> {
-    map: &'m LayeredMap<K, V>,
-    ctx: ThreadCtx,
-}
-
-impl<K: Ord, V> LayeredMap<K, V> {
-    /// A read-only view usable from any thread, under thread slot
-    /// `reader_slot` (below `config.num_threads`). The slot selects the
-    /// membership vector used for traversal (reads are correct under any
-    /// slot; it only affects which upper-level lists the search descends
-    /// through) and the reclamation pin the view's reads take.
-    ///
-    /// A slot has one live user at a time, as for
-    /// [`register`](Self::register): the pin's nesting depth is the slot
-    /// owner's word, so a view sharing a slot with a live handle (or
-    /// another live view) on a map built with `reclaim(true)` can drop that
-    /// handle's pin.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reader_slot` is out of range.
-    pub fn read_only(&self, reader_slot: u16) -> ReadOnlyView<'_, K, V> {
-        self.read_only_with(ThreadCtx::plain(reader_slot))
-    }
-
-    /// Like [`read_only`](Self::read_only), but traversing under the
-    /// caller's context — pass a recording [`ThreadCtx`] to attribute the
-    /// view's searches, index probes, and range-start accelerations to an
-    /// [`instrument::AccessStats`] sink. The context's id selects the
-    /// membership vector and must name a slot below `config.num_threads`
-    /// that no live handle or view uses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the context's id is out of range.
-    pub fn read_only_with(&self, ctx: ThreadCtx) -> ReadOnlyView<'_, K, V> {
-        assert!(
-            (ctx.id() as usize) < self.config().num_threads,
-            "reader ctx id {} outside the registered set",
-            ctx.id()
-        );
-        ReadOnlyView { map: self, ctx }
-    }
-}
-
-impl<'m, K: Ord, V> ReadOnlyView<'m, K, V> {
-    /// Whether `key` is present.
-    pub fn contains(&self, key: &K) -> bool {
-        self.read(key, |value| value.is_some())
-    }
-
-    /// A clone of the value mapped to `key`, if present.
-    pub fn get(&self, key: &K) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.read(key, |value| value.cloned())
-    }
-
-    /// The handles' point read with no local structure: the index (a hit
-    /// is a one-node search), else one search from the head array.
-    /// `answer` maps the key's value, or `None` when it is absent.
-    fn read<T>(&self, key: &K, answer: impl FnOnce(Option<&V>) -> T) -> T {
-        let graph = &self.map.shared;
-        let hash = graph.index_hash(key);
-        let pin = graph.pin(&self.ctx);
-        let node = match graph.index_read(key, hash, &pin, &self.ctx) {
-            Some(IndexRead::Hit(node)) => Some(node),
-            Some(IndexRead::Absent(_)) => None,
-            _ => graph.read_from(key, hash, None, &pin, &self.ctx),
-        };
-        answer(node.map(DataRef::value))
-    }
-
-    /// Ordered scan of the live pairs within the range.
-    pub fn range(
-        &self,
-        start: std::ops::Bound<&K>,
-        end: std::ops::Bound<K>,
-    ) -> RangeIter<'_, K, V> {
-        self.map.shared.range(start, end, &self.ctx)
-    }
-
-    /// Number of live entries (O(n) snapshot walk).
-    pub fn len(&self) -> usize {
-        self.map.shared.len(&self.ctx)
-    }
-
-    /// Whether the map appears empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<'m, K, V> std::fmt::Debug for ReadOnlyView<'m, K, V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReadOnlyView").finish_non_exhaustive()
     }
 }
 

@@ -33,11 +33,13 @@
 //! Four map types, operated through three per-thread handles: the paper's
 //! [`LayeredMap`] and the bare [`SkipGraph`] (the non-layered ablation)
 //! share the [`LayeredHandle`] — the bare graph's keeps no local
-//! structures, so every search starts at the head array — the blocked
-//! [`BlockedSkipMap`] has its [`BlockedHandle`], and the per-socket
-//! [`ReplicatedLayeredMap`] its [`ReplicatedHandle`] (whose replicas replay
-//! a log of updates through their layered handles). Each implements
-//! [`ConcurrentMap`].
+//! structures, so every search starts at the head array, and it is also
+//! how a reader outside a layered map's registered set reads
+//! (`map.shared().pin(ctx)`) — the blocked [`BlockedSkipMap`] has its
+//! [`BlockedHandle`] (point operations; a scan is
+//! [`BlockedSkipMap::range`]), and the per-socket [`ReplicatedLayeredMap`]
+//! its [`ReplicatedHandle`] (whose replicas replay a log of updates
+//! through their layered handles). Each implements [`ConcurrentMap`].
 //!
 //! # Quick start
 //!
@@ -78,10 +80,10 @@ pub mod sync;
 pub mod local;
 
 pub use graph::{
-    BlockPolicy, BlockedHandle, BlockedRangeIter, BlockedSkipMap, BlockedStats, MemoryStats,
+    BlockedHandle, BlockedRangeIter, BlockedSkipMap, BlockedStats, MemoryStats,
     NodeRef, RangeIter, SkipGraph, MAX_BLOCK_CAP, MIN_BLOCK_CAP,
 };
-pub use layered::{LayeredHandle, LayeredMap, ReadOnlyView};
+pub use layered::{LayeredHandle, LayeredMap};
 pub use map_api::{ConcurrentMap, MapHandle};
 pub use mvec::{default_max_level, MembershipStrategy};
 pub use params::{GraphConfig, DEFAULT_COMMISSION_FACTOR};

@@ -13,7 +13,7 @@
 
 use instrument::{AccessStats, ThreadCtx};
 use proptest::prelude::*;
-use skipgraph::{BlockPolicy, BlockedSkipMap, GraphConfig, MAX_BLOCK_CAP, MIN_BLOCK_CAP};
+use skipgraph::{BlockedSkipMap, GraphConfig, MAX_BLOCK_CAP, MIN_BLOCK_CAP};
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::Arc;
@@ -51,27 +51,27 @@ proptest! {
             GraphConfig::new(2).sparse(sparse).chunk_capacity(256),
             cap,
         );
-        let ctx = ThreadCtx::plain(0);
+        let mut h = map.register(ThreadCtx::plain(0));
         let mut model: BTreeMap<u64, u64> = BTreeMap::new();
         for (op, k, v) in ops {
             match op {
                 0 => prop_assert_eq!(
-                    map.insert(k, v, &ctx),
+                    h.insert(k, v),
                     !model.contains_key(&k),
                     "insert {}", k
                 ),
-                1 => prop_assert_eq!(map.remove(&k, &ctx), model.remove(&k).is_some(), "remove {}", k),
-                2 => prop_assert_eq!(map.get(&k, &ctx), model.get(&k).copied(), "get {}", k),
-                _ => prop_assert_eq!(map.contains(&k, &ctx), model.contains_key(&k), "contains {}", k),
+                1 => prop_assert_eq!(h.remove(&k), model.remove(&k).is_some(), "remove {}", k),
+                2 => prop_assert_eq!(h.get(&k), model.get(&k).copied(), "get {}", k),
+                _ => prop_assert_eq!(h.contains(&k), model.contains_key(&k), "contains {}", k),
             }
             if op == 0 && !model.contains_key(&k) {
                 model.insert(k, v);
             }
         }
-        let got: Vec<(u64, u64)> = map.iter(&ctx).collect();
+        let got: Vec<(u64, u64)> = map.range(Bound::Unbounded, Bound::Unbounded, h.ctx()).collect();
         let want: Vec<(u64, u64)> = model.iter().map(|(k, v)| (*k, *v)).collect();
         prop_assert_eq!(got, want);
-        map.check_invariants(&ctx).map_err(TestCaseError::fail)?;
+        map.check_invariants(h.ctx()).map_err(TestCaseError::fail)?;
     }
 
     /// Differential range scans: arbitrary bounds against the model,
@@ -91,19 +91,19 @@ proptest! {
             GraphConfig::new(2).chunk_capacity(256),
             cap,
         );
-        let ctx = ThreadCtx::plain(0);
+        let mut h = map.register(ThreadCtx::plain(0));
         let mut model: BTreeMap<u64, u64> = BTreeMap::new();
         for k in keys {
-            map.insert(k, k * 3, &ctx);
+            h.insert(k, k * 3);
             model.entry(k).or_insert(k * 3);
         }
         for &(k, _) in &removes {
-            map.remove(&k, &ctx);
+            h.remove(&k);
             model.remove(&k);
         }
         // The same pair again: a tombstoned slot comes back to life.
         for &(k, _) in removes.iter().filter(|(_, again)| *again) {
-            map.insert(k, k * 3, &ctx);
+            h.insert(k, k * 3);
             model.insert(k, k * 3);
         }
         let (sb, eb) = (bound_from(start.0, start.1), bound_from(end.0, end.1));
@@ -114,22 +114,21 @@ proptest! {
             _ => false,
         };
         if !inverted {
-            let got = map.range_to_vec(as_ref_bound(&sb), eb, &ctx);
+            let got: Vec<(u64, u64)> = map.range(as_ref_bound(&sb), eb, h.ctx()).collect();
             let want: Vec<(u64, u64)> = model.range((sb, eb)).map(|(k, v)| (*k, *v)).collect();
             prop_assert_eq!(got, want, "range {:?}..{:?}", sb, eb);
         }
-        map.check_invariants(&ctx).map_err(TestCaseError::fail)?;
+        map.check_invariants(h.ctx()).map_err(TestCaseError::fail)?;
     }
 
     /// Local-anchor differential: the same arbitrary-sequence contract as
-    /// `behaves_like_btreemap`, but routed through a [`BlockedHandle`] of
-    /// one thread slot, so every point op and every scan start resolves
-    /// via that slot's local anchor map first — under compacting policies
-    /// (non-default merge threshold and biased split points, so splits
-    /// *and* merges retire recorded anchors constantly) and, in half the
-    /// cases, with reclamation on and explicit grace-period flushes
-    /// mid-sequence. A flush recycles the retired anchors the slot still
-    /// references, so subsequent lookups must die on the generation check;
+    /// `behaves_like_btreemap`, with every point op and every scan start
+    /// under one thread slot, so each resolves via that slot's local anchor
+    /// map first — at blocks of two and four (splits *and* merges retire
+    /// recorded anchors constantly) and, in half the cases, with
+    /// reclamation on and explicit grace-period flushes mid-sequence. A
+    /// flush recycles the retired anchors the slot still references, so
+    /// subsequent lookups must die on the generation check;
     /// a recorded anchor surviving past a split/merge/recycle would answer
     /// the very next op or scan from the wrong block and diverge from the
     /// model immediately. The handle is dropped and registered again
@@ -137,18 +136,12 @@ proptest! {
     #[test]
     fn handle_over_local_anchors_behaves_like_btreemap(
         ops in proptest::collection::vec((0u8..12, 0u64..48, 0u64..1000), 1..350),
-        policy_sel in 0u8..3,
+        cap in prop_oneof![Just(2usize), Just(4)],
         reclaim: bool,
     ) {
-        let (cap, policy) = match policy_sel {
-            0 => (2, BlockPolicy { split_left_pct: 50, merge_threshold: 1 }),
-            1 => (4, BlockPolicy { split_left_pct: 25, merge_threshold: 2 }),
-            _ => (4, BlockPolicy { split_left_pct: 75, merge_threshold: 1 }),
-        };
-        let map: BlockedSkipMap<u64, u64> = BlockedSkipMap::with_policy(
+        let map: BlockedSkipMap<u64, u64> = BlockedSkipMap::new(
             GraphConfig::new(2).reclaim(reclaim).chunk_capacity(256),
             cap,
-            policy,
         );
         let mut h = map.register(ThreadCtx::plain(0));
         let mut model: BTreeMap<u64, u64> = BTreeMap::new();
@@ -172,7 +165,7 @@ proptest! {
                 8 | 9 => {
                     let end = k + v % 16;
                     let got: Vec<(u64, u64)> =
-                        h.range(Bound::Excluded(&k), Bound::Included(end)).collect();
+                        map.range(Bound::Excluded(&k), Bound::Included(end), h.ctx()).collect();
                     let want: Vec<(u64, u64)> = model
                         .range((Bound::Excluded(k), Bound::Included(end)))
                         .map(|(k, v)| (*k, *v))
@@ -196,7 +189,7 @@ proptest! {
             prop_assert_eq!(h.get(&k), model.get(&k).copied(), "final get {}", k);
         }
         let ctx = ThreadCtx::plain(1);
-        let got: Vec<(u64, u64)> = map.iter(&ctx).collect();
+        let got: Vec<(u64, u64)> = map.range(Bound::Unbounded, Bound::Unbounded, &ctx).collect();
         let want: Vec<(u64, u64)> = model.iter().map(|(k, v)| (*k, *v)).collect();
         prop_assert_eq!(got, want);
         map.check_invariants(&ctx).map_err(TestCaseError::fail)?;
@@ -255,8 +248,9 @@ fn run_plan(
             }
             SCAN => {
                 let end = k + SCAN_SPAN;
-                let seen: Vec<(u64, u64)> =
-                    h.range(Bound::Included(&k), Bound::Excluded(end)).collect();
+                let seen: Vec<(u64, u64)> = map
+                    .range(Bound::Included(&k), Bound::Excluded(end), h.ctx())
+                    .collect();
                 assert!(
                     seen.windows(2).all(|w| w[0].0 < w[1].0),
                     "t{t} scan from {k} not strictly ascending: {seen:?}"
@@ -286,18 +280,20 @@ fn run_plan(
 }
 
 fn check_final_state(map: &BlockedSkipMap<u64, u64>, models: Vec<BTreeMap<u64, u64>>) {
-    let ctx = ThreadCtx::plain(0);
+    let mut h = map.register(ThreadCtx::plain(0));
     let mut want: BTreeMap<u64, u64> = BTreeMap::new();
     for m in models {
         want.extend(m);
     }
     for (&k, &v) in &want {
-        assert_eq!(map.get(&k, &ctx), Some(v), "final get {k}");
+        assert_eq!(h.get(&k), Some(v), "final get {k}");
     }
-    let got: Vec<(u64, u64)> = map.iter(&ctx).collect();
+    let got: Vec<(u64, u64)> = map
+        .range(Bound::Unbounded, Bound::Unbounded, h.ctx())
+        .collect();
     let want_vec: Vec<(u64, u64)> = want.into_iter().collect();
     assert_eq!(got, want_vec, "final scan mismatch");
-    map.check_invariants(&ctx).unwrap();
+    map.check_invariants(h.ctx()).unwrap();
 }
 
 /// Real threads, disjoint key classes: every per-thread op outcome and
@@ -337,28 +333,32 @@ fn iteration_crosses_blocks_under_concurrent_splits() {
         GraphConfig::new(2).chunk_capacity(1 << 10),
         4,
     );
-    let setup = ThreadCtx::plain(0);
     let stable: Vec<u64> = (0..120).map(|i| i * 10).collect();
+    let mut setup = map.register(ThreadCtx::plain(0));
     for &k in &stable {
-        map.insert(k, k, &setup);
+        setup.insert(k, k);
     }
+    drop(setup);
     std::thread::scope(|s| {
         let writer = s.spawn(|| {
-            let ctx = ThreadCtx::plain(1);
+            let mut h = map.register(ThreadCtx::plain(1));
             // Odd keys only: the stable (even) keys are never touched, so
             // every scan must observe all of them.
             for round in 0..6u64 {
                 for i in 0..120 {
-                    map.insert(i * 10 + 1 + round, i, &ctx);
+                    h.insert(i * 10 + 1 + round, i);
                 }
                 for i in 0..120 {
-                    map.remove(&(i * 10 + 1 + round), &ctx);
+                    h.remove(&(i * 10 + 1 + round));
                 }
             }
         });
         let ctx = ThreadCtx::plain(0);
         for _ in 0..8 {
-            let seen: Vec<u64> = map.iter(&ctx).map(|(k, _)| k).collect();
+            let seen: Vec<u64> = map
+                .range(Bound::Unbounded, Bound::Unbounded, &ctx)
+                .map(|(k, _)| k)
+                .collect();
             let mut ascending = seen.clone();
             ascending.sort_unstable();
             ascending.dedup();
@@ -416,7 +416,7 @@ fn split_storm_on_shared_keys_stays_live() {
             }
         });
         let ctx = ThreadCtx::plain(0);
-        for (k, v) in map.iter(&ctx) {
+        for (k, v) in map.range(Bound::Unbounded, Bound::Unbounded, &ctx) {
             assert!(k < KEY_SPACE && v == k, "stray entry {k} -> {v}");
         }
         map.check_invariants(&ctx).unwrap();
@@ -452,11 +452,11 @@ fn scattered_preload_of_2_19_keys_through_two_handles() {
             });
         }
     });
-    let ctx = ThreadCtx::plain(0);
-    assert_eq!(map.len(&ctx) as u64, KEYS);
-    map.check_invariants(&ctx).unwrap();
+    let mut h = map.register(ThreadCtx::plain(0));
+    assert_eq!(map.len(h.ctx()) as u64, KEYS);
+    map.check_invariants(h.ctx()).unwrap();
     for i in 0..KEYS {
-        assert_eq!(map.get(&scatter(i), &ctx), Some(i), "key {i}");
+        assert_eq!(h.get(&scatter(i)), Some(i), "key {i}");
     }
 }
 
@@ -659,13 +659,14 @@ mod deterministic {
                         .chunk_capacity(512),
                     2,
                 );
-                let ctx = ThreadCtx::plain(0);
+                let mut loader = map.register(ThreadCtx::plain(0));
                 let anchored: BTreeMap<u64, u64> = (0..THREADS * ZONES_EACH)
                     .map(|zone| (zone * ZONE, zone))
                     .collect();
                 for (&k, &v) in &anchored {
-                    assert!(map.insert(k, v, &ctx));
+                    assert!(loader.insert(k, v));
                 }
+                drop(loader);
                 let mut det = DetConfig::new(seed, policy.clone());
                 det.max_steps = MAX_STEPS;
                 longest = longest.max(det_run(&map, THREADS, plan, anchored, &det, None));
@@ -743,13 +744,14 @@ mod deterministic {
                         .chunk_capacity(512),
                     2,
                 );
-                let ctx = ThreadCtx::plain(0);
+                let mut loader = map.register(ThreadCtx::plain(0));
                 let anchored: BTreeMap<u64, u64> = (0..=THREADS * ZONES_EACH)
                     .map(|zone| (zone * ZONE, zone))
                     .collect();
                 for (&k, &v) in &anchored {
-                    assert!(map.insert(k, v, &ctx));
+                    assert!(loader.insert(k, v));
                 }
+                drop(loader);
                 let mut det = DetConfig::new(seed, policy.clone());
                 det.max_steps = MAX_STEPS;
                 let steps = det_run(&map, THREADS, plan, anchored, &det, Some(&stats));

@@ -1,7 +1,8 @@
-//! Range scans and read-only views, sequential and concurrent.
+//! Range scans and readers outside the registered set (the bare graph's
+//! handle), sequential and concurrent.
 
 use instrument::ThreadCtx;
-use skipgraph::{GraphConfig, LayeredMap};
+use skipgraph::{ConcurrentMap, GraphConfig, LayeredMap};
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -59,7 +60,7 @@ fn handle_range_uses_local_jump() {
         assert!(owner.insert(k, k));
     }
     let from_owner = owner.range_to_vec(Bound::Included(&300), Bound::Excluded(400));
-    let view = map.read_only(1);
+    let mut view = map.shared().pin(ThreadCtx::plain(1));
     let from_view: Vec<(u64, u64)> = view
         .range(Bound::Included(&300), Bound::Excluded(400))
         .map(|(k, v)| (*k, *v))
@@ -74,25 +75,24 @@ fn read_only_view_from_foreign_thread() {
     std::thread::scope(|s| {
         s.spawn(|| {
             // A thread that never registered can still read, under a slot
-            // no live handle uses.
-            let view = map.read_only(3);
+            // no live handle uses, through the bare graph's handle.
+            let mut view = map.shared().pin(ThreadCtx::plain(3));
             assert!(view.contains(&100));
             assert!(!view.contains(&101));
             assert_eq!(view.get(&100), Some(101));
-            assert_eq!(view.len(), 100);
-            assert!(!view.is_empty());
+            assert_eq!(map.shared().len(view.ctx()), 100);
         });
     });
 }
 
-/// A view's slot is a thread slot like a handle's (its reads pin under
+/// A reader's slot is a thread slot like a handle's (its reads pin under
 /// it), so a slot past the registered set is refused, not wrapped onto
 /// one a live handle may own.
 #[test]
-#[should_panic(expected = "outside the registered set")]
+#[should_panic(expected = "thread id 4 out of range")]
 fn read_only_rejects_an_out_of_range_slot() {
     let map = filled(false);
-    let _ = map.read_only(4);
+    let _ = map.shared().pin(ThreadCtx::plain(4));
 }
 
 #[test]
@@ -122,7 +122,7 @@ fn concurrent_scans_during_updates_see_consistent_prefixes() {
             });
         }
         // Scanner: even keys must always all be present and ordered.
-        let view = map.read_only(3);
+        let mut view = map.shared().pin(ThreadCtx::plain(3));
         for _ in 0..50 {
             let evens: Vec<u64> = view
                 .range(Bound::Unbounded, Bound::Unbounded)
@@ -142,8 +142,8 @@ fn empty_map_ranges() {
     let map: LayeredMap<u64, u64> = LayeredMap::new(GraphConfig::new(2));
     let mut h = map.register(ThreadCtx::plain(0));
     assert!(h.range(Bound::Unbounded, Bound::Unbounded).next().is_none());
-    let view = map.read_only(0);
-    assert!(view.is_empty());
+    let mut view = map.shared().pin(ThreadCtx::plain(1));
+    assert_eq!(map.shared().len(view.ctx()), 0);
     assert_eq!(view.get(&1), None);
 }
 
@@ -187,8 +187,8 @@ fn indexed_range_start_matches_btreemap_semantics() {
                 assert_eq!(got, want, "lazy={lazy} excl range ({lo},{hi}]");
             }
         }
-        // The read-only view shares the index path.
-        let view = map.read_only(1);
+        // The bare graph's handle shares the index path.
+        let mut view = map.shared().pin(ThreadCtx::plain(1));
         let got: Vec<u64> = view
             .range(Bound::Included(&4), Bound::Excluded(10))
             .map(|(k, _)| *k)

@@ -12,7 +12,7 @@
 //! | `layered_map_sl` | local maps over a single skip list (no partitioning) |
 //! | `skipgraph` | the skip graph without layering |
 //! | `blocked_sg` | fat level-0 blocks (B-skiplist blocking) over the skip graph |
-//! | `anchor_blocked_sg` | blocked map under the anchor-granular policy (compacting merges, left-biased splits) |
+//! | `anchor_blocked_sg` | the same blocks with epoch reclamation, as the benchmark's scan workload runs them |
 //! | `hashed_sg` | layered map with the shared lock-free hash index (Skip Hash fast path) |
 //! | `lazy_hashed_sg` | the lazy hash-indexed layered map, the geometry of the benchmark's point workloads |
 //! | `replicated_sg` | per-socket replicas of the lazy hash-indexed map over partitioned operation logs |
@@ -39,8 +39,8 @@ use baselines::{
 };
 use numa::{Placement, Topology};
 use skipgraph::{
-    BlockPolicy, BlockedSkipMap, ConcurrentMap, GraphConfig, LayeredMap, ReplicaConfig,
-    ReplicatedLayeredMap, SkipGraph,
+    BlockedSkipMap, ConcurrentMap, GraphConfig, LayeredMap, ReplicaConfig, ReplicatedLayeredMap,
+    SkipGraph,
 };
 use std::time::Duration;
 
@@ -137,18 +137,16 @@ pub fn with_named<V: Visit>(name: &str, threads: usize, key_space: u64, visit: V
             GraphConfig::new(t).chunk_capacity(cap),
             4,
         )),
-        // The same blocks under compacting merges and left-biased splits,
-        // which keep the freeze/rebuild paths hot. A nonzero merge threshold
-        // selects the severed-covering-check injection (`blocked_sg` keeps
-        // the lost-insert one); with three threads towers stop at level 1
-        // and every anchor reaches it, so the local anchor maps fill.
-        "anchor_blocked_sg" => visit.visit(&BlockedSkipMap::<u64, u64>::with_policy(
-            GraphConfig::new(t).chunk_capacity(cap),
+        // The same blocks with reclamation on, as the benchmark's scan
+        // workload runs them: split and merge installs retire the dead
+        // anchors, so the local anchor maps validate against recycled
+        // slots. Reclamation selects the severed-covering-check injection
+        // (`blocked_sg` keeps the lost-insert one); with three threads
+        // towers stop at level 1 and every anchor reaches it, so the local
+        // anchor maps fill.
+        "anchor_blocked_sg" => visit.visit(&BlockedSkipMap::<u64, u64>::new(
+            GraphConfig::new(t).chunk_capacity(cap).reclaim(true),
             4,
-            BlockPolicy {
-                split_left_pct: 65,
-                merge_threshold: 1,
-            },
         )),
         // Per-socket replicas over two synthetic sockets, so reads on one
         // replica race replays of the other, with logs of 16 and a lag

@@ -1,14 +1,15 @@
 //! Mixed OLTP/analytics scenario: transactional threads update an ordered
 //! index through registered handles while an analytics thread — *not* part
-//! of the registered set — runs ordered range scans through a read-only
-//! view (the paper's heterogeneous-workload accommodation).
+//! of the registered set — runs ordered range scans through the bare
+//! graph's handle, which keeps no local structure (the paper's
+//! heterogeneous-workload accommodation).
 //!
 //! ```text
 //! cargo run --release --example range_analytics
 //! ```
 
 use instrument::ThreadCtx;
-use skipgraph::{GraphConfig, LayeredMap};
+use skipgraph::{ConcurrentMap, GraphConfig, LayeredMap};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -59,10 +60,12 @@ fn main() {
                 }
             });
         }
-        // Analytics reader: unregistered thread, read-only view, stripe
-        // sums via range scans.
+        // Analytics reader: unregistered thread, the bare graph's handle,
+        // stripe sums via range scans.
         s.spawn(|| {
-            let view = map.read_only_with(ThreadCtx::recording(0, reader_stats.clone()));
+            let mut view = map
+                .shared()
+                .pin(ThreadCtx::recording(0, reader_stats.clone()));
             while !stop.load(Ordering::Relaxed) {
                 for w in 0..WRITERS as u64 {
                     let lo = w * ACCOUNTS_PER_WRITER;

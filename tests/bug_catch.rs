@@ -226,7 +226,8 @@ fn injected_stale_replica_read_is_caught_and_shrunk() {
 
 #[test]
 fn injected_blocked_lost_insert_is_caught_and_shrunk() {
-    // The blocked map's injected fault: an insert that observes its block
+    // The blocked map's injected fault (maps built without reclamation
+    // only, as `blocked_sg` is): an insert that observes its block
     // frozen at publish time reports success without ever setting the
     // present bit, so the key silently misses the survivor migration —
     // the lost-insert window a skipped post-split recheck would open.
@@ -280,8 +281,9 @@ fn injected_blocked_lost_insert_is_caught_and_shrunk() {
 
 #[test]
 fn injected_anchor_stale_covering_is_caught_and_shrunk() {
-    // The local anchor maps' injected fault (compacting policies only, so
-    // each stress lane still carries exactly one live fault): on the read
+    // The local anchor maps' injected fault (maps built with reclamation
+    // only, as `anchor_blocked_sg` is and `blocked_sg` is not, so each
+    // stress lane still carries exactly one live fault): on the read
     // paths — point lookups and scan starts — a local anchor that passes
     // the liveness ladder is returned *without* the covering check. After
     // splits mint anchors a thread's slot has never been shown, a lookup

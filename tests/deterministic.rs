@@ -232,11 +232,12 @@ fn index_grows_under(cfg: &StressConfig, det: &DetConfig) -> bool {
     capacity() > before
 }
 
-/// Deterministic-schedule stress of the anchor-granular blocked map:
-/// `anchor_blocked_sg` runs the blocked map under a compacting merge
-/// threshold and left-biased splits, so schedules interleave freezes,
-/// chain rebuilds, and merge unlinks against point ops that route
-/// through the thread slots' local anchor maps. A local anchor trusted
+/// Deterministic-schedule stress of the blocked map under reclamation, as
+/// the benchmark's scan workload runs it: `anchor_blocked_sg` builds its
+/// blocks with `reclaim(true)`, so schedules interleave freezes, splits
+/// and merge unlinks whose installs retire the dead anchors against point
+/// ops that route through the thread slots' local anchor maps and must
+/// reject every entry whose generation moved. A local anchor trusted
 /// past a split without its covering check (the exact fault the
 /// bug-injection arm plants) would surface as a lost or misplaced
 /// operation in the per-key histories. `GraphConfig::new(3)` stops towers

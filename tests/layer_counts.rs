@@ -216,7 +216,10 @@ fn a_scan_from_the_smallest_key_inspects_the_first_block() {
     // maps: the first block covers them, and without that try each would
     // come down from a list head.
     let map = preloaded_blocks(SLOTS);
-    let (smallest, _) = map.iter(&ThreadCtx::plain(0)).next().unwrap();
+    let (smallest, _) = map
+        .range(Bound::Unbounded, Bound::Unbounded, &ThreadCtx::plain(0))
+        .next()
+        .unwrap();
     let stats = AccessStats::new(SLOTS as usize);
     let mut ctxs: Vec<ThreadCtx> = (0..SLOTS)
         .map(|t| ThreadCtx::recording(t, Arc::clone(&stats)))
@@ -314,6 +317,25 @@ fn a_block_split_costs_a_descent_not_a_list() {
         large <= 1.6 * small && large <= 70.0,
         "reads per insert grew with the list: {small:.1} -> {large:.1}"
     );
+}
+
+/// A block splits at half its survivors: 4 096 ascending inserts through
+/// one handle fill the last block to `BLOCK_CAP` and split it, leaving
+/// every block but the last with `BLOCK_CAP / 2` entries.
+#[test]
+fn ascending_inserts_split_blocks_in_half() {
+    const KEYS: u64 = 4_096;
+    let map: BlockedSkipMap<u64, u64> = BlockedSkipMap::new(block_config(1), BLOCK_CAP);
+    let mut h = map.register(ThreadCtx::plain(0));
+    for k in 0..KEYS {
+        assert!(h.insert(k, k));
+    }
+    let stats = map.stats(h.ctx());
+    println!(
+        "half split: {} anchors hold {} entries after {KEYS} ascending inserts at cap {BLOCK_CAP}",
+        stats.anchors, stats.entries
+    );
+    assert_eq!((stats.anchors, stats.entries), (1_023, KEYS as usize));
 }
 
 /// Keys of the indexed-map tests' preload.
@@ -605,14 +627,17 @@ fn a_bare_lazy_insert_links_every_level() {
     assert_eq!(lengths[..3], [KEYS; 3]);
 }
 
-/// A read-only view runs the handles' read: on an indexed map a present
-/// key is one index hit, counted as a one-node search.
+/// A reader outside the registered set takes the bare graph's handle,
+/// which runs the handles' read: on an indexed map a present key is one
+/// index hit, counted as a one-node search.
 #[test]
 fn a_read_only_view_reads_through_the_index() {
     let map = LayeredMap::new(GraphConfig::new(2).hash_index(true).chunk_capacity(CHUNK));
     assert!(map.register(ThreadCtx::plain(0)).insert(7, 70));
     let stats = AccessStats::new(2);
-    let view = map.read_only_with(ThreadCtx::recording(1, Arc::clone(&stats)));
+    let mut view = map
+        .shared()
+        .pin(ThreadCtx::recording(1, Arc::clone(&stats)));
     assert_eq!(view.get(&7), Some(70));
     let t = stats.thread(1);
     println!(

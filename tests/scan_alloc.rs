@@ -91,10 +91,11 @@ fn a_warm_scan_allocates_nothing() {
             .chunk_capacity(1 << 12),
         8,
     );
-    let loaders = [ThreadCtx::plain(0), ThreadCtx::plain(1)];
+    let mut loaders = [0, 1].map(|t| map.register(ThreadCtx::plain(t)));
     for i in 0..KEYS {
-        assert!(map.insert(key(i), i, &loaders[i as usize % 2]));
+        assert!(loaders[i as usize % 2].insert(key(i), i));
     }
+    drop(loaders);
     let ctx = ThreadCtx::plain(0);
     let zipf = Zipf::new(KEYS, 0.99);
     // The same starts every pass, so the passes converge.
