@@ -25,9 +25,10 @@
 //! freezes the block, and a remove that empties it freezes it too; a
 //! frozen block with more than `cap / 2` survivors is replaced by two
 //! blocks cut at `len.div_ceil(2)` (the half split), one with fewer by a
-//! single block, and one with none is unlinked (the merge). A block whose
-//! slots are all claimed but partly tombstoned keeps its claims until an
-//! insert freezes it.
+//! single block, and one with none is unlinked (the merge). A remove
+//! keeps its slot's claim, so a re-insert claims a fresh slot, and a block
+//! whose slots are all claimed but partly removed keeps its claims until
+//! an insert freezes it.
 //!
 //! # Module map
 //!
@@ -58,7 +59,7 @@ use std::marker::PhantomData;
 use std::ptr::NonNull;
 use storage::{
     block_layout_bytes, claimed_bit, claimed_bits, is_frozen, prefix_len, present_bit,
-    present_bits, slot_mask, tomb_bit, tomb_bits, Blk, FROZEN,
+    present_bits, slot_mask, Blk, FROZEN,
 };
 
 type BNode<K> = Node<K, ()>;
@@ -172,10 +173,7 @@ where
     }
 
     /// [`BlockedHandle::insert`] under `ctx`.
-    fn insert(&self, key: K, value: V, ctx: &ThreadCtx) -> bool
-    where
-        V: PartialEq,
-    {
+    fn insert(&self, key: K, value: V, ctx: &ThreadCtx) -> bool {
         let pin = self.graph.pin(ctx);
         loop {
             let Some(anchor) = self.resolve(&key, &pin, ctx) else {
@@ -192,31 +190,6 @@ where
                 if is_frozen(w) {
                     self.help_split(anchor, ctx);
                     break usize::MAX; // retry from a fresh covering anchor
-                }
-                // Tombstone reuse: a re-insert of a removed (key, value)
-                // pair resurrects its slot in place — one CAS turns the
-                // present bit back on without consuming a fresh slot.
-                // The bytes never change (equality is checked first), so
-                // no reader can observe a torn entry; succeeding against
-                // an unfrozen word linearizes the insert exactly like the
-                // ordinary publish CAS (coverage invariant).
-                if tomb_bits(w) != 0 {
-                    if let Some(i) = self.scan_tomb(&blk, w, &key, &value) {
-                        if self.scan_present(&blk, w, &key).is_some() {
-                            // Duplicate (linearized at the load of `w`).
-                            return false;
-                        }
-                        match blk
-                            .control()
-                            .compare_exchange(w, (w & !tomb_bit(i)) | present_bit(i))
-                        {
-                            Ok(_) => return true,
-                            Err(cur) => {
-                                w = cur;
-                                continue;
-                            }
-                        }
-                    }
                 }
                 let free = !claimed_bits(w) & slot_mask(self.cap);
                 if free == 0 {
@@ -305,19 +278,17 @@ where
                 let Some(i) = self.scan_present(&blk, w, key) else {
                     return false; // linearized at the load of `w`
                 };
-                // Tombstone: clear the present bit, set the tombstone bit,
-                // keep the claim (slots are write-once; the key stays
-                // readable forever, and a same-pair re-insert may
-                // resurrect the slot).
-                let tombed = (w & !present_bit(i)) | tomb_bit(i);
-                match blk.control().compare_exchange(w, tombed) {
+                // Clear the present bit and keep the claim (slots are
+                // write-once; the key stays readable forever).
+                let removed = w & !present_bit(i);
+                match blk.control().compare_exchange(w, removed) {
                     Ok(_) => {
                         // Emptied the block: freeze it so help_split
                         // unlinks it (the merge path). Losing this CAS
                         // means a writer claimed a slot (or froze it
                         // first) — either way, not ours.
-                        if present_bits(tombed) == 0
-                            && blk.control().compare_exchange(tombed, tombed | FROZEN).is_ok()
+                        if present_bits(removed) == 0
+                            && blk.control().compare_exchange(removed, removed | FROZEN).is_ok()
                         {
                             self.help_split(anchor, ctx);
                         }
@@ -352,8 +323,8 @@ where
                         return Some(unsafe { blk.read(base) }.1);
                     }
                 }
-                // Absent from the prefix, or tombstoned there; a
-                // re-insert may still sit in the unsorted tail.
+                // Absent from the prefix, or removed there; a re-insert
+                // may still sit in the unsorted tail.
             }
             // Slow path: linear scan of the append region.
             for i in n..self.cap {
@@ -385,21 +356,6 @@ where
             size -= half;
         }
         (unsafe { blk.key_at(0) } <= *key).then_some(base)
-    }
-
-    /// Index of the tombstoned slot holding exactly `(key, value)` under
-    /// control word `w` — the resurrection candidate. Value equality is
-    /// part of the contract: resurrecting flips bits only, so the slot
-    /// bytes must already be the pair being inserted.
-    fn scan_tomb(&self, blk: &Blk<K, V>, w: usize, key: &K, value: &V) -> Option<usize>
-    where
-        V: PartialEq,
-    {
-        (0..self.cap).find(|&i| {
-            w & tomb_bit(i) != 0
-                && unsafe { blk.key_at(i) } == *key
-                && unsafe { blk.read(i) }.1 == *value
-        })
     }
 
     /// Index of the present slot holding `key` under control word `w`.
@@ -481,12 +437,6 @@ where
             if present_bits(w) & !claimed_bits(w) != 0 {
                 return Err(format!("present-but-unclaimed slot in {anchor_key:?}"));
             }
-            if tomb_bits(w) & !claimed_bits(w) != 0 {
-                return Err(format!("tombstone on unclaimed slot in {anchor_key:?}"));
-            }
-            if tomb_bits(w) & present_bits(w) != 0 {
-                return Err(format!("slot both present and tombstoned in {anchor_key:?}"));
-            }
             let succ_key: Option<K> = {
                 let s = unsafe { &*w0.ptr() };
                 s.is_data().then(|| *unsafe { s.key() })
@@ -538,10 +488,7 @@ where
     }
 
     /// Inserts `key -> value`; `false` if the key was present.
-    pub fn insert(&mut self, key: K, value: V) -> bool
-    where
-        V: PartialEq,
-    {
+    pub fn insert(&mut self, key: K, value: V) -> bool {
         self.ctx.record_op();
         self.map.insert(key, value, &self.ctx)
     }

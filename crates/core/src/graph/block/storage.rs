@@ -16,20 +16,14 @@
 //! * bits `0..16`  — *present* bitmap: slot holds a live entry,
 //! * bits `16..32` — *claimed* bitmap: slot is (or was) owned by a writer,
 //! * bit  `32`     — *frozen*: sticky; the block is being split or merged,
-//! * bits `33..39` — length of the sorted prefix written at block build,
-//! * bits `39..55` — *tombstone* bitmap: slot's entry was removed; its
-//!   bytes are intact, so a re-insert of the same pair can resurrect it.
+//! * bits `33..39` — length of the sorted prefix written at block build.
 //!
 //! Slots are write-once: a writer claims a slot (CAS), writes the pair,
 //! then publishes it (CAS setting the present bit — the insert's
-//! linearization point). Removal clears the present bit, sets the
-//! tombstone bit and keeps the claim, so published keys stay readable
-//! forever and the reader needs no per-slot synchronization. A re-insert
-//! of the *same key and value* may instead resurrect a tombstoned slot
-//! with one CAS (present on, tombstone off): the slot bytes never change,
-//! so no reader can observe a torn entry, and windowed same-key churn
-//! stops exhausting slots and freeze-splitting the block. A block whose
-//! slots are exhausted is frozen (sticky bit) and replaced wholesale by
+//! linearization point). Removal clears the present bit and keeps the
+//! claim, so published keys stay readable forever and the reader needs
+//! no per-slot synchronization; a re-insert claims a fresh slot. A block
+//! whose slots are exhausted is frozen (sticky bit) and replaced wholesale by
 //! one or two fresh blocks holding the surviving entries — the split —,
 //! or simply unlinked when nothing survives — the merge. Freezing makes
 //! the present bitmap immutable, which is what lets any helper compute
@@ -63,7 +57,6 @@ pub(super) const CLAIMED_SHIFT: u32 = 16;
 pub(super) const FROZEN: usize = 1 << 32;
 pub(super) const PREFIX_SHIFT: u32 = 33;
 pub(super) const PREFIX_MASK: usize = 0x3F;
-const TOMB_SHIFT: u32 = 39;
 const FORWARD_OFFSET: usize = 8;
 const SLOTS_OFFSET: usize = 16;
 
@@ -82,14 +75,6 @@ pub(super) fn present_bits(w: usize) -> usize {
 #[inline]
 pub(super) fn claimed_bits(w: usize) -> usize {
     (w >> CLAIMED_SHIFT) & 0xFFFF
-}
-#[inline]
-pub(super) fn tomb_bit(i: usize) -> usize {
-    1 << (TOMB_SHIFT + i as u32)
-}
-#[inline]
-pub(super) fn tomb_bits(w: usize) -> usize {
-    (w >> TOMB_SHIFT) & 0xFFFF
 }
 #[inline]
 pub(super) fn is_frozen(w: usize) -> bool {

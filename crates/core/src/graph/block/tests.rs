@@ -28,49 +28,6 @@ fn control_word_bit_packing() {
     assert_eq!(claimed_bits(FROZEN), 0);
     assert_eq!(prefix_len(FROZEN), 0);
     assert_eq!(prefix_len(PREFIX_MASK << PREFIX_SHIFT), PREFIX_MASK);
-    // Tombstone bitmap: bits 39..55, disjoint from everything else.
-    let t = w | tomb_bit(2) | tomb_bit(15);
-    assert_eq!(tomb_bits(t), (1 << 2) | (1 << 15));
-    assert_eq!(present_bits(t), present_bits(w));
-    assert_eq!(claimed_bits(t), claimed_bits(w));
-    assert_eq!(prefix_len(t), prefix_len(w));
-    assert!(!is_frozen(t));
-    assert_eq!(tomb_bits(FROZEN), 0);
-    assert_eq!(tomb_bits(PREFIX_MASK << PREFIX_SHIFT), 0);
-    assert!(tomb_bit(MAX_BLOCK_CAP - 1) < 1 << 55, "tomb bits fit below bit 55");
-}
-
-#[test]
-fn tombstone_reuse_absorbs_same_pair_churn() {
-    let ctx = ctx();
-    let map: BlockedSkipMap<u64, u64> = BlockedSkipMap::new(cfg(1), 4);
-    for k in 0..4 {
-        assert!(map.insert(k, k * 10, &ctx));
-    }
-    assert_eq!(map.stats(&ctx).anchors, 1, "four entries fill one block");
-    // Windowed same-key churn on a slot-exhausted block: every
-    // re-insert must resurrect the tombstoned slot instead of
-    // freeze-splitting (the pre-reuse behavior split on the first
-    // re-insert because every slot was claimed).
-    for _ in 0..64 {
-        assert!(map.remove(&2, &ctx));
-        assert_eq!(map.get(&2, &ctx), None);
-        assert!(map.insert(2, 20, &ctx));
-        assert_eq!(map.get(&2, &ctx), Some(20));
-    }
-    assert_eq!(map.stats(&ctx).anchors, 1, "churn must not split the block");
-    map.check_invariants(&ctx).unwrap();
-
-    // A different value cannot resurrect (the bytes would have to
-    // change under readers): the insert falls back to the split path
-    // and the new pair still lands correctly.
-    assert!(map.remove(&2, &ctx));
-    assert!(map.insert(2, 999, &ctx));
-    assert_eq!(map.get(&2, &ctx), Some(999));
-    for k in [0u64, 1, 3] {
-        assert_eq!(map.get(&k, &ctx), Some(k * 10));
-    }
-    map.check_invariants(&ctx).unwrap();
 }
 
 #[test]
@@ -420,7 +377,7 @@ fn a_hash_index_under_blocks_is_rejected() {
     let _ = BlockedSkipMap::<u64, u64>::new(cfg(1).hash_index(true), 4);
 }
 
-/// A block whose slots are all claimed but partly tombstoned keeps its
+/// A block whose slots are all claimed but partly removed keeps its
 /// claims: no remove freezes it while it holds an entry. The next insert
 /// that finds no free slot freezes it, and the rebuilt block takes the
 /// refill.
@@ -438,10 +395,10 @@ fn a_clogged_block_keeps_its_claims_until_an_insert_freezes_it() {
         assert!(map.insert(k, k, &c));
     }
     assert_eq!(map.stats(&c).anchors, 1);
-    // All four slots claimed; tombstone down to two survivors.
+    // All four slots claimed; remove down to two survivors.
     assert!(map.remove(&3, &c));
     assert!(map.remove(&2, &c));
-    assert_eq!(claimed(&map, &c), 4, "the tombstones keep every slot claimed");
+    assert_eq!(claimed(&map, &c), 4, "the removes keep every slot claimed");
     // The insert freezes the clogged block; the two survivors move into
     // one fresh block, which takes the new entry in a third slot.
     assert!(map.insert(10, 10, &c));

@@ -46,6 +46,7 @@ use crate::sync::TagPtr;
 use arenas::TowerArenas;
 use instrument::ThreadCtx;
 use std::cmp::Ordering as CmpOrdering;
+use std::ops::Bound;
 use std::ptr::NonNull;
 
 pub(crate) type NodePtr<K, V> = *mut Node<K, V>;
@@ -95,7 +96,7 @@ fn capture_gen<K, V>(p: NodePtr<K, V>) -> u32 {
 /// mid-run), but with reclamation enabled its *contents* may belong to a
 /// later incarnation: every dereference goes through the generation check
 /// of `NodeRef::node`.
-pub struct NodeRef<K, V> {
+pub(crate) struct NodeRef<K, V> {
     pub(crate) ptr: NonNull<Node<K, V>>,
     /// Generation of the node when the reference was captured; retirement
     /// bumps the node's counter, so a stale reference fails validation.
@@ -374,11 +375,13 @@ impl<K: Ord, V> SkipGraph<K, V> {
     /// # Panics
     ///
     /// Panics if `config` asks for [`GraphConfig::hash_index`]: the index
-    /// needs the key hash, which [`SkipGraph::new_hashed`] captures.
+    /// needs the key hash, which [`LayeredMap::new`](crate::LayeredMap::new)
+    /// captures (its [`shared`](crate::LayeredMap::shared) graph is the
+    /// bare graph with the index installed).
     pub fn new(config: GraphConfig) -> Self {
         assert!(
             !config.hash_index,
-            "SkipGraph::new with GraphConfig::hash_index(true) builds no index: use SkipGraph::new_hashed"
+            "SkipGraph::new with GraphConfig::hash_index(true) builds no index: use LayeredMap::new"
         );
         Self::build(config)
     }
@@ -430,16 +433,13 @@ impl<K: Ord, V> SkipGraph<K, V> {
     /// installs the shared point-read hash index (`K: Hash` is needed to
     /// capture the type-erased hasher; plain [`SkipGraph::new`] has no
     /// such bound and rejects the flag).
-    pub fn new_hashed(config: GraphConfig) -> Self
+    pub(crate) fn new_hashed(config: GraphConfig) -> Self
     where
         K: std::hash::Hash,
     {
         let mut graph = Self::build(config);
         if graph.config.hash_index {
-            graph.index = Some(HashIndex::new(
-                graph.config.num_threads,
-                graph.config.index_capacity,
-            ));
+            graph.index = Some(HashIndex::new(graph.config.num_threads));
         }
         graph
     }
@@ -509,9 +509,8 @@ impl<K: Ord, V> SkipGraph<K, V> {
 
     /// Per-NUMA-segment occupancy telemetry for the shared hash index:
     /// entries, capacity, tombstones, and a probe-length histogram per
-    /// segment (empty when no index is installed). A weak snapshot meant
-    /// for sizing [`GraphConfig::index_capacity`](crate::GraphConfig) —
-    /// see [`crate::index::SegmentOccupancy`] for how to read it.
+    /// segment (empty when no index is installed). A weak snapshot; see
+    /// [`crate::index::SegmentOccupancy`] for how to read it.
     pub fn index_occupancy(&self) -> Vec<crate::index::SegmentOccupancy> {
         self.index().map_or_else(Vec::new, |i| i.occupancy())
     }
@@ -951,7 +950,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
     /// Number of data nodes currently linked (unmarked, and valid under the
     /// lazy protocol) in the bottom list. O(n); test/diagnostic use.
     pub fn len(&self, ctx: &ThreadCtx) -> usize {
-        self.iter_snapshot(ctx).count()
+        self.range(Bound::Unbounded, Bound::Unbounded, ctx).count()
     }
 
     /// True when [`SkipGraph::len`] is zero.

@@ -3,8 +3,7 @@
 //! Skip graph searches can start from arbitrary positions, which makes
 //! range scans natural: locate the lower bound (a layered handle jumps in
 //! from a thread-local start node), then walk the level-0 list until the
-//! upper bound. A whole-list iteration ([`SkipGraph::iter_snapshot`]) is
-//! the scan with both bounds open. The scan is a weak snapshot: each
+//! upper bound. A whole-list iteration is the scan with both bounds open. The scan is a weak snapshot: each
 //! node's liveness is observed as it is passed. The scan steps through
 //! the core's pinned list walk (`LevelWalk`), so this module forbids
 //! `unsafe_code`.
@@ -18,7 +17,7 @@ use std::ops::Bound;
 
 /// Iterator over live `(key, value)` pairs within a key range, in
 /// ascending order. Created by [`SkipGraph::range`] and
-/// [`SkipGraph::iter_snapshot`].
+/// [`LayeredHandle::range`](crate::LayeredHandle::range).
 ///
 /// The iterator holds a reclamation pin for its whole lifetime, so every
 /// node it passes stays allocated. With reclamation enabled, yielded
@@ -48,18 +47,14 @@ impl<K: Ord, V> SkipGraph<K, V> {
         self.range_from(start, end, None, ctx)
     }
 
-    /// Iterates over live pairs in ascending key order: the scan with
-    /// both bounds open.
-    pub fn iter_snapshot<'g>(&'g self, ctx: &'g ThreadCtx) -> RangeIter<'g, K, V> {
-        self.range(Bound::Unbounded, Bound::Unbounded, ctx)
-    }
-
     /// Collects the live keys in ascending order (diagnostic/test helper).
     pub fn keys(&self, ctx: &ThreadCtx) -> Vec<K>
     where
         K: Clone,
     {
-        self.iter_snapshot(ctx).map(|(k, _)| k.clone()).collect()
+        self.range(Bound::Unbounded, Bound::Unbounded, ctx)
+            .map(|(k, _)| k.clone())
+            .collect()
     }
 
     /// [`Self::range`] whose positioning search, if it needs one, starts
@@ -99,22 +94,6 @@ impl<K: Ord, V> SkipGraph<K, V> {
             end,
         }
     }
-
-    /// Collects the live pairs within the range (convenience wrapper).
-    pub fn range_to_vec(
-        &self,
-        start: Bound<&K>,
-        end: Bound<K>,
-        ctx: &ThreadCtx,
-    ) -> Vec<(K, V)>
-    where
-        K: Clone,
-        V: Clone,
-    {
-        self.range(start, end, ctx)
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
-    }
 }
 
 impl<'g, K: Ord, V> Iterator for RangeIter<'g, K, V> {
@@ -151,6 +130,11 @@ mod tests {
     use crate::ConcurrentMap;
     use instrument::ThreadCtx;
 
+    /// The keys of `g.range(start, end, c)`, in scan order.
+    fn keys(g: &SkipGraph<u64, u64>, start: Bound<&u64>, end: Bound<u64>) -> Vec<u64> {
+        g.range(start, end, &ThreadCtx::plain(0)).map(|(k, _)| *k).collect()
+    }
+
     fn graph(lazy: bool) -> SkipGraph<u64, u64> {
         let g = SkipGraph::new(GraphConfig::new(2).lazy(lazy).chunk_capacity(512));
         let c = ThreadCtx::plain(0);
@@ -163,21 +147,22 @@ mod tests {
     #[test]
     fn inclusive_exclusive_bounds() {
         let g = graph(false);
-        let c = ThreadCtx::plain(0);
-        let got = g.range_to_vec(Bound::Included(&10), Bound::Excluded(20), &c);
-        assert_eq!(got.iter().map(|(k, _)| *k).collect::<Vec<_>>(), vec![10, 12, 14, 16, 18]);
-        let got = g.range_to_vec(Bound::Excluded(&10), Bound::Included(20), &c);
-        assert_eq!(got.iter().map(|(k, _)| *k).collect::<Vec<_>>(), vec![12, 14, 16, 18, 20]);
+        let got = keys(&g, Bound::Included(&10), Bound::Excluded(20));
+        assert_eq!(got, vec![10, 12, 14, 16, 18]);
+        let got = keys(&g, Bound::Excluded(&10), Bound::Included(20));
+        assert_eq!(got, vec![12, 14, 16, 18, 20]);
         // Lower bound between keys.
-        let got = g.range_to_vec(Bound::Included(&11), Bound::Excluded(16), &c);
-        assert_eq!(got.iter().map(|(k, _)| *k).collect::<Vec<_>>(), vec![12, 14]);
+        assert_eq!(keys(&g, Bound::Included(&11), Bound::Excluded(16)), vec![12, 14]);
     }
 
     #[test]
     fn unbounded_scan_is_full_snapshot() {
         let g = graph(true);
         let c = ThreadCtx::plain(0);
-        let got = g.range_to_vec(Bound::Unbounded, Bound::Unbounded, &c);
+        let got: Vec<(u64, u64)> = g
+            .range(Bound::Unbounded, Bound::Unbounded, &c)
+            .map(|(k, v)| (*k, *v))
+            .collect();
         assert_eq!(got.len(), 50);
         assert!(got.windows(2).all(|w| w[0].0 < w[1].0));
         assert_eq!(got[0], (0, 0));
@@ -187,22 +172,17 @@ mod tests {
     #[test]
     fn removed_keys_are_skipped() {
         let g = graph(true);
-        let c = ThreadCtx::plain(0);
         let mut h = ConcurrentMap::pin(&g, ThreadCtx::plain(0));
         assert!(h.remove(&12));
         assert!(h.remove(&14));
-        let got = g.range_to_vec(Bound::Included(&10), Bound::Included(16), &c);
-        assert_eq!(got.iter().map(|(k, _)| *k).collect::<Vec<_>>(), vec![10, 16]);
+        assert_eq!(keys(&g, Bound::Included(&10), Bound::Included(16)), vec![10, 16]);
     }
 
     #[test]
     fn empty_range() {
         let g = graph(false);
-        let c = ThreadCtx::plain(0);
-        let got = g.range_to_vec(Bound::Included(&11), Bound::Excluded(12), &c);
-        assert!(got.is_empty());
-        let got = g.range_to_vec(Bound::Included(&1000), Bound::Unbounded, &c);
-        assert!(got.is_empty());
+        assert!(keys(&g, Bound::Included(&11), Bound::Excluded(12)).is_empty());
+        assert!(keys(&g, Bound::Included(&1000), Bound::Unbounded).is_empty());
     }
 
     #[test]

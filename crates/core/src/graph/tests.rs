@@ -37,9 +37,16 @@ pub(super) fn insert(g: &SkipGraph<u64, u64>, k: u64, v: u64, height: u8, c: &Th
 /// A plain graph cannot install the index it is asked for, so it refuses
 /// the flag rather than reading `hash_index: true` with no index behind it.
 #[test]
-#[should_panic(expected = "use SkipGraph::new_hashed")]
+#[should_panic(expected = "use LayeredMap::new")]
 fn a_hash_index_without_the_key_hash_is_rejected() {
     let _ = SkipGraph::<u64, u64>::new(GraphConfig::new(1).hash_index(true));
+}
+
+/// The layered handles and the blocked map's anchor maps store one
+/// `NodeRef` per entry; `tests/local_map.rs` sizes its entries after it.
+#[test]
+fn a_node_ref_is_two_words() {
+    assert_eq!(std::mem::size_of::<NodeRef<u64, u64>>(), std::mem::size_of::<[u64; 2]>());
 }
 
 #[test]
@@ -356,7 +363,7 @@ fn snapshot_iter_skips_dead_nodes() {
     for k in (0..10u64).step_by(2) {
         assert!(h.remove(&k));
     }
-    let pairs: Vec<(u64, u64)> = g.iter_snapshot(&c).map(|(k, v)| (*k, *v)).collect();
+    let pairs: Vec<(u64, u64)> = g.range(Bound::Unbounded, Bound::Unbounded, &c).map(|(k, v)| (*k, *v)).collect();
     assert_eq!(pairs, vec![(1, 10), (3, 30), (5, 50), (7, 70), (9, 90)]);
     assert_eq!(g.len(&c), 5);
     assert!(!g.is_empty(&c));

@@ -26,7 +26,7 @@
 //!   then has the graph core check `Node::generation_of(ptr) == gen` under
 //!   its reclamation pin. Equality proves the incarnation has not been
 //!   retired since publish, which (with the pin blocking recycling) makes
-//!   the dereference safe — exactly the [`crate::graph::NodeRef`] argument.
+//!   the dereference safe — exactly the `NodeRef` argument.
 //!   The core makes that dereference (`DataRef::of_entry`), and the slot
 //!   chunks are typed [`ChunkStorage`] slices, so this module forbids
 //!   `unsafe_code`.
@@ -153,9 +153,8 @@ pub const PROBE_LIMIT: usize = 64;
 /// Width of [`SegmentOccupancy::probe_histogram`].
 const HISTOGRAM_BUCKETS: usize = 16;
 
-/// Occupancy snapshot of one NUMA segment's slot array — the tuning
-/// signal for [`crate::GraphConfig::index_capacity`]: `used` near 75% of
-/// `capacity` means the segment is about to grow (or, with few live
+/// Occupancy snapshot of one NUMA segment's slot array: `used` near 75%
+/// of `capacity` means the segment is about to grow (or, with few live
 /// entries, to compact), and mass in the histogram's upper buckets means
 /// probe chains (and thus point-read line costs) are long even though
 /// space remains.
@@ -201,10 +200,8 @@ impl SegmentOccupancy {
     }
 }
 
-/// Smallest per-segment array an explicit capacity hint can ask for.
+/// Every segment's start size; the occupancy trip-wire grows it from there.
 const MIN_SEGMENT_CAP: usize = 1 << 2;
-/// Per-segment start size when the capacity hint is `0` (auto).
-const AUTO_SEGMENT_CAP: usize = 1 << 12;
 /// Largest per-segment array a grow will produce.
 const MAX_SEGMENT_CAP: usize = 1 << 24;
 /// Chunk-directory length: chunk 0 plus one chunk per possible doubling.
@@ -880,24 +877,20 @@ pub(crate) struct HashIndex<K, V> {
 
 impl<K, V> HashIndex<K, V> {
     /// Builds an index with one segment per NUMA node of the detected
-    /// topology (paper machine fallback), sized for `capacity_hint` total
-    /// entries (`0` = auto). Requires `K: Hash` only here — every other
-    /// method runs through the captured hasher.
-    pub(crate) fn new(threads: usize, capacity_hint: usize) -> Self
+    /// topology (paper machine fallback), each starting at
+    /// [`MIN_SEGMENT_CAP`] slots. Requires `K: Hash` only here — every
+    /// other method runs through the captured hasher.
+    pub(crate) fn new(threads: usize) -> Self
     where
         K: Hash,
     {
         let nodes = Placement::new(&Topology::detect_or_paper(), threads.max(1)).num_nodes();
         let segments = nodes.max(1).next_power_of_two();
-        let per_seg = if capacity_hint == 0 {
-            AUTO_SEGMENT_CAP
-        } else {
-            (capacity_hint / segments).next_power_of_two()
-        }
-        .clamp(MIN_SEGMENT_CAP, MAX_SEGMENT_CAP);
         let stripes = threads.max(1).next_power_of_two();
         Self {
-            segments: (0..segments).map(|_| Segment::new(per_seg, stripes)).collect(),
+            segments: (0..segments)
+                .map(|_| Segment::new(MIN_SEGMENT_CAP, stripes))
+                .collect(),
             seg_shift: 64 - segments.trailing_zeros(),
             hash_of: hash_key::<K>,
             _nodes: std::marker::PhantomData,
@@ -975,8 +968,7 @@ impl<K, V> HashIndex<K, V> {
     /// walks each segment's slot array once, classifying slots and
     /// binning present entries by probe displacement from their home
     /// position. Concurrent publishes/invalidations may be half-observed —
-    /// the numbers are telemetry for sizing `index_capacity`, not an
-    /// invariant source.
+    /// the numbers are telemetry, not an invariant source.
     pub(crate) fn occupancy(&self) -> Vec<SegmentOccupancy> {
         self.segments
             .iter()
@@ -1239,9 +1231,22 @@ mod tests {
         idx.lookup_raw_hashed(idx.hash(&key))
     }
 
+    /// An index whose segments were doubled, empty, to `slots` each: room
+    /// for a test that counts what publishes and invalidations leave with
+    /// no trip-wire grow or compaction in between.
+    fn grown(threads: usize, slots: usize) -> Idx {
+        let idx = Idx::new(threads);
+        for seg in idx.segments.iter() {
+            while seg.capacity() < slots {
+                seg.grow(false);
+            }
+        }
+        idx
+    }
+
     #[test]
     fn publish_lookup_invalidate_roundtrip() {
-        let idx: HashIndex<u64, u64> = HashIndex::new(2, 1 << 12);
+        let idx: HashIndex<u64, u64> = HashIndex::new(2);
         let p = dangling(1);
         publish(&idx, 7, p, 42, 0);
         let e = lookup(&idx, 7).expect("published entry");
@@ -1266,7 +1271,7 @@ mod tests {
 
     #[test]
     fn republish_overwrites_generation() {
-        let idx: HashIndex<u64, u64> = HashIndex::new(1, 1 << 10);
+        let idx: HashIndex<u64, u64> = HashIndex::new(1);
         let p = dangling(1);
         publish(&idx, 5, p, 1, 0);
         publish(&idx, 5, dangling(2), 9, 0);
@@ -1277,7 +1282,7 @@ mod tests {
 
     #[test]
     fn untargeted_invalidate_clears_any_holder() {
-        let idx: HashIndex<u64, u64> = HashIndex::new(1, 1 << 10);
+        let idx: HashIndex<u64, u64> = HashIndex::new(1);
         publish(&idx, 11, dangling(4), 5, 0);
         idx.invalidate(&11, None, 0);
         assert!(lookup(&idx, 11).is_none());
@@ -1297,27 +1302,23 @@ mod tests {
 
     #[test]
     fn grows_past_the_initial_capacity() {
-        // From the auto size and from the smallest array a hint can ask
-        // for: the smaller one crosses every window overflow there is, and
-        // each overflowing publish must survive its retry.
-        let hints: &[usize] = if cfg!(miri) { &[1] } else { &[0, 1] };
-        for &hint in hints {
-            let idx: HashIndex<u64, u64> = HashIndex::new(1, hint);
-            let start = idx.capacity();
-            let keys = start.max(if cfg!(miri) { 300 } else { 4_000 }) as u64;
-            for k in 0..keys {
-                publish(&idx, k, dangling(1 + k as usize), k as u32, 0);
-            }
-            assert!(idx.capacity() > start, "hint {hint}: no grow happened");
-            assert_eq!(missing(&idx, 0..keys), Vec::<u64>::new(), "hint {hint}");
+        // From the four-slot start: the grows cross every window overflow
+        // there is, and each overflowing publish must survive its retry.
+        let idx: HashIndex<u64, u64> = HashIndex::new(1);
+        let start = idx.capacity();
+        let keys = if cfg!(miri) { 300 } else { 4_000 };
+        for k in 0..keys {
+            publish(&idx, k, dangling(1 + k as usize), k as u32, 0);
         }
+        assert!(idx.capacity() > start, "no grow happened");
+        assert_eq!(missing(&idx, 0..keys), Vec::<u64>::new());
     }
 
     #[test]
     fn grows_keep_every_entry_among_tombstones() {
         // Invalidations leave tombstones on the chains the grows repack:
         // every live key must stay findable, every dead one absent.
-        let idx: HashIndex<u64, u64> = HashIndex::new(1, 1);
+        let idx: HashIndex<u64, u64> = HashIndex::new(1);
         let keys = if cfg!(miri) { 200u64 } else { 3_000 };
         let mut dead = Vec::new();
         for k in 0..keys {
@@ -1340,7 +1341,7 @@ mod tests {
         // Each round replaces every live key by a fresh one: tombstones
         // trip the wire again and again with few live entries, and each
         // trip must purge them in place instead of doubling.
-        let idx: HashIndex<u64, u64> = HashIndex::new(1, 1 << 12);
+        let idx = grown(1, 1 << 12);
         let (live, rounds) = if cfg!(miri) { (40u64, 2) } else { (1_000, 4) };
         let start = idx.capacity();
         for k in 0..live {
@@ -1375,14 +1376,14 @@ mod tests {
     fn probe_read_words_share_no_line_with_a_counter() {
         // A live index, grown so that chunks installed mid-run are part of
         // the picture: as many keys as the index has slots cannot fit.
-        let idx: HashIndex<u64, u64> = HashIndex::new(4, 0);
+        let idx: HashIndex<u64, u64> = HashIndex::new(4);
         for k in 0..idx.capacity() as u64 {
             publish(&idx, k, dangling(1 + k as usize), 0, (k % 4) as usize);
         }
         for k in 0..1_000u64 {
             idx.invalidate(&k, None, (k % 4) as usize);
         }
-        assert!(idx.capacity() > idx.segments.len() * AUTO_SEGMENT_CAP, "no grow happened");
+        assert!(idx.capacity() > idx.segments.len() * MIN_SEGMENT_CAP, "no grow happened");
         for seg in idx.segments.iter() {
             assert_eq!(seg as *const Segment as usize % 128, 0);
             // What every lookup, publish and invalidate loads on its way
@@ -1447,7 +1448,7 @@ mod tests {
 
     #[test]
     fn striped_counts_sum_to_the_totals() {
-        let idx: HashIndex<u64, u64> = HashIndex::new(4, 1 << 12);
+        let idx = grown(4, 1 << 12);
         for k in 0..100u64 {
             // Thread ids past the stripe count fold onto a stripe.
             publish(&idx, k, dangling(1 + k as usize), 0, (k % 6) as usize);
@@ -1545,9 +1546,9 @@ mod tests {
     fn a_grow_adds_exactly_its_upper_half() {
         // Drive grows directly (publish-count triggers depend on the
         // detected segment count, so they are not deterministic here).
-        let seg = Segment::new(AUTO_SEGMENT_CAP, 1);
+        let seg = Segment::new(1 << 12, 1);
         let stripes = std::mem::size_of::<Padded<Counts>>();
-        assert_eq!(seg.bytes(), 16 * AUTO_SEGMENT_CAP + stripes);
+        assert_eq!(seg.bytes(), 16 * (1 << 12) + stripes);
         for doubled in 1..=3 {
             let before = (seg.capacity(), seg.bytes());
             seg.grow(false);

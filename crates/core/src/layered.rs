@@ -64,6 +64,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::cmp::Ordering;
 use std::hash::Hash;
+use std::ops::Bound;
 use std::ops::ControlFlow::{self, Break, Continue};
 
 /// A concurrent ordered map built by layering thread-local maps over a
@@ -147,7 +148,7 @@ impl<K: Ord, V> LayeredMap<K, V> {
         Self::bulk_load(
             self.config().clone(),
             self.shared
-                .iter_snapshot(&ctx)
+                .range(Bound::Unbounded, Bound::Unbounded, &ctx)
                 .map(|(k, v)| (k.clone(), v.clone())),
         )
     }
@@ -837,38 +838,14 @@ where
         )
     }
 
-    /// Returns the value mapped to `key`, inserting `value` first if the
-    /// key is absent. The returned value is the one actually mapped — an
-    /// existing (or, under the lazy protocol, resurrected) node keeps its
-    /// original value.
-    ///
-    /// Under continuous adversarial removals of the same key this retries;
-    /// each retry implies another thread's operation completed (lock-free).
-    pub fn get_or_insert(&mut self, key: K, value: V) -> V
-    where
-        V: Clone,
-    {
-        loop {
-            if let Some(v) = self.get(&key) {
-                return v;
-            }
-            if self.insert(key.clone(), value.clone()) {
-                if let Some(v) = self.get(&key) {
-                    return v;
-                }
-                // Removed again between our insert and read; retry.
-            }
-        }
-    }
-
     /// Ordered scan of the live pairs in the given key range, jumping into
     /// the shared structure from this thread's local map (the same
     /// mechanism that accelerates point operations accelerates the scan's
     /// positioning step).
     pub fn range(
         &mut self,
-        start: std::ops::Bound<&K>,
-        end: std::ops::Bound<K>,
+        start: Bound<&K>,
+        end: Bound<K>,
     ) -> RangeIter<'_, K, V> {
         // Use the strictly-preceding local node as the jump-in hint: a
         // hint holding the bound key itself would make the positioning
@@ -879,26 +856,12 @@ where
         let graph = self.graph;
         let pin = graph.pin(&self.ctx);
         let hint = match &start {
-            std::ops::Bound::Included(k) | std::ops::Bound::Excluded(k) => {
+            Bound::Included(k) | Bound::Excluded(k) => {
                 self.prev_start(k, 0, &pin)
             }
-            std::ops::Bound::Unbounded => None,
+            Bound::Unbounded => None,
         };
         graph.range_from(start, end, hint, &self.ctx)
-    }
-
-    /// Collects the live pairs within the range.
-    pub fn range_to_vec(
-        &mut self,
-        start: std::ops::Bound<&K>,
-        end: std::ops::Bound<K>,
-    ) -> Vec<(K, V)>
-    where
-        V: Clone,
-    {
-        self.range(start, end)
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
     }
 
     /// Bulk insert: [`Self::insert`] of each pair in turn. Returns the

@@ -80,8 +80,8 @@ pub mod sync;
 pub mod local;
 
 pub use graph::{
-    BlockedHandle, BlockedRangeIter, BlockedSkipMap, BlockedStats, MemoryStats,
-    NodeRef, RangeIter, SkipGraph, MAX_BLOCK_CAP, MIN_BLOCK_CAP,
+    BlockedHandle, BlockedRangeIter, BlockedSkipMap, BlockedStats, MemoryStats, RangeIter,
+    SkipGraph, MAX_BLOCK_CAP, MIN_BLOCK_CAP,
 };
 pub use layered::{LayeredHandle, LayeredMap};
 pub use map_api::{ConcurrentMap, MapHandle};
@@ -95,7 +95,7 @@ pub const MAX_HEIGHT: usize = node::MAX_HEIGHT;
 
 /// Samples a sparse-skip-graph tower height: `P(height >= i) = 1/2^i`,
 /// capped at `max_level` (a standard skip-list height distribution).
-pub fn sparse_height(rng: &mut impl rand::Rng, max_level: u8) -> u8 {
+pub(crate) fn sparse_height(rng: &mut impl rand::Rng, max_level: u8) -> u8 {
     let mut h = 0;
     while h < max_level && rng.gen::<bool>() {
         h += 1;

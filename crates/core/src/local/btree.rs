@@ -39,7 +39,7 @@
 //!
 //! # Memory
 //!
-//! With `u64` keys and 16-byte references (a [`crate::NodeRef`]) a leaf is
+//! With `u64` keys and 16-byte references (a `NodeRef`) a leaf is
 //! 448 bytes and an inner node 448. Scattered inserts leave leaves about
 //! 70 % full, which comes to 43.8, 42.9 and 42.0 B per entry at 2^18, 2^19
 //! and 2^20 entries, slab slack and inner nodes included;
@@ -314,8 +314,9 @@ impl<T> Slab<T> {
 type Path = [(u32, usize); MAX_INNER_LEVELS];
 
 /// The ordered local map: keys to opaque shared-node references `R`
-/// ([`crate::NodeRef`] in practice; `Copy`, so the map never hands out
-/// interior mutability), over an in-crate B+tree (see the module docs).
+/// (the graph core's `NodeRef` in practice; `Copy`, so the map never
+/// hands out interior mutability), over an in-crate B+tree (see the
+/// module docs).
 ///
 /// # Example
 ///

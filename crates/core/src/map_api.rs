@@ -128,7 +128,7 @@ where
 impl<K, V> ConcurrentMap<K, V> for crate::graph::BlockedSkipMap<K, V>
 where
     K: Ord + Copy + Send + Sync,
-    V: Copy + PartialEq + Send + Sync,
+    V: Copy + Send + Sync,
 {
     type Handle<'a>
         = crate::graph::BlockedHandle<'a, K, V>
@@ -143,7 +143,7 @@ where
 impl<'g, K, V> MapHandle<K, V> for crate::graph::BlockedHandle<'g, K, V>
 where
     K: Ord + Copy,
-    V: Copy + PartialEq,
+    V: Copy,
 {
     fn insert(&mut self, key: K, value: V) -> bool {
         crate::graph::BlockedHandle::insert(self, key, value)

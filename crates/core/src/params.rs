@@ -53,15 +53,11 @@ pub struct GraphConfig {
     /// fast path; see `skipgraph::index`). Maintained inline by
     /// insert/remove and consulted first by point `get`/`contains`;
     /// entries are generation-validated, so reclamation stays safe. Off
-    /// by default. Honored by the layered builders and
-    /// `SkipGraph::new_hashed` (which know the key hashes); `SkipGraph::new`
-    /// and the blocked map reject it.
+    /// by default. Honored by the layered builders (which know the key
+    /// hashes); `SkipGraph::new` and the blocked map reject it. Every
+    /// index segment starts at four slots and doubles in place, lock-free,
+    /// under load.
     pub hash_index: bool,
-    /// Total entry-capacity hint for the hash index (`0` = auto: 4 096
-    /// slots per segment). Segments start at `index_capacity / segments`
-    /// slots (rounded up to a power of two, at least 4) and grow in place,
-    /// lock-free, past the hint under load.
-    pub index_capacity: usize,
     /// NUMA-ownership override: when set, every node allocated in this
     /// structure is tagged as owned by this thread (and recycled into its
     /// arena bank) instead of the allocating thread. Set by
@@ -95,7 +91,6 @@ impl GraphConfig {
             reclaim: false,
             block_bytes: 0,
             hash_index: false,
-            index_capacity: 0,
             owner_tag: None,
         }
     }
@@ -171,15 +166,6 @@ impl GraphConfig {
         self
     }
 
-    /// Overrides the hash-index capacity hint (`0` = auto). The index
-    /// grows past the hint on demand, doubling a segment's slot array in
-    /// place; a hint near twice the expected key count avoids the early
-    /// growth steps.
-    pub fn index_capacity(mut self, entries: usize) -> Self {
-        self.index_capacity = entries;
-        self
-    }
-
     /// Tags every node allocated in this structure as owned by `thread`
     /// (see the `owner_tag` field).
     ///
@@ -234,8 +220,7 @@ mod tests {
             .chunk_capacity(128)
             .reclaim(true)
             .block_bytes(144)
-            .hash_index(true)
-            .index_capacity(1 << 12);
+            .hash_index(true);
         assert!(c.lazy && c.sparse);
         assert_eq!(c.max_level, 3);
         assert_eq!(c.commission_cycles, 10);
@@ -243,7 +228,6 @@ mod tests {
         assert!(c.reclaim);
         assert_eq!(c.block_bytes, 144);
         assert!(c.hash_index);
-        assert_eq!(c.index_capacity, 1 << 12);
     }
 
     #[test]

@@ -109,8 +109,9 @@ struct Retired<K, V> {
 struct ThreadSlot<K, V> {
     /// `(epoch << 1) | 1` while pinned, `0` while quiescent.
     pinned: FacadeAtomicUsize,
-    /// Pin re-entrancy depth. Owner-thread only (layered operations
-    /// compose: `get_or_insert` pins twice).
+    /// Pin re-entrancy depth. Owner-thread only (pins nest:
+    /// `LayeredHandle::range` pins to read its hint, then the scan's
+    /// `SkipGraph::walk` pins again).
     depth: AtomicUsize,
     /// Outermost pins since the last quiesce attempt. Owner-thread only.
     ops: AtomicUsize,

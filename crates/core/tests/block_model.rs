@@ -75,9 +75,10 @@ proptest! {
     }
 
     /// Differential range scans: arbitrary bounds against the model,
-    /// after a mixed load that leaves tombstones in most blocks, then
-    /// re-inserts a share of the removed keys — resurrected slots and
-    /// unsorted tails — at the smallest, a middle and the largest block
+    /// after a mixed load that leaves removed (still claimed) slots in
+    /// most blocks, then re-inserts a share of the removed keys — fresh
+    /// slots and unsorted tails, or splits where no slot is free — at the
+    /// smallest, a middle and the largest block
     /// capacity (the bounds of the scan's per-block buffer).
     #[test]
     fn ranges_match_btreemap(
@@ -101,7 +102,8 @@ proptest! {
             h.remove(&k);
             model.remove(&k);
         }
-        // The same pair again: a tombstoned slot comes back to life.
+        // The same pair again: it claims a fresh slot (the removed one
+        // keeps its claim), or splits a block with none free.
         for &(k, _) in removes.iter().filter(|(_, again)| *again) {
             h.insert(k, k * 3);
             model.insert(k, k * 3);

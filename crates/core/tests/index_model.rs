@@ -37,15 +37,10 @@ proptest! {
     #[test]
     fn indexed_map_behaves_like_btreemap_under_reclaim(
         ops in proptest::collection::vec((0u8..10, 0u64..32, 0u64..1000), 1..300),
-        index_cap_sel: bool,
         lazy: bool,
     ) {
-        // A tiny capacity hint forces segment grows mid-sequence; the
-        // default exercises the steady-state table.
-        let cap = if index_cap_sel { 8 } else { 0 };
-        let map: LayeredMap<u64, u64> = LayeredMap::new(
-            indexed_reclaiming(2).index_capacity(cap).lazy(lazy),
-        );
+        // Every segment starts at four slots, so grows run mid-sequence.
+        let map: LayeredMap<u64, u64> = LayeredMap::new(indexed_reclaiming(2).lazy(lazy));
         let mut h = map.register(ThreadCtx::plain(0));
         let mut model: BTreeMap<u64, u64> = BTreeMap::new();
         // A lazy re-insert may resurrect the removed node with its first
@@ -94,22 +89,13 @@ proptest! {
 /// handles while retirement and slot recycling run concurrently. Workers
 /// assert only self-consistency (a get after *their own* insert of a
 /// thread-owned key sees their value), which a stale index entry for a
-/// recycled slot would break.
+/// recycled slot would break. The index starts at four slots a segment,
+/// so its grows and compactions run under the churn.
 #[test]
 fn concurrent_churn_with_reclaim_never_serves_stale_reads() {
-    // At the auto size, and from the smallest index there is, whose
-    // grows and compactions then run under the churn.
-    for cap in [0, 1] {
-        concurrent_churn(cap);
-    }
-}
-
-fn concurrent_churn(index_capacity: usize) {
     const THREADS: u64 = 3;
     const PER_CLASS: u64 = 16;
-    let map: LayeredMap<u64, u64> = LayeredMap::new(
-        indexed_reclaiming(THREADS as usize + 1).index_capacity(index_capacity),
-    );
+    let map: LayeredMap<u64, u64> = LayeredMap::new(indexed_reclaiming(THREADS as usize + 1));
     let stop = std::sync::atomic::AtomicBool::new(false);
     std::thread::scope(|s| {
         let workers: Vec<_> = (0..THREADS)
@@ -168,7 +154,7 @@ fn concurrent_churn(index_capacity: usize) {
 #[test]
 fn occupancy_snapshot_accounts_for_published_keys() {
     let map: LayeredMap<u64, u64> =
-        LayeredMap::new(GraphConfig::new(2).lazy(true).hash_index(true).index_capacity(1 << 12));
+        LayeredMap::new(GraphConfig::new(2).lazy(true).hash_index(true));
     let mut h = map.register(ThreadCtx::plain(0));
     const N: u64 = 3000;
     for k in 0..N {
@@ -210,7 +196,7 @@ fn occupancy_snapshot_accounts_for_published_keys() {
 }
 
 /// Key turnover at a constant live size under the deterministic
-/// scheduler, from the smallest index there is: each thread replaces its
+/// scheduler, from the four-slot segments every index starts with: each thread replaces its
 /// own keys by fresh ones, so slots turn into tombstones faster than keys
 /// reuse them, and schedules interleave the index's in-place grows and
 /// compactions with the reads, removes and inserts of the other threads.
@@ -228,11 +214,8 @@ mod deterministic {
     const TURNS: u64 = 30;
 
     fn turnover(det: &DetConfig) {
-        let map: LayeredMap<u64, u64> = LayeredMap::new(
-            GraphConfig::new(THREADS as usize)
-                .hash_index(true)
-                .index_capacity(1),
-        );
+        let map: LayeredMap<u64, u64> =
+            LayeredMap::new(GraphConfig::new(THREADS as usize).hash_index(true));
         let workers: Vec<Box<dyn FnOnce() + Send + '_>> = (0..THREADS)
             .map(|t| {
                 let map = &map;

@@ -26,7 +26,10 @@ fn handle_range_matches_btreemap_semantics() {
             model.insert(k, k + 1);
         }
         for (lo, hi) in [(0u64, 50u64), (13, 77), (100, 100), (150, 300)] {
-            let got = h.range_to_vec(Bound::Included(&lo), Bound::Excluded(hi));
+            let got: Vec<(u64, u64)> = h
+                .range(Bound::Included(&lo), Bound::Excluded(hi))
+                .map(|(k, v)| (*k, *v))
+                .collect();
             let want: Vec<(u64, u64)> = model
                 .range((Bound::Included(lo), Bound::Excluded(hi)))
                 .map(|(k, v)| (*k, *v))
@@ -38,7 +41,10 @@ fn handle_range_matches_btreemap_semantics() {
         assert!(h.remove(&22));
         model.remove(&20);
         model.remove(&22);
-        let got = h.range_to_vec(Bound::Included(&18), Bound::Included(26));
+        let got: Vec<(u64, u64)> = h
+            .range(Bound::Included(&18), Bound::Included(26))
+            .map(|(k, v)| (*k, *v))
+            .collect();
         let want: Vec<(u64, u64)> = model
             .range(18u64..=26)
             .map(|(k, v)| (*k, *v))
@@ -59,7 +65,10 @@ fn handle_range_uses_local_jump() {
     for k in (300..400u64).step_by(2) {
         assert!(owner.insert(k, k));
     }
-    let from_owner = owner.range_to_vec(Bound::Included(&300), Bound::Excluded(400));
+    let from_owner: Vec<(u64, u64)> = owner
+        .range(Bound::Included(&300), Bound::Excluded(400))
+        .map(|(k, v)| (*k, *v))
+        .collect();
     let mut view = map.shared().pin(ThreadCtx::plain(1));
     let from_view: Vec<(u64, u64)> = view
         .range(Bound::Included(&300), Bound::Excluded(400))
@@ -173,13 +182,19 @@ fn indexed_range_start_matches_btreemap_semantics() {
         // tombstone), never-inserted odd key, before-first, past-last.
         for lo in [0u64, 4, 20, 21, 33, 150, 198, 199, 500] {
             for hi in [lo, lo + 1, lo + 40, 1000] {
-                let got = h.range_to_vec(Bound::Included(&lo), Bound::Excluded(hi));
+                let got: Vec<(u64, u64)> = h
+                    .range(Bound::Included(&lo), Bound::Excluded(hi))
+                    .map(|(k, v)| (*k, *v))
+                    .collect();
                 let want: Vec<(u64, u64)> = model
                     .range((Bound::Included(lo), Bound::Excluded(hi)))
                     .map(|(k, v)| (*k, *v))
                     .collect();
                 assert_eq!(got, want, "lazy={lazy} incl range [{lo},{hi})");
-                let got = h.range_to_vec(Bound::Excluded(&lo), Bound::Included(hi));
+                let got: Vec<(u64, u64)> = h
+                    .range(Bound::Excluded(&lo), Bound::Included(hi))
+                    .map(|(k, v)| (*k, *v))
+                    .collect();
                 let want: Vec<(u64, u64)> = model
                     .range((Bound::Excluded(lo), Bound::Included(hi)))
                     .map(|(k, v)| (*k, *v))

@@ -28,6 +28,7 @@ use instrument::ThreadCtx;
 use proptest::prelude::*;
 use skipgraph::{GraphConfig, ReplicaConfig, ReplicatedLayeredMap};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound::Unbounded;
 
 fn replicated_reclaiming() -> ReplicatedLayeredMap<u64, u64> {
     // Three thread slots: two handles on two sockets plus a flusher ctx.
@@ -300,7 +301,7 @@ fn a_warm_key_gone_from_the_lagging_replica(recycle: bool) {
     for (r, replica) in map.replicas().iter().enumerate() {
         let keys: BTreeSet<u64> = replica
             .shared()
-            .iter_snapshot(&ctx)
+            .range(Unbounded, Unbounded, &ctx)
             .map(|(k, _)| *k)
             .collect();
         assert_eq!(keys, model, "replica {r} disagrees with the model");

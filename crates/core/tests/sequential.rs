@@ -246,24 +246,24 @@ fn sparse_local_structures_are_smaller() {
 }
 
 #[test]
-fn get_or_insert_semantics() {
+fn an_insert_never_overwrites_the_mapped_value() {
     for lazy in [false, true] {
         let map: LayeredMap<u64, u64> =
             LayeredMap::new(GraphConfig::new(2).lazy(lazy).chunk_capacity(256));
         let mut h = map.register(ThreadCtx::plain(0));
-        // Absent: inserts and returns the new value.
-        assert_eq!(h.get_or_insert(1, 10), 10);
-        // Present: returns the mapped value, ignores the new one.
-        assert_eq!(h.get_or_insert(1, 99), 10);
+        // Absent: the insert lands.
+        assert_eq!(h.get(&1), None);
+        assert!(h.insert(1, 10));
+        // Present: the insert is refused and the mapped value stays.
+        assert!(!h.insert(1, 99));
         assert_eq!(h.get(&1), Some(10));
-        // After removal: reinserts; lazy resurrection keeps the original.
+        // After removal: the key inserts again; lazy resurrection keeps
+        // the original value.
         assert!(h.remove(&1));
-        let v = h.get_or_insert(1, 42);
-        if lazy {
-            assert_eq!(v, 10, "resurrected node keeps its value");
-        } else {
-            assert_eq!(v, 42);
-        }
+        assert_eq!(h.get(&1), None);
+        assert!(h.insert(1, 42));
+        let want = if lazy { 10 } else { 42 };
+        assert_eq!(h.get(&1), Some(want), "lazy {lazy}");
     }
 }
 

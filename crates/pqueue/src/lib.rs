@@ -35,6 +35,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use skipgraph::{GraphConfig, LayeredHandle, LayeredMap};
 use std::hash::Hash;
+use std::ops::Bound;
 
 /// An exact concurrent priority queue over a lazy layered skip graph.
 ///
@@ -130,7 +131,7 @@ where
         let ctx = self.handle.ctx();
         // Collect up to skip+1 candidate keys from the snapshot prefix.
         let candidates: Vec<K> = shared
-            .iter_snapshot(ctx)
+            .range(Bound::Unbounded, Bound::Unbounded, ctx)
             .take(skip + 1)
             .map(|(k, _)| k.clone())
             .collect();
@@ -160,7 +161,7 @@ where
     pub fn peek_min(&mut self) -> Option<(K, V)> {
         let shared = self.pq.map.shared();
         shared
-            .iter_snapshot(self.handle.ctx())
+            .range(Bound::Unbounded, Bound::Unbounded, self.handle.ctx())
             .next()
             .map(|(k, v)| (k.clone(), v.clone()))
     }

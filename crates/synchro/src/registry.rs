@@ -116,15 +116,13 @@ pub fn with_named<V: Visit>(name: &str, threads: usize, key_space: u64, visit: V
                 "layered_map_ssg" => GraphConfig::new(t).sparse(true),
                 "layered_map_ll" => GraphConfig::linked_list(t),
                 "layered_map_sl" => GraphConfig::single_skip_list(t),
-                "lazy_hashed_sg" => GraphConfig::new(t)
-                    .lazy(true)
-                    .hash_index(true)
-                    .index_capacity(1),
+                "lazy_hashed_sg" => GraphConfig::new(t).lazy(true).hash_index(true),
                 // Non-lazy and unreclaimed, so eager removes must
                 // invalidate their own entries (the duty the bug-injection
-                // lane skips); a one-slot capacity hint makes the stress
-                // schedules cross in-place grows and compactions.
-                _ => GraphConfig::new(t).hash_index(true).index_capacity(1),
+                // lane skips); every index segment starts at four slots,
+                // so the stress schedules cross in-place grows and
+                // compactions.
+                _ => GraphConfig::new(t).hash_index(true),
             };
             visit.visit(&LayeredMap::<u64, u64>::new(graph.chunk_capacity(cap)))
         }

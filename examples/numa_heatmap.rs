@@ -72,11 +72,10 @@ fn main() {
     );
 
     // Hash-index occupancy heatmap: load an indexed map and show how the
-    // keys landed across the per-NUMA-segment slot arrays — the tuning
-    // signal for `GraphConfig::index_capacity` (slots in use crowding the
-    // 75% occupancy threshold mean an imminent grow or compaction; mass in
-    // the histogram's upper buckets means long probe chains despite free
-    // space).
+    // keys landed across the per-NUMA-segment slot arrays (slots in use
+    // crowding the 75% occupancy threshold mean an imminent grow or
+    // compaction; mass in the histogram's upper buckets means long probe
+    // chains despite free space).
     let map: skipgraph::LayeredMap<u64, u64> = skipgraph::LayeredMap::new(
         skipgraph::GraphConfig::new(THREADS).lazy(true).hash_index(true),
     );

@@ -2,7 +2,8 @@
 //! index through registered handles while an analytics thread — *not* part
 //! of the registered set — runs ordered range scans through the bare
 //! graph's handle, which keeps no local structure (the paper's
-//! heterogeneous-workload accommodation).
+//! heterogeneous-workload accommodation). The reader still needs a thread
+//! slot of its own (one live user per slot): the map has `WRITERS + 1`.
 //!
 //! ```text
 //! cargo run --release --example range_analytics
@@ -15,6 +16,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 const WRITERS: usize = 3;
+/// The analytics reader's thread slot, past the writers'.
+const READER: u16 = WRITERS as u16;
 const RUN_FOR: Duration = Duration::from_millis(400);
 /// Account balances keyed by account id; each writer owns an id stripe.
 const ACCOUNTS_PER_WRITER: u64 = 2000;
@@ -24,7 +27,7 @@ fn main() {
     // a stripe scan probes its first key in the index and, on a validated
     // hit, starts walking at that node with no tower descent at all.
     let map: LayeredMap<u64, u64> =
-        LayeredMap::new(GraphConfig::new(WRITERS).lazy(true).hash_index(true));
+        LayeredMap::new(GraphConfig::new(WRITERS + 1).lazy(true).hash_index(true));
     // Seed the dataset.
     {
         let mut h = map.register(ThreadCtx::plain(0));
@@ -36,8 +39,9 @@ fn main() {
     let churn = AtomicU64::new(0);
     let scans = AtomicU64::new(0);
     // Attributes the analytics reader's positioning probes (one per
-    // stripe scan) so the summary can report index-accelerated starts.
-    let reader_stats = instrument::AccessStats::new(1);
+    // stripe scan, on slot `READER`) so the summary can report
+    // index-accelerated starts.
+    let reader_stats = instrument::AccessStats::new(WRITERS + 1);
 
     std::thread::scope(|s| {
         // Transactional writers: close and reopen accounts in their stripe.
@@ -60,12 +64,12 @@ fn main() {
                 }
             });
         }
-        // Analytics reader: unregistered thread, the bare graph's handle,
-        // stripe sums via range scans.
+        // Analytics reader: unregistered thread, the bare graph's handle
+        // on the slot no writer holds, stripe sums via range scans.
         s.spawn(|| {
             let mut view = map
                 .shared()
-                .pin(ThreadCtx::recording(0, reader_stats.clone()));
+                .pin(ThreadCtx::recording(READER, reader_stats.clone()));
             while !stop.load(Ordering::Relaxed) {
                 for w in 0..WRITERS as u64 {
                     let lo = w * ACCOUNTS_PER_WRITER;

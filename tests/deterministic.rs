@@ -216,11 +216,7 @@ fn hashed_index_pct_and_round_robin_linearize() {
 
 /// Whether `det` grows the index of a map built as `hashed_sg` is.
 fn index_grows_under(cfg: &StressConfig, det: &DetConfig) -> bool {
-    let map = LayeredMap::<u64, u64>::new(
-        GraphConfig::new(cfg.threads as usize)
-            .hash_index(true)
-            .index_capacity(1),
-    );
+    let map = LayeredMap::<u64, u64>::new(GraphConfig::new(cfg.threads as usize).hash_index(true));
     let capacity = || map.shared().memory_stats(&ThreadCtx::plain(0)).index_capacity;
     let before = capacity();
     let mut h = map.register(ThreadCtx::plain(0));

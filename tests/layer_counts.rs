@@ -338,6 +338,31 @@ fn ascending_inserts_split_blocks_in_half() {
     assert_eq!((stats.anchors, stats.entries), (1_023, KEYS as usize));
 }
 
+/// A remove keeps its slot's claim, so a re-insert claims a fresh slot,
+/// the same pair included. The claims are read off the split: fresh keys
+/// fill a block's free slots one each, and the insert after the last free
+/// one splits it. Four inserts, a remove and a re-insert of the removed
+/// pair leave five of the eight slots claimed (four if the re-insert took
+/// back its old slot).
+#[test]
+fn a_re_insert_of_a_removed_pair_claims_a_fresh_slot() {
+    let map: BlockedSkipMap<u64, u64> = BlockedSkipMap::new(block_config(1), BLOCK_CAP);
+    let mut h = map.register(ThreadCtx::plain(0));
+    for k in 0..4 {
+        assert!(h.insert(k, k));
+    }
+    assert!(h.remove(&2));
+    assert!(h.insert(2, 2));
+    let mut fresh = 0;
+    while map.stats(h.ctx()).anchors == 1 {
+        assert!(h.insert(100 + fresh, 0));
+        fresh += 1;
+    }
+    let claimed = BLOCK_CAP as u64 - (fresh - 1);
+    println!("slot claims: {claimed} of {BLOCK_CAP} after 4 inserts, a remove and its re-insert");
+    assert_eq!(claimed, 5);
+}
+
 /// Keys of the indexed-map tests' preload.
 const INDEX_KEYS: u64 = 60_000;
 
@@ -414,31 +439,56 @@ fn the_index_is_one_table_at_half_load() {
     assert_eq!(hits, INDEX_KEYS, "preloaded keys missing from the index");
 }
 
+/// Every index segment starts at four slots and grows by its one rule:
+/// 2^16 inserts through one handle end at exactly the capacity the
+/// deleted capacity hint reached at its smallest setting (and at its
+/// 4 096-slot default: the doublings meet at the same power of two).
+#[test]
+fn an_index_segment_starts_at_four_slots() {
+    const KEYS: u64 = 1 << 16;
+    let map = LayeredMap::new(GraphConfig::new(1).lazy(true).hash_index(true).chunk_capacity(CHUNK));
+    let ctx = ThreadCtx::plain(0);
+    let empty = map.shared().memory_stats(&ctx);
+    let mut h = map.register(ThreadCtx::plain(0));
+    for i in 0..KEYS {
+        assert!(h.insert(key(i), i));
+    }
+    let full = map.shared().memory_stats(&ctx);
+    println!(
+        "index start: {} slots over {} segments, {} after {KEYS} inserts",
+        empty.index_capacity, empty.index_segments, full.index_capacity
+    );
+    assert_eq!(empty.index_capacity, 4 * empty.index_segments);
+    assert_eq!(full.index_capacity, 131_072);
+}
+
 #[test]
 fn key_turnover_at_a_constant_live_size_keeps_the_index_size() {
     const LIVE: u64 = 5_000;
     const TURNS: u64 = 4;
-    // Sized for twice the live keys, so the live load stays under the 3/8
-    // at which a tripped segment doubles: every trip of the occupancy
-    // wire during the turnover finds the segment mostly tombstones.
     let map = LayeredMap::new(
         GraphConfig::new(SLOTS as usize)
             .max_level(7)
             .sparse(true)
             .chunk_capacity(CHUNK)
-            .hash_index(true)
-            .index_capacity(2 * LIVE as usize),
+            .hash_index(true),
     );
     let mut handles = pin_all(&map, 0..SLOTS, None);
     preload(&mut handles, LIVE);
-    let ctx = ThreadCtx::plain(0);
-    let before = map.shared().memory_stats(&ctx);
-    // Every turn replaces each live key by a fresh one.
-    for i in 0..TURNS * LIVE {
+    // Every turn replaces each live key by a fresh one. The preload grew
+    // the index at 3/4 occupancy, so its live share sits over the 3/8
+    // under which a tripped segment compacts: the first turn's trip
+    // doubles once. After it the live load stays under 3/8, and every
+    // trip of the occupancy wire finds the segment mostly tombstones.
+    let mut replace = |i: u64| {
         let h = &mut handles[i as usize % SLOTS as usize];
         assert!(h.remove(&key(i)));
         assert!(h.insert(key(i + LIVE), i + LIVE));
-    }
+    };
+    (0..LIVE).for_each(&mut replace);
+    let ctx = ThreadCtx::plain(0);
+    let before = map.shared().memory_stats(&ctx);
+    (LIVE..(TURNS + 1) * LIVE).for_each(&mut replace);
     let after = map.shared().memory_stats(&ctx);
     let tombstones: usize = map.shared().index_occupancy().iter().map(|s| s.tombstones).sum();
     println!(

@@ -8,13 +8,11 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use skipgraph::local::BTreeLocalMap;
-use skipgraph::NodeRef;
 use std::collections::BTreeMap;
 
-/// A reference of a `NodeRef`'s size, which the layered handles store.
+/// A reference of the size the layered handles store: a node reference
+/// is two words (the crate's `graph::tests::a_node_ref_is_two_words`).
 type Ref = [u64; 2];
-
-const _: () = assert!(size_of::<Ref>() == size_of::<NodeRef<u64, u64>>());
 
 /// Scattered distinct keys.
 fn scattered(n: usize, seed: u64) -> Vec<u64> {

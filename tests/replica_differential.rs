@@ -16,6 +16,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use skipgraph::{GraphConfig, ReplicaConfig, ReplicatedLayeredMap};
 use std::collections::BTreeSet;
+use std::ops::Bound::Unbounded;
 
 const LOGS: usize = 2;
 const MAX_LAG: usize = 12;
@@ -85,7 +86,7 @@ fn one_run(seed: u64) -> [bool; 2] {
     for (r, replica) in map.replicas().iter().enumerate() {
         let keys: BTreeSet<u64> = replica
             .shared()
-            .iter_snapshot(&ctx)
+            .range(Unbounded, Unbounded, &ctx)
             .map(|(k, _)| *k)
             .collect();
         assert_eq!(
