@@ -1214,6 +1214,7 @@ impl<K, V> std::fmt::Debug for HashIndex<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sync::{line_of, lines_of};
 
     fn dangling(align_off: usize) -> NonNull<Node<u64, u64>> {
         // Unit tests of the table machinery never dereference entries,
@@ -1360,16 +1361,6 @@ mod tests {
         let tombstones: usize = occ.iter().map(|s| s.tombstones).sum();
         let entries: usize = occ.iter().map(|s| s.entries).sum();
         assert_eq!(used, entries + tombstones, "used stripes drifted from the slots");
-    }
-
-    /// The 128-byte line (pair) an object starts on.
-    fn line_of<T>(x: &T) -> usize {
-        x as *const T as usize / 128
-    }
-
-    /// The lines an object covers.
-    fn lines_of<T>(x: &T) -> std::ops::RangeInclusive<usize> {
-        line_of(x)..=(x as *const T as usize + std::mem::size_of::<T>().max(1) - 1) / 128
     }
 
     #[test]

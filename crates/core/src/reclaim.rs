@@ -103,9 +103,11 @@ struct Retired<K, V> {
     epoch: usize,
 }
 
-/// Per-thread reclamation state, padded so pin/unpin stores never false-
-/// share with a neighbor's announcement word.
-#[repr(align(64))]
+/// Per-thread reclamation state, padded to [`crate::sync::Padded`]'s
+/// 128-byte granule so pin/unpin stores never false-share with a
+/// neighbor's announcement word, not even through the adjacent-line
+/// prefetcher.
+#[repr(align(128))]
 struct ThreadSlot<K, V> {
     /// `(epoch << 1) | 1` while pinned, `0` while quiescent.
     pinned: FacadeAtomicUsize,
@@ -342,6 +344,7 @@ impl<K, V> EpochReclaim<K, V> {
 mod tests {
     use super::*;
     use crate::node::Node;
+    use crate::sync::{line_of, lines_of};
     use numa::arena::Arena;
 
     fn arena() -> Arena<Node<u64, u64>> {
@@ -352,6 +355,22 @@ mod tests {
         let n = a.alloc(Node::new_data(k, k, 0, 0, 0, 0));
         unsafe { Node::attach_tower(n) };
         n
+    }
+
+    #[test]
+    fn pinned_words_share_no_line() {
+        let r: EpochReclaim<u64, u64> = EpochReclaim::new(true, 4);
+        let lines: Vec<usize> = r
+            .slots
+            .iter()
+            .map(|s| {
+                assert_eq!(lines_of(&s.pinned).count(), 1, "a pinned word straddles lines");
+                line_of(&s.pinned)
+            })
+            .collect();
+        for (i, line) in lines.iter().enumerate() {
+            assert!(!lines[..i].contains(line), "two slots' pinned words share a line");
+        }
     }
 
     #[test]

@@ -64,6 +64,12 @@
 //!   (`max_lag <= capacity` makes the bounded buffer safe by
 //!   construction). Every replica's tail gates slot reuse, so a drain can
 //!   never find its slot stamped by a later wrap; it asserts as much.
+//!   The appender does not load every tail per append: its handle keeps,
+//!   per log, a lower bound on the slowest tail and reloads the tails
+//!   only when `head - bound >= max_lag` (node-replication's
+//!   `advance_head` on a nearly full log). Tails only grow, so a stale
+//!   bound only overestimates the lag, and every claim it admits the
+//!   fresh tails would admit too.
 //!
 //! Replication is chosen when the map is built: a `ReplicatedLayeredMap`
 //! keeps one replica per socket for its whole life. Whether that pays
@@ -96,7 +102,8 @@ use std::hash::Hash;
 /// Whoever is waited on — a lease holder mid-drain, a claimer between its
 /// claim and its stamp, a writer about to consume its result — may be
 /// descheduled, and on oversubscribed cores a busy-waiter steals the very
-/// quantum that thread needs.
+/// quantum that thread needs. A loop waits only after a round that made
+/// no progress of its own: a drain the caller just ran is not waited on.
 fn backoff(spins: &mut u32) {
     *spins = spins.wrapping_add(1);
     if *spins < 16 {
@@ -217,6 +224,10 @@ struct Pending<K, V> {
 ///    `result = ((pos + 1) << 1) | ok`, and the appender consumes it back
 ///    to `0` — the consume-ack that lets the slot's next occupant (a full
 ///    wrap later) publish its own outcome unambiguously.
+///
+/// A slot spans [`Padded`]'s 128-byte granule, so two writers appending
+/// neighbouring positions never write one line.
+#[repr(align(128))]
 struct LogSlot<K, V> {
     op: HandoffCell<Pending<K, V>>,
     result: FacadeAtomicUsize,
@@ -373,6 +384,7 @@ impl<K: Ord + Hash + Clone, V> ReplicatedLayeredMap<K, V> {
             socket,
             tid: tid as usize,
             handles,
+            lag_bounds: vec![0; self.logs.len()].into_boxed_slice(),
         }
     }
 }
@@ -394,6 +406,10 @@ pub struct ReplicatedHandle<'m, K, V> {
     socket: usize,
     tid: usize,
     handles: Vec<LayeredHandle<'m, K, V>>,
+    /// Per log, a lower bound on the slowest replica's tail: the last
+    /// `min_tail` this handle loaded. Tails only grow, so it stays a lower
+    /// bound; `update` reloads it only when it no longer admits a claim.
+    lag_bounds: Box<[usize]>,
 }
 
 impl<'m, K, V> ReplicatedHandle<'m, K, V>
@@ -475,20 +491,29 @@ where
         // max_lag (<= capacity), help it drain instead of growing the
         // backlog — this is also what makes slot reuse safe, since a
         // claimed position implies every tail passed its previous occupant.
+        // The check runs against this handle's bound on the slowest tail;
+        // only when the bound says the log is full are the tails reloaded.
         let mut spins = 0u32;
         let pos = loop {
-            // `min` before `head`: tails never pass the head and the head
-            // only grows, so this order guarantees `min <= head` (the
-            // reverse order could observe a tail that advanced past a
-            // stale head). A stale-low `min` merely overestimates the lag.
-            let min = log.min_tail();
-            let head = log.head.0.load();
+            let mut min = self.lag_bounds[li];
+            let mut head = log.head.0.load();
             if head - min >= map.rcfg.max_lag {
-                // The target's lease may be held by a descheduled thread
-                // (try_replay then returns at once): back off.
-                self.try_replay(li, log.laggiest());
-                backoff(&mut spins);
-                continue;
+                // `min` before `head`: tails never pass the head and the
+                // head only grows, so this order guarantees `min <= head`
+                // (the reverse order could observe a tail that advanced
+                // past a stale head). The bound kept from an earlier
+                // reload is below every later head for the same reason.
+                min = log.min_tail();
+                head = log.head.0.load();
+                self.lag_bounds[li] = min;
+                if head - min >= map.rcfg.max_lag {
+                    // The target's lease may be held by a descheduled
+                    // thread (try_replay then returns at once): back off.
+                    if !self.try_replay(li, log.laggiest()) {
+                        backoff(&mut spins);
+                    }
+                    continue;
+                }
             }
             if log.head.0.compare_exchange(head, head + 1).is_ok() {
                 self.ctx().record_log_append((head - min) as u64);
@@ -520,7 +545,9 @@ where
             // consume only we can perform — while we sit inside drain.
             // Consuming first makes that wait impossible for us, and while
             // we hold the home lease nobody else can publish our result,
-            // so the pre-drain check cannot go stale.
+            // so the pre-drain check cannot go stale. Our own drain ran
+            // past `pos` and published the result, so the next round
+            // reads it without waiting.
             if log.leases[home].0.compare_exchange(0, self.tid + 1).is_ok() {
                 let r = slot.result.load();
                 if r >> 1 == pos + 1 {
@@ -530,8 +557,9 @@ where
                 }
                 self.drain(li, home);
                 log.leases[home].0.store(0);
+            } else {
+                backoff(&mut spins);
             }
-            backoff(&mut spins);
         }
     }
 
@@ -551,30 +579,31 @@ where
         }
         let mut spins = 0u32;
         while log.tails[self.socket].0.load() < head {
-            self.try_replay(li, self.socket);
-            backoff(&mut spins);
+            if !self.try_replay(li, self.socket) {
+                backoff(&mut spins);
+            }
         }
     }
 
     /// One replay attempt: win the (replica, log) lease and drain the
-    /// pending suffix, or return immediately if another thread holds it
-    /// (that thread's progress is ours — callers loop on the condition
-    /// they actually wait for).
-    fn try_replay(&mut self, li: usize, replica: usize) {
+    /// pending suffix, or return `false` at once if another thread holds
+    /// it (that thread's progress is ours — callers loop on the condition
+    /// they actually wait for, and wait a step only after a `false`).
+    fn try_replay(&mut self, li: usize, replica: usize) -> bool {
         let log = &self.map.logs[li];
         if log.leases[replica].0.compare_exchange(0, self.tid + 1).is_err() {
-            return;
+            return false;
         }
         self.drain(li, replica);
         log.leases[replica].0.store(0);
+        true
     }
 
     /// Drains `[tail, head)` of log `li` into `replica` in log order — each
     /// operation through the replica handle's own body
-    /// ([`LayeredHandle::apply`]) — publishing the outcome of each op homed
-    /// here right after it runs. The whole suffix is collected before the
-    /// first operation runs. The caller holds the (replica, log) replay
-    /// lease.
+    /// ([`LayeredHandle::apply`]) as soon as its stamp is seen — publishing
+    /// the outcome of each op homed here right after it runs. The caller
+    /// holds the (replica, log) replay lease.
     ///
     /// A drain into another socket's replica finds this handle's local map
     /// there holding only what it replayed there before, so each operation
@@ -588,9 +617,7 @@ where
         if head == tail {
             return;
         }
-        let home = &self.handles[self.socket];
         let foreign = replica != self.socket;
-        let mut suffix = Vec::with_capacity(head - tail);
         for pos in tail..head {
             let slot = &log.slots[pos & log.mask];
             // The claimer stamps the slot right after writing the op;
@@ -606,22 +633,16 @@ where
                 backoff(&mut spins);
             });
             let warm = foreign
-                .then(|| home.local_pred_key(p.op.key()))
+                .then(|| self.handles[self.socket].local_pred_key(p.op.key()))
                 .flatten()
                 .map(|k| {
                     let hash = hash_key(&k);
                     (k, hash)
                 });
-            suffix.push((pos, p.home, p.hash, p.op.clone(), warm));
-        }
-        let count = suffix.len() as u64;
-        let handle = &mut self.handles[replica];
-        for (pos, home, hash, op, warm) in suffix {
-            let ok = handle.apply(op, hash, warm.as_ref());
-            if home != replica {
+            let ok = self.handles[replica].apply(p.op.clone(), p.hash, warm.as_ref());
+            if p.home != replica {
                 continue;
             }
-            let slot = &log.slots[pos & log.mask];
             // The previous occupant's outcome (one wrap back) must be
             // consumed before this one lands. That writer is never *us*: a
             // writer helping from its result-wait consumes its own
@@ -636,7 +657,7 @@ where
             slot.result.store(((pos + 1) << 1) | ok as usize);
         }
         log.tails[replica].0.store(head);
-        self.ctx().record_replay_batch(count);
+        self.ctx().record_replay_batch((head - tail) as u64);
     }
 }
 
@@ -652,6 +673,7 @@ impl<'m, K, V> std::fmt::Debug for ReplicatedHandle<'m, K, V> {
 #[cfg(all(test, not(feature = "bug-injection")))]
 mod tests {
     use super::*;
+    use crate::sync::lines_of;
     use instrument::AccessStats;
 
     fn config(threads: usize) -> GraphConfig {
@@ -725,6 +747,103 @@ mod tests {
             .join()
             .unwrap();
         });
+    }
+
+    /// Two writer threads on one log of four slots, one per socket, each
+    /// on keys of its own: every append meets the wrap edge, with the lag
+    /// bound at the capacity (only the slowest tail keeps an append off a
+    /// slot some replica has not applied yet) and at 1 (every append
+    /// first waits out both replicas). A drain that met a slot restamped
+    /// by a later wrap would panic its thread.
+    fn two_writers_wrap_one_log(max_lag: usize) {
+        let map: ReplicatedLayeredMap<u64, u64> = ReplicatedLayeredMap::new(
+            config(3),
+            ReplicaConfig::uniform(2, 2).logs(1).log_capacity(4).max_lag(max_lag),
+        );
+        std::thread::scope(|s| {
+            for t in 0..2u16 {
+                let map = &map;
+                s.spawn(move || {
+                    let mut h = map.register(ThreadCtx::plain(t));
+                    assert_eq!(h.socket(), t as usize);
+                    let keys = (0..300u64).map(|i| 2 * i + t as u64);
+                    for k in keys.clone() {
+                        assert!(h.insert(k, k), "max_lag {max_lag}: fresh insert {k}");
+                        assert!(!h.insert(k, k + 1), "max_lag {max_lag}: repeated insert {k}");
+                    }
+                    for k in keys.clone().filter(|k| k % 3 == 0) {
+                        assert!(h.remove(&k), "max_lag {max_lag}: remove {k}");
+                        assert!(!h.remove(&k), "max_lag {max_lag}: repeated remove {k}");
+                    }
+                    for k in keys {
+                        assert_eq!(h.contains(&k), k % 3 != 0, "max_lag {max_lag}: key {k}");
+                    }
+                });
+            }
+        });
+        // Each replica caught up to both writers' last operations.
+        for t in 0..2u16 {
+            map.register(ThreadCtx::plain(t)).sync();
+        }
+        let ctx = ThreadCtx::plain(2);
+        let expect: Vec<u64> = (0..600u64).filter(|k| k % 3 != 0).collect();
+        for (r, replica) in map.replicas().iter().enumerate() {
+            let keys: Vec<u64> = replica
+                .shared()
+                .range(std::ops::Bound::Unbounded, std::ops::Bound::Unbounded, &ctx)
+                .map(|(k, _)| *k)
+                .collect();
+            assert_eq!(keys, expect, "max_lag {max_lag}: replica {r}");
+        }
+    }
+
+    #[test]
+    fn two_writers_wrap_a_four_slot_log_at_lag_four() {
+        two_writers_wrap_one_log(4);
+    }
+
+    #[test]
+    fn two_writers_wrap_a_four_slot_log_at_lag_one() {
+        two_writers_wrap_one_log(1);
+    }
+
+    #[test]
+    fn log_words_written_by_different_threads_share_no_line() {
+        let map: ReplicatedLayeredMap<u64, u64> = ReplicatedLayeredMap::new(
+            config(2),
+            ReplicaConfig::uniform(2, 2).logs(2).log_capacity(8).max_lag(8),
+        );
+        for log in &map.logs {
+            // Claimers of neighbouring positions write neighbouring slots.
+            let mut slots: Vec<usize> = Vec::new();
+            for slot in log.slots.iter() {
+                slots.extend(lines_of(slot));
+            }
+            let mut distinct = slots.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(distinct.len(), slots.len(), "two log slots share a line");
+            // The head (every claimer's CAS), each tail (its replica's
+            // drains) and each lease (its replay lease) share a line with
+            // nothing: no slot, no other word, not the log's read-only
+            // fields.
+            let mut words: Vec<Vec<usize>> = vec![lines_of(&log.head).collect()];
+            words.extend(log.tails.iter().map(|t| lines_of(t).collect()));
+            words.extend(log.leases.iter().map(|l| lines_of(l).collect()));
+            let mut others = slots.clone();
+            others.extend(lines_of(&log.tails));
+            others.extend(lines_of(&log.leases));
+            others.extend(lines_of(&log.slots));
+            others.extend(lines_of(&log.mask));
+            for (i, lines) in words.iter().enumerate() {
+                for line in lines {
+                    assert!(!others.contains(line), "coordination word {i} shares a line");
+                    for (j, other) in words.iter().enumerate() {
+                        assert!(i == j || !other.contains(line), "words {i} and {j} share a line");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -44,6 +44,19 @@ fn facade_yield() {
 #[repr(align(128))]
 pub(crate) struct Padded<T>(pub(crate) T);
 
+/// The 128-byte line (pair) an object starts on: [`Padded`]'s granule,
+/// the unit the address tests compare.
+#[cfg(test)]
+pub(crate) fn line_of<T>(x: &T) -> usize {
+    x as *const T as usize / 128
+}
+
+/// The 128-byte lines an object covers.
+#[cfg(test)]
+pub(crate) fn lines_of<T>(x: &T) -> std::ops::RangeInclusive<usize> {
+    line_of(x)..=(x as *const T as usize + std::mem::size_of::<T>().max(1) - 1) / 128
+}
+
 const MARK_BIT: usize = 0b01;
 const INVALID_BIT: usize = 0b10;
 const TAG_MASK: usize = 0b11;

@@ -74,9 +74,12 @@ pub struct ThreadCounterSnapshot {
     pub index_stale: u64,
     /// Operations appended to a replication operation log.
     pub log_appends: u64,
-    /// Sum over appends of the log's observed lag (head minus the
-    /// slowest replica's completion tail) at append time;
-    /// `log_lag_sum / log_appends` is the mean backlog a write joins.
+    /// Sum over appends of the lag the append's claim checked: the head
+    /// minus the appender's bound on the slowest replica's completion
+    /// tail. The bound is reloaded only when it says the log is full, so
+    /// this is an upper bound on the true backlog, and
+    /// `log_lag_sum / log_appends` reads at or above the mean backlog a
+    /// write joins.
     pub log_lag_sum: u64,
     /// Replica replay batches this thread drained (one per lease-held
     /// pass over a log's pending suffix).
@@ -424,7 +427,8 @@ impl ThreadCtx {
     }
 
     /// Records an append to a replication operation log together with the
-    /// lag (head minus the slowest replica's tail) the write joined.
+    /// lag its claim checked (head minus the appender's bound on the
+    /// slowest replica's tail, at least the backlog the write joined).
     #[inline]
     pub fn record_log_append(&self, lag: u64) {
         if let Some(s) = &self.stats {

@@ -12,8 +12,9 @@
 #![cfg(all(feature = "deterministic", not(feature = "bug-injection")))]
 
 use instrument::ThreadCtx;
-use skipgraph::det::{round_robin_family, DetConfig, Policy};
-use skipgraph::{GraphConfig, LayeredMap};
+use skipgraph::det::{active_step, round_robin_family, run_threads, DetConfig, Policy};
+use skipgraph::{GraphConfig, LayeredMap, ReplicaConfig, ReplicatedLayeredMap};
+use std::sync::Mutex;
 use synchro::stress::{
     counters_named_det, execute_det, initially_present, plan_workload, records_named_det,
     stress_named_det, StressConfig, DET_STRUCTURES,
@@ -309,6 +310,44 @@ fn replicated_pct_and_round_robin_linearize() {
         stress_named_det("replicated_sg", &cfg, &det)
             .unwrap_or_else(|e| panic!("replicated_sg round-robin quantum {quantum}: {e}"));
     }
+}
+
+/// The exact count of one uncontended replicated write: one worker under
+/// the scheduler, so every facade access is one step and nothing else
+/// runs. A two-replica map with two thread slots (the worker homes on
+/// replica 0; replica 1 is fed only by backpressure help) is warmed
+/// first, then one fresh insert and one remove are counted. While the
+/// handle's bound on the slowest tail admits the claim, an append loads
+/// no tail: loading both tails on every append reads 32 and 23.
+#[test]
+fn replicated_write_steps_are_exact() {
+    let map = ReplicatedLayeredMap::<u64, u64>::new(
+        GraphConfig::new(2).lazy(true).hash_index(true),
+        ReplicaConfig::uniform(2, 2),
+    );
+    let counted = Mutex::new((0, 0));
+    let det = DetConfig::new(0, Policy::RoundRobin { quantum: 1 });
+    run_threads(
+        &det,
+        vec![Box::new(|| {
+            let mut h = map.register(ThreadCtx::plain(0));
+            assert_eq!(h.socket(), 0);
+            for k in 0..16u64 {
+                assert!(h.insert(2 * k, k));
+            }
+            assert!(h.remove(&6));
+            h.sync();
+            let step = || active_step().expect("runs under the scheduler");
+            let before = step();
+            assert!(h.insert(11, 11));
+            let inserted = step();
+            assert!(h.remove(&20));
+            *counted.lock().unwrap() = (inserted - before, step() - inserted);
+        })],
+    );
+    let (insert, remove) = *counted.lock().unwrap();
+    println!("one uncontended replicated write: insert {insert} steps, remove {remove} steps");
+    assert_eq!((insert, remove), (30, 21));
 }
 
 /// Long-running sweep; run explicitly with
