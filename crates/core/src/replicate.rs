@@ -755,6 +755,13 @@ mod tests {
     /// slot some replica has not applied yet) and at 1 (every append
     /// first waits out both replicas). A drain that met a slot restamped
     /// by a later wrap would panic its thread.
+    #[test]
+    fn two_writers_wrap_a_four_slot_log() {
+        for max_lag in [4, 1] {
+            two_writers_wrap_one_log(max_lag);
+        }
+    }
+
     fn two_writers_wrap_one_log(max_lag: usize) {
         let map: ReplicatedLayeredMap<u64, u64> = ReplicatedLayeredMap::new(
             config(3),
@@ -795,16 +802,6 @@ mod tests {
                 .collect();
             assert_eq!(keys, expect, "max_lag {max_lag}: replica {r}");
         }
-    }
-
-    #[test]
-    fn two_writers_wrap_a_four_slot_log_at_lag_four() {
-        two_writers_wrap_one_log(4);
-    }
-
-    #[test]
-    fn two_writers_wrap_a_four_slot_log_at_lag_one() {
-        two_writers_wrap_one_log(1);
     }
 
     #[test]
