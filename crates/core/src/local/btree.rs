@@ -22,10 +22,29 @@
 //!   holds `min(2^c, 1024)` nodes, so a small map reserves space in
 //!   proportion to its entries.
 //!
-//! There is no `unsafe`: every array slot past a node's length holds a
-//! clone of a key the tree held (or a copy of a reference), so the arrays
-//! are always initialised. A heap-allocated key type pays for those
-//! clones; the maps here hold integer keys.
+//! Every array slot past a node's length holds a clone of a key the tree
+//! held (or a copy of a reference), so the arrays are always initialised
+//! and the module needs no unchecked code. A heap-allocated key type pays
+//! for those clones; the maps here hold integer keys.
+//!
+//! # Finger
+//!
+//! A layered insert asks the map twice about one key: `getStart`'s
+//! [`BTreeLocalMap::max_lower_equal`] first, then, once the shared node is
+//! linked, [`BTreeLocalMap::insert`]. The map remembers its last
+//! `max_lower_equal` descent — the key, the leaf it reached and the map's
+//! `shape` — and an insert of that same key writes straight into that
+//! leaf when `shape` has not moved since and the leaf has room; otherwise
+//! it descends from the root, which it needs to split a full leaf.
+//! `shape` counts the changes that move a leaf boundary: a leaf split
+//! (with the inner splits and the new root it may cause) and a leaf freed
+//! when it empties or merged away (with the inner nodes freed and the root
+//! collapse that follow). `retain` and `clear` rebuild the map, which
+//! drops the finger. Any other edit — an insert into a leaf with room, a
+//! replaced reference, a remove that leaves its leaf non-empty and
+//! unmerged — changes what a leaf holds but no separator, so the leaf a
+//! descent for the key would reach is still the one the finger names. A
+//! clone starts without a finger.
 //!
 //! # Deletion
 //!
@@ -47,6 +66,7 @@
 //! one-entry map reserves 544 B (std: 280 B).
 
 use crate::prefetch::prefetch_read;
+use std::cell::Cell;
 use std::fmt;
 
 /// Entries a leaf holds at most.
@@ -313,6 +333,15 @@ impl<T> Slab<T> {
 /// root, the node and the child taken.
 type Path = [(u32, usize); MAX_INNER_LEVELS];
 
+/// Where a [`BTreeLocalMap::max_lower_equal`] descent for `key` ended: in
+/// leaf `leaf`, while the map's `shape` read `shape` (module docs,
+/// "Finger").
+struct Finger<K> {
+    key: K,
+    leaf: u32,
+    shape: u64,
+}
+
 /// The ordered local map: keys to opaque shared-node references `R`
 /// (the graph core's `NodeRef` in practice; `Copy`, so the map never
 /// hands out interior mutability), over an in-crate B+tree (see the
@@ -329,7 +358,6 @@ type Path = [(u32, usize); MAX_INNER_LEVELS];
 /// assert_eq!(m.max_lower_equal(&15), Some((&10, 1)));
 /// assert_eq!(m.pred(&10), None);
 /// ```
-#[derive(Clone)]
 pub struct BTreeLocalMap<K, R> {
     leaves: Slab<Leaf<K, R>>,
     inners: Slab<Inner<K>>,
@@ -338,6 +366,13 @@ pub struct BTreeLocalMap<K, R> {
     /// Inner levels above the leaves.
     height: usize,
     len: usize,
+    /// The last `max_lower_equal` descent, if any.
+    finger: Cell<Option<Finger<K>>>,
+    /// Changes that moved a leaf boundary (module docs, "Finger").
+    shape: u64,
+    /// Descents from the root, counted for the unit tests.
+    #[cfg(test)]
+    descents: Cell<usize>,
 }
 
 impl<K, R> Default for BTreeLocalMap<K, R> {
@@ -348,6 +383,24 @@ impl<K, R> Default for BTreeLocalMap<K, R> {
             root: NIL,
             height: 0,
             len: 0,
+            finger: Cell::new(None),
+            shape: 0,
+            #[cfg(test)]
+            descents: Cell::new(0),
+        }
+    }
+}
+
+impl<K: Clone, R: Clone> Clone for BTreeLocalMap<K, R> {
+    /// A copy of the tree, without a finger.
+    fn clone(&self) -> Self {
+        Self {
+            leaves: self.leaves.clone(),
+            inners: self.inners.clone(),
+            root: self.root,
+            height: self.height,
+            len: self.len,
+            ..Self::default()
         }
     }
 }
@@ -414,16 +467,20 @@ impl<K: Ord + Clone, R: Copy> BTreeLocalMap<K, R> {
 
     /// The leaf whose key range holds `key`; the map is not empty.
     #[inline]
-    fn leaf_for(&self, key: &K) -> &Leaf<K, R> {
+    fn leaf_for(&self, key: &K) -> u32 {
+        #[cfg(test)]
+        self.descents.set(self.descents.get() + 1);
         let mut at = self.root;
         for level in 0..self.height {
             at = self.step(at, level, key).1;
         }
-        self.leaves.get(at)
+        at
     }
 
-    /// [`Self::leaf_for`]'s index, recording the descent in `path`.
+    /// [`Self::leaf_for`], recording the descent in `path`.
     fn descend(&self, key: &K, path: &mut Path) -> u32 {
+        #[cfg(test)]
+        self.descents.set(self.descents.get() + 1);
         let mut at = self.root;
         for (level, entry) in path[..self.height].iter_mut().enumerate() {
             let (pos, child) = self.step(at, level, key);
@@ -474,8 +531,16 @@ impl<K: Ord + Clone, R: Copy> BTreeLocalMap<K, R> {
         self.height += 1;
     }
 
+    /// The leaf the finger names for `key`: the finger is for `key` and
+    /// no leaf boundary moved since it was taken.
+    fn fingered(&mut self, key: &K) -> Option<u32> {
+        let finger = self.finger.get_mut().as_ref()?;
+        (finger.shape == self.shape && finger.key == *key).then_some(finger.leaf)
+    }
+
     /// Frees leaf `at` after taking it out of the leaf list.
     fn unlink_leaf(&mut self, at: u32) {
+        self.shape += 1;
         let (prev, next) = {
             let leaf = self.leaves.get(at);
             (leaf.prev, leaf.next)
@@ -537,7 +602,9 @@ impl<K: Ord + Clone, R: Copy> BTreeLocalMap<K, R> {
 }
 
 impl<K: Ord + Clone, R: Copy> BTreeLocalMap<K, R> {
-    /// Inserts or replaces the mapping for `key`.
+    /// Inserts or replaces the mapping for `key`. Right after a
+    /// [`Self::max_lower_equal`] of the same key this takes no descent
+    /// while the leaf it reached has room (module docs, "Finger").
     pub fn insert(&mut self, key: K, node: R) {
         if self.root == NIL {
             self.root = self.leaves.alloc(Leaf::single(key, node));
@@ -545,7 +612,11 @@ impl<K: Ord + Clone, R: Copy> BTreeLocalMap<K, R> {
             return;
         }
         let mut path = [(NIL, 0); MAX_INNER_LEVELS];
-        let at = self.descend(&key, &mut path);
+        // A leaf with room never splits, so the finger needs no path.
+        let at = match self.fingered(&key) {
+            Some(at) if self.leaves.get(at).len() < LEAF_CAP => at,
+            _ => self.descend(&key, &mut path),
+        };
         let leaf = self.leaves.get_mut(at);
         let i = leaf.lower_bound(&key);
         if i < leaf.len() && leaf.keys[i] == key {
@@ -557,6 +628,7 @@ impl<K: Ord + Clone, R: Copy> BTreeLocalMap<K, R> {
             leaf.insert_at(i, key, node);
             return;
         }
+        self.shape += 1;
         let mut right = leaf.split_off();
         if i <= LEAF_HALF {
             leaf.insert_at(i, key, node);
@@ -611,18 +683,25 @@ impl<K: Ord + Clone, R: Copy> BTreeLocalMap<K, R> {
         if self.root == NIL {
             return None;
         }
-        let leaf = self.leaf_for(key);
+        let leaf = self.leaves.get(self.leaf_for(key));
         let i = leaf.lower_bound(key);
         (i < leaf.len() && leaf.keys[i] == *key).then(|| leaf.refs[i])
     }
 
     /// The mapping with the greatest key `<= key` (the paper's
-    /// `getMaxLowerEqual`).
+    /// `getMaxLowerEqual`). Remembers the leaf it reached for an
+    /// [`Self::insert`] of `key` (module docs, "Finger").
     pub fn max_lower_equal(&self, key: &K) -> Option<(&K, R)> {
         if self.root == NIL {
             return None;
         }
-        let leaf = self.leaf_for(key);
+        let at = self.leaf_for(key);
+        self.finger.set(Some(Finger {
+            key: key.clone(),
+            leaf: at,
+            shape: self.shape,
+        }));
+        let leaf = self.leaves.get(at);
         self.entry_before(leaf, leaf.upper_bound(key))
     }
 
@@ -631,7 +710,7 @@ impl<K: Ord + Clone, R: Copy> BTreeLocalMap<K, R> {
         if self.root == NIL {
             return None;
         }
-        let leaf = self.leaf_for(key);
+        let leaf = self.leaves.get(self.leaf_for(key));
         self.entry_before(leaf, leaf.lower_bound(key))
     }
 
@@ -742,6 +821,127 @@ mod tests {
         assert_eq!(chunk_of(1022), (9, 511));
         assert_eq!((chunk_of(1023), chunk_of(2046)), ((10, 0), (10, 1023)));
         assert_eq!(chunk_of(2047), (11, 0));
+    }
+
+    /// Descents `f` makes on `m`.
+    fn descents<K, R>(
+        m: &mut BTreeLocalMap<K, R>,
+        f: impl FnOnce(&mut BTreeLocalMap<K, R>),
+    ) -> usize {
+        let before = m.descents.get();
+        f(m);
+        m.descents.get() - before
+    }
+
+    /// A map of the `n` keys `0, 10, 20, ...`, inserted in ascending
+    /// order.
+    fn tens(n: u64) -> BTreeLocalMap<u64, u64> {
+        let mut m = BTreeLocalMap::default();
+        for k in 0..n {
+            m.insert(10 * k, k);
+        }
+        m
+    }
+
+    /// Whether `m` walks its leaves in ascending key order and holds `k`.
+    fn sound(m: &BTreeLocalMap<u64, u64>, k: u64) -> bool {
+        let keys: Vec<u64> = m.entries().map(|(k, _)| *k).collect();
+        keys.windows(2).all(|w| w[0] < w[1]) && keys.len() == m.len() && m.get(&k).is_some()
+    }
+
+    /// The lookup then insert of a layered insert: one descent while the
+    /// leaf the lookup reached has room, two when it is full or a split,
+    /// a merge or a freed leaf came in between. `tens(64)` ascends, so its
+    /// leaves hold 8 keys: `0..=70`, `80..=150`, ...
+    #[test]
+    fn a_lookup_then_insert_of_one_key_descends_once() {
+        let lookup_insert = |m: &mut BTreeLocalMap<u64, u64>, k: u64| {
+            descents(m, |m| {
+                m.max_lower_equal(&k);
+                m.insert(k, k);
+            })
+        };
+        let mut m = tens(64);
+        assert!(m.height > 0);
+        assert_eq!(lookup_insert(&mut m, 15), 1, "a leaf with room");
+        assert_eq!(lookup_insert(&mut m, 15), 1, "a replace");
+        // Edits that move no leaf boundary keep the finger.
+        let kept = descents(&mut m, |m| {
+            m.max_lower_equal(&25);
+            m.insert(5, 5);
+            m.remove(&5);
+            m.insert(25, 25);
+        });
+        assert_eq!(kept, 3, "an insert and a remove in between");
+        // The first leaf full (0..=4, 6, 7, 10, 15, 20, 25, 30..=70): its
+        // next insert splits.
+        for k in [1, 2, 3, 4, 6, 7] {
+            m.insert(k, k);
+        }
+        assert_eq!(m.leaves.get(m.leaf_for(&9)).len(), LEAF_CAP);
+        assert_eq!(lookup_insert(&mut m, 9), 2, "a full leaf");
+        assert!(sound(&m, 9));
+
+        // A split in between: 75's leaf splits and 75 falls right of it.
+        let mut m = tens(64);
+        for k in 1..=8 {
+            m.insert(k, k);
+        }
+        let split = descents(&mut m, |m| {
+            m.max_lower_equal(&75);
+            m.insert(9, 9);
+            m.insert(75, 75);
+        });
+        assert_eq!(split, 3, "a split in between");
+        assert!(sound(&m, 75));
+
+        // A merge in between: `80..=150` thinned to three merges left.
+        let mut m = tens(64);
+        let thinned = descents(&mut m, |m| {
+            m.max_lower_equal(&145);
+            for k in [80, 90, 100, 110] {
+                m.remove(&k);
+            }
+            m.insert(145, 145);
+        });
+        assert_eq!(thinned, 5, "removes that merge nothing keep the finger");
+        let merged = descents(&mut m, |m| {
+            m.max_lower_equal(&146);
+            m.remove(&120);
+            m.remove(&130); // three left: merges into `0..=70`
+            m.insert(146, 146);
+        });
+        assert_eq!(merged, 4, "a merge in between");
+        assert!(sound(&m, 146));
+
+        // A freed leaf in between: the first leaf has no left sibling to
+        // merge into, so it empties.
+        let mut m = tens(64);
+        let freed = descents(&mut m, |m| {
+            m.max_lower_equal(&5);
+            for k in 0..8 {
+                m.remove(&(10 * k));
+            }
+            m.insert(5, 5);
+        });
+        assert_eq!(freed, 10, "a freed leaf in between");
+        assert!(sound(&m, 5));
+    }
+
+    /// `retain` and `clear` rebuild the map: no finger survives them.
+    #[test]
+    fn no_finger_survives_retain_or_clear() {
+        let mut m = tens(64);
+        m.max_lower_equal(&15);
+        m.retain(|_, _| true);
+        assert!(m.finger.get_mut().is_none());
+        assert_eq!(descents(&mut m, |m| m.insert(15, 15)), 1);
+        m.max_lower_equal(&25);
+        m.clear();
+        assert!(m.finger.get_mut().is_none());
+        let m = tens(64);
+        m.max_lower_equal(&35);
+        assert!(m.clone().finger.get_mut().is_none(), "a clone");
     }
 
     /// Mean entries per leaf.

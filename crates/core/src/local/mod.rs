@@ -14,15 +14,17 @@
 //!   empties and merges into its left sibling when under a quarter full and
 //!   the two fit in three quarters of a leaf. It answers predecessor
 //!   queries (`getMaxLowerEqual`) and steps backward, as `getStart`
-//!   (Alg. 4) and `updateStart` (Alg. 9) require. With `u64` keys and
-//!   16-byte references it takes 42–44 B per entry at 2^18–2^20 entries,
-//!   about 10 % more than `std::collections::BTreeMap` (38.9 B);
+//!   (Alg. 4) and `updateStart` (Alg. 9) require, and keeps the leaf its
+//!   last `getMaxLowerEqual` reached, so the insert that follows
+//!   `getStart` for the same key takes no second descent. With `u64` keys
+//!   and 16-byte references it takes 42–44 B per entry at 2^18–2^20
+//!   entries, about 10 % more than `std::collections::BTreeMap` (38.9 B);
 //! * [`RobinHoodMap`] is the hash table consulted before the slower ordered
 //!   map (a reimplementation of the robin-hood open-addressing scheme the
 //!   paper takes from `martinus/robin-hood-hashing`).
 //!
-//! The module forbids `unsafe` code. The B+tree passes a conformance test
-//! against `std::collections::BTreeMap`.
+//! The module forbids unchecked code (`unsafe_code`). The B+tree passes a
+//! conformance test against `std::collections::BTreeMap`.
 
 #![forbid(unsafe_code)]
 

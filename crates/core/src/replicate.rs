@@ -121,7 +121,8 @@ pub struct ReplicaConfig {
     sockets: usize,
     logs: usize,
     log_capacity: usize,
-    max_lag: usize,
+    /// `None` follows the capacity ([`Self::lag_bound`]).
+    max_lag: Option<usize>,
 }
 
 impl ReplicaConfig {
@@ -136,7 +137,7 @@ impl ReplicaConfig {
             sockets,
             logs: 2,
             log_capacity: 256,
-            max_lag: 192,
+            max_lag: None,
         }
     }
 
@@ -159,13 +160,20 @@ impl ReplicaConfig {
         self
     }
 
-    /// Backpressure bound (default 192): an appender observing this many
-    /// unapplied slots ahead of the slowest replica helps replay before
-    /// appending. Must satisfy `1 <= max_lag <= log_capacity`.
+    /// Backpressure bound (default three quarters of the log capacity,
+    /// 192 at the default 256): an appender observing this many unapplied
+    /// slots ahead of the slowest replica helps replay before appending.
+    /// Must satisfy `1 <= max_lag <= log_capacity`.
     pub fn max_lag(mut self, max_lag: usize) -> Self {
         assert!(max_lag >= 1, "max_lag must be positive");
-        self.max_lag = max_lag;
+        self.max_lag = Some(max_lag);
         self
+    }
+
+    /// The backpressure bound in force: the one set, else three quarters
+    /// of the log capacity (at least 1, the capacity being at least 2).
+    fn lag_bound(&self) -> usize {
+        self.max_lag.unwrap_or(self.log_capacity * 3 / 4)
     }
 
     /// Number of registered threads.
@@ -306,9 +314,9 @@ impl<K: Ord + Hash + Clone, V> ReplicatedLayeredMap<K, V> {
             rcfg.threads()
         );
         assert!(
-            rcfg.max_lag <= rcfg.log_capacity,
+            rcfg.lag_bound() <= rcfg.log_capacity,
             "max_lag {} exceeds log capacity {}",
-            rcfg.max_lag,
+            rcfg.lag_bound(),
             rcfg.log_capacity
         );
         let sockets = rcfg.sockets();
@@ -493,11 +501,12 @@ where
         // claimed position implies every tail passed its previous occupant.
         // The check runs against this handle's bound on the slowest tail;
         // only when the bound says the log is full are the tails reloaded.
+        let max_lag = map.rcfg.lag_bound();
         let mut spins = 0u32;
         let pos = loop {
             let mut min = self.lag_bounds[li];
             let mut head = log.head.0.load();
-            if head - min >= map.rcfg.max_lag {
+            if head - min >= max_lag {
                 // `min` before `head`: tails never pass the head and the
                 // head only grows, so this order guarantees `min <= head`
                 // (the reverse order could observe a tail that advanced
@@ -506,7 +515,7 @@ where
                 min = log.min_tail();
                 head = log.head.0.load();
                 self.lag_bounds[li] = min;
-                if head - min >= map.rcfg.max_lag {
+                if head - min >= max_lag {
                     // The target's lease may be held by a descheduled
                     // thread (try_replay then returns at once): back off.
                     if !self.try_replay(li, log.laggiest()) {
@@ -758,15 +767,33 @@ mod tests {
     #[test]
     fn two_writers_wrap_a_four_slot_log() {
         for max_lag in [4, 1] {
-            two_writers_wrap_one_log(max_lag);
+            let rcfg = ReplicaConfig::uniform(2, 2).logs(1).log_capacity(4);
+            two_writers_wrap_one_log(rcfg.max_lag(max_lag));
         }
     }
 
-    fn two_writers_wrap_one_log(max_lag: usize) {
-        let map: ReplicatedLayeredMap<u64, u64> = ReplicatedLayeredMap::new(
-            config(3),
-            ReplicaConfig::uniform(2, 2).logs(1).log_capacity(4).max_lag(max_lag),
+    /// A capacity set alone brings its own lag bound: three quarters of
+    /// it, 6 of 8 slots (a fixed default of 192 would exceed it and panic).
+    #[test]
+    fn a_log_capacity_alone_sets_the_lag_bound() {
+        let rcfg = ReplicaConfig::uniform(2, 2).logs(1).log_capacity(8);
+        assert_eq!(rcfg.lag_bound(), 6);
+        assert_eq!(ReplicaConfig::uniform(2, 2).lag_bound(), 192);
+        two_writers_wrap_one_log(rcfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "max_lag 9 exceeds log capacity 8")]
+    fn a_lag_bound_above_the_capacity_panics() {
+        let _: ReplicatedLayeredMap<u64, u64> = ReplicatedLayeredMap::new(
+            config(2),
+            ReplicaConfig::uniform(2, 2).log_capacity(8).max_lag(9),
         );
+    }
+
+    fn two_writers_wrap_one_log(rcfg: ReplicaConfig) {
+        let max_lag = rcfg.lag_bound();
+        let map: ReplicatedLayeredMap<u64, u64> = ReplicatedLayeredMap::new(config(3), rcfg);
         std::thread::scope(|s| {
             for t in 0..2u16 {
                 let map = &map;

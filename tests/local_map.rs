@@ -1,6 +1,7 @@
 //! The default ordered local structure, `BTreeLocalMap`, against
-//! `std::collections::BTreeMap` at a size where its tree has three levels,
-//! and what it reserves: for one entry, and per entry at 2^18.
+//! `std::collections::BTreeMap` at a size where its tree has three levels
+//! and through the lookup-then-insert its finger serves, and what it
+//! reserves: for one entry, and per entry at 2^18.
 //!
 //! The crate's own conformance test (`local::tests`) covers drains,
 //! refills, `clear`, `retain` and `String` keys at smaller sizes.
@@ -70,6 +71,102 @@ fn a_three_level_tree_answers_like_std() {
         cursor = own(map.pred(k));
     }
     assert_eq!(cursor, None);
+}
+
+/// Every entry of `map` (whose keys are all below `u64::MAX`), walked
+/// backwards by `pred`, against `model`.
+fn walk_matches(map: &BTreeLocalMap<u64, u32>, model: &BTreeMap<u64, u32>) {
+    let mut cursor = map.pred(&u64::MAX).map(|(k, r)| (*k, r));
+    for (k, r) in model.iter().rev() {
+        assert_eq!(cursor, Some((*k, *r)));
+        cursor = map.pred(k).map(|(k, r)| (*k, r));
+    }
+    assert_eq!(cursor, None);
+}
+
+/// The layered insert's pattern, `max_lower_equal(k)` then `insert(k)`,
+/// with one of these in between: nothing (the insert takes the finger's
+/// leaf), an insert of another key (which may split that leaf or
+/// another), a remove of a run of up to 16 live keys from near `k` (which
+/// empties and frees leaves or leaves them underfull to merge), a remove
+/// of `k` itself, a `retain` of seven keys in eight, or a `clear`. Every
+/// answer is checked against `std::collections::BTreeMap` after every
+/// operation, and every entry every 256 steps. Between clears the map
+/// grows past 528 entries, which take three levels.
+#[test]
+fn a_lookup_then_insert_answers_like_std_across_splits_merges_and_rebuilds() {
+    const SPACE: u64 = 1 << 14;
+    let mut rng = SmallRng::seed_from_u64(47);
+    let mut map: BTreeLocalMap<u64, u32> = BTreeLocalMap::default();
+    let mut model: BTreeMap<u64, u32> = BTreeMap::new();
+    // `max_lower_equal` would move the finger: only the step's lookup
+    // and the check after its insert call it (`walk_matches` does not).
+    let check = |map: &BTreeLocalMap<u64, u32>, model: &BTreeMap<u64, u32>, k: u64| {
+        assert_eq!(map.len(), model.len());
+        assert_eq!(map.get(&k), model.get(&k).copied(), "get {k}");
+        let pred = model.range(..k).next_back().map(|(m, r)| (*m, *r));
+        assert_eq!(map.pred(&k).map(|(m, r)| (*m, r)), pred, "pred {k}");
+    };
+    let floor = |map: &BTreeLocalMap<u64, u32>, model: &BTreeMap<u64, u32>, k: u64| {
+        let floor = model.range(..=k).next_back().map(|(m, r)| (*m, *r));
+        assert_eq!(
+            map.max_lower_equal(&k).map(|(m, r)| (*m, r)),
+            floor,
+            "floor {k}"
+        );
+    };
+    let mut most = 0;
+    for step in 0..40_000u32 {
+        let k = rng.gen_range(0..SPACE);
+        floor(&map, &model, k);
+        match rng.gen_range(0..8000) {
+            0..=3999 => {}
+            4000..=5999 => {
+                let other = rng.gen_range(0..SPACE);
+                map.insert(other, step);
+                model.insert(other, step);
+                check(&map, &model, other);
+            }
+            6000..=6799 => {
+                let from = rng.gen_range(k.saturating_sub(64)..k + 1);
+                let run: Vec<u64> = model
+                    .range(from..)
+                    .take(rng.gen_range(1..17))
+                    .map(|(m, _)| *m)
+                    .collect();
+                for gone in run {
+                    assert!(map.remove(&gone));
+                    model.remove(&gone);
+                    check(&map, &model, gone);
+                }
+            }
+            6800..=7984 => {
+                assert_eq!(map.remove(&k), model.remove(&k).is_some());
+                check(&map, &model, k);
+            }
+            7985..=7998 => {
+                let dropped = rng.gen_range(0..8);
+                map.retain(|m, _| m % 8 != dropped);
+                model.retain(|m, _| m % 8 != dropped);
+                walk_matches(&map, &model);
+            }
+            _ => {
+                map.clear();
+                model.clear();
+            }
+        }
+        map.insert(k, step);
+        model.insert(k, step);
+        check(&map, &model, k);
+        floor(&map, &model, rng.gen_range(0..SPACE));
+        most = most.max(map.len());
+        if step % 256 == 255 {
+            walk_matches(&map, &model);
+        }
+    }
+    walk_matches(&map, &model);
+    println!("at most {most} entries");
+    assert!(most > 16 * 33, "{most} entries at most: under three levels");
 }
 
 #[test]
