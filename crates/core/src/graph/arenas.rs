@@ -13,9 +13,9 @@
 //!
 //! # Recycling
 //!
-//! With reclamation on (`GraphConfig::reclaim`), each class additionally
-//! keeps a Treiber-stack **free list** of reclaimed slots, linked through
-//! the parked node's `next0` word. Any thread may push (the reclaimer
+//! Every graph reclaims (`skipgraph::reclaim`), so each class also keeps
+//! a Treiber-stack **free list** of reclaimed slots, linked through the
+//! parked node's `next0` word. Any thread may push (the reclaimer
 //! collecting its limbo list returns each slot to the *owning* bank, so
 //! recycled memory keeps its first-touch NUMA placement); only the owner
 //! pops (allocation goes through the owner's bank), which makes the pop

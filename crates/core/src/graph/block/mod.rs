@@ -221,15 +221,15 @@ where
                     // The block froze between claim and publish; the claim
                     // dies with it (survivor sets read present bits only).
                     //
-                    // Injected bug (maps built without reclamation: the
-                    // `blocked_sg` lane; the reclaiming `anchor_blocked_sg`
-                    // carries `resolve_read`'s instead, so each stress lane
-                    // carries exactly one live fault): skip the
-                    // post-split recheck and report success for an entry
-                    // that never became present — the lost-insert window
-                    // the differential test wall must catch.
+                    // Injected bug (maps over sparse towers: the
+                    // `blocked_sg` lane; `anchor_blocked_sg`, whose every
+                    // anchor is sampled, carries `resolve_read`'s instead,
+                    // so each stress lane carries exactly one live fault):
+                    // skip the post-split recheck and report success for
+                    // an entry that never became present — the lost-insert
+                    // window the differential test wall must catch.
                     #[cfg(feature = "bug-injection")]
-                    if !self.graph.reclaim.enabled() {
+                    if self.graph.config().sparse {
                         return true;
                     }
                     self.help_split(anchor, ctx);

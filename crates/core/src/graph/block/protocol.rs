@@ -9,10 +9,9 @@
 //! invisible to readers: a key present in the frozen block is present in
 //! its replacement, and point operations never read a frozen snapshot —
 //! they help first and retry, so the lookup always lands on the live
-//! incarnation. The install bumps the dead anchor's generation (directly,
-//! or through retirement when reclamation is on), so cached
-//! [`NodeRef`]-based block hints fail validation instead of resurrecting
-//! a migrated block.
+//! incarnation. The dead anchor's retirement bumps its generation, so
+//! cached [`NodeRef`]-based block hints fail validation instead of
+//! resurrecting a migrated block.
 //!
 //! Every outcome of a frozen block is canonicalized through its *forward
 //! word*: a replacement chain head (any pointer `> 1`), or the [`MERGED`]
@@ -211,7 +210,7 @@ where
         let descend = || self.graph.search_from(key, f.mvec(), None, false, ctx);
         let mut res = descend();
         let won_install = 'install: loop {
-            let Some(mut p) = self.graph.carried_pred(&res, 0) else {
+            let Some(mut p) = res.carried_pred(0) else {
                 res = descend();
                 continue;
             };
@@ -251,11 +250,7 @@ where
         }
 
         // (e) Winner duties. The dead anchor's generation must move so
-        // cached block hints go stale: retirement bumps it when
-        // reclamation is on; bump directly otherwise.
-        if !self.graph.reclaim.enabled() {
-            f.bump_generation();
-        }
+        // cached block hints go stale: its retirement bumps it.
         self.graph.note_unlinked_chain(anchor.as_ptr(), succ0, 0, ctx);
         self.unlink_upper(anchor, &mut res, ctx);
 
@@ -362,7 +357,7 @@ where
             // The anchor is fully marked, so its level reference is frozen.
             debug_assert!(f.load_next_raw(level).marked());
             'level: loop {
-                let Some(mut p) = self.graph.carried_pred(res, level) else {
+                let Some(mut p) = res.carried_pred(level) else {
                     *res = descend();
                     continue;
                 };

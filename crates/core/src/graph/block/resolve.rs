@@ -250,11 +250,11 @@ where
     /// lookups and scan starts. The two differ in the bug-injection build
     /// alone.
     ///
-    /// Injected bug (`--features bug-injection`, maps built with
-    /// reclamation: the `anchor_blocked_sg` lane, which runs the scan
-    /// workload's `reclaim(true)`; `blocked_sg` reclaims nothing and
-    /// carries the lost insert instead, so each stress lane carries exactly
-    /// one live fault): trust the local anchor *without* the covering
+    /// Injected bug (`--features bug-injection`, maps whose towers are not
+    /// sparse: the `anchor_blocked_sg` lane, where every anchor is sampled;
+    /// `blocked_sg` runs the scan workload's sparse towers and carries the
+    /// lost insert instead, so each stress lane carries exactly one live
+    /// fault): trust the local anchor *without* the covering
     /// check. A read through a live anchor whose key range moved to a
     /// split-off sibling the thread has never seen then scans the wrong
     /// block and reports a present key absent: the stale miss the
@@ -270,7 +270,7 @@ where
         ctx: &ThreadCtx,
     ) -> Option<NonNull<BNode<K>>> {
         #[cfg(feature = "bug-injection")]
-        if self.graph.reclaim.enabled() {
+        if !self.graph.config().sparse {
             if let Some((anchor, _)) = self.local(ctx).and_then(|mut l| l.floor(key, pin)) {
                 return Some(NonNull::from(&*anchor));
             }

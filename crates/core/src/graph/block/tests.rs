@@ -319,38 +319,36 @@ fn a_split_descends_once() {
 }
 
 /// Miri regression + hint safety: a replaced block's generation moves
-/// (directly, or through retirement) so stale block hints cannot
-/// validate against the dead anchor.
+/// (through its retirement) so stale block hints cannot validate against
+/// the dead anchor.
 #[test]
 fn generation_moves_when_block_is_replaced() {
-    for reclaim in [false, true] {
-        let map = BlockedSkipMap::<u64, u64>::new(cfg(1).reclaim(reclaim), MIN_BLOCK_CAP);
-        let c = ctx();
-        assert!(map.insert(1, 1, &c));
-        assert!(map.insert(2, 2, &c));
-        let stale = {
-            let pin = map.graph.pin(&c);
-            NodeRef::new(map.resolve(&1, &pin, &c).unwrap())
-        };
-        {
-            let pin = map.graph.pin(&c);
-            assert!(stale.node(&pin).is_some(), "live anchor must validate");
-        }
-        // Filling the block freezes and replaces it.
-        assert!(map.insert(3, 3, &c));
+    let map = BlockedSkipMap::<u64, u64>::new(cfg(1), MIN_BLOCK_CAP);
+    let c = ctx();
+    assert!(map.insert(1, 1, &c));
+    assert!(map.insert(2, 2, &c));
+    let stale = {
         let pin = map.graph.pin(&c);
-        let dead = stale.node(&pin).is_none()
-            || stale.node(&pin).is_some_and(|n| n.load_next_raw(0).marked());
-        assert!(dead, "stale hint validated against a replaced block (reclaim={reclaim})");
-        drop(pin);
-        for k in 1..=3 {
-            assert_eq!(map.get(&k, &c), Some(k));
-        }
-        if reclaim {
-            map.graph.reclaim_flush(&c);
-        }
-        map.check_invariants(&c).unwrap();
+        NodeRef::new(map.resolve(&1, &pin, &c).unwrap())
+    };
+    {
+        let pin = map.graph.pin(&c);
+        assert!(stale.node(&pin).is_some(), "live anchor must validate");
     }
+    // Filling the block freezes and replaces it.
+    assert!(map.insert(3, 3, &c));
+    let pin = map.graph.pin(&c);
+    let dead = stale.node(&pin).is_none()
+        || stale
+            .node(&pin)
+            .is_some_and(|n| n.load_next_raw(0).marked());
+    assert!(dead, "stale hint validated against a replaced block");
+    drop(pin);
+    for k in 1..=3 {
+        assert_eq!(map.get(&k, &c), Some(k));
+    }
+    map.graph.reclaim_flush(&c);
+    map.check_invariants(&c).unwrap();
 }
 
 #[test]

@@ -93,8 +93,7 @@ fn capture_gen<K, V>(p: NodePtr<K, V>) -> u32 {
 /// An opaque reference to a shared data node, as stored by the
 /// thread-local structures. The slot stays dereferenceable for as long as
 /// the owning [`SkipGraph`] is alive (arena chunks are never unmapped
-/// mid-run), but with reclamation enabled its *contents* may belong to a
-/// later incarnation: every dereference goes through the generation check
+/// mid-run), but its *contents* may belong to a later incarnation: every dereference goes through the generation check
 /// of `NodeRef::node`.
 pub(crate) struct NodeRef<K, V> {
     pub(crate) ptr: NonNull<Node<K, V>>,
@@ -254,20 +253,32 @@ impl<K, V> SearchResult<K, V> {
             gen: self.pred_gens[level],
         })
     }
+
+    /// The predecessor the search carries for `level`, for a caller that
+    /// walks on from the search's frontier under the pin the search ran
+    /// under — or `None` if that node was retired since (or was already
+    /// dying when the search captured it): it is off every list, so only a
+    /// fresh search will do. A predecessor that merely *died* since is
+    /// returned; its frozen references still lead forward into the live
+    /// list.
+    pub(crate) fn carried_pred(&self, level: usize) -> Option<NodePtr<K, V>> {
+        let ptr = NonNull::new(self.preds[level])?;
+        let gen = self.pred_gens[level];
+        NodeRef { ptr, gen }.is_current().then_some(ptr.as_ptr())
+    }
 }
 
 /// An RAII reclamation pin (see [`SkipGraph::pin`]). While any guard for a
 /// thread is alive, every node its traversals reach is protected from
-/// recycling. Inert when reclamation is disabled.
+/// recycling.
 pub(crate) struct PinGuard<'g, K, V> {
-    domain: Option<(&'g EpochReclaim<K, V>, usize)>,
+    domain: &'g EpochReclaim<K, V>,
+    tid: usize,
 }
 
 impl<K, V> Drop for PinGuard<'_, K, V> {
     fn drop(&mut self) {
-        if let Some((domain, tid)) = self.domain {
-            domain.unpin(tid);
-        }
+        self.domain.unpin(self.tid);
     }
 }
 
@@ -278,7 +289,7 @@ impl<K, V> Drop for PinGuard<'_, K, V> {
 /// The walk holds its own reclamation pin, so every node it reaches stays
 /// allocated while the walk lives, but it hands its items out for the
 /// graph's lifetime `'g`. This is where the core relies on its caller:
-/// with reclamation enabled, a yielded node — and every key and value read
+/// a yielded node — and every key and value read
 /// through it — must not outlive the walk. [`RangeIter`]'s items carry
 /// the same contract.
 pub(crate) struct LevelWalk<'g, K, V> {
@@ -317,8 +328,10 @@ impl<'g, K, V> Iterator for LevelWalk<'g, K, V> {
 /// vector — its associated skip list — is derived from the configured
 /// [`crate::MembershipStrategy`].
 ///
-/// Nodes are allocated from per-thread NUMA-tagged arenas and reclaimed
-/// when the graph is dropped (see the crate docs for why).
+/// Nodes are allocated from per-thread NUMA-tagged arenas; a node
+/// unlinked from every level is recycled into its owner's arena after an
+/// epoch grace period (`skipgraph::reclaim`), and the rest are released when
+/// the graph is dropped.
 pub struct SkipGraph<K, V> {
     config: GraphConfig,
     membership: Box<[u32]>,
@@ -330,8 +343,8 @@ pub struct SkipGraph<K, V> {
     /// Sentinel arena bank (owner tag 0, matching the paper's attribution
     /// of head accesses to one arbitrary thread).
     _sentinels: TowerArenas<K, V>,
-    /// The epoch-based reclamation domain (inert unless
-    /// `GraphConfig::reclaim`): limbo lists, pins, and the global epoch.
+    /// The epoch-based reclamation domain every graph runs: limbo lists,
+    /// pins, and the global epoch (padded off the fields above).
     reclaim: EpochReclaim<K, V>,
     /// The shared point-read hash index (`GraphConfig::hash_index`),
     /// installed by the hashed constructors; `None` on plain graphs. See
@@ -417,7 +430,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
         let arenas = (0..config.num_threads)
             .map(|t| TowerArenas::new(t as u16, config.chunk_capacity, config.block_bytes))
             .collect();
-        let reclaim = EpochReclaim::new(config.reclaim, config.num_threads);
+        let reclaim = EpochReclaim::new(config.num_threads);
         Self {
             config,
             membership,
@@ -541,7 +554,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
     }
 
     /// Pins the calling thread against reclamation for the guard's
-    /// lifetime (re-entrant; inert when reclamation is disabled). Every
+    /// lifetime (re-entrant). Every
     /// public operation takes a pin around its traversal; layered handles
     /// take one around local-map validation plus the shared operation, so
     /// a validated [`NodeRef`] stays dereferenceable through the op.
@@ -550,9 +563,6 @@ impl<K: Ord, V> SkipGraph<K, V> {
     /// global epoch and collects the thread's own limbo list — so
     /// reclamation makes progress without a dedicated maintenance thread.
     pub(crate) fn pin(&self, ctx: &ThreadCtx) -> PinGuard<'_, K, V> {
-        if !self.reclaim.enabled() {
-            return PinGuard { domain: None };
-        }
         let tid = ctx.id() as usize;
         if !self.reclaim.is_pinned(tid) && self.reclaim.op_tick(tid) {
             if self.reclaim.try_advance() {
@@ -565,7 +575,8 @@ impl<K: Ord, V> SkipGraph<K, V> {
         }
         self.reclaim.pin(tid);
         PinGuard {
-            domain: Some((&self.reclaim, tid)),
+            domain: &self.reclaim,
+            tid,
         }
     }
 
@@ -610,7 +621,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
     /// `first` (exclusive of `end`) that a relink CAS just unlinked,
     /// recording the unlink on each node; a node observed unlinked from
     /// *every* level of its tower is retired onto the calling thread's
-    /// limbo list. No-op with reclamation disabled.
+    /// limbo list.
     ///
     /// Each chain node's level-`level` reference is marked, hence
     /// immutable, so the raw walk is stable; and a successful relink is
@@ -624,9 +635,6 @@ impl<K: Ord, V> SkipGraph<K, V> {
         level: usize,
         ctx: &ThreadCtx,
     ) {
-        if !self.reclaim.enabled() {
-            return;
-        }
         let mut cur = first;
         while cur != end {
             let node = unsafe { &*cur };
@@ -652,13 +660,8 @@ impl<K: Ord, V> SkipGraph<K, V> {
     }
 
     /// Immediately recycles a node that was allocated but never published
-    /// (no grace period needed: no other thread ever saw it). With
-    /// reclamation disabled the node is simply left to the arena, matching
-    /// the paper's never-free model.
+    /// (no grace period needed: no other thread ever saw it).
     pub(crate) fn discard_unpublished(&self, node: NonNull<Node<K, V>>, ctx: &ThreadCtx) {
-        if !self.reclaim.enabled() {
-            return;
-        }
         self.free_node(node);
         ctx.record_recycle(1);
     }
@@ -670,9 +673,6 @@ impl<K: Ord, V> SkipGraph<K, V> {
     /// maintenance windows; concurrent pinned threads may block some
     /// advancements (the flush is then merely partial).
     pub fn reclaim_flush(&self, ctx: &ThreadCtx) -> usize {
-        if !self.reclaim.enabled() {
-            return 0;
-        }
         debug_assert!(
             !self.reclaim.is_pinned(ctx.id() as usize),
             "reclaim_flush requires a quiescent caller"
@@ -854,7 +854,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
     /// so if the dead node is still linked at level `l` it lies on the
     /// frozen chain of marked references from `middles[l]` to `succs[l]`,
     /// and the reference naming it belongs to `preds[l]` or to a dead node
-    /// on that chain. [`SkipGraph::carried_pred`] is how a caller that
+    /// on that chain. [`SearchResult::carried_pred`] is how a caller that
     /// walks on from such a frontier later takes `preds[l]` back out.
     pub(crate) fn search_from(
         &self,
@@ -918,9 +918,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
                 res.preds[level] = prev;
                 res.middles[level] = middle;
                 res.succs[level] = succ;
-                if self.reclaim.enabled() {
-                    res.pred_gens[level] = capture_gen(prev);
-                }
+                res.pred_gens[level] = capture_gen(prev);
                 break;
             }
         }
@@ -928,23 +926,6 @@ impl<K: Ord, V> SkipGraph<K, V> {
         res.found = s0.is_data() && s0.cmp_key(key) == CmpOrdering::Equal && !s0.is_marked(0);
         ctx.record_search(visited);
         res
-    }
-
-    /// The predecessor `res` carries for `level`, for a caller that walks
-    /// on from the search's frontier under the pin the search ran under —
-    /// or `None` if that node was retired since (or was already dying when
-    /// the search captured it): it is off every list, so only a fresh
-    /// search will do. A predecessor that merely *died* since is returned;
-    /// its frozen references still lead forward into the live list.
-    pub(crate) fn carried_pred(
-        &self,
-        res: &SearchResult<K, V>,
-        level: usize,
-    ) -> Option<NodePtr<K, V>> {
-        let ptr = NonNull::new(res.preds[level])?;
-        let gen = res.pred_gens[level];
-        let live = !self.reclaim.enabled() || NodeRef { ptr, gen }.is_current();
-        live.then_some(ptr.as_ptr())
     }
 
     /// Number of data nodes currently linked (unmarked, and valid under the

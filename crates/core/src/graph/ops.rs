@@ -96,10 +96,11 @@ impl<K: Ord, V> SkipGraph<K, V> {
             if node.cas_next(0, w0, w0.with_mark(), ctx).is_ok() {
                 // Injected coherence bug (harness validation only): the
                 // winner of an eager delete skips its invalidate duty.
-                // Without reclamation the victim's generation never
-                // bumps, so the stale entry keeps answering point reads
-                // with the removed key until the stress wall catches the
-                // contradiction. See the `bug-injection` feature docs.
+                // The victim's generation bumps only when the node is
+                // unlinked from every level and retired, so until then
+                // the stale entry answers point reads with the removed
+                // key, and the stress wall must catch the contradiction.
+                // See the `bug-injection` feature docs.
                 #[cfg(not(feature = "bug-injection"))]
                 self.index_invalidate(node, ctx);
                 return true;

@@ -20,8 +20,8 @@ use std::ops::Bound;
 /// [`LayeredHandle::range`](crate::LayeredHandle::range).
 ///
 /// The iterator holds a reclamation pin for its whole lifetime, so every
-/// node it passes stays allocated. With reclamation enabled, yielded
-/// references must therefore not outlive the iterator.
+/// node it passes stays allocated. Yielded references must therefore not
+/// outlive the iterator.
 pub struct RangeIter<'g, K, V> {
     graph: &'g SkipGraph<K, V>,
     ctx: &'g ThreadCtx,

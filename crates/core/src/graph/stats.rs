@@ -139,8 +139,7 @@ pub struct MemoryStats {
     pub index_segments: usize,
     /// Allocated nodes per tower height (`[h]` = nodes with `top_level == h`).
     pub height_histogram: [usize; MAX_HEIGHT],
-    /// Retired nodes awaiting their grace period on limbo lists (zero with
-    /// reclamation disabled).
+    /// Retired nodes awaiting their grace period on limbo lists.
     pub limbo_nodes: usize,
     /// Nodes ever retired (monotonic; `retired_nodes - limbo_nodes` have
     /// been returned to the free lists or recycled).
@@ -297,12 +296,8 @@ mod tests {
 
     #[test]
     fn memory_stats_report_reclamation_lifecycle() {
-        let g: SkipGraph<u64, u64> = SkipGraph::new(
-            GraphConfig::new(2)
-                .max_level(2)
-                .reclaim(true)
-                .chunk_capacity(256),
-        );
+        let g: SkipGraph<u64, u64> =
+            SkipGraph::new(GraphConfig::new(2).max_level(2).chunk_capacity(256));
         let c = ThreadCtx::plain(0);
         let mut h = ConcurrentMap::pin(&g, ThreadCtx::plain(0));
         for k in 0..40u64 {

@@ -443,13 +443,45 @@ fn pop_min_under_concurrent_inserts() {
 // Epoch-based reclamation: retire/recycle lifecycle and generation checks.
 // ---------------------------------------------------------------------------
 
+/// Every operation loads the global epoch and every advance writes it and
+/// the advance count, so neither word may share a 128-byte line with the
+/// fields every operation reads and nothing writes after construction —
+/// wherever the graph lands: the check runs at every offset within a line
+/// that the graph's alignment allows.
+#[test]
+fn epoch_words_share_no_line_with_the_read_mostly_fields() {
+    fn span<T>(x: &T) -> (usize, usize) {
+        (x as *const T as usize, std::mem::size_of_val(x))
+    }
+    let g: SkipGraph<u64, u64> =
+        SkipGraph::new_hashed(GraphConfig::new(4).hash_index(true).chunk_capacity(256));
+    let base = &g as *const _ as usize;
+    let read = [
+        span(&g.config),
+        span(&g.membership),
+        span(&g.heads),
+        span(&g.arenas),
+        span(&g.index),
+    ];
+    for shift in (0..128).step_by(std::mem::align_of::<SkipGraph<u64, u64>>()) {
+        let lines = |(addr, size): (usize, usize)| {
+            let at = addr - base + shift;
+            at / 128..=(at + size - 1) / 128
+        };
+        for word in g.reclaim.epoch_words() {
+            for field in read {
+                let (w, f) = (lines(word), lines(field));
+                assert!(
+                    w.end() < f.start() || f.end() < w.start(),
+                    "at offset {shift}, an epoch word shares a line with a read-mostly field"
+                );
+            }
+        }
+    }
+}
+
 fn reclaiming(threads: usize) -> SkipGraph<u64, u64> {
-    SkipGraph::new(
-        GraphConfig::new(threads)
-            .max_level(2)
-            .reclaim(true)
-            .chunk_capacity(256),
-    )
+    SkipGraph::new(GraphConfig::new(threads).max_level(2).chunk_capacity(256))
 }
 
 #[test]

@@ -123,13 +123,10 @@ impl<K: Ord, V> LayeredMap<K, V> {
     /// the live entries, releasing all arena memory held by dead nodes.
     ///
     /// Shared nodes are arena-allocated, and arena memory is never
-    /// returned mid-run. Without [`GraphConfig::reclaim`] an unlinked node
-    /// is never reused either (the paper's memory model), so long
-    /// removal-heavy runs grow memory monotonically. With it, retired
-    /// nodes are recycled within their owner's arena, but the arenas keep
-    /// their high-water size, and logically removed nodes stay linked
-    /// until a search unlinks them. Periodic quiescent-point compaction
-    /// releases both. The caller must guarantee quiescence: the snapshot
+    /// returned mid-run. Retired nodes are recycled within their owner's
+    /// arena, but the arenas keep their high-water size, and logically
+    /// removed nodes stay linked until a search unlinks them. Periodic
+    /// quiescent-point compaction releases both. The caller must guarantee quiescence: the snapshot
     /// is a weak one, and handles to the *old* map keep operating on the
     /// old structure.
     ///

@@ -30,6 +30,12 @@
 //!   an element with expectation `1/4^i` and the local structures index
 //!   only top-reaching nodes.
 //!
+//! Memory has one model, whatever the variant: a node unlinked from every
+//! level is retired and, after an epoch grace period, recycled into its
+//! owner's NUMA-local arena (`reclaim`). The paper's implementation never
+//! frees a shared node mid-run, which only suits runs of a fixed length;
+//! dropping that model is deliberate, and there is no switch back to it.
+//!
 //! Four map types, operated through three per-thread handles: the paper's
 //! [`LayeredMap`] and the bare [`SkipGraph`] (the non-layered ablation)
 //! share the [`LayeredHandle`] — the bare graph's keeps no local

@@ -39,11 +39,6 @@ pub struct GraphConfig {
     pub membership: MembershipStrategy,
     /// Objects per arena chunk (the paper uses 2^20).
     pub chunk_capacity: usize,
-    /// Epoch-based reclamation: fully-unlinked nodes are retired onto
-    /// per-thread limbo lists and, after a grace period, recycled through
-    /// per-size-class free lists in the owning thread's arena bank. Off by
-    /// default (the paper's fixed-length-run memory model).
-    pub reclaim: bool,
     /// Extra bytes reserved after every node's tower for a fat level-0
     /// block (B-skiplist blocking). Zero for plain single-key nodes; set
     /// by `BlockedSkipMap::new` alone, from its capacity and entry stride,
@@ -88,7 +83,6 @@ impl GraphConfig {
             commission_cycles: DEFAULT_COMMISSION_FACTOR * threads as u64,
             membership: MembershipStrategy::NumaAware,
             chunk_capacity: numa::arena::DEFAULT_CHUNK_CAPACITY,
-            reclaim: false,
             block_bytes: 0,
             hash_index: false,
             owner_tag: None,
@@ -138,14 +132,6 @@ impl GraphConfig {
     pub fn chunk_capacity(mut self, objects: usize) -> Self {
         assert!(objects > 0);
         self.chunk_capacity = objects;
-        self
-    }
-
-    /// Enables epoch-based reclamation with NUMA-preserving slot recycling
-    /// (see `skipgraph::reclaim`). Required for long-running churn
-    /// workloads; adds a generation check to every cached node pointer.
-    pub fn reclaim(mut self, reclaim: bool) -> Self {
-        self.reclaim = reclaim;
         self
     }
 
@@ -206,7 +192,6 @@ mod tests {
         assert!(!c.sparse);
         assert_eq!(c.commission_cycles, 33_600_000);
         assert_eq!(c.membership, MembershipStrategy::NumaAware);
-        assert!(!c.reclaim, "reclamation is opt-in");
         assert!(!c.hash_index, "the point-read index is opt-in");
     }
 
@@ -218,14 +203,12 @@ mod tests {
             .max_level(3)
             .commission_cycles(10)
             .chunk_capacity(128)
-            .reclaim(true)
             .block_bytes(144)
             .hash_index(true);
         assert!(c.lazy && c.sparse);
         assert_eq!(c.max_level, 3);
         assert_eq!(c.commission_cycles, 10);
         assert_eq!(c.chunk_capacity, 128);
-        assert!(c.reclaim);
         assert_eq!(c.block_bytes, 144);
         assert!(c.hash_index);
     }

@@ -2,19 +2,23 @@
 //!
 //! The paper's C++ implementation never frees shared nodes mid-run — fine
 //! for fixed-length benchmarks, fatal for a long-running service under
-//! churn. This module adds the missing lifetime stage: a node that has
-//! been *physically unlinked from every level* is retired onto the
-//! retiring thread's **limbo list**, waits out a grace period measured in
-//! **epochs**, and is then returned to its size-class free list inside the
-//! owning thread's `TowerArenas` bank (so recycled memory keeps its
-//! first-touch NUMA placement).
+//! churn. This crate drops that model on purpose: every
+//! [`crate::SkipGraph`], and so every map built over one, reclaims, and
+//! there is no switch to turn it off. A node that has been *physically
+//! unlinked from every level* is retired onto the retiring thread's
+//! **limbo list**, waits out a grace period measured in **epochs**, and is
+//! then returned to its size-class free list inside the owning thread's
+//! `TowerArenas` bank (so recycled memory keeps its first-touch NUMA
+//! placement).
 //!
 //! # The protocol
 //!
-//! * A global epoch counter `global` and one padded slot per benchmark
-//!   thread. While a thread executes an operation it is **pinned**: its
-//!   slot holds `(epoch << 1) | 1`, snapshotting the global epoch it
-//!   entered at; quiescent threads hold `0`. Both words are
+//! * A global epoch counter `global`, padded onto lines of its own with
+//!   the advance count (every pin loads it, every advance writes it), and
+//!   one padded slot per benchmark thread. While a thread executes an
+//!   operation it is **pinned**: its slot holds `(epoch << 1) | 1`,
+//!   snapshotting the global epoch it entered at; quiescent threads hold
+//!   `0`. Both words are
 //!   [`FacadeAtomicUsize`]s, so under `--features deterministic` every
 //!   pin, unpin, advancement scan, and epoch CAS is a replayable
 //!   scheduling point and shrunken traces reproduce reclamation decisions.
@@ -69,7 +73,7 @@
 //! is freed only once no pin that could have reached it remains.
 
 use crate::node::Node;
-use crate::sync::FacadeAtomicUsize;
+use crate::sync::{FacadeAtomicUsize, Padded};
 use std::ptr::NonNull;
 use std::sync::atomic::{fence, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -126,15 +130,21 @@ struct ThreadSlot<K, V> {
     limbo: Mutex<Vec<Retired<K, V>>>,
 }
 
-/// The reclamation domain owned by one [`crate::SkipGraph`].
-pub(crate) struct EpochReclaim<K, V> {
-    enabled: bool,
+/// The two words an epoch advance writes.
+struct Epoch {
     /// The global epoch, through the facade so the deterministic scheduler
     /// interleaves advancement with pins.
     global: FacadeAtomicUsize,
-    slots: Box<[ThreadSlot<K, V>]>,
     /// Successful epoch advancements.
-    epoch_advances: AtomicUsize,
+    advances: AtomicUsize,
+}
+
+/// The reclamation domain owned by one [`crate::SkipGraph`].
+pub(crate) struct EpochReclaim<K, V> {
+    /// Loaded by every pin and written by every advance, so padded off
+    /// the graph's read-mostly fields.
+    epoch: Padded<Epoch>,
+    slots: Box<[ThreadSlot<K, V>]>,
 }
 
 // Retired nodes carry K/V payloads that will be dropped (released) from
@@ -144,7 +154,7 @@ unsafe impl<K: Send, V: Send> Send for EpochReclaim<K, V> {}
 unsafe impl<K: Send, V: Send> Sync for EpochReclaim<K, V> {}
 
 impl<K, V> EpochReclaim<K, V> {
-    pub(crate) fn new(enabled: bool, threads: usize) -> Self {
+    pub(crate) fn new(threads: usize) -> Self {
         let slots = (0..threads.max(1))
             .map(|_| ThreadSlot {
                 pinned: FacadeAtomicUsize::new(0),
@@ -155,31 +165,32 @@ impl<K, V> EpochReclaim<K, V> {
             })
             .collect();
         Self {
-            enabled,
-            global: FacadeAtomicUsize::new(0),
+            epoch: Padded(Epoch {
+                global: FacadeAtomicUsize::new(0),
+                advances: AtomicUsize::new(0),
+            }),
             slots,
-            epoch_advances: AtomicUsize::new(0),
         }
     }
 
-    /// Whether reclamation is on for this graph (`GraphConfig::reclaim`).
-    #[inline]
-    pub(crate) fn enabled(&self) -> bool {
-        self.enabled
+    /// The words an epoch advance writes, as (address, size) pairs.
+    #[cfg(test)]
+    pub(crate) fn epoch_words(&self) -> [(usize, usize); 2] {
+        fn span<T>(x: &T) -> (usize, usize) {
+            (x as *const T as usize, std::mem::size_of::<T>())
+        }
+        [span(&self.epoch.0.global), span(&self.epoch.0.advances)]
     }
 
     /// Pins `tid` (re-entrant). The outermost pin announces the current
     /// global epoch; until the matching [`Self::unpin`], every node the
     /// thread can reach is protected from being freed.
     pub(crate) fn pin(&self, tid: usize) {
-        if !self.enabled {
-            return;
-        }
         let slot = &self.slots[tid];
         let d = slot.depth.load(Ordering::Relaxed);
         slot.depth.store(d + 1, Ordering::Relaxed);
         if d == 0 {
-            let e = self.global.load();
+            let e = self.epoch.0.global.load();
             // The announcement must be ordered before every subsequent
             // shared read; try_advance fences symmetrically before its
             // scan. On x86 a locked RMW is a full barrier, so a SeqCst
@@ -198,9 +209,6 @@ impl<K, V> EpochReclaim<K, V> {
 
     /// Releases one pin level; the outermost release re-enters quiescence.
     pub(crate) fn unpin(&self, tid: usize) {
-        if !self.enabled {
-            return;
-        }
         let slot = &self.slots[tid];
         let d = slot.depth.load(Ordering::Relaxed);
         debug_assert!(d > 0, "unpin without pin");
@@ -213,7 +221,7 @@ impl<K, V> EpochReclaim<K, V> {
     /// Whether `tid` currently holds at least one pin.
     #[inline]
     pub(crate) fn is_pinned(&self, tid: usize) -> bool {
-        self.enabled && self.slots[tid].depth.load(Ordering::Relaxed) > 0
+        self.slots[tid].depth.load(Ordering::Relaxed) > 0
     }
 
     /// Counts one outermost pin; true every [`QUIESCE_PERIOD`]-th call,
@@ -221,9 +229,6 @@ impl<K, V> EpochReclaim<K, V> {
     /// (while quiescent — the graph does this right before pinning).
     #[inline]
     pub(crate) fn op_tick(&self, tid: usize) -> bool {
-        if !self.enabled {
-            return false;
-        }
         let slot = &self.slots[tid];
         let n = slot.ops.load(Ordering::Relaxed) + 1;
         slot.ops.store(n, Ordering::Relaxed);
@@ -239,9 +244,8 @@ impl<K, V> EpochReclaim<K, V> {
     /// `node` must be a data node physically unlinked from every level,
     /// reported exactly once (see `Node::note_unlinked`).
     pub(crate) unsafe fn retire(&self, tid: usize, node: NonNull<Node<K, V>>) {
-        debug_assert!(self.enabled);
         node.as_ref().bump_generation();
-        let epoch = self.global.load();
+        let epoch = self.epoch.0.global.load();
         let slot = &self.slots[tid];
         slot.limbo
             .lock()
@@ -255,10 +259,7 @@ impl<K, V> EpochReclaim<K, V> {
     /// Tries to advance the global epoch by one. Succeeds only when every
     /// pinned thread has announced the current epoch.
     pub(crate) fn try_advance(&self) -> bool {
-        if !self.enabled {
-            return false;
-        }
-        let g = self.global.load();
+        let g = self.epoch.0.global.load();
         fence(Ordering::SeqCst);
         for slot in self.slots.iter() {
             let p = slot.pinned.load();
@@ -266,9 +267,9 @@ impl<K, V> EpochReclaim<K, V> {
                 return false;
             }
         }
-        let ok = self.global.compare_exchange(g, g + 1).is_ok();
+        let ok = self.epoch.0.global.compare_exchange(g, g + 1).is_ok();
         if ok {
-            self.epoch_advances.fetch_add(1, Ordering::Relaxed);
+            self.epoch.0.advances.fetch_add(1, Ordering::Relaxed);
         }
         ok
     }
@@ -279,10 +280,7 @@ impl<K, V> EpochReclaim<K, V> {
     /// quiescent: a collectible epoch is at least two behind the global,
     /// which no live reference can reach (module docs).
     pub(crate) fn collect<F: FnMut(NonNull<Node<K, V>>)>(&self, tid: usize, mut free: F) -> usize {
-        if !self.enabled {
-            return 0;
-        }
-        let g = self.global.load();
+        let g = self.epoch.0.global.load();
         let mut limbo = self.slots[tid]
             .limbo
             .lock()
@@ -310,7 +308,7 @@ impl<K, V> EpochReclaim<K, V> {
     /// Current global epoch.
     #[inline]
     pub(crate) fn global_epoch(&self) -> usize {
-        self.global.load()
+        self.epoch.0.global.load()
     }
 
     /// Nodes currently awaiting their grace period (all threads). A
@@ -336,7 +334,7 @@ impl<K, V> EpochReclaim<K, V> {
     /// Successful epoch advancements.
     #[inline]
     pub(crate) fn epoch_advances(&self) -> usize {
-        self.epoch_advances.load(Ordering::Relaxed)
+        self.epoch.0.advances.load(Ordering::Relaxed)
     }
 }
 
@@ -359,7 +357,7 @@ mod tests {
 
     #[test]
     fn pinned_words_share_no_line() {
-        let r: EpochReclaim<u64, u64> = EpochReclaim::new(true, 4);
+        let r: EpochReclaim<u64, u64> = EpochReclaim::new(4);
         let lines: Vec<usize> = r
             .slots
             .iter()
@@ -374,22 +372,9 @@ mod tests {
     }
 
     #[test]
-    fn disabled_domain_is_inert() {
-        let r: EpochReclaim<u64, u64> = EpochReclaim::new(false, 2);
-        assert!(!r.enabled());
-        r.pin(0);
-        assert!(!r.is_pinned(0));
-        assert!(!r.try_advance());
-        assert!(!r.op_tick(0));
-        assert_eq!(r.collect(0, |_| panic!("nothing to free")), 0);
-        r.unpin(0);
-        assert_eq!(r.global_epoch(), 0);
-    }
-
-    #[test]
     fn grace_period_blocks_and_releases() {
         let a = arena();
-        let r: EpochReclaim<u64, u64> = EpochReclaim::new(true, 2);
+        let r: EpochReclaim<u64, u64> = EpochReclaim::new(2);
         let n = data(&a, 7);
         unsafe { r.retire(0, n) };
         assert_eq!(r.limbo_nodes(), 1);
@@ -410,7 +395,7 @@ mod tests {
 
     #[test]
     fn pinned_thread_blocks_advancement_until_unpin() {
-        let r: EpochReclaim<u64, u64> = EpochReclaim::new(true, 3);
+        let r: EpochReclaim<u64, u64> = EpochReclaim::new(3);
         r.pin(1);
         assert!(r.is_pinned(1));
         // Thread 1 announced epoch 0, so 0 -> 1 can pass it...
@@ -431,7 +416,7 @@ mod tests {
     #[test]
     fn collect_only_frees_own_slot() {
         let a = arena();
-        let r: EpochReclaim<u64, u64> = EpochReclaim::new(true, 2);
+        let r: EpochReclaim<u64, u64> = EpochReclaim::new(2);
         let n0 = data(&a, 1);
         let n1 = data(&a, 2);
         unsafe {
@@ -454,7 +439,7 @@ mod tests {
 
     #[test]
     fn op_tick_fires_periodically() {
-        let r: EpochReclaim<u64, u64> = EpochReclaim::new(true, 1);
+        let r: EpochReclaim<u64, u64> = EpochReclaim::new(1);
         let fired: usize = (0..2 * QUIESCE_PERIOD).filter(|_| r.op_tick(0)).count();
         assert_eq!(fired, 2);
     }

@@ -58,11 +58,11 @@
 //!   thread. A read hands it to the replica's lookup; a write stores it in
 //!   its log slot beside the operation, and every replica's replay
 //!   executes the operation under it, so no replay hashes again.
-//! * **Backpressure**: an appender observing `head - min_tail >= max_lag`
-//!   helps replay the laggiest replica instead of growing the backlog, so
-//!   a slot is never reclaimed while an applier might still read it
-//!   (`max_lag <= capacity` makes the bounded buffer safe by
-//!   construction). Every replica's tail gates slot reuse, so a drain can
+//! * **Backpressure**: an appender observing `head - min_tail >= max_lag`,
+//!   three quarters of the log capacity, helps replay the laggiest replica
+//!   instead of growing the backlog, so a slot is never reclaimed while an
+//!   applier might still read it (`max_lag <= capacity` makes the bounded
+//!   buffer safe by construction). Every replica's tail gates slot reuse, so a drain can
 //!   never find its slot stamped by a later wrap; it asserts as much.
 //!   The appender does not load every tail per append: its handle keeps,
 //!   per log, a lower bound on the slowest tail and reloads the tails
@@ -121,15 +121,13 @@ pub struct ReplicaConfig {
     sockets: usize,
     logs: usize,
     log_capacity: usize,
-    /// `None` follows the capacity ([`Self::lag_bound`]).
-    max_lag: Option<usize>,
 }
 
 impl ReplicaConfig {
     /// `threads` split into `sockets` contiguous blocks (a synthetic
     /// topology). There is no clamp to the thread count: a replica may own
-    /// no threads at all — backpressure help keeps it within `max_lag` of
-    /// the log head anyway.
+    /// no threads at all — backpressure help keeps it within the lag bound
+    /// of the log head anyway.
     pub fn uniform(threads: usize, sockets: usize) -> Self {
         assert!(threads > 0 && sockets > 0);
         Self {
@@ -137,7 +135,6 @@ impl ReplicaConfig {
             sockets,
             logs: 2,
             log_capacity: 256,
-            max_lag: None,
         }
     }
 
@@ -150,7 +147,10 @@ impl ReplicaConfig {
         self
     }
 
-    /// Slots per log (default 256). Must be a power of two `>= 2`.
+    /// Slots per log (default 256). Must be a power of two `>= 2`. An
+    /// appender that finds three quarters of them unapplied by the slowest
+    /// replica helps replay before appending (the backpressure bound: 192
+    /// at the default, 1 at 2 slots).
     pub fn log_capacity(mut self, capacity: usize) -> Self {
         assert!(
             capacity >= 2 && capacity.is_power_of_two(),
@@ -160,20 +160,10 @@ impl ReplicaConfig {
         self
     }
 
-    /// Backpressure bound (default three quarters of the log capacity,
-    /// 192 at the default 256): an appender observing this many unapplied
-    /// slots ahead of the slowest replica helps replay before appending.
-    /// Must satisfy `1 <= max_lag <= log_capacity`.
-    pub fn max_lag(mut self, max_lag: usize) -> Self {
-        assert!(max_lag >= 1, "max_lag must be positive");
-        self.max_lag = Some(max_lag);
-        self
-    }
-
-    /// The backpressure bound in force: the one set, else three quarters
-    /// of the log capacity (at least 1, the capacity being at least 2).
+    /// The backpressure bound: three quarters of the log capacity (at
+    /// least 1, the capacity being at least 2).
     fn lag_bound(&self) -> usize {
-        self.max_lag.unwrap_or(self.log_capacity * 3 / 4)
+        self.log_capacity * 3 / 4
     }
 
     /// Number of registered threads.
@@ -312,12 +302,6 @@ impl<K: Ord + Hash + Clone, V> ReplicatedLayeredMap<K, V> {
             "graph config sized for {} threads, placement has {}",
             config.num_threads,
             rcfg.threads()
-        );
-        assert!(
-            rcfg.lag_bound() <= rcfg.log_capacity,
-            "max_lag {} exceeds log capacity {}",
-            rcfg.lag_bound(),
-            rcfg.log_capacity
         );
         let sockets = rcfg.sockets();
         let replicas = (0..sockets)
@@ -710,11 +694,11 @@ mod tests {
 
     #[test]
     fn backpressure_wraps_a_tiny_log() {
-        // Capacity 8 with lag bound 4: 200 updates force many wraps and
+        // Capacity 8 with lag bound 6: 200 updates force many wraps and
         // constant self-help replay; set semantics must be exact.
         let map: ReplicatedLayeredMap<u64, u64> = ReplicatedLayeredMap::new(
             config(1),
-            ReplicaConfig::uniform(1, 2).logs(1).log_capacity(8).max_lag(4),
+            ReplicaConfig::uniform(1, 2).logs(1).log_capacity(8),
         );
         let mut h = map.register(ThreadCtx::plain(0));
         for i in 0..100u64 {
@@ -758,37 +742,28 @@ mod tests {
         });
     }
 
-    /// Two writer threads on one log of four slots, one per socket, each
-    /// on keys of its own: every append meets the wrap edge, with the lag
-    /// bound at the capacity (only the slowest tail keeps an append off a
-    /// slot some replica has not applied yet) and at 1 (every append
-    /// first waits out both replicas). A drain that met a slot restamped
-    /// by a later wrap would panic its thread.
+    /// Two writer threads on one small log, one per socket, each on keys
+    /// of its own: every append meets the wrap edge, on four slots (lag
+    /// bound 3: the slowest tail keeps an append off a slot some replica
+    /// has not applied yet) and on two (lag bound 1: every append first
+    /// waits out both replicas). A drain that met a slot restamped by a
+    /// later wrap would panic its thread.
     #[test]
-    fn two_writers_wrap_a_four_slot_log() {
-        for max_lag in [4, 1] {
-            let rcfg = ReplicaConfig::uniform(2, 2).logs(1).log_capacity(4);
-            two_writers_wrap_one_log(rcfg.max_lag(max_lag));
+    fn two_writers_wrap_a_small_log() {
+        for capacity in [4, 2] {
+            two_writers_wrap_one_log(ReplicaConfig::uniform(2, 2).logs(1).log_capacity(capacity));
         }
     }
 
-    /// A capacity set alone brings its own lag bound: three quarters of
-    /// it, 6 of 8 slots (a fixed default of 192 would exceed it and panic).
+    /// The capacity brings the lag bound: three quarters of it, 6 of 8
+    /// slots and 192 of the default 256.
     #[test]
-    fn a_log_capacity_alone_sets_the_lag_bound() {
+    fn a_log_capacity_sets_the_lag_bound() {
         let rcfg = ReplicaConfig::uniform(2, 2).logs(1).log_capacity(8);
         assert_eq!(rcfg.lag_bound(), 6);
         assert_eq!(ReplicaConfig::uniform(2, 2).lag_bound(), 192);
+        assert_eq!(ReplicaConfig::uniform(2, 2).log_capacity(2).lag_bound(), 1);
         two_writers_wrap_one_log(rcfg);
-    }
-
-    #[test]
-    #[should_panic(expected = "max_lag 9 exceeds log capacity 8")]
-    fn a_lag_bound_above_the_capacity_panics() {
-        let _: ReplicatedLayeredMap<u64, u64> = ReplicatedLayeredMap::new(
-            config(2),
-            ReplicaConfig::uniform(2, 2).log_capacity(8).max_lag(9),
-        );
     }
 
     fn two_writers_wrap_one_log(rcfg: ReplicaConfig) {
@@ -835,7 +810,7 @@ mod tests {
     fn log_words_written_by_different_threads_share_no_line() {
         let map: ReplicatedLayeredMap<u64, u64> = ReplicatedLayeredMap::new(
             config(2),
-            ReplicaConfig::uniform(2, 2).logs(2).log_capacity(8).max_lag(8),
+            ReplicaConfig::uniform(2, 2).logs(2).log_capacity(8),
         );
         for log in &map.logs {
             // Claimers of neighbouring positions write neighbouring slots.

@@ -11,6 +11,7 @@
 //!   operation through the wrapped handle's direct call, in order.
 //! * The ordered-local-map trait: [`crate::local::BTreeLocalMap`], the one
 //!   ordered local structure, has its methods as inherent ones.
+//! * The reclamation switch: every graph reclaims.
 
 use crate::{
     GraphConfig, LayeredHandle, LayeredMap, ReplicaConfig, ReplicatedLayeredMap, SkipGraph,
@@ -46,6 +47,13 @@ impl GraphConfig {
     /// Kept for `benchmark/src/target.rs`; returns `self` unchanged.
     #[doc(hidden)]
     pub fn adapt(self, _: AdaptConfig) -> Self {
+        self
+    }
+
+    /// Kept for `benchmark/src/target.rs`; returns `self` unchanged
+    /// (every graph reclaims).
+    #[doc(hidden)]
+    pub fn reclaim(self, _: bool) -> Self {
         self
     }
 }

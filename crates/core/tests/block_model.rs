@@ -127,9 +127,8 @@ proptest! {
     /// `behaves_like_btreemap`, with every point op and every scan start
     /// under one thread slot, so each resolves via that slot's local anchor
     /// map first — at blocks of two and four (splits *and* merges retire
-    /// recorded anchors constantly) and, in half the cases, with
-    /// reclamation on and explicit grace-period flushes mid-sequence. A
-    /// flush recycles the retired anchors the slot still references, so
+    /// recorded anchors constantly), with explicit grace-period flushes
+    /// mid-sequence. A flush recycles the retired anchors the slot still references, so
     /// subsequent lookups must die on the generation check;
     /// a recorded anchor surviving past a split/merge/recycle would answer
     /// the very next op or scan from the wrong block and diverge from the
@@ -139,10 +138,9 @@ proptest! {
     fn handle_over_local_anchors_behaves_like_btreemap(
         ops in proptest::collection::vec((0u8..12, 0u64..48, 0u64..1000), 1..350),
         cap in prop_oneof![Just(2usize), Just(4)],
-        reclaim: bool,
     ) {
         let map: BlockedSkipMap<u64, u64> = BlockedSkipMap::new(
-            GraphConfig::new(2).reclaim(reclaim).chunk_capacity(256),
+            GraphConfig::new(2).chunk_capacity(256),
             cap,
         );
         let mut h = map.register(ThreadCtx::plain(0));
@@ -176,13 +174,11 @@ proptest! {
                 }
                 10 => h = map.register(ThreadCtx::plain(0)),
                 _ => {
-                    // Retire-and-recycle point: with reclamation on, every
-                    // anchor a split or merge has retired so far is now
-                    // recycled under a bumped generation while the slot
-                    // still holds a reference to the old incarnation.
-                    if reclaim {
-                        map.shared().reclaim_flush(h.ctx());
-                    }
+                    // Retire-and-recycle point: every anchor a split or
+                    // merge has retired so far is now recycled under a
+                    // bumped generation while the slot still holds a
+                    // reference to the old incarnation.
+                    map.shared().reclaim_flush(h.ctx());
                 }
             }
         }
@@ -437,10 +433,7 @@ fn scattered_preload_of_2_19_keys_through_two_handles() {
     const THREADS: u64 = 2;
     let scatter = |i: u64| i.wrapping_mul(0x9E37_79B1_85EB_CA87);
     let map: BlockedSkipMap<u64, u64> = BlockedSkipMap::new(
-        GraphConfig::new(THREADS as usize)
-            .max_level(7)
-            .sparse(true)
-            .reclaim(true),
+        GraphConfig::new(THREADS as usize).max_level(7).sparse(true),
         8,
     );
     std::thread::scope(|s| {
@@ -472,10 +465,8 @@ fn scattered_preload_of_2_19_keys_through_two_handles() {
 #[cfg_attr(debug_assertions, ignore)]
 fn scattered_preload_reads_grow_only_by_the_splits_descent() {
     fn reads_per_insert(keys: u64) -> f64 {
-        let map: BlockedSkipMap<u64, u64> = BlockedSkipMap::new(
-            GraphConfig::new(2).max_level(7).sparse(true).reclaim(true),
-            8,
-        );
+        let map: BlockedSkipMap<u64, u64> =
+            BlockedSkipMap::new(GraphConfig::new(2).max_level(7).sparse(true), 8);
         let stats = AccessStats::new(2);
         let mut handles: Vec<_> = (0..2)
             .map(|t| map.register(ThreadCtx::recording(t, Arc::clone(&stats))))
@@ -642,7 +633,7 @@ mod deterministic {
             }
             ops
         };
-        let pct = (0..32u64).map(|seed| {
+        let pct = (0..64u64).map(|seed| {
             let policy = Policy::Pct {
                 change_points: 12,
                 expected_steps: 30_000,
@@ -653,11 +644,10 @@ mod deterministic {
             (1..=16u32).map(|quantum| (quantum as u64, Policy::RoundRobin { quantum }));
         let (mut schedules, mut longest) = (0, 0);
         for (seed, policy) in pct.chain(round_robin) {
-            for (sparse, reclaim) in [(false, false), (false, true), (true, false), (true, true)] {
+            for sparse in [false, true] {
                 let map: BlockedSkipMap<u64, u64> = BlockedSkipMap::new(
                     GraphConfig::new(THREADS as usize)
                         .sparse(sparse)
-                        .reclaim(reclaim)
                         .chunk_capacity(512),
                     2,
                 );
@@ -726,7 +716,7 @@ mod deterministic {
             }
             ops
         };
-        let pct = (0..32u64).map(|seed| {
+        let pct = (0..64u64).map(|seed| {
             let policy = Policy::Pct {
                 change_points: 12,
                 expected_steps: 40_000,
@@ -737,12 +727,11 @@ mod deterministic {
         let stats = AccessStats::new(THREADS as usize);
         let (mut schedules, mut longest) = (0, 0);
         for (seed, policy) in pct.chain(round_robin) {
-            for (sparse, reclaim) in [(false, false), (false, true), (true, false), (true, true)] {
+            for sparse in [false, true] {
                 let map: BlockedSkipMap<u64, u64> = BlockedSkipMap::new(
                     GraphConfig::new(THREADS as usize)
                         .max_level(2)
                         .sparse(sparse)
-                        .reclaim(reclaim)
                         .chunk_capacity(512),
                     2,
                 );

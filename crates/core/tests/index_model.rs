@@ -2,8 +2,8 @@
 //!
 //! The index is an accelerator, never an authority: every hit must be
 //! re-validated against the node it names. These tests drive the
-//! index-accelerated layered map against a `BTreeMap` model under churn
-//! **with reclamation on**, flushing the grace-period protocol mid-run
+//! index-accelerated layered map against a `BTreeMap` model under churn,
+//! flushing the grace-period protocol mid-run
 //! so removed nodes are actually retired, recycled, and re-published
 //! under new keys while the index still holds generation-tagged entries
 //! to the old incarnations. A single stale read — a hit surviving
@@ -19,7 +19,6 @@ use std::collections::BTreeMap;
 fn indexed_reclaiming(threads: usize) -> GraphConfig {
     GraphConfig::new(threads)
         .hash_index(true)
-        .reclaim(true)
         .chunk_capacity(256)
 }
 

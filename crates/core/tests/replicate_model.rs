@@ -9,8 +9,8 @@
 //! and *slot-reuse corruption* once a tiny log wraps. These tests drive
 //! two handles pinned to different sockets against a `BTreeMap` model —
 //! sequentially interleaved, so every outcome is exact — over a log small
-//! enough to wrap many times per sequence, **with reclamation on** and
-//! mid-run grace-period flushes on both replicas so replayed nodes are
+//! enough to wrap many times per sequence, with mid-run grace-period
+//! flushes on both replicas so replayed nodes are
 //! retired and recycled while the other replica still lags.
 #![cfg(not(feature = "bug-injection"))]
 
@@ -32,15 +32,14 @@ use std::ops::Bound::Unbounded;
 
 fn replicated_reclaiming() -> ReplicatedLayeredMap<u64, u64> {
     // Three thread slots: two handles on two sockets plus a flusher ctx.
-    // The 16-slot log with a lag bound of 12 wraps every few operations,
+    // The 16-slot log (lag bound 12) wraps every few operations,
     // keeping the backpressure and slot-reuse paths hot.
     ReplicatedLayeredMap::new(
         GraphConfig::new(3)
             .lazy(true)
             .hash_index(true)
-            .reclaim(true)
             .chunk_capacity(256),
-        ReplicaConfig::uniform(2, 2).logs(2).log_capacity(16).max_lag(12),
+        ReplicaConfig::uniform(2, 2).logs(2).log_capacity(16),
     )
 }
 
@@ -53,9 +52,8 @@ fn replicated_four_slots(lazy: bool) -> ReplicatedLayeredMap<u64, u64> {
         GraphConfig::new(4)
             .lazy(lazy)
             .hash_index(true)
-            .reclaim(true)
             .chunk_capacity(256),
-        ReplicaConfig::uniform(4, 2).logs(2).log_capacity(16).max_lag(12),
+        ReplicaConfig::uniform(4, 2).logs(2).log_capacity(16),
     )
 }
 
@@ -195,7 +193,8 @@ proptest! {
 /// linked into thread 2's upper-level list ("foreign mvec").
 #[test]
 fn a_warm_node_of_another_vector_starts_no_eager_replay() {
-    const MAX_LAG: usize = 12;
+    // The lag bound of the 16-slot log.
+    const LAG_BOUND: usize = 12;
     let map = replicated_four_slots(false);
     let mut h0 = map.register(ThreadCtx::plain(0));
     let mut h2 = map.register(ThreadCtx::plain(2));
@@ -204,7 +203,7 @@ fn a_warm_node_of_another_vector_starts_no_eager_replay() {
         assert!(h2.insert(k, k));
         h0.sync();
     }
-    for k in (0..3 * MAX_LAG as u64).map(|i| 10 * i + 5) {
+    for k in (0..3 * LAG_BOUND as u64).map(|i| 10 * i + 5) {
         assert!(h0.insert(k, k), "insert {k}");
     }
     h2.sync();
@@ -221,19 +220,16 @@ fn a_warm_node_of_another_vector_starts_no_eager_replay() {
 /// flushed and its slot reused for a fresh key. The replay must fall back
 /// or start from the dead node without changing any outcome.
 fn a_warm_key_gone_from_the_lagging_replica(recycle: bool) {
-    const MAX_LAG: usize = 12;
+    // The lag bound of the 16-slot log.
+    const LAG_BOUND: usize = 12;
     // Commission off, so a search that meets a removed node retires it.
     let map: ReplicatedLayeredMap<u64, u64> = ReplicatedLayeredMap::new(
         GraphConfig::new(3)
             .lazy(true)
             .hash_index(true)
-            .reclaim(true)
             .commission_cycles(0)
             .chunk_capacity(256),
-        ReplicaConfig::uniform(2, 2)
-            .logs(1)
-            .log_capacity(16)
-            .max_lag(MAX_LAG),
+        ReplicaConfig::uniform(2, 2).logs(1).log_capacity(16),
     );
     let stats = instrument::AccessStats::new(3);
     let mut h0 = map.register(ThreadCtx::plain(0));
@@ -273,13 +269,13 @@ fn a_warm_key_gone_from_the_lagging_replica(recycle: bool) {
             model.insert(k);
         }
     }
-    // Fewer than MAX_LAG appends since the sync: nobody helped yet.
+    // Fewer than LAG_BOUND appends since the sync: nobody helped yet.
     // Thread 1's writes now pile up in socket 0's replica until the lag
     // bound makes thread 1 replay them there.
     let before = stats.thread(1);
     let writes: Vec<(u64, bool)> = [(205, true), (310, false)]
         .into_iter()
-        .chain((0..MAX_LAG as u64).map(|i| (2000 + 10 * i, true)))
+        .chain((0..LAG_BOUND as u64).map(|i| (2000 + 10 * i, true)))
         .collect();
     for &(k, insert) in &writes {
         if insert {
@@ -425,12 +421,8 @@ fn concurrent_churn_across_sockets_keeps_read_your_writes() {
         GraphConfig::new(THREADS as usize + 1)
             .lazy(true)
             .hash_index(true)
-            .reclaim(true)
             .chunk_capacity(256),
-        ReplicaConfig::uniform(THREADS as usize, 2)
-            .logs(2)
-            .log_capacity(16)
-            .max_lag(12),
+        ReplicaConfig::uniform(THREADS as usize, 2).logs(2).log_capacity(16),
     );
     let stop = std::sync::atomic::AtomicBool::new(false);
     std::thread::scope(|s| {

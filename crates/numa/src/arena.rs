@@ -18,11 +18,10 @@
 //!   directly into line offsets for the cache model,
 //! * a chunk of [`HUGE_PAGE`] bytes or more sits on 2 MiB pages (see
 //!   below),
-//! * objects live until the arena is dropped. This mirrors the paper's C++
-//!   implementation, which never frees shared nodes mid-run, and is what
-//!   makes the stale node pointers held by the thread-local structures safe
-//!   to dereference (they are validated through mark/valid bits instead of
-//!   being reclaimed).
+//! * chunks stay mapped until the arena is dropped, as the paper's C++
+//!   implementation keeps its shared nodes. A client may recycle a slot
+//!   in place (the skip graph's reclaimer does), but a stale pointer into
+//!   a chunk never dangles.
 //!
 //! # Page size
 //!

@@ -6,13 +6,12 @@
 //! |---|---|
 //! | `layered_map_sg` | local maps over a (non-lazy) skip graph |
 //! | `lazy_layered_sg` | the lazy variant |
-//! | `reclaim_layered_sg` | the non-lazy variant with epoch-based reclamation (slots recycled NUMA-locally) |
 //! | `layered_map_ssg` | local maps over a *sparse* skip graph |
 //! | `layered_map_ll` | local maps over a linked list (MaxLevel 0) |
 //! | `layered_map_sl` | local maps over a single skip list (no partitioning) |
 //! | `skipgraph` | the skip graph without layering |
-//! | `blocked_sg` | fat level-0 blocks (B-skiplist blocking) over the skip graph |
-//! | `anchor_blocked_sg` | the same blocks with epoch reclamation, as the benchmark's scan workload runs them |
+//! | `blocked_sg` | fat level-0 blocks (B-skiplist blocking) over sparse towers, as the benchmark's scan workload runs them |
+//! | `anchor_blocked_sg` | the same blocks over full towers, every anchor sampled into the local anchor maps |
 //! | `hashed_sg` | layered map with the shared lock-free hash index (Skip Hash fast path) |
 //! | `lazy_hashed_sg` | the lazy hash-indexed layered map, the geometry of the benchmark's point workloads |
 //! | `replicated_sg` | per-socket replicas of the lazy hash-indexed map over partitioned operation logs |
@@ -48,7 +47,6 @@ use std::time::Duration;
 pub const STRUCTURES: &[&str] = &[
     "layered_map_sg",
     "lazy_layered_sg",
-    "reclaim_layered_sg",
     "layered_map_ssg",
     "layered_map_ll",
     "layered_map_sl",
@@ -107,19 +105,17 @@ pub fn with_named<V: Visit>(name: &str, threads: usize, key_space: u64, visit: V
     let cap = chunk_capacity(t, key_space);
     let maintenance = Duration::from_millis(2);
     match name {
-        "layered_map_sg" | "lazy_layered_sg" | "reclaim_layered_sg" | "layered_map_ssg"
-        | "layered_map_ll" | "layered_map_sl" | "hashed_sg" | "lazy_hashed_sg" => {
+        "layered_map_sg" | "lazy_layered_sg" | "layered_map_ssg" | "layered_map_ll"
+        | "layered_map_sl" | "hashed_sg" | "lazy_hashed_sg" => {
             let graph = match name {
                 "layered_map_sg" => GraphConfig::new(t),
                 "lazy_layered_sg" => GraphConfig::new(t).lazy(true),
-                "reclaim_layered_sg" => GraphConfig::new(t).reclaim(true),
                 "layered_map_ssg" => GraphConfig::new(t).sparse(true),
                 "layered_map_ll" => GraphConfig::linked_list(t),
                 "layered_map_sl" => GraphConfig::single_skip_list(t),
                 "lazy_hashed_sg" => GraphConfig::new(t).lazy(true).hash_index(true),
-                // Non-lazy and unreclaimed, so eager removes must
-                // invalidate their own entries (the duty the bug-injection
-                // lane skips); every index segment starts at four slots,
+                // Non-lazy, so eager removes must invalidate their own
+                // entries (the duty the bug-injection lane skips); every index segment starts at four slots,
                 // so the stress schedules cross in-place grows and
                 // compactions.
                 _ => GraphConfig::new(t).hash_index(true),
@@ -130,25 +126,27 @@ pub fn with_named<V: Visit>(name: &str, threads: usize, key_space: u64, visit: V
             GraphConfig::new(t).chunk_capacity(cap),
         )),
         // Blocks of four so the stress schedules reach splits and merges,
-        // not just in-block CASes.
+        // not just in-block CASes, over the scan workload's sparse towers
+        // of up to eight levels. Sparse towers select the lost-insert
+        // injection (`anchor_blocked_sg` keeps the severed covering check).
         "blocked_sg" => visit.visit(&BlockedSkipMap::<u64, u64>::new(
+            GraphConfig::new(t)
+                .chunk_capacity(cap)
+                .max_level(7)
+                .sparse(true),
+            4,
+        )),
+        // The same blocks over full towers: with three threads towers stop
+        // at level 1 and every anchor reaches it, so the local anchor maps
+        // fill, and split and merge installs retire the dead anchors, so
+        // those maps validate against recycled slots.
+        "anchor_blocked_sg" => visit.visit(&BlockedSkipMap::<u64, u64>::new(
             GraphConfig::new(t).chunk_capacity(cap),
             4,
         )),
-        // The same blocks with reclamation on, as the benchmark's scan
-        // workload runs them: split and merge installs retire the dead
-        // anchors, so the local anchor maps validate against recycled
-        // slots. Reclamation selects the severed-covering-check injection
-        // (`blocked_sg` keeps the lost-insert one); with three threads
-        // towers stop at level 1 and every anchor reaches it, so the local
-        // anchor maps fill.
-        "anchor_blocked_sg" => visit.visit(&BlockedSkipMap::<u64, u64>::new(
-            GraphConfig::new(t).chunk_capacity(cap).reclaim(true),
-            4,
-        )),
         // Per-socket replicas over two synthetic sockets, so reads on one
-        // replica race replays of the other, with logs of 16 and a lag
-        // bound of 12 so the stress schedules reach wraparound and
+        // replica race replays of the other, with logs of 16 (so a lag
+        // bound of 12) so the stress schedules reach wraparound and
         // backpressure helping. The bug-injection build replicates the
         // plain eager graph, so the replication fault is the only live one
         // in the lane.
@@ -156,10 +154,7 @@ pub fn with_named<V: Visit>(name: &str, threads: usize, key_space: u64, visit: V
             let graph = GraphConfig::new(t).chunk_capacity(cap);
             #[cfg(not(feature = "bug-injection"))]
             let graph = graph.lazy(true).hash_index(true);
-            let replicas = ReplicaConfig::uniform(t, t.min(2))
-                .logs(2)
-                .log_capacity(16)
-                .max_lag(12);
+            let replicas = ReplicaConfig::uniform(t, t.min(2)).logs(2).log_capacity(16);
             visit.visit(&ReplicatedLayeredMap::<u64, u64>::new(graph, replicas))
         }
         "skiplist" => visit.visit(&LockFreeSkipList::<u64, u64>::new(

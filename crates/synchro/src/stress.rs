@@ -44,7 +44,6 @@ use skipgraph::det::{self, DetConfig, Policy, Trace};
 pub const DET_STRUCTURES: &[&str] = &[
     "layered_map_sg",
     "lazy_layered_sg",
-    "reclaim_layered_sg",
     "layered_map_ssg",
     "layered_map_ll",
     "layered_map_sl",

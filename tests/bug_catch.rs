@@ -122,10 +122,11 @@ fn injected_stale_index_read_is_caught_and_shrunk() {
     // The hash index's injected coherence fault: the eager remove winner
     // skips its invalidate-before-retire duty, and the index read path
     // trusts any generation-valid entry without re-checking the node's
-    // validity word. With no reclamation running the generation never
-    // bumps, so the stale entry keeps answering point reads for a key
-    // that was removed — a successful remove followed by a `true`
-    // contains with no insert in between, which cannot linearize.
+    // validity word. The generation bumps only once the removed node is
+    // unlinked from every level and retired, so until then the stale entry
+    // keeps answering point reads for a key that was removed — a
+    // successful remove followed by a `true` contains with no insert in
+    // between, which cannot linearize.
     let cfg = StressConfig {
         threads: 3,
         key_space: 8,
@@ -226,8 +227,8 @@ fn injected_stale_replica_read_is_caught_and_shrunk() {
 
 #[test]
 fn injected_blocked_lost_insert_is_caught_and_shrunk() {
-    // The blocked map's injected fault (maps built without reclamation
-    // only, as `blocked_sg` is): an insert that observes its block
+    // The blocked map's injected fault (maps over sparse towers only, as
+    // `blocked_sg`'s are): an insert that observes its block
     // frozen at publish time reports success without ever setting the
     // present bit, so the key silently misses the survivor migration —
     // the lost-insert window a skipped post-split recheck would open.
@@ -281,8 +282,8 @@ fn injected_blocked_lost_insert_is_caught_and_shrunk() {
 
 #[test]
 fn injected_anchor_stale_covering_is_caught_and_shrunk() {
-    // The local anchor maps' injected fault (maps built with reclamation
-    // only, as `anchor_blocked_sg` is and `blocked_sg` is not, so each
+    // The local anchor maps' injected fault (maps over full towers only,
+    // as `anchor_blocked_sg`'s are and `blocked_sg`'s are not, so each
     // stress lane still carries exactly one live fault): on the read
     // paths — point lookups and scan starts — a local anchor that passes
     // the liveness ladder is returned *without* the covering check. After

@@ -93,14 +93,13 @@ const BLOCK_CAP: usize = 8;
 const BLOCK_KEYS: u64 = 60_000;
 
 /// Full-height sparse lazy towers — the blocked and the unblocked lane
-/// differ only in blocking; reclamation on, so a split's frozen victim goes
-/// back to the free lists instead of counting against bytes/key forever.
+/// differ only in blocking; a split's frozen victim goes back to the free
+/// lists instead of counting against bytes/key forever.
 fn block_config(slots: u16) -> GraphConfig {
     GraphConfig::new(slots as usize)
         .max_level(7)
         .sparse(true)
         .lazy(true)
-        .reclaim(true)
         .chunk_capacity(CHUNK)
 }
 
@@ -760,13 +759,12 @@ type Worker<'m> = ReplicatedHandle<'m, u64, u64>;
 /// 0); threads `1..=sockets` sit one per socket and do the counted work.
 fn replicated(sockets: usize) -> Replicated {
     let slots = sockets + 1;
-    // A roomy log with a high lag bound: a socket is never made to help
-    // replay another socket's replica, so whatever remote lines are
-    // counted are the design's and not back-pressure's.
+    // A roomy log, so a high lag bound (768 of 1 024 slots): a socket is
+    // never made to help replay another socket's replica, so whatever
+    // remote lines are counted are the design's and not back-pressure's.
     let rcfg = ReplicaConfig::uniform(slots, sockets)
         .logs(4)
-        .log_capacity(1 << 10)
-        .max_lag(3 << 8);
+        .log_capacity(1 << 10);
     let map = ReplicatedLayeredMap::new(
         GraphConfig::new(slots)
             .lazy(true)
@@ -888,7 +886,9 @@ fn a_replicated_write_is_replayed_once_per_socket() {
 fn a_foreign_replay_starts_warm() {
     const FRESH: u64 = 2_000;
     const LOGS: usize = 2;
-    const MAX_LAG: usize = 12;
+    const LOG_CAPACITY: usize = 16;
+    // The backpressure bound: three quarters of the log.
+    const LAG_BOUND: usize = LOG_CAPACITY * 3 / 4;
     // Two slots, one per socket: `MaxLevel` 0, the benchmark's graph. A
     // small lag bound, so the lone writer below keeps helping the idle
     // socket's replica, where its handle has replayed nothing before.
@@ -900,8 +900,7 @@ fn a_foreign_replay_starts_warm() {
             .commission_cycles(u64::MAX),
         ReplicaConfig::uniform(2, 2)
             .logs(LOGS)
-            .log_capacity(16)
-            .max_lag(MAX_LAG),
+            .log_capacity(LOG_CAPACITY),
     );
     let stats = sink(&map);
     let mut w = pin_all(&map, 0..2, Some(&stats));
@@ -923,7 +922,7 @@ fn a_foreign_replay_starts_warm() {
     // Its own replica applies every insert, the other one all but what the
     // lag bound leaves pending in each log.
     assert!(
-        replayed >= 2 * FRESH - (LOGS * MAX_LAG) as u64,
+        replayed >= 2 * FRESH - (LOGS * LAG_BOUND) as u64,
         "{replayed} replays"
     );
     assert!(

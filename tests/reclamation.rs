@@ -18,8 +18,7 @@ const N: u64 = 32;
 
 #[test]
 fn stale_local_structure_hints_fall_back_after_recycling() {
-    let map: LayeredMap<u64, u64> =
-        LayeredMap::new(GraphConfig::new(2).reclaim(true).chunk_capacity(1 << 10));
+    let map: LayeredMap<u64, u64> = LayeredMap::new(GraphConfig::new(2).chunk_capacity(1 << 10));
     let mut h0 = map.register(ThreadCtx::plain(0));
     let mut h1 = map.register(ThreadCtx::plain(1));
 
@@ -78,8 +77,7 @@ fn stale_local_structure_hints_fall_back_after_recycling() {
 
 #[test]
 fn churn_through_the_layered_handle_recycles_memory() {
-    let map: LayeredMap<u64, u64> =
-        LayeredMap::new(GraphConfig::new(2).reclaim(true).chunk_capacity(1 << 10));
+    let map: LayeredMap<u64, u64> = LayeredMap::new(GraphConfig::new(2).chunk_capacity(1 << 10));
     let mut h = map.register(ThreadCtx::plain(0));
     const WINDOW: u64 = 16;
     const TOTAL: u64 = 600;
@@ -122,7 +120,6 @@ fn stats_sampled_during_churn_finish_and_stay_within_the_allocation() {
         GraphConfig::new(2)
             .lazy(true)
             .commission_cycles(0)
-            .reclaim(true)
             .chunk_capacity(1 << 10),
     );
     let done = std::sync::atomic::AtomicBool::new(false);
@@ -174,7 +171,7 @@ fn an_insert_that_loses_its_link_to_the_same_key_frees_its_node() {
     for lazy in [true, false] {
         for (seed, policy) in round_robin_family(2, 6) {
             let map: LayeredMap<u64, u64> = LayeredMap::new(
-                GraphConfig::new(2).lazy(lazy).reclaim(true).chunk_capacity(1 << 8),
+                GraphConfig::new(2).lazy(lazy).chunk_capacity(1 << 8),
             );
             let workers: Vec<Box<dyn FnOnce() + Send + '_>> = (0..2u16)
                 .map(|t| {

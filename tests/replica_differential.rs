@@ -19,7 +19,9 @@ use std::collections::BTreeSet;
 use std::ops::Bound::Unbounded;
 
 const LOGS: usize = 2;
-const MAX_LAG: usize = 12;
+const LOG_CAPACITY: usize = 16;
+/// The backpressure bound: three quarters of the log.
+const LAG_BOUND: usize = LOG_CAPACITY * 3 / 4;
 const KEYS: u64 = 96;
 
 fn one_run(seed: u64) -> [bool; 2] {
@@ -28,12 +30,10 @@ fn one_run(seed: u64) -> [bool; 2] {
         GraphConfig::new(3)
             .lazy(true)
             .hash_index(true)
-            .reclaim(true)
             .chunk_capacity(256),
         ReplicaConfig::uniform(2, 2)
             .logs(LOGS)
-            .log_capacity(16)
-            .max_lag(MAX_LAG),
+            .log_capacity(LOG_CAPACITY),
     );
     let stats = AccessStats::new(3);
     let mut handles: Vec<_> = (0..2)
@@ -73,11 +73,11 @@ fn one_run(seed: u64) -> [bool; 2] {
                 }
             }
         }
-        // The home replica owed at most `MAX_LAG` operations per log when
+        // The home replica owed at most `LAG_BOUND` operations per log when
         // the burst began, and owes the burst's own writes: a thread that
         // replayed more than both also replayed into the other replica.
         let replayed = stats.thread(t).replayed_ops - before;
-        helped[t] |= replayed > writes + (LOGS * MAX_LAG) as u64;
+        helped[t] |= replayed > writes + (LOGS * LAG_BOUND) as u64;
     }
     for h in &mut handles {
         h.sync();

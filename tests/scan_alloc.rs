@@ -79,15 +79,14 @@ fn a_warm_scan_allocates_nothing() {
     const SCAN_LEN: usize = 32;
     const MAX_PASSES: usize = 16;
     // `scan_short`'s geometry at a quarter of its keys: two slots taking
-    // turns at the preload, blocks of eight, sparse lazy towers,
-    // reclamation on, Zipf starts. The scans run in slot 0, which starts
+    // turns at the preload, blocks of eight, sparse lazy towers, Zipf
+    // starts. The scans run in slot 0, which starts
     // out knowing only its own anchors.
     let map = BlockedSkipMap::new(
         GraphConfig::new(2)
             .max_level(7)
             .sparse(true)
             .lazy(true)
-            .reclaim(true)
             .chunk_capacity(1 << 12),
         8,
     );
