@@ -93,8 +93,8 @@ fn capture_gen<K, V>(p: NodePtr<K, V>) -> u32 {
 /// An opaque reference to a shared data node, as stored by the
 /// thread-local structures. The slot stays dereferenceable for as long as
 /// the owning [`SkipGraph`] is alive (arena chunks are never unmapped
-/// mid-run), but its *contents* may belong to a later incarnation: every dereference goes through the generation check
-/// of `NodeRef::node`.
+/// mid-run), but its *contents* may belong to a later incarnation: every
+/// dereference goes through the generation check of `NodeRef::node`.
 pub(crate) struct NodeRef<K, V> {
     pub(crate) ptr: NonNull<Node<K, V>>,
     /// Generation of the node when the reference was captured; retirement
@@ -289,9 +289,8 @@ impl<K, V> Drop for PinGuard<'_, K, V> {
 /// The walk holds its own reclamation pin, so every node it reaches stays
 /// allocated while the walk lives, but it hands its items out for the
 /// graph's lifetime `'g`. This is where the core relies on its caller:
-/// a yielded node — and every key and value read
-/// through it — must not outlive the walk. [`RangeIter`]'s items carry
-/// the same contract.
+/// a yielded node — and every key and value read through it — must not
+/// outlive the walk. [`RangeIter`]'s items carry the same contract.
 pub(crate) struct LevelWalk<'g, K, V> {
     cur: NodePtr<K, V>,
     /// `cur` itself is the next node to yield, not the node before it.
@@ -330,8 +329,8 @@ impl<'g, K, V> Iterator for LevelWalk<'g, K, V> {
 ///
 /// Nodes are allocated from per-thread NUMA-tagged arenas; a node
 /// unlinked from every level is recycled into its owner's arena after an
-/// epoch grace period (`skipgraph::reclaim`), and the rest are released when
-/// the graph is dropped.
+/// epoch grace period (`skipgraph::reclaim`), and the rest are released
+/// when the graph is dropped.
 pub struct SkipGraph<K, V> {
     config: GraphConfig,
     membership: Box<[u32]>,
@@ -554,10 +553,10 @@ impl<K: Ord, V> SkipGraph<K, V> {
     }
 
     /// Pins the calling thread against reclamation for the guard's
-    /// lifetime (re-entrant). Every
-    /// public operation takes a pin around its traversal; layered handles
-    /// take one around local-map validation plus the shared operation, so
-    /// a validated [`NodeRef`] stays dereferenceable through the op.
+    /// lifetime (re-entrant). Every public operation takes a pin around
+    /// its traversal; layered handles take one around local-map
+    /// validation plus the shared operation, so a validated [`NodeRef`]
+    /// stays dereferenceable through the op.
     ///
     /// An outermost pin periodically quiesces first — tries to advance the
     /// global epoch and collects the thread's own limbo list — so

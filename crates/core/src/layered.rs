@@ -126,9 +126,9 @@ impl<K: Ord, V> LayeredMap<K, V> {
     /// returned mid-run. Retired nodes are recycled within their owner's
     /// arena, but the arenas keep their high-water size, and logically
     /// removed nodes stay linked until a search unlinks them. Periodic
-    /// quiescent-point compaction releases both. The caller must guarantee quiescence: the snapshot
-    /// is a weak one, and handles to the *old* map keep operating on the
-    /// old structure.
+    /// quiescent-point compaction releases both. The caller must guarantee
+    /// quiescence: the snapshot is a weak one, and handles to the *old* map
+    /// keep operating on the old structure.
     ///
     /// Like [`LayeredMap::bulk_load`] (which implements the rebuild), every
     /// rebuilt node lands in **slot 0's arena** regardless of which arena

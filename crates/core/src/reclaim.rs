@@ -18,10 +18,10 @@
 //!   one padded slot per benchmark thread. While a thread executes an
 //!   operation it is **pinned**: its slot holds `(epoch << 1) | 1`,
 //!   snapshotting the global epoch it entered at; quiescent threads hold
-//!   `0`. Both words are
-//!   [`FacadeAtomicUsize`]s, so under `--features deterministic` every
-//!   pin, unpin, advancement scan, and epoch CAS is a replayable
-//!   scheduling point and shrunken traces reproduce reclamation decisions.
+//!   `0`. The epoch and the slots' words are [`FacadeAtomicUsize`]s, so
+//!   under `--features deterministic` every pin, unpin, advancement scan,
+//!   and epoch CAS is a replayable scheduling point and shrunken traces
+//!   reproduce reclamation decisions.
 //! * Retiring pushes `(node, global)` onto the thread's limbo list after
 //!   bumping the node's generation counter (every pointer cached before
 //!   the bump now fails its generation check, see [`crate::node`]).

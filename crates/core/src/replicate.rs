@@ -62,14 +62,14 @@
 //!   three quarters of the log capacity, helps replay the laggiest replica
 //!   instead of growing the backlog, so a slot is never reclaimed while an
 //!   applier might still read it (`max_lag <= capacity` makes the bounded
-//!   buffer safe by construction). Every replica's tail gates slot reuse, so a drain can
-//!   never find its slot stamped by a later wrap; it asserts as much.
-//!   The appender does not load every tail per append: its handle keeps,
-//!   per log, a lower bound on the slowest tail and reloads the tails
-//!   only when `head - bound >= max_lag` (node-replication's
-//!   `advance_head` on a nearly full log). Tails only grow, so a stale
-//!   bound only overestimates the lag, and every claim it admits the
-//!   fresh tails would admit too.
+//!   buffer safe by construction). Every replica's tail gates slot reuse,
+//!   so a drain can never find its slot stamped by a later wrap; it
+//!   asserts as much. The appender does not load every tail per append:
+//!   its handle keeps, per log, a lower bound on the slowest tail and
+//!   reloads the tails only when `head - bound >= max_lag`
+//!   (node-replication's `advance_head` on a nearly full log). Tails only
+//!   grow, so a stale bound only overestimates the lag, and every claim it
+//!   admits the fresh tails would admit too.
 //!
 //! Replication is chosen when the map is built: a `ReplicatedLayeredMap`
 //! keeps one replica per socket for its whole life. Whether that pays

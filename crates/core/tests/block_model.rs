@@ -128,8 +128,8 @@ proptest! {
     /// under one thread slot, so each resolves via that slot's local anchor
     /// map first — at blocks of two and four (splits *and* merges retire
     /// recorded anchors constantly), with explicit grace-period flushes
-    /// mid-sequence. A flush recycles the retired anchors the slot still references, so
-    /// subsequent lookups must die on the generation check;
+    /// mid-sequence. A flush recycles the retired anchors the slot still
+    /// references, so subsequent lookups must die on the generation check;
     /// a recorded anchor surviving past a split/merge/recycle would answer
     /// the very next op or scan from the wrong block and diverge from the
     /// model immediately. The handle is dropped and registered again

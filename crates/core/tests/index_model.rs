@@ -3,12 +3,11 @@
 //! The index is an accelerator, never an authority: every hit must be
 //! re-validated against the node it names. These tests drive the
 //! index-accelerated layered map against a `BTreeMap` model under churn,
-//! flushing the grace-period protocol mid-run
-//! so removed nodes are actually retired, recycled, and re-published
-//! under new keys while the index still holds generation-tagged entries
-//! to the old incarnations. A single stale read — a hit surviving
-//! validation after its node was retired — shows up as a differential
-//! mismatch.
+//! flushing the grace-period protocol mid-run so removed nodes are
+//! actually retired, recycled, and re-published under new keys while the
+//! index still holds generation-tagged entries to the old incarnations.
+//! A single stale read — a hit surviving validation after its node was
+//! retired — shows up as a differential mismatch.
 #![cfg(not(feature = "bug-injection"))]
 
 use instrument::ThreadCtx;

@@ -10,8 +10,8 @@
 //! two handles pinned to different sockets against a `BTreeMap` model —
 //! sequentially interleaved, so every outcome is exact — over a log small
 //! enough to wrap many times per sequence, with mid-run grace-period
-//! flushes on both replicas so replayed nodes are
-//! retired and recycled while the other replica still lags.
+//! flushes on both replicas so replayed nodes are retired and recycled
+//! while the other replica still lags.
 #![cfg(not(feature = "bug-injection"))]
 
 //!
