@@ -1,4 +1,13 @@
 //! Per-thread recording context and the shared statistics sink.
+//!
+//! A [`ThreadCtx`] is a thread id and at most one boxed recorder. A plain
+//! context has no recorder: it allocates nothing, and every `record_*`
+//! call on it is one test of one word. The recorder holds whatever a
+//! context was built to feed — an [`AccessStats`] sink, a cache-hierarchy
+//! simulation, schedule-fuzzing state — and a sink keeps each thread's
+//! counters as one row of atomics indexed by a private [`Counter`], so a
+//! counter is named once: as a variant, and in the one mapping from a row
+//! to a [`ThreadCounterSnapshot`].
 
 use crate::matrix::AccessMatrix;
 use cache_sim::{Hierarchy, MissCounts};
@@ -7,28 +16,31 @@ use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Per-thread scalar counters (single-writer; relaxed).
-#[derive(Debug, Default)]
-struct ThreadCounters {
-    ops: AtomicU64,
-    cas_attempts: AtomicU64,
-    cas_failures: AtomicU64,
-    traversed: AtomicU64,
-    searches: AtomicU64,
-    hinted_searches: AtomicU64,
-    hinted_traversed: AtomicU64,
-    retired: AtomicU64,
-    recycled: AtomicU64,
-    epoch_advances: AtomicU64,
-    index_hits: AtomicU64,
-    index_misses: AtomicU64,
-    index_stale: AtomicU64,
-    log_appends: AtomicU64,
-    log_lag_sum: AtomicU64,
-    replay_batches: AtomicU64,
-    replayed_ops: AtomicU64,
-    anchor_hits: AtomicU64,
+/// A per-thread scalar counter: its index in the thread's row.
+#[derive(Clone, Copy)]
+enum Counter {
+    Ops,
+    CasAttempts,
+    CasFailures,
+    Traversed,
+    Searches,
+    HintedSearches,
+    HintedTraversed,
+    Retired,
+    Recycled,
+    EpochAdvances,
+    IndexHits,
+    IndexMisses,
+    IndexStale,
+    LogAppends,
+    LogLagSum,
+    ReplayBatches,
+    ReplayedOps,
+    AnchorHits,
 }
+
+/// One thread's counters (single-writer; relaxed), indexed by [`Counter`].
+type CounterRow = [AtomicU64; Counter::AnchorHits as usize + 1];
 
 /// A read-only snapshot of one thread's scalar counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -97,6 +109,37 @@ pub struct ThreadCounterSnapshot {
     pub collapsed_ops: u64,
 }
 
+impl ThreadCounterSnapshot {
+    /// The one mapping from a counter row to a snapshot: `read` gives the
+    /// value of each counter (one thread's, or a sum over threads).
+    fn from_row(read: impl Fn(Counter) -> u64) -> Self {
+        use Counter::*;
+        Self {
+            ops: read(Ops),
+            cas_attempts: read(CasAttempts),
+            cas_failures: read(CasFailures),
+            traversed: read(Traversed),
+            searches: read(Searches),
+            batches: 0,
+            batched_ops: 0,
+            hinted_searches: read(HintedSearches),
+            hinted_traversed: read(HintedTraversed),
+            retired: read(Retired),
+            recycled: read(Recycled),
+            epoch_advances: read(EpochAdvances),
+            index_hits: read(IndexHits),
+            index_misses: read(IndexMisses),
+            index_stale: read(IndexStale),
+            log_appends: read(LogAppends),
+            log_lag_sum: read(LogLagSum),
+            replay_batches: read(ReplayBatches),
+            replayed_ops: read(ReplayedOps),
+            anchor_hits: read(AnchorHits),
+            collapsed_ops: 0,
+        }
+    }
+}
+
 /// Shared statistics sink for one experiment: thread-pair matrices plus
 /// per-thread counters. Create one per structure-under-test, hand an
 /// [`ThreadCtx::recording`] context to each worker thread, then query the
@@ -105,7 +148,7 @@ pub struct ThreadCounterSnapshot {
 pub struct AccessStats {
     reads: AccessMatrix,
     cas: AccessMatrix,
-    counters: Vec<CachePadded<ThreadCounters>>,
+    counters: Vec<CachePadded<CounterRow>>,
 }
 
 impl AccessStats {
@@ -131,77 +174,66 @@ impl AccessStats {
 
     /// Snapshot of one thread's counters.
     pub fn thread(&self, id: usize) -> ThreadCounterSnapshot {
-        let c = &self.counters[id];
-        ThreadCounterSnapshot {
-            ops: c.ops.load(Ordering::Relaxed),
-            cas_attempts: c.cas_attempts.load(Ordering::Relaxed),
-            cas_failures: c.cas_failures.load(Ordering::Relaxed),
-            traversed: c.traversed.load(Ordering::Relaxed),
-            searches: c.searches.load(Ordering::Relaxed),
-            batches: 0,
-            batched_ops: 0,
-            hinted_searches: c.hinted_searches.load(Ordering::Relaxed),
-            hinted_traversed: c.hinted_traversed.load(Ordering::Relaxed),
-            retired: c.retired.load(Ordering::Relaxed),
-            recycled: c.recycled.load(Ordering::Relaxed),
-            epoch_advances: c.epoch_advances.load(Ordering::Relaxed),
-            index_hits: c.index_hits.load(Ordering::Relaxed),
-            index_misses: c.index_misses.load(Ordering::Relaxed),
-            index_stale: c.index_stale.load(Ordering::Relaxed),
-            log_appends: c.log_appends.load(Ordering::Relaxed),
-            log_lag_sum: c.log_lag_sum.load(Ordering::Relaxed),
-            replay_batches: c.replay_batches.load(Ordering::Relaxed),
-            replayed_ops: c.replayed_ops.load(Ordering::Relaxed),
-            anchor_hits: c.anchor_hits.load(Ordering::Relaxed),
-            collapsed_ops: 0,
-        }
+        let row = &self.counters[id];
+        ThreadCounterSnapshot::from_row(|c| row[c as usize].load(Ordering::Relaxed))
     }
 
     /// Sum of all thread snapshots.
     pub fn totals(&self) -> ThreadCounterSnapshot {
-        let mut t = ThreadCounterSnapshot::default();
-        for id in 0..self.counters.len() {
-            let s = self.thread(id);
-            t.ops += s.ops;
-            t.cas_attempts += s.cas_attempts;
-            t.cas_failures += s.cas_failures;
-            t.traversed += s.traversed;
-            t.searches += s.searches;
-            t.hinted_searches += s.hinted_searches;
-            t.hinted_traversed += s.hinted_traversed;
-            t.retired += s.retired;
-            t.recycled += s.recycled;
-            t.epoch_advances += s.epoch_advances;
-            t.index_hits += s.index_hits;
-            t.index_misses += s.index_misses;
-            t.index_stale += s.index_stale;
-            t.log_appends += s.log_appends;
-            t.log_lag_sum += s.log_lag_sum;
-            t.replay_batches += s.replay_batches;
-            t.replayed_ops += s.replayed_ops;
-            t.anchor_hits += s.anchor_hits;
-        }
-        t
+        ThreadCounterSnapshot::from_row(|c| {
+            self.counters
+                .iter()
+                .map(|row| row[c as usize].load(Ordering::Relaxed))
+                .sum()
+        })
     }
 
     /// Number of threads this sink was sized for.
     pub fn threads(&self) -> usize {
         self.counters.len()
     }
+
+    #[inline]
+    fn add(&self, id: u16, counter: Counter, n: u64) {
+        self.counters[id as usize][counter as usize].fetch_add(n, Ordering::Relaxed);
+    }
 }
 
 /// The per-thread context threaded through every data-structure operation.
 ///
 /// `ThreadCtx` carries the dense benchmark thread id (which doubles as the
-/// NUMA-ownership tag for nodes the thread allocates) and the optional
-/// recording sinks. All `record_*` methods are no-ops (a single predictable
-/// branch) when constructed with [`ThreadCtx::plain`].
+/// NUMA-ownership tag for nodes the thread allocates) and at most one
+/// boxed recorder. A [`ThreadCtx::plain`] context has none: it is two
+/// words, allocates nothing, and each `record_*` call and
+/// [`ThreadCtx::is_recording`] is a single predictable branch on the
+/// recorder pointer.
 #[derive(Debug)]
 pub struct ThreadCtx {
     id: u16,
+    recorder: Option<Box<Recorder>>,
+}
+
+/// What a recording context feeds: the stats sink, the cache simulation
+/// and the chaos state, each optional. A recorder holds at least one.
+#[derive(Debug, Default)]
+struct Recorder {
     stats: Option<Arc<AccessStats>>,
     cache: Option<RefCell<Hierarchy>>,
     chaos: Option<Chaos>,
+}
+
+impl Recorder {
+    /// Feeds one shared-node access to the cache simulation, then lets the
+    /// chaos state preempt the thread.
+    #[inline]
+    fn access(&self, addr: usize, write: bool) {
+        if let Some(c) = &self.cache {
+            c.borrow_mut().access(addr as u64, write);
+        }
+        if let Some(c) = &self.chaos {
+            c.maybe_yield();
+        }
+    }
 }
 
 /// Schedule-fuzzing state: yields the OS thread with probability
@@ -228,24 +260,27 @@ impl Chaos {
 }
 
 impl ThreadCtx {
-    /// A non-recording context for thread `id` (throughput runs).
-    pub fn plain(id: u16) -> Self {
+    fn with(id: u16, recorder: Recorder) -> Self {
         Self {
             id,
-            stats: None,
-            cache: None,
-            chaos: None,
+            recorder: Some(Box::new(recorder)),
         }
+    }
+
+    /// A non-recording context for thread `id` (throughput runs).
+    pub fn plain(id: u16) -> Self {
+        Self { id, recorder: None }
     }
 
     /// A recording context feeding `stats` (heatmaps / Table 1).
     pub fn recording(id: u16, stats: Arc<AccessStats>) -> Self {
-        Self {
+        Self::with(
             id,
-            stats: Some(stats),
-            cache: None,
-            chaos: None,
-        }
+            Recorder {
+                stats: Some(stats),
+                ..Recorder::default()
+            },
+        )
     }
 
     /// A sibling context with the same thread id and stats sink, for a
@@ -254,11 +289,9 @@ impl ThreadCtx {
     /// per-thread counters. The cache simulation and chaos state are
     /// per-context (`RefCell`/`Cell`) and deliberately not forked.
     pub fn fork(&self) -> Self {
-        Self {
-            id: self.id,
-            stats: self.stats.clone(),
-            cache: None,
-            chaos: None,
+        match self.stats() {
+            Some(s) => Self::recording(self.id, Arc::clone(s)),
+            None => Self::plain(self.id),
         }
     }
 
@@ -271,20 +304,21 @@ impl ThreadCtx {
     /// Panics if `one_in` is zero.
     pub fn chaos(id: u16, seed: u64, one_in: u32) -> Self {
         assert!(one_in > 0);
-        Self {
+        Self::with(
             id,
-            stats: None,
-            cache: None,
-            chaos: Some(Chaos {
-                state: Cell::new(seed | 1),
-                one_in,
-            }),
-        }
+            Recorder {
+                chaos: Some(Chaos {
+                    state: Cell::new(seed | 1),
+                    one_in,
+                }),
+                ..Recorder::default()
+            },
+        )
     }
 
     /// Attaches a per-thread cache-hierarchy simulation (Table 2).
     pub fn with_cache_sim(mut self, hierarchy: Hierarchy) -> Self {
-        self.cache = Some(RefCell::new(hierarchy));
+        self.recorder.get_or_insert_with(Box::default).cache = Some(RefCell::new(hierarchy));
         self
     }
 
@@ -294,59 +328,58 @@ impl ThreadCtx {
         self.id
     }
 
+    #[inline]
+    fn stats(&self) -> Option<&Arc<AccessStats>> {
+        self.recorder.as_ref()?.stats.as_ref()
+    }
+
+    /// Adds `n` to this thread's `counter` in the stats sink, if any.
+    #[inline]
+    fn count(&self, counter: Counter, n: u64) {
+        if let Some(s) = self.stats() {
+            s.add(self.id, counter, n);
+        }
+    }
+
     /// Records a read of a shared-node word owned by thread `owner` at
     /// address `addr`.
     #[inline]
     pub fn record_read(&self, owner: u16, addr: usize) {
-        if let Some(s) = &self.stats {
-            s.reads.record(self.id, owner);
-        }
-        if let Some(c) = &self.cache {
-            c.borrow_mut().access(addr as u64, false);
-        }
-        if let Some(c) = &self.chaos {
-            c.maybe_yield();
+        if let Some(r) = &self.recorder {
+            if let Some(s) = &r.stats {
+                s.reads.record(self.id, owner);
+            }
+            r.access(addr, false);
         }
     }
 
     /// Records a maintenance CAS on a word owned by `owner`.
     #[inline]
     pub fn record_cas(&self, owner: u16, addr: usize, success: bool) {
-        if let Some(s) = &self.stats {
-            s.cas.record(self.id, owner);
-            let c = &s.counters[self.id as usize];
-            c.cas_attempts.fetch_add(1, Ordering::Relaxed);
-            if !success {
-                c.cas_failures.fetch_add(1, Ordering::Relaxed);
+        if let Some(r) = &self.recorder {
+            if let Some(s) = &r.stats {
+                s.cas.record(self.id, owner);
+                s.add(self.id, Counter::CasAttempts, 1);
+                if !success {
+                    s.add(self.id, Counter::CasFailures, 1);
+                }
             }
-        }
-        if let Some(c) = &self.cache {
-            c.borrow_mut().access(addr as u64, true);
-        }
-        if let Some(c) = &self.chaos {
-            c.maybe_yield();
+            r.access(addr, true);
         }
     }
 
     /// Records the completion of one high-level operation.
     #[inline]
     pub fn record_op(&self) {
-        if let Some(s) = &self.stats {
-            s.counters[self.id as usize]
-                .ops
-                .fetch_add(1, Ordering::Relaxed);
-        }
+        self.count(Counter::Ops, 1);
     }
 
     /// Records a finished shared-structure search that visited `nodes`
     /// shared nodes (Fig. 5).
     #[inline]
     pub fn record_search(&self, nodes: u64) {
-        if let Some(s) = &self.stats {
-            let c = &s.counters[self.id as usize];
-            c.searches.fetch_add(1, Ordering::Relaxed);
-            c.traversed.fetch_add(nodes, Ordering::Relaxed);
-        }
+        self.count(Counter::Searches, 1);
+        self.count(Counter::Traversed, nodes);
     }
 
     /// Records a finished *hinted* search (one that started from a hint —
@@ -356,74 +389,47 @@ impl ThreadCtx {
     /// attribution on top.
     #[inline]
     pub fn record_hinted_search(&self, nodes: u64) {
-        if let Some(s) = &self.stats {
-            let c = &s.counters[self.id as usize];
-            c.hinted_searches.fetch_add(1, Ordering::Relaxed);
-            c.hinted_traversed.fetch_add(nodes, Ordering::Relaxed);
-        }
+        self.count(Counter::HintedSearches, 1);
+        self.count(Counter::HintedTraversed, nodes);
     }
 
     /// Records the retirement of one fully-unlinked node onto this
     /// thread's limbo list.
     #[inline]
     pub fn record_retire(&self) {
-        if let Some(s) = &self.stats {
-            s.counters[self.id as usize]
-                .retired
-                .fetch_add(1, Ordering::Relaxed);
-        }
+        self.count(Counter::Retired, 1);
     }
 
     /// Records `slots` reclaimed slots returned to arena free lists by this
     /// thread's collect pass.
     #[inline]
     pub fn record_recycle(&self, slots: u64) {
-        if let Some(s) = &self.stats {
-            s.counters[self.id as usize]
-                .recycled
-                .fetch_add(slots, Ordering::Relaxed);
-        }
+        self.count(Counter::Recycled, slots);
     }
 
     /// Records one successful global-epoch advancement won by this thread.
     #[inline]
     pub fn record_epoch_advance(&self) {
-        if let Some(s) = &self.stats {
-            s.counters[self.id as usize]
-                .epoch_advances
-                .fetch_add(1, Ordering::Relaxed);
-        }
+        self.count(Counter::EpochAdvances, 1);
     }
 
     /// Records a point read answered by the shared hash index (a hit or
     /// an authoritative absent — either way no descent was paid).
     #[inline]
     pub fn record_index_hit(&self) {
-        if let Some(s) = &self.stats {
-            s.counters[self.id as usize]
-                .index_hits
-                .fetch_add(1, Ordering::Relaxed);
-        }
+        self.count(Counter::IndexHits, 1);
     }
 
     /// Records an index consultation that found no usable entry.
     #[inline]
     pub fn record_index_miss(&self) {
-        if let Some(s) = &self.stats {
-            s.counters[self.id as usize]
-                .index_misses
-                .fetch_add(1, Ordering::Relaxed);
-        }
+        self.count(Counter::IndexMisses, 1);
     }
 
     /// Records an index entry rejected as stale during validation.
     #[inline]
     pub fn record_index_stale(&self) {
-        if let Some(s) = &self.stats {
-            s.counters[self.id as usize]
-                .index_stale
-                .fetch_add(1, Ordering::Relaxed);
-        }
+        self.count(Counter::IndexStale, 1);
     }
 
     /// Records an append to a replication operation log together with the
@@ -431,46 +437,37 @@ impl ThreadCtx {
     /// slowest replica's tail, at least the backlog the write joined).
     #[inline]
     pub fn record_log_append(&self, lag: u64) {
-        if let Some(s) = &self.stats {
-            let c = &s.counters[self.id as usize];
-            c.log_appends.fetch_add(1, Ordering::Relaxed);
-            c.log_lag_sum.fetch_add(lag, Ordering::Relaxed);
-        }
+        self.count(Counter::LogAppends, 1);
+        self.count(Counter::LogLagSum, lag);
     }
 
     /// Records a replica replay batch of `ops` operations drained under a
     /// replay lease.
     #[inline]
     pub fn record_replay_batch(&self, ops: u64) {
-        if let Some(s) = &self.stats {
-            let c = &s.counters[self.id as usize];
-            c.replay_batches.fetch_add(1, Ordering::Relaxed);
-            c.replayed_ops.fetch_add(ops, Ordering::Relaxed);
-        }
+        self.count(Counter::ReplayBatches, 1);
+        self.count(Counter::ReplayedOps, ops);
     }
 
     /// Records a block resolution a local anchor answered alone (it named
     /// a live block covering the key; no search was paid).
     #[inline]
     pub fn record_anchor_hit(&self) {
-        if let Some(s) = &self.stats {
-            s.counters[self.id as usize]
-                .anchor_hits
-                .fetch_add(1, Ordering::Relaxed);
-        }
+        self.count(Counter::AnchorHits, 1);
     }
 
-    /// True when any recording sink is attached (used by structures to skip
+    /// True when a recorder is attached (used by structures to skip
     /// assembling record arguments on the fast path).
     #[inline]
     pub fn is_recording(&self) -> bool {
-        self.stats.is_some() || self.cache.is_some() || self.chaos.is_some()
+        self.recorder.is_some()
     }
 
     /// The cache-simulation counters accumulated by this thread, if a
     /// hierarchy was attached.
     pub fn cache_counts(&self) -> Option<MissCounts> {
-        self.cache.as_ref().map(|c| c.borrow().miss_counts())
+        let cache = self.recorder.as_ref()?.cache.as_ref()?;
+        Some(cache.borrow().miss_counts())
     }
 }
 
@@ -481,8 +478,19 @@ mod tests {
     #[test]
     fn plain_ctx_records_nothing_and_does_not_crash() {
         let ctx = ThreadCtx::plain(3);
-        ctx.record_read(1, 0x10);
-        ctx.record_cas(1, 0x10, false);
+        record_everything(&ctx);
+        assert_eq!(ctx.id(), 3);
+        assert!(!ctx.is_recording());
+        assert!(ctx.recorder.is_none(), "a plain context allocates nothing");
+        assert!(ctx.fork().recorder.is_none());
+        assert!(ctx.cache_counts().is_none());
+    }
+
+    /// Every `record_*` call once, for tests that check what a context
+    /// feeds.
+    fn record_everything(ctx: &ThreadCtx) {
+        ctx.record_read(0, 0x1000);
+        ctx.record_cas(1, 0x2000, false);
         ctx.record_op();
         ctx.record_search(5);
         ctx.record_hinted_search(2);
@@ -495,9 +503,59 @@ mod tests {
         ctx.record_log_append(7);
         ctx.record_replay_batch(5);
         ctx.record_anchor_hit();
-        assert_eq!(ctx.id(), 3);
-        assert!(!ctx.is_recording());
+    }
+
+    #[test]
+    fn a_fork_shares_the_sink_and_drops_cache_and_chaos() {
+        let stats = AccessStats::new(2);
+        let ctx = ThreadCtx::with(
+            1,
+            Recorder {
+                stats: Some(stats.clone()),
+                cache: Some(RefCell::new(Hierarchy::xeon_8275cl())),
+                chaos: Some(Chaos {
+                    state: Cell::new(1),
+                    one_in: 1,
+                }),
+            },
+        );
+        let fork = ctx.fork();
+        assert_eq!(fork.id(), 1);
+        let r = fork.recorder.as_deref().unwrap();
+        assert!(Arc::ptr_eq(r.stats.as_ref().unwrap(), &stats));
+        assert!(r.cache.is_none() && r.chaos.is_none());
+        record_everything(&ctx);
+        record_everything(&fork);
+        assert_eq!(stats.reads().get(1, 0), 2);
+        assert_eq!(stats.cas().get(1, 1), 2);
+        let t = stats.thread(1);
+        assert_eq!(
+            (t.ops, t.cas_failures, t.traversed, t.log_lag_sum),
+            (2, 2, 10, 14)
+        );
+        assert_eq!(ctx.cache_counts().unwrap().accesses, 2);
+        assert!(fork.cache_counts().is_none());
+    }
+
+    #[test]
+    fn a_cache_sim_on_a_plain_context_feeds_the_cache_and_no_counter() {
+        let ctx = ThreadCtx::plain(0).with_cache_sim(Hierarchy::xeon_8275cl());
+        assert!(ctx.is_recording());
+        assert!(ctx.stats().is_none());
+        record_everything(&ctx);
+        assert_eq!(ctx.cache_counts().unwrap().accesses, 2);
+        assert!(ctx.fork().recorder.is_none());
+    }
+
+    #[test]
+    fn a_chaos_context_counts_nothing() {
+        let ctx = ThreadCtx::chaos(1, 7, 1);
+        assert!(ctx.is_recording());
+        record_everything(&ctx);
+        let r = ctx.recorder.as_deref().unwrap();
+        assert!(r.stats.is_none() && r.cache.is_none());
         assert!(ctx.cache_counts().is_none());
+        assert!(ctx.fork().recorder.is_none());
     }
 
     #[test]

@@ -159,3 +159,21 @@ fn concurrent_pipeline_under_oversubscription() {
         assert!(progressed >= threads / 2, "{name}: only {progressed} threads progressed");
     }
 }
+
+/// A context is a thread id and one optional boxed recorder, so a plain
+/// context costs every handle two words and no allocation. The sizes are
+/// pinned where they were measured (x86-64).
+#[test]
+fn a_plain_context_is_two_words_in_every_handle() {
+    use skipgraph::{BlockedHandle, LayeredHandle};
+    use std::mem::size_of;
+    assert!(!ThreadCtx::plain(0).is_recording());
+    let sizes = (
+        size_of::<ThreadCtx>(),
+        size_of::<LayeredHandle<u64, u64>>(),
+        size_of::<BlockedHandle<u64, u64>>(),
+    );
+    println!("ThreadCtx, LayeredHandle<u64, u64>, BlockedHandle<u64, u64>: {sizes:?} bytes");
+    #[cfg(target_arch = "x86_64")]
+    assert_eq!(sizes, (16, 304, 24));
+}
