@@ -44,9 +44,9 @@
 //!   `MaxLevel` 0; above it another thread's node is rejected, as a local
 //!   start would be). The same drain into the caller's own replica passes
 //!   no warm keys.
-//! * **Multi-log partitioning**: keys are hashed onto `logs` independent
+//! * **Multi-log partitioning**: keys are hashed onto two independent
 //!   logs by their membership-vector list family
-//!   ([`crate::mvec::list_suffix`] of the key hash at level `log2 logs`) —
+//!   ([`crate::mvec::list_suffix`] of the key hash at level 1) —
 //!   CNR's `LogMapper` rule specialized to the skip graph's constituent
 //!   lists. All operations on one key share a log (conflicting ops stay
 //!   totally ordered); different families replay in parallel under
@@ -113,13 +113,19 @@ fn backoff(spins: &mut u32) {
     }
 }
 
-/// Replication geometry: thread→socket placement plus log shape.
+/// The number of operation logs of every replicated map.
+const LOGS: usize = 2;
+
+/// `log2(LOGS)` — the membership-vector level whose list families key the
+/// log partition.
+const LOG_LEVEL: u8 = LOGS.trailing_zeros() as u8;
+
+/// Replication geometry: thread→socket placement plus log capacity.
 #[derive(Clone, Debug)]
 pub struct ReplicaConfig {
     /// `socket_of[t]` = replica index thread `t` pins its reads to.
     socket_of: Vec<usize>,
     sockets: usize,
-    logs: usize,
     log_capacity: usize,
 }
 
@@ -133,18 +139,8 @@ impl ReplicaConfig {
         Self {
             socket_of: (0..threads).map(|t| t * sockets / threads).collect(),
             sockets,
-            logs: 2,
             log_capacity: 256,
         }
-    }
-
-    /// Number of independent operation logs (default 2). Must be a power
-    /// of two: the log of a key is the `log2(logs)`-bit list-family suffix
-    /// of its hash.
-    pub fn logs(mut self, logs: usize) -> Self {
-        assert!(logs >= 1 && logs.is_power_of_two(), "logs must be a power of two");
-        self.logs = logs;
-        self
     }
 
     /// Slots per log (default 256). Must be a power of two `>= 2`. An
@@ -281,11 +277,8 @@ impl<K, V> OpLog<K, V> {
 /// partitioned operation logs. See the module docs for the protocol.
 pub struct ReplicatedLayeredMap<K, V> {
     replicas: Vec<LayeredMap<K, V>>,
-    logs: Vec<OpLog<K, V>>,
+    logs: [OpLog<K, V>; LOGS],
     rcfg: ReplicaConfig,
-    /// `log2(logs)` — the membership-vector level whose list families key
-    /// the log partition.
-    log_level: u8,
 }
 
 impl<K: Ord + Hash + Clone, V> ReplicatedLayeredMap<K, V> {
@@ -321,8 +314,7 @@ impl<K: Ord + Hash + Clone, V> ReplicatedLayeredMap<K, V> {
             .collect();
         Self {
             replicas,
-            logs: (0..rcfg.logs).map(|_| OpLog::new(rcfg.log_capacity, sockets)).collect(),
-            log_level: rcfg.logs.trailing_zeros() as u8,
+            logs: std::array::from_fn(|_| OpLog::new(rcfg.log_capacity, sockets)),
             rcfg,
         }
     }
@@ -338,13 +330,13 @@ impl<K: Ord + Hash + Clone, V> ReplicatedLayeredMap<K, V> {
         &self.replicas
     }
 
-    /// The log a key's operations append to: the level-`log2(logs)`
+    /// The log a key's operations append to: the level-1
     /// membership-vector list family of the key's [`hash_key`], `hash` —
     /// its low bits. All operations on one key conflict, so they share a
     /// log and stay totally ordered; distinct families commute and replay
     /// in parallel.
     fn log_of(&self, hash: u64) -> usize {
-        list_suffix(hash as u32, self.log_level) as usize
+        list_suffix(hash as u32, LOG_LEVEL) as usize
     }
 
     /// Registers the calling thread on every replica; reads pin to the
@@ -376,7 +368,7 @@ impl<K: Ord + Hash + Clone, V> ReplicatedLayeredMap<K, V> {
             socket,
             tid: tid as usize,
             handles,
-            lag_bounds: vec![0; self.logs.len()].into_boxed_slice(),
+            lag_bounds: [0; LOGS],
         }
     }
 }
@@ -401,7 +393,7 @@ pub struct ReplicatedHandle<'m, K, V> {
     /// Per log, a lower bound on the slowest replica's tail: the last
     /// `min_tail` this handle loaded. Tails only grow, so it stays a lower
     /// bound; `update` reloads it only when it no longer admits a claim.
-    lag_bounds: Box<[usize]>,
+    lag_bounds: [usize; LOGS],
 }
 
 impl<'m, K, V> ReplicatedHandle<'m, K, V>
@@ -463,7 +455,7 @@ where
     /// once after a bulk load so the replay debt is not paid inside a
     /// measured (or latency-sensitive) read path.
     pub fn sync(&mut self) {
-        for li in 0..self.map.logs.len() {
+        for li in 0..LOGS {
             self.wait_local_valid(li);
         }
     }
@@ -678,7 +670,7 @@ mod tests {
         // One thread, two replicas: every write replays into the home
         // replica synchronously; reads see it immediately.
         let map: ReplicatedLayeredMap<u64, u64> =
-            ReplicatedLayeredMap::new(config(1), ReplicaConfig::uniform(1, 2).logs(2));
+            ReplicatedLayeredMap::new(config(1), ReplicaConfig::uniform(1, 2));
         let mut h = map.register(ThreadCtx::plain(0));
         assert!(h.insert(1, 10));
         assert!(!h.insert(1, 11));
@@ -694,12 +686,11 @@ mod tests {
 
     #[test]
     fn backpressure_wraps_a_tiny_log() {
-        // Capacity 8 with lag bound 6: 200 updates force many wraps and
-        // constant self-help replay; set semantics must be exact.
-        let map: ReplicatedLayeredMap<u64, u64> = ReplicatedLayeredMap::new(
-            config(1),
-            ReplicaConfig::uniform(1, 2).logs(1).log_capacity(8),
-        );
+        // Capacity 8 with lag bound 6: 200 updates over two logs force
+        // many wraps of each and constant self-help replay; set semantics
+        // must be exact.
+        let map: ReplicatedLayeredMap<u64, u64> =
+            ReplicatedLayeredMap::new(config(1), ReplicaConfig::uniform(1, 2).log_capacity(8));
         let mut h = map.register(ThreadCtx::plain(0));
         for i in 0..100u64 {
             assert!(h.insert(i, i), "fresh insert {i}");
@@ -720,7 +711,7 @@ mod tests {
         // Two threads on two sockets. After the writer joins, the reader's
         // catch-up must surface every write on its own replica.
         let map: ReplicatedLayeredMap<u64, u64> =
-            ReplicatedLayeredMap::new(config(2), ReplicaConfig::uniform(2, 2).logs(2));
+            ReplicatedLayeredMap::new(config(2), ReplicaConfig::uniform(2, 2));
         std::thread::scope(|s| {
             s.spawn(|| {
                 let mut w = map.register(ThreadCtx::plain(0));
@@ -743,7 +734,7 @@ mod tests {
     }
 
     /// Two writer threads on one small log, one per socket, each on keys
-    /// of its own: every append meets the wrap edge, on four slots (lag
+    /// of its own that all map to log 0: every append meets the wrap edge, on four slots (lag
     /// bound 3: the slowest tail keeps an append off a slot some replica
     /// has not applied yet) and on two (lag bound 1: every append first
     /// waits out both replicas). A drain that met a slot restamped by a
@@ -751,7 +742,7 @@ mod tests {
     #[test]
     fn two_writers_wrap_a_small_log() {
         for capacity in [4, 2] {
-            two_writers_wrap_one_log(ReplicaConfig::uniform(2, 2).logs(1).log_capacity(capacity));
+            two_writers_wrap_one_log(ReplicaConfig::uniform(2, 2).log_capacity(capacity));
         }
     }
 
@@ -759,7 +750,7 @@ mod tests {
     /// slots and 192 of the default 256.
     #[test]
     fn a_log_capacity_sets_the_lag_bound() {
-        let rcfg = ReplicaConfig::uniform(2, 2).logs(1).log_capacity(8);
+        let rcfg = ReplicaConfig::uniform(2, 2).log_capacity(8);
         assert_eq!(rcfg.lag_bound(), 6);
         assert_eq!(ReplicaConfig::uniform(2, 2).lag_bound(), 192);
         assert_eq!(ReplicaConfig::uniform(2, 2).log_capacity(2).lag_bound(), 1);
@@ -769,22 +760,30 @@ mod tests {
     fn two_writers_wrap_one_log(rcfg: ReplicaConfig) {
         let max_lag = rcfg.lag_bound();
         let map: ReplicatedLayeredMap<u64, u64> = ReplicatedLayeredMap::new(config(3), rcfg);
+        // Writer `t`'s keys: the first 300 of parity `t` on log 0.
+        let writer_keys = |t: u64| -> Vec<u64> {
+            (0..)
+                .map(|i| 2 * i + t)
+                .filter(|k| map.log_of(hash_key(k)) == 0)
+                .take(300)
+                .collect()
+        };
         std::thread::scope(|s| {
             for t in 0..2u16 {
                 let map = &map;
+                let keys = writer_keys(t as u64);
                 s.spawn(move || {
                     let mut h = map.register(ThreadCtx::plain(t));
                     assert_eq!(h.socket(), t as usize);
-                    let keys = (0..300u64).map(|i| 2 * i + t as u64);
-                    for k in keys.clone() {
+                    for &k in &keys {
                         assert!(h.insert(k, k), "max_lag {max_lag}: fresh insert {k}");
                         assert!(!h.insert(k, k + 1), "max_lag {max_lag}: repeated insert {k}");
                     }
-                    for k in keys.clone().filter(|k| k % 3 == 0) {
+                    for &k in keys.iter().filter(|&k| k % 3 == 0) {
                         assert!(h.remove(&k), "max_lag {max_lag}: remove {k}");
                         assert!(!h.remove(&k), "max_lag {max_lag}: repeated remove {k}");
                     }
-                    for k in keys {
+                    for &k in &keys {
                         assert_eq!(h.contains(&k), k % 3 != 0, "max_lag {max_lag}: key {k}");
                     }
                 });
@@ -795,7 +794,8 @@ mod tests {
             map.register(ThreadCtx::plain(t)).sync();
         }
         let ctx = ThreadCtx::plain(2);
-        let expect: Vec<u64> = (0..600u64).filter(|k| k % 3 != 0).collect();
+        let mut expect: Vec<u64> = (0..2).flat_map(writer_keys).filter(|k| k % 3 != 0).collect();
+        expect.sort_unstable();
         for (r, replica) in map.replicas().iter().enumerate() {
             let keys: Vec<u64> = replica
                 .shared()
@@ -810,7 +810,7 @@ mod tests {
     fn log_words_written_by_different_threads_share_no_line() {
         let map: ReplicatedLayeredMap<u64, u64> = ReplicatedLayeredMap::new(
             config(2),
-            ReplicaConfig::uniform(2, 2).logs(2).log_capacity(8),
+            ReplicaConfig::uniform(2, 2).log_capacity(8),
         );
         for log in &map.logs {
             // Claimers of neighbouring positions write neighbouring slots.
@@ -848,10 +848,10 @@ mod tests {
     #[test]
     fn log_partition_is_stable_and_within_bounds() {
         let map: ReplicatedLayeredMap<u64, u64> =
-            ReplicatedLayeredMap::new(config(1), ReplicaConfig::uniform(1, 1).logs(4));
+            ReplicatedLayeredMap::new(config(1), ReplicaConfig::uniform(1, 1));
         for k in 0..256u64 {
             let l = map.log_of(hash_key(&k));
-            assert!(l < 4);
+            assert!(l < LOGS);
             assert_eq!(l, map.log_of(hash_key(&k)), "same key, same log");
         }
     }

@@ -154,7 +154,7 @@ pub fn with_named<V: Visit>(name: &str, threads: usize, key_space: u64, visit: V
             let graph = GraphConfig::new(t).chunk_capacity(cap);
             #[cfg(not(feature = "bug-injection"))]
             let graph = graph.lazy(true).hash_index(true);
-            let replicas = ReplicaConfig::uniform(t, t.min(2)).logs(2).log_capacity(16);
+            let replicas = ReplicaConfig::uniform(t, t.min(2)).log_capacity(16);
             visit.visit(&ReplicatedLayeredMap::<u64, u64>::new(graph, replicas))
         }
         "skiplist" => visit.visit(&LockFreeSkipList::<u64, u64>::new(

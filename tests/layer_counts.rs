@@ -759,12 +759,10 @@ type Worker<'m> = ReplicatedHandle<'m, u64, u64>;
 /// 0); threads `1..=sockets` sit one per socket and do the counted work.
 fn replicated(sockets: usize) -> Replicated {
     let slots = sockets + 1;
-    // A roomy log, so a high lag bound (768 of 1 024 slots): a socket is
+    // Roomy logs, so a high lag bound (768 of 1 024 slots): a socket is
     // never made to help replay another socket's replica, so whatever
     // remote lines are counted are the design's and not back-pressure's.
-    let rcfg = ReplicaConfig::uniform(slots, sockets)
-        .logs(4)
-        .log_capacity(1 << 10);
+    let rcfg = ReplicaConfig::uniform(slots, sockets).log_capacity(1 << 10);
     let map = ReplicatedLayeredMap::new(
         GraphConfig::new(slots)
             .lazy(true)
@@ -885,6 +883,7 @@ fn a_replicated_write_is_replayed_once_per_socket() {
 #[test]
 fn a_foreign_replay_starts_warm() {
     const FRESH: u64 = 2_000;
+    // Every replicated map has two logs.
     const LOGS: usize = 2;
     const LOG_CAPACITY: usize = 16;
     // The backpressure bound: three quarters of the log.
@@ -898,9 +897,7 @@ fn a_foreign_replay_starts_warm() {
             .hash_index(true)
             .chunk_capacity(CHUNK)
             .commission_cycles(u64::MAX),
-        ReplicaConfig::uniform(2, 2)
-            .logs(LOGS)
-            .log_capacity(LOG_CAPACITY),
+        ReplicaConfig::uniform(2, 2).log_capacity(LOG_CAPACITY),
     );
     let stats = sink(&map);
     let mut w = pin_all(&map, 0..2, Some(&stats));

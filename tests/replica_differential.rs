@@ -1,6 +1,6 @@
 //! The fast slice of the replication differential (the full proptest wall
 //! is `crates/core/tests/replicate_model.rs`): a replicated map with two
-//! sockets, a 16-slot log, a lag bound of 12 and reclamation flushes,
+//! sockets, two 16-slot logs, a lag bound of 12 and reclamation flushes,
 //! driven against a `BTreeSet` model.
 //!
 //! Operations come in bursts through one handle at a time, so a burst's
@@ -18,6 +18,7 @@ use skipgraph::{GraphConfig, ReplicaConfig, ReplicatedLayeredMap};
 use std::collections::BTreeSet;
 use std::ops::Bound::Unbounded;
 
+/// Every replicated map has two logs.
 const LOGS: usize = 2;
 const LOG_CAPACITY: usize = 16;
 /// The backpressure bound: three quarters of the log.
@@ -31,9 +32,7 @@ fn one_run(seed: u64) -> [bool; 2] {
             .lazy(true)
             .hash_index(true)
             .chunk_capacity(256),
-        ReplicaConfig::uniform(2, 2)
-            .logs(LOGS)
-            .log_capacity(LOG_CAPACITY),
+        ReplicaConfig::uniform(2, 2).log_capacity(LOG_CAPACITY),
     );
     let stats = AccessStats::new(3);
     let mut handles: Vec<_> = (0..2)
