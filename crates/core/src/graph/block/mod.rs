@@ -52,7 +52,7 @@ pub use storage::{MAX_BLOCK_CAP, MIN_BLOCK_CAP};
 use super::{NodePtr, NodeRef, SearchResult, SkipGraph};
 use crate::node::Node;
 use crate::params::GraphConfig;
-use crate::sync::FacadeAtomicUsize;
+use crate::sync::{FacadeAtomicUsize, Padded};
 use instrument::ThreadCtx;
 use resolve::LocalSlot;
 use std::marker::PhantomData;
@@ -144,7 +144,7 @@ where
             .block_bytes(block_layout_bytes::<K, V>(cap));
         Self {
             local: (0..config.num_threads)
-                .map(|_| LocalSlot::default())
+                .map(|_| Padded(Default::default()))
                 .collect(),
             graph: SkipGraph::new(config),
             cap,

@@ -61,6 +61,7 @@
 use super::{BNode, BPtr, BSearch, BlockedSkipMap};
 use crate::graph::{DataRef, NodeRef, PinGuard};
 use crate::local::BTreeLocalMap;
+use crate::sync::Padded;
 use instrument::ThreadCtx;
 use std::cmp::Ordering as CmpOrdering;
 use std::ptr::NonNull;
@@ -89,15 +90,14 @@ pub(super) struct LocalAnchors<K> {
 
 /// A slot on cache lines of its own: taking one thread's lock must not
 /// move the line another thread's lock word sits on.
-#[repr(align(128))]
-pub(super) struct LocalSlot<K>(pub(super) Mutex<LocalAnchors<K>>);
+pub(super) type LocalSlot<K> = Padded<Mutex<LocalAnchors<K>>>;
 
-impl<K> Default for LocalSlot<K> {
+impl<K> Default for LocalAnchors<K> {
     fn default() -> Self {
-        Self(Mutex::new(LocalAnchors {
+        Self {
             map: BTreeLocalMap::default(),
             sweep_at: SWEEP_FLOOR,
-        }))
+        }
     }
 }
 

@@ -107,11 +107,10 @@ struct Retired<K, V> {
     epoch: usize,
 }
 
-/// Per-thread reclamation state, padded to [`crate::sync::Padded`]'s
-/// 128-byte granule so pin/unpin stores never false-share with a
-/// neighbor's announcement word, not even through the adjacent-line
+/// Per-thread reclamation state. The domain holds each slot in a
+/// [`Padded`] 128-byte granule, so pin/unpin stores never false-share with
+/// a neighbor's announcement word, not even through the adjacent-line
 /// prefetcher.
-#[repr(align(128))]
 struct ThreadSlot<K, V> {
     /// `(epoch << 1) | 1` while pinned, `0` while quiescent.
     pinned: FacadeAtomicUsize,
@@ -144,7 +143,7 @@ pub(crate) struct EpochReclaim<K, V> {
     /// Loaded by every pin and written by every advance, so padded off
     /// the graph's read-mostly fields.
     epoch: Padded<Epoch>,
-    slots: Box<[ThreadSlot<K, V>]>,
+    slots: Box<[Padded<ThreadSlot<K, V>>]>,
 }
 
 // Retired nodes carry K/V payloads that will be dropped (released) from
@@ -156,12 +155,14 @@ unsafe impl<K: Send, V: Send> Sync for EpochReclaim<K, V> {}
 impl<K, V> EpochReclaim<K, V> {
     pub(crate) fn new(threads: usize) -> Self {
         let slots = (0..threads.max(1))
-            .map(|_| ThreadSlot {
-                pinned: FacadeAtomicUsize::new(0),
-                depth: AtomicUsize::new(0),
-                ops: AtomicUsize::new(0),
-                retired: AtomicUsize::new(0),
-                limbo: Mutex::new(Vec::new()),
+            .map(|_| {
+                Padded(ThreadSlot {
+                    pinned: FacadeAtomicUsize::new(0),
+                    depth: AtomicUsize::new(0),
+                    ops: AtomicUsize::new(0),
+                    retired: AtomicUsize::new(0),
+                    limbo: Mutex::new(Vec::new()),
+                })
             })
             .collect();
         Self {
@@ -186,7 +187,7 @@ impl<K, V> EpochReclaim<K, V> {
     /// global epoch; until the matching [`Self::unpin`], every node the
     /// thread can reach is protected from being freed.
     pub(crate) fn pin(&self, tid: usize) {
-        let slot = &self.slots[tid];
+        let slot = &self.slots[tid].0;
         let d = slot.depth.load(Ordering::Relaxed);
         slot.depth.store(d + 1, Ordering::Relaxed);
         if d == 0 {
@@ -209,7 +210,7 @@ impl<K, V> EpochReclaim<K, V> {
 
     /// Releases one pin level; the outermost release re-enters quiescence.
     pub(crate) fn unpin(&self, tid: usize) {
-        let slot = &self.slots[tid];
+        let slot = &self.slots[tid].0;
         let d = slot.depth.load(Ordering::Relaxed);
         debug_assert!(d > 0, "unpin without pin");
         slot.depth.store(d - 1, Ordering::Relaxed);
@@ -221,7 +222,7 @@ impl<K, V> EpochReclaim<K, V> {
     /// Whether `tid` currently holds at least one pin.
     #[inline]
     pub(crate) fn is_pinned(&self, tid: usize) -> bool {
-        self.slots[tid].depth.load(Ordering::Relaxed) > 0
+        self.slots[tid].0.depth.load(Ordering::Relaxed) > 0
     }
 
     /// Counts one outermost pin; true every [`QUIESCE_PERIOD`]-th call,
@@ -229,7 +230,7 @@ impl<K, V> EpochReclaim<K, V> {
     /// (while quiescent — the graph does this right before pinning).
     #[inline]
     pub(crate) fn op_tick(&self, tid: usize) -> bool {
-        let slot = &self.slots[tid];
+        let slot = &self.slots[tid].0;
         let n = slot.ops.load(Ordering::Relaxed) + 1;
         slot.ops.store(n, Ordering::Relaxed);
         n % QUIESCE_PERIOD == 0
@@ -246,7 +247,7 @@ impl<K, V> EpochReclaim<K, V> {
     pub(crate) unsafe fn retire(&self, tid: usize, node: NonNull<Node<K, V>>) {
         node.as_ref().bump_generation();
         let epoch = self.epoch.0.global.load();
-        let slot = &self.slots[tid];
+        let slot = &self.slots[tid].0;
         slot.limbo
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -262,7 +263,7 @@ impl<K, V> EpochReclaim<K, V> {
         let g = self.epoch.0.global.load();
         fence(Ordering::SeqCst);
         for slot in self.slots.iter() {
-            let p = slot.pinned.load();
+            let p = slot.0.pinned.load();
             if p != 0 && (p >> 1) != g {
                 return false;
             }
@@ -282,6 +283,7 @@ impl<K, V> EpochReclaim<K, V> {
     pub(crate) fn collect<F: FnMut(NonNull<Node<K, V>>)>(&self, tid: usize, mut free: F) -> usize {
         let g = self.epoch.0.global.load();
         let mut limbo = self.slots[tid]
+            .0
             .limbo
             .lock()
             .unwrap_or_else(|e| e.into_inner());
@@ -318,7 +320,7 @@ impl<K, V> EpochReclaim<K, V> {
     pub(crate) fn limbo_nodes(&self) -> usize {
         self.slots
             .iter()
-            .map(|s| s.limbo.lock().unwrap_or_else(|e| e.into_inner()).len())
+            .map(|s| s.0.limbo.lock().unwrap_or_else(|e| e.into_inner()).len())
             .sum()
     }
 
@@ -327,7 +329,7 @@ impl<K, V> EpochReclaim<K, V> {
     pub(crate) fn retired_total(&self) -> usize {
         self.slots
             .iter()
-            .map(|s| s.retired.load(Ordering::Relaxed))
+            .map(|s| s.0.retired.load(Ordering::Relaxed))
             .sum()
     }
 
@@ -362,8 +364,8 @@ mod tests {
             .slots
             .iter()
             .map(|s| {
-                assert_eq!(lines_of(&s.pinned).count(), 1, "a pinned word straddles lines");
-                line_of(&s.pinned)
+                assert_eq!(lines_of(&s.0.pinned).count(), 1, "a pinned word straddles lines");
+                line_of(&s.0.pinned)
             })
             .collect();
         for (i, line) in lines.iter().enumerate() {

@@ -219,9 +219,8 @@ struct Pending<K, V> {
 ///    to `0` — the consume-ack that lets the slot's next occupant (a full
 ///    wrap later) publish its own outcome unambiguously.
 ///
-/// A slot spans [`Padded`]'s 128-byte granule, so two writers appending
-/// neighbouring positions never write one line.
-#[repr(align(128))]
+/// A log holds each slot in a [`Padded`] 128-byte granule, so two writers
+/// appending neighbouring positions never write one line.
 struct LogSlot<K, V> {
     op: HandoffCell<Pending<K, V>>,
     result: FacadeAtomicUsize,
@@ -233,7 +232,7 @@ struct OpLog<K, V> {
     head: Padded<FacadeAtomicUsize>,
     tails: Vec<Padded<FacadeAtomicUsize>>,
     leases: Vec<Padded<FacadeAtomicUsize>>,
-    slots: Box<[LogSlot<K, V>]>,
+    slots: Box<[Padded<LogSlot<K, V>>]>,
     mask: usize,
 }
 
@@ -244,9 +243,11 @@ impl<K, V> OpLog<K, V> {
             tails: (0..replicas).map(|_| Padded(FacadeAtomicUsize::new(0))).collect(),
             leases: (0..replicas).map(|_| Padded(FacadeAtomicUsize::new(0))).collect(),
             slots: (0..capacity)
-                .map(|_| LogSlot {
-                    op: HandoffCell::new(),
-                    result: FacadeAtomicUsize::new(0),
+                .map(|_| {
+                    Padded(LogSlot {
+                        op: HandoffCell::new(),
+                        result: FacadeAtomicUsize::new(0),
+                    })
                 })
                 .collect(),
             mask: capacity - 1,
@@ -507,7 +508,7 @@ where
         };
         // The cell is exclusive: every applier finished the previous
         // occupant (every tail passed it) before `pos` could be claimed.
-        let slot = &log.slots[pos & log.mask];
+        let slot = &log.slots[pos & log.mask].0;
         slot.op.publish(pos + 1, Pending { home, hash, op });
         // Wait for the home replica's applier to publish this op's
         // outcome, replaying the home replica ourselves whenever its lease
@@ -604,7 +605,7 @@ where
         }
         let foreign = replica != self.socket;
         for pos in tail..head {
-            let slot = &log.slots[pos & log.mask];
+            let slot = &log.slots[pos & log.mask].0;
             // The claimer stamps the slot right after writing the op;
             // between claim and stamp we spin (each facade load is a det
             // yield), yielding the OS thread once the claimer looks
@@ -734,10 +735,10 @@ mod tests {
     }
 
     /// Two writer threads on one small log, one per socket, each on keys
-    /// of its own that all map to log 0: every append meets the wrap edge, on four slots (lag
-    /// bound 3: the slowest tail keeps an append off a slot some replica
-    /// has not applied yet) and on two (lag bound 1: every append first
-    /// waits out both replicas). A drain that met a slot restamped by a
+    /// of its own that all map to log 0: every append meets the wrap edge,
+    /// on four slots (lag bound 3: the slowest tail keeps an append off a
+    /// slot some replica has not applied yet) and on two (lag bound 1:
+    /// every append first waits out both replicas). A drain that met a slot restamped by a
     /// later wrap would panic its thread.
     #[test]
     fn two_writers_wrap_a_small_log() {

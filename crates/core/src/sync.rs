@@ -39,8 +39,9 @@ fn facade_yield() {
 }
 
 /// Pads a value to two cache lines (the adjacent-line prefetcher's
-/// granule), so neighbouring values — slot states, leases, log heads and
-/// tails, counter stripes — never false-share.
+/// granule), so neighbouring values — slot states, leases, log heads,
+/// tails and slots, reclamation slots, anchor-map locks, counter stripes —
+/// never false-share. The crate's one padding type.
 #[repr(align(128))]
 pub(crate) struct Padded<T>(pub(crate) T);
 
