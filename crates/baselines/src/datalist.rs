@@ -168,8 +168,7 @@ impl<K: Ord, V> DataList<K, V> {
         // `next` is frozen (marked), so it can never serve as a CAS-able
         // predecessor — and without foreground unlinking it stays that way.
         // Enter from the head instead (the head is never marked).
-        let mut prev = if unsafe { &*start }.kind == Kind::Data && unsafe { &*start }.is_marked()
-        {
+        let mut prev = if unsafe { &*start }.kind == Kind::Data && unsafe { &*start }.is_marked() {
             self.head
         } else {
             start

@@ -91,7 +91,9 @@ mod tests {
         let mut model = BTreeSet::new();
         let mut state = 3u64;
         for _ in 0..3000 {
-            state = state.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
+            state = state
+                .wrapping_mul(2862933555777941757)
+                .wrapping_add(3037000493);
             let k = (state >> 40) % 100;
             match state % 3 {
                 0 => assert_eq!(h.insert(k, k), model.insert(k)),
@@ -99,7 +101,10 @@ mod tests {
                 _ => assert_eq!(h.contains(&k), model.contains(&k)),
             }
         }
-        assert_eq!(l.keys(&ThreadCtx::plain(0)), model.into_iter().collect::<Vec<_>>());
+        assert_eq!(
+            l.keys(&ThreadCtx::plain(0)),
+            model.into_iter().collect::<Vec<_>>()
+        );
     }
 
     #[test]

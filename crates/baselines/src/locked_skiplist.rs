@@ -119,7 +119,9 @@ impl<K: Ord, V> LockedSkipList<K, V> {
     pub fn new(threads: usize, levels: usize, chunk_capacity: usize) -> Self {
         assert!(levels >= 1 && threads >= 1);
         let sentinels = Arena::with_chunk_capacity(0, 8);
-        let tail = sentinels.alloc(LkNode::sentinel(Kind::Tail, levels)).as_ptr();
+        let tail = sentinels
+            .alloc(LkNode::sentinel(Kind::Tail, levels))
+            .as_ptr();
         let head = sentinels.alloc(LkNode::sentinel(Kind::Head, levels));
         for level in 0..levels {
             unsafe { head.as_ref() }.next[level].store(tail, Ordering::Release);
@@ -212,12 +214,8 @@ impl<K: Ord, V> LockedSkipList<K, V> {
                 drop(guards);
                 continue;
             }
-            let node = self.arenas[ctx.id() as usize].alloc(LkNode::data(
-                key,
-                value,
-                ctx.id(),
-                top_level,
-            ));
+            let node =
+                self.arenas[ctx.id() as usize].alloc(LkNode::data(key, value, ctx.id(), top_level));
             let node_ref = unsafe { node.as_ref() };
             for level in 0..=top_level as usize {
                 node_ref.next[level].store(succs[level], Ordering::Release);
@@ -394,7 +392,9 @@ mod tests {
         let mut model = BTreeSet::new();
         let mut state = 99u64;
         for _ in 0..3000 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let k = (state >> 33) % 150;
             match state % 3 {
                 0 => assert_eq!(h.insert(k, k), model.insert(k)),

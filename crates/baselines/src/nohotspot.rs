@@ -174,7 +174,10 @@ where
     fn insert(&mut self, key: K, value: V) -> bool {
         self.ctx.record_op();
         let start = self.list.start_for(&key);
-        self.list.inner.data.insert_from(key, value, start, &self.ctx)
+        self.list
+            .inner
+            .data
+            .insert_from(key, value, start, &self.ctx)
     }
 
     fn remove(&mut self, key: &K) -> bool {

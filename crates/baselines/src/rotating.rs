@@ -107,7 +107,10 @@ where
     fn insert(&mut self, key: K, value: V) -> bool {
         self.ctx.record_op();
         let start = self.list.start_for(&key);
-        self.list.inner.data.insert_from(key, value, start, &self.ctx)
+        self.list
+            .inner
+            .data
+            .insert_from(key, value, start, &self.ctx)
     }
 
     fn remove(&mut self, key: &K) -> bool {
@@ -143,7 +146,9 @@ mod tests {
         let mut model = BTreeSet::new();
         let mut state = 5u64;
         for _ in 0..3000 {
-            state = state.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
+            state = state
+                .wrapping_mul(2862933555777941757)
+                .wrapping_add(3037000493);
             let k = (state >> 35) % 130;
             match state % 3 {
                 0 => assert_eq!(h.insert(k, k), model.insert(k)),

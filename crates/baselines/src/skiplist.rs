@@ -279,8 +279,9 @@ impl<K: Ord, V> LockFreeSkipList<K, V> {
             }
         }
         let s0 = unsafe { &*out.succs[0] };
-        out.found =
-            s0.kind == Kind::Data && s0.cmp_key(key) == CmpOrdering::Equal && !s0.load(0, ctx).marked();
+        out.found = s0.kind == Kind::Data
+            && s0.cmp_key(key) == CmpOrdering::Equal
+            && !s0.load(0, ctx).marked();
         ctx.record_search(visited);
         out
     }

@@ -3,8 +3,8 @@
 //! differential runs, and drop safety with droppable payloads.
 
 use baselines::{
-    CoarseLockMap, HarrisList, LockFreeSkipList, LockedSkipList, NoHotspotSkipList,
-    NumaskSkipList, RotatingSkipList, SkipListConfig,
+    CoarseLockMap, HarrisList, LockFreeSkipList, LockedSkipList, NoHotspotSkipList, NumaskSkipList,
+    RotatingSkipList, SkipListConfig,
 };
 use instrument::ThreadCtx;
 use skipgraph::{ConcurrentMap, MapHandle};
@@ -19,12 +19,18 @@ fn model_check<M: ConcurrentMap<u64, u64>>(map: &M, label: &str, seed: u64) {
     let mut model = BTreeSet::new();
     let mut state = seed | 1;
     for i in 0..4000 {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         let k = (state >> 33) % 160;
         match state % 3 {
             0 => assert_eq!(h.insert(k, k), model.insert(k), "{label}: insert {k} @ {i}"),
             1 => assert_eq!(h.remove(&k), model.remove(&k), "{label}: remove {k} @ {i}"),
-            _ => assert_eq!(h.contains(&k), model.contains(&k), "{label}: contains {k} @ {i}"),
+            _ => assert_eq!(
+                h.contains(&k),
+                model.contains(&k),
+                "{label}: contains {k} @ {i}"
+            ),
         }
     }
 }
@@ -148,7 +154,9 @@ fn all_structures_agree_on_identical_sequential_stream() {
 
     let mut state = 99u64;
     for _ in 0..3000 {
-        state = state.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
+        state = state
+            .wrapping_mul(2862933555777941757)
+            .wrapping_add(3037000493);
         let k = (state >> 35) % 256;
         match state % 3 {
             0 => {

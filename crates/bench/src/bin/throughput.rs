@@ -48,5 +48,10 @@ fn main() {
     } else {
         structures.iter().map(String::as_str).collect()
     };
-    figures::throughput(&scale, &scenario_list, &structure_list, "throughput_cli.csv");
+    figures::throughput(
+        &scale,
+        &scenario_list,
+        &structure_list,
+        "throughput_cli.csv",
+    );
 }

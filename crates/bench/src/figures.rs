@@ -218,7 +218,10 @@ pub fn commission_sweep(scale: &Scale) {
                 &w,
                 scale.runs,
             );
-            let row = format!("{scenario},{factor},{:.1},{:.1}", s.mean_ops_per_ms, s.stddev);
+            let row = format!(
+                "{scenario},{factor},{:.1},{:.1}",
+                s.mean_ops_per_ms, s.stddev
+            );
             println!("{row}");
             csv.push_str(&row);
             csv.push('\n');
@@ -265,7 +268,10 @@ pub fn relink_membership_ablation(scale: &Scale) {
                 &w,
                 scale.runs,
             );
-            let row = format!("{label},{scenario},{:.1},{:.1}", s.mean_ops_per_ms, s.stddev);
+            let row = format!(
+                "{label},{scenario},{:.1},{:.1}",
+                s.mean_ops_per_ms, s.stddev
+            );
             println!("{row}");
             csv.push_str(&format!("membership,{row}\n"));
         }
@@ -285,9 +291,8 @@ pub fn local_structures() {
     println!("variant,local_entries");
     let mut csv = String::from("experiment,variant,value\n");
     for (label, sparse) in [("dense_sg", false), ("sparse_ssg", true)] {
-        let map: LayeredMap<u64, u64> = LayeredMap::new(
-            GraphConfig::new(8).sparse(sparse).chunk_capacity(1 << 13),
-        );
+        let map: LayeredMap<u64, u64> =
+            LayeredMap::new(GraphConfig::new(8).sparse(sparse).chunk_capacity(1 << 13));
         let mut h = map.register(ThreadCtx::plain(0));
         for k in 0..4096u64 {
             let _ = h.insert(k, k);
@@ -384,10 +389,10 @@ pub fn distance_reduction(scale: &Scale) {
     for i in 0..4usize {
         for j in (i + 1)..4usize {
             let d = distances[i * 4 + j];
-            let layered = (per_structure[0].1[i][j] + per_structure[0].1[j][i]) as f64
-                / per_structure[0].2;
-            let skiplist = (per_structure[1].1[i][j] + per_structure[1].1[j][i]) as f64
-                / per_structure[1].2;
+            let layered =
+                (per_structure[0].1[i][j] + per_structure[0].1[j][i]) as f64 / per_structure[0].2;
+            let skiplist =
+                (per_structure[1].1[i][j] + per_structure[1].1[j][i]) as f64 / per_structure[1].2;
             let reduction = if skiplist > 0.0 {
                 100.0 * (1.0 - layered / skiplist)
             } else {
@@ -435,7 +440,10 @@ pub fn zipf_throughput(scale: &Scale) {
                 w = w.zipf(alpha);
             }
             let s = summarize_named(structure, &w, scale.runs);
-            let row = format!("{structure},{alpha},{:.1},{:.1}", s.mean_ops_per_ms, s.stddev);
+            let row = format!(
+                "{structure},{alpha},{:.1},{:.1}",
+                s.mean_ops_per_ms, s.stddev
+            );
             println!("{row}");
             csv.push_str(&row);
             csv.push('\n');

@@ -156,7 +156,9 @@ pub fn classification(threads: usize) -> Vec<usize> {
     if spans_sockets {
         numa_of
     } else {
-        (0..threads).map(|t| usize::from(t >= threads / 2)).collect()
+        (0..threads)
+            .map(|t| usize::from(t >= threads / 2))
+            .collect()
     }
 }
 

@@ -31,11 +31,7 @@ impl MissCounts {
     /// the paper's Table 2.
     pub fn per_op(&self, ops: u64) -> (f64, f64, f64) {
         let d = ops.max(1) as f64;
-        (
-            self.l1 as f64 / d,
-            self.l2 as f64 / d,
-            self.l3 as f64 / d,
-        )
+        (self.l1 as f64 / d, self.l2 as f64 / d, self.l3 as f64 / d)
     }
 }
 

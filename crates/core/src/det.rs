@@ -423,11 +423,7 @@ pub fn yield_point() {
 /// execution is sequentialized, this is a deterministic logical clock
 /// suitable for linearizability timestamps.
 pub fn active_step() -> Option<u64> {
-    ACTIVE.with(|a| {
-        a.borrow()
-            .as_ref()
-            .map(|(sched, _)| sched.lock().step)
-    })
+    ACTIVE.with(|a| a.borrow().as_ref().map(|(sched, _)| sched.lock().step))
 }
 
 struct FinishGuard {
@@ -449,10 +445,7 @@ impl Drop for FinishGuard {
 ///
 /// Workers must synchronize exclusively through instrumented accesses —
 /// see the module docs for why lock-based structures are excluded.
-pub fn run_threads<'env>(
-    cfg: &DetConfig,
-    workers: Vec<Box<dyn FnOnce() + Send + 'env>>,
-) -> Trace {
+pub fn run_threads<'env>(cfg: &DetConfig, workers: Vec<Box<dyn FnOnce() + Send + 'env>>) -> Trace {
     let n = workers.len();
     assert!(n > 0, "need at least one worker");
     assert!(n <= u16::MAX as usize, "trace encodes thread ids as u16");

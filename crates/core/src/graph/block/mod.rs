@@ -288,7 +288,10 @@ where
                         // means a writer claimed a slot (or froze it
                         // first) — either way, not ours.
                         if present_bits(removed) == 0
-                            && blk.control().compare_exchange(removed, removed | FROZEN).is_ok()
+                            && blk
+                                .control()
+                                .compare_exchange(removed, removed | FROZEN)
+                                .is_ok()
                         {
                             self.help_split(anchor, ctx);
                         }
@@ -360,8 +363,7 @@ where
 
     /// Index of the present slot holding `key` under control word `w`.
     fn scan_present(&self, blk: &Blk<K, V>, w: usize, key: &K) -> Option<usize> {
-        (0..self.cap)
-            .find(|&i| w & present_bit(i) != 0 && unsafe { blk.key_at(i) } == *key)
+        (0..self.cap).find(|&i| w & present_bit(i) != 0 && unsafe { blk.key_at(i) } == *key)
     }
 
     /// Live entry count (a weak snapshot, like [`SkipGraph::len`]).

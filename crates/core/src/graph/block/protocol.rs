@@ -62,10 +62,7 @@ where
         let linked = loop {
             let mut res = self.graph.search_from(&key, mvec, None, false, ctx);
             let succ = res.succs[0];
-            if res.found
-                || !unsafe { &*res.preds[0] }.is_head()
-                || !unsafe { &*succ }.is_tail()
-            {
+            if res.found || !unsafe { &*res.preds[0] }.is_head() || !unsafe { &*succ }.is_tail() {
                 break false; // map is no longer empty: insert via coverage
             }
             let m0 = res.middles[0];
@@ -169,20 +166,16 @@ where
             } else if survivors.is_empty() {
                 match blk.forward().compare_exchange(0, MERGED) {
                     Ok(_) => None,
-                    Err(winner) => {
-                        (winner > MERGED).then(|| unsafe { NonNull::new_unchecked(winner as BPtr<K>) })
-                    }
+                    Err(winner) => (winner > MERGED)
+                        .then(|| unsafe { NonNull::new_unchecked(winner as BPtr<K>) }),
                 }
             } else {
                 let tail = TagPtr::clean(succ0);
                 let (n1, n2) = if survivors.len() > self.cap / 2 {
                     let mid = survivors.len().div_ceil(2);
                     let second = self.build_block(&survivors[mid..], tail, ctx);
-                    let first = self.build_block(
-                        &survivors[..mid],
-                        TagPtr::clean(second.as_ptr()),
-                        ctx,
-                    );
+                    let first =
+                        self.build_block(&survivors[..mid], TagPtr::clean(second.as_ptr()), ctx);
                     (first, Some(second))
                 } else {
                     (self.build_block(survivors, tail, ctx), None)
@@ -194,7 +187,8 @@ where
                         if let Some(n2) = n2 {
                             self.graph.discard_unpublished(n2, ctx);
                         }
-                        (winner > MERGED).then(|| unsafe { NonNull::new_unchecked(winner as BPtr<K>) })
+                        (winner > MERGED)
+                            .then(|| unsafe { NonNull::new_unchecked(winner as BPtr<K>) })
                     }
                 }
             }
@@ -251,7 +245,8 @@ where
 
         // (e) Winner duties. The dead anchor's generation must move so
         // cached block hints go stale: its retirement bumps it.
-        self.graph.note_unlinked_chain(anchor.as_ptr(), succ0, 0, ctx);
+        self.graph
+            .note_unlinked_chain(anchor.as_ptr(), succ0, 0, ctx);
         self.unlink_upper(anchor, &mut res, ctx);
 
         // The install winner links the replacement *chain* — one or two
@@ -323,7 +318,8 @@ where
             });
         if !carried {
             // An empty result makes `link_upper` search for the block itself.
-            self.graph.link_upper(node, &mut SearchResult::empty(), ctx, || None);
+            self.graph
+                .link_upper(node, &mut SearchResult::empty(), ctx, || None);
         } else if self.graph.link_upper(node, res, ctx, || None) {
             // (Where `link_upper` searched again, `succs[l]` names the block.)
             for l in (1..=top).filter(|&l| res.succs[l] != node.as_ptr()) {
@@ -385,7 +381,8 @@ where
                             *res = descend();
                             continue 'level;
                         }
-                        self.graph.note_unlinked_chain(w.ptr(), nw.ptr(), level, ctx);
+                        self.graph
+                            .note_unlinked_chain(w.ptr(), nw.ptr(), level, ctx);
                         if p == res.preds[level] && w == res.middles[level] {
                             // The rest of that frozen chain still ends at `succs[level]`.
                             res.middles[level] = w.with_ptr(nw.ptr());

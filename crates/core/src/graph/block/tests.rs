@@ -147,10 +147,7 @@ fn range_bounds_match_btreemap() {
     ];
     for (start, end) in cases {
         let got: Vec<_> = map.range(start.as_ref(), end, &c).collect();
-        let want: Vec<(u64, u64)> = model
-            .range((start, end))
-            .map(|(k, v)| (*k, *v))
-            .collect();
+        let want: Vec<(u64, u64)> = model.range((start, end)).map(|(k, v)| (*k, *v)).collect();
         assert_eq!(got, want, "range {start:?}..{end:?}");
     }
 }
@@ -186,8 +183,7 @@ fn a_descending_tail_scans_in_order() {
         ];
         for (start, end) in cases {
             let got: Vec<_> = map.range(start.as_ref(), end, &c).collect();
-            let want: Vec<(u64, u64)> =
-                model.range((start, end)).map(|(k, v)| (*k, *v)).collect();
+            let want: Vec<(u64, u64)> = model.range((start, end)).map(|(k, v)| (*k, *v)).collect();
             assert_eq!(got, want, "range {start:?}..{end:?}");
         }
     }
@@ -311,9 +307,19 @@ fn a_split_descends_once() {
         top_list.push(cur.ptr());
         cur = unsafe { &*cur.ptr() }.load_next_raw(TOP);
     }
-    assert!(!top_list.contains(&anchor.as_ptr()), "dead anchor still linked");
-    let at = top_list.iter().position(|&p| p == first).expect("first half linked");
-    assert_eq!(top_list.get(at + 1), Some(&second), "second half follows the first");
+    assert!(
+        !top_list.contains(&anchor.as_ptr()),
+        "dead anchor still linked"
+    );
+    let at = top_list
+        .iter()
+        .position(|&p| p == first)
+        .expect("first half linked");
+    assert_eq!(
+        top_list.get(at + 1),
+        Some(&second),
+        "second half follows the first"
+    );
     drop(pin);
     map.check_invariants(&c).unwrap();
 }
@@ -414,8 +420,7 @@ fn prefix_probe_matches_linear_reference() {
     let map = BlockedSkipMap::<u64, u64>::new(cfg(1), 8);
     let c = ctx();
     for n in 1..=8usize {
-        let entries: Vec<(u64, u64)> =
-            (0..n as u64).map(|i| (i * 10 + 5, i)).collect();
+        let entries: Vec<(u64, u64)> = (0..n as u64).map(|i| (i * 10 + 5, i)).collect();
         // A throwaway block (never installed; arena-backed, so the
         // leak is bounded by the test).
         let node = map.build_block(&entries, TagPtr::null(), &c);

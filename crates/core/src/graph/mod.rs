@@ -30,8 +30,7 @@ mod stats;
 mod tests;
 
 pub use block::{
-    BlockedHandle, BlockedRangeIter, BlockedSkipMap, BlockedStats, MAX_BLOCK_CAP,
-    MIN_BLOCK_CAP,
+    BlockedHandle, BlockedRangeIter, BlockedSkipMap, BlockedStats, MAX_BLOCK_CAP, MIN_BLOCK_CAP,
 };
 pub use range::RangeIter;
 pub use stats::MemoryStats;
@@ -130,7 +129,8 @@ impl<K, V> NodeRef<K, V> {
     #[allow(clippy::unnecessary_lazy_evaluations)] // no reference to a stale slot
     pub(crate) fn node<'p>(&self, _pin: &'p PinGuard<'_, K, V>) -> Option<DataRef<'p, K, V>> {
         // SAFETY: the captured data node is not retired, and pinned.
-        self.is_current().then(|| DataRef(unsafe { self.ptr.as_ref() }))
+        self.is_current()
+            .then(|| DataRef(unsafe { self.ptr.as_ref() }))
     }
 }
 
@@ -239,7 +239,10 @@ impl<K, V> SearchResult<K, V> {
     /// The level-`level` predecessor (a head or a data node) of a search
     /// that filled that level.
     pub(crate) fn pred<'p>(&self, level: usize, _pin: &'p PinGuard<'_, K, V>) -> &'p Node<K, V> {
-        debug_assert!(!self.preds[level].is_null(), "the search did not fill level {level}");
+        debug_assert!(
+            !self.preds[level].is_null(),
+            "the search did not fill level {level}"
+        );
         // SAFETY: a search reached its non-null predecessors under `pin`.
         unsafe { &*self.preds[level] }
     }
@@ -400,20 +403,14 @@ impl<K: Ord, V> SkipGraph<K, V> {
 
     /// The graph for `config` with no index installed.
     fn build(config: GraphConfig) -> Self {
-        let membership = membership_vectors(
-            config.membership,
-            config.num_threads,
-            config.max_level,
-        )
-        .into_boxed_slice();
+        let membership =
+            membership_vectors(config.membership, config.num_threads, config.max_level)
+                .into_boxed_slice();
         // Sentinels go through the same size classes as data nodes (a
         // level-`l` head lands in class `l`, the tail in the top class);
         // chunks are mapped lazily, so unused classes cost nothing.
-        let sentinels = TowerArenas::new(
-            0,
-            256.min(config.chunk_capacity.max(2)),
-            config.block_bytes,
-        );
+        let sentinels =
+            TowerArenas::new(0, 256.min(config.chunk_capacity.max(2)), config.block_bytes);
         let tail = sentinels.alloc(Node::new_tail()).as_ptr();
         let max = config.max_level;
         let mut heads = vec![std::ptr::null_mut(); head_index(max, 0) + (1 << max)];
@@ -421,7 +418,8 @@ impl<K: Ord, V> SkipGraph<K, V> {
             for suffix in 0..(1u32 << level) {
                 let head = sentinels.alloc(Node::new_head(level, suffix));
                 unsafe {
-                    head.as_ref().store_next(level as usize, TagPtr::clean(tail));
+                    head.as_ref()
+                        .store_next(level as usize, TagPtr::clean(tail));
                 }
                 heads[head_index(level, suffix)] = head.as_ptr();
             }
@@ -475,7 +473,12 @@ impl<K: Ord, V> SkipGraph<K, V> {
     /// CAS (or a lazy resurrection) — never before, so a reader that wins
     /// the entry always finds a reachable incarnation. Best-effort: a full
     /// probe window simply leaves the key on the descent path.
-    pub(crate) fn index_publish_hashed(&self, node: NonNull<Node<K, V>>, hash: u64, ctx: &ThreadCtx) {
+    pub(crate) fn index_publish_hashed(
+        &self,
+        node: NonNull<Node<K, V>>,
+        hash: u64,
+        ctx: &ThreadCtx,
+    ) {
         if let Some(idx) = &self.index {
             let gen = unsafe { Node::generation_of(node) };
             idx.publish_hashed(hash, node, gen, ctx.id() as usize);
@@ -821,8 +824,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
             } else {
                 node.load_next(0, ctx)
             };
-            let gone = w0.marked()
-                || (self.config.lazy && self.check_retire(node, w0, ctx));
+            let gone = w0.marked() || (self.config.lazy && self.check_retire(node, w0, ctx));
             if !gone {
                 return (cur, advanced);
             }

@@ -28,7 +28,12 @@ impl<K: Ord, V> SkipGraph<K, V> {
     /// or `None` when the node is marked (caller must clean its local
     /// structures and fall back to a full insert). `hash` is the key's
     /// [`SkipGraph::index_hash`].
-    pub(crate) fn insert_helper(&self, node: &Node<K, V>, hash: u64, ctx: &ThreadCtx) -> Option<bool> {
+    pub(crate) fn insert_helper(
+        &self,
+        node: &Node<K, V>,
+        hash: u64,
+        ctx: &ThreadCtx,
+    ) -> Option<bool> {
         loop {
             let w0 = node.load_next(0, ctx);
             if w0.marked() {
@@ -417,7 +422,10 @@ impl<K: Ord, V> SkipGraph<K, V> {
             }
             if skipped && !middle.marked() {
                 // Best effort: unlink the dead prefix in one CAS.
-                if prev_ref.cas_next(0, middle, middle.with_ptr(cur), ctx).is_ok() {
+                if prev_ref
+                    .cas_next(0, middle, middle.with_ptr(cur), ctx)
+                    .is_ok()
+                {
                     self.note_unlinked_chain(middle.ptr(), cur, 0, ctx);
                 }
             }

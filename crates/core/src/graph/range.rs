@@ -125,14 +125,16 @@ impl<'g, K: Ord, V> Iterator for RangeIter<'g, K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::GraphConfig;
     use crate::graph::tests::insert;
+    use crate::params::GraphConfig;
     use crate::ConcurrentMap;
     use instrument::ThreadCtx;
 
     /// The keys of `g.range(start, end, c)`, in scan order.
     fn keys(g: &SkipGraph<u64, u64>, start: Bound<&u64>, end: Bound<u64>) -> Vec<u64> {
-        g.range(start, end, &ThreadCtx::plain(0)).map(|(k, _)| *k).collect()
+        g.range(start, end, &ThreadCtx::plain(0))
+            .map(|(k, _)| *k)
+            .collect()
     }
 
     fn graph(lazy: bool) -> SkipGraph<u64, u64> {
@@ -152,7 +154,10 @@ mod tests {
         let got = keys(&g, Bound::Excluded(&10), Bound::Included(20));
         assert_eq!(got, vec![12, 14, 16, 18, 20]);
         // Lower bound between keys.
-        assert_eq!(keys(&g, Bound::Included(&11), Bound::Excluded(16)), vec![12, 14]);
+        assert_eq!(
+            keys(&g, Bound::Included(&11), Bound::Excluded(16)),
+            vec![12, 14]
+        );
     }
 
     #[test]
@@ -175,7 +180,10 @@ mod tests {
         let mut h = ConcurrentMap::pin(&g, ThreadCtx::plain(0));
         assert!(h.remove(&12));
         assert!(h.remove(&14));
-        assert_eq!(keys(&g, Bound::Included(&10), Bound::Included(16)), vec![10, 16]);
+        assert_eq!(
+            keys(&g, Bound::Included(&10), Bound::Included(16)),
+            vec![10, 16]
+        );
     }
 
     #[test]

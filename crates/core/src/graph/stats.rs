@@ -183,8 +183,8 @@ impl MemoryStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::GraphConfig;
     use crate::graph::tests::insert;
+    use crate::params::GraphConfig;
     use crate::ConcurrentMap;
 
     #[test]

@@ -31,7 +31,18 @@ fn ctx(id: u16) -> ThreadCtx {
 /// levels `0..=height` (a bare graph's handle draws its own heights).
 pub(super) fn insert(g: &SkipGraph<u64, u64>, k: u64, v: u64, height: u8, c: &ThreadCtx) -> bool {
     let pin = g.pin(c);
-    g.insert_from(&k, v, g.index_hash(&k), height, false, None, || None, &pin, c).0
+    g.insert_from(
+        &k,
+        v,
+        g.index_hash(&k),
+        height,
+        false,
+        None,
+        || None,
+        &pin,
+        c,
+    )
+    .0
 }
 
 /// A plain graph cannot install the index it is asked for, so it refuses
@@ -46,7 +57,10 @@ fn a_hash_index_without_the_key_hash_is_rejected() {
 /// `NodeRef` per entry; `tests/local_map.rs` sizes its entries after it.
 #[test]
 fn a_node_ref_is_two_words() {
-    assert_eq!(std::mem::size_of::<NodeRef<u64, u64>>(), std::mem::size_of::<[u64; 2]>());
+    assert_eq!(
+        std::mem::size_of::<NodeRef<u64, u64>>(),
+        std::mem::size_of::<[u64; 2]>()
+    );
 }
 
 #[test]
@@ -215,12 +229,14 @@ fn check_retire_respects_commission_period() {
     assert!(!h.contains(&9)); // search passes the invalid node
     let res = g.search_from(&9, g.membership_of(0), None, false, &c);
     // Node still physically linked and unmarked (invalid only).
-    assert!(res.found || {
-        // found=false because the node is invalid... found checks only the
-        // mark; re-fetch to assert the state precisely.
-        let w = unsafe { &*res.succs[0] }.load_next(0, &c);
-        !w.marked()
-    });
+    assert!(
+        res.found || {
+            // found=false because the node is invalid... found checks only the
+            // mark; re-fetch to assert the state precisely.
+            let w = unsafe { &*res.succs[0] }.load_next(0, &c);
+            !w.marked()
+        }
+    );
     // Zero commission: the same sequence marks the node on first contact.
     let g = lazy(2, 0);
     let c = ctx(0);
@@ -313,8 +329,12 @@ fn sparse_invariants_hold_across_all_heights_and_mutations() {
     // height class coexist, and check_invariants walks every list of every
     // level — any out-of-bounds tower slot or mis-linked truncated node
     // would surface here (and under Miri).
-    let g: SkipGraph<u64, u64> =
-        SkipGraph::new(GraphConfig::new(16).sparse(true).lazy(true).chunk_capacity(512));
+    let g: SkipGraph<u64, u64> = SkipGraph::new(
+        GraphConfig::new(16)
+            .sparse(true)
+            .lazy(true)
+            .chunk_capacity(512),
+    );
     let c = ctx(0);
     let mut h = ConcurrentMap::pin(&g, ctx(0));
     let mut rng = SmallRng::seed_from_u64(7);
@@ -363,7 +383,10 @@ fn snapshot_iter_skips_dead_nodes() {
     for k in (0..10u64).step_by(2) {
         assert!(h.remove(&k));
     }
-    let pairs: Vec<(u64, u64)> = g.range(Bound::Unbounded, Bound::Unbounded, &c).map(|(k, v)| (*k, *v)).collect();
+    let pairs: Vec<(u64, u64)> = g
+        .range(Bound::Unbounded, Bound::Unbounded, &c)
+        .map(|(k, v)| (*k, *v))
+        .collect();
     assert_eq!(pairs, vec![(1, 10), (3, 30), (5, 50), (7, 70), (9, 90)]);
     assert_eq!(g.len(&c), 5);
     assert!(!g.is_empty(&c));
@@ -519,7 +542,10 @@ fn references_captured_from_marked_nodes_are_poisoned() {
     // incarnation, so it must never validate.
     assert!(g.logical_delete_eager(node, &c));
     let poisoned = NodeRef::new(NonNull::new(res.succs[0]).unwrap());
-    assert!(!poisoned.is_current(), "capture on a marked node is poisoned");
+    assert!(
+        !poisoned.is_current(),
+        "capture on a marked node is poisoned"
+    );
 }
 
 #[test]
@@ -528,9 +554,8 @@ fn head_start_reads_heal_a_lost_index_entry() {
     // index entry was lost is published again, so the next read of either
     // kind is an index hit.
     let stats = AccessStats::new(1);
-    let g = SkipGraph::<u64, u64>::new_hashed(
-        GraphConfig::new(1).hash_index(true).chunk_capacity(256),
-    );
+    let g =
+        SkipGraph::<u64, u64>::new_hashed(GraphConfig::new(1).hash_index(true).chunk_capacity(256));
     let mut h = ConcurrentMap::pin(&g, ThreadCtx::recording(0, stats.clone()));
     let hits = || stats.thread(0).index_hits;
     assert!(insert(&g, 7, 70, 0, h.ctx()));
@@ -577,9 +602,6 @@ fn churn_with_recycling_keeps_the_footprint_flat() {
          (allocated {})",
         m.allocated
     );
-    assert_eq!(
-        g.keys(&c),
-        (TOTAL - WINDOW..TOTAL).collect::<Vec<_>>()
-    );
+    assert_eq!(g.keys(&c), (TOTAL - WINDOW..TOTAL).collect::<Vec<_>>());
     assert!(g.check_invariants().is_ok());
 }

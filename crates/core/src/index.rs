@@ -136,7 +136,10 @@ use std::sync::OnceLock;
 
 // Tag packing below folds a 32-bit generation and a 31-bit hash
 // signature into one word.
-const _: () = assert!(usize::BITS == 64, "the hash index packs (sig, gen) into one 64-bit word");
+const _: () = assert!(
+    usize::BITS == 64,
+    "the hash index packs (sig, gen) into one 64-bit word"
+);
 
 const TAG_EMPTY: usize = 0;
 const TAG_TOMBSTONE: usize = 1;
@@ -503,10 +506,9 @@ impl Segment {
 
     /// Slots not empty, tombstones included: the sum of the `used` stripes.
     fn used(&self) -> usize {
-        let sum = self
-            .counts
-            .iter()
-            .fold(0usize, |sum, c| sum.wrapping_add(c.0.used.load(Ordering::Relaxed)));
+        let sum = self.counts.iter().fold(0usize, |sum, c| {
+            sum.wrapping_add(c.0.used.load(Ordering::Relaxed))
+        });
         (sum as isize).max(0) as usize
     }
 
@@ -530,7 +532,10 @@ impl Segment {
     /// them ([`crate::SkipGraph`]'s `index_heal`).
     fn grow(&self, tripped: bool) {
         let lease = &self.grow.0;
-        if lease.compare_exchange(0, 1, Ordering::AcqRel, Ordering::Acquire).is_err() {
+        if lease
+            .compare_exchange(0, 1, Ordering::AcqRel, Ordering::Acquire)
+            .is_err()
+        {
             return;
         }
         // Only the lease holder stores the mask.
@@ -553,7 +558,10 @@ impl Segment {
             };
             self.repack(start, cap, &walk)
         };
-        self.counts[0].0.used.fetch_add(delta as usize, Ordering::Relaxed);
+        self.counts[0]
+            .0
+            .used
+            .fetch_add(delta as usize, Ordering::Relaxed);
         lease.store(0, Ordering::Release);
     }
 
@@ -594,7 +602,10 @@ impl Segment {
         }
         let chunk = (cap.trailing_zeros() + 1 - self.base_bits) as usize;
         if self.chunks[chunk].set(upper).is_err() {
-            unreachable!("only a doubling to {} slots installs chunk {chunk}", 2 * cap);
+            unreachable!(
+                "only a doubling to {} slots installs chunk {chunk}",
+                2 * cap
+            );
         }
         self.mask.store(2 * cap - 1, Ordering::Release);
         // Stranded entries are holes: those with a copy, those without
@@ -640,7 +651,8 @@ impl Segment {
         let mut runs: [(usize, &'s [Slot]); 2] = [(0, &[]); 2];
         let slot = |runs: &[(usize, &'s [Slot]); 2], step: usize| -> &'s Slot {
             let (base, run) = runs[step % RING / PROBE_LIMIT];
-            run.get(step - base).unwrap_or_else(|| self.slot(slot_at(step)))
+            run.get(step - base)
+                .unwrap_or_else(|| self.slot(slot_at(step)))
         };
         let mut delta = 0;
         let mut stranded = Vec::new();
@@ -669,7 +681,10 @@ impl Segment {
                 m &= m - 1;
                 let (p, s) = (slot_at(step), slot(&runs, step));
                 let t = s.tag.load();
-                if let Some(ptr) = s.pair(t).filter(|_| tag_is_present(t) && tag_sig(t) & mask > p) {
+                if let Some(ptr) = s
+                    .pair(t)
+                    .filter(|_| tag_is_present(t) && tag_sig(t) & mask > p)
+                {
                     stranded.push((t, ptr));
                 }
             }
@@ -685,7 +700,9 @@ impl Segment {
                 }
                 let from = step - dist;
                 let ahead = ring.rotate_right((from % RING) as u32) & ((1 << dist) - 1);
-                let Some(ptr) = s.pair(t).filter(|_| ahead != 0) else { continue };
+                let Some(ptr) = s.pair(t).filter(|_| ahead != 0) else {
+                    continue;
+                };
                 let q = from + ahead.trailing_zeros() as usize;
                 ring &= !(1 << (q % RING));
                 let dst = slot(&runs, q);
@@ -1350,7 +1367,13 @@ mod tests {
         }
         for k in 0..rounds * live {
             idx.invalidate(&k, None, 0);
-            publish(&idx, k + live, dangling(1 + k as usize), (k + live) as u32, 0);
+            publish(
+                &idx,
+                k + live,
+                dangling(1 + k as usize),
+                (k + live) as u32,
+                0,
+            );
         }
         assert_eq!(idx.capacity(), start, "turnover doubled the index");
         let end = rounds * live;
@@ -1360,7 +1383,11 @@ mod tests {
         let used: usize = occ.iter().map(|s| s.used).sum();
         let tombstones: usize = occ.iter().map(|s| s.tombstones).sum();
         let entries: usize = occ.iter().map(|s| s.entries).sum();
-        assert_eq!(used, entries + tombstones, "used stripes drifted from the slots");
+        assert_eq!(
+            used,
+            entries + tombstones,
+            "used stripes drifted from the slots"
+        );
     }
 
     #[test]
@@ -1374,7 +1401,10 @@ mod tests {
         for k in 0..1_000u64 {
             idx.invalidate(&k, None, (k % 4) as usize);
         }
-        assert!(idx.capacity() > idx.segments.len() * MIN_SEGMENT_CAP, "no grow happened");
+        assert!(
+            idx.capacity() > idx.segments.len() * MIN_SEGMENT_CAP,
+            "no grow happened"
+        );
         for seg in idx.segments.iter() {
             assert_eq!(seg as *const Segment as usize % 128, 0);
             // What every lookup, publish and invalidate loads on its way
@@ -1396,7 +1426,10 @@ mod tests {
             written.extend(&stripes);
             written.extend(lines_of(&seg.grow));
             for line in &read {
-                assert!(!written.contains(line), "a probe-read word sits on a written line");
+                assert!(
+                    !written.contains(line),
+                    "a probe-read word sits on a written line"
+                );
             }
             // No two threads' stripes on one line.
             let mut distinct = stripes.clone();
@@ -1461,7 +1494,10 @@ mod tests {
         // tests/bug_catch.rs and the counts of tests/layer_counts.rs depend
         // on which slot and which log a key hashes to: a change to the
         // function has to change these on purpose.
-        let ints: Vec<u64> = [0u64, 1, 2, 1 << 32, u64::MAX].iter().map(hash_key).collect();
+        let ints: Vec<u64> = [0u64, 1, 2, 1 << 32, u64::MAX]
+            .iter()
+            .map(hash_key)
+            .collect();
         assert_eq!(
             ints,
             [
@@ -1495,10 +1531,16 @@ mod tests {
             // Two segments split on the top bit, two logs on the low one:
             // each half within 2 % of n / 2.
             let segment = hashes.iter().filter(|h| **h >> 63 == 1).count();
-            let log = hashes.iter().filter(|h| crate::mvec::list_suffix(**h as u32, 1) == 1).count();
+            let log = hashes
+                .iter()
+                .filter(|h| crate::mvec::list_suffix(**h as u32, 1) == 1)
+                .count();
             for (what, ones) in [("segment", segment), ("log family", log)] {
                 let share = ones as f64 / n as f64;
-                assert!((share - 0.5).abs() <= 0.01, "{name}: {what} split {share:.4}");
+                assert!(
+                    (share - 0.5).abs() <= 0.01,
+                    "{name}: {what} split {share:.4}"
+                );
             }
             // One slot array filled to load 0.5 by the index's linear probe
             // from `sig & mask`: about 1.5 slots per key for a random hash.
@@ -1528,7 +1570,9 @@ mod tests {
             ("multiples of 2^32", (0..N).map(|k| k << 32).collect()),
             (
                 "scattered",
-                (0..N).map(|r| (2 * r).wrapping_mul(0x9E37_79B1_85EB_CA87)).collect(),
+                (0..N)
+                    .map(|r| (2 * r).wrapping_mul(0x9E37_79B1_85EB_CA87))
+                    .collect(),
             ),
         ]
     }
@@ -1551,5 +1595,3 @@ mod tests {
         assert_eq!(seg.bytes(), 16 * seg.capacity() + stripes);
     }
 }
-
-

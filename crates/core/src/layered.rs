@@ -454,10 +454,7 @@ where
         min_top: u8,
         pin: &'p PinGuard<'m, K, V>,
     ) -> Option<DataRef<'p, K, V>> {
-        let mut probe = self
-            .local
-            .max_lower_equal(key)
-            .map(|(k, r)| (k.clone(), r));
+        let mut probe = self.local.max_lower_equal(key).map(|(k, r)| (k.clone(), r));
         while let Some((k, r)) = probe {
             let Some(node) = r.node(pin) else {
                 // The slot was retired (possibly recycled for a different
@@ -479,7 +476,9 @@ where
                     // Try to complete the pending insertion.
                     let top = node.top_level();
                     let start2 = self.prev_start(&k, top, pin);
-                    let mut res = self.graph.search_from(&k, self.mvec, start2, false, &self.ctx);
+                    let mut res = self
+                        .graph
+                        .search_from(&k, self.mvec, start2, false, &self.ctx);
                     let finished = res.found
                         && res.succs[0] == r.ptr.as_ptr()
                         && self.graph.link_upper(r.ptr, &mut res, &self.ctx, || {
@@ -613,7 +612,9 @@ where
             // Physical cleanup pass; its predecessor frontier seeds the
             // tombstoned hint (C3 mitigation).
             let start = self.get_start(key, 0, pin);
-            let res = self.graph.search_from(key, self.mvec, start, true, &self.ctx);
+            let res = self
+                .graph
+                .search_from(key, self.mvec, start, true, &self.ctx);
             if let Some(p) = res.pred_ref(0, pin) {
                 self.tombstone_local(key, p, pin);
             }
@@ -839,11 +840,7 @@ where
     /// the shared structure from this thread's local map (the same
     /// mechanism that accelerates point operations accelerates the scan's
     /// positioning step).
-    pub fn range(
-        &mut self,
-        start: Bound<&K>,
-        end: Bound<K>,
-    ) -> RangeIter<'_, K, V> {
+    pub fn range(&mut self, start: Bound<&K>, end: Bound<K>) -> RangeIter<'_, K, V> {
         // Use the strictly-preceding local node as the jump-in hint: a
         // hint holding the bound key itself would make the positioning
         // search start *at* (and therefore skip) the first in-range node
@@ -853,9 +850,7 @@ where
         let graph = self.graph;
         let pin = graph.pin(&self.ctx);
         let hint = match &start {
-            Bound::Included(k) | Bound::Excluded(k) => {
-                self.prev_start(k, 0, &pin)
-            }
+            Bound::Included(k) | Bound::Excluded(k) => self.prev_start(k, 0, &pin),
             Bound::Unbounded => None,
         };
         graph.range_from(start, end, hint, &self.ctx)

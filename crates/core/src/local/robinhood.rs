@@ -151,7 +151,8 @@ impl<K: Hash + Eq, V> RobinHoodMap<K, V> {
 
     /// The value for `key`, if present.
     pub fn get(&self, key: &K) -> Option<&V> {
-        self.find(key).map(|i| &self.slots[i].as_ref().unwrap().value)
+        self.find(key)
+            .map(|i| &self.slots[i].as_ref().unwrap().value)
     }
 
     /// Whether `key` is present.
@@ -197,10 +198,7 @@ impl<K: Hash + Eq, V> RobinHoodMap<K, V> {
 
     fn grow(&mut self) {
         let new_cap = self.slots.len() * 2;
-        let old = std::mem::replace(
-            &mut self.slots,
-            (0..new_cap).map(|_| None).collect(),
-        );
+        let old = std::mem::replace(&mut self.slots, (0..new_cap).map(|_| None).collect());
         self.mask = new_cap - 1;
         self.len = 0;
         for slot in old.into_iter().flatten() {

@@ -54,11 +54,7 @@ pub(crate) fn reverse_bits(x: u32, bits: u8) -> u32 {
 /// # Panics
 ///
 /// Panics if `max_level >= 32` or `threads == 0`.
-pub fn membership_vectors(
-    strategy: MembershipStrategy,
-    threads: usize,
-    max_level: u8,
-) -> Vec<u32> {
+pub fn membership_vectors(strategy: MembershipStrategy, threads: usize, max_level: u8) -> Vec<u32> {
     assert!(threads > 0, "need at least one thread");
     assert!((max_level as u32) < 32, "membership vectors are 32-bit");
     let slots = 1u64 << max_level;
@@ -112,7 +108,10 @@ mod tests {
         assert_eq!(default_max_level(9), 3);
         assert_eq!(default_max_level(1), 0);
         // Clamp at the supported tower height.
-        assert_eq!(default_max_level(1 << 20), (crate::node::MAX_HEIGHT - 1) as u8);
+        assert_eq!(
+            default_max_level(1 << 20),
+            (crate::node::MAX_HEIGHT - 1) as u8
+        );
     }
 
     #[test]

@@ -503,7 +503,10 @@ impl<K, V> Node<K, V> {
         debug_assert_eq!((bits & META_KIND_MASK) >> META_KIND_SHIFT, KIND_DATA);
         // Flip the kind first: from here every teardown path sees `Free`
         // and skips the payload.
-        meta.store(pack_meta(KIND_FREE, bits & META_TOP_MASK, false), Ordering::Release);
+        meta.store(
+            pack_meta(KIND_FREE, bits & META_TOP_MASK, false),
+            Ordering::Release,
+        );
         (*std::ptr::addr_of_mut!((*p).key)).assume_init_drop();
         (*std::ptr::addr_of_mut!((*p).value)).assume_init_drop();
     }
@@ -670,7 +673,10 @@ mod tests {
         let probe = arena.alloc(Node::new_data(2, 2, 0, 0, 3, 0));
         unsafe { Node::attach_tower(probe) };
         for level in 0..=3usize {
-            assert!(n.load_next_raw(level).ptr().is_null(), "level {level} not null");
+            assert!(
+                n.load_next_raw(level).ptr().is_null(),
+                "level {level} not null"
+            );
         }
         // Stores at each level land in distinct slots.
         for level in 0..=3usize {
@@ -810,9 +816,15 @@ mod tests {
         assert!(!n.is_inserted());
         assert_eq!(n.generation(), 1, "reinit must not reset the generation");
         for level in 0..=2usize {
-            assert!(n.load_next_raw(level).ptr().is_null(), "level {level} not reset");
+            assert!(
+                n.load_next_raw(level).ptr().is_null(),
+                "level {level} not reset"
+            );
         }
-        assert!(!n.note_unlinked(0), "unlinked mask must be cleared by reinit");
+        assert!(
+            !n.note_unlinked(0),
+            "unlinked mask must be cleared by reinit"
+        );
     }
 
     #[test]
@@ -847,7 +859,11 @@ mod tests {
             let node = arena.alloc(Node::new_data(D(0), D(1), 0, 0, 0, 0));
             unsafe { Node::attach_tower(node) };
             unsafe { Node::release_payload(node) };
-            assert_eq!(DROPS.load(Ordering::SeqCst), 2, "payload dropped at release");
+            assert_eq!(
+                DROPS.load(Ordering::SeqCst),
+                2,
+                "payload dropped at release"
+            );
         }
         // Arena teardown saw a Free slot and did not double-drop.
         assert_eq!(DROPS.load(Ordering::SeqCst), 2);

@@ -19,20 +19,12 @@
 /// dangling (prefetch instructions ignore faulting addresses).
 #[inline(always)]
 pub(crate) fn prefetch_read<T>(ptr: *const T) {
-    #[cfg(all(
-        target_arch = "x86_64",
-        not(miri),
-        not(feature = "deterministic")
-    ))]
+    #[cfg(all(target_arch = "x86_64", not(miri), not(feature = "deterministic")))]
     unsafe {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
         _mm_prefetch::<_MM_HINT_T0>(ptr as *const i8);
     }
-    #[cfg(all(
-        target_arch = "aarch64",
-        not(miri),
-        not(feature = "deterministic")
-    ))]
+    #[cfg(all(target_arch = "aarch64", not(miri), not(feature = "deterministic")))]
     unsafe {
         std::arch::asm!(
             "prfm pldl1keep, [{p}]",

@@ -100,7 +100,6 @@ pub(crate) fn logical_now() -> u64 {
     instrument::time::cycles()
 }
 
-
 /// A node waiting out its grace period.
 struct Retired<K, V> {
     node: NonNull<Node<K, V>>,
@@ -364,12 +363,19 @@ mod tests {
             .slots
             .iter()
             .map(|s| {
-                assert_eq!(lines_of(&s.0.pinned).count(), 1, "a pinned word straddles lines");
+                assert_eq!(
+                    lines_of(&s.0.pinned).count(),
+                    1,
+                    "a pinned word straddles lines"
+                );
                 line_of(&s.0.pinned)
             })
             .collect();
         for (i, line) in lines.iter().enumerate() {
-            assert!(!lines[..i].contains(line), "two slots' pinned words share a line");
+            assert!(
+                !lines[..i].contains(line),
+                "two slots' pinned words share a line"
+            );
         }
     }
 
@@ -381,7 +387,11 @@ mod tests {
         unsafe { r.retire(0, n) };
         assert_eq!(r.limbo_nodes(), 1);
         assert_eq!(r.retired_total(), 1);
-        assert_eq!(unsafe { Node::generation_of(n) }, 1, "retire bumps the generation");
+        assert_eq!(
+            unsafe { Node::generation_of(n) },
+            1,
+            "retire bumps the generation"
+        );
         // Epoch 0: nothing collectible.
         assert_eq!(r.collect(0, |_| panic!("grace not passed")), 0);
         assert!(r.try_advance());

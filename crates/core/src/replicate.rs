@@ -240,8 +240,12 @@ impl<K, V> OpLog<K, V> {
     fn new(capacity: usize, replicas: usize) -> Self {
         Self {
             head: Padded(FacadeAtomicUsize::new(0)),
-            tails: (0..replicas).map(|_| Padded(FacadeAtomicUsize::new(0))).collect(),
-            leases: (0..replicas).map(|_| Padded(FacadeAtomicUsize::new(0))).collect(),
+            tails: (0..replicas)
+                .map(|_| Padded(FacadeAtomicUsize::new(0)))
+                .collect(),
+            leases: (0..replicas)
+                .map(|_| Padded(FacadeAtomicUsize::new(0)))
+                .collect(),
             slots: (0..capacity)
                 .map(|_| {
                     Padded(LogSlot {
@@ -256,7 +260,11 @@ impl<K, V> OpLog<K, V> {
 
     /// The slowest replica's completion tail.
     fn min_tail(&self) -> usize {
-        self.tails.iter().map(|t| t.0.load()).min().expect("at least one replica")
+        self.tails
+            .iter()
+            .map(|t| t.0.load())
+            .min()
+            .expect("at least one replica")
     }
 
     /// The replica with the smallest completion tail (backpressure target).
@@ -577,7 +585,11 @@ where
     /// they actually wait for, and wait a step only after a `false`).
     fn try_replay(&mut self, li: usize, replica: usize) -> bool {
         let log = &self.map.logs[li];
-        if log.leases[replica].0.compare_exchange(0, self.tid + 1).is_err() {
+        if log.leases[replica]
+            .0
+            .compare_exchange(0, self.tid + 1)
+            .is_err()
+        {
             return false;
         }
         self.drain(li, replica);
@@ -615,7 +627,10 @@ where
                 // A stamp from a later wrap would mean the log lapped this
                 // drain: this replica's tail, at or before `pos`, stopped
                 // gating slot reuse — a protocol bug.
-                assert!(seq < pos + 1, "slot of log position {pos} restamped {seq} by a later wrap");
+                assert!(
+                    seq < pos + 1,
+                    "slot of log position {pos} restamped {seq} by a later wrap"
+                );
                 backoff(&mut spins);
             });
             let warm = foreign
@@ -778,7 +793,10 @@ mod tests {
                     assert_eq!(h.socket(), t as usize);
                     for &k in &keys {
                         assert!(h.insert(k, k), "max_lag {max_lag}: fresh insert {k}");
-                        assert!(!h.insert(k, k + 1), "max_lag {max_lag}: repeated insert {k}");
+                        assert!(
+                            !h.insert(k, k + 1),
+                            "max_lag {max_lag}: repeated insert {k}"
+                        );
                     }
                     for &k in keys.iter().filter(|&k| k % 3 == 0) {
                         assert!(h.remove(&k), "max_lag {max_lag}: remove {k}");
@@ -795,7 +813,10 @@ mod tests {
             map.register(ThreadCtx::plain(t)).sync();
         }
         let ctx = ThreadCtx::plain(2);
-        let mut expect: Vec<u64> = (0..2).flat_map(writer_keys).filter(|k| k % 3 != 0).collect();
+        let mut expect: Vec<u64> = (0..2)
+            .flat_map(writer_keys)
+            .filter(|k| k % 3 != 0)
+            .collect();
         expect.sort_unstable();
         for (r, replica) in map.replicas().iter().enumerate() {
             let keys: Vec<u64> = replica
@@ -809,10 +830,8 @@ mod tests {
 
     #[test]
     fn log_words_written_by_different_threads_share_no_line() {
-        let map: ReplicatedLayeredMap<u64, u64> = ReplicatedLayeredMap::new(
-            config(2),
-            ReplicaConfig::uniform(2, 2).log_capacity(8),
-        );
+        let map: ReplicatedLayeredMap<u64, u64> =
+            ReplicatedLayeredMap::new(config(2), ReplicaConfig::uniform(2, 2).log_capacity(8));
         for log in &map.logs {
             // Claimers of neighbouring positions write neighbouring slots.
             let mut slots: Vec<usize> = Vec::new();
@@ -837,9 +856,15 @@ mod tests {
             others.extend(lines_of(&log.mask));
             for (i, lines) in words.iter().enumerate() {
                 for line in lines {
-                    assert!(!others.contains(line), "coordination word {i} shares a line");
+                    assert!(
+                        !others.contains(line),
+                        "coordination word {i} shares a line"
+                    );
                     for (j, other) in words.iter().enumerate() {
-                        assert!(i == j || !other.contains(line), "words {i} and {j} share a line");
+                        assert!(
+                            i == j || !other.contains(line),
+                            "words {i} and {j} share a line"
+                        );
                     }
                 }
             }

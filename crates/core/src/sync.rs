@@ -238,7 +238,12 @@ impl<T> TaggedAtomic<T> {
     pub fn compare_exchange(&self, current: TagPtr<T>, new: TagPtr<T>) -> Result<(), TagPtr<T>> {
         facade_yield();
         self.cell
-            .compare_exchange(current.raw(), new.raw(), Ordering::AcqRel, Ordering::Acquire)
+            .compare_exchange(
+                current.raw(),
+                new.raw(),
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            )
             .map(|_| ())
             .map_err(|raw| TagPtr {
                 raw,
@@ -425,9 +430,7 @@ mod tests {
         let cell = TaggedAtomic::new(TagPtr::clean(x));
         // Same pointer, different flags: must fail.
         let wrong = TagPtr::new(x, true, true);
-        assert!(cell
-            .compare_exchange(wrong, TagPtr::null())
-            .is_err());
+        assert!(cell.compare_exchange(wrong, TagPtr::null()).is_err());
         // Exact word: succeeds.
         assert!(cell
             .compare_exchange(TagPtr::clean(x), TagPtr::new(x, true, false))

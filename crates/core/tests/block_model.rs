@@ -327,10 +327,8 @@ fn real_threads_disjoint_classes_are_exact() {
 /// contract).
 #[test]
 fn iteration_crosses_blocks_under_concurrent_splits() {
-    let map: BlockedSkipMap<u64, u64> = BlockedSkipMap::new(
-        GraphConfig::new(2).chunk_capacity(1 << 10),
-        4,
-    );
+    let map: BlockedSkipMap<u64, u64> =
+        BlockedSkipMap::new(GraphConfig::new(2).chunk_capacity(1 << 10), 4);
     let stable: Vec<u64> = (0..120).map(|i| i * 10).collect();
     let mut setup = map.register(ThreadCtx::plain(0));
     for &k in &stable {
@@ -362,7 +360,10 @@ fn iteration_crosses_blocks_under_concurrent_splits() {
             ascending.dedup();
             assert_eq!(seen, ascending, "scan not strictly ascending");
             for &k in &stable {
-                assert!(seen.binary_search(&k).is_ok(), "stable key {k} lost mid-scan");
+                assert!(
+                    seen.binary_search(&k).is_ok(),
+                    "stable key {k} lost mid-scan"
+                );
             }
         }
         writer.join().unwrap();
@@ -381,10 +382,8 @@ fn iteration_crosses_blocks_under_concurrent_splits() {
 fn split_storm_on_shared_keys_stays_live() {
     const KEY_SPACE: u64 = 512;
     for seed in [3u64, 71, 123] {
-        let map: BlockedSkipMap<u64, u64> = BlockedSkipMap::new(
-            GraphConfig::new(6).chunk_capacity(1 << 12),
-            2,
-        );
+        let map: BlockedSkipMap<u64, u64> =
+            BlockedSkipMap::new(GraphConfig::new(6).chunk_capacity(1 << 12), 2);
         std::thread::scope(|s| {
             for t in 0..6u64 {
                 let map = &map;
@@ -532,10 +531,8 @@ mod deterministic {
 
     fn det_round(cap: usize, seed: u64, det: DetConfig) {
         const THREADS: u64 = 3;
-        let map: BlockedSkipMap<u64, u64> = BlockedSkipMap::new(
-            GraphConfig::new(THREADS as usize).chunk_capacity(512),
-            cap,
-        );
+        let map: BlockedSkipMap<u64, u64> =
+            BlockedSkipMap::new(GraphConfig::new(THREADS as usize).chunk_capacity(512), cap);
         let plan = |t| class_plan(seed, t, THREADS, 60, 24);
         det_run(&map, THREADS, plan, BTreeMap::new(), &det, None);
     }
@@ -550,7 +547,11 @@ mod deterministic {
     #[test]
     fn round_robin_schedules_are_exact() {
         for (cap, seed, quantum) in [(2usize, 1u64, 2u32), (2, 2, 3), (4, 3, 2), (4, 4, 7)] {
-            det_round(cap, seed, DetConfig::new(seed, Policy::RoundRobin { quantum }));
+            det_round(
+                cap,
+                seed,
+                DetConfig::new(seed, Policy::RoundRobin { quantum }),
+            );
         }
     }
 

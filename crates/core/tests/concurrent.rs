@@ -227,10 +227,7 @@ fn single_key_ping_pong() {
         // membership must be consistent with a final contains.
         let mut h = map.register(ThreadCtx::plain(0));
         let present = h.contains(&7);
-        let snapshot_has = map
-            .shared()
-            .keys(h.ctx())
-            .contains(&7);
+        let snapshot_has = map.shared().keys(h.ctx()).contains(&7);
         assert_eq!(present, snapshot_has, "lazy={lazy}");
         map.shared().check_invariants().unwrap();
     }

@@ -178,10 +178,16 @@ fn occupancy_snapshot_accounts_for_published_keys() {
         "snapshot saw more entries than were ever published"
     );
     for (i, seg) in occ.iter().enumerate() {
-        assert!(seg.entries + seg.tombstones <= seg.capacity, "segment {i} overfull");
+        assert!(
+            seg.entries + seg.tombstones <= seg.capacity,
+            "segment {i} overfull"
+        );
         assert!(seg.used <= seg.capacity, "segment {i} used > capacity");
         let binned: u64 = seg.probe_histogram.iter().sum();
-        assert_eq!(binned as usize, seg.entries, "segment {i} histogram loses entries");
+        assert_eq!(
+            binned as usize, seg.entries,
+            "segment {i} histogram loses entries"
+        );
         if seg.entries > 0 {
             assert!(seg.mean_probe() >= 1.0, "segment {i} mean probe below 1");
             assert!(
@@ -226,7 +232,11 @@ mod deterministic {
                     for i in 0..TURNS * LIVE {
                         assert_eq!(h.get(&key(i)), Some(i), "t{t} lost {}", key(i));
                         assert!(h.remove(&key(i)), "t{t} remove {}", key(i));
-                        assert!(h.insert(key(i + LIVE), i + LIVE), "t{t} insert {}", key(i + LIVE));
+                        assert!(
+                            h.insert(key(i + LIVE), i + LIVE),
+                            "t{t} insert {}",
+                            key(i + LIVE)
+                        );
                         assert!(!h.contains(&key(i)), "t{t} read {} back", key(i));
                     }
                 }) as Box<dyn FnOnce() + Send + '_>

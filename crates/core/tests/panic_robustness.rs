@@ -44,10 +44,12 @@ fn survivors_continue_after_worker_panics() {
                         let key = k * 2;
                         let _ = h.remove(&key);
                         let _ = h.insert(key, k + 1000);
-                        assert!(h.contains(&key) || {
-                            // another survivor may have removed it again
-                            true
-                        });
+                        assert!(
+                            h.contains(&key) || {
+                                // another survivor may have removed it again
+                                true
+                            }
+                        );
                     }
                 });
             }

@@ -45,10 +45,7 @@ fn handle_range_matches_btreemap_semantics() {
             .range(Bound::Included(&18), Bound::Included(26))
             .map(|(k, v)| (*k, *v))
             .collect();
-        let want: Vec<(u64, u64)> = model
-            .range(18u64..=26)
-            .map(|(k, v)| (*k, *v))
-            .collect();
+        let want: Vec<(u64, u64)> = model.range(18u64..=26).map(|(k, v)| (*k, *v)).collect();
         assert_eq!(got, want, "lazy={lazy}");
     }
 }
@@ -166,7 +163,10 @@ fn empty_map_ranges() {
 fn indexed_range_start_matches_btreemap_semantics() {
     for lazy in [false, true] {
         let map: LayeredMap<u64, u64> = LayeredMap::new(
-            GraphConfig::new(4).lazy(lazy).hash_index(true).chunk_capacity(1024),
+            GraphConfig::new(4)
+                .lazy(lazy)
+                .hash_index(true)
+                .chunk_capacity(1024),
         );
         let mut h = map.register(ThreadCtx::plain(0));
         let mut model = BTreeMap::new();

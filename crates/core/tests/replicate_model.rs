@@ -403,10 +403,16 @@ fn sync_retires_replay_debt_across_all_logs() {
     let mut reader = map.register(ThreadCtx::recording(1, stats.clone()));
     reader.sync();
     let (lc, rc) = stats.cas().split_by_locality(&[0, 0, 0]);
-    assert!(lc + rc > 0, "sync applied nothing: the preload left no replay debt to test");
+    assert!(
+        lc + rc > 0,
+        "sync applied nothing: the preload left no replay debt to test"
+    );
     let after_sync = lc + rc;
     for k in 0..64u64 {
-        assert!(reader.contains(&k), "key {k} missing via socket 1 after sync");
+        assert!(
+            reader.contains(&k),
+            "key {k} missing via socket 1 after sync"
+        );
     }
     let (lc, rc) = stats.cas().split_by_locality(&[0, 0, 0]);
     assert_eq!(lc + rc, after_sync, "post-sync reads still paid replay CAS");
@@ -480,6 +486,10 @@ fn concurrent_churn_across_sockets_keeps_read_your_writes() {
     let mut b = map.register(ThreadCtx::plain(2));
     assert_ne!(a.socket(), b.socket());
     for k in 0..(THREADS * PER_CLASS) {
-        assert_eq!(a.contains(&k), b.contains(&k), "replicas disagree on key {k}");
+        assert_eq!(
+            a.contains(&k),
+            b.contains(&k),
+            "replicas disagree on key {k}"
+        );
     }
 }

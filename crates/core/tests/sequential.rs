@@ -9,13 +9,25 @@ use std::collections::BTreeSet;
 fn configs() -> Vec<(&'static str, GraphConfig)> {
     vec![
         ("eager-sg", GraphConfig::new(4).chunk_capacity(256)),
-        ("lazy-sg", GraphConfig::new(4).lazy(true).chunk_capacity(256)),
-        ("sparse-sg", GraphConfig::new(4).sparse(true).chunk_capacity(256)),
+        (
+            "lazy-sg",
+            GraphConfig::new(4).lazy(true).chunk_capacity(256),
+        ),
+        (
+            "sparse-sg",
+            GraphConfig::new(4).sparse(true).chunk_capacity(256),
+        ),
         (
             "lazy-sparse-sg",
-            GraphConfig::new(4).lazy(true).sparse(true).chunk_capacity(256),
+            GraphConfig::new(4)
+                .lazy(true)
+                .sparse(true)
+                .chunk_capacity(256),
         ),
-        ("linked-list", GraphConfig::linked_list(4).chunk_capacity(256)),
+        (
+            "linked-list",
+            GraphConfig::linked_list(4).chunk_capacity(256),
+        ),
         (
             "single-sl",
             GraphConfig::single_skip_list(4).chunk_capacity(256),
@@ -49,7 +61,9 @@ fn layered_basic_lifecycle_all_variants() {
         let expect = if map.config().lazy { 50 } else { 52 };
         assert_eq!(h.get(&5), Some(expect), "{name}");
         assert!(h.contains(&5), "{name}");
-        map.shared().check_invariants().unwrap_or_else(|e| panic!("{name}: {e}"));
+        map.shared()
+            .check_invariants()
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
     }
 }
 
@@ -96,8 +110,12 @@ fn many_keys_ordered_iteration() {
 fn direct_skipgraph_map_api() {
     for lazy in [false, true] {
         for sparse in [false, true] {
-            let g: SkipGraph<u64, u64> =
-                SkipGraph::new(GraphConfig::new(2).lazy(lazy).sparse(sparse).chunk_capacity(128));
+            let g: SkipGraph<u64, u64> = SkipGraph::new(
+                GraphConfig::new(2)
+                    .lazy(lazy)
+                    .sparse(sparse)
+                    .chunk_capacity(128),
+            );
             let mut h = g.pin(ThreadCtx::plain(0));
             assert!(h.insert(10, 1));
             assert!(h.insert(20, 2));
@@ -135,8 +153,7 @@ fn membership_strategies_build() {
         MembershipStrategy::ThreadIdSuffix,
         MembershipStrategy::Single,
     ] {
-        let map: LayeredMap<u64, ()> =
-            LayeredMap::new(GraphConfig::new(8).membership(strat));
+        let map: LayeredMap<u64, ()> = LayeredMap::new(GraphConfig::new(8).membership(strat));
         let mut h = map.register(ThreadCtx::plain(3));
         assert!(h.insert(1, ()));
         assert!(h.contains(&1));
@@ -221,8 +238,7 @@ fn sparse_local_structures_are_smaller() {
     // The paper's claim for sparse skip graphs: "only elements that reach
     // the top level are added to the local structures. Therefore, sparse
     // skip graphs also cause the local structures to become more sparse."
-    let dense: LayeredMap<u64, u64> =
-        LayeredMap::new(GraphConfig::new(8).chunk_capacity(4096));
+    let dense: LayeredMap<u64, u64> = LayeredMap::new(GraphConfig::new(8).chunk_capacity(4096));
     let sparse: LayeredMap<u64, u64> =
         LayeredMap::new(GraphConfig::new(8).sparse(true).chunk_capacity(4096));
     let mut hd = dense.register(ThreadCtx::plain(0));
@@ -299,7 +315,10 @@ fn rebuild_compacts_dead_weight() {
     let ctx = ThreadCtx::plain(0);
     let before = map.shared().memory_stats(&ctx);
     assert_eq!(before.live, 100);
-    assert_eq!(before.invalid, 900, "commission never expires: all retained");
+    assert_eq!(
+        before.invalid, 900,
+        "commission never expires: all retained"
+    );
     let fresh = map.rebuild();
     let after = fresh.shared().memory_stats(&ctx);
     assert_eq!(after.live, 100);
@@ -323,7 +342,10 @@ fn get_start_finishes_only_nodes_with_upper_levels() {
     for (name, cfg) in [
         // MaxLevel = 0: every node is height 0.
         ("dense, 2 threads", GraphConfig::new(2).lazy(true)),
-        ("sparse, 8 threads", GraphConfig::new(8).lazy(true).sparse(true)),
+        (
+            "sparse, 8 threads",
+            GraphConfig::new(8).lazy(true).sparse(true),
+        ),
     ] {
         let map: LayeredMap<u64, u64> = LayeredMap::new(cfg);
         let stats = instrument::AccessStats::new(map.config().num_threads);
@@ -333,7 +355,10 @@ fn get_start_finishes_only_nodes_with_upper_levels() {
         for k in 0..N {
             assert!(h.insert(k, k), "{name}");
         }
-        let heights = map.shared().memory_stats(&ThreadCtx::plain(0)).height_histogram;
+        let heights = map
+            .shared()
+            .memory_stats(&ThreadCtx::plain(0))
+            .height_histogram;
         let tall = N - heights[0] as u64;
         let finishes = stats.thread(0).searches - N;
         assert!(
@@ -400,7 +425,9 @@ fn own_keys_without_an_index_entry_are_still_found() {
             assert!(h.contains(&k), "{name}: contains reinserted {k}");
         }
         assert_eq!(map.shared().len(h.ctx()), 64, "{name}");
-        map.shared().check_invariants().unwrap_or_else(|e| panic!("{name}: {e}"));
+        map.shared()
+            .check_invariants()
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
     }
 }
 
@@ -424,7 +451,11 @@ fn a_read_that_searched_republishes_the_entry() {
             assert_eq!(h.get(&7), Some(7), "lazy={lazy} t{t}");
             assert_eq!(h.get(&7), Some(7), "lazy={lazy} t{t}");
             let after = stats.thread(t);
-            assert_eq!(after.index_misses - before.index_misses, 1, "lazy={lazy} t{t}");
+            assert_eq!(
+                after.index_misses - before.index_misses,
+                1,
+                "lazy={lazy} t{t}"
+            );
             assert_eq!(after.index_hits - before.index_hits, 1, "lazy={lazy} t{t}");
         }
     }
@@ -437,11 +468,19 @@ fn a_read_that_searched_republishes_the_entry() {
 #[test]
 fn bulk_load_and_rebuild_land_in_slot_zero_arena() {
     let n = 200u64;
-    let map: LayeredMap<u64, u64> =
-        LayeredMap::bulk_load(GraphConfig::new(4).chunk_capacity(64), (0..n).map(|k| (k, k + 1)));
+    let map: LayeredMap<u64, u64> = LayeredMap::bulk_load(
+        GraphConfig::new(4).chunk_capacity(64),
+        (0..n).map(|k| (k, k + 1)),
+    );
     let sizes = map.shared().arena_sizes();
-    assert_eq!(sizes[0] as u64, n, "bulk-loaded nodes must come from slot 0's arena");
-    assert!(sizes[1..].iter().all(|&s| s == 0), "non-zero foreign arena: {sizes:?}");
+    assert_eq!(
+        sizes[0] as u64, n,
+        "bulk-loaded nodes must come from slot 0's arena"
+    );
+    assert!(
+        sizes[1..].iter().all(|&s| s == 0),
+        "non-zero foreign arena: {sizes:?}"
+    );
     map.shared().check_invariants().unwrap();
 
     // Mutate from a different thread slot: removals plus fresh keys that
@@ -455,13 +494,22 @@ fn bulk_load_and_rebuild_land_in_slot_zero_arena() {
             assert!(h.insert(k, k + 1));
         }
     }
-    assert!(map.shared().arena_sizes()[1] > 0, "slot 1 inserts must use slot 1's arena");
+    assert!(
+        map.shared().arena_sizes()[1] > 0,
+        "slot 1 inserts must use slot 1's arena"
+    );
 
     let live = (n - 50 + 25) as usize;
     let rebuilt = map.rebuild();
     let sizes = rebuilt.shared().arena_sizes();
-    assert_eq!(sizes[0], live, "rebuild must compact every live node into slot 0");
-    assert!(sizes[1..].iter().all(|&s| s == 0), "rebuild left foreign arenas: {sizes:?}");
+    assert_eq!(
+        sizes[0], live,
+        "rebuild must compact every live node into slot 0"
+    );
+    assert!(
+        sizes[1..].iter().all(|&s| s == 0),
+        "rebuild left foreign arenas: {sizes:?}"
+    );
     rebuilt.shared().check_invariants().unwrap();
 
     let mut h = rebuilt.register(ThreadCtx::plain(0));
@@ -496,7 +544,10 @@ fn nonlazy_removes_retain_tombstoned_hints() {
         assert!(h.contains(&k));
     }
     for k in 50..100u64 {
-        assert!(!h.contains(&k), "tombstone for {k} must not answer membership");
+        assert!(
+            !h.contains(&k),
+            "tombstone for {k} must not answer membership"
+        );
     }
     for k in 50..100u64 {
         assert!(h.insert(k, k + 1), "reinsert over tombstone failed for {k}");
@@ -526,13 +577,20 @@ fn tombstone_budget_caps_and_refills() {
         // The first 64 removals hold the tombstones; bring 32 of them
         // back to life, then remove 100 other keys.
         for k in 100..132u64 {
-            assert!(h.insert(k, k + 1), "indexed={indexed}: reinsert over tombstone {k}");
+            assert!(
+                h.insert(k, k + 1),
+                "indexed={indexed}: reinsert over tombstone {k}"
+            );
         }
         assert_eq!(h.local_len(), 232 + BUDGET - 32, "indexed={indexed}: freed");
         for k in 300..400u64 {
             assert!(h.remove(&k));
         }
-        assert_eq!(h.local_len(), 132 + BUDGET, "indexed={indexed}: refilled to the cap");
+        assert_eq!(
+            h.local_len(),
+            132 + BUDGET,
+            "indexed={indexed}: refilled to the cap"
+        );
         for k in 0..400u64 {
             let live = k < 132;
             assert_eq!(h.contains(&k), live, "indexed={indexed}: contains {k}");

@@ -59,7 +59,11 @@ fn with_valid_preserves_pointer_and_mark() {
         let w = TagPtr::new(aligned(0x2000), marked, true);
         let inv = w.with_valid(false);
         assert!(!inv.valid());
-        assert_eq!(inv.marked(), marked, "validity flips must not disturb the mark");
+        assert_eq!(
+            inv.marked(),
+            marked,
+            "validity flips must not disturb the mark"
+        );
         assert_eq!(inv.ptr(), w.ptr());
         // Resurrection: flipping back restores the original word exactly.
         assert_eq!(inv.with_valid(true), w);
@@ -105,8 +109,15 @@ fn cas_on_marked_word_rejects_stale_unmarked_expectation() {
     let err = cell
         .compare_exchange(clean, TagPtr::clean(aligned(0x7000)))
         .expect_err("stale unmarked expectation must fail against a marked word");
-    assert!(err.marked(), "failed CAS must return the current (marked) word");
-    assert_eq!(cell.load(), clean.with_mark(), "the marked word is untouched");
+    assert!(
+        err.marked(),
+        "failed CAS must return the current (marked) word"
+    );
+    assert_eq!(
+        cell.load(),
+        clean.with_mark(),
+        "the marked word is untouched"
+    );
 }
 
 #[test]

@@ -32,6 +32,6 @@ mod matrix;
 pub mod report;
 pub mod time;
 
-pub use ctx::{AccessStats, ThreadCtx, ThreadCounterSnapshot};
+pub use ctx::{AccessStats, ThreadCounterSnapshot, ThreadCtx};
 pub use histogram::LogHistogram;
 pub use matrix::AccessMatrix;

@@ -47,7 +47,10 @@ fn one_past_the_boundary_is_rejected_with_a_clear_error() {
     let too_long = alternating(MAX_EVENTS + 1);
     let err = check_history(&too_long).expect_err("65 events must be rejected");
     assert!(err.contains("history too long"), "unexpected error: {err}");
-    assert!(err.contains("65"), "error should name the offending length: {err}");
+    assert!(
+        err.contains("65"),
+        "error should name the offending length: {err}"
+    );
 }
 
 #[test]

@@ -141,8 +141,13 @@ impl<T> ChunkStorage<T> {
     ///
     /// Panics if `T` needs dropping (the storage frees bytes, not values).
     pub fn from_fn(len: usize, mut f: impl FnMut(usize) -> T) -> Self {
-        assert!(!std::mem::needs_drop::<T>(), "chunk values are never dropped");
-        let size = len.checked_mul(std::mem::size_of::<T>()).expect("chunk size overflows");
+        assert!(
+            !std::mem::needs_drop::<T>(),
+            "chunk values are never dropped"
+        );
+        let size = len
+            .checked_mul(std::mem::size_of::<T>())
+            .expect("chunk size overflows");
         let mut storage = Self::new(size, std::mem::align_of::<T>());
         let base = storage.ptr.as_ptr().cast::<T>();
         for i in 0..len {
@@ -309,12 +314,10 @@ impl<T> Chunk<T> {
             if len >= self.capacity {
                 return None;
             }
-            match self.len.compare_exchange_weak(
-                len,
-                len + 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
+            match self
+                .len
+                .compare_exchange_weak(len, len + 1, Ordering::Relaxed, Ordering::Relaxed)
+            {
                 Ok(_) => {
                     return Some(unsafe {
                         NonNull::new_unchecked(self.storage.as_ptr().add(len * stride))
@@ -660,7 +663,11 @@ mod tests {
     fn concurrent_allocation_is_safe() {
         // Smaller bounds under Miri: the interpreter runs the same chunk
         // growth and slot-claim races, just fewer of them.
-        let (threads, per_thread, cap) = if cfg!(miri) { (4u64, 40, 8) } else { (8, 500, 64) };
+        let (threads, per_thread, cap) = if cfg!(miri) {
+            (4u64, 40, 8)
+        } else {
+            (8, 500, 64)
+        };
         let a: Arc<Arena<u64>> = Arc::new(Arena::with_chunk_capacity(0, cap));
         let mut handles = Vec::new();
         for t in 0..threads {

@@ -165,7 +165,10 @@ mod tests {
     #[test]
     fn fills_socket_first() {
         let p = Placement::new(&paper(), 48);
-        assert!(p.iter().all(|a| a.numa_node == 0), "48 threads fit socket 0");
+        assert!(
+            p.iter().all(|a| a.numa_node == 0),
+            "48 threads fit socket 0"
+        );
         let p = Placement::new(&paper(), 96);
         assert_eq!(p.iter().filter(|a| a.numa_node == 0).count(), 48);
         assert_eq!(p.iter().filter(|a| a.numa_node == 1).count(), 48);

@@ -156,12 +156,11 @@ impl Topology {
         for (node_idx, &n) in nodes.iter().enumerate() {
             let list = fs::read_to_string(node_dir.join(format!("node{n}/cpulist"))).ok()?;
             for cpu_id in parse_cpulist(&list) {
-                let core_id = fs::read_to_string(
-                    sys.join(format!("cpu/cpu{cpu_id}/topology/core_id")),
-                )
-                .ok()
-                .and_then(|s| s.trim().parse::<usize>().ok())
-                .unwrap_or(cpu_id);
+                let core_id =
+                    fs::read_to_string(sys.join(format!("cpu/cpu{cpu_id}/topology/core_id")))
+                        .ok()
+                        .and_then(|s| s.trim().parse::<usize>().ok())
+                        .unwrap_or(cpu_id);
                 cpus.push(CpuDesc {
                     cpu_id,
                     numa_node: node_idx,
@@ -216,7 +215,10 @@ impl Topology {
     ///
     /// Panics if either node index is out of range.
     pub fn distance(&self, a: usize, b: usize) -> u32 {
-        assert!(a < self.num_nodes && b < self.num_nodes, "node out of range");
+        assert!(
+            a < self.num_nodes && b < self.num_nodes,
+            "node out of range"
+        );
         self.distances[a * self.num_nodes + b]
     }
 

@@ -91,7 +91,8 @@ where
 
 impl<K, V> std::fmt::Debug for LayeredPriorityQueue<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LayeredPriorityQueue").finish_non_exhaustive()
+        f.debug_struct("LayeredPriorityQueue")
+            .finish_non_exhaustive()
     }
 }
 
@@ -178,7 +179,8 @@ where
 
 impl<'q, K, V> std::fmt::Debug for PriorityQueueHandle<'q, K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PriorityQueueHandle").finish_non_exhaustive()
+        f.debug_struct("PriorityQueueHandle")
+            .finish_non_exhaustive()
     }
 }
 

@@ -33,8 +33,8 @@
 
 use crate::workload::{run_trial, summarize, InstrMode, TrialResult, TrialSummary, Workload};
 use baselines::{
-    CoarseLockMap, HarrisList, LockFreeSkipList, LockedSkipList, NoHotspotSkipList,
-    NumaskSkipList, RotatingSkipList, SkipListConfig,
+    CoarseLockMap, HarrisList, LockFreeSkipList, LockedSkipList, NoHotspotSkipList, NumaskSkipList,
+    RotatingSkipList, SkipListConfig,
 };
 use numa::{Placement, Topology};
 use skipgraph::{
@@ -222,7 +222,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown structure")]
     fn unknown_name_panics() {
-        let w = Workload::new(1, 4).duration(Duration::from_millis(1)).no_pin();
+        let w = Workload::new(1, 4)
+            .duration(Duration::from_millis(1))
+            .no_pin();
         let _ = run_named("nope", &w, &InstrMode::Off);
     }
 

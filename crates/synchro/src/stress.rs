@@ -232,7 +232,9 @@ fn worker_body<H: MapHandle<u64, u64>>(
             end,
         });
     }
-    out.lock().unwrap_or_else(|e| e.into_inner()).extend(records);
+    out.lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .extend(records);
 }
 
 /// Runs `plans` against `map` with real threads (OS scheduling) and
@@ -363,7 +365,10 @@ impl fmt::Display for FailureReport {
             if plan.is_empty() {
                 continue;
             }
-            let ops: Vec<String> = plan.iter().map(|p| format!("{:?}({})", p.op, p.key)).collect();
+            let ops: Vec<String> = plan
+                .iter()
+                .map(|p| format!("{:?}({})", p.op, p.key))
+                .collect();
             writeln!(f, "    t{t}: {}", ops.join(" "))?;
         }
         #[cfg(feature = "deterministic")]
@@ -687,10 +692,7 @@ mod tests {
         };
         assert!(check_records(&bad, &cfg_pre).is_err());
         // An even preloaded key may be removed first thing.
-        let bad_even: Vec<OpRecord> = bad
-            .iter()
-            .map(|r| OpRecord { key: 4, ..*r })
-            .collect();
+        let bad_even: Vec<OpRecord> = bad.iter().map(|r| OpRecord { key: 4, ..*r }).collect();
         assert!(check_records(&bad_even, &cfg_pre).is_ok());
         assert!(check_records(&bad_even, &cfg).is_err());
     }

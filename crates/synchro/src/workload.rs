@@ -1,13 +1,13 @@
 //! Workload definition and trial execution.
 
 use cache_sim::{Cache, Hierarchy, MissCounts};
-use std::sync::Mutex;
 use instrument::{AccessStats, ThreadCtx};
 use numa::{Placement, Topology};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use skipgraph::{ConcurrentMap, MapHandle};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -158,9 +158,8 @@ impl InstrMode {
                     .unwrap_or(0)
                     .min(l3s.len() - 1);
                 let (l1, l2) = Hierarchy::xeon_l1_l2();
-                ThreadCtx::recording(thread, Arc::clone(stats)).with_cache_sim(
-                    Hierarchy::with_shared_l3(l1, l2, Arc::clone(&l3s[node])),
-                )
+                ThreadCtx::recording(thread, Arc::clone(stats))
+                    .with_cache_sim(Hierarchy::with_shared_l3(l1, l2, Arc::clone(&l3s[node])))
             }
         }
     }
@@ -244,9 +243,7 @@ pub fn run_trial<M: ConcurrentMap<u64, u64>>(
                 let placement = &placement;
                 let instr = instr.clone();
                 s.spawn(move || {
-                    if workload.pin
-                        && numa::pin_current_thread(&placement.assignment(t as usize))
-                    {
+                    if workload.pin && numa::pin_current_thread(&placement.assignment(t as usize)) {
                         pinned.fetch_add(1, Ordering::Relaxed);
                     }
                     let mut rng =
@@ -341,7 +338,9 @@ where
     M: ConcurrentMap<u64, u64>,
     F: Fn() -> M,
 {
-    summarize(workload, runs, |w| run_trial(&factory(), w, &InstrMode::Off))
+    summarize(workload, runs, |w| {
+        run_trial(&factory(), w, &InstrMode::Off)
+    })
 }
 
 /// Runs `trial` `runs` times, the `r`-th with the workload's seed plus
@@ -397,8 +396,7 @@ mod tests {
 
     #[test]
     fn preload_reaches_target() {
-        let map: LayeredMap<u64, u64> =
-            LayeredMap::new(GraphConfig::new(2).chunk_capacity(4096));
+        let map: LayeredMap<u64, u64> = LayeredMap::new(GraphConfig::new(2).chunk_capacity(4096));
         let w = quick(2);
         let _ = run_trial(&map, &w, &InstrMode::Off);
         // After the run the structure holds roughly the preload +- churn;
@@ -422,8 +420,7 @@ mod tests {
 
     #[test]
     fn cache_sim_instrumentation_counts() {
-        let map: LayeredMap<u64, u64> =
-            LayeredMap::new(GraphConfig::new(2).chunk_capacity(4096));
+        let map: LayeredMap<u64, u64> = LayeredMap::new(GraphConfig::new(2).chunk_capacity(4096));
         let stats = AccessStats::new(2);
         let res = run_trial(&map, &quick(2), &InstrMode::StatsAndCache(stats));
         assert!(res.cache.accesses > 0);
@@ -433,9 +430,7 @@ mod tests {
     #[test]
     fn run_trials_averages() {
         let s = run_trials(
-            || {
-                LayeredMap::<u64, u64>::new(GraphConfig::new(2).lazy(true).chunk_capacity(4096))
-            },
+            || LayeredMap::<u64, u64>::new(GraphConfig::new(2).lazy(true).chunk_capacity(4096)),
             &quick(2),
             3,
         );

@@ -21,7 +21,9 @@ fn main() {
     use skipgraph::det::{DetConfig, Policy};
     use synchro::stress::{plan_workload, records_named_det, stress_named_det, StressConfig};
 
-    let structure = std::env::args().nth(1).unwrap_or_else(|| "lazy_layered_sg".into());
+    let structure = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "lazy_layered_sg".into());
     let seed: u64 = std::env::var("SCHEDULE_SEED")
         .ok()
         .and_then(|s| s.parse().ok())

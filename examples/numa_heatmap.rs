@@ -26,7 +26,9 @@ fn main() {
         // All threads fit one socket: classify against the modeled split
         // at T/2 (the boundary the membership vectors encode) so the
         // local/remote columns stay meaningful at small scale.
-        numa_of = (0..THREADS).map(|t| usize::from(t >= THREADS / 2)).collect();
+        numa_of = (0..THREADS)
+            .map(|t| usize::from(t >= THREADS / 2))
+            .collect();
         println!("(single-socket placement; using modeled 2-node split)");
     }
     println!("thread -> NUMA node: {numa_of:?}");
@@ -77,7 +79,9 @@ fn main() {
     // compaction; mass in the histogram's upper buckets means long probe
     // chains despite free space).
     let map: skipgraph::LayeredMap<u64, u64> = skipgraph::LayeredMap::new(
-        skipgraph::GraphConfig::new(THREADS).lazy(true).hash_index(true),
+        skipgraph::GraphConfig::new(THREADS)
+            .lazy(true)
+            .hash_index(true),
     );
     {
         let mut h = map.register(instrument::ThreadCtx::plain(0));

@@ -29,10 +29,7 @@ fn main() {
                 // Each thread registers once and gets a handle owning its
                 // thread-local structures (ordered map + hash table).
                 let mut handle = map.register(ThreadCtx::plain(t));
-                println!(
-                    "thread {t}: membership vector {:03b}",
-                    handle.membership()
-                );
+                println!("thread {t}: membership vector {:03b}", handle.membership());
 
                 // Insert a stripe of keys.
                 for i in 0..10u64 {
@@ -63,6 +60,8 @@ fn main() {
     println!("final size: {}", keys.len());
     assert_eq!(keys.len(), 40);
     assert!(keys.windows(2).all(|w| w[0] < w[1]), "sorted");
-    map.shared().check_invariants().expect("structural invariants");
+    map.shared()
+        .check_invariants()
+        .expect("structural invariants");
     println!("first keys: {:?}...", &keys[..8]);
 }

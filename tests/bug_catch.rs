@@ -67,7 +67,10 @@ fn injected_lazy_remove_bug_is_caught_and_shrunk() {
     let report = first_catch("lazy_layered_sg", &cfg, pct(8, 40_000));
 
     // The report must carry a replayable schedule and a concrete history.
-    let (shrunk_det, _trace) = report.schedule.clone().expect("det report without schedule");
+    let (shrunk_det, _trace) = report
+        .schedule
+        .clone()
+        .expect("det report without schedule");
     assert!(matches!(shrunk_det.policy, Policy::Replay { .. }));
     assert!(!report.failure.history.is_empty());
     // A broken remove is the only injected fault, so the violating history
@@ -91,7 +94,12 @@ fn injected_lazy_remove_bug_is_caught_and_shrunk() {
 
     // And the minimal (plans, schedule) pair must still reproduce the
     // violation when replayed from scratch.
-    let (records, _) = records_named_det("lazy_layered_sg", &report.config, &report.plans, &shrunk_det);
+    let (records, _) = records_named_det(
+        "lazy_layered_sg",
+        &report.config,
+        &report.plans,
+        &shrunk_det,
+    );
     let replay_check = synchro::stress::check_records(&records, &report.config);
     assert!(
         replay_check.is_err(),
@@ -137,7 +145,10 @@ fn injected_stale_index_read_is_caught_and_shrunk() {
     };
     let report = first_catch("hashed_sg", &cfg, round_robin(3, 11));
 
-    let (shrunk_det, _trace) = report.schedule.clone().expect("det report without schedule");
+    let (shrunk_det, _trace) = report
+        .schedule
+        .clone()
+        .expect("det report without schedule");
     assert!(matches!(shrunk_det.policy, Policy::Replay { .. }));
     assert!(!report.failure.history.is_empty());
     // The only injected fault is the skipped invalidate, so the violating
@@ -158,8 +169,7 @@ fn injected_stale_index_read_is_caught_and_shrunk() {
         "shrinker left {total} of {original} ops: {report}"
     );
 
-    let (records, _) =
-        records_named_det("hashed_sg", &report.config, &report.plans, &shrunk_det);
+    let (records, _) = records_named_det("hashed_sg", &report.config, &report.plans, &shrunk_det);
     assert!(
         synchro::stress::check_records(&records, &report.config).is_err(),
         "shrunk report does not reproduce the violation:\n{report}"
@@ -196,7 +206,10 @@ fn injected_stale_replica_read_is_caught_and_shrunk() {
     };
     let report = first_catch("replicated_sg", &cfg, pct(10, 60_000));
 
-    let (shrunk_det, _trace) = report.schedule.clone().expect("det report without schedule");
+    let (shrunk_det, _trace) = report
+        .schedule
+        .clone()
+        .expect("det report without schedule");
     assert!(matches!(shrunk_det.policy, Policy::Replay { .. }));
     assert!(!report.failure.history.is_empty());
     // The severed tail-wait only affects the read path, so the violating
@@ -247,7 +260,10 @@ fn injected_blocked_lost_insert_is_caught_and_shrunk() {
     };
     let report = first_catch("blocked_sg", &cfg, round_robin(2, 16));
 
-    let (shrunk_det, _trace) = report.schedule.clone().expect("det report without schedule");
+    let (shrunk_det, _trace) = report
+        .schedule
+        .clone()
+        .expect("det report without schedule");
     assert!(matches!(shrunk_det.policy, Policy::Replay { .. }));
     assert!(!report.failure.history.is_empty());
     // A lying insert is the only injected fault, so the violating history
@@ -268,8 +284,7 @@ fn injected_blocked_lost_insert_is_caught_and_shrunk() {
         "shrinker left {total} of {original} ops: {report}"
     );
 
-    let (records, _) =
-        records_named_det("blocked_sg", &report.config, &report.plans, &shrunk_det);
+    let (records, _) = records_named_det("blocked_sg", &report.config, &report.plans, &shrunk_det);
     assert!(
         synchro::stress::check_records(&records, &report.config).is_err(),
         "shrunk report does not reproduce the violation:\n{report}"
@@ -303,7 +318,10 @@ fn injected_anchor_stale_covering_is_caught_and_shrunk() {
     };
     let report = first_catch("anchor_blocked_sg", &cfg, round_robin(3, 11));
 
-    let (shrunk_det, _trace) = report.schedule.clone().expect("det report without schedule");
+    let (shrunk_det, _trace) = report
+        .schedule
+        .clone()
+        .expect("det report without schedule");
     assert!(matches!(shrunk_det.policy, Policy::Replay { .. }));
     assert!(!report.failure.history.is_empty());
 
@@ -314,8 +332,12 @@ fn injected_anchor_stale_covering_is_caught_and_shrunk() {
         "shrinker left {total} of {original} ops: {report}"
     );
 
-    let (records, _) =
-        records_named_det("anchor_blocked_sg", &report.config, &report.plans, &shrunk_det);
+    let (records, _) = records_named_det(
+        "anchor_blocked_sg",
+        &report.config,
+        &report.plans,
+        &shrunk_det,
+    );
     assert!(
         synchro::stress::check_records(&records, &report.config).is_err(),
         "shrunk report does not reproduce the violation:\n{report}"

@@ -73,7 +73,10 @@ fn different_schedule_seeds_explore_different_interleavings() {
     };
     let (_, t1) = records_named_det("skipgraph", &cfg, &plans, &mk(1));
     let (_, t2) = records_named_det("skipgraph", &cfg, &plans, &mk(2));
-    assert_ne!(t1.decisions, t2.decisions, "PCT seeds 1 and 2 gave the same schedule");
+    assert_ne!(
+        t1.decisions, t2.decisions,
+        "PCT seeds 1 and 2 gave the same schedule"
+    );
 }
 
 #[test]
@@ -169,7 +172,10 @@ fn trace_replay_reproduces_the_run() {
         },
     );
     let (r2, t2) = records_named_det("lazy_layered_sg", &cfg, &plans, &replay);
-    assert_eq!(t1.decisions, t2.decisions, "replay deviated from the recorded trace");
+    assert_eq!(
+        t1.decisions, t2.decisions,
+        "replay deviated from the recorded trace"
+    );
     assert_eq!(r1, r2, "replay produced different operation results");
 }
 
@@ -219,7 +225,11 @@ fn hashed_index_pct_and_round_robin_linearize() {
 /// Whether `det` grows the index of a map built as `hashed_sg` is.
 fn index_grows_under(cfg: &StressConfig, det: &DetConfig) -> bool {
     let map = LayeredMap::<u64, u64>::new(GraphConfig::new(cfg.threads as usize).hash_index(true));
-    let capacity = || map.shared().memory_stats(&ThreadCtx::plain(0)).index_capacity;
+    let capacity = || {
+        map.shared()
+            .memory_stats(&ThreadCtx::plain(0))
+            .index_capacity
+    };
     let before = capacity();
     let mut h = map.register(ThreadCtx::plain(0));
     for key in (0..cfg.key_space).filter(|&k| initially_present(cfg, k)) {

@@ -411,12 +411,18 @@ fn the_index_is_one_table_at_half_load() {
     // segment has: a grow keeps nothing of what it outgrew.
     let stripes = 128 * mem.index_segments * (SLOTS as usize).next_power_of_two();
     let occ = map.shared().index_occupancy();
-    let loads: Vec<String> = occ.iter().map(|s| format!("{:.3}", s.load_factor())).collect();
+    let loads: Vec<String> = occ
+        .iter()
+        .map(|s| format!("{:.3}", s.load_factor()))
+        .collect();
     // Every key once, through handles that loaded none of them.
     let stats = AccessStats::new(SLOTS as usize);
     let mut readers = pin_all(&map, 0..SLOTS, Some(&stats));
     for i in 0..INDEX_KEYS {
-        assert!(readers[i as usize % SLOTS as usize].contains(&key(i)), "preloaded key lost");
+        assert!(
+            readers[i as usize % SLOTS as usize].contains(&key(i)),
+            "preloaded key lost"
+        );
     }
     let hits = stats.totals().index_hits;
     println!(
@@ -433,7 +439,11 @@ fn the_index_is_one_table_at_half_load() {
         "index bytes beyond one two-word slot per slot of capacity"
     );
     for s in &occ {
-        assert!(s.load_factor() >= 0.375, "a segment grew early: load {:.3}", s.load_factor());
+        assert!(
+            s.load_factor() >= 0.375,
+            "a segment grew early: load {:.3}",
+            s.load_factor()
+        );
     }
     assert_eq!(hits, INDEX_KEYS, "preloaded keys missing from the index");
 }
@@ -445,7 +455,12 @@ fn the_index_is_one_table_at_half_load() {
 #[test]
 fn an_index_segment_starts_at_four_slots() {
     const KEYS: u64 = 1 << 16;
-    let map = LayeredMap::new(GraphConfig::new(1).lazy(true).hash_index(true).chunk_capacity(CHUNK));
+    let map = LayeredMap::new(
+        GraphConfig::new(1)
+            .lazy(true)
+            .hash_index(true)
+            .chunk_capacity(CHUNK),
+    );
     let ctx = ThreadCtx::plain(0);
     let empty = map.shared().memory_stats(&ctx);
     let mut h = map.register(ThreadCtx::plain(0));
@@ -489,13 +504,21 @@ fn key_turnover_at_a_constant_live_size_keeps_the_index_size() {
     let before = map.shared().memory_stats(&ctx);
     (LIVE..(TURNS + 1) * LIVE).for_each(&mut replace);
     let after = map.shared().memory_stats(&ctx);
-    let tombstones: usize = map.shared().index_occupancy().iter().map(|s| s.tombstones).sum();
+    let tombstones: usize = map
+        .shared()
+        .index_occupancy()
+        .iter()
+        .map(|s| s.tombstones)
+        .sum();
     println!(
         "index turnover: {} -> {} slots, {} -> {} B over {TURNS}x{LIVE} replaced keys, \
          {tombstones} tombstones left",
         before.index_capacity, after.index_capacity, before.index_bytes, after.index_bytes
     );
-    assert_eq!(after.index_capacity, before.index_capacity, "turnover grew the index");
+    assert_eq!(
+        after.index_capacity, before.index_capacity,
+        "turnover grew the index"
+    );
     assert_eq!(after.index_bytes, before.index_bytes);
 }
 
@@ -557,12 +580,16 @@ fn a_point_operation_hashes_its_key_once() {
     // One worker per replica; a write's replays on both count with it.
     let map: ReplicatedLayeredMap<Counted, u64> =
         ReplicatedLayeredMap::new(config(), ReplicaConfig::uniform(SLOTS as usize, 2));
-    let mut w: Vec<_> = (0..SLOTS).map(|t| map.register(ThreadCtx::plain(t))).collect();
+    let mut w: Vec<_> = (0..SLOTS)
+        .map(|t| map.register(ThreadCtx::plain(t)))
+        .collect();
     count("replicated insert", &mut || {
         assert!(w[0].insert(k(7), 7));
         w[1].sync();
     });
-    count("replicated get", &mut || assert_eq!(w[1].get(&k(7)), Some(7)));
+    count("replicated get", &mut || {
+        assert_eq!(w[1].get(&k(7)), Some(7))
+    });
     count("replicated contains", &mut || assert!(w[0].contains(&k(7))));
     count("replicated remove", &mut || {
         assert!(w[0].remove(&k(7)));
@@ -636,7 +663,11 @@ fn a_replica_drain_runs_the_direct_operations() {
     }
     let replayed = op_counts(&stats, || {
         for &(insert, key) in &ops {
-            let _ = if insert { h.insert(key, 0) } else { h.remove(&key) };
+            let _ = if insert {
+                h.insert(key, 0)
+            } else {
+                h.remove(&key)
+            };
         }
     });
 
@@ -648,7 +679,11 @@ fn a_replica_drain_runs_the_direct_operations() {
     }
     let direct = op_counts(&stats, || {
         for &(insert, key) in &ops {
-            let _ = if insert { h.insert(key, 0) } else { h.remove(&key) };
+            let _ = if insert {
+                h.insert(key, 0)
+            } else {
+                h.remove(&key)
+            };
         }
     });
 
@@ -672,7 +707,10 @@ fn a_bare_lazy_insert_links_every_level() {
         assert!(h.insert(k, k));
     }
     let lengths = graph.level_lengths(h.ctx());
-    println!("bare lazy graph: levels 0..=2 hold {:?} of {KEYS} keys", &lengths[..3]);
+    println!(
+        "bare lazy graph: levels 0..=2 hold {:?} of {KEYS} keys",
+        &lengths[..3]
+    );
     assert_eq!(lengths[..3], [KEYS; 3]);
 }
 
@@ -740,7 +778,10 @@ fn sparse_towers_quarter_the_local_entries() {
     };
     let (dense, sparse) = (local_len(false), local_len(true));
     println!("local entries after {KEYS} ascending inserts: dense {dense}, sparse {sparse}");
-    assert_eq!(dense, KEYS as usize, "a dense handle maps every key it inserted");
+    assert_eq!(
+        dense, KEYS as usize,
+        "a dense handle maps every key it inserted"
+    );
     // Slot 0's seeded height RNG gives exactly this count (the older run
     // in `results/local_structures.csv` reads 1 005).
     assert_eq!(sparse, 1068);

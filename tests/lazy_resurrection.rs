@@ -42,8 +42,7 @@ fn remove_invalidates_in_place_and_insert_resurrects() {
     let s = g.memory_stats(&c);
     assert_eq!((s.live, s.invalid, s.marked), (1, 0, 0));
     assert_eq!(
-        s.allocated,
-        allocated_before,
+        s.allocated, allocated_before,
         "resurrection must reuse the invalid node, not allocate"
     );
 }
@@ -116,8 +115,7 @@ fn recorded_resurrection_history_linearizes() {
     // remove — exactly what the bug-injection feature produces.
     let mut broken = events.clone();
     broken[2].result = true;
-    check_history_from(&broken, false)
-        .expect_err("visible-after-remove history must be rejected");
+    check_history_from(&broken, false).expect_err("visible-after-remove history must be rejected");
 }
 
 /// A whole-list scan skips exactly the dead nodes the census counts:
@@ -130,7 +128,10 @@ fn a_snapshot_is_the_open_range_and_matches_the_census() {
     // Commission 0: a removed node is retired (marked) by the next search
     // that passes it, and stays linked until an insert substitutes it.
     let g: SkipGraph<u64, u64> = SkipGraph::new(
-        GraphConfig::new(2).lazy(true).commission_cycles(0).chunk_capacity(256),
+        GraphConfig::new(2)
+            .lazy(true)
+            .commission_cycles(0)
+            .chunk_capacity(256),
     );
     let c = ThreadCtx::plain(0);
     let mut h = g.pin(ThreadCtx::plain(0));

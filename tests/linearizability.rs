@@ -73,8 +73,7 @@ fn record_history<M: ConcurrentMap<u64, u64>>(map: &M) -> Vec<(u64, Event)> {
 
 #[test]
 fn layered_eager_is_linearizable() {
-    let map: LayeredMap<u64, u64> =
-        LayeredMap::new(GraphConfig::new(THREADS).chunk_capacity(4096));
+    let map: LayeredMap<u64, u64> = LayeredMap::new(GraphConfig::new(THREADS).chunk_capacity(4096));
     let history = record_history(&map);
     check_keyed_histories(&history).expect("eager layered map");
 }
@@ -178,11 +177,8 @@ fn rotating_is_linearizable() {
 #[test]
 fn numask_is_linearizable() {
     use baselines::NumaskSkipList;
-    let l: NumaskSkipList<u64, u64> = NumaskSkipList::new(
-        vec![0, 0, 1, 1],
-        4096,
-        std::time::Duration::from_millis(1),
-    );
+    let l: NumaskSkipList<u64, u64> =
+        NumaskSkipList::new(vec![0, 0, 1, 1], 4096, std::time::Duration::from_millis(1));
     let history = record_history(&l);
     check_keyed_histories(&history).expect("numask skip list");
 }

@@ -170,9 +170,8 @@ fn an_insert_that_loses_its_link_to_the_same_key_frees_its_node() {
     let mut discarded = 0;
     for lazy in [true, false] {
         for (seed, policy) in round_robin_family(2, 6) {
-            let map: LayeredMap<u64, u64> = LayeredMap::new(
-                GraphConfig::new(2).lazy(lazy).chunk_capacity(1 << 8),
-            );
+            let map: LayeredMap<u64, u64> =
+                LayeredMap::new(GraphConfig::new(2).lazy(lazy).chunk_capacity(1 << 8));
             let workers: Vec<Box<dyn FnOnce() + Send + '_>> = (0..2u16)
                 .map(|t| {
                     let map = &map;

@@ -52,7 +52,9 @@ fn instrumented_run_produces_consistent_metrics() {
     assert!(totals.cas_failures <= totals.cas_attempts);
     assert!(totals.searches > 0);
     // Locality summary is well-formed under both real and modeled splits.
-    let numa_of: Vec<usize> = (0..threads).map(|t| usize::from(t >= threads / 2)).collect();
+    let numa_of: Vec<usize> = (0..threads)
+        .map(|t| usize::from(t >= threads / 2))
+        .collect();
     let s = locality_summary(&stats, &numa_of);
     assert!(s.cas_success_rate > 0.0 && s.cas_success_rate <= 1.0);
     assert!(s.local_reads_per_op + s.remote_reads_per_op > 0.0);
@@ -73,7 +75,10 @@ fn membership_vectors_follow_the_placement_distance() {
     let near = skipgraph::mvec::shared_levels(m0, m1, max);
     let far = skipgraph::mvec::shared_levels(m0, m95, max);
     assert!(near > far, "near={near} far={far}");
-    assert_eq!(placement.assignment(0).numa_node, placement.assignment(1).numa_node);
+    assert_eq!(
+        placement.assignment(0).numa_node,
+        placement.assignment(1).numa_node
+    );
     assert_ne!(
         placement.assignment(0).numa_node,
         placement.assignment(95).numa_node
@@ -125,17 +130,27 @@ fn layered_and_skiplist_agree_under_identical_workload() {
     let mut hs = skiplist.pin(ThreadCtx::plain(0));
     let mut state = 42u64;
     for _ in 0..5000 {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         let k = (state >> 33) % 512;
         match state % 3 {
             0 => {
-                assert_eq!(hl.insert(k, k), MapHandle::insert(&mut hs, k, k), "insert {k}");
+                assert_eq!(
+                    hl.insert(k, k),
+                    MapHandle::insert(&mut hs, k, k),
+                    "insert {k}"
+                );
             }
             1 => {
                 assert_eq!(hl.remove(&k), MapHandle::remove(&mut hs, &k), "remove {k}");
             }
             _ => {
-                assert_eq!(hl.contains(&k), MapHandle::contains(&mut hs, &k), "contains {k}");
+                assert_eq!(
+                    hl.contains(&k),
+                    MapHandle::contains(&mut hs, &k),
+                    "contains {k}"
+                );
             }
         }
     }
@@ -156,7 +171,10 @@ fn concurrent_pipeline_under_oversubscription() {
         // On a single-core host the scheduler may starve a few of the 16
         // oversubscribed threads within the window; most must progress.
         let progressed = res.per_thread_ops.iter().filter(|&&o| o > 0).count();
-        assert!(progressed >= threads / 2, "{name}: only {progressed} threads progressed");
+        assert!(
+            progressed >= threads / 2,
+            "{name}: only {progressed} threads progressed"
+        );
     }
 }
 
