@@ -139,7 +139,10 @@ impl GraphConfig {
     /// (multiple of 8 so the region stays pointer-aligned). Used by the
     /// blocked map; plain maps leave this at zero.
     pub(crate) fn block_bytes(mut self, bytes: usize) -> Self {
-        assert!(bytes % 8 == 0, "block bytes must preserve 8-byte alignment");
+        assert!(
+            bytes.is_multiple_of(8),
+            "block bytes must preserve 8-byte alignment"
+        );
         self.block_bytes = bytes;
         self
     }

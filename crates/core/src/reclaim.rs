@@ -232,7 +232,7 @@ impl<K, V> EpochReclaim<K, V> {
         let slot = &self.slots[tid].0;
         let n = slot.ops.load(Ordering::Relaxed) + 1;
         slot.ops.store(n, Ordering::Relaxed);
-        n % QUIESCE_PERIOD == 0
+        n.is_multiple_of(QUIESCE_PERIOD)
     }
 
     /// Retires a fully-unlinked node: bumps its generation (invalidating

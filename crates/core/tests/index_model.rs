@@ -116,7 +116,7 @@ fn concurrent_churn_with_reclaim_never_serves_stale_reads() {
                             "t{t} lost its own key {k} (round {round})"
                         );
                         assert!(h.contains(&k), "t{t} contains({k}) false after insert");
-                        if x % 3 == 0 {
+                        if x.is_multiple_of(3) {
                             assert!(h.remove(&k), "t{t} remove({k}) lied");
                             assert_eq!(h.get(&k), None, "t{t} read {k} back after remove");
                             assert!(!h.contains(&k), "t{t} contains({k}) true after remove");
