@@ -33,6 +33,13 @@
 //!   depends on replica-local retirement timing, so
 //!   [`ReplicatedHandle::get`] only promises a value that *some*
 //!   successful insert of that key supplied.
+//! * **Outcomes** go to the writer's own word: the map keeps one padded
+//!   outcome word per registered thread, and the home replica's applier
+//!   stores a write's outcome there, stamped with its log and position
+//!   (positions on the two logs overlap). The writer polls its word and
+//!   replays its home replica meanwhile, the loop a reader's catch-up
+//!   runs. A log slot carries nothing back, so a drain waits on no
+//!   consumer: only on a claimer between its claim and its stamp.
 //! * **Warm starts in another socket's replica**: there the replaying
 //!   handle's local map holds only what it replayed there before, so a
 //!   drain into a replica other than the caller's hands each operation
@@ -58,8 +65,8 @@
 //!   thread. A read hands it to the replica's lookup; a write stores it in
 //!   its log slot beside the operation, and every replica's replay
 //!   executes the operation under it, so no replay hashes again.
-//! * **Backpressure**: an appender observing `head - min_tail >= max_lag`,
-//!   three quarters of the log capacity, helps replay the laggiest replica
+//! * **Backpressure**: an appender observing `head - min(tails) >= max_lag`,
+//!   three quarters of the log capacity, helps replay the slowest replica
 //!   instead of growing the backlog, so a slot is never reclaimed while an
 //!   applier might still read it (`max_lag <= capacity` makes the bounded
 //!   buffer safe by construction). Every replica's tail gates slot reuse,
@@ -77,7 +84,7 @@
 //! workload, so it is measured, not switched at run time.
 //!
 //! Every coordination word (`head`, per-replica tails, replay leases, slot
-//! sequence/result stamps) is one of the crate's facade atomic words, so
+//! stamps, outcome words) is one of the crate's facade atomic words, so
 //! under `--features deterministic` the cooperative scheduler drives
 //! append, replay, and catch-up at the same replayable granularity as the
 //! structure itself; the `replicated_sg` stress lanes run PCT and
@@ -100,10 +107,10 @@ use std::hash::Hash;
 /// The one wait step of every loop in this module: spin briefly for the
 /// fast handoff, then yield the OS thread.
 /// Whoever is waited on — a lease holder mid-drain, a claimer between its
-/// claim and its stamp, a writer about to consume its result — may be
-/// descheduled, and on oversubscribed cores a busy-waiter steals the very
-/// quantum that thread needs. A loop waits only after a round that made
-/// no progress of its own: a drain the caller just ran is not waited on.
+/// claim and its stamp — may be descheduled, and on oversubscribed cores a
+/// busy-waiter steals the very quantum that thread needs. A loop waits
+/// only after a round that made no progress of its own: a drain the caller
+/// just ran is not waited on.
 fn backoff(spins: &mut u32) {
     *spins = spins.wrapping_add(1);
     if *spins < 16 {
@@ -199,86 +206,64 @@ impl<K, V> Update<K, V> {
 
 /// What an appender deposits in a log slot.
 struct Pending<K, V> {
-    /// The appender's socket: the applier replaying *that* replica
-    /// publishes the operation's outcome back through the slot.
-    home: usize,
+    /// The appender's thread id: the applier replaying its home replica
+    /// stores the operation's outcome in its outcome word.
+    writer: usize,
     /// The key's [`hash_key`], computed once by the appender: it chose
     /// the log, and every replica's replay executes the operation under it.
     hash: u64,
     op: Update<K, V>,
 }
 
-/// One bounded-log slot. Three phases, each handed off through a facade
-/// atomic:
-///
-/// 1. the appender (exclusive by slot-reuse invariant) publishes `op`
-///    stamped `pos + 1`;
-/// 2. appliers of every replica wait for the stamp and read `op` (shared);
-/// 3. the applier on the appender's home replica publishes
-///    `result = ((pos + 1) << 1) | ok`, and the appender consumes it back
-///    to `0` — the consume-ack that lets the slot's next occupant (a full
-///    wrap later) publish its own outcome unambiguously.
-///
-/// A log holds each slot in a [`Padded`] 128-byte granule, so two writers
-/// appending neighbouring positions never write one line.
-struct LogSlot<K, V> {
-    op: HandoffCell<Pending<K, V>>,
-    result: FacadeAtomicUsize,
+/// The stamp, outcome bit clear, that the operation at position `pos` of
+/// log `li` leaves in its writer's outcome word. Positions on the two logs
+/// overlap, so the log is part of it; `pos + 1` keeps it off a fresh
+/// word's 0.
+fn outcome_stamp(li: usize, pos: usize) -> usize {
+    ((pos + 1) << LOG_LEVEL | li) << 1
 }
+
+/// One log slot, a [`HandoffCell`]: the appender (exclusive by the
+/// slot-reuse invariant) publishes the operation stamped `pos + 1`, and the
+/// appliers of every replica wait for the stamp and read it in place. It
+/// sits in a [`Padded`] granule, so two writers appending neighbouring
+/// positions never write one line.
+type Slot<K, V> = Padded<HandoffCell<Pending<K, V>>>;
 
 /// A bounded MPSC operation log with one completion tail (and one replay
 /// lease) per replica.
 struct OpLog<K, V> {
     head: Padded<FacadeAtomicUsize>,
-    tails: Vec<Padded<FacadeAtomicUsize>>,
-    leases: Vec<Padded<FacadeAtomicUsize>>,
-    slots: Box<[Padded<LogSlot<K, V>>]>,
+    tails: Box<[Padded<FacadeAtomicUsize>]>,
+    leases: Box<[Padded<FacadeAtomicUsize>]>,
+    slots: Box<[Slot<K, V>]>,
     mask: usize,
+}
+
+/// `n` padded words, each reading 0.
+fn padded_words(n: usize) -> Box<[Padded<FacadeAtomicUsize>]> {
+    (0..n).map(|_| Padded(FacadeAtomicUsize::new(0))).collect()
 }
 
 impl<K, V> OpLog<K, V> {
     fn new(capacity: usize, replicas: usize) -> Self {
         Self {
             head: Padded(FacadeAtomicUsize::new(0)),
-            tails: (0..replicas)
-                .map(|_| Padded(FacadeAtomicUsize::new(0)))
-                .collect(),
-            leases: (0..replicas)
-                .map(|_| Padded(FacadeAtomicUsize::new(0)))
-                .collect(),
-            slots: (0..capacity)
-                .map(|_| {
-                    Padded(LogSlot {
-                        op: HandoffCell::new(),
-                        result: FacadeAtomicUsize::new(0),
-                    })
-                })
-                .collect(),
+            tails: padded_words(replicas),
+            leases: padded_words(replicas),
+            slots: (0..capacity).map(|_| Padded(HandoffCell::new())).collect(),
             mask: capacity - 1,
         }
     }
 
-    /// The slowest replica's completion tail.
-    fn min_tail(&self) -> usize {
-        self.tails
-            .iter()
-            .map(|t| t.0.load())
-            .min()
+    /// The slowest replica and its completion tail, in one scan: the lag
+    /// the backpressure check measures and the replica it helps.
+    fn slowest(&self) -> (usize, usize) {
+        let tails = self.tails.iter().map(|t| t.0.load());
+        tails
+            .enumerate()
+            .min_by_key(|&(_, tail)| tail)
             .expect("at least one replica")
-    }
-
-    /// The replica with the smallest completion tail (backpressure target).
-    fn laggiest(&self) -> usize {
-        let mut best = 0;
-        let mut best_tail = usize::MAX;
-        for (r, t) in self.tails.iter().enumerate() {
-            let tail = t.0.load();
-            if tail < best_tail {
-                best_tail = tail;
-                best = r;
-            }
-        }
-        best
     }
 }
 
@@ -287,6 +272,10 @@ impl<K, V> OpLog<K, V> {
 pub struct ReplicatedLayeredMap<K, V> {
     replicas: Vec<LayeredMap<K, V>>,
     logs: [OpLog<K, V>; LOGS],
+    /// One outcome word per registered thread: the home replica's applier
+    /// stores the outcome of the thread's pending write there, as
+    /// [`outcome_stamp`] plus the outcome bit.
+    outcomes: Box<[Padded<FacadeAtomicUsize>]>,
     rcfg: ReplicaConfig,
 }
 
@@ -324,6 +313,7 @@ impl<K: Ord + Hash + Clone, V> ReplicatedLayeredMap<K, V> {
         Self {
             replicas,
             logs: std::array::from_fn(|_| OpLog::new(rcfg.log_capacity, sockets)),
+            outcomes: padded_words(rcfg.threads()),
             rcfg,
         }
     }
@@ -399,9 +389,9 @@ pub struct ReplicatedHandle<'m, K, V> {
     socket: usize,
     tid: usize,
     handles: Vec<LayeredHandle<'m, K, V>>,
-    /// Per log, a lower bound on the slowest replica's tail: the last
-    /// `min_tail` this handle loaded. Tails only grow, so it stays a lower
-    /// bound; `update` reloads it only when it no longer admits a claim.
+    /// Per log, a lower bound on the slowest replica's tail: the last one
+    /// this handle loaded. Tails only grow, so it stays a lower bound;
+    /// `update` reloads it only when it no longer admits a claim.
     lag_bounds: [usize; LOGS],
 }
 
@@ -469,16 +459,16 @@ where
         }
     }
 
-    /// Appends `op` to its key's log and waits (helping) until this
-    /// thread's socket replica applied it (read-your-writes); returns the
-    /// operation's set-semantics outcome. The key is hashed here, once for
-    /// every replica.
+    /// Appends `op` to its key's log and waits until this thread's socket
+    /// replica has applied it (read-your-writes), replaying that replica
+    /// meanwhile; returns the operation's set-semantics outcome, which the
+    /// applier left in this thread's outcome word. The key is hashed here,
+    /// once for every replica.
     fn update(&mut self, op: Update<K, V>) -> bool {
         let map = self.map;
         let hash = hash_key(op.key());
         let li = map.log_of(hash);
         let log = &map.logs[li];
-        let home = self.socket;
         self.ctx().record_op();
         // Claim a slot, lag-bounded: while the slowest replica trails by
         // max_lag (<= capacity), help it drain instead of growing the
@@ -497,13 +487,14 @@ where
                 // (the reverse order could observe a tail that advanced
                 // past a stale head). The bound kept from an earlier
                 // reload is below every later head for the same reason.
-                min = log.min_tail();
+                let (slowest, tail) = log.slowest();
+                min = tail;
                 head = log.head.0.load();
                 self.lag_bounds[li] = min;
                 if head - min >= max_lag {
                     // The target's lease may be held by a descheduled
                     // thread (try_replay then returns at once): back off.
-                    if !self.try_replay(li, log.laggiest()) {
+                    if !self.try_replay(li, slowest) {
                         backoff(&mut spins);
                     }
                     continue;
@@ -516,42 +507,19 @@ where
         };
         // The cell is exclusive: every applier finished the previous
         // occupant (every tail passed it) before `pos` could be claimed.
+        let writer = self.tid;
         let slot = &log.slots[pos & log.mask].0;
-        slot.op.publish(pos + 1, Pending { home, hash, op });
-        // Wait for the home replica's applier to publish this op's
-        // outcome, replaying the home replica ourselves whenever its lease
-        // is free.
+        slot.publish(pos + 1, Pending { writer, hash, op });
+        // Wait for the home replica's applier to store the outcome in our
+        // word, replaying the home replica meanwhile (the read rule's loop).
+        let stamp = outcome_stamp(li, pos);
         let mut spins = 0u32;
         loop {
-            let r = slot.result.load();
-            if r >> 1 == pos + 1 {
-                slot.result.store(0); // consume-ack frees the slot's result
+            let r = map.outcomes[writer].0.load();
+            if r & !1 == stamp {
                 return r & 1 == 1;
             }
-            // Help replay the home replica — but take the lease inline and
-            // re-check our own result *after* winning it, before draining.
-            // This closes a self-deadlock: our result may already be
-            // published (a remote drain advanced the home tail past `pos`
-            // after the stale load above), and once every tail passes
-            // `pos` the slot can be reclaimed by a new occupant a full
-            // wrap later. If that occupant is also homed here, drain's
-            // publish would spin on `slot.result == 0` waiting for a
-            // consume only we can perform — while we sit inside drain.
-            // Consuming first makes that wait impossible for us, and while
-            // we hold the home lease nobody else can publish our result,
-            // so the pre-drain check cannot go stale. Our own drain ran
-            // past `pos` and published the result, so the next round
-            // reads it without waiting.
-            if log.leases[home].0.compare_exchange(0, self.tid + 1).is_ok() {
-                let r = slot.result.load();
-                if r >> 1 == pos + 1 {
-                    slot.result.store(0);
-                    log.leases[home].0.store(0);
-                    return r & 1 == 1;
-                }
-                self.drain(li, home);
-                log.leases[home].0.store(0);
-            } else {
+            if !self.try_replay(li, self.socket) {
                 backoff(&mut spins);
             }
         }
@@ -599,9 +567,10 @@ where
 
     /// Drains `[tail, head)` of log `li` into `replica` in log order — each
     /// operation through the replica handle's own body
-    /// ([`LayeredHandle::apply`]) as soon as its stamp is seen — publishing
-    /// the outcome of each op homed here right after it runs. The caller
-    /// holds the (replica, log) replay lease.
+    /// ([`LayeredHandle::apply`]) as soon as its stamp is seen — storing
+    /// the outcome of each op whose writer is homed here in that writer's
+    /// outcome word right after it runs. The caller holds the (replica,
+    /// log) replay lease.
     ///
     /// A drain into another socket's replica finds this handle's local map
     /// there holding only what it replayed there before, so each operation
@@ -623,7 +592,7 @@ where
             // yield), yielding the OS thread once the claimer looks
             // descheduled.
             let mut spins = 0u32;
-            let p = slot.op.await_stamp(pos + 1, |seq| {
+            let p = slot.await_stamp(pos + 1, |seq| {
                 // A stamp from a later wrap would mean the log lapped this
                 // drain: this replica's tail, at or before `pos`, stopped
                 // gating slot reuse — a protocol bug.
@@ -641,21 +610,10 @@ where
                     (k, hash)
                 });
             let ok = self.handles[replica].apply(p.op.clone(), p.hash, warm.as_ref());
-            if p.home != replica {
-                continue;
+            if map.rcfg.socket_of[p.writer] == replica {
+                let outcome = outcome_stamp(li, pos) | ok as usize;
+                map.outcomes[p.writer].0.store(outcome);
             }
-            // The previous occupant's outcome (one wrap back) must be
-            // consumed before this one lands. That writer is never *us*: a
-            // writer helping from its result-wait consumes its own
-            // published result right after taking this lease, before
-            // draining (see `update`), so the pending consumer is a
-            // different, live thread in its own result-wait and this
-            // terminates — but it may be descheduled, so yield to it.
-            let mut spins = 0u32;
-            while slot.result.load() != 0 {
-                backoff(&mut spins);
-            }
-            slot.result.store(((pos + 1) << 1) | ok as usize);
         }
         log.tails[replica].0.store(head);
         self.ctx().record_replay_batch((head - tail) as u64);
@@ -753,13 +711,23 @@ mod tests {
     /// of its own that all map to log 0: every append meets the wrap edge,
     /// on four slots (lag bound 3: the slowest tail keeps an append off a
     /// slot some replica has not applied yet) and on two (lag bound 1:
-    /// every append first waits out both replicas). A drain that met a slot restamped by a
-    /// later wrap would panic its thread.
+    /// every append first waits out both replicas). A drain that met a
+    /// slot restamped by a later wrap would panic its thread.
     #[test]
     fn two_writers_wrap_a_small_log() {
         for capacity in [4, 2] {
-            two_writers_wrap_one_log(ReplicaConfig::uniform(2, 2).log_capacity(capacity));
+            writers_wrap_one_log(ReplicaConfig::uniform(2, 2).log_capacity(capacity));
         }
+    }
+
+    /// Three writers, two of them homed on replica 0, wrap a two-slot log:
+    /// one applier stores both home writers' outcomes, each into its own
+    /// word, while the slot it read is claimed again a wrap later.
+    #[test]
+    fn three_writers_two_homed_together_wrap_a_two_slot_log() {
+        let rcfg = ReplicaConfig::uniform(3, 2).log_capacity(2);
+        assert_eq!((rcfg.socket_of(0), rcfg.socket_of(1)), (0, 0));
+        writers_wrap_one_log(rcfg);
     }
 
     /// The capacity brings the lag bound: three quarters of it, 6 of 8
@@ -770,27 +738,32 @@ mod tests {
         assert_eq!(rcfg.lag_bound(), 6);
         assert_eq!(ReplicaConfig::uniform(2, 2).lag_bound(), 192);
         assert_eq!(ReplicaConfig::uniform(2, 2).log_capacity(2).lag_bound(), 1);
-        two_writers_wrap_one_log(rcfg);
+        writers_wrap_one_log(rcfg);
     }
 
-    fn two_writers_wrap_one_log(rcfg: ReplicaConfig) {
+    /// One writer thread per placed thread of `rcfg`, each on keys of its
+    /// own that all map to log 0: every outcome must be exact, and every
+    /// replica must end up holding the same keys.
+    fn writers_wrap_one_log(rcfg: ReplicaConfig) {
         let max_lag = rcfg.lag_bound();
-        let map: ReplicatedLayeredMap<u64, u64> = ReplicatedLayeredMap::new(config(3), rcfg);
-        // Writer `t`'s keys: the first 300 of parity `t` on log 0.
-        let writer_keys = |t: u64| -> Vec<u64> {
+        let writers = rcfg.threads();
+        let map: ReplicatedLayeredMap<u64, u64> =
+            ReplicatedLayeredMap::new(config(writers + 1), rcfg);
+        // Writer `t`'s keys: the first 300 on log 0 that are `t` modulo
+        // the writer count.
+        let writer_keys = |t: usize| -> Vec<u64> {
             (0..)
-                .map(|i| 2 * i + t)
+                .map(|i| (writers * i + t) as u64)
                 .filter(|k| map.log_of(hash_key(k)) == 0)
                 .take(300)
                 .collect()
         };
         std::thread::scope(|s| {
-            for t in 0..2u16 {
+            for t in 0..writers {
                 let map = &map;
-                let keys = writer_keys(t as u64);
+                let keys = writer_keys(t);
                 s.spawn(move || {
-                    let mut h = map.register(ThreadCtx::plain(t));
-                    assert_eq!(h.socket(), t as usize);
+                    let mut h = map.register(ThreadCtx::plain(t as u16));
                     for &k in &keys {
                         assert!(h.insert(k, k), "max_lag {max_lag}: fresh insert {k}");
                         assert!(
@@ -808,12 +781,12 @@ mod tests {
                 });
             }
         });
-        // Each replica caught up to both writers' last operations.
-        for t in 0..2u16 {
-            map.register(ThreadCtx::plain(t)).sync();
+        // Each replica caught up to every writer's last operations.
+        for t in 0..writers {
+            map.register(ThreadCtx::plain(t as u16)).sync();
         }
-        let ctx = ThreadCtx::plain(2);
-        let mut expect: Vec<u64> = (0..2)
+        let ctx = ThreadCtx::plain(writers as u16);
+        let mut expect: Vec<u64> = (0..writers)
             .flat_map(writer_keys)
             .filter(|k| k % 3 != 0)
             .collect();
@@ -825,6 +798,37 @@ mod tests {
                 .map(|(k, _)| *k)
                 .collect();
             assert_eq!(keys, expect, "max_lag {max_lag}: replica {r}");
+        }
+    }
+
+    /// A writer whose operations on the two logs take equal positions
+    /// reads each outcome from one word: the stamp's log index tells the
+    /// log-1 operation at position `i` from the log-0 one before it.
+    #[test]
+    fn equal_positions_on_both_logs_get_their_own_outcomes() {
+        let map: ReplicatedLayeredMap<u64, u64> =
+            ReplicatedLayeredMap::new(config(1), ReplicaConfig::uniform(1, 1));
+        let mut h = map.register(ThreadCtx::plain(0));
+        let on_log = |li: usize| -> Vec<u64> {
+            (0..)
+                .filter(|k| map.log_of(hash_key(k)) == li)
+                .take(64)
+                .collect()
+        };
+        let (zero, one) = (on_log(0), on_log(1));
+        // Position i of each log: a failed remove on log 0, then a
+        // successful insert on log 1 ...
+        for (a, b) in zero.iter().zip(&one) {
+            assert!(!h.remove(a), "absent remove {a} on log 0");
+            assert!(h.insert(*b, *b), "fresh insert {b} on log 1");
+        }
+        // ... and at the next 64 positions the reverse outcomes.
+        for (a, b) in zero.iter().zip(&one) {
+            assert!(h.insert(*a, *a), "fresh insert {a} on log 0");
+            assert!(!h.insert(*b, *b), "repeated insert {b} on log 1");
+        }
+        for k in zero.iter().chain(&one) {
+            assert!(h.contains(k), "key {k}");
         }
     }
 
@@ -846,14 +850,18 @@ mod tests {
             // drains) and each lease (its replay lease) share a line with
             // nothing: no slot, no other word, not the log's read-only
             // fields.
+            // Nor does each thread's outcome word, which the appliers of
+            // its home replica write and it polls.
             let mut words: Vec<Vec<usize>> = vec![lines_of(&log.head).collect()];
             words.extend(log.tails.iter().map(|t| lines_of(t).collect()));
             words.extend(log.leases.iter().map(|l| lines_of(l).collect()));
+            words.extend(map.outcomes.iter().map(|w| lines_of(w).collect()));
             let mut others = slots.clone();
             others.extend(lines_of(&log.tails));
             others.extend(lines_of(&log.leases));
             others.extend(lines_of(&log.slots));
             others.extend(lines_of(&log.mask));
+            others.extend(lines_of(&map.outcomes));
             for (i, lines) in words.iter().enumerate() {
                 for line in lines {
                     assert!(
