@@ -716,7 +716,9 @@ mod tests {
     #[test]
     fn two_writers_wrap_a_small_log() {
         for capacity in [4, 2] {
-            writers_wrap_one_log(ReplicaConfig::uniform(2, 2).log_capacity(capacity));
+            let rcfg = ReplicaConfig::uniform(2, 2).log_capacity(capacity);
+            assert_eq!((rcfg.socket_of(0), rcfg.socket_of(1)), (0, 1));
+            writers_wrap_one_log(rcfg);
         }
     }
 
