@@ -1,8 +1,9 @@
 //! Per-height size-class arenas for height-truncated nodes.
 //!
 //! One benchmark thread owns one [`TowerArenas`]: a bank of `MAX_HEIGHT`
-//! owner-tagged [`Arena`]s, where class `h` carries `h` trailing tower
-//! slots after each node header. Allocating from the class matching a
+//! owner-tagged [`Arena`]s, where class `h` carries `Node::tower_bytes(h)`
+//! after each node header: nothing at height 0, else the stamp word and
+//! `h` tower slots. Allocating from the class matching a
 //! node's `top_level` gives every node exactly the tower it uses — the
 //! core of the truncated-tower layout — while preserving the paper's
 //! memory model: chunked, first-touched by the owner.
@@ -236,6 +237,49 @@ mod tests {
             for level in 0..=h {
                 assert!(n.load_next_raw(level).ptr().is_null());
             }
+        }
+    }
+
+    #[test]
+    fn the_stamp_round_trips_at_every_height_fresh_and_recycled() {
+        type N = Node<u64, u64>;
+        let bank: TowerArenas<u64, u64> = TowerArenas::new(5, 16, 0);
+        let header = std::mem::size_of::<N>();
+        for h in 0..MAX_HEIGHT {
+            let ts = 0xC0DE_0000 + h as u32;
+            let fresh = bank.alloc(Node::new_data(h as u64, 0, 0, 5, h as u8, ts));
+            // Safety: `fresh` is a live node of this bank that no other
+            // thread sees; it is released and recycled once, then read
+            // through the slot the recycling handed back. The slot spans
+            // `header + tower_bytes(h)` bytes, so the word read at offset
+            // `header` is inside it.
+            let (fresh_stamp, again, trailing) = unsafe {
+                let stamp = (fresh.as_ref().owner(), fresh.as_ref().alloc_ts());
+                Node::release_payload(fresh);
+                bank.recycle(fresh);
+                let again = bank.alloc(Node::new_data(h as u64, 1, 0, 7, h as u8, ts + 1));
+                assert_eq!(again, fresh, "the slot is recycled at height {h}");
+                let word = again.as_ptr().cast::<u8>().add(header);
+                let word =
+                    (h > 0).then(|| (word.cast::<u32>().read(), word.add(4).cast::<u16>().read()));
+                (stamp, again.as_ref(), word)
+            };
+            assert_eq!(fresh_stamp, (5, ts), "fresh slot at height {h}");
+            assert_eq!(
+                (again.owner(), again.alloc_ts()),
+                (7, ts + 1),
+                "recycled slot at height {h}"
+            );
+            let slot = again as *const N as usize;
+            match trailing {
+                None => assert_eq!(N::tower_bytes(h), 0),
+                // The stamp word sits just before the tower.
+                Some(word) => {
+                    assert_eq!(again.next(1).addr(), slot + header + 8);
+                    assert_eq!(word, (ts + 1, 7));
+                }
+            }
+            assert_eq!(bank.recycled(), h + 1);
         }
     }
 

@@ -41,7 +41,7 @@ use crate::node::{Node, MAX_HEIGHT};
 use crate::params::GraphConfig;
 use crate::prefetch::prefetch_read;
 use crate::reclaim::EpochReclaim;
-use crate::sync::TagPtr;
+use crate::sync::{Padded, TagPtr};
 use arenas::TowerArenas;
 use instrument::ThreadCtx;
 use std::cmp::Ordering as CmpOrdering;
@@ -340,8 +340,10 @@ pub struct SkipGraph<K, V> {
     /// Head sentinel of every list, indexed by `head_index(level, suffix)`.
     heads: Box<[NodePtr<K, V>]>,
     /// Per-thread size-class node arenas (index = thread id; class = tower
-    /// height).
-    arenas: Box<[TowerArenas<K, V>]>,
+    /// height). Each bank is padded: its owner and the reclaiming threads
+    /// write its free-list words and counters, which must not share a line
+    /// with the neighbouring bank's arena words that every allocation loads.
+    arenas: Box<[Padded<TowerArenas<K, V>>]>,
     /// Sentinel arena bank (owner tag 0, matching the paper's attribution
     /// of head accesses to one arbitrary thread).
     _sentinels: TowerArenas<K, V>,
@@ -373,7 +375,7 @@ impl<K, V> SkipGraph<K, V> {
     /// Allocates its result; sampling loops should prefer
     /// [`SkipGraph::memory_stats`].
     pub fn arena_sizes(&self) -> Vec<usize> {
-        self.arenas.iter().map(|a| a.allocated()).collect()
+        self.arenas.iter().map(|a| a.0.allocated()).collect()
     }
 
     /// Bytes per node the *old* fixed-tower inline layout would spend
@@ -425,7 +427,13 @@ impl<K: Ord, V> SkipGraph<K, V> {
             }
         }
         let arenas = (0..config.num_threads)
-            .map(|t| TowerArenas::new(t as u16, config.chunk_capacity, config.block_bytes))
+            .map(|t| {
+                Padded(TowerArenas::new(
+                    t as u16,
+                    config.chunk_capacity,
+                    config.block_bytes,
+                ))
+            })
             .collect();
         let reclaim = EpochReclaim::new(config.num_threads);
         Self {
@@ -615,7 +623,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
         unsafe {
             let owner = node.as_ref().owner() as usize;
             Node::release_payload(node);
-            self.arenas[owner].recycle(node);
+            self.arenas[owner].0.recycle(node);
         }
     }
 
@@ -722,7 +730,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
     ) -> NonNull<Node<K, V>> {
         let mvec = self.membership[ctx.id() as usize];
         let owner = self.config.owner_tag.unwrap_or(ctx.id());
-        self.arenas[ctx.id() as usize].alloc(Node::new_data(
+        self.arenas[ctx.id() as usize].0.alloc(Node::new_data(
             key,
             value,
             mvec,

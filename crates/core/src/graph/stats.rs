@@ -61,7 +61,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
         let mut free_slots = 0;
         let mut free_bytes = 0;
         let mut recycled_slots = 0;
-        for bank in self.arenas.iter() {
+        for bank in self.arenas.iter().map(|b| &b.0) {
             bank.histogram_into(&mut height_histogram);
             allocated_bytes += bank.allocated_bytes();
             resident_bytes += bank.mapped_bytes();
@@ -282,10 +282,12 @@ mod tests {
         assert_eq!(m.height_histogram[1], 30);
         assert_eq!(m.height_histogram[2], 10);
         assert_eq!(m.height_histogram[3..], [0usize; MAX_HEIGHT - 3]);
-        // Byte accounting: truncated towers cost header + h slots.
-        let header = std::mem::size_of::<crate::node::Node<u64, u64>>();
-        let slot = std::mem::size_of::<usize>();
-        let expected = 60 * header + 30 * (header + slot) + 10 * (header + 2 * slot);
+        // Byte accounting: a class-`h` slot is the header plus the tower
+        // bytes (none at height 0; the stamp word and `h` slots above).
+        type N = crate::node::Node<u64, u64>;
+        let class = |h| std::mem::size_of::<N>() + N::tower_bytes(h);
+        let expected = 60 * class(0) + 30 * class(1) + 10 * class(2);
+        assert_eq!(expected, 60 * 40 + 30 * 56 + 10 * 64);
         assert_eq!(m.allocated_bytes, expected);
         assert!(m.resident_bytes >= m.allocated_bytes);
         assert!(m.bytes_per_node() < SkipGraph::<u64, u64>::fixed_tower_node_bytes() as f64);

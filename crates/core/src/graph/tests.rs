@@ -4,6 +4,7 @@
 
 use super::*;
 use crate::params::GraphConfig;
+use crate::sync::lines_of;
 use crate::{sparse_height, ConcurrentMap};
 use instrument::{AccessStats, ThreadCtx};
 use rand::rngs::SmallRng;
@@ -362,12 +363,12 @@ fn sparse_invariants_hold_across_all_heights_and_mutations() {
     g.check_invariants().unwrap();
     // Byte accounting stays consistent with the histogram.
     let m = g.memory_stats(&c);
-    let header = std::mem::size_of::<Node<u64, u64>>();
+    let class = |h| std::mem::size_of::<Node<u64, u64>>() + Node::<u64, u64>::tower_bytes(h);
     let expected: usize = m
         .height_histogram
         .iter()
         .enumerate()
-        .map(|(h, &n)| n * (header + h * std::mem::size_of::<usize>()))
+        .map(|(h, &n)| n * class(h))
         .sum();
     assert_eq!(m.allocated_bytes, expected);
 }
@@ -499,6 +500,23 @@ fn epoch_words_share_no_line_with_the_read_mostly_fields() {
                     "at offset {shift}, an epoch word shares a line with a read-mostly field"
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn arena_banks_share_no_line() {
+    // A bank's free-list heads and lengths and its recycled counter are
+    // written by its owner and by reclaiming threads; its class arenas are
+    // loaded by every allocation. Neighbouring banks must not share a line.
+    let g: SkipGraph<u64, u64> = SkipGraph::new(GraphConfig::new(4).chunk_capacity(256));
+    let lines: Vec<_> = g.arenas.iter().map(|b| lines_of(&b.0)).collect();
+    for (i, a) in lines.iter().enumerate() {
+        for (j, b) in lines.iter().enumerate().skip(i + 1) {
+            assert!(
+                a.end() < b.start() || b.end() < a.start(),
+                "banks {i} and {j} share a line"
+            );
         }
     }
 }

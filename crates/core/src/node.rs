@@ -12,18 +12,28 @@
 //! The header is `#[repr(C)]` with what an index-served read touches
 //! first: the level-0 next-reference, the key, the value, the generation
 //! and the packed metadata — bytes 0–28 of a `Node<u64, u64>`. The
-//! membership vector, the unlink mask, the tower pointer (read only above
-//! level 0), the commission timestamp and the owner tag follow. The header
-//! is 48 bytes, so a height-0 node (header only) has a 48-byte stride in a
-//! 64-byte-aligned chunk (see `numa::arena`) and starts at line offsets 0,
-//! 48, 32 and 16 in turn: its hot bytes cross a line boundary at offset 48
-//! only, one slot in four. A level-0 step is therefore one line for most
-//! nodes, not for all.
+//! membership vector and the unlink mask follow, and the header ends in
+//! one word that holds what the node needs there:
 //!
-//! The cold/rare metadata (`kind`, `top_level`, `inserted`) is packed into
-//! one atomic byte, and the commission timestamp is truncated to 32 bits
-//! (wrap-around can only *delay* retirement by one 2^32-cycle epoch, never
-//! trigger it early, because `check_retire` compares the elapsed delta).
+//! * at height 0 (and in a header built by value, before its tower is
+//!   attached) the *stamp*: the commission timestamp and the owner tag;
+//! * above height 0 the tower pointer. The stamp then moves to one
+//!   trailing word just before the tower, so a class-`h` slot is the
+//!   header, the stamp word and `h` tower slots.
+//!
+//! A `meta` bit says which of the two the word holds. The header is 40
+//! bytes, so a height-0 node (header only) has a 40-byte stride in a
+//! 64-byte-aligned chunk (see `numa::arena`) and starts at the eight line
+//! offsets 0, 40, 16, 56, 32, 8, 48 and 24 in turn: its hot bytes cross a
+//! line boundary at offsets 40, 56 and 48, three slots in eight. A tall
+//! node keeps the 48 + 8h bytes it had when the stamp and the pointer
+//! were separate header fields.
+//!
+//! The cold/rare metadata (`kind`, `top_level`, the tower bit, `inserted`)
+//! is packed into one atomic byte, and the commission timestamp is
+//! truncated to 32 bits (wrap-around can only *delay* retirement by one
+//! 2^32-cycle epoch, never trigger it early, because `check_retire`
+//! compares the elapsed delta).
 //!
 //! # Recycling (epoch-based reclamation)
 //!
@@ -70,12 +80,15 @@ pub(crate) enum NodeKind {
     Free,
 }
 
-/// `meta` byte: bits 0..=2 `top_level`, bits 3..=4 `kind`, bit 7 `inserted`.
-/// Only `inserted` ever changes after construction; the rest are immutable,
-/// so relaxed loads are enough to read them.
+/// `meta` byte: bits 0..=2 `top_level`, bits 3..=4 `kind`, bit 5 "tower
+/// attached" (the header's last word holds the tower pointer, not the
+/// stamp), bit 7 `inserted`. Only `inserted` changes after publication;
+/// the tower bit is set once before it, so relaxed loads are enough to
+/// read the rest.
 const META_TOP_MASK: u8 = 0b0000_0111;
 const META_KIND_SHIFT: u8 = 3;
 const META_KIND_MASK: u8 = 0b11 << META_KIND_SHIFT;
+const META_TOWER: u8 = 0b0010_0000;
 const META_INSERTED: u8 = 0b1000_0000;
 
 const KIND_HEAD: u8 = 0;
@@ -83,10 +96,34 @@ const KIND_DATA: u8 = 1;
 const KIND_TAIL: u8 = 2;
 const KIND_FREE: u8 = 3;
 
+/// What a node records at allocation besides its key and value.
+#[repr(C)]
+#[derive(Clone, Copy)]
+struct Stamp {
+    /// Truncated cycle timestamp at allocation (commission period, Alg.
+    /// 14). 32 bits: `check_retire` compares the wrapped *delta*, so the
+    /// truncation can only postpone retirement, never cause it early.
+    alloc_ts: u32,
+    /// Benchmark thread that allocated this node (NUMA-ownership tag).
+    owner: u16,
+}
+
+/// The header's last word: the stamp until a tower is attached, the
+/// tower pointer after. Above height 0 the stamp lives in the same-sized
+/// word just before the tower.
+#[repr(C)]
+union Last<K, V> {
+    stamp: Stamp,
+    /// First slot of the trailing tower (levels `1..=top_level`). Set once
+    /// from the arena slot pointer — deriving it from `&self` would leave
+    /// the reference's provenance (which covers only the header).
+    tower: *mut TaggedAtomic<Node<K, V>>,
+}
+
 /// Node header. The trailing tower (`top_level` extra [`TaggedAtomic`]
-/// slots) is co-allocated immediately after the header by the size-class
-/// arena and reached through `self.tower`, which is set once by
-/// [`Node::attach_tower`] right after allocation.
+/// slots, after the stamp word) is co-allocated after the header by the
+/// size-class arena and reached through the header's last word, which
+/// [`Node::attach_tower`] sets once right after allocation.
 ///
 /// Field order is fixed (`repr(C)`) so the hot path — `next0`, `key`,
 /// `value`, `gen`, `meta` — occupies the first 29 bytes of the slot.
@@ -116,17 +153,9 @@ pub(crate) struct Node<K, V> {
     /// physically snipped this node out of that level's list. The thread
     /// that fills the mask retires the node (exactly once).
     unlinked: AtomicU8,
-    /// First slot of the trailing tower (levels `1..=top_level`), or null
-    /// for height-0 nodes and nodes whose tower is not attached yet. Set
-    /// once from the arena slot pointer — deriving it from `&self` would
-    /// leave the reference's provenance (which covers only the header).
-    tower: *mut TaggedAtomic<Node<K, V>>,
-    /// Truncated cycle timestamp at allocation (commission period, Alg.
-    /// 14). 32 bits: `check_retire` compares the wrapped *delta*, so the
-    /// truncation can only postpone retirement, never cause it early.
-    alloc_ts: u32,
-    /// Benchmark thread that allocated this node (NUMA-ownership tag).
-    owner: u16,
+    /// The stamp, or the tower pointer once a tower is attached (the
+    /// `meta` tower bit says which).
+    last: Last<K, V>,
 }
 
 #[inline]
@@ -138,9 +167,15 @@ fn pack_meta(kind: u8, top_level: u8, inserted: bool) -> u8 {
 }
 
 impl<K, V> Node<K, V> {
-    /// Bytes of trailing tower storage a node of height `top_level` needs.
+    /// Bytes of trailing storage a node of height `top_level` needs: none
+    /// at height 0, else the stamp word and the tower.
     pub(crate) const fn tower_bytes(top_level: usize) -> usize {
-        top_level * std::mem::size_of::<TaggedAtomic<Node<K, V>>>()
+        if top_level == 0 {
+            0
+        } else {
+            std::mem::size_of::<Last<K, V>>()
+                + top_level * std::mem::size_of::<TaggedAtomic<Node<K, V>>>()
+        }
     }
 
     pub(crate) fn new_data(
@@ -155,10 +190,8 @@ impl<K, V> Node<K, V> {
         debug_assert!(mvec <= u8::MAX as u32, "membership vectors fit in 7 bits");
         Self {
             next0: TaggedAtomic::null(),
-            tower: std::ptr::null_mut(),
             key: MaybeUninit::new(key),
             value: MaybeUninit::new(value),
-            alloc_ts,
             gen: AtomicU32::new(0),
             mvec: mvec as u8,
             // A height-0 node has no upper level left to link once its
@@ -167,7 +200,9 @@ impl<K, V> Node<K, V> {
             // nothing to finish. Nobody can see the flag before the link.
             meta: AtomicU8::new(pack_meta(KIND_DATA, top_level, top_level == 0)),
             unlinked: AtomicU8::new(0),
-            owner,
+            last: Last {
+                stamp: Stamp { alloc_ts, owner },
+            },
         }
     }
 
@@ -180,15 +215,18 @@ impl<K, V> Node<K, V> {
         debug_assert!(suffix <= u8::MAX as u32);
         Self {
             next0: TaggedAtomic::null(),
-            tower: std::ptr::null_mut(),
             key: MaybeUninit::uninit(),
             value: MaybeUninit::uninit(),
-            alloc_ts: 0,
             gen: AtomicU32::new(0),
             mvec: suffix as u8,
             meta: AtomicU8::new(pack_meta(KIND_HEAD, level, true)),
             unlinked: AtomicU8::new(0),
-            owner: 0,
+            last: Last {
+                stamp: Stamp {
+                    alloc_ts: 0,
+                    owner: 0,
+                },
+            },
         }
     }
 
@@ -196,21 +234,25 @@ impl<K, V> Node<K, V> {
     pub(crate) fn new_tail() -> Self {
         Self {
             next0: TaggedAtomic::null(),
-            tower: std::ptr::null_mut(),
             key: MaybeUninit::uninit(),
             value: MaybeUninit::uninit(),
-            alloc_ts: 0,
             gen: AtomicU32::new(0),
             mvec: 0,
             meta: AtomicU8::new(pack_meta(KIND_TAIL, (MAX_HEIGHT - 1) as u8, true)),
             unlinked: AtomicU8::new(0),
-            owner: 0,
+            last: Last {
+                stamp: Stamp {
+                    alloc_ts: 0,
+                    owner: 0,
+                },
+            },
         }
     }
 
-    /// Points `node.tower` at the trailing slots the size-class arena
-    /// co-allocated after the header. Must be called once, right after
-    /// allocation, before the node is published.
+    /// Attaches the trailing tower the size-class arena co-allocated after
+    /// the header: moves the stamp into the word just before the tower,
+    /// then points the header's last word at the tower. Must be called
+    /// once, right after allocation, before the node is published.
     ///
     /// # Safety
     ///
@@ -218,23 +260,30 @@ impl<K, V> Node<K, V> {
     /// [`Node::tower_bytes`]`(top_level)` zero-initialized bytes directly
     /// after the header (zeroed bytes are valid null [`TaggedAtomic`]s).
     pub(crate) unsafe fn attach_tower(node: std::ptr::NonNull<Self>) {
-        let top = node.as_ref().top_level() as usize;
-        if top == 0 {
+        let p = node.as_ptr();
+        let meta = &*std::ptr::addr_of!((*p).meta);
+        let bits = meta.load(Ordering::Relaxed);
+        if bits & META_TOP_MASK == 0 {
             return;
         }
+        debug_assert_eq!(bits & META_TOWER, 0, "tower attached twice");
         debug_assert_eq!(
             std::mem::size_of::<Self>() % std::mem::align_of::<TaggedAtomic<Self>>(),
             0,
             "tower slots must be naturally aligned after the header"
         );
-        // Derive the tower pointer from the raw slot pointer (whose
+        // Derive both trailing words from the raw slot pointer (whose
         // provenance spans the whole arena chunk), not from a `&Node`.
-        let base = node
-            .as_ptr()
+        let stamp = p
             .cast::<u8>()
             .add(std::mem::size_of::<Self>())
-            .cast::<TaggedAtomic<Self>>();
-        std::ptr::addr_of_mut!((*node.as_ptr()).tower).write(base);
+            .cast::<Last<K, V>>();
+        let last = std::ptr::addr_of_mut!((*p).last);
+        stamp.write(last.read());
+        last.write(Last {
+            tower: stamp.add(1).cast::<TaggedAtomic<Self>>(),
+        });
+        meta.store(bits | META_TOWER, Ordering::Relaxed);
     }
 
     #[inline]
@@ -265,16 +314,32 @@ impl<K, V> Node<K, V> {
         self.mvec as u32
     }
 
+    /// The stamp: in the header's last word until a tower is attached,
+    /// in the word just before the tower after.
+    #[inline]
+    fn stamp(&self) -> Stamp {
+        // Safety: the tower bit says which member the last word holds, and
+        // `attach_tower` moved the stamp to the word before the tower,
+        // inside the slot whose provenance the tower pointer carries.
+        unsafe {
+            if self.meta_bits() & META_TOWER == 0 {
+                self.last.stamp
+            } else {
+                self.last.tower.cast::<Last<K, V>>().sub(1).read().stamp
+            }
+        }
+    }
+
     /// NUMA-ownership tag (allocating benchmark thread).
     #[inline]
     pub(crate) fn owner(&self) -> u16 {
-        self.owner
+        self.stamp().owner
     }
 
     /// Truncated allocation timestamp (commission period).
     #[inline]
     pub(crate) fn alloc_ts(&self) -> u32 {
-        self.alloc_ts
+        self.stamp().alloc_ts
     }
 
     pub(crate) fn is_data(&self) -> bool {
@@ -302,8 +367,11 @@ impl<K, V> Node<K, V> {
             "level {level} above tower height {}",
             self.top_level()
         );
-        debug_assert!(!self.tower.is_null(), "tower not attached");
-        unsafe { &*self.tower.add(level - 1) }
+        debug_assert!(self.meta_bits() & META_TOWER != 0, "tower not attached");
+        // Safety: a node reached here has its tower attached (the last
+        // word is the tower pointer, set from the arena slot), and
+        // `level <= top_level` keeps the slot inside the tower.
+        unsafe { &*self.last.tower.add(level - 1) }
     }
 
     /// The node's key.
@@ -502,9 +570,10 @@ impl<K, V> Node<K, V> {
         let bits = meta.load(Ordering::Relaxed);
         debug_assert_eq!((bits & META_KIND_MASK) >> META_KIND_SHIFT, KIND_DATA);
         // Flip the kind first: from here every teardown path sees `Free`
-        // and skips the payload.
+        // and skips the payload. The tower bit stays: the last word still
+        // holds the tower pointer.
         meta.store(
-            pack_meta(KIND_FREE, bits & META_TOP_MASK, false),
+            pack_meta(KIND_FREE, bits & META_TOP_MASK, false) | (bits & META_TOWER),
             Ordering::Release,
         );
         (*std::ptr::addr_of_mut!((*p).key)).assume_init_drop();
@@ -535,12 +604,14 @@ impl<K, V> Node<K, V> {
                 >> META_KIND_SHIFT,
             KIND_FREE
         );
-        std::ptr::addr_of_mut!((*p).tower).write(std::ptr::null_mut());
+        debug_assert_eq!(header.meta.load(Ordering::Relaxed) & META_TOWER, 0);
+        // The new stamp goes into the header's last word; for a tall node
+        // `attach_tower` below moves it into the stamp word the zeroing
+        // cleared.
+        std::ptr::addr_of_mut!((*p).last).write(std::ptr::read(&header.last));
         std::ptr::addr_of_mut!((*p).key).write(std::ptr::read(&header.key));
         std::ptr::addr_of_mut!((*p).value).write(std::ptr::read(&header.value));
-        std::ptr::addr_of_mut!((*p).alloc_ts).write(header.alloc_ts);
         std::ptr::addr_of_mut!((*p).mvec).write(header.mvec);
-        std::ptr::addr_of_mut!((*p).owner).write(header.owner);
         (*std::ptr::addr_of!((*p).unlinked)).store(0, Ordering::Relaxed);
         // The free-list pop left its link word in `next0`; reset it.
         (*std::ptr::addr_of!((*p).next0)).store(TagPtr::null());
@@ -574,7 +645,7 @@ impl<K, V> std::fmt::Debug for Node<K, V> {
         f.debug_struct("Node")
             .field("kind", &self.kind())
             .field("mvec", &self.mvec())
-            .field("owner", &self.owner)
+            .field("owner", &self.owner())
             .field("top_level", &self.top_level())
             .finish()
     }
@@ -625,12 +696,14 @@ mod tests {
     }
 
     #[test]
-    fn hot_header_bytes_cross_a_line_at_one_slot_in_four() {
+    fn hot_header_bytes_cross_a_line_at_three_slots_in_eight() {
         type N = Node<u64, u64>;
-        // The whole point of the layout: the header of a u64 map node is 48
+        // The whole point of the layout: the header of a u64 map node is 40
         // bytes, and a height-0 node is exactly the header. The old
-        // inline-tower layout was 96 bytes; the pre-reclamation header 40.
-        assert_eq!(std::mem::size_of::<N>(), 48);
+        // inline-tower layout was 96 bytes; the header with separate tower
+        // and stamp fields 48; a blocked anchor (no value) is 32.
+        assert_eq!(std::mem::size_of::<N>(), 40);
+        assert_eq!(std::mem::size_of::<Node<u64, ()>>(), 32);
         assert_eq!(std::mem::align_of::<N>(), 8);
         // What an index-served read touches: generation, metadata, key,
         // level-0 word and value, bytes 0..29.
@@ -644,20 +717,26 @@ mod tests {
         let start = hot.iter().map(|&(at, _)| at).min().unwrap();
         let end = hot.iter().map(|&(at, len)| at + len).max().unwrap();
         assert_eq!((start, end), (0, 29));
-        // Height-0 slots start at line offsets 0, 48, 32, 16 of a 64-byte
-        // aligned chunk; the hot bytes cross a line at one of the four.
-        let crossing = (0..4)
+        // Height-0 slots start at line offsets 0, 40, 16, 56, 32, 8, 48, 24
+        // of a 64-byte aligned chunk; the hot bytes cross a line at three
+        // of the eight (40, 56 and 48).
+        let crossing = (0..8)
             .map(|i| i * std::mem::size_of::<N>() % 64)
             .filter(|&at| at / 64 != (at + end - 1) / 64)
             .count();
-        assert_eq!(crossing, 1);
+        assert_eq!(crossing, 3);
         // Tower slots can be appended without padding.
         assert_eq!(
             std::mem::size_of::<N>() % std::mem::align_of::<TaggedAtomic<N>>(),
             0
         );
+        // No trailing bytes at height 0; above it the stamp word and the
+        // tower, so a class-`h` slot keeps the 48 + 8h bytes it had.
         assert_eq!(N::tower_bytes(0), 0);
-        assert_eq!(N::tower_bytes(7), 56);
+        assert_eq!(N::tower_bytes(7), 64);
+        for h in 1..MAX_HEIGHT {
+            assert_eq!(std::mem::size_of::<N>() + N::tower_bytes(h), 48 + 8 * h);
+        }
     }
 
     fn tower_arena(top_level: usize) -> Arena<Node<u64, u64>> {
@@ -795,11 +874,11 @@ mod tests {
         assert_eq!(unsafe { Node::generation_of(node) }, 0);
         unsafe { node.as_ref() }.bump_generation();
         assert_eq!(unsafe { Node::generation_of(node) }, 1);
-        unsafe { Node::release_payload(node) };
-        assert_eq!(unsafe { node.as_ref() }.kind(), NodeKind::Free);
-        // Simulate the free-list link parking a pointer in next0.
-        unsafe { node.as_ref() }.store_next(0, TagPtr::clean(node.as_ptr()));
         unsafe {
+            Node::release_payload(node);
+            assert_eq!(node.as_ref().kind(), NodeKind::Free);
+            // Simulate the free-list link parking a pointer in next0.
+            node.as_ref().store_next(0, TagPtr::clean(node.as_ptr()));
             Node::reinit_recycled(
                 node,
                 Node::new_data(9u64, 90u64, 0b01, 2, 2, 8),
