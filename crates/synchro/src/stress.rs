@@ -191,7 +191,7 @@ pub fn plan_workload(cfg: &StressConfig) -> Vec<Vec<PlannedOp>> {
 
 /// Whether `key` starts present for this config (preloaded even keys).
 pub fn initially_present(cfg: &StressConfig, key: u64) -> bool {
-    cfg.preload && key % 2 == 0
+    cfg.preload && key.is_multiple_of(2)
 }
 
 fn preload_map<M: ConcurrentMap<u64, u64>>(map: &M, cfg: &StressConfig) {

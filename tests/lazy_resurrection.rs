@@ -140,7 +140,7 @@ fn a_snapshot_is_the_open_range_and_matches_the_census() {
     }
     // Each removal's search passes the keys removed before it; the last
     // removed key is passed by none and stays invalid.
-    let removed = |k: u64| (20..60).contains(&k) && (k - 20) % 3 == 0;
+    let removed = |k: u64| (20..60).contains(&k) && (k - 20).is_multiple_of(3);
     for k in (0..100u64).filter(|&k| removed(k)) {
         assert!(h.remove(&k));
     }
