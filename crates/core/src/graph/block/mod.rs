@@ -99,8 +99,10 @@ pub struct BlockedSkipMap<K, V> {
     cap: usize,
     /// Drives deterministic anchor tower heights in sparse mode: the
     /// `n`-th anchor gets height `trailing_zeros(n)` (capped), i.e. the
-    /// geometric distribution without per-thread RNG state.
-    anchor_seq: FacadeAtomicUsize,
+    /// geometric distribution without per-thread RNG state. On a line of
+    /// its own: every sparse anchor creation writes it, and every blocked
+    /// operation reads `cap` and `local`.
+    anchor_seq: Padded<FacadeAtomicUsize>,
     /// One local anchor map per configured thread slot, indexed by
     /// `ctx.id()` (see the module docs).
     local: Box<[LocalSlot<K>]>,
@@ -148,7 +150,7 @@ where
                 .collect(),
             graph: SkipGraph::new(config),
             cap,
-            anchor_seq: FacadeAtomicUsize::new(1),
+            anchor_seq: Padded(FacadeAtomicUsize::new(1)),
             _values: PhantomData,
         }
     }
@@ -163,7 +165,7 @@ where
         if !cfg.sparse {
             return cfg.max_level;
         }
-        let n = self.anchor_seq.fetch_add(1);
+        let n = self.anchor_seq.0.fetch_add(1);
         (n.trailing_zeros() as u8).min(cfg.max_level)
     }
 

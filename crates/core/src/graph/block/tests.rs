@@ -509,3 +509,41 @@ fn a_sweep_drops_entries_whose_generation_moved() {
     }
     map.check_invariants(&a).unwrap();
 }
+
+/// Every sparse anchor creation writes `anchor_seq`; every blocked
+/// operation reads `cap`, `local` and the graph's read-mostly fields. The
+/// counter must share a 128-byte line with none of them, wherever the map
+/// lands: the check runs at every offset within a line that the map's
+/// alignment allows.
+#[test]
+fn the_anchor_counter_shares_no_line_with_the_read_mostly_fields() {
+    fn span<T>(x: &T) -> (usize, usize) {
+        (x as *const T as usize, std::mem::size_of_val(x))
+    }
+    let map = BlockedSkipMap::<u64, u64>::new(cfg(4).sparse(true), 8);
+    let base = &map as *const _ as usize;
+    let g = &map.graph;
+    let read = [
+        span(&map.cap),
+        span(&map.local),
+        span(&g.config),
+        span(&g.membership),
+        span(&g.heads),
+        span(&g.arenas),
+        span(&g.index),
+    ];
+    let counter = span(&map.anchor_seq.0);
+    for shift in (0..128).step_by(std::mem::align_of::<BlockedSkipMap<u64, u64>>()) {
+        let lines = |(addr, size): (usize, usize)| {
+            let at = addr - base + shift;
+            at / 128..=(at + size - 1) / 128
+        };
+        for field in read {
+            let (w, f) = (lines(counter), lines(field));
+            assert!(
+                w.end() < f.start() || f.end() < w.start(),
+                "at offset {shift}, the anchor counter shares a line with a read-mostly field"
+            );
+        }
+    }
+}

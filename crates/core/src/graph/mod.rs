@@ -530,12 +530,12 @@ impl<K: Ord, V> SkipGraph<K, V> {
         }
     }
 
-    /// Per-NUMA-segment occupancy telemetry for the shared hash index:
-    /// entries, capacity, tombstones, and a probe-length histogram per
-    /// segment (empty when no index is installed). A weak snapshot; see
+    /// Occupancy telemetry for the shared hash index: entries, capacity,
+    /// tombstones and a probe-length histogram of its slot array (`None`
+    /// when no index is installed). A weak snapshot; see
     /// [`crate::index::SegmentOccupancy`] for how to read it.
-    pub fn index_occupancy(&self) -> Vec<crate::index::SegmentOccupancy> {
-        self.index().map_or_else(Vec::new, |i| i.occupancy())
+    pub fn index_occupancy(&self) -> Option<crate::index::SegmentOccupancy> {
+        self.index().map(HashIndex::occupancy)
     }
 
     /// Consults the hash index for `key`, whose [`SkipGraph::index_hash`]

@@ -86,7 +86,6 @@ impl<K: Ord, V> SkipGraph<K, V> {
             index_entries: self.index().map_or(0, |i| i.published_entries()),
             index_retired_entries: self.index().map_or(0, |i| i.retired_entries()),
             index_capacity: self.index().map_or(0, |i| i.capacity()),
-            index_segments: self.index().map_or(0, |i| i.segment_count()),
             height_histogram,
             limbo_nodes: self.reclaim.limbo_nodes(),
             retired_nodes: self.reclaim.retired_total(),
@@ -129,14 +128,12 @@ pub struct MemoryStats {
     /// tombstoned by removals and retire-path invalidation — stale
     /// entries dropped by readers count here too).
     pub index_retired_entries: usize,
-    /// Total slots across the index's segments (zero when no index is
-    /// installed). `index_entries - index_retired_entries`
-    /// over this capacity approximates the global load factor; the exact
-    /// per-segment composition — entries, tombstones, probe-length
-    /// histogram — comes from [`SkipGraph::index_occupancy`].
+    /// Slots in the index's one array (zero when no index is installed).
+    /// `index_entries - index_retired_entries` over this capacity
+    /// approximates the load factor; the exact composition — entries,
+    /// tombstones, probe-length histogram — comes from
+    /// [`SkipGraph::index_occupancy`].
     pub index_capacity: usize,
-    /// NUMA segments the index was built with (fixed at construction).
-    pub index_segments: usize,
     /// Allocated nodes per tower height (`[h]` = nodes with `top_level == h`).
     pub height_histogram: [usize; MAX_HEIGHT],
     /// Retired nodes awaiting their grace period on limbo lists.

@@ -59,8 +59,8 @@
 //!
 //! # Header layout
 //!
-//! Every probe — lookup, publish or invalidate, from any core — loads a
-//! segment's `mask` and the chunk-directory entry its slot lives in. Those
+//! Every probe — lookup, publish or invalidate, from any core — loads the
+//! array's `mask` and the chunk-directory entry its slot lives in. Those
 //! words sit on 128-byte lines that no publish or invalidate ever writes
 //! (only a grow stores `mask` and installs a chunk), so they stay shared in
 //! every core's cache. What a publish or invalidate does count — slots
@@ -70,7 +70,7 @@
 //!
 //! # Growing in place
 //!
-//! A segment is one power-of-two slot array held in a fixed chunk
+//! The index is one power-of-two slot array held in a fixed chunk
 //! directory: chunk 0 has the initial capacity and chunk `j ≥ 1` is the
 //! upper half the `j`-th doubling added. A grow (one grower at a time,
 //! everyone else keeps probing) allocates only that upper half, copies
@@ -84,40 +84,31 @@
 //! without the doubling: key turnover at a constant live size does not
 //! grow the index. That trip-wire — 75 % of the slots not empty, sampled
 //! every few claims — is the one growth rule; a publish that finds its
-//! whole probe window taken grows the segment itself as the backstop.
+//! whole probe window taken grows the array itself as the backstop.
 //!
 //! The safety argument rests on two facts: slot storage is freed only when
-//! the segment drops, and every `ptr` word ever stored is `0` or a node of
+//! the index drops, and every `ptr` word ever stored is `0` or a node of
 //! this graph. The pass moves and frees with plain stores, so a publish
 //! racing it into one slot may be lost, or leave one write's tag beside
 //! another's pointer; whatever `(tag, ptr)` pair a reader assembles goes
 //! through the generation → key → level-0 ladder like any other stale
 //! entry, and the race costs a descent, never a wrong answer.
 //!
-//! # NUMA-aware segments
-//!
-//! The index is split into one segment per NUMA node (detected topology,
-//! or the paper's machine as a fallback), selected by the top hash bits;
-//! each segment owns an independently grown slot array, so probe chains
-//! stay within one segment's storage (first-touched by the building
-//! thread) instead of striding a single machine-wide array.
-//!
 //! # The key hash
 //!
 //! `hash_key` is the crate's one key hash: a multiply per 8-byte word and
 //! MurmurHash3's 64-bit finalizer, unkeyed, so a key hashes alike in every
 //! process and every run. The finalizer mixes every input bit into every
-//! output bit, and callers read three ranges of it: the top bits pick the
-//! segment, bits 33–63 are the slot signature (its low bits the home
-//! slot), and the low bits pick a replicated map's log. A point operation
-//! computes it once, where `K: Hash` is in scope, and hands it to every
-//! `_hashed` method — the probe, the publish after a link or a
-//! resurrection, the heal after a search, and for a replicated write its
-//! log slot, so no replica's replay hashes again. The index's type-erased
-//! copy serves only the graph core's `K: Ord` paths (invalidation, and the
-//! graph's own operations). `HashIndex::prefetch` lets an insert start the
-//! transfer of the line its probe will read before its local descent, and
-//! probe after it.
+//! output bit, and callers read two ranges of it: bits 33–63 are the slot
+//! signature (its low bits the home slot), and the low bits pick a
+//! replicated map's log. A point operation computes it once, where
+//! `K: Hash` is in scope, and hands it to every `_hashed` method — the
+//! probe, the publish after a link or a resurrection, the heal after a
+//! search, and for a replicated write its log slot, so no replica's replay
+//! hashes again. The index's type-erased copy serves only the graph core's
+//! `K: Ord` paths (invalidation, and the graph's own operations).
+//! `HashIndex::prefetch` lets an insert start the transfer of the line its
+//! probe will read before its local descent, and probe after it.
 
 #![forbid(unsafe_code)]
 
@@ -127,7 +118,6 @@ use crate::prefetch::prefetch_read;
 use crate::sync::{FacadeAtomicUsize, Padded};
 use instrument::ThreadCtx;
 use numa::arena::ChunkStorage;
-use numa::{Placement, Topology};
 use std::hash::{Hash, Hasher};
 use std::ops::ControlFlow::{self, Break, Continue};
 use std::ptr::NonNull;
@@ -147,7 +137,7 @@ const TAG_BUSY: usize = 2;
 const TAG_PRESENT: usize = 1 << 63;
 
 /// Linear-probe bound: past this many slots from home, a publish gives up
-/// (after growing the segment and retrying once) and a lookup reports a
+/// (after growing the array and retrying once) and a lookup reports a
 /// miss. Lookups of absent keys stop at the first empty slot long before;
 /// the bound only caps the worst case (16 lines) and the damage a
 /// pathological hash cluster can do.
@@ -156,14 +146,14 @@ pub const PROBE_LIMIT: usize = 64;
 /// Width of [`SegmentOccupancy::probe_histogram`].
 const HISTOGRAM_BUCKETS: usize = 16;
 
-/// Occupancy snapshot of one NUMA segment's slot array: `used` near 75%
-/// of `capacity` means the segment is about to grow (or, with few live
+/// Occupancy snapshot of the index's slot array: `used` near 75%
+/// of `capacity` means the array is about to grow (or, with few live
 /// entries, to compact), and mass in the histogram's upper buckets means
 /// probe chains (and thus point-read line costs) are long even though
 /// space remains.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SegmentOccupancy {
-    /// Slots in the segment's array (power of two).
+    /// Slots in the array (power of two).
     pub capacity: usize,
     /// Slots not empty, tombstones included (the grow trigger compares
     /// this against 75% of `capacity`).
@@ -203,13 +193,13 @@ impl SegmentOccupancy {
     }
 }
 
-/// Every segment's start size; the occupancy trip-wire grows it from there.
+/// The array's start size; the occupancy trip-wire grows it from there.
 const MIN_SEGMENT_CAP: usize = 1 << 2;
-/// Largest per-segment array a grow will produce.
-const MAX_SEGMENT_CAP: usize = 1 << 24;
+/// Largest array a grow will produce.
+const MAX_SEGMENT_CAP: usize = 1 << 25;
 /// Chunk-directory length: chunk 0 plus one chunk per possible doubling.
 const CHUNKS: usize = (MAX_SEGMENT_CAP / MIN_SEGMENT_CAP).trailing_zeros() as usize + 1;
-/// Share of a segment's slots, in percent, that may be not empty (present
+/// Share of the array's slots, in percent, that may be not empty (present
 /// or tombstoned) before the occupancy trip-wire grows or compacts it.
 const OCC_GROW_PCT: usize = 75;
 /// A thread sums the `used` stripes against
@@ -366,7 +356,7 @@ impl Slot {
     }
 }
 
-/// One chunk of a segment's slot array: a chunk of 2 MiB or more (131 072
+/// One chunk of the slot array: a chunk of 2 MiB or more (131 072
 /// slots) sits on huge pages, a smaller one on base pages.
 type Slots = ChunkStorage<Slot>;
 
@@ -376,7 +366,7 @@ fn empty_slots(n: usize) -> Slots {
     ChunkStorage::from_fn(n, |_| Slot::empty())
 }
 
-/// One thread's share of a segment's counts.
+/// One thread's share of the array's counts.
 struct Counts {
     /// Slots this thread's publishes claimed from `EMPTY`. A grow or
     /// compaction books its own net change on stripe 0, so only the
@@ -390,10 +380,9 @@ struct Counts {
     retired: AtomicUsize,
 }
 
-/// One NUMA segment: a power-of-two slot array that grows in place (see
-/// the module docs). Aligned to a line pair, so segments stand apart, and
-/// laid out so that the lines up to the `counts` pointer hold only what
-/// probes read.
+/// The index's slot array: a power of two of slots that grows in place
+/// (see the module docs). Aligned to a line pair and laid out so that the
+/// lines up to the `counts` pointer hold only what probes read.
 #[repr(C, align(128))]
 struct Segment {
     /// Slots minus one. Written only by a grow, after the chunk it newly
@@ -404,7 +393,7 @@ struct Segment {
     /// The slot array: chunk 0 holds slots `[0, 2^base_bits)` and chunk
     /// `j ≥ 1` slots `[2^(base_bits + j - 1), 2^(base_bits + j))`. Each is
     /// installed once, by the grow that first covers it, and freed only
-    /// when the segment drops.
+    /// when the array drops.
     chunks: [OnceLock<Slots>; CHUNKS],
     /// Per-thread stripes of the counts (the pointer is immutable).
     counts: Box<[Padded<Counts>]>,
@@ -456,7 +445,7 @@ impl Segment {
             .expect("a published mask covers installed chunks only")[at..]
     }
 
-    /// Slot `i`, which a mask this segment published covers.
+    /// Slot `i`, which a mask this array published covers.
     fn slot(&self, i: usize) -> &Slot {
         &self.run(i)[0]
     }
@@ -523,7 +512,7 @@ impl Segment {
         slots + std::mem::size_of_val(&*self.counts)
     }
 
-    /// Relieves the segment (single grower; losers no-op). Doubles the
+    /// Relieves the array (single grower; losers no-op). Doubles the
     /// array — unless the occupancy trip-wire asked (`tripped`, rather than
     /// a full probe window) while live entries fill under
     /// [`COMPACT_BELOW_EIGHTHS`] of it, or it is as large as it gets:
@@ -763,7 +752,7 @@ impl Segment {
     }
 }
 
-/// One branch-free pass over a segment's first `cap` slots (which test
+/// One branch-free pass over the array's first `cap` slots (which test
 /// comes out which way is a coin toss a branch would mispredict), as
 /// bitsets by slot number, 64 to a word.
 struct Scan {
@@ -877,9 +866,9 @@ pub(crate) enum IndexRead<'p, K, V> {
 /// The shared, lock-free, resizable hash index. One per indexed
 /// structure, owned by its [`crate::SkipGraph`]; see the module docs.
 pub(crate) struct HashIndex<K, V> {
-    segments: Box<[Segment]>,
-    /// Shift applied to a key hash to select a segment.
-    seg_shift: u32,
+    /// The one slot array, boxed: its chunk directory is about 1 KiB, and
+    /// every [`crate::SkipGraph`] holds an `Option<HashIndex>` inline.
+    table: Box<Segment>,
     /// [`hash_key`], type-erased where `K: Hash` was in scope so the graph
     /// core can publish and invalidate from `K: Ord` contexts (hooks in
     /// `ops.rs` / `graph/mod.rs`). Code with `K: Hash` in scope calls
@@ -893,22 +882,16 @@ pub(crate) struct HashIndex<K, V> {
 }
 
 impl<K, V> HashIndex<K, V> {
-    /// Builds an index with one segment per NUMA node of the detected
-    /// topology (paper machine fallback), each starting at
-    /// [`MIN_SEGMENT_CAP`] slots. Requires `K: Hash` only here — every
-    /// other method runs through the captured hasher.
+    /// Builds an index of [`MIN_SEGMENT_CAP`] slots with one counter
+    /// stripe per thread. Requires `K: Hash` only here — every other method
+    /// runs through the captured hasher.
     pub(crate) fn new(threads: usize) -> Self
     where
         K: Hash,
     {
-        let nodes = Placement::new(&Topology::detect_or_paper(), threads.max(1)).num_nodes();
-        let segments = nodes.max(1).next_power_of_two();
         let stripes = threads.max(1).next_power_of_two();
         Self {
-            segments: (0..segments)
-                .map(|_| Segment::new(MIN_SEGMENT_CAP, stripes))
-                .collect(),
-            seg_shift: 64 - segments.trailing_zeros(),
+            table: Box::new(Segment::new(MIN_SEGMENT_CAP, stripes)),
             hash_of: hash_key::<K>,
             _nodes: std::marker::PhantomData,
         }
@@ -924,11 +907,11 @@ impl<K, V> HashIndex<K, V> {
     /// Starts the transfer of the line a probe under `hash` begins on and
     /// of the next one, so that a probe issued after other work (an
     /// insert's local descent) finds them in cache. A hint: it loads only
-    /// the segment's mask and chunk directory, which no publish writes,
-    /// and no slot.
+    /// the array's mask and chunk directory, which no publish writes, and
+    /// no slot.
     #[inline]
     pub(crate) fn prefetch(&self, hash: u64) {
-        let seg = self.segment(hash);
+        let seg = &*self.table;
         let home = sig_of(hash) & seg.mask.load(Ordering::Acquire);
         let first = seg.run(home).as_ptr();
         prefetch_read(first);
@@ -936,106 +919,79 @@ impl<K, V> HashIndex<K, V> {
         prefetch_read(first.wrapping_add(4));
     }
 
-    #[inline]
-    fn segment(&self, hash: u64) -> &Segment {
-        let i = if self.segments.len() == 1 {
-            0
-        } else {
-            (hash >> self.seg_shift) as usize & (self.segments.len() - 1)
-        };
-        &self.segments[i]
-    }
-
-    /// Total bytes of segment storage (slot arrays plus counter stripes)
-    /// — the `memory_stats` contribution.
+    /// Total bytes of slot storage plus counter stripes — the
+    /// `memory_stats` contribution.
     pub(crate) fn bytes(&self) -> usize {
-        self.segments.iter().map(|s| s.bytes()).sum()
+        self.table.bytes()
     }
 
     /// Entries tombstoned by invalidation since construction.
     pub(crate) fn retired_entries(&self) -> usize {
-        self.segments
+        self.table
+            .counts
             .iter()
-            .flat_map(|s| s.counts.iter())
             .map(|c| c.0.retired.load(Ordering::Relaxed))
             .sum()
     }
 
     /// Entries ever published (monotonic).
     pub(crate) fn published_entries(&self) -> usize {
-        self.segments
+        self.table
+            .counts
             .iter()
-            .flat_map(|s| s.counts.iter())
             .map(|c| c.0.published.load(Ordering::Relaxed))
             .sum()
     }
 
-    /// Total slots across every segment: the denominator of the index's
-    /// global load factor.
+    /// Slots in the array: the denominator of the index's load factor.
     pub(crate) fn capacity(&self) -> usize {
-        self.segments.iter().map(Segment::capacity).sum()
+        self.table.capacity()
     }
 
-    /// Installed NUMA segments (fixed at construction).
-    pub(crate) fn segment_count(&self) -> usize {
-        self.segments.len()
-    }
-
-    /// Weak per-segment occupancy snapshot (see [`SegmentOccupancy`]):
-    /// walks each segment's slot array once, classifying slots and
-    /// binning present entries by probe displacement from their home
-    /// position. Concurrent publishes/invalidations may be half-observed —
-    /// the numbers are telemetry, not an invariant source.
-    pub(crate) fn occupancy(&self) -> Vec<SegmentOccupancy> {
-        self.segments
-            .iter()
-            .map(|seg| {
-                let mask = seg.capacity() - 1;
-                let mut occ = SegmentOccupancy {
-                    capacity: mask + 1,
-                    used: seg.used().min(mask + 1),
-                    ..SegmentOccupancy::default()
-                };
-                seg.walk(0, mask + 1, |i, slot| {
-                    let tag = slot.tag.load();
-                    if tag == TAG_TOMBSTONE {
-                        occ.tombstones += 1;
-                    } else if tag_is_present(tag) {
-                        occ.entries += 1;
-                        // The probe walks forward from `sig & mask`, so the
-                        // wrapped distance from home is the entry's cost.
-                        let dist = i.wrapping_sub(tag_sig(tag) & mask) & mask;
-                        occ.probe_histogram[dist.min(HISTOGRAM_BUCKETS - 1)] += 1;
-                    }
-                });
-                occ
-            })
-            .collect()
+    /// Weak occupancy snapshot (see [`SegmentOccupancy`]): walks the slot
+    /// array once, classifying slots and binning present entries by probe
+    /// displacement from their home position. Concurrent
+    /// publishes/invalidations may be half-observed — the numbers are
+    /// telemetry, not an invariant source.
+    pub(crate) fn occupancy(&self) -> SegmentOccupancy {
+        let seg = &*self.table;
+        let mask = seg.capacity() - 1;
+        let mut occ = SegmentOccupancy {
+            capacity: mask + 1,
+            used: seg.used().min(mask + 1),
+            ..SegmentOccupancy::default()
+        };
+        seg.walk(0, mask + 1, |i, slot| {
+            let tag = slot.tag.load();
+            if tag == TAG_TOMBSTONE {
+                occ.tombstones += 1;
+            } else if tag_is_present(tag) {
+                occ.entries += 1;
+                // The probe walks forward from `sig & mask`, so the
+                // wrapped distance from home is the entry's cost.
+                let dist = i.wrapping_sub(tag_sig(tag) & mask) & mask;
+                occ.probe_histogram[dist.min(HISTOGRAM_BUCKETS - 1)] += 1;
+            }
+        });
+        occ
     }
 
     /// Publishes `(ptr, gen)` under `hash`, the [`Self::hash`] of the
     /// node's key, on behalf of thread `tid`. Best effort: busy slots are
-    /// skipped, and a full probe window grows the segment and retries once.
+    /// skipped, and a full probe window grows the array and retries once.
     /// Callers pass a generation captured from the incarnation they just
     /// linked/observed live — publish-after-link.
     pub(crate) fn publish_hashed(&self, hash: u64, ptr: NonNull<Node<K, V>>, gen: u32, tid: usize) {
-        let seg = self.segment(hash);
-        if !self.try_publish(seg, hash, ptr, gen, tid) {
-            seg.grow(false);
-            self.try_publish(seg, hash, ptr, gen, tid);
+        if !self.try_publish(hash, ptr, gen, tid) {
+            self.table.grow(false);
+            self.try_publish(hash, ptr, gen, tid);
         }
     }
 
     /// One pass over `hash`'s probe window; `false` when it held no slot
     /// to take.
-    fn try_publish(
-        &self,
-        seg: &Segment,
-        hash: u64,
-        ptr: NonNull<Node<K, V>>,
-        gen: u32,
-        tid: usize,
-    ) -> bool {
+    fn try_publish(&self, hash: u64, ptr: NonNull<Node<K, V>>, gen: u32, tid: usize) -> bool {
+        let seg = &*self.table;
         let mask = seg.mask.load(Ordering::Acquire);
         let sig = sig_of(hash);
         let tag = tag_of(hash, gen);
@@ -1062,7 +1018,7 @@ impl<K, V> HashIndex<K, V> {
                 // The occupancy trip-wire is sampled (both powers of two).
                 let every = ((mask + 1) >> 4).clamp(1, GROW_CHECK_EVERY);
                 if claims != 0 && claims & (every - 1) == 0 {
-                    self.after_publish(seg);
+                    self.after_publish();
                 }
                 return Break(());
             }
@@ -1075,10 +1031,11 @@ impl<K, V> HashIndex<K, V> {
     /// claim of a thread (more often in small arrays): once the share of
     /// slots not empty (tombstones included: they occupy probe-chain
     /// positions until a grow or compaction clears them) crosses
-    /// [`OCC_GROW_PCT`], the segment doubles, or compacts when few of those
+    /// [`OCC_GROW_PCT`], the array doubles, or compacts when few of those
     /// slots are live. The grow a full probe window triggers in
     /// [`Self::publish_hashed`] is the backstop.
-    fn after_publish(&self, seg: &Segment) {
+    fn after_publish(&self) {
+        let seg = &*self.table;
         if seg.used() * 100 > seg.capacity() * OCC_GROW_PCT {
             seg.grow(true);
         }
@@ -1093,7 +1050,7 @@ impl<K, V> HashIndex<K, V> {
     }
 
     fn invalidate_hashed(&self, hash: u64, ptr: Option<NonNull<Node<K, V>>>, tid: usize) {
-        let seg = self.segment(hash);
+        let seg = &*self.table;
         let mask = seg.mask.load(Ordering::Acquire);
         let sig = sig_of(hash);
         seg.probe(mask, sig & mask, |_, s| {
@@ -1125,7 +1082,7 @@ impl<K, V> HashIndex<K, V> {
     /// signature matches. No validation beyond pair consistency — see
     /// [`RawEntry`].
     fn lookup_raw_hashed(&self, hash: u64) -> Option<RawEntry<K, V>> {
-        let seg = self.segment(hash);
+        let seg = &*self.table;
         let mask = seg.mask.load(Ordering::Acquire);
         let sig = sig_of(hash);
         seg.probe(mask, sig & mask, |_, s| {
@@ -1221,7 +1178,7 @@ impl<K: Ord, V> HashIndex<K, V> {
 impl<K, V> std::fmt::Debug for HashIndex<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HashIndex")
-            .field("segments", &self.segments.len())
+            .field("capacity", &self.capacity())
             .field("published", &self.published_entries())
             .field("retired_entries", &self.retired_entries())
             .finish()
@@ -1249,15 +1206,13 @@ mod tests {
         idx.lookup_raw_hashed(idx.hash(&key))
     }
 
-    /// An index whose segments were doubled, empty, to `slots` each: room
-    /// for a test that counts what publishes and invalidations leave with
-    /// no trip-wire grow or compaction in between.
+    /// An index doubled, empty, to `slots`: room for a test that counts
+    /// what publishes and invalidations leave with no trip-wire grow or
+    /// compaction in between.
     fn grown(threads: usize, slots: usize) -> Idx {
         let idx = Idx::new(threads);
-        for seg in idx.segments.iter() {
-            while seg.capacity() < slots {
-                seg.grow(false);
-            }
+        while idx.capacity() < slots {
+            idx.table.grow(false);
         }
         idx
     }
@@ -1380,12 +1335,9 @@ mod tests {
         assert_eq!(missing(&idx, end..end + live), Vec::<u64>::new());
         assert!((0..end).all(|k| lookup(&idx, k).is_none()));
         let occ = idx.occupancy();
-        let used: usize = occ.iter().map(|s| s.used).sum();
-        let tombstones: usize = occ.iter().map(|s| s.tombstones).sum();
-        let entries: usize = occ.iter().map(|s| s.entries).sum();
         assert_eq!(
-            used,
-            entries + tombstones,
+            occ.used,
+            occ.entries + occ.tombstones,
             "used stripes drifted from the slots"
         );
     }
@@ -1401,50 +1353,42 @@ mod tests {
         for k in 0..1_000u64 {
             idx.invalidate(&k, None, (k % 4) as usize);
         }
-        assert!(
-            idx.capacity() > idx.segments.len() * MIN_SEGMENT_CAP,
-            "no grow happened"
-        );
-        for seg in idx.segments.iter() {
-            assert_eq!(seg as *const Segment as usize % 128, 0);
-            // What every lookup, publish and invalidate loads on its way
-            // to a slot: the mask and the chunk directory (written only by
-            // a grow) and the stripe array's pointer.
-            let mut read: Vec<usize> = Vec::new();
-            read.extend(lines_of(&seg.mask));
-            read.extend(lines_of(&seg.base_bits));
-            read.extend(lines_of(&seg.chunks));
-            read.extend(lines_of(&seg.counts));
-            // What a publish, an invalidate or a grow's lease writes
-            // (slots aside).
-            let mut written: Vec<usize> = Vec::new();
-            let mut stripes: Vec<usize> = Vec::new();
-            for c in seg.counts.iter() {
-                assert_eq!(lines_of(c).count(), 1, "a stripe straddles lines");
-                stripes.push(line_of(c));
-            }
-            written.extend(&stripes);
-            written.extend(lines_of(&seg.grow));
-            for line in &read {
-                assert!(
-                    !written.contains(line),
-                    "a probe-read word sits on a written line"
-                );
-            }
-            // No two threads' stripes on one line.
-            let mut distinct = stripes.clone();
-            distinct.sort_unstable();
-            distinct.dedup();
-            assert_eq!(distinct.len(), stripes.len(), "two stripes share a line");
-            assert_eq!(seg.counts.len(), 4);
+        assert!(idx.capacity() > MIN_SEGMENT_CAP, "no grow happened");
+        let seg = &*idx.table;
+        assert_eq!(seg as *const Segment as usize % 128, 0);
+        // What every lookup, publish and invalidate loads on its way to a
+        // slot: the mask and the chunk directory (written only by a grow)
+        // and the stripe array's pointer.
+        let mut read: Vec<usize> = Vec::new();
+        read.extend(lines_of(&seg.mask));
+        read.extend(lines_of(&seg.base_bits));
+        read.extend(lines_of(&seg.chunks));
+        read.extend(lines_of(&seg.counts));
+        // What a publish, an invalidate or a grow's lease writes (slots
+        // aside).
+        let mut written: Vec<usize> = Vec::new();
+        let mut stripes: Vec<usize> = Vec::new();
+        for c in seg.counts.iter() {
+            assert_eq!(lines_of(c).count(), 1, "a stripe straddles lines");
+            stripes.push(line_of(c));
         }
-        // Segments stand apart from each other.
-        for pair in idx.segments.windows(2) {
-            assert!(lines_of(&pair[0]).end() < lines_of(&pair[1]).start());
+        written.extend(&stripes);
+        written.extend(lines_of(&seg.grow));
+        for line in &read {
+            assert!(
+                !written.contains(line),
+                "a probe-read word sits on a written line"
+            );
         }
+        // No two threads' stripes on one line.
+        let mut distinct = stripes.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), stripes.len(), "two stripes share a line");
+        assert_eq!(seg.counts.len(), 4);
     }
 
-    /// A slot chunk of 2 MiB or more — chunk 0 of a large segment, and the
+    /// A slot chunk of 2 MiB or more — chunk 0 of a large array, and the
     /// upper half a doubling adds — starts on a 2 MiB boundary, where the
     /// kernel can back it with huge pages (see `numa::arena`).
     #[test]
@@ -1483,9 +1427,9 @@ mod tests {
         assert_eq!(idx.published_entries(), 100);
         assert_eq!(idx.retired_entries(), 40);
         let occ = idx.occupancy();
-        assert_eq!(occ.iter().map(|s| s.used).sum::<usize>(), 100);
-        assert_eq!(occ.iter().map(|s| s.entries).sum::<usize>(), 60);
-        assert_eq!(occ.iter().map(|s| s.tombstones).sum::<usize>(), 40);
+        assert_eq!(occ.used, 100);
+        assert_eq!(occ.entries, 60);
+        assert_eq!(occ.tombstones, 40);
     }
 
     #[test]
@@ -1528,20 +1472,16 @@ mod tests {
         for (name, keys) in key_sets() {
             let n = keys.len();
             let hashes: Vec<u64> = keys.iter().map(hash_key).collect();
-            // Two segments split on the top bit, two logs on the low one:
-            // each half within 2 % of n / 2.
-            let segment = hashes.iter().filter(|h| **h >> 63 == 1).count();
+            // Two logs split on the low bit: each half within 2 % of n / 2.
             let log = hashes
                 .iter()
                 .filter(|h| crate::mvec::list_suffix(**h as u32, 1) == 1)
                 .count();
-            for (what, ones) in [("segment", segment), ("log family", log)] {
-                let share = ones as f64 / n as f64;
-                assert!(
-                    (share - 0.5).abs() <= 0.01,
-                    "{name}: {what} split {share:.4}"
-                );
-            }
+            let share = log as f64 / n as f64;
+            assert!(
+                (share - 0.5).abs() <= 0.01,
+                "{name}: log family split {share:.4}"
+            );
             // One slot array filled to load 0.5 by the index's linear probe
             // from `sig & mask`: about 1.5 slots per key for a random hash.
             let mask = 2 * n - 1;
@@ -1579,8 +1519,7 @@ mod tests {
 
     #[test]
     fn a_grow_adds_exactly_its_upper_half() {
-        // Drive grows directly (publish-count triggers depend on the
-        // detected segment count, so they are not deterministic here).
+        // Drive grows directly, with no publish to trip the wire.
         let seg = Segment::new(1 << 12, 1);
         let stripes = std::mem::size_of::<Padded<Counts>>();
         assert_eq!(seg.bytes(), 16 * (1 << 12) + stripes);

@@ -49,9 +49,9 @@ pub struct GraphConfig {
     /// insert/remove and consulted first by point `get`/`contains`;
     /// entries are generation-validated, so reclamation stays safe. Off
     /// by default. Honored by the layered builders (which know the key
-    /// hashes); `SkipGraph::new` and the blocked map reject it. Every
-    /// index segment starts at four slots and doubles in place, lock-free,
-    /// under load.
+    /// hashes); `SkipGraph::new` and the blocked map reject it. The index
+    /// is one slot array that starts at four slots and doubles in place,
+    /// lock-free, under load.
     pub hash_index: bool,
     /// NUMA-ownership override: when set, every node allocated in this
     /// structure is tagged as owned by this thread (and recycled into its

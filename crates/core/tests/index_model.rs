@@ -37,7 +37,7 @@ proptest! {
         ops in proptest::collection::vec((0u8..10, 0u64..32, 0u64..1000), 1..300),
         lazy: bool,
     ) {
-        // Every segment starts at four slots, so grows run mid-sequence.
+        // Every index starts at four slots, so grows run mid-sequence.
         let map: LayeredMap<u64, u64> = LayeredMap::new(indexed_reclaiming(2).lazy(lazy));
         let mut h = map.register(ThreadCtx::plain(0));
         let mut model: BTreeMap<u64, u64> = BTreeMap::new();
@@ -87,8 +87,8 @@ proptest! {
 /// handles while retirement and slot recycling run concurrently. Workers
 /// assert only self-consistency (a get after *their own* insert of a
 /// thread-owned key sees their value), which a stale index entry for a
-/// recycled slot would break. The index starts at four slots a segment,
-/// so its grows and compactions run under the churn.
+/// recycled slot would break. The index starts at four slots, so its
+/// grows and compactions run under the churn.
 #[test]
 fn concurrent_churn_with_reclaim_never_serves_stale_reads() {
     const THREADS: u64 = 3;
@@ -145,7 +145,7 @@ fn concurrent_churn_with_reclaim_never_serves_stale_reads() {
     assert!(stats.index_bytes > 0, "index allocated no tables");
 }
 
-/// Occupancy telemetry: the per-segment snapshot must account for every
+/// Occupancy telemetry: the snapshot must account for every
 /// live key (entries >= live keys, since lazy absence-tombstones also
 /// hold slots), stay within capacity, put every histogram entry within
 /// the probe limit, and agree with the aggregate `memory_stats` fields.
@@ -160,15 +160,15 @@ fn occupancy_snapshot_accounts_for_published_keys() {
     }
     let ctx = ThreadCtx::plain(0);
     let mem = map.shared().memory_stats(&ctx);
-    let occ = map.shared().index_occupancy();
-    assert_eq!(occ.len(), mem.index_segments, "segment count disagrees");
-    assert!(!occ.is_empty(), "indexed map reported no segments");
-    let capacity: usize = occ.iter().map(|s| s.capacity).sum();
-    assert_eq!(capacity, mem.index_capacity, "capacity disagrees");
+    let occ = map
+        .shared()
+        .index_occupancy()
+        .expect("an indexed map reports its occupancy");
+    assert_eq!(occ.capacity, mem.index_capacity, "capacity disagrees");
     // Publishes are best-effort (a full probe window drops the entry),
     // so the snapshot may undercount live keys slightly — but never by
     // much at this load factor, and never beyond what was published.
-    let entries: usize = occ.iter().map(|s| s.entries).sum();
+    let entries = occ.entries;
     assert!(
         entries >= N as usize * 9 / 10,
         "snapshot saw only {entries} entries for {N} live keys"
@@ -177,36 +177,26 @@ fn occupancy_snapshot_accounts_for_published_keys() {
         entries <= mem.index_entries,
         "snapshot saw more entries than were ever published"
     );
-    for (i, seg) in occ.iter().enumerate() {
-        assert!(
-            seg.entries + seg.tombstones <= seg.capacity,
-            "segment {i} overfull"
-        );
-        assert!(seg.used <= seg.capacity, "segment {i} used > capacity");
-        let binned: u64 = seg.probe_histogram.iter().sum();
-        assert_eq!(
-            binned as usize, seg.entries,
-            "segment {i} histogram loses entries"
-        );
-        if seg.entries > 0 {
-            assert!(seg.mean_probe() >= 1.0, "segment {i} mean probe below 1");
-            assert!(
-                seg.mean_probe() <= skipgraph::index::PROBE_LIMIT as f64,
-                "segment {i} mean probe beyond the limit"
-            );
-            assert!(seg.load_factor() > 0.0 && seg.load_factor() <= 1.0);
-        }
-    }
+    assert!(occ.entries + occ.tombstones <= occ.capacity, "overfull");
+    assert!(occ.used <= occ.capacity, "used > capacity");
+    let binned: u64 = occ.probe_histogram.iter().sum();
+    assert_eq!(binned as usize, occ.entries, "histogram loses entries");
+    assert!(occ.mean_probe() >= 1.0, "mean probe below 1");
+    assert!(
+        occ.mean_probe() <= skipgraph::index::PROBE_LIMIT as f64,
+        "mean probe beyond the limit"
+    );
+    assert!(occ.load_factor() > 0.0 && occ.load_factor() <= 1.0);
 }
 
 /// Key turnover at a constant live size under the deterministic
-/// scheduler, from the four-slot segments every index starts with: each thread replaces its
+/// scheduler, from the four slots every index starts with: each thread replaces its
 /// own keys by fresh ones, so slots turn into tombstones faster than keys
 /// reuse them, and schedules interleave the index's in-place grows and
 /// compactions with the reads, removes and inserts of the other threads.
 /// Every outcome is exact (a thread's keys are its own), and the index
 /// must end up far smaller than the entries it ever held: at most a third
-/// of them (64–128 slots for ≈ 560 entries here; 256–384 with compaction
+/// of them (64 slots for ≈ 560 entries here; 256 with compaction
 /// disabled).
 #[cfg(feature = "deterministic")]
 mod deterministic {

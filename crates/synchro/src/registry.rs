@@ -26,7 +26,7 @@
 //!
 //! The rows the paper's figures plot ([`FIGURE_STRUCTURES`]) take the
 //! paper's parameters. The extension rows take small ones — blocks of
-//! four, a one-slot index hint, 16-slot replica logs, two synthetic
+//! four, a four-slot index, 16-slot replica logs, two synthetic
 //! sockets — because the deterministic stress lanes must reach their
 //! split, grow and wraparound paths within a few hundred scheduled
 //! operations.
@@ -116,8 +116,8 @@ pub fn with_named<V: Visit>(name: &str, threads: usize, key_space: u64, visit: V
                 "lazy_hashed_sg" => GraphConfig::new(t).lazy(true).hash_index(true),
                 // Non-lazy, so eager removes must invalidate their own
                 // entries (the duty the bug-injection lane skips); every
-                // index segment starts at four slots, so the stress
-                // schedules cross in-place grows and compactions.
+                // index starts at four slots, so the stress schedules
+                // cross in-place grows and compactions.
                 _ => GraphConfig::new(t).hash_index(true),
             };
             visit.visit(&LayeredMap::<u64, u64>::new(graph.chunk_capacity(cap)))

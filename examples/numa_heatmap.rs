@@ -73,8 +73,8 @@ fn main() {
          the skip list (paper: 70% fewer remote CAS/op at 96 threads)."
     );
 
-    // Hash-index occupancy heatmap: load an indexed map and show how the
-    // keys landed across the per-NUMA-segment slot arrays (slots in use
+    // Hash-index occupancy: load an indexed map and show how the keys
+    // landed in the index's one slot array (slots in use
     // crowding the 75% occupancy threshold mean an imminent grow or
     // compaction; mass in the histogram's upper buckets means long probe
     // chains despite free space).
@@ -92,22 +92,15 @@ fn main() {
             h.remove(&(k.wrapping_mul(0x9E37_79B9) >> 8));
         }
     }
-    let mem = map.shared().memory_stats(&instrument::ThreadCtx::plain(0));
+    let occ = map.shared().index_occupancy().expect("an indexed map");
     println!(
-        "\n== hash-index occupancy ({} segments, {} slots total) ==",
-        mem.index_segments, mem.index_capacity
+        "\n== hash-index occupancy ==\n  {}/{} entries ({:.0}% load, {} tombstones), \
+         mean probe {:.2}, histogram {:?}",
+        occ.entries,
+        occ.capacity,
+        100.0 * occ.load_factor(),
+        occ.tombstones,
+        occ.mean_probe(),
+        occ.probe_histogram
     );
-    for (i, seg) in map.shared().index_occupancy().iter().enumerate() {
-        let hist: Vec<u64> = seg.probe_histogram.to_vec();
-        println!(
-            "  segment {i}: {}/{} entries ({:.0}% load, {} tombstones), \
-             mean probe {:.2}, histogram {:?}",
-            seg.entries,
-            seg.capacity,
-            100.0 * seg.load_factor(),
-            seg.tombstones,
-            seg.mean_probe(),
-            hist
-        );
-    }
 }

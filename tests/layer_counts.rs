@@ -407,14 +407,14 @@ fn the_index_is_one_table_at_half_load() {
     let map = preloaded_index(SLOTS);
     let mem = map.shared().memory_stats(&ThreadCtx::plain(0));
     // One 128-byte counter stripe per thread slot (rounded up to a power
-    // of two) in each segment, and 16 B for every slot of the one array a
-    // segment has: a grow keeps nothing of what it outgrew.
-    let stripes = 128 * mem.index_segments * (SLOTS as usize).next_power_of_two();
-    let occ = map.shared().index_occupancy();
-    let loads: Vec<String> = occ
-        .iter()
-        .map(|s| format!("{:.3}", s.load_factor()))
-        .collect();
+    // of two), and 16 B for every slot of the index's one array: a grow
+    // keeps nothing of what it outgrew.
+    let stripes = 128 * (SLOTS as usize).next_power_of_two();
+    let load = map
+        .shared()
+        .index_occupancy()
+        .expect("an indexed map")
+        .load_factor();
     // Every key once, through handles that loaded none of them.
     let stats = AccessStats::new(SLOTS as usize);
     let mut readers = pin_all(&map, 0..SLOTS, Some(&stats));
@@ -426,11 +426,10 @@ fn the_index_is_one_table_at_half_load() {
     }
     let hits = stats.totals().index_hits;
     println!(
-        "index: {:.1} B per slot of capacity, {:.1} B per live key, load {} over {} slots, \
+        "index: {:.1} B per slot of capacity, {:.1} B per live key, load {load:.3} over {} slots, \
          {hits} of {INDEX_KEYS} reads index hits",
         mem.index_bytes as f64 / mem.index_capacity as f64,
         mem.index_bytes as f64 / INDEX_KEYS as f64,
-        loads.join(" / "),
         mem.index_capacity
     );
     assert_eq!(
@@ -438,22 +437,16 @@ fn the_index_is_one_table_at_half_load() {
         16 * mem.index_capacity + stripes,
         "index bytes beyond one two-word slot per slot of capacity"
     );
-    for s in &occ {
-        assert!(
-            s.load_factor() >= 0.375,
-            "a segment grew early: load {:.3}",
-            s.load_factor()
-        );
-    }
+    assert!(load >= 0.375, "the index grew early: load {load:.3}");
     assert_eq!(hits, INDEX_KEYS, "preloaded keys missing from the index");
 }
 
-/// Every index segment starts at four slots and grows by its one rule:
+/// Every index starts as one four-slot array and grows by its one rule:
 /// 2^16 inserts through one handle end at exactly the capacity the
 /// deleted capacity hint reached at its smallest setting (and at its
 /// 4 096-slot default: the doublings meet at the same power of two).
 #[test]
-fn an_index_segment_starts_at_four_slots() {
+fn an_index_starts_at_four_slots() {
     const KEYS: u64 = 1 << 16;
     let map = LayeredMap::new(
         GraphConfig::new(1)
@@ -469,10 +462,10 @@ fn an_index_segment_starts_at_four_slots() {
     }
     let full = map.shared().memory_stats(&ctx);
     println!(
-        "index start: {} slots over {} segments, {} after {KEYS} inserts",
-        empty.index_capacity, empty.index_segments, full.index_capacity
+        "index start: {} slots, {} after {KEYS} inserts",
+        empty.index_capacity, full.index_capacity
     );
-    assert_eq!(empty.index_capacity, 4 * empty.index_segments);
+    assert_eq!(empty.index_capacity, 4);
     assert_eq!(full.index_capacity, 131_072);
 }
 
@@ -491,9 +484,9 @@ fn key_turnover_at_a_constant_live_size_keeps_the_index_size() {
     preload(&mut handles, LIVE);
     // Every turn replaces each live key by a fresh one. The preload grew
     // the index at 3/4 occupancy, so its live share sits over the 3/8
-    // under which a tripped segment compacts: the first turn's trip
+    // under which a tripped index compacts: the first turn's trip
     // doubles once. After it the live load stays under 3/8, and every
-    // trip of the occupancy wire finds the segment mostly tombstones.
+    // trip of the occupancy wire finds the array mostly tombstones.
     let mut replace = |i: u64| {
         let h = &mut handles[i as usize % SLOTS as usize];
         assert!(h.remove(&key(i)));
@@ -504,12 +497,11 @@ fn key_turnover_at_a_constant_live_size_keeps_the_index_size() {
     let before = map.shared().memory_stats(&ctx);
     (LIVE..(TURNS + 1) * LIVE).for_each(&mut replace);
     let after = map.shared().memory_stats(&ctx);
-    let tombstones: usize = map
+    let tombstones = map
         .shared()
         .index_occupancy()
-        .iter()
-        .map(|s| s.tombstones)
-        .sum();
+        .expect("an indexed map")
+        .tombstones;
     println!(
         "index turnover: {} -> {} slots, {} -> {} B over {TURNS}x{LIVE} replaced keys, \
          {tombstones} tombstones left",
