@@ -190,14 +190,14 @@ fn occupancy_snapshot_accounts_for_published_keys() {
 }
 
 /// Key turnover at a constant live size under the deterministic
-/// scheduler, from the four slots every index starts with: each thread replaces its
-/// own keys by fresh ones, so slots turn into tombstones faster than keys
-/// reuse them, and schedules interleave the index's in-place grows and
-/// compactions with the reads, removes and inserts of the other threads.
-/// Every outcome is exact (a thread's keys are its own), and the index
-/// must end up far smaller than the entries it ever held: at most a third
-/// of them (64 slots for ≈ 560 entries here; 256 with compaction
-/// disabled).
+/// scheduler, from the four slots every index starts with: each thread
+/// replaces its own keys by fresh ones, so slots turn into tombstones
+/// faster than keys reuse them, and schedules interleave the index's
+/// in-place grows and compactions with the reads, removes and inserts of
+/// the other threads. Every outcome is exact (a thread's keys are its
+/// own), and the index must end up far smaller than the entries it ever
+/// held: at most a third of them (64 slots for ≈ 560 entries here; 256
+/// with compaction disabled).
 #[cfg(feature = "deterministic")]
 mod deterministic {
     use super::*;

@@ -74,10 +74,10 @@ fn main() {
     );
 
     // Hash-index occupancy: load an indexed map and show how the keys
-    // landed in the index's one slot array (slots in use
-    // crowding the 75% occupancy threshold mean an imminent grow or
-    // compaction; mass in the histogram's upper buckets means long probe
-    // chains despite free space).
+    // landed in the index's one slot array (slots in use crowding the 75%
+    // occupancy threshold mean an imminent grow or compaction; mass in the
+    // histogram's upper buckets means long probe chains despite free
+    // space).
     let map: skipgraph::LayeredMap<u64, u64> = skipgraph::LayeredMap::new(
         skipgraph::GraphConfig::new(THREADS)
             .lazy(true)
