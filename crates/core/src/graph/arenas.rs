@@ -2,7 +2,7 @@
 //!
 //! One benchmark thread owns one [`TowerArenas`]: a bank of `MAX_HEIGHT`
 //! owner-tagged [`Arena`]s, where class `h` carries `Node::tower_bytes(h)`
-//! after each node header: nothing at height 0, else the stamp word and
+//! after each node header: nothing at height 0, else the unlink word and
 //! `h` tower slots. Allocating from the class matching a
 //! node's `top_level` gives every node exactly the tower it uses — the
 //! core of the truncated-tower layout — while preserving the paper's
@@ -17,8 +17,9 @@
 //! Every graph reclaims (`skipgraph::reclaim`), so each class also keeps
 //! a Treiber-stack **free list** of reclaimed slots, linked through the
 //! parked node's `next0` word. Any thread may push (the reclaimer
-//! collecting its limbo list returns each slot to the *owning* bank, so
-//! recycled memory keeps its first-touch NUMA placement); only the owner
+//! collecting its limbo list returns each slot to the bank of the thread
+//! that allocated it, so recycled memory keeps its first-touch NUMA
+//! placement); only the owner
 //! pops (allocation goes through the owner's bank), which makes the pop
 //! single-consumer and therefore ABA-free without counted pointers: a
 //! popped head cannot be pushed back concurrently with another pop.
@@ -60,7 +61,9 @@ impl<K, V> FreeList<K, V> {
         loop {
             // The slot is unreachable to everyone else, so the plain-ish
             // (atomic, unrecorded) store of the link cannot race.
-            unsafe { node.as_ref() }.store_next(0, crate::sync::TagPtr::clean(head));
+            unsafe { node.as_ref() }
+                .next0()
+                .store(crate::sync::TagPtr::clean(head));
             match self.head.compare_exchange_weak(
                 head,
                 node.as_ptr(),
@@ -79,7 +82,7 @@ impl<K, V> FreeList<K, V> {
         loop {
             let head = self.head.load(Ordering::Acquire);
             let node = NonNull::new(head)?;
-            let next = unsafe { node.as_ref() }.load_next_raw(0).ptr();
+            let next = unsafe { node.as_ref() }.next0().load().ptr();
             match self
                 .head
                 .compare_exchange(head, next, Ordering::AcqRel, Ordering::Acquire)
@@ -130,10 +133,10 @@ impl<K, V> TowerArenas<K, V> {
         }
     }
 
-    /// Allocates `header` in the size class of its `top_level` and attaches
-    /// the trailing tower, preferring a recycled slot from the class's free
-    /// list. The returned node has all `top_level + 1` next-slots
-    /// initialized to null clean words.
+    /// Allocates `header` in the size class of its `top_level`, preferring
+    /// a recycled slot from the class's free list. The returned node has
+    /// all `top_level + 1` next-slots initialized to null clean words and
+    /// an empty unlink mask (a fresh slot's trailing bytes are zeroed).
     ///
     /// Callers must be the bank's owning thread (the recycled-slot pop is
     /// single-consumer).
@@ -150,11 +153,7 @@ impl<K, V> TowerArenas<K, V> {
             self.recycled.fetch_add(1, Ordering::Relaxed);
             return slot;
         }
-        let node = self.classes[class].alloc(header);
-        // Safety: class `h` slots carry `tower_bytes(h)` zeroed trailing
-        // bytes, exactly what attach_tower requires.
-        unsafe { Node::attach_tower(node) };
-        node
+        self.classes[class].alloc(header)
     }
 
     /// Returns a reclaimed slot (payload released, kind `Free`) to its
@@ -225,7 +224,7 @@ mod tests {
         let bank: TowerArenas<u64, u64> = TowerArenas::new(2, 64, 0);
         let mut nodes = Vec::new();
         for h in 0..MAX_HEIGHT as u8 {
-            nodes.push(bank.alloc(Node::new_data(h as u64, 0, 0, 2, h, 0)));
+            nodes.push(bank.alloc(Node::new_data(h as u64, 0, 2, h, 0)));
         }
         let mut hist = [0usize; MAX_HEIGHT];
         bank.histogram_into(&mut hist);
@@ -233,51 +232,43 @@ mod tests {
         assert_eq!(bank.allocated(), MAX_HEIGHT);
         // Every node can address its full tower.
         for (h, n) in nodes.iter().enumerate() {
-            let n = unsafe { n.as_ref() };
             for level in 0..=h {
-                assert!(n.load_next_raw(level).ptr().is_null());
+                assert!(unsafe { Node::link(n.as_ptr(), level) }
+                    .load()
+                    .ptr()
+                    .is_null());
             }
         }
     }
 
     #[test]
-    fn the_stamp_round_trips_at_every_height_fresh_and_recycled() {
+    fn the_id_and_stamp_round_trip_at_every_height_fresh_and_recycled() {
         type N = Node<u64, u64>;
         let bank: TowerArenas<u64, u64> = TowerArenas::new(5, 16, 0);
         let header = std::mem::size_of::<N>();
         for h in 0..MAX_HEIGHT {
-            let ts = 0xC0DE_0000 + h as u32;
-            let fresh = bank.alloc(Node::new_data(h as u64, 0, 0, 5, h as u8, ts));
+            // The widest values each field holds: 9 and 15 bits.
+            let (id, stamp) = (511 - h as u16, 0x7FFF - h as u32);
+            let fresh = bank.alloc(Node::new_data(h as u64, 0, id, h as u8, stamp));
             // Safety: `fresh` is a live node of this bank that no other
             // thread sees; it is released and recycled once, then read
-            // through the slot the recycling handed back. The slot spans
-            // `header + tower_bytes(h)` bytes, so the word read at offset
-            // `header` is inside it.
-            let (fresh_stamp, again, trailing) = unsafe {
-                let stamp = (fresh.as_ref().owner(), fresh.as_ref().alloc_ts());
+            // through the slot the recycling handed back.
+            let (fresh_origin, again) = unsafe {
+                let origin = (fresh.as_ref().id(), fresh.as_ref().stamp());
                 Node::release_payload(fresh);
                 bank.recycle(fresh);
-                let again = bank.alloc(Node::new_data(h as u64, 1, 0, 7, h as u8, ts + 1));
+                let again = bank.alloc(Node::new_data(h as u64, 1, 7, h as u8, 3));
                 assert_eq!(again, fresh, "the slot is recycled at height {h}");
-                let word = again.as_ptr().cast::<u8>().add(header);
-                let word =
-                    (h > 0).then(|| (word.cast::<u32>().read(), word.add(4).cast::<u16>().read()));
-                (stamp, again.as_ref(), word)
+                (origin, again)
             };
-            assert_eq!(fresh_stamp, (5, ts), "fresh slot at height {h}");
-            assert_eq!(
-                (again.owner(), again.alloc_ts()),
-                (7, ts + 1),
-                "recycled slot at height {h}"
-            );
-            let slot = again as *const N as usize;
-            match trailing {
-                None => assert_eq!(N::tower_bytes(h), 0),
-                // The stamp word sits just before the tower.
-                Some(word) => {
-                    assert_eq!(again.next(1).addr(), slot + header + 8);
-                    assert_eq!(word, (ts + 1, 7));
-                }
+            assert_eq!(fresh_origin, (id, stamp), "fresh slot at height {h}");
+            let n = unsafe { again.as_ref() };
+            assert_eq!((n.id(), n.stamp()), (7, 3), "recycled slot at height {h}");
+            assert_eq!((n.top_level() as usize, unsafe { *n.value() }), (h, 1));
+            if h > 0 {
+                // The tower sits after the header and the unlink word.
+                let level1 = unsafe { Node::link(again.as_ptr(), 1) }.addr();
+                assert_eq!(level1, again.as_ptr() as usize + header + 8);
             }
             assert_eq!(bank.recycled(), h + 1);
         }
@@ -287,7 +278,7 @@ mod tests {
     fn truncated_classes_cost_less_than_fixed_towers() {
         let bank: TowerArenas<u64, u64> = TowerArenas::new(0, 64, 0);
         for _ in 0..100 {
-            bank.alloc(Node::new_data(1, 1, 0, 0, 0, 0));
+            bank.alloc(Node::new_data(1, 1, 0, 0, 0));
         }
         let fixed = 100
             * (std::mem::size_of::<Node<u64, u64>>()
@@ -316,7 +307,7 @@ mod tests {
     #[test]
     fn recycled_slots_are_reused_in_their_class() {
         let bank: TowerArenas<u64, u64> = TowerArenas::new(0, 64, 0);
-        let n = bank.alloc(Node::new_data(1u64, 10, 0, 0, 2, 0));
+        let n = bank.alloc(Node::new_data(1u64, 10, 0, 2, 0));
         let fresh_after_one = bank.allocated();
         unsafe {
             Node::release_payload(n);
@@ -325,7 +316,7 @@ mod tests {
         assert_eq!(bank.free_slots(), 1);
         assert!(bank.free_bytes() > 0);
         // Same class: the recycled slot is handed back.
-        let m = bank.alloc(Node::new_data(2u64, 20, 0, 0, 2, 1));
+        let m = bank.alloc(Node::new_data(2u64, 20, 0, 2, 1));
         assert_eq!(m, n, "slot must be recycled, not freshly carved");
         assert_eq!(bank.recycled(), 1);
         assert_eq!(bank.free_slots(), 0);
@@ -334,10 +325,13 @@ mod tests {
         assert!(mr.is_data());
         assert_eq!(unsafe { *mr.key() }, 2);
         for level in 0..=2usize {
-            assert!(mr.load_next_raw(level).ptr().is_null());
+            assert!(unsafe { Node::link(m.as_ptr(), level) }
+                .load()
+                .ptr()
+                .is_null());
         }
         // A different class never sees it.
-        let other = bank.alloc(Node::new_data(3u64, 30, 0, 0, 1, 2));
+        let other = bank.alloc(Node::new_data(3u64, 30, 0, 1, 2));
         assert_ne!(other, n);
         assert_eq!(bank.recycled(), 1);
     }
@@ -345,8 +339,8 @@ mod tests {
     #[test]
     fn free_list_is_lifo_per_class() {
         let bank: TowerArenas<u64, u64> = TowerArenas::new(0, 64, 0);
-        let a = bank.alloc(Node::new_data(1u64, 1, 0, 0, 0, 0));
-        let b = bank.alloc(Node::new_data(2u64, 2, 0, 0, 0, 0));
+        let a = bank.alloc(Node::new_data(1u64, 1, 0, 0, 0));
+        let b = bank.alloc(Node::new_data(2u64, 2, 0, 0, 0));
         unsafe {
             Node::release_payload(a);
             bank.recycle(a);
@@ -354,8 +348,8 @@ mod tests {
             bank.recycle(b);
         }
         assert_eq!(bank.free_slots(), 2);
-        assert_eq!(bank.alloc(Node::new_data(3u64, 3, 0, 0, 0, 1)), b);
-        assert_eq!(bank.alloc(Node::new_data(4u64, 4, 0, 0, 0, 1)), a);
+        assert_eq!(bank.alloc(Node::new_data(3u64, 3, 0, 0, 1)), b);
+        assert_eq!(bank.alloc(Node::new_data(4u64, 4, 0, 0, 1)), a);
         assert_eq!(bank.free_slots(), 0);
         assert_eq!(bank.recycled(), 2);
     }

@@ -383,9 +383,9 @@ where
         let mut anchors = 0usize;
         let mut entries = 0usize;
         for node in self.graph.walk((0, 0), ctx, |_| None) {
-            if !node.load_next(0, ctx).marked() {
+            if !self.graph.load_next(node.ptr(), 0, ctx).marked() {
                 anchors += 1;
-                let blk = unsafe { self.blk(NonNull::from(&*node)) };
+                let blk = unsafe { self.blk(node.ptr) };
                 entries += present_bits(blk.control().load()).count_ones() as usize;
             }
         }
@@ -423,7 +423,7 @@ where
         let mut last_key: Option<K> = None;
         let mut first_block = true;
         for node in self.graph.walk((0, 0), ctx, |_| None) {
-            let w0 = node.load_next(0, ctx);
+            let w0 = self.graph.load_next(node.ptr(), 0, ctx);
             if w0.marked() {
                 let key = node.key();
                 return Err(format!("marked anchor {key:?} still linked at quiescence"));
@@ -433,7 +433,7 @@ where
                 return Err(format!("anchor keys not ascending at {anchor_key:?}"));
             }
             last_anchor = Some(anchor_key);
-            let blk = unsafe { self.blk(NonNull::from(&*node)) };
+            let blk = unsafe { self.blk(node.ptr) };
             let w = blk.control().load();
             if is_frozen(w) {
                 return Err(format!("frozen block {anchor_key:?} at quiescence"));

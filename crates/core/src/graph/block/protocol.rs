@@ -23,7 +23,7 @@ use super::storage::{
     PREFIX_SHIFT,
 };
 use super::{BNode, BPtr, BSearch, BlockedSkipMap};
-use crate::graph::SearchResult;
+use crate::graph::{link, SearchResult};
 use crate::sync::TagPtr;
 use instrument::ThreadCtx;
 use std::cmp::Ordering as CmpOrdering;
@@ -45,7 +45,7 @@ where
             if node.is_data() {
                 self.help_split(unsafe { NonNull::new_unchecked(cur) }, ctx);
             }
-            cur = node.load_next_raw(0).ptr();
+            cur = node.next0().load().ptr();
         }
     }
 
@@ -82,10 +82,10 @@ where
                     n
                 }
             };
-            unsafe { node.as_ref() }.store_next(0, TagPtr::clean(succ));
-            let pred = unsafe { &*res.preds[0] };
-            if pred
-                .cas_next(0, m0, m0.with_ptr(node.as_ptr()), ctx)
+            link(node.as_ptr(), 0).store(TagPtr::clean(succ));
+            if self
+                .graph
+                .cas_next(res.preds[0], 0, m0, m0.with_ptr(node.as_ptr()), ctx)
                 .is_ok()
             {
                 pending = None;
@@ -121,7 +121,7 @@ where
         let m = slot_mask(n);
         blk.control()
             .store(m | (m << CLAIMED_SHIFT) | (n << PREFIX_SHIFT));
-        unsafe { node.as_ref() }.store_next(0, next);
+        link(node.as_ptr(), 0).store(next);
         node
     }
 
@@ -146,12 +146,9 @@ where
 
         // (b) Mark the tower top-down, then level 0; after the level-0
         // mark the anchor's successor is stable.
-        let top = f.top_level() as usize;
-        for level in (1..=top).rev() {
-            self.graph.help_mark(f, level, ctx);
-        }
-        self.graph.help_mark(f, 0, ctx);
-        let succ0 = f.load_next_raw(0).ptr();
+        self.graph.mark_upper(anchor.as_ptr(), ctx);
+        self.graph.help_mark(anchor.as_ptr(), 0, ctx);
+        let succ0 = f.next0().load().ptr();
 
         // (c) Resolve the canonical replacement through the forward word:
         // first publisher wins, losers free their never-published builds.
@@ -201,7 +198,8 @@ where
         // the successor for a merge. Exactly one CAS succeeds; that winner
         // owns the post-install duties.
         let key = unsafe { f.key() };
-        let descend = || self.graph.search_from(key, f.mvec(), None, false, ctx);
+        let mvec = self.graph.mvec_of(f);
+        let descend = || self.graph.search_from(key, mvec, None, false, ctx);
         let mut res = descend();
         let won_install = 'install: loop {
             let Some(mut p) = res.carried_pred(0) else {
@@ -209,16 +207,19 @@ where
                 continue;
             };
             loop {
-                let pred = unsafe { &*p };
-                let w0 = pred.load_next(0, ctx);
+                let w0 = self.graph.load_next(p, 0, ctx);
                 if w0.ptr() == anchor.as_ptr() {
                     if w0.marked() {
                         // The predecessor is itself a dying frozen anchor;
                         // its replacement will take over the reference to
                         // us, so help it first and descend again.
-                        debug_assert!(pred.is_data());
+                        debug_assert!(unsafe { &*p }.is_data());
                         self.help_split(unsafe { NonNull::new_unchecked(p) }, ctx);
-                    } else if pred.cas_next(0, w0, w0.with_ptr(target), ctx).is_ok() {
+                    } else if self
+                        .graph
+                        .cas_next(p, 0, w0, w0.with_ptr(target), ctx)
+                        .is_ok()
+                    {
                         break 'install true;
                     }
                     res = descend();
@@ -268,8 +269,8 @@ where
             };
             let mut cur = n1;
             loop {
-                let w = unsafe { cur.as_ref() }.load_next_raw(0);
-                self.link_replacement(cur, f.mvec(), &mut res, ctx);
+                let w = link(cur.as_ptr(), 0).load();
+                self.link_replacement(cur, mvec, &mut res, ctx);
                 self.record_linked(cur, ctx);
                 if w.marked() || w.ptr().is_null() || w.ptr() == succ0 {
                     break;
@@ -311,8 +312,8 @@ where
         }
         let key = unsafe { n.key() };
         // SAFETY: a full descent leaves no entry null, and the caller's pin covers them.
-        let carried = n.mvec() == dead_mvec
-            && n.load_next_raw(1).ptr().is_null()
+        let carried = self.graph.mvec_of(n) == dead_mvec
+            && link(node.as_ptr(), 1).load().ptr().is_null()
             && (1..=top).all(|l| unsafe {
                 (*res.preds[l]).cmp_key(key).is_lt() && (*res.succs[l]).cmp_key(key).is_ge()
             });
@@ -348,18 +349,18 @@ where
     fn unlink_upper(&self, anchor: NonNull<BNode<K>>, res: &mut BSearch<K>, ctx: &ThreadCtx) {
         let f = unsafe { anchor.as_ref() };
         let key = unsafe { f.key() };
-        let descend = || self.graph.search_from(key, f.mvec(), None, false, ctx);
+        let mvec = self.graph.mvec_of(f);
+        let descend = || self.graph.search_from(key, mvec, None, false, ctx);
         for level in 1..=f.top_level() as usize {
             // The anchor is fully marked, so its level reference is frozen.
-            debug_assert!(f.load_next_raw(level).marked());
+            debug_assert!(link(anchor.as_ptr(), level).load().marked());
             'level: loop {
                 let Some(mut p) = res.carried_pred(level) else {
                     *res = descend();
                     continue;
                 };
                 loop {
-                    let pred = unsafe { &*p };
-                    let w = pred.load_next(level, ctx);
+                    let w = self.graph.load_next(p, level, ctx);
                     if w.ptr().is_null() {
                         break 'level;
                     }
@@ -373,11 +374,12 @@ where
                     if nref.is_tail() || nref.cmp_key(key) == CmpOrdering::Greater {
                         break 'level; // not on this level (anymore)
                     }
-                    let nw = nref.load_next_raw(level);
+                    let nw = link(w.ptr(), level).load();
                     if nref.is_data() && nw.marked() {
                         // A dying anchor (ours or another's): its marked
                         // reference is frozen, so splice it out here.
-                        if pred.cas_next(level, w, w.with_ptr(nw.ptr()), ctx).is_err() {
+                        let splice = w.with_ptr(nw.ptr());
+                        if self.graph.cas_next(p, level, w, splice, ctx).is_err() {
                             *res = descend();
                             continue 'level;
                         }

@@ -200,14 +200,14 @@ where
                 // points at its replacements).
                 let blk = unsafe { self.map.blk(NonNull::new_unchecked(self.cur)) };
                 let w = blk.control().load();
-                let next = node.load_next(0, self.ctx).ptr();
+                let next = self.map.graph.load_next(self.cur, 0, self.ctx).ptr();
                 // The next block's lines arrive while this one drains.
                 prefetch_lines(next.cast(), self.lines);
                 self.len = blk.sorted_entries(w, &mut self.buf).len();
                 self.pos = 0;
                 self.cur = next;
             } else {
-                self.cur = node.load_next(0, self.ctx).ptr();
+                self.cur = self.map.graph.load_next(self.cur, 0, self.ctx).ptr();
             }
         }
     }

@@ -59,7 +59,7 @@
 //! against an unfrozen word proves coverage).
 
 use super::{BNode, BPtr, BSearch, BlockedSkipMap};
-use crate::graph::{DataRef, NodeRef, PinGuard};
+use crate::graph::{link, DataRef, NodeRef, PinGuard};
 use crate::local::BTreeLocalMap;
 use crate::sync::Padded;
 use instrument::ThreadCtx;
@@ -71,13 +71,13 @@ use std::sync::{Mutex, MutexGuard};
 pub(super) const SWEEP_FLOOR: usize = 1024;
 
 /// `node` is a data node whose level-0 word is unmarked and non-null;
-/// returns it with that word's successor.
-fn linked_anchor<K>(node: &BNode<K>) -> Option<(&BNode<K>, BPtr<K>)> {
+/// returns that word's successor.
+fn linked_anchor<K>(node: &BNode<K>) -> Option<BPtr<K>> {
     if !node.is_data() {
         return None;
     }
-    let w0 = node.load_next_raw(0);
-    (!w0.marked() && !w0.ptr().is_null()).then_some((node, w0.ptr()))
+    let w0 = node.next0().load();
+    (!w0.marked() && !w0.ptr().is_null()).then_some(w0.ptr())
 }
 
 /// One thread slot's local structure: the sampled anchors its thread
@@ -116,7 +116,7 @@ impl<K: Ord + Copy> LocalAnchors<K> {
             let (akey, hint) = self.map.max_lower_equal(key)?;
             let akey = *akey;
             if let Some(node) = hint.node(pin) {
-                if let Some((_, succ)) = linked_anchor(&node) {
+                if let Some(succ) = linked_anchor(&node) {
                     return Some((node, succ));
                 }
             }
@@ -198,7 +198,7 @@ where
             // Only an anchor the local map named is an anchor hit.
             Some((anchor, succ)) => covers(succ).then(|| {
                 ctx.record_anchor_hit();
-                NonNull::from(&*anchor)
+                anchor.ptr
             }),
             // A thread that knows nothing at or below `key` tries the
             // first block before a head descent: it covers every key
@@ -222,7 +222,7 @@ where
             // predecessor at the sampling level — the closest sampled
             // anchor below `key` on the lists it walked — and, where it
             // had to come down from a head, the anchor it landed on.
-            let start = start.map(|anchor| NonNull::from(&*anchor));
+            let start = start.map(|anchor| anchor.ptr);
             let passed = NonNull::new(sampled_pred)
                 .filter(|p| Some(*p) != start && unsafe { p.as_ref() }.is_data());
             let landed = found.filter(|a| {
@@ -238,12 +238,12 @@ where
     /// The first node on level 0 with its successor, if it passes
     /// [`linked_anchor`]. Caller must hold a pin.
     fn first_anchor(&self, ctx: &ThreadCtx) -> Option<(NonNull<BNode<K>>, BPtr<K>)> {
-        // SAFETY: heads live as long as the graph; a head's level-0 word
-        // always names a node (the tail at least), which the caller's pin
-        // keeps readable.
-        let head = unsafe { &*self.graph.head(0, self.graph.membership_of(ctx.id())) };
-        let first = unsafe { &*head.load_next_raw(0).ptr() };
-        linked_anchor(first).map(|(node, succ)| (NonNull::from(node), succ))
+        let head = self.graph.head(0, self.graph.membership_of(ctx.id()));
+        let first = link(head, 0).load().ptr();
+        // SAFETY: a head's level-0 word always names a node (the tail at
+        // least), which the caller's pin keeps readable.
+        let succ = linked_anchor(unsafe { &*first })?;
+        Some((NonNull::new(first)?, succ))
     }
 
     /// [`Self::resolve`] for the paths that only read the block — point
@@ -272,7 +272,7 @@ where
         #[cfg(feature = "bug-injection")]
         if !self.graph.config().sparse {
             if let Some((anchor, _)) = self.local(ctx).and_then(|mut l| l.floor(key, pin)) {
-                return Some(NonNull::from(&*anchor));
+                return Some(anchor.ptr);
             }
         }
         self.resolve(key, pin, ctx)
@@ -325,7 +325,7 @@ where
                     }
                 }
             }
-            let next = node.load_next(0, ctx).ptr();
+            let next = self.graph.load_next(cur, 0, ctx).ptr();
             if next.is_null() {
                 break;
             }
@@ -345,7 +345,7 @@ where
             if node.is_data() {
                 return Some(unsafe { NonNull::new_unchecked(cur) });
             }
-            cur = node.load_next(0, ctx).ptr();
+            cur = self.graph.load_next(cur, 0, ctx).ptr();
         }
     }
 }

@@ -2,6 +2,7 @@ use super::range::scan_prefetch_lines;
 use super::resolve::SWEEP_FLOOR;
 use super::storage::*;
 use super::*;
+use crate::graph::link;
 use crate::sync::TagPtr;
 use instrument::AccessStats;
 use std::collections::BTreeMap;
@@ -299,13 +300,13 @@ fn a_split_descends_once() {
     assert_eq!(sink.totals().searches - before, 1);
 
     let first = blk.forward().load() as BPtr<u64>;
-    let second = unsafe { &*first }.load_next_raw(0).ptr();
+    let second = link(first, 0).load().ptr();
     let mut top_list = Vec::new();
-    let mut cur = unsafe { &*map.graph.head(TOP as u8, 0) }.load_next_raw(TOP);
+    let mut cur = link(map.graph.head(TOP as u8, 0), TOP).load();
     while !unsafe { &*cur.ptr() }.is_tail() {
         assert!(!cur.marked());
         top_list.push(cur.ptr());
-        cur = unsafe { &*cur.ptr() }.load_next_raw(TOP);
+        cur = link(cur.ptr(), TOP).load();
     }
     assert!(
         !top_list.contains(&anchor.as_ptr()),
@@ -344,10 +345,7 @@ fn generation_moves_when_block_is_replaced() {
     // Filling the block freezes and replaces it.
     assert!(map.insert(3, 3, &c));
     let pin = map.graph.pin(&c);
-    let dead = stale.node(&pin).is_none()
-        || stale
-            .node(&pin)
-            .is_some_and(|n| n.load_next_raw(0).marked());
+    let dead = stale.node(&pin).is_none() || stale.node(&pin).is_some_and(|n| n.is_marked(0));
     assert!(dead, "stale hint validated against a replaced block");
     drop(pin);
     for k in 1..=3 {

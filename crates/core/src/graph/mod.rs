@@ -41,14 +41,25 @@ use crate::node::{Node, MAX_HEIGHT};
 use crate::params::GraphConfig;
 use crate::prefetch::prefetch_read;
 use crate::reclaim::EpochReclaim;
-use crate::sync::{Padded, TagPtr};
+use crate::sync::{Padded, TagPtr, TaggedAtomic};
 use arenas::TowerArenas;
 use instrument::ThreadCtx;
 use std::cmp::Ordering as CmpOrdering;
+use std::marker::PhantomData;
 use std::ops::Bound;
 use std::ptr::NonNull;
 
 pub(crate) type NodePtr<K, V> = *mut Node<K, V>;
+
+/// The level-`level` reference of the node at `p`, a slot pointer (an
+/// arena's, or one a link word held) that a traversal reached under its
+/// pin: [`Node::link`] for the graph core, whose invariant makes the
+/// pointer live and whose pointers all carry slot provenance.
+#[inline]
+pub(crate) fn link<'a, K, V>(p: NodePtr<K, V>, level: usize) -> &'a TaggedAtomic<Node<K, V>> {
+    // SAFETY: the graph core's invariant (module docs).
+    unsafe { Node::link(p, level) }
+}
 
 /// Commission-period time source, shared with the epoch-reclamation
 /// protocol so one logical clock drives both decisions (see
@@ -82,7 +93,7 @@ const GEN_POISON: u32 = 1 << 31;
 /// [`crate::reclaim`]).
 fn capture_gen<K, V>(p: NodePtr<K, V>) -> u32 {
     let gen = unsafe { Node::generation_of(NonNull::new_unchecked(p)) };
-    if unsafe { &*p }.load_next_raw(0).marked() {
+    if link(p, 0).load().marked() {
         gen.wrapping_add(GEN_POISON)
     } else {
         gen
@@ -129,8 +140,7 @@ impl<K, V> NodeRef<K, V> {
     #[allow(clippy::unnecessary_lazy_evaluations)] // no reference to a stale slot
     pub(crate) fn node<'p>(&self, _pin: &'p PinGuard<'_, K, V>) -> Option<DataRef<'p, K, V>> {
         // SAFETY: the captured data node is not retired, and pinned.
-        self.is_current()
-            .then(|| DataRef(unsafe { self.ptr.as_ref() }))
+        self.is_current().then(|| DataRef::new(self.ptr.as_ptr()))
     }
 }
 
@@ -154,21 +164,49 @@ impl<K, V> std::fmt::Debug for NodeRef<K, V> {
 
 /// A data node reached under a reclamation pin, readable for the pin's
 /// borrow `'p`. Only code that knows the node is data builds one: a found
-/// search ([`SearchResult::hit`]), a local-map entry ([`NodeRef::node`])
-/// and a validated index entry ([`DataRef::of_entry`]).
-pub(crate) struct DataRef<'p, K, V>(&'p Node<K, V>);
+/// search ([`SearchResult::hit`]), a local-map entry ([`NodeRef::node`]),
+/// a validated index entry ([`DataRef::of_entry`]) and the pinned walks.
+/// It keeps the slot pointer, not a `&Node`: its header derefs as a
+/// `&Node`, and [`DataRef::ptr`] reaches the tower.
+pub(crate) struct DataRef<'p, K, V> {
+    ptr: NonNull<Node<K, V>>,
+    _pin: PhantomData<&'p Node<K, V>>,
+}
 
 impl<'p, K, V> DataRef<'p, K, V> {
+    /// `p` is a non-null data node reached under a pin living for `'p`.
+    #[inline]
+    fn new(p: NodePtr<K, V>) -> Self {
+        debug_assert!(!p.is_null());
+        Self {
+            // SAFETY: a reached node is non-null.
+            ptr: unsafe { NonNull::new_unchecked(p) },
+            _pin: PhantomData,
+        }
+    }
+
+    /// The slot pointer, for the graph's level accessors.
+    #[inline]
+    pub(crate) fn ptr(self) -> NodePtr<K, V> {
+        self.ptr.as_ptr()
+    }
+
+    /// Whether the node's level-`level` reference is marked.
+    #[inline]
+    pub(crate) fn is_marked(self, level: usize) -> bool {
+        link(self.ptr(), level).load().marked()
+    }
+
     #[inline]
     pub(crate) fn key(self) -> &'p K {
-        // SAFETY: a data node's key is initialized.
-        unsafe { self.0.key() }
+        // SAFETY: a data node's key is initialized, and pinned for `'p`.
+        unsafe { self.ptr.as_ref().key() }
     }
 
     #[inline]
     pub(crate) fn value(self) -> &'p V {
         // SAFETY: a data node's value is initialized (and never rewritten).
-        unsafe { self.0.value() }
+        unsafe { self.ptr.as_ref().value() }
     }
 
     /// The node a hash-index entry `(ptr, gen)` names: `None` when the
@@ -197,7 +235,8 @@ impl<K, V> std::ops::Deref for DataRef<'_, K, V> {
 
     #[inline]
     fn deref(&self) -> &Node<K, V> {
-        self.0
+        // SAFETY: pinned for `'p`, which outlives `self`.
+        unsafe { self.ptr.as_ref() }
     }
 }
 
@@ -233,12 +272,12 @@ impl<K, V> SearchResult<K, V> {
     #[inline]
     pub(crate) fn hit<'p>(&self, _pin: &'p PinGuard<'_, K, V>) -> Option<DataRef<'p, K, V>> {
         // SAFETY: a found `succs[0]` is a data node reached under `pin`.
-        self.found.then(|| DataRef(unsafe { &*self.succs[0] }))
+        self.found.then(|| DataRef::new(self.succs[0]))
     }
 
     /// The level-`level` predecessor (a head or a data node) of a search
     /// that filled that level.
-    pub(crate) fn pred<'p>(&self, level: usize, _pin: &'p PinGuard<'_, K, V>) -> &'p Node<K, V> {
+    fn pred<'p>(&self, level: usize, _pin: &'p PinGuard<'_, K, V>) -> &'p Node<K, V> {
         debug_assert!(
             !self.preds[level].is_null(),
             "the search did not fill level {level}"
@@ -295,6 +334,7 @@ impl<K, V> Drop for PinGuard<'_, K, V> {
 /// a yielded node — and every key and value read through it — must not
 /// outlive the walk. [`RangeIter`]'s items carry the same contract.
 pub(crate) struct LevelWalk<'g, K, V> {
+    graph: &'g SkipGraph<K, V>,
     cur: NodePtr<K, V>,
     /// `cur` itself is the next node to yield, not the node before it.
     at_cur: bool,
@@ -307,19 +347,17 @@ impl<'g, K, V> Iterator for LevelWalk<'g, K, V> {
     type Item = DataRef<'g, K, V>;
 
     fn next(&mut self) -> Option<DataRef<'g, K, V>> {
-        // SAFETY: the start node and every node a level reference names
-        // were reached under the pin the walk holds.
-        let node = unsafe {
-            if !std::mem::take(&mut self.at_cur) {
-                let next = (*self.cur).load_next(self.level, self.ctx).ptr();
-                if !(*next).is_data() {
-                    return None;
-                }
-                self.cur = next;
+        // The start node and every node a level reference names were
+        // reached under the pin the walk holds.
+        if !std::mem::take(&mut self.at_cur) {
+            let next = self.graph.load_next(self.cur, self.level, self.ctx).ptr();
+            // SAFETY: as above; every list ends at the tail.
+            if !unsafe { &*next }.is_data() {
+                return None;
             }
-            &*self.cur
-        };
-        Some(DataRef(node))
+            self.cur = next;
+        }
+        Some(DataRef::new(self.cur))
     }
 }
 
@@ -331,9 +369,9 @@ impl<'g, K, V> Iterator for LevelWalk<'g, K, V> {
 /// [`crate::MembershipStrategy`].
 ///
 /// Nodes are allocated from per-thread NUMA-tagged arenas; a node
-/// unlinked from every level is recycled into its owner's arena after an
-/// epoch grace period (`skipgraph::reclaim`), and the rest are released
-/// when the graph is dropped.
+/// unlinked from every level is recycled into its allocating thread's
+/// arena after an epoch grace period (`skipgraph::reclaim`), and the rest
+/// are released when the graph is dropped.
 pub struct SkipGraph<K, V> {
     config: GraphConfig,
     membership: Box<[u32]>,
@@ -384,6 +422,64 @@ impl<K, V> SkipGraph<K, V> {
     pub fn fixed_tower_node_bytes() -> usize {
         std::mem::size_of::<Node<K, V>>() + Node::<K, V>::tower_bytes(MAX_HEIGHT - 1)
     }
+
+    /// The thread a node's words are attributed to: its allocating thread,
+    /// unless the configuration pins the whole structure to one owner
+    /// (`owner_tag`, the per-socket replica case). Sentinels belong to
+    /// thread 0.
+    #[inline]
+    fn owner_of(&self, node: &Node<K, V>) -> u16 {
+        match self.config.owner_tag {
+            Some(tag) if node.is_data() => tag,
+            _ => node.id(),
+        }
+    }
+
+    /// The membership vector of the thread that allocated data node
+    /// `node`: the lists its upper levels join.
+    #[inline]
+    pub(crate) fn mvec_of(&self, node: &Node<K, V>) -> u32 {
+        self.membership[node.id() as usize]
+    }
+
+    /// Recorded load of the level-`level` reference of the node at `p`
+    /// (reached under the caller's pin): counts one shared-node read by
+    /// `ctx` against the node's owner (plus the cache simulation, if
+    /// attached).
+    #[inline]
+    pub(crate) fn load_next(
+        &self,
+        p: NodePtr<K, V>,
+        level: usize,
+        ctx: &ThreadCtx,
+    ) -> TagPtr<Node<K, V>> {
+        let slot = link(p, level);
+        if ctx.is_recording() {
+            // SAFETY: reached under the caller's pin.
+            ctx.record_read(self.owner_of(unsafe { &*p }), slot.addr());
+        }
+        slot.load()
+    }
+
+    /// Recorded maintenance CAS on the level-`level` reference of the node
+    /// at `p` (reached under the caller's pin).
+    #[inline]
+    pub(crate) fn cas_next(
+        &self,
+        p: NodePtr<K, V>,
+        level: usize,
+        current: TagPtr<Node<K, V>>,
+        new: TagPtr<Node<K, V>>,
+        ctx: &ThreadCtx,
+    ) -> Result<(), TagPtr<Node<K, V>>> {
+        let slot = link(p, level);
+        let r = slot.compare_exchange(current, new);
+        if ctx.is_recording() {
+            // SAFETY: reached under the caller's pin.
+            ctx.record_cas(self.owner_of(unsafe { &*p }), slot.addr(), r.is_ok());
+        }
+        r
+    }
 }
 
 impl<K: Ord, V> SkipGraph<K, V> {
@@ -418,12 +514,9 @@ impl<K: Ord, V> SkipGraph<K, V> {
         let mut heads = vec![std::ptr::null_mut(); head_index(max, 0) + (1 << max)];
         for level in 0..=max {
             for suffix in 0..(1u32 << level) {
-                let head = sentinels.alloc(Node::new_head(level, suffix));
-                unsafe {
-                    head.as_ref()
-                        .store_next(level as usize, TagPtr::clean(tail));
-                }
-                heads[head_index(level, suffix)] = head.as_ptr();
+                let head = sentinels.alloc(Node::new_head(level, suffix)).as_ptr();
+                link(head, level as usize).store(TagPtr::clean(tail));
+                heads[head_index(level, suffix)] = head;
             }
         }
         let arenas = (0..config.num_threads)
@@ -499,24 +592,22 @@ impl<K: Ord, V> SkipGraph<K, V> {
     /// can be lost to a busy slot, a grow or a colliding signature, and
     /// the key would otherwise pay the search on every later operation.
     /// Caller holds a pin and reached `node` through it.
-    pub(crate) fn index_heal(&self, node: &Node<K, V>, hash: u64, ctx: &ThreadCtx) {
+    pub(crate) fn index_heal(&self, node: DataRef<'_, K, V>, hash: u64, ctx: &ThreadCtx) {
         let Some(idx) = &self.index else { return };
-        let ptr = NonNull::from(node);
         // Generation before the mark probe, as in `capture_gen`: seeing
         // the node unmarked after the load proves the generation is the
         // linked incarnation's, so the entry dies with it.
-        let gen = unsafe { Node::generation_of(ptr) };
-        if !node.load_next_raw(0).marked() {
-            idx.publish_hashed(hash, ptr, gen, ctx.id() as usize);
+        let gen = unsafe { Node::generation_of(node.ptr) };
+        if !node.is_marked(0) {
+            idx.publish_hashed(hash, node.ptr, gen, ctx.id() as usize);
         }
     }
 
     /// Invalidate-before-retire: clears any index entry naming `node`
     /// (matched by pointer, so a newer incarnation's entry survives).
-    pub(crate) fn index_invalidate(&self, node: &Node<K, V>, ctx: &ThreadCtx) {
+    pub(crate) fn index_invalidate(&self, node: DataRef<'_, K, V>, ctx: &ThreadCtx) {
         if let Some(idx) = &self.index {
-            let tid = ctx.id() as usize;
-            idx.invalidate(unsafe { node.key() }, Some(NonNull::from(node)), tid);
+            idx.invalidate(node.key(), Some(node.ptr), ctx.id() as usize);
         }
     }
 
@@ -551,7 +642,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
         ctx: &ThreadCtx,
     ) -> Option<IndexRead<'p, K, V>> {
         let idx = self.index.as_ref()?;
-        let read = idx.read_node(key, hash, self.config.lazy, pin, ctx);
+        let read = idx.read_node(key, hash, self, pin, ctx);
         match &read {
             IndexRead::Hit(_) | IndexRead::Absent(_) => {
                 ctx.record_index_hit();
@@ -598,13 +689,12 @@ impl<K: Ord, V> SkipGraph<K, V> {
         &'g self,
         (level, suffix): (u8, u32),
         ctx: &'g ThreadCtx,
-        start: impl for<'p> FnOnce(&'p PinGuard<'g, K, V>) -> Option<(&'p Node<K, V>, bool)>,
+        start: impl FnOnce(&PinGuard<'g, K, V>) -> Option<(NodePtr<K, V>, bool)>,
     ) -> LevelWalk<'g, K, V> {
         let pin = self.pin(ctx);
-        let (cur, at_cur) = start(&pin).map_or((self.head(level, suffix), false), |(node, at)| {
-            (node as *const _ as NodePtr<K, V>, at)
-        });
+        let (cur, at_cur) = start(&pin).unwrap_or((self.head(level, suffix), false));
         LevelWalk {
+            graph: self,
             cur,
             at_cur,
             level: level as usize,
@@ -614,16 +704,16 @@ impl<K: Ord, V> SkipGraph<K, V> {
     }
 
     /// Releases one reclaimed node: drops its payload and parks the slot
-    /// on the free list of its size class in the *owning* thread's arena
-    /// bank, preserving first-touch NUMA placement.
+    /// on the free list of its size class in the bank of the thread that
+    /// allocated it, preserving first-touch NUMA placement.
     ///
     /// Only called from limbo-list collection (grace period passed) or for
     /// never-published nodes.
     fn free_node(&self, node: NonNull<Node<K, V>>) {
         unsafe {
-            let owner = node.as_ref().owner() as usize;
+            let bank = node.as_ref().id() as usize;
             Node::release_payload(node);
-            self.arenas[owner].0.recycle(node);
+            self.arenas[bank].0.recycle(node);
         }
     }
 
@@ -647,22 +737,20 @@ impl<K: Ord, V> SkipGraph<K, V> {
     ) {
         let mut cur = first;
         while cur != end {
-            let node = unsafe { &*cur };
+            let node = DataRef::new(cur);
             debug_assert!(node.is_data());
-            let w = node.load_next_raw(level);
+            let w = link(cur, level).load();
             debug_assert!(w.marked(), "unlinked chains are frozen");
-            if node.note_unlinked(level) {
+            // Safety: the chain's nodes were reached under our pin; once
+            // the completing `fetch_or` reports the node fully unlinked
+            // (exactly once), it is retired.
+            if unsafe { Node::note_unlinked(cur, level) } {
                 // Invalidate-before-retire: the index entry must die
                 // before the generation bump inside `retire`, so no
                 // window exists where a reader holds a gen-valid entry
                 // to a slot that is already in limbo.
                 self.index_invalidate(node, ctx);
-                // Safety: fully unlinked, reported exactly once (the
-                // completing fetch_or), and we are pinned.
-                unsafe {
-                    self.reclaim
-                        .retire(ctx.id() as usize, NonNull::new_unchecked(cur));
-                }
+                unsafe { self.reclaim.retire(ctx.id() as usize, node.ptr) }
                 ctx.record_retire();
             }
             cur = w.ptr();
@@ -717,10 +805,9 @@ impl<K: Ord, V> SkipGraph<K, V> {
         self.heads[head_index(level, list_suffix(mvec, level))]
     }
 
-    /// Allocates a data node in the calling thread's arena. The ownership
-    /// tag (locality attribution + recycle destination) is the allocating
-    /// thread unless the configuration pins the whole structure to one
-    /// owner (`owner_tag`, the per-socket replica case).
+    /// Allocates a data node in the calling thread's arena, stamped with
+    /// the thread's id (its lists, locality attribution and recycle
+    /// destination; see [`SkipGraph::mvec_of`]) and the commission clock.
     pub(crate) fn alloc_node(
         &self,
         key: K,
@@ -728,41 +815,50 @@ impl<K: Ord, V> SkipGraph<K, V> {
         ctx: &ThreadCtx,
         top_level: u8,
     ) -> NonNull<Node<K, V>> {
-        let mvec = self.membership[ctx.id() as usize];
-        let owner = self.config.owner_tag.unwrap_or(ctx.id());
+        let stamp = Node::<K, V>::stamp_at(cycles());
         self.arenas[ctx.id() as usize].0.alloc(Node::new_data(
             key,
             value,
-            mvec,
-            owner,
+            ctx.id(),
             top_level,
-            cycles() as u32,
+            stamp,
         ))
     }
 
-    /// Ensures `node.next[level]` is marked (helping; the mark bit is
-    /// sticky). Recorded as maintenance CAS traffic.
-    pub(crate) fn help_mark(&self, node: &Node<K, V>, level: usize, ctx: &ThreadCtx) {
+    /// Ensures the level-`level` reference of the node at `p` is marked
+    /// (helping; the mark bit is sticky). Recorded as maintenance CAS
+    /// traffic.
+    pub(crate) fn help_mark(&self, p: NodePtr<K, V>, level: usize, ctx: &ThreadCtx) {
         let mut spins = 0u64;
         loop {
             spins += 1;
             debug_assert!(spins < 500_000_000, "help_mark livelock at level {level}");
-            let w = node.load_next(level, ctx);
+            let w = self.load_next(p, level, ctx);
             if w.marked() {
                 return;
             }
-            let _ = node.cas_next(level, w, w.with_mark(), ctx);
+            let _ = self.cas_next(p, level, w, w.with_mark(), ctx);
         }
     }
 
-    /// Alg. 14, `checkRetire`: if `node` is unmarked, invalid, and its
-    /// commission period has expired, start physical removal (Alg. 15,
-    /// `retire`). Returns whether the node is now marked at level 0.
+    /// Marks every level of the node at `p` from its top down to level 1.
+    pub(crate) fn mark_upper(&self, p: NodePtr<K, V>, ctx: &ThreadCtx) {
+        // SAFETY: reached under the caller's pin.
+        let top = unsafe { &*p }.top_level() as usize;
+        for level in (1..=top).rev() {
+            self.help_mark(p, level, ctx);
+        }
+    }
+
+    /// Alg. 14, `checkRetire`: if the data node at `p` is unmarked,
+    /// invalid, and its commission period has expired, start physical
+    /// removal (Alg. 15, `retire`). Returns whether the node is now marked
+    /// at level 0.
     ///
-    /// `w0` is a freshly loaded `node.next[0]` word.
+    /// `w0` is a freshly loaded `next[0]` word of the node.
     pub(crate) fn check_retire(
         &self,
-        node: &Node<K, V>,
+        p: NodePtr<K, V>,
         w0: TagPtr<Node<K, V>>,
         ctx: &ThreadCtx,
     ) -> bool {
@@ -770,19 +866,17 @@ impl<K: Ord, V> SkipGraph<K, V> {
         if w0.valid() {
             return false;
         }
-        // Timestamps are truncated to 32 bits; comparing the wrapped delta
-        // keeps the check sound (truncation can only delay retirement).
-        let elapsed = (cycles() as u32).wrapping_sub(node.alloc_ts()) as u64;
-        if elapsed <= self.config.commission_cycles {
+        // The stamp is truncated; the check counts only the time that
+        // surely passed, so truncation can only delay retirement.
+        // SAFETY: reached under the caller's pin.
+        if !unsafe { &*p }.commission_expired(cycles(), self.config.commission_cycles) {
             return false;
         }
         // retire(): atomically (false, invalid) -> (true, invalid), then
         // mark every upper level top-down.
-        match node.cas_next(0, w0, w0.with_mark(), ctx) {
+        match self.cas_next(p, 0, w0, w0.with_mark(), ctx) {
             Ok(()) => {
-                for level in (1..=node.top_level() as usize).rev() {
-                    self.help_mark(node, level, ctx);
-                }
+                self.mark_upper(p, ctx);
                 true
             }
             // An active node is preferably kept unmarked (paper: returning
@@ -813,11 +907,10 @@ impl<K: Ord, V> SkipGraph<K, V> {
         loop {
             spins += 1;
             debug_assert!(spins < 500_000_000, "skip_chain livelock at level {level}");
-            let node = unsafe { &*cur };
-            if !node.is_data() {
+            if !unsafe { &*cur }.is_data() {
                 return (cur, advanced); // tail (or a head, which never appears mid-list)
             }
-            let w = node.load_next(level, ctx);
+            let w = self.load_next(cur, level, ctx);
             // Pull the successor's header line in while we finish deciding
             // whether `node` is skippable (mark checks / retire below).
             prefetch_read(w.ptr());
@@ -830,16 +923,16 @@ impl<K: Ord, V> SkipGraph<K, V> {
             let w0 = if level == 0 {
                 w
             } else {
-                node.load_next(0, ctx)
+                self.load_next(cur, 0, ctx)
             };
-            let gone = w0.marked() || (self.config.lazy && self.check_retire(node, w0, ctx));
+            let gone = w0.marked() || (self.config.lazy && self.check_retire(cur, w0, ctx));
             if !gone {
                 return (cur, advanced);
             }
             // Logically deleted: freeze this level, then hop over.
-            self.help_mark(node, level, ctx);
+            self.help_mark(cur, level, ctx);
             *visited += 1;
-            cur = node.load_next(level, ctx).ptr();
+            cur = self.load_next(cur, level, ctx).ptr();
             advanced = true;
         }
     }
@@ -875,7 +968,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
     ) -> SearchResult<K, V> {
         let mut visited = 0u64;
         let (mut prev, top) = match start {
-            Some(p) => (p.0 as *const _ as NodePtr<K, V>, p.top_level() as usize),
+            Some(p) => (p.ptr(), p.top_level() as usize),
             None => (
                 self.head(self.config.max_level, mvec),
                 self.config.max_level as usize,
@@ -892,8 +985,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
             loop {
                 spins += 1;
                 debug_assert!(spins < 500_000_000, "search_from livelock at level {level}");
-                let prev_ref = unsafe { &*prev };
-                let mut middle = prev_ref.load_next(level, ctx);
+                let mut middle = self.load_next(prev, level, ctx);
                 // Overlap the successor's line transfer with the null /
                 // mark bookkeeping before we dereference it.
                 prefetch_read(middle.ptr());
@@ -910,7 +1002,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
                 let (succ, skipped) = self.skip_chain(middle.ptr(), level, ctx, &mut visited);
                 if skipped && unlink && !middle.marked() {
                     // Relink: one CAS snips the whole marked chain.
-                    match prev_ref.cas_next(level, middle, middle.with_ptr(succ), ctx) {
+                    match self.cas_next(prev, level, middle, middle.with_ptr(succ), ctx) {
                         Ok(()) => {
                             self.note_unlinked_chain(middle.ptr(), succ, level, ctx);
                             middle = middle.with_ptr(succ)
@@ -932,7 +1024,8 @@ impl<K: Ord, V> SkipGraph<K, V> {
             }
         }
         let s0 = unsafe { &*res.succs[0] };
-        res.found = s0.is_data() && s0.cmp_key(key) == CmpOrdering::Equal && !s0.is_marked(0);
+        res.found =
+            s0.is_data() && s0.cmp_key(key) == CmpOrdering::Equal && !s0.next0().load().marked();
         ctx.record_search(visited);
         res
     }
@@ -959,10 +1052,12 @@ impl<K: Ord, V> SkipGraph<K, V> {
         for level in 0..=self.config.max_level {
             for suffix in 0..(1u32 << level) {
                 let mut p = self.heads[head_index(level, suffix)];
+                if unsafe { &*p }.stamp() != suffix {
+                    return Err(format!("level {level}/{suffix}: head of another list"));
+                }
                 let mut last_key: Option<&K> = None;
                 loop {
-                    let node = unsafe { &*p };
-                    let next = node.load_next_raw(level as usize).ptr();
+                    let next = link(p, level as usize).load().ptr();
                     if next.is_null() {
                         return Err(format!("level {level}/{suffix}: null next"));
                     }
@@ -983,10 +1078,10 @@ impl<K: Ord, V> SkipGraph<K, V> {
                     }
                     last_key = Some(k);
                     if level > 0 {
-                        if list_suffix(n.mvec(), level) != suffix {
+                        if list_suffix(self.mvec_of(n), level) != suffix {
                             return Err(format!(
                                 "level {level}/{suffix}: foreign mvec {:b}",
-                                n.mvec()
+                                self.mvec_of(n)
                             ));
                         }
                         if n.top_level() < level {

@@ -14,7 +14,7 @@
 //! The primitives dereference the node pointers their caller's search
 //! reached under the pin it holds (see the graph module's invariant).
 
-use super::{DataRef, PinGuard, SearchResult, SkipGraph};
+use super::{link, DataRef, PinGuard, SearchResult, SkipGraph};
 use crate::node::Node;
 use crate::sync::TagPtr;
 use instrument::ThreadCtx;
@@ -30,22 +30,23 @@ impl<K: Ord, V> SkipGraph<K, V> {
     /// [`SkipGraph::index_hash`].
     pub(crate) fn insert_helper(
         &self,
-        node: &Node<K, V>,
+        node: DataRef<'_, K, V>,
         hash: u64,
         ctx: &ThreadCtx,
     ) -> Option<bool> {
+        let p = node.ptr();
         loop {
-            let w0 = node.load_next(0, ctx);
+            let w0 = self.load_next(p, 0, ctx);
             if w0.marked() {
                 return None;
             }
             if w0.valid() {
                 return Some(false); // duplicate
             }
-            if node.cas_next(0, w0, w0.with_valid(true), ctx).is_ok() {
+            if self.cas_next(p, 0, w0, w0.with_valid(true), ctx).is_ok() {
                 // Resurrection is a successful insertion: refresh the
                 // index entry so point reads hit this incarnation.
-                self.index_publish_hashed(NonNull::from(node), hash, ctx);
+                self.index_publish_hashed(node.ptr, hash, ctx);
                 return Some(true); // flipped invalid -> valid
             }
         }
@@ -55,9 +56,10 @@ impl<K: Ord, V> SkipGraph<K, V> {
     /// node. `Some(false)` — node already invalid (failed removal);
     /// `Some(true)` — valid bit unset here (successful removal); `None` —
     /// node marked, fall back to a full search.
-    pub(crate) fn remove_helper(&self, node: &Node<K, V>, ctx: &ThreadCtx) -> Option<bool> {
+    pub(crate) fn remove_helper(&self, node: DataRef<'_, K, V>, ctx: &ThreadCtx) -> Option<bool> {
+        let p = node.ptr();
         loop {
-            let w0 = node.load_next(0, ctx);
+            let w0 = self.load_next(p, 0, ctx);
             if w0.marked() {
                 return None;
             }
@@ -71,7 +73,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
             #[cfg(feature = "bug-injection")]
             return Some(true);
             #[cfg(not(feature = "bug-injection"))]
-            if node.cas_next(0, w0, w0.with_valid(false), ctx).is_ok() {
+            if self.cas_next(p, 0, w0, w0.with_valid(false), ctx).is_ok() {
                 // The node stays linked and remains the unique holder of
                 // its key, so its index entry stays too: the read side
                 // sees unmarked-invalid and answers authoritative absence
@@ -89,16 +91,15 @@ impl<K: Ord, V> SkipGraph<K, V> {
     /// Non-lazy logical deletion: marks every upper level top-down, then
     /// competes to set the level-0 mark (the linearization point). Returns
     /// whether this call won.
-    pub(crate) fn logical_delete_eager(&self, node: &Node<K, V>, ctx: &ThreadCtx) -> bool {
-        for level in (1..=node.top_level() as usize).rev() {
-            self.help_mark(node, level, ctx);
-        }
+    pub(crate) fn logical_delete_eager(&self, node: DataRef<'_, K, V>, ctx: &ThreadCtx) -> bool {
+        let p = node.ptr();
+        self.mark_upper(p, ctx);
         loop {
-            let w0 = node.load_next(0, ctx);
+            let w0 = self.load_next(p, 0, ctx);
             if w0.marked() {
                 return false;
             }
-            if node.cas_next(0, w0, w0.with_mark(), ctx).is_ok() {
+            if self.cas_next(p, 0, w0, w0.with_mark(), ctx).is_ok() {
                 // Injected coherence bug (harness validation only): the
                 // winner of an eager delete skips its invalidate duty.
                 // The victim's generation bumps only when the node is
@@ -131,12 +132,10 @@ impl<K: Ord, V> SkipGraph<K, V> {
         if m0.marked() {
             return false; // predecessor was deleted; caller re-searches
         }
-        let node_ref = unsafe { node.as_ref() };
         // Fresh nodes are published unmarked and valid.
-        node_ref.store_next(0, TagPtr::clean(res.succs[0]));
-        let pred = unsafe { &*res.preds[0] };
-        let ok = pred
-            .cas_next(0, m0, m0.with_ptr(node.as_ptr()), ctx)
+        link(node.as_ptr(), 0).store(TagPtr::clean(res.succs[0]));
+        let ok = self
+            .cas_next(res.preds[0], 0, m0, m0.with_ptr(node.as_ptr()), ctx)
             .is_ok();
         if ok {
             // Publish-after-link: the node is reachable from level 0, so
@@ -165,9 +164,10 @@ impl<K: Ord, V> SkipGraph<K, V> {
         K: 'a,
         V: 'a,
     {
+        let p = node_nn.as_ptr();
         let node = unsafe { node_nn.as_ref() };
         let key = unsafe { node.key() };
-        let mvec = node.mvec();
+        let mvec = self.mvec_of(node);
         let unlink = !self.config.lazy;
         for level in 1..=node.top_level() as usize {
             let mut spins = 0u64;
@@ -193,7 +193,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
                     break;
                 }
                 let succ = unsafe { &*res.succs[level] };
-                if succ.is_data() && succ.is_marked(0) {
+                if succ.is_data() && succ.next0().load().marked() {
                     // A search walks the upper levels before level 0, so it
                     // can hand out a successor that was alive when passed
                     // and has died since — possibly an older incarnation of
@@ -209,31 +209,30 @@ impl<K: Ord, V> SkipGraph<K, V> {
                 }
                 // Point the node's own level reference at the successor.
                 // Unrecorded: initialization of the thread's in-flight node.
+                let slot = link(p, level);
                 loop {
-                    let old = node.load_next_raw(level);
+                    let old = slot.load();
                     if old.marked() {
                         // Marked mid-insertion: abort linking (Alg. 10
                         // lines 10-12: mark as inserted so nobody retries).
                         node.set_inserted();
                         return false;
                     }
-                    if node
-                        .cas_next_raw(level, old, TagPtr::clean(res.succs[level]))
+                    if slot
+                        .compare_exchange(old, TagPtr::clean(res.succs[level]))
                         .is_ok()
                     {
                         break;
                     }
                 }
                 let m = res.middles[level];
-                if !m.marked() {
-                    let pred = unsafe { &*res.preds[level] };
-                    if pred
-                        .cas_next(level, m, m.with_ptr(node_nn.as_ptr()), ctx)
+                if !m.marked()
+                    && self
+                        .cas_next(res.preds[level], level, m, m.with_ptr(p), ctx)
                         .is_ok()
-                    {
-                        self.note_unlinked_chain(m.ptr(), res.succs[level], level, ctx);
-                        break; // this level is linked; proceed upward
-                    }
+                {
+                    self.note_unlinked_chain(m.ptr(), res.succs[level], level, ctx);
+                    break; // this level is linked; proceed upward
                 }
                 // CAS failed: re-search and retry the level.
                 *res = self.search_from(key, mvec, refresh_start(), unlink, ctx);
@@ -287,7 +286,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
             let mut res = self.search_from(key, mvec, start, !lazy, ctx);
             if let Some(existing) = res.hit(pin) {
                 let outcome = if lazy {
-                    match self.insert_helper(&existing, hash, ctx) {
+                    match self.insert_helper(existing, hash, ctx) {
                         Some(outcome) => outcome,
                         None => continue, // became marked; retry the search
                     }
@@ -342,10 +341,10 @@ impl<K: Ord, V> SkipGraph<K, V> {
                 return (false, None);
             };
             if lazy {
-                if let Some(outcome) = self.remove_helper(&node, ctx) {
+                if let Some(outcome) = self.remove_helper(node, ctx) {
                     return (outcome, None);
                 }
-            } else if self.logical_delete_eager(&node, ctx) {
+            } else if self.logical_delete_eager(node, ctx) {
                 let cleanup = self.search_from(key, mvec, start, true, ctx);
                 return (true, Some(cleanup));
             }
@@ -372,11 +371,11 @@ impl<K: Ord, V> SkipGraph<K, V> {
         // `found` saw the node unmarked; lazily, its valid bit decides.
         let node = res.hit(pin).filter(|node| {
             !lazy || {
-                let w0 = node.load_next(0, ctx);
+                let w0 = self.load_next(node.ptr(), 0, ctx);
                 !w0.marked() && w0.valid()
             }
         })?;
-        self.index_heal(&node, hash, ctx);
+        self.index_heal(node, hash, ctx);
         Some(node)
     }
 
@@ -397,24 +396,22 @@ impl<K: Ord, V> SkipGraph<K, V> {
         let lazy = self.config().lazy;
         let mut prev = self.head(0, 0);
         loop {
-            let prev_ref = unsafe { &*prev };
-            let middle = prev_ref.load_next(0, ctx);
+            let middle = self.load_next(prev, 0, ctx);
             // Walk (and freeze) the dead chain after prev.
             let mut cur = middle.ptr();
             let mut skipped = false;
             loop {
-                let node = unsafe { &*cur };
-                if !node.is_data() {
+                if !unsafe { &*cur }.is_data() {
                     break;
                 }
-                let w = node.load_next(0, ctx);
+                let w = self.load_next(cur, 0, ctx);
                 if w.marked() {
                     cur = w.ptr();
                     skipped = true;
                     continue;
                 }
-                if lazy && !w.valid() && self.check_retire(node, w, ctx) {
-                    cur = node.load_next(0, ctx).ptr();
+                if lazy && !w.valid() && self.check_retire(cur, w, ctx) {
+                    cur = self.load_next(cur, 0, ctx).ptr();
                     skipped = true;
                     continue;
                 }
@@ -422,25 +419,25 @@ impl<K: Ord, V> SkipGraph<K, V> {
             }
             if skipped && !middle.marked() {
                 // Best effort: unlink the dead prefix in one CAS.
-                if prev_ref
-                    .cas_next(0, middle, middle.with_ptr(cur), ctx)
+                if self
+                    .cas_next(prev, 0, middle, middle.with_ptr(cur), ctx)
                     .is_ok()
                 {
                     self.note_unlinked_chain(middle.ptr(), cur, 0, ctx);
                 }
             }
-            let node = unsafe { &*cur };
-            if node.is_tail() {
+            if unsafe { &*cur }.is_tail() {
                 return None;
             }
+            let node = DataRef::new(cur);
             let won = if lazy {
                 matches!(self.remove_helper(node, ctx), Some(true))
             } else {
-                let w0 = node.load_next(0, ctx);
+                let w0 = self.load_next(cur, 0, ctx);
                 !w0.marked() && self.logical_delete_eager(node, ctx)
             };
             if won {
-                return Some(unsafe { (node.key().clone(), node.value().clone()) });
+                return Some((node.key().clone(), node.value().clone()));
             }
             prev = cur; // lost the race for this node; move past it
         }

@@ -77,14 +77,14 @@ impl<K: Ord, V> SkipGraph<K, V> {
             };
             let included = matches!(start, Bound::Included(_));
             if let Some(IndexRead::Hit(node)) = self.index_read(k, self.index_hash(k), pin, ctx) {
-                return Some((node.0, included));
+                return Some((node.ptr(), included));
             }
             let res = self.search_from(k, self.membership_of(ctx.id()), hint, false, ctx);
             // Past an excluded bound key that is present, start after its
             // holder; otherwise after the predecessor.
             match res.hit(pin).filter(|_| !included) {
-                Some(holder) => Some((holder.0, false)),
-                None => Some((res.pred(0, pin), false)),
+                Some(holder) => Some((holder.ptr(), false)),
+                None => Some((res.preds[0], false)),
             }
         });
         RangeIter {
@@ -114,7 +114,7 @@ impl<'g, K: Ord, V> Iterator for RangeIter<'g, K, V> {
             if !in_range {
                 return None;
             }
-            let w0 = node.load_next(0, self.ctx);
+            let w0 = self.graph.load_next(node.ptr(), 0, self.ctx);
             if !w0.marked() && (!lazy || w0.valid()) {
                 return Some((key, node.value()));
             }

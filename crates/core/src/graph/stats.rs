@@ -30,7 +30,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
         for level in 0..=self.config().max_level {
             for suffix in 0..(1u32 << level) {
                 for node in self.walk((level, suffix), ctx, |_| None) {
-                    debug_assert_eq!(list_suffix(node.mvec(), level), suffix);
+                    debug_assert_eq!(list_suffix(self.mvec_of(&node), level), suffix);
                     lengths[level as usize] += 1;
                 }
             }
@@ -46,7 +46,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
     pub fn memory_stats(&self, ctx: &ThreadCtx) -> MemoryStats {
         let (mut live, mut invalid, mut marked) = (0, 0, 0);
         for node in self.walk((0, 0), ctx, |_| None) {
-            let w = node.load_next(0, ctx);
+            let w = self.load_next(node.ptr(), 0, ctx);
             if w.marked() {
                 marked += 1;
             } else if !w.valid() {
@@ -280,11 +280,11 @@ mod tests {
         assert_eq!(m.height_histogram[2], 10);
         assert_eq!(m.height_histogram[3..], [0usize; MAX_HEIGHT - 3]);
         // Byte accounting: a class-`h` slot is the header plus the tower
-        // bytes (none at height 0; the stamp word and `h` slots above).
+        // bytes (none at height 0; the unlink word and `h` slots above).
         type N = crate::node::Node<u64, u64>;
         let class = |h| std::mem::size_of::<N>() + N::tower_bytes(h);
         let expected = 60 * class(0) + 30 * class(1) + 10 * class(2);
-        assert_eq!(expected, 60 * 40 + 30 * 56 + 10 * 64);
+        assert_eq!(expected, 60 * 32 + 30 * 48 + 10 * 56);
         assert_eq!(m.allocated_bytes, expected);
         assert!(m.resident_bytes >= m.allocated_bytes);
         assert!(m.bytes_per_node() < SkipGraph::<u64, u64>::fixed_tower_node_bytes() as f64);

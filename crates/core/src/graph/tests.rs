@@ -84,7 +84,7 @@ fn heads_cover_every_list_and_point_at_tail() {
             let h = unsafe { &*head };
             assert!(h.is_head());
             assert_eq!(h.top_level(), level);
-            let next = h.load_next(level as usize, &c);
+            let next = g.load_next(head, level as usize, &c);
             assert!(unsafe { &*next.ptr() }.is_tail(), "level {level}/{suffix}");
         }
     }
@@ -128,7 +128,7 @@ fn eager_search_physically_unlinks_marked_chains() {
     for k in 3..7u64 {
         let res = g.search_from(&k, mvec, None, false, &c);
         assert!(res.found);
-        assert!(g.logical_delete_eager(unsafe { &*res.succs[0] }, &c));
+        assert!(g.logical_delete_eager(DataRef::new(res.succs[0]), &c));
     }
     // One unlinking search across the whole chain: pred(2).next must jump
     // directly to 7 afterwards (a single relink CAS snips the chain).
@@ -136,7 +136,7 @@ fn eager_search_physically_unlinks_marked_chains() {
     assert!(res.found);
     unsafe {
         assert_eq!(*(*res.preds[0]).key(), 2);
-        let after = (*res.preds[0]).load_next(0, &c);
+        let after = g.load_next(res.preds[0], 0, &c);
         assert_eq!(*(*after.ptr()).key(), 7, "chain snipped in one hop");
     }
     g.check_invariants().unwrap();
@@ -177,14 +177,15 @@ fn lazy_insert_then_finish_links_upper_levels() {
     // Only level 0 is linked so far.
     let n = unsafe { node.as_ref() };
     assert!(!n.is_inserted());
-    assert!(n.load_next_raw(1).ptr().is_null());
+    assert!(link(node.as_ptr(), 1).load().ptr().is_null());
     // finishInsert completes the upper levels.
     let mut res = g.search_from(&50, g.membership_of(0), None, false, &c);
     assert!(res.found);
     assert!(g.link_upper(node, &mut res, &c, || None));
     assert!(n.is_inserted());
     for level in 1..=g.config().max_level as usize {
-        assert!(!n.load_next_raw(level).ptr().is_null(), "level {level}");
+        let w = link(node.as_ptr(), level).load();
+        assert!(!w.ptr().is_null(), "level {level}");
     }
     g.check_invariants().unwrap();
 }
@@ -195,7 +196,7 @@ fn insert_helper_state_machine() {
     let c = ctx(0);
     assert!(insert(&g, 7, 70, 0, &c));
     let res = g.search_from(&7, g.membership_of(0), None, false, &c);
-    let node = unsafe { &*res.succs[0] };
+    let node = DataRef::new(res.succs[0]);
     // Valid duplicate -> Some(false).
     assert_eq!(g.insert_helper(node, g.index_hash(&7), &c), Some(false));
     // Invalid (logically deleted) -> resurrected, Some(true).
@@ -203,7 +204,7 @@ fn insert_helper_state_machine() {
     assert_eq!(g.insert_helper(node, g.index_hash(&7), &c), Some(true));
     // Marked -> None.
     assert_eq!(g.remove_helper(node, &c), Some(true));
-    g.help_mark(node, 0, &c);
+    g.help_mark(node.ptr(), 0, &c);
     assert_eq!(g.insert_helper(node, g.index_hash(&7), &c), None);
     assert_eq!(g.remove_helper(node, &c), None);
 }
@@ -214,7 +215,7 @@ fn remove_helper_double_remove_fails() {
     let c = ctx(0);
     assert!(insert(&g, 7, 70, 0, &c));
     let res = g.search_from(&7, g.membership_of(0), None, false, &c);
-    let node = unsafe { &*res.succs[0] };
+    let node = DataRef::new(res.succs[0]);
     assert_eq!(g.remove_helper(node, &c), Some(true));
     assert_eq!(g.remove_helper(node, &c), Some(false), "already invalid");
 }
@@ -234,7 +235,7 @@ fn check_retire_respects_commission_period() {
         res.found || {
             // found=false because the node is invalid... found checks only the
             // mark; re-fetch to assert the state precisely.
-            let w = unsafe { &*res.succs[0] }.load_next(0, &c);
+            let w = g.load_next(res.succs[0], 0, &c);
             !w.marked()
         }
     );
@@ -256,11 +257,11 @@ fn help_mark_is_idempotent_and_freezes_pointer() {
     assert!(insert(&g, 1, 1, 0, &c));
     assert!(insert(&g, 2, 2, 0, &c));
     let res = g.search_from(&1, g.membership_of(0), None, false, &c);
-    let node = unsafe { &*res.succs[0] };
-    let before = node.load_next(0, &c).ptr();
+    let node = res.succs[0];
+    let before = g.load_next(node, 0, &c).ptr();
     g.help_mark(node, 0, &c);
     g.help_mark(node, 0, &c);
-    let w = node.load_next(0, &c);
+    let w = g.load_next(node, 0, &c);
     assert!(w.marked());
     assert_eq!(w.ptr(), before, "mark preserved the successor pointer");
 }
@@ -282,13 +283,16 @@ fn partitioned_upper_levels_respect_membership() {
     }
     // Walk level-1 list "1" (suffix 1): only odd keys (thread 1, mvec 01).
     let head = g.head(1, 1);
-    let mut cur = unsafe { &*head }.load_next(1, &c0).ptr();
+    let mut cur = g.load_next(head, 1, &c0).ptr();
     let mut seen = 0;
     while unsafe { &*cur }.is_data() {
-        let n = unsafe { &*cur };
-        assert_eq!(n.mvec() & 1, 1, "foreign node in list (1,1)");
+        assert_eq!(
+            g.mvec_of(unsafe { &*cur }) & 1,
+            1,
+            "foreign node in list (1,1)"
+        );
         seen += 1;
-        cur = n.load_next(1, &c0).ptr();
+        cur = g.load_next(cur, 1, &c0).ptr();
     }
     assert_eq!(seen, 20);
     g.check_invariants().unwrap();
@@ -310,11 +314,11 @@ fn sparse_heights_bound_tower_population() {
     // thread split; here a single thread inserts everything, so the
     // top list holds ~2000/2^max of the nodes).
     let head = g.head(max, g.membership_of(0));
-    let mut cur = unsafe { &*head }.load_next(max as usize, &c).ptr();
+    let mut cur = g.load_next(head, max as usize, &c).ptr();
     let mut count = 0;
     while unsafe { &*cur }.is_data() {
         count += 1;
-        cur = unsafe { &*cur }.load_next(max as usize, &c).ptr();
+        cur = g.load_next(cur, max as usize, &c).ptr();
     }
     let expected = 2000.0 / (1 << max) as f64;
     assert!(
@@ -554,7 +558,7 @@ fn references_captured_from_marked_nodes_are_poisoned() {
     let c = ctx(0);
     assert!(insert(&g, 10, 10, 1, &c));
     let res = g.search_from(&10, g.membership_of(0), None, false, &c);
-    let node = unsafe { &*res.succs[0] };
+    let node = DataRef::new(res.succs[0]);
     // Mark the node without unlinking it (the first half of an eager
     // removal): a capture taken *after* the mark may belong to either
     // incarnation, so it must never validate.

@@ -112,7 +112,7 @@
 
 #![forbid(unsafe_code)]
 
-use crate::graph::{DataRef, PinGuard};
+use crate::graph::{DataRef, PinGuard, SkipGraph};
 use crate::node::Node;
 use crate::prefetch::prefetch_read;
 use crate::sync::{FacadeAtomicUsize, Padded};
@@ -1116,14 +1116,15 @@ impl<K: Ord, V> HashIndex<K, V> {
     /// retired, and the pin then blocks its recycling while the returned
     /// reference, bounded by the pin's borrow, is used.
     ///
-    /// `lazy` selects the protocol: under it, an unmarked *invalid* node
-    /// is the unique holder of its key, so the read is authoritative
+    /// `graph`, the owning graph, records the node's level-0 load, and its
+    /// `lazy` flag selects the protocol: under it, an unmarked *invalid*
+    /// node is the unique holder of its key, so the read is authoritative
     /// absence; eagerly-deleted nodes are marked and fall back instead.
     pub(crate) fn read_node<'p>(
         &self,
         key: &K,
         hash: u64,
-        lazy: bool,
+        graph: &SkipGraph<K, V>,
         pin: &'p PinGuard<'_, K, V>,
         ctx: &ThreadCtx,
     ) -> IndexRead<'p, K, V> {
@@ -1149,7 +1150,7 @@ impl<K: Ord, V> HashIndex<K, V> {
         // catch. See the `bug-injection` feature docs.
         #[cfg(feature = "bug-injection")]
         {
-            let _ = (lazy, ctx);
+            let _ = graph;
             return IndexRead::Hit(node);
         }
         #[cfg(not(feature = "bug-injection"))]
@@ -1157,7 +1158,7 @@ impl<K: Ord, V> HashIndex<K, V> {
             // A recorded load: the hit node's level-0 word is a real
             // cache-line touch (the one line an index-served read costs),
             // so it must show up in the access matrices like any other.
-            let w0 = node.load_next(0, ctx);
+            let w0 = graph.load_next(node.ptr(), 0, ctx);
             if w0.marked() {
                 // Dead incarnation awaiting retire: tombstone and descend
                 // (a fresh insert of the key may own a new node).
@@ -1166,7 +1167,7 @@ impl<K: Ord, V> HashIndex<K, V> {
             }
             if w0.valid() {
                 IndexRead::Hit(node)
-            } else if lazy {
+            } else if graph.config().lazy {
                 IndexRead::Absent(node)
             } else {
                 IndexRead::Stale

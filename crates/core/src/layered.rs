@@ -55,7 +55,6 @@
 use crate::graph::{DataRef, NodeRef, PinGuard, RangeIter, SkipGraph};
 use crate::index::{hash_key, IndexRead};
 use crate::local::{BTreeLocalMap, RobinHoodMap};
-use crate::node::Node;
 use crate::params::GraphConfig;
 use crate::replicate::Update;
 use crate::sparse_height;
@@ -123,8 +122,8 @@ impl<K: Ord, V> LayeredMap<K, V> {
     /// the live entries, releasing all arena memory held by dead nodes.
     ///
     /// Shared nodes are arena-allocated, and arena memory is never
-    /// returned mid-run. Retired nodes are recycled within their owner's
-    /// arena, but the arenas keep their high-water size, and logically
+    /// returned mid-run. Retired nodes are recycled within their allocating
+    /// thread's arena, but the arenas keep their high-water size, and logically
     /// removed nodes stay linked until a search unlinks them. Periodic
     /// quiescent-point compaction releases both. The caller must guarantee
     /// quiescence: the snapshot is a weak one, and handles to the *old* map
@@ -362,7 +361,7 @@ where
         // was retired (or whose slot was recycled) since its generation was
         // captured is silently dropped rather than installed as a hint.
         let Some(node) = pred.node(pin) else { return };
-        if node.mvec() != self.mvec || node.is_marked(0) {
+        if self.graph.mvec_of(&node) != self.mvec || node.is_marked(0) {
             return;
         }
         if !self.tombstones.contains(key) {
@@ -388,7 +387,10 @@ where
             // Generation check under the caller's pin: a stale reference
             // (slot retired or recycled since capture) is stepped over —
             // `get_start` erases such entries on its next walk.
-            if let Some(node) = r.node(pin).filter(|node| Self::usable_start(node, min_top)) {
+            if let Some(node) = r
+                .node(pin)
+                .filter(|&node| Self::usable_start(node, min_top))
+            {
                 return Some(node);
             }
             cursor = k.clone();
@@ -397,7 +399,7 @@ where
 
     /// `updateStart`'s test of a start candidate: fully inserted, tall
     /// enough, and not marked at both level 0 and its top.
-    fn usable_start(node: &Node<K, V>, min_top: u8) -> bool {
+    fn usable_start(node: DataRef<'_, K, V>, min_top: u8) -> bool {
         node.is_inserted()
             && node.top_level() >= min_top
             && (!node.is_marked(0) || !node.is_marked(node.top_level() as usize))
@@ -435,11 +437,11 @@ where
         if start.is_some_and(|p| p.cmp_key(key) != Ordering::Less) {
             return start;
         }
-        let node = match index.read_node(key, *hash, self.lazy(), pin, &self.ctx) {
+        let node = match index.read_node(key, *hash, self.graph, pin, &self.ctx) {
             IndexRead::Hit(node) | IndexRead::Absent(node) => node,
             IndexRead::Miss | IndexRead::Stale => return start,
         };
-        if node.mvec() != self.mvec || !Self::usable_start(&node, min_top) {
+        if self.graph.mvec_of(&node) != self.mvec || !Self::usable_start(node, min_top) {
             return start;
         }
         Some(node)
@@ -567,7 +569,7 @@ where
             }
             match on_holder(self, key, hash, node, pin) {
                 Some(outcome) => {
-                    self.graph.index_heal(&node, hash, &self.ctx);
+                    self.graph.index_heal(node, hash, &self.ctx);
                     return Break(outcome);
                 }
                 None => self.erase_local(key),
@@ -585,7 +587,7 @@ where
         _pin: &PinGuard<'m, K, V>,
     ) -> Option<bool> {
         if self.lazy() {
-            self.graph.insert_helper(&node, hash, &self.ctx)
+            self.graph.insert_helper(node, hash, &self.ctx)
         } else {
             (!node.is_marked(0)).then_some(false)
         }
@@ -601,12 +603,12 @@ where
         pin: &PinGuard<'m, K, V>,
     ) -> Option<bool> {
         if self.lazy() {
-            return self.graph.remove_helper(&node, &self.ctx);
+            return self.graph.remove_helper(node, &self.ctx);
         }
-        if node.load_next(0, &self.ctx).marked() {
+        if self.graph.load_next(node.ptr(), 0, &self.ctx).marked() {
             return None;
         }
-        let won = self.graph.logical_delete_eager(&node, &self.ctx);
+        let won = self.graph.logical_delete_eager(node, &self.ctx);
         self.erase_local(key);
         if won {
             // Physical cleanup pass; its predecessor frontier seeds the
@@ -631,7 +633,7 @@ where
         node: DataRef<'p, K, V>,
         _pin: &'p PinGuard<'m, K, V>,
     ) -> Option<Option<&'p V>> {
-        let w0 = node.load_next(0, &self.ctx);
+        let w0 = self.graph.load_next(node.ptr(), 0, &self.ctx);
         if w0.marked() {
             return None;
         }

@@ -32,7 +32,7 @@
 //!
 //! Memory has one model, whatever the variant: a node unlinked from every
 //! level is retired and, after an epoch grace period, recycled into its
-//! owner's NUMA-local arena (`reclaim`). The paper's implementation never
+//! allocating thread's NUMA-local arena (`reclaim`). The paper's implementation never
 //! frees a shared node mid-run, which only suits runs of a fixed length;
 //! dropping that model is deliberate, and there is no switch back to it.
 //!

@@ -1,44 +1,50 @@
-//! Shared node layout: packed header + height-truncated trailing tower.
+//! Shared node layout: a 32-byte header and a tower at a fixed offset.
 //!
-//! A shared node is a fixed *header* followed by a trailing tower of
-//! exactly `top_level` tagged next-references (levels `1..=top_level`; the
-//! level-0 reference lives in the header). Nodes are allocated from
-//! per-height size-class arenas ([`crate::graph`]'s `TowerArenas`), so a
-//! node pays for precisely the tower it uses instead of embedding a
-//! worst-case `[TaggedAtomic; MAX_HEIGHT]` — under the sparse-height
-//! configuration the expected tower length is < 1 slot, which more than
-//! halves bytes-per-node versus the old inline layout.
+//! A shared node is a fixed *header* followed, above height 0, by one
+//! unlink word and a trailing tower of exactly `top_level` tagged
+//! next-references (levels `1..=top_level`; the level-0 reference lives in
+//! the header). Nodes are allocated from per-height size-class arenas
+//! ([`crate::graph`]'s `TowerArenas`), so a node pays for precisely the
+//! tower it uses instead of embedding a worst-case `[TaggedAtomic;
+//! MAX_HEIGHT]` — under the sparse-height configuration the expected tower
+//! length is < 1 slot, which more than halves bytes-per-node versus the old
+//! inline layout.
 //!
-//! The header is `#[repr(C)]` with what an index-served read touches
-//! first: the level-0 next-reference, the key, the value, the generation
-//! and the packed metadata — bytes 0–28 of a `Node<u64, u64>`. The
-//! membership vector and the unlink mask follow, and the header ends in
-//! one word that holds what the node needs there:
+//! The header is `#[repr(C)]`: the level-0 next-reference, the key, the
+//! value, the generation, the packed metadata byte and three bytes that say
+//! who allocated the node and when. That is 32 bytes for a
+//! `Node<u64, u64>` and 24 for a blocked anchor's `Node<u64, ()>`. A
+//! height-0 node is the header alone, so it fills exactly half a cache line
+//! and, in a 64-byte-aligned chunk (see `numa::arena`), never crosses one.
+//! A class-`h` slot (`h >= 1`) is the header, the unlink word and `h` tower
+//! slots: `40 + 8h` bytes, the tower at a fixed offset from the slot.
 //!
-//! * at height 0 (and in a header built by value, before its tower is
-//!   attached) the *stamp*: the commission timestamp and the owner tag;
-//! * above height 0 the tower pointer. The stamp then moves to one
-//!   trailing word just before the tower, so a class-`h` slot is the
-//!   header, the stamp word and `h` tower slots.
+//! The three packed bytes hold
 //!
-//! A `meta` bit says which of the two the word holds. The header is 40
-//! bytes, so a height-0 node (header only) has a 40-byte stride in a
-//! 64-byte-aligned chunk (see `numa::arena`) and starts at the eight line
-//! offsets 0, 40, 16, 56, 32, 8, 48 and 24 in turn: its hot bytes cross a
-//! line boundary at offsets 40, 56 and 48, three slots in eight. A tall
-//! node keeps the 48 + 8h bytes it had when the stamp and the pointer
-//! were separate header fields.
+//! * the allocating thread's id, 9 bits (`GraphConfig::new` caps threads at
+//!   512). The graph maps it to the node's membership vector and NUMA owner,
+//!   and a reclaimed slot goes back to that thread's arena bank;
+//! * the commission stamp, 15 bits of `logical_now() >> STAMP_SHIFT`. They
+//!   wrap every 2^32 cycles, and [`Node::commission_expired`] counts only
+//!   whole units that surely passed, so truncation and wrap-around can only
+//!   postpone retirement, never bring it forward. A head sentinel never
+//!   retires and keeps its list suffix there instead.
 //!
-//! The cold/rare metadata (`kind`, `top_level`, the tower bit, `inserted`)
-//! is packed into one atomic byte, and the commission timestamp is
-//! truncated to 32 bits (wrap-around can only *delay* retirement by one
-//! 2^32-cycle epoch, never trigger it early, because `check_retire`
-//! compares the elapsed delta).
+//! The cold/rare metadata (`kind`, `top_level`, a height-0 node's unlink
+//! bit, `inserted`) is packed into one atomic byte.
+//!
+//! # Provenance
+//!
+//! A `&Node` covers the header's bytes only, so no tower is reachable from
+//! one. Every access above level 0 goes through [`Node::link`] on the raw
+//! slot pointer an arena handed out or a link word held — its provenance
+//! spans the whole slot. Level 0 and the rest of the header stay readable
+//! through `&self`.
 //!
 //! # Recycling (epoch-based reclamation)
 //!
 //! Because `skipgraph::reclaim` returns slots to per-size-class free lists
-//! and reuses them, the header additionally carries
+//! and reuses them, a node additionally carries
 //!
 //! * a **generation counter** (`gen`), bumped when the node is retired:
 //!   every raw pointer cached outside the structure (local hint maps, C3
@@ -46,10 +52,11 @@
 //!   generation at capture time and re-checks it before dereferencing — a
 //!   recycled slot fails the check and the caller falls back to a head
 //!   search;
-//! * an **unlinked bitmask** (`unlinked`), one bit per level, set by
-//!   whichever thread physically snips the node out of that level's list.
-//!   The thread that completes the mask (observes the last missing bit) is
-//!   the unique retirer, so a node enters a limbo list exactly once.
+//! * an **unlinked bitmask**, one bit per level, set by whichever thread
+//!   physically snips the node out of that level's list: a `meta` bit at
+//!   height 0, the unlink word above it. The thread that completes the mask
+//!   (observes the last missing bit) is the unique retirer, so a node enters
+//!   a limbo list exactly once.
 //!
 //! Its unchecked code rests on one invariant: a node's key and value are
 //! initialized exactly while its kind is `Data`, and a slot that may be
@@ -57,7 +64,6 @@
 //! through a `&Node` over the whole header.
 
 use crate::sync::{TagPtr, TaggedAtomic};
-use instrument::ThreadCtx;
 use std::cmp::Ordering as CmpOrdering;
 use std::mem::{ManuallyDrop, MaybeUninit};
 use std::ptr::NonNull;
@@ -80,15 +86,14 @@ pub(crate) enum NodeKind {
     Free,
 }
 
-/// `meta` byte: bits 0..=2 `top_level`, bits 3..=4 `kind`, bit 5 "tower
-/// attached" (the header's last word holds the tower pointer, not the
-/// stamp), bit 7 `inserted`. Only `inserted` changes after publication;
-/// the tower bit is set once before it, so relaxed loads are enough to
-/// read the rest.
+/// `meta` byte: bits 0..=2 `top_level`, bits 3..=4 `kind`, bit 5 a
+/// height-0 node's level-0 unlink bit, bit 7 `inserted`. Only the unlink
+/// bit and `inserted` change after publication, so relaxed loads are
+/// enough to read the rest.
 const META_TOP_MASK: u8 = 0b0000_0111;
 const META_KIND_SHIFT: u8 = 3;
 const META_KIND_MASK: u8 = 0b11 << META_KIND_SHIFT;
-const META_TOWER: u8 = 0b0010_0000;
+const META_UNLINKED0: u8 = 0b0010_0000;
 const META_INSERTED: u8 = 0b1000_0000;
 
 const KIND_HEAD: u8 = 0;
@@ -96,37 +101,27 @@ const KIND_DATA: u8 = 1;
 const KIND_TAIL: u8 = 2;
 const KIND_FREE: u8 = 3;
 
-/// What a node records at allocation besides its key and value.
-#[repr(C)]
-#[derive(Clone, Copy)]
-struct Stamp {
-    /// Truncated cycle timestamp at allocation (commission period, Alg.
-    /// 14). 32 bits: `check_retire` compares the wrapped *delta*, so the
-    /// truncation can only postpone retirement, never cause it early.
-    alloc_ts: u32,
-    /// Benchmark thread that allocated this node (NUMA-ownership tag).
-    owner: u16,
-}
+/// The packed bytes: the allocating thread's id in the low 9 bits, the
+/// commission stamp in the 15 above.
+const ID_BITS: u32 = 9;
+const ID_MASK: u32 = (1 << ID_BITS) - 1;
+const STAMP_MASK: u32 = (1 << 15) - 1;
 
-/// The header's last word: the stamp until a tower is attached, the
-/// tower pointer after. Above height 0 the stamp lives in the same-sized
-/// word just before the tower.
-#[repr(C)]
-union Last<K, V> {
-    stamp: Stamp,
-    /// First slot of the trailing tower (levels `1..=top_level`). Set once
-    /// from the arena slot pointer — deriving it from `&self` would leave
-    /// the reference's provenance (which covers only the header).
-    tower: *mut TaggedAtomic<Node<K, V>>,
-}
+/// Cycles per stamp unit, as a shift: 15 bits of `logical_now() >> 17`
+/// wrap every 2^32 cycles. Under `deterministic` logical time counts
+/// scheduler steps and the stamp keeps every one.
+const STAMP_SHIFT: u32 = if cfg!(feature = "deterministic") {
+    0
+} else {
+    17
+};
 
-/// Node header. The trailing tower (`top_level` extra [`TaggedAtomic`]
-/// slots, after the stamp word) is co-allocated after the header by the
-/// size-class arena and reached through the header's last word, which
-/// [`Node::attach_tower`] sets once right after allocation.
+/// Node header. Above height 0 the slot continues with the unlink word and
+/// the tower (`top_level` [`TaggedAtomic`] slots), co-allocated by the
+/// size-class arena and reached from the slot pointer ([`Node::link`]).
 ///
-/// Field order is fixed (`repr(C)`) so the hot path — `next0`, `key`,
-/// `value`, `gen`, `meta` — occupies the first 29 bytes of the slot.
+/// Field order is fixed (`repr(C)`) so what an index-served read touches —
+/// `next0`, `key`, `value`, `gen`, `meta` — occupies the first 29 bytes.
 #[repr(C)]
 pub(crate) struct Node<K, V> {
     /// This node's successor in the level-0 list, tagged with
@@ -144,18 +139,12 @@ pub(crate) struct Node<K, V> {
     /// different key. Survives recycling — [`Node::reinit_recycled`] leaves
     /// it untouched, so stale readers never observe a rollback.
     gen: AtomicU32,
-    /// Packed `top_level` / `kind` / `inserted` (see the `META_*` masks).
+    /// Packed `top_level` / `kind` / unlink bit / `inserted` (see the
+    /// `META_*` masks).
     meta: AtomicU8,
-    /// Membership vector of the inserting thread (suffixes select lists).
-    /// `max_level < MAX_HEIGHT = 8`, so vectors always fit in 7 bits.
-    mvec: u8,
-    /// One bit per level `0..=top_level`, set by the thread whose CAS
-    /// physically snipped this node out of that level's list. The thread
-    /// that fills the mask retires the node (exactly once).
-    unlinked: AtomicU8,
-    /// The stamp, or the tower pointer once a tower is attached (the
-    /// `meta` tower bit says which).
-    last: Last<K, V>,
+    /// The allocating thread's id and the commission stamp (a head's list
+    /// suffix), little-endian (see `ID_BITS`). Written before publication.
+    origin: [u8; 3],
 }
 
 #[inline]
@@ -166,67 +155,78 @@ fn pack_meta(kind: u8, top_level: u8, inserted: bool) -> u8 {
         | if inserted { META_INSERTED } else { 0 }
 }
 
+#[inline]
+fn pack_origin(id: u16, stamp: u32) -> [u8; 3] {
+    debug_assert!((id as u32) <= ID_MASK, "thread ids fit in 9 bits");
+    debug_assert!(stamp <= STAMP_MASK);
+    let w = id as u32 | stamp << ID_BITS;
+    [w as u8, (w >> 8) as u8, (w >> 16) as u8]
+}
+
+/// Whether a node stamped `stamp` has surely been alive longer than
+/// `commission` cycles at logical time `now`, with `1 << shift` cycles a
+/// stamp unit. `units` whole units between the two stamps prove only
+/// `(units - 1) << shift` cycles (plus one), so that is what is compared:
+/// a rounded or wrapped stamp can only postpone retirement. A zero
+/// commission retires at once when units are coarser than a cycle: no
+/// check runs in the cycle its node was stamped, but the stamp cannot
+/// tell that cycle from the rest of its unit.
+#[inline]
+fn commission_expired_at(stamp: u32, now: u64, commission: u64, shift: u32) -> bool {
+    let units = ((now >> shift) as u32).wrapping_sub(stamp) & STAMP_MASK;
+    (commission == 0 && shift > 0)
+        || units
+            .checked_sub(1)
+            .is_some_and(|u| (u as u64) << shift >= commission)
+}
+
 impl<K, V> Node<K, V> {
     /// Bytes of trailing storage a node of height `top_level` needs: none
-    /// at height 0, else the stamp word and the tower.
+    /// at height 0, else the unlink word and the tower.
     pub(crate) const fn tower_bytes(top_level: usize) -> usize {
         if top_level == 0 {
             0
         } else {
-            std::mem::size_of::<Last<K, V>>()
-                + top_level * std::mem::size_of::<TaggedAtomic<Node<K, V>>>()
+            (top_level + 1) * std::mem::size_of::<TaggedAtomic<Node<K, V>>>()
         }
     }
 
-    pub(crate) fn new_data(
-        key: K,
-        value: V,
-        mvec: u32,
-        owner: u16,
-        top_level: u8,
-        alloc_ts: u32,
-    ) -> Self {
+    /// The commission stamp of a node allocated at logical time `now`.
+    #[inline]
+    pub(crate) fn stamp_at(now: u64) -> u32 {
+        (now >> STAMP_SHIFT) as u32 & STAMP_MASK
+    }
+
+    pub(crate) fn new_data(key: K, value: V, id: u16, top_level: u8, stamp: u32) -> Self {
         debug_assert!((top_level as usize) < MAX_HEIGHT);
-        debug_assert!(mvec <= u8::MAX as u32, "membership vectors fit in 7 bits");
         Self {
             next0: TaggedAtomic::null(),
             key: MaybeUninit::new(key),
             value: MaybeUninit::new(value),
             gen: AtomicU32::new(0),
-            mvec: mvec as u8,
             // A height-0 node has no upper level left to link once its
             // level-0 CAS lands, so it is born `inserted`: `getStart` must
             // not run a `finishInsert` (a descent and a search) that has
             // nothing to finish. Nobody can see the flag before the link.
             meta: AtomicU8::new(pack_meta(KIND_DATA, top_level, top_level == 0)),
-            unlinked: AtomicU8::new(0),
-            last: Last {
-                stamp: Stamp { alloc_ts, owner },
-            },
+            origin: pack_origin(id, stamp),
         }
     }
 
     /// A head sentinel for the list (`level`, `suffix`). Heads compare less
     /// than every key. Head accesses are attributed to thread 0 (the paper
-    /// attributes head-array accesses "arbitrarily" to one thread). A head
+    /// attributes head-array accesses "arbitrarily" to one thread), and a
+    /// head keeps its list suffix where a data node keeps its stamp. A head
     /// only ever uses its level-`level` reference, but is allocated with a
-    /// full `level`-slot tower so `next(level)` is in bounds.
+    /// full `level`-slot tower so `link(level)` is in bounds.
     pub(crate) fn new_head(level: u8, suffix: u32) -> Self {
-        debug_assert!(suffix <= u8::MAX as u32);
         Self {
             next0: TaggedAtomic::null(),
             key: MaybeUninit::uninit(),
             value: MaybeUninit::uninit(),
             gen: AtomicU32::new(0),
-            mvec: suffix as u8,
             meta: AtomicU8::new(pack_meta(KIND_HEAD, level, true)),
-            unlinked: AtomicU8::new(0),
-            last: Last {
-                stamp: Stamp {
-                    alloc_ts: 0,
-                    owner: 0,
-                },
-            },
+            origin: pack_origin(0, suffix),
         }
     }
 
@@ -237,53 +237,9 @@ impl<K, V> Node<K, V> {
             key: MaybeUninit::uninit(),
             value: MaybeUninit::uninit(),
             gen: AtomicU32::new(0),
-            mvec: 0,
             meta: AtomicU8::new(pack_meta(KIND_TAIL, (MAX_HEIGHT - 1) as u8, true)),
-            unlinked: AtomicU8::new(0),
-            last: Last {
-                stamp: Stamp {
-                    alloc_ts: 0,
-                    owner: 0,
-                },
-            },
+            origin: pack_origin(0, 0),
         }
-    }
-
-    /// Attaches the trailing tower the size-class arena co-allocated after
-    /// the header: moves the stamp into the word just before the tower,
-    /// then points the header's last word at the tower. Must be called
-    /// once, right after allocation, before the node is published.
-    ///
-    /// # Safety
-    ///
-    /// `node` must be an arena slot with at least
-    /// [`Node::tower_bytes`]`(top_level)` zero-initialized bytes directly
-    /// after the header (zeroed bytes are valid null [`TaggedAtomic`]s).
-    pub(crate) unsafe fn attach_tower(node: std::ptr::NonNull<Self>) {
-        let p = node.as_ptr();
-        let meta = &*std::ptr::addr_of!((*p).meta);
-        let bits = meta.load(Ordering::Relaxed);
-        if bits & META_TOP_MASK == 0 {
-            return;
-        }
-        debug_assert_eq!(bits & META_TOWER, 0, "tower attached twice");
-        debug_assert_eq!(
-            std::mem::size_of::<Self>() % std::mem::align_of::<TaggedAtomic<Self>>(),
-            0,
-            "tower slots must be naturally aligned after the header"
-        );
-        // Derive both trailing words from the raw slot pointer (whose
-        // provenance spans the whole arena chunk), not from a `&Node`.
-        let stamp = p
-            .cast::<u8>()
-            .add(std::mem::size_of::<Self>())
-            .cast::<Last<K, V>>();
-        let last = std::ptr::addr_of_mut!((*p).last);
-        stamp.write(last.read());
-        last.write(Last {
-            tower: stamp.add(1).cast::<TaggedAtomic<Self>>(),
-        });
-        meta.store(bits | META_TOWER, Ordering::Relaxed);
     }
 
     #[inline]
@@ -308,38 +264,29 @@ impl<K, V> Node<K, V> {
         self.meta_bits() & META_TOP_MASK
     }
 
-    /// Membership vector of the inserting thread.
     #[inline]
-    pub(crate) fn mvec(&self) -> u32 {
-        self.mvec as u32
+    fn origin(&self) -> u32 {
+        let [a, b, c] = self.origin;
+        u32::from_le_bytes([a, b, c, 0])
     }
 
-    /// The stamp: in the header's last word until a tower is attached,
-    /// in the word just before the tower after.
+    /// The thread that allocated this node (0 for sentinels).
     #[inline]
-    fn stamp(&self) -> Stamp {
-        // Safety: the tower bit says which member the last word holds, and
-        // `attach_tower` moved the stamp to the word before the tower,
-        // inside the slot whose provenance the tower pointer carries.
-        unsafe {
-            if self.meta_bits() & META_TOWER == 0 {
-                self.last.stamp
-            } else {
-                self.last.tower.cast::<Last<K, V>>().sub(1).read().stamp
-            }
-        }
+    pub(crate) fn id(&self) -> u16 {
+        (self.origin() & ID_MASK) as u16
     }
 
-    /// NUMA-ownership tag (allocating benchmark thread).
+    /// The commission stamp (a head's list suffix).
     #[inline]
-    pub(crate) fn owner(&self) -> u16 {
-        self.stamp().owner
+    pub(crate) fn stamp(&self) -> u32 {
+        self.origin() >> ID_BITS
     }
 
-    /// Truncated allocation timestamp (commission period).
+    /// Whether the node's commission period (Alg. 14) has surely passed
+    /// at logical time `now` (see `commission_expired_at`).
     #[inline]
-    pub(crate) fn alloc_ts(&self) -> u32 {
-        self.stamp().alloc_ts
+    pub(crate) fn commission_expired(&self, now: u64, commission: u64) -> bool {
+        commission_expired_at(self.stamp(), now, commission, STAMP_SHIFT)
     }
 
     pub(crate) fn is_data(&self) -> bool {
@@ -354,24 +301,38 @@ impl<K, V> Node<K, V> {
         self.kind() == NodeKind::Head
     }
 
-    /// The level-`level` next-reference slot: level 0 from the header,
-    /// upper levels from the trailing tower (bounds-checked in debug
-    /// builds: accessing above `top_level` reads past the allocation).
+    /// The level-0 next-reference, in the header.
     #[inline]
-    pub(crate) fn next(&self, level: usize) -> &TaggedAtomic<Node<K, V>> {
+    pub(crate) fn next0(&self) -> &TaggedAtomic<Node<K, V>> {
+        &self.next0
+    }
+
+    /// The level-`level` next-reference of the slot at `p`: level 0 from
+    /// the header, upper levels from the tower at its fixed offset (the
+    /// unlink word takes the place a level-0 tower slot would have).
+    /// Bounds-checked in debug builds: a level above `top_level` lies past
+    /// the slot.
+    ///
+    /// # Safety
+    ///
+    /// `p` must point at a live slot with provenance over the whole slot —
+    /// the pointer an arena handed out or one loaded from a link word, never
+    /// one derived from a `&Node` — and the returned reference must not
+    /// outlive the slot.
+    #[inline]
+    pub(crate) unsafe fn link<'a>(p: *mut Self, level: usize) -> &'a TaggedAtomic<Self> {
         if level == 0 {
-            return &self.next0;
+            return &*std::ptr::addr_of!((*p).next0);
         }
         debug_assert!(
-            level <= self.top_level() as usize,
-            "level {level} above tower height {}",
-            self.top_level()
+            level
+                <= ((*std::ptr::addr_of!((*p).meta)).load(Ordering::Relaxed) & META_TOP_MASK)
+                    as usize,
+            "level {level} above tower height"
         );
-        debug_assert!(self.meta_bits() & META_TOWER != 0, "tower not attached");
-        // Safety: a node reached here has its tower attached (the last
-        // word is the tower pointer, set from the arena slot), and
-        // `level <= top_level` keeps the slot inside the tower.
-        unsafe { &*self.last.tower.add(level - 1) }
+        &*p.cast::<u8>()
+            .add(std::mem::size_of::<Self>() + level * std::mem::size_of::<TaggedAtomic<Self>>())
+            .cast::<TaggedAtomic<Self>>()
     }
 
     /// The node's key.
@@ -409,64 +370,6 @@ impl<K, V> Node<K, V> {
                 CmpOrdering::Greater
             }
         }
-    }
-
-    /// Recorded load of `next[level]`: counts one shared-node read by `ctx`
-    /// against this node's owner (plus the cache simulation, if attached).
-    #[inline]
-    pub(crate) fn load_next(&self, level: usize, ctx: &ThreadCtx) -> TagPtr<Node<K, V>> {
-        let slot = self.next(level);
-        if ctx.is_recording() {
-            ctx.record_read(self.owner(), slot.addr());
-        }
-        slot.load()
-    }
-
-    /// Unrecorded load, for a thread touching its own in-flight node (the
-    /// paper excludes such accesses from the instrumentation).
-    #[inline]
-    pub(crate) fn load_next_raw(&self, level: usize) -> TagPtr<Node<K, V>> {
-        self.next(level).load()
-    }
-
-    /// Unrecorded store, for initializing an unpublished node.
-    #[inline]
-    pub(crate) fn store_next(&self, level: usize, word: TagPtr<Node<K, V>>) {
-        self.next(level).store(word);
-    }
-
-    /// Recorded maintenance CAS on `next[level]`.
-    #[inline]
-    pub(crate) fn cas_next(
-        &self,
-        level: usize,
-        current: TagPtr<Node<K, V>>,
-        new: TagPtr<Node<K, V>>,
-        ctx: &ThreadCtx,
-    ) -> Result<(), TagPtr<Node<K, V>>> {
-        let slot = self.next(level);
-        let r = slot.compare_exchange(current, new);
-        if ctx.is_recording() {
-            ctx.record_cas(self.owner(), slot.addr(), r.is_ok());
-        }
-        r
-    }
-
-    /// Unrecorded CAS, for initializing the thread's own in-flight node.
-    #[inline]
-    pub(crate) fn cas_next_raw(
-        &self,
-        level: usize,
-        current: TagPtr<Node<K, V>>,
-        new: TagPtr<Node<K, V>>,
-    ) -> Result<(), TagPtr<Node<K, V>>> {
-        self.next(level).compare_exchange(current, new)
-    }
-
-    /// Whether this node's level-`level` reference is marked.
-    #[inline]
-    pub(crate) fn is_marked(&self, level: usize) -> bool {
-        self.next(level).load().marked()
     }
 
     /// Whether the node has been linked at all its levels (lazy protocol).
@@ -540,18 +443,32 @@ impl<K, V> Node<K, V> {
             .add(std::mem::size_of::<Self>() + Self::tower_bytes(top))
     }
 
-    /// Records that this node was physically snipped out of `level`'s
-    /// list. Returns `true` for exactly one caller across the node's
-    /// lifetime: the one whose bit completed the mask over levels
+    /// Records that the node at `p` was physically snipped out of
+    /// `level`'s list. Returns `true` for exactly one caller across the
+    /// node's lifetime: the one whose bit completed the mask over levels
     /// `0..=top_level` — that caller must retire the node. Distinct levels
-    /// are snipped by (possibly) distinct threads; `fetch_or` keeps the
-    /// completing transition unique when they race.
+    /// are snipped by (possibly) distinct threads; one `fetch_or` on one
+    /// byte — `meta`'s unlink bit at height 0, the unlink word above it —
+    /// keeps the completing transition unique when they race.
+    ///
+    /// # Safety
+    ///
+    /// As for [`Node::link`].
     #[inline]
-    pub(crate) fn note_unlinked(&self, level: usize) -> bool {
-        debug_assert!(level <= self.top_level() as usize);
+    pub(crate) unsafe fn note_unlinked(p: *mut Self, level: usize) -> bool {
+        let meta = &*std::ptr::addr_of!((*p).meta);
+        let top = meta.load(Ordering::Relaxed) & META_TOP_MASK;
+        debug_assert!(level <= top as usize);
+        if top == 0 {
+            return meta.fetch_or(META_UNLINKED0, Ordering::AcqRel) & META_UNLINKED0 == 0;
+        }
+        let mask = &*p
+            .cast::<u8>()
+            .add(std::mem::size_of::<Self>())
+            .cast::<AtomicU8>();
         let bit = 1u8 << level;
-        let full = ((1u16 << (self.top_level() + 1)) - 1) as u8;
-        let prev = self.unlinked.fetch_or(bit, Ordering::AcqRel);
+        let full = ((1u16 << (top + 1)) - 1) as u8;
+        let prev = mask.fetch_or(bit, Ordering::AcqRel);
         prev & bit == 0 && prev | bit == full
     }
 
@@ -570,10 +487,9 @@ impl<K, V> Node<K, V> {
         let bits = meta.load(Ordering::Relaxed);
         debug_assert_eq!((bits & META_KIND_MASK) >> META_KIND_SHIFT, KIND_DATA);
         // Flip the kind first: from here every teardown path sees `Free`
-        // and skips the payload. The tower bit stays: the last word still
-        // holds the tower pointer.
+        // and skips the payload.
         meta.store(
-            pack_meta(KIND_FREE, bits & META_TOP_MASK, false) | (bits & META_TOWER),
+            pack_meta(KIND_FREE, bits & META_TOP_MASK, false),
             Ordering::Release,
         );
         (*std::ptr::addr_of_mut!((*p).key)).assume_init_drop();
@@ -589,30 +505,24 @@ impl<K, V> Node<K, V> {
     /// # Safety
     ///
     /// `slot` must be a free-listed slot popped by its owning thread, with
-    /// `trailing_bytes` bytes of tower + block storage directly after the
-    /// header (at least `Node::tower_bytes(header.top_level())`), and no
-    /// other thread dereferencing it (its grace period passed; the
-    /// free-list pop won the slot). The whole trailing region is re-zeroed
-    /// so a recycled slot's block starts empty, exactly like a fresh one.
+    /// `trailing_bytes` bytes of unlink word, tower and block storage
+    /// directly after the header (at least
+    /// `Node::tower_bytes(header.top_level())`), and no other thread
+    /// dereferencing it (its grace period passed; the free-list pop won the
+    /// slot). The whole trailing region is re-zeroed so a recycled slot's
+    /// unlink mask, tower and block start empty, exactly like a fresh one.
     pub(crate) unsafe fn reinit_recycled(slot: NonNull<Self>, header: Self, trailing_bytes: usize) {
         let header = ManuallyDrop::new(header);
         let p = slot.as_ptr();
-        let top = header.top_level() as usize;
-        debug_assert!(trailing_bytes >= Self::tower_bytes(top));
+        debug_assert!(trailing_bytes >= Self::tower_bytes(header.top_level() as usize));
         debug_assert_eq!(
             ((*std::ptr::addr_of!((*p).meta)).load(Ordering::Relaxed) & META_KIND_MASK)
                 >> META_KIND_SHIFT,
             KIND_FREE
         );
-        debug_assert_eq!(header.meta.load(Ordering::Relaxed) & META_TOWER, 0);
-        // The new stamp goes into the header's last word; for a tall node
-        // `attach_tower` below moves it into the stamp word the zeroing
-        // cleared.
-        std::ptr::addr_of_mut!((*p).last).write(std::ptr::read(&header.last));
         std::ptr::addr_of_mut!((*p).key).write(std::ptr::read(&header.key));
         std::ptr::addr_of_mut!((*p).value).write(std::ptr::read(&header.value));
-        std::ptr::addr_of_mut!((*p).mvec).write(header.mvec);
-        (*std::ptr::addr_of!((*p).unlinked)).store(0, Ordering::Relaxed);
+        std::ptr::addr_of_mut!((*p).origin).write(header.origin);
         // The free-list pop left its link word in `next0`; reset it.
         (*std::ptr::addr_of!((*p).next0)).store(TagPtr::null());
         if trailing_bytes > 0 {
@@ -622,10 +532,9 @@ impl<K, V> Node<K, V> {
                 trailing_bytes,
             );
         }
-        // Publish the new identity last.
+        // Publish the new identity last (its level-0 unlink bit clear).
         (*std::ptr::addr_of!((*p).meta))
             .store(header.meta.load(Ordering::Relaxed), Ordering::Release);
-        Self::attach_tower(slot);
     }
 }
 
@@ -644,8 +553,7 @@ impl<K, V> std::fmt::Debug for Node<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Node")
             .field("kind", &self.kind())
-            .field("mvec", &self.mvec())
-            .field("owner", &self.owner())
+            .field("id", &self.id())
             .field("top_level", &self.top_level())
             .finish()
     }
@@ -655,18 +563,19 @@ impl<K, V> std::fmt::Debug for Node<K, V> {
 mod tests {
     use super::*;
     use numa::arena::Arena;
-    use std::ptr::NonNull;
+
+    fn tower_arena(top_level: usize) -> Arena<Node<u64, u64>> {
+        Arena::with_layout(0, 16, Node::<u64, u64>::tower_bytes(top_level))
+    }
 
     #[test]
     fn data_node_fields() {
-        let n: Node<u64, u64> = Node::new_data(42, 7, 0b101, 3, 2, 99);
+        let n: Node<u64, u64> = Node::new_data(42, 7, 300, 2, 0x7ABC);
         assert!(n.is_data());
         assert_eq!(unsafe { *n.key() }, 42);
         assert_eq!(unsafe { *n.value() }, 7);
-        assert_eq!(n.mvec(), 0b101);
-        assert_eq!(n.owner(), 3);
+        assert_eq!((n.id(), n.stamp()), (300, 0x7ABC));
         assert_eq!(n.top_level(), 2);
-        assert_eq!(n.alloc_ts(), 99);
         assert!(!n.is_inserted());
         n.set_inserted();
         assert!(n.is_inserted());
@@ -674,36 +583,39 @@ mod tests {
         assert!(n.is_data());
         assert_eq!(n.top_level(), 2);
         // Nothing is left to finish on a node without upper levels.
-        assert!(Node::new_data(1u64, 1u64, 0, 0, 0, 0).is_inserted());
+        assert!(Node::new_data(1u64, 1u64, 0, 0, 0).is_inserted());
     }
 
     #[test]
     fn sentinels_compare_as_infinities() {
-        let h: Node<u64, ()> = Node::new_head(3, 0b11);
+        let h: Node<u64, ()> = Node::new_head(3, 0b101);
         let t: Node<u64, ()> = Node::new_tail();
         assert_eq!(h.cmp_key(&0), CmpOrdering::Less);
         assert_eq!(t.cmp_key(&u64::MAX), CmpOrdering::Greater);
         assert!(h.is_head());
         assert!(t.is_tail());
+        // Sentinels belong to thread 0; a head keeps its list suffix.
+        assert_eq!((h.id(), h.stamp(), t.id()), (0, 0b101, 0));
     }
 
     #[test]
     fn data_cmp() {
-        let n: Node<u64, ()> = Node::new_data(10, (), 0, 0, 0, 0);
+        let n: Node<u64, ()> = Node::new_data(10, (), 0, 0, 0);
         assert_eq!(n.cmp_key(&5), CmpOrdering::Greater);
         assert_eq!(n.cmp_key(&10), CmpOrdering::Equal);
         assert_eq!(n.cmp_key(&15), CmpOrdering::Less);
     }
 
     #[test]
-    fn hot_header_bytes_cross_a_line_at_three_slots_in_eight() {
+    fn a_height_zero_node_never_crosses_a_line() {
         type N = Node<u64, u64>;
-        // The whole point of the layout: the header of a u64 map node is 40
+        // The whole point of the layout: the header of a u64 map node is 32
         // bytes, and a height-0 node is exactly the header. The old
         // inline-tower layout was 96 bytes; the header with separate tower
-        // and stamp fields 48; a blocked anchor (no value) is 32.
-        assert_eq!(std::mem::size_of::<N>(), 40);
-        assert_eq!(std::mem::size_of::<Node<u64, ()>>(), 32);
+        // and stamp fields 48, with the two in one word 40; a blocked
+        // anchor (no value) is 24.
+        assert_eq!(std::mem::size_of::<N>(), 32);
+        assert_eq!(std::mem::size_of::<Node<u64, ()>>(), 24);
         assert_eq!(std::mem::align_of::<N>(), 8);
         // What an index-served read touches: generation, metadata, key,
         // level-0 word and value, bytes 0..29.
@@ -717,66 +629,57 @@ mod tests {
         let start = hot.iter().map(|&(at, _)| at).min().unwrap();
         let end = hot.iter().map(|&(at, len)| at + len).max().unwrap();
         assert_eq!((start, end), (0, 29));
-        // Height-0 slots start at line offsets 0, 40, 16, 56, 32, 8, 48, 24
-        // of a 64-byte aligned chunk; the hot bytes cross a line at three
-        // of the eight (40, 56 and 48).
+        // Height-0 slots start at line offsets 0 and 32 of a 64-byte
+        // aligned chunk: no node, hot bytes or not, crosses a line.
         let crossing = (0..8)
             .map(|i| i * std::mem::size_of::<N>() % 64)
-            .filter(|&at| at / 64 != (at + end - 1) / 64)
+            .filter(|&at| at / 64 != (at + std::mem::size_of::<N>() - 1) / 64)
             .count();
-        assert_eq!(crossing, 3);
-        // Tower slots can be appended without padding.
+        assert_eq!(crossing, 0);
+        // The unlink word and tower slots follow without padding.
         assert_eq!(
             std::mem::size_of::<N>() % std::mem::align_of::<TaggedAtomic<N>>(),
             0
         );
-        // No trailing bytes at height 0; above it the stamp word and the
-        // tower, so a class-`h` slot keeps the 48 + 8h bytes it had.
+        // No trailing bytes at height 0; above it the unlink word and the
+        // tower, so a class-`h` slot is the header + 8 + 8h bytes.
         assert_eq!(N::tower_bytes(0), 0);
         assert_eq!(N::tower_bytes(7), 64);
         for h in 1..MAX_HEIGHT {
-            assert_eq!(std::mem::size_of::<N>() + N::tower_bytes(h), 48 + 8 * h);
+            assert_eq!(std::mem::size_of::<N>() + N::tower_bytes(h), 40 + 8 * h);
         }
-    }
-
-    fn tower_arena(top_level: usize) -> Arena<Node<u64, u64>> {
-        Arena::with_layout(0, 16, Node::<u64, u64>::tower_bytes(top_level))
     }
 
     #[test]
-    fn attached_tower_slots_start_null_and_are_independent() {
+    fn tower_slots_start_null_and_are_independent() {
         let arena = tower_arena(3);
-        let node = arena.alloc(Node::new_data(1, 1, 0, 0, 3, 0));
-        unsafe { Node::attach_tower(node) };
-        let n = unsafe { node.as_ref() };
-        let probe = arena.alloc(Node::new_data(2, 2, 0, 0, 3, 0));
-        unsafe { Node::attach_tower(probe) };
+        let node = arena.alloc(Node::new_data(1, 1, 0, 3, 0)).as_ptr();
+        let probe = arena.alloc(Node::new_data(2, 2, 0, 3, 0)).as_ptr();
+        let link = |level| unsafe { Node::link(node, level) };
         for level in 0..=3usize {
-            assert!(
-                n.load_next_raw(level).ptr().is_null(),
-                "level {level} not null"
-            );
+            assert!(link(level).load().ptr().is_null(), "level {level} not null");
         }
-        // Stores at each level land in distinct slots.
+        // Stores at each level land in distinct slots, at the fixed offset.
         for level in 0..=3usize {
-            n.store_next(level, TagPtr::clean(probe.as_ptr()));
+            link(level).store(TagPtr::clean(probe));
         }
         for level in 0..=3usize {
-            assert_eq!(n.load_next_raw(level).ptr(), probe.as_ptr());
+            assert_eq!(link(level).load().ptr(), probe);
         }
-        // ...and did not leak into the neighboring slot's header.
-        assert!(unsafe { probe.as_ref() }.load_next_raw(0).ptr().is_null());
+        assert_eq!(link(1).addr(), node as usize + 40);
+        assert_eq!(link(3).addr(), node as usize + 56);
+        // ...and did not leak into the neighbouring slot's header.
+        assert!(unsafe { &*probe }.next0().load().ptr().is_null());
     }
 
     #[test]
     fn height_zero_node_needs_no_tower() {
         let arena = tower_arena(0);
-        let node = arena.alloc(Node::new_data(9, 9, 0, 0, 0, 0));
-        unsafe { Node::attach_tower(node) };
+        let node = arena.alloc(Node::new_data(9, 9, 0, 0, 0));
         let n = unsafe { node.as_ref() };
-        assert!(n.load_next_raw(0).ptr().is_null());
-        n.store_next(0, TagPtr::clean(node.as_ptr()));
-        assert_eq!(n.load_next_raw(0).ptr(), node.as_ptr());
+        assert!(n.next0().load().ptr().is_null());
+        n.next0().store(TagPtr::clean(node.as_ptr()));
+        assert_eq!(n.next0().load().ptr(), node.as_ptr());
     }
 
     #[cfg(debug_assertions)]
@@ -784,30 +687,19 @@ mod tests {
     #[should_panic(expected = "above tower height")]
     fn out_of_height_slot_access_is_caught() {
         let arena = tower_arena(2);
-        let node = arena.alloc(Node::new_data(1u64, 1u64, 0, 0, 2, 0));
-        unsafe { Node::attach_tower(node) };
-        let _ = unsafe { node.as_ref() }.load_next_raw(3);
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "tower not attached")]
-    fn unattached_tower_access_is_caught() {
-        let n: Node<u64, u64> = Node::new_data(1, 1, 0, 0, 2, 0);
-        let _ = n.load_next_raw(1);
+        let node = arena.alloc(Node::new_data(1u64, 1u64, 0, 2, 0));
+        let _ = unsafe { Node::link(node.as_ptr(), 3) };
     }
 
     #[test]
     fn cas_through_tower_slot() {
         let arena = tower_arena(1);
-        let node = arena.alloc(Node::new_data(1u64, 1u64, 0, 0, 1, 0));
-        unsafe { Node::attach_tower(node) };
-        let n = unsafe { node.as_ref() };
-        let word = TagPtr::clean(node.as_ptr());
-        assert!(n.cas_next_raw(1, TagPtr::null(), word).is_ok());
-        assert_eq!(n.load_next_raw(1).ptr(), node.as_ptr());
-        assert!(n.cas_next_raw(1, TagPtr::null(), word).is_err());
-        let _ = NonNull::from(n);
+        let node = arena.alloc(Node::new_data(1u64, 1u64, 0, 1, 0)).as_ptr();
+        let slot = unsafe { Node::link(node, 1) };
+        let word = TagPtr::clean(node);
+        assert!(slot.compare_exchange(TagPtr::null(), word).is_ok());
+        assert_eq!(slot.load().ptr(), node);
+        assert!(slot.compare_exchange(TagPtr::null(), word).is_err());
     }
 
     #[test]
@@ -838,7 +730,7 @@ mod tests {
             }
         }
         DROPS.store(0, Ordering::SeqCst);
-        drop(Node::new_data(D, D, 0, 0, 0, 0));
+        drop(Node::new_data(D, D, 0, 0, 0));
         assert_eq!(DROPS.load(Ordering::SeqCst), 2);
         DROPS.store(0, Ordering::SeqCst);
         drop(Node::<D, D>::new_head(0, 0));
@@ -852,36 +744,47 @@ mod tests {
     }
 
     #[test]
-    fn unlink_mask_completes_exactly_once() {
-        let n: Node<u64, u64> = Node::new_data(1, 1, 0, 0, 2, 0);
-        assert!(!n.note_unlinked(2));
-        assert!(!n.note_unlinked(0));
-        // Duplicate snip reports never complete the mask a second time.
-        assert!(!n.note_unlinked(0));
-        assert!(n.note_unlinked(1), "last missing level completes the mask");
-        assert!(!n.note_unlinked(1));
-        // Height-0 nodes complete on their single level.
-        let z: Node<u64, u64> = Node::new_data(2, 2, 0, 0, 0, 0);
-        assert!(z.note_unlinked(0));
-        assert!(!z.note_unlinked(0));
+    fn an_unlink_is_reported_once_at_every_height() {
+        for h in 0..MAX_HEIGHT {
+            let arena = tower_arena(h);
+            let node = arena.alloc(Node::new_data(1, 1, 0, h as u8, 0)).as_ptr();
+            let mut completed = 0;
+            // Levels reported top-down, each twice: duplicate snip reports
+            // never complete the mask a second time.
+            for level in (0..=h).rev() {
+                for _ in 0..2 {
+                    if unsafe { Node::note_unlinked(node, level) } {
+                        completed += 1;
+                        assert_eq!(level, 0, "only the last missing level completes");
+                    }
+                }
+            }
+            assert_eq!(completed, 1, "height {h}");
+            // The mask bits moved no other state.
+            let n = unsafe { &*node };
+            assert!(n.is_data() && n.top_level() as usize == h);
+            assert_eq!(n.is_inserted(), h == 0);
+        }
     }
 
     #[test]
     fn recycled_slot_keeps_generation_and_new_identity() {
         let arena = tower_arena(2);
-        let node = arena.alloc(Node::new_data(5u64, 50u64, 0b11, 1, 2, 7));
-        unsafe { Node::attach_tower(node) };
+        let node = arena.alloc(Node::new_data(5u64, 50u64, 1, 2, 7));
         assert_eq!(unsafe { Node::generation_of(node) }, 0);
         unsafe { node.as_ref() }.bump_generation();
         assert_eq!(unsafe { Node::generation_of(node) }, 1);
         unsafe {
+            for level in 0..=2 {
+                Node::note_unlinked(node.as_ptr(), level);
+            }
             Node::release_payload(node);
             assert_eq!(node.as_ref().kind(), NodeKind::Free);
             // Simulate the free-list link parking a pointer in next0.
-            node.as_ref().store_next(0, TagPtr::clean(node.as_ptr()));
+            node.as_ref().next0().store(TagPtr::clean(node.as_ptr()));
             Node::reinit_recycled(
                 node,
-                Node::new_data(9u64, 90u64, 0b01, 2, 2, 8),
+                Node::new_data(9u64, 90u64, 2, 2, 8),
                 Node::<u64, u64>::tower_bytes(2),
             )
         };
@@ -889,19 +792,15 @@ mod tests {
         assert!(n.is_data());
         assert_eq!(unsafe { *n.key() }, 9);
         assert_eq!(unsafe { *n.value() }, 90);
-        assert_eq!(n.mvec(), 0b01);
-        assert_eq!(n.owner(), 2);
-        assert_eq!(n.alloc_ts(), 8);
+        assert_eq!((n.id(), n.stamp()), (2, 8));
         assert!(!n.is_inserted());
         assert_eq!(n.generation(), 1, "reinit must not reset the generation");
         for level in 0..=2usize {
-            assert!(
-                n.load_next_raw(level).ptr().is_null(),
-                "level {level} not reset"
-            );
+            let w = unsafe { Node::link(node.as_ptr(), level) }.load();
+            assert!(w.ptr().is_null(), "level {level} not reset");
         }
         assert!(
-            !n.note_unlinked(0),
+            !unsafe { Node::note_unlinked(node.as_ptr(), 0) },
             "unlinked mask must be cleared by reinit"
         );
     }
@@ -935,8 +834,7 @@ mod tests {
         DROPS.store(0, Ordering::SeqCst);
         {
             let arena: Arena<Node<D, D>> = Arena::with_layout(0, 4, 0);
-            let node = arena.alloc(Node::new_data(D(0), D(1), 0, 0, 0, 0));
-            unsafe { Node::attach_tower(node) };
+            let node = arena.alloc(Node::new_data(D(0), D(1), 0, 0, 0));
             unsafe { Node::release_payload(node) };
             assert_eq!(
                 DROPS.load(Ordering::SeqCst),
@@ -946,5 +844,56 @@ mod tests {
         }
         // Arena teardown saw a Free slot and did not double-drop.
         assert_eq!(DROPS.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn a_commission_counts_only_the_units_that_surely_passed() {
+        const S: u32 = 17;
+        let unit = 1u64 << S;
+        // Stamped in the last cycle of unit 5.
+        let born = 6 * unit - 1;
+        let stamp = (born >> S) as u32;
+        let commission = unit + 5;
+        // Two units apart by the stamps, but only unit + 2 cycles passed: a
+        // compare of whole elapsed units (`2 << 17 > commission`) would
+        // retire the node here, earlier than the exact clock allows.
+        assert!(!commission_expired_at(stamp, 7 * unit + 1, commission, S));
+        // Three units apart: at least 2 units + 1 cycle passed.
+        assert!(commission_expired_at(stamp, 8 * unit, commission, S));
+        // A stamp 2^15 units (2^32 cycles) old reads as fresh: postponed.
+        assert!(!commission_expired_at(
+            stamp,
+            born + (1 << 32),
+            commission,
+            S
+        ));
+        // A zero commission retires at once at unit resolution; exact
+        // steps (shift 0) still need one step, as the exact rule does.
+        assert!(commission_expired_at(stamp, born, 0, S));
+        assert!(!commission_expired_at(5, 5, 0, 0));
+        assert!(commission_expired_at(5, 6, 0, 0));
+        // Exhaustively, at a small unit: never earlier than the exact rule
+        // (elapsed > commission), and at most two units later.
+        let shift = 4;
+        for born in 0..64u64 {
+            for elapsed in 0..300u64 {
+                for commission in [1, 15, 16, 17, 40, 100] {
+                    let stamp = (born >> shift) as u32;
+                    let expired = commission_expired_at(stamp, born + elapsed, commission, shift);
+                    assert!(
+                        !expired || elapsed > commission,
+                        "{born} {elapsed} {commission}"
+                    );
+                    assert!(expired || elapsed <= commission + (2 << shift));
+                }
+            }
+        }
+        // Exact steps keep the exact rule below the wrap.
+        for elapsed in 0..200u64 {
+            for commission in 1..100 {
+                let expired = commission_expired_at(1000, 1000 + elapsed, commission, 0);
+                assert_eq!(expired, elapsed > commission);
+            }
+        }
     }
 }

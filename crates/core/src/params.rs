@@ -53,9 +53,10 @@ pub struct GraphConfig {
     /// is one slot array that starts at four slots and doubles in place,
     /// lock-free, under load.
     pub hash_index: bool,
-    /// NUMA-ownership override: when set, every node allocated in this
-    /// structure is tagged as owned by this thread (and recycled into its
-    /// arena bank) instead of the allocating thread. Set by
+    /// NUMA-ownership override: when set, every data node of this
+    /// structure is attributed to this thread instead of the allocating
+    /// thread (a reclaimed slot still goes back to the allocating thread's
+    /// bank: the node records only that thread's id). Set by
     /// `ReplicatedLayeredMap::new` alone: a replica's memory belongs to
     /// the replica's socket no matter which thread happens to replay an
     /// operation into it. `None` keeps allocating-thread ownership.
@@ -71,7 +72,7 @@ impl GraphConfig {
     ///
     /// Panics if `threads` is 0 or exceeds 512 (the inline tower height
     /// supports `MaxLevel <= 7`, i.e. up to 2^9 threads by the paper's
-    /// formula; ownership tags are 16-bit).
+    /// formula; a node records its allocating thread in 9 bits).
     pub fn new(threads: usize) -> Self {
         assert!(threads > 0, "need at least one thread");
         assert!(threads <= 512, "supported thread count is 1..=512");
@@ -155,8 +156,8 @@ impl GraphConfig {
         self
     }
 
-    /// Tags every node allocated in this structure as owned by `thread`
-    /// (see the `owner_tag` field).
+    /// Attributes every data node of this structure to `thread` (see the
+    /// `owner_tag` field).
     ///
     /// # Panics
     ///

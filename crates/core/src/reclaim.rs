@@ -351,9 +351,7 @@ mod tests {
     }
 
     fn data(a: &Arena<Node<u64, u64>>, k: u64) -> NonNull<Node<u64, u64>> {
-        let n = a.alloc(Node::new_data(k, k, 0, 0, 0, 0));
-        unsafe { Node::attach_tower(n) };
-        n
+        a.alloc(Node::new_data(k, k, 0, 0, 0))
     }
 
     #[test]

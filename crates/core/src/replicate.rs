@@ -299,9 +299,10 @@ impl<K: Ord + Hash + Clone, V> ReplicatedLayeredMap<K, V> {
             .map(|r| {
                 // Per-socket placement: replica `r`'s memory belongs to
                 // socket `r` no matter which thread replays into it, so
-                // its nodes carry the socket's first thread as ownership
-                // tag (locality attribution + recycle destination). A
-                // thread-less socket keeps allocating-thread ownership.
+                // its nodes are attributed to the socket's first thread
+                // (its `owner_tag`; a reclaimed slot still returns to the
+                // bank of the thread that replayed it). A thread-less
+                // socket keeps allocating-thread ownership.
                 let rep = (0..rcfg.threads()).find(|&t| rcfg.socket_of(t as u16) == r);
                 let cfg = match rep {
                     Some(t) => config.clone().owner_tag(t as u16),

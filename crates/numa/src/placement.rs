@@ -45,7 +45,6 @@ pub struct Assignment {
 #[derive(Debug, Clone)]
 pub struct Placement {
     assignments: Vec<Assignment>,
-    num_nodes: usize,
 }
 
 impl Placement {
@@ -99,10 +98,7 @@ impl Placement {
                 }
             })
             .collect();
-        Self {
-            assignments,
-            num_nodes: topo.num_nodes(),
-        }
+        Self { assignments }
     }
 
     /// Number of thread slots.
@@ -135,17 +131,12 @@ impl Placement {
         self.assignments.iter().map(|a| a.numa_node).collect()
     }
 
-    /// Number of NUMA nodes in the underlying topology.
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
     /// Number of NUMA nodes that actually host at least one thread slot.
     ///
     /// With few threads a multi-socket machine fills only its first
     /// socket(s); replica-per-socket layers size themselves off this
-    /// (one replica per *populated* node) rather than [`Self::num_nodes`],
-    /// so an idle socket doesn't pay for a replica nobody reads.
+    /// (one replica per *populated* node) rather than the topology's node
+    /// count, so an idle socket doesn't pay for a replica nobody reads.
     pub fn distinct_nodes(&self) -> usize {
         let mut nodes: Vec<usize> = self.assignments.iter().map(|a| a.numa_node).collect();
         nodes.sort_unstable();
@@ -227,7 +218,6 @@ mod tests {
         // 48 threads fit socket 0 of the paper machine; 96 span both.
         assert_eq!(Placement::new(&paper(), 48).distinct_nodes(), 1);
         assert_eq!(Placement::new(&paper(), 96).distinct_nodes(), 2);
-        assert_eq!(Placement::new(&paper(), 96).num_nodes(), 2);
     }
 
     #[test]

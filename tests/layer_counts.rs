@@ -337,6 +337,44 @@ fn ascending_inserts_split_blocks_in_half() {
     assert_eq!((stats.anchors, stats.entries), (1_023, KEYS as usize));
 }
 
+/// The benchmark's `scan_short` memory reading, taken as it takes it: two
+/// handles load 2^16 scattered keys and then 512 private keys each, turn
+/// about, into a cap-8 blocked map. Every node slot the map carved is then
+/// a live anchor, a slot on a free list, or a retired node waiting out its
+/// grace period: nothing leaks. The bytes per key it prints count the free
+/// slots too — a split's old anchor goes back to the bank of the thread
+/// that built it, where it waits for that thread's next allocation — and
+/// that is what moves the benchmark's reading from map to map
+/// (EXPERIMENTS "Where `scan_short`'s bytes per key go").
+#[test]
+fn a_blocked_preload_keeps_every_slot_live_free_or_in_limbo() {
+    const KEYS: u64 = 1 << 16;
+    const CHURN: u64 = 512;
+    const SCATTER: u64 = 0x9E37_79B1_85EB_CA87;
+    let map = BlockedSkipMap::new(block_config(2), BLOCK_CAP);
+    let mut handles = pin_all(&map, 0..2, None);
+    for rank in 0..KEYS {
+        assert!(handles[rank as usize % 2].insert((2 * rank).wrapping_mul(SCATTER), rank));
+    }
+    for i in 0..2 * CHURN {
+        assert!(handles[i as usize % 2].insert((2 * i + 1).wrapping_mul(SCATTER), i));
+    }
+    drop(handles);
+    let ctx = ThreadCtx::plain(0);
+    let (stats, mem) = (map.stats(&ctx), map.shared().memory_stats(&ctx));
+    println!(
+        "blocked preload: {:.2} B/key over {} entries; {} slots = {} anchors + {} free + {} in limbo",
+        stats.bytes_per_key, stats.entries, mem.allocated, stats.anchors, mem.free_slots,
+        mem.limbo_nodes
+    );
+    assert_eq!(stats.entries as u64, KEYS + 2 * CHURN);
+    assert_eq!(
+        mem.allocated,
+        stats.anchors + mem.free_slots + mem.limbo_nodes
+    );
+    assert!(mem.free_slots > 0, "splits free their old anchors");
+}
+
 /// A remove keeps its slot's claim, so a re-insert claims a fresh slot,
 /// the same pair included. The claims are read off the split: fresh keys
 /// fill a block's free slots one each, and the insert after the last free
