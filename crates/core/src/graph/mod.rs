@@ -18,8 +18,9 @@
 //! one invariant: a node reached under a reclamation pin, whose generation
 //! has not moved, stays readable while the pin lasts. The layers above
 //! read nodes only through the references the core hands out bounded by a
-//! pin: `NodeRef::node`, `SearchResult::hit` / `pred`, `DataRef::of_entry`
-//! and the pinned `LevelWalk` (ARCHITECTURE §13).
+//! pin: `NodeRef::node`, `SearchResult::hit`, `DataRef::of_entry` and the
+//! pinned `LevelWalk` (ARCHITECTURE §13). Tower words are reached only from
+//! slot pointers, through `link`.
 
 mod arenas;
 mod block;
@@ -242,7 +243,7 @@ impl<K, V> std::ops::Deref for DataRef<'_, K, V> {
 
 /// Result of a search: per-level predecessors, the captured predecessor
 /// references (`middle`), and successors, as in Alg. 5, valid under the
-/// pin the search ran under ([`SearchResult::hit`] and `pred` hand them
+/// pin the search ran under ([`SearchResult::hit`] hands the found node
 /// out bounded by it).
 pub(crate) struct SearchResult<K, V> {
     pub preds: [NodePtr<K, V>; MAX_HEIGHT],
@@ -1052,6 +1053,8 @@ impl<K: Ord, V> SkipGraph<K, V> {
         for level in 0..=self.config.max_level {
             for suffix in 0..(1u32 << level) {
                 let mut p = self.heads[head_index(level, suffix)];
+                // SAFETY: heads live as long as the graph; a head keeps its
+                // list suffix where a data node keeps its stamp.
                 if unsafe { &*p }.stamp() != suffix {
                     return Err(format!("level {level}/{suffix}: head of another list"));
                 }
