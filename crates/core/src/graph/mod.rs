@@ -276,22 +276,16 @@ impl<K, V> SearchResult<K, V> {
         self.found.then(|| DataRef::new(self.succs[0]))
     }
 
-    /// The level-`level` predecessor (a head or a data node) of a search
-    /// that filled that level.
-    fn pred<'p>(&self, level: usize, _pin: &'p PinGuard<'_, K, V>) -> &'p Node<K, V> {
-        debug_assert!(
-            !self.preds[level].is_null(),
-            "the search did not fill level {level}"
-        );
-        // SAFETY: a search reached its non-null predecessors under `pin`.
-        unsafe { &*self.preds[level] }
-    }
-
     /// The level-`level` data predecessor with the generation the search
     /// captured, for a later operation to revalidate as a hint.
-    pub(crate) fn pred_ref(&self, level: usize, pin: &PinGuard<'_, K, V>) -> Option<NodeRef<K, V>> {
+    pub(crate) fn pred_ref(
+        &self,
+        level: usize,
+        _pin: &PinGuard<'_, K, V>,
+    ) -> Option<NodeRef<K, V>> {
         let ptr = NonNull::new(self.preds[level])?;
-        self.pred(level, pin).is_data().then_some(NodeRef {
+        // SAFETY: a search reached its non-null predecessors under `pin`.
+        unsafe { ptr.as_ref() }.is_data().then_some(NodeRef {
             ptr,
             gen: self.pred_gens[level],
         })
