@@ -383,7 +383,7 @@ where
         let mut anchors = 0usize;
         let mut entries = 0usize;
         for node in self.graph.walk((0, 0), ctx, |_| None) {
-            if !self.graph.load_next(node.ptr(), 0, ctx).marked() {
+            if !node.load0(&self.graph, ctx).marked() {
                 anchors += 1;
                 let blk = unsafe { self.blk(node.ptr) };
                 entries += present_bits(blk.control().load()).count_ones() as usize;
@@ -423,7 +423,7 @@ where
         let mut last_key: Option<K> = None;
         let mut first_block = true;
         for node in self.graph.walk((0, 0), ctx, |_| None) {
-            let w0 = self.graph.load_next(node.ptr(), 0, ctx);
+            let w0 = node.load0(&self.graph, ctx);
             if w0.marked() {
                 let key = node.key();
                 return Err(format!("marked anchor {key:?} still linked at quiescence"));

@@ -23,7 +23,8 @@ use super::storage::{
     PREFIX_SHIFT,
 };
 use super::{BNode, BPtr, BSearch, BlockedSkipMap};
-use crate::graph::{link, SearchResult};
+use crate::graph::{DataRef, SearchResult};
+use crate::node::Node;
 use crate::sync::TagPtr;
 use instrument::ThreadCtx;
 use std::cmp::Ordering as CmpOrdering;
@@ -82,14 +83,18 @@ where
                     n
                 }
             };
-            link(node.as_ptr(), 0).store(TagPtr::clean(succ));
-            if self
-                .graph
-                .cas_next(res.preds[0], 0, m0, m0.with_ptr(node.as_ptr()), ctx)
-                .is_ok()
-            {
+            // SAFETY: `node` is this call's fresh anchor, and `res` a search
+            // under the caller's pin; once linked, the pin keeps the anchor.
+            let linked = unsafe {
+                Node::link(node.as_ptr(), 0).store(TagPtr::clean(succ));
+                self.graph
+                    .cas_next(res.preds[0], 0, m0, m0.with_ptr(node.as_ptr()), ctx)
+                    .is_ok()
+                    .then(|| DataRef::new(node.as_ptr()))
+            };
+            if let Some(linked) = linked {
                 pending = None;
-                self.graph.link_upper(node, &mut res, ctx, || None);
+                self.graph.link_upper(linked, &mut res, ctx, || None);
                 self.record_linked(node, ctx);
                 break true;
             }
@@ -121,7 +126,8 @@ where
         let m = slot_mask(n);
         blk.control()
             .store(m | (m << CLAIMED_SHIFT) | (n << PREFIX_SHIFT));
-        link(node.as_ptr(), 0).store(next);
+        // SAFETY: a fresh slot.
+        unsafe { Node::link(node.as_ptr(), 0) }.store(next);
         node
     }
 
@@ -146,8 +152,11 @@ where
 
         // (b) Mark the tower top-down, then level 0; after the level-0
         // mark the anchor's successor is stable.
-        self.graph.mark_upper(anchor.as_ptr(), ctx);
-        self.graph.help_mark(anchor.as_ptr(), 0, ctx);
+        // SAFETY: the anchor was reached under the caller's pin.
+        unsafe {
+            self.graph.mark_upper(anchor.as_ptr(), ctx);
+            self.graph.help_mark(anchor.as_ptr(), 0, ctx);
+        }
         let succ0 = f.next0().load().ptr();
 
         // (c) Resolve the canonical replacement through the forward word:
@@ -207,29 +216,33 @@ where
                 continue;
             };
             loop {
-                let w0 = self.graph.load_next(p, 0, ctx);
-                if w0.ptr() == anchor.as_ptr() {
-                    if w0.marked() {
-                        // The predecessor is itself a dying frozen anchor;
-                        // its replacement will take over the reference to
-                        // us, so help it first and descend again.
-                        debug_assert!(unsafe { &*p }.is_data());
-                        self.help_split(unsafe { NonNull::new_unchecked(p) }, ctx);
-                    } else if self
-                        .graph
-                        .cas_next(p, 0, w0, w0.with_ptr(target), ctx)
-                        .is_ok()
-                    {
-                        break 'install true;
+                // SAFETY: `p` is the carried predecessor or a node a level-0
+                // reference named, all reached under the caller's pin.
+                unsafe {
+                    let w0 = self.graph.load_next(p, 0, ctx);
+                    if w0.ptr() == anchor.as_ptr() {
+                        if w0.marked() {
+                            // The predecessor is itself a dying frozen anchor;
+                            // its replacement will take over the reference to
+                            // us, so help it first and descend again.
+                            debug_assert!((*p).is_data());
+                            self.help_split(NonNull::new_unchecked(p), ctx);
+                        } else if self
+                            .graph
+                            .cas_next(p, 0, w0, w0.with_ptr(target), ctx)
+                            .is_ok()
+                        {
+                            break 'install true;
+                        }
+                        res = descend();
+                        continue 'install;
                     }
-                    res = descend();
-                    continue 'install;
+                    // Non-null, reached under our pin. The tail is greater than any key.
+                    if w0.ptr().is_null() || (*w0.ptr()).cmp_key(key).is_gt() {
+                        break 'install false; // already installed by another helper
+                    }
+                    p = w0.ptr();
                 }
-                // SAFETY: non-null, reached under our pin. The tail is greater than any key.
-                if w0.ptr().is_null() || unsafe { &*w0.ptr() }.cmp_key(key).is_gt() {
-                    break 'install false; // already installed by another helper
-                }
-                p = w0.ptr();
             }
         };
 
@@ -246,8 +259,11 @@ where
 
         // (e) Winner duties. The dead anchor's generation must move so
         // cached block hints go stale: its retirement bumps it.
-        self.graph
-            .note_unlinked_chain(anchor.as_ptr(), succ0, 0, ctx);
+        // SAFETY: the install CAS just unlinked the pinned anchor.
+        unsafe {
+            self.graph
+                .note_unlinked_chain(anchor.as_ptr(), succ0, 0, ctx)
+        };
         self.unlink_upper(anchor, &mut res, ctx);
 
         // The install winner links the replacement *chain* — one or two
@@ -269,7 +285,8 @@ where
             };
             let mut cur = n1;
             loop {
-                let w = link(cur.as_ptr(), 0).load();
+                // SAFETY: installed chain blocks, reached under our pin.
+                let w = unsafe { Node::link(cur.as_ptr(), 0) }.load();
                 self.link_replacement(cur, mvec, &mut res, ctx);
                 self.record_linked(cur, ctx);
                 if w.marked() || w.ptr().is_null() || w.ptr() == succ0 {
@@ -305,23 +322,28 @@ where
         res: &mut BSearch<K>,
         ctx: &ThreadCtx,
     ) {
-        let n = unsafe { node.as_ref() };
+        // SAFETY: an installed block, reached under the caller's pin.
+        let n = unsafe { DataRef::new(node.as_ptr()) };
         let top = n.top_level() as usize;
         if top == 0 {
             return; // height 0 is born `inserted` (`Node::new_data`)
         }
-        let key = unsafe { n.key() };
-        // SAFETY: a full descent leaves no entry null, and the caller's pin covers them.
-        let carried = self.graph.mvec_of(n) == dead_mvec
-            && link(node.as_ptr(), 1).load().ptr().is_null()
+        let key = n.key();
+        // SAFETY: the block's tower reaches level 1 (`top > 0`), a full
+        // descent leaves no entry null, and the caller's pin covers them.
+        let carried = self.graph.mvec_of(&n) == dead_mvec
+            && unsafe { Node::link(node.as_ptr(), 1) }
+                .load()
+                .ptr()
+                .is_null()
             && (1..=top).all(|l| unsafe {
                 (*res.preds[l]).cmp_key(key).is_lt() && (*res.succs[l]).cmp_key(key).is_ge()
             });
         if !carried {
             // An empty result makes `link_upper` search for the block itself.
             self.graph
-                .link_upper(node, &mut SearchResult::empty(), ctx, || None);
-        } else if self.graph.link_upper(node, res, ctx, || None) {
+                .link_upper(n, &mut SearchResult::empty(), ctx, || None);
+        } else if self.graph.link_upper(n, res, ctx, || None) {
             // (Where `link_upper` searched again, `succs[l]` names the block.)
             for l in (1..=top).filter(|&l| res.succs[l] != node.as_ptr()) {
                 res.preds[l] = node.as_ptr();
@@ -347,54 +369,60 @@ where
     /// carried reference is written back, so `res` stays a true search
     /// result for `link_replacement`.
     fn unlink_upper(&self, anchor: NonNull<BNode<K>>, res: &mut BSearch<K>, ctx: &ThreadCtx) {
-        let f = unsafe { anchor.as_ref() };
-        let key = unsafe { f.key() };
-        let mvec = self.graph.mvec_of(f);
+        // SAFETY: the anchor was reached under the caller's pin.
+        let f = unsafe { DataRef::new(anchor.as_ptr()) };
+        let key = f.key();
+        let mvec = self.graph.mvec_of(&f);
         let descend = || self.graph.search_from(key, mvec, None, false, ctx);
         for level in 1..=f.top_level() as usize {
             // The anchor is fully marked, so its level reference is frozen.
-            debug_assert!(link(anchor.as_ptr(), level).load().marked());
+            debug_assert!(f.is_marked(level));
             'level: loop {
                 let Some(mut p) = res.carried_pred(level) else {
                     *res = descend();
                     continue;
                 };
                 loop {
-                    let w = self.graph.load_next(p, level, ctx);
-                    if w.ptr().is_null() {
-                        break 'level;
-                    }
-                    if w.marked() {
-                        // `pred` died under our feet; a fresh descent stops
-                        // before it, so the next pass excises it first.
-                        *res = descend();
-                        continue 'level;
-                    }
-                    let nref = unsafe { &*w.ptr() };
-                    if nref.is_tail() || nref.cmp_key(key) == CmpOrdering::Greater {
-                        break 'level; // not on this level (anymore)
-                    }
-                    let nw = link(w.ptr(), level).load();
-                    if nref.is_data() && nw.marked() {
-                        // A dying anchor (ours or another's): its marked
-                        // reference is frozen, so splice it out here.
-                        let splice = w.with_ptr(nw.ptr());
-                        if self.graph.cas_next(p, level, w, splice, ctx).is_err() {
+                    // SAFETY: `p` is the carried predecessor or a node a
+                    // level reference named, all reached under the caller's
+                    // pin.
+                    unsafe {
+                        let w = self.graph.load_next(p, level, ctx);
+                        if w.ptr().is_null() {
+                            break 'level;
+                        }
+                        if w.marked() {
+                            // `pred` died under our feet; a fresh descent stops
+                            // before it, so the next pass excises it first.
                             *res = descend();
                             continue 'level;
                         }
-                        self.graph
-                            .note_unlinked_chain(w.ptr(), nw.ptr(), level, ctx);
-                        if p == res.preds[level] && w == res.middles[level] {
-                            // The rest of that frozen chain still ends at `succs[level]`.
-                            res.middles[level] = w.with_ptr(nw.ptr());
+                        let nref = &*w.ptr();
+                        if nref.is_tail() || nref.cmp_key(key) == CmpOrdering::Greater {
+                            break 'level; // not on this level (anymore)
                         }
-                        if w.ptr() == anchor.as_ptr() {
-                            break 'level;
+                        let nw = Node::link(w.ptr(), level).load();
+                        if nref.is_data() && nw.marked() {
+                            // A dying anchor (ours or another's): its marked
+                            // reference is frozen, so splice it out here.
+                            let splice = w.with_ptr(nw.ptr());
+                            if self.graph.cas_next(p, level, w, splice, ctx).is_err() {
+                                *res = descend();
+                                continue 'level;
+                            }
+                            self.graph
+                                .note_unlinked_chain(w.ptr(), nw.ptr(), level, ctx);
+                            if p == res.preds[level] && w == res.middles[level] {
+                                // The rest of that frozen chain still ends at `succs[level]`.
+                                res.middles[level] = w.with_ptr(nw.ptr());
+                            }
+                            if w.ptr() == anchor.as_ptr() {
+                                break 'level;
+                            }
+                            continue; // keep walking from `pred`
                         }
-                        continue; // keep walking from `pred`
+                        p = w.ptr();
                     }
-                    p = w.ptr();
                 }
             }
         }

@@ -200,14 +200,16 @@ where
                 // points at its replacements).
                 let blk = unsafe { self.map.blk(NonNull::new_unchecked(self.cur)) };
                 let w = blk.control().load();
-                let next = self.map.graph.load_next(self.cur, 0, self.ctx).ptr();
+                // SAFETY: `cur` was reached under the scan's pin.
+                let next = unsafe { self.map.graph.load_next(self.cur, 0, self.ctx) }.ptr();
                 // The next block's lines arrive while this one drains.
                 prefetch_lines(next.cast(), self.lines);
                 self.len = blk.sorted_entries(w, &mut self.buf).len();
                 self.pos = 0;
                 self.cur = next;
             } else {
-                self.cur = self.map.graph.load_next(self.cur, 0, self.ctx).ptr();
+                // SAFETY: as above.
+                self.cur = unsafe { self.map.graph.load_next(self.cur, 0, self.ctx) }.ptr();
             }
         }
     }

@@ -59,8 +59,9 @@
 //! against an unfrozen word proves coverage).
 
 use super::{BNode, BPtr, BSearch, BlockedSkipMap};
-use crate::graph::{link, DataRef, NodeRef, PinGuard};
+use crate::graph::{DataRef, NodeRef, PinGuard};
 use crate::local::BTreeLocalMap;
+use crate::node::Node;
 use crate::sync::Padded;
 use instrument::ThreadCtx;
 use std::cmp::Ordering as CmpOrdering;
@@ -128,8 +129,9 @@ impl<K: Ord + Copy> LocalAnchors<K> {
     /// sweeps out every entry whose generation moved once the map has
     /// doubled since the last sweep.
     fn record(&mut self, anchor: NonNull<BNode<K>>) {
-        let akey = *unsafe { anchor.as_ref().key() };
-        self.map.insert(akey, NodeRef::new(anchor));
+        // SAFETY: a data node the caller's pinned traversal reached.
+        let anchor = unsafe { DataRef::new(anchor.as_ptr()) };
+        self.map.insert(*anchor.key(), NodeRef::new(anchor));
         if self.map.len() >= self.sweep_at {
             // The generation word is an atomic projection of an arena
             // slot: readable whatever became of the node.
@@ -239,10 +241,13 @@ where
     /// [`linked_anchor`]. Caller must hold a pin.
     fn first_anchor(&self, ctx: &ThreadCtx) -> Option<(NonNull<BNode<K>>, BPtr<K>)> {
         let head = self.graph.head(0, self.graph.membership_of(ctx.id()));
-        let first = link(head, 0).load().ptr();
-        // SAFETY: a head's level-0 word always names a node (the tail at
-        // least), which the caller's pin keeps readable.
-        let succ = linked_anchor(unsafe { &*first })?;
+        // SAFETY: heads live as long as the graph, and a head's level-0
+        // word always names a node (the tail at least), which the caller's
+        // pin keeps readable.
+        let (first, succ) = unsafe {
+            let first = Node::link(head, 0).load().ptr();
+            (first, linked_anchor(&*first)?)
+        };
         Some((NonNull::new(first)?, succ))
     }
 
@@ -315,21 +320,25 @@ where
         if cur.is_null() {
             cur = self.graph.head(0, mvec);
         }
-        loop {
-            let node = unsafe { &*cur };
-            match node.cmp_key(key) {
-                CmpOrdering::Greater => break,
-                _ => {
-                    if node.is_data() {
-                        best = Some(unsafe { NonNull::new_unchecked(cur) });
+        // SAFETY: the search's predecessor or a head, and the nodes the
+        // level-0 references after it name, all under the caller's pin.
+        unsafe {
+            loop {
+                let node = &*cur;
+                match node.cmp_key(key) {
+                    CmpOrdering::Greater => break,
+                    _ => {
+                        if node.is_data() {
+                            best = Some(NonNull::new_unchecked(cur));
+                        }
                     }
                 }
+                let next = self.graph.load_next(cur, 0, ctx).ptr();
+                if next.is_null() {
+                    break;
+                }
+                cur = next;
             }
-            let next = self.graph.load_next(cur, 0, ctx).ptr();
-            if next.is_null() {
-                break;
-            }
-            cur = next;
         }
         if best.is_some() {
             return best;
@@ -337,15 +346,18 @@ where
         // Every anchor key exceeds `key`: the first data anchor (live or
         // dying) covers it.
         let mut cur = self.graph.head(0, mvec);
-        loop {
-            let node = unsafe { &*cur };
-            if node.is_tail() {
-                return None;
+        // SAFETY: as above, from the head.
+        unsafe {
+            loop {
+                let node = &*cur;
+                if node.is_tail() {
+                    return None;
+                }
+                if node.is_data() {
+                    return Some(NonNull::new_unchecked(cur));
+                }
+                cur = self.graph.load_next(cur, 0, ctx).ptr();
             }
-            if node.is_data() {
-                return Some(unsafe { NonNull::new_unchecked(cur) });
-            }
-            cur = self.graph.load_next(cur, 0, ctx).ptr();
         }
     }
 }

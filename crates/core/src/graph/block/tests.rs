@@ -2,7 +2,8 @@ use super::range::scan_prefetch_lines;
 use super::resolve::SWEEP_FLOOR;
 use super::storage::*;
 use super::*;
-use crate::graph::link;
+use crate::graph::DataRef;
+use crate::node::Node;
 use crate::sync::TagPtr;
 use instrument::AccessStats;
 use std::collections::BTreeMap;
@@ -300,14 +301,17 @@ fn a_split_descends_once() {
     assert_eq!(sink.totals().searches - before, 1);
 
     let first = blk.forward().load() as BPtr<u64>;
-    let second = link(first, 0).load().ptr();
     let mut top_list = Vec::new();
-    let mut cur = link(map.graph.head(TOP as u8, 0), TOP).load();
-    while !unsafe { &*cur.ptr() }.is_tail() {
-        assert!(!cur.marked());
-        top_list.push(cur.ptr());
-        cur = link(cur.ptr(), TOP).load();
-    }
+    // SAFETY: every node named here is reached under `pin`.
+    let second = unsafe {
+        let mut cur = Node::link(map.graph.head(TOP as u8, 0), TOP).load();
+        while !(*cur.ptr()).is_tail() {
+            assert!(!cur.marked());
+            top_list.push(cur.ptr());
+            cur = Node::link(cur.ptr(), TOP).load();
+        }
+        Node::link(first, 0).load().ptr()
+    };
     assert!(
         !top_list.contains(&anchor.as_ptr()),
         "dead anchor still linked"
@@ -336,7 +340,9 @@ fn generation_moves_when_block_is_replaced() {
     assert!(map.insert(2, 2, &c));
     let stale = {
         let pin = map.graph.pin(&c);
-        NodeRef::new(map.resolve(&1, &pin, &c).unwrap())
+        let anchor = map.resolve(&1, &pin, &c).unwrap();
+        // SAFETY: resolved under `pin`.
+        NodeRef::new(unsafe { DataRef::new(anchor.as_ptr()) })
     };
     {
         let pin = map.graph.pin(&c);

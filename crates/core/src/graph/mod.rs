@@ -18,9 +18,13 @@
 //! one invariant: a node reached under a reclamation pin, whose generation
 //! has not moved, stays readable while the pin lasts. The layers above
 //! read nodes only through the references the core hands out bounded by a
-//! pin: `NodeRef::node`, `SearchResult::hit`, `DataRef::of_entry` and the
-//! pinned `LevelWalk` (ARCHITECTURE §13). Tower words are reached only from
-//! slot pointers, through `link`.
+//! pin: `NodeRef::node`, `SearchResult::hit` / `pred`, `DataRef::of_entry`
+//! and the pinned `LevelWalk` (ARCHITECTURE §13), and read a node's level
+//! words only through `DataRef::load0` and `DataRef::is_marked`. The level
+//! accessors on raw slot pointers (`load_next`, `cas_next`, `help_mark`,
+//! `mark_upper`, `check_retire`, `note_unlinked_chain`) and `DataRef::new`
+//! are `unsafe fn`s; tower words are reached only from slot pointers,
+//! through `Node::link`.
 
 mod arenas;
 mod block;
@@ -42,7 +46,7 @@ use crate::node::{Node, MAX_HEIGHT};
 use crate::params::GraphConfig;
 use crate::prefetch::prefetch_read;
 use crate::reclaim::EpochReclaim;
-use crate::sync::{Padded, TagPtr, TaggedAtomic};
+use crate::sync::{Padded, TagPtr};
 use arenas::TowerArenas;
 use instrument::ThreadCtx;
 use std::cmp::Ordering as CmpOrdering;
@@ -52,21 +56,9 @@ use std::ptr::NonNull;
 
 pub(crate) type NodePtr<K, V> = *mut Node<K, V>;
 
-/// The level-`level` reference of the node at `p`, a slot pointer (an
-/// arena's, or one a link word held) that a traversal reached under its
-/// pin: [`Node::link`] for the graph core, whose invariant makes the
-/// pointer live and whose pointers all carry slot provenance.
-#[inline]
-pub(crate) fn link<'a, K, V>(p: NodePtr<K, V>, level: usize) -> &'a TaggedAtomic<Node<K, V>> {
-    // SAFETY: the graph core's invariant (module docs).
-    unsafe { Node::link(p, level) }
-}
-
-/// Commission-period time source, shared with the epoch-reclamation
-/// protocol so one logical clock drives both decisions (see
-/// [`crate::reclaim::logical_now`]): deterministic scheduler steps under
-/// `--features deterministic` (monotonic, a pure function of the
-/// schedule), TSC cycles otherwise.
+/// Commission-period time source ([`crate::reclaim::logical_now`]):
+/// scheduler steps under `--features deterministic` (a pure function of
+/// the schedule, 0 outside one), TSC cycles otherwise.
 #[inline]
 fn cycles() -> u64 {
     crate::reclaim::logical_now()
@@ -89,12 +81,14 @@ const GEN_POISON: u32 = 1 << 31;
 /// retired one whose slot could be recycled under a different key. A
 /// marked observation poisons the capture instead.
 ///
-/// Callers must hold a reclamation pin (nodes reached by a pinned
-/// traversal cannot be recycled while the pin lasts; see
-/// [`crate::reclaim`]).
-fn capture_gen<K, V>(p: NodePtr<K, V>) -> u32 {
-    let gen = unsafe { Node::generation_of(NonNull::new_unchecked(p)) };
-    if link(p, 0).load().marked() {
+/// # Safety
+///
+/// `p` is a slot pointer of this graph that the caller reached under its
+/// reclamation pin (nodes reached by a pinned traversal cannot be recycled
+/// while the pin lasts; see [`crate::reclaim`]).
+unsafe fn capture_gen<K, V>(p: NodePtr<K, V>) -> u32 {
+    let gen = Node::generation_of(NonNull::new_unchecked(p));
+    if Node::link(p, 0).load().marked() {
         gen.wrapping_add(GEN_POISON)
     } else {
         gen
@@ -114,15 +108,14 @@ pub(crate) struct NodeRef<K, V> {
 }
 
 impl<K, V> NodeRef<K, V> {
-    /// Captures a reference to `ptr`, recording the generation of its
+    /// Captures a reference to `node`, recording the generation of its
     /// current incarnation (see [`capture_gen`] for the load-order
-    /// protocol). Must be called under a reclamation pin, on a *data* node
-    /// the pinned traversal legitimately reached: [`Self::node`] hands it
-    /// back as data.
-    pub(crate) fn new(ptr: NonNull<Node<K, V>>) -> Self {
+    /// protocol): [`Self::node`] hands it back as data.
+    pub(crate) fn new(node: DataRef<'_, K, V>) -> Self {
         Self {
-            ptr,
-            gen: capture_gen(ptr.as_ptr()),
+            ptr: node.ptr,
+            // SAFETY: `node` is pinned.
+            gen: unsafe { capture_gen(node.ptr()) },
         }
     }
 
@@ -141,7 +134,8 @@ impl<K, V> NodeRef<K, V> {
     #[allow(clippy::unnecessary_lazy_evaluations)] // no reference to a stale slot
     pub(crate) fn node<'p>(&self, _pin: &'p PinGuard<'_, K, V>) -> Option<DataRef<'p, K, V>> {
         // SAFETY: the captured data node is not retired, and pinned.
-        self.is_current().then(|| DataRef::new(self.ptr.as_ptr()))
+        self.is_current()
+            .then(|| unsafe { DataRef::new(self.ptr.as_ptr()) })
     }
 }
 
@@ -168,34 +162,69 @@ impl<K, V> std::fmt::Debug for NodeRef<K, V> {
 /// search ([`SearchResult::hit`]), a local-map entry ([`NodeRef::node`]),
 /// a validated index entry ([`DataRef::of_entry`]) and the pinned walks.
 /// It keeps the slot pointer, not a `&Node`: its header derefs as a
-/// `&Node`, and [`DataRef::ptr`] reaches the tower.
+/// `&Node`, and its level accessors reach the tower from the slot pointer,
+/// which stays inside the graph core.
 pub(crate) struct DataRef<'p, K, V> {
     ptr: NonNull<Node<K, V>>,
     _pin: PhantomData<&'p Node<K, V>>,
 }
 
 impl<'p, K, V> DataRef<'p, K, V> {
-    /// `p` is a non-null data node reached under a pin living for `'p`.
+    /// # Safety
+    ///
+    /// `p` is a data node's slot pointer, reached under a pin that lives
+    /// for `'p`.
     #[inline]
-    fn new(p: NodePtr<K, V>) -> Self {
+    unsafe fn new(p: NodePtr<K, V>) -> Self {
         debug_assert!(!p.is_null());
         Self {
-            // SAFETY: a reached node is non-null.
-            ptr: unsafe { NonNull::new_unchecked(p) },
+            ptr: NonNull::new_unchecked(p),
             _pin: PhantomData,
         }
     }
 
-    /// The slot pointer, for the graph's level accessors.
+    /// The slot pointer, for the graph core's level accessors.
     #[inline]
-    pub(crate) fn ptr(self) -> NodePtr<K, V> {
+    fn ptr(self) -> NodePtr<K, V> {
         self.ptr.as_ptr()
     }
 
     /// Whether the node's level-`level` reference is marked.
+    ///
+    /// # Panics
+    ///
+    /// If `level` is above the node's `top_level`: that word lies past the
+    /// slot.
     #[inline]
     pub(crate) fn is_marked(self, level: usize) -> bool {
-        link(self.ptr(), level).load().marked()
+        assert!(
+            level <= self.top_level() as usize,
+            "level {level} above the tower"
+        );
+        // SAFETY: pinned for `'p`, and `level` is inside the tower.
+        unsafe { Node::link(self.ptr(), level) }.load().marked()
+    }
+
+    /// Recorded load of the node's level-0 reference (see
+    /// [`SkipGraph::load_next`]), `graph` being the graph it lives in.
+    #[inline]
+    pub(crate) fn load0(self, graph: &SkipGraph<K, V>, ctx: &ThreadCtx) -> TagPtr<Node<K, V>> {
+        // SAFETY: pinned for `'p`.
+        unsafe { graph.load_next(self.ptr(), 0, ctx) }
+    }
+
+    /// Recorded CAS on the node's level-0 reference (see
+    /// [`SkipGraph::cas_next`]).
+    #[inline]
+    fn cas0(
+        self,
+        graph: &SkipGraph<K, V>,
+        current: TagPtr<Node<K, V>>,
+        new: TagPtr<Node<K, V>>,
+        ctx: &ThreadCtx,
+    ) -> Result<(), TagPtr<Node<K, V>>> {
+        // SAFETY: pinned for `'p`.
+        unsafe { graph.cas_next(self.ptr(), 0, current, new, ctx) }
     }
 
     #[inline]
@@ -273,20 +302,28 @@ impl<K, V> SearchResult<K, V> {
     #[inline]
     pub(crate) fn hit<'p>(&self, _pin: &'p PinGuard<'_, K, V>) -> Option<DataRef<'p, K, V>> {
         // SAFETY: a found `succs[0]` is a data node reached under `pin`.
-        self.found.then(|| DataRef::new(self.succs[0]))
+        self.found.then(|| unsafe { DataRef::new(self.succs[0]) })
+    }
+
+    /// The level-`level` predecessor of a search that filled that level,
+    /// if it is a data node (`None` for a head).
+    pub(crate) fn pred<'p>(
+        &self,
+        level: usize,
+        _pin: &'p PinGuard<'_, K, V>,
+    ) -> Option<DataRef<'p, K, V>> {
+        let p = self.preds[level];
+        debug_assert!(!p.is_null(), "the search did not fill level {level}");
+        // SAFETY: a search reached its non-null predecessors under `pin`.
+        unsafe { (*p).is_data().then(|| DataRef::new(p)) }
     }
 
     /// The level-`level` data predecessor with the generation the search
     /// captured, for a later operation to revalidate as a hint.
-    pub(crate) fn pred_ref(
-        &self,
-        level: usize,
-        _pin: &PinGuard<'_, K, V>,
-    ) -> Option<NodeRef<K, V>> {
-        let ptr = NonNull::new(self.preds[level])?;
-        // SAFETY: a search reached its non-null predecessors under `pin`.
-        unsafe { ptr.as_ref() }.is_data().then_some(NodeRef {
-            ptr,
+    pub(crate) fn pred_ref(&self, level: usize, pin: &PinGuard<'_, K, V>) -> Option<NodeRef<K, V>> {
+        let node = self.pred(level, pin)?;
+        Some(NodeRef {
+            ptr: node.ptr,
             gen: self.pred_gens[level],
         })
     }
@@ -342,17 +379,19 @@ impl<'g, K, V> Iterator for LevelWalk<'g, K, V> {
     type Item = DataRef<'g, K, V>;
 
     fn next(&mut self) -> Option<DataRef<'g, K, V>> {
-        // The start node and every node a level reference names were
-        // reached under the pin the walk holds.
-        if !std::mem::take(&mut self.at_cur) {
-            let next = self.graph.load_next(self.cur, self.level, self.ctx).ptr();
-            // SAFETY: as above; every list ends at the tail.
-            if !unsafe { &*next }.is_data() {
-                return None;
+        // SAFETY: the start node and every node a level reference names
+        // were reached under the pin the walk holds; every list ends at
+        // the tail.
+        unsafe {
+            if !std::mem::take(&mut self.at_cur) {
+                let next = self.graph.load_next(self.cur, self.level, self.ctx).ptr();
+                if !(*next).is_data() {
+                    return None;
+                }
+                self.cur = next;
             }
-            self.cur = next;
+            Some(DataRef::new(self.cur))
         }
-        Some(DataRef::new(self.cur))
     }
 }
 
@@ -437,29 +476,37 @@ impl<K, V> SkipGraph<K, V> {
         self.membership[node.id() as usize]
     }
 
-    /// Recorded load of the level-`level` reference of the node at `p`
-    /// (reached under the caller's pin): counts one shared-node read by
-    /// `ctx` against the node's owner (plus the cache simulation, if
-    /// attached).
+    /// Recorded load of the level-`level` reference of the node at `p`:
+    /// counts one shared-node read by `ctx` against the node's owner (plus
+    /// the cache simulation, if attached).
+    ///
+    /// # Safety
+    ///
+    /// `p` is a slot pointer of this graph (an arena's, or one a link word
+    /// held) reached under the caller's pin, and `level` is inside its
+    /// tower (as for [`Node::link`]).
     #[inline]
-    pub(crate) fn load_next(
+    pub(crate) unsafe fn load_next(
         &self,
         p: NodePtr<K, V>,
         level: usize,
         ctx: &ThreadCtx,
     ) -> TagPtr<Node<K, V>> {
-        let slot = link(p, level);
+        let slot = Node::link(p, level);
         if ctx.is_recording() {
-            // SAFETY: reached under the caller's pin.
-            ctx.record_read(self.owner_of(unsafe { &*p }), slot.addr());
+            ctx.record_read(self.owner_of(&*p), slot.addr());
         }
         slot.load()
     }
 
     /// Recorded maintenance CAS on the level-`level` reference of the node
-    /// at `p` (reached under the caller's pin).
+    /// at `p`.
+    ///
+    /// # Safety
+    ///
+    /// As for [`SkipGraph::load_next`].
     #[inline]
-    pub(crate) fn cas_next(
+    pub(crate) unsafe fn cas_next(
         &self,
         p: NodePtr<K, V>,
         level: usize,
@@ -467,11 +514,10 @@ impl<K, V> SkipGraph<K, V> {
         new: TagPtr<Node<K, V>>,
         ctx: &ThreadCtx,
     ) -> Result<(), TagPtr<Node<K, V>>> {
-        let slot = link(p, level);
+        let slot = Node::link(p, level);
         let r = slot.compare_exchange(current, new);
         if ctx.is_recording() {
-            // SAFETY: reached under the caller's pin.
-            ctx.record_cas(self.owner_of(unsafe { &*p }), slot.addr(), r.is_ok());
+            ctx.record_cas(self.owner_of(&*p), slot.addr(), r.is_ok());
         }
         r
     }
@@ -510,7 +556,8 @@ impl<K: Ord, V> SkipGraph<K, V> {
         for level in 0..=max {
             for suffix in 0..(1u32 << level) {
                 let head = sentinels.alloc(Node::new_head(level, suffix)).as_ptr();
-                link(head, level as usize).store(TagPtr::clean(tail));
+                // SAFETY: a fresh arena slot with a `level`-slot tower.
+                unsafe { Node::link(head, level as usize) }.store(TagPtr::clean(tail));
                 heads[head_index(level, suffix)] = head;
             }
         }
@@ -680,14 +727,24 @@ impl<K: Ord, V> SkipGraph<K, V> {
     /// `start` picks under the walk's pin (taken first) or else from the
     /// list's head. The walk's first node is the picked node itself when
     /// `start` also answers `true`, else its successor.
+    ///
+    /// # Panics
+    ///
+    /// If the picked node's tower stops below `level`.
     pub(crate) fn walk<'g>(
         &'g self,
         (level, suffix): (u8, u32),
         ctx: &'g ThreadCtx,
-        start: impl FnOnce(&PinGuard<'g, K, V>) -> Option<(NodePtr<K, V>, bool)>,
+        start: impl for<'p> FnOnce(&'p PinGuard<'g, K, V>) -> Option<(DataRef<'p, K, V>, bool)>,
     ) -> LevelWalk<'g, K, V> {
         let pin = self.pin(ctx);
-        let (cur, at_cur) = start(&pin).unwrap_or((self.head(level, suffix), false));
+        let (cur, at_cur) = start(&pin).map_or((self.head(level, suffix), false), |(node, at)| {
+            assert!(
+                node.top_level() >= level,
+                "a walk of level {level} from a shorter node"
+            );
+            (node.ptr(), at)
+        });
         LevelWalk {
             graph: self,
             cur,
@@ -723,7 +780,12 @@ impl<K: Ord, V> SkipGraph<K, V> {
     /// the unique event unlinking these nodes at this level (the cell
     /// pointing at each chain node is frozen — only the relinked cell
     /// could still reach them), so per-(node, level) reports never race.
-    pub(crate) fn note_unlinked_chain(
+    ///
+    /// # Safety
+    ///
+    /// The chain's nodes are data nodes of this graph, reached under the
+    /// caller's pin, and the caller's relink CAS just unlinked them.
+    pub(crate) unsafe fn note_unlinked_chain(
         &self,
         first: NodePtr<K, V>,
         end: NodePtr<K, V>,
@@ -734,18 +796,17 @@ impl<K: Ord, V> SkipGraph<K, V> {
         while cur != end {
             let node = DataRef::new(cur);
             debug_assert!(node.is_data());
-            let w = link(cur, level).load();
+            let w = Node::link(cur, level).load();
             debug_assert!(w.marked(), "unlinked chains are frozen");
-            // Safety: the chain's nodes were reached under our pin; once
-            // the completing `fetch_or` reports the node fully unlinked
-            // (exactly once), it is retired.
-            if unsafe { Node::note_unlinked(cur, level) } {
+            // Once the completing `fetch_or` reports the node fully
+            // unlinked (exactly once), it is retired.
+            if Node::note_unlinked(cur, level) {
                 // Invalidate-before-retire: the index entry must die
                 // before the generation bump inside `retire`, so no
                 // window exists where a reader holds a gen-valid entry
                 // to a slot that is already in limbo.
                 self.index_invalidate(node, ctx);
-                unsafe { self.reclaim.retire(ctx.id() as usize, node.ptr) }
+                self.reclaim.retire(ctx.id() as usize, node.ptr);
                 ctx.record_retire();
             }
             cur = w.ptr();
@@ -823,7 +884,11 @@ impl<K: Ord, V> SkipGraph<K, V> {
     /// Ensures the level-`level` reference of the node at `p` is marked
     /// (helping; the mark bit is sticky). Recorded as maintenance CAS
     /// traffic.
-    pub(crate) fn help_mark(&self, p: NodePtr<K, V>, level: usize, ctx: &ThreadCtx) {
+    ///
+    /// # Safety
+    ///
+    /// As for [`SkipGraph::load_next`].
+    pub(crate) unsafe fn help_mark(&self, p: NodePtr<K, V>, level: usize, ctx: &ThreadCtx) {
         let mut spins = 0u64;
         loop {
             spins += 1;
@@ -837,10 +902,12 @@ impl<K: Ord, V> SkipGraph<K, V> {
     }
 
     /// Marks every level of the node at `p` from its top down to level 1.
-    pub(crate) fn mark_upper(&self, p: NodePtr<K, V>, ctx: &ThreadCtx) {
-        // SAFETY: reached under the caller's pin.
-        let top = unsafe { &*p }.top_level() as usize;
-        for level in (1..=top).rev() {
+    ///
+    /// # Safety
+    ///
+    /// `p` is a slot pointer of this graph reached under the caller's pin.
+    pub(crate) unsafe fn mark_upper(&self, p: NodePtr<K, V>, ctx: &ThreadCtx) {
+        for level in (1..=(*p).top_level() as usize).rev() {
             self.help_mark(p, level, ctx);
         }
     }
@@ -851,7 +918,12 @@ impl<K: Ord, V> SkipGraph<K, V> {
     /// at level 0.
     ///
     /// `w0` is a freshly loaded `next[0]` word of the node.
-    pub(crate) fn check_retire(
+    ///
+    /// # Safety
+    ///
+    /// `p` is a data node's slot pointer of this graph, reached under the
+    /// caller's pin.
+    pub(crate) unsafe fn check_retire(
         &self,
         p: NodePtr<K, V>,
         w0: TagPtr<Node<K, V>>,
@@ -863,8 +935,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
         }
         // The stamp is truncated; the check counts only the time that
         // surely passed, so truncation can only delay retirement.
-        // SAFETY: reached under the caller's pin.
-        if !unsafe { &*p }.commission_expired(cycles(), self.config.commission_cycles) {
+        if !(*p).commission_expired(cycles(), self.config.commission_cycles) {
             return false;
         }
         // retire(): atomically (false, invalid) -> (true, invalid), then
@@ -889,7 +960,12 @@ impl<K: Ord, V> SkipGraph<K, V> {
     /// node gets its level-`level` reference help-marked, so every skipped
     /// reference is immutable and a chain can be replaced with one CAS (the
     /// relink optimization).
-    fn skip_chain(
+    ///
+    /// # Safety
+    ///
+    /// `first` is a slot pointer of this graph, with a level-`level`
+    /// reference, that a search reached under its pin.
+    unsafe fn skip_chain(
         &self,
         first: NodePtr<K, V>,
         level: usize,
@@ -902,7 +978,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
         loop {
             spins += 1;
             debug_assert!(spins < 500_000_000, "skip_chain livelock at level {level}");
-            if !unsafe { &*cur }.is_data() {
+            if !(*cur).is_data() {
                 return (cur, advanced); // tail (or a head, which never appears mid-list)
             }
             let w = self.load_next(cur, level, ctx);
@@ -970,57 +1046,63 @@ impl<K: Ord, V> SkipGraph<K, V> {
             ),
         };
         let mut res = SearchResult::empty();
-        for level in (0..=top).rev() {
-            // A head is per-(level, suffix): switch entry points as we
-            // descend. Data-node predecessors belong to all lower lists.
-            if unsafe { &*prev }.is_head() {
-                prev = self.head(level as u8, mvec);
-            }
-            let mut spins = 0u64;
-            loop {
-                spins += 1;
-                debug_assert!(spins < 500_000_000, "search_from livelock at level {level}");
-                let mut middle = self.load_next(prev, level, ctx);
-                // Overlap the successor's line transfer with the null /
-                // mark bookkeeping before we dereference it.
-                prefetch_read(middle.ptr());
-                if middle.ptr().is_null() {
-                    // `prev` can only be a start node that was never linked
-                    // at this level: a partially-linked node whose
-                    // finishInsert aborted (Alg. 10 marks it `inserted` so
-                    // nobody retries) can be handed out by getStart during
-                    // the transient window where its upper levels are
-                    // marked but level 0 is not. Re-enter from the head.
+        // SAFETY: `prev` starts at a head or at a data node the caller
+        // reached under its pin, and every later node is one a level
+        // reference named under that pin: a live slot of this graph.
+        unsafe {
+            for level in (0..=top).rev() {
+                // A head is per-(level, suffix): switch entry points as we
+                // descend. Data-node predecessors belong to all lower lists.
+                if (*prev).is_head() {
                     prev = self.head(level as u8, mvec);
-                    continue;
                 }
-                let (succ, skipped) = self.skip_chain(middle.ptr(), level, ctx, &mut visited);
-                if skipped && unlink && !middle.marked() {
-                    // Relink: one CAS snips the whole marked chain.
-                    match self.cas_next(prev, level, middle, middle.with_ptr(succ), ctx) {
-                        Ok(()) => {
-                            self.note_unlinked_chain(middle.ptr(), succ, level, ctx);
-                            middle = middle.with_ptr(succ)
-                        }
-                        Err(_) => continue, // re-read this level from prev
+                let mut spins = 0u64;
+                loop {
+                    spins += 1;
+                    debug_assert!(spins < 500_000_000, "search_from livelock at level {level}");
+                    let mut middle = self.load_next(prev, level, ctx);
+                    // Overlap the successor's line transfer with the null /
+                    // mark bookkeeping before we dereference it.
+                    prefetch_read(middle.ptr());
+                    if middle.ptr().is_null() {
+                        // `prev` can only be a start node that was never linked
+                        // at this level: a partially-linked node whose
+                        // finishInsert aborted (Alg. 10 marks it `inserted` so
+                        // nobody retries) can be handed out by getStart during
+                        // the transient window where its upper levels are
+                        // marked but level 0 is not. Re-enter from the head.
+                        prev = self.head(level as u8, mvec);
+                        continue;
                     }
+                    let (succ, skipped) = self.skip_chain(middle.ptr(), level, ctx, &mut visited);
+                    if skipped && unlink && !middle.marked() {
+                        // Relink: one CAS snips the whole marked chain.
+                        match self.cas_next(prev, level, middle, middle.with_ptr(succ), ctx) {
+                            Ok(()) => {
+                                self.note_unlinked_chain(middle.ptr(), succ, level, ctx);
+                                middle = middle.with_ptr(succ)
+                            }
+                            Err(_) => continue, // re-read this level from prev
+                        }
+                    }
+                    let succ_ref = &*succ;
+                    visited += 1;
+                    if succ_ref.cmp_key(key) == CmpOrdering::Less {
+                        prev = succ;
+                        continue;
+                    }
+                    res.preds[level] = prev;
+                    res.middles[level] = middle;
+                    res.succs[level] = succ;
+                    res.pred_gens[level] = capture_gen(prev);
+                    break;
                 }
-                let succ_ref = unsafe { &*succ };
-                visited += 1;
-                if succ_ref.cmp_key(key) == CmpOrdering::Less {
-                    prev = succ;
-                    continue;
-                }
-                res.preds[level] = prev;
-                res.middles[level] = middle;
-                res.succs[level] = succ;
-                res.pred_gens[level] = capture_gen(prev);
-                break;
             }
+            let s0 = &*res.succs[0];
+            res.found = s0.is_data()
+                && s0.cmp_key(key) == CmpOrdering::Equal
+                && !s0.next0().load().marked();
         }
-        let s0 = unsafe { &*res.succs[0] };
-        res.found =
-            s0.is_data() && s0.cmp_key(key) == CmpOrdering::Equal && !s0.next0().load().marked();
         ctx.record_search(visited);
         res
     }
@@ -1054,7 +1136,8 @@ impl<K: Ord, V> SkipGraph<K, V> {
                 }
                 let mut last_key: Option<&K> = None;
                 loop {
-                    let next = link(p, level as usize).load().ptr();
+                    // SAFETY: as above; every node of the list is linked at it.
+                    let next = unsafe { Node::link(p, level as usize) }.load().ptr();
                     if next.is_null() {
                         return Err(format!("level {level}/{suffix}: null next"));
                     }

@@ -14,7 +14,7 @@
 //! The primitives dereference the node pointers their caller's search
 //! reached under the pin it holds (see the graph module's invariant).
 
-use super::{link, DataRef, PinGuard, SearchResult, SkipGraph};
+use super::{DataRef, PinGuard, SearchResult, SkipGraph};
 use crate::node::Node;
 use crate::sync::TagPtr;
 use instrument::ThreadCtx;
@@ -34,16 +34,15 @@ impl<K: Ord, V> SkipGraph<K, V> {
         hash: u64,
         ctx: &ThreadCtx,
     ) -> Option<bool> {
-        let p = node.ptr();
         loop {
-            let w0 = self.load_next(p, 0, ctx);
+            let w0 = node.load0(self, ctx);
             if w0.marked() {
                 return None;
             }
             if w0.valid() {
                 return Some(false); // duplicate
             }
-            if self.cas_next(p, 0, w0, w0.with_valid(true), ctx).is_ok() {
+            if node.cas0(self, w0, w0.with_valid(true), ctx).is_ok() {
                 // Resurrection is a successful insertion: refresh the
                 // index entry so point reads hit this incarnation.
                 self.index_publish_hashed(node.ptr, hash, ctx);
@@ -57,9 +56,8 @@ impl<K: Ord, V> SkipGraph<K, V> {
     /// `Some(true)` — valid bit unset here (successful removal); `None` —
     /// node marked, fall back to a full search.
     pub(crate) fn remove_helper(&self, node: DataRef<'_, K, V>, ctx: &ThreadCtx) -> Option<bool> {
-        let p = node.ptr();
         loop {
-            let w0 = self.load_next(p, 0, ctx);
+            let w0 = node.load0(self, ctx);
             if w0.marked() {
                 return None;
             }
@@ -73,7 +71,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
             #[cfg(feature = "bug-injection")]
             return Some(true);
             #[cfg(not(feature = "bug-injection"))]
-            if self.cas_next(p, 0, w0, w0.with_valid(false), ctx).is_ok() {
+            if node.cas0(self, w0, w0.with_valid(false), ctx).is_ok() {
                 // The node stays linked and remains the unique holder of
                 // its key, so its index entry stays too: the read side
                 // sees unmarked-invalid and answers authoritative absence
@@ -92,14 +90,14 @@ impl<K: Ord, V> SkipGraph<K, V> {
     /// competes to set the level-0 mark (the linearization point). Returns
     /// whether this call won.
     pub(crate) fn logical_delete_eager(&self, node: DataRef<'_, K, V>, ctx: &ThreadCtx) -> bool {
-        let p = node.ptr();
-        self.mark_upper(p, ctx);
+        // SAFETY: `node` is pinned.
+        unsafe { self.mark_upper(node.ptr(), ctx) };
         loop {
-            let w0 = self.load_next(p, 0, ctx);
+            let w0 = node.load0(self, ctx);
             if w0.marked() {
                 return false;
             }
-            if self.cas_next(p, 0, w0, w0.with_mark(), ctx).is_ok() {
+            if node.cas0(self, w0, w0.with_mark(), ctx).is_ok() {
                 // Injected coherence bug (harness validation only): the
                 // winner of an eager delete skips its invalidate duty.
                 // The victim's generation bumps only when the node is
@@ -121,7 +119,12 @@ impl<K: Ord, V> SkipGraph<K, V> {
     ///
     /// A linked node is published to the index under `hash`, its key's
     /// [`SkipGraph::index_hash`].
-    pub(crate) fn try_link_level0(
+    ///
+    /// # Safety
+    ///
+    /// `node` is a fresh data node of this graph, and `res` a search that
+    /// ran under the caller's pin.
+    pub(crate) unsafe fn try_link_level0(
         &self,
         node: NonNull<Node<K, V>>,
         res: &SearchResult<K, V>,
@@ -133,7 +136,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
             return false; // predecessor was deleted; caller re-searches
         }
         // Fresh nodes are published unmarked and valid.
-        link(node.as_ptr(), 0).store(TagPtr::clean(res.succs[0]));
+        Node::link(node.as_ptr(), 0).store(TagPtr::clean(res.succs[0]));
         let ok = self
             .cas_next(res.preds[0], 0, m0, m0.with_ptr(node.as_ptr()), ctx)
             .is_ok();
@@ -155,7 +158,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
     /// if the node got marked (or superseded) before all levels were linked.
     pub(crate) fn link_upper<'a>(
         &self,
-        node_nn: NonNull<Node<K, V>>,
+        node: DataRef<'a, K, V>,
         res: &mut SearchResult<K, V>,
         ctx: &ThreadCtx,
         mut refresh_start: impl FnMut() -> Option<DataRef<'a, K, V>>,
@@ -164,10 +167,9 @@ impl<K: Ord, V> SkipGraph<K, V> {
         K: 'a,
         V: 'a,
     {
-        let p = node_nn.as_ptr();
-        let node = unsafe { node_nn.as_ref() };
-        let key = unsafe { node.key() };
-        let mvec = self.mvec_of(node);
+        let p = node.ptr();
+        let key = node.key();
+        let mvec = self.mvec_of(&node);
         let unlink = !self.config.lazy;
         for level in 1..=node.top_level() as usize {
             let mut spins = 0u64;
@@ -178,12 +180,12 @@ impl<K: Ord, V> SkipGraph<K, V> {
                     // The search that produced `res` started below this
                     // level; redo it from the head array.
                     *res = self.search_from(key, mvec, None, unlink, ctx);
-                    if !res.found || res.succs[0] != node_nn.as_ptr() {
+                    if !res.found || res.succs[0] != p {
                         return false;
                     }
                     continue;
                 }
-                if res.succs[level] == node_nn.as_ptr() {
+                if res.succs[level] == p {
                     // The node is already reachable at this level — a
                     // concurrent linker (or a previous life of a
                     // resurrected node) beat us to it. Adopting the search
@@ -192,6 +194,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
                     // traversal of the level. Treat the level as done.
                     break;
                 }
+                // SAFETY: `res` is a search under the caller's pin.
                 let succ = unsafe { &*res.succs[level] };
                 if succ.is_data() && succ.next0().load().marked() {
                     // A search walks the upper levels before level 0, so it
@@ -202,14 +205,15 @@ impl<K: Ord, V> SkipGraph<K, V> {
                     // the node would leave two nodes with one key in this
                     // list; search again instead, skipping the dead one.
                     *res = self.search_from(key, mvec, refresh_start(), unlink, ctx);
-                    if !res.found || res.succs[0] != node_nn.as_ptr() {
+                    if !res.found || res.succs[0] != p {
                         return false;
                     }
                     continue;
                 }
                 // Point the node's own level reference at the successor.
                 // Unrecorded: initialization of the thread's in-flight node.
-                let slot = link(p, level);
+                // SAFETY: the node is pinned and reaches `level`.
+                let slot = unsafe { Node::link(p, level) };
                 loop {
                     let old = slot.load();
                     if old.marked() {
@@ -226,17 +230,19 @@ impl<K: Ord, V> SkipGraph<K, V> {
                     }
                 }
                 let m = res.middles[level];
-                if !m.marked()
-                    && self
-                        .cas_next(res.preds[level], level, m, m.with_ptr(p), ctx)
-                        .is_ok()
-                {
-                    self.note_unlinked_chain(m.ptr(), res.succs[level], level, ctx);
+                // SAFETY: the search reached the predecessor and the chain
+                // after it under the caller's pin.
+                let linked = !m.marked()
+                    && unsafe { self.cas_next(res.preds[level], level, m, m.with_ptr(p), ctx) }
+                        .is_ok();
+                if linked {
+                    // SAFETY: as above; the CAS just unlinked the chain.
+                    unsafe { self.note_unlinked_chain(m.ptr(), res.succs[level], level, ctx) };
                     break; // this level is linked; proceed upward
                 }
                 // CAS failed: re-search and retry the level.
                 *res = self.search_from(key, mvec, refresh_start(), unlink, ctx);
-                if !res.found || res.succs[0] != node_nn.as_ptr() {
+                if !res.found || res.succs[0] != p {
                     return false; // node no longer the live holder of the key
                 }
             }
@@ -270,7 +276,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
         mut update_start: impl FnMut() -> Option<DataRef<'p, K, V>>,
         pin: &'p PinGuard<'_, K, V>,
         ctx: &ThreadCtx,
-    ) -> (bool, Option<NonNull<Node<K, V>>>)
+    ) -> (bool, Option<DataRef<'p, K, V>>)
     where
         K: Clone,
     {
@@ -302,14 +308,20 @@ impl<K: Ord, V> SkipGraph<K, V> {
                 let v = pending.take().expect("value pending");
                 self.alloc_node(key.clone(), v, ctx, height)
             });
-            if !self.try_link_level0(n, &res, ctx, hash) {
+            // SAFETY: `n` is this call's fresh node, and `res` a search
+            // under `pin`; once linked, `pin` keeps it like any listed node.
+            let linked = unsafe {
+                self.try_link_level0(n, &res, ctx, hash)
+                    .then(|| DataRef::new(n.as_ptr()))
+            };
+            let Some(linked) = linked else {
                 start = update_start(); // Alg. 3 line 15
                 continue;
-            }
+            };
             if !(lazy && local) {
-                let _ = self.link_upper(n, &mut res, ctx, &mut update_start);
+                let _ = self.link_upper(linked, &mut res, ctx, &mut update_start);
             }
-            return (true, Some(n));
+            return (true, Some(linked));
         }
     }
 
@@ -371,7 +383,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
         // `found` saw the node unmarked; lazily, its valid bit decides.
         let node = res.hit(pin).filter(|node| {
             !lazy || {
-                let w0 = self.load_next(node.ptr(), 0, ctx);
+                let w0 = node.load0(self, ctx);
                 !w0.marked() && w0.valid()
             }
         })?;
@@ -396,50 +408,53 @@ impl<K: Ord, V> SkipGraph<K, V> {
         let lazy = self.config().lazy;
         let mut prev = self.head(0, 0);
         loop {
-            let middle = self.load_next(prev, 0, ctx);
-            // Walk (and freeze) the dead chain after prev.
-            let mut cur = middle.ptr();
-            let mut skipped = false;
-            loop {
-                if !unsafe { &*cur }.is_data() {
+            // SAFETY: `prev` is the head or a data node, and every node after
+            // it one a level-0 reference named, all reached under `_pin`.
+            let node = unsafe {
+                let middle = self.load_next(prev, 0, ctx);
+                // Walk (and freeze) the dead chain after prev.
+                let mut cur = middle.ptr();
+                let mut skipped = false;
+                loop {
+                    if !(*cur).is_data() {
+                        break;
+                    }
+                    let w = self.load_next(cur, 0, ctx);
+                    if w.marked() {
+                        cur = w.ptr();
+                        skipped = true;
+                        continue;
+                    }
+                    if lazy && !w.valid() && self.check_retire(cur, w, ctx) {
+                        cur = self.load_next(cur, 0, ctx).ptr();
+                        skipped = true;
+                        continue;
+                    }
                     break;
                 }
-                let w = self.load_next(cur, 0, ctx);
-                if w.marked() {
-                    cur = w.ptr();
-                    skipped = true;
-                    continue;
+                if skipped && !middle.marked() {
+                    // Best effort: unlink the dead prefix in one CAS.
+                    if self
+                        .cas_next(prev, 0, middle, middle.with_ptr(cur), ctx)
+                        .is_ok()
+                    {
+                        self.note_unlinked_chain(middle.ptr(), cur, 0, ctx);
+                    }
                 }
-                if lazy && !w.valid() && self.check_retire(cur, w, ctx) {
-                    cur = self.load_next(cur, 0, ctx).ptr();
-                    skipped = true;
-                    continue;
+                if (*cur).is_tail() {
+                    return None;
                 }
-                break;
-            }
-            if skipped && !middle.marked() {
-                // Best effort: unlink the dead prefix in one CAS.
-                if self
-                    .cas_next(prev, 0, middle, middle.with_ptr(cur), ctx)
-                    .is_ok()
-                {
-                    self.note_unlinked_chain(middle.ptr(), cur, 0, ctx);
-                }
-            }
-            if unsafe { &*cur }.is_tail() {
-                return None;
-            }
-            let node = DataRef::new(cur);
+                DataRef::new(cur)
+            };
             let won = if lazy {
                 matches!(self.remove_helper(node, ctx), Some(true))
             } else {
-                let w0 = self.load_next(cur, 0, ctx);
-                !w0.marked() && self.logical_delete_eager(node, ctx)
+                !node.load0(self, ctx).marked() && self.logical_delete_eager(node, ctx)
             };
             if won {
                 return Some((node.key().clone(), node.value().clone()));
             }
-            prev = cur; // lost the race for this node; move past it
+            prev = node.ptr(); // lost the race for this node; move past it
         }
     }
 }

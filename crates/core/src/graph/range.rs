@@ -77,14 +77,15 @@ impl<K: Ord, V> SkipGraph<K, V> {
             };
             let included = matches!(start, Bound::Included(_));
             if let Some(IndexRead::Hit(node)) = self.index_read(k, self.index_hash(k), pin, ctx) {
-                return Some((node.ptr(), included));
+                return Some((node, included));
             }
             let res = self.search_from(k, self.membership_of(ctx.id()), hint, false, ctx);
             // Past an excluded bound key that is present, start after its
             // holder; otherwise after the predecessor.
+            // A head predecessor leaves the walk at the list's head.
             match res.hit(pin).filter(|_| !included) {
-                Some(holder) => Some((holder.ptr(), false)),
-                None => Some((res.preds[0], false)),
+                Some(holder) => Some((holder, false)),
+                None => res.pred(0, pin).map(|pred| (pred, false)),
             }
         });
         RangeIter {
@@ -114,7 +115,7 @@ impl<'g, K: Ord, V> Iterator for RangeIter<'g, K, V> {
             if !in_range {
                 return None;
             }
-            let w0 = self.graph.load_next(node.ptr(), 0, self.ctx);
+            let w0 = node.load0(self.graph, self.ctx);
             if !w0.marked() && (!lazy || w0.valid()) {
                 return Some((key, node.value()));
             }

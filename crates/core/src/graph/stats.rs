@@ -46,7 +46,7 @@ impl<K: Ord, V> SkipGraph<K, V> {
     pub fn memory_stats(&self, ctx: &ThreadCtx) -> MemoryStats {
         let (mut live, mut invalid, mut marked) = (0, 0, 0);
         for node in self.walk((0, 0), ctx, |_| None) {
-            let w = self.load_next(node.ptr(), 0, ctx);
+            let w = node.load0(self, ctx);
             if w.marked() {
                 marked += 1;
             } else if !w.valid() {

@@ -81,10 +81,10 @@ fn heads_cover_every_list_and_point_at_tail() {
     for level in 0..=g.config().max_level {
         for suffix in 0..(1u32 << level) {
             let head = g.head(level, suffix);
-            let h = unsafe { &*head };
+            // SAFETY: heads live as long as the graph.
+            let (h, next) = unsafe { (&*head, g.load_next(head, level as usize, &c)) };
             assert!(h.is_head());
             assert_eq!(h.top_level(), level);
-            let next = g.load_next(head, level as usize, &c);
             assert!(unsafe { &*next.ptr() }.is_tail(), "level {level}/{suffix}");
         }
     }
@@ -126,9 +126,9 @@ fn eager_search_physically_unlinks_marked_chains() {
     // Logically delete 3..7 without the composite remove (no cleanup pass).
     let mvec = g.membership_of(0);
     for k in 3..7u64 {
+        let pin = g.pin(&c);
         let res = g.search_from(&k, mvec, None, false, &c);
-        assert!(res.found);
-        assert!(g.logical_delete_eager(DataRef::new(res.succs[0]), &c));
+        assert!(g.logical_delete_eager(res.hit(&pin).unwrap(), &c));
     }
     // One unlinking search across the whole chain: pred(2).next must jump
     // directly to 7 afterwards (a single relink CAS snips the chain).
@@ -173,19 +173,22 @@ fn lazy_insert_then_finish_links_upper_levels() {
     let res = g.search_from(&50, g.membership_of(0), None, false, &c);
     assert!(!res.found);
     let node = g.alloc_node(50, 500, &c, g.config().max_level);
-    assert!(g.try_link_level0(node, &res, &c, 0));
-    // Only level 0 is linked so far.
-    let n = unsafe { node.as_ref() };
-    assert!(!n.is_inserted());
-    assert!(link(node.as_ptr(), 1).load().ptr().is_null());
-    // finishInsert completes the upper levels.
-    let mut res = g.search_from(&50, g.membership_of(0), None, false, &c);
-    assert!(res.found);
-    assert!(g.link_upper(node, &mut res, &c, || None));
-    assert!(n.is_inserted());
-    for level in 1..=g.config().max_level as usize {
-        let w = link(node.as_ptr(), level).load();
-        assert!(!w.ptr().is_null(), "level {level}");
+    let p = node.as_ptr();
+    // SAFETY: a fresh node linked by the only thread, which retires nothing.
+    unsafe {
+        assert!(g.try_link_level0(node, &res, &c, 0));
+        // Only level 0 is linked so far.
+        assert!(!(*p).is_inserted());
+        assert!(Node::link(p, 1).load().ptr().is_null());
+        // finishInsert completes the upper levels.
+        let mut res = g.search_from(&50, g.membership_of(0), None, false, &c);
+        assert!(res.found);
+        assert!(g.link_upper(DataRef::new(p), &mut res, &c, || None));
+        assert!((*p).is_inserted());
+        for level in 1..=g.config().max_level as usize {
+            let w = Node::link(p, level).load();
+            assert!(!w.ptr().is_null(), "level {level}");
+        }
     }
     g.check_invariants().unwrap();
 }
@@ -195,8 +198,9 @@ fn insert_helper_state_machine() {
     let g = lazy(2, u64::MAX);
     let c = ctx(0);
     assert!(insert(&g, 7, 70, 0, &c));
+    let pin = g.pin(&c);
     let res = g.search_from(&7, g.membership_of(0), None, false, &c);
-    let node = DataRef::new(res.succs[0]);
+    let node = res.hit(&pin).unwrap();
     // Valid duplicate -> Some(false).
     assert_eq!(g.insert_helper(node, g.index_hash(&7), &c), Some(false));
     // Invalid (logically deleted) -> resurrected, Some(true).
@@ -204,7 +208,8 @@ fn insert_helper_state_machine() {
     assert_eq!(g.insert_helper(node, g.index_hash(&7), &c), Some(true));
     // Marked -> None.
     assert_eq!(g.remove_helper(node, &c), Some(true));
-    g.help_mark(node.ptr(), 0, &c);
+    // SAFETY: `node` is pinned.
+    unsafe { g.help_mark(node.ptr(), 0, &c) };
     assert_eq!(g.insert_helper(node, g.index_hash(&7), &c), None);
     assert_eq!(g.remove_helper(node, &c), None);
 }
@@ -214,8 +219,9 @@ fn remove_helper_double_remove_fails() {
     let g = lazy(2, u64::MAX);
     let c = ctx(0);
     assert!(insert(&g, 7, 70, 0, &c));
+    let pin = g.pin(&c);
     let res = g.search_from(&7, g.membership_of(0), None, false, &c);
-    let node = DataRef::new(res.succs[0]);
+    let node = res.hit(&pin).unwrap();
     assert_eq!(g.remove_helper(node, &c), Some(true));
     assert_eq!(g.remove_helper(node, &c), Some(false), "already invalid");
 }
@@ -235,7 +241,8 @@ fn check_retire_respects_commission_period() {
         res.found || {
             // found=false because the node is invalid... found checks only the
             // mark; re-fetch to assert the state precisely.
-            let w = g.load_next(res.succs[0], 0, &c);
+            // SAFETY: one thread, and it retired nothing.
+            let w = unsafe { g.load_next(res.succs[0], 0, &c) };
             !w.marked()
         }
     );
@@ -258,10 +265,13 @@ fn help_mark_is_idempotent_and_freezes_pointer() {
     assert!(insert(&g, 2, 2, 0, &c));
     let res = g.search_from(&1, g.membership_of(0), None, false, &c);
     let node = res.succs[0];
-    let before = g.load_next(node, 0, &c).ptr();
-    g.help_mark(node, 0, &c);
-    g.help_mark(node, 0, &c);
-    let w = g.load_next(node, 0, &c);
+    // SAFETY: one thread, and it retires nothing.
+    let (before, w) = unsafe {
+        let before = g.load_next(node, 0, &c).ptr();
+        g.help_mark(node, 0, &c);
+        g.help_mark(node, 0, &c);
+        (before, g.load_next(node, 0, &c))
+    };
     assert!(w.marked());
     assert_eq!(w.ptr(), before, "mark preserved the successor pointer");
 }
@@ -283,16 +293,15 @@ fn partitioned_upper_levels_respect_membership() {
     }
     // Walk level-1 list "1" (suffix 1): only odd keys (thread 1, mvec 01).
     let head = g.head(1, 1);
-    let mut cur = g.load_next(head, 1, &c0).ptr();
     let mut seen = 0;
-    while unsafe { &*cur }.is_data() {
-        assert_eq!(
-            g.mvec_of(unsafe { &*cur }) & 1,
-            1,
-            "foreign node in list (1,1)"
-        );
-        seen += 1;
-        cur = g.load_next(cur, 1, &c0).ptr();
+    // SAFETY: nothing was removed, so every node is live.
+    unsafe {
+        let mut cur = g.load_next(head, 1, &c0).ptr();
+        while (*cur).is_data() {
+            assert_eq!(g.mvec_of(&*cur) & 1, 1, "foreign node in list (1,1)");
+            seen += 1;
+            cur = g.load_next(cur, 1, &c0).ptr();
+        }
     }
     assert_eq!(seen, 20);
     g.check_invariants().unwrap();
@@ -314,11 +323,14 @@ fn sparse_heights_bound_tower_population() {
     // thread split; here a single thread inserts everything, so the
     // top list holds ~2000/2^max of the nodes).
     let head = g.head(max, g.membership_of(0));
-    let mut cur = g.load_next(head, max as usize, &c).ptr();
     let mut count = 0;
-    while unsafe { &*cur }.is_data() {
-        count += 1;
-        cur = g.load_next(cur, max as usize, &c).ptr();
+    // SAFETY: nothing was removed, so every node is live.
+    unsafe {
+        let mut cur = g.load_next(head, max as usize, &c).ptr();
+        while (*cur).is_data() {
+            count += 1;
+            cur = g.load_next(cur, max as usize, &c).ptr();
+        }
     }
     let expected = 2000.0 / (1 << max) as f64;
     assert!(
@@ -535,9 +547,11 @@ fn generation_checks_catch_stale_references() {
     let c = ctx(0);
     let mut h = ConcurrentMap::pin(&g, ctx(0));
     assert!(insert(&g, 10, 10, 1, &c));
-    let res = g.search_from(&10, g.membership_of(0), None, false, &c);
-    assert!(res.found);
-    let live = NodeRef::new(NonNull::new(res.succs[0]).unwrap());
+    let live = {
+        let pin = g.pin(&c);
+        let res = g.search_from(&10, g.membership_of(0), None, false, &c);
+        NodeRef::new(res.hit(&pin).unwrap())
+    };
     assert!(live.is_current(), "freshly captured reference validates");
     assert!(h.remove(&10));
     // Retirement bumps the generation: the reference is invalid even
@@ -557,13 +571,14 @@ fn references_captured_from_marked_nodes_are_poisoned() {
     let g = reclaiming(2);
     let c = ctx(0);
     assert!(insert(&g, 10, 10, 1, &c));
+    let pin = g.pin(&c);
     let res = g.search_from(&10, g.membership_of(0), None, false, &c);
-    let node = DataRef::new(res.succs[0]);
+    let node = res.hit(&pin).unwrap();
     // Mark the node without unlinking it (the first half of an eager
     // removal): a capture taken *after* the mark may belong to either
     // incarnation, so it must never validate.
     assert!(g.logical_delete_eager(node, &c));
-    let poisoned = NodeRef::new(NonNull::new(res.succs[0]).unwrap());
+    let poisoned = NodeRef::new(node);
     assert!(
         !poisoned.is_current(),
         "capture on a marked node is poisoned"

@@ -1158,7 +1158,7 @@ impl<K: Ord, V> HashIndex<K, V> {
             // A recorded load: the hit node's level-0 word is a real
             // cache-line touch (the one line an index-served read costs),
             // so it must show up in the access matrices like any other.
-            let w0 = graph.load_next(node.ptr(), 0, ctx);
+            let w0 = node.load0(graph, ctx);
             if w0.marked() {
                 // Dead incarnation awaiting retire: tombstone and descend
                 // (a fresh insert of the key may own a new node).

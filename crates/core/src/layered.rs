@@ -483,7 +483,7 @@ where
                         .search_from(&k, self.mvec, start2, false, &self.ctx);
                     let finished = res.found
                         && res.succs[0] == r.ptr.as_ptr()
-                        && self.graph.link_upper(r.ptr, &mut res, &self.ctx, || {
+                        && self.graph.link_upper(node, &mut res, &self.ctx, || {
                             self.prev_start(&k, top, pin)
                         });
                     if finished {
@@ -605,7 +605,7 @@ where
         if self.lazy() {
             return self.graph.remove_helper(node, &self.ctx);
         }
-        if self.graph.load_next(node.ptr(), 0, &self.ctx).marked() {
+        if node.load0(self.graph, &self.ctx).marked() {
             return None;
         }
         let won = self.graph.logical_delete_eager(node, &self.ctx);
@@ -633,7 +633,7 @@ where
         node: DataRef<'p, K, V>,
         _pin: &'p PinGuard<'m, K, V>,
     ) -> Option<Option<&'p V>> {
-        let w0 = self.graph.load_next(node.ptr(), 0, &self.ctx);
+        let w0 = node.load0(self.graph, &self.ctx);
         if w0.marked() {
             return None;
         }

@@ -168,13 +168,13 @@ fn pack_origin(id: u16, stamp: u32) -> [u8; 3] {
 /// stamp unit. `units` whole units between the two stamps prove only
 /// `(units - 1) << shift` cycles (plus one), so that is what is compared:
 /// a rounded or wrapped stamp can only postpone retirement. A zero
-/// commission retires at once when units are coarser than a cycle: no
-/// check runs in the cycle its node was stamped, but the stamp cannot
-/// tell that cycle from the rest of its unit.
+/// commission retires at once, whatever the stamp says: the stamp cannot
+/// tell the cycle its node was stamped from the rest of its unit, and
+/// under `deterministic` the clock stands at 0 outside a schedule.
 #[inline]
 fn commission_expired_at(stamp: u32, now: u64, commission: u64, shift: u32) -> bool {
     let units = ((now >> shift) as u32).wrapping_sub(stamp) & STAMP_MASK;
-    (commission == 0 && shift > 0)
+    commission == 0
         || units
             .checked_sub(1)
             .is_some_and(|u| (u as u64) << shift >= commission)
@@ -867,11 +867,11 @@ mod tests {
             commission,
             S
         ));
-        // A zero commission retires at once at unit resolution; exact
-        // steps (shift 0) still need one step, as the exact rule does.
+        // A zero commission retires at once, at unit resolution and in
+        // exact steps alike (a clock standing at the stamp included).
         assert!(commission_expired_at(stamp, born, 0, S));
-        assert!(!commission_expired_at(5, 5, 0, 0));
-        assert!(commission_expired_at(5, 6, 0, 0));
+        assert!(commission_expired_at(5, 5, 0, 0));
+        assert!(commission_expired_at(0, 0, 0, 0));
         // Exhaustively, at a small unit: never earlier than the exact rule
         // (elapsed > commission), and at most two units later.
         let shift = 4;

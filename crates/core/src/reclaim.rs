@@ -88,15 +88,17 @@ pub(crate) const GRACE_EPOCHS: usize = 2;
 /// its own limbo list before pinning.
 pub(crate) const QUIESCE_PERIOD: usize = 64;
 
-/// The logical time source shared by the commission clock
-/// (`check_retire`) and the epoch protocol: deterministic scheduler steps
-/// under `--features deterministic`, TSC cycles otherwise.
+/// The logical time source of the commission clock (the stamp
+/// `alloc_node` writes and the check in `check_retire`): TSC cycles, or
+/// under `--features deterministic` the scheduler's step count, 0 outside
+/// a schedule. So a map preloaded before its lane starts stamps its nodes
+/// at 0, a time the lane's steps are measured from, and what retires in a
+/// lane is a pure function of its schedule.
 #[inline]
 pub(crate) fn logical_now() -> u64 {
     #[cfg(feature = "deterministic")]
-    if let Some(step) = crate::det::active_step() {
-        return step;
-    }
+    return crate::det::active_step().unwrap_or(0);
+    #[cfg(not(feature = "deterministic"))]
     instrument::time::cycles()
 }
 

@@ -97,6 +97,22 @@ pub trait Visit {
     fn visit<M: ConcurrentMap<u64, u64>>(self, map: &M) -> Self::Out;
 }
 
+/// The commission period of a lazy row under `deterministic`, in scheduler
+/// steps (the commission clock counts steps there). The paper's
+/// `350000 * T` would outlast every lane, and a lane that retires nothing
+/// never reaches `check_retire`'s retire path; the stamp holds 2^15 steps.
+#[cfg(feature = "deterministic")]
+const DET_COMMISSION_STEPS: u64 = 100;
+
+#[cfg(feature = "deterministic")]
+fn det_commission(graph: GraphConfig) -> GraphConfig {
+    if graph.lazy {
+        graph.commission_cycles(DET_COMMISSION_STEPS)
+    } else {
+        graph
+    }
+}
+
 /// Builds the named structure for `threads` threads over the keys
 /// `0..key_space` and hands it to `visit`. Panics on an unknown name (see
 /// [`STRUCTURES`]).
@@ -120,6 +136,8 @@ pub fn with_named<V: Visit>(name: &str, threads: usize, key_space: u64, visit: V
                 // cross in-place grows and compactions.
                 _ => GraphConfig::new(t).hash_index(true),
             };
+            #[cfg(feature = "deterministic")]
+            let graph = det_commission(graph);
             visit.visit(&LayeredMap::<u64, u64>::new(graph.chunk_capacity(cap)))
         }
         "skipgraph" => visit.visit(&SkipGraph::<u64, u64>::new(
@@ -154,6 +172,8 @@ pub fn with_named<V: Visit>(name: &str, threads: usize, key_space: u64, visit: V
             let graph = GraphConfig::new(t).chunk_capacity(cap);
             #[cfg(not(feature = "bug-injection"))]
             let graph = graph.lazy(true).hash_index(true);
+            #[cfg(feature = "deterministic")]
+            let graph = det_commission(graph);
             let replicas = ReplicaConfig::uniform(t, t.min(2)).log_capacity(16);
             visit.visit(&ReplicatedLayeredMap::<u64, u64>::new(graph, replicas))
         }

@@ -322,6 +322,27 @@ fn replicated_pct_and_round_robin_linearize() {
     }
 }
 
+/// The lazy rows retire nodes under their schedules. Their commission is
+/// counted in scheduler steps (a default `350000 * T` would outlast every
+/// lane), and a map preloaded before the lane stamps its nodes at logical
+/// time 0, so `check_retire`'s mark, unlink and retire path runs in each
+/// lane and is a pure function of the schedule.
+#[test]
+fn lazy_rows_retire_under_their_schedules() {
+    let cfg = StressConfig::contended(7);
+    let det = DetConfig::new(
+        env_seed(0xD15C0),
+        Policy::Pct {
+            change_points: 12,
+            expected_steps: 60_000,
+        },
+    );
+    for name in ["lazy_layered_sg", "lazy_hashed_sg", "replicated_sg"] {
+        let counted = counters_named_det(name, &cfg, &det);
+        assert!(counted.retired > 0, "{name} retired nothing: {counted:?}");
+    }
+}
+
 /// The exact count of one uncontended replicated write: one worker under
 /// the scheduler, so every facade access is one step and nothing else
 /// runs. A two-replica map with two thread slots (the worker homes on
